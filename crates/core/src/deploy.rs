@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use asj_geom::{Rect, SpatialObject};
+use asj_net::transport::InProcExchange;
 use asj_net::{
     CacheLayer, ChannelServer, ClientCache, FaultLayer, FaultPlan, Link, NetConfig, QueryHandler,
     RawExchange, Request, Response, ShardEndpoint, ShardMeta, ShardRouter, Update,
@@ -73,7 +74,7 @@ impl Endpoint {
 
     fn raw(&self) -> Box<dyn RawExchange> {
         match self {
-            Endpoint::InProc(h) => Box::new(InProcDyn(Arc::clone(h))),
+            Endpoint::InProc(h) => Box::new(InProcExchange::new(Arc::clone(h))),
             Endpoint::Channel { handle, .. } => Box::new(handle.connect()),
             Endpoint::Event(endpoint) => Box::new(endpoint.connect()),
         }
@@ -104,23 +105,8 @@ struct Replica {
 /// reconnect to the *same* server after a scripted crash: the store (and
 /// its published generation) survives; only the connection is lost.
 enum Carrier {
-    Single(Arc<Endpoint>),
+    Single(Replica),
     Fleet(Vec<(Arc<ShardMeta>, Vec<Replica>)>),
-}
-
-/// Wraps an endpoint's raw exchange in a [`FaultLayer`] when a plan is
-/// configured. The restart hook reconnects to the same endpoint, so a
-/// crash-then-restart resumes serving the `VersionedStore` at its last
-/// published generation — exactly the recovery contract the chaos suite
-/// checks.
-fn physical_edge(e: &Arc<Endpoint>, fault: Option<&FaultPlan>) -> Box<dyn RawExchange> {
-    match fault {
-        None => e.raw(),
-        Some(plan) => {
-            let ep = Arc::clone(e);
-            Box::new(FaultLayer::new(e.raw(), *plan).with_restart(Box::new(move || ep.raw())))
-        }
-    }
 }
 
 /// Decorrelates the scripted fault stream per replica edge: replica 0
@@ -135,12 +121,16 @@ fn replica_plan(plan: &FaultPlan, replica: usize) -> FaultPlan {
     p
 }
 
-/// The physical edge to replica `j` of one shard's replica group. Under
-/// a fault plan the edge gets its own decorrelated [`FaultLayer`]; its
-/// restart hook first catches the replica's store up from the
-/// freshest sibling (a replica that stayed dark through an outage missed
-/// the update batches its siblings acked — resynchronizing here is what
-/// lets the router's generation floor readmit it), then reconnects.
+/// The physical carrier to replica `j` of one replica group (a single
+/// server is a group of one). Under a fault plan it gets its own
+/// decorrelated [`FaultLayer`]. The restart hook reconnects to the *same*
+/// endpoint, so a crash-then-restart resumes serving the
+/// `VersionedStore` at its last published generation — the recovery
+/// contract the chaos suite checks. Before reconnecting it catches the
+/// replica's store up from the freshest sibling: a replica that stayed
+/// dark through an outage missed the update batches its siblings acked,
+/// and resynchronizing here is what lets the router's generation floor
+/// readmit it.
 fn replica_edge(group: &[Replica], j: usize, fault: Option<&FaultPlan>) -> Box<dyn RawExchange> {
     match fault {
         None => group[j].endpoint.raw(),
@@ -172,19 +162,18 @@ fn replica_edge(group: &[Replica], j: usize, fault: Option<&FaultPlan>) -> Box<d
 }
 
 impl Carrier {
-    /// Opens a fresh link; when `cache` is set, a [`CacheLayer`] (with a
-    /// fresh per-link telemetry but the given shared store) is stacked in
-    /// front of the server or fleet.
+    /// Opens a fresh link — the stack of the `asj_net` crate docs, bottom
+    /// up: physical edges, a [`ShardRouter`] over them for a fleet, a
+    /// [`CacheLayer`] (fresh per-link telemetry, the given shared store)
+    /// when `cache` is set, the [`Link`]. Retry and — with `net.wire_v2`
+    /// on — the v2 handshake are handed down from the top to whichever
+    /// layer owns the edges; with the flag off (the default) no
+    /// handshake frame is ever sent and every edge speaks v1
+    /// byte-identically.
     ///
     /// Fleet links all share the carrier's [`ShardMeta`]s, so generation
     /// stamps and bounds growth observed through any link (including the
     /// update path) are visible to every other link's router.
-    /// When `net.wire_v2` is on, whichever layer owns the *physical*
-    /// edge negotiates protocol v2 over it before the link is handed
-    /// out: a bare link negotiates with its server, a cache layer with
-    /// the server behind it, a shard router per shard. With the flag
-    /// off (the default) no handshake frame is ever sent and every link
-    /// speaks v1 byte-identically.
     fn link(
         &self,
         net: &NetConfig,
@@ -192,27 +181,16 @@ impl Carrier {
         cache: Option<&Arc<ClientCache>>,
         fault: Option<&FaultPlan>,
     ) -> Link {
-        match self {
-            Carrier::Single(e) => match cache {
-                Some(c) => {
-                    let mut layer =
-                        CacheLayer::new(physical_edge(e, fault), net.packet, Arc::clone(c))
-                            .with_retry(net.retry);
-                    if net.wire_v2 {
-                        layer.negotiate_v2();
+        let link = match self {
+            Carrier::Single(replica) => {
+                let edge = replica_edge(std::slice::from_ref(replica), 0, fault);
+                match cache {
+                    Some(c) => {
+                        Link::cached(CacheLayer::new(edge, net.packet, Arc::clone(c)), tariff)
                     }
-                    Link::cached(layer, tariff)
+                    None => Link::new(edge, net.packet, tariff),
                 }
-                None => {
-                    let link = Link::new(physical_edge(e, fault), net.packet, tariff)
-                        .with_retry(net.retry);
-                    if net.wire_v2 {
-                        link.negotiate()
-                    } else {
-                        link
-                    }
-                }
-            },
+            }
             Carrier::Fleet(members) => {
                 let shards = members
                     .iter()
@@ -223,21 +201,20 @@ impl Carrier {
                         ShardEndpoint::with_replicas(Arc::clone(meta), edges)
                     })
                     .collect();
-                // Retries live on the router (the layer that owns the
-                // physical edges): a cache stacked over a fleet must not
-                // re-deliver, or every scatter would double-count.
-                let mut router = ShardRouter::new(shards, net.packet)
-                    .with_retry(net.retry)
+                let router = ShardRouter::new(shards, net.packet)
                     .with_breakers(net.breaker)
                     .with_allow_partial(net.allow_partial);
-                if net.wire_v2 {
-                    router.negotiate_v2();
-                }
                 match cache {
                     Some(c) => Link::cached(CacheLayer::over_router(router, Arc::clone(c)), tariff),
                     None => Link::routed(router, tariff),
                 }
             }
+        }
+        .with_retry(net.retry);
+        if net.wire_v2 {
+            link.negotiate()
+        } else {
+            link
         }
     }
 
@@ -263,51 +240,12 @@ impl Carrier {
     /// carrier.
     fn event_stats(&self) -> Vec<Arc<asj_net::EndpointStats>> {
         match self {
-            Carrier::Single(e) => e.event_stats().into_iter().collect(),
+            Carrier::Single(replica) => replica.endpoint.event_stats().into_iter().collect(),
             Carrier::Fleet(members) => members
                 .iter()
                 .flat_map(|(_, group)| group.iter().filter_map(|r| r.endpoint.event_stats()))
                 .collect(),
         }
-    }
-}
-
-/// Adapter: `InProcExchange` is generic; deployments hold `dyn` handlers.
-struct InProcDyn(Arc<dyn QueryHandler>);
-
-impl asj_net::RawExchange for InProcDyn {
-    fn exchange(&self, request: bytes::Bytes) -> bytes::Bytes {
-        // Version negotiation is link control: answered at the transport
-        // adapter, never surfaced to the query handler.
-        if let Some(accept) = asj_net::codec::try_answer_hello(&request) {
-            return accept;
-        }
-        // Retried update batches arrive wrapped in a dedup envelope; peel
-        // it and route through the tagged at-most-once path so a
-        // duplicated delivery can never double-bump a generation. The
-        // same contract every server-side transport adapter honours.
-        if let Some((tag, body)) = asj_net::codec::peel_dedup(&request) {
-            let mut buf = bytes::BytesMut::new();
-            match asj_net::codec::decode_request_versioned(body) {
-                Ok((Request::ApplyUpdates(updates), wire)) => {
-                    let resp = self.0.handle_tagged_updates(tag, updates);
-                    asj_net::codec::encode_response_versioned(&resp, wire, None, &mut buf);
-                    return buf.freeze();
-                }
-                _ => return asj_net::codec::malformed_frame(),
-            }
-        }
-        let (req, wire) = match asj_net::codec::decode_request_versioned(request) {
-            Ok(pair) => pair,
-            // Same contract as every transport adapter: a garbled frame
-            // is answered with the typed error, never panicked on.
-            Err(_) => return asj_net::codec::malformed_frame(),
-        };
-        // Zero-copy serving: the handler streams its answer straight into
-        // the reply buffer (see `SpatialService::handle_into`).
-        let mut buf = bytes::BytesMut::new();
-        self.0.handle_into(req, wire, &mut buf);
-        buf.freeze()
     }
 }
 
@@ -750,7 +688,7 @@ impl DeploymentBuilder {
         let replicas = self.replicas;
         let make = |objects: Vec<SpatialObject>, shards: Option<usize>, name: &str| -> Carrier {
             match shards {
-                None => Carrier::Single(spawn(objects, name).endpoint),
+                None => Carrier::Single(spawn(objects, name)),
                 Some(n) => {
                     let part = partition_objects(&space, n, objects);
                     // Advertised bounds come from the partitioner's

@@ -41,8 +41,8 @@
 //! [`DeploymentBuilder::with_shards`] partitions each side across a fleet
 //! of shard servers (space-split assignment, boundary straddlers covered
 //! by advertised bounds) reached through a client-side scatter-gather
-//! router that implements the same carrier seam the single-server
-//! deployment uses — `ExecCtx` and every algorithm work unchanged. The
+//! router that presents the same `Link` the single-server deployment
+//! uses — `ExecCtx` and every algorithm work unchanged. The
 //! router prunes shards whose bounds miss the query window, sub-batches
 //! `MultiCount`/bucket probes, merges and deduplicates answers, and
 //! meters per shard and in aggregate; [`CostModel::with_fanout`] teaches

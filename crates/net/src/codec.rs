@@ -491,6 +491,53 @@ pub fn decode_request(buf: Bytes) -> Result<Request, CodecError> {
     Ok(decode_request_versioned(buf)?.0)
 }
 
+/// `req` as every peer reads it off the wire: each coordinate and ε
+/// rounded through the request layout's `f32`, exactly what
+/// [`decode_request`] returns for [`encode_request`]`(req)`. Layers that
+/// take decisions on a request's rectangles (shard pruning, cache keys
+/// and containment) take them on this form — the one the server
+/// evaluates — so rounding can never make them diverge from it.
+pub fn wire_exact(req: &Request) -> Request {
+    let f = |v: f64| v as f32 as f64;
+    let obj = |o: &SpatialObject| SpatialObject::new(o.id, snap_rect_f32(&o.mbr));
+    match req {
+        Request::Window(w) => Request::Window(snap_rect_f32(w)),
+        Request::Count(w) => Request::Count(snap_rect_f32(w)),
+        Request::AvgArea(w) => Request::AvgArea(snap_rect_f32(w)),
+        Request::EpsRange { q, eps } => Request::EpsRange {
+            q: snap_rect_f32(q),
+            eps: f(*eps),
+        },
+        Request::BucketEpsRange { probes, eps } => Request::BucketEpsRange {
+            probes: probes.iter().map(obj).collect(),
+            eps: f(*eps),
+        },
+        Request::MultiCount(ws) => Request::MultiCount(ws.iter().map(snap_rect_f32).collect()),
+        Request::CoopLevelMbrs(level) => Request::CoopLevelMbrs(*level),
+        Request::CoopFilterByMbrs { mbrs, eps } => Request::CoopFilterByMbrs {
+            mbrs: mbrs.iter().map(snap_rect_f32).collect(),
+            eps: f(*eps),
+        },
+        Request::CoopJoinPush { objects, eps } => Request::CoopJoinPush {
+            objects: objects.iter().map(obj).collect(),
+            eps: f(*eps),
+        },
+        Request::ApplyUpdates(batch) => Request::ApplyUpdates(
+            batch
+                .iter()
+                .map(|u| match u {
+                    Update::Insert(o) => Update::Insert(obj(o)),
+                    Update::Delete(id) => Update::Delete(*id),
+                    Update::Move { id, to } => Update::Move {
+                        id: *id,
+                        to: snap_rect_f32(to),
+                    },
+                })
+                .collect(),
+        ),
+    }
+}
+
 fn decode_request_body(mut buf: Bytes) -> Result<Request, CodecError> {
     if buf.remaining() < 1 {
         return Err(CodecError::Truncated);
@@ -883,10 +930,9 @@ pub fn decode_response_gen(mut buf: Bytes) -> Result<(Response, u64), CodecError
 }
 
 /// Splits a raw response frame into its generation and the unstamped
-/// remainder **without decoding the payload** — the cheap peek the
-/// premetered forwarding paths use. Handles both stamp envelopes (v1's
-/// fixed `[R_GEN][u64]` and v2's `[R_GEN_V2][varint]`); unstamped frames
-/// report generation 0 and come back unchanged.
+/// remainder **without decoding the payload**. Handles both stamp
+/// envelopes (v1's fixed `[R_GEN][u64]` and v2's `[R_GEN_V2][varint]`);
+/// unstamped frames report generation 0 and come back unchanged.
 pub fn peel_generation(buf: Bytes) -> Result<(u64, Bytes), CodecError> {
     if buf.remaining() >= 1 && buf[0] == op::R_GEN {
         if buf.remaining() < GEN_STAMP_BYTES as usize {
@@ -1492,6 +1538,47 @@ mod tests {
             let bytes = encode_request(&req);
             let back = decode_request(bytes).unwrap();
             assert_eq!(back, req);
+        }
+    }
+
+    #[test]
+    fn wire_exact_is_what_the_peer_decodes() {
+        // Thirds and tenths are not f32-representable: every coordinate
+        // and ε below changes on the wire.
+        let w = Rect::from_coords(1.0 / 3.0, 0.1, 10.0 / 3.0, 7.7);
+        let o = SpatialObject::new(5, w);
+        let reqs = vec![
+            Request::Window(w),
+            Request::Count(w),
+            Request::AvgArea(w),
+            Request::EpsRange { q: w, eps: 0.1 },
+            Request::BucketEpsRange {
+                probes: vec![o, o],
+                eps: 0.3,
+            },
+            Request::MultiCount(vec![w, w]),
+            Request::CoopLevelMbrs(2),
+            Request::CoopFilterByMbrs {
+                mbrs: vec![w],
+                eps: 0.7,
+            },
+            Request::CoopJoinPush {
+                objects: vec![o],
+                eps: 0.9,
+            },
+            Request::ApplyUpdates(vec![
+                Update::Insert(o),
+                Update::Delete(7),
+                Update::Move { id: 9, to: w },
+            ]),
+        ];
+        for req in reqs {
+            let decoded = decode_request(encode_request(&req)).unwrap();
+            assert_eq!(wire_exact(&req), decoded);
+            assert_eq!(wire_exact(&decoded), decoded, "idempotent");
+            if !matches!(req, Request::CoopLevelMbrs(_)) {
+                assert_ne!(decoded, req, "the sample must actually round");
+            }
         }
     }
 

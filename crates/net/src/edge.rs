@@ -1,0 +1,194 @@
+//! The one physical edge under the typed link stack.
+//!
+//! An [`Edge`] owns one carrier (with any [`FaultLayer`](crate::FaultLayer)
+//! beneath it), the wire version negotiated over it and the meters its
+//! traffic is charged to. It is the only place a request becomes bytes
+//! and a reply becomes a [`Response`] again: [`Edge::frame`] versions and
+//! tags, [`Edge::begin`] ships split-phase, [`Edge::judge`] charges and
+//! classifies, and [`Edge::call`] is the serial retry loop over those
+//! three. Everything above speaks [`Layer::call`].
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use bytes::Bytes;
+
+use crate::codec::{
+    decode_response_gen_ctx, encode_request_versioned, is_unavailable, wrap_dedup, DedupTag,
+    QuantCtx, WireVersion,
+};
+use crate::meter::LinkMeter;
+use crate::packet::{PacketModel, RetryPolicy};
+use crate::proto::{Request, Response};
+use crate::transport::{negotiate_wire, RawExchange};
+
+/// Process-unique sender nonce for the retry-dedup envelope: each edge
+/// draws one at construction, so two senders never collide in a server's
+/// at-most-once table.
+static EDGE_NONCE: AtomicU64 = AtomicU64::new(1);
+
+/// The typed seam of the link stack: `Link`, `CacheLayer` and
+/// `ShardRouter` hand each other requests and responses, never frames.
+pub(crate) trait Layer: Send + Sync {
+    /// Answers one logical request: the response, and the serving
+    /// generation it reports (an `Ack`'s payload, otherwise the reply's
+    /// stamp; 0 from a frozen server or a failed exchange).
+    fn call(&self, req: &Request) -> (Response, u64);
+
+    /// Hands a retry discipline down to the physical edges below.
+    fn set_retry(&mut self, retry: RetryPolicy);
+
+    /// Runs the `HELLO`/`ACCEPT` handshake on every physical edge below
+    /// and returns the version all of them speak.
+    fn negotiate(&mut self) -> WireVersion;
+}
+
+/// One request framed for an edge: the bytes every attempt ships and
+/// what [`Edge::judge`] needs to read the reply.
+#[derive(Clone)]
+pub(crate) struct Frame<'a> {
+    pub req: &'a Request,
+    pub bytes: Bytes,
+    /// The v2 coordinate grid both peers derive from the request.
+    ctx: Option<QuantCtx>,
+}
+
+/// One physical carrier with its negotiated version, meters, retry
+/// discipline and dedup identity.
+pub(crate) struct Edge {
+    carrier: Box<dyn RawExchange>,
+    packet: PacketModel,
+    /// Every meter this edge's traffic is charged to: one for a plain
+    /// edge; aggregate, shard and replica for a fleet edge — so
+    /// `aggregate == Σ shard == Σ Σ replica` holds by construction.
+    meters: Vec<Arc<LinkMeter>>,
+    wire: WireVersion,
+    retry: RetryPolicy,
+    nonce: u64,
+    /// Batch sequence within this sender; one per `ApplyUpdates`
+    /// request, identical across its retries.
+    seq: AtomicU64,
+}
+
+impl Edge {
+    pub(crate) fn new(
+        carrier: Box<dyn RawExchange>,
+        packet: PacketModel,
+        meters: Vec<Arc<LinkMeter>>,
+    ) -> Self {
+        Edge {
+            carrier,
+            packet,
+            meters,
+            wire: WireVersion::V1,
+            retry: RetryPolicy::default(),
+            nonce: EDGE_NONCE.fetch_add(1, Ordering::Relaxed),
+            seq: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn wire(&self) -> WireVersion {
+        self.wire
+    }
+
+    /// Pins the version (a replica set speaks v2 only when every sibling
+    /// accepted it).
+    pub(crate) fn set_wire(&mut self, wire: WireVersion) {
+        self.wire = wire;
+    }
+
+    /// Applies `f` to every meter of this edge.
+    pub(crate) fn tally(&self, f: fn(&LinkMeter)) {
+        self.meters.iter().for_each(|m| f(m));
+    }
+
+    /// Encodes `req` in this edge's wire version. With retries on, an
+    /// `ApplyUpdates` batch rides the at-most-once dedup envelope — one
+    /// fresh `(nonce, seq)` tag per frame, so every attempt (and every
+    /// replica a fleet ships the frame to) carries the identical tag and
+    /// a duplicated delivery replays the server's recorded `Ack`.
+    pub(crate) fn frame<'a>(&self, req: &'a Request) -> Frame<'a> {
+        let mut bytes = encode_request_versioned(req, self.wire);
+        if self.retry.enabled() && matches!(req, Request::ApplyUpdates(_)) {
+            let tag = DedupTag {
+                nonce: self.nonce,
+                seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            };
+            bytes = wrap_dedup(tag, &bytes);
+        }
+        Frame {
+            req,
+            bytes,
+            ctx: QuantCtx::for_request(req),
+        }
+    }
+
+    /// Ships one attempt split-phase; the completion yields the raw reply.
+    pub(crate) fn begin<'a>(&'a self, frame: &Frame) -> Box<dyn FnOnce() -> Bytes + Send + 'a> {
+        self.carrier.begin(frame.bytes.clone())
+    }
+
+    /// Judges one completed attempt — the only place a meter is charged
+    /// and a reply frame decoded. A carrier-fabricated unavailable frame
+    /// means nothing crossed the wire: nothing is charged. Anything else
+    /// was real traffic and is charged in both directions, superseded
+    /// attempts included; a reply that does not decode, or is not a kind
+    /// of answer `req` can get, is classified [`Response::Malformed`].
+    pub(crate) fn judge(&self, frame: &Frame, raw: Bytes) -> (Response, u64) {
+        if is_unavailable(&raw) {
+            return (Response::Unavailable, 0);
+        }
+        let (up, down) = (frame.bytes.len() as u64, raw.len() as u64);
+        let (resp, stamp) = match decode_response_gen_ctx(raw, frame.ctx.as_ref()) {
+            Ok((resp, stamp)) if frame.req.admits(&resp) => (resp, stamp),
+            _ => (Response::Malformed, 0),
+        };
+        for m in &self.meters {
+            m.record_request(frame.req, up, &self.packet);
+            m.record_response(
+                down,
+                resp.object_count(),
+                &self.packet,
+                frame.req.is_aggregate(),
+            );
+        }
+        match resp {
+            Response::Ack { generation } => (resp, generation),
+            _ => (resp, stamp),
+        }
+    }
+}
+
+impl Layer for Edge {
+    /// The serial exchange: failed attempts — peer gone, or a reply
+    /// judged malformed — are re-issued with the same frame up to the
+    /// retry budget with deterministic backoff; exhaustion surfaces the
+    /// last typed failure and is tallied as one abandonment.
+    fn call(&self, req: &Request) -> (Response, u64) {
+        let frame = self.frame(req);
+        let mut outcome = (Response::Unavailable, 0);
+        for attempt in 0..self.retry.max_attempts.max(1) {
+            if attempt > 0 {
+                self.tally(LinkMeter::record_retry);
+                self.retry.sleep(attempt);
+            }
+            outcome = self.judge(&frame, self.carrier.exchange(frame.bytes.clone()));
+            if !outcome.0.is_failure() {
+                return outcome;
+            }
+        }
+        if self.retry.enabled() {
+            self.tally(LinkMeter::record_abandon);
+        }
+        outcome
+    }
+
+    fn set_retry(&mut self, retry: RetryPolicy) {
+        self.retry = retry;
+    }
+
+    fn negotiate(&mut self) -> WireVersion {
+        self.wire = negotiate_wire(self.carrier.as_ref());
+        self.wire
+    }
+}

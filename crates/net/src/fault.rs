@@ -1,9 +1,9 @@
 //! Deterministic fault injection on the [`RawExchange`] seam.
 //!
-//! A [`FaultLayer`] wraps any carrier — the composition trick the
-//! [`crate::router::ShardRouter`] and [`crate::cache::CacheLayer`]
-//! established — and injects the failure modes of the paper's ad-hoc
-//! wireless setting from a scripted [`FaultPlan`]: **drops** (the exchange
+//! A [`FaultLayer`] wraps any carrier — below the physical edge, so it
+//! sees exactly the frames that cross the wire — and injects the failure
+//! modes of the paper's ad-hoc wireless setting from a scripted
+//! [`FaultPlan`]: **drops** (the exchange
 //! never happens; the layer fabricates the local `R_UNAVAILABLE`
 //! pseudo-frame, so metering layers correctly charge nothing), **delays**
 //! (a fixed sleep before the exchange — wall-clock only, never results),
@@ -173,9 +173,8 @@ struct Counters {
 pub type RestartFn = Box<dyn Fn() -> Box<dyn RawExchange> + Send + Sync>;
 
 /// Deterministic, seeded fault injector implementing [`RawExchange`] —
-/// stacks at the physical edge, under `Link`/`CacheLayer`/`ShardRouter`,
-/// exactly like the cache does. See the module docs for the determinism
-/// contract.
+/// stacks beneath the physical edge, under `Link`/`CacheLayer`/
+/// `ShardRouter`. See the module docs for the determinism contract.
 pub struct FaultLayer {
     inner: RwLock<Box<dyn RawExchange>>,
     plan: FaultPlan,

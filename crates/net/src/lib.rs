@@ -34,29 +34,29 @@
 //!   per-endpoint queue-depth gauges — thousands of simulated devices
 //!   without a thread per connection;
 //! * [`router`] — the **scatter-gather extension**: a [`ShardRouter`]
-//!   fronts a fleet of shard servers behind the same carrier seam, pruning
-//!   shards by advertised bounds, sub-batching batched requests, merging
-//!   and deduplicating answers, and metering both per shard and in
-//!   aggregate. A fleet of one is a byte-transparent proxy, so sharding is
-//!   wire-identical to a flat deployment at N = 1;
-//! * [`cache`] — the **client-cache extension**: a [`CacheLayer`] on the
-//!   same carrier seam (in front of a flat server *or* a whole fleet)
-//!   answers repeated `COUNT`s from an exact statistics tier and
-//!   contained `WINDOW`/ε-RANGE requests from a byte-budgeted window
-//!   tier. Entries are keyed by the **serving generation** each response
-//!   frame is stamped with, so live updates need no invalidation
-//!   protocol: a generation bump simply stops matching and stale entries
-//!   age out of the LRU budget. Gated by [`NetConfig::client_cache`] and
-//!   **off by default** (off ⇒ byte-identical wire traffic);
-//!   hits/misses/saved bytes are tallied in a [`CacheSnapshot`];
+//!   makes a fleet of shard servers look like one, pruning shards by
+//!   advertised bounds, sub-batching batched requests, merging and
+//!   deduplicating answers, with every exchange metered per replica, per
+//!   shard and in aggregate. A fleet of one edge prunes and merges
+//!   nothing, so sharding is wire-identical to a flat deployment at
+//!   N = 1;
+//! * [`cache`] — the **client-cache extension**: a [`CacheLayer`] (in
+//!   front of a flat server *or* a whole fleet) answers repeated `COUNT`s
+//!   from an exact statistics tier and contained `WINDOW`/ε-RANGE
+//!   requests from a byte-budgeted window tier. Entries are keyed by the
+//!   **serving generation** each response reports, so live updates need
+//!   no invalidation protocol: a generation bump simply stops matching
+//!   and stale entries age out of the LRU budget. Gated by
+//!   [`NetConfig::client_cache`] and **off by default** (off ⇒
+//!   byte-identical wire traffic); hits/misses/saved bytes are tallied in
+//!   a [`CacheSnapshot`];
 //! * [`fault`] — the **deterministic fault injector**: a [`FaultLayer`]
-//!   on the same carrier seam replays scripted drops, delays, garbled
-//!   frames and crash-then-restart windows from a seeded [`FaultPlan`],
-//!   so every chaos run is reproducible. Pairs with the
-//!   [`packet::RetryPolicy`] retry/backoff discipline (off by default —
-//!   off ⇒ byte-identical wire traffic) that re-issues failed exchanges,
-//!   dedup-enveloping `ApplyUpdates` so retried deliveries are
-//!   at-most-once;
+//!   wraps any carrier and replays scripted drops, delays, garbled frames
+//!   and crash-then-restart windows from a seeded [`FaultPlan`], so every
+//!   chaos run is reproducible. Pairs with the [`packet::RetryPolicy`]
+//!   retry/backoff discipline (off by default — off ⇒ byte-identical wire
+//!   traffic) that re-issues failed exchanges, dedup-enveloping
+//!   `ApplyUpdates` so retried deliveries are at-most-once;
 //! * [`health`] — the **replica failover extension**: per-replica-edge
 //!   circuit breakers (closed → open after K consecutive failures →
 //!   half-open probe after a deterministic, exchange-counted cooldown)
@@ -76,9 +76,27 @@
 //!
 //! Every message — including the queries themselves, as the paper insists —
 //! is packetized and metered.
+//!
+//! # The link stack
+//!
+//! ```text
+//! Link → [CacheLayer] → [ShardRouter] → Edge → [FaultLayer] → carrier
+//! ```
+//!
+//! One rule: **bytes exist only below the edge.** `Link`, `CacheLayer`
+//! and `ShardRouter` hand each other typed requests and
+//! `(response, serving generation)` pairs; the physical edge (`edge.rs`)
+//! is who frames (wire version, dedup envelope), meters, judges a reply
+//! ok / `Unavailable` / `Malformed`, retries and negotiates — once per
+//! physical exchange, in one copy. A flat link has one edge; a fleet has
+//! one per replica, driven by the router's flight scheduler through the
+//! same frame / begin / judge steps. Retry and negotiation requested on
+//! a [`Link`] are handed down to whichever layer owns the edges, so
+//! neither can be applied above them.
 
 pub mod cache;
 pub mod codec;
+mod edge;
 pub mod event_loop;
 pub mod fault;
 pub mod health;

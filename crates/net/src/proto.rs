@@ -89,6 +89,31 @@ impl Request {
             Request::Count(_) | Request::AvgArea(_) | Request::MultiCount(_)
         )
     }
+
+    /// `true` when `resp` is an answer this request can get: its own
+    /// result kind (one entry per probe for the batched requests) or one
+    /// of the typed non-answers any request may draw. A reply is input
+    /// from outside the program, so the link stack checks this once per
+    /// physical exchange and treats a mismatch like a garbled frame.
+    pub fn admits(&self, resp: &Response) -> bool {
+        match (self, resp) {
+            (_, Response::Refused | Response::Malformed | Response::Unavailable)
+            | (
+                Request::Window(_) | Request::EpsRange { .. } | Request::CoopFilterByMbrs { .. },
+                Response::Objects(_),
+            )
+            | (Request::Count(_), Response::Count(_))
+            | (Request::AvgArea(_), Response::Area(_))
+            | (Request::CoopLevelMbrs(_), Response::Rects(_))
+            | (Request::CoopJoinPush { .. }, Response::Pairs(_))
+            | (Request::ApplyUpdates(_), Response::Ack { .. }) => true,
+            (Request::MultiCount(ws), Response::Counts(cs)) => ws.len() == cs.len(),
+            (Request::BucketEpsRange { probes, .. }, Response::Buckets(bs)) => {
+                probes.len() == bs.len()
+            }
+            _ => false,
+        }
+    }
 }
 
 /// A server's answer.
@@ -128,6 +153,12 @@ pub enum Response {
 }
 
 impl Response {
+    /// `true` for the two outcomes of a failed exchange — peer gone, or a
+    /// reply that did not decode — which retry and failover act on.
+    pub fn is_failure(&self) -> bool {
+        matches!(self, Response::Malformed | Response::Unavailable)
+    }
+
     /// Spatial objects this answer carries — what the meters charge as
     /// "objects received". The single source of truth for that count:
     /// every metering site (plain link, shard router, cache layer) must

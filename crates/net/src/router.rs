@@ -3,9 +3,9 @@
 //! A production-scale deployment serves each logical dataset from a
 //! *fleet* of shard servers, each holding a spatial partition of the
 //! objects (see `asj_server::partition`). The [`ShardRouter`] is the
-//! device-side library that makes a fleet look like one server: it
-//! implements [`RawExchange`], so it slots under an ordinary [`Link`] and
-//! every join algorithm works unchanged.
+//! device-side library that makes a fleet look like one server: it slots
+//! under an ordinary [`Link`](crate::Link) (see the stack in the crate
+//! docs) and every join algorithm works unchanged.
 //!
 //! For each logical request the router
 //!
@@ -22,20 +22,15 @@
 //!    areas are weighted by matching-object count, and cooperative level
 //!    MBRs concatenate into a forest level (the fleet's defined
 //!    cooperative-mode answer);
-//! 4. **meters** every physical exchange into a per-shard [`LinkMeter`]
-//!    *and* the aggregate meter the fronting [`Link`] exposes — reported
-//!    bytes are the scatter traffic that actually crossed the wire.
+//! 4. **meters** every physical exchange — at its edge — into a
+//!    per-replica and a per-shard [`LinkMeter`] *and* the aggregate meter
+//!    the fronting link exposes: reported bytes are the scatter traffic
+//!    that actually crossed the wire.
 //!
-//! The router lives at the *byte* seam deliberately: it slots under any
-//! [`Link`] without a new interface, at the price of one extra
-//! encode/decode of the merged response per logical RPC (µs-scale CPU in
-//! a simulation whose metric is bytes — a decoded side-channel would
-//! remove it if that ever mattered).
-//!
-//! A fleet of **one** shard is a byte-transparent proxy: the encoded
-//! request and response pass through unchanged and nothing is ever pruned,
-//! so a 1-shard deployment is wire-identical to a flat one — the anchor of
-//! the differential test suite.
+//! A fleet of **one** edge has nothing to prune and nothing to merge:
+//! the request itself is the one flight, so a 1-shard deployment is
+//! wire-identical to a flat one — the anchor of the differential test
+//! suite — while going through the same flight scheduler as any fleet.
 //!
 //! **Live updates.** `Request::ApplyUpdates` scatters to *owning* shards:
 //! each insert or move is routed to the shard whose partition cell holds
@@ -47,10 +42,9 @@
 //! per-shard generations, advances by exactly the shard count per batch
 //! and is injective in the number of applied batches. The router learns
 //! shard generations from the `Ack`s and from the generation stamps on
-//! query responses, tracks them in per-shard [`ShardMeta`]s, and stamps
-//! every merged response with the fleet generation (a frozen fleet sums
-//! to 0 and stays stamp-free, i.e. bit-identical to the pre-generation
-//! wire format). Owner routing needs a declared partition: a fleet whose
+//! query responses, tracks them in per-shard [`ShardMeta`]s, and reports
+//! the fleet generation with every merged response (0 on a frozen
+//! fleet). Owner routing needs a declared partition: a fleet whose
 //! shards carry no cells refuses updates.
 //!
 //! If any contacted shard answers [`Response::Refused`] (e.g. a
@@ -64,12 +58,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use asj_geom::{Point, Rect, SpatialObject};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
-use crate::codec::{
-    decode_request, decode_response_gen, decode_response_gen_ctx, encode_request_versioned,
-    encode_response_into, stamp_generation, DedupTag, QuantCtx, WireVersion,
-};
+use crate::codec::{wire_exact, WireVersion};
+use crate::edge::{Edge, Frame, Layer};
 use crate::health::{spread_hash, BreakerConfig, HealthSnapshot, ReplicaSetHealth};
 use crate::meter::{LinkMeter, LinkSnapshot};
 use crate::packet::{PacketModel, RetryPolicy};
@@ -148,11 +140,6 @@ impl ShardMeta {
 pub struct ShardEndpoint {
     meta: Arc<ShardMeta>,
     replicas: Vec<Box<dyn RawExchange>>,
-    /// Wire version of this shard's physical links: [`WireVersion::V1`]
-    /// until [`ShardRouter::negotiate_v2`] runs and **every** replica
-    /// `ACCEPT`s (a mixed replica set stays v1 so failover never changes
-    /// the frame format mid-request).
-    wire: WireVersion,
 }
 
 impl ShardEndpoint {
@@ -175,7 +162,6 @@ impl ShardEndpoint {
         ShardEndpoint {
             meta,
             replicas: carriers,
-            wire: WireVersion::V1,
         }
     }
 
@@ -373,24 +359,23 @@ impl FleetSnapshot {
     }
 }
 
-/// Scatter-gather carrier over a fleet of shard servers. See the module
+/// Scatter-gather layer over a fleet of shard servers. See the module
 /// docs for the routing, merging and metering rules.
 pub struct ShardRouter {
-    shards: Vec<ShardEndpoint>,
+    /// The physical edges, `edges[shard][replica]`; each charges the
+    /// aggregate, its shard's and its own replica meter. A shard's
+    /// primary edge (`[0]`) frames for the whole replica set: one dedup
+    /// identity per (router, shard), so every replica receives the
+    /// *same* tagged bytes and one that sees a broadcast sub-batch twice
+    /// (retry, or catch-up replay) applies it once.
+    edges: Vec<Vec<Edge>>,
     packet: PacketModel,
     aggregate: Arc<LinkMeter>,
     telemetry: Arc<ShardTelemetry>,
-    /// Retry/backoff discipline of the physical per-shard exchanges. Off
-    /// by default — one attempt per slot, wire traffic byte-identical to
-    /// a policy-less router.
+    /// Retry/backoff discipline of the flight scheduler. Off by default
+    /// — one attempt per slot, wire traffic byte-identical to a
+    /// policy-less router.
     retry: RetryPolicy,
-    /// Per-shard retry-dedup identity: (sender nonce, next batch seq).
-    /// Each (router, shard) edge is its own sender, so sub-batch retries
-    /// dedup independently per shard — and every replica of a shard
-    /// receives the *same* tagged bytes, so a replica that sees a
-    /// broadcast sub-batch twice (retry, or catch-up replay) applies it
-    /// once.
-    dedup: Vec<(u64, AtomicU64)>,
     /// Partial-result tolerance: when on, a read whose entire replica
     /// set for some shard is exhausted completes without that shard's
     /// contribution instead of surfacing `Unavailable`. Off by default.
@@ -405,17 +390,29 @@ impl ShardRouter {
             shards.iter().map(|s| Arc::clone(&s.meta)).collect(),
             shards.iter().map(|s| s.replicas.len()).collect(),
         ));
-        let dedup = shards
-            .iter()
-            .map(|_| (crate::transport::next_link_nonce(), AtomicU64::new(0)))
+        let aggregate = Arc::new(LinkMeter::new());
+        let edge = |i: usize, j: usize, carrier| {
+            let meters = vec![
+                Arc::clone(&aggregate),
+                Arc::clone(&telemetry.meters[i]),
+                Arc::clone(&telemetry.replica_meters[i][j]),
+            ];
+            Edge::new(carrier, packet, meters)
+        };
+        let edges = shards
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let carriers = s.replicas.into_iter().enumerate();
+                carriers.map(|(j, c)| edge(i, j, c)).collect()
+            })
             .collect();
         ShardRouter {
-            shards,
+            edges,
             packet,
-            aggregate: Arc::new(LinkMeter::new()),
+            aggregate,
             telemetry,
             retry: RetryPolicy::default(),
-            dedup,
             allow_partial: false,
         }
     }
@@ -427,7 +424,7 @@ impl ShardRouter {
     /// [`Response::Unavailable`] with the shard recorded in
     /// [`FleetSnapshot::failed_shards`].
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.set_retry(retry);
         self
     }
 
@@ -468,80 +465,26 @@ impl ShardRouter {
         self.packet
     }
 
-    /// Negotiates wire protocol v2 on every shard's physical links (one
+    /// Negotiates wire protocol v2 on every shard's physical edges (one
     /// `HELLO`/`ACCEPT` round trip per replica edge; 4 unmetered
     /// link-control bytes each). A shard speaks v2 only when **every**
     /// replica `ACCEPT`s — a mixed replica set stays at
-    /// [`WireVersion::V1`] so failing over mid-request never changes the
-    /// frame format. Mixed-version fleets degrade per shard, never fail.
-    /// Only the deployment layer calls this, and only when
-    /// `NetConfig::wire_v2` is on.
+    /// [`WireVersion::V1`] (its remaining siblings are not even probed)
+    /// so failing over mid-request never changes the frame format.
+    /// Mixed-version fleets degrade per shard, never fail. Call sites
+    /// gate on `NetConfig::wire_v2`.
     pub fn negotiate_v2(&mut self) {
-        for s in &mut self.shards {
-            let all_v2 = s
-                .replicas
-                .iter()
-                .all(|c| crate::transport::negotiate_wire(c.as_ref()) == WireVersion::V2);
-            s.wire = if all_v2 {
-                WireVersion::V2
-            } else {
-                WireVersion::V1
-            };
+        for group in &mut self.edges {
+            if !group.iter_mut().all(|e| e.negotiate() == WireVersion::V2) {
+                group.iter_mut().for_each(|e| e.set_wire(WireVersion::V1));
+            }
         }
     }
 
-    /// The wire version of each shard link, in shard order. All
+    /// The wire version of each shard's edges, in shard order. All
     /// [`WireVersion::V1`] unless [`ShardRouter::negotiate_v2`] ran.
     pub fn wire_versions(&self) -> Vec<WireVersion> {
-        self.shards.iter().map(|s| s.wire).collect()
-    }
-
-    // Every event is recorded three times — aggregate, per-shard meter,
-    // per-replica meter — so `aggregate == Σ shard == Σ Σ replica` holds
-    // by construction (the conservation law the stress tests pin).
-    fn record_request(&self, shard: usize, replica: usize, req: &Request, payload: u64) {
-        self.telemetry.meters[shard].record_request(req, payload, &self.packet);
-        self.telemetry.replica_meters[shard][replica].record_request(req, payload, &self.packet);
-        self.aggregate.record_request(req, payload, &self.packet);
-        self.telemetry.scattered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_response(
-        &self,
-        shard: usize,
-        replica: usize,
-        payload: u64,
-        resp: &Response,
-        aggregate: bool,
-    ) {
-        let objects = resp.object_count();
-        self.telemetry.meters[shard].record_response(payload, objects, &self.packet, aggregate);
-        self.telemetry.replica_meters[shard][replica].record_response(
-            payload,
-            objects,
-            &self.packet,
-            aggregate,
-        );
-        self.aggregate
-            .record_response(payload, objects, &self.packet, aggregate);
-    }
-
-    fn record_retry(&self, shard: usize, replica: usize) {
-        self.telemetry.meters[shard].record_retry();
-        self.telemetry.replica_meters[shard][replica].record_retry();
-        self.aggregate.record_retry();
-    }
-
-    fn record_abandon(&self, shard: usize, replica: usize) {
-        self.telemetry.meters[shard].record_abandon();
-        self.telemetry.replica_meters[shard][replica].record_abandon();
-        self.aggregate.record_abandon();
-    }
-
-    fn record_failover(&self, shard: usize, replica: usize) {
-        self.telemetry.meters[shard].record_failover();
-        self.telemetry.replica_meters[shard][replica].record_failover();
-        self.aggregate.record_failover();
+        self.edges.iter().map(|group| group[0].wire()).collect()
     }
 
     /// Notes a failed exchange on one replica edge's breaker; meters the
@@ -552,130 +495,13 @@ impl ShardRouter {
             .edge(replica)
             .on_failure(&self.telemetry.breaker, set.now())
         {
-            self.telemetry.meters[shard].record_breaker_open();
-            self.telemetry.replica_meters[shard][replica].record_breaker_open();
-            self.aggregate.record_breaker_open();
+            self.edges[shard][replica].tally(LinkMeter::record_breaker_open);
         }
-    }
-
-    /// Attempts per physical exchange under the current policy.
-    fn attempt_budget(&self) -> u32 {
-        if self.retry.enabled() {
-            self.retry.max_attempts
-        } else {
-            1
-        }
-    }
-
-    /// Encodes one sub-request for `shard`, wrapping `ApplyUpdates`
-    /// batches in the per-shard retry-dedup envelope when retries are on
-    /// (same tag across every retry of the sub-batch).
-    fn encode_sub(&self, shard: usize, req: &Request) -> Bytes {
-        let encoded = encode_request_versioned(req, self.shards[shard].wire);
-        if self.retry.enabled() && matches!(req, Request::ApplyUpdates(_)) {
-            let (nonce, seq) = &self.dedup[shard];
-            return crate::codec::wrap_dedup(
-                DedupTag {
-                    nonce: *nonce,
-                    seq: seq.fetch_add(1, Ordering::Relaxed),
-                },
-                &encoded,
-            );
-        }
-        encoded
     }
 
     /// The fleet generation: sum of per-shard observed generations.
     pub fn fleet_generation(&self) -> u64 {
-        self.shards.iter().map(|s| s.meta.generation()).sum()
-    }
-
-    /// Fleet-of-one fast path: a byte-transparent, fully metered proxy.
-    /// On a v1 shard link the reply is forwarded verbatim (stamp and
-    /// all) and the router only *notes* the shard generation it carries.
-    /// When the single shard negotiated v2 the router re-frames instead
-    /// — v2 to the shard (metering the compact frames that actually
-    /// crossed the physical link), v1 back to the client, re-stamped
-    /// with the shard's generation — so everything above the router
-    /// keeps speaking v1 regardless of the fleet's mix.
-    fn pass_through(&self, raw: Bytes) -> Bytes {
-        let req = match decode_request(raw.clone()) {
-            Ok(req) => req,
-            // A garbled frame from above gets the typed error reply a
-            // real server would send — routers never panic a shared path.
-            Err(_) => return crate::codec::malformed_frame(),
-        };
-        let v2 = self.shards[0].wire == WireVersion::V2;
-        let mut encoded = if v2 {
-            encode_request_versioned(&req, WireVersion::V2)
-        } else {
-            raw
-        };
-        if self.retry.enabled() && matches!(req, Request::ApplyUpdates(_)) {
-            let (nonce, seq) = &self.dedup[0];
-            encoded = crate::codec::wrap_dedup(
-                DedupTag {
-                    nonce: *nonce,
-                    seq: seq.fetch_add(1, Ordering::Relaxed),
-                },
-                &encoded,
-            );
-        }
-        let up_len = encoded.len() as u64;
-        let ctx = QuantCtx::for_request(&req);
-        // Typed-failure bytes of the last completed attempt, forwarded
-        // verbatim on exhaustion (a garbled v1 reply stays garbled on the
-        // way up — byte-transparency is per attempt).
-        let mut last_failure: Option<Bytes> = None;
-        for attempt in 0..self.attempt_budget() {
-            if attempt > 0 {
-                self.record_retry(0, 0);
-                self.retry.sleep(attempt);
-            }
-            let reply = self.shards[0].replicas[0].exchange(encoded.clone());
-            if crate::codec::is_unavailable(&reply) {
-                // The shard died: nothing crossed the wire, nothing is
-                // metered — the fabricated frame propagates upward (after
-                // any remaining retries).
-                last_failure = None;
-                continue;
-            }
-            // An undecodable shard reply was still real traffic: meter
-            // it, degrade to the typed `Malformed`.
-            self.record_request(0, 0, &req, up_len);
-            let (resp, generation) = if v2 {
-                decode_response_gen_ctx(reply.clone(), ctx.as_ref())
-            } else {
-                decode_response_gen(reply.clone())
-            }
-            .unwrap_or((Response::Malformed, 0));
-            self.record_response(0, 0, reply.len() as u64, &resp, req.is_aggregate());
-            let out = if v2 {
-                let mut buf = BytesMut::new();
-                if !matches!(resp, Response::Ack { .. }) {
-                    stamp_generation(generation, &mut buf);
-                }
-                encode_response_into(&resp, &mut buf);
-                buf.freeze()
-            } else {
-                reply
-            };
-            if resp == Response::Malformed {
-                last_failure = Some(out);
-                continue;
-            }
-            match &resp {
-                Response::Ack { generation } => self.shards[0].meta.note_generation(*generation),
-                _ if generation > 0 => self.shards[0].meta.note_generation(generation),
-                _ => {}
-            }
-            return out;
-        }
-        if self.retry.enabled() {
-            self.record_abandon(0, 0);
-        }
-        self.telemetry.note_failed(0);
-        last_failure.unwrap_or_else(crate::codec::unavailable_frame)
+        self.telemetry.metas.iter().map(|m| m.generation()).sum()
     }
 
     /// Read rotation for one shard's replica set: the admitting replicas
@@ -687,7 +513,7 @@ impl ShardRouter {
         let set = &self.telemetry.health[shard];
         let cfg = &self.telemetry.breaker;
         let now = set.now();
-        let n = self.shards[shard].replicas.len();
+        let n = self.edges[shard].len();
         let mut rot: Vec<usize> = (0..n).filter(|&j| set.edge(j).admits(cfg, now)).collect();
         if rot.is_empty() {
             rot = (0..n).collect();
@@ -702,37 +528,18 @@ impl ShardRouter {
     fn issue<'a>(&'a self, f: &mut Flight<'a>) {
         let replica = f.rotation[f.pos];
         self.telemetry.health[f.shard].tick();
-        f.inflight = Some((
-            replica,
-            self.shards[f.shard].replicas[replica].begin(f.encoded.clone()),
-        ));
+        f.inflight = Some((replica, self.edges[f.shard][replica].begin(&f.frame)));
     }
 
-    /// Judges one completed exchange: meters what crossed the wire,
-    /// resolves the flight on success, records a breaker failure (and
-    /// leaves the flight unresolved, to fail over or retry) otherwise.
+    /// Takes the edge's verdict on one completed exchange: resolves the
+    /// flight on success, records a breaker failure (and leaves the
+    /// flight unresolved, to fail over or retry) otherwise.
     fn evaluate(&self, f: &mut Flight, replica: usize, raw: Bytes) {
-        if crate::codec::is_unavailable(&raw) {
-            // A dead replica completes with the fabricated frame: neither
-            // direction is metered (nothing crossed the wire).
-            f.outcome = Response::Unavailable;
-            self.note_edge_failure(f.shard, replica);
-            return;
+        let (resp, generation) = self.edges[f.shard][replica].judge(&f.frame, raw);
+        if resp != Response::Unavailable {
+            self.telemetry.scattered.fetch_add(1, Ordering::Relaxed);
         }
-        // Both directions are charged only now, on a completed exchange —
-        // a failed replica leaves no phantom uplink bytes behind.
-        self.record_request(f.shard, replica, f.req, f.up_len);
-        let len = raw.len() as u64;
-        let (resp, generation) =
-            decode_response_gen_ctx(raw, f.ctx.as_ref()).unwrap_or((Response::Malformed, 0));
-        self.record_response(f.shard, replica, len, &resp, f.req.is_aggregate());
-        if resp == Response::Malformed {
-            // Real traffic (charged above), garbled answer: worth
-            // another sibling or attempt.
-            f.outcome = Response::Malformed;
-            self.note_edge_failure(f.shard, replica);
-            return;
-        }
+        let meta = &self.telemetry.metas[f.shard];
         // The generation floor: a read reply stamped below the highest
         // generation already observed from this shard came from a
         // lagging replica. Serving it would hand a generation-keyed
@@ -743,33 +550,35 @@ impl ShardRouter {
         // edge is authoritative, and flooring it would make reads that
         // race a writer on a shared fleet view reject their own current
         // replies.
-        if self.shards[f.shard].replicas.len() > 1
+        let stale = self.edges[f.shard].len() > 1
             && !matches!(resp, Response::Ack { .. })
-            && generation < self.shards[f.shard].meta.generation()
-        {
-            f.outcome = Response::Unavailable;
+            && generation < meta.generation();
+        if resp.is_failure() || stale {
+            f.outcome = if stale { Response::Unavailable } else { resp };
             self.note_edge_failure(f.shard, replica);
             return;
         }
         if generation > 0 {
-            self.shards[f.shard].meta.note_generation(generation);
+            meta.note_generation(generation);
         }
         self.telemetry.health[f.shard].edge(replica).on_success();
+        f.generation = generation;
         f.result = Some(Landing::Resp(resp));
     }
 
-    /// Drives a set of flights to resolution. All in-flight tries are
-    /// issued split-phase before any completion is awaited, and *failed*
-    /// flights re-issue together too — so recovery latency is the max of
-    /// the failures, not their sum. A failed try first **fails over**
-    /// along the flight's rotation (siblings cost no retry budget);
-    /// only once the rotation is exhausted does a retry round — with the
-    /// policy's backoff, slept once per round — begin, re-picking the
-    /// rotation so breaker trips observed meanwhile are honored.
-    /// Observed shard generations only ever move through the monotone
-    /// [`ShardMeta::note_generation`] max — and failed attempts never
-    /// note one — so a retried round can never regress the generation
-    /// vector.
+    /// Drives a set of flights to resolution — the fleet's retry loop,
+    /// over the same `frame`/`begin`/`judge` as `Edge::call`. All
+    /// in-flight tries are issued split-phase before any completion is
+    /// awaited, and *failed* flights re-issue together too — so recovery
+    /// latency is the max of the failures, not their sum. A failed try
+    /// first **fails over** along the flight's rotation (siblings cost
+    /// no retry budget); only once the rotation is exhausted does a
+    /// retry round — with the policy's backoff, slept once per round —
+    /// begin, re-picking the rotation so breaker trips observed
+    /// meanwhile are honored. Observed shard generations only ever move
+    /// through the monotone [`ShardMeta::note_generation`] max — and
+    /// failed attempts never note one — so a retried round can never
+    /// regress the generation vector.
     fn execute<'a>(&'a self, flights: &mut [Flight<'a>]) {
         for f in flights.iter_mut() {
             self.issue(f);
@@ -787,19 +596,20 @@ impl ShardRouter {
                     continue;
                 }
                 unresolved = true;
+                let group = &self.edges[f.shard];
                 f.pos += 1;
                 if f.pos < f.rotation.len() {
                     // Failover to the next sibling, before any retry
                     // budget is consumed (tallied on the edge failed
                     // *from*).
-                    self.record_failover(f.shard, f.rotation[f.pos - 1]);
+                    group[f.rotation[f.pos - 1]].tally(LinkMeter::record_failover);
                     f.scheduled = true;
                     continue;
                 }
                 f.round += 1;
-                if f.round >= self.attempt_budget() {
+                if f.round >= self.retry.max_attempts.max(1) {
                     if self.retry.enabled() {
-                        self.record_abandon(f.shard, f.primary);
+                        group[f.primary].tally(LinkMeter::record_abandon);
                     }
                     if !f.pinned {
                         // The whole replica set is exhausted: the shard
@@ -824,7 +634,7 @@ impl ShardRouter {
                     f.rotation = self.rotation(f.shard, f.hash);
                 }
                 f.pos = 0;
-                self.record_retry(f.shard, f.rotation[0]);
+                group[f.rotation[0]].tally(LinkMeter::record_retry);
                 backoff_round = backoff_round.max(f.round);
                 f.scheduled = true;
             }
@@ -843,9 +653,26 @@ impl ShardRouter {
         }
     }
 
+    /// A fleet of one edge has nothing to prune and nothing to merge:
+    /// `req` itself is the one flight, so the sole shard sees exactly the
+    /// frames a flat link would send it and its reply (and the
+    /// generation it reports) is the answer — a 1×1 fleet is
+    /// wire-identical to a flat deployment while the scheduler above
+    /// still ticks its health, breaker and retry accounting.
+    fn sole(&self, req: &Request) -> (Response, u64) {
+        let frame = self.edges[0][0].frame(req);
+        let mut flights = [Flight::new(0, frame, 0, vec![0], false)];
+        self.execute(&mut flights);
+        let [f] = flights;
+        match f.result {
+            Some(Landing::Resp(resp)) => (resp, f.generation),
+            _ => (f.outcome, 0),
+        }
+    }
+
     /// One scatter round: sends `subs[i]` (when `Some`) to shard `i`
-    /// split-phase, meters every exchange, counts pruned slots, and
-    /// returns the decoded responses in shard order.
+    /// split-phase, counts pruned slots, and returns the responses in
+    /// shard order.
     ///
     /// **Partial-scatter recovery.** Each slot fails and recovers
     /// *individually*: a failed shard is re-asked (failing over across
@@ -857,15 +684,15 @@ impl ShardRouter {
     /// its abandonment is tallied on that shard's meter (surfacing in
     /// [`FleetSnapshot::failed_shards`]).
     fn round(&self, subs: &[Option<Request>]) -> Vec<Option<Response>> {
-        debug_assert_eq!(subs.len(), self.shards.len());
+        debug_assert_eq!(subs.len(), self.edges.len());
         let mut flights: Vec<Flight> = Vec::with_capacity(subs.len());
         for (i, sub) in subs.iter().enumerate() {
             match sub {
                 Some(req) => {
-                    let encoded = self.encode_sub(i, req);
-                    let hash = spread_hash(&encoded);
+                    let frame = self.edges[i][0].frame(req);
+                    let hash = spread_hash(&frame.bytes);
                     let rotation = self.rotation(i, hash);
-                    flights.push(Flight::rotating(i, req, encoded, hash, rotation));
+                    flights.push(Flight::new(i, frame, hash, rotation, false));
                 }
                 None => {
                     self.telemetry.pruned.fetch_add(1, Ordering::Relaxed);
@@ -888,16 +715,16 @@ impl ShardRouter {
     /// update never fails over, every replica must receive it. Returns
     /// the per-replica responses in shard order.
     fn update_round(&self, subs: &[Request]) -> Vec<Vec<Response>> {
-        debug_assert_eq!(subs.len(), self.shards.len());
+        debug_assert_eq!(subs.len(), self.edges.len());
         let mut flights: Vec<Flight> = Vec::new();
         for (i, req) in subs.iter().enumerate() {
-            let encoded = self.encode_sub(i, req);
-            for j in 0..self.shards[i].replicas.len() {
-                flights.push(Flight::pinned(i, req, encoded.clone(), j));
+            let frame = self.edges[i][0].frame(req);
+            for j in 0..self.edges[i].len() {
+                flights.push(Flight::new(i, frame.clone(), 0, vec![j], true));
             }
         }
         self.execute(&mut flights);
-        let mut out: Vec<Vec<Response>> = self.shards.iter().map(|_| Vec::new()).collect();
+        let mut out: Vec<Vec<Response>> = self.edges.iter().map(|_| Vec::new()).collect();
         for f in flights {
             match f.result.expect("update flights always resolve") {
                 Landing::Resp(resp) => out[f.shard].push(resp),
@@ -909,9 +736,10 @@ impl ShardRouter {
 
     /// Clones `req` to every shard whose bounds satisfy `reach`.
     fn prune(&self, req: &Request, reach: impl Fn(&Rect) -> bool) -> Vec<Option<Request>> {
-        self.shards
+        self.telemetry
+            .metas
             .iter()
-            .map(|s| match s.meta.bounds() {
+            .map(|m| match m.bounds() {
                 Some(b) if reach(&b) => Some(req.clone()),
                 _ => None,
             })
@@ -920,9 +748,10 @@ impl ShardRouter {
 
     /// Probe indices each shard can answer, under `reach(bounds, probe)`.
     fn pick_indices<T>(&self, probes: &[T], reach: impl Fn(&Rect, &T) -> bool) -> Vec<Vec<usize>> {
-        self.shards
+        self.telemetry
+            .metas
             .iter()
-            .map(|s| match s.meta.bounds() {
+            .map(|m| match m.bounds() {
                 Some(b) => (0..probes.len())
                     .filter(|&i| reach(&b, &probes[i]))
                     .collect(),
@@ -931,6 +760,9 @@ impl ShardRouter {
             .collect()
     }
 
+    /// Every sub-reply reaching a merge is of its request's kind or a
+    /// typed non-answer (`Edge::judge` saw to that); the first
+    /// non-answer is the merged answer.
     fn scatter_gather(&self, req: &Request) -> Response {
         match req {
             Request::Window(w) => merge_objects(self.round(&self.prune(req, |b| b.intersects(w)))),
@@ -947,10 +779,7 @@ impl ShardRouter {
                 {
                     match resp {
                         Response::Count(c) => total += c,
-                        e @ (Response::Refused | Response::Malformed | Response::Unavailable) => {
-                            return e
-                        }
-                        other => panic!("protocol mismatch: expected Count, got {other:?}"),
+                        e => return e,
                     }
                 }
                 Response::Count(total)
@@ -969,17 +798,11 @@ impl ShardRouter {
                     match resp {
                         None => {}
                         Some(Response::Counts(counts)) => {
-                            debug_assert_eq!(counts.len(), picks[shard].len());
                             for (&i, c) in picks[shard].iter().zip(counts) {
                                 totals[i] += c;
                             }
                         }
-                        Some(
-                            e @ (Response::Refused | Response::Malformed | Response::Unavailable),
-                        ) => return e,
-                        Some(other) => {
-                            panic!("protocol mismatch: expected Counts, got {other:?}")
-                        }
+                        Some(e) => return e,
                     }
                 }
                 Response::Counts(totals)
@@ -1001,17 +824,11 @@ impl ShardRouter {
                     match resp {
                         None => {}
                         Some(Response::Buckets(buckets)) => {
-                            debug_assert_eq!(buckets.len(), picks[shard].len());
                             for (&i, bucket) in picks[shard].iter().zip(buckets) {
                                 merged[i].extend(bucket);
                             }
                         }
-                        Some(
-                            e @ (Response::Refused | Response::Malformed | Response::Unavailable),
-                        ) => return e,
-                        Some(other) => {
-                            panic!("protocol mismatch: expected Buckets, got {other:?}")
-                        }
+                        Some(e) => return e,
                     }
                 }
                 for bucket in &mut merged {
@@ -1024,15 +841,12 @@ impl ShardRouter {
                 // concatenation of every shard's published level, in shard
                 // order. Never pruned — index structure is global.
                 let subs: Vec<Option<Request>> =
-                    self.shards.iter().map(|_| Some(req.clone())).collect();
+                    self.edges.iter().map(|_| Some(req.clone())).collect();
                 let mut mbrs = Vec::new();
                 for resp in self.round(&subs).into_iter().flatten() {
                     match resp {
                         Response::Rects(r) => mbrs.extend(r),
-                        e @ (Response::Refused | Response::Malformed | Response::Unavailable) => {
-                            return e
-                        }
-                        other => panic!("protocol mismatch: expected Rects, got {other:?}"),
+                        e => return e,
                     }
                 }
                 Response::Rects(mbrs)
@@ -1041,10 +855,11 @@ impl ShardRouter {
                 // Payload trimmed per shard, but every shard is contacted
                 // so a non-cooperative policy refusal propagates.
                 let subs: Vec<Option<Request>> = self
-                    .shards
+                    .telemetry
+                    .metas
                     .iter()
-                    .map(|s| {
-                        let kept: Vec<Rect> = match s.meta.bounds() {
+                    .map(|m| {
+                        let kept: Vec<Rect> = match m.bounds() {
                             Some(b) => mbrs
                                 .iter()
                                 .filter(|m| m.expand(*eps).intersects(&b))
@@ -1063,10 +878,11 @@ impl ShardRouter {
             Request::ApplyUpdates(batch) => self.apply_updates(batch),
             Request::CoopJoinPush { objects, eps } => {
                 let subs: Vec<Option<Request>> = self
-                    .shards
+                    .telemetry
+                    .metas
                     .iter()
-                    .map(|s| {
-                        let kept: Vec<SpatialObject> = match s.meta.bounds() {
+                    .map(|m| {
+                        let kept: Vec<SpatialObject> = match m.bounds() {
                             Some(b) => objects
                                 .iter()
                                 .filter(|o| o.mbr.expand(*eps).intersects(&b))
@@ -1091,10 +907,7 @@ impl ShardRouter {
                                 }
                             }
                         }
-                        e @ (Response::Refused | Response::Malformed | Response::Unavailable) => {
-                            return e
-                        }
-                        other => panic!("protocol mismatch: expected Pairs, got {other:?}"),
+                        e => return e,
                     }
                 }
                 Response::Pairs(pairs)
@@ -1112,17 +925,18 @@ impl ShardRouter {
     /// fleet generation stays injective in the batch count. The merged
     /// `Ack` carries that sum.
     fn apply_updates(&self, batch: &[Update]) -> Response {
-        let cells: Option<Vec<Rect>> = self.shards.iter().map(|s| s.meta.cell()).collect();
+        let metas = &self.telemetry.metas;
+        let cells: Option<Vec<Rect>> = metas.iter().map(|m| m.cell()).collect();
         let Some(cells) = cells else {
             // No declared partition — the router cannot pick owners.
             return Response::Refused;
         };
-        let mut subs: Vec<Vec<Update>> = vec![Vec::new(); self.shards.len()];
+        let mut subs: Vec<Vec<Update>> = vec![Vec::new(); metas.len()];
         for u in batch {
             match u {
                 Update::Insert(o) => {
                     let owner = owner_of(&cells, &o.mbr.center());
-                    self.shards[owner].meta.grow_bounds(&o.mbr);
+                    metas[owner].grow_bounds(&o.mbr);
                     for (i, sub) in subs.iter_mut().enumerate() {
                         sub.push(if i == owner {
                             Update::Insert(*o)
@@ -1138,7 +952,7 @@ impl ShardRouter {
                 }
                 Update::Move { id, to } => {
                     let owner = owner_of(&cells, &to.center());
-                    self.shards[owner].meta.grow_bounds(to);
+                    metas[owner].grow_bounds(to);
                     for (i, sub) in subs.iter_mut().enumerate() {
                         sub.push(if i == owner {
                             Update::Move { id: *id, to: *to }
@@ -1165,15 +979,14 @@ impl ShardRouter {
                     Response::Ack { generation } => {
                         acked = Some(acked.map_or(generation, |g| g.max(generation)));
                     }
-                    e @ (Response::Refused | Response::Malformed | Response::Unavailable) => {
+                    e => {
                         failure.get_or_insert(e);
                     }
-                    other => panic!("protocol mismatch: expected Ack, got {other:?}"),
                 }
             }
             match acked {
                 Some(generation) => {
-                    self.shards[i].meta.note_generation(generation);
+                    metas[i].note_generation(generation);
                     sum += generation;
                 }
                 None => {
@@ -1191,15 +1004,12 @@ impl ShardRouter {
     /// COUNT round, and shards counting zero skip the area round entirely.
     fn avg_area(&self, w: &Rect) -> Response {
         let count_subs = self.prune(&Request::Count(*w), |b| b.intersects(w));
-        let mut counts = vec![0u64; self.shards.len()];
+        let mut counts = vec![0u64; self.edges.len()];
         for (i, resp) in self.round(&count_subs).into_iter().enumerate() {
             match resp {
                 None => {}
                 Some(Response::Count(c)) => counts[i] = c,
-                Some(e @ (Response::Refused | Response::Malformed | Response::Unavailable)) => {
-                    return e
-                }
-                Some(other) => panic!("protocol mismatch: expected Count, got {other:?}"),
+                Some(e) => return e,
             }
         }
         let area_subs: Vec<Option<Request>> = counts
@@ -1212,10 +1022,7 @@ impl ShardRouter {
             match resp {
                 None => {}
                 Some(Response::Area(a)) => weighted += a * counts[i] as f64,
-                Some(e @ (Response::Refused | Response::Malformed | Response::Unavailable)) => {
-                    return e
-                }
-                Some(other) => panic!("protocol mismatch: expected Area, got {other:?}"),
+                Some(e) => return e,
             }
         }
         Response::Area(if total == 0 {
@@ -1226,25 +1033,50 @@ impl ShardRouter {
     }
 }
 
+impl Layer for ShardRouter {
+    fn call(&self, req: &Request) -> (Response, u64) {
+        if self.edges.len() == 1 && self.edges[0].len() == 1 {
+            return self.sole(req);
+        }
+        // Merged answers carry the fleet generation observed while
+        // answering (0 on a frozen fleet); an `Ack` carries its own.
+        match self.scatter_gather(&wire_exact(req)) {
+            resp @ Response::Ack { generation } => (resp, generation),
+            resp => (resp, self.fleet_generation()),
+        }
+    }
+
+    fn set_retry(&mut self, retry: RetryPolicy) {
+        self.retry = retry;
+        for edge in self.edges.iter_mut().flatten() {
+            edge.set_retry(retry);
+        }
+    }
+
+    fn negotiate(&mut self) -> WireVersion {
+        self.negotiate_v2();
+        if self.wire_versions().contains(&WireVersion::V1) {
+            WireVersion::V1
+        } else {
+            WireVersion::V2
+        }
+    }
+}
+
 /// How a resolved flight lands in its round's result set.
 enum Landing {
-    /// A decoded response (success or, on exhaustion, the typed failure
-    /// of the last completed attempt).
+    /// A response (success or, on exhaustion, the typed failure of the
+    /// last completed attempt).
     Resp(Response),
     /// Dropped from the merge under partial tolerance.
     Skipped,
 }
 
-/// One in-progress sub-request: a (shard, encoded bytes) pair working
-/// its way through a replica rotation and a retry budget.
+/// One in-progress sub-request: a (shard, frame) pair working its way
+/// through a replica rotation and a retry budget.
 struct Flight<'a> {
     shard: usize,
-    req: &'a Request,
-    encoded: Bytes,
-    up_len: u64,
-    /// Grid context of the *sub-request* this shard was sent — the same
-    /// grid the shard derives server-side for quantized v2 frames.
-    ctx: Option<QuantCtx>,
+    frame: Frame<'a>,
     /// Request-hash spread key; re-picks the rotation on retry rounds.
     hash: u64,
     /// Replica try order for the current round.
@@ -1257,83 +1089,30 @@ struct Flight<'a> {
     /// The first-picked replica — abandonment is attributed to it.
     primary: usize,
     outcome: Response,
+    /// The serving generation the resolving reply reported.
+    generation: u64,
     inflight: Option<(usize, Box<dyn FnOnce() -> Bytes + Send + 'a>)>,
     scheduled: bool,
     result: Option<Landing>,
 }
 
 impl<'a> Flight<'a> {
-    fn rotating(
-        shard: usize,
-        req: &'a Request,
-        encoded: Bytes,
-        hash: u64,
-        rotation: Vec<usize>,
-    ) -> Self {
-        let primary = rotation[0];
+    fn new(shard: usize, frame: Frame<'a>, hash: u64, rotation: Vec<usize>, pinned: bool) -> Self {
         Flight {
             shard,
-            up_len: encoded.len() as u64,
-            ctx: QuantCtx::for_request(req),
-            req,
-            encoded,
+            frame,
             hash,
+            primary: rotation[0],
             rotation,
             pos: 0,
             round: 0,
-            pinned: false,
-            primary,
+            pinned,
             outcome: Response::Unavailable,
+            generation: 0,
             inflight: None,
             scheduled: false,
             result: None,
         }
-    }
-
-    fn pinned(shard: usize, req: &'a Request, encoded: Bytes, replica: usize) -> Self {
-        Flight {
-            shard,
-            up_len: encoded.len() as u64,
-            ctx: QuantCtx::for_request(req),
-            req,
-            encoded,
-            hash: 0,
-            rotation: vec![replica],
-            pos: 0,
-            round: 0,
-            pinned: true,
-            primary: replica,
-            outcome: Response::Unavailable,
-            inflight: None,
-            scheduled: false,
-            result: None,
-        }
-    }
-}
-
-impl RawExchange for ShardRouter {
-    fn exchange(&self, request: Bytes) -> Bytes {
-        if self.shards.len() == 1 && self.shards[0].replicas.len() == 1 {
-            return self.pass_through(request);
-        }
-        let req = match decode_request(request) {
-            Ok(req) => req,
-            // A garbled frame from above gets the typed error reply a
-            // real server would send — routers never panic a shared path.
-            Err(_) => return crate::codec::malformed_frame(),
-        };
-        let resp = self.scatter_gather(&req);
-        let mut buf = BytesMut::new();
-        // Merged responses are re-encoded, so the per-shard stamps are
-        // gone; re-stamp with the fleet generation observed while
-        // answering. Acks carry their generation in the payload and are
-        // never stamped; a frozen fleet sums to 0 and stays stamp-free
-        // (bit-identical to the pre-generation format).
-        if !matches!(resp, Response::Ack { .. }) {
-            stamp_generation(self.fleet_generation(), &mut buf);
-        }
-        encode_response_into(&resp, &mut buf);
-        buf.freeze()
     }
 }
 
@@ -1373,8 +1152,7 @@ fn merge_objects(responses: Vec<Option<Response>>) -> Response {
     for resp in responses.into_iter().flatten() {
         match resp {
             Response::Objects(v) => out.extend(v),
-            e @ (Response::Refused | Response::Malformed | Response::Unavailable) => return e,
-            other => panic!("protocol mismatch: expected Objects, got {other:?}"),
+            e => return e,
         }
     }
     dedup_by_id(&mut out);
@@ -1649,7 +1427,11 @@ mod tests {
         ShardRouter::new(Vec::new(), PacketModel::default());
     }
 
-    use crate::codec::{encode_request, encode_response};
+    use crate::codec::{
+        decode_request, decode_response_gen, encode_request, encode_response, encode_response_into,
+        stamp_generation,
+    };
+    use bytes::BytesMut;
     use std::sync::Mutex;
 
     /// A live shard server double: upsert-by-id update semantics, a
@@ -1742,8 +1524,10 @@ mod tests {
         )
     }
 
+    /// The response and the serving generation it reports (an `Ack`'s
+    /// own, otherwise the merged answer's fleet generation).
     fn roundtrip(router: &ShardRouter, req: &Request) -> (Response, u64) {
-        decode_response_gen(router.exchange(encode_request(req))).expect("malformed reply")
+        router.call(req)
     }
 
     #[test]
@@ -1754,7 +1538,7 @@ mod tests {
             &router,
             &Request::ApplyUpdates(vec![Update::Insert(SpatialObject::point(900, 10.0, 0.0))]),
         );
-        assert_eq!(stamp, 0, "Acks are never stamped");
+        assert_eq!(stamp, 2, "an Ack reports the generation it carries");
         assert_eq!(ack, Response::Ack { generation: 2 }, "1 + 1 across shards");
         assert_eq!(router.telemetry().generations(), vec![1, 1]);
         assert_eq!(router.fleet_generation(), 2);
@@ -1824,14 +1608,9 @@ mod tests {
     fn frozen_fleet_replies_stay_unstamped() {
         let router = two_shard_router();
         let all = Rect::from_coords(-1.0, -1.0, 200.0, 1.0);
-        let raw = router.exchange(encode_request(&Request::Window(all)));
-        assert_eq!(
-            raw,
-            encode_response(&Response::Objects(
-                decode_response_gen(raw.clone()).unwrap().0.into_objects()
-            )),
-            "generation 0 is encoded without a stamp — bit-identical"
-        );
+        let (resp, generation) = roundtrip(&router, &Request::Window(all));
+        assert_eq!(resp.into_objects().len(), 20);
+        assert_eq!(generation, 0, "a frozen fleet reports generation 0");
     }
 
     #[test]
@@ -1860,13 +1639,13 @@ mod tests {
         let (ack, _) = roundtrip(&router, &Request::ApplyUpdates(vec![Update::Delete(0)]));
         assert_eq!(ack, Response::Ack { generation: 1 });
         assert_eq!(router.telemetry().generations(), vec![1]);
-        // Pass-through stays byte-transparent: the reply (stamp included)
-        // is exactly what the shard itself produces.
+        // The sole shard's reply (stamp included) is the answer: exactly
+        // what the shard itself produces.
         let w = Rect::from_coords(-1.0, -1.0, 10.0, 1.0);
-        let via_router = router.exchange(encode_request(&Request::Window(w)));
+        let via_router = roundtrip(&router, &Request::Window(w));
         let direct = shard.exchange(encode_request(&Request::Window(w)));
-        assert_eq!(via_router, direct);
-        let (resp, stamp) = decode_response_gen(via_router).unwrap();
+        assert_eq!(via_router, decode_response_gen(direct).unwrap());
+        let (resp, stamp) = via_router;
         assert_eq!(stamp, 1);
         assert_eq!(resp.into_objects().len(), 4);
     }
@@ -2169,10 +1948,11 @@ mod tests {
             PacketModel::default(),
         )
         .with_retry(RetryPolicy::attempts(2));
-        let raw = router.exchange(encode_request(&Request::Count(Rect::from_coords(
-            0.0, -1.0, 4.0, 1.0,
-        ))));
-        assert!(crate::codec::is_unavailable(&raw));
+        let w = Rect::from_coords(0.0, -1.0, 4.0, 1.0);
+        assert_eq!(
+            roundtrip(&router, &Request::Count(w)),
+            (Response::Unavailable, 0)
+        );
         let fleet = router.telemetry().snapshot();
         assert_eq!(fleet.failed_shards, vec![0]);
         assert_eq!(fleet.per_shard[0].abandoned, 1);
@@ -2180,11 +1960,89 @@ mod tests {
     }
 
     #[test]
-    fn garbled_frame_to_the_router_answers_typed_malformed() {
-        for router in [two_shard_router(), live_fleet()] {
-            let raw = router.exchange(Bytes::copy_from_slice(&[0xEE, 0x01, 0x02]));
-            assert_eq!(raw, crate::codec::malformed_frame(), "routers never panic");
+    fn sole_edge_fleet_ticks_health_and_trips_its_breaker() {
+        let data = ten_points();
+        let dropping = Box::new(FlakyExchange {
+            fails: AtomicU64::new(3),
+            inner: scan_carrier(&data),
+        });
+        let router = ShardRouter::new(
+            vec![replicated(&data, vec![dropping])],
+            PacketModel::default(),
+        )
+        .with_breakers(BreakerConfig::new(3, 1_000));
+        let w = Rect::from_coords(0.0, -1.0, 4.0, 1.0);
+        for _ in 0..2 {
+            assert_eq!(
+                roundtrip(&router, &Request::Count(w)).0,
+                Response::Unavailable
+            );
         }
+        let fleet = router.telemetry().snapshot();
+        assert!(fleet.health[0][0].failure_ewma_ppm > 0);
+        assert_eq!(fleet.health[0][0].trips, 0, "below the threshold");
+        roundtrip(&router, &Request::Count(w));
+        let fleet = router.telemetry().snapshot();
+        assert_eq!(fleet.health[0][0].trips, 1, "tripped at the threshold");
+        assert_eq!(fleet.health[0][0].state, BreakerState::Open);
+        assert_eq!(router.aggregate_meter().snapshot().breaker_open, 1);
+        assert_eq!(fleet.per_shard[0].breaker_open, 1);
+        assert_eq!(fleet.per_replica[0][0].breaker_open, 1);
+        // An open breaker on the only edge is still the last resort: the
+        // recovered shard serves, and the success closes it again.
+        assert_eq!(roundtrip(&router, &Request::Count(w)).0, Response::Count(5));
+        let fleet = router.telemetry().snapshot();
+        assert_eq!(fleet.health[0][0].state, BreakerState::Closed);
+        assert_eq!(fleet.summed(), router.aggregate_meter().snapshot());
+    }
+
+    /// Answers every request with an (empty) object list — well-formed,
+    /// but the wrong kind for anything that is not a window.
+    struct Liar;
+
+    impl RawExchange for Liar {
+        fn exchange(&self, _: Bytes) -> Bytes {
+            encode_response(&Response::Objects(Vec::new()))
+        }
+    }
+
+    #[test]
+    fn wrong_kind_reply_is_malformed_failed_over_and_never_panics() {
+        let left = ten_points();
+        let right: Vec<SpatialObject> = (0..10)
+            .map(|i| SpatialObject::point(100 + i, 100.0 + i as f64, 0.0))
+            .collect();
+        let all = Rect::from_coords(-1.0, -1.0, 200.0, 1.0);
+        // One lying replica: its sibling serves the count.
+        let router = ShardRouter::new(
+            vec![
+                replicated(&left, vec![Box::new(Liar), scan_carrier(&left)]),
+                replicated(&right, vec![scan_carrier(&right), scan_carrier(&right)]),
+            ],
+            PacketModel::default(),
+        );
+        let req = request_picking(0, 2, Request::Count);
+        assert_eq!(roundtrip(&router, &req).0, Response::Count(20));
+        let fleet = router.telemetry().snapshot();
+        assert_eq!(fleet.per_replica[0][0].failovers, 1);
+        assert_eq!(
+            fleet.per_replica[0][0].count_queries, 1,
+            "the lie crossed the wire and is charged"
+        );
+        assert_eq!(fleet.health[0][0].consecutive_failures, 1);
+        // Every replica lying: typed, not panicked.
+        let router = ShardRouter::new(
+            vec![
+                replicated(&left, vec![Box::new(Liar), Box::new(Liar)]),
+                replicated(&right, vec![Box::new(Liar), Box::new(Liar)]),
+            ],
+            PacketModel::default(),
+        );
+        assert_eq!(
+            roundtrip(&router, &Request::Count(all)).0,
+            Response::Malformed
+        );
+        assert_eq!(router.telemetry().snapshot().failed_shards, vec![0, 1]);
     }
 
     // ---- replica sets: spread, failover, breakers, the generation floor ----
@@ -2480,7 +2338,7 @@ mod tests {
             &router,
             &Request::ApplyUpdates(vec![Update::Insert(SpatialObject::point(900, 5.5, 0.0))]),
         );
-        assert_eq!(stamp, 0, "Acks are never stamped");
+        assert_eq!(stamp, 1);
         assert_eq!(
             ack,
             Response::Ack { generation: 1 },

@@ -1,9 +1,9 @@
 //! Synchronous RPC transports with mandatory metering.
 //!
-//! A [`Link`] is the device's handle to one server. Every `request` call
-//! encodes the message, charges the uplink meter, carries the bytes over a
-//! [`RawExchange`], charges the downlink meter and decodes the reply — so
-//! no byte can cross unmetered, whichever carrier is used:
+//! A [`Link`] is the device's handle to one server. Every exchange is
+//! framed, carried over a [`RawExchange`], charged and decoded by the one
+//! physical edge at the bottom of the link's stack — so no byte can cross
+//! unmetered, whichever carrier is used:
 //!
 //! * [`InProcExchange`] — calls the server's handler on the calling thread
 //!   (fast path for the thousands of joins an experiment sweep runs);
@@ -18,22 +18,11 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-use crate::codec::{
-    decode_response_gen_ctx, encode_request_versioned, DedupTag, QuantCtx, WireVersion,
-    MAX_WIRE_VERSION,
-};
+use crate::codec::{WireVersion, MAX_WIRE_VERSION};
+use crate::edge::{Edge, Layer};
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{QueryHandler, Request, Response};
-
-/// Process-unique sender nonce for the retry-dedup envelope: each link
-/// draws one at construction, so two links never collide in a server's
-/// at-most-once table.
-static LINK_NONCE: AtomicU64 = AtomicU64::new(1);
-
-pub(crate) fn next_link_nonce() -> u64 {
-    LINK_NONCE.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Serves one request frame into `buf` — the decode path shared by every
 /// server-side adapter. Peels the retry-dedup envelope first: a tagged
@@ -102,17 +91,19 @@ pub trait RawExchange: Send + Sync {
 }
 
 /// In-process carrier: decodes and handles on the calling thread.
-pub struct InProcExchange<H: QueryHandler> {
+/// `H` may be unsized, so a deployment holding `Arc<dyn QueryHandler>`
+/// uses this adapter too.
+pub struct InProcExchange<H: QueryHandler + ?Sized> {
     handler: Arc<H>,
 }
 
-impl<H: QueryHandler> InProcExchange<H> {
+impl<H: QueryHandler + ?Sized> InProcExchange<H> {
     pub fn new(handler: Arc<H>) -> Self {
         InProcExchange { handler }
     }
 }
 
-impl<H: QueryHandler> RawExchange for InProcExchange<H> {
+impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
     fn exchange(&self, request: Bytes) -> Bytes {
         // Version negotiation is link control: answered by the transport
         // adapter, never seen by the query handler.
@@ -296,39 +287,26 @@ impl ServerHandle {
 }
 
 /// The device's metered handle to one server (or one fleet of shard
-/// servers behind a [`ShardRouter`](crate::router::ShardRouter)).
+/// servers behind a [`ShardRouter`](crate::router::ShardRouter)): the top
+/// of the link stack described in the crate docs.
 pub struct Link {
-    carrier: Box<dyn RawExchange>,
+    stack: Box<dyn Layer>,
+    /// The meter the stack's physical edges charge: the edge's own for a
+    /// flat link, the router's aggregate over all shard exchanges for a
+    /// fleet. A cache hit is not a message and touches no meter.
     meter: Arc<LinkMeter>,
     packet: PacketModel,
     /// Per-byte tariff of this link (`bR` or `bS`).
     tariff: f64,
-    /// `true` when the carrier meters physical traffic itself (a shard
-    /// router records every per-shard exchange; a cache layer records
-    /// only the exchanges that miss): `request` must not re-record the
-    /// logical message on top.
-    premetered: bool,
-    /// Per-shard accounting when the carrier is (or fronts) a shard
-    /// router.
+    /// Per-shard accounting when the stack holds a shard router.
     fleet: Option<Arc<crate::router::ShardTelemetry>>,
-    /// Cache accounting when the carrier is a cache layer.
+    /// Cache accounting when the stack holds a cache layer.
     cache: Option<crate::cache::CacheView>,
     /// Highest serving generation observed on this link (from response
     /// stamps and `Ack`s). 0 until the server goes live.
     last_generation: AtomicU64,
-    /// Negotiated wire version of this link's own encode/decode. Stays
-    /// `V1` on premetered carriers (a router or cache negotiates its own
-    /// physical edges itself).
+    /// What [`Link::negotiate`] settled on; `V1` until it runs.
     wire: WireVersion,
-    /// Retry/backoff discipline of this link's own physical exchanges.
-    /// Off by default (one attempt, byte-identical traffic); ignored on
-    /// premetered carriers, whose layers retry their own physical edges.
-    retry: RetryPolicy,
-    /// Sender nonce of the retry-dedup envelope (process-unique).
-    dedup_nonce: u64,
-    /// Batch sequence within this sender; one per `ApplyUpdates` request,
-    /// identical across its retries.
-    dedup_seq: AtomicU64,
 }
 
 /// Runs the `HELLO`/`ACCEPT` handshake over a carrier and returns the
@@ -346,65 +324,48 @@ pub fn negotiate_wire(carrier: &dyn RawExchange) -> WireVersion {
 }
 
 impl Link {
-    /// Wraps a carrier with a fresh meter.
-    pub fn new(carrier: Box<dyn RawExchange>, packet: PacketModel, tariff: f64) -> Self {
+    fn over(
+        stack: Box<dyn Layer>,
+        meter: Arc<LinkMeter>,
+        packet: PacketModel,
+        tariff: f64,
+        fleet: Option<Arc<crate::router::ShardTelemetry>>,
+        cache: Option<crate::cache::CacheView>,
+    ) -> Self {
         Link {
-            carrier,
-            meter: Arc::new(LinkMeter::new()),
+            stack,
+            meter,
             packet,
             tariff,
-            premetered: false,
-            fleet: None,
-            cache: None,
+            fleet,
+            cache,
             last_generation: AtomicU64::new(0),
             wire: WireVersion::V1,
-            retry: RetryPolicy::default(),
-            dedup_nonce: next_link_nonce(),
-            dedup_seq: AtomicU64::new(0),
         }
     }
 
-    /// A link to a shard fleet: the router records every physical
-    /// per-shard exchange into its aggregate meter (which becomes this
-    /// link's meter), so the link itself records nothing — the meter shows
-    /// the scatter traffic that actually crossed the wire, not the logical
-    /// request stream.
+    /// A flat link: one physical edge over `carrier`, with a fresh meter.
+    pub fn new(carrier: Box<dyn RawExchange>, packet: PacketModel, tariff: f64) -> Self {
+        let meter = Arc::new(LinkMeter::new());
+        let edge = Edge::new(carrier, packet, vec![Arc::clone(&meter)]);
+        Link::over(Box::new(edge), meter, packet, tariff, None, None)
+    }
+
+    /// A link to a shard fleet. Its meter is the router's aggregate —
+    /// the scatter traffic that actually crossed the wire, not the
+    /// logical request stream.
     pub fn routed(router: crate::router::ShardRouter, tariff: f64) -> Self {
-        Link {
-            meter: Arc::clone(router.aggregate_meter()),
-            fleet: Some(Arc::clone(router.telemetry())),
-            packet: router.packet(),
-            carrier: Box::new(router),
-            tariff,
-            premetered: true,
-            cache: None,
-            last_generation: AtomicU64::new(0),
-            wire: WireVersion::V1,
-            retry: RetryPolicy::default(),
-            dedup_nonce: next_link_nonce(),
-            dedup_seq: AtomicU64::new(0),
-        }
+        let (meter, packet) = (Arc::clone(router.aggregate_meter()), router.packet());
+        let fleet = Some(Arc::clone(router.telemetry()));
+        Link::over(Box::new(router), meter, packet, tariff, fleet, None)
     }
 
     /// A link through a client-side cache (which may itself front a shard
-    /// fleet): the layer meters only the exchanges that actually reach
-    /// the server — a cache hit is not a message — so the link records
-    /// nothing on top, exactly like a routed link.
+    /// fleet).
     pub fn cached(layer: crate::cache::CacheLayer, tariff: f64) -> Self {
-        Link {
-            meter: Arc::clone(layer.meter()),
-            fleet: layer.fleet().cloned(),
-            cache: Some(layer.view()),
-            packet: layer.packet(),
-            carrier: Box::new(layer),
-            tariff,
-            premetered: true,
-            last_generation: AtomicU64::new(0),
-            wire: WireVersion::V1,
-            retry: RetryPolicy::default(),
-            dedup_nonce: next_link_nonce(),
-            dedup_seq: AtomicU64::new(0),
-        }
+        let (meter, packet) = (Arc::clone(layer.meter()), layer.packet());
+        let (fleet, cache) = (layer.fleet().cloned(), Some(layer.view()));
+        Link::over(Box::new(layer), meter, packet, tariff, fleet, cache)
     }
 
     /// In-process link to a handler.
@@ -416,106 +377,37 @@ impl Link {
         Link::new(Box::new(InProcExchange::new(handler)), packet, tariff)
     }
 
-    /// Adopts a retry/backoff discipline for this link's own physical
-    /// exchanges. With the default (off) policy every request is one
-    /// attempt and the wire traffic is byte-identical to a policy-less
-    /// link. On premetered carriers the policy is ignored here — the
-    /// router/cache layer retries its own physical edges instead.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Issues one RPC, metering both directions (unless the carrier is a
-    /// shard router or cache layer, which meters each physical exchange
-    /// itself). Takes the request by reference — framing a request never
-    /// requires surrendering (or cloning) its payload.
-    ///
-    /// When a [`RetryPolicy`] is enabled, failed attempts — the locally
-    /// fabricated unavailable frame, or a reply that crossed the wire but
-    /// does not decode — are re-issued up to the budget with deterministic
-    /// backoff, `retried`/`abandoned` tallied on the meter. `ApplyUpdates`
-    /// retries ride under the at-most-once dedup envelope (the identical
-    /// `(nonce, seq)` tag on every attempt), so a duplicated delivery can
+    /// Adopts a retry/backoff discipline for the physical edges under
+    /// this link (whichever layer owns them). With the default (off)
+    /// policy every exchange is one attempt and the wire traffic is
+    /// byte-identical to a policy-less link. `ApplyUpdates` retries ride
+    /// the at-most-once dedup envelope, so a duplicated delivery can
     /// never double-bump a generation or double-apply a move.
-    pub fn request(&self, req: &Request) -> Response {
-        let aggregate = req.is_aggregate();
-        let mut encoded = encode_request_versioned(req, self.wire);
-        let retrying = !self.premetered && self.retry.enabled();
-        if retrying && matches!(req, Request::ApplyUpdates(_)) {
-            let tag = DedupTag {
-                nonce: self.dedup_nonce,
-                seq: self.dedup_seq.fetch_add(1, Ordering::Relaxed),
-            };
-            encoded = crate::codec::wrap_dedup(tag, &encoded);
-        }
-        let up_len = encoded.len() as u64;
-        let ctx = QuantCtx::for_request(req);
-        let attempts = if retrying { self.retry.max_attempts } else { 1 };
-        let mut outcome = Response::Unavailable;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.meter.record_retry();
-                self.retry.sleep(attempt);
-            }
-            let raw = self.carrier.exchange(encoded.clone());
-            if crate::codec::is_unavailable(&raw) {
-                // The peer is gone and the carrier fabricated this reply
-                // locally: no byte crossed the wire in either direction,
-                // so the meter charges nothing. (Charging the uplink
-                // *before* the exchange — the old order — left failed
-                // exchanges counting bytes that were never sent.)
-                outcome = Response::Unavailable;
-                continue;
-            }
-            if !self.premetered {
-                self.meter.record_request(req, up_len, &self.packet);
-            }
-            let len = raw.len() as u64;
-            // A reply that crossed the wire but does not decode degrades
-            // to the typed `Malformed` response — both directions are
-            // still charged, because those bytes were real traffic (every
-            // completed attempt is, including superseded ones).
-            let (resp, generation) =
-                decode_response_gen_ctx(raw, ctx.as_ref()).unwrap_or((Response::Malformed, 0));
-            if !self.premetered {
-                self.meter
-                    .record_response(len, resp.object_count(), &self.packet, aggregate);
-            }
-            if resp == Response::Malformed {
-                outcome = Response::Malformed;
-                continue;
-            }
-            match &resp {
-                Response::Ack { generation } => self
-                    .last_generation
-                    .fetch_max(*generation, Ordering::AcqRel),
-                _ => self.last_generation.fetch_max(generation, Ordering::AcqRel),
-            };
-            return resp;
-        }
-        if retrying {
-            self.meter.record_abandon();
-        }
-        outcome
-    }
-
-    /// Runs the version handshake over this link's own carrier and
-    /// upgrades the link to whatever the peer accepted. Only meaningful
-    /// for links that own their physical edge (not routed/cached ones —
-    /// those layers negotiate their own edges); call sites gate on
-    /// `NetConfig::wire_v2`.
-    pub fn negotiate(mut self) -> Self {
-        debug_assert!(
-            !self.premetered,
-            "premetered carriers negotiate their own physical edges"
-        );
-        self.wire = negotiate_wire(self.carrier.as_ref());
+    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+        self.stack.set_retry(retry);
         self
     }
 
-    /// The wire version this link encodes with (`V1` until a successful
-    /// [`Link::negotiate`]).
+    /// Issues one RPC. Takes the request by reference — framing a
+    /// request never requires surrendering (or cloning) its payload.
+    /// A failed exchange surfaces typed, as [`Response::Unavailable`] or
+    /// [`Response::Malformed`], after any retry budget is spent.
+    pub fn request(&self, req: &Request) -> Response {
+        let (resp, generation) = self.stack.call(req);
+        self.last_generation.fetch_max(generation, Ordering::AcqRel);
+        resp
+    }
+
+    /// Runs the version handshake on the physical edges under this link
+    /// and upgrades each to whatever its peer accepted; call sites gate
+    /// on `NetConfig::wire_v2`.
+    pub fn negotiate(mut self) -> Self {
+        self.wire = self.stack.negotiate();
+        self
+    }
+
+    /// The wire version every physical edge under this link speaks
+    /// (`V1` until a successful [`Link::negotiate`]).
     pub fn wire(&self) -> WireVersion {
         self.wire
     }
