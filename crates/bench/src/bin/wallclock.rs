@@ -27,12 +27,7 @@ use std::time::{Duration, Instant};
 
 use asj_bench::runner::max_half_extent;
 use asj_core::{DeploymentBuilder, DistributedJoin, JoinSpec, SrJoin};
-use asj_device::{memjoin, ResultCollector};
-use asj_geom::grid::owns_reference_point;
-use asj_geom::{
-    pair_reference_point, plane_sweep_join, plane_sweep_join_parallel, plane_sweep_pairs, Grid,
-    JoinPredicate, Rect, SpatialObject,
-};
+use asj_geom::{plane_sweep_join, plane_sweep_join_parallel, JoinPredicate, Rect};
 use asj_net::codec::{self, encode_response};
 use asj_net::{QueryHandler, Request, Response, Update};
 use asj_server::{GridStore, RTreeStore, ScanStore, SpatialService, SpatialStore, VersionedStore};
@@ -100,7 +95,6 @@ fn main() {
     );
     let started = Instant::now();
     let sweep_pairs = bench_sweep(&mut c, &cfg);
-    bench_grid_hash(&mut c, &cfg);
     bench_stores(&mut c, &cfg);
     let codec_sizes = bench_codec(&mut c);
     bench_serving(&mut c, &cfg);
@@ -112,6 +106,9 @@ fn main() {
         println!("speedup {label:<28} {factor:>7.2}×   ({baseline} vs {fast})");
     }
     let json = render_json(&cfg, c.measurements(), &speedups, sweep_pairs, codec_sizes);
+    if let Some(dir) = std::path::Path::new(&out).parent() {
+        std::fs::create_dir_all(dir).expect("cannot create the output directory");
+    }
     std::fs::write(&out, json).expect("cannot write JSON output");
     eprintln!(
         "wallclock done in {:.1}s → {out}",
@@ -165,104 +162,6 @@ fn bench_sweep(c: &mut Criterion, cfg: &Config) -> usize {
         });
     }
     serial.len()
-}
-
-/// The pre-PR grid-hash kernel: every object probes **all g² cells** when
-/// hashing — the O(n·g²) shape this PR replaced with `Grid::covering`
-/// index ranges. Output-identical to the shipped kernel; kept here as the
-/// measured baseline.
-fn grid_hash_join_seedpath(
-    r: &[SpatialObject],
-    s: &[SpatialObject],
-    pred: &JoinPredicate,
-    report_cell: &Rect,
-    space: &Rect,
-    out: &mut ResultCollector,
-) {
-    let n = r.len() + s.len();
-    let g = (((n as f64) / 32.0).sqrt().ceil() as u32).clamp(1, 256);
-    let grid = Grid::square(*report_cell, g);
-    let max_half = r
-        .iter()
-        .chain(s.iter())
-        .map(|o| (o.mbr.width().hypot(o.mbr.height())) * 0.5)
-        .fold(0.0f64, f64::max);
-    let ext = pred.window_extension() + max_half;
-    let cells = grid.len();
-    let mut r_buckets: Vec<Vec<SpatialObject>> = vec![Vec::new(); cells];
-    let mut s_buckets: Vec<Vec<SpatialObject>> = vec![Vec::new(); cells];
-    let hash = |objs: &[SpatialObject], buckets: &mut Vec<Vec<SpatialObject>>| {
-        for o in objs {
-            let probe = o.mbr.expand(ext);
-            for (idx, cell) in grid.cells().enumerate() {
-                if cell.intersects(&probe) {
-                    buckets[idx].push(*o);
-                }
-            }
-        }
-    };
-    hash(r, &mut r_buckets);
-    hash(s, &mut s_buckets);
-    for (idx, cell) in grid.cells().enumerate() {
-        let (rb, sb) = (&r_buckets[idx], &s_buckets[idx]);
-        if rb.is_empty() || sb.is_empty() {
-            continue;
-        }
-        plane_sweep_pairs(rb, sb, pred, |a, b| {
-            if let Some(p) = pair_reference_point(a, b, pred) {
-                if owns_reference_point(&cell, space, &p) {
-                    out.push(a.id, b.id);
-                }
-            }
-        });
-    }
-}
-
-/// The HBSJ in-memory kernel: seed O(n·g²) hash vs the shipped
-/// covering-range hash (plus its parallel form).
-fn bench_grid_hash(c: &mut Criterion, cfg: &Config) {
-    let space = default_space();
-    let n = cfg.sweep_n / 2;
-    let r = uniform(&space, n, 21);
-    let s = uniform(&space, n, 1021);
-    let pred = JoinPredicate::WithinDistance(cfg.sweep_eps);
-
-    let mut seed = ResultCollector::new();
-    grid_hash_join_seedpath(&r, &s, &pred, &space, &space, &mut seed);
-    let seed_pairs = seed.into_pairs();
-    let mut shipped = ResultCollector::new();
-    memjoin::grid_hash_join(&r, &s, &pred, &space, &space, &mut shipped);
-    assert_eq!(
-        shipped.into_pairs(),
-        seed_pairs,
-        "covering-range hash diverged from the seed kernel"
-    );
-    eprintln!(
-        "check: covering-range grid hash ≡ seed grid hash ({} pairs)",
-        seed_pairs.len()
-    );
-
-    c.bench_function("memjoin/grid_hash_seedpath", |b| {
-        b.iter(|| {
-            let mut out = ResultCollector::new();
-            grid_hash_join_seedpath(&r, &s, &pred, &space, &space, &mut out);
-            std::hint::black_box(out.len())
-        })
-    });
-    c.bench_function("memjoin/grid_hash_covering", |b| {
-        b.iter(|| {
-            let mut out = ResultCollector::new();
-            memjoin::grid_hash_join(&r, &s, &pred, &space, &space, &mut out);
-            std::hint::black_box(out.len())
-        })
-    });
-    c.bench_function("memjoin/grid_hash_covering_w4", |b| {
-        b.iter(|| {
-            let mut out = ResultCollector::new();
-            memjoin::grid_hash_join_with_workers(&r, &s, &pred, &space, &space, 4, &mut out);
-            std::hint::black_box(out.len())
-        })
-    });
 }
 
 /// Store backends under the primitive query set.
@@ -533,11 +432,6 @@ fn speedups(ms: &[Measurement]) -> Vec<(String, String, String, f64)> {
             "count_aggregates_vs_scan",
             "store/scan_count",
             "store/rtree_count_aggregate",
-        ),
-        (
-            "grid_hash_covering_ranges",
-            "memjoin/grid_hash_seedpath",
-            "memjoin/grid_hash_covering",
         ),
         (
             "codec_exact_reserve",

@@ -1,6 +1,8 @@
 //! Join result accumulation and iceberg aggregation.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::HashSet;
+use std::hash::{BuildHasher, Hasher};
 
 use asj_geom::ObjectId;
 
@@ -8,8 +10,9 @@ use asj_geom::ObjectId;
 ///
 /// In the default **strict** mode pairs must arrive *exactly once* — the
 /// duplicate-avoidance discipline upstream guarantees it on a frozen
-/// snapshot, and debug builds verify it with a hash set (the set is
-/// compiled out in release so the PDA memory model stays honest). Against
+/// snapshot, and debug builds verify it with a hash set. That set is
+/// compiled out in release, where a strict `push` hashes nothing: it
+/// appends to the pair list and the PDA memory model stays honest. Against
 /// a **live** deployment that guarantee is not derivable: two reads of
 /// disjoint windows are not one snapshot, and an object moving between
 /// them while a writer races the join can honestly qualify in both. The
@@ -18,14 +21,39 @@ use asj_geom::ObjectId;
 #[derive(Debug, Default)]
 pub struct ResultCollector {
     pairs: Vec<(ObjectId, ObjectId)>,
-    /// Matches per R-object, for iceberg semi-joins.
-    r_counts: HashMap<ObjectId, u32>,
     /// `Some` in deduplicating mode (live deployments), in every build
     /// profile — the "exactly once" report contract then holds by
-    /// construction rather than by upstream discipline.
-    dedup: Option<std::collections::HashSet<(ObjectId, ObjectId)>>,
+    /// construction rather than by upstream discipline. Holds packed pairs.
+    dedup: Option<HashSet<u64, PairMix>>,
     #[cfg(debug_assertions)]
-    seen: std::collections::HashSet<(ObjectId, ObjectId)>,
+    seen: HashSet<(ObjectId, ObjectId)>,
+}
+
+/// Hash state of the deduplicating set: one 64-bit mix (the `splitmix64`
+/// finaliser) of the packed pair in place of SipHash over a tuple. Ids come
+/// off the wire, so the mix is keyed with a seed drawn per collector from
+/// [`RandomState`]: a server cannot choose ids that collide.
+#[derive(Debug, Clone, Copy)]
+struct PairMix(u64);
+
+impl BuildHasher for PairMix {
+    type Hasher = PairMix;
+    fn build_hasher(&self) -> PairMix {
+        *self
+    }
+}
+
+impl Hasher for PairMix {
+    fn write(&mut self, key: &[u8]) {
+        let key = u64::from_ne_bytes(key.try_into().expect("the set holds u64 keys only"));
+        let mut z = (self.0 ^ key).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl ResultCollector {
@@ -38,7 +66,9 @@ impl ResultCollector {
     /// re-derive a pair without any upstream bug.
     pub fn deduplicating() -> Self {
         ResultCollector {
-            dedup: Some(std::collections::HashSet::new()),
+            dedup: Some(HashSet::with_hasher(PairMix(
+                RandomState::new().hash_one(0u64),
+            ))),
             ..ResultCollector::default()
         }
     }
@@ -49,7 +79,7 @@ impl ResultCollector {
     /// If the pair was already reported — a duplicate-avoidance bug.
     pub fn push(&mut self, r: ObjectId, s: ObjectId) {
         if let Some(dedup) = &mut self.dedup {
-            if !dedup.insert((r, s)) {
+            if !dedup.insert(u64::from(r) << 32 | u64::from(s)) {
                 return;
             }
         } else {
@@ -60,7 +90,6 @@ impl ResultCollector {
             );
         }
         self.pairs.push((r, s));
-        *self.r_counts.entry(r).or_insert(0) += 1;
     }
 
     /// All pairs reported so far.
@@ -85,15 +114,19 @@ impl ResultCollector {
 
     /// Iceberg distance semi-join result: R-objects with at least
     /// `min_matches` qualifying partners, with their match counts
-    /// (sorted by id for determinism).
+    /// (sorted by id for determinism), counted from the pair list on
+    /// demand so that joins that never ask pay nothing per pair.
     pub fn iceberg(&self, min_matches: u32) -> IcebergResult {
-        let mut qualifying: Vec<(ObjectId, u32)> = self
-            .r_counts
-            .iter()
-            .filter(|&(_, &c)| c >= min_matches)
-            .map(|(&id, &c)| (id, c))
-            .collect();
-        qualifying.sort_unstable();
+        let mut ids: Vec<ObjectId> = self.pairs.iter().map(|&(r, _)| r).collect();
+        ids.sort_unstable();
+        let mut qualifying: Vec<(ObjectId, u32)> = Vec::new();
+        for id in ids {
+            match qualifying.last_mut() {
+                Some((last, count)) if *last == id => *count += 1,
+                _ => qualifying.push((id, 1)),
+            }
+        }
+        qualifying.retain(|&(_, count)| count >= min_matches);
         IcebergResult {
             min_matches,
             qualifying,
@@ -148,6 +181,51 @@ mod tests {
         assert_eq!(c.iceberg(6).qualifying, vec![]);
         // Threshold 1 = plain distance semi-join.
         assert_eq!(c.iceberg(1).ids(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn iceberg_counts_interleaved_ids_from_the_pair_list() {
+        // R ids arrive interleaved and out of order, as joins over several
+        // windows emit them; the on-demand count must equal a per-push tally.
+        let pushes = [(7, 1), (2, 1), (7, 2), (9, 1), (2, 2), (7, 3), (0, 5)];
+        let mut c = ResultCollector::new();
+        let mut tally = std::collections::BTreeMap::new();
+        for (r, s) in pushes {
+            c.push(r, s);
+            *tally.entry(r).or_insert(0u32) += 1;
+        }
+        for m in 1..=4 {
+            let want: Vec<(ObjectId, u32)> = tally
+                .iter()
+                .filter(|&(_, &n)| n >= m)
+                .map(|(&id, &n)| (id, n))
+                .collect();
+            assert_eq!(c.iceberg(m).qualifying, want, "m={m}");
+        }
+        assert_eq!(
+            c.iceberg(1).qualifying,
+            vec![(0, 1), (2, 2), (7, 3), (9, 1)]
+        );
+        assert_eq!(ResultCollector::new().iceberg(1).qualifying, vec![]);
+    }
+
+    #[test]
+    fn deduplicating_mode_drops_repushed_pairs() {
+        let mut c = ResultCollector::deduplicating();
+        for (r, s) in [(3, 9), (1, 9), (3, 9), (3, 8), (1, 9), (9, 3), (3, 9)] {
+            c.push(r, s);
+        }
+        // First occurrences, in arrival order; (9, 3) is not (3, 9).
+        assert_eq!(c.pairs(), &[(3, 9), (1, 9), (3, 8), (9, 3)]);
+        assert_eq!(c.len(), 4);
+        // A re-derived pair counts once towards its R object.
+        assert_eq!(c.iceberg(1).qualifying, vec![(1, 1), (3, 2), (9, 1)]);
+        // Ids at the ends of the range pack without colliding.
+        let mut c = ResultCollector::deduplicating();
+        for (r, s) in [(0, u32::MAX), (u32::MAX, 0), (0, 0), (0, u32::MAX)] {
+            c.push(r, s);
+        }
+        assert_eq!(c.pairs(), &[(0, u32::MAX), (u32::MAX, 0), (0, 0)]);
     }
 
     #[test]

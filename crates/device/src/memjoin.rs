@@ -1,95 +1,127 @@
-//! In-memory join kernels used by the physical operators.
+//! The device's in-memory join kernel: a one-sided ε-grid.
 //!
-//! Two kernels compute the same result:
+//! HBSJ — the paper's `c1` operator — ends every window in a join of two
+//! downloaded object lists. PBSM \[13\] hashes *both* lists into a grid with
+//! replication, finds a qualifying pair in every cell its copies share and
+//! throws all but one finding away. This kernel replicates one side only:
+//! every R object has exactly **one home cell**, that of its MBR centre, and
+//! every S object is entered into each cell a partner's centre can lie in —
+//! its MBR grown per axis by `reach = ε + the largest R half-extent` (the
+//! MBRs of a qualifying pair are at most ε apart on each axis, and a centre
+//! is a half-extent inside its MBR's edge). A pair is thus examined exactly
+//! once, in R's home cell: the grid needs no ownership test of its own and
+//! does no duplicate work. Cells are at least `reach` wide (an S point
+//! lands in about 3 × 3) and otherwise sized for about one object each; S is
+//! held as counting-sorted `u32` index ranges over the borrowed input and R
+//! is walked in input order — no object is copied, nothing is sorted or
+//! allocated per cell.
 //!
-//! * [`sweep_join_into`] — a single plane sweep; right choice for
-//!   buffer-sized inputs (≤ a few thousand objects).
-//! * [`grid_hash_join`] — PBSM-style [13]: hash both inputs into a regular
-//!   in-memory grid (objects replicated into every cell their ε-extended
-//!   MBR touches), then sweep cell by cell. This is the literal
-//!   "Hash-Based Spatial Join" of the paper's `c1` operator; it wins on
-//!   large inputs because cells cut the candidate cross-product.
+//! The one filter every emitted pair passes is the caller's: the *global*
+//! reference-point test \[3\] against `(report_cell, space)`, fused with the
+//! predicate in [`reference_point_in`], so exactly-once reporting across
+//! windows holds unchanged.
 //!
-//! Both apply the *global* reference-point filter against `(report_cell,
-//! space)` so the caller's partition discipline (exactly-once reporting
-//! across windows) extends seamlessly into the in-memory subdivision.
+//! Coordinates arrive off the wire unvalidated. Cell indices are clamped in
+//! the `f64` domain before any cast (a NaN casts to cell 0, and an object
+//! with a NaN coordinate qualifies with nothing, so where it lands is
+//! immaterial), and an R centre that is not finite makes `reach` infinite —
+//! one cell, a nested loop. Hostile input costs time, never a panic or a
+//! lost pair.
 
-use asj_geom::grid::owns_reference_point;
-use asj_geom::{
-    pair_reference_point, plane_sweep_filtered_parallel, plane_sweep_pairs, Grid, JoinPredicate,
-    Rect, SpatialObject,
-};
+use std::ops::RangeInclusive;
+
+use asj_geom::{reference_point_in, JoinPredicate, ObjectId, Rect, SpatialObject};
 
 use crate::collect::ResultCollector;
 
-/// Input size (|R| + |S|) below which the parallel kernels fall back to the
-/// serial sweep: thread spawn overhead exceeds the win on small windows.
+/// Input size (|R| + |S|) below which the worker knob is inert: thread
+/// spawn overhead exceeds the win on small windows.
 pub const PARALLEL_JOIN_THRESHOLD: usize = 4096;
 
-/// The exactly-once discipline of every kernel in this module: a pair
-/// counts for `report_cell` iff its reference point falls in the cell
-/// (w.r.t. the global `space`). One definition shared by the serial and
-/// parallel branches — it must never fork, or parallel output would
-/// diverge from serial only above the threshold.
-#[inline]
-fn owns_pair(
-    pred: &JoinPredicate,
-    report_cell: &Rect,
-    space: &Rect,
-    a: &SpatialObject,
-    b: &SpatialObject,
-) -> bool {
-    pair_reference_point(a, b, pred).is_some_and(|p| owns_reference_point(report_cell, space, &p))
+/// Most cells per axis, whatever the input size.
+const MAX_CELLS_PER_AXIS: f64 = 256.0;
+
+/// Widening, in cells, of an S object's cell range: it absorbs the rounding
+/// between a coordinate and its cell index, so a pair at distance exactly ε
+/// is never lost to a cell boundary.
+const RANGE_SLACK: f64 = 1e-3;
+
+/// One axis of the grid: cells `0..=last`, `1 / scale` wide, from `origin`.
+struct Axis {
+    origin: f64,
+    scale: f64,
+    last: f64,
+    reach: f64,
 }
 
-/// Plane-sweep join of `r × s`, reporting into `out` only the pairs whose
-/// reference point lies in `report_cell` (w.r.t. the global `space`).
-pub fn sweep_join_into(
-    r: &[SpatialObject],
-    s: &[SpatialObject],
-    pred: &JoinPredicate,
-    report_cell: &Rect,
-    space: &Rect,
-    out: &mut ResultCollector,
-) {
-    sweep_join_into_with_workers(r, s, pred, report_cell, space, 1, out);
-}
-
-/// [`sweep_join_into`] with a worker-count knob: inputs at or above
-/// [`PARALLEL_JOIN_THRESHOLD`] run the partitioned parallel sweep on
-/// `workers` scoped threads. Output is identical (same pairs, same order)
-/// at every worker count — the reference-point filter is pure, so it moves
-/// onto the workers unchanged.
-pub fn sweep_join_into_with_workers(
-    r: &[SpatialObject],
-    s: &[SpatialObject],
-    pred: &JoinPredicate,
-    report_cell: &Rect,
-    space: &Rect,
-    workers: usize,
-    out: &mut ResultCollector,
-) {
-    let owns = |a: &SpatialObject, b: &SpatialObject| owns_pair(pred, report_cell, space, a, b);
-    if workers > 1 && r.len() + s.len() >= PARALLEL_JOIN_THRESHOLD {
-        for (a, b) in plane_sweep_filtered_parallel(r, s, pred, workers, owns) {
-            out.push(a, b);
-        }
-    } else {
-        plane_sweep_pairs(r, s, pred, |a, b| {
-            if owns(a, b) {
-                out.push(a.id, b.id);
+impl Axis {
+    /// Grids the finite centres of R's `(min, max)` extents on one axis:
+    /// about `want` cells, none narrower than `reach`.
+    fn over(extents: impl Iterator<Item = (f64, f64)>, eps: f64, want: f64) -> Axis {
+        let (mut lo, mut hi, mut half) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
+        for (min, max) in extents {
+            let centre = (min + max) * 0.5;
+            if centre.is_finite() {
+                lo = lo.min(centre);
+                hi = hi.max(centre);
+                half = half.max((max - min) * 0.5);
+            } else {
+                half = f64::INFINITY; // no home cell is right: look everywhere
             }
-        });
+        }
+        let (reach, span) = (eps + half, hi - lo);
+        let side = reach.max(span / want);
+        let (cells, scale) = if side > 0.0 && side.is_finite() {
+            let cells = (span / side).ceil().clamp(1.0, MAX_CELLS_PER_AXIS);
+            (cells, (1.0 / side).min(cells / span))
+        } else {
+            (1.0, 0.0) // nothing to grid on: every S object is a candidate
+        };
+        let last = cells - 1.0;
+        Axis {
+            origin: lo,
+            scale,
+            last,
+            reach,
+        }
+    }
+
+    /// The cell of an R centre at `v`, clamped into the grid.
+    fn home(&self, v: f64) -> usize {
+        ((v - self.origin) * self.scale).clamp(0.0, self.last) as usize
+    }
+
+    /// The cells whose R centres can be partners of an S object spanning
+    /// `min..=max`, or `None` when it lies clear of the grid.
+    fn covering(&self, min: f64, max: f64) -> Option<RangeInclusive<usize>> {
+        let lo = (min - self.reach - self.origin) * self.scale - RANGE_SLACK;
+        let hi = (max + self.reach - self.origin) * self.scale + RANGE_SLACK;
+        if hi < 0.0 || lo >= self.last + 1.0 {
+            return None;
+        }
+        Some(lo.clamp(0.0, self.last) as usize..=hi.clamp(0.0, self.last) as usize)
     }
 }
 
-/// PBSM-style grid-hash join over `report_cell`.
-///
-/// `g × g` cells are derived from the input size so each cell sees a few
-/// dozen objects. Objects are replicated into every cell their ε/2-extended
-/// MBR intersects; the reference-point filter (applied per cell, against
-/// the *cell* rectangle clipped into `report_cell`) guarantees exactly-once
-/// output despite replication.
+/// Counting sort of `(cell, object index)` entries over `n` cells into
+/// `(starts, items)`: cell `c` holds `items[starts[c]..starts[c + 1]]`, in
+/// entry order.
+fn bucket(n: usize, entries: impl Iterator<Item = (usize, u32)> + Clone) -> (Vec<usize>, Vec<u32>) {
+    let mut starts = vec![0usize; n + 1];
+    entries.clone().for_each(|(c, _)| starts[c + 1] += 1);
+    for c in 0..n {
+        starts[c + 1] += starts[c];
+    }
+    let mut next = starts.clone();
+    let mut items = vec![0u32; starts[n]];
+    entries.for_each(|(c, i)| {
+        items[next[c]] = i;
+        next[c] += 1;
+    });
+    (starts, items)
+}
+
+/// [`grid_hash_join_with_workers`] on the calling thread.
 pub fn grid_hash_join(
     r: &[SpatialObject],
     s: &[SpatialObject],
@@ -101,11 +133,12 @@ pub fn grid_hash_join(
     grid_hash_join_with_workers(r, s, pred, report_cell, space, 1, out);
 }
 
-/// [`grid_hash_join`] with a worker-count knob: at or above
-/// [`PARALLEL_JOIN_THRESHOLD`] the per-cell sweeps fan out over `workers`
-/// scoped threads (contiguous cell ranges per worker; per-cell outputs are
-/// appended in cell order), so the result is identical — same pairs, same
-/// order — at every worker count.
+/// Joins `r × s` under `pred`, reporting into `out` the pairs whose
+/// reference point lies in `report_cell` (w.r.t. the global `space`).
+///
+/// At or above [`PARALLEL_JOIN_THRESHOLD`] R fans out over `workers` scoped
+/// threads in equal contiguous runs, outputs appended in run order, so the
+/// result is identical — same pairs, same order — at every worker count.
 pub fn grid_hash_join_with_workers(
     r: &[SpatialObject],
     s: &[SpatialObject],
@@ -118,107 +151,74 @@ pub fn grid_hash_join_with_workers(
     if r.is_empty() || s.is_empty() {
         return;
     }
-    let n = r.len() + s.len();
-    // ~32 objects per cell; clamp to a sane grid.
-    let g = (((n as f64) / 32.0).sqrt().ceil() as u32).clamp(1, 256);
-    if g == 1 || report_cell.area() == 0.0 {
-        sweep_join_into_with_workers(r, s, pred, report_cell, space, workers, out);
-        return;
-    }
-    let grid = Grid::square(*report_cell, g);
-    // Replication radius: the reference point (midpoint of centers) of a
-    // qualifying pair is within ε/2 + max-half-diagonal of each member's
-    // MBR — computed exactly from the inputs at hand (0 for points).
-    let max_half = r
-        .iter()
-        .chain(s.iter())
-        .map(|o| (o.mbr.width().hypot(o.mbr.height())) * 0.5)
-        .fold(0.0f64, f64::max);
-    let ext = pred.window_extension() + max_half;
-    let cells = grid.len();
-    let mut r_buckets: Vec<Vec<SpatialObject>> = vec![Vec::new(); cells];
-    let mut s_buckets: Vec<Vec<SpatialObject>> = vec![Vec::new(); cells];
-
-    // Hash via `Grid::covering` index ranges — O(covered cells) per object
-    // instead of scanning all g² cells, the same range-insert build the
-    // grid *store* uses. The per-cell intersection re-check keeps bucket
-    // contents (and order) identical to a full scan, which the
-    // `covering_hash_matches_full_scan` test pins.
-    let hash = |objs: &[SpatialObject], buckets: &mut Vec<Vec<SpatialObject>>| {
-        for o in objs {
-            let probe = o.mbr.expand(ext);
-            let Some((is, js)) = grid.covering(&probe) else {
-                continue;
-            };
-            for j in js {
-                for i in is.clone() {
-                    if grid.cell(i, j).intersects(&probe) {
-                        buckets[(j as usize) * g as usize + i as usize].push(*o);
-                    }
+    let (eps, want) = (pred.epsilon(), ((r.len() + s.len()) as f64).sqrt().ceil());
+    let ax = Axis::over(r.iter().map(|o| (o.mbr.min.x, o.mbr.max.x)), eps, want);
+    let ay = Axis::over(r.iter().map(|o| (o.mbr.min.y, o.mbr.max.y)), eps, want);
+    let nx = ax.last as usize + 1;
+    let cells = nx * (ay.last as usize + 1);
+    let (starts, partners) = bucket(
+        cells,
+        s.iter().enumerate().flat_map(|(j, o)| {
+            let xs = ax.covering(o.mbr.min.x, o.mbr.max.x);
+            let ys = ay.covering(o.mbr.min.y, o.mbr.max.y);
+            xs.zip(ys).into_iter().flat_map(move |(xs, ys)| {
+                ys.flat_map(move |y| xs.clone().map(move |x| (y * nx + x, j as u32)))
+            })
+        }),
+    );
+    // The pairs of a run of R: R's input order, then S's within the home cell
+    // (`center()` is the `(min + max) * 0.5` the axes were gridded on).
+    let join = |run: &[SpatialObject], emit: &mut dyn FnMut(ObjectId, ObjectId)| {
+        for a in run {
+            let c = a.center();
+            let home = ay.home(c.y) * nx + ax.home(c.x);
+            for b in partners[starts[home]..starts[home + 1]]
+                .iter()
+                .map(|&j| &s[j as usize])
+            {
+                if reference_point_in(a, b, pred, report_cell, space) {
+                    emit(a.id, b.id);
                 }
             }
         }
     };
-    hash(r, &mut r_buckets);
-    hash(s, &mut s_buckets);
-
-    // The cell must own the reference point *and* so must the caller's
-    // report_cell — cells tile report_cell, so owning w.r.t. the cell
-    // within `space` composes both conditions.
-    let live: Vec<(usize, Rect)> = grid
-        .cells()
-        .enumerate()
-        .filter(|(idx, _)| !r_buckets[*idx].is_empty() && !s_buckets[*idx].is_empty())
-        .collect();
-    if workers > 1 && n >= PARALLEL_JOIN_THRESHOLD && live.len() > 1 {
-        // Fan contiguous cell ranges across scoped threads; each worker
-        // collects its cells' pairs locally (cell sweeps are serial — the
-        // buckets are small by construction) and the main thread reports
-        // them in cell order, so the output matches the serial loop
-        // exactly and the collector's exactly-once discipline is kept.
-        let workers = workers.min(live.len());
-        let chunk = live.len().div_ceil(workers);
-        let (r_buckets, s_buckets) = (&r_buckets, &s_buckets);
-        let parts: Vec<Vec<(u32, u32)>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = live
-                .chunks(chunk)
-                .map(|cells| {
-                    scope.spawn(move |_| {
-                        let mut pairs = Vec::new();
-                        for &(idx, cell) in cells {
-                            plane_sweep_pairs(&r_buckets[idx], &s_buckets[idx], pred, |a, b| {
-                                if owns_pair(pred, &cell, space, a, b) {
-                                    pairs.push((a.id, b.id));
-                                }
-                            });
-                        }
-                        pairs
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("cell-join worker panicked"))
-                .collect()
-        })
-        .expect("cell-join scope panicked");
-        for (a, b) in parts.into_iter().flatten() {
-            out.push(a, b);
-        }
-    } else {
-        for &(idx, cell) in &live {
-            sweep_join_into(&r_buckets[idx], &s_buckets[idx], pred, &cell, space, out);
-        }
+    if workers <= 1 || r.len() + s.len() < PARALLEL_JOIN_THRESHOLD {
+        return join(r, &mut |a, b| out.push(a, b));
     }
+    // The calling thread takes the first run straight into `out`; the
+    // others collect theirs, appended in run order once it is done.
+    let mut runs = r.chunks(r.len().div_ceil(workers));
+    let (first, join) = (runs.next().expect("r is not empty"), &join);
+    crossbeam::thread::scope(|scope| {
+        let spawn = |run| {
+            scope.spawn(move |_| {
+                let mut pairs = Vec::new();
+                join(run, &mut |a, b| pairs.push((a, b)));
+                pairs
+            })
+        };
+        let handles: Vec<_> = runs.map(spawn).collect();
+        join(first, &mut |a, b| out.push(a, b));
+        for h in handles {
+            for (a, b) in h.join().expect("join worker panicked") {
+                out.push(a, b);
+            }
+        }
+    })
+    .expect("join scope panicked");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asj_geom::sweep::nested_loop_join;
+    use asj_geom::sweep::{nested_loop_join, plane_sweep_join};
 
     fn pt(id: u32, x: f64, y: f64) -> SpatialObject {
         SpatialObject::point(id, x, y)
+    }
+
+    fn boxed(id: u32, x: f64, y: f64, w: f64, h: f64) -> SpatialObject {
+        SpatialObject::new(id, Rect::from_coords(x, y, x + w, y + h))
     }
 
     /// Deterministic pseudo-random points in [0, 100)².
@@ -233,6 +233,19 @@ mod tests {
         (0..n).map(|i| pt(id_base + i, next(), next())).collect()
     }
 
+    /// Deterministic boxes up to 6 × 6 scattered over [0, 100)².
+    fn boxes(n: u32, seed: u64, id_base: u32) -> Vec<SpatialObject> {
+        let (at, size) = (cloud(n, seed, 0), cloud(n, seed + 2, 0));
+        at.iter()
+            .zip(&size)
+            .enumerate()
+            .map(|(i, (p, q))| {
+                let (w, h) = (q.mbr.min.x * 0.06, q.mbr.min.y * 0.06);
+                boxed(id_base + i as u32, p.mbr.min.x, p.mbr.min.y, w, h)
+            })
+            .collect()
+    }
+
     fn ground_truth(
         r: &[SpatialObject],
         s: &[SpatialObject],
@@ -243,8 +256,44 @@ mod tests {
         v
     }
 
+    /// The kernel's contract, spelled out independently of it: nested loop,
+    /// then the reference-point filter against `(cell, space)`.
+    fn filtered_truth(
+        r: &[SpatialObject],
+        s: &[SpatialObject],
+        pred: &JoinPredicate,
+        cell: &Rect,
+        space: &Rect,
+    ) -> Vec<(u32, u32)> {
+        let mut v = Vec::new();
+        for a in r {
+            for b in s {
+                if pred.matches_objects(a, b) && reference_point_in(a, b, pred, cell, space) {
+                    v.push((a.id, b.id));
+                }
+            }
+        }
+        v.sort_unstable();
+        v
+    }
+
+    fn joined(
+        r: &[SpatialObject],
+        s: &[SpatialObject],
+        pred: &JoinPredicate,
+        cell: &Rect,
+        space: &Rect,
+        workers: usize,
+    ) -> Vec<(u32, u32)> {
+        let mut c = ResultCollector::new();
+        grid_hash_join_with_workers(r, s, pred, cell, space, workers, &mut c);
+        let mut got = c.into_pairs();
+        got.sort_unstable();
+        got
+    }
+
     #[test]
-    fn sweep_join_filters_by_cell() {
+    fn grid_hash_filters_by_cell() {
         let space = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
         let pred = JoinPredicate::WithinDistance(2.0);
         let r = vec![pt(1, 4.0, 5.0)];
@@ -253,11 +302,11 @@ mod tests {
         let right = Rect::from_coords(5.0, 0.0, 10.0, 10.0);
 
         let mut c = ResultCollector::new();
-        sweep_join_into(&r, &s, &pred, &left, &space, &mut c);
+        grid_hash_join(&r, &s, &pred, &left, &space, &mut c);
         assert_eq!(c.len(), 1);
 
         let mut c = ResultCollector::new();
-        sweep_join_into(&r, &s, &pred, &right, &space, &mut c);
+        grid_hash_join(&r, &s, &pred, &right, &space, &mut c);
         assert_eq!(c.len(), 0);
     }
 
@@ -268,10 +317,7 @@ mod tests {
         let s = cloud(400, 13, 10_000);
         for eps in [0.5, 2.0, 8.0] {
             let pred = JoinPredicate::WithinDistance(eps);
-            let mut c = ResultCollector::new();
-            grid_hash_join(&r, &s, &pred, &space, &space, &mut c);
-            let mut got = c.into_pairs();
-            got.sort_unstable();
+            let got = joined(&r, &s, &pred, &space, &space, 1);
             assert_eq!(got, ground_truth(&r, &s, &pred), "eps={eps}");
         }
     }
@@ -280,22 +326,195 @@ mod tests {
     fn grid_hash_intersection_join_on_mbrs() {
         let space = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
         // Overlapping boxes scattered deterministically.
-        let mk = |id: u32, x: f64, y: f64, w: f64| {
-            SpatialObject::new(id, Rect::from_coords(x, y, x + w, y + w))
-        };
         let mut r = Vec::new();
         let mut s = Vec::new();
         for i in 0..120u32 {
             let f = i as f64;
-            r.push(mk(i, (f * 13.7) % 90.0, (f * 7.3) % 90.0, 3.0));
-            s.push(mk(i + 1000, (f * 11.1) % 90.0, (f * 5.9) % 90.0, 4.0));
+            r.push(boxed(i, (f * 13.7) % 90.0, (f * 7.3) % 90.0, 3.0, 3.0));
+            s.push(boxed(
+                i + 1000,
+                (f * 11.1) % 90.0,
+                (f * 5.9) % 90.0,
+                4.0,
+                4.0,
+            ));
         }
         let pred = JoinPredicate::Intersects;
-        let mut c = ResultCollector::new();
-        grid_hash_join(&r, &s, &pred, &space, &space, &mut c);
-        let mut got = c.into_pairs();
-        got.sort_unstable();
+        let got = joined(&r, &s, &pred, &space, &space, 1);
         assert_eq!(got, ground_truth(&r, &s, &pred));
+    }
+
+    #[test]
+    fn extended_mbrs_under_every_predicate_and_window() {
+        // Boxes on both sides; ε from touching to larger than the space;
+        // report cells that leave R centres outside (as ε/2-extended
+        // downloads do), one of zero area, and the whole space.
+        let space = Rect::from_coords(0.0, 0.0, 106.0, 106.0);
+        let r = boxes(150, 41, 0);
+        let s = boxes(170, 43, 10_000);
+        let preds = [
+            JoinPredicate::Intersects,
+            JoinPredicate::WithinDistance(0.0),
+            JoinPredicate::WithinDistance(1.0),
+            JoinPredicate::WithinDistance(17.5),
+            JoinPredicate::WithinDistance(300.0),
+        ];
+        let cells = [
+            space,
+            Rect::from_coords(20.0, 30.0, 55.0, 45.0),
+            Rect::from_coords(53.0, 0.0, 106.0, 106.0),
+            Rect::from_coords(40.0, 10.0, 40.0, 90.0), // zero area: owns nothing
+        ];
+        let mut seen = 0;
+        for pred in &preds {
+            for cell in &cells {
+                let want = filtered_truth(&r, &s, pred, cell, &space);
+                seen += want.len();
+                assert_eq!(
+                    joined(&r, &s, pred, cell, &space, 1),
+                    want,
+                    "{pred:?} {cell:?}"
+                );
+            }
+        }
+        assert!(seen > 1000, "non-vacuous");
+        assert!(joined(&r, &s, &preds[3], &cells[3], &space, 1).is_empty());
+    }
+
+    #[test]
+    fn degenerate_inputs() {
+        let space = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
+        let many = cloud(200, 9, 10_000);
+        // |R| = 1 and |S| = 1: a zero-width grid on the R side.
+        for pred in [
+            JoinPredicate::WithinDistance(15.0),
+            JoinPredicate::Intersects,
+        ] {
+            let one = [pt(1, 50.0, 50.0)];
+            assert_eq!(
+                joined(&one, &many, &pred, &space, &space, 1),
+                ground_truth(&one, &many, &pred)
+            );
+            assert_eq!(
+                joined(&many, &one, &pred, &space, &space, 1),
+                ground_truth(&many, &one, &pred)
+            );
+        }
+        // Every object at the same spot: all pairs, under either predicate.
+        let r: Vec<_> = (0..20).map(|i| pt(i, 7.0, 7.0)).collect();
+        let s: Vec<_> = (0..30).map(|i| pt(100 + i, 7.0, 7.0)).collect();
+        for pred in [
+            JoinPredicate::Intersects,
+            JoinPredicate::WithinDistance(0.0),
+        ] {
+            assert_eq!(joined(&r, &s, &pred, &space, &space, 1).len(), 600);
+        }
+    }
+
+    #[test]
+    fn cells_per_axis_are_capped_and_reach_wide() {
+        let r = [(0.0, 0.0), (1000.0, 1000.0)];
+        // 1000 cells wanted: the cap holds and the far centre stays inside.
+        let ax = Axis::over(r.into_iter(), 0.0, 1000.0);
+        assert_eq!(ax.last, 255.0);
+        assert_eq!((ax.home(0.0), ax.home(1000.0)), (0, 255));
+        // ε = 300 allows only three cells, each at least ε wide.
+        let ax = Axis::over(r.into_iter(), 300.0, 1000.0);
+        assert_eq!(ax.last, 3.0);
+        assert!(1.0 / ax.scale >= 300.0 - 1e-9);
+        // A whole-kernel run above the cap (⌈√n⌉ = 265), against the sweep.
+        let space = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
+        let (r, s) = (cloud(35_000, 5, 0), cloud(35_000, 6, 100_000));
+        let pred = JoinPredicate::WithinDistance(0.05);
+        let mut want = plane_sweep_join(&r, &s, &pred);
+        want.sort_unstable();
+        assert!(!want.is_empty(), "non-vacuous");
+        assert_eq!(joined(&r, &s, &pred, &space, &space, 1), want);
+    }
+
+    #[test]
+    fn hostile_coordinates_never_panic_and_stay_exact() {
+        // `codec` accepts any f64 bit pattern, so a garbled or hostile
+        // server can hand the kernel these. Whatever the predicate makes
+        // of them, the kernel must agree with nested loop + filter.
+        let space = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
+        let (nan, inf, huge) = (f64::NAN, f64::INFINITY, 1e308);
+        let raw = |id, a, b, c, d| SpatialObject {
+            id,
+            mbr: Rect {
+                min: asj_geom::Point::new(a, b),
+                max: asj_geom::Point::new(c, d),
+            },
+        };
+        let wild = |base: u32| {
+            vec![
+                raw(base, nan, nan, nan, nan),
+                raw(base + 1, nan, 10.0, 20.0, 20.0),
+                raw(base + 2, 10.0, 10.0, nan, 20.0),
+                raw(base + 3, -inf, 40.0, inf, 60.0), // a band across the space
+                raw(base + 4, -inf, -inf, inf, inf),
+                raw(base + 5, inf, inf, inf, inf),
+                raw(base + 6, -inf, 5.0, 30.0, 6.0),
+                raw(base + 7, -huge, -huge, huge, huge),
+                raw(base + 8, huge, 50.0, huge, 50.0),
+                raw(base + 9, 50.0, -huge, 51.0, huge),
+                raw(base + 10, 30.0, 30.0, 20.0, 20.0), // min > max
+            ]
+        };
+        let cells = [space, Rect::from_coords(0.0, 0.0, 50.0, 50.0)];
+        let preds = [
+            JoinPredicate::Intersects,
+            JoinPredicate::WithinDistance(4.0),
+            JoinPredicate::WithinDistance(nan),
+            JoinPredicate::WithinDistance(inf),
+        ];
+        // Each hostile object on its own (together they mask one another:
+        // one infinite extent collapses the grid for all), in R, in S and
+        // in both, under every predicate and window.
+        let (r, s) = (cloud(60, 21, 0), cloud(60, 22, 100_000));
+        let mut reported = 0;
+        for k in 0..wild(0).len() {
+            let r_wild = [&r[..], &wild(50_000)[k..=k]].concat();
+            let s_wild = [&s[..], &wild(150_000)[k..=k]].concat();
+            for (r, s) in [(&r_wild, &s), (&r, &s_wild), (&r_wild, &s_wild)] {
+                for pred in &preds {
+                    for cell in &cells {
+                        let want = filtered_truth(r, s, pred, cell, &space);
+                        reported += want
+                            .iter()
+                            .filter(|(a, b)| *a >= 50_000 || *b >= 150_000)
+                            .count();
+                        assert_eq!(
+                            joined(r, s, pred, cell, &space, 1),
+                            want,
+                            "object {k} {pred:?} {cell:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(reported > 100, "hostile objects do qualify");
+        // The same above the parallel threshold, on one and three workers.
+        let (r, s) = (cloud(2050, 23, 0), cloud(2050, 24, 100_000));
+        let (r_wild, s_wild) = (
+            [&r[..], &wild(50_000)[..4]].concat(), // NaNs and the band
+            [&s[..], &wild(150_000)[..]].concat(),
+        );
+        assert!(r.len() + s.len() >= PARALLEL_JOIN_THRESHOLD);
+        for (r, s, pred, cell) in [
+            (&r_wild, &s, &preds[1], &cells[1]),
+            (&r, &s_wild, &preds[0], &cells[0]),
+            (&r_wild, &s_wild, &preds[1], &cells[0]),
+        ] {
+            let want = filtered_truth(r, s, pred, cell, &space);
+            for workers in [1, 3] {
+                assert_eq!(
+                    joined(r, s, pred, cell, &space, workers),
+                    want,
+                    "{pred:?} workers={workers}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -306,11 +525,7 @@ mod tests {
         let r = cloud(200, 3, 0);
         let s = cloud(200, 5, 10_000);
         let pred = JoinPredicate::WithinDistance(4.0);
-
-        let mut whole = ResultCollector::new();
-        grid_hash_join(&r, &s, &pred, &space, &space, &mut whole);
-        let mut want = whole.into_pairs();
-        want.sort_unstable();
+        let want = joined(&r, &s, &pred, &space, &space, 1);
 
         let mut per_quadrant = ResultCollector::new();
         for q in space.quadrants() {
@@ -334,87 +549,51 @@ mod tests {
     }
 
     #[test]
-    fn covering_hash_matches_full_scan() {
-        // The range-insert hash must fill every bucket with exactly the
-        // objects (in the same order) the old full-cell scan produced.
-        let cell = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
-        let grid = Grid::square(cell, 9);
-        let objs = {
-            let mut v = cloud(400, 11, 0);
-            v.push(SpatialObject::new(
-                9_000,
-                Rect::from_coords(-5.0, 40.0, 120.0, 44.0), // spans a row, pokes outside
-            ));
-            v.push(SpatialObject::new(
-                9_001,
-                Rect::from_coords(200.0, 200.0, 210.0, 210.0),
-            ));
-            v
-        };
-        let ext = 3.0;
-        let mut fast: Vec<Vec<SpatialObject>> = vec![Vec::new(); grid.len()];
-        for o in &objs {
-            let probe = o.mbr.expand(ext);
-            let Some((is, js)) = grid.covering(&probe) else {
-                continue;
-            };
-            for j in js {
-                for i in is.clone() {
-                    if grid.cell(i, j).intersects(&probe) {
-                        fast[(j as usize) * 9 + i as usize].push(*o);
-                    }
-                }
+    fn workers_do_not_change_output_above_threshold() {
+        // 5 200 objects clears PARALLEL_JOIN_THRESHOLD, so workers > 1
+        // really fan the cells out; output must be identical — same pairs,
+        // same order — to the serial run, for points and for boxes.
+        let space = Rect::from_coords(0.0, 0.0, 106.0, 106.0);
+        for (r, s, pred) in [
+            (
+                cloud(2600, 17, 0),
+                cloud(2600, 29, 100_000),
+                JoinPredicate::WithinDistance(0.8),
+            ),
+            (
+                boxes(2600, 17, 0),
+                boxes(2600, 29, 100_000),
+                JoinPredicate::Intersects,
+            ),
+        ] {
+            assert!(r.len() + s.len() >= PARALLEL_JOIN_THRESHOLD);
+            let mut serial = ResultCollector::new();
+            grid_hash_join(&r, &s, &pred, &space, &space, &mut serial);
+            let serial = serial.into_pairs();
+            assert!(!serial.is_empty(), "non-vacuous");
+            for workers in [1, 2, 5, 9] {
+                let mut par = ResultCollector::new();
+                grid_hash_join_with_workers(&r, &s, &pred, &space, &space, workers, &mut par);
+                assert_eq!(par.into_pairs(), serial, "{pred:?} workers={workers}");
             }
         }
-        let mut slow: Vec<Vec<SpatialObject>> = vec![Vec::new(); grid.len()];
-        for o in &objs {
-            let probe = o.mbr.expand(ext);
-            for (idx, c) in grid.cells().enumerate() {
-                if c.intersects(&probe) {
-                    slow[idx].push(*o);
-                }
-            }
-        }
-        assert_eq!(fast, slow);
-        assert!(fast.iter().any(|b| !b.is_empty()));
     }
 
     #[test]
-    fn workers_do_not_change_output_above_threshold() {
-        // 5 200 objects clears PARALLEL_JOIN_THRESHOLD, so workers > 1
-        // really engage the partitioned kernels; output must be identical
-        // — same pairs, same order — to the serial run for both the
-        // direct sweep and the celled grid-hash path.
+    fn more_workers_than_r_objects() {
         let space = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
-        let r = cloud(2600, 17, 0);
-        let s = cloud(2600, 29, 100_000);
+        let r = cloud(3, 31, 0);
+        let s = cloud(4200, 37, 10_000);
         assert!(r.len() + s.len() >= PARALLEL_JOIN_THRESHOLD);
-        let pred = JoinPredicate::WithinDistance(0.8);
-
-        let mut serial = ResultCollector::new();
-        grid_hash_join(&r, &s, &pred, &space, &space, &mut serial);
-        let serial = serial.into_pairs();
-        assert!(!serial.is_empty(), "non-vacuous");
-        for workers in [2, 4, 9] {
-            let mut par = ResultCollector::new();
-            grid_hash_join_with_workers(&r, &s, &pred, &space, &space, workers, &mut par);
-            assert_eq!(par.into_pairs(), serial, "grid-hash, workers={workers}");
-
-            let mut sweep_serial = ResultCollector::new();
-            sweep_join_into(&r, &s, &pred, &space, &space, &mut sweep_serial);
-            let mut sweep_par = ResultCollector::new();
-            sweep_join_into_with_workers(&r, &s, &pred, &space, &space, workers, &mut sweep_par);
-            assert_eq!(
-                sweep_par.into_pairs(),
-                sweep_serial.into_pairs(),
-                "direct sweep, workers={workers}"
-            );
-        }
+        let pred = JoinPredicate::WithinDistance(9.0);
+        let want = ground_truth(&r, &s, &pred);
+        assert!(!want.is_empty(), "non-vacuous");
+        assert_eq!(joined(&r, &s, &pred, &space, &space, 9), want);
     }
 
     #[test]
     fn workers_knob_is_inert_below_threshold() {
-        // Small inputs fall back to the serial kernel; the knob must be a
+        // Small inputs stay on the calling thread; the knob must be a
         // no-op on both output and the exactly-once discipline.
         let space = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
         let r = cloud(120, 3, 0);

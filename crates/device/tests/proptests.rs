@@ -3,7 +3,7 @@
 
 use asj_device::{memjoin, DeviceBuffer, ResultCollector};
 use asj_geom::sweep::nested_loop_join;
-use asj_geom::{JoinPredicate, Rect, SpatialObject};
+use asj_geom::{reference_point_in, JoinPredicate, Rect, SpatialObject};
 use proptest::prelude::*;
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -34,8 +34,55 @@ fn oracle(r: &[SpatialObject], s: &[SpatialObject], pred: &JoinPredicate) -> Vec
     v
 }
 
+/// Intersection, touching distance, and ε from 1 to well past the space.
+fn predicate() -> impl Strategy<Value = JoinPredicate> {
+    prop_oneof![
+        Just(JoinPredicate::Intersects),
+        Just(JoinPredicate::WithinDistance(0.0)),
+        (1.0f64..1500.0).prop_map(JoinPredicate::WithinDistance),
+    ]
+}
+
+/// A report window inside the space; every fourth one has zero area.
+fn window() -> impl Strategy<Value = Rect> {
+    (coord(), coord(), coord(), coord(), 0u32..4).prop_map(|(x0, y0, x1, y1, flat)| {
+        let x1 = if flat == 0 { x0 } else { x1 };
+        Rect::from_coords(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn windowed_join_equals_filtered_oracle(
+        r in dataset(60, 0),
+        s in dataset(60, 10_000),
+        pred in predicate(),
+        cell in window(),
+        single in 0u32..4,
+    ) {
+        // The kernel's whole contract on one window: nested loop, then
+        // the reference-point filter against (cell, space). Nothing ties
+        // the inputs to the window, so R centres fall outside it as they
+        // do in ε/2-extended downloads; `single` cuts a side to one object.
+        let r = if single == 1 { &r[..r.len().min(1)] } else { &r[..] };
+        let s = if single == 2 { &s[..s.len().min(1)] } else { &s[..] };
+        let mut want = Vec::new();
+        for a in r {
+            for b in s {
+                if reference_point_in(a, b, &pred, &cell, &space()) {
+                    want.push((a.id, b.id));
+                }
+            }
+        }
+        want.sort_unstable();
+        let mut out = ResultCollector::new();
+        memjoin::grid_hash_join(r, s, &pred, &cell, &space(), &mut out);
+        let mut got = out.into_pairs();
+        got.sort_unstable();
+        prop_assert_eq!(got, want);
+    }
 
     #[test]
     fn grid_hash_join_equals_oracle(
@@ -125,5 +172,45 @@ proptest! {
         prop_assert_eq!(buf.in_use(), total);
         drop(held);
         prop_assert_eq!(buf.in_use(), 0);
+    }
+}
+
+proptest! {
+    // Thousands of objects per case: fewer cases, and ε kept small enough
+    // that debug builds are not spent hashing millions of pairs.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn workers_keep_pairs_and_order_above_threshold(
+        r in dataset(2200, 0),
+        s in dataset(2200, 10_000),
+        eps in prop_oneof![Just(-1.0), Just(0.0), 1.0f64..60.0],
+    ) {
+        let pred = if eps < 0.0 {
+            JoinPredicate::Intersects
+        } else {
+            JoinPredicate::WithinDistance(eps)
+        };
+        // Pad to the threshold with points so the fan-out really engages.
+        let pad = |objs: &mut Vec<SpatialObject>, id0: u32| {
+            for i in objs.len()..memjoin::PARALLEL_JOIN_THRESHOLD / 2 {
+                let f = i as f64;
+                let (x, y) = ((f * 7.31) % 1000.0, (f * 3.17) % 1000.0);
+                objs.push(SpatialObject::point(id0 + i as u32, x, y));
+            }
+        };
+        let (mut r, mut s) = (r, s);
+        pad(&mut r, 0);
+        pad(&mut s, 10_000);
+        let run = |workers: usize| {
+            let mut out = ResultCollector::new();
+            let space = space();
+            memjoin::grid_hash_join_with_workers(&r, &s, &pred, &space, &space, workers, &mut out);
+            out.into_pairs()
+        };
+        let serial = run(1);
+        for workers in [2, 5, 9] {
+            prop_assert_eq!(&run(workers), &serial, "workers={}", workers);
+        }
     }
 }

@@ -25,6 +25,7 @@ use crate::{JoinPredicate, Point, Rect, SpatialObject};
 ///
 /// Returns `None` when the pair does not satisfy the predicate (callers
 /// should have filtered already; this keeps the function total).
+#[inline]
 pub fn pair_reference_point(
     a: &SpatialObject,
     b: &SpatialObject,
@@ -42,9 +43,12 @@ pub fn pair_reference_point(
     }
 }
 
-/// `true` when the pair's reference point is owned by `cell` (with respect
-/// to the global `space`), i.e. when the current partition is the one that
-/// must report the pair.
+/// `true` when the pair qualifies under `pred` *and* its reference point is
+/// owned by `cell` (with respect to the global `space`), i.e. when the
+/// current partition is the one that must report the pair. The predicate is
+/// evaluated once, inside [`pair_reference_point`], so join kernels call
+/// this on raw candidates instead of testing the predicate first.
+#[inline]
 pub fn reference_point_in(
     a: &SpatialObject,
     b: &SpatialObject,

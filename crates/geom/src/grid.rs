@@ -157,6 +157,7 @@ impl Grid {
 /// half-open membership in `cell`, except closed on the sides where `cell`
 /// touches the far edges of `space` (the global data space). Guarantees each
 /// reference point is owned by exactly one cell of any partition of `space`.
+#[inline]
 pub fn owns_reference_point(cell: &Rect, space: &Rect, p: &Point) -> bool {
     if p.x < cell.min.x || p.y < cell.min.y {
         return false;

@@ -33,6 +33,4 @@ pub use object::{ObjectId, SpatialObject};
 pub use point::Point;
 pub use predicate::JoinPredicate;
 pub use rect::Rect;
-pub use sweep::{
-    plane_sweep_filtered_parallel, plane_sweep_join, plane_sweep_join_parallel, plane_sweep_pairs,
-};
+pub use sweep::{plane_sweep_join, plane_sweep_join_parallel, plane_sweep_pairs};

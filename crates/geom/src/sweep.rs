@@ -78,39 +78,13 @@ pub fn plane_sweep_join_parallel(
     pred: &JoinPredicate,
     workers: usize,
 ) -> Vec<(ObjectId, ObjectId)> {
-    plane_sweep_filtered_parallel(r, s, pred, workers, |_, _| true)
-}
-
-/// Parallel plane sweep keeping only pairs accepted by `keep` — the hook
-/// the device kernels use for reference-point duplicate avoidance. The
-/// filter must be pure: it runs on worker threads and its verdict must not
-/// depend on call order, or the serial/parallel identity breaks.
-///
-/// Output is identical (same pairs, same order) to running
-/// [`plane_sweep_pairs`] with the same filter, at every worker count.
-pub fn plane_sweep_filtered_parallel<F>(
-    r: &[SpatialObject],
-    s: &[SpatialObject],
-    pred: &JoinPredicate,
-    workers: usize,
-    keep: F,
-) -> Vec<(ObjectId, ObjectId)>
-where
-    F: Fn(&SpatialObject, &SpatialObject) -> bool + Sync,
-{
     if r.is_empty() || s.is_empty() {
         return Vec::new();
     }
     let heads = r.len() + s.len();
     let workers = workers.clamp(1, heads);
     if workers == 1 {
-        let mut out = Vec::new();
-        plane_sweep_pairs(r, s, pred, |a, b| {
-            if keep(a, b) {
-                out.push((a.id, b.id));
-            }
-        });
-        return out;
+        return plane_sweep_join(r, s, pred);
     }
     let rk = packed_keys(r);
     let sk = packed_keys(s);
@@ -132,7 +106,6 @@ where
             }
         }
     }
-    let keep = &keep;
     let (rk, sk) = (&rk, &sk);
     let parts: Vec<Vec<(ObjectId, ObjectId)>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = spans
@@ -145,11 +118,7 @@ where
                         Lane { objs: s, keys: sk },
                         pred,
                         Cursor { i, j, heads },
-                        &mut |a, b| {
-                            if keep(a, b) {
-                                out.push((a.id, b.id));
-                            }
-                        },
+                        &mut |a, b| out.push((a.id, b.id)),
                     );
                     out
                 })
@@ -355,31 +324,6 @@ mod tests {
                     "eps={eps} workers={workers}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_filter_applies_identically() {
-        let r: Vec<_> = (0..80)
-            .map(|i| pt(i, (i as f64 * 3.7) % 10.0, 0.0))
-            .collect();
-        let s: Vec<_> = (0..80)
-            .map(|i| pt(i, (i as f64 * 2.3) % 10.0, 0.5))
-            .collect();
-        let pred = JoinPredicate::WithinDistance(1.5);
-        let keep = |a: &SpatialObject, b: &SpatialObject| (a.id + b.id) % 3 == 0;
-        let mut serial = Vec::new();
-        plane_sweep_pairs(&r, &s, &pred, |a, b| {
-            if keep(a, b) {
-                serial.push((a.id, b.id));
-            }
-        });
-        assert!(!serial.is_empty());
-        for workers in [2, 5] {
-            assert_eq!(
-                plane_sweep_filtered_parallel(&r, &s, &pred, workers, keep),
-                serial
-            );
         }
     }
 
