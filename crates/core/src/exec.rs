@@ -7,9 +7,15 @@
 //!   overflows the buffer.
 //! * **NLSJ** (`c2`/`c3`) — download the outer window, probe the inner
 //!   server with one ε-RANGE per object or one bucket request
-//!   ([`ExecCtx::nlsj`]). The outer side streams: the PDA never holds more
-//!   than one response at a time, so NLSJ has no buffer constraint (as the
-//!   paper assumes).
+//!   ([`ExecCtx::nlsj`]). The outer side streams and the probes travel
+//!   [`PROBE_WINDOW`] at a time ([`Link::request_many`]): at most that
+//!   many small probe replies sit in the link's receive window, and no
+//!   operator holds one — each is paired off as it is handed over — so
+//!   NLSJ has no buffer constraint (as the paper assumes) and
+//!   [`DeviceBuffer`]/`peak_buffer` are unchanged. The window is a
+//!   constant, not a `NetConfig` field: requests, bytes, pairs and their
+//!   order are the same at every size — only the waiting changes, and a
+//!   few dozen probes already amortise a round trip.
 //!
 //! Every server interaction uses the ε/2-extended window
 //! ([`ExecCtx::ext`]) and every emitted pair passes the reference-point
@@ -26,6 +32,10 @@ use crate::cost::CostModel;
 use crate::deploy::Deployment;
 use crate::report::JoinReport;
 use crate::spec::{JoinSpec, OutputKind};
+
+/// ε-RANGE probes NLSJ keeps in flight together (see the module docs for
+/// why this is not configurable).
+const PROBE_WINDOW: usize = 32;
 
 /// Which server a request goes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,8 +235,9 @@ impl<'a> ExecCtx<'a> {
     /// Batched `COUNT` on many windows in one `MultiCount` message:
     /// answers in probe order, same ε/2-extended windows as
     /// [`ExecCtx::count`]. Callers gate on
-    /// [`CostModel::batched_stats`](crate::CostModel) — in per-query mode
-    /// they issue individual COUNTs instead.
+    /// [`CostModel::batched_stats`](crate::CostModel) — or go through
+    /// [`ExecCtx::window_counts`], which in per-query mode issues
+    /// individual COUNTs instead.
     ///
     /// The reply length is validated in every build (not just debug):
     /// quadrant counts feed pruning decisions, so a short or long
@@ -241,23 +252,41 @@ impl<'a> ExecCtx<'a> {
         validated_counts(windows.len(), counts)
     }
 
-    /// Counts of the four quadrants of `w` on one side: 4 COUNT queries,
-    /// or a single batched `MultiCount` when the deployment's
-    /// [`NetConfig::batched_stats`](asj_net::NetConfig) capability is on.
-    /// Same extended windows, same answers — only the framing differs, so
-    /// every algorithm that repartitions benefits without changes.
-    pub fn quadrant_counts(&self, side: Side, quads: &[Rect; 4]) -> [u64; 4] {
+    /// `COUNT` of every window on one side, in window order: one batched
+    /// `MultiCount` when the deployment's
+    /// [`NetConfig::batched_stats`](asj_net::NetConfig) capability is on,
+    /// otherwise one COUNT query each, all sent together. Same extended
+    /// windows, same answers — only the framing differs.
+    pub fn window_counts(&self, side: Side, windows: &[Rect]) -> Vec<u64> {
         if self.cost.batched_stats {
-            let counts = self.multi_count(side, quads);
-            [counts[0], counts[1], counts[2], counts[3]]
-        } else {
-            [
-                self.count(side, &quads[0]),
-                self.count(side, &quads[1]),
-                self.count(side, &quads[2]),
-                self.count(side, &quads[3]),
-            ]
+            return self.multi_count(side, windows);
         }
+        let reqs: Vec<Request> = windows
+            .iter()
+            .map(|w| Request::Count(self.ext(w)))
+            .collect();
+        let mut counts = Vec::with_capacity(reqs.len());
+        self.link(side)
+            .request_many(&reqs, |resp| counts.push(resp.into_count()));
+        counts
+    }
+
+    /// Counts of the four quadrants of `w` on one side — one batch, so
+    /// every algorithm that repartitions benefits without changes.
+    /// [`ExecCtx::window_counts`] without its vectors: a split is the
+    /// device's hottest statistics path.
+    pub fn quadrant_counts(&self, side: Side, quads: &[Rect; 4]) -> [u64; 4] {
+        let mut counts = [0; 4];
+        if self.cost.batched_stats {
+            counts.copy_from_slice(&self.multi_count(side, quads));
+            return counts;
+        }
+        let reqs = quads.map(|q| Request::Count(self.ext(&q)));
+        let mut slots = counts.iter_mut();
+        self.link(side).request_many(&reqs, |resp| {
+            *slots.next().expect("one reply per request") = resp.into_count();
+        });
+        counts
     }
 
     /// `WINDOW` download of the extended window.
@@ -351,9 +380,12 @@ impl<'a> ExecCtx<'a> {
 
     /// Reports a qualifying pair found while processing window `w`,
     /// applying the reference-point filter. `outer` tells which side
-    /// `outer_obj` came from so the pair lands as `(r, s)`.
+    /// `outer_obj` came from so the pair lands as `(r, s)`. Takes the
+    /// context's fields apart so it can run while a link is borrowed.
     fn report_pair(
-        &mut self,
+        out: &mut ResultCollector,
+        spec: &JoinSpec,
+        space: &Rect,
         outer: Side,
         outer_obj: &SpatialObject,
         inner_obj: &SpatialObject,
@@ -363,8 +395,8 @@ impl<'a> ExecCtx<'a> {
             Side::R => (outer_obj, inner_obj),
             Side::S => (inner_obj, outer_obj),
         };
-        if reference_point_in(r, s, &self.spec.predicate, w, &self.space) {
-            self.out.push(r.id, s.id);
+        if reference_point_in(r, s, &spec.predicate, w, space) {
+            out.push(r.id, s.id);
         }
     }
 
@@ -480,18 +512,29 @@ impl<'a> ExecCtx<'a> {
             }
             for (o, matches) in outer_objs.iter().zip(buckets) {
                 for m in matches {
-                    self.report_pair(outer, o, &m, w);
+                    Self::report_pair(&mut self.out, self.spec, &self.space, outer, o, &m, w);
                 }
             }
         } else {
-            for o in &outer_objs {
-                let matches = self
-                    .link(inner)
-                    .request(&Request::EpsRange { q: o.mbr, eps })
-                    .into_objects();
-                for m in matches {
-                    self.report_pair(outer, o, &m, w);
-                }
+            // One ε-RANGE per outer object, a window of them in flight
+            // together; replies are handed over in probe order, so pairs
+            // are reported exactly as one probe at a time would.
+            let link = match inner {
+                Side::R => &self.link_r,
+                Side::S => &self.link_s,
+            };
+            let (out, spec, space) = (&mut self.out, self.spec, &self.space);
+            let mut probes = Vec::with_capacity(PROBE_WINDOW);
+            for window in outer_objs.chunks(PROBE_WINDOW) {
+                probes.clear();
+                probes.extend(window.iter().map(|o| Request::EpsRange { q: o.mbr, eps }));
+                let mut probing = window.iter();
+                link.request_many(&probes, |resp| {
+                    let o = probing.next().expect("one reply per probe");
+                    for m in resp.into_objects() {
+                        Self::report_pair(out, spec, space, outer, o, &m, w);
+                    }
+                });
             }
         }
         self.stats.nlsj_runs += 1;

@@ -45,43 +45,27 @@ impl DistributedJoin for GridJoin {
         let mut ctx = ExecCtx::new(deployment, spec);
         let grid = Grid::square(ctx.space, self.k);
         let cells: Vec<_> = grid.cells().collect();
-        if ctx.cost.batched_stats {
-            // The 2k² cell COUNTs collapse to one MultiCount sweep per
-            // server: all cells on R, then only the R-occupied cells on S
-            // — the same pruning order as the per-query loop below.
-            let counts_r = ctx.multi_count(Side::R, &cells);
-            let mut live = Vec::new();
-            for (cell, count_r) in cells.into_iter().zip(counts_r) {
-                if count_r == 0 {
-                    ctx.stats.pruned_windows += 1;
-                } else {
-                    live.push((cell, count_r));
-                }
+        // All cells on R, then only the R-occupied cells on S: the 2k²
+        // cell COUNTs are independent, so each server's travel together
+        // (or collapse to one MultiCount with batched statistics on).
+        let counts_r = ctx.window_counts(Side::R, &cells);
+        let mut live = Vec::new();
+        for (cell, count_r) in cells.into_iter().zip(counts_r) {
+            if count_r == 0 {
+                ctx.stats.pruned_windows += 1;
+            } else {
+                live.push((cell, count_r));
             }
-            if !live.is_empty() {
-                let probes: Vec<_> = live.iter().map(|(c, _)| *c).collect();
-                let counts_s = ctx.multi_count(Side::S, &probes);
-                for ((cell, count_r), count_s) in live.into_iter().zip(counts_s) {
-                    if count_s == 0 {
-                        ctx.stats.pruned_windows += 1;
-                    } else {
-                        ctx.hbsj(&cell, count_r, count_s, 0);
-                    }
-                }
-            }
-        } else {
-            for cell in cells {
-                let count_r = ctx.count(Side::R, &cell);
-                if count_r == 0 {
-                    ctx.stats.pruned_windows += 1;
-                    continue;
-                }
-                let count_s = ctx.count(Side::S, &cell);
+        }
+        if !live.is_empty() {
+            let probes: Vec<_> = live.iter().map(|(c, _)| *c).collect();
+            let counts_s = ctx.window_counts(Side::S, &probes);
+            for ((cell, count_r), count_s) in live.into_iter().zip(counts_s) {
                 if count_s == 0 {
                     ctx.stats.pruned_windows += 1;
-                    continue;
+                } else {
+                    ctx.hbsj(&cell, count_r, count_s, 0);
                 }
-                ctx.hbsj(&cell, count_r, count_s, 0);
             }
         }
         Ok(ctx.finish(self.name()))

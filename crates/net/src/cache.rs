@@ -63,6 +63,7 @@
 //! codec publishes). Misses are metered where every exchange is: at the
 //! physical edges below.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -493,16 +494,6 @@ impl CacheLayer {
         }
     }
 
-    /// Asks the layer below and notes the serving generation the reply
-    /// reports into the shared store, so entries keyed at older
-    /// generations stop matching before the next lookup. (A failed
-    /// exchange reports no generation a healthy one has not.)
-    fn forward(&self, req: &Request) -> (Response, u64) {
-        let (resp, generation) = self.inner.call(req);
-        self.cache.note_generation(generation);
-        (resp, generation)
-    }
-
     /// Wire bytes (both directions, packetized) `req` and its answer at
     /// `generation` would have cost at the logical-request seam.
     fn priced(&self, req: &Request, resp: &Response, generation: u64) -> u64 {
@@ -510,77 +501,130 @@ impl CacheLayer {
         self.packet.tb(request_wire_bytes(req)) + self.packet.tb(stamp + response_wire_bytes(resp))
     }
 
-    /// A fully local answer: the whole round trip is saved.
-    fn hit(&self, req: &Request, resp: Response, generation: u64) -> (Response, u64) {
-        self.telemetry
-            .record_saved(self.priced(req, &resp, generation));
-        (resp, generation)
-    }
-
-    fn count(&self, req: &Request, w: &Rect) -> (Response, u64) {
-        let generation = self.cache.generation();
-        if let Some(c) = self.cache.count(w, generation) {
-            self.telemetry.record_stats(1, 0);
-            return self.hit(req, Response::Count(c), generation);
-        }
-        self.telemetry.record_stats(0, 1);
-        let (resp, generation) = self.forward(req);
-        if let Response::Count(c) = resp {
-            self.cache.observe_count(w, c, generation);
-        }
-        (resp, generation)
-    }
-
-    /// Forwards a whole `MultiCount` batch and keys every answer.
-    fn count_all(&self, req: &Request, windows: &[Rect]) -> (Response, u64) {
-        let (resp, generation) = self.forward(req);
-        if let Response::Counts(cs) = &resp {
-            for (w, &c) in windows.iter().zip(cs) {
-                self.cache.observe_count(w, c, generation);
+    /// The lookup pass for one request, at the batch's `generation`:
+    /// what the cache can answer of it, tallied as hits and misses.
+    /// Everything but the four cacheable kinds (bucket probes, avg-area,
+    /// the cooperative extension, writes) always ships.
+    fn lookup<'a>(&self, req: &'a Request, generation: u64) -> Planned<'a> {
+        let req = match req {
+            Request::Count(_)
+            | Request::MultiCount(_)
+            | Request::Window(_)
+            | Request::EpsRange { .. } => Cow::Owned(wire_exact(req)),
+            _ => Cow::Borrowed(req),
+        };
+        let found = |hit: Option<Response>| hit.map_or(Local::Miss, Local::Hit);
+        let local = match &*req {
+            Request::Count(w) => {
+                let hit = self.cache.count(w, generation);
+                self.telemetry
+                    .record_stats(hit.is_some() as u64, hit.is_none() as u64);
+                found(hit.map(Response::Count))
             }
+            Request::MultiCount(windows) => {
+                let mut counts = vec![0; windows.len()];
+                let mut miss_idx = Vec::new();
+                for (i, w) in windows.iter().enumerate() {
+                    match self.cache.count(w, generation) {
+                        Some(c) => counts[i] = c,
+                        None => miss_idx.push(i),
+                    }
+                }
+                let misses = miss_idx.len();
+                self.telemetry
+                    .record_stats((windows.len() - misses) as u64, misses as u64);
+                if misses == windows.len() {
+                    Local::Miss
+                } else if misses == 0 {
+                    Local::Hit(Response::Counts(counts))
+                } else {
+                    // Partial hit: only the misses ship.
+                    let sub = Request::MultiCount(miss_idx.iter().map(|&i| windows[i]).collect());
+                    Local::Partial(counts, miss_idx, sub)
+                }
+            }
+            Request::Window(w) => {
+                let hit = self.cache.window(w, generation);
+                self.telemetry.record_window(hit.is_some());
+                found(hit.map(Response::Objects))
+            }
+            Request::EpsRange { q, eps } => {
+                let hit = self.cache.eps_range(q, *eps, generation);
+                self.telemetry.record_probe(hit.is_some());
+                found(hit.map(Response::Objects))
+            }
+            _ => Local::Miss,
+        };
+        Planned {
+            req,
+            local,
+            shipped: None,
         }
-        (resp, generation)
     }
 
-    fn multi_count(&self, req: &Request, windows: &[Rect]) -> (Response, u64) {
-        let generation = self.cache.generation();
-        let answers: Vec<Option<u64>> = windows
-            .iter()
-            .map(|w| self.cache.count(w, generation))
-            .collect();
-        let miss_idx: Vec<usize> = (0..windows.len())
-            .filter(|&i| answers[i].is_none())
-            .collect();
-        self.telemetry.record_stats(
-            (windows.len() - miss_idx.len()) as u64,
-            miss_idx.len() as u64,
+    /// Ships, in one batch, whatever the plan still needs from the layer
+    /// below, and notes the serving generation every reply reports into
+    /// the shared store, so entries keyed at older generations stop
+    /// matching before the next lookup. (A failed exchange reports no
+    /// generation a healthy one has not.)
+    fn ship(&self, plan: &mut [Planned]) {
+        if plan.iter().all(|p| p.ships().is_none()) {
+            return;
+        }
+        let mut replies = Vec::new();
+        self.inner.call_many(
+            &mut plan.iter().filter_map(Planned::ships),
+            &mut |resp, generation| {
+                self.cache.note_generation(generation);
+                replies.push((resp, generation));
+            },
         );
-        if miss_idx.len() == windows.len() {
-            return self.count_all(req, windows);
-        }
-        let mut counts: Vec<u64> = answers.into_iter().map(|c| c.unwrap_or(0)).collect();
-        if miss_idx.is_empty() {
-            return self.hit(req, Response::Counts(counts), generation);
-        }
-        // Partial hit: ship only the misses, splice the answers back in
-        // probe order.
-        let sub = Request::MultiCount(miss_idx.iter().map(|&i| windows[i]).collect());
-        let (fresh, fresh_generation) = self.forward(&sub);
-        let Response::Counts(cs) = &fresh else {
+        let unanswered = plan.iter_mut().filter(|p| p.ships().is_some());
+        unanswered
+            .zip(replies)
+            .for_each(|(p, reply)| p.shipped = Some(reply));
+    }
+
+    /// The admit pass for one request: its answer and the generation it
+    /// was served at, with authoritative replies admitted to the cache
+    /// and local answers priced as saved bytes.
+    fn settle(&self, p: Planned, generation: u64) -> (Response, u64) {
+        let (counts, miss_idx, sub) = match p.local {
+            // A fully local answer: the whole round trip is saved.
+            Local::Hit(resp) => {
+                self.telemetry
+                    .record_saved(self.priced(&p.req, &resp, generation));
+                return (resp, generation);
+            }
+            Local::Miss => {
+                let (resp, generation) = p.shipped.expect("every miss was shipped");
+                match (&*p.req, &resp) {
+                    (Request::Count(w), Response::Count(c)) => {
+                        self.cache.observe_count(w, *c, generation)
+                    }
+                    (Request::MultiCount(windows), Response::Counts(cs)) => {
+                        for (w, &c) in windows.iter().zip(cs) {
+                            self.cache.observe_count(w, c, generation);
+                        }
+                    }
+                    (Request::Window(w), Response::Objects(objects)) => {
+                        self.cache.admit_window(w, objects, generation)
+                    }
+                    _ => {}
+                }
+                return (resp, generation);
+            }
+            Local::Partial(counts, miss_idx, sub) => (counts, miss_idx, sub),
+        };
+        let (fresh, fresh_generation) = p.shipped.expect("every sub-batch was shipped");
+        let (Request::MultiCount(windows), Response::Counts(cs)) = (&*p.req, &fresh) else {
             // A failed or refused sub-exchange surfaces typed: the
             // locally answered entries are discarded rather than spliced
-            // against an error, and nothing is admitted. Judged before
-            // the generations are compared — a failure reports
-            // generation 0, which is not "the servers advanced".
+            // against an error, and nothing is admitted.
             return (fresh, fresh_generation);
         };
-        if fresh_generation != generation {
-            // The servers advanced between our local answers and the
-            // sub-batch reply: the splice would mix generations. Re-ask
-            // the full batch at the new generation — correctness first;
-            // this only costs bytes when an update races the query.
-            return self.count_all(req, windows);
-        }
+        // Splice the answers back in probe order.
+        let mut counts = counts;
         for (&i, &c) in miss_idx.iter().zip(cs) {
             counts[i] = c;
             self.cache.observe_count(&windows[i], c, generation);
@@ -588,58 +632,71 @@ impl CacheLayer {
         let resp = Response::Counts(counts);
         // Saved: the framing/entries the sub-batch did not carry.
         self.telemetry.record_saved(
-            self.priced(req, &resp, generation) - self.priced(&sub, &fresh, generation),
+            self.priced(&p.req, &resp, generation) - self.priced(&sub, &fresh, generation),
         );
         (resp, generation)
     }
+}
 
-    fn window(&self, req: &Request, w: &Rect) -> (Response, u64) {
-        let generation = self.cache.generation();
-        if let Some(objects) = self.cache.window(w, generation) {
-            self.telemetry.record_window(true);
-            return self.hit(req, Response::Objects(objects), generation);
-        }
-        self.telemetry.record_window(false);
-        let (resp, generation) = self.forward(req);
-        if let Response::Objects(objects) = &resp {
-            self.cache.admit_window(w, objects, generation);
-        }
-        (resp, generation)
-    }
+/// One request of a batch between the lookup and the admit pass.
+struct Planned<'a> {
+    /// The request in the form every rectangle decision is taken on:
+    /// [`wire_exact`] for the cacheable kinds, as it came otherwise.
+    req: Cow<'a, Request>,
+    local: Local,
+    /// What the layer below answered to [`Planned::ships`].
+    shipped: Option<(Response, u64)>,
+}
 
-    fn eps_range(&self, req: &Request, q: &Rect, eps: f64) -> (Response, u64) {
-        let generation = self.cache.generation();
-        if let Some(objects) = self.cache.eps_range(q, eps, generation) {
-            self.telemetry.record_probe(true);
-            return self.hit(req, Response::Objects(objects), generation);
+/// What the lookup pass found for one request.
+enum Local {
+    /// Answered from the cache.
+    Hit(Response),
+    /// Nothing cached: the request ships whole.
+    Miss,
+    /// A `MultiCount` some of whose windows were cached: their counts
+    /// (0 in the gaps), the gaps' indices, and the sub-batch that ships.
+    Partial(Vec<u64>, Vec<usize>, Request),
+}
+
+impl Planned<'_> {
+    /// The request still to be sent below for this entry, if any.
+    fn ships(&self) -> Option<&Request> {
+        match &self.local {
+            Local::Miss if self.shipped.is_none() => Some(&self.req),
+            Local::Partial(_, _, sub) if self.shipped.is_none() => Some(sub),
+            _ => None,
         }
-        self.telemetry.record_probe(false);
-        self.forward(req)
     }
 }
 
 impl Layer for CacheLayer {
-    fn call(&self, req: &Request) -> (Response, u64) {
-        if !matches!(
-            req,
-            Request::Count(_)
-                | Request::MultiCount(_)
-                | Request::Window(_)
-                | Request::EpsRange { .. }
-        ) {
-            // Not cacheable (bucket probes, avg-area, the cooperative
-            // extension) or a write: always ships. An update's `Ack`
-            // reports the new serving generation, which `forward` notes
-            // before the next lookup.
-            return self.forward(req);
+    /// Lookup → the misses ride one `call_many` below → admit. A local
+    /// answer is only as current as the generation it was looked up at:
+    /// when a shipped reply reports a different one — an update landed
+    /// in between — every locally answered request is re-asked whole at
+    /// the new generation rather than handed back beside it.
+    /// Correctness first; this only costs bytes when an update races the
+    /// batch. (A failure reports generation 0, which is not "the servers
+    /// advanced".)
+    fn call_many(
+        &self,
+        reqs: &mut dyn Iterator<Item = &Request>,
+        reply: &mut dyn FnMut(Response, u64),
+    ) {
+        let generation = self.cache.generation();
+        let mut plan: Vec<Planned> = reqs.map(|req| self.lookup(req, generation)).collect();
+        self.ship(&mut plan);
+        let advanced = |p: &Planned| matches!(&p.shipped, Some((resp, g)) if !resp.is_failure() && *g != generation);
+        if plan.iter().any(advanced) {
+            for p in plan.iter_mut().filter(|p| !matches!(p.local, Local::Miss)) {
+                (p.local, p.shipped) = (Local::Miss, None);
+            }
+            self.ship(&mut plan);
         }
-        let req = &wire_exact(req);
-        match req {
-            Request::Count(w) => self.count(req, w),
-            Request::MultiCount(windows) => self.multi_count(req, windows),
-            Request::Window(w) => self.window(req, w),
-            Request::EpsRange { q, eps } => self.eps_range(req, q, *eps),
-            _ => unreachable!("filtered to the cacheable kinds above"),
+        for p in plan {
+            let (resp, generation) = self.settle(p, generation);
+            reply(resp, generation);
         }
     }
 
@@ -799,6 +856,56 @@ mod tests {
             "a stale cached count must never be served after the bump"
         );
         // And the fresh gen-1 entry is hot again.
+        let before = link.meter().snapshot();
+        assert_eq!(link.request(&Request::Count(big)).into_count(), 15);
+        assert_eq!(link.meter().snapshot(), before);
+    }
+
+    #[test]
+    fn an_update_between_a_batchs_hits_and_misses_never_mixes_generations() {
+        /// A live server whose object 0 is deleted (generation 0 → 1)
+        /// right before it serves the next request, once armed — i.e.
+        /// between a batch's lookup pass and its forwarded misses.
+        struct Racing {
+            armed: Arc<AtomicU64>,
+            generation: AtomicU64,
+        }
+        impl RawExchange for Racing {
+            fn exchange(&self, raw: Bytes) -> Bytes {
+                self.generation
+                    .fetch_add(self.armed.swap(0, Ordering::SeqCst), Ordering::SeqCst);
+                let generation = self.generation.load(Ordering::SeqCst);
+                let objects = lattice(4).split_off(generation.min(1) as usize);
+                let resp = Scan(objects).handle(decode_request(raw).unwrap());
+                let mut buf = BytesMut::new();
+                stamp_generation(generation, &mut buf);
+                encode_response_into(&resp, &mut buf);
+                buf.freeze()
+            }
+        }
+        let armed = Arc::new(AtomicU64::new(0));
+        let carrier = Racing {
+            armed: Arc::clone(&armed),
+            generation: AtomicU64::new(0),
+        };
+        let store = Arc::new(ClientCache::new(1 << 20));
+        let link = Link::cached(
+            CacheLayer::new(Box::new(carrier), PacketModel::default(), store),
+            1.0,
+        );
+        // Both windows hold object 0; the big one is primed at gen 0.
+        let (big, corner) = (w(0.0, 0.0, 4.0, 4.0), w(-1.0, -1.0, 1.5, 1.5));
+        assert_eq!(link.request(&Request::Count(big)).into_count(), 16);
+        armed.store(1, Ordering::SeqCst);
+        let mut counts = Vec::new();
+        link.request_many(&[Request::Count(big), Request::Count(corner)], |resp| {
+            counts.push(resp.into_count())
+        });
+        // `big` was a local hit at gen 0 (16), `corner` a miss answered at
+        // gen 1 (3): handing back [16, 3] would mix generations.
+        assert_eq!(counts, [15, 3], "the whole batch answers at gen 1");
+        assert_eq!(link.last_generation(), 1);
+        // The re-asked answer was admitted at the new generation.
         let before = link.meter().snapshot();
         assert_eq!(link.request(&Request::Count(big)).into_count(), 15);
         assert_eq!(link.meter().snapshot(), before);

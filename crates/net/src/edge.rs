@@ -4,23 +4,27 @@
 //! beneath it), the wire version negotiated over it and the meters its
 //! traffic is charged to. It is the only place a request becomes bytes
 //! and a reply becomes a [`Response`] again: [`Edge::frame`] versions and
-//! tags, [`Edge::begin`] ships split-phase, [`Edge::judge`] charges and
-//! classifies, and [`Edge::call`] is the serial retry loop over those
-//! three. Everything above speaks [`Layer::call`].
+//! tags, the carrier's [`RawExchange::begin_many`] ships split-phase,
+//! [`Edge::judge`] charges and classifies, and the edge's own
+//! [`Layer::call_many`] ships a batch, then judges each reply in order
+//! and retries failures one by one. Everything above speaks
+//! [`Layer::call_many`].
 
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::codec::{
-    decode_response_gen_ctx, encode_request_versioned, is_unavailable, wrap_dedup, DedupTag,
-    QuantCtx, WireVersion,
+    decode_accept, decode_response_gen_ctx, encode_hello, encode_request_versioned, is_unavailable,
+    wrap_dedup, DedupTag, QuantCtx, WireVersion, MAX_WIRE_VERSION,
 };
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{Request, Response};
-use crate::transport::{negotiate_wire, RawExchange};
+use crate::transport::{Pending, RawExchange};
 
 /// Process-unique sender nonce for the retry-dedup envelope: each edge
 /// draws one at construction, so two senders never collide in a server's
@@ -30,10 +34,25 @@ static EDGE_NONCE: AtomicU64 = AtomicU64::new(1);
 /// The typed seam of the link stack: `Link`, `CacheLayer` and
 /// `ShardRouter` hand each other requests and responses, never frames.
 pub(crate) trait Layer: Send + Sync {
-    /// Answers one logical request: the response, and the serving
-    /// generation it reports (an `Ack`'s payload, otherwise the reply's
-    /// stamp; 0 from a frozen server or a failed exchange).
-    fn call(&self, req: &Request) -> (Response, u64);
+    /// Answers independent logical requests together — a single request
+    /// is a batch of one. `reply` receives one answer per request, in
+    /// request order: the response, and the serving generation it
+    /// reports (an `Ack`'s payload, otherwise the reply's stamp; 0 from a
+    /// frozen server or a failed exchange).
+    fn call_many(
+        &self,
+        reqs: &mut dyn Iterator<Item = &Request>,
+        reply: &mut dyn FnMut(Response, u64),
+    );
+
+    /// Answers one logical request.
+    fn call(&self, req: &Request) -> (Response, u64) {
+        let mut out = None;
+        self.call_many(&mut std::iter::once(req), &mut |resp, generation| {
+            out = Some((resp, generation))
+        });
+        out.expect("every request is answered")
+    }
 
     /// Hands a retry discipline down to the physical edges below.
     fn set_retry(&mut self, retry: RetryPolicy);
@@ -56,7 +75,8 @@ pub(crate) struct Frame<'a> {
 /// One physical carrier with its negotiated version, meters, retry
 /// discipline and dedup identity.
 pub(crate) struct Edge {
-    carrier: Box<dyn RawExchange>,
+    /// Ships frames split-phase ([`RawExchange::begin_many`]).
+    pub(crate) carrier: Box<dyn RawExchange>,
     packet: PacketModel,
     /// Every meter this edge's traffic is charged to: one for a plain
     /// edge; aggregate, shard and replica for a fleet edge — so
@@ -123,9 +143,44 @@ impl Edge {
         }
     }
 
-    /// Ships one attempt split-phase; the completion yields the raw reply.
-    pub(crate) fn begin<'a>(&'a self, frame: &Frame) -> Box<dyn FnOnce() -> Bytes + Send + 'a> {
-        self.carrier.begin(frame.bytes.clone())
+    /// Sends the `HELLO` probe of the version handshake. The 4 handshake
+    /// bytes are link control and are not metered, like TCP's own
+    /// connection setup.
+    pub(crate) fn hello(&self) -> Pending {
+        self.carrier.begin(encode_hello(MAX_WIRE_VERSION))
+    }
+
+    /// Adopts what the peer answered the probe with. A peer that rejects
+    /// or garbles it (every v1-only server) leaves the edge at
+    /// [`WireVersion::V1`] — negotiation can only fall back, never fail.
+    pub(crate) fn accept(&mut self, reply: &[u8]) -> WireVersion {
+        self.wire = match decode_accept(reply) {
+            Some(v) if v >= 2 => WireVersion::V2,
+            _ => WireVersion::V1,
+        };
+        self.wire
+    }
+
+    /// Judges the first attempt of one exchange and sees it through:
+    /// while it fails — peer gone, or a reply judged malformed — the same
+    /// frame is re-issued alone, up to the retry budget with
+    /// deterministic backoff; exhaustion surfaces the last typed failure
+    /// and is tallied as one abandonment.
+    #[inline]
+    fn settle(&self, frame: &Frame, raw: Bytes) -> (Response, u64) {
+        let mut outcome = self.judge(frame, raw);
+        for attempt in 1..self.retry.max_attempts.max(1) {
+            if !outcome.0.is_failure() {
+                return outcome;
+            }
+            self.tally(LinkMeter::record_retry);
+            self.retry.sleep(attempt);
+            outcome = self.judge(frame, self.carrier.exchange(frame.bytes.clone()));
+        }
+        if outcome.0.is_failure() && self.retry.enabled() {
+            self.tally(LinkMeter::record_abandon);
+        }
+        outcome
     }
 
     /// Judges one completed attempt — the only place a meter is charged
@@ -134,6 +189,7 @@ impl Edge {
     /// was real traffic and is charged in both directions, superseded
     /// attempts included; a reply that does not decode, or is not a kind
     /// of answer `req` can get, is classified [`Response::Malformed`].
+    #[inline]
     pub(crate) fn judge(&self, frame: &Frame, raw: Bytes) -> (Response, u64) {
         if is_unavailable(&raw) {
             return (Response::Unavailable, 0);
@@ -160,27 +216,45 @@ impl Edge {
 }
 
 impl Layer for Edge {
-    /// The serial exchange: failed attempts — peer gone, or a reply
-    /// judged malformed — are re-issued with the same frame up to the
-    /// retry budget with deterministic backoff; exhaustion surfaces the
-    /// last typed failure and is tallied as one abandonment.
-    fn call(&self, req: &Request) -> (Response, u64) {
-        let frame = self.frame(req);
-        let mut outcome = (Response::Unavailable, 0);
-        for attempt in 0..self.retry.max_attempts.max(1) {
-            if attempt > 0 {
-                self.tally(LinkMeter::record_retry);
-                self.retry.sleep(attempt);
-            }
-            outcome = self.judge(&frame, self.carrier.exchange(frame.bytes.clone()));
-            if !outcome.0.is_failure() {
-                return outcome;
-            }
-        }
-        if self.retry.enabled() {
-            self.tally(LinkMeter::record_abandon);
-        }
-        outcome
+    /// Frames and ships the whole batch, then settles each exchange in
+    /// request order. A reply that is already here when nothing older is
+    /// still in flight is settled on the spot, so over a synchronous
+    /// carrier — which begins each request as it pulls it — a batch is a
+    /// plain loop: the one frame awaiting its pending sits in `newest`
+    /// and nothing touches the heap.
+    fn call_many(
+        &self,
+        reqs: &mut dyn Iterator<Item = &Request>,
+        reply: &mut dyn FnMut(Response, u64),
+    ) {
+        let (newest, earlier) = (Cell::new(None), RefCell::new(VecDeque::new()));
+        let mut in_flight: Vec<(Frame, Pending)> = Vec::new();
+        let mut settle = |frame: &Frame, pending: Pending| {
+            let (resp, generation) = self.settle(frame, pending.wait());
+            reply(resp, generation);
+        };
+        self.carrier.begin_many(
+            &mut reqs.map(|req| {
+                let frame = self.frame(req);
+                let bytes = frame.bytes.clone();
+                if let Some(prev) = newest.replace(Some(frame)) {
+                    earlier.borrow_mut().push_back(prev);
+                }
+                bytes
+            }),
+            &mut |pending| {
+                let frame = earlier.borrow_mut().pop_front().or_else(|| newest.take());
+                let frame = frame.expect("one pending per request");
+                if in_flight.is_empty() && pending.reply.is_ok() {
+                    settle(&frame, pending);
+                } else {
+                    in_flight.push((frame, pending));
+                }
+            },
+        );
+        in_flight
+            .into_iter()
+            .for_each(|(frame, p)| settle(&frame, p));
     }
 
     fn set_retry(&mut self, retry: RetryPolicy) {
@@ -188,7 +262,7 @@ impl Layer for Edge {
     }
 
     fn negotiate(&mut self) -> WireVersion {
-        self.wire = negotiate_wire(self.carrier.as_ref());
-        self.wire
+        let reply = self.hello().wait();
+        self.accept(&reply)
     }
 }

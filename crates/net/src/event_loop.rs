@@ -6,9 +6,10 @@
 //! times N simulated devices would otherwise demand hundreds of threads.
 //! This module multiplexes *all* serving onto a single reactor thread:
 //!
-//! * an [`EventLoop`] owns the reactor — a plain poll loop draining one
-//!   MPMC ready-queue (crossbeam channel; there is no tokio here, and
-//!   none is needed: requests are already discrete ready-to-run events);
+//! * an [`EventLoop`] owns the reactor — a plain poll loop that takes its
+//!   whole ready-queue per wake-up (the carriers' shared mailbox; there
+//!   is no tokio here, and none is needed: requests are already discrete
+//!   ready-to-run events);
 //! * each [`EventEndpoint`] is one logical server (a [`QueryHandler`])
 //!   registered on the loop; any number of endpoints share the reactor;
 //! * each [`EventConnection`] is one device's socket to one endpoint,
@@ -48,19 +49,21 @@
 //! panicking, exactly like the channel carrier.
 //!
 //! Per-endpoint [`EndpointStats`] gauge the instantaneous ready-queue
-//! depth (enqueued on send, decremented when served) with a high-water
-//! mark, the serving counters, and malformed-frame counts — the
-//! per-shard queue-depth axis of the device-scaling benchmarks.
+//! depth (enqueued on send — every member of a pipelined batch counts —
+//! and decremented when served) with a high-water mark, the serving
+//! counters, and malformed-frame counts — the per-shard queue-depth axis
+//! of the device-scaling benchmarks.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use crate::codec::WireVersion;
+use crate::mailbox::{mailbox, End};
 use crate::proto::QueryHandler;
-use crate::transport::RawExchange;
+use crate::transport::{begin_one, reply_slot, Pending, RawExchange};
 
 /// Per-connection state, owned by the reactor (see module docs). The
 /// client side holds the same `Arc` but only ever reads it.
@@ -162,12 +165,12 @@ impl EndpointStats {
 enum Event {
     Rpc {
         request: Bytes,
-        reply: Sender<Bytes>,
+        reply: End<Bytes>,
         /// This connection's reactor-owned state.
         conn: Arc<ConnState>,
         /// The endpoint's handler rides on the event, so the reactor
         /// needs no endpoint registry at all — registration is just
-        /// handing out another sender.
+        /// handing out the mailbox.
         handler: Arc<dyn QueryHandler>,
         stats: Arc<EndpointStats>,
     },
@@ -179,27 +182,30 @@ enum Event {
 /// deadlocking on live connections (shutdown sentinel, like
 /// [`crate::ChannelServer`]).
 pub struct EventLoop {
-    tx: Sender<Event>,
+    queue: Arc<End<Event>>,
     thread: Option<std::thread::JoinHandle<u64>>,
 }
 
 impl EventLoop {
     /// Spawns the reactor thread.
     pub fn spawn(name: &str) -> Self {
-        let (tx, rx): (Sender<Event>, Receiver<Event>) = unbounded();
+        let (queue, ready) = mailbox();
         let thread = std::thread::Builder::new()
             .name(format!("asj-reactor-{name}"))
-            .spawn(move || Self::run(rx))
+            .spawn(move || Self::run(ready))
             .expect("failed to spawn reactor thread");
         EventLoop {
-            tx,
+            queue: Arc::new(queue),
             thread: Some(thread),
         }
     }
 
-    /// The poll loop. One reusable encode buffer serves every endpoint —
-    /// reactor-owned, per the module's state-ownership contract.
-    fn run(rx: Receiver<Event>) -> u64 {
+    /// The poll loop: takes the whole ready-queue per wake-up and serves
+    /// it in order; the replies go out together afterwards, so a client
+    /// parked on them is woken once per drained batch. One reusable
+    /// encode buffer serves every endpoint — reactor-owned, per the
+    /// module's state-ownership contract.
+    fn run(ready: End<Event>) -> u64 {
         let mut served = 0u64;
         let mut buf = BytesMut::with_capacity(4096);
         // Reactor-owned retry-observability table: the last dedup seq
@@ -208,64 +214,77 @@ impl EventLoop {
         // counted here without touching the handler's own dedup state.
         let mut last_tags: std::collections::HashMap<(usize, u64), u64> =
             std::collections::HashMap::new();
-        while let Ok(event) = rx.recv() {
-            let (request, reply, conn, handler, stats) = match event {
-                Event::Rpc {
-                    request,
-                    reply,
-                    conn,
-                    handler,
-                    stats,
-                } => (request, reply, conn, handler, stats),
-                Event::Shutdown => break,
-            };
-            if let Some(accept) = crate::codec::try_answer_hello(&request) {
-                // Connection setup: record the accepted version into
-                // *this connection's* state, then answer. Only the
-                // reactor ever writes here, so concurrent handshakes
-                // from many devices serialize cleanly.
-                if let Some(version) = crate::codec::decode_accept(&accept) {
-                    conn.wire.store(version, Ordering::Release);
+        let (mut batch, mut replies) = (VecDeque::new(), Vec::new());
+        let mut running = true;
+        while running && ready.take_all(&mut batch) {
+            for event in batch.drain(..) {
+                let (request, reply, conn, handler, stats) = match event {
+                    Event::Rpc {
+                        request,
+                        reply,
+                        conn,
+                        handler,
+                        stats,
+                    } => (request, reply, conn, handler, stats),
+                    Event::Shutdown => {
+                        running = false;
+                        break;
+                    }
+                };
+                if let Some(accept) = crate::codec::try_answer_hello(&request) {
+                    // Connection setup: record the accepted version into
+                    // *this connection's* state, then answer. Only the
+                    // reactor ever writes here, so concurrent handshakes
+                    // from many devices serialize cleanly.
+                    if let Some(version) = crate::codec::decode_accept(&accept) {
+                        conn.wire.store(version, Ordering::Release);
+                    }
+                    stats.dequeued();
+                    replies.push((reply, accept, stats));
+                    continue;
+                }
+                // Classification peek before serving: the body an envelope
+                // wraps (or the frame itself) decides garbled-vs-malformed,
+                // and a repeated tag is a retry the stats surface.
+                let body_head = match crate::codec::peel_dedup(&request) {
+                    Some((tag, body)) => {
+                        let key = (Arc::as_ptr(&stats) as usize, tag.nonce);
+                        if last_tags.insert(key, tag.seq) == Some(tag.seq) {
+                            stats.retried.fetch_add(1, Ordering::AcqRel);
+                        }
+                        body.as_ref().first().copied()
+                    }
+                    None => request.as_ref().first().copied(),
+                };
+                buf.clear();
+                if crate::transport::serve_frame_into(handler.as_ref(), request, &mut buf) {
+                    served += 1;
+                    stats.served.fetch_add(1, Ordering::AcqRel);
+                } else {
+                    // The reactor serves every device: a garbled frame gets
+                    // the typed error (already encoded into `buf`) and the
+                    // loop keeps running. Injected corruption (the fault
+                    // layer's 0xEE marker) is counted apart from genuinely
+                    // alien opcodes.
+                    if body_head == Some(crate::codec::op::GARBLE) {
+                        stats.garbled.fetch_add(1, Ordering::AcqRel);
+                    } else {
+                        stats.malformed.fetch_add(1, Ordering::AcqRel);
+                    }
                 }
                 stats.dequeued();
-                let _ = reply.send(accept);
-                continue;
+                replies.push((reply, Bytes::copy_from_slice(&buf), stats));
             }
-            // Classification peek before serving: the body an envelope
-            // wraps (or the frame itself) decides garbled-vs-malformed,
-            // and a repeated tag is a retry the stats surface.
-            let body_head = match crate::codec::peel_dedup(&request) {
-                Some((tag, body)) => {
-                    let key = (Arc::as_ptr(&stats) as usize, tag.nonce);
-                    if last_tags.insert(key, tag.seq) == Some(tag.seq) {
-                        stats.retried.fetch_add(1, Ordering::AcqRel);
-                    }
-                    body.as_ref().first().copied()
+            for (reply, answer, stats) in replies.drain(..) {
+                // A refused reply just means the client gave up.
+                if !reply.push_all([answer]) {
+                    stats.abandoned.fetch_add(1, Ordering::AcqRel);
                 }
-                None => request.as_ref().first().copied(),
-            };
-            buf.clear();
-            if crate::transport::serve_frame_into(handler.as_ref(), request, &mut buf) {
-                served += 1;
-                stats.served.fetch_add(1, Ordering::AcqRel);
-            } else {
-                // The reactor serves every device: a garbled frame gets
-                // the typed error (already encoded into `buf`) and the
-                // loop keeps running. Injected corruption (the fault
-                // layer's 0xEE marker) is counted apart from genuinely
-                // alien opcodes.
-                if body_head == Some(crate::codec::op::GARBLE) {
-                    stats.garbled.fetch_add(1, Ordering::AcqRel);
-                } else {
-                    stats.malformed.fetch_add(1, Ordering::AcqRel);
-                }
-            }
-            stats.dequeued();
-            // A dropped reply receiver just means the client gave up.
-            if reply.send(Bytes::copy_from_slice(&buf)).is_err() {
-                stats.abandoned.fetch_add(1, Ordering::AcqRel);
             }
         }
+        // Whatever sat behind the sentinel — in that batch or enqueued
+        // since — is dropped unanswered: its clients see `Unavailable`.
+        ready.shut();
         served
     }
 
@@ -273,7 +292,7 @@ impl EventLoop {
     /// (and connections per endpoint) share the one reactor thread.
     pub fn serve(&self, handler: Arc<dyn QueryHandler>) -> EventEndpoint {
         EventEndpoint {
-            tx: self.tx.clone(),
+            queue: Arc::clone(&self.queue),
             handler,
             stats: Arc::new(EndpointStats::default()),
         }
@@ -282,7 +301,7 @@ impl EventLoop {
     /// Stops the reactor (after draining everything already enqueued)
     /// and returns the number of query frames it served.
     pub fn shutdown(mut self) -> u64 {
-        let _ = self.tx.send(Event::Shutdown);
+        self.queue.push_all([Event::Shutdown]);
         self.thread
             .take()
             .expect("already shut down")
@@ -297,7 +316,7 @@ impl Drop for EventLoop {
             // FIFO sentinel: everything enqueued before the drop is
             // still served; live connections afterwards degrade to
             // `Unavailable` instead of deadlocking this join.
-            let _ = self.tx.send(Event::Shutdown);
+            self.queue.push_all([Event::Shutdown]);
             let _ = t.join();
         }
     }
@@ -305,7 +324,7 @@ impl Drop for EventLoop {
 
 /// One logical server registered on an [`EventLoop`].
 pub struct EventEndpoint {
-    tx: Sender<Event>,
+    queue: Arc<End<Event>>,
     handler: Arc<dyn QueryHandler>,
     stats: Arc<EndpointStats>,
 }
@@ -314,7 +333,7 @@ impl EventEndpoint {
     /// Opens a new connection with fresh per-connection state.
     pub fn connect(&self) -> EventConnection {
         EventConnection {
-            tx: self.tx.clone(),
+            queue: Arc::clone(&self.queue),
             handler: Arc::clone(&self.handler),
             stats: Arc::clone(&self.stats),
             conn: Arc::new(ConnState::new()),
@@ -332,7 +351,7 @@ impl EventEndpoint {
 /// [`Link`](crate::Link), a [`ShardRouter`](crate::ShardRouter) edge, or
 /// a [`CacheLayer`](crate::CacheLayer) unchanged.
 pub struct EventConnection {
-    tx: Sender<Event>,
+    queue: Arc<End<Event>>,
     handler: Arc<dyn QueryHandler>,
     stats: Arc<EndpointStats>,
     conn: Arc<ConnState>,
@@ -347,33 +366,38 @@ impl EventConnection {
 
 impl RawExchange for EventConnection {
     fn exchange(&self, request: Bytes) -> Bytes {
-        self.begin(request)()
+        self.begin(request).wait()
     }
 
-    fn begin<'a>(&'a self, request: Bytes) -> Box<dyn FnOnce() -> Bytes + Send + 'a> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.stats.enqueued();
-        if self
-            .tx
-            .send(Event::Rpc {
-                request,
-                reply: reply_tx,
-                conn: Arc::clone(&self.conn),
-                handler: Arc::clone(&self.handler),
-                stats: Arc::clone(&self.stats),
+    fn begin(&self, request: Bytes) -> Pending {
+        begin_one(self, request)
+    }
+
+    fn begin_many(
+        &self,
+        requests: &mut dyn Iterator<Item = Bytes>,
+        begun: &mut dyn FnMut(Pending),
+    ) {
+        let events: Vec<Event> = requests
+            .map(|request| {
+                let (reply, pending) = reply_slot();
+                begun(pending);
+                self.stats.enqueued();
+                Event::Rpc {
+                    request,
+                    reply,
+                    conn: Arc::clone(&self.conn),
+                    handler: Arc::clone(&self.handler),
+                    stats: Arc::clone(&self.stats),
+                }
             })
-            .is_err()
-        {
+            .collect();
+        let n = events.len();
+        if !self.queue.push_all(events) {
             // The reactor is gone: same graceful degradation as a dead
-            // channel server.
-            self.stats.dequeued();
-            return Box::new(crate::codec::unavailable_frame);
+            // channel server — every pending yields the unavailable frame.
+            (0..n).for_each(|_| self.stats.dequeued());
         }
-        Box::new(move || {
-            reply_rx
-                .recv()
-                .unwrap_or_else(|_| crate::codec::unavailable_frame())
-        })
     }
 }
 
@@ -495,36 +519,84 @@ mod tests {
     #[test]
     fn undeliverable_replies_count_as_abandoned() {
         // A handler that blocks until released, so the client can give
-        // up on a queued exchange *before* the reactor serves it.
-        struct Gated(Receiver<()>);
+        // up on queued exchanges *before* the reactor serves them.
+        struct Gated(std::sync::Mutex<std::sync::mpsc::Receiver<()>>);
         impl QueryHandler for Gated {
             fn handle(&self, _req: Request) -> Response {
-                let _ = self.0.recv();
+                let _ = self.0.lock().unwrap().recv();
                 Response::Count(0)
             }
         }
-        let (release, gate) = unbounded::<()>();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
         let reactor = EventLoop::spawn("abandon");
-        let endpoint = reactor.serve(Arc::new(Gated(gate)));
+        let endpoint = reactor.serve(Arc::new(Gated(std::sync::Mutex::new(gate))));
         let conn = endpoint.connect();
-        let first = conn.begin(crate::codec::encode_request(&Request::Count(w(2.0))));
-        let second = conn.begin(crate::codec::encode_request(&Request::Count(w(2.0))));
-        // The client abandons the queued second exchange, then the
-        // reactor is released to serve both.
-        drop(second);
-        release.send(()).unwrap();
-        release.send(()).unwrap();
+        let mut begun = Vec::new();
+        conn.begin_many(
+            &mut (0..3).map(|_| crate::codec::encode_request(&Request::Count(w(2.0)))),
+            &mut |p| begun.push(p),
+        );
+        // The client abandons the two exchanges queued behind the first,
+        // then the reactor is released to serve all three.
+        begun.truncate(1);
+        (0..3).for_each(|_| release.send(()).unwrap());
         assert_eq!(
-            crate::codec::decode_response(first()).unwrap(),
+            crate::codec::decode_response(begun.pop().unwrap().wait()).unwrap(),
             Response::Count(0)
         );
         assert_eq!(
             reactor.shutdown(),
-            2,
-            "the abandoned frame was still served"
+            3,
+            "the abandoned frames were still served"
         );
-        assert_eq!(endpoint.stats().abandoned(), 1);
-        assert_eq!(endpoint.stats().served(), 2);
+        let stats = endpoint.stats();
+        assert_eq!(stats.abandoned(), 2);
+        assert_eq!(stats.served(), 3);
+        assert_eq!(stats.max_queue_depth(), 3, "every batch member counts");
+        assert_eq!(stats.pending.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn shutdown_inside_a_drained_batch_answers_before_it_and_fails_after_it() {
+        let reactor = EventLoop::spawn("sentinel");
+        let endpoint = reactor.serve(Arc::new(ScanHandler(objects(5))));
+        let conn = endpoint.connect();
+        let count = || crate::codec::encode_request(&Request::Count(w(100.0)));
+        // One push, so the reactor drains all five events together.
+        let (mut events, pendings): (Vec<Event>, Vec<Pending>) = (0..4)
+            .map(|_| {
+                let (reply, pending) = reply_slot();
+                conn.stats.enqueued();
+                let event = Event::Rpc {
+                    request: count(),
+                    reply,
+                    conn: Arc::clone(&conn.conn),
+                    handler: Arc::clone(&conn.handler),
+                    stats: Arc::clone(&conn.stats),
+                };
+                (event, pending)
+            })
+            .unzip();
+        events.insert(2, Event::Shutdown);
+        assert!(reactor.queue.push_all(events));
+        let replies: Vec<Response> = pendings
+            .into_iter()
+            .map(|p| crate::codec::decode_response(p.wait()).unwrap())
+            .collect();
+        assert_eq!(
+            replies,
+            [
+                Response::Count(5),
+                Response::Count(5),
+                Response::Unavailable,
+                Response::Unavailable
+            ]
+        );
+        // The reactor is gone: later exchanges degrade too (and give
+        // their queue-depth slot back), and dropping the loop does not
+        // hang on it.
+        assert!(crate::codec::is_unavailable(&conn.exchange(count())));
+        drop(reactor);
     }
 
     #[test]

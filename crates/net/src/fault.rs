@@ -31,12 +31,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use bytes::Bytes;
 
-use crate::codec::{garble_frame, is_unavailable, unavailable_frame};
-use crate::transport::RawExchange;
+use crate::codec::{garble_frame, unavailable_frame};
+use crate::transport::{begin_one, Pending, RawExchange};
 
 /// Scripted crash of the endpoint behind a [`FaultLayer`]: exchanges
 /// `at .. at + dark` (0-based, counted at the layer) answer unavailable;
@@ -161,7 +161,8 @@ pub struct FaultStats {
 struct Counters {
     dropped: AtomicU64,
     delayed: AtomicU64,
-    garbled: AtomicU64,
+    /// Shared with the [`Pending`]s whose replies are garbled on arrival.
+    garbled: Arc<AtomicU64>,
     blacked_out: AtomicU64,
     restarts: AtomicU64,
 }
@@ -302,13 +303,19 @@ impl FaultLayer {
     }
 }
 
-impl RawExchange for FaultLayer {
-    fn exchange(&self, request: Bytes) -> Bytes {
+impl FaultLayer {
+    /// Everything the script decides when an exchange begins, in request
+    /// order: crash window, roll, drop, delay, request garbling. `None`
+    /// when the exchange never happens — the inner carrier is not
+    /// touched and the fabricated unavailable frame must stay unmetered;
+    /// otherwise the frame to ship and, when its *reply* is to be garbled
+    /// on arrival, the tally that counts it.
+    fn admit(&self, request: Bytes) -> Option<(Bytes, Option<Arc<AtomicU64>>)> {
         let n = self.exchanges.fetch_add(1, Ordering::SeqCst);
         if let Some(crash) = &self.plan.crash {
             if n >= crash.at && n < crash.at + crash.dark {
                 self.counters.blacked_out.fetch_add(1, Ordering::Relaxed);
-                return unavailable_frame();
+                return None;
             }
             if n >= crash.at + crash.dark {
                 self.ensure_restarted();
@@ -316,10 +323,8 @@ impl RawExchange for FaultLayer {
         }
         let roll = self.next_roll(&request);
         if roll.drop {
-            // The exchange never happens: the inner carrier is not
-            // touched and the fabricated frame must stay unmetered.
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return unavailable_frame();
+            return None;
         }
         if roll.delay {
             self.counters.delayed.fetch_add(1, Ordering::Relaxed);
@@ -329,34 +334,55 @@ impl RawExchange for FaultLayer {
         }
         if roll.garble && self.plan.garble_requests {
             self.counters.garbled.fetch_add(1, Ordering::Relaxed);
-            let garbled = garble_frame(&request);
-            return self
-                .inner
-                .read()
-                .expect("fault inner lock")
-                .exchange(garbled);
+            return Some((garble_frame(&request), None));
         }
-        let reply = self
-            .inner
-            .read()
-            .expect("fault inner lock")
-            .exchange(request);
-        if roll.garble {
-            if is_unavailable(&reply) {
-                // Nothing crossed the wire; there is no frame to garble.
-                return reply;
-            }
-            self.counters.garbled.fetch_add(1, Ordering::Relaxed);
-            return garble_frame(&reply);
+        let garble_reply = roll.garble.then(|| Arc::clone(&self.counters.garbled));
+        Some((request, garble_reply))
+    }
+}
+
+impl RawExchange for FaultLayer {
+    fn exchange(&self, request: Bytes) -> Bytes {
+        self.begin(request).wait()
+    }
+
+    fn begin(&self, request: Bytes) -> Pending {
+        begin_one(self, request)
+    }
+
+    fn begin_many(
+        &self,
+        requests: &mut dyn Iterator<Item = Bytes>,
+        begun: &mut dyn FnMut(Pending),
+    ) {
+        // Every decision first: `admit` may restart the carrier, which it
+        // cannot do under the read lock the batch is shipped under.
+        let admitted: Vec<_> = requests.map(|request| self.admit(request)).collect();
+        let mut shipped = Vec::with_capacity(admitted.len());
+        self.inner.read().expect("fault inner lock").begin_many(
+            &mut admitted
+                .iter()
+                .flatten()
+                .map(|(request, _)| request.clone()),
+            &mut |pending| shipped.push(pending),
+        );
+        let mut shipped = shipped.into_iter();
+        for verdict in admitted {
+            begun(match verdict {
+                None => Pending::ready(unavailable_frame()),
+                Some((_, garble)) => Pending {
+                    garble,
+                    ..shipped.next().expect("one pending per shipped request")
+                },
+            });
         }
-        reply
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_response, encode_request};
+    use crate::codec::{decode_response, encode_request, is_unavailable};
     use crate::proto::{Request, Response};
     use crate::testutil::ScanHandler;
     use crate::transport::InProcExchange;
@@ -482,6 +508,68 @@ mod tests {
                 again, b[0],
                 "attempt 0 re-rolls identically after a reset (clean at {first_clean})"
             );
+        }
+    }
+
+    #[test]
+    fn begun_exchanges_are_in_flight_together_behind_the_fault_layer() {
+        use crate::event_loop::EventLoop;
+        use crate::proto::QueryHandler;
+        use std::sync::mpsc;
+
+        /// Serves nothing until released, so the test decides when an
+        /// exchange can complete.
+        struct Gated(Mutex<mpsc::Receiver<()>>);
+        impl QueryHandler for Gated {
+            fn handle(&self, _req: Request) -> Response {
+                let _ = self.0.lock().unwrap().recv();
+                Response::Count(0)
+            }
+        }
+        let (release, gate) = mpsc::channel();
+        let reactor = EventLoop::spawn("fault-split-phase");
+        let endpoint = reactor.serve(Arc::new(Gated(Mutex::new(gate))));
+        let layer = FaultLayer::new(Box::new(endpoint.connect()), FaultPlan::seeded(5));
+        // A layer that ran the whole exchange inside `begin` would block
+        // here forever: the gate is still shut.
+        let first = layer.begin(count_req(0));
+        let second = layer.begin(count_req(1));
+        assert_eq!(
+            endpoint.stats().max_queue_depth(),
+            2,
+            "both exchanges are queued before either completes"
+        );
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        for pending in [first, second] {
+            assert_eq!(decode_response(pending.wait()).unwrap(), Response::Count(0));
+        }
+    }
+
+    #[test]
+    fn split_phase_replies_rolls_and_stats_match_the_serial_path() {
+        for plan in [
+            FaultPlan::seeded(42).with_drops(0.3).with_garbles(0.3),
+            FaultPlan::seeded(43)
+                .with_drops(0.2)
+                .with_garbles(0.4)
+                .garbling_requests(),
+        ] {
+            let serial = FaultLayer::new(inner(), plan);
+            let batched = FaultLayer::new(inner(), plan);
+            // Two passes over the same requests: the second draws each
+            // request's next attempt, so the per-request attempt counters
+            // must have advanced (or reset) identically too.
+            for _pass in 0..2 {
+                let want: Vec<Bytes> = (0..40).map(|i| serial.exchange(count_req(i))).collect();
+                let mut begun = Vec::new();
+                batched.begin_many(&mut (0..40).map(count_req), &mut |p| begun.push(p));
+                let got: Vec<Bytes> = begun.into_iter().map(Pending::wait).collect();
+                assert_eq!(got, want);
+                assert_eq!(batched.stats(), serial.stats());
+            }
+            let stats = serial.stats();
+            assert!(stats.dropped > 0 && stats.garbled > 0, "plan must fire");
         }
     }
 

@@ -23,10 +23,10 @@
 //!   mirroring the paper's constant object size);
 //! * [`LinkMeter`] — atomically counts uplink/downlink wire bytes and query
 //!   mix per link; *this is where every reported number comes from*;
-//! * [`transport`] — synchronous RPC over two interchangeable carriers: an
-//!   in-process call (fast, used by the experiment sweeps) and a
-//!   crossbeam-channel connection to a server thread (the "distributed"
-//!   deployment used by examples and integration tests);
+//! * [`transport`] — split-phase RPC over two interchangeable carriers: an
+//!   in-process call (fast, used by the experiment sweeps) and a mailbox
+//!   connection to a server thread (the "distributed" deployment used by
+//!   examples and integration tests);
 //! * [`event_loop`] — the **many-device carrier**: one reactor thread
 //!   multiplexing every server endpoint and every device connection over
 //!   a ready-queue, per-connection `HELLO`/`ACCEPT` negotiation state
@@ -83,16 +83,26 @@
 //! Link → [CacheLayer] → [ShardRouter] → Edge → [FaultLayer] → carrier
 //! ```
 //!
-//! One rule: **bytes exist only below the edge.** `Link`, `CacheLayer`
-//! and `ShardRouter` hand each other typed requests and
-//! `(response, serving generation)` pairs; the physical edge (`edge.rs`)
-//! is who frames (wire version, dedup envelope), meters, judges a reply
-//! ok / `Unavailable` / `Malformed`, retries and negotiates — once per
-//! physical exchange, in one copy. A flat link has one edge; a fleet has
-//! one per replica, driven by the router's flight scheduler through the
-//! same frame / begin / judge steps. Retry and negotiation requested on
-//! a [`Link`] are handed down to whichever layer owns the edges, so
-//! neither can be applied above them.
+//! One rule: **independent requests travel together; bytes still exist
+//! only below the edge.** `Link`, `CacheLayer` and `ShardRouter` hand
+//! each other *batches* of typed requests and get one
+//! `(response, serving generation)` pair back per request, in request
+//! order ([`Link::request_many`]; a single [`Link::request`] is a batch
+//! of one — there is no second path). The cache answers what it can and
+//! lets the misses ride one batch; the router turns all the requests'
+//! pruned sub-requests into one set of flights, one carrier batch per
+//! (shard, replica) edge; a threaded carrier enqueues a batch under one
+//! lock with one wake-up, and its server drains its whole queue per
+//! wake-up. The physical edge (`edge.rs`) is who frames (wire version,
+//! dedup envelope), meters, judges a reply ok / `Unavailable` /
+//! `Malformed`, retries and negotiates — once per physical exchange, in
+//! one copy, each failed member of a batch on its own budget. A flat
+//! link has one edge; a fleet has one per replica, driven by the
+//! router's flight scheduler through the same frame / begin / judge
+//! steps. Retry and negotiation requested on a [`Link`] are handed down
+//! to whichever layer owns the edges, so neither can be applied above
+//! them. Batching changes when the device waits, never what crosses the
+//! wire: same requests, same frames, same fault rolls, same bytes.
 
 pub mod cache;
 pub mod codec;
@@ -100,6 +110,7 @@ mod edge;
 pub mod event_loop;
 pub mod fault;
 pub mod health;
+mod mailbox;
 pub mod meter;
 pub mod packet;
 pub mod proto;
@@ -183,4 +194,4 @@ pub use meter::{CacheSnapshot, CacheTelemetry, LinkMeter, LinkSnapshot};
 pub use packet::{NetConfig, PacketModel, RetryPolicy};
 pub use proto::{QueryHandler, Request, Response, Update};
 pub use router::{FleetSnapshot, ShardEndpoint, ShardMeta, ShardRouter, ShardTelemetry};
-pub use transport::{ChannelServer, Link, RawExchange, ServerHandle};
+pub use transport::{ChannelServer, Link, Pending, RawExchange, ServerHandle};

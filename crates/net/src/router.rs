@@ -12,8 +12,10 @@
 //! 1. **prunes** shards whose advertised bounds cannot contain an answer
 //!    (a shard's bounds cover the full MBRs of all its objects, including
 //!    boundary straddlers, so pruning never loses a result);
-//! 2. **scatters** sub-requests to the survivors — split-phase via
-//!    [`RawExchange::begin`], so threaded shard servers work concurrently;
+//! 2. **scatters** sub-requests to the survivors — split-phase, the
+//!    sub-requests of *every* request of a batch together, one
+//!    [`RawExchange::begin_many`] per (shard, replica) edge, so threaded
+//!    shard servers work concurrently and a batch shares its round trips;
 //!    batched requests (`MultiCount`, `BucketEpsRange`) are *sub-batched*:
 //!    each shard receives only the probes that can touch it;
 //! 3. **merges** the responses: object lists are concatenated and
@@ -53,6 +55,7 @@
 //! every shard is contacted (with a payload trimmed to its bounds) so the
 //! policy refusal propagates exactly as it would from a flat server.
 
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -66,7 +69,7 @@ use crate::health::{spread_hash, BreakerConfig, HealthSnapshot, ReplicaSetHealth
 use crate::meter::{LinkMeter, LinkSnapshot};
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{Request, Response, Update};
-use crate::transport::RawExchange;
+use crate::transport::{Pending, RawExchange};
 
 /// Client-side knowledge about one shard, shared between the router and
 /// whoever built the fleet (a `Deployment` keeps its own `Arc`s so update
@@ -465,17 +468,26 @@ impl ShardRouter {
         self.packet
     }
 
-    /// Negotiates wire protocol v2 on every shard's physical edges (one
-    /// `HELLO`/`ACCEPT` round trip per replica edge; 4 unmetered
-    /// link-control bytes each). A shard speaks v2 only when **every**
-    /// replica `ACCEPT`s — a mixed replica set stays at
-    /// [`WireVersion::V1`] (its remaining siblings are not even probed)
-    /// so failing over mid-request never changes the frame format.
+    /// Negotiates wire protocol v2 on every shard's physical edges: every
+    /// edge's `HELLO` is sent before any `ACCEPT` is read, so the whole
+    /// fleet handshakes in one round trip (4 unmetered link-control bytes
+    /// per edge). A shard speaks v2 only when **every** replica
+    /// `ACCEPT`s — a mixed replica set stays at [`WireVersion::V1`] so
+    /// failing over mid-request never changes the frame format.
     /// Mixed-version fleets degrade per shard, never fail. Call sites
     /// gate on `NetConfig::wire_v2`.
     pub fn negotiate_v2(&mut self) {
-        for group in &mut self.edges {
-            if !group.iter_mut().all(|e| e.negotiate() == WireVersion::V2) {
+        let hellos: Vec<Vec<Pending>> = self
+            .edges
+            .iter()
+            .map(|group| group.iter().map(Edge::hello).collect())
+            .collect();
+        for (group, hellos) in self.edges.iter_mut().zip(hellos) {
+            let mut unanimous = true;
+            for (edge, hello) in group.iter_mut().zip(hellos) {
+                unanimous &= edge.accept(&hello.wait()) == WireVersion::V2;
+            }
+            if !unanimous {
                 group.iter_mut().for_each(|e| e.set_wire(WireVersion::V1));
             }
         }
@@ -523,12 +535,31 @@ impl ShardRouter {
         rot
     }
 
-    /// Issues `f`'s current try split-phase and ticks the replica set's
-    /// exchange clock (the breakers' deterministic cooldown time base).
-    fn issue<'a>(&'a self, f: &mut Flight<'a>) {
-        let replica = f.rotation[f.pos];
-        self.telemetry.health[f.shard].tick();
-        f.inflight = Some((replica, self.edges[f.shard][replica].begin(&f.frame)));
+    /// Issues the current try of every scheduled flight split-phase —
+    /// one carrier batch per (shard, replica) edge, in flight order
+    /// within it — ticking each replica set's exchange clock (the
+    /// breakers' deterministic cooldown time base) once per try.
+    fn issue(&self, flights: &[Flight]) {
+        for (shard, group) in self.edges.iter().enumerate() {
+            for (replica, edge) in group.iter().enumerate() {
+                let due =
+                    |f: &&Flight| f.scheduled && f.shard == shard && f.rotation[f.pos] == replica;
+                if !flights.iter().any(|f| due(&f)) {
+                    continue;
+                }
+                let mut begun = flights.iter().filter(due);
+                edge.carrier.begin_many(
+                    &mut flights.iter().filter(due).map(|f| {
+                        self.telemetry.health[shard].tick();
+                        f.frame.bytes.clone()
+                    }),
+                    &mut |pending| {
+                        let f = begun.next().expect("one pending per flight");
+                        f.inflight.set(Some((replica, pending)));
+                    },
+                );
+            }
+        }
     }
 
     /// Takes the edge's verdict on one completed exchange: resolves the
@@ -567,7 +598,7 @@ impl ShardRouter {
     }
 
     /// Drives a set of flights to resolution — the fleet's retry loop,
-    /// over the same `frame`/`begin`/`judge` as `Edge::call`. All
+    /// over the same `frame`/`begin_many`/`judge` as the edge's own. All
     /// in-flight tries are issued split-phase before any completion is
     /// awaited, and *failed* flights re-issue together too — so recovery
     /// latency is the max of the failures, not their sum. A failed try
@@ -580,13 +611,12 @@ impl ShardRouter {
     /// failed attempts never note one — so a retried round can never
     /// regress the generation vector.
     fn execute<'a>(&'a self, flights: &mut [Flight<'a>]) {
-        for f in flights.iter_mut() {
-            self.issue(f);
-        }
         loop {
+            self.issue(flights);
             for f in flights.iter_mut() {
-                if let Some((replica, complete)) = f.inflight.take() {
-                    self.evaluate(f, replica, complete());
+                if let Some((replica, pending)) = f.inflight.take() {
+                    f.scheduled = false;
+                    self.evaluate(f, replica, pending.wait());
                 }
             }
             let mut backoff_round = 0u32;
@@ -644,35 +674,16 @@ impl ShardRouter {
             if backoff_round > 0 {
                 self.retry.sleep(backoff_round);
             }
-            for f in flights.iter_mut() {
-                if f.scheduled {
-                    f.scheduled = false;
-                    self.issue(f);
-                }
-            }
         }
     }
 
-    /// A fleet of one edge has nothing to prune and nothing to merge:
-    /// `req` itself is the one flight, so the sole shard sees exactly the
-    /// frames a flat link would send it and its reply (and the
-    /// generation it reports) is the answer — a 1×1 fleet is
-    /// wire-identical to a flat deployment while the scheduler above
-    /// still ticks its health, breaker and retry accounting.
-    fn sole(&self, req: &Request) -> (Response, u64) {
-        let frame = self.edges[0][0].frame(req);
-        let mut flights = [Flight::new(0, frame, 0, vec![0], false)];
-        self.execute(&mut flights);
-        let [f] = flights;
-        match f.result {
-            Some(Landing::Resp(resp)) => (resp, f.generation),
-            _ => (f.outcome, 0),
-        }
-    }
-
-    /// One scatter round: sends `subs[i]` (when `Some`) to shard `i`
-    /// split-phase, counts pruned slots, and returns the responses in
-    /// shard order.
+    /// One scatter round for a whole batch: sends `subs[k][i]` (when
+    /// `Some`) to shard `i` for every logical request `k`, all split-phase
+    /// in one set of flights, counts pruned slots, and returns per request
+    /// the responses in shard order and the fleet generation they were
+    /// served at — the sum over shards of the generation the shard's own
+    /// reply reported, or, for a shard that contributed nothing, the
+    /// highest observed from it.
     ///
     /// **Partial-scatter recovery.** Each slot fails and recovers
     /// *individually*: a failed shard is re-asked (failing over across
@@ -683,27 +694,36 @@ impl ShardRouter {
     /// [`ShardRouter::with_allow_partial`], drops out of the merge) and
     /// its abandonment is tallied on that shard's meter (surfacing in
     /// [`FleetSnapshot::failed_shards`]).
-    fn round(&self, subs: &[Option<Request>]) -> Vec<Option<Response>> {
-        debug_assert_eq!(subs.len(), self.edges.len());
-        let mut flights: Vec<Flight> = Vec::with_capacity(subs.len());
-        for (i, sub) in subs.iter().enumerate() {
-            match sub {
-                Some(req) => {
-                    let frame = self.edges[i][0].frame(req);
-                    let hash = spread_hash(&frame.bytes);
-                    let rotation = self.rotation(i, hash);
-                    flights.push(Flight::new(i, frame, hash, rotation, false));
-                }
-                None => {
-                    self.telemetry.pruned.fetch_add(1, Ordering::Relaxed);
+    fn rounds(&self, subs: &[Vec<Option<Request>>]) -> Vec<(Vec<Option<Response>>, u64)> {
+        let mut flights: Vec<Flight> = Vec::new();
+        for (k, subs) in subs.iter().enumerate() {
+            for (i, sub) in subs.iter().enumerate() {
+                match sub {
+                    Some(req) => {
+                        let frame = self.edges[i][0].frame(req);
+                        let hash = spread_hash(&frame.bytes);
+                        let rotation = self.rotation(i, hash);
+                        flights.push(Flight::new(k, i, frame, hash, rotation, false));
+                    }
+                    None => {
+                        self.telemetry.pruned.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
         }
         self.execute(&mut flights);
-        let mut out: Vec<Option<Response>> = subs.iter().map(|_| None).collect();
+        let observed = self.telemetry.generations();
+        let mut out: Vec<(Vec<Option<Response>>, u64)> = subs
+            .iter()
+            .map(|subs| (subs.iter().map(|_| None).collect(), observed.iter().sum()))
+            .collect();
         for f in flights {
             if let Some(Landing::Resp(resp)) = f.result {
-                out[f.shard] = Some(resp);
+                let (replies, generation) = &mut out[f.slot];
+                if !resp.is_failure() {
+                    *generation = *generation + f.generation - observed[f.shard];
+                }
+                replies[f.shard] = Some(resp);
             }
         }
         out
@@ -720,7 +740,7 @@ impl ShardRouter {
         for (i, req) in subs.iter().enumerate() {
             let frame = self.edges[i][0].frame(req);
             for j in 0..self.edges[i].len() {
-                flights.push(Flight::new(i, frame.clone(), 0, vec![j], true));
+                flights.push(Flight::new(0, i, frame.clone(), 0, vec![j], true));
             }
         }
         self.execute(&mut flights);
@@ -760,23 +780,103 @@ impl ShardRouter {
             .collect()
     }
 
-    /// Every sub-reply reaching a merge is of its request's kind or a
-    /// typed non-answer (`Edge::judge` saw to that); the first
-    /// non-answer is the merged answer.
-    fn scatter_gather(&self, req: &Request) -> Response {
-        match req {
-            Request::Window(w) => merge_objects(self.round(&self.prune(req, |b| b.intersects(w)))),
+    /// The first half of a scatter-gather: `req`'s pruned sub-request
+    /// per shard (`None` = pruned) and, for the batched kinds, which
+    /// probes each shard was sent. `AvgArea` opens with its COUNT round;
+    /// `ApplyUpdates` scatters nothing here — both finish in
+    /// [`ShardRouter::merge`].
+    fn scatter(&self, req: &Request) -> (Vec<Option<Request>>, Vec<Vec<usize>>) {
+        let metas = &self.telemetry.metas;
+        let sub_batches = |picks: Vec<Vec<usize>>, sub: &dyn Fn(&[usize]) -> Request| {
+            let subs = picks
+                .iter()
+                .map(|p| (!p.is_empty()).then(|| sub(p)))
+                .collect();
+            (subs, picks)
+        };
+        let subs = match req {
+            Request::Window(w) => self.prune(req, |b| b.intersects(w)),
             Request::EpsRange { q, eps } => {
                 let reach = q.expand(*eps);
-                merge_objects(self.round(&self.prune(req, |b| b.intersects(&reach))))
+                self.prune(req, |b| b.intersects(&reach))
             }
-            Request::Count(w) => {
+            Request::Count(w) => self.prune(req, |b| b.intersects(w)),
+            Request::AvgArea(w) => self.prune(&Request::Count(*w), |b| b.intersects(w)),
+            Request::MultiCount(windows) => {
+                let picks = self.pick_indices(windows, |b, w| b.intersects(w));
+                return sub_batches(picks, &|p| {
+                    Request::MultiCount(p.iter().map(|&i| windows[i]).collect())
+                });
+            }
+            Request::BucketEpsRange { probes, eps } => {
+                let picks = self.pick_indices(probes, |b, p| b.intersects(&p.mbr.expand(*eps)));
+                return sub_batches(picks, &|p| Request::BucketEpsRange {
+                    probes: p.iter().map(|&i| probes[i]).collect(),
+                    eps: *eps,
+                });
+            }
+            // The fleet's cooperative level is the *forest* level: the
+            // concatenation of every shard's published level, in shard
+            // order. Never pruned — index structure is global.
+            Request::CoopLevelMbrs(_) => metas.iter().map(|_| Some(req.clone())).collect(),
+            // Payload trimmed per shard, but every shard is contacted
+            // so a non-cooperative policy refusal propagates.
+            Request::CoopFilterByMbrs { mbrs, eps } => metas
+                .iter()
+                .map(|m| {
+                    let kept: Vec<Rect> = match m.bounds() {
+                        Some(b) => mbrs
+                            .iter()
+                            .filter(|m| m.expand(*eps).intersects(&b))
+                            .copied()
+                            .collect(),
+                        None => Vec::new(),
+                    };
+                    Some(Request::CoopFilterByMbrs {
+                        mbrs: kept,
+                        eps: *eps,
+                    })
+                })
+                .collect(),
+            Request::CoopJoinPush { objects, eps } => metas
+                .iter()
+                .map(|m| {
+                    let kept: Vec<SpatialObject> = match m.bounds() {
+                        Some(b) => objects
+                            .iter()
+                            .filter(|o| o.mbr.expand(*eps).intersects(&b))
+                            .copied()
+                            .collect(),
+                        None => Vec::new(),
+                    };
+                    Some(Request::CoopJoinPush {
+                        objects: kept,
+                        eps: *eps,
+                    })
+                })
+                .collect(),
+            Request::ApplyUpdates(_) => Vec::new(),
+        };
+        (subs, Vec::new())
+    }
+
+    /// The second half: `req`'s answer from its shards' `replies` (shard
+    /// order). Every sub-reply reaching a merge is of its request's kind
+    /// or a typed non-answer (`Edge::judge` saw to that); the first
+    /// non-answer is the merged answer.
+    fn merge(
+        &self,
+        req: &Request,
+        picks: &[Vec<usize>],
+        replies: Vec<Option<Response>>,
+    ) -> Response {
+        match req {
+            Request::Window(_) | Request::EpsRange { .. } | Request::CoopFilterByMbrs { .. } => {
+                merge_objects(replies)
+            }
+            Request::Count(_) => {
                 let mut total = 0u64;
-                for resp in self
-                    .round(&self.prune(req, |b| b.intersects(w)))
-                    .into_iter()
-                    .flatten()
-                {
+                for resp in replies.into_iter().flatten() {
                     match resp {
                         Response::Count(c) => total += c,
                         e => return e,
@@ -785,16 +885,8 @@ impl ShardRouter {
                 Response::Count(total)
             }
             Request::MultiCount(windows) => {
-                let picks = self.pick_indices(windows, |b, w| b.intersects(w));
-                let subs: Vec<Option<Request>> = picks
-                    .iter()
-                    .map(|p| {
-                        (!p.is_empty())
-                            .then(|| Request::MultiCount(p.iter().map(|&i| windows[i]).collect()))
-                    })
-                    .collect();
                 let mut totals = vec![0u64; windows.len()];
-                for (shard, resp) in self.round(&subs).into_iter().enumerate() {
+                for (shard, resp) in replies.into_iter().enumerate() {
                     match resp {
                         None => {}
                         Some(Response::Counts(counts)) => {
@@ -807,20 +899,10 @@ impl ShardRouter {
                 }
                 Response::Counts(totals)
             }
-            Request::AvgArea(w) => self.avg_area(w),
-            Request::BucketEpsRange { probes, eps } => {
-                let picks = self.pick_indices(probes, |b, p| b.intersects(&p.mbr.expand(*eps)));
-                let subs: Vec<Option<Request>> = picks
-                    .iter()
-                    .map(|p| {
-                        (!p.is_empty()).then(|| Request::BucketEpsRange {
-                            probes: p.iter().map(|&i| probes[i]).collect(),
-                            eps: *eps,
-                        })
-                    })
-                    .collect();
+            Request::AvgArea(w) => self.avg_area(w, replies),
+            Request::BucketEpsRange { probes, .. } => {
                 let mut merged: Vec<Vec<SpatialObject>> = vec![Vec::new(); probes.len()];
-                for (shard, resp) in self.round(&subs).into_iter().enumerate() {
+                for (shard, resp) in replies.into_iter().enumerate() {
                     match resp {
                         None => {}
                         Some(Response::Buckets(buckets)) => {
@@ -837,13 +919,8 @@ impl ShardRouter {
                 Response::Buckets(merged)
             }
             Request::CoopLevelMbrs(_) => {
-                // The fleet's cooperative level is the *forest* level: the
-                // concatenation of every shard's published level, in shard
-                // order. Never pruned — index structure is global.
-                let subs: Vec<Option<Request>> =
-                    self.edges.iter().map(|_| Some(req.clone())).collect();
                 let mut mbrs = Vec::new();
-                for resp in self.round(&subs).into_iter().flatten() {
+                for resp in replies.into_iter().flatten() {
                     match resp {
                         Response::Rects(r) => mbrs.extend(r),
                         e => return e,
@@ -851,54 +928,11 @@ impl ShardRouter {
                 }
                 Response::Rects(mbrs)
             }
-            Request::CoopFilterByMbrs { mbrs, eps } => {
-                // Payload trimmed per shard, but every shard is contacted
-                // so a non-cooperative policy refusal propagates.
-                let subs: Vec<Option<Request>> = self
-                    .telemetry
-                    .metas
-                    .iter()
-                    .map(|m| {
-                        let kept: Vec<Rect> = match m.bounds() {
-                            Some(b) => mbrs
-                                .iter()
-                                .filter(|m| m.expand(*eps).intersects(&b))
-                                .copied()
-                                .collect(),
-                            None => Vec::new(),
-                        };
-                        Some(Request::CoopFilterByMbrs {
-                            mbrs: kept,
-                            eps: *eps,
-                        })
-                    })
-                    .collect();
-                merge_objects(self.round(&subs))
-            }
             Request::ApplyUpdates(batch) => self.apply_updates(batch),
-            Request::CoopJoinPush { objects, eps } => {
-                let subs: Vec<Option<Request>> = self
-                    .telemetry
-                    .metas
-                    .iter()
-                    .map(|m| {
-                        let kept: Vec<SpatialObject> = match m.bounds() {
-                            Some(b) => objects
-                                .iter()
-                                .filter(|o| o.mbr.expand(*eps).intersects(&b))
-                                .copied()
-                                .collect(),
-                            None => Vec::new(),
-                        };
-                        Some(Request::CoopJoinPush {
-                            objects: kept,
-                            eps: *eps,
-                        })
-                    })
-                    .collect();
+            Request::CoopJoinPush { .. } => {
                 let mut seen = HashSet::new();
                 let mut pairs = Vec::new();
-                for resp in self.round(&subs).into_iter().flatten() {
+                for resp in replies.into_iter().flatten() {
                     match resp {
                         Response::Pairs(p) => {
                             for pair in p {
@@ -1000,12 +1034,12 @@ impl ShardRouter {
 
     /// Merged `AvgArea`: per-shard averages weighted by matching-object
     /// count. An unweighted mean of shard means would be wrong whenever
-    /// shards match different numbers of objects; the weights come from a
-    /// COUNT round, and shards counting zero skip the area round entirely.
-    fn avg_area(&self, w: &Rect) -> Response {
-        let count_subs = self.prune(&Request::Count(*w), |b| b.intersects(w));
+    /// shards match different numbers of objects; the weights are the
+    /// COUNT round's `count_replies`, and shards counting zero skip the
+    /// area round — issued here — entirely.
+    fn avg_area(&self, w: &Rect, count_replies: Vec<Option<Response>>) -> Response {
         let mut counts = vec![0u64; self.edges.len()];
-        for (i, resp) in self.round(&count_subs).into_iter().enumerate() {
+        for (i, resp) in count_replies.into_iter().enumerate() {
             match resp {
                 None => {}
                 Some(Response::Count(c)) => counts[i] = c,
@@ -1018,7 +1052,8 @@ impl ShardRouter {
             .collect();
         let total: u64 = counts.iter().sum();
         let mut weighted = 0.0f64;
-        for (i, resp) in self.round(&area_subs).into_iter().enumerate() {
+        let (area_replies, _) = self.rounds(&[area_subs]).remove(0);
+        for (i, resp) in area_replies.into_iter().enumerate() {
             match resp {
                 None => {}
                 Some(Response::Area(a)) => weighted += a * counts[i] as f64,
@@ -1034,15 +1069,44 @@ impl ShardRouter {
 }
 
 impl Layer for ShardRouter {
-    fn call(&self, req: &Request) -> (Response, u64) {
+    fn call_many(
+        &self,
+        reqs: &mut dyn Iterator<Item = &Request>,
+        reply: &mut dyn FnMut(Response, u64),
+    ) {
         if self.edges.len() == 1 && self.edges[0].len() == 1 {
-            return self.sole(req);
+            // A fleet of one edge has nothing to prune and nothing to
+            // merge: each request itself is one flight, so the sole
+            // shard sees exactly the frames a flat link would send it
+            // and its reply (and the generation it reports) is the
+            // answer — a 1×1 fleet is wire-identical to a flat
+            // deployment while the scheduler still ticks its health,
+            // breaker and retry accounting.
+            let sole = &self.edges[0][0];
+            let mut flights: Vec<Flight> = reqs
+                .map(|req| Flight::new(0, 0, sole.frame(req), 0, vec![0], false))
+                .collect();
+            self.execute(&mut flights);
+            for f in flights {
+                match f.result {
+                    Some(Landing::Resp(resp)) => reply(resp, f.generation),
+                    _ => reply(f.outcome, 0),
+                }
+            }
+            return;
         }
-        // Merged answers carry the fleet generation observed while
-        // answering (0 on a frozen fleet); an `Ack` carries its own.
-        match self.scatter_gather(&wire_exact(req)) {
-            resp @ Response::Ack { generation } => (resp, generation),
-            resp => (resp, self.fleet_generation()),
+        // All the requests' pruned sub-requests fly as one set; each
+        // request is then merged from its own replies. A merged answer
+        // carries the fleet generation those replies were served at (0
+        // on a frozen fleet); an `Ack` carries its own.
+        let exact: Vec<Request> = reqs.map(wire_exact).collect();
+        let (subs, picks): (Vec<_>, Vec<_>) = exact.iter().map(|req| self.scatter(req)).unzip();
+        let replies = self.rounds(&subs);
+        for ((req, picks), (replies, generation)) in exact.iter().zip(&picks).zip(replies) {
+            match self.merge(req, picks, replies) {
+                resp @ Response::Ack { generation } => reply(resp, generation),
+                resp => reply(resp, generation),
+            }
         }
     }
 
@@ -1075,6 +1139,8 @@ enum Landing {
 /// One in-progress sub-request: a (shard, frame) pair working its way
 /// through a replica rotation and a retry budget.
 struct Flight<'a> {
+    /// Which logical request of the batch this sub-request belongs to.
+    slot: usize,
     shard: usize,
     frame: Frame<'a>,
     /// Request-hash spread key; re-picks the rotation on retry rounds.
@@ -1091,14 +1157,22 @@ struct Flight<'a> {
     outcome: Response,
     /// The serving generation the resolving reply reported.
     generation: u64,
-    inflight: Option<(usize, Box<dyn FnOnce() -> Bytes + Send + 'a>)>,
+    inflight: Cell<Option<(usize, Pending)>>,
     scheduled: bool,
     result: Option<Landing>,
 }
 
 impl<'a> Flight<'a> {
-    fn new(shard: usize, frame: Frame<'a>, hash: u64, rotation: Vec<usize>, pinned: bool) -> Self {
+    fn new(
+        slot: usize,
+        shard: usize,
+        frame: Frame<'a>,
+        hash: u64,
+        rotation: Vec<usize>,
+        pinned: bool,
+    ) -> Self {
         Flight {
+            slot,
             shard,
             frame,
             hash,
@@ -1109,8 +1183,8 @@ impl<'a> Flight<'a> {
             pinned,
             outcome: Response::Unavailable,
             generation: 0,
-            inflight: None,
-            scheduled: false,
+            inflight: Cell::new(None),
+            scheduled: true,
             result: None,
         }
     }

@@ -8,18 +8,24 @@
 //! * [`InProcExchange`] — calls the server's handler on the calling thread
 //!   (fast path for the thousands of joins an experiment sweep runs);
 //! * [`ChannelServer`] / [`ChannelExchange`] — the server runs on its own
-//!   thread behind a crossbeam channel, modelling the paper's deployment
-//!   of two independent UNIX servers and a WiFi PDA. Integration tests run
-//!   both carriers and assert identical byte counts.
+//!   thread behind a mailbox, modelling the paper's deployment of two
+//!   independent UNIX servers and a WiFi PDA. Integration tests run both
+//!   carriers and assert identical byte counts.
+//!
+//! Exchanges are split-phase: [`RawExchange::begin`] ships a request and
+//! returns an owned [`Pending`]; independent requests begun together
+//! ([`RawExchange::begin_many`], [`Link::request_many`]) share a round
+//! trip.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-use crate::codec::{WireVersion, MAX_WIRE_VERSION};
+use crate::codec::{garble_frame, is_unavailable, unavailable_frame, WireVersion};
 use crate::edge::{Edge, Layer};
+use crate::mailbox::{mailbox, End};
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{QueryHandler, Request, Response};
@@ -76,18 +82,89 @@ pub(crate) fn serve_frame_into<H: QueryHandler + ?Sized>(
 pub trait RawExchange: Send + Sync {
     fn exchange(&self, request: Bytes) -> Bytes;
 
-    /// Starts an exchange and returns a completion that yields the reply.
+    /// Starts an exchange; [`Pending::wait`] yields the reply.
     ///
-    /// The default is fully synchronous — the reply is computed before the
-    /// completion is returned, which is the only possibility for in-process
-    /// carriers (the server *is* the calling thread). Carriers backed by a
-    /// server thread override this to ship the request immediately and
-    /// block only inside the completion, so a scatter round's requests are
-    /// serviced concurrently by the shard threads.
-    fn begin<'a>(&'a self, request: Bytes) -> Box<dyn FnOnce() -> Bytes + Send + 'a> {
-        let reply = self.exchange(request);
-        Box::new(move || reply)
+    /// The default is fully synchronous — the reply is computed before
+    /// the [`Pending`] is returned, which is the only possibility for
+    /// in-process carriers (the server *is* the calling thread). Carriers
+    /// backed by a server thread ship the request immediately and block
+    /// only inside `wait`, so independent requests are in flight
+    /// together.
+    fn begin(&self, request: Bytes) -> Pending {
+        Pending::ready(self.exchange(request))
     }
+
+    /// Starts every request of a batch, handing `begun` one [`Pending`]
+    /// per request, in request order. Threaded carriers enqueue the whole
+    /// batch under one lock with one wake-up.
+    fn begin_many(
+        &self,
+        requests: &mut dyn Iterator<Item = Bytes>,
+        begun: &mut dyn FnMut(Pending),
+    ) {
+        requests.for_each(|request| begun(self.begin(request)));
+    }
+}
+
+/// [`RawExchange::begin`] for carriers whose native operation is the
+/// batch.
+pub(crate) fn begin_one(carrier: &(impl RawExchange + ?Sized), request: Bytes) -> Pending {
+    let mut pending = None;
+    carrier.begin_many(&mut std::iter::once(request), &mut |p| pending = Some(p));
+    pending.expect("one pending per request")
+}
+
+/// One begun exchange: owned, borrowing nothing from its carrier, so it
+/// can be held across locks and dropped at will (an abandoned exchange is
+/// still served; its reply is discarded).
+pub struct Pending {
+    /// The reply if it is already here, else the slot it will arrive in.
+    pub(crate) reply: Result<Bytes, End<Bytes>>,
+    /// Set by a [`FaultLayer`](crate::FaultLayer) that rolled a garbled
+    /// reply: the frame is stamped, and tallied here, when it arrives —
+    /// unless nothing crossed the wire and there is no frame to garble.
+    pub(crate) garble: Option<Arc<AtomicU64>>,
+}
+
+impl Pending {
+    /// An exchange whose reply is already here.
+    pub fn ready(reply: Bytes) -> Self {
+        Pending {
+            reply: Ok(reply),
+            garble: None,
+        }
+    }
+
+    /// Blocks until the reply is here. A server that went away before
+    /// answering degrades to the locally fabricated unavailable frame
+    /// instead of panicking the client — a shard dying mid-session must
+    /// not take the device down with it.
+    pub fn wait(self) -> Bytes {
+        let raw = self.reply.unwrap_or_else(|slot| {
+            let mut reply = VecDeque::new();
+            slot.take_all(&mut reply);
+            reply.pop_front().unwrap_or_else(unavailable_frame)
+        });
+        match self.garble {
+            Some(tally) if !is_unavailable(&raw) => {
+                tally.fetch_add(1, Ordering::Relaxed);
+                garble_frame(&raw)
+            }
+            _ => raw,
+        }
+    }
+}
+
+/// One in-flight exchange on a threaded carrier: the slot the server
+/// answers into (refusing once the client has dropped its [`Pending`]),
+/// and the pending that waits on it.
+pub(crate) fn reply_slot() -> (End<Bytes>, Pending) {
+    let (replier, waiter) = mailbox();
+    let pending = Pending {
+        reply: Err(waiter),
+        garble: None,
+    };
+    (replier, pending)
 }
 
 /// In-process carrier: decodes and handles on the calling thread.
@@ -121,55 +198,42 @@ impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
     }
 }
 
-/// One in-flight RPC on the channel carrier.
-struct Rpc {
-    request: Bytes,
-    reply: Sender<Bytes>,
-}
-
-/// What flows to a server thread: RPCs from client handles, or the
-/// shutdown sentinel [`ChannelServer::drop`] enqueues so dropping the
-/// server never blocks on handles that are still alive. FIFO ordering
-/// guarantees every RPC enqueued before the sentinel is still served.
-enum ServerMsg {
-    Rpc(Rpc),
-    Shutdown,
-}
+/// What flows to a server thread: a request with the slot its reply goes
+/// in, or — no slot — the shutdown sentinel [`ChannelServer::drop`]
+/// enqueues so dropping the server never blocks on handles that are still
+/// alive. FIFO ordering guarantees every RPC enqueued before the sentinel
+/// is still served.
+type ServerMsg = Option<(Bytes, End<Bytes>)>;
 
 /// Client side of the channel carrier.
 pub struct ChannelExchange {
-    tx: Sender<ServerMsg>,
+    tx: Arc<End<ServerMsg>>,
 }
 
 impl RawExchange for ChannelExchange {
     fn exchange(&self, request: Bytes) -> Bytes {
-        self.begin(request)()
+        self.begin(request).wait()
     }
 
-    fn begin<'a>(&'a self, request: Bytes) -> Box<dyn FnOnce() -> Bytes + Send + 'a> {
-        let (reply_tx, reply_rx) = bounded(1);
-        if self
-            .tx
-            .send(ServerMsg::Rpc(Rpc {
-                request,
-                reply: reply_tx,
-            }))
-            .is_err()
-        {
-            // The server thread is gone. Degrade to the locally
-            // fabricated unavailable frame instead of panicking the
-            // client — a shard dying mid-session must not take the
-            // device down with it.
-            return Box::new(crate::codec::unavailable_frame);
-        }
-        // A recv error here means the server accepted the request but
-        // shut down before replying (it raced the shutdown sentinel):
-        // same degradation as a refused send.
-        Box::new(move || {
-            reply_rx
-                .recv()
-                .unwrap_or_else(|_| crate::codec::unavailable_frame())
-        })
+    fn begin(&self, request: Bytes) -> Pending {
+        begin_one(self, request)
+    }
+
+    /// If the server is gone the batch is dropped unsent, and every
+    /// pending then yields the unavailable frame.
+    fn begin_many(
+        &self,
+        requests: &mut dyn Iterator<Item = Bytes>,
+        begun: &mut dyn FnMut(Pending),
+    ) {
+        let rpcs: Vec<ServerMsg> = requests
+            .map(|request| {
+                let (replier, pending) = reply_slot();
+                begun(pending);
+                Some((request, replier))
+            })
+            .collect();
+        self.tx.push_all(rpcs);
     }
 }
 
@@ -179,15 +243,15 @@ impl RawExchange for ChannelExchange {
 /// waiting on handles that outlive it).
 pub struct ChannelServer {
     thread: Option<std::thread::JoinHandle<u64>>,
-    /// The server's own sender, used only to enqueue the shutdown
+    /// The server's own sending end, used only to enqueue the shutdown
     /// sentinel from `drop`. Held here (not by handles) so `join` can
     /// release it and restore the legacy wait-for-all-handles semantics.
-    ctrl: Option<Sender<ServerMsg>>,
+    ctrl: Option<Arc<End<ServerMsg>>>,
 }
 
 /// Keeps the server thread alive; dropping all handles shuts it down.
 pub struct ServerHandle {
-    tx: Sender<ServerMsg>,
+    tx: Arc<End<ServerMsg>>,
 }
 
 impl ChannelServer {
@@ -195,7 +259,8 @@ impl ChannelServer {
     /// handle from which any number of [`ChannelExchange`] carriers can be
     /// cloned.
     pub fn spawn<H: QueryHandler + 'static>(handler: Arc<H>, name: &str) -> (Self, ServerHandle) {
-        let (tx, rx): (Sender<ServerMsg>, Receiver<ServerMsg>) = unbounded();
+        let (tx, rx) = mailbox::<ServerMsg>();
+        let tx = Arc::new(tx);
         let thread = std::thread::Builder::new()
             .name(format!("asj-server-{name}"))
             .spawn(move || {
@@ -207,41 +272,56 @@ impl ChannelServer {
                 // only per-request allocation left is the reply message
                 // itself.
                 let mut buf = BytesMut::with_capacity(4096);
-                while let Ok(msg) = rx.recv() {
-                    let rpc = match msg {
-                        ServerMsg::Rpc(rpc) => rpc,
-                        ServerMsg::Shutdown => break,
-                    };
-                    if let Some(accept) = crate::codec::try_answer_hello(&rpc.request) {
-                        // Handshake frames are link control: answered here,
-                        // never counted as served queries.
-                        let _ = rpc.reply.send(accept);
-                        continue;
+                // The whole queue per wake-up, answered in order; the
+                // replies go out together afterwards, so a client parked
+                // on them is woken once per drained batch.
+                let (mut batch, mut replies) = (VecDeque::new(), Vec::new());
+                let mut running = true;
+                while running && rx.take_all(&mut batch) {
+                    for msg in batch.drain(..) {
+                        let Some((request, replier)) = msg else {
+                            running = false;
+                            break;
+                        };
+                        if let Some(accept) = crate::codec::try_answer_hello(&request) {
+                            // Handshake frames are link control: answered
+                            // here, never counted as served queries.
+                            replies.push((replier, accept));
+                            continue;
+                        }
+                        buf.clear();
+                        // This thread is shared by every connected
+                        // device: one garbled frame gets a typed error
+                        // reply (and is not counted as served) and the
+                        // loop keeps serving — it must never panic the
+                        // thread.
+                        if serve_frame_into(handler.as_ref(), request, &mut buf) {
+                            served += 1;
+                        }
+                        // With the real `bytes` crate this would be
+                        // `buf.split().freeze()` (zero-copy hand-off that
+                        // recycles the allocation); the shim's `Bytes` is
+                        // `Arc<[u8]>`-backed, so one copy into the reply
+                        // is the closest equivalent — the same copy
+                        // `freeze()` itself performs under the shim.
+                        replies.push((replier, Bytes::copy_from_slice(&buf)));
                     }
-                    buf.clear();
-                    // This thread is shared by every connected device:
-                    // one garbled frame gets a typed error reply (and is
-                    // not counted as served) and the loop keeps serving —
-                    // it must never panic the thread.
-                    if serve_frame_into(handler.as_ref(), rpc.request, &mut buf) {
-                        served += 1;
-                    }
-                    // A dropped reply channel just means the client gave up.
-                    // With the real `bytes` crate this would be
-                    // `buf.split().freeze()` (zero-copy hand-off that
-                    // recycles the allocation); the shim's `Bytes` is
-                    // `Arc<[u8]>`-backed, so one copy into the reply is
-                    // the closest equivalent — the same copy `freeze()`
-                    // itself performs under the shim.
-                    let _ = rpc.reply.send(Bytes::copy_from_slice(&buf));
+                    // A refused reply just means the client gave up.
+                    replies.drain(..).for_each(|(replier, reply)| {
+                        replier.push_all([reply]);
+                    });
                 }
+                // Whatever sat behind the sentinel — in that batch or
+                // enqueued since — is dropped unanswered: its clients
+                // see `Unavailable`.
+                rx.shut();
                 served
             })
             .expect("failed to spawn server thread");
         (
             ChannelServer {
                 thread: Some(thread),
-                ctrl: Some(tx.clone()),
+                ctrl: Some(Arc::clone(&tx)),
             },
             ServerHandle { tx },
         )
@@ -250,8 +330,8 @@ impl ChannelServer {
     /// Waits for the server to drain and stop (all handles dropped);
     /// returns the number of requests served.
     pub fn join(mut self) -> u64 {
-        // Release the control sender first: the thread's `recv` loop must
-        // be able to disconnect once every client handle is gone.
+        // Release the control end first: the mailbox must be able to
+        // close once every client handle is gone.
         self.ctrl = None;
         self.thread
             .take()
@@ -267,10 +347,10 @@ impl Drop for ChannelServer {
             // Enqueue the shutdown sentinel behind any in-flight RPCs
             // (FIFO: they are all still served), then join. Without the
             // sentinel this join deadlocked whenever a `ServerHandle` or
-            // `ChannelExchange` outlived the server — their senders kept
-            // the channel connected forever.
+            // `ChannelExchange` outlived the server — their ends kept
+            // the mailbox open forever.
             if let Some(ctrl) = self.ctrl.take() {
-                let _ = ctrl.send(ServerMsg::Shutdown);
+                ctrl.push_all([None]);
             }
             let _ = t.join();
         }
@@ -281,7 +361,7 @@ impl ServerHandle {
     /// Opens a new connection to the server.
     pub fn connect(&self) -> ChannelExchange {
         ChannelExchange {
-            tx: self.tx.clone(),
+            tx: Arc::clone(&self.tx),
         }
     }
 }
@@ -307,20 +387,6 @@ pub struct Link {
     last_generation: AtomicU64,
     /// What [`Link::negotiate`] settled on; `V1` until it runs.
     wire: WireVersion,
-}
-
-/// Runs the `HELLO`/`ACCEPT` handshake over a carrier and returns the
-/// version the link will speak. A peer that rejects or garbles the probe
-/// (every v1-only server) yields [`WireVersion::V1`] — negotiation can
-/// only fall back, never fail. Call sites gate on `NetConfig::wire_v2`:
-/// with the flag off no probe is ever sent. The 4 handshake bytes are
-/// link control and are not metered, like TCP's own connection setup.
-pub fn negotiate_wire(carrier: &dyn RawExchange) -> WireVersion {
-    let reply = carrier.exchange(crate::codec::encode_hello(MAX_WIRE_VERSION));
-    match crate::codec::decode_accept(&reply) {
-        Some(v) if v >= 2 => WireVersion::V2,
-        _ => WireVersion::V1,
-    }
 }
 
 impl Link {
@@ -396,6 +462,22 @@ impl Link {
         let (resp, generation) = self.stack.call(req);
         self.last_generation.fetch_max(generation, Ordering::AcqRel);
         resp
+    }
+
+    /// Issues independent requests together: they share round trips
+    /// wherever the stack below can overlap them, and `reply` receives
+    /// exactly one response per request, in request order — the same
+    /// responses, bytes and meter charges as issuing them one by one. A
+    /// write is a barrier: `ApplyUpdates` ends its run, so no request
+    /// travels with a write it was issued after.
+    pub fn request_many(&self, reqs: &[Request], mut reply: impl FnMut(Response)) {
+        for run in reqs.split_inclusive(|req| matches!(req, Request::ApplyUpdates(_))) {
+            self.stack
+                .call_many(&mut run.iter(), &mut |resp, generation| {
+                    self.last_generation.fetch_max(generation, Ordering::AcqRel);
+                    reply(resp);
+                });
+        }
     }
 
     /// Runs the version handshake on the physical edges under this link
@@ -528,13 +610,66 @@ mod tests {
         let ex = handle.connect();
         let first = ex.begin(crate::codec::encode_request(&Request::Count(w())));
         let second = ex.begin(crate::codec::encode_request(&Request::Window(w())));
-        let r1 = crate::codec::decode_response(first()).unwrap();
-        let r2 = crate::codec::decode_response(second()).unwrap();
+        let r1 = crate::codec::decode_response(first.wait()).unwrap();
+        let r2 = crate::codec::decode_response(second.wait()).unwrap();
         assert_eq!(r1.into_count(), 7);
         assert_eq!(r2.into_objects().len(), 2);
         drop(ex);
         drop(handle);
         assert_eq!(server.join(), 2);
+    }
+
+    #[test]
+    fn shutdown_inside_a_drained_batch_answers_before_it_and_fails_after_it() {
+        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "sentinel");
+        let ex = handle.connect();
+        let count = || crate::codec::encode_request(&Request::Count(w()));
+        // One push, so the server drains all five messages together.
+        let (mut batch, pendings): (Vec<ServerMsg>, Vec<Pending>) = (0..4)
+            .map(|_| {
+                let (replier, pending) = reply_slot();
+                (Some((count(), replier)), pending)
+            })
+            .unzip();
+        batch.insert(2, None);
+        assert!(ex.tx.push_all(batch));
+        let replies: Vec<Response> = pendings
+            .into_iter()
+            .map(|p| crate::codec::decode_response(p.wait()).unwrap())
+            .collect();
+        assert_eq!(
+            replies,
+            [
+                Response::Count(7),
+                Response::Count(7),
+                Response::Unavailable,
+                Response::Unavailable
+            ]
+        );
+        // The thread is gone: later exchanges degrade too, and dropping
+        // the server does not hang on it.
+        assert!(is_unavailable(&ex.exchange(count())));
+        drop(server);
+    }
+
+    #[test]
+    fn pendings_dropped_before_wait_neither_wedge_nor_leak() {
+        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "abandoned");
+        let ex = handle.connect();
+        let mut begun = Vec::new();
+        ex.begin_many(
+            &mut (0..3).map(|_| crate::codec::encode_request(&Request::Count(w()))),
+            &mut |p| begun.push(p),
+        );
+        let kept = begun.pop().unwrap();
+        drop(begun);
+        assert_eq!(
+            crate::codec::decode_response(kept.wait()).unwrap(),
+            Response::Count(7)
+        );
+        drop(ex);
+        drop(handle);
+        assert_eq!(server.join(), 3, "abandoned exchanges are still served");
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! seeded faults every shape returns the same responses and charges the
 //! same meter values. A 3×2 fleet under the same plans keeps its three
 //! meter levels conserved.
+//!
+//! And one over *how* the requests are issued: a batch is its requests.
+//! On every shape, `request_many(script)` hands back what
+//! `script.map(request)` returns, in the same order, and leaves the same
+//! meters behind.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -12,12 +17,13 @@ use asj_geom::{Point, Rect, SpatialObject};
 use asj_net::cache::{CacheLayer, ClientCache};
 use asj_net::codec::{encode_response_versioned, stamp_generation_versioned, WireVersion};
 use asj_net::testutil::ScanHandler as Scan;
-use asj_net::transport::InProcExchange;
+use asj_net::transport::{ChannelExchange, InProcExchange};
 use asj_net::{
-    FaultLayer, FaultPlan, Link, LinkSnapshot, PacketModel, QueryHandler, RawExchange, Request,
-    Response, RetryPolicy, ShardEndpoint, ShardMeta, ShardRouter, Update,
+    BreakerConfig, ChannelServer, FaultLayer, FaultPlan, Link, LinkSnapshot, PacketModel, Pending,
+    QueryHandler, RawExchange, Request, Response, RetryPolicy, ShardEndpoint, ShardMeta,
+    ShardRouter, Update,
 };
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
 /// Live scan server: applies update batches, bumps its generation per
@@ -79,7 +85,65 @@ fn faulted(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn RawExchange>
     Box::new(FaultLayer::new(server, plan))
 }
 
-/// One step of a script: `(kind, x, y, h)`; kind 5 is an update batch.
+/// A channel carrier that owns its server thread, so a link over it is
+/// self-contained like the in-process ones.
+struct Threaded(ChannelExchange, #[allow(dead_code)] ChannelServer);
+
+impl RawExchange for Threaded {
+    fn exchange(&self, request: Bytes) -> Bytes {
+        self.0.exchange(request)
+    }
+
+    fn begin(&self, request: Bytes) -> Pending {
+        self.0.begin(request)
+    }
+
+    fn begin_many(
+        &self,
+        requests: &mut dyn Iterator<Item = Bytes>,
+        begun: &mut dyn FnMut(Pending),
+    ) {
+        self.0.begin_many(requests, begun)
+    }
+}
+
+/// [`faulted`], with the server on a thread of its own.
+fn faulted_threaded(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn RawExchange> {
+    let (server, handle) = ChannelServer::spawn(LiveScan::new(objects), "edge-props");
+    Box::new(FaultLayer::new(
+        Box::new(Threaded(handle.connect(), server)),
+        plan,
+    ))
+}
+
+/// Three shards cut at x = 10 and x = 20, two replicas each, every
+/// replica edge under its own decorrelated copy of the plan.
+fn shards_3x2(plan: FaultPlan) -> Vec<ShardEndpoint> {
+    (0..3u64)
+        .map(|s| {
+            let x0 = s as f64 * 10.0;
+            let members: Vec<SpatialObject> = lattice()
+                .into_iter()
+                .filter(|o| (x0..x0 + 10.0).contains(&o.mbr.min.x))
+                .collect();
+            let meta = ShardMeta::with_cell(
+                Rect::union_of(members.iter().map(|o| o.mbr)),
+                Some(Rect::from_coords(x0, -1e6, x0 + 10.0, 1e6)),
+            );
+            let replicas = (0..2u64)
+                .map(|r| {
+                    let mut own = plan;
+                    own.seed ^= (3 * s + r).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    faulted(members.clone(), own)
+                })
+                .collect();
+            ShardEndpoint::with_replicas(Arc::new(meta), replicas)
+        })
+        .collect()
+}
+
+/// One step of a script: `(kind, x, y, h)`; kind 5 is an update batch,
+/// kind 6 the aggregate a fleet merges in two rounds.
 type Step = (u8, i32, i32, u32);
 
 /// The `i`-th request of a script. Every rectangle is `1 + n/32` wide
@@ -106,6 +170,7 @@ fn request(i: usize, (kind, x, y, h): Step) -> Request {
                 .collect(),
             eps: h as f64 * 0.25,
         },
+        6 => Request::AvgArea(rect(4 * i)),
         _ => Request::ApplyUpdates(vec![
             Update::Insert(SpatialObject::new(id, rect(4 * i))),
             Update::Move {
@@ -166,30 +231,7 @@ proptest! {
             ShardRouter::new(vec![ShardEndpoint::new(bounds, faulted(lattice(), plan))], packet),
             1.0,
         ));
-        // Three shards cut at x = 10 and x = 20, two replicas each, every
-        // replica edge under its own decorrelated copy of the plan.
-        let shards = (0..3u64)
-            .map(|s| {
-                let x0 = s as f64 * 10.0;
-                let members: Vec<SpatialObject> = lattice()
-                    .into_iter()
-                    .filter(|o| (x0..x0 + 10.0).contains(&o.mbr.min.x))
-                    .collect();
-                let meta = ShardMeta::with_cell(
-                    Rect::union_of(members.iter().map(|o| o.mbr)),
-                    Some(Rect::from_coords(x0, -1e6, x0 + 10.0, 1e6)),
-                );
-                let replicas = (0..2u64)
-                    .map(|r| {
-                        let mut own = plan;
-                        own.seed ^= (3 * s + r).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        faulted(members.clone(), own)
-                    })
-                    .collect();
-                ShardEndpoint::with_replicas(Arc::new(meta), replicas)
-            })
-            .collect();
-        let fleet = tune(Link::routed(ShardRouter::new(shards, packet), 1.0));
+        let fleet = tune(Link::routed(ShardRouter::new(shards_3x2(plan), packet), 1.0));
 
         let mut batches = 0;
         for (i, &step) in steps.iter().enumerate() {
@@ -231,6 +273,119 @@ proptest! {
             prop_assert_eq!(snap.summed(), routed.meter().snapshot());
             for (shard, replicas) in snap.per_shard.iter().zip(&snap.per_replica) {
                 prop_assert_eq!(*shard, summed(replicas));
+            }
+        }
+    }
+
+    // A batch is its requests. The requests of a script are independent
+    // of one another — every rectangle is unique, so no request can be
+    // answered out of an earlier one's reply — which is the contract
+    // `request_many` is offered under; a write is a barrier inside it.
+    // Fault rolls are a pure function of (seed, frame bytes, attempt),
+    // so with breakers off both ways of issuing draw the same faults and
+    // every counter must agree. Breakers route on the *order* failures
+    // were observed in, which pipelining legitimately changes: there the
+    // answers and the bytes must agree whenever the budget lets every
+    // exchange through (drops only, retry on).
+    #[test]
+    fn a_batch_is_its_requests(
+        steps in prop::collection::vec((0u8..8, -8i32..48, -8i32..28, 1u32..12), 1..14),
+        seed in any::<u64>(),
+        drops in prop_oneof![Just(0.0), Just(0.15), Just(0.35)],
+        garbles in prop_oneof![Just(0.0), Just(0.2)],
+        retrying in any::<bool>(),
+        v2 in any::<bool>(),
+    ) {
+        let clean = drops == 0.0 && garbles == 0.0;
+        let plan = FaultPlan::seeded(seed).with_drops(drops).with_garbles(garbles);
+        let packet = PacketModel::default();
+        let tune = |link: Link| {
+            let retry = if retrying { RetryPolicy::attempts(3) } else { RetryPolicy::default() };
+            let link = link.with_retry(retry);
+            if v2 { link.negotiate() } else { link }
+        };
+        // Updates only on clean plans (the envelope nonce is per sender,
+        // so fault rolls on tagged frames differ between any two links).
+        let script: Vec<Request> = steps
+            .iter()
+            .enumerate()
+            .map(|(i, &step)| request(i, step))
+            .filter(|req| clean || !matches!(req, Request::ApplyUpdates(_)))
+            .collect();
+        // A store warmed, through a clean link, with the left part of the
+        // space: requests inside it hit, the others miss, batches that
+        // straddle it hit partially. Reads only, and no window that would
+        // miss: a window admitted mid-script answers later requests it
+        // contains, which makes them depend on it.
+        let warm = Rect::from_coords(-4.0, -4.0, 14.0, 14.0);
+        let warmed = || {
+            let store = Arc::new(ClientCache::new(1 << 20));
+            let clean = FaultPlan::default();
+            let primer = CacheLayer::new(faulted(lattice(), clean), packet, Arc::clone(&store));
+            Link::cached(primer, 1.0).request(&Request::Window(warm));
+            store
+        };
+        let reads: Vec<Request> = script
+            .iter()
+            .filter(|req| !matches!(req, Request::ApplyUpdates(_)))
+            .map(|req| match req {
+                Request::Window(w) if !warm.contains_rect(w) => Request::Count(*w),
+                other => other.clone(),
+            })
+            .collect();
+        let bounds = Rect::union_of(lattice().iter().map(|o| o.mbr));
+        let fleet = |breaker: BreakerConfig| {
+            let router = ShardRouter::new(shards_3x2(plan), packet).with_breakers(breaker);
+            tune(Link::routed(router, 1.0))
+        };
+        type Shape<'a> = (&'a str, &'a [Request], Box<dyn Fn() -> Link + 'a>, bool);
+        let shapes: Vec<Shape> = vec![
+            ("flat", &script, Box::new(|| tune(Link::new(faulted(lattice(), plan), packet, 1.0))), true),
+            ("flat, threaded", &script, Box::new(|| {
+                tune(Link::new(faulted_threaded(lattice(), plan), packet, 1.0))
+            }), true),
+            ("cold cache", &script, Box::new(|| {
+                let store = Arc::new(ClientCache::new(0));
+                tune(Link::cached(CacheLayer::new(faulted(lattice(), plan), packet, store), 1.0))
+            }), true),
+            ("warm cache", &reads, Box::new(|| {
+                tune(Link::cached(CacheLayer::new(faulted(lattice(), plan), packet, warmed()), 1.0))
+            }), true),
+            ("1x1 fleet", &script, Box::new(|| {
+                let shard = ShardEndpoint::new(bounds, faulted(lattice(), plan));
+                tune(Link::routed(ShardRouter::new(vec![shard], packet), 1.0))
+            }), true),
+            ("3x2 fleet", &script, Box::new(|| fleet(BreakerConfig::disabled())), true),
+            ("3x2 fleet, breakers", &script, Box::new(|| fleet(BreakerConfig::enabled())), false),
+        ];
+        for (shape, script, build, exact) in shapes {
+            let (serial, batched) = (build(), build());
+            let want: Vec<Response> = script.iter().map(|req| serial.request(req)).collect();
+            let mut got = Vec::with_capacity(script.len());
+            batched.request_many(script, |resp| got.push(resp));
+            let (want_meter, got_meter) = (serial.meter().snapshot(), batched.meter().snapshot());
+            if exact {
+                prop_assert_eq!(&got, &want, "{}: responses", shape);
+                prop_assert_eq!(got_meter, want_meter, "{}: link meter", shape);
+                prop_assert_eq!(batched.last_generation(), serial.last_generation());
+            } else if retrying && garbles == 0.0 && drops < 0.2 {
+                prop_assert_eq!(&got, &want, "{}: responses", shape);
+                prop_assert_eq!(got_meter.total_bytes(), want_meter.total_bytes());
+            }
+            if let Some(cache) = batched.cache() {
+                prop_assert_eq!(cache.snapshot(), serial.cache().unwrap().snapshot());
+            }
+            if let Some(fleet) = batched.fleet() {
+                let snap = fleet.snapshot();
+                prop_assert_eq!(snap.summed(), got_meter, "{}: aggregate == Σ shard", shape);
+                for (shard, replicas) in snap.per_shard.iter().zip(&snap.per_replica) {
+                    prop_assert_eq!(*shard, summed(replicas), "{}: shard == Σ replica", shape);
+                }
+                if exact {
+                    let serial = serial.fleet().unwrap().snapshot();
+                    prop_assert_eq!(&snap.per_replica, &serial.per_replica);
+                    prop_assert_eq!((snap.scattered, snap.pruned), (serial.scattered, serial.pruned));
+                }
             }
         }
     }

@@ -397,3 +397,108 @@ fn lossy_traffic_with_retries_matches_fault_free_replay() {
     assert!(dark_digests.windows(2).all(|w| w[0] == w[1]));
     assert!(reactor.shutdown() > 0);
 }
+
+/// Both threaded carriers over the same service, as bare `RawExchange`s.
+fn threaded_carriers(seed: u64) -> (ChannelServer, EventLoop, Vec<Arc<dyn RawExchange>>) {
+    let (server, handle) = ChannelServer::spawn(service(seed), "batches");
+    let reactor = EventLoop::spawn("batches");
+    let endpoint = reactor.serve(service(seed));
+    let carriers: Vec<Arc<dyn RawExchange>> =
+        vec![Arc::new(handle.connect()), Arc::new(endpoint.connect())];
+    (server, reactor, carriers)
+}
+
+/// Ships `requests` as one batch and waits for the replies in order.
+fn exchange_many(carrier: &dyn RawExchange, requests: &[Request]) -> Vec<Bytes> {
+    let mut begun = Vec::with_capacity(requests.len());
+    carrier.begin_many(&mut requests.iter().map(codec::encode_request), &mut |p| {
+        begun.push(p)
+    });
+    begun.into_iter().map(|p| p.wait()).collect()
+}
+
+/// Every member of a batch sent to a dead server degrades to
+/// `Unavailable`, in order, and none of them moves the meter.
+#[test]
+fn dead_server_fails_every_member_of_a_batch_and_charges_nothing() {
+    let (server, handle) = ChannelServer::spawn(service(47), "mortal-batch");
+    let reactor = EventLoop::spawn("mortal-batch");
+    let links = [
+        Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0),
+        Link::new(
+            Box::new(reactor.serve(service(47)).connect()),
+            PacketModel::default(),
+            1.0,
+        ),
+    ];
+    let script = scripted_requests();
+    let mut before = Vec::new();
+    for link in &links {
+        let mut answered = 0;
+        link.request_many(&script, |resp| answered += usize::from(!resp.is_failure()));
+        assert_eq!(answered, script.len(), "the live server answers the batch");
+        before.push(link.meter().snapshot());
+    }
+    drop(handle);
+    drop(server);
+    drop(reactor);
+    for (link, before) in links.iter().zip(before) {
+        let mut replies = Vec::new();
+        link.request_many(&script, |resp| replies.push(resp));
+        assert_eq!(replies, vec![Response::Unavailable; script.len()]);
+        assert_eq!(link.meter().snapshot(), before, "nothing crossed the wire");
+    }
+}
+
+/// Eight threads share one connection of each carrier and pipeline
+/// batches through it at once: every thread gets the replies to its own
+/// requests, in its own order.
+#[test]
+fn threads_sharing_one_carrier_each_get_their_own_batch_replies() {
+    let (_server, _reactor, carriers) = threaded_carriers(53);
+    let oracle = service(53);
+    for carrier in &carriers {
+        std::thread::scope(|scope| {
+            for t in 0..8u32 {
+                let (carrier, oracle) = (Arc::clone(carrier), Arc::clone(&oracle));
+                scope.spawn(move || {
+                    for round in 0..50u32 {
+                        // Windows unique to (thread, round, member), so a
+                        // reply delivered to the wrong waiter is caught.
+                        let batch: Vec<Request> = (0..16u32)
+                            .map(|k| {
+                                let x = 100.0 * f64::from(t) + 7.0 * f64::from(round);
+                                let side = 500.0 + 90.0 * f64::from(k);
+                                Request::Count(Rect::from_coords(x, x, x + side, x + 2.0 * side))
+                            })
+                            .collect();
+                        for (req, raw) in batch.iter().zip(exchange_many(&*carrier, &batch)) {
+                            let want = asj_net::QueryHandler::handle(&*oracle, req.clone());
+                            assert_eq!(codec::decode_response(raw).unwrap(), want);
+                        }
+                    }
+                });
+            }
+        });
+    }
+}
+
+/// No lost wake-up: a server parked on an empty queue is always woken by
+/// the next send, and a client parked on an unanswered slot by its
+/// reply — 10⁵ round trips one at a time, and as many again 32 deep.
+#[test]
+fn a_hundred_thousand_ping_pongs_complete_at_depth_1_and_32() {
+    let (_server, _reactor, carriers) = threaded_carriers(59);
+    let ping = Request::Count(Rect::from_coords(0.0, 0.0, 1.0, 1.0));
+    for carrier in &carriers {
+        let want = carrier.exchange(codec::encode_request(&ping));
+        for depth in [1usize, 32] {
+            let batch = vec![ping.clone(); depth];
+            for _ in 0..100_000 / depth {
+                for raw in exchange_many(&**carrier, &batch) {
+                    assert_eq!(raw, want);
+                }
+            }
+        }
+    }
+}
