@@ -14,8 +14,8 @@ use std::sync::Arc;
 use asj_geom::{Rect, SpatialObject};
 use asj_net::transport::InProcExchange;
 use asj_net::{
-    CacheLayer, ChannelServer, ClientCache, FaultLayer, FaultPlan, Link, NetConfig, QueryHandler,
-    RawExchange, Request, Response, ShardEndpoint, ShardMeta, ShardRouter, Update,
+    CacheLayer, ClientCache, FaultLayer, FaultPlan, Link, NetConfig, QueryHandler, RawExchange,
+    Request, Response, ShardEndpoint, ShardMeta, ShardRouter, Update,
 };
 use asj_server::{
     partition_objects, RTreeStore, ServicePolicy, SpatialService, SpatialStore, VersionedStore,
@@ -27,9 +27,9 @@ use crate::Side;
 /// data size for the synthetic datasets").
 pub const DEFAULT_BUFFER: usize = 800;
 
-/// How servers are carried: in the caller's process, one thread per
-/// server, or multiplexed onto one shared reactor thread (the
-/// many-device carrier — see `asj_net::event_loop`).
+/// How servers are carried: in the caller's process, or served by a
+/// reactor thread (see `asj_net::event_loop`) that is either the
+/// server's own or one shared by the whole deployment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum CarrierKind {
     InProc,
@@ -37,53 +37,49 @@ enum CarrierKind {
     EventLoop,
 }
 
-/// One server process: in the caller's process, behind its own thread,
-/// or registered as an endpoint on the deployment's shared reactor.
+/// One server process: in the caller's process, or an endpoint on a
+/// reactor.
 enum Endpoint {
     InProc(Arc<dyn QueryHandler>),
-    Channel {
-        handle: asj_net::ServerHandle,
-        _server: ChannelServer,
+    Reactor {
+        endpoint: asj_net::EventEndpoint,
+        /// Keeps the thread serving: this server's own reactor, or the
+        /// one the whole deployment shares.
+        _reactor: Arc<asj_net::EventLoop>,
     },
-    Event(asj_net::EventEndpoint),
 }
 
 impl Endpoint {
-    fn spawn<H: QueryHandler + 'static>(
-        service: Arc<H>,
+    fn spawn(
+        service: Arc<dyn QueryHandler>,
         kind: CarrierKind,
-        reactor: Option<&Arc<asj_net::EventLoop>>,
+        shared: Option<&Arc<asj_net::EventLoop>>,
         name: &str,
     ) -> Endpoint {
-        match kind {
-            CarrierKind::InProc => Endpoint::InProc(service),
-            CarrierKind::Threaded => {
-                let (server, handle) = ChannelServer::spawn(service, name);
-                Endpoint::Channel {
-                    handle,
-                    _server: server,
-                }
+        let reactor = match kind {
+            CarrierKind::InProc => return Endpoint::InProc(service),
+            CarrierKind::Threaded => Arc::new(asj_net::EventLoop::spawn(name)),
+            CarrierKind::EventLoop => {
+                Arc::clone(shared.expect("event-loop deployments carry a reactor"))
             }
-            CarrierKind::EventLoop => Endpoint::Event(
-                reactor
-                    .expect("event-loop deployments carry a reactor")
-                    .serve(service),
-            ),
+        };
+        Endpoint::Reactor {
+            endpoint: reactor.serve(service),
+            _reactor: reactor,
         }
     }
 
     fn raw(&self) -> Box<dyn RawExchange> {
         match self {
             Endpoint::InProc(h) => Box::new(InProcExchange::new(Arc::clone(h))),
-            Endpoint::Channel { handle, .. } => Box::new(handle.connect()),
-            Endpoint::Event(endpoint) => Box::new(endpoint.connect()),
+            Endpoint::Reactor { endpoint, .. } => Box::new(endpoint.connect()),
         }
     }
 
     fn event_stats(&self) -> Option<Arc<asj_net::EndpointStats>> {
         match self {
-            Endpoint::Event(endpoint) => Some(Arc::clone(endpoint.stats())),
-            _ => None,
+            Endpoint::InProc(_) => None,
+            Endpoint::Reactor { endpoint, .. } => Some(Arc::clone(endpoint.stats())),
         }
     }
 }
@@ -236,8 +232,7 @@ impl Carrier {
     }
 
     /// Reactor endpoint stats for every replica of every shard,
-    /// shard-major order; empty unless this side rides the event-loop
-    /// carrier.
+    /// shard-major order; empty when this side is served in-process.
     fn event_stats(&self) -> Vec<Arc<asj_net::EndpointStats>> {
         match self {
             Carrier::Single(replica) => replica.endpoint.event_stats().into_iter().collect(),
@@ -281,8 +276,8 @@ pub struct Deployment {
     fault: Option<FaultPlan>,
     /// The shared reactor thread when the deployment was built with
     /// [`DeploymentBuilder::event_loop`]: every endpoint of both sides is
-    /// served by this one thread, and it must outlive every link handed
-    /// out by [`Deployment::connect`]. `None` on the other carriers.
+    /// served by this one thread. `None` in-process and when every server
+    /// has a reactor of its own.
     reactor: Option<Arc<asj_net::EventLoop>>,
 }
 
@@ -293,8 +288,8 @@ impl Deployment {
         DeploymentBuilder::new(r, s).with_net(net).build()
     }
 
-    /// Deployment with each server on its own thread behind a channel —
-    /// the distributed topology of the paper's prototype.
+    /// Deployment with each server on a reactor thread of its own — the
+    /// distributed topology of the paper's prototype.
     pub fn threaded(r: Vec<SpatialObject>, s: Vec<SpatialObject>, net: NetConfig) -> Self {
         DeploymentBuilder::new(r, s)
             .with_net(net)
@@ -424,15 +419,17 @@ impl Deployment {
         self.r.replica_count().max(self.s.replica_count())
     }
 
-    /// `true` when every server is multiplexed onto the shared reactor
-    /// thread (built via [`DeploymentBuilder::event_loop`]).
+    /// `true` when every server is multiplexed onto one shared reactor
+    /// thread (built via [`DeploymentBuilder::event_loop`]); `false`
+    /// in-process and when each server has its own
+    /// ([`DeploymentBuilder::threaded`]).
     pub fn is_event_loop(&self) -> bool {
         self.reactor.is_some()
     }
 
-    /// Per-shard reactor endpoint stats (queue-depth high-water mark,
-    /// served/malformed counters) for one side, in shard order. Empty
-    /// unless the deployment rides the event-loop carrier.
+    /// Reactor endpoint stats (queue-depth high-water marks,
+    /// served/malformed counters) for one side: one entry per server
+    /// replica, shard-major. Empty on an in-process deployment.
     pub fn event_stats(&self, side: Side) -> Vec<Arc<asj_net::EndpointStats>> {
         match side {
             Side::R => self.r.event_stats(),
@@ -500,19 +497,23 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Runs each server on its own thread.
+    /// Serves every server (each side, every shard replica) from a
+    /// reactor thread **of its own** — the paper's independent servers.
+    /// The serving loop is the one [`DeploymentBuilder::event_loop`]
+    /// uses; only thread placement differs: one per replica here, one in
+    /// all there. Replies are byte-identical either way.
     pub fn threaded(mut self) -> Self {
         self.carrier = CarrierKind::Threaded;
         self
     }
 
-    /// Multiplexes every server (both sides, every shard) onto **one**
-    /// shared reactor thread — the many-device carrier. Unlike
+    /// Serves every server (both sides, every shard replica) from
+    /// **one** shared reactor thread — the many-device placement. Unlike
     /// [`threaded`], the thread count stays constant no matter how many
     /// shards the fleet has or how many devices [`Deployment::connect`];
     /// each connection carries its own negotiation state inside the
     /// reactor (see `asj_net::event_loop`). Replies are byte-identical
-    /// to both other carriers.
+    /// to the other placement and to in-process serving.
     ///
     /// [`threaded`]: DeploymentBuilder::threaded
     pub fn event_loop(mut self) -> Self {
@@ -638,8 +639,8 @@ impl DeploymentBuilder {
         });
         let fanout = self.rtree_fanout;
         // One reactor thread carries every endpoint of an event-loop
-        // deployment; it lives on the `Deployment` so links can never
-        // outlive it accidentally.
+        // deployment (a threaded one spawns a reactor per endpoint). The
+        // endpoints hold it, so links can never outlive it accidentally.
         let reactor = (self.carrier == CarrierKind::EventLoop)
             .then(|| Arc::new(asj_net::EventLoop::spawn("deploy")));
         // Frozen servers answer straight from an immutable R-tree; live
@@ -647,35 +648,23 @@ impl DeploymentBuilder {
         // closure re-packs the R-tree at the same fanout, so generation 0
         // answers identically either way.
         let spawn = |objects: Vec<SpatialObject>, name: &str| -> Replica {
-            if self.live {
+            let (service, live): (Arc<dyn QueryHandler>, _) = if self.live {
                 let store =
                     VersionedStore::new(objects, move |objs| RTreeStore::with_fanout(objs, fanout));
                 let service = Arc::new(SpatialService::new(store).with_policy(policy));
                 // The store handle outlives the endpoint wiring so a
                 // replica restart hook can catch up from a sibling.
                 let live = Arc::clone(service.store());
-                Replica {
-                    endpoint: Arc::new(Endpoint::spawn(
-                        service,
-                        self.carrier,
-                        reactor.as_ref(),
-                        name,
-                    )),
-                    live: Some(live),
-                }
+                (service, Some(live))
             } else {
-                Replica {
-                    endpoint: Arc::new(Endpoint::spawn(
-                        Arc::new(
-                            SpatialService::new(RTreeStore::with_fanout(objects, fanout))
-                                .with_policy(policy),
-                        ),
-                        self.carrier,
-                        reactor.as_ref(),
-                        name,
-                    )),
-                    live: None,
-                }
+                let store = RTreeStore::with_fanout(objects, fanout);
+                let service = SpatialService::new(store).with_policy(policy);
+                (Arc::new(service), None)
+            };
+            let endpoint = Endpoint::spawn(service, self.carrier, reactor.as_ref(), name);
+            Replica {
+                endpoint: Arc::new(endpoint),
+                live,
             }
         };
         // Replication without sharding still needs a router (it owns the
@@ -908,17 +897,50 @@ mod tests {
                 s.meter().snapshot().total_bytes(),
             )
         };
-        let inproc = run(&build(0));
-        let threaded = run(&build(1));
-        let looped = run(&build(2));
-        assert_eq!(inproc, threaded);
-        assert_eq!(inproc, looped);
-        // One reactor endpoint per shard, all served by one thread.
-        let d = build(2);
-        let (r, _) = d.connect();
-        r.request(&Request::Count(w));
-        assert_eq!(d.event_stats(Side::R).len(), 3);
-        assert_eq!(d.event_stats(Side::S).len(), 2);
+        let (inproc, threaded, looped) = (build(0), build(1), build(2));
+        assert_eq!(run(&inproc), run(&threaded));
+        assert_eq!(run(&inproc), run(&looped));
+        // One reactor endpoint per shard server whatever the placement —
+        // each on a thread of its own, or all on the shared one — and
+        // none in-process.
+        assert!(looped.is_event_loop());
+        assert!(!threaded.is_event_loop() && !inproc.is_event_loop());
+        let everything = Rect::from_coords(-1.0, -1.0, 100.0, 100.0);
+        for d in [&threaded, &looped] {
+            let (r, s) = d.connect();
+            for (side, link, shards) in [(Side::R, r, 3), (Side::S, s, 2)] {
+                assert_eq!(link.request(&Request::Count(everything)).into_count(), 40);
+                let stats = d.event_stats(side);
+                assert_eq!(stats.len(), shards);
+                assert!(stats.iter().all(|s| s.served() > 0), "no shard is pruned");
+            }
+        }
+        assert!(inproc.event_stats(Side::R).is_empty());
+        assert!(inproc.event_stats(Side::S).is_empty());
+    }
+
+    #[test]
+    fn placement_changes_neither_a_live_join_nor_what_each_server_served() {
+        use crate::{DistributedJoin, JoinSpec, SrJoin};
+        let run = |shared: bool| {
+            let b = DeploymentBuilder::new(pts(60, 0.0), pts(60, 1.0))
+                .with_shards(2, 2)
+                .with_buffer(16)
+                .live();
+            let d = if shared { b.event_loop() } else { b.threaded() }.build();
+            d.apply_updates(
+                Side::S,
+                vec![Update::Insert(SpatialObject::point(777, 3.0, 3.0))],
+            );
+            let report = SrJoin::default()
+                .run(&d, &JoinSpec::distance_join(1.5))
+                .expect("join runs");
+            assert!(!report.pairs.is_empty(), "vacuous join");
+            let served =
+                |side| -> Vec<u64> { d.event_stats(side).iter().map(|s| s.served()).collect() };
+            (format!("{report:?}"), served(Side::R), served(Side::S))
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -317,7 +317,7 @@ mod tests {
         for eps in [0.0, 0.5, 2.0, 20.0] {
             let pred = JoinPredicate::WithinDistance(eps);
             let serial = plane_sweep_join(&r, &s, &pred);
-            for workers in [1, 2, 3, 4, 7, 16, 1000] {
+            for workers in [1, 2, 3, 4, 7, 8, 16, 1000] {
                 assert_eq!(
                     plane_sweep_join_parallel(&r, &s, &pred, workers),
                     serial,

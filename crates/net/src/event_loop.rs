@@ -1,33 +1,35 @@
-//! Event-loop carrier: one reactor thread serving every endpoint.
+//! The serving carrier: a reactor thread draining one mailbox.
 //!
-//! The channel carrier of [`crate::transport`] spends one OS thread per
-//! server — fine for the paper's two-server prototype, fatal for a
-//! many-device harness where a fleet of shard servers times two sides
-//! times N simulated devices would otherwise demand hundreds of threads.
-//! This module multiplexes *all* serving onto a single reactor thread:
+//! Every server that is not called in-process is served here. The
+//! paper's cost model sees bytes, not threads, so there is one serving
+//! loop and the only choice left is *placement*:
 //!
 //! * an [`EventLoop`] owns the reactor — a plain poll loop that takes its
-//!   whole ready-queue per wake-up (the carriers' shared mailbox; there
-//!   is no tokio here, and none is needed: requests are already discrete
-//!   ready-to-run events);
+//!   whole ready-queue per wake-up (there is no tokio here, and none is
+//!   needed: requests are already discrete ready-to-run events);
 //! * each [`EventEndpoint`] is one logical server (a [`QueryHandler`])
-//!   registered on the loop; any number of endpoints share the reactor;
+//!   registered on a loop. Alone on it
+//!   ([`ChannelServer::spawn`](crate::ChannelServer::spawn)) it is the
+//!   paper's independent UNIX server, and a fleet costs a thread per
+//!   shard replica; any number can share one loop instead, and the
+//!   thread count stays constant however many shards there are and
+//!   however many devices connect — what a many-device harness needs;
 //! * each [`EventConnection`] is one device's socket to one endpoint,
 //!   carrying its own **per-connection state** ([`ConnState`]).
 //!
 //! # Connection-state ownership
 //!
 //! The reactor *owns* all mutable per-connection state. A connection's
-//! [`ConnState`] — today the negotiated wire version, the carrier's
-//! analogue of a real socket's handshake state — is written exclusively
-//! by the reactor thread while it answers that connection's
-//! `HELLO`/`ACCEPT` frames, and only read (for telemetry and tests) from
-//! the client side. Likewise the reactor owns the single reusable encode
-//! buffer every reply is built in; client handles never touch it. This
-//! is what lets thousands of connections coexist without per-connection
-//! locks: the reactor serializes every state transition, and the shared
-//! `Arc`s are append-only counters or atomics published with
-//! release/acquire ordering.
+//! [`ConnState`] — the negotiated wire version, the carrier's analogue of
+//! a real socket's handshake state — is written exclusively by the
+//! reactor thread while it answers that connection's `HELLO`/`ACCEPT`
+//! frames, and only read (for telemetry and tests) from the client side.
+//! Likewise the reactor owns the single reusable encode buffer every
+//! reply is built in; client handles never touch it. This is what lets
+//! thousands of connections coexist without per-connection locks: the
+//! reactor serializes every state transition, and the shared `Arc`s are
+//! append-only counters or atomics published with release/acquire
+//! ordering.
 //!
 //! Negotiation therefore moves *into connection setup*: the `HELLO`
 //! probe a [`Link::negotiate`](crate::Link::negotiate) sends travels the
@@ -39,20 +41,20 @@
 //!
 //! # Robustness contract
 //!
-//! The reactor thread is shared by every device, so it must never die on
-//! bad input: an undecodable frame answers the typed
+//! A reactor thread is shared by every device connected to it, so it
+//! must never die on bad input: an undecodable frame answers the typed
 //! [`Response::Malformed`](crate::Response::Malformed) error frame and
 //! serving continues. Dropping the [`EventLoop`] enqueues a shutdown
 //! sentinel behind in-flight requests (FIFO — they all still complete);
 //! connections that outlive the loop degrade to
 //! [`Response::Unavailable`](crate::Response::Unavailable) instead of
-//! panicking, exactly like the channel carrier.
+//! panicking.
 //!
-//! Per-endpoint [`EndpointStats`] gauge the instantaneous ready-queue
-//! depth (enqueued on send — every member of a pipelined batch counts —
-//! and decremented when served) with a high-water mark, the serving
-//! counters, and malformed-frame counts — the per-shard queue-depth axis
-//! of the device-scaling benchmarks.
+//! Per-endpoint [`EndpointStats`] gauge the requests outstanding
+//! (enqueued on send — every member of a pipelined batch counts — and
+//! decremented when served) and the connections that have at least one
+//! outstanding, each with a high-water mark, beside the serving counters
+//! and malformed-frame counts.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -63,30 +65,49 @@ use bytes::{Bytes, BytesMut};
 use crate::codec::WireVersion;
 use crate::mailbox::{mailbox, End};
 use crate::proto::QueryHandler;
-use crate::transport::{begin_one, reply_slot, Pending, RawExchange};
+use crate::transport::{begin_one, Pending, RawExchange};
 
-/// Per-connection state, owned by the reactor (see module docs). The
-/// client side holds the same `Arc` but only ever reads it.
-#[derive(Debug)]
+/// One connection, as the reactor sees it: the state it owns (see module
+/// docs) and the endpoint the connection leads to. The client side holds
+/// the same `Arc` but only ever reads it.
 pub struct ConnState {
     /// Negotiated wire version: 1 until the reactor answers this
     /// connection's `HELLO` with an `ACCEPT`, then whatever it accepted.
     wire: AtomicU8,
+    /// This connection's requests sitting in the ready-queue (or being
+    /// served).
+    outstanding: AtomicU64,
+    handler: Arc<dyn QueryHandler>,
+    stats: Arc<EndpointStats>,
 }
 
 impl ConnState {
-    fn new() -> Self {
-        ConnState {
-            wire: AtomicU8::new(1),
-        }
-    }
-
     /// The version the reactor negotiated on this connection (`V1`
     /// before any handshake — exactly a fresh socket's state).
     pub fn negotiated(&self) -> WireVersion {
         match self.wire.load(Ordering::Acquire) {
             v if v >= 2 => WireVersion::V2,
             _ => WireVersion::V1,
+        }
+    }
+
+    /// `n` requests of this connection are about to be queued.
+    fn enqueued(&self, n: u64) {
+        let stats = &self.stats;
+        let depth = stats.pending.fetch_add(n, Ordering::AcqRel) + n;
+        stats.max_depth.fetch_max(depth, Ordering::AcqRel);
+        if self.outstanding.fetch_add(n, Ordering::AcqRel) == 0 {
+            let waiting = stats.waiting.fetch_add(1, Ordering::AcqRel) + 1;
+            stats.max_waiting.fetch_max(waiting, Ordering::AcqRel);
+        }
+    }
+
+    /// `n` queued requests of this connection were served (or refused by
+    /// a reactor that is gone).
+    fn dequeued(&self, n: u64) {
+        self.stats.pending.fetch_sub(n, Ordering::AcqRel);
+        if self.outstanding.fetch_sub(n, Ordering::AcqRel) == n {
+            self.stats.waiting.fetch_sub(1, Ordering::AcqRel);
         }
     }
 }
@@ -98,9 +119,13 @@ pub struct EndpointStats {
     /// Requests currently sitting in the ready-queue (or being served).
     pending: AtomicU64,
     /// High-water mark of `pending`: the deepest this endpoint's share
-    /// of the queue ever got — the contention gauge the scaling
-    /// benchmarks report per shard.
+    /// of the queue ever got, every member of a pipelined batch counted.
     max_depth: AtomicU64,
+    /// Connections with at least one request in `pending`.
+    waiting: AtomicU64,
+    /// High-water mark of `waiting`: how many devices ever contended for
+    /// this endpoint at once, however wide each one's batch was.
+    max_waiting: AtomicU64,
     /// Query frames served (handshakes and malformed frames excluded).
     served: AtomicU64,
     /// Undecodable frames with a recognizable-but-broken shape (alien
@@ -119,18 +144,16 @@ pub struct EndpointStats {
 }
 
 impl EndpointStats {
-    fn enqueued(&self) {
-        let depth = self.pending.fetch_add(1, Ordering::AcqRel) + 1;
-        self.max_depth.fetch_max(depth, Ordering::AcqRel);
-    }
-
-    fn dequeued(&self) {
-        self.pending.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Deepest observed ready-queue depth.
+    /// Most requests ever outstanding at once: one device's 32-probe
+    /// batch reads as 32. Contention between devices is
+    /// [`max_connections_waiting`](Self::max_connections_waiting).
     pub fn max_queue_depth(&self) -> u64 {
         self.max_depth.load(Ordering::Acquire)
+    }
+
+    /// Most connections that ever had a request outstanding at once.
+    pub fn max_connections_waiting(&self) -> u64 {
+        self.max_waiting.load(Ordering::Acquire)
     }
 
     /// Query frames served so far.
@@ -166,24 +189,21 @@ enum Event {
     Rpc {
         request: Bytes,
         reply: End<Bytes>,
-        /// This connection's reactor-owned state.
+        /// The connection it came in on, which names the endpoint's
+        /// handler too — so the reactor needs no endpoint registry at
+        /// all, and registration is just handing out the mailbox.
         conn: Arc<ConnState>,
-        /// The endpoint's handler rides on the event, so the reactor
-        /// needs no endpoint registry at all — registration is just
-        /// handing out the mailbox.
-        handler: Arc<dyn QueryHandler>,
-        stats: Arc<EndpointStats>,
     },
     Shutdown,
 }
 
 /// The reactor: one thread multiplexing every endpoint and connection
 /// registered on it. Dropping it shuts the thread down without
-/// deadlocking on live connections (shutdown sentinel, like
-/// [`crate::ChannelServer`]).
+/// deadlocking on live connections (a FIFO shutdown sentinel).
 pub struct EventLoop {
-    queue: Arc<End<Event>>,
-    thread: Option<std::thread::JoinHandle<u64>>,
+    /// The loop's own end of the ready-queue and its thread, until
+    /// [`shutdown`](Self::shutdown), [`join`](Self::join) or drop stops it.
+    running: Option<(Arc<End<Event>>, std::thread::JoinHandle<u64>)>,
 }
 
 impl EventLoop {
@@ -195,8 +215,7 @@ impl EventLoop {
             .spawn(move || Self::run(ready))
             .expect("failed to spawn reactor thread");
         EventLoop {
-            queue: Arc::new(queue),
-            thread: Some(thread),
+            running: Some((Arc::new(queue), thread)),
         }
     }
 
@@ -204,7 +223,8 @@ impl EventLoop {
     /// it in order; the replies go out together afterwards, so a client
     /// parked on them is woken once per drained batch. One reusable
     /// encode buffer serves every endpoint — reactor-owned, per the
-    /// module's state-ownership contract.
+    /// module's state-ownership contract — so steady-state serving grows
+    /// no buffer; the only per-request allocation is the reply message.
     fn run(ready: End<Event>) -> u64 {
         let mut served = 0u64;
         let mut buf = BytesMut::with_capacity(4096);
@@ -218,67 +238,67 @@ impl EventLoop {
         let mut running = true;
         while running && ready.take_all(&mut batch) {
             for event in batch.drain(..) {
-                let (request, reply, conn, handler, stats) = match event {
-                    Event::Rpc {
-                        request,
-                        reply,
-                        conn,
-                        handler,
-                        stats,
-                    } => (request, reply, conn, handler, stats),
-                    Event::Shutdown => {
-                        running = false;
-                        break;
-                    }
+                let Event::Rpc {
+                    request,
+                    reply,
+                    conn,
+                } = event
+                else {
+                    running = false;
+                    break;
                 };
+                let stats = &conn.stats;
                 if let Some(accept) = crate::codec::try_answer_hello(&request) {
                     // Connection setup: record the accepted version into
                     // *this connection's* state, then answer. Only the
                     // reactor ever writes here, so concurrent handshakes
-                    // from many devices serialize cleanly.
+                    // from many devices serialize cleanly. Link control
+                    // is never counted as a served query.
                     if let Some(version) = crate::codec::decode_accept(&accept) {
                         conn.wire.store(version, Ordering::Release);
                     }
-                    stats.dequeued();
-                    replies.push((reply, accept, stats));
+                    conn.dequeued(1);
+                    replies.push((reply, accept, conn));
                     continue;
                 }
-                // Classification peek before serving: the body an envelope
-                // wraps (or the frame itself) decides garbled-vs-malformed,
-                // and a repeated tag is a retry the stats surface.
-                let body_head = match crate::codec::peel_dedup(&request) {
-                    Some((tag, body)) => {
-                        let key = (Arc::as_ptr(&stats) as usize, tag.nonce);
+                // Byte 0 is all the reactor reads of a frame it is about
+                // to serve. Only the retry-dedup envelope is opened: its
+                // tag feeds the retry gauge, and should the frame not
+                // decode, the body it wraps decides garbled-vs-malformed.
+                let mut head = request.first().copied();
+                if head == Some(crate::codec::op::APPLY_UPDATES_SEQ) {
+                    if let Some((tag, body)) = crate::codec::peel_dedup(&request) {
+                        let key = (Arc::as_ptr(stats) as usize, tag.nonce);
                         if last_tags.insert(key, tag.seq) == Some(tag.seq) {
                             stats.retried.fetch_add(1, Ordering::AcqRel);
                         }
-                        body.as_ref().first().copied()
-                    }
-                    None => request.as_ref().first().copied(),
-                };
-                buf.clear();
-                if crate::transport::serve_frame_into(handler.as_ref(), request, &mut buf) {
-                    served += 1;
-                    stats.served.fetch_add(1, Ordering::AcqRel);
-                } else {
-                    // The reactor serves every device: a garbled frame gets
-                    // the typed error (already encoded into `buf`) and the
-                    // loop keeps running. Injected corruption (the fault
-                    // layer's 0xEE marker) is counted apart from genuinely
-                    // alien opcodes.
-                    if body_head == Some(crate::codec::op::GARBLE) {
-                        stats.garbled.fetch_add(1, Ordering::AcqRel);
-                    } else {
-                        stats.malformed.fetch_add(1, Ordering::AcqRel);
+                        head = body.first().copied();
                     }
                 }
-                stats.dequeued();
-                replies.push((reply, Bytes::copy_from_slice(&buf), stats));
+                buf.clear();
+                if crate::transport::serve_frame_into(conn.handler.as_ref(), request, &mut buf) {
+                    served += 1;
+                    stats.served.fetch_add(1, Ordering::AcqRel);
+                } else if head == Some(crate::codec::op::GARBLE) {
+                    // The reactor serves every device: an undecodable
+                    // frame gets the typed error (already encoded into
+                    // `buf`) and the loop keeps running. Injected
+                    // corruption (the fault layer's 0xEE marker) is
+                    // counted apart from genuinely alien opcodes.
+                    stats.garbled.fetch_add(1, Ordering::AcqRel);
+                } else {
+                    stats.malformed.fetch_add(1, Ordering::AcqRel);
+                }
+                conn.dequeued(1);
+                // The shim's `Bytes` is `Arc<[u8]>`-backed, so one copy
+                // into the reply stands in for the real crate's zero-copy,
+                // allocation-recycling `buf.split().freeze()`.
+                replies.push((reply, Bytes::copy_from_slice(&buf), conn));
             }
-            for (reply, answer, stats) in replies.drain(..) {
+            for (reply, answer, conn) in replies.drain(..) {
                 // A refused reply just means the client gave up.
                 if !reply.push_all([answer]) {
-                    stats.abandoned.fetch_add(1, Ordering::AcqRel);
+                    conn.stats.abandoned.fetch_add(1, Ordering::AcqRel);
                 }
             }
         }
@@ -291,38 +311,53 @@ impl EventLoop {
     /// Registers one logical server on the loop. Any number of endpoints
     /// (and connections per endpoint) share the one reactor thread.
     pub fn serve(&self, handler: Arc<dyn QueryHandler>) -> EventEndpoint {
+        let (queue, _) = self.running.as_ref().expect("running until consumed");
         EventEndpoint {
-            queue: Arc::clone(&self.queue),
+            queue: Arc::clone(queue),
             handler,
             stats: Arc::new(EndpointStats::default()),
         }
     }
 
+    /// Releases the loop's own end of the ready-queue — behind a shutdown
+    /// sentinel if `now` — and waits for the reactor thread: what it
+    /// served, unless it panicked (or was stopped before).
+    fn stop(&mut self, now: bool) -> Option<u64> {
+        let (queue, thread) = self.running.take()?;
+        if now {
+            queue.push_all([Event::Shutdown]);
+        }
+        drop(queue);
+        thread.join().ok()
+    }
+
     /// Stops the reactor (after draining everything already enqueued)
     /// and returns the number of query frames it served.
     pub fn shutdown(mut self) -> u64 {
-        self.queue.push_all([Event::Shutdown]);
-        self.thread
-            .take()
-            .expect("already shut down")
-            .join()
-            .expect("reactor thread panicked")
+        self.stop(true).expect("reactor thread panicked")
+    }
+
+    /// Waits until every endpoint and connection handed out by this loop
+    /// is dropped and everything they enqueued is served, then returns
+    /// the number of query frames served (handshakes and malformed frames
+    /// excluded).
+    pub fn join(mut self) -> u64 {
+        self.stop(false).expect("reactor thread panicked")
     }
 }
 
 impl Drop for EventLoop {
     fn drop(&mut self) {
-        if let Some(t) = self.thread.take() {
-            // FIFO sentinel: everything enqueued before the drop is
-            // still served; live connections afterwards degrade to
-            // `Unavailable` instead of deadlocking this join.
-            self.queue.push_all([Event::Shutdown]);
-            let _ = t.join();
-        }
+        // FIFO sentinel: everything enqueued before the drop is still
+        // served; live connections afterwards degrade to `Unavailable`
+        // instead of deadlocking this join.
+        self.stop(true);
     }
 }
 
-/// One logical server registered on an [`EventLoop`].
+/// One logical server registered on an [`EventLoop`]. Endpoints and
+/// their connections keep a joined loop serving (see
+/// [`EventLoop::join`]).
 pub struct EventEndpoint {
     queue: Arc<End<Event>>,
     handler: Arc<dyn QueryHandler>,
@@ -334,26 +369,27 @@ impl EventEndpoint {
     pub fn connect(&self) -> EventConnection {
         EventConnection {
             queue: Arc::clone(&self.queue),
-            handler: Arc::clone(&self.handler),
-            stats: Arc::clone(&self.stats),
-            conn: Arc::new(ConnState::new()),
+            conn: Arc::new(ConnState {
+                wire: AtomicU8::new(1),
+                outstanding: AtomicU64::new(0),
+                handler: Arc::clone(&self.handler),
+                stats: Arc::clone(&self.stats),
+            }),
         }
     }
 
-    /// This endpoint's serving counters and queue-depth gauge.
+    /// This endpoint's serving counters and queue-depth gauges.
     pub fn stats(&self) -> &Arc<EndpointStats> {
         &self.stats
     }
 }
 
-/// One connection from a device to an [`EventEndpoint`]: the event-loop
+/// One connection from a device to an [`EventEndpoint`]: the carrier's
 /// analogue of a socket. Implements [`RawExchange`], so it slots under a
 /// [`Link`](crate::Link), a [`ShardRouter`](crate::ShardRouter) edge, or
 /// a [`CacheLayer`](crate::CacheLayer) unchanged.
 pub struct EventConnection {
     queue: Arc<End<Event>>,
-    handler: Arc<dyn QueryHandler>,
-    stats: Arc<EndpointStats>,
     conn: Arc<ConnState>,
 }
 
@@ -373,6 +409,9 @@ impl RawExchange for EventConnection {
         begin_one(self, request)
     }
 
+    /// The whole batch is enqueued under one lock with one wake-up. If
+    /// the reactor is gone the batch is dropped unsent, and every pending
+    /// then yields the unavailable frame.
     fn begin_many(
         &self,
         requests: &mut dyn Iterator<Item = Bytes>,
@@ -380,35 +419,45 @@ impl RawExchange for EventConnection {
     ) {
         let events: Vec<Event> = requests
             .map(|request| {
-                let (reply, pending) = reply_slot();
-                begun(pending);
-                self.stats.enqueued();
+                // The slot the reactor answers into; it refuses the reply
+                // once the client has dropped the pending that waits on it.
+                let (reply, waiter) = mailbox();
+                begun(Pending {
+                    reply: Err(waiter),
+                    garble: None,
+                });
                 Event::Rpc {
                     request,
                     reply,
                     conn: Arc::clone(&self.conn),
-                    handler: Arc::clone(&self.handler),
-                    stats: Arc::clone(&self.stats),
                 }
             })
             .collect();
-        let n = events.len();
+        if events.is_empty() {
+            return;
+        }
+        let n = events.len() as u64;
+        self.conn.enqueued(n);
         if !self.queue.push_all(events) {
-            // The reactor is gone: same graceful degradation as a dead
-            // channel server — every pending yields the unavailable frame.
-            (0..n).for_each(|_| self.stats.dequeued());
+            self.conn.dequeued(n);
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! Each carrier behaviour is checked by one body that runs on either
+    //! placement of the loop: this module's tests run it on a reactor
+    //! shared with a bystander endpoint, `transport::tests` on a
+    //! [`ChannelServer`]'s private one.
+
     use super::*;
     use crate::packet::PacketModel;
     use crate::proto::{Request, Response};
     use crate::testutil::ScanHandler;
-    use crate::transport::Link;
+    use crate::transport::{ChannelServer, Link};
     use asj_geom::{Rect, SpatialObject};
+    use std::sync::{mpsc, Mutex};
 
     fn objects(n: u32) -> Vec<SpatialObject> {
         (0..n)
@@ -420,11 +469,73 @@ mod tests {
         Rect::from_coords(-1.0, -1.0, hi, 1.0)
     }
 
-    #[test]
-    fn event_loop_serves_byte_identically_to_in_process() {
-        let reactor = EventLoop::spawn("unit");
-        let endpoint = reactor.serve(Arc::new(ScanHandler(objects(20))));
-        let looped = Link::new(Box::new(endpoint.connect()), PacketModel::default(), 1.0);
+    fn link(conn: EventConnection) -> Link {
+        Link::new(Box::new(conn), PacketModel::default(), 1.0)
+    }
+
+    /// Where the endpoint under test is served from.
+    #[derive(Clone, Copy)]
+    pub(crate) enum Placement {
+        /// A reactor of its own.
+        Private,
+        /// A reactor it shares with a bystander endpoint.
+        Shared,
+    }
+
+    /// The reactor of an endpoint under test.
+    enum Reactor {
+        Private(ChannelServer),
+        Shared(EventLoop, EventEndpoint),
+    }
+
+    impl Placement {
+        fn serve<H: QueryHandler + 'static>(self, handler: Arc<H>) -> (Reactor, EventEndpoint) {
+            match self {
+                Placement::Private => {
+                    let (server, handle) = ChannelServer::spawn(handler, "private");
+                    (Reactor::Private(server), handle)
+                }
+                Placement::Shared => {
+                    let reactor = EventLoop::spawn("shared");
+                    let bystander = reactor.serve(Arc::new(ScanHandler(objects(1))));
+                    let endpoint = reactor.serve(handler);
+                    (Reactor::Shared(reactor, bystander), endpoint)
+                }
+            }
+        }
+    }
+
+    impl Reactor {
+        fn join(self) -> u64 {
+            match self {
+                Reactor::Private(server) => server.join(),
+                Reactor::Shared(reactor, bystander) => {
+                    drop(bystander);
+                    reactor.join()
+                }
+            }
+        }
+    }
+
+    /// Serves nothing until released, so a test decides when an exchange
+    /// can complete.
+    struct Gated(Mutex<mpsc::Receiver<()>>);
+
+    impl QueryHandler for Gated {
+        fn handle(&self, _req: Request) -> Response {
+            let _ = self.0.lock().unwrap().recv();
+            Response::Count(0)
+        }
+    }
+
+    fn gated() -> (mpsc::Sender<()>, Arc<Gated>) {
+        let (release, gate) = mpsc::channel();
+        (release, Arc::new(Gated(Mutex::new(gate))))
+    }
+
+    pub(crate) fn serves_byte_identically_to_in_process(on: Placement) {
+        let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(20))));
+        let looped = link(endpoint.connect());
         let inproc = Link::in_process(
             Arc::new(ScanHandler(objects(20))),
             PacketModel::default(),
@@ -445,8 +556,13 @@ mod tests {
             inproc.meter().snapshot(),
             "the carrier must not change accounting"
         );
-        drop(looped);
-        assert_eq!(reactor.shutdown(), 6);
+        drop((looped, endpoint));
+        assert_eq!(reactor.join(), 6);
+    }
+
+    #[test]
+    fn event_loop_serves_byte_identically_to_in_process() {
+        serves_byte_identically_to_in_process(Placement::Shared);
     }
 
     #[test]
@@ -456,7 +572,7 @@ mod tests {
             .map(|i| reactor.serve(Arc::new(ScanHandler(objects(i + 1)))))
             .collect();
         for (i, e) in endpoints.iter().enumerate() {
-            let link = Link::new(Box::new(e.connect()), PacketModel::default(), 1.0);
+            let link = link(e.connect());
             assert_eq!(
                 link.request(&Request::Count(w(100.0))).into_count(),
                 i as u64 + 1
@@ -469,28 +585,30 @@ mod tests {
         assert_eq!(reactor.shutdown(), 8);
     }
 
+    pub(crate) fn garbled_frames_answer_typed_and_serving_survives(on: Placement) {
+        let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(5))));
+        let conn = endpoint.connect();
+        // An injected-garble frame (0xEE marker) is answered typed like a
+        // genuinely alien opcode or a truncated frame, but counted apart.
+        for garbage in [&[0xEE, 0x01, 0x02][..], &[0x5A, 0x01, 0x02], &[]] {
+            let reply = conn.exchange(Bytes::copy_from_slice(garbage));
+            assert_eq!(
+                crate::codec::decode_response(reply).unwrap(),
+                Response::Malformed
+            );
+        }
+        assert_eq!(endpoint.stats().garbled(), 1, "injected corruption");
+        assert_eq!(endpoint.stats().malformed(), 2, "alien opcode, truncation");
+        // Healthy traffic still flows on the same reactor.
+        let healthy = link(endpoint.connect());
+        assert_eq!(healthy.request(&Request::Count(w(100.0))).into_count(), 5);
+        drop((conn, healthy, endpoint));
+        assert_eq!(reactor.join(), 1, "garbage is not a served query");
+    }
+
     #[test]
     fn garbled_frame_answers_typed_error_and_reactor_survives() {
-        let reactor = EventLoop::spawn("garbled");
-        let endpoint = reactor.serve(Arc::new(ScanHandler(objects(5))));
-        let conn = endpoint.connect();
-        // An injected-garble frame (0xEE marker) and a genuinely alien
-        // opcode are both answered typed but counted apart.
-        let reply = conn.exchange(Bytes::copy_from_slice(&[0xEE, 0x01, 0x02]));
-        assert_eq!(
-            crate::codec::decode_response(reply).unwrap(),
-            Response::Malformed
-        );
-        let reply = conn.exchange(Bytes::copy_from_slice(&[0x5A, 0x01, 0x02]));
-        assert_eq!(
-            crate::codec::decode_response(reply).unwrap(),
-            Response::Malformed
-        );
-        assert_eq!(endpoint.stats().garbled(), 1, "injected corruption");
-        assert_eq!(endpoint.stats().malformed(), 1, "alien opcode");
-        // Healthy traffic still flows on the same reactor.
-        let link = Link::new(Box::new(endpoint.connect()), PacketModel::default(), 1.0);
-        assert_eq!(link.request(&Request::Count(w(100.0))).into_count(), 5);
+        garbled_frames_answer_typed_and_serving_survives(Placement::Shared);
     }
 
     #[test]
@@ -516,20 +634,11 @@ mod tests {
         reactor.shutdown();
     }
 
-    #[test]
-    fn undeliverable_replies_count_as_abandoned() {
-        // A handler that blocks until released, so the client can give
-        // up on queued exchanges *before* the reactor serves them.
-        struct Gated(std::sync::Mutex<std::sync::mpsc::Receiver<()>>);
-        impl QueryHandler for Gated {
-            fn handle(&self, _req: Request) -> Response {
-                let _ = self.0.lock().unwrap().recv();
-                Response::Count(0)
-            }
-        }
-        let (release, gate) = std::sync::mpsc::channel::<()>();
-        let reactor = EventLoop::spawn("abandon");
-        let endpoint = reactor.serve(Arc::new(Gated(std::sync::Mutex::new(gate))));
+    pub(crate) fn abandoned_exchanges_are_served_and_tallied(on: Placement) {
+        // The handler blocks until released, so the client can give up
+        // on queued exchanges *before* the reactor serves them.
+        let (release, handler) = gated();
+        let (reactor, endpoint) = on.serve(handler);
         let conn = endpoint.connect();
         let mut begun = Vec::new();
         conn.begin_many(
@@ -544,41 +653,71 @@ mod tests {
             crate::codec::decode_response(begun.pop().unwrap().wait()).unwrap(),
             Response::Count(0)
         );
-        assert_eq!(
-            reactor.shutdown(),
-            3,
-            "the abandoned frames were still served"
-        );
-        let stats = endpoint.stats();
+        let stats = Arc::clone(endpoint.stats());
+        drop((conn, endpoint));
+        assert_eq!(reactor.join(), 3, "the abandoned frames were still served");
         assert_eq!(stats.abandoned(), 2);
         assert_eq!(stats.served(), 3);
         assert_eq!(stats.max_queue_depth(), 3, "every batch member counts");
         assert_eq!(stats.pending.load(Ordering::Acquire), 0);
+        assert_eq!(stats.waiting.load(Ordering::Acquire), 0);
     }
 
     #[test]
-    fn shutdown_inside_a_drained_batch_answers_before_it_and_fails_after_it() {
-        let reactor = EventLoop::spawn("sentinel");
-        let endpoint = reactor.serve(Arc::new(ScanHandler(objects(5))));
+    fn undeliverable_replies_count_as_abandoned() {
+        abandoned_exchanges_are_served_and_tallied(Placement::Shared);
+    }
+
+    #[test]
+    fn queue_depth_counts_requests_and_connections_apart() {
+        let count = || crate::codec::encode_request(&Request::Count(w(2.0)));
+        // One device pipelining a 32-probe window is deep, not contended.
+        let (release, handler) = gated();
+        let (_reactor, endpoint) = Placement::Shared.serve(handler);
+        let conn = endpoint.connect();
+        let mut begun = Vec::new();
+        conn.begin_many(&mut (0..32).map(|_| count()), &mut |p| begun.push(p));
+        (0..32).for_each(|_| release.send(()).unwrap());
+        begun.into_iter().for_each(|p| drop(p.wait()));
+        assert_eq!(endpoint.stats().max_queue_depth(), 32);
+        assert_eq!(endpoint.stats().max_connections_waiting(), 1);
+
+        // Four devices with one request each are as contended as deep.
+        let (release, handler) = gated();
+        let (_reactor, endpoint) = Placement::Shared.serve(handler);
+        let conns: Vec<EventConnection> = (0..4).map(|_| endpoint.connect()).collect();
+        let begun: Vec<Pending> = conns.iter().map(|c| c.begin(count())).collect();
+        (0..4).for_each(|_| release.send(()).unwrap());
+        begun.into_iter().for_each(|p| drop(p.wait()));
+        let stats = endpoint.stats();
+        assert_eq!(stats.max_queue_depth(), 4, "the gate held all four queued");
+        assert_eq!(stats.max_connections_waiting(), stats.max_queue_depth());
+        assert_eq!(stats.waiting.load(Ordering::Acquire), 0);
+    }
+
+    pub(crate) fn shutdown_inside_a_drained_batch(on: Placement) {
+        let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(5))));
         let conn = endpoint.connect();
         let count = || crate::codec::encode_request(&Request::Count(w(100.0)));
         // One push, so the reactor drains all five events together.
         let (mut events, pendings): (Vec<Event>, Vec<Pending>) = (0..4)
             .map(|_| {
-                let (reply, pending) = reply_slot();
-                conn.stats.enqueued();
+                let (reply, waiter) = mailbox();
+                let pending = Pending {
+                    reply: Err(waiter),
+                    garble: None,
+                };
                 let event = Event::Rpc {
                     request: count(),
                     reply,
                     conn: Arc::clone(&conn.conn),
-                    handler: Arc::clone(&conn.handler),
-                    stats: Arc::clone(&conn.stats),
                 };
                 (event, pending)
             })
             .unzip();
+        conn.conn.enqueued(4);
         events.insert(2, Event::Shutdown);
-        assert!(reactor.queue.push_all(events));
+        assert!(conn.queue.push_all(events));
         let replies: Vec<Response> = pendings
             .into_iter()
             .map(|p| crate::codec::decode_response(p.wait()).unwrap())
@@ -592,23 +731,33 @@ mod tests {
                 Response::Unavailable
             ]
         );
-        // The reactor is gone: later exchanges degrade too (and give
-        // their queue-depth slot back), and dropping the loop does not
-        // hang on it.
+        // The reactor is gone: later exchanges degrade too, and dropping
+        // the loop does not hang on it.
         assert!(crate::codec::is_unavailable(&conn.exchange(count())));
         drop(reactor);
     }
 
     #[test]
-    fn dropping_the_loop_with_live_connections_does_not_hang() {
-        let reactor = EventLoop::spawn("drop-first");
-        let endpoint = reactor.serve(Arc::new(ScanHandler(objects(5))));
-        let conn = endpoint.connect();
+    fn shutdown_inside_a_drained_batch_answers_before_it_and_fails_after_it() {
+        shutdown_inside_a_drained_batch(Placement::Shared);
+    }
+
+    pub(crate) fn dropping_the_reactor_first_does_not_hang(on: Placement) {
+        let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(5))));
+        let opened_before = endpoint.connect();
+        // The endpoint and a connection are still alive.
         drop(reactor);
-        let link = Link::new(Box::new(conn), PacketModel::default(), 1.0);
-        assert_eq!(link.request(&Request::Count(w(1.0))), Response::Unavailable);
-        // Nothing crossed the wire, so nothing was metered.
-        assert_eq!(link.meter().snapshot().total_bytes(), 0);
+        for conn in [opened_before, endpoint.connect()] {
+            let link = link(conn);
+            assert_eq!(link.request(&Request::Count(w(1.0))), Response::Unavailable);
+            // Nothing crossed the wire, so nothing was metered.
+            assert_eq!(link.meter().snapshot().total_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn dropping_the_loop_with_live_connections_does_not_hang() {
+        dropping_the_reactor_first_does_not_hang(Placement::Shared);
     }
 
     #[test]
@@ -619,7 +768,7 @@ mod tests {
         let plain = endpoint.connect();
         let conn_state = Arc::clone(negotiated.state());
         assert_eq!(conn_state.negotiated(), WireVersion::V1);
-        let link = Link::new(Box::new(negotiated), PacketModel::default(), 1.0).negotiate();
+        let link = link(negotiated).negotiate();
         assert_eq!(link.wire(), WireVersion::V2);
         // The reactor recorded the handshake on exactly the connection
         // that sent it.

@@ -25,14 +25,16 @@
 //!   mix per link; *this is where every reported number comes from*;
 //! * [`transport`] — split-phase RPC over two interchangeable carriers: an
 //!   in-process call (fast, used by the experiment sweeps) and a mailbox
-//!   connection to a server thread (the "distributed" deployment used by
-//!   examples and integration tests);
-//! * [`event_loop`] — the **many-device carrier**: one reactor thread
-//!   multiplexing every server endpoint and every device connection over
-//!   a ready-queue, per-connection `HELLO`/`ACCEPT` negotiation state
-//!   owned by the reactor, typed error frames for garbled input, and
-//!   per-endpoint queue-depth gauges — thousands of simulated devices
-//!   without a thread per connection;
+//!   connection to a server on a reactor thread (the "distributed"
+//!   deployment used by examples and integration tests);
+//! * [`event_loop`] — the **serving carrier**, the only serving loop: a
+//!   reactor thread multiplexing every server endpoint and device
+//!   connection registered on it over a ready-queue, per-connection
+//!   `HELLO`/`ACCEPT` negotiation state owned by the reactor, typed error
+//!   frames for garbled input, and per-endpoint queue-depth gauges. What
+//!   varies is placement — a reactor per server ([`ChannelServer`], the
+//!   paper's independent servers) or one shared by a whole deployment
+//!   (thousands of simulated devices without a thread per connection);
 //! * [`router`] — the **scatter-gather extension**: a [`ShardRouter`]
 //!   makes a fleet of shard servers look like one, pruning shards by
 //!   advertised bounds, sub-batching batched requests, merging and
@@ -91,8 +93,8 @@
 //! of one — there is no second path). The cache answers what it can and
 //! lets the misses ride one batch; the router turns all the requests'
 //! pruned sub-requests into one set of flights, one carrier batch per
-//! (shard, replica) edge; a threaded carrier enqueues a batch under one
-//! lock with one wake-up, and its server drains its whole queue per
+//! (shard, replica) edge; a connection enqueues a batch under one lock
+//! with one wake-up, and its reactor drains its whole queue per
 //! wake-up. The physical edge (`edge.rs`) is who frames (wire version,
 //! dedup envelope), meters, judges a reply ok / `Unavailable` /
 //! `Malformed`, retries and negotiates — once per physical exchange, in

@@ -1,4 +1,4 @@
-//! The queue under both threaded carriers: push-all, take-all,
+//! The queue under the reactor carrier: push-all, take-all,
 //! wake-if-parked.
 //!
 //! A batch is enqueued under one lock with at most one wake-up and the

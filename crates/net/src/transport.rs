@@ -7,10 +7,10 @@
 //!
 //! * [`InProcExchange`] — calls the server's handler on the calling thread
 //!   (fast path for the thousands of joins an experiment sweep runs);
-//! * [`ChannelServer`] / [`ChannelExchange`] — the server runs on its own
-//!   thread behind a mailbox, modelling the paper's deployment of two
-//!   independent UNIX servers and a WiFi PDA. Integration tests run both
-//!   carriers and assert identical byte counts.
+//! * [`ChannelExchange`] — a mailbox connection to a server on a reactor
+//!   thread ([`crate::event_loop`]; a [`ChannelServer`] has one to itself,
+//!   modelling the paper's two independent UNIX servers and a WiFi PDA).
+//!   Integration tests run both carriers and assert identical byte counts.
 //!
 //! Exchanges are split-phase: [`RawExchange::begin`] ships a request and
 //! returns an owned [`Pending`]; independent requests begun together
@@ -25,7 +25,8 @@ use bytes::{Bytes, BytesMut};
 
 use crate::codec::{garble_frame, is_unavailable, unavailable_frame, WireVersion};
 use crate::edge::{Edge, Layer};
-use crate::mailbox::{mailbox, End};
+use crate::event_loop::EventLoop;
+use crate::mailbox::End;
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{QueryHandler, Request, Response};
@@ -155,18 +156,6 @@ impl Pending {
     }
 }
 
-/// One in-flight exchange on a threaded carrier: the slot the server
-/// answers into (refusing once the client has dropped its [`Pending`]),
-/// and the pending that waits on it.
-pub(crate) fn reply_slot() -> (End<Bytes>, Pending) {
-    let (replier, waiter) = mailbox();
-    let pending = Pending {
-        reply: Err(waiter),
-        garble: None,
-    };
-    (replier, pending)
-}
-
 /// In-process carrier: decodes and handles on the calling thread.
 /// `H` may be unsized, so a deployment holding `Arc<dyn QueryHandler>`
 /// uses this adapter too.
@@ -198,171 +187,31 @@ impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
     }
 }
 
-/// What flows to a server thread: a request with the slot its reply goes
-/// in, or — no slot — the shutdown sentinel [`ChannelServer::drop`]
-/// enqueues so dropping the server never blocks on handles that are still
-/// alive. FIFO ordering guarantees every RPC enqueued before the sentinel
-/// is still served.
-type ServerMsg = Option<(Bytes, End<Bytes>)>;
+/// A server on a reactor thread of its own: the private *placement* of
+/// the one serving loop in [`crate::event_loop`], as opposed to an
+/// endpoint registered on a reactor it shares with others. It serves
+/// until every client handle is dropped — or until the server itself is
+/// dropped, whichever comes first (drop enqueues a shutdown sentinel, so
+/// it never deadlocks waiting on handles that outlive it).
+pub struct ChannelServer(EventLoop);
 
-/// Client side of the channel carrier.
-pub struct ChannelExchange {
-    tx: Arc<End<ServerMsg>>,
-}
-
-impl RawExchange for ChannelExchange {
-    fn exchange(&self, request: Bytes) -> Bytes {
-        self.begin(request).wait()
-    }
-
-    fn begin(&self, request: Bytes) -> Pending {
-        begin_one(self, request)
-    }
-
-    /// If the server is gone the batch is dropped unsent, and every
-    /// pending then yields the unavailable frame.
-    fn begin_many(
-        &self,
-        requests: &mut dyn Iterator<Item = Bytes>,
-        begun: &mut dyn FnMut(Pending),
-    ) {
-        let rpcs: Vec<ServerMsg> = requests
-            .map(|request| {
-                let (replier, pending) = reply_slot();
-                begun(pending);
-                Some((request, replier))
-            })
-            .collect();
-        self.tx.push_all(rpcs);
-    }
-}
-
-/// A server running on its own thread, draining RPCs until every client
-/// handle is dropped — or until the server itself is dropped, whichever
-/// comes first (drop enqueues a shutdown sentinel, so it never deadlocks
-/// waiting on handles that outlive it).
-pub struct ChannelServer {
-    thread: Option<std::thread::JoinHandle<u64>>,
-    /// The server's own sending end, used only to enqueue the shutdown
-    /// sentinel from `drop`. Held here (not by handles) so `join` can
-    /// release it and restore the legacy wait-for-all-handles semantics.
-    ctrl: Option<Arc<End<ServerMsg>>>,
-}
-
-/// Keeps the server thread alive; dropping all handles shuts it down.
-pub struct ServerHandle {
-    tx: Arc<End<ServerMsg>>,
-}
+/// A [`ChannelServer`]'s endpoint (which keeps a joined server serving)
+/// and a connection opened from it.
+pub use crate::event_loop::{EventConnection as ChannelExchange, EventEndpoint as ServerHandle};
 
 impl ChannelServer {
-    /// Spawns the server thread. Returns the server (join on drop) and a
-    /// handle from which any number of [`ChannelExchange`] carriers can be
-    /// cloned.
+    /// Spawns a reactor with `handler` as its one endpoint. Returns the
+    /// server (join on drop) and the endpoint's handle.
     pub fn spawn<H: QueryHandler + 'static>(handler: Arc<H>, name: &str) -> (Self, ServerHandle) {
-        let (tx, rx) = mailbox::<ServerMsg>();
-        let tx = Arc::new(tx);
-        let thread = std::thread::Builder::new()
-            .name(format!("asj-server-{name}"))
-            .spawn(move || {
-                let mut served = 0u64;
-                // One encode buffer for the life of the server thread:
-                // each request clears it (keeping the allocation) and the
-                // handler encodes its answer straight in, so steady-state
-                // serving performs no per-request buffer growth — the
-                // only per-request allocation left is the reply message
-                // itself.
-                let mut buf = BytesMut::with_capacity(4096);
-                // The whole queue per wake-up, answered in order; the
-                // replies go out together afterwards, so a client parked
-                // on them is woken once per drained batch.
-                let (mut batch, mut replies) = (VecDeque::new(), Vec::new());
-                let mut running = true;
-                while running && rx.take_all(&mut batch) {
-                    for msg in batch.drain(..) {
-                        let Some((request, replier)) = msg else {
-                            running = false;
-                            break;
-                        };
-                        if let Some(accept) = crate::codec::try_answer_hello(&request) {
-                            // Handshake frames are link control: answered
-                            // here, never counted as served queries.
-                            replies.push((replier, accept));
-                            continue;
-                        }
-                        buf.clear();
-                        // This thread is shared by every connected
-                        // device: one garbled frame gets a typed error
-                        // reply (and is not counted as served) and the
-                        // loop keeps serving — it must never panic the
-                        // thread.
-                        if serve_frame_into(handler.as_ref(), request, &mut buf) {
-                            served += 1;
-                        }
-                        // With the real `bytes` crate this would be
-                        // `buf.split().freeze()` (zero-copy hand-off that
-                        // recycles the allocation); the shim's `Bytes` is
-                        // `Arc<[u8]>`-backed, so one copy into the reply
-                        // is the closest equivalent — the same copy
-                        // `freeze()` itself performs under the shim.
-                        replies.push((replier, Bytes::copy_from_slice(&buf)));
-                    }
-                    // A refused reply just means the client gave up.
-                    replies.drain(..).for_each(|(replier, reply)| {
-                        replier.push_all([reply]);
-                    });
-                }
-                // Whatever sat behind the sentinel — in that batch or
-                // enqueued since — is dropped unanswered: its clients
-                // see `Unavailable`.
-                rx.shut();
-                served
-            })
-            .expect("failed to spawn server thread");
-        (
-            ChannelServer {
-                thread: Some(thread),
-                ctrl: Some(Arc::clone(&tx)),
-            },
-            ServerHandle { tx },
-        )
+        let reactor = EventLoop::spawn(name);
+        let handle = reactor.serve(handler);
+        (ChannelServer(reactor), handle)
     }
 
-    /// Waits for the server to drain and stop (all handles dropped);
-    /// returns the number of requests served.
-    pub fn join(mut self) -> u64 {
-        // Release the control end first: the mailbox must be able to
-        // close once every client handle is gone.
-        self.ctrl = None;
-        self.thread
-            .take()
-            .expect("already joined")
-            .join()
-            .expect("server thread panicked")
-    }
-}
-
-impl Drop for ChannelServer {
-    fn drop(&mut self) {
-        if let Some(t) = self.thread.take() {
-            // Enqueue the shutdown sentinel behind any in-flight RPCs
-            // (FIFO: they are all still served), then join. Without the
-            // sentinel this join deadlocked whenever a `ServerHandle` or
-            // `ChannelExchange` outlived the server — their ends kept
-            // the mailbox open forever.
-            if let Some(ctrl) = self.ctrl.take() {
-                ctrl.push_all([None]);
-            }
-            let _ = t.join();
-        }
-    }
-}
-
-impl ServerHandle {
-    /// Opens a new connection to the server.
-    pub fn connect(&self) -> ChannelExchange {
-        ChannelExchange {
-            tx: Arc::clone(&self.tx),
-        }
+    /// Waits for the server to drain and stop (all handles and their
+    /// connections dropped); returns the number of queries served.
+    pub fn join(self) -> u64 {
+        self.0.join()
     }
 }
 
@@ -538,6 +387,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event_loop::tests::{self as carrier, Placement::Private};
     use asj_geom::{Rect, SpatialObject};
 
     /// Toy handler: COUNT returns 7, WINDOW returns two fixed objects.
@@ -581,27 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_server_roundtrip_matches_in_process_bytes() {
-        let inproc = Link::in_process(Arc::new(Fixed), PacketModel::default(), 1.0);
-        inproc.request(&Request::Count(w()));
-        inproc.request(&Request::Window(w()));
-
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "test");
-        let remote = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
-        remote.request(&Request::Count(w()));
-        remote.request(&Request::Window(w()));
-
-        assert_eq!(
-            inproc.meter().snapshot().total_bytes(),
-            remote.meter().snapshot().total_bytes(),
-            "carrier must not change accounting"
-        );
-        drop(remote);
-        drop(handle);
-        assert_eq!(server.join(), 2);
-    }
-
-    #[test]
     fn begin_overlaps_requests_on_the_channel_carrier() {
         // Ship two requests split-phase before collecting either reply:
         // the server thread drains both; the completions then yield the
@@ -619,57 +448,76 @@ mod tests {
         assert_eq!(server.join(), 2);
     }
 
+    // The carrier behaviours below have one body each, in
+    // `event_loop::tests`; here they run on a `ChannelServer`'s private
+    // reactor, there on a shared one.
+
+    #[test]
+    fn channel_server_roundtrip_matches_in_process_bytes() {
+        carrier::serves_byte_identically_to_in_process(Private);
+    }
+
     #[test]
     fn shutdown_inside_a_drained_batch_answers_before_it_and_fails_after_it() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "sentinel");
-        let ex = handle.connect();
-        let count = || crate::codec::encode_request(&Request::Count(w()));
-        // One push, so the server drains all five messages together.
-        let (mut batch, pendings): (Vec<ServerMsg>, Vec<Pending>) = (0..4)
-            .map(|_| {
-                let (replier, pending) = reply_slot();
-                (Some((count(), replier)), pending)
-            })
-            .unzip();
-        batch.insert(2, None);
-        assert!(ex.tx.push_all(batch));
-        let replies: Vec<Response> = pendings
-            .into_iter()
-            .map(|p| crate::codec::decode_response(p.wait()).unwrap())
-            .collect();
-        assert_eq!(
-            replies,
-            [
-                Response::Count(7),
-                Response::Count(7),
-                Response::Unavailable,
-                Response::Unavailable
-            ]
-        );
-        // The thread is gone: later exchanges degrade too, and dropping
-        // the server does not hang on it.
-        assert!(is_unavailable(&ex.exchange(count())));
-        drop(server);
+        carrier::shutdown_inside_a_drained_batch(Private);
     }
 
     #[test]
     fn pendings_dropped_before_wait_neither_wedge_nor_leak() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "abandoned");
-        let ex = handle.connect();
-        let mut begun = Vec::new();
-        ex.begin_many(
-            &mut (0..3).map(|_| crate::codec::encode_request(&Request::Count(w()))),
-            &mut |p| begun.push(p),
+        carrier::abandoned_exchanges_are_served_and_tallied(Private);
+    }
+
+    #[test]
+    fn garbled_frame_gets_typed_error_and_server_keeps_serving() {
+        carrier::garbled_frames_answer_typed_and_serving_survives(Private);
+    }
+
+    #[test]
+    fn dropping_server_before_handles_does_not_hang() {
+        carrier::dropping_the_reactor_first_does_not_hang(Private);
+    }
+
+    #[test]
+    fn client_outliving_server_sees_unavailable_not_panic() {
+        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "short-lived");
+        let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
+        assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
+        drop(server);
+        drop(handle);
+        assert_eq!(link.request(&Request::Count(w())), Response::Unavailable);
+        assert_eq!(link.request(&Request::Window(w())), Response::Unavailable);
+    }
+
+    #[test]
+    fn join_waits_for_the_last_connection_and_counts_queries_only() {
+        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "join");
+        let (ex, link) = (
+            handle.connect(),
+            Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0),
         );
-        let kept = begun.pop().unwrap();
-        drop(begun);
+        drop(handle);
+        let (joining, about_to_join) = std::sync::mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            joining.send(()).unwrap();
+            server.join()
+        });
+        about_to_join.recv().unwrap();
+        // The connections left keep the joined server serving: a
+        // handshake and a garbled frame (neither is a query), then two
+        // queries.
+        let link = link.negotiate();
+        assert_eq!(link.wire(), WireVersion::V2);
+        let reply = ex.exchange(Bytes::copy_from_slice(&[0xFF, 0x01]));
         assert_eq!(
-            crate::codec::decode_response(kept.wait()).unwrap(),
-            Response::Count(7)
+            crate::codec::decode_response(reply).unwrap(),
+            Response::Malformed
         );
         drop(ex);
-        drop(handle);
-        assert_eq!(server.join(), 3, "abandoned exchanges are still served");
+        assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
+        assert_eq!(link.request(&Request::Window(w())).into_objects().len(), 2);
+        assert!(!joiner.is_finished(), "joined with a connection still open");
+        drop(link);
+        assert_eq!(joiner.join().unwrap(), 2);
     }
 
     #[test]
@@ -688,32 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn garbled_frame_gets_typed_error_and_server_keeps_serving() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "garbled");
-        let ex = handle.connect();
-        // An unknown opcode and a truncated frame both answer R_MALFORMED
-        // instead of killing the shared thread.
-        for garbage in [
-            Bytes::copy_from_slice(&[0xFF, 0x01]),
-            Bytes::from_static(&[]),
-        ] {
-            let reply = ex.exchange(garbage);
-            assert_eq!(
-                crate::codec::decode_response(reply).unwrap(),
-                Response::Malformed
-            );
-        }
-        // The same thread still serves healthy traffic afterwards.
-        let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
-        assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
-        drop(link);
-        drop(ex);
-        drop(handle);
-        // Garbled frames are not counted as served queries.
-        assert_eq!(server.join(), 1);
-    }
-
-    #[test]
     fn in_process_garbled_frame_degrades_identically() {
         let ex = InProcExchange::new(Arc::new(Fixed));
         let reply = ex.exchange(Bytes::copy_from_slice(&[0xFF]));
@@ -721,30 +543,6 @@ mod tests {
             crate::codec::decode_response(reply).unwrap(),
             Response::Malformed
         );
-    }
-
-    #[test]
-    fn dropping_server_before_handles_does_not_hang() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "drop-first");
-        let ex = handle.connect();
-        // Handles and carriers are still alive: the old Drop joined a
-        // thread whose recv loop could never disconnect.
-        drop(server);
-        // The surviving client degrades instead of panicking.
-        let link = Link::new(Box::new(ex), PacketModel::default(), 1.0);
-        assert_eq!(link.request(&Request::Count(w())), Response::Unavailable);
-        drop(handle);
-    }
-
-    #[test]
-    fn client_outliving_server_sees_unavailable_not_panic() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "short-lived");
-        let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
-        assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
-        drop(server);
-        drop(handle);
-        assert_eq!(link.request(&Request::Count(w())), Response::Unavailable);
-        assert_eq!(link.request(&Request::Window(w())), Response::Unavailable);
     }
 
     /// Fails the first `fails` exchanges with the fabricated unavailable
