@@ -523,8 +523,9 @@ impl DeploymentBuilder {
 
     /// Builds *live* servers: each store is wrapped in a
     /// [`VersionedStore`] that applies [`Request::ApplyUpdates`] batches
-    /// copy-on-write into a freshly rebuilt R-tree and atomically
-    /// publishes it as the next generation. Queries served from a
+    /// copy-on-write — path-copied into the served R-tree, which is
+    /// re-packed once enough of it has changed — and atomically publishes
+    /// the result as the next generation. Queries served from a
     /// generation > 0 carry the generation stamp on the wire; until the
     /// first update tick a live deployment is byte-identical to a frozen
     /// one.

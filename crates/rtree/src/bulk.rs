@@ -34,7 +34,7 @@ fn pack_leaves(mut objects: Vec<SpatialObject>, max_entries: usize) -> Vec<Node>
     for slab in objects.chunks_mut(per_slab.max(1)) {
         slab.sort_unstable_by(|a, b| a.center().y.total_cmp(&b.center().y));
         for run in slab.chunks(max_entries) {
-            leaves.push(Node::leaf(run.to_vec()));
+            leaves.push(Node::leaf(run));
         }
     }
     leaves

@@ -4,7 +4,8 @@
 //! structures such as the aR-tree [11]". This crate implements that
 //! substrate: a classic Guttman R-tree with
 //!
-//! * **quadratic-split insertion** for incremental loads,
+//! * **insertion** (least-enlargement descent, R*-style least-overlap
+//!   split) and **removal** for incremental loads and live updates,
 //! * **STR (Sort-Tile-Recursive) bulk loading** for the 35 K-object rail
 //!   dataset,
 //! * **aggregate counts in every node** (the aR-tree of Papadias et al.),
@@ -14,8 +15,12 @@
 //! * **level-MBR extraction** — the "one level of MBRs" the SemiJoin [16]
 //!   baseline ships between servers.
 //!
-//! The tree is single-threaded and immutable-after-build in server use;
-//! concurrency lives in the server runtime, not here.
+//! The tree is **persistent**: node bodies are immutable and shared by
+//! reference count, so a clone is O(1) and `insert` / `remove` on it copy
+//! only the root-to-leaf path they change. That is what lets the server
+//! runtime publish an update batch as a new generation in O(batch · log n)
+//! while readers keep walking the tree they started on; the locking that
+//! orders writers and swaps generations lives there, not here.
 
 mod bulk;
 mod node;

@@ -1,9 +1,18 @@
 //! R-tree nodes with aggregate counts.
 
+use std::sync::Arc;
+
 use asj_geom::{Rect, SpatialObject};
 
 /// A tree node: its MBR, the aR-tree aggregates of its subtree (object
 /// count and MBR-area sum) and either leaf entries or child nodes.
+///
+/// A `Node` is the *entry* its parent stores: the MBR and aggregates sit
+/// inline in the parent's child array, so pruning a subtree never
+/// dereferences it, and the body behind [`NodeKind`] is one shared,
+/// immutable allocation. Cloning a node is a reference-count bump; every
+/// mutation builds a new node from new content ([`Node::leaf`] /
+/// [`Node::internal`]) and leaves the old one to whoever still holds it.
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub mbr: Rect,
@@ -20,47 +29,32 @@ pub(crate) struct Node {
 
 #[derive(Debug, Clone)]
 pub(crate) enum NodeKind {
-    Leaf(Vec<SpatialObject>),
-    Internal(Vec<Node>),
+    Leaf(Arc<[SpatialObject]>),
+    Internal(Arc<[Node]>),
 }
 
 impl Node {
-    pub fn leaf(entries: Vec<SpatialObject>) -> Node {
-        let mbr = mbr_of_objects(&entries);
+    /// A leaf over `entries`, its MBR and aggregates computed from them in
+    /// entry order.
+    pub fn leaf(entries: impl Into<Arc<[SpatialObject]>>) -> Node {
+        let entries = entries.into();
         Node {
-            mbr,
+            mbr: mbr_of_objects(&entries),
             count: entries.len() as u64,
             area_sum: area_of_objects(&entries),
             kind: NodeKind::Leaf(entries),
         }
     }
 
-    pub fn internal(children: Vec<Node>) -> Node {
-        let mbr = mbr_of_nodes(&children);
-        let count = children.iter().map(|c| c.count).sum();
-        let area_sum = children.iter().map(|c| c.area_sum).sum();
+    /// An internal node over `children`, its MBR and aggregates computed
+    /// from theirs in child order.
+    pub fn internal(children: impl Into<Arc<[Node]>>) -> Node {
+        let children = children.into();
         Node {
-            mbr,
-            count,
-            area_sum,
+            mbr: mbr_of_nodes(&children),
+            count: children.iter().map(|c| c.count).sum(),
+            area_sum: children.iter().map(|c| c.area_sum).sum(),
             kind: NodeKind::Internal(children),
-        }
-    }
-
-    /// Recomputes this node's MBR and aggregates from its content (after a
-    /// mutation of children / entries).
-    pub fn refresh(&mut self) {
-        match &self.kind {
-            NodeKind::Leaf(es) => {
-                self.mbr = mbr_of_objects(es);
-                self.count = es.len() as u64;
-                self.area_sum = area_of_objects(es);
-            }
-            NodeKind::Internal(cs) => {
-                self.mbr = mbr_of_nodes(cs);
-                self.count = cs.iter().map(|c| c.count).sum();
-                self.area_sum = cs.iter().map(|c| c.area_sum).sum();
-            }
         }
     }
 
@@ -143,13 +137,16 @@ mod tests {
     }
 
     #[test]
-    fn refresh_recomputes() {
-        let mut n = Node::leaf(vec![SpatialObject::point(1, 0.0, 0.0)]);
-        if let NodeKind::Leaf(es) = &mut n.kind {
-            es.push(SpatialObject::point(2, 5.0, 5.0));
-        }
-        n.refresh();
-        assert_eq!(n.count, 2);
-        assert_eq!(n.mbr.max.x, 5.0);
+    fn clones_share_their_body() {
+        let a = Node::leaf(vec![SpatialObject::point(1, 0.0, 0.0)]);
+        let n = Node::internal(vec![a.clone(), a]);
+        let (NodeKind::Internal(x), NodeKind::Internal(y)) = (&n.kind, &n.clone().kind) else {
+            panic!("internal node expected");
+        };
+        assert!(Arc::ptr_eq(x, y));
+        let (NodeKind::Leaf(l0), NodeKind::Leaf(l1)) = (&x[0].kind, &x[1].kind) else {
+            panic!("leaf children expected");
+        };
+        assert!(Arc::ptr_eq(l0, l1));
     }
 }

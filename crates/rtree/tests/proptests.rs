@@ -144,3 +144,107 @@ proptest! {
         }
     }
 }
+
+/// One step of a mutation batch: insert `add`, or with none remove what
+/// `pick` selects.
+type Op = (u32, Option<(f64, f64, f64, f64)>);
+
+fn batches() -> impl Strategy<Value = Vec<Vec<Op>>> {
+    let add = (coord(), coord(), 0.0f64..30.0, 0.0f64..30.0);
+    let op = prop_oneof![
+        (0u32..400, add.prop_map(Some)),
+        (0u32..400).prop_map(|pick| (pick, None)),
+    ];
+    prop::collection::vec(prop::collection::vec(op, 0..25), 1..8)
+}
+
+/// Everything the query set answers, in the order the tree answers it.
+#[derive(Debug, PartialEq)]
+struct Answers {
+    window: Vec<SpatialObject>,
+    count: u64,
+    range: Vec<SpatialObject>,
+    range_count: u64,
+    area: (u64, f64),
+    leaves: Vec<Rect>,
+    len: usize,
+}
+
+fn answers(tree: &RTree, w: &Rect, q: &Rect, eps: f64) -> Answers {
+    Answers {
+        window: tree.window(w),
+        count: tree.count(w),
+        range: tree.eps_range(q, eps),
+        range_count: tree.eps_range_count(q, eps),
+        area: tree.area_stats(w),
+        leaves: tree.level_mbrs(0),
+        len: tree.len(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn insert_remove_batches_match_scan_and_bulk_load_and_spare_clones(
+        data in dataset(120),
+        start_packed in 0u32..2,
+        batches in batches(),
+        w in (coord(), coord(), coord(), coord()),
+        q in (coord(), coord()),
+        eps in 0.0f64..300.0,
+    ) {
+        let window = Rect::new(Point::new(w.0, w.1), Point::new(w.2, w.3));
+        let probe = Rect::point(Point::new(q.0, q.1));
+        let mut model = data.clone();
+        let mut next_id = data.len() as u32;
+        let mut tree = if start_packed == 1 {
+            RTree::bulk_load(data, 4)
+        } else {
+            let mut t = RTree::new(4);
+            data.into_iter().for_each(|o| t.insert(o));
+            t
+        };
+        for batch in batches {
+            // Persistence: a clone taken now must answer after the batch
+            // exactly — same objects, same order, same bits — as it does now.
+            let before = tree.clone();
+            let before_answers = answers(&before, &window, &probe, eps);
+
+            for (pick, add) in batch {
+                if let Some((x, y, w, h)) = add {
+                    let o = SpatialObject::new(next_id, Rect::from_coords(x, y, x + w, y + h));
+                    next_id += 1;
+                    tree.insert(o);
+                    model.push(o);
+                    continue;
+                }
+                // One pick in five or so names an id the tree lacks.
+                let slot = pick as usize % (model.len() * 5 / 4 + 1);
+                if slot < model.len() {
+                    let o = model.swap_remove(slot);
+                    prop_assert!(tree.remove(o.id, &o.mbr), "object {} not found", o.id);
+                } else {
+                    prop_assert!(!tree.remove(next_id + pick, &window), "absent id removed");
+                }
+            }
+            tree.check_invariants();
+            before.check_invariants();
+            prop_assert_eq!(answers(&before, &window, &probe, eps), before_answers);
+
+            let in_window: Vec<_> = model.iter().filter(|o| o.mbr.intersects(&window)).copied().collect();
+            let in_range: Vec<_> = model.iter().filter(|o| o.mbr.within_distance(&probe, eps)).copied().collect();
+            let area: f64 = in_window.iter().map(|o| o.mbr.area()).sum();
+            for t in [&tree, &RTree::bulk_load(model.clone(), 4)] {
+                prop_assert_eq!(t.len(), model.len());
+                prop_assert_eq!(ids(t.window(&window)), ids(in_window.clone()));
+                prop_assert_eq!(t.count(&window), in_window.len() as u64);
+                prop_assert_eq!(ids(t.eps_range(&probe, eps)), ids(in_range.clone()));
+                prop_assert_eq!(t.eps_range_count(&probe, eps), in_range.len() as u64);
+                let (n, sum) = t.area_stats(&window);
+                prop_assert_eq!(n, in_window.len() as u64);
+                prop_assert!((sum - area).abs() <= 1e-9 * area.max(1.0), "Σ area {} vs scan {}", sum, area);
+            }
+        }
+    }
+}

@@ -16,7 +16,8 @@
 //!   have cores to spare);
 //! * [`versioned`] — generational snapshots: [`versioned::VersionedStore`]
 //!   wraps any frozen backend, applies batched updates copy-on-write into
-//!   a fresh generation, and atomically publishes it (`RwLock` + `Arc`
+//!   a fresh generation — path-copied into the served aR-tree, rebuilt for
+//!   the other backends — and atomically publishes it (`RwLock` + `Arc`
 //!   swap — readers always see one consistent frozen snapshot, never
 //!   in-place mutation);
 //! * [`partition`] — the spatial partitioner behind **sharded fleets**:
@@ -39,5 +40,5 @@ pub mod versioned;
 pub use gridstore::GridStore;
 pub use partition::{partition_objects, split_space, Partition};
 pub use service::{ServicePolicy, SpatialService};
-pub use store::{RTreeStore, ScanStore, SpatialStore};
+pub use store::{DeltaOp, RTreeStore, ScanStore, SpatialStore};
 pub use versioned::{apply_updates_to, VersionedStore};

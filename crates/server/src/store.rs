@@ -4,6 +4,16 @@ use asj_geom::{Rect, SpatialObject};
 use asj_net::Update;
 use asj_rtree::RTree;
 
+/// One step of the ordered remove/add list a live store turns an update
+/// batch into (see [`SpatialStore::with_delta`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DeltaOp {
+    /// Take out the object `id`, which the store holds at exactly `mbr`.
+    Remove { id: u32, mbr: Rect },
+    /// Put in an object whose id the store does not hold.
+    Add(SpatialObject),
+}
+
 /// What a server's storage layer must answer. All methods are read-only;
 /// services share a store across threads (`Sync`).
 ///
@@ -71,11 +81,22 @@ pub trait SpatialStore: Send + Sync {
     fn generation(&self) -> u64 {
         0
     }
-    /// Applies a batched update copy-on-write and publishes the result as
-    /// a new generation, returning its number. `None` — the default —
-    /// marks a frozen store; the service answers such requests with
-    /// `Refused`.
+    /// Applies a batched update and publishes the result as a new
+    /// generation, returning its number; the snapshot readers hold is
+    /// never mutated. `None` — the default — marks a frozen store; the
+    /// service answers such requests with `Refused`.
     fn apply_updates(&self, _batch: &[Update]) -> Option<u64> {
+        None
+    }
+    /// A store that answers as `self` would after `ops`, applied in
+    /// order, sharing with `self` whatever the ops leave untouched and
+    /// leaving `self` as it is. `None` — the default — means the backend
+    /// has no cheaper way than a rebuild, and
+    /// [`crate::versioned::VersionedStore`] rebuilds.
+    fn with_delta(&self, _ops: &[DeltaOp]) -> Option<Self>
+    where
+        Self: Sized,
+    {
         None
     }
     /// Runs `f` against one consistent `(snapshot, generation)` pair. The
@@ -181,7 +202,7 @@ impl RTreeStore {
         }
     }
 
-    /// The underlying tree (used by benches).
+    /// The underlying tree.
     pub fn tree(&self) -> &RTree {
         &self.tree
     }
@@ -240,6 +261,22 @@ impl SpatialStore for RTreeStore {
 
     fn bounds(&self) -> Option<Rect> {
         self.tree.root_mbr()
+    }
+
+    /// Path-copies each op into an O(1) clone of the tree: O(log n) new
+    /// nodes per op, every other subtree shared with `self`.
+    fn with_delta(&self, ops: &[DeltaOp]) -> Option<Self> {
+        let mut tree = self.tree.clone();
+        for op in ops {
+            match op {
+                DeltaOp::Remove { id, mbr } => {
+                    let found = tree.remove(*id, mbr);
+                    debug_assert!(found, "delta removes {id}, which is not at {mbr:?}");
+                }
+                DeltaOp::Add(o) => tree.insert(*o),
+            }
+        }
+        Some(RTreeStore { tree })
     }
 }
 

@@ -1,21 +1,27 @@
 //! Generational snapshots: a live-updating wrapper over any frozen store.
 //!
 //! [`VersionedStore`] never mutates a snapshot readers can see. An update
-//! batch is applied **copy-on-write**: the current object set is cloned,
-//! the batch applied, a fresh inner store built from scratch, and the
-//! result atomically published as generation `n + 1` behind an `RwLock` +
-//! `Arc` swap (the lcrr-tree discipline: writers build aside, readers
-//! always hold one consistent frozen tree). Queries in flight keep the
-//! `Arc` of the snapshot they started on, so a swap never invalidates a
-//! traversal; [`SpatialStore::with_frozen`] pins one snapshot for an
-//! entire multi-part request.
+//! batch is applied **copy-on-write**: the writer turns it into an ordered
+//! remove/add list against its own id → MBR index, asks the served store
+//! for a successor that shares everything the list leaves untouched
+//! ([`SpatialStore::with_delta`] — the aR-tree copies one root-to-leaf
+//! path per op, O(batch · log n)), and atomically publishes that as
+//! generation `n + 1` behind an `RwLock` + `Arc` swap (the lcrr-tree
+//! discipline: writers build aside, readers always hold one consistent
+//! frozen tree). A backend without a delta form, and a tree that has
+//! absorbed enough deltas to have lost its packing, is rebuilt from the
+//! index instead. Queries in flight keep the `Arc` of the snapshot they
+//! started on, so a swap never invalidates a traversal;
+//! [`SpatialStore::with_frozen`] pins one snapshot for an entire
+//! multi-part request.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 use asj_geom::{Rect, SpatialObject};
 use asj_net::Update;
 
-use crate::store::SpatialStore;
+use crate::store::{DeltaOp, SpatialStore};
 
 /// Applies one update batch, in order, to a materialized object set — the
 /// single source of update semantics, shared by [`VersionedStore`] and the
@@ -43,11 +49,15 @@ fn upsert(objects: &mut Vec<SpatialObject>, o: SpatialObject) {
     }
 }
 
-/// One published snapshot: the built store, the object set it was built
-/// from (the base of the next copy-on-write), and its generation number.
+/// A store is repacked through `build` once the delta ops it has absorbed
+/// since it was last built exceed this share of its objects: every
+/// path-copied insert into a packed leaf splits it, so reads slow down as
+/// deltas pile up, and a batch that large is no cheaper than a bulk load.
+const REPACK_SHARE: usize = 8;
+
+/// One published snapshot: the served store and its generation number.
 struct Generation<S> {
     store: Arc<S>,
-    objects: Arc<Vec<SpatialObject>>,
     number: u64,
 }
 
@@ -55,40 +65,96 @@ impl<S> Clone for Generation<S> {
     fn clone(&self) -> Self {
         Generation {
             store: Arc::clone(&self.store),
-            objects: Arc::clone(&self.objects),
             number: self.number,
         }
     }
 }
 
+/// What only writers touch, under the writer mutex.
+#[derive(Default)]
+struct Writer {
+    /// id → MBR of the current generation: tells a batch which ids it
+    /// replaces or deletes and where the tree holds them. Built from the
+    /// served store by the first batch that needs it — a store that is
+    /// never written never pays for it — and ordered, so a rebuild sees
+    /// its input in id order whatever the update history was.
+    index: Option<BTreeMap<u32, Rect>>,
+    /// Delta ops absorbed since the served store was last built.
+    delta_ops: usize,
+}
+
+impl Writer {
+    /// The store that serves `base` + `batch`: `base` itself when the
+    /// batch changes nothing, else `base` with the batch's remove/add list
+    /// path-copied in, else — no delta form, or [`REPACK_SHARE`] exceeded —
+    /// a rebuild from the index.
+    fn successor<S: SpatialStore>(
+        &mut self,
+        base: &Arc<S>,
+        batch: &[Update],
+        build: &dyn Fn(Vec<SpatialObject>) -> S,
+    ) -> Arc<S> {
+        let index = self.index.get_or_insert_with(|| {
+            let objects = objects_by_id(&**base);
+            objects.into_iter().map(|o| (o.id, o.mbr)).collect()
+        });
+        let mut ops = Vec::new();
+        for u in batch {
+            let (id, to) = match u {
+                Update::Insert(o) => (o.id, Some(o.mbr)),
+                Update::Move { id, to } => (*id, Some(*to)),
+                Update::Delete(id) => (*id, None),
+            };
+            let from = match to {
+                Some(mbr) => index.insert(id, mbr),
+                None => index.remove(&id),
+            };
+            ops.extend(from.map(|mbr| DeltaOp::Remove { id, mbr }));
+            ops.extend(to.map(|mbr| DeltaOp::Add(SpatialObject::new(id, mbr))));
+        }
+        if ops.is_empty() {
+            return Arc::clone(base);
+        }
+        self.delta_ops += ops.len();
+        let delta = (self.delta_ops * REPACK_SHARE <= index.len())
+            .then(|| base.with_delta(&ops))
+            .flatten();
+        Arc::new(delta.unwrap_or_else(|| {
+            self.delta_ops = 0;
+            let objects = index.iter().map(|(&id, &mbr)| SpatialObject::new(id, mbr));
+            build(objects.collect())
+        }))
+    }
+}
+
+/// Every object `store` holds (all of them intersect its bounds), in id
+/// order.
+fn objects_by_id(store: &impl SpatialStore) -> Vec<SpatialObject> {
+    let mut objects = store.bounds().map_or_else(Vec::new, |b| store.window(&b));
+    objects.sort_unstable_by_key(|o| o.id);
+    objects
+}
+
 /// A live store: serves the current generation, applies update batches
-/// into fresh ones. Generic over the frozen backend it rebuilds (the
-/// production deployments use `VersionedStore<RTreeStore>`).
+/// into fresh ones. Generic over the frozen backend it wraps (the
+/// production deployments use `VersionedStore<RTreeStore>`). Object ids
+/// must be unique within the store.
 pub struct VersionedStore<S: SpatialStore> {
     current: RwLock<Generation<S>>,
     build: Box<dyn Fn(Vec<SpatialObject>) -> S + Send + Sync>,
     /// Serializes writers so concurrent batches can't both build from the
     /// same base and lose one of the two. Readers never take this lock.
-    writer: Mutex<()>,
+    writer: Mutex<Writer>,
 }
 
 impl<S: SpatialStore> VersionedStore<S> {
-    /// Builds generation 0 from `objects`; `build` is reused to construct
-    /// every later generation.
+    /// Builds generation 0 from `objects`; `build` is reused whenever a
+    /// later generation is rebuilt rather than derived.
     pub fn new(
         objects: Vec<SpatialObject>,
         build: impl Fn(Vec<SpatialObject>) -> S + Send + Sync + 'static,
     ) -> Self {
-        let store = Arc::new(build(objects.clone()));
-        VersionedStore {
-            current: RwLock::new(Generation {
-                store,
-                objects: Arc::new(objects),
-                number: 0,
-            }),
-            build: Box::new(build),
-            writer: Mutex::new(()),
-        }
+        Self::with_generation(objects, 0, build)
     }
 
     /// Builds the store at an arbitrary starting `generation` — the
@@ -101,15 +167,13 @@ impl<S: SpatialStore> VersionedStore<S> {
         generation: u64,
         build: impl Fn(Vec<SpatialObject>) -> S + Send + Sync + 'static,
     ) -> Self {
-        let store = Arc::new(build(objects.clone()));
         VersionedStore {
             current: RwLock::new(Generation {
-                store,
-                objects: Arc::new(objects),
+                store: Arc::new(build(objects)),
                 number: generation,
             }),
             build: Box::new(build),
-            writer: Mutex::new(()),
+            writer: Mutex::new(Writer::default()),
         }
     }
 
@@ -121,27 +185,29 @@ impl<S: SpatialStore> VersionedStore<S> {
     /// the new generation number. An **empty batch still bumps** — the
     /// generation tick the fleet router relies on so every shard advances
     /// exactly once per fleet-level batch, making the summed fleet
-    /// generation injective in the batch count.
+    /// generation injective in the batch count. A batch that changes
+    /// nothing (empty, or deletes of ids this store does not hold — what a
+    /// shard receives for every move it does not own) republishes the very
+    /// same store under the new number.
     pub fn apply(&self, batch: &[Update]) -> u64 {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
         let base = self.snapshot();
-        let mut objects = (*base.objects).clone();
-        apply_updates_to(&mut objects, batch);
-        // The expensive rebuild happens outside the snapshot lock: readers
+        // Whatever is built is built outside the snapshot lock: readers
         // keep serving the old generation until the one-pointer swap below.
-        let next = Generation {
-            store: Arc::new((self.build)(objects.clone())),
-            objects: Arc::new(objects),
-            number: base.number + 1,
+        let store = if batch.is_empty() {
+            base.store
+        } else {
+            writer.successor(&base.store, batch, &self.build)
         };
-        let number = next.number;
-        *self.current.write().expect("snapshot lock poisoned") = next;
+        let number = base.number + 1;
+        *self.current.write().expect("snapshot lock poisoned") = Generation { store, number };
         number
     }
 
-    /// The current generation's materialized object set (shared, cheap).
+    /// The current generation's object set, in id order, materialized from
+    /// the served store on every call.
     pub fn current_objects(&self) -> Arc<Vec<SpatialObject>> {
-        self.snapshot().objects
+        Arc::new(objects_by_id(&*self.snapshot().store))
     }
 
     /// Adopts a sibling replica's published state wholesale: rebuilds
@@ -155,13 +221,13 @@ impl<S: SpatialStore> VersionedStore<S> {
     /// racing local write that already published past the donor must not
     /// be rolled back (generations never regress).
     pub fn catch_up(&self, objects: Vec<SpatialObject>, generation: u64) {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
         if generation <= self.generation() {
             return;
         }
+        *writer = Writer::default();
         let next = Generation {
-            store: Arc::new((self.build)(objects.clone())),
-            objects: Arc::new(objects),
+            store: Arc::new((self.build)(objects)),
             number: generation,
         };
         *self.current.write().expect("snapshot lock poisoned") = next;
@@ -272,8 +338,10 @@ mod tests {
         assert_eq!(live.generation(), 1);
         let mut replay = lattice(4);
         apply_updates_to(&mut replay, &batch);
+        // The fold keeps insertion order, the store reports id order.
+        replay.sort_unstable_by_key(|o| o.id);
         assert_eq!(*live.current_objects(), replay);
-        // The served store is rebuilt from exactly the replayed set.
+        // The served store holds exactly the replayed set.
         let everything = Rect::from_coords(-100.0, -100.0, 100.0, 100.0);
         let mut got = live.window(&everything);
         let mut want = ScanStore::new(replay).window(&everything);
@@ -296,6 +364,61 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_that_changes_nothing_republishes_the_same_store() {
+        let live = versioned(lattice(8));
+        let served = live.snapshot().store;
+        // What a shard that owns none of a fleet batch's moves receives.
+        assert_eq!(live.apply(&[]), 1);
+        assert_eq!(live.apply(&[Update::Delete(64), Update::Delete(999)]), 2);
+        assert!(Arc::ptr_eq(&live.snapshot().store, &served));
+        assert_eq!(live.apply(&[Update::Delete(0)]), 3);
+        assert!(!Arc::ptr_eq(&live.snapshot().store, &served));
+        assert_eq!(served.len(), 64, "the old generation still holds id 0");
+        assert_eq!(live.len(), 63);
+    }
+
+    /// `moved` objects of a `side`-wide lattice, each shifted by half a cell.
+    fn shift(side: u32, ids: impl Iterator<Item = u32>) -> Vec<Update> {
+        ids.map(|id| Update::Move {
+            id,
+            to: Rect::point(asj_geom::Point::new(
+                (id % side) as f64 + 0.5,
+                (id / side) as f64 + 0.5,
+            )),
+        })
+        .collect()
+    }
+
+    #[test]
+    fn the_same_history_gives_the_same_tree_and_a_repack_equals_a_bulk_load() {
+        // 256 objects: the ⅛ rule allows 32 delta ops, a 5-move batch is 10.
+        let (a, b) = (versioned(lattice(16)), versioned(lattice(16)));
+        let everything = Rect::from_coords(-1.0, -1.0, 17.0, 17.0);
+        let packed =
+            |live: &VersionedStore<RTreeStore>| RTreeStore::new((*live.current_objects()).clone());
+        for round in 0..3 {
+            let batch = shift(16, (0..5).map(|i| 50 * i + round));
+            a.apply(&batch);
+            b.apply(&batch);
+            // Same objects in the same order: tree shape is a function of
+            // the history, not of anything the process did.
+            assert_eq!(a.window(&everything), b.window(&everything));
+            assert_eq!(a.level_mbrs(0), b.level_mbrs(0));
+        }
+        assert_ne!(
+            a.window(&everything),
+            packed(&a).window(&everything),
+            "three batches in, the tree is still the path-copied one"
+        );
+        let batch = shift(16, (0..5).map(|i| 50 * i + 3));
+        a.apply(&batch);
+        b.apply(&batch);
+        assert_eq!(a.window(&everything), b.window(&everything));
+        assert_eq!(a.window(&everything), packed(&a).window(&everything));
+        assert_eq!(a.level_mbrs(0), packed(&a).level_mbrs(0));
+    }
+
+    #[test]
     fn with_frozen_pins_one_snapshot() {
         let live = versioned(lattice(3));
         live.apply(&[Update::Delete(0)]);
@@ -313,8 +436,29 @@ mod tests {
     }
 
     #[test]
+    fn a_pinned_snapshot_is_unchanged_by_a_hundred_delta_batches() {
+        // 4096 objects allow 512 delta ops; 100 one-move batches are 200,
+        // so every generation below shares nodes with the pinned one.
+        let live = versioned(lattice(64));
+        let w = Rect::from_coords(10.0, 10.0, 40.5, 30.5);
+        live.with_frozen(&mut |pinned, generation| {
+            assert_eq!(generation, 0);
+            let before = (pinned.window(&w), pinned.count(&w), pinned.level_mbrs(0));
+            for round in 0..100 {
+                live.apply(&shift(64, std::iter::once(round * 37)));
+                let now = (pinned.window(&w), pinned.count(&w), pinned.level_mbrs(0));
+                assert_eq!(now, before, "pinned snapshot changed in round {round}");
+            }
+            assert_ne!(live.window(&w), before.0, "the batches did publish");
+        });
+        assert_eq!(live.generation(), 100);
+    }
+
+    #[test]
     fn readers_holding_old_arcs_survive_swaps() {
-        let live = Arc::new(versioned(lattice(8)));
+        // 4096 objects, so the 50 batches below are all path-copied into
+        // trees that share nodes with the ones the readers are walking.
+        let live = Arc::new(versioned(lattice(64)));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         std::thread::scope(|scope| {
             for _ in 0..3 {
@@ -324,14 +468,14 @@ mod tests {
                     let w = Rect::from_coords(0.0, 0.0, 7.0, 7.0);
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         let c = live.count(&w);
-                        assert!(c <= 64, "count {c} exceeds the dataset");
+                        assert!(c <= 64 + 50, "count {c} exceeds what can be in the window");
                         let objs = live.window(&w);
-                        assert!(objs.len() <= 64);
+                        assert!(objs.len() <= 64 + 50);
                     }
                 });
             }
             for round in 0..50u32 {
-                let id = round % 64;
+                let id = round * 80;
                 live.apply(&[Update::Move {
                     id,
                     to: Rect::point(asj_geom::Point::new(
@@ -343,7 +487,7 @@ mod tests {
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
         assert_eq!(live.generation(), 50);
-        assert_eq!(live.len(), 64, "moves never change cardinality");
+        assert_eq!(live.len(), 4096, "moves never change cardinality");
     }
 
     #[test]
