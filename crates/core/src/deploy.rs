@@ -9,9 +9,10 @@
 //! link meter reports the physical scatter traffic, with per-shard detail
 //! available through [`Link::fleet`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use asj_geom::{Rect, SpatialObject};
+use asj_net::codec::WireVersion;
 use asj_net::transport::InProcExchange;
 use asj_net::{
     CacheLayer, ClientCache, FaultLayer, FaultPlan, Link, NetConfig, QueryHandler, RawExchange,
@@ -69,10 +70,12 @@ impl Endpoint {
         }
     }
 
-    fn raw(&self) -> Box<dyn RawExchange> {
+    /// A fresh connection, opened at `wire` (the version an earlier one
+    /// negotiated, or V1).
+    fn raw(&self, wire: WireVersion) -> Box<dyn RawExchange> {
         match self {
             Endpoint::InProc(h) => Box::new(InProcExchange::new(Arc::clone(h))),
-            Endpoint::Reactor { endpoint, .. } => Box::new(endpoint.connect()),
+            Endpoint::Reactor { endpoint, .. } => Box::new(endpoint.connect_at(wire)),
         }
     }
 
@@ -126,10 +129,17 @@ fn replica_plan(plan: &FaultPlan, replica: usize) -> FaultPlan {
 /// replica's store up from the freshest sibling: a replica that stayed
 /// dark through an outage missed the update batches its siblings acked,
 /// and resynchronizing here is what lets the router's generation floor
-/// readmit it.
-fn replica_edge(group: &[Replica], j: usize, fault: Option<&FaultPlan>) -> Box<dyn RawExchange> {
+/// readmit it. An edge resuming at `known`, the version its first link
+/// negotiated, sends no `HELLO`: its fault layer counts from past it.
+fn replica_edge(
+    group: &[Replica],
+    j: usize,
+    fault: Option<&FaultPlan>,
+    known: Option<WireVersion>,
+) -> Box<dyn RawExchange> {
+    let wire = known.unwrap_or_default();
     match fault {
-        None => group[j].endpoint.raw(),
+        None => group[j].endpoint.raw(wire),
         Some(plan) => {
             let ep = Arc::clone(&group[j].endpoint);
             let own = group[j].live.clone();
@@ -147,12 +157,11 @@ fn replica_edge(group: &[Replica], j: usize, fault: Option<&FaultPlan>) -> Box<d
                         own.catch_up((*best.current_objects()).clone(), best.generation());
                     }
                 }
-                ep.raw()
+                ep.raw(wire)
             };
-            Box::new(
-                FaultLayer::new(group[j].endpoint.raw(), replica_plan(plan, j))
-                    .with_restart(Box::new(restart)),
-            )
+            let layer = FaultLayer::new(group[j].endpoint.raw(wire), replica_plan(plan, j))
+                .with_restart(Box::new(restart));
+            Box::new(layer.starting_at(u64::from(known.is_some())))
         }
     }
 }
@@ -163,9 +172,10 @@ impl Carrier {
     /// [`CacheLayer`] (fresh per-link telemetry, the given shared store)
     /// when `cache` is set, the [`Link`]. Retry and — with `net.wire_v2`
     /// on — the v2 handshake are handed down from the top to whichever
-    /// layer owns the edges; with the flag off (the default) no
-    /// handshake frame is ever sent and every edge speaks v1
-    /// byte-identically.
+    /// layer owns the edges; a link given the per-edge versions an earlier
+    /// one settled on (`known`) resumes at them instead. With the flag off
+    /// (the default) no handshake frame is ever sent and every edge
+    /// speaks v1 byte-identically.
     ///
     /// Fleet links all share the carrier's [`ShardMeta`]s, so generation
     /// stamps and bounds growth observed through any link (including the
@@ -176,10 +186,14 @@ impl Carrier {
         tariff: f64,
         cache: Option<&Arc<ClientCache>>,
         fault: Option<&FaultPlan>,
+        known: Option<&[WireVersion]>,
     ) -> Link {
+        let mut wires = known.map(|known| known.iter().copied());
+        let mut edge =
+            |group, j| replica_edge(group, j, fault, wires.as_mut().and_then(Iterator::next));
         let link = match self {
             Carrier::Single(replica) => {
-                let edge = replica_edge(std::slice::from_ref(replica), 0, fault);
+                let edge = edge(std::slice::from_ref(replica), 0);
                 match cache {
                     Some(c) => {
                         Link::cached(CacheLayer::new(edge, net.packet, Arc::clone(c)), tariff)
@@ -191,9 +205,7 @@ impl Carrier {
                 let shards = members
                     .iter()
                     .map(|(meta, group)| {
-                        let edges = (0..group.len())
-                            .map(|j| replica_edge(group, j, fault))
-                            .collect();
+                        let edges = (0..group.len()).map(|j| edge(group, j)).collect();
                         ShardEndpoint::with_replicas(Arc::clone(meta), edges)
                     })
                     .collect();
@@ -207,10 +219,10 @@ impl Carrier {
             }
         }
         .with_retry(net.retry);
-        if net.wire_v2 {
-            link.negotiate()
-        } else {
-            link
+        match known {
+            Some(known) => link.resume(known),
+            None if net.wire_v2 => link.negotiate(),
+            None => link,
         }
     }
 
@@ -260,12 +272,10 @@ pub struct Deployment {
     space: Rect,
     cooperative: bool,
     live: bool,
-    /// Per-side client caches when `net.client_cache` is enabled. The
-    /// stores live on the deployment — not the links — so a *session* of
-    /// joins against the same immutable servers shares one cache: every
-    /// [`Deployment::connect`] hands out fresh meters and fresh cache
-    /// telemetry, but hits what earlier joins downloaded. The two sides
-    /// never share a store (they front different datasets).
+    /// Per-side client-cache stores when `net.client_cache` is enabled:
+    /// shared by every link to a side (a *session*, see
+    /// [`Deployment::connect`]), never between the sides — they front
+    /// different datasets.
     cache_r: Option<Arc<ClientCache>>,
     cache_s: Option<Arc<ClientCache>>,
     /// Scripted fault plan wrapped around every physical edge (both
@@ -274,6 +284,10 @@ pub struct Deployment {
     /// [`FaultLayer`] seeded from this plan, so fault sequences are
     /// deterministic per link and replayable by seed.
     fault: Option<FaultPlan>,
+    /// The wire version each physical edge of each side (R, S) negotiated
+    /// on the first link to it: a property of the edge — its endpoint, its
+    /// fault seed — not of the session, so later links resume at these.
+    wires: [OnceLock<Vec<WireVersion>>; 2],
     /// The shared reactor thread when the deployment was built with
     /// [`DeploymentBuilder::event_loop`]: every endpoint of both sides is
     /// served by this one thread. `None` in-process and when every server
@@ -297,26 +311,33 @@ impl Deployment {
             .build()
     }
 
-    /// Fresh metered links `(R, S)` for one algorithm run. With the
-    /// client cache enabled the links share the deployment's per-side
-    /// cache stores, so consecutive joins (a session) reuse each other's
-    /// statistics and windows; meters and cache telemetry are still per
-    /// link, so reports never bleed into each other.
+    /// Fresh links `(R, S)` for one algorithm run. **Per link:** the
+    /// meters and cache telemetry (reports never bleed into each other),
+    /// the connections, and each edge's fault script, which restarts from
+    /// its seed. **Per deployment:** the client-cache stores, when
+    /// enabled — consecutive joins (a session) reuse each other's
+    /// statistics and windows — and the wire version each physical edge
+    /// negotiated: the first link to a side runs the `HELLO` handshake,
+    /// every later one opens its edges at what that settled on and sends
+    /// none.
     pub fn connect(&self) -> (Link, Link) {
-        (
-            self.r.link(
-                &self.net,
-                self.net.tariff_r,
-                self.cache_r.as_ref(),
-                self.fault.as_ref(),
-            ),
-            self.s.link(
-                &self.net,
-                self.net.tariff_s,
-                self.cache_s.as_ref(),
-                self.fault.as_ref(),
-            ),
-        )
+        (self.open(Side::R), self.open(Side::S))
+    }
+
+    /// One fresh link to `side`.
+    fn open(&self, side: Side) -> Link {
+        let (carrier, tariff, cache, wires) = match side {
+            Side::R => (&self.r, self.net.tariff_r, &self.cache_r, &self.wires[0]),
+            Side::S => (&self.s, self.net.tariff_s, &self.cache_s, &self.wires[1]),
+        };
+        let (net, fault, known) = (&self.net, self.fault.as_ref(), wires.get());
+        let link = carrier.link(net, tariff, cache.as_ref(), fault, known.map(Vec::as_slice));
+        if self.net.wire_v2 {
+            // Racing first links all negotiate the same outcome: it is a
+            // function of each edge's endpoint and fault seed alone.
+            wires.get_or_init(|| link.edge_wires().to_vec());
+        }
+        link
     }
 
     /// The per-side client-cache stores `(R, S)`; `None` per side when
@@ -395,12 +416,7 @@ impl Deployment {
     /// [`Response::Unavailable`]. The chaos suites' writer threads use
     /// this to keep streaming through injected outages.
     pub fn try_apply_updates(&self, side: Side, batch: Vec<Update>) -> Response {
-        let (carrier, tariff, cache) = match side {
-            Side::R => (&self.r, self.net.tariff_r, self.cache_r.as_ref()),
-            Side::S => (&self.s, self.net.tariff_s, self.cache_s.as_ref()),
-        };
-        let link = carrier.link(&self.net, tariff, cache, self.fault.as_ref());
-        link.request(&Request::ApplyUpdates(batch))
+        self.open(side).request(&Request::ApplyUpdates(batch))
     }
 
     /// Shard servers behind each side: `(R, S)`. `(1, 1)` for flat
@@ -448,7 +464,6 @@ pub struct DeploymentBuilder {
     cooperative: bool,
     carrier: CarrierKind,
     live: bool,
-    rtree_fanout: usize,
     shards: Option<(usize, usize)>,
     replicas: usize,
     fault: Option<FaultPlan>,
@@ -465,7 +480,6 @@ impl DeploymentBuilder {
             cooperative: false,
             carrier: CarrierKind::InProc,
             live: false,
-            rtree_fanout: asj_rtree::DEFAULT_MAX_ENTRIES,
             shards: None,
             replicas: 1,
             fault: None,
@@ -531,12 +545,6 @@ impl DeploymentBuilder {
     /// one.
     pub fn live(mut self) -> Self {
         self.live = true;
-        self
-    }
-
-    /// R-tree fanout of the server stores.
-    pub fn with_rtree_fanout(mut self, fanout: usize) -> Self {
-        self.rtree_fanout = fanout;
         self
     }
 
@@ -638,7 +646,6 @@ impl DeploymentBuilder {
             )
             .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0))
         });
-        let fanout = self.rtree_fanout;
         // One reactor thread carries every endpoint of an event-loop
         // deployment (a threaded one spawns a reactor per endpoint). The
         // endpoints hold it, so links can never outlive it accidentally.
@@ -650,15 +657,14 @@ impl DeploymentBuilder {
         // answers identically either way.
         let spawn = |objects: Vec<SpatialObject>, name: &str| -> Replica {
             let (service, live): (Arc<dyn QueryHandler>, _) = if self.live {
-                let store =
-                    VersionedStore::new(objects, move |objs| RTreeStore::with_fanout(objs, fanout));
+                let store = VersionedStore::new(objects, RTreeStore::new);
                 let service = Arc::new(SpatialService::new(store).with_policy(policy));
                 // The store handle outlives the endpoint wiring so a
                 // replica restart hook can catch up from a sibling.
                 let live = Arc::clone(service.store());
                 (service, Some(live))
             } else {
-                let store = RTreeStore::with_fanout(objects, fanout);
+                let store = RTreeStore::new(objects);
                 let service = SpatialService::new(store).with_policy(policy);
                 (Arc::new(service), None)
             };
@@ -728,6 +734,7 @@ impl DeploymentBuilder {
             cache_s: cache(self.net.client_cache),
             fault: self.fault,
             net: self.net,
+            wires: Default::default(),
             reactor,
         }
     }

@@ -128,11 +128,63 @@ fn window_pairs(r: &[SpatialObject], s: &[SpatialObject], eps: f64) -> Vec<(u32,
     out
 }
 
+/// Folds every field of `resp` into `hash`: a variant tag, then ids,
+/// counts and `f64::to_bits` of each coordinate, lengths before lists.
+/// Digests are only ever compared between runs of one binary
+/// (`same_outcome` in the benchmark, `tests/device_scaling.rs`), never
+/// against a recorded value, so the encoding is free to change with the
+/// code. The `match` has no `_` arm: a new `Response` variant fails to
+/// compile here instead of silently digesting to nothing.
 fn digest_response(hash: &mut u64, resp: &Response) {
-    // `Debug` is stable for a fixed build and covers every field,
-    // exact-f32 escapes included — cheap and sufficient for comparing
-    // runs of the same binary.
-    fnv1a(hash, format!("{resp:?}").as_bytes());
+    fn word(hash: &mut u64, v: u64) {
+        fnv1a(hash, &v.to_be_bytes());
+    }
+    fn rect(hash: &mut u64, r: &Rect) {
+        for v in [r.min.x, r.min.y, r.max.x, r.max.y] {
+            word(hash, v.to_bits());
+        }
+    }
+    fn objects(hash: &mut u64, objs: &[SpatialObject]) {
+        word(hash, objs.len() as u64);
+        for o in objs {
+            word(hash, u64::from(o.id));
+            rect(hash, &o.mbr);
+        }
+    }
+    match resp {
+        Response::Objects(objs) => {
+            word(hash, 0);
+            objects(hash, objs);
+        }
+        Response::Count(c) => [1, *c].iter().for_each(|&v| word(hash, v)),
+        Response::Counts(cs) => {
+            word(hash, 2);
+            word(hash, cs.len() as u64);
+            cs.iter().for_each(|&c| word(hash, c));
+        }
+        Response::Area(a) => [3, a.to_bits()].iter().for_each(|&v| word(hash, v)),
+        Response::Buckets(buckets) => {
+            word(hash, 4);
+            word(hash, buckets.len() as u64);
+            buckets.iter().for_each(|b| objects(hash, b));
+        }
+        Response::Rects(rects) => {
+            word(hash, 5);
+            word(hash, rects.len() as u64);
+            rects.iter().for_each(|r| rect(hash, r));
+        }
+        Response::Pairs(pairs) => {
+            word(hash, 6);
+            word(hash, pairs.len() as u64);
+            for &(a, b) in pairs {
+                word(hash, u64::from(a) << 32 | u64::from(b));
+            }
+        }
+        Response::Refused => word(hash, 7),
+        Response::Ack { generation } => [8, *generation].iter().for_each(|&v| word(hash, v)),
+        Response::Malformed => word(hash, 9),
+        Response::Unavailable => word(hash, 10),
+    }
 }
 
 /// Runs one device's script over fresh links from `connect`.
@@ -318,6 +370,40 @@ mod tests {
             scripted_window(space, 1, 0, 0),
             scripted_window(space, 2, 0, 0)
         );
+    }
+
+    #[test]
+    fn response_digest_sees_every_field_and_the_order() {
+        let digest = |resps: &[Response]| {
+            let mut hash = FNV_OFFSET;
+            resps.iter().for_each(|r| digest_response(&mut hash, r));
+            hash
+        };
+        let objs = |y: f64| Response::Objects(vec![SpatialObject::point(1, 0.5, y)]);
+        let distinct = [
+            vec![objs(0.0)],
+            vec![objs(-0.0)],
+            vec![objs(f64::from(0.1f32))],
+            vec![Response::Buckets(vec![vec![SpatialObject::point(
+                1, 0.5, 0.0,
+            )]])],
+            vec![Response::Buckets(vec![vec![], vec![]])],
+            vec![Response::Buckets(vec![vec![]])],
+            vec![Response::Count(1), Response::Count(2)],
+            vec![Response::Count(2), Response::Count(1)],
+            vec![Response::Counts(vec![1, 2])],
+            vec![Response::Area(1.0)],
+            vec![Response::Ack { generation: 1 }],
+            vec![Response::Refused],
+            vec![Response::Malformed],
+            vec![Response::Unavailable],
+        ];
+        for (i, a) in distinct.iter().enumerate() {
+            assert_eq!(digest(a), digest(&a.clone()));
+            for b in &distinct[i + 1..] {
+                assert_ne!(digest(a), digest(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

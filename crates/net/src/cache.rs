@@ -75,6 +75,7 @@ use crate::codec::{
     OBJECTS_HEADER_BYTES, OBJ_BYTES,
 };
 use crate::edge::{Edge, Layer};
+use crate::few::Few;
 use crate::meter::{CacheSnapshot, CacheTelemetry, LinkMeter};
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{Request, Response};
@@ -441,7 +442,7 @@ impl CacheLayer {
     /// a fresh link meter.
     pub fn new(inner: Box<dyn RawExchange>, packet: PacketModel, cache: Arc<ClientCache>) -> Self {
         let meter = Arc::new(LinkMeter::new());
-        let edge = Edge::new(inner, packet, vec![Arc::clone(&meter)]);
+        let edge = Edge::new(inner, packet, Arc::clone(&meter));
         CacheLayer::over(Box::new(edge), packet, meter, None, cache)
     }
 
@@ -571,7 +572,7 @@ impl CacheLayer {
         if plan.iter().all(|p| p.ships().is_none()) {
             return;
         }
-        let mut replies = Vec::new();
+        let mut replies = Few::new();
         self.inner.call_many(
             &mut plan.iter().filter_map(Planned::ships),
             &mut |resp, generation| {
@@ -588,8 +589,12 @@ impl CacheLayer {
     /// The admit pass for one request: its answer and the generation it
     /// was served at, with authoritative replies admitted to the cache
     /// and local answers priced as saved bytes.
-    fn settle(&self, p: Planned, generation: u64) -> (Response, u64) {
-        let (counts, miss_idx, sub) = match p.local {
+    fn settle(&self, p: &mut Planned, generation: u64) -> (Response, u64) {
+        let (local, shipped) = (
+            std::mem::replace(&mut p.local, Local::Miss),
+            p.shipped.take(),
+        );
+        let (counts, miss_idx, sub) = match local {
             // A fully local answer: the whole round trip is saved.
             Local::Hit(resp) => {
                 self.telemetry
@@ -597,7 +602,7 @@ impl CacheLayer {
                 return (resp, generation);
             }
             Local::Miss => {
-                let (resp, generation) = p.shipped.expect("every miss was shipped");
+                let (resp, generation) = shipped.expect("every miss was shipped");
                 match (&*p.req, &resp) {
                     (Request::Count(w), Response::Count(c)) => {
                         self.cache.observe_count(w, *c, generation)
@@ -616,7 +621,7 @@ impl CacheLayer {
             }
             Local::Partial(counts, miss_idx, sub) => (counts, miss_idx, sub),
         };
-        let (fresh, fresh_generation) = p.shipped.expect("every sub-batch was shipped");
+        let (fresh, fresh_generation) = shipped.expect("every sub-batch was shipped");
         let (Request::MultiCount(windows), Response::Counts(cs)) = (&*p.req, &fresh) else {
             // A failed or refused sub-exchange surfaces typed: the
             // locally answered entries are discarded rather than spliced
@@ -685,16 +690,20 @@ impl Layer for CacheLayer {
         reply: &mut dyn FnMut(Response, u64),
     ) {
         let generation = self.cache.generation();
-        let mut plan: Vec<Planned> = reqs.map(|req| self.lookup(req, generation)).collect();
-        self.ship(&mut plan);
+        let mut plan: Few<Planned> = reqs.map(|req| self.lookup(req, generation)).collect();
+        let plan_mut = plan.as_mut_slice();
+        self.ship(plan_mut);
         let advanced = |p: &Planned| matches!(&p.shipped, Some((resp, g)) if !resp.is_failure() && *g != generation);
-        if plan.iter().any(advanced) {
-            for p in plan.iter_mut().filter(|p| !matches!(p.local, Local::Miss)) {
+        if plan_mut.iter().any(advanced) {
+            for p in plan_mut
+                .iter_mut()
+                .filter(|p| !matches!(p.local, Local::Miss))
+            {
                 (p.local, p.shipped) = (Local::Miss, None);
             }
-            self.ship(&mut plan);
+            self.ship(plan_mut);
         }
-        for p in plan {
+        for p in plan_mut {
             let (resp, generation) = self.settle(p, generation);
             reply(resp, generation);
         }
@@ -704,8 +713,8 @@ impl Layer for CacheLayer {
         self.inner.set_retry(retry);
     }
 
-    fn negotiate(&mut self) -> WireVersion {
-        self.inner.negotiate()
+    fn negotiate(&mut self, known: Option<&[WireVersion]>) -> Vec<WireVersion> {
+        self.inner.negotiate(known)
     }
 }
 

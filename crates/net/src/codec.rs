@@ -95,7 +95,7 @@ pub const DEDUP_HEADER_BYTES: u64 = 1 + 8 + 8;
 /// Frame-layout strategy of one physical link — the negotiated wire
 /// protocol version. `V1` is the seed format every peer speaks; `V2` is a
 /// strict superset a link may upgrade to via the `HELLO`/`ACCEPT`
-/// handshake (see [`crate::proto::Hello`]): requests gain a 1-byte
+/// handshake ([`encode_hello`] / [`decode_accept`]): requests gain a 1-byte
 /// envelope marker, object frames switch to the compact layout
 /// ([`ObjectsEncoder`]), counts and acks travel as LEB128 varints, and
 /// generation stamps shrink to a varint. Everything else keeps its v1

@@ -10,6 +10,7 @@
 //! and retries failures one by one. Everything above speaks
 //! [`Layer::call_many`].
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,16 +58,20 @@ pub(crate) trait Layer: Send + Sync {
     /// Hands a retry discipline down to the physical edges below.
     fn set_retry(&mut self, retry: RetryPolicy);
 
-    /// Runs the `HELLO`/`ACCEPT` handshake on every physical edge below
-    /// and returns the version all of them speak.
-    fn negotiate(&mut self) -> WireVersion;
+    /// Settles the wire version of every physical edge below and returns
+    /// them in edge order: by the `HELLO`/`ACCEPT` handshake, or — given
+    /// what an earlier handshake on the same edges settled on — by
+    /// adopting `known` without sending anything.
+    fn negotiate(&mut self, known: Option<&[WireVersion]>) -> Vec<WireVersion>;
 }
 
 /// One request framed for an edge: the bytes every attempt ships and
 /// what [`Edge::judge`] needs to read the reply.
 #[derive(Clone)]
 pub(crate) struct Frame<'a> {
-    pub req: &'a Request,
+    /// Borrowed when it is the caller's own request, owned when a router
+    /// built it for one shard.
+    pub req: Cow<'a, Request>,
     pub bytes: Bytes,
     /// The v2 coordinate grid both peers derive from the request.
     ctx: Option<QuantCtx>,
@@ -78,10 +83,9 @@ pub(crate) struct Edge {
     /// Ships frames split-phase ([`RawExchange::begin_many`]).
     pub(crate) carrier: Box<dyn RawExchange>,
     packet: PacketModel,
-    /// Every meter this edge's traffic is charged to: one for a plain
-    /// edge; aggregate, shard and replica for a fleet edge — so
-    /// `aggregate == Σ shard == Σ Σ replica` holds by construction.
-    meters: Vec<Arc<LinkMeter>>,
+    /// The one meter this edge's traffic is charged to. A fleet's shard
+    /// and aggregate meters sum their edges' ([`LinkMeter::summing`]).
+    meter: Arc<LinkMeter>,
     wire: WireVersion,
     retry: RetryPolicy,
     nonce: u64,
@@ -94,12 +98,12 @@ impl Edge {
     pub(crate) fn new(
         carrier: Box<dyn RawExchange>,
         packet: PacketModel,
-        meters: Vec<Arc<LinkMeter>>,
+        meter: Arc<LinkMeter>,
     ) -> Self {
         Edge {
             carrier,
             packet,
-            meters,
+            meter,
             wire: WireVersion::V1,
             retry: RetryPolicy::default(),
             nonce: EDGE_NONCE.fetch_add(1, Ordering::Relaxed),
@@ -117,9 +121,9 @@ impl Edge {
         self.wire = wire;
     }
 
-    /// Applies `f` to every meter of this edge.
+    /// Applies `f` to this edge's meter.
     pub(crate) fn tally(&self, f: fn(&LinkMeter)) {
-        self.meters.iter().for_each(|m| f(m));
+        f(&self.meter);
     }
 
     /// Encodes `req` in this edge's wire version. With retries on, an
@@ -127,9 +131,9 @@ impl Edge {
     /// fresh `(nonce, seq)` tag per frame, so every attempt (and every
     /// replica a fleet ships the frame to) carries the identical tag and
     /// a duplicated delivery replays the server's recorded `Ack`.
-    pub(crate) fn frame<'a>(&self, req: &'a Request) -> Frame<'a> {
-        let mut bytes = encode_request_versioned(req, self.wire);
-        if self.retry.enabled() && matches!(req, Request::ApplyUpdates(_)) {
+    pub(crate) fn frame<'a>(&self, req: Cow<'a, Request>) -> Frame<'a> {
+        let mut bytes = encode_request_versioned(&req, self.wire);
+        if self.retry.enabled() && matches!(*req, Request::ApplyUpdates(_)) {
             let tag = DedupTag {
                 nonce: self.nonce,
                 seq: self.seq.fetch_add(1, Ordering::Relaxed),
@@ -137,9 +141,9 @@ impl Edge {
             bytes = wrap_dedup(tag, &bytes);
         }
         Frame {
+            ctx: QuantCtx::for_request(&req),
             req,
             bytes,
-            ctx: QuantCtx::for_request(req),
         }
     }
 
@@ -199,15 +203,10 @@ impl Edge {
             Ok((resp, stamp)) if frame.req.admits(&resp) => (resp, stamp),
             _ => (Response::Malformed, 0),
         };
-        for m in &self.meters {
-            m.record_request(frame.req, up, &self.packet);
-            m.record_response(
-                down,
-                resp.object_count(),
-                &self.packet,
-                frame.req.is_aggregate(),
-            );
-        }
+        let (objects, aggregate) = (resp.object_count(), frame.req.is_aggregate());
+        self.meter.record_request(&frame.req, up, &self.packet);
+        self.meter
+            .record_response(down, objects, &self.packet, aggregate);
         match resp {
             Response::Ack { generation } => (resp, generation),
             _ => (resp, stamp),
@@ -235,7 +234,7 @@ impl Layer for Edge {
         };
         self.carrier.begin_many(
             &mut reqs.map(|req| {
-                let frame = self.frame(req);
+                let frame = self.frame(Cow::Borrowed(req));
                 let bytes = frame.bytes.clone();
                 if let Some(prev) = newest.replace(Some(frame)) {
                     earlier.borrow_mut().push_back(prev);
@@ -261,8 +260,11 @@ impl Layer for Edge {
         self.retry = retry;
     }
 
-    fn negotiate(&mut self) -> WireVersion {
-        let reply = self.hello().wait();
-        self.accept(&reply)
+    fn negotiate(&mut self, known: Option<&[WireVersion]>) -> Vec<WireVersion> {
+        match known {
+            Some(known) => self.wire = known[0],
+            None => self.wire = self.accept(&self.hello().wait()),
+        }
+        vec![self.wire]
     }
 }

@@ -20,24 +20,15 @@
 //! # Connection-state ownership
 //!
 //! The reactor *owns* all mutable per-connection state. A connection's
-//! [`ConnState`] — the negotiated wire version, the carrier's analogue of
-//! a real socket's handshake state — is written exclusively by the
-//! reactor thread while it answers that connection's `HELLO`/`ACCEPT`
-//! frames, and only read (for telemetry and tests) from the client side.
-//! Likewise the reactor owns the single reusable encode buffer every
-//! reply is built in; client handles never touch it. This is what lets
-//! thousands of connections coexist without per-connection locks: the
-//! reactor serializes every state transition, and the shared `Arc`s are
-//! append-only counters or atomics published with release/acquire
-//! ordering.
-//!
-//! Negotiation therefore moves *into connection setup*: the `HELLO`
-//! probe a [`Link::negotiate`](crate::Link::negotiate) sends travels the
-//! ready-queue like any request, the reactor answers it with `ACCEPT`
-//! and records the accepted version into that connection's state — two
-//! connections to the same endpoint can be at different versions, and
-//! concurrent handshakes from many devices cannot race: the reactor
-//! processes them one at a time.
+//! [`ConnState`] — the negotiated wire version, a socket's handshake
+//! state — starts at V1, or at the version an earlier handshake with the
+//! endpoint settled on ([`EventEndpoint::connect_at`]), and is written
+//! only by the reactor thread while it answers that connection's `HELLO`;
+//! the client side only reads it. The reactor also owns the one encode
+//! buffer every reply is built in. So thousands of connections coexist
+//! without per-connection locks, two connections to one endpoint can be
+//! at different versions, and concurrent handshakes cannot race: the
+//! reactor processes them one at a time.
 //!
 //! # Robustness contract
 //!
@@ -50,11 +41,10 @@
 //! [`Response::Unavailable`](crate::Response::Unavailable) instead of
 //! panicking.
 //!
-//! Per-endpoint [`EndpointStats`] gauge the requests outstanding
-//! (enqueued on send — every member of a pipelined batch counts — and
-//! decremented when served) and the connections that have at least one
-//! outstanding, each with a high-water mark, beside the serving counters
-//! and malformed-frame counts.
+//! Per-endpoint [`EndpointStats`] gauge the requests outstanding (every
+//! member of a pipelined batch counts) and the connections with at least
+//! one outstanding, each with a high-water mark, beside the serving,
+//! handshake and malformed-frame counts.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -63,9 +53,10 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 
 use crate::codec::WireVersion;
-use crate::mailbox::{mailbox, End};
+use crate::few::Few;
+use crate::mailbox::{mailbox, slots, End, SlotEnd};
 use crate::proto::QueryHandler;
-use crate::transport::{begin_one, Pending, RawExchange};
+use crate::transport::{Pending, RawExchange};
 
 /// One connection, as the reactor sees it: the state it owns (see module
 /// docs) and the endpoint the connection leads to. The client side holds
@@ -128,6 +119,8 @@ pub struct EndpointStats {
     max_waiting: AtomicU64,
     /// Query frames served (handshakes and malformed frames excluded).
     served: AtomicU64,
+    /// `HELLO` probes answered.
+    handshakes: AtomicU64,
     /// Undecodable frames with a recognizable-but-broken shape (alien
     /// opcode, truncated payload) answered with the typed error.
     malformed: AtomicU64,
@@ -161,6 +154,12 @@ impl EndpointStats {
         self.served.load(Ordering::Acquire)
     }
 
+    /// `HELLO` probes answered: one per connection that negotiated, none
+    /// from one that resumed at a version negotiated before it.
+    pub fn handshakes(&self) -> u64 {
+        self.handshakes.load(Ordering::Acquire)
+    }
+
     /// Undecodable non-garble frames answered with
     /// [`crate::Response::Malformed`].
     pub fn malformed(&self) -> u64 {
@@ -188,7 +187,7 @@ impl EndpointStats {
 enum Event {
     Rpc {
         request: Bytes,
-        reply: End<Bytes>,
+        reply: SlotEnd<Bytes>,
         /// The connection it came in on, which names the endpoint's
         /// handler too — so the reactor needs no endpoint registry at
         /// all, and registration is just handing out the mailbox.
@@ -257,6 +256,7 @@ impl EventLoop {
                     if let Some(version) = crate::codec::decode_accept(&accept) {
                         conn.wire.store(version, Ordering::Release);
                     }
+                    stats.handshakes.fetch_add(1, Ordering::AcqRel);
                     conn.dequeued(1);
                     replies.push((reply, accept, conn));
                     continue;
@@ -297,7 +297,7 @@ impl EventLoop {
             }
             for (reply, answer, conn) in replies.drain(..) {
                 // A refused reply just means the client gave up.
-                if !reply.push_all([answer]) {
+                if !reply.fill(answer) {
                     conn.stats.abandoned.fetch_add(1, Ordering::AcqRel);
                 }
             }
@@ -367,10 +367,17 @@ pub struct EventEndpoint {
 impl EventEndpoint {
     /// Opens a new connection with fresh per-connection state.
     pub fn connect(&self) -> EventConnection {
+        self.connect_at(WireVersion::V1)
+    }
+
+    /// Opens a connection that resumes at `wire`, the version an earlier
+    /// handshake with this endpoint settled on: that is its *initial*
+    /// state, and the reactor stays the only writer afterwards.
+    pub fn connect_at(&self, wire: WireVersion) -> EventConnection {
         EventConnection {
             queue: Arc::clone(&self.queue),
             conn: Arc::new(ConnState {
-                wire: AtomicU8::new(1),
+                wire: AtomicU8::new(wire as u8 + 1),
                 outstanding: AtomicU64::new(0),
                 handler: Arc::clone(&self.handler),
                 stats: Arc::clone(&self.stats),
@@ -405,10 +412,6 @@ impl RawExchange for EventConnection {
         self.begin(request).wait()
     }
 
-    fn begin(&self, request: Bytes) -> Pending {
-        begin_one(self, request)
-    }
-
     /// The whole batch is enqueued under one lock with one wake-up. If
     /// the reactor is gone the batch is dropped unsent, and every pending
     /// then yields the unavailable frame.
@@ -417,26 +420,27 @@ impl RawExchange for EventConnection {
         requests: &mut dyn Iterator<Item = Bytes>,
         begun: &mut dyn FnMut(Pending),
     ) {
-        let events: Vec<Event> = requests
-            .map(|request| {
-                // The slot the reactor answers into; it refuses the reply
-                // once the client has dropped the pending that waits on it.
-                let (reply, waiter) = mailbox();
-                begun(Pending {
-                    reply: Err(waiter),
-                    garble: None,
-                });
-                Event::Rpc {
-                    request,
-                    reply,
-                    conn: Arc::clone(&self.conn),
-                }
-            })
-            .collect();
-        if events.is_empty() {
+        let mut requests: Few<Bytes> = requests.collect();
+        let n = requests.as_mut_slice().len() as u64;
+        if n == 0 {
             return;
         }
-        let n = events.len() as u64;
+        // The slots the reactor answers into; one refuses its reply once
+        // the client has dropped the pending that waits on it.
+        let paired = requests.into_iter().zip(slots(n as usize));
+        let events = paired.map(|(request, (reply, waiter))| {
+            begun(Pending {
+                reply: Err(waiter),
+                garble: None,
+            });
+            let conn = Arc::clone(&self.conn);
+            Event::Rpc {
+                request,
+                reply,
+                conn,
+            }
+        });
+        let events: Few<Event> = events.collect();
         self.conn.enqueued(n);
         if !self.queue.push_all(events) {
             self.conn.dequeued(n);
@@ -702,7 +706,7 @@ pub(crate) mod tests {
         // One push, so the reactor drains all five events together.
         let (mut events, pendings): (Vec<Event>, Vec<Pending>) = (0..4)
             .map(|_| {
-                let (reply, waiter) = mailbox();
+                let (reply, waiter) = slots(1).next().unwrap();
                 let pending = Pending {
                     reply: Err(waiter),
                     garble: None,

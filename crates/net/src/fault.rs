@@ -36,7 +36,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use bytes::Bytes;
 
 use crate::codec::{garble_frame, unavailable_frame};
-use crate::transport::{begin_one, Pending, RawExchange};
+use crate::few::Few;
+use crate::health::spread_hash;
+use crate::transport::{Pending, RawExchange};
 
 /// Scripted crash of the endpoint behind a [`FaultLayer`]: exchanges
 /// `at .. at + dark` (0-based, counted at the layer) answer unavailable;
@@ -189,15 +191,6 @@ pub struct FaultLayer {
     counters: Counters,
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -240,6 +233,16 @@ impl FaultLayer {
         self
     }
 
+    /// Counts this layer's exchanges from `first` instead of 0. A link
+    /// that resumes at a version an earlier one negotiated starts at 1:
+    /// the `HELLO` it does not send was exchange 0 of that link's layer,
+    /// so a scripted crash window ([`CrashPlan::at`]) falls on the same
+    /// requests on every link.
+    pub fn starting_at(self, first: u64) -> Self {
+        self.exchanges.store(first, Ordering::SeqCst);
+        self
+    }
+
     /// The plan this layer injects from.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
@@ -275,13 +278,13 @@ impl FaultLayer {
     /// Draws the next attempt's roll for this request byte string and
     /// advances (or resets) its consecutive-fault counter.
     fn next_roll(&self, request: &[u8]) -> Roll {
-        let hash = fnv64(request);
+        let hash = spread_hash(request);
         let mut attempts = self.attempts.lock().expect("fault attempt lock");
-        let attempt = attempts.entry(hash).or_insert(0);
-        let roll = self.roll_at(hash, *attempt);
+        let attempt = attempts.get(&hash).copied().unwrap_or(0);
+        let roll = self.roll_at(hash, attempt);
         if roll.drop || roll.garble {
-            *attempt += 1;
-        } else {
+            attempts.insert(hash, attempt + 1);
+        } else if attempt > 0 {
             attempts.remove(&hash);
         }
         roll
@@ -346,10 +349,6 @@ impl RawExchange for FaultLayer {
         self.begin(request).wait()
     }
 
-    fn begin(&self, request: Bytes) -> Pending {
-        begin_one(self, request)
-    }
-
     fn begin_many(
         &self,
         requests: &mut dyn Iterator<Item = Bytes>,
@@ -357,13 +356,11 @@ impl RawExchange for FaultLayer {
     ) {
         // Every decision first: `admit` may restart the carrier, which it
         // cannot do under the read lock the batch is shipped under.
-        let admitted: Vec<_> = requests.map(|request| self.admit(request)).collect();
-        let mut shipped = Vec::with_capacity(admitted.len());
+        let mut admitted: Few<_> = requests.map(|request| self.admit(request)).collect();
+        let mut shipped = Few::new();
+        let ships = admitted.as_mut_slice().iter().flatten();
         self.inner.read().expect("fault inner lock").begin_many(
-            &mut admitted
-                .iter()
-                .flatten()
-                .map(|(request, _)| request.clone()),
+            &mut ships.map(|(request, _)| request.clone()),
             &mut |pending| shipped.push(pending),
         );
         let mut shipped = shipped.into_iter();

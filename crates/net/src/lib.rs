@@ -28,53 +28,31 @@
 //!   connection to a server on a reactor thread (the "distributed"
 //!   deployment used by examples and integration tests);
 //! * [`event_loop`] — the **serving carrier**, the only serving loop: a
-//!   reactor thread multiplexing every server endpoint and device
-//!   connection registered on it over a ready-queue, per-connection
-//!   `HELLO`/`ACCEPT` negotiation state owned by the reactor, typed error
-//!   frames for garbled input, and per-endpoint queue-depth gauges. What
-//!   varies is placement — a reactor per server ([`ChannelServer`], the
-//!   paper's independent servers) or one shared by a whole deployment
-//!   (thousands of simulated devices without a thread per connection);
+//!   reactor thread multiplexing every endpoint and connection registered
+//!   on it; placement is one reactor per server ([`ChannelServer`]) or one
+//!   shared by a whole deployment;
 //! * [`router`] — the **scatter-gather extension**: a [`ShardRouter`]
-//!   makes a fleet of shard servers look like one, pruning shards by
-//!   advertised bounds, sub-batching batched requests, merging and
-//!   deduplicating answers, with every exchange metered per replica, per
-//!   shard and in aggregate. A fleet of one edge prunes and merges
-//!   nothing, so sharding is wire-identical to a flat deployment at
-//!   N = 1;
-//! * [`cache`] — the **client-cache extension**: a [`CacheLayer`] (in
-//!   front of a flat server *or* a whole fleet) answers repeated `COUNT`s
-//!   from an exact statistics tier and contained `WINDOW`/ε-RANGE
-//!   requests from a byte-budgeted window tier. Entries are keyed by the
-//!   **serving generation** each response reports, so live updates need
-//!   no invalidation protocol: a generation bump simply stops matching
-//!   and stale entries age out of the LRU budget. Gated by
-//!   [`NetConfig::client_cache`] and **off by default** (off ⇒
-//!   byte-identical wire traffic); hits/misses/saved bytes are tallied in
-//!   a [`CacheSnapshot`];
+//!   makes a fleet of shard servers look like one — pruning by advertised
+//!   bounds, sub-batching, merging, metering per replica, per shard and in
+//!   aggregate — and is wire-identical to a flat deployment at N = 1;
+//! * [`cache`] — the **client-cache extension**: a [`CacheLayer`] answers
+//!   repeated `COUNT`s and contained `WINDOW`/ε-RANGE requests locally,
+//!   keyed by the serving generation so live updates need no invalidation
+//!   protocol. Gated by [`NetConfig::client_cache`], **off by default**
+//!   (off ⇒ byte-identical wire traffic), tallied in a [`CacheSnapshot`];
 //! * [`fault`] — the **deterministic fault injector**: a [`FaultLayer`]
-//!   wraps any carrier and replays scripted drops, delays, garbled frames
-//!   and crash-then-restart windows from a seeded [`FaultPlan`], so every
-//!   chaos run is reproducible. Pairs with the [`packet::RetryPolicy`]
-//!   retry/backoff discipline (off by default — off ⇒ byte-identical wire
-//!   traffic) that re-issues failed exchanges, dedup-enveloping
-//!   `ApplyUpdates` so retried deliveries are at-most-once;
+//!   replays scripted drops, delays, garbled frames and crash-then-restart
+//!   windows from a seeded [`FaultPlan`]; pairs with the
+//!   [`packet::RetryPolicy`] retry/backoff discipline (off by default —
+//!   off ⇒ byte-identical wire traffic);
 //! * [`health`] — the **replica failover extension**: per-replica-edge
-//!   circuit breakers (closed → open after K consecutive failures →
-//!   half-open probe after a deterministic, exchange-counted cooldown)
-//!   and integer EWMA failure tracking. The [`ShardRouter`] spreads reads
-//!   across a shard's replicas by request hash, skips open breakers,
-//!   fails a lost exchange over to the next sibling *before* consuming
-//!   retry budget, and rejects replies below the shard's observed
-//!   generation floor so handoff never serves stale state. Gated by
-//!   [`NetConfig::breaker`] / replica count and **off by default** (one
-//!   replica ⇒ byte-identical wire traffic);
+//!   circuit breakers on an exchange-counted clock and the generation
+//!   floor that keeps failover from serving stale state. Gated by
+//!   [`NetConfig::breaker`] / replica count, **off by default**;
 //! * the **generation stamp** — servers answering from a generation > 0
 //!   prefix every response frame with `[R_GEN][u64 generation]`
-//!   ([`codec::stamp_generation`]); generation-0 (frozen) traffic carries
-//!   no stamp and stays bit-for-bit the pre-generation wire format.
-//!   `Request::ApplyUpdates` ships batched inserts/deletes/moves and is
-//!   acknowledged with `Response::Ack { generation }`.
+//!   ([`codec::stamp_generation`]); generation-0 (frozen) traffic stays
+//!   bit-for-bit the pre-generation wire format.
 //!
 //! Every message — including the queries themselves, as the paper insists —
 //! is packetized and metered.
@@ -104,13 +82,16 @@
 //! steps. Retry and negotiation requested on a [`Link`] are handed down
 //! to whichever layer owns the edges, so neither can be applied above
 //! them. Batching changes when the device waits, never what crosses the
-//! wire: same requests, same frames, same fault rolls, same bytes.
+//! wire: same requests, same frames, same fault rolls, same bytes. And
+//! above the edge a request allocates its frames and its answer, nothing
+//! else (`tests/alloc_budget.rs` pins it).
 
 pub mod cache;
 pub mod codec;
 mod edge;
 pub mod event_loop;
 pub mod fault;
+mod few;
 pub mod health;
 mod mailbox;
 pub mod meter;

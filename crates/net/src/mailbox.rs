@@ -3,11 +3,13 @@
 //!
 //! A batch is enqueued under one lock with at most one wake-up and the
 //! consumer takes its *whole* queue per wake-up, so a pipelined batch
-//! costs one context switch each way, not one per request. A reply slot
-//! is a mailbox too — of one message, from the server to one waiter.
+//! costs one context switch each way, not one per request. Its replies
+//! come back through [`slots`], allocated once for the batch.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
+
+use crate::few::Few;
 
 /// Multi-producer, single-consumer (one `parked` flag: one consumer).
 pub(crate) struct Mailbox<T> {
@@ -106,6 +108,96 @@ impl<T> Drop for End<T> {
     }
 }
 
+/// The reply slots of one batch of requests — and whether a waiter is
+/// parked on them: one allocation per batch, one lock per reply on each
+/// side.
+pub(crate) struct Slots<T> {
+    slots: Mutex<(Few<Slot<T>>, bool)>,
+    ready: Condvar,
+}
+
+enum Slot<T> {
+    Empty,
+    Filled(T),
+    /// Taken, given up on, or never to be filled.
+    Over,
+}
+
+/// One end of one slot: the server's fills it, the client's waits on it.
+/// An end dropped before it did leaves the slot [`Slot::Over`]: its peer
+/// is refused, or wakes to nothing.
+pub(crate) struct SlotEnd<T> {
+    shared: Arc<Slots<T>>,
+    index: usize,
+    done: bool,
+}
+
+/// The `n` slots of one batch, as their two ends each.
+pub(crate) fn slots<T>(n: usize) -> impl Iterator<Item = (SlotEnd<T>, SlotEnd<T>)> {
+    let empty = (0..n).map(|_| Slot::Empty).collect();
+    let shared = Arc::new(Slots {
+        slots: Mutex::new((empty, false)),
+        ready: Condvar::new(),
+    });
+    let end = move |index| SlotEnd {
+        shared: Arc::clone(&shared),
+        index,
+        done: false,
+    };
+    (0..n).map(move |index| (end(index), end(index)))
+}
+
+impl<T> SlotEnd<T> {
+    /// Puts `with` into the slot if it is still empty and wakes whoever
+    /// waits on the batch. `false` if the peer was there first.
+    fn settle(&mut self, with: Slot<T>) -> bool {
+        self.done = true;
+        // Poisoned means the peer panicked mid-update: nobody to tell.
+        let Ok(mut guard) = self.shared.slots.lock() else {
+            return false;
+        };
+        let (slots, parked) = &mut *guard;
+        let slot = &mut slots.as_mut_slice()[self.index];
+        let open = matches!(slot, Slot::Empty);
+        if open {
+            *slot = with;
+        }
+        if std::mem::take(parked) {
+            self.shared.ready.notify_all();
+        }
+        open
+    }
+
+    /// Delivers the reply; `false` once the waiter has gone.
+    pub(crate) fn fill(mut self, reply: T) -> bool {
+        self.settle(Slot::Filled(reply))
+    }
+
+    /// Blocks until the slot is filled; `None` once the filler has gone.
+    pub(crate) fn wait(mut self) -> Option<T> {
+        self.done = true;
+        let mut guard = self.shared.slots.lock().expect("slots poisoned");
+        loop {
+            let slot = &mut guard.0.as_mut_slice()[self.index];
+            match std::mem::replace(slot, Slot::Over) {
+                Slot::Filled(reply) => return Some(reply),
+                Slot::Over => return None,
+                Slot::Empty => *slot = Slot::Empty,
+            }
+            guard.1 = true;
+            guard = self.shared.ready.wait(guard).expect("slots poisoned");
+        }
+    }
+}
+
+impl<T> Drop for SlotEnd<T> {
+    fn drop(&mut self) {
+        if !self.done {
+            self.settle(Slot::Over);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,6 +225,53 @@ mod tests {
         let (tx, rx) = mailbox();
         drop(rx);
         assert!(!tx.push_all([8]), "nobody left to take it");
+    }
+
+    #[test]
+    fn a_slot_end_dropped_undone_refuses_or_releases_its_peer() {
+        let mut batch = slots::<u8>(3);
+        let (fill, wait) = batch.next().unwrap();
+        assert!(fill.fill(7), "the waiter is still there");
+        assert_eq!(wait.wait(), Some(7));
+        let (fill, wait) = batch.next().unwrap();
+        drop(wait);
+        assert!(!fill.fill(8), "nobody left to take it");
+        let (fill, wait) = batch.next().unwrap();
+        let waiter = std::thread::spawn(move || wait.wait());
+        drop(fill);
+        assert_eq!(
+            waiter.join().unwrap(),
+            None,
+            "woken to nothing, not left parked"
+        );
+        assert!(batch.next().is_none());
+    }
+
+    /// The same, through the slots of one batch: replies filled from
+    /// another thread in any order reach exactly their own waiter.
+    #[test]
+    fn batch_slots_never_lose_a_wake_up_or_cross_replies() {
+        let (tx, rx) = mailbox::<SlotEnd<usize>>();
+        let server = std::thread::spawn(move || {
+            let mut batch = VecDeque::new();
+            while rx.take_all(&mut batch) {
+                // Newest first: a waiter's reply is rarely the first filled.
+                for (k, slot) in batch.drain(..).enumerate().rev() {
+                    assert!(slot.fill(k));
+                }
+            }
+        });
+        for depth in [1usize, 2, 32] {
+            for _ in 0..20_000 / depth {
+                let (fills, waits): (Vec<_>, Vec<_>) = slots(depth).unzip();
+                assert!(tx.push_all(fills));
+                for (k, wait) in waits.into_iter().enumerate() {
+                    assert_eq!(wait.wait(), Some(k));
+                }
+            }
+        }
+        drop(tx);
+        server.join().unwrap();
     }
 
     /// No lost wake-up in either direction: every ping parks the server

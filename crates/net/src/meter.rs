@@ -34,6 +34,8 @@ pub struct LinkMeter {
     abandoned: AtomicU64,
     failovers: AtomicU64,
     breaker_open: AtomicU64,
+    /// Meters whose traffic this one reports on top of its own.
+    parts: Vec<std::sync::Arc<LinkMeter>>,
 }
 
 /// A point-in-time copy of a [`LinkMeter`].
@@ -292,6 +294,17 @@ impl LinkMeter {
         LinkMeter::default()
     }
 
+    /// A meter that reports the sum of `parts`: a fleet's aggregate over
+    /// its shards', a shard's over its replica edges'. An exchange is
+    /// charged once, at its edge, and `aggregate == Σ shard == Σ Σ
+    /// replica` holds by construction.
+    pub fn summing(parts: Vec<std::sync::Arc<LinkMeter>>) -> Self {
+        LinkMeter {
+            parts,
+            ..LinkMeter::default()
+        }
+    }
+
     /// Records an outgoing request of `payload` bytes.
     pub fn record_request(&self, req: &Request, payload: u64, packet: &PacketModel) {
         let wire = packet.tb(payload);
@@ -361,9 +374,9 @@ impl LinkMeter {
         self.breaker_open.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Copies the counters.
+    /// Copies the counters (plus those of the meters this one sums).
     pub fn snapshot(&self) -> LinkSnapshot {
-        LinkSnapshot {
+        let own = LinkSnapshot {
             up_bytes: self.up_bytes.load(Ordering::Relaxed),
             down_bytes: self.down_bytes.load(Ordering::Relaxed),
             up_packets: self.up_packets.load(Ordering::Relaxed),
@@ -380,27 +393,9 @@ impl LinkMeter {
             abandoned: self.abandoned.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
             breaker_open: self.breaker_open.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.up_bytes.store(0, Ordering::Relaxed);
-        self.down_bytes.store(0, Ordering::Relaxed);
-        self.up_packets.store(0, Ordering::Relaxed);
-        self.down_packets.store(0, Ordering::Relaxed);
-        self.count_queries.store(0, Ordering::Relaxed);
-        self.window_queries.store(0, Ordering::Relaxed);
-        self.range_queries.store(0, Ordering::Relaxed);
-        self.bucket_queries.store(0, Ordering::Relaxed);
-        self.coop_queries.store(0, Ordering::Relaxed);
-        self.objects_received.store(0, Ordering::Relaxed);
-        self.aggregate_up_bytes.store(0, Ordering::Relaxed);
-        self.aggregate_down_bytes.store(0, Ordering::Relaxed);
-        self.retried.store(0, Ordering::Relaxed);
-        self.abandoned.store(0, Ordering::Relaxed);
-        self.failovers.store(0, Ordering::Relaxed);
-        self.breaker_open.store(0, Ordering::Relaxed);
+        };
+        let parts = self.parts.iter().map(|part| part.snapshot());
+        parts.fold(own, |sum, part| sum.plus(&part))
     }
 }
 
@@ -462,12 +457,26 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let m = LinkMeter::new();
+    fn a_summing_meter_reports_its_parts_and_its_own() {
+        use std::sync::Arc;
         let p = PacketModel::default();
-        m.record_response(100, 5, &p, true);
-        m.reset();
-        assert_eq!(m.snapshot(), LinkSnapshot::default());
+        let leaves: Vec<_> = (0..3).map(|_| Arc::new(LinkMeter::new())).collect();
+        let shard = Arc::new(LinkMeter::summing(leaves[..2].to_vec()));
+        let total = LinkMeter::summing(vec![Arc::clone(&shard), Arc::clone(&leaves[2])]);
+        assert_eq!(total.snapshot(), LinkSnapshot::default());
+        leaves[0].record_response(100, 5, &p, true);
+        leaves[1].record_retry();
+        leaves[2].record_response(40, 2, &p, false);
+        total.record_failover();
+        let parts = leaves.iter().map(|m| m.snapshot());
+        let mut want = parts.fold(LinkSnapshot::default(), |sum, s| sum.plus(&s));
+        assert_eq!(
+            shard.snapshot(),
+            leaves[0].snapshot().plus(&leaves[1].snapshot())
+        );
+        want.failovers += 1;
+        assert_eq!(total.snapshot(), want);
+        assert_eq!((want.objects_received, want.retried), (7, 1));
     }
 
     #[test]
@@ -492,8 +501,6 @@ mod tests {
         assert_eq!(doubled.breaker_open, 2);
         assert_eq!(doubled.since(&s).retried, 2);
         assert_eq!(doubled.since(&s).failovers, 3);
-        m.reset();
-        assert_eq!(m.snapshot(), LinkSnapshot::default());
     }
 
     #[test]

@@ -230,44 +230,6 @@ impl Response {
     }
 }
 
-/// `HELLO` — the version probe a negotiating client opens a physical link
-/// with (`[HELLO][u8 max_version]`, 2 bytes). Sent only when
-/// `NetConfig::wire_v2` is enabled; with the flag off no handshake frame
-/// exists anywhere and every link speaks v1 byte-identically. Handshake
-/// frames are link control, not query traffic: transport adapters answer
-/// them before the [`QueryHandler`] (via `codec::try_answer_hello`) and
-/// no meter charges them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hello {
-    /// Highest wire version the sender speaks.
-    pub max_version: u8,
-}
-
-impl Hello {
-    /// The probe's wire frame.
-    pub fn encode(&self) -> bytes::Bytes {
-        crate::codec::encode_hello(self.max_version)
-    }
-}
-
-/// `ACCEPT` — the server's handshake reply (`[ACCEPT][u8 version]`,
-/// 2 bytes): the version the link will speak from now on. A v1-only peer
-/// never sends one (it rejects the unknown `HELLO` opcode), which the
-/// negotiating client treats as "fall back to v1" — mixed-version fleets
-/// degrade per link, never fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Accept {
-    /// The negotiated wire version.
-    pub version: u8,
-}
-
-impl Accept {
-    /// Parses a raw reply; `None` means the peer is v1-only.
-    pub fn decode(raw: &[u8]) -> Option<Accept> {
-        crate::codec::decode_accept(raw).map(|version| Accept { version })
-    }
-}
-
 /// Server-side request handler. Implemented by `asj-server`; `asj-net` only
 /// needs the shape to wire transports.
 pub trait QueryHandler: Send + Sync {

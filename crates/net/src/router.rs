@@ -18,36 +18,32 @@
 //!    shard servers work concurrently and a batch shares its round trips;
 //!    batched requests (`MultiCount`, `BucketEpsRange`) are *sub-batched*:
 //!    each shard receives only the probes that can touch it;
-//! 3. **merges** the responses: object lists are concatenated and
-//!    deduplicated by id, counts are summed (exact, because the
+//! 3. **merges** the responses: a sole contributor's object list is the
+//!    answer as it came, several are concatenated in shard order keeping
+//!    the first occurrence of each id, counts are summed (exact, because the
 //!    partitioner assigns every object to exactly one shard), average
 //!    areas are weighted by matching-object count, and cooperative level
 //!    MBRs concatenate into a forest level (the fleet's defined
 //!    cooperative-mode answer);
-//! 4. **meters** every physical exchange — at its edge — into a
-//!    per-replica and a per-shard [`LinkMeter`] *and* the aggregate meter
-//!    the fronting link exposes: reported bytes are the scatter traffic
-//!    that actually crossed the wire.
+//! 4. **meters** every physical exchange — once, at its edge — into a
+//!    per-replica [`LinkMeter`]; the per-shard meters sum those and the
+//!    aggregate meter the fronting link exposes sums the shards':
+//!    reported bytes are the scatter traffic that actually crossed the wire.
 //!
 //! A fleet of **one** edge has nothing to prune and nothing to merge:
 //! the request itself is the one flight, so a 1-shard deployment is
 //! wire-identical to a flat one — the anchor of the differential test
 //! suite — while going through the same flight scheduler as any fleet.
 //!
-//! **Live updates.** `Request::ApplyUpdates` scatters to *owning* shards:
-//! each insert or move is routed to the shard whose partition cell holds
-//! the object's new center (every other shard receives a `Delete` of that
-//! id, so an object migrating across a cell boundary settles in exactly
-//! one place), while deletes broadcast. Every shard is contacted on every
-//! fleet-level batch — an empty sub-batch still bumps that shard's
-//! generation — so the **fleet generation**, defined as the *sum* of the
-//! per-shard generations, advances by exactly the shard count per batch
-//! and is injective in the number of applied batches. The router learns
-//! shard generations from the `Ack`s and from the generation stamps on
-//! query responses, tracks them in per-shard [`ShardMeta`]s, and reports
-//! the fleet generation with every merged response (0 on a frozen
-//! fleet). Owner routing needs a declared partition: a fleet whose
-//! shards carry no cells refuses updates.
+//! **Live updates.** `Request::ApplyUpdates` scatters to *owning* shards
+//! (see `apply_updates`): every shard is contacted on every fleet-level
+//! batch, so the **fleet generation** — the *sum* of the per-shard
+//! generations — advances by exactly the shard count per batch. The
+//! router learns shard generations from `Ack`s and response stamps,
+//! tracks them in per-shard [`ShardMeta`]s, and reports the fleet
+//! generation with every merged response (0 on a frozen fleet). Owner
+//! routing needs a declared partition: a fleet whose shards carry no
+//! cells refuses updates.
 //!
 //! If any contacted shard answers [`Response::Refused`] (e.g. a
 //! cooperative query against a non-cooperative fleet), the merged answer
@@ -55,8 +51,9 @@
 //! every shard is contacted (with a payload trimmed to its bounds) so the
 //! policy refusal propagates exactly as it would from a flat server.
 
+use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -65,6 +62,7 @@ use bytes::Bytes;
 
 use crate::codec::{wire_exact, WireVersion};
 use crate::edge::{Edge, Frame, Layer};
+use crate::few::Few;
 use crate::health::{spread_hash, BreakerConfig, HealthSnapshot, ReplicaSetHealth};
 use crate::meter::{LinkMeter, LinkSnapshot};
 use crate::packet::{PacketModel, RetryPolicy};
@@ -159,9 +157,11 @@ impl ShardEndpoint {
     }
 
     /// Endpoint over a replica set: `carriers[0]` is the primary edge,
-    /// the rest are siblings serving the same data.
+    /// the rest (at most 63: a read's rotation is one bit per replica)
+    /// are siblings serving the same data.
     pub fn with_replicas(meta: Arc<ShardMeta>, carriers: Vec<Box<dyn RawExchange>>) -> Self {
         assert!(!carriers.is_empty(), "a shard needs at least one replica");
+        assert!(carriers.len() <= 64, "a shard has at most 64 replicas");
         ShardEndpoint {
             meta,
             replicas: carriers,
@@ -203,14 +203,16 @@ pub struct ShardTelemetry {
 impl ShardTelemetry {
     fn new(metas: Vec<Arc<ShardMeta>>, replicas: Vec<usize>) -> Self {
         debug_assert_eq!(metas.len(), replicas.len());
+        let replica_meters: Vec<Vec<_>> = replicas
+            .iter()
+            .map(|&n| (0..n).map(|_| Arc::new(LinkMeter::new())).collect())
+            .collect();
         ShardTelemetry {
-            meters: (0..metas.len())
-                .map(|_| Arc::new(LinkMeter::new()))
-                .collect(),
-            replica_meters: replicas
+            meters: replica_meters
                 .iter()
-                .map(|&n| (0..n).map(|_| Arc::new(LinkMeter::new())).collect())
+                .map(|row| Arc::new(LinkMeter::summing(row.clone())))
                 .collect(),
+            replica_meters,
             health: replicas
                 .iter()
                 .map(|&n| Arc::new(ReplicaSetHealth::new(n)))
@@ -231,21 +233,6 @@ impl ShardTelemetry {
     /// The meter of one shard (sums the shard's replica edges).
     pub fn meter(&self, shard: usize) -> &Arc<LinkMeter> {
         &self.meters[shard]
-    }
-
-    /// The meter of one replica edge of one shard.
-    pub fn replica_meter(&self, shard: usize, replica: usize) -> &Arc<LinkMeter> {
-        &self.replica_meters[shard][replica]
-    }
-
-    /// The breaker health of one shard's replica set.
-    pub fn health(&self, shard: usize) -> &Arc<ReplicaSetHealth> {
-        &self.health[shard]
-    }
-
-    /// The breaker configuration this router routes under.
-    pub fn breaker_config(&self) -> BreakerConfig {
-        self.breaker
     }
 
     /// The per-shard generation vector, in shard order — each entry the
@@ -362,11 +349,22 @@ impl FleetSnapshot {
     }
 }
 
+/// The payload of a sub-reply of the expected kind. Any other reply is a
+/// typed non-answer, and the merged answer: the enclosing merge returns it.
+macro_rules! payload {
+    ($resp:expr, $kind:path) => {
+        match $resp {
+            $kind(payload) => payload,
+            non_answer => return non_answer,
+        }
+    };
+}
+
 /// Scatter-gather layer over a fleet of shard servers. See the module
 /// docs for the routing, merging and metering rules.
 pub struct ShardRouter {
-    /// The physical edges, `edges[shard][replica]`; each charges the
-    /// aggregate, its shard's and its own replica meter. A shard's
+    /// The physical edges, `edges[shard][replica]`; each charges its own
+    /// replica meter, which its shard's and the aggregate sum. A shard's
     /// primary edge (`[0]`) frames for the whole replica set: one dedup
     /// identity per (router, shard), so every replica receives the
     /// *same* tagged bytes and one that sees a broadcast sub-batch twice
@@ -393,14 +391,9 @@ impl ShardRouter {
             shards.iter().map(|s| Arc::clone(&s.meta)).collect(),
             shards.iter().map(|s| s.replicas.len()).collect(),
         ));
-        let aggregate = Arc::new(LinkMeter::new());
+        let aggregate = Arc::new(LinkMeter::summing(telemetry.meters.clone()));
         let edge = |i: usize, j: usize, carrier| {
-            let meters = vec![
-                Arc::clone(&aggregate),
-                Arc::clone(&telemetry.meters[i]),
-                Arc::clone(&telemetry.replica_meters[i][j]),
-            ];
-            Edge::new(carrier, packet, meters)
+            Edge::new(carrier, packet, Arc::clone(&telemetry.replica_meters[i][j]))
         };
         let edges = shards
             .into_iter()
@@ -453,7 +446,7 @@ impl ShardRouter {
         self
     }
 
-    /// The aggregate meter every physical exchange is recorded into.
+    /// The aggregate meter: the sum over every physical exchange.
     pub fn aggregate_meter(&self) -> &Arc<LinkMeter> {
         &self.aggregate
     }
@@ -511,54 +504,56 @@ impl ShardRouter {
         }
     }
 
-    /// The fleet generation: sum of per-shard observed generations.
-    pub fn fleet_generation(&self) -> u64 {
-        self.telemetry.metas.iter().map(|m| m.generation()).sum()
-    }
-
     /// Read rotation for one shard's replica set: the admitting replicas
     /// (breaker closed or half-open), started at the request-hash pick so
     /// independent requests spread across siblings, in failover order.
     /// When *every* breaker is open, routing around the whole set would
     /// guarantee failure, so the full set is used anyway (last resort).
-    fn rotation(&self, shard: usize, hash: u64) -> Vec<usize> {
+    fn rotation(&self, shard: usize, hash: u64) -> Rotation {
         let set = &self.telemetry.health[shard];
         let cfg = &self.telemetry.breaker;
         let now = set.now();
         let n = self.edges[shard].len();
-        let mut rot: Vec<usize> = (0..n).filter(|&j| set.edge(j).admits(cfg, now)).collect();
-        if rot.is_empty() {
-            rot = (0..n).collect();
+        let admitting = (0..n).filter(|&j| set.edge(j).admits(cfg, now));
+        let mut admitted = admitting.fold(0u64, |set, j| set | 1 << j);
+        if admitted == 0 {
+            admitted = u64::MAX >> (64 - n);
         }
-        let start = (hash % rot.len() as u64) as usize;
-        rot.rotate_left(start);
-        rot
+        let len = admitted.count_ones();
+        Rotation {
+            admitted,
+            start: (hash % u64::from(len)) as u32,
+            len,
+        }
     }
 
     /// Issues the current try of every scheduled flight split-phase —
-    /// one carrier batch per (shard, replica) edge, in flight order
-    /// within it — ticking each replica set's exchange clock (the
-    /// breakers' deterministic cooldown time base) once per try.
+    /// bucketed once by (shard, replica) edge, one carrier batch per
+    /// edge in edge order, in flight order within it — ticking each
+    /// replica set's exchange clock (the breakers' deterministic
+    /// cooldown time base) once per try.
     fn issue(&self, flights: &[Flight]) {
-        for (shard, group) in self.edges.iter().enumerate() {
-            for (replica, edge) in group.iter().enumerate() {
-                let due =
-                    |f: &&Flight| f.scheduled && f.shard == shard && f.rotation[f.pos] == replica;
-                if !flights.iter().any(|f| due(&f)) {
-                    continue;
-                }
-                let mut begun = flights.iter().filter(due);
-                edge.carrier.begin_many(
-                    &mut flights.iter().filter(due).map(|f| {
-                        self.telemetry.health[shard].tick();
-                        f.frame.bytes.clone()
-                    }),
-                    &mut |pending| {
-                        let f = begun.next().expect("one pending per flight");
-                        f.inflight.set(Some((replica, pending)));
-                    },
-                );
-            }
+        let scheduled = flights.iter().enumerate().filter(|(_, f)| f.scheduled);
+        let mut due: Few<_> = scheduled
+            .map(|(k, f)| (f.shard, f.rotation.at(f.pos), k))
+            .collect();
+        due.as_mut_slice().sort_unstable();
+        let mut rest = &*due.as_mut_slice();
+        while let Some(&(shard, replica, _)) = rest.first() {
+            let same_edge = |d: &&(usize, usize, usize)| (d.0, d.1) == (shard, replica);
+            let (bucket, later) = rest.split_at(rest.iter().take_while(same_edge).count());
+            rest = later;
+            let mut begun = bucket.iter();
+            self.edges[shard][replica].carrier.begin_many(
+                &mut bucket.iter().map(|&(.., k)| {
+                    self.telemetry.health[shard].tick();
+                    flights[k].frame.bytes.clone()
+                }),
+                &mut |pending| {
+                    let &(.., k) = begun.next().expect("one pending per flight");
+                    flights[k].inflight.set(Some((replica, pending)));
+                },
+            );
         }
     }
 
@@ -609,8 +604,13 @@ impl ShardRouter {
     /// meanwhile are honored. Observed shard generations only ever move
     /// through the monotone [`ShardMeta::note_generation`] max — and
     /// failed attempts never note one — so a retried round can never
-    /// regress the generation vector.
-    fn execute<'a>(&'a self, flights: &mut [Flight<'a>]) {
+    /// regress the generation vector. Each flight fails and recovers
+    /// *individually* — a healthy shard's reply is kept as-is, never
+    /// re-fetched — and one that exhausts its budget lands a typed
+    /// [`Response::Unavailable`] (or, under
+    /// [`ShardRouter::with_allow_partial`], drops out of the merge) with
+    /// the shard recorded in [`FleetSnapshot::failed_shards`].
+    fn execute(&self, flights: &mut [Flight]) {
         loop {
             self.issue(flights);
             for f in flights.iter_mut() {
@@ -628,11 +628,11 @@ impl ShardRouter {
                 unresolved = true;
                 let group = &self.edges[f.shard];
                 f.pos += 1;
-                if f.pos < f.rotation.len() {
+                if f.pos < f.rotation.len {
                     // Failover to the next sibling, before any retry
                     // budget is consumed (tallied on the edge failed
                     // *from*).
-                    group[f.rotation[f.pos - 1]].tally(LinkMeter::record_failover);
+                    group[f.rotation.at(f.pos - 1)].tally(LinkMeter::record_failover);
                     f.scheduled = true;
                     continue;
                 }
@@ -664,7 +664,7 @@ impl ShardRouter {
                     f.rotation = self.rotation(f.shard, f.hash);
                 }
                 f.pos = 0;
-                group[f.rotation[0]].tally(LinkMeter::record_retry);
+                group[f.rotation.at(0)].tally(LinkMeter::record_retry);
                 backoff_round = backoff_round.max(f.round);
                 f.scheduled = true;
             }
@@ -677,274 +677,173 @@ impl ShardRouter {
         }
     }
 
-    /// One scatter round for a whole batch: sends `subs[k][i]` (when
-    /// `Some`) to shard `i` for every logical request `k`, all split-phase
-    /// in one set of flights, counts pruned slots, and returns per request
-    /// the responses in shard order and the fleet generation they were
-    /// served at — the sum over shards of the generation the shard's own
-    /// reply reported, or, for a shard that contributed nothing, the
-    /// highest observed from it.
-    ///
-    /// **Partial-scatter recovery.** Each slot fails and recovers
-    /// *individually*: a failed shard is re-asked (failing over across
-    /// its replicas first, then retrying with backoff) while every
-    /// healthy shard's reply — already completed split-phase — is kept
-    /// as-is, never re-fetched. A slot that exhausts its budget yields a
-    /// typed [`Response::Unavailable`] (or, under
-    /// [`ShardRouter::with_allow_partial`], drops out of the merge) and
-    /// its abandonment is tallied on that shard's meter (surfacing in
-    /// [`FleetSnapshot::failed_shards`]).
-    fn rounds(&self, subs: &[Vec<Option<Request>>]) -> Vec<(Vec<Option<Response>>, u64)> {
-        let mut flights: Vec<Flight> = Vec::new();
-        for (k, subs) in subs.iter().enumerate() {
-            for (i, sub) in subs.iter().enumerate() {
-                match sub {
-                    Some(req) => {
-                        let frame = self.edges[i][0].frame(req);
-                        let hash = spread_hash(&frame.bytes);
-                        let rotation = self.rotation(i, hash);
-                        flights.push(Flight::new(k, i, frame, hash, rotation, false));
-                    }
-                    None => {
-                        self.telemetry.pruned.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+    /// One request's scatter: flies `sub(shard, bounds)`, as a read for
+    /// request `slot` of the batch, to every shard it names a sub-request
+    /// for and counts the others as pruned.
+    fn fan<'a>(
+        &self,
+        flights: &mut Few<Flight<'a>>,
+        slot: usize,
+        sub: impl Fn(usize, Option<Rect>) -> Option<Cow<'a, Request>>,
+    ) {
+        for (shard, meta) in self.telemetry.metas.iter().enumerate() {
+            let Some(sub) = sub(shard, meta.bounds()) else {
+                self.telemetry.pruned.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            let frame = self.edges[shard][0].frame(sub);
+            let hash = spread_hash(&frame.bytes);
+            let rotation = self.rotation(shard, hash);
+            flights.push(Flight::new(slot, shard, frame, hash, rotation, false));
         }
-        self.execute(&mut flights);
-        let observed = self.telemetry.generations();
-        let mut out: Vec<(Vec<Option<Response>>, u64)> = subs
-            .iter()
-            .map(|subs| (subs.iter().map(|_| None).collect(), observed.iter().sum()))
-            .collect();
-        for f in flights {
-            if let Some(Landing::Resp(resp)) = f.result {
-                let (replies, generation) = &mut out[f.slot];
-                if !resp.is_failure() {
-                    *generation = *generation + f.generation - observed[f.shard];
-                }
-                replies[f.shard] = Some(resp);
-            }
-        }
-        out
     }
 
-    /// One update round: broadcasts `subs[i]` to **every** replica of
-    /// shard `i` (same tagged bytes, so the dedup envelope collapses
-    /// duplicate deliveries), each replica retrying *in place* — an
-    /// update never fails over, every replica must receive it. Returns
-    /// the per-replica responses in shard order.
-    fn update_round(&self, subs: &[Request]) -> Vec<Vec<Response>> {
-        debug_assert_eq!(subs.len(), self.edges.len());
-        let mut flights: Vec<Flight> = Vec::new();
-        for (i, req) in subs.iter().enumerate() {
-            let frame = self.edges[i][0].frame(req);
-            for j in 0..self.edges[i].len() {
-                flights.push(Flight::new(0, i, frame.clone(), 0, vec![j], true));
-            }
-        }
-        self.execute(&mut flights);
-        let mut out: Vec<Vec<Response>> = self.edges.iter().map(|_| Vec::new()).collect();
-        for f in flights {
-            match f.result.expect("update flights always resolve") {
-                Landing::Resp(resp) => out[f.shard].push(resp),
-                Landing::Skipped => unreachable!("updates are never partial"),
-            }
-        }
-        out
-    }
-
-    /// Clones `req` to every shard whose bounds satisfy `reach`.
-    fn prune(&self, req: &Request, reach: impl Fn(&Rect) -> bool) -> Vec<Option<Request>> {
-        self.telemetry
-            .metas
-            .iter()
-            .map(|m| match m.bounds() {
-                Some(b) if reach(&b) => Some(req.clone()),
-                _ => None,
-            })
-            .collect()
+    /// The fleet generation one request's flights (`run`, at most one
+    /// per shard) were served at: per shard, the generation its own reply
+    /// reported or, where it contributed nothing, the highest observed
+    /// from it.
+    fn served_at(&self, run: &[Flight]) -> u64 {
+        let answered = |f: &&Flight| matches!(&f.result, Some(Landing::Resp(r)) if !r.is_failure());
+        let stamp = |shard| run.iter().filter(answered).find(|f| f.shard == shard);
+        let metas = self.telemetry.metas.iter().enumerate();
+        metas
+            .map(|(shard, meta)| stamp(shard).map_or_else(|| meta.generation(), |f| f.generation))
+            .sum()
     }
 
     /// Probe indices each shard can answer, under `reach(bounds, probe)`.
     fn pick_indices<T>(&self, probes: &[T], reach: impl Fn(&Rect, &T) -> bool) -> Vec<Vec<usize>> {
-        self.telemetry
-            .metas
-            .iter()
-            .map(|m| match m.bounds() {
-                Some(b) => (0..probes.len())
-                    .filter(|&i| reach(&b, &probes[i]))
-                    .collect(),
-                None => Vec::new(),
-            })
-            .collect()
+        let reached = |b: Option<Rect>, i: usize| b.is_some_and(|b| reach(&b, &probes[i]));
+        let picks = |b| (0..probes.len()).filter(|&i| reached(b, i)).collect();
+        let metas = self.telemetry.metas.iter();
+        metas.map(|m| picks(m.bounds())).collect()
     }
 
-    /// The first half of a scatter-gather: `req`'s pruned sub-request
-    /// per shard (`None` = pruned) and, for the batched kinds, which
-    /// probes each shard was sent. `AvgArea` opens with its COUNT round;
-    /// `ApplyUpdates` scatters nothing here — both finish in
-    /// [`ShardRouter::merge`].
-    fn scatter(&self, req: &Request) -> (Vec<Option<Request>>, Vec<Vec<usize>>) {
-        let metas = &self.telemetry.metas;
-        let sub_batches = |picks: Vec<Vec<usize>>, sub: &dyn Fn(&[usize]) -> Request| {
-            let subs = picks
-                .iter()
-                .map(|p| (!p.is_empty()).then(|| sub(p)))
-                .collect();
-            (subs, picks)
+    /// The first half of a scatter-gather: flies `req`'s sub-request to
+    /// every shard that can contribute — `req` itself, borrowed, where
+    /// the sub-request *is* the request — and returns, for the batched
+    /// kinds, which probes each shard was sent. Every rectangle decision
+    /// is taken on the request's [`wire_exact`] form, returned for the
+    /// merge. `AvgArea` opens with its COUNT round; `ApplyUpdates`
+    /// scatters nothing here — both finish in [`ShardRouter::merge`].
+    fn scatter<'a>(
+        &self,
+        slot: usize,
+        req: &'a Request,
+        flights: &mut Few<Flight<'a>>,
+    ) -> (Request, Vec<Vec<usize>>) {
+        let touches = |b: Option<Rect>, reach: &Rect| b.is_some_and(|b| b.intersects(reach));
+        let whole = |reach: Rect| move |_, b| touches(b, &reach).then_some(Cow::Borrowed(req));
+        // A batched request's cut for each shard its `picks` name probes for.
+        let cut = |flights: &mut _, picks: &[Vec<usize>], sub: &dyn Fn(&[usize]) -> Request| {
+            let sub = |i: usize, _| (!picks[i].is_empty()).then(|| Cow::Owned(sub(&picks[i])));
+            self.fan(flights, slot, sub)
         };
-        let subs = match req {
-            Request::Window(w) => self.prune(req, |b| b.intersects(w)),
-            Request::EpsRange { q, eps } => {
-                let reach = q.expand(*eps);
-                self.prune(req, |b| b.intersects(&reach))
-            }
-            Request::Count(w) => self.prune(req, |b| b.intersects(w)),
-            Request::AvgArea(w) => self.prune(&Request::Count(*w), |b| b.intersects(w)),
+        let (exact, mut picks) = (wire_exact(req), Vec::new());
+        match &exact {
+            Request::Window(w) | Request::Count(w) => self.fan(flights, slot, whole(*w)),
+            Request::EpsRange { q, eps } => self.fan(flights, slot, whole(q.expand(*eps))),
+            Request::AvgArea(w) => self.fan(flights, slot, |_, b| {
+                touches(b, w).then_some(Cow::Owned(Request::Count(*w)))
+            }),
             Request::MultiCount(windows) => {
-                let picks = self.pick_indices(windows, |b, w| b.intersects(w));
-                return sub_batches(picks, &|p| {
-                    Request::MultiCount(p.iter().map(|&i| windows[i]).collect())
-                });
+                picks = self.pick_indices(windows, |b, w| b.intersects(w));
+                let sub = |p: &[usize]| p.iter().map(|&k| windows[k]).collect();
+                cut(flights, &picks, &|p| Request::MultiCount(sub(p)));
             }
             Request::BucketEpsRange { probes, eps } => {
-                let picks = self.pick_indices(probes, |b, p| b.intersects(&p.mbr.expand(*eps)));
-                return sub_batches(picks, &|p| Request::BucketEpsRange {
-                    probes: p.iter().map(|&i| probes[i]).collect(),
-                    eps: *eps,
+                picks = self.pick_indices(probes, |b, p| b.intersects(&p.mbr.expand(*eps)));
+                let sub = |p: &[usize]| p.iter().map(|&k| probes[k]).collect();
+                let eps = *eps;
+                cut(flights, &picks, &|p| Request::BucketEpsRange {
+                    probes: sub(p),
+                    eps,
                 });
             }
             // The fleet's cooperative level is the *forest* level: the
             // concatenation of every shard's published level, in shard
             // order. Never pruned — index structure is global.
-            Request::CoopLevelMbrs(_) => metas.iter().map(|_| Some(req.clone())).collect(),
+            Request::CoopLevelMbrs(_) => self.fan(flights, slot, |_, _| Some(Cow::Borrowed(req))),
             // Payload trimmed per shard, but every shard is contacted
             // so a non-cooperative policy refusal propagates.
-            Request::CoopFilterByMbrs { mbrs, eps } => metas
-                .iter()
-                .map(|m| {
-                    let kept: Vec<Rect> = match m.bounds() {
-                        Some(b) => mbrs
-                            .iter()
-                            .filter(|m| m.expand(*eps).intersects(&b))
-                            .copied()
-                            .collect(),
-                        None => Vec::new(),
-                    };
-                    Some(Request::CoopFilterByMbrs {
-                        mbrs: kept,
-                        eps: *eps,
-                    })
-                })
-                .collect(),
-            Request::CoopJoinPush { objects, eps } => metas
-                .iter()
-                .map(|m| {
-                    let kept: Vec<SpatialObject> = match m.bounds() {
-                        Some(b) => objects
-                            .iter()
-                            .filter(|o| o.mbr.expand(*eps).intersects(&b))
-                            .copied()
-                            .collect(),
-                        None => Vec::new(),
-                    };
-                    Some(Request::CoopJoinPush {
-                        objects: kept,
-                        eps: *eps,
-                    })
-                })
-                .collect(),
-            Request::ApplyUpdates(_) => Vec::new(),
-        };
-        (subs, Vec::new())
+            Request::CoopFilterByMbrs { mbrs, eps } => self.fan(flights, slot, |_, b| {
+                let near = |m: &&Rect| touches(b, &m.expand(*eps));
+                Some(Cow::Owned(Request::CoopFilterByMbrs {
+                    mbrs: mbrs.iter().filter(near).copied().collect(),
+                    eps: *eps,
+                }))
+            }),
+            Request::CoopJoinPush { objects, eps } => self.fan(flights, slot, |_, b| {
+                let near = |o: &&SpatialObject| touches(b, &o.mbr.expand(*eps));
+                Some(Cow::Owned(Request::CoopJoinPush {
+                    objects: objects.iter().filter(near).copied().collect(),
+                    eps: *eps,
+                }))
+            }),
+            Request::ApplyUpdates(_) => {}
+        }
+        (exact, picks)
     }
 
-    /// The second half: `req`'s answer from its shards' `replies` (shard
-    /// order). Every sub-reply reaching a merge is of its request's kind
-    /// or a typed non-answer (`Edge::judge` saw to that); the first
-    /// non-answer is the merged answer.
-    fn merge(
-        &self,
-        req: &Request,
-        picks: &[Vec<usize>],
-        replies: Vec<Option<Response>>,
-    ) -> Response {
+    /// The second half: `req`'s answer from what its flights (`run`)
+    /// landed, in shard order. Every sub-reply reaching a merge is of its
+    /// request's kind or a typed non-answer (`Edge::judge` saw to that);
+    /// the first non-answer is the merged answer.
+    fn merge(&self, req: &Request, picks: &[Vec<usize>], run: &mut [Flight]) -> Response {
+        let mut replies = run.iter_mut().filter_map(|f| match f.result.take() {
+            Some(Landing::Resp(resp)) => Some((f.shard, resp)),
+            _ => None,
+        });
         match req {
             Request::Window(_) | Request::EpsRange { .. } | Request::CoopFilterByMbrs { .. } => {
-                merge_objects(replies)
+                let mut merged = Vec::new();
+                for (_, resp) in replies {
+                    absorb(&mut merged, payload!(resp, Response::Objects), |o| o.id);
+                }
+                Response::Objects(merged)
             }
             Request::Count(_) => {
                 let mut total = 0u64;
-                for resp in replies.into_iter().flatten() {
-                    match resp {
-                        Response::Count(c) => total += c,
-                        e => return e,
-                    }
+                for (_, resp) in replies {
+                    total += payload!(resp, Response::Count);
                 }
                 Response::Count(total)
             }
             Request::MultiCount(windows) => {
                 let mut totals = vec![0u64; windows.len()];
-                for (shard, resp) in replies.into_iter().enumerate() {
-                    match resp {
-                        None => {}
-                        Some(Response::Counts(counts)) => {
-                            for (&i, c) in picks[shard].iter().zip(counts) {
-                                totals[i] += c;
-                            }
-                        }
-                        Some(e) => return e,
+                for (shard, resp) in replies {
+                    let counts = payload!(resp, Response::Counts);
+                    for (&i, c) in picks[shard].iter().zip(counts) {
+                        totals[i] += c;
                     }
                 }
                 Response::Counts(totals)
             }
-            Request::AvgArea(w) => self.avg_area(w, replies),
+            Request::AvgArea(_) => self.avg_area(req, &mut replies),
             Request::BucketEpsRange { probes, .. } => {
                 let mut merged: Vec<Vec<SpatialObject>> = vec![Vec::new(); probes.len()];
-                for (shard, resp) in replies.into_iter().enumerate() {
-                    match resp {
-                        None => {}
-                        Some(Response::Buckets(buckets)) => {
-                            for (&i, bucket) in picks[shard].iter().zip(buckets) {
-                                merged[i].extend(bucket);
-                            }
-                        }
-                        Some(e) => return e,
+                for (shard, resp) in replies {
+                    let buckets = payload!(resp, Response::Buckets);
+                    for (&i, bucket) in picks[shard].iter().zip(buckets) {
+                        absorb(&mut merged[i], bucket, |o| o.id);
                     }
-                }
-                for bucket in &mut merged {
-                    dedup_by_id(bucket);
                 }
                 Response::Buckets(merged)
             }
             Request::CoopLevelMbrs(_) => {
                 let mut mbrs = Vec::new();
-                for resp in replies.into_iter().flatten() {
-                    match resp {
-                        Response::Rects(r) => mbrs.extend(r),
-                        e => return e,
-                    }
+                for (_, resp) in replies {
+                    mbrs.extend(payload!(resp, Response::Rects));
                 }
                 Response::Rects(mbrs)
             }
             Request::ApplyUpdates(batch) => self.apply_updates(batch),
             Request::CoopJoinPush { .. } => {
-                let mut seen = HashSet::new();
-                let mut pairs = Vec::new();
-                for resp in replies.into_iter().flatten() {
-                    match resp {
-                        Response::Pairs(p) => {
-                            for pair in p {
-                                if seen.insert(pair) {
-                                    pairs.push(pair);
-                                }
-                            }
-                        }
-                        e => return e,
-                    }
+                let mut merged = Vec::new();
+                for (_, resp) in replies {
+                    absorb(&mut merged, payload!(resp, Response::Pairs), |&pair| pair);
                 }
-                Response::Pairs(pairs)
+                Response::Pairs(merged)
             }
         }
     }
@@ -967,37 +866,35 @@ impl ShardRouter {
         };
         let mut subs: Vec<Vec<Update>> = vec![Vec::new(); metas.len()];
         for u in batch {
-            match u {
-                Update::Insert(o) => {
-                    let owner = owner_of(&cells, &o.mbr.center());
-                    metas[owner].grow_bounds(&o.mbr);
-                    for (i, sub) in subs.iter_mut().enumerate() {
-                        sub.push(if i == owner {
-                            Update::Insert(*o)
-                        } else {
-                            Update::Delete(o.id)
-                        });
-                    }
-                }
-                Update::Delete(id) => {
-                    for sub in subs.iter_mut() {
-                        sub.push(Update::Delete(*id));
-                    }
-                }
-                Update::Move { id, to } => {
-                    let owner = owner_of(&cells, &to.center());
-                    metas[owner].grow_bounds(to);
-                    for (i, sub) in subs.iter_mut().enumerate() {
-                        sub.push(if i == owner {
-                            Update::Move { id: *id, to: *to }
-                        } else {
-                            Update::Delete(*id)
-                        });
-                    }
-                }
+            let placed = match u {
+                Update::Insert(o) => Some((o.id, o.mbr)),
+                Update::Move { id, to } => Some((*id, *to)),
+                Update::Delete(_) => None,
+            };
+            let owned = placed.map(|(id, mbr)| {
+                let owner = owner_of(&cells, &mbr.center());
+                metas[owner].grow_bounds(&mbr);
+                (id, owner)
+            });
+            for (i, sub) in subs.iter_mut().enumerate() {
+                sub.push(match owned {
+                    Some((id, owner)) if i != owner => Update::Delete(id),
+                    _ => u.clone(),
+                });
             }
         }
+        // One pinned flight per replica: every replica of a shard gets
+        // the same tagged bytes (so the dedup envelope collapses duplicate
+        // deliveries) and retries *in place* — an update never fails over.
         let reqs: Vec<Request> = subs.into_iter().map(Request::ApplyUpdates).collect();
+        let mut flights: Vec<Flight> = Vec::new();
+        for (i, req) in reqs.iter().enumerate() {
+            let frame = self.edges[i][0].frame(Cow::Borrowed(req));
+            for j in 0..self.edges[i].len() {
+                flights.push(Flight::new(0, i, frame.clone(), 0, Rotation::only(j), true));
+            }
+        }
+        self.execute(&mut flights);
         // The batch is durable on a shard once *any* replica acks (the
         // shard generation fetch-maxes over the replica acks); a replica
         // that stayed dark catches up at its restart hook, and until
@@ -1005,29 +902,24 @@ impl ShardRouter {
         // reads. Only a shard with **no** acking replica fails the
         // batch, propagating its first typed failure.
         let mut sum = 0u64;
-        for (i, replies) in self.update_round(&reqs).into_iter().enumerate() {
-            let mut acked: Option<u64> = None;
-            let mut failure: Option<Response> = None;
-            for resp in replies {
-                match resp {
-                    Response::Ack { generation } => {
-                        acked = Some(acked.map_or(generation, |g| g.max(generation)));
-                    }
-                    e => {
-                        failure.get_or_insert(e);
-                    }
-                }
-            }
-            match acked {
-                Some(generation) => {
-                    metas[i].note_generation(generation);
-                    sum += generation;
-                }
-                None => {
-                    self.telemetry.note_failed(i);
-                    return failure.expect("every replica is contacted");
-                }
-            }
+        for (i, meta) in metas.iter().enumerate() {
+            let replies = || {
+                let own = flights.iter().filter(|f| f.shard == i);
+                own.filter_map(|f| match &f.result {
+                    Some(Landing::Resp(resp)) => Some(resp),
+                    _ => None,
+                })
+            };
+            let acks = replies().filter_map(|resp| match resp {
+                Response::Ack { generation } => Some(*generation),
+                _ => None,
+            });
+            let Some(generation) = acks.max() else {
+                self.telemetry.note_failed(i);
+                return replies().next().expect("every replica replies").clone();
+            };
+            meta.note_generation(generation);
+            sum += generation;
         }
         Response::Ack { generation: sum }
     }
@@ -1036,28 +928,26 @@ impl ShardRouter {
     /// count. An unweighted mean of shard means would be wrong whenever
     /// shards match different numbers of objects; the weights are the
     /// COUNT round's `count_replies`, and shards counting zero skip the
-    /// area round — issued here — entirely.
-    fn avg_area(&self, w: &Rect, count_replies: Vec<Option<Response>>) -> Response {
+    /// area round — `req` itself, issued here — entirely.
+    fn avg_area(
+        &self,
+        req: &Request,
+        count_replies: &mut dyn Iterator<Item = (usize, Response)>,
+    ) -> Response {
         let mut counts = vec![0u64; self.edges.len()];
-        for (i, resp) in count_replies.into_iter().enumerate() {
-            match resp {
-                None => {}
-                Some(Response::Count(c)) => counts[i] = c,
-                Some(e) => return e,
-            }
+        for (shard, resp) in count_replies {
+            counts[shard] = payload!(resp, Response::Count);
         }
-        let area_subs: Vec<Option<Request>> = counts
-            .iter()
-            .map(|&c| (c > 0).then_some(Request::AvgArea(*w)))
-            .collect();
+        let mut flights = Few::new();
+        self.fan(&mut flights, 0, |i, _| {
+            (counts[i] > 0).then_some(Cow::Borrowed(req))
+        });
+        self.execute(flights.as_mut_slice());
         let total: u64 = counts.iter().sum();
         let mut weighted = 0.0f64;
-        let (area_replies, _) = self.rounds(&[area_subs]).remove(0);
-        for (i, resp) in area_replies.into_iter().enumerate() {
-            match resp {
-                None => {}
-                Some(Response::Area(a)) => weighted += a * counts[i] as f64,
-                Some(e) => return e,
+        for f in flights {
+            if let Some(Landing::Resp(resp)) = f.result {
+                weighted += payload!(resp, Response::Area) * counts[f.shard] as f64;
             }
         }
         Response::Area(if total == 0 {
@@ -1082,28 +972,37 @@ impl Layer for ShardRouter {
             // answer — a 1×1 fleet is wire-identical to a flat
             // deployment while the scheduler still ticks its health,
             // breaker and retry accounting.
-            let sole = &self.edges[0][0];
-            let mut flights: Vec<Flight> = reqs
-                .map(|req| Flight::new(0, 0, sole.frame(req), 0, vec![0], false))
+            let sole = |req| self.edges[0][0].frame(Cow::Borrowed(req));
+            let mut flights: Few<Flight> = reqs
+                .map(|req| Flight::new(0, 0, sole(req), 0, Rotation::only(0), false))
                 .collect();
-            self.execute(&mut flights);
-            for f in flights {
-                match f.result {
+            self.execute(flights.as_mut_slice());
+            for f in flights.as_mut_slice() {
+                match f.result.take() {
                     Some(Landing::Resp(resp)) => reply(resp, f.generation),
-                    _ => reply(f.outcome, 0),
+                    _ => reply(f.outcome.clone(), 0),
                 }
             }
             return;
         }
-        // All the requests' pruned sub-requests fly as one set; each
-        // request is then merged from its own replies. A merged answer
-        // carries the fleet generation those replies were served at (0
-        // on a frozen fleet); an `Ack` carries its own.
-        let exact: Vec<Request> = reqs.map(wire_exact).collect();
-        let (subs, picks): (Vec<_>, Vec<_>) = exact.iter().map(|req| self.scatter(req)).unzip();
-        let replies = self.rounds(&subs);
-        for ((req, picks), (replies, generation)) in exact.iter().zip(&picks).zip(replies) {
-            match self.merge(req, picks, replies) {
+        // All the requests' pruned sub-requests fly as one set, request
+        // by request and in shard order within each; each request is
+        // then merged from its own run of them. A merged answer carries
+        // the fleet generation that run was served at (0 on a frozen
+        // fleet); an `Ack` carries its own.
+        let mut flights = Few::new();
+        let plans: Few<_> = reqs
+            .enumerate()
+            .map(|(slot, req)| self.scatter(slot, req, &mut flights))
+            .collect();
+        let mut rest = flights.as_mut_slice();
+        self.execute(rest);
+        for (slot, (req, picks)) in plans.into_iter().enumerate() {
+            let own = rest.iter().take_while(|f| f.slot == slot).count();
+            let (run, later) = std::mem::take(&mut rest).split_at_mut(own);
+            rest = later;
+            let generation = self.served_at(run);
+            match self.merge(&req, &picks, run) {
                 resp @ Response::Ack { generation } => reply(resp, generation),
                 resp => reply(resp, generation),
             }
@@ -1117,13 +1016,15 @@ impl Layer for ShardRouter {
         }
     }
 
-    fn negotiate(&mut self) -> WireVersion {
-        self.negotiate_v2();
-        if self.wire_versions().contains(&WireVersion::V1) {
-            WireVersion::V1
-        } else {
-            WireVersion::V2
+    fn negotiate(&mut self, known: Option<&[WireVersion]>) -> Vec<WireVersion> {
+        match known {
+            Some(known) => {
+                let edges = self.edges.iter_mut().flatten();
+                edges.zip(known).for_each(|(e, &wire)| e.set_wire(wire));
+            }
+            None => self.negotiate_v2(),
         }
+        self.edges.iter().flatten().map(Edge::wire).collect()
     }
 }
 
@@ -1136,6 +1037,35 @@ enum Landing {
     Skipped,
 }
 
+/// Replica try order of one flight for one round, inline: a bit per
+/// replica in it, tried in index order from the `start`-th, wrapping.
+#[derive(Clone, Copy)]
+struct Rotation {
+    admitted: u64,
+    start: u32,
+    len: u32,
+}
+
+impl Rotation {
+    /// The rotation of a flight that may only ever try `replica`.
+    fn only(replica: usize) -> Self {
+        Rotation {
+            admitted: 1 << replica,
+            start: 0,
+            len: 1,
+        }
+    }
+
+    /// The replica tried `pos`-th.
+    fn at(&self, pos: u32) -> usize {
+        let mut from = self.admitted;
+        for _ in 0..(self.start + pos) % self.len {
+            from &= from - 1;
+        }
+        from.trailing_zeros() as usize
+    }
+}
+
 /// One in-progress sub-request: a (shard, frame) pair working its way
 /// through a replica rotation and a retry budget.
 struct Flight<'a> {
@@ -1146,8 +1076,8 @@ struct Flight<'a> {
     /// Request-hash spread key; re-picks the rotation on retry rounds.
     hash: u64,
     /// Replica try order for the current round.
-    rotation: Vec<usize>,
-    pos: usize,
+    rotation: Rotation,
+    pos: u32,
     round: u32,
     /// Pinned flights (update broadcast) retry one replica in place and
     /// never fail over.
@@ -1168,7 +1098,7 @@ impl<'a> Flight<'a> {
         shard: usize,
         frame: Frame<'a>,
         hash: u64,
-        rotation: Vec<usize>,
+        rotation: Rotation,
         pinned: bool,
     ) -> Self {
         Flight {
@@ -1176,7 +1106,7 @@ impl<'a> Flight<'a> {
             shard,
             frame,
             hash,
-            primary: rotation[0],
+            primary: rotation.at(0),
             rotation,
             pos: 0,
             round: 0,
@@ -1196,41 +1126,32 @@ impl<'a> Flight<'a> {
 /// the nearest cell center (lowest index on ties). Deterministic, so
 /// every client routes the same object the same way.
 fn owner_of(cells: &[Rect], p: &Point) -> usize {
-    if let Some(i) = cells.iter().position(|c| c.contains_half_open(p)) {
-        return i;
-    }
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (i, c) in cells.iter().enumerate() {
-        let cc = c.center();
-        let d = (cc.x - p.x).powi(2) + (cc.y - p.y).powi(2);
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
+    let off = |c: &Rect| (c.center().x - p.x).powi(2) + (c.center().y - p.y).powi(2);
+    let inside = cells.iter().position(|c| c.contains_half_open(p));
+    let nearest = || (0..cells.len()).min_by(|&a, &b| off(&cells[a]).total_cmp(&off(&cells[b])));
+    inside.or_else(nearest).expect("a fleet has shards")
 }
 
-/// Keeps the first occurrence of each object id, preserving order.
-fn dedup_by_id(objects: &mut Vec<SpatialObject>) {
-    let mut seen = HashSet::with_capacity(objects.len());
-    objects.retain(|o| seen.insert(o.id));
-}
-
-/// Concatenates object responses in shard order, deduplicating by id
-/// (defensive: the partitioner is disjoint, so duplicates indicate a
-/// replicated straddler and must collapse to one object).
-fn merge_objects(responses: Vec<Option<Response>>) -> Response {
-    let mut out = Vec::new();
-    for resp in responses.into_iter().flatten() {
-        match resp {
-            Response::Objects(v) => out.extend(v),
-            e => return e,
+/// Adds one more shard's contribution to a merged list. A sole
+/// contributor's list is moved in untouched — a store holds a key once.
+/// A further one is appended and the list reduced to the first
+/// occurrence of each key, in order (defensive: the partitioner is
+/// disjoint, so a repeat is a replicated straddler and must collapse to
+/// one item) — by a sorted scan over (key, position), nothing hashed.
+fn absorb<T, K: Ord>(merged: &mut Vec<T>, more: Vec<T>, key: impl Fn(&T) -> K) {
+    if merged.is_empty() {
+        *merged = more;
+    } else if !more.is_empty() {
+        merged.extend(more);
+        let mut order: Vec<(K, usize)> = merged.iter().map(&key).zip(0..).collect();
+        order.sort_unstable();
+        let mut repeat = vec![false; merged.len()];
+        for pair in order.windows(2) {
+            repeat[pair[1].1] = pair[0].0 == pair[1].0;
         }
+        let mut repeat = repeat.into_iter();
+        merged.retain(|_| !repeat.next().expect("one flag per item"));
     }
-    dedup_by_id(&mut out);
-    Response::Objects(out)
 }
 
 #[cfg(test)]
@@ -1352,6 +1273,106 @@ mod tests {
         let ids: Vec<u32> = objs.iter().map(|o| o.id).collect();
         assert_eq!(&ids[..3], &[0, 1, 2], "left shard first");
         assert_eq!(ids[10], 100, "then the right shard");
+    }
+
+    /// A straddler (id 5, x = 9..11) replicated into both shards, plus
+    /// one own object each: every object merge must keep the first
+    /// occurrence, in shard order.
+    fn straddled() -> (Vec<SpatialObject>, Vec<SpatialObject>) {
+        let straddler = SpatialObject::new(5, Rect::from_coords(9.0, 0.0, 11.0, 1.0));
+        let left = vec![SpatialObject::point(1, 8.0, 0.0), straddler];
+        let right = vec![
+            straddler,
+            SpatialObject::point(7, 12.0, 0.0),
+            SpatialObject::point(8, 13.0, 0.0),
+        ];
+        (left, right)
+    }
+
+    #[test]
+    fn a_straddler_in_two_shards_is_returned_once_first_occurrence_in_shard_order() {
+        let (left, right) = straddled();
+        let l = link(ShardRouter::new(
+            vec![endpoint(left), endpoint(right)],
+            PacketModel::default(),
+        ));
+        let ids = |objs: Vec<SpatialObject>| objs.iter().map(|o| o.id).collect::<Vec<_>>();
+        let all = Rect::from_coords(0.0, -1.0, 20.0, 2.0);
+        assert_eq!(
+            ids(l.request(&Request::Window(all)).into_objects()),
+            [1, 5, 7, 8]
+        );
+        let q = Rect::point(Point::new(10.0, 0.0));
+        let near = l.request(&Request::EpsRange { q, eps: 2.5 });
+        assert_eq!(ids(near.into_objects()), [1, 5, 7]);
+        let probes = vec![
+            SpatialObject::point(900, 10.0, 0.0), // both shards
+            SpatialObject::point(901, 0.0, 0.0),  // nothing in reach
+            SpatialObject::point(902, 13.5, 0.0), // right shard only
+        ];
+        let buckets = l
+            .request(&Request::BucketEpsRange { probes, eps: 2.5 })
+            .into_buckets();
+        let buckets: Vec<Vec<u32>> = buckets.into_iter().map(ids).collect();
+        assert_eq!(buckets, [vec![1, 5, 7], vec![], vec![5, 7, 8]]);
+        assert_eq!(
+            l.fleet().unwrap().snapshot().scattered,
+            6,
+            "all merged from two"
+        );
+    }
+
+    #[test]
+    fn a_sole_contributors_reply_is_the_merged_answer_object_for_object() {
+        let (left, right) = straddled();
+        let l = link(ShardRouter::new(
+            vec![endpoint(left), endpoint(right.clone())],
+            PacketModel::default(),
+        ));
+        // Beyond the left shard's bounds: only the right one is asked, and
+        // its reply is handed on as it came — in its order, nothing merged.
+        let w = Rect::from_coords(11.5, -1.0, 20.0, 2.0);
+        assert_eq!(
+            l.request(&Request::Window(w)).into_objects(),
+            Scan(right.clone())
+                .handle(Request::Window(w))
+                .into_objects()
+        );
+        let q = Rect::point(Point::new(14.0, 0.0));
+        let probe = Request::EpsRange { q, eps: 2.0 };
+        assert_eq!(
+            l.request(&probe).into_objects(),
+            Scan(right.clone()).handle(probe.clone()).into_objects()
+        );
+        let bucket = Request::BucketEpsRange {
+            probes: vec![SpatialObject::point(900, 14.0, 0.0)],
+            eps: 2.0,
+        };
+        assert_eq!(
+            l.request(&bucket),
+            Scan(right).handle(bucket.clone()),
+            "one shard's buckets, verbatim"
+        );
+        let fleet = l.fleet().unwrap().snapshot();
+        assert_eq!((fleet.scattered, fleet.pruned), (3, 3));
+    }
+
+    #[test]
+    fn absorb_keeps_first_occurrences_in_order_and_moves_a_sole_list_in() {
+        let mut merged: Vec<u32> = Vec::new();
+        let sole = vec![3, 1, 3, 2];
+        let at = sole.as_ptr();
+        absorb(&mut merged, sole, |&k| k);
+        assert_eq!(
+            merged,
+            [3, 1, 3, 2],
+            "a store's own reply is not second-guessed"
+        );
+        assert_eq!(merged.as_ptr(), at, "moved, not copied");
+        absorb(&mut merged, vec![], |&k| k);
+        assert_eq!(merged, [3, 1, 3, 2]);
+        absorb(&mut merged, vec![2, 9, 1, 9], |&k| k);
+        assert_eq!(merged, [3, 1, 2, 9]);
     }
 
     #[test]
@@ -1615,7 +1636,7 @@ mod tests {
         assert_eq!(stamp, 2, "an Ack reports the generation it carries");
         assert_eq!(ack, Response::Ack { generation: 2 }, "1 + 1 across shards");
         assert_eq!(router.telemetry().generations(), vec![1, 1]);
-        assert_eq!(router.fleet_generation(), 2);
+        assert_eq!(router.telemetry().snapshot().fleet_generation(), 2);
 
         let everywhere = Rect::from_coords(-1.0, -1.0, 200.0, 1.0);
         let (resp, stamp) = roundtrip(&router, &Request::Window(everywhere));

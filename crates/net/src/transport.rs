@@ -17,7 +17,6 @@
 //! ([`RawExchange::begin_many`], [`Link::request_many`]) share a round
 //! trip.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,7 +25,7 @@ use bytes::{Bytes, BytesMut};
 use crate::codec::{garble_frame, is_unavailable, unavailable_frame, WireVersion};
 use crate::edge::{Edge, Layer};
 use crate::event_loop::EventLoop;
-use crate::mailbox::End;
+use crate::mailbox::SlotEnd;
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{QueryHandler, Request, Response};
@@ -83,36 +82,30 @@ pub(crate) fn serve_frame_into<H: QueryHandler + ?Sized>(
 pub trait RawExchange: Send + Sync {
     fn exchange(&self, request: Bytes) -> Bytes;
 
-    /// Starts an exchange; [`Pending::wait`] yields the reply.
-    ///
-    /// The default is fully synchronous — the reply is computed before
-    /// the [`Pending`] is returned, which is the only possibility for
-    /// in-process carriers (the server *is* the calling thread). Carriers
-    /// backed by a server thread ship the request immediately and block
-    /// only inside `wait`, so independent requests are in flight
-    /// together.
+    /// Starts an exchange — a batch of one; [`Pending::wait`] yields the
+    /// reply.
     fn begin(&self, request: Bytes) -> Pending {
-        Pending::ready(self.exchange(request))
+        let mut pending = None;
+        self.begin_many(&mut std::iter::once(request), &mut |p| pending = Some(p));
+        pending.expect("one pending per request")
     }
 
     /// Starts every request of a batch, handing `begun` one [`Pending`]
-    /// per request, in request order. Threaded carriers enqueue the whole
-    /// batch under one lock with one wake-up.
+    /// per request, in request order.
+    ///
+    /// The default is fully synchronous — each reply is computed before
+    /// its [`Pending`] is handed over, which is the only possibility for
+    /// in-process carriers (the server *is* the calling thread). Carriers
+    /// backed by a server thread enqueue the whole batch under one lock
+    /// with one wake-up and block only inside `wait`, so independent
+    /// requests are in flight together.
     fn begin_many(
         &self,
         requests: &mut dyn Iterator<Item = Bytes>,
         begun: &mut dyn FnMut(Pending),
     ) {
-        requests.for_each(|request| begun(self.begin(request)));
+        requests.for_each(|request| begun(Pending::ready(self.exchange(request))));
     }
-}
-
-/// [`RawExchange::begin`] for carriers whose native operation is the
-/// batch.
-pub(crate) fn begin_one(carrier: &(impl RawExchange + ?Sized), request: Bytes) -> Pending {
-    let mut pending = None;
-    carrier.begin_many(&mut std::iter::once(request), &mut |p| pending = Some(p));
-    pending.expect("one pending per request")
 }
 
 /// One begun exchange: owned, borrowing nothing from its carrier, so it
@@ -120,7 +113,7 @@ pub(crate) fn begin_one(carrier: &(impl RawExchange + ?Sized), request: Bytes) -
 /// still served; its reply is discarded).
 pub struct Pending {
     /// The reply if it is already here, else the slot it will arrive in.
-    pub(crate) reply: Result<Bytes, End<Bytes>>,
+    pub(crate) reply: Result<Bytes, SlotEnd<Bytes>>,
     /// Set by a [`FaultLayer`](crate::FaultLayer) that rolled a garbled
     /// reply: the frame is stamped, and tallied here, when it arrives —
     /// unless nothing crossed the wire and there is no frame to garble.
@@ -141,11 +134,9 @@ impl Pending {
     /// instead of panicking the client — a shard dying mid-session must
     /// not take the device down with it.
     pub fn wait(self) -> Bytes {
-        let raw = self.reply.unwrap_or_else(|slot| {
-            let mut reply = VecDeque::new();
-            slot.take_all(&mut reply);
-            reply.pop_front().unwrap_or_else(unavailable_frame)
-        });
+        let raw = self
+            .reply
+            .unwrap_or_else(|slot| slot.wait().unwrap_or_else(unavailable_frame));
         match self.garble {
             Some(tally) if !is_unavailable(&raw) => {
                 tally.fetch_add(1, Ordering::Relaxed);
@@ -234,8 +225,9 @@ pub struct Link {
     /// Highest serving generation observed on this link (from response
     /// stamps and `Ack`s). 0 until the server goes live.
     last_generation: AtomicU64,
-    /// What [`Link::negotiate`] settled on; `V1` until it runs.
-    wire: WireVersion,
+    /// What [`Link::negotiate`] settled on, per physical edge in edge
+    /// order; empty until it runs.
+    wires: Vec<WireVersion>,
 }
 
 impl Link {
@@ -255,14 +247,14 @@ impl Link {
             fleet,
             cache,
             last_generation: AtomicU64::new(0),
-            wire: WireVersion::V1,
+            wires: Vec::new(),
         }
     }
 
     /// A flat link: one physical edge over `carrier`, with a fresh meter.
     pub fn new(carrier: Box<dyn RawExchange>, packet: PacketModel, tariff: f64) -> Self {
         let meter = Arc::new(LinkMeter::new());
-        let edge = Edge::new(carrier, packet, vec![Arc::clone(&meter)]);
+        let edge = Edge::new(carrier, packet, Arc::clone(&meter));
         Link::over(Box::new(edge), meter, packet, tariff, None, None)
     }
 
@@ -333,14 +325,29 @@ impl Link {
     /// and upgrades each to whatever its peer accepted; call sites gate
     /// on `NetConfig::wire_v2`.
     pub fn negotiate(mut self) -> Self {
-        self.wire = self.stack.negotiate();
+        self.wires = self.stack.negotiate(None);
+        self
+    }
+
+    /// Opens the physical edges under this link at `wires` — what
+    /// [`Link::edge_wires`] reported after an earlier link to the same
+    /// servers negotiated — without sending a single `HELLO`.
+    pub fn resume(mut self, wires: &[WireVersion]) -> Self {
+        self.wires = self.stack.negotiate(Some(wires));
         self
     }
 
     /// The wire version every physical edge under this link speaks
     /// (`V1` until a successful [`Link::negotiate`]).
     pub fn wire(&self) -> WireVersion {
-        self.wire
+        let lowest = self.wires.iter().copied().min_by_key(|&wire| wire as u8);
+        lowest.unwrap_or_default()
+    }
+
+    /// The negotiated version of each physical edge under this link, in
+    /// edge order (a fleet's shard-major); empty before any negotiation.
+    pub fn edge_wires(&self) -> &[WireVersion] {
+        &self.wires
     }
 
     /// Highest serving generation observed on this link so far — from

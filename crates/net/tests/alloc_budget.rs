@@ -1,0 +1,150 @@
+//! The allocation budget of the link stack: above the edge a request
+//! allocates its frames and its answer, nothing else.
+//!
+//! A counting `#[global_allocator]` tallies the calling thread's heap
+//! allocations; every carrier here is in-process, so a request's whole
+//! trip — link, cache, router, fault layer, server — runs on that
+//! thread. After warm-up, a COUNT and a single-shard WINDOW through a
+//! 4-shard × 2-replica fleet with no-op fault layers, retry and breakers
+//! on allocate exactly as often as through a flat link; so do they
+//! through a 1 × 1 fleet; a cache hit allocates nothing for a COUNT and
+//! only its answer for a WINDOW. These are the numbers the stack reaches,
+//! pinned: a `Vec` that creeps back into a per-request path fails here.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use asj_geom::{Rect, SpatialObject};
+use asj_net::cache::{CacheLayer, ClientCache};
+use asj_net::testutil::ScanHandler;
+use asj_net::transport::InProcExchange;
+use asj_net::{
+    BreakerConfig, FaultLayer, FaultPlan, Link, PacketModel, RawExchange, Request, RetryPolicy,
+    ShardEndpoint, ShardMeta, ShardRouter,
+};
+
+struct Counting;
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: defers to `System` unchanged; the tally touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations `link.request(req)` makes, after a warm-up that lets
+/// every lazily grown structure below reach its size.
+fn allocations(link: &Link, req: &Request) -> u64 {
+    for _ in 0..8 {
+        std::hint::black_box(link.request(req));
+    }
+    let before = ALLOCATIONS.with(Cell::get);
+    std::hint::black_box(link.request(req));
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// 400 points on a 20 × 20 lattice over `[0, 200)²`.
+fn lattice() -> Vec<SpatialObject> {
+    (0..400)
+        .map(|i| SpatialObject::point(i, (i % 20) as f64 * 10.0, (i / 20) as f64 * 10.0))
+        .collect()
+}
+
+fn server(objects: Vec<SpatialObject>, faulted: bool) -> Box<dyn RawExchange> {
+    let carrier = Box::new(InProcExchange::new(Arc::new(ScanHandler(objects))));
+    if faulted {
+        Box::new(FaultLayer::new(carrier, FaultPlan::seeded(7)))
+    } else {
+        carrier
+    }
+}
+
+/// `shards` vertical strips of the lattice, `replicas` servers each,
+/// every edge under a no-op fault layer, retry and breakers on.
+fn fleet(shards: usize, replicas: usize) -> Link {
+    let width = 200.0 / shards as f64;
+    let endpoints = (0..shards)
+        .map(|s| {
+            let (x0, x1) = (s as f64 * width, (s + 1) as f64 * width);
+            let members: Vec<SpatialObject> = lattice()
+                .into_iter()
+                .filter(|o| (x0..x1).contains(&o.mbr.min.x))
+                .collect();
+            let meta = ShardMeta::with_cell(
+                Rect::union_of(members.iter().map(|o| o.mbr)),
+                Some(Rect::from_coords(x0, -1e6, x1, 1e6)),
+            );
+            let carriers = (0..replicas)
+                .map(|_| server(members.clone(), true))
+                .collect();
+            ShardEndpoint::with_replicas(Arc::new(meta), carriers)
+        })
+        .collect();
+    let router =
+        ShardRouter::new(endpoints, PacketModel::default()).with_breakers(BreakerConfig::enabled());
+    Link::routed(router, 1.0).with_retry(RetryPolicy::attempts(4))
+}
+
+/// A COUNT over the whole first strip and a WINDOW inside it: both touch
+/// shard 0 of a 4-shard fleet only.
+fn requests() -> [Request; 2] {
+    [
+        Request::Count(Rect::from_coords(-1.0, -1.0, 45.0, 300.0)),
+        Request::Window(Rect::from_coords(5.0, 5.0, 25.0, 25.0)),
+    ]
+}
+
+#[test]
+fn a_fleet_exchange_allocates_what_a_flat_one_does() {
+    let flat = Link::new(server(lattice(), false), PacketModel::default(), 1.0);
+    let (sole, wide) = (fleet(1, 1), fleet(4, 2));
+    for req in requests() {
+        let base = allocations(&flat, &req);
+        assert!(base > 0, "the counting allocator is not installed");
+        assert_eq!(allocations(&sole, &req), base, "1x1 fleet, {req:?}");
+        assert_eq!(allocations(&wide, &req), base, "4x2 fleet, {req:?}");
+        let snap = wide.fleet().unwrap().snapshot();
+        assert!(snap.pruned > 0 && snap.per_shard[1].total_bytes() == 0);
+    }
+}
+
+#[test]
+fn a_cache_hit_allocates_only_its_answer() {
+    let store = Arc::new(ClientCache::new(1 << 20));
+    let layer = CacheLayer::new(server(lattice(), false), PacketModel::default(), store);
+    let cached = Link::cached(layer, 1.0);
+    let [_, window] = requests();
+    let count = Request::Count(Rect::from_coords(10.0, 10.0, 20.0, 20.0));
+    // Warm: the window download answers both from here on.
+    cached.request(&window);
+    assert_eq!(allocations(&cached, &count), 0, "COUNT hit");
+    // The four objects of the answer, in one `Vec`; nothing else.
+    assert_eq!(allocations(&cached, &window), 1, "WINDOW hit");
+    let snap = cached.cache().unwrap().snapshot();
+    assert!(snap.stats_hits >= 9 && snap.window_hits >= 9, "{snap:?}");
+    assert_eq!(cached.meter().snapshot().window_queries, 1);
+}
