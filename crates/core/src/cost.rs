@@ -42,15 +42,6 @@ pub struct CostModel {
     pub fanout_r: f64,
     /// Shard fan-out of the S side.
     pub fanout_s: f64,
-    /// Replica fan-out of the fleets (≥ 1): update batches are broadcast
-    /// to every replica of a shard — each replica receives its own copy
-    /// of the sub-batch and answers its own framed ack — so the *update*
-    /// round trip is amplified `n`-fold. Read traffic is **not**
-    /// amplified: exactly one replica serves each scatter slot, so every
-    /// query formula above is independent of this factor. `1.0` (an
-    /// unreplicated deployment) prices updates bit-exactly like the
-    /// replica-less model.
-    pub replica_fanout: f64,
     /// Price multiplier on statistics (COUNT/`MultiCount`) rounds,
     /// `(0, 1]`. With the client cache enabled, repeated statistics cost
     /// nothing on the wire; decisions should price a round at its
@@ -71,14 +62,6 @@ pub struct CostModel {
     /// frames keep pricing [`OBJ_BYTES`]: v2 compacts only the object
     /// response stream, not request payloads or bucket framing.
     pub object_bytes: f64,
-    /// Price multiplier for expected retransmissions on a lossy fleet,
-    /// ≥ 1: every packetized transfer ([`CostModel::tb`]) is priced at
-    /// its *expected delivered* cost, i.e. scaled by the expected attempt
-    /// count of the link's retry loop (see
-    /// [`CostModel::expected_attempts`]). `1.0` — a bit-exact no-op —
-    /// on reliable links, which keeps fault-free decisions byte-for-byte
-    /// identical to the undecorated model.
-    pub retry_factor: f64,
 }
 
 impl CostModel {
@@ -91,7 +74,6 @@ impl CostModel {
             batched_stats: net.batched_stats,
             fanout_r: 1.0,
             fanout_s: 1.0,
-            replica_fanout: 1.0,
             stats_discount: 1.0,
             window_discount: 1.0,
             object_bytes: if net.wire_v2 {
@@ -99,23 +81,7 @@ impl CostModel {
             } else {
                 OBJ_BYTES as f64
             },
-            retry_factor: 1.0,
         }
-    }
-
-    /// Prices retransmissions: every round trip costs `factor` times its
-    /// wire bytes, where `factor` is the expected attempt count of the
-    /// deployment's retry loop — derive it with
-    /// [`CostModel::expected_attempts`] from the fault plan's drop rate
-    /// and [`asj_net::RetryPolicy`] budget. Must be ≥ 1 and finite;
-    /// `with_retry_factor(1.0)` is a bit-exact no-op.
-    pub fn with_retry_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor >= 1.0 && factor.is_finite(),
-            "retry factor is an expected attempt count, at least 1"
-        );
-        self.retry_factor = factor;
-        self
     }
 
     /// Expected attempts issued per request under iid loss `drop_rate`
@@ -143,27 +109,6 @@ impl CostModel {
         self
     }
 
-    /// Sets the replica fan-out (≥ 1) — the update-broadcast
-    /// amplification of a replicated fleet. `with_replica_fanout(1.0)`
-    /// is a bit-exact no-op: every formula of the model, including
-    /// [`CostModel::update_round_trip`], then reduces to the
-    /// replica-less pricing.
-    pub fn with_replica_fanout(mut self, n: f64) -> Self {
-        assert!(n >= 1.0, "replica fan-out is at least 1");
-        self.replica_fanout = n;
-        self
-    }
-
-    /// Wire cost of delivering one update batch of `payload` request
-    /// bytes to a single shard, unweighted: the batch goes to every
-    /// replica (same bytes each) and every replica answers one framed
-    /// ack, so the plain round trip is amplified by the replica
-    /// fan-out. Queries never pay this factor — reads are served by
-    /// exactly one replica.
-    pub fn update_round_trip(&self, payload: f64) -> f64 {
-        self.replica_fanout * (self.tb(payload) + self.tb(ANSWER_BYTES as f64))
-    }
-
     /// Applies client-cache hit-rate discounts to the statistics and
     /// window prices so operator decisions track what the meters will
     /// actually measure: a statistics round expected to hit the cache
@@ -189,7 +134,7 @@ impl CostModel {
     pub fn tb(&self, payload: f64) -> f64 {
         let cap = self.packet.payload_per_packet() as f64;
         let packets = (payload / cap).ceil().max(1.0);
-        self.retry_factor * (payload + packets * self.packet.header_bytes as f64)
+        payload + packets * self.packet.header_bytes as f64
     }
 
     /// One aggregate (COUNT) round trip on one link, unweighted —
@@ -236,17 +181,12 @@ impl CostModel {
         self.stats_round_both(4)
     }
 
-    /// Wire bytes of a `WINDOW` download of `n` objects on one link,
-    /// unweighted: query up + object stream down.
-    pub fn window_download(&self, n: f64) -> f64 {
-        self.window_download_fanned(n, 1.0)
-    }
-
-    /// [`CostModel::window_download`] against a fleet of `fanout` shards:
-    /// the query fans out to every shard, the `n` objects come back split
-    /// evenly across `fanout` framed responses, the whole round scaled by
-    /// the cache's window discount. With `fanout = 1` and no discount
-    /// this is bit-exactly the flat formula.
+    /// Wire bytes of a `WINDOW` download of `n` objects from a fleet of
+    /// `fanout` shards, unweighted: the query fans out to every shard, the
+    /// `n` objects come back split evenly across `fanout` framed
+    /// responses, the whole round scaled by the cache's window discount.
+    /// With `fanout = 1` and no discount this is the flat formula: query
+    /// up + object stream down.
     pub fn window_download_fanned(&self, n: f64, fanout: f64) -> f64 {
         self.window_discount
             * (fanout * self.tb(QUERY_BYTES as f64)
@@ -327,16 +267,6 @@ impl CostModel {
                 + self.tb(OBJECTS_HEADER_BYTES as f64 + mu * self.object_bytes);
             outer_download + tariff_inner * count_outer * per_probe
         }
-    }
-
-    /// `c4(w)` under MobiJoin's optimistic heuristic (Section 3.2):
-    /// `2k²` aggregate queries plus the assumption that the window is
-    /// uniform and every quadrant finishes with one (unchecked) HBSJ.
-    pub fn c4_mobijoin(&self, count_r: f64, count_s: f64, k: u32) -> f64 {
-        let cells = (k * k) as f64;
-        let stats = self.stats_round_both(k * k);
-        let per_cell = self.c1_unchecked(count_r / cells, count_s / cells);
-        stats + cells * per_cell
     }
 
     /// `c1` where a window that overflows the buffer is costed as a
@@ -464,19 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn c4_heuristic_components() {
-        let m = model(800);
-        let c4 = m.c4_mobijoin(1000.0, 1000.0, 2);
-        // At least the 8 aggregate queries.
-        assert!(c4 >= 8.0 * m.taq());
-        // And the per-quadrant HBSJ estimates ignore feasibility: the
-        // quadrant counts (250+250) fit the 800 buffer here, but even with
-        // buffer 10 the estimate must not blow up to infinity.
-        let tiny = CostModel::new(&NetConfig::default(), 10);
-        assert!(tiny.c4_mobijoin(1000.0, 1000.0, 2).is_finite());
-    }
-
-    #[test]
     fn worth_more_stats_threshold() {
         let m = model(800);
         assert!(!m.worth_more_stats(1.0));
@@ -573,10 +490,6 @@ mod tests {
         }
         assert_eq!(flat.split_stats_cost(), fanned.split_stats_cost());
         assert_eq!(
-            flat.window_download(50.0),
-            fanned.window_download_fanned(50.0, 1.0)
-        );
-        assert_eq!(
             flat.nlsj(&w(), 50.0, 100.0, 1.0, 1.0, 1.0, 1.0, 20.0, true),
             fanned.nlsj(&w(), 50.0, 100.0, 1.0, 1.0, 1.0, 1.0, 20.0, true)
         );
@@ -590,7 +503,7 @@ mod tests {
         assert_eq!(fleet.split_stats_cost(), flat.stats_round(4) * (4.0 + 2.0));
         // A window download to a fleet pays fan-out × query and framing
         // but streams the same object payload.
-        let one = flat.window_download(100.0);
+        let one = flat.window_download_fanned(100.0, 1.0);
         let four = fleet.window_download_fanned(100.0, 4.0);
         assert!(four > one);
         assert!(
@@ -608,55 +521,14 @@ mod tests {
     }
 
     #[test]
-    fn unit_replica_fanout_is_bit_exact_noop() {
-        let flat = model(800);
-        let replicated = model(800).with_replica_fanout(1.0);
-        for payload in [0.0, 9.0, 1460.5, 20_000.0] {
-            assert_eq!(
-                flat.update_round_trip(payload),
-                replicated.update_round_trip(payload)
-            );
-        }
-        // Reads never pay the replica factor at any fan-out.
-        let heavy = model(800).with_replica_fanout(3.0);
-        assert_eq!(flat.taq(), heavy.taq());
-        assert_eq!(flat.c1(100.0, 100.0), heavy.c1(100.0, 100.0));
-        assert_eq!(flat.split_stats_cost(), heavy.split_stats_cost());
-        assert_eq!(
-            flat.nlsj(&w(), 50.0, 100.0, 1.0, 1.0, 1.0, 1.0, 20.0, true),
-            heavy.nlsj(&w(), 50.0, 100.0, 1.0, 1.0, 1.0, 1.0, 20.0, true)
-        );
-    }
-
-    #[test]
-    fn replica_fanout_amplifies_update_broadcasts_linearly() {
-        let one = model(800);
-        let three = model(800).with_replica_fanout(3.0);
-        assert_eq!(
-            three.update_round_trip(500.0),
-            3.0 * one.update_round_trip(500.0)
-        );
-        assert_eq!(
-            one.update_round_trip(500.0),
-            one.tb(500.0) + one.tb(ANSWER_BYTES as f64)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "replica fan-out is at least 1")]
-    fn replica_fanout_below_one_rejected() {
-        model(800).with_replica_fanout(0.5);
-    }
-
-    #[test]
     fn cache_discount_scales_stats_and_window_prices() {
         let flat = model(800);
         let discounted = model(800).with_cache_discount(0.5, 0.25);
         assert_eq!(discounted.stats_round(4), 0.5 * flat.stats_round(4));
         assert_eq!(discounted.split_stats_cost(), 0.5 * flat.split_stats_cost());
         assert_eq!(
-            discounted.window_download(100.0),
-            0.25 * flat.window_download(100.0)
+            discounted.window_download_fanned(100.0, 1.0),
+            0.25 * flat.window_download_fanned(100.0, 1.0)
         );
         assert_eq!(
             discounted.c1_unchecked(50.0, 50.0),
@@ -667,7 +539,7 @@ mod tests {
         let d = discounted.nlsj(&w(), 10.0, 100.0, 1.0, 1.0, 1.0, 1.0, 20.0, false);
         let f = flat.nlsj(&w(), 10.0, 100.0, 1.0, 1.0, 1.0, 1.0, 20.0, false);
         assert!(d < f);
-        assert_eq!(f - d, 0.75 * flat.window_download(10.0));
+        assert_eq!(f - d, 0.75 * flat.window_download_fanned(10.0, 1.0));
     }
 
     #[test]
@@ -689,21 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_retry_factor_is_bit_exact_noop() {
-        let a = model(800);
-        let b = model(800).with_retry_factor(1.0);
-        for bytes in [0.0, 1.0, 100.0, 1460.5, 20_000.0] {
-            assert_eq!(a.tb(bytes), b.tb(bytes));
-        }
-        assert_eq!(a.taq(), b.taq());
-        assert_eq!(a.c1(100.0, 100.0), b.c1(100.0, 100.0));
-        assert_eq!(
-            a.nlsj(&w(), 50.0, 100.0, 1.0, 1.0, 1.0, 1.0, 20.0, true),
-            b.nlsj(&w(), 50.0, 100.0, 1.0, 1.0, 1.0, 1.0, 20.0, true)
-        );
-    }
-
-    #[test]
     fn retry_factor_prices_expected_attempts() {
         // E = (1 − pⁿ)/(1 − p): half the requests retry once at p = 0.5
         // with a budget of 2.
@@ -717,32 +574,5 @@ mod tests {
             assert!(e > last && e < 2.0);
             last = e;
         }
-        // The factor scales every round trip linearly.
-        let flat = model(800);
-        let lossy = model(800).with_retry_factor(1.5);
-        assert_eq!(lossy.taq(), 1.5 * flat.taq());
-        assert_eq!(lossy.split_stats_cost(), 1.5 * flat.split_stats_cost());
-        assert_eq!(
-            lossy.window_download(100.0),
-            1.5 * flat.window_download(100.0)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn sub_unit_retry_factor_rejected() {
-        model(800).with_retry_factor(0.9);
-    }
-
-    #[test]
-    fn batched_c4_prices_fewer_stat_bytes() {
-        let single = model(800);
-        let batched = batched_model(800);
-        let diff = single.c4_mobijoin(1000.0, 1000.0, 2) - batched.c4_mobijoin(1000.0, 1000.0, 2);
-        assert_eq!(
-            diff,
-            single.split_stats_cost() - batched.split_stats_cost(),
-            "only the statistics term may differ"
-        );
     }
 }

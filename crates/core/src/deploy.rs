@@ -570,7 +570,7 @@ impl DeploymentBuilder {
 
     /// Wraps every physical edge of the deployment (both sides, every
     /// shard) in a deterministic [`FaultLayer`] scripted by `plan` —
-    /// drops, delays, garbled replies, crash-then-restart. Pair with
+    /// drops, garbled replies, crash-then-restart. Pair with
     /// [`NetConfig::with_retry`] to give links a recovery budget; the
     /// chaos suites prove the faulted deployment still answers exactly
     /// like a clean one whenever the budget suffices. A

@@ -152,8 +152,7 @@ impl<'a> ExecCtx<'a> {
             spec,
             space,
             cost: CostModel::new(deployment.net(), deployment.buffer_capacity())
-                .with_fanout(shards_r as f64, shards_s as f64)
-                .with_replica_fanout(deployment.replica_count() as f64),
+                .with_fanout(shards_r as f64, shards_s as f64),
             rng: ChaCha8Rng::seed_from_u64(spec.seed),
             stats: ExecStats::default(),
             max_depth: 24,
@@ -306,30 +305,27 @@ impl<'a> ExecCtx<'a> {
         let eps = self.spec.predicate.epsilon();
         let bucket = self.spec.bucket_nlsj;
         let cost = self.decision_cost();
+        // NLSJ with `outer` downloaded and the other side probed — both
+        // orientations are this one call, so they cannot be priced by
+        // different models or with mismatched tariffs and fan-outs.
+        let nlsj = |outer: Side, count_outer: f64, count_inner: f64| {
+            let inner = outer.other();
+            cost.nlsj(
+                &ext,
+                count_outer,
+                count_inner,
+                self.tariff(outer),
+                self.tariff(inner),
+                self.fanout(outer),
+                self.fanout(inner),
+                eps,
+                bucket,
+            )
+        };
         OperatorCosts {
             c1: cost.c1(count_r, count_s),
-            c2: cost.nlsj(
-                &ext,
-                count_r,
-                count_s,
-                self.tariff(Side::R),
-                self.tariff(Side::S),
-                self.fanout(Side::R),
-                self.fanout(Side::S),
-                eps,
-                bucket,
-            ),
-            c3: self.cost.nlsj(
-                &ext,
-                count_s,
-                count_r,
-                self.tariff(Side::S),
-                self.tariff(Side::R),
-                self.fanout(Side::S),
-                self.fanout(Side::R),
-                eps,
-                bucket,
-            ),
+            c2: nlsj(Side::R, count_r, count_s),
+            c3: nlsj(Side::S, count_s, count_r),
         }
     }
 
@@ -961,6 +957,38 @@ mod tests {
         assert_eq!((cache.stats_hits, cache.stats_misses), (2, 1));
         assert!(rep.cache_bytes_saved() > 0);
         assert!(rep.cache_hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn swapping_the_sides_mirrors_the_operator_costs() {
+        let dep = crate::deploy::DeploymentBuilder::new(
+            grid_points(10, 10.0, 0),
+            grid_points(10, 10.0, 0),
+        )
+        .with_buffer(800)
+        .with_space(Rect::from_coords(0.0, 0.0, 90.0, 90.0))
+        .with_client_cache(true)
+        .build();
+        let spec = JoinSpec::distance_join(10.0);
+        let ctx = ExecCtx::new(&dep, &spec);
+        let w = dep.space();
+        for _ in 0..3 {
+            ctx.count(Side::R, &w);
+            ctx.download(Side::S, &w);
+        }
+        let cost = ctx.decision_cost();
+        assert!(
+            cost.stats_discount < 1.0 && cost.window_discount < 1.0,
+            "vacuous"
+        );
+        // Equal tariffs and fan-outs: NLSJ with R outer on (a, b) is the
+        // operator NLSJ with S outer is on (b, a), and costs what it does.
+        for (a, b) in [(10.0, 1000.0), (1000.0, 10.0), (37.5, 412.25)] {
+            let (fwd, rev) = (ctx.costs(&w, a, b), ctx.costs(&w, b, a));
+            assert_eq!(fwd.c2.to_bits(), rev.c3.to_bits(), "c2/c3 at ({a}, {b})");
+            assert_eq!(fwd.c3.to_bits(), rev.c2.to_bits(), "c3/c2 at ({a}, {b})");
+            assert_eq!(fwd.c1, rev.c1, "c1 at ({a}, {b})");
+        }
     }
 
     #[test]

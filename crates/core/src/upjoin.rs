@@ -49,15 +49,6 @@ impl Default for UpJoin {
 }
 
 impl UpJoin {
-    /// UpJoin with a specific α.
-    pub fn with_alpha(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "α ∈ (0, 1]");
-        UpJoin {
-            alpha,
-            ..UpJoin::default()
-        }
-    }
-
     /// Examines one dataset over `w`: returns the quadrant views (real or
     /// estimated) and whether the dataset is (now) considered uniform.
     fn examine(
@@ -369,17 +360,6 @@ mod tests {
         assert_eq!(rep.stats.splits, 0);
         // 2 global counts + 8 quadrant counts + 2 random confirms.
         assert_eq!(rep.aggregate_queries(), 12);
-    }
-
-    #[test]
-    fn alpha_bounds_enforced() {
-        let _ = UpJoin::with_alpha(0.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "α ∈ (0, 1]")]
-    fn alpha_zero_rejected() {
-        let _ = UpJoin::with_alpha(0.0);
     }
 
     #[test]

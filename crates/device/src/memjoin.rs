@@ -189,9 +189,9 @@ pub fn grid_hash_join_with_workers(
     // others collect theirs, appended in run order once it is done.
     let mut runs = r.chunks(r.len().div_ceil(workers));
     let (first, join) = (runs.next().expect("r is not empty"), &join);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let spawn = |run| {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut pairs = Vec::new();
                 join(run, &mut |a, b| pairs.push((a, b)));
                 pairs
@@ -204,8 +204,7 @@ pub fn grid_hash_join_with_workers(
                 out.push(a, b);
             }
         }
-    })
-    .expect("join scope panicked");
+    });
 }
 
 #[cfg(test)]

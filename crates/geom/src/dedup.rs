@@ -62,24 +62,6 @@ pub fn reference_point_in(
     }
 }
 
-/// Window extension that guarantees the reference-point discipline loses no
-/// pairs when objects are MBRs with half-extent up to `max_half_extent`:
-/// `ε/2 + max_half_extent`.
-///
-/// Derivation: the reference point is the midpoint `m` of the two centers.
-/// For a qualifying pair, `|c_a - c_b| ≤ ε + e_a + e_b` where `e` bounds the
-/// center-to-boundary distance, so each MBR intersects the disc of radius
-/// `ε/2 + e_a/2 + e_b/2 + e ≤ ε/2 + 2·max_half_extent` around `m`… we use
-/// the tight bound for the workloads in this repo (point ⋈ point and point ⋈
-/// short segments) and verify exhaustively against a brute-force join in the
-/// integration tests.
-pub fn safe_window_extension(pred: &JoinPredicate, max_half_extent: f64) -> f64 {
-    match pred {
-        JoinPredicate::Intersects => 0.0,
-        JoinPredicate::WithinDistance(eps) => eps * 0.5 + max_half_extent,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,14 +117,5 @@ mod tests {
             .filter(|q| reference_point_in(&a, &b, &pred, q, &space))
             .count();
         assert_eq!(owners, 1);
-    }
-
-    #[test]
-    fn safe_extension_values() {
-        assert_eq!(safe_window_extension(&JoinPredicate::Intersects, 3.0), 0.0);
-        assert_eq!(
-            safe_window_extension(&JoinPredicate::WithinDistance(10.0), 2.0),
-            7.0
-        );
     }
 }

@@ -155,15 +155,6 @@ impl Rect {
         }
     }
 
-    /// Minimum Euclidean distance from this rectangle to a point (zero when
-    /// the point is inside).
-    #[inline]
-    pub fn min_dist_point(&self, p: &Point) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// Minimum Euclidean distance between two rectangles (zero when they
     /// intersect).
     #[inline]
@@ -287,14 +278,6 @@ mod tests {
     fn expand_negative_clamps() {
         let e = r(0.0, 0.0, 1.0, 1.0).expand(-2.0);
         assert_eq!(e.area(), 0.0);
-    }
-
-    #[test]
-    fn min_dist_point_cases() {
-        let rect = r(0.0, 0.0, 2.0, 2.0);
-        assert_eq!(rect.min_dist_point(&Point::new(1.0, 1.0)), 0.0); // inside
-        assert_eq!(rect.min_dist_point(&Point::new(5.0, 1.0)), 3.0); // right
-        assert_eq!(rect.min_dist_point(&Point::new(5.0, 6.0)), 5.0); // corner 3-4-5
     }
 
     #[test]

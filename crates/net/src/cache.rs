@@ -342,16 +342,6 @@ impl ClientCache {
         self.resident_bytes.load(Ordering::Relaxed)
     }
 
-    /// Number of cached window entries.
-    pub fn cached_windows(&self) -> usize {
-        self.state.lock().expect("cache poisoned").windows.len()
-    }
-
-    /// Number of exact statistics entries.
-    pub fn cached_counts(&self) -> usize {
-        self.state.lock().expect("cache poisoned").counts.len()
-    }
-
     /// Test instrument: flips the largest cached exact count to a wrong
     /// value (0, or 1 if it was already 0) and returns `true` when an
     /// entry existed. The differential suites use this to prove they are
@@ -729,6 +719,17 @@ mod tests {
     use crate::testutil::ScanHandler as Scan;
     use crate::transport::{InProcExchange, Link};
     use bytes::{Bytes, BytesMut};
+
+    /// Inspection handles of the tests below: entries per tier.
+    impl ClientCache {
+        fn cached_windows(&self) -> usize {
+            self.state.lock().expect("cache poisoned").windows.len()
+        }
+
+        fn cached_counts(&self) -> usize {
+            self.state.lock().expect("cache poisoned").counts.len()
+        }
+    }
 
     fn lattice(n: u32) -> Vec<SpatialObject> {
         (0..n * n)

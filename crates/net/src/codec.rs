@@ -1351,7 +1351,7 @@ pub fn encode_hello(max_version: u8) -> Bytes {
     Bytes::copy_from_slice(&[op::HELLO, max_version])
 }
 
-///// Answers a raw frame if — and only if — it is a `HELLO` probe: the
+/// Answers a raw frame if — and only if — it is a `HELLO` probe: the
 /// transport-adapter intercept servers use so version negotiation never
 /// reaches the query handler. Returns the `ACCEPT` reply to send back, or
 /// `None` for every non-handshake frame.

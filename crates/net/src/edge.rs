@@ -167,18 +167,16 @@ impl Edge {
 
     /// Judges the first attempt of one exchange and sees it through:
     /// while it fails — peer gone, or a reply judged malformed — the same
-    /// frame is re-issued alone, up to the retry budget with
-    /// deterministic backoff; exhaustion surfaces the last typed failure
-    /// and is tallied as one abandonment.
+    /// frame is re-issued alone, up to the retry budget; exhaustion
+    /// surfaces the last typed failure and is tallied as one abandonment.
     #[inline]
     fn settle(&self, frame: &Frame, raw: Bytes) -> (Response, u64) {
         let mut outcome = self.judge(frame, raw);
-        for attempt in 1..self.retry.max_attempts.max(1) {
+        for _ in 1..self.retry.max_attempts.max(1) {
             if !outcome.0.is_failure() {
                 return outcome;
             }
             self.tally(LinkMeter::record_retry);
-            self.retry.sleep(attempt);
             outcome = self.judge(frame, self.carrier.exchange(frame.bytes.clone()));
         }
         if outcome.0.is_failure() && self.retry.enabled() {

@@ -5,8 +5,7 @@
 //! modes of the paper's ad-hoc wireless setting from a scripted
 //! [`FaultPlan`]: **drops** (the exchange
 //! never happens; the layer fabricates the local `R_UNAVAILABLE`
-//! pseudo-frame, so metering layers correctly charge nothing), **delays**
-//! (a fixed sleep before the exchange — wall-clock only, never results),
+//! pseudo-frame, so metering layers correctly charge nothing),
 //! **garbled replies** (byte 0 of the reply is stamped with the
 //! [`crate::codec::op::GARBLE`] marker, so it decodes to a typed
 //! `Malformed` and can never silently become a different valid value),
@@ -60,10 +59,6 @@ pub struct FaultPlan {
     /// Probability an exchange is dropped entirely (locally fabricated
     /// `R_UNAVAILABLE`; the inner carrier is never touched).
     pub drop_rate: f64,
-    /// Probability an exchange is delayed by [`FaultPlan::delay_us`].
-    pub delay_rate: f64,
-    /// Deterministic delay duration in microseconds.
-    pub delay_us: u64,
     /// Probability the frame is garbled (byte 0 stamped with the garble
     /// marker). Applies to the reply, or to the request when
     /// [`FaultPlan::garble_requests`] is set.
@@ -81,8 +76,6 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0,
             drop_rate: 0.0,
-            delay_rate: 0.0,
-            delay_us: 0,
             garble_rate: 0.0,
             garble_requests: false,
             crash: None,
@@ -107,14 +100,6 @@ impl FaultPlan {
         self
     }
 
-    /// Delays each exchange by `us` microseconds with probability `rate`.
-    pub fn with_delays(mut self, rate: f64, us: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "delay rate must be in [0, 1]");
-        self.delay_rate = rate;
-        self.delay_us = us;
-        self
-    }
-
     /// Garbles each reply with probability `rate`.
     pub fn with_garbles(mut self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "garble rate must be in [0, 1]");
@@ -136,10 +121,7 @@ impl FaultPlan {
 
     /// `true` when the plan injects nothing at all.
     pub fn is_noop(&self) -> bool {
-        self.drop_rate == 0.0
-            && self.delay_rate == 0.0
-            && self.garble_rate == 0.0
-            && self.crash.is_none()
+        self.drop_rate == 0.0 && self.garble_rate == 0.0 && self.crash.is_none()
     }
 }
 
@@ -149,8 +131,6 @@ pub struct FaultStats {
     /// Exchanges answered with the locally fabricated unavailable frame
     /// (nothing touched the inner carrier).
     pub dropped: u64,
-    /// Exchanges delayed before delivery.
-    pub delayed: u64,
     /// Frames stamped with the garble marker.
     pub garbled: u64,
     /// Exchanges swallowed by the scripted crash window.
@@ -162,7 +142,6 @@ pub struct FaultStats {
 #[derive(Debug, Default)]
 struct Counters {
     dropped: AtomicU64,
-    delayed: AtomicU64,
     /// Shared with the [`Pending`]s whose replies are garbled on arrival.
     garbled: Arc<AtomicU64>,
     blacked_out: AtomicU64,
@@ -207,7 +186,6 @@ fn unit(x: u64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Roll {
     drop: bool,
-    delay: bool,
     garble: bool,
 }
 
@@ -252,7 +230,6 @@ impl FaultLayer {
     pub fn stats(&self) -> FaultStats {
         FaultStats {
             dropped: self.counters.dropped.load(Ordering::Relaxed),
-            delayed: self.counters.delayed.load(Ordering::Relaxed),
             garbled: self.counters.garbled.load(Ordering::Relaxed),
             blacked_out: self.counters.blacked_out.load(Ordering::Relaxed),
             restarts: self.counters.restarts.load(Ordering::Relaxed),
@@ -268,9 +245,10 @@ impl FaultLayer {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(hash)
             .wrapping_add(attempt.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+        // The garble roll sits at `base + 2`: where a scripted fault lands
+        // is pinned (`tests/sessions.rs`), and that is its offset.
         Roll {
             drop: unit(splitmix64(base)) < self.plan.drop_rate,
-            delay: unit(splitmix64(base.wrapping_add(1))) < self.plan.delay_rate,
             garble: unit(splitmix64(base.wrapping_add(2))) < self.plan.garble_rate,
         }
     }
@@ -308,7 +286,7 @@ impl FaultLayer {
 
 impl FaultLayer {
     /// Everything the script decides when an exchange begins, in request
-    /// order: crash window, roll, drop, delay, request garbling. `None`
+    /// order: crash window, roll, drop, request garbling. `None`
     /// when the exchange never happens — the inner carrier is not
     /// touched and the fabricated unavailable frame must stay unmetered;
     /// otherwise the frame to ship and, when its *reply* is to be garbled
@@ -328,12 +306,6 @@ impl FaultLayer {
         if roll.drop {
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
             return None;
-        }
-        if roll.delay {
-            self.counters.delayed.fetch_add(1, Ordering::Relaxed);
-            if self.plan.delay_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(self.plan.delay_us));
-            }
         }
         if roll.garble && self.plan.garble_requests {
             self.counters.garbled.fetch_add(1, Ordering::Relaxed);

@@ -41,10 +41,10 @@
 //!   protocol. Gated by [`NetConfig::client_cache`], **off by default**
 //!   (off ⇒ byte-identical wire traffic), tallied in a [`CacheSnapshot`];
 //! * [`fault`] — the **deterministic fault injector**: a [`FaultLayer`]
-//!   replays scripted drops, delays, garbled frames and crash-then-restart
+//!   replays scripted drops, garbled frames and crash-then-restart
 //!   windows from a seeded [`FaultPlan`]; pairs with the
-//!   [`packet::RetryPolicy`] retry/backoff discipline (off by default —
-//!   off ⇒ byte-identical wire traffic);
+//!   [`packet::RetryPolicy`] retry discipline (off by default — off ⇒
+//!   byte-identical wire traffic);
 //! * [`health`] — the **replica failover extension**: per-replica-edge
 //!   circuit breakers on an exchange-counted clock and the generation
 //!   floor that keeps failover from serving stale state. Gated by

@@ -239,22 +239,6 @@ pub struct CacheSnapshot {
 }
 
 impl CacheSnapshot {
-    /// Hit rate over statistics lookups (0 when none happened).
-    pub fn stats_hit_rate(&self) -> f64 {
-        rate(self.stats_hits, self.stats_misses)
-    }
-
-    /// Hit rate over `WINDOW` lookups only (0 when none happened) — the
-    /// rate that discounts window-download prices.
-    pub fn window_hit_rate(&self) -> f64 {
-        rate(self.window_hits, self.window_misses)
-    }
-
-    /// Hit rate over ε-RANGE probe lookups (0 when none happened).
-    pub fn probe_hit_rate(&self) -> f64 {
-        rate(self.probe_hits, self.probe_misses)
-    }
-
     /// Overall hit rate across every tier (0 when none happened).
     pub fn hit_rate(&self) -> f64 {
         rate(
@@ -525,9 +509,11 @@ mod tests {
             evictions: 1,
             resident_bytes: 500,
         };
-        assert_eq!(a.stats_hit_rate(), 0.75);
-        assert_eq!(a.window_hit_rate(), 0.5, "probe hits must not pollute it");
-        assert_eq!(a.probe_hit_rate(), 1.0);
+        assert_eq!(
+            (a.window_hits, a.window_misses),
+            (1, 1),
+            "probe hits must not pollute the window tier's tally"
+        );
         assert_eq!(a.hit_rate(), 6.0 / 8.0);
         assert_eq!(CacheSnapshot::default().hit_rate(), 0.0);
         let b = a.plus(&a);

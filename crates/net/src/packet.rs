@@ -61,9 +61,7 @@ impl PacketModel {
 /// error immediately and the wire traffic is byte-identical to a build
 /// without the retry machinery. With `max_attempts > 1`, an exchange whose
 /// reply is locally fabricated `R_UNAVAILABLE` or fails to decode is
-/// re-issued with the *same* request bytes after a deterministic
-/// exponential backoff (`backoff_base_us · 2^(k-1)` before retry `k`,
-/// capped at [`RetryPolicy::BACKOFF_CAP_US`]).
+/// re-issued at once with the *same* request bytes.
 ///
 /// Idempotency classes: queries are read-only and retry freely.
 /// `ApplyUpdates` retries only under the batch-sequence dedup envelope
@@ -75,62 +73,25 @@ pub struct RetryPolicy {
     /// Total delivery attempts per physical exchange; `1` disables
     /// retries entirely.
     pub max_attempts: u32,
-    /// Base backoff in microseconds before the first retry; each further
-    /// retry doubles it. `0` retries immediately (the deterministic
-    /// chaos suites use this — backoff affects wall-clock only, never
-    /// results).
-    pub backoff_base_us: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_base_us: 0,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 }
 
 impl RetryPolicy {
-    /// Upper bound on a single backoff sleep (100 ms): exhausting a
-    /// generous budget must never hang a test suite.
-    pub const BACKOFF_CAP_US: u64 = 100_000;
-
-    /// A policy allowing `max_attempts` total deliveries with immediate
-    /// (zero-backoff) retries.
+    /// A policy allowing `max_attempts` total deliveries.
     pub fn attempts(max_attempts: u32) -> Self {
         assert!(max_attempts >= 1, "at least one attempt is required");
-        RetryPolicy {
-            max_attempts,
-            backoff_base_us: 0,
-        }
+        RetryPolicy { max_attempts }
     }
 
     /// `true` when failed exchanges are re-issued at all.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.max_attempts > 1
-    }
-
-    /// Deterministic backoff before retry number `retry` (1-based):
-    /// `base · 2^(retry-1)`, saturating, capped at
-    /// [`RetryPolicy::BACKOFF_CAP_US`].
-    #[inline]
-    pub fn backoff_us(&self, retry: u32) -> u64 {
-        if self.backoff_base_us == 0 || retry == 0 {
-            return 0;
-        }
-        self.backoff_base_us
-            .saturating_mul(1u64 << (retry - 1).min(20))
-            .min(Self::BACKOFF_CAP_US)
-    }
-
-    /// Sleeps the backoff for retry number `retry` (no-op at base 0).
-    pub fn sleep(&self, retry: u32) {
-        let us = self.backoff_us(retry);
-        if us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
     }
 }
 
@@ -170,15 +131,16 @@ pub struct NetConfig {
     /// changes frame density only, never decoded objects or join results:
     /// the quantization contract guarantees bit-faithful decode.
     pub wire_v2: bool,
-    /// Worker threads the device's in-memory join kernels (the partitioned
-    /// parallel plane sweep) may use. `0` (the default) resolves to the
-    /// machine's available parallelism; `1` forces the serial kernel. A
+    /// Worker threads the device's in-memory join kernel (the ε-grid of
+    /// `asj_device::memjoin`, R split into runs) may use. `0` (the
+    /// default) resolves to the machine's available parallelism; `1`
+    /// forces the serial kernel. A
     /// device-compute knob, not a wire capability: the kernels produce
     /// identical output — same pairs, same order, same wire traffic — at
     /// every worker count (differentially tested), so this only moves
     /// wall-clock time.
     pub sweep_workers: usize,
-    /// Retry/backoff discipline of the device's physical exchanges (see
+    /// Retry discipline of the device's physical exchanges (see
     /// [`RetryPolicy`]). **Off by default** (`max_attempts == 1`): no
     /// dedup envelope is attached, no exchange is re-issued, and every
     /// wire byte is identical to a build without the extension.
@@ -239,13 +201,6 @@ impl NetConfig {
         self
     }
 
-    /// Sets the window tier's byte budget (implies nothing about
-    /// `enabled`).
-    pub fn with_cache_budget(mut self, bytes: u64) -> Self {
-        self.client_cache.window_budget_bytes = bytes;
-        self
-    }
-
     /// Enables wire protocol v2 negotiation on the device's physical
     /// links.
     pub fn with_wire_v2(mut self, on: bool) -> Self {
@@ -260,8 +215,7 @@ impl NetConfig {
         self
     }
 
-    /// Sets the retry/backoff discipline of the device's physical
-    /// exchanges.
+    /// Sets the retry discipline of the device's physical exchanges.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -366,21 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_exponential_and_capped() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            backoff_base_us: 100,
-        };
-        assert_eq!(p.backoff_us(1), 100);
-        assert_eq!(p.backoff_us(2), 200);
-        assert_eq!(p.backoff_us(3), 400);
-        // Saturates at the cap, never overflows.
-        assert_eq!(p.backoff_us(63), RetryPolicy::BACKOFF_CAP_US);
-        // Base 0 never sleeps.
-        assert_eq!(RetryPolicy::attempts(4).backoff_us(3), 0);
-    }
-
-    #[test]
     fn breakers_and_partial_results_default_off() {
         let d = NetConfig::default();
         assert!(!d.breaker.enabled);
@@ -398,10 +337,11 @@ mod tests {
     fn client_cache_defaults_off() {
         assert!(!NetConfig::default().client_cache.enabled);
         assert!(!NetConfig::dialup().client_cache.enabled);
-        let on = NetConfig::default()
-            .with_client_cache(true)
-            .with_cache_budget(1024);
-        assert!(on.client_cache.enabled);
-        assert_eq!(on.client_cache.window_budget_bytes, 1024);
+        assert!(
+            NetConfig::default()
+                .with_client_cache(true)
+                .client_cache
+                .enabled
+        );
     }
 }

@@ -171,14 +171,6 @@ impl Response {
         }
     }
 
-    /// Unwraps an update acknowledgement into its generation number.
-    pub fn into_ack(self) -> u64 {
-        match self {
-            Response::Ack { generation } => generation,
-            other => panic!("protocol mismatch: expected Ack, got {other:?}"),
-        }
-    }
-
     /// Unwraps an object list, panicking on protocol mismatch — server
     /// implementations in this repo are type-correct by construction, so a
     /// mismatch is a bug, not a runtime condition.
@@ -312,7 +304,6 @@ mod tests {
         assert!(!batch.is_cooperative());
         assert!(!batch.is_aggregate());
         assert_eq!(Response::Ack { generation: 4 }.object_count(), 0);
-        assert_eq!(Response::Ack { generation: 4 }.into_ack(), 4);
     }
 
     #[test]

@@ -373,9 +373,9 @@ pub struct ShardRouter {
     packet: PacketModel,
     aggregate: Arc<LinkMeter>,
     telemetry: Arc<ShardTelemetry>,
-    /// Retry/backoff discipline of the flight scheduler. Off by default
-    /// — one attempt per slot, wire traffic byte-identical to a
-    /// policy-less router.
+    /// Retry discipline of the flight scheduler. Off by default — one
+    /// attempt per slot, wire traffic byte-identical to a policy-less
+    /// router.
     retry: RetryPolicy,
     /// Partial-result tolerance: when on, a read whose entire replica
     /// set for some shard is exhausted completes without that shard's
@@ -413,8 +413,8 @@ impl ShardRouter {
         }
     }
 
-    /// Adopts a retry/backoff discipline for the per-shard physical
-    /// exchanges. Failed slots recover **individually**: a retried shard
+    /// Adopts a retry discipline for the per-shard physical exchanges.
+    /// Failed slots recover **individually**: a retried shard
     /// never causes healthy shards' replies to be re-fetched, and a slot
     /// that exhausts its budget surfaces as a typed
     /// [`Response::Unavailable`] with the shard recorded in
@@ -599,10 +599,9 @@ impl ShardRouter {
     /// latency is the max of the failures, not their sum. A failed try
     /// first **fails over** along the flight's rotation (siblings cost
     /// no retry budget); only once the rotation is exhausted does a
-    /// retry round — with the policy's backoff, slept once per round —
-    /// begin, re-picking the rotation so breaker trips observed
-    /// meanwhile are honored. Observed shard generations only ever move
-    /// through the monotone [`ShardMeta::note_generation`] max — and
+    /// retry round begin, re-picking the rotation so breaker trips
+    /// observed meanwhile are honored. Observed shard generations only
+    /// ever move through the monotone [`ShardMeta::note_generation`] max — and
     /// failed attempts never note one — so a retried round can never
     /// regress the generation vector. Each flight fails and recovers
     /// *individually* — a healthy shard's reply is kept as-is, never
@@ -619,7 +618,6 @@ impl ShardRouter {
                     self.evaluate(f, replica, pending.wait());
                 }
             }
-            let mut backoff_round = 0u32;
             let mut unresolved = false;
             for f in flights.iter_mut() {
                 if f.result.is_some() {
@@ -665,14 +663,10 @@ impl ShardRouter {
                 }
                 f.pos = 0;
                 group[f.rotation.at(0)].tally(LinkMeter::record_retry);
-                backoff_round = backoff_round.max(f.round);
                 f.scheduled = true;
             }
             if !unresolved {
                 return;
-            }
-            if backoff_round > 0 {
-                self.retry.sleep(backoff_round);
             }
         }
     }

@@ -284,8 +284,8 @@ impl Link {
         Link::new(Box::new(InProcExchange::new(handler)), packet, tariff)
     }
 
-    /// Adopts a retry/backoff discipline for the physical edges under
-    /// this link (whichever layer owns them). With the default (off)
+    /// Adopts a retry discipline for the physical edges under this link
+    /// (whichever layer owns them). With the default (off)
     /// policy every exchange is one attempt and the wire traffic is
     /// byte-identical to a policy-less link. `ApplyUpdates` retries ride
     /// the at-most-once dedup envelope, so a duplicated delivery can

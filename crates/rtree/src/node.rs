@@ -58,11 +58,6 @@ impl Node {
         }
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self.kind, NodeKind::Leaf(_))
-    }
-
     /// Number of slots in this node (entries or children).
     pub fn fanout(&self) -> usize {
         match &self.kind {
@@ -103,7 +98,7 @@ mod tests {
         assert_eq!(n.count, 2);
         assert_eq!(n.area_sum, 0.0, "points have zero area");
         assert_eq!(n.mbr, Rect::from_coords(0.0, 0.0, 4.0, 2.0));
-        assert!(n.is_leaf());
+        assert!(matches!(n.kind, NodeKind::Leaf(_)));
         assert_eq!(n.fanout(), 2);
     }
 
@@ -133,7 +128,7 @@ mod tests {
         let n = Node::internal(vec![a, b]);
         assert_eq!(n.count, 3);
         assert_eq!(n.mbr, Rect::from_coords(0.0, 0.0, 3.0, 3.0));
-        assert!(!n.is_leaf());
+        assert!(matches!(n.kind, NodeKind::Internal(_)));
     }
 
     #[test]

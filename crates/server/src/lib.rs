@@ -31,13 +31,11 @@
 //!   answers them with `Refused`, exactly how the paper argues real
 //!   services behave (SemiJoin "cannot be applied in our problem").
 
-pub mod gridstore;
 pub mod partition;
 pub mod service;
 pub mod store;
 pub mod versioned;
 
-pub use gridstore::GridStore;
 pub use partition::{partition_objects, split_space, Partition};
 pub use service::{ServicePolicy, SpatialService};
 pub use store::{DeltaOp, RTreeStore, ScanStore, SpatialStore};

@@ -63,12 +63,6 @@ impl<S: SpatialStore> SpatialService<S> {
         self
     }
 
-    /// Overrides the bucket-query worker count (tests / benches).
-    pub fn with_bucket_workers(mut self, workers: usize) -> Self {
-        self.bucket_workers = workers.max(1);
-        self
-    }
-
     /// The underlying store.
     pub fn store(&self) -> &Arc<S> {
         &self.store
@@ -103,11 +97,11 @@ fn bucket_eps_range(
     // snapshot*, so all workers answer from the same generation.
     let chunk = probes.len().div_ceil(workers);
     let mut results: Vec<Vec<Vec<SpatialObject>>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = probes
             .chunks(chunk)
             .map(|part| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     part.iter()
                         .map(|p| store.eps_range(&p.mbr, eps))
                         .collect::<Vec<_>>()
@@ -117,8 +111,7 @@ fn bucket_eps_range(
         for h in handles {
             results.push(h.join().expect("bucket worker panicked"));
         }
-    })
-    .expect("bucket scope panicked");
+    });
     results.into_iter().flatten().collect()
 }
 
@@ -409,17 +402,8 @@ mod tests {
             .take(PARALLEL_BUCKET_THRESHOLD + 100)
             .collect();
 
-        let seq = SpatialService::new(RTreeStore::new(lattice(40))).with_bucket_workers(1);
-        let par = SpatialService::new(store).with_bucket_workers(4);
-        let a = seq
-            .handle(Request::BucketEpsRange {
-                probes: probes.clone(),
-                eps: 1.5,
-            })
-            .into_buckets();
-        let b = par
-            .handle(Request::BucketEpsRange { probes, eps: 1.5 })
-            .into_buckets();
+        let a = bucket_eps_range(&store, &probes, 1.5, 1);
+        let b = bucket_eps_range(&store, &probes, 1.5, 4);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
             let mut xi: Vec<u32> = x.iter().map(|o| o.id).collect();

@@ -1,12 +1,11 @@
-//! Differential property tests: the three storage backends (linear scan,
-//! aR-tree, grid file) must be observationally identical through the full
-//! service protocol.
+//! Differential property tests: the two storage backends (linear scan,
+//! aR-tree) must be observationally identical through the full service
+//! protocol.
 
 use asj_geom::{Point, Rect, SpatialObject};
 use asj_net::{QueryHandler, Request, Response, Update};
 use asj_server::{
-    apply_updates_to, GridStore, RTreeStore, ScanStore, SpatialService, SpatialStore,
-    VersionedStore,
+    apply_updates_to, RTreeStore, ScanStore, SpatialService, SpatialStore, VersionedStore,
 };
 use proptest::prelude::*;
 
@@ -48,24 +47,20 @@ proptest! {
         let probe = Rect::point(Point::new(q.0, q.1));
 
         let scan = SpatialService::new(ScanStore::new(data.clone()));
-        let tree = SpatialService::new(RTreeStore::with_fanout(data.clone(), 5));
-        let grid = SpatialService::new(GridStore::with_resolution(data, 6));
+        let tree = SpatialService::new(RTreeStore::with_fanout(data, 5));
 
         // WINDOW
         let a = norm(scan.handle(Request::Window(window)));
         prop_assert_eq!(&a, &norm(tree.handle(Request::Window(window))));
-        prop_assert_eq!(&a, &norm(grid.handle(Request::Window(window))));
 
         // COUNT
         let c = scan.handle(Request::Count(window)).into_count();
         prop_assert_eq!(c, tree.handle(Request::Count(window)).into_count());
-        prop_assert_eq!(c, grid.handle(Request::Count(window)).into_count());
         prop_assert_eq!(c, a.len() as u64, "COUNT must equal WINDOW cardinality");
 
         // ε-RANGE
         let r = norm(scan.handle(Request::EpsRange { q: probe, eps }));
         prop_assert_eq!(&r, &norm(tree.handle(Request::EpsRange { q: probe, eps })));
-        prop_assert_eq!(&r, &norm(grid.handle(Request::EpsRange { q: probe, eps })));
 
         // AvgArea
         let area = |resp: Response| match resp {
@@ -74,7 +69,6 @@ proptest! {
         };
         let av = area(scan.handle(Request::AvgArea(window)));
         prop_assert!((av - area(tree.handle(Request::AvgArea(window)))).abs() < 1e-9);
-        prop_assert!((av - area(grid.handle(Request::AvgArea(window)))).abs() < 1e-9);
     }
 
     #[test]
@@ -89,7 +83,7 @@ proptest! {
             .map(|(i, (x, y))| SpatialObject::point(5000 + i as u32, x, y))
             .collect();
         let scan = SpatialService::new(ScanStore::new(data.clone()));
-        let grid = SpatialService::new(GridStore::new(data));
+        let tree = SpatialService::new(RTreeStore::with_fanout(data, 5));
         let norm_buckets = |r: Response| -> Vec<Vec<u32>> {
             r.into_buckets()
                 .into_iter()
@@ -104,7 +98,7 @@ proptest! {
             probes: probes.clone(),
             eps,
         }));
-        let b = norm_buckets(grid.handle(Request::BucketEpsRange { probes, eps }));
+        let b = norm_buckets(tree.handle(Request::BucketEpsRange { probes, eps }));
         prop_assert_eq!(a, b);
     }
 }

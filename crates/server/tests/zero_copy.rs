@@ -11,7 +11,7 @@
 use asj_geom::{Point, Rect, SpatialObject};
 use asj_net::codec::{encode_response, encode_response_into, WireVersion};
 use asj_net::{QueryHandler, Request};
-use asj_server::{GridStore, RTreeStore, ScanStore, ServicePolicy, SpatialService, SpatialStore};
+use asj_server::{RTreeStore, ScanStore, ServicePolicy, SpatialService, SpatialStore};
 use bytes::BytesMut;
 
 /// Deterministic pseudo-random mix of points and boxes.
@@ -98,11 +98,6 @@ fn zero_copy_serving_is_byte_identical_on_every_backend() {
                 &SpatialService::new(RTreeStore::with_fanout(objs.clone(), 8)).with_policy(policy),
                 &objs,
             );
-            assert_paths_identical(
-                &SpatialService::new(GridStore::with_resolution(objs.clone(), 9))
-                    .with_policy(policy),
-                &objs,
-            );
         }
     }
 }
@@ -138,8 +133,7 @@ fn visitor_queries_match_materialized_order_on_every_backend() {
     let objs = dataset(250, 11);
     let stores: Vec<Box<dyn SpatialStore>> = vec![
         Box::new(ScanStore::new(objs.clone())),
-        Box::new(RTreeStore::with_fanout(objs.clone(), 8)),
-        Box::new(GridStore::with_resolution(objs, 7)),
+        Box::new(RTreeStore::with_fanout(objs, 8)),
     ];
     let w = Rect::from_coords(50.0, 50.0, 650.0, 800.0);
     let q = Rect::point(Point::new(500.0, 500.0));

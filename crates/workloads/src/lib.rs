@@ -1,4 +1,4 @@
-//! # asj-workloads — dataset generators and IO
+//! # asj-workloads — dataset generators
 //!
 //! Reproduces the paper's experimental inputs (Section 5):
 //!
@@ -18,11 +18,9 @@
 //! losslessly and brute-force ground truth computed on the generator
 //! output matches what the device computes on downloaded objects.
 
-pub mod io;
 pub mod rail;
 pub mod synthetic;
 
-pub use io::{load_dataset, save_dataset, Dataset};
 pub use rail::{germany_rail, RailSpec, TrajectorySpec, TrajectoryStream};
 pub use synthetic::{gaussian_clusters, uniform, SyntheticSpec};
 

@@ -1,280 +1,7 @@
-//! Minimal offline stand-in for the `crossbeam` crate.
-//!
-//! Implements the two facilities the workspace uses:
-//!
-//! * [`channel`] — MPMC channels with cloneable [`channel::Sender`] /
-//!   [`channel::Receiver`] and disconnect-on-last-drop semantics.
-//!   `bounded(n)` shares the unbounded implementation: none of the
-//!   workspace call sites rely on back-pressure blocking (the only
-//!   bounded channel is a 1-slot reply channel that holds ≤ 1 message).
-//! * [`thread`] — `scope`/`spawn` on top of `std::thread::scope`, with
-//!   crossbeam's closure signature (the spawned closure receives the
-//!   scope again so it could spawn nested threads).
-
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct Shared<T> {
-        queue: Mutex<Queue<T>>,
-        ready: Condvar,
-    }
-
-    struct Queue<T> {
-        items: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    /// The sending half; clone freely.
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// The receiving half; clone freely (MPMC, each message seen once).
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Returned when every receiver is gone; carries the message back.
-    #[derive(Clone, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    // Like the real crate: Debug without requiring `T: Debug`.
-    impl<T> std::fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "SendError(..)")
-        }
-    }
-
-    /// Returned when the channel is empty and every sender is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl std::fmt::Display for RecvError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    impl<T> std::fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "sending on a disconnected channel")
-        }
-    }
-
-    impl<T: std::fmt::Debug> std::error::Error for SendError<T> {}
-
-    /// Creates a channel with unlimited capacity.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue {
-                items: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-            }),
-            ready: Condvar::new(),
-        });
-        (
-            Sender {
-                shared: Arc::clone(&shared),
-            },
-            Receiver { shared },
-        )
-    }
-
-    /// Creates a channel of bounded capacity. The bound is accepted for
-    /// API compatibility; see the module docs for why it is not enforced.
-    pub fn bounded<T>(_cap: usize) -> (Sender<T>, Receiver<T>) {
-        unbounded()
-    }
-
-    impl<T> Sender<T> {
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut q = self.shared.queue.lock().expect("channel poisoned");
-            if q.receivers == 0 {
-                return Err(SendError(value));
-            }
-            q.items.push_back(value);
-            drop(q);
-            self.shared.ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Receiver<T> {
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self.shared.queue.lock().expect("channel poisoned");
-            loop {
-                if let Some(v) = q.items.pop_front() {
-                    return Ok(v);
-                }
-                if q.senders == 0 {
-                    return Err(RecvError);
-                }
-                q = self.shared.ready.wait(q).expect("channel poisoned");
-            }
-        }
-
-        pub fn try_recv(&self) -> Result<T, RecvError> {
-            let mut q = self.shared.queue.lock().expect("channel poisoned");
-            q.items.pop_front().ok_or(RecvError)
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.shared.queue.lock().expect("channel poisoned").senders += 1;
-            Sender {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.shared
-                .queue
-                .lock()
-                .expect("channel poisoned")
-                .receivers += 1;
-            Receiver {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let remaining = {
-                let mut q = self.shared.queue.lock().expect("channel poisoned");
-                q.senders -= 1;
-                q.senders
-            };
-            if remaining == 0 {
-                // Wake receivers blocked in recv so they observe disconnect.
-                self.shared.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut q = self.shared.queue.lock().expect("channel poisoned");
-            q.receivers -= 1;
-        }
-    }
-}
-
-pub mod thread {
-    /// A scope handle mirroring `crossbeam::thread::Scope`.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Join handle for a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread. As in crossbeam, the closure receives
-        /// the scope so it can spawn further threads.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            ScopedJoinHandle {
-                inner: inner.spawn(move || f(&Scope { inner })),
-            }
-        }
-    }
-
-    impl<T> ScopedJoinHandle<'_, T> {
-        pub fn join(self) -> std::thread::Result<T> {
-            self.inner.join()
-        }
-    }
-
-    /// Runs `f` with a scope in which borrowing threads can be spawned;
-    /// all spawned threads are joined before this returns. Unlike
-    /// crossbeam, a panicking child propagates on `join()` (all call
-    /// sites in this workspace join every handle), so the outer `Result`
-    /// is always `Ok` unless `f` itself panics.
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::{bounded, unbounded, RecvError};
-
-    #[test]
-    fn fifo_roundtrip() {
-        let (tx, rx) = unbounded();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-    }
-
-    #[test]
-    fn recv_errors_after_all_senders_drop() {
-        let (tx, rx) = unbounded::<u8>();
-        let tx2 = tx.clone();
-        drop(tx);
-        tx2.send(7).unwrap();
-        drop(tx2);
-        assert_eq!(rx.recv(), Ok(7));
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn send_errors_after_receiver_drops() {
-        let (tx, rx) = bounded(1);
-        drop(rx);
-        assert!(tx.send(1u8).is_err());
-    }
-
-    #[test]
-    fn cross_thread_rpc_shape() {
-        let (tx, rx) = unbounded::<(u64, super::channel::Sender<u64>)>();
-        let server = std::thread::spawn(move || {
-            let mut served = 0;
-            while let Ok((n, reply)) = rx.recv() {
-                let _ = reply.send(n * 2);
-                served += 1;
-            }
-            served
-        });
-        for i in 0..10u64 {
-            let (rtx, rrx) = bounded(1);
-            tx.send((i, rtx)).unwrap();
-            assert_eq!(rrx.recv(), Ok(i * 2));
-        }
-        drop(tx);
-        assert_eq!(server.join().unwrap(), 10);
-    }
-
-    #[test]
-    fn scoped_threads_borrow() {
-        let data = [1, 2, 3, 4];
-        let total: i32 = super::thread::scope(|s| {
-            let handles: Vec<_> = data
-                .chunks(2)
-                .map(|c| s.spawn(move |_| c.iter().sum::<i32>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        })
-        .unwrap();
-        assert_eq!(total, 10);
-    }
-}
+//! Empty on purpose. Nothing in the workspace uses `crossbeam` any more:
+//! the carriers share a private std mailbox (`asj_net::mailbox`) and the
+//! parallel kernels call `std::thread::scope` directly. The crate exists
+//! only because the frozen `benchmark/Cargo.lock` names `crossbeam` under
+//! `asj-geom`, `asj-net`, `asj-device` and `asj-server`; dropping those
+//! `[dependencies]` lines would stale it. Delete this crate and the four
+//! lines together when `benchmark/` is next unfrozen.

@@ -26,11 +26,11 @@
 //!
 //! Real fleets are lossy, so every physical edge can be wrapped in a
 //! deterministic, seeded fault layer (`net::FaultLayer`) injecting
-//! drops, delays, garbled reply frames and crash-then-restart windows
+//! drops, garbled reply frames and crash-then-restart windows
 //! from a replayable `net::FaultPlan` —
 //! `Deployment` builders stack it with `with_faults`. Recovery rides on
-//! `net::RetryPolicy` (`NetConfig::with_retry`): bounded attempts with
-//! deterministic exponential backoff, split by idempotency class —
+//! `net::RetryPolicy` (`NetConfig::with_retry`): bounded immediate
+//! attempts, split by idempotency class —
 //! read-only queries retry freely, while `ApplyUpdates` batches retry
 //! only under a sequence-numbered dedup envelope, so a duplicated
 //! delivery can never double-bump a generation. A sharded scatter
@@ -42,9 +42,9 @@
 //! no-op plan the whole machinery is byte-identical to an unwrapped
 //! deployment — proven for all six algorithms in `tests/chaos.rs`,
 //! which also races joins against a live writer over faulted fleets
-//! across pinned seeds. `CostModel::with_retry_factor` prices the
-//! expected retransmission cost so planners can reason about lossy
-//! links, and the `fault-matrix` bench sweeps drop rate × retry budget
+//! across pinned seeds. `CostModel::expected_attempts` gives the
+//! expected deliveries per exchange at a drop rate and budget, and the
+//! `fault-matrix` bench sweeps drop rate × retry budget
 //! (success within the budget is exactly monotone in the budget —
 //! asserted in CI).
 //!
@@ -68,9 +68,8 @@
 //! set is exhausted: the uncovered shards land in
 //! `FleetSnapshot::failed_shards` and every `JoinReport` carries a
 //! `coverage` fraction. `with_replicas(1)` is byte-identical to an
-//! unreplicated deployment, `CostModel::with_replica_fanout` prices the
-//! update broadcast, and the fault matrix's replica axis asserts in CI
-//! that success is exactly monotone in the replica count:
+//! unreplicated deployment, and the fault matrix's replica axis asserts
+//! in CI that success is exactly monotone in the replica count:
 //!
 //! ```
 //! use adhoc_spatial_joins::prelude::*;

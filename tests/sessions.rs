@@ -144,3 +144,30 @@ fn a_resumed_link_meets_a_scripted_crash_on_the_same_requests() {
     assert_eq!(outcomes(&negotiated), [false, true, true, false, false]);
     assert_eq!(outcomes(&resumed), [false, true, true, false, false]);
 }
+
+#[test]
+fn scripted_fault_rolls_land_where_they_did() {
+    // A fault roll is a pure function of (seed, request bytes, attempt):
+    // a change that moves one — a reordered derivation, a request that
+    // frames differently, a retry that re-rolls — moves these four
+    // counters, and has to say so by editing the literals.
+    let net = NetConfig::default()
+        .with_wire_v2(true)
+        .with_retry(RetryPolicy::attempts(4))
+        .with_breakers(BreakerConfig::new(2, 8));
+    let d = DeploymentBuilder::new(points(11), points(111))
+        .with_space(default_space())
+        .with_buffer(100)
+        .with_net(net)
+        .with_shards(2, 2)
+        .with_replicas(2)
+        .with_faults(FaultPlan::seeded(21).with_drops(0.01).with_garbles(0.2))
+        .build();
+    let report = SrJoin::default()
+        .run(&d, &JoinSpec::distance_join(150.0))
+        .expect("join runs");
+    assert_eq!(report.pairs.len(), 259);
+    let pin = |l: &asj_net::LinkSnapshot| (l.retried, l.failovers, l.breaker_open, l.total_bytes());
+    assert_eq!(pin(&report.link_r), (3, 14, 2, 17885));
+    assert_eq!(pin(&report.link_s), (3, 14, 2, 17395));
+}
