@@ -143,16 +143,28 @@ fn check_v2_columns_compact_bytes(t: &Table) {
 /// Every column of a live sweep replays the same pinned movement
 /// history, so — whatever the algorithm, shard count or cache — the
 /// session's summed pair count must agree everywhere: updates may change
-/// *what* the join returns, never differently per column.
+/// *what* the join returns, never differently per column. And a `+cc`
+/// column, which buys a change list after every tick, must still total
+/// no more bytes than its uncached sibling.
 fn check_live_columns_agree(t: &Table) {
+    let algos = &t.result.algos;
     for (row, cells) in t.result.rows.iter().zip(&t.result.cells) {
         let expect = cells[0].mean_pairs;
-        for (label, c) in t.result.algos.iter().zip(cells) {
+        for (label, c) in algos.iter().zip(cells) {
             assert_eq!(
                 c.mean_pairs, expect,
                 "{label} row {row}: live columns diverged ({} vs {expect} pairs)",
                 c.mean_pairs
             );
+            let sibling = label.strip_suffix("+cc");
+            let sibling = sibling.and_then(|base| algos.iter().position(|a| a == base));
+            if let Some(plain) = sibling.map(|bi| cells[bi].mean_bytes) {
+                assert!(
+                    c.mean_bytes <= plain,
+                    "{label} row {row}: {} bytes exceed uncached {plain}",
+                    c.mean_bytes
+                );
+            }
         }
     }
 }
@@ -164,7 +176,7 @@ pub fn all_experiments() -> Vec<Experiment> {
             id: "fig6a",
             figure: "Figure 6(a): tuning α for UpJoin (total bytes vs clusters)",
             expectation: "Small α over-partitions; large α misses empty areas; α=0.25 balanced. \
-                          NOTE: with the sampling-noise floor (DESIGN.md §5) α only binds for \
+                          NOTE: with the 3·√|Dw| sampling-noise floor of `upjoin.rs` α only binds for \
                           windows of ≳(12/α)² objects, so this sweep uses the 35 K rail \
                           workload; on 1 K-point synthetic data all α in the paper's range \
                           behave identically.",
@@ -409,11 +421,13 @@ pub fn all_experiments() -> Vec<Experiment> {
                      1 trajectory tick between joins",
             expectation: "Each sample interleaves pinned-seed Move batches with the session's \
                           joins: the deployments are live (generational stores), responses \
-                          carry generation stamps, and the cache keys by epoch. Flat, 4-shard \
-                          and cached columns replay the same movement history, so their \
-                          summed pair counts must be identical — asserted on every run. \
-                          Bytes rise slightly over the frozen session (update traffic is \
-                          metered like any other message).",
+                          carry generation stamps, and the cache catches up with each tick \
+                          by one change list. Flat, 4-shard and cached columns replay the \
+                          same movement history, so their summed pair counts must be \
+                          identical, and the cached column must not total more bytes than \
+                          its uncached sibling — both asserted on every run. Bytes rise \
+                          slightly over the frozen session (update traffic is metered like \
+                          any other message).",
             algos: vec![
                 AlgoKind::Sr { rho: 0.30 }.into(),
                 AlgoSpec::sharded(AlgoKind::Sr { rho: 0.30 }, 4),

@@ -1,7 +1,7 @@
 //! # asj-bench — the experiment harness
 //!
 //! Regenerates every figure of the paper's evaluation (Section 5) plus the
-//! ablations DESIGN.md calls out. Each experiment is a sweep over cluster
+//! repo's own ablations. Each experiment is a sweep over cluster
 //! counts `k ∈ {1, 2, 4, 8, 16, 128}` (the paper's skew axis), averaged
 //! over independent dataset seeds, reporting **total transferred bytes**
 //! measured on the wire meters.

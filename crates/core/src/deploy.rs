@@ -394,9 +394,15 @@ impl Deployment {
     ///
     /// The batch travels over a regular metered wire link — updates are
     /// traffic like any other message. When the client cache is enabled
-    /// the link is cached, so the shared session store observes the
-    /// acknowledgement and stops serving entries keyed to older
-    /// generations by construction.
+    /// the link is cached, so the shared session store hears the
+    /// acknowledged generation; nothing else is sent on its account here.
+    /// The next join to consult that store asks the server once what
+    /// changed ([`Request::Changes`], metered on that join's link) and
+    /// keeps every entry, patched — or, where no change list is to be had
+    /// (a fleet, a server whose log no longer reaches back) or the list
+    /// would cost more than what the store holds, starts from an empty
+    /// store. An update applied by somebody else is learnt of
+    /// only from the stamp of the next reply that crosses the link.
     ///
     /// # Panics
     ///
@@ -1101,19 +1107,24 @@ mod tests {
             .build();
         let w = Rect::from_coords(-10.0, -10.0, 200.0, 200.0);
         let (r1, _) = d.connect();
-        assert_eq!(r1.request(&Request::Count(w)).into_count(), 20);
+        assert_eq!(r1.request(&Request::Window(w)).into_objects().len(), 20);
         // The update travels over a cached link, so the shared session
-        // store hears the Ack and re-keys lookups to generation 1: the
-        // stale generation-0 count can no longer be served.
+        // store hears the Ack: the next link to look anything up asks
+        // what changed since generation 0 — one exchange, one remove —
+        // and the window it paid for answers at generation 1, patched.
         d.apply_updates(Side::R, vec![Update::Delete(3)]);
         let (r2, _) = d.connect();
         assert_eq!(r2.request(&Request::Count(w)).into_count(), 19);
         let snap = r2.cache().unwrap().snapshot();
-        assert_eq!((snap.stats_hits, snap.stats_misses), (0, 1));
-        // At the *same* generation the refreshed entry is hot again.
+        assert_eq!((snap.stats_hits, snap.stats_misses), (1, 0));
+        let wire = r2.meter().snapshot();
+        assert_eq!((wire.total_queries(), wire.objects_received), (1, 1));
+        assert_eq!(wire.count_queries, 0, "the COUNT itself never shipped");
+        // At the *same* generation nothing is asked at all.
         let (r3, _) = d.connect();
-        assert_eq!(r3.request(&Request::Count(w)).into_count(), 19);
-        assert_eq!(r3.cache().unwrap().snapshot().stats_hits, 1);
+        assert_eq!(r3.request(&Request::Window(w)).into_objects().len(), 19);
+        assert_eq!(r3.cache().unwrap().snapshot().window_hits, 1);
+        assert_eq!(r3.meter().snapshot().total_bytes(), 0);
     }
 
     #[test]

@@ -184,6 +184,18 @@ fn digest_response(hash: &mut u64, resp: &Response) {
         Response::Ack { generation } => [8, *generation].iter().for_each(|&v| word(hash, v)),
         Response::Malformed => word(hash, 9),
         Response::Unavailable => word(hash, 10),
+        Response::Changes(ops) => {
+            word(hash, 11);
+            word(hash, ops.len() as u64);
+            for op in ops {
+                let (tag, id, mbr) = match op {
+                    asj_net::DeltaOp::Remove { id, mbr } => (0, *id, mbr),
+                    asj_net::DeltaOp::Add(o) => (1, o.id, &o.mbr),
+                };
+                word(hash, tag << 32 | u64::from(id));
+                rect(hash, mbr);
+            }
+        }
     }
 }
 

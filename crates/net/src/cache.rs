@@ -1,23 +1,18 @@
-//! Client-side semantic statistics/window cache in the link stack.
+//! Client-side semantic statistics/window/probe cache in the link stack.
 //!
 //! The paper's premise is that wireless transfer dominates join cost —
 //! yet the device keeps re-paying for the same bytes: quadrant recursion
 //! re-COUNTs windows an earlier round already priced, a failed HBSJ
-//! attempt re-downloads its outer window for the NLSJ fallback, and a
+//! attempt re-downloads its outer window for the NLSJ fallback, NLSJ sends
+//! the same ε-RANGE probe for the same outer object join after join, and a
 //! session of joins against the same servers repeats whole query streams.
-//! Servers serve **generational snapshots**: every response is (implicitly
-//! or explicitly) stamped with the generation it was answered from, and
-//! the cache keys *both tiers* by `(generation, rectangle)`. Invalidation
-//! falls out of the keying — when an update bumps the serving generation,
-//! entries from older generations simply stop matching and age out of the
-//! LRU budget; no invalidation protocol crosses the wire. Against a
-//! frozen (generation-0) server the cache behaves exactly as before:
-//! every hit simply deletes a round trip and its wire bytes.
+//! The cache holds **what the device has paid for until the server says it
+//! changed**.
 //!
 //! A [`CacheLayer`] sits between a [`Link`](crate::Link) and whatever
 //! reaches the server — one physical edge, *or* a whole shard fleet
 //! behind a [`ShardRouter`](crate::router::ShardRouter) — so every join
-//! algorithm benefits unchanged. Two tiers:
+//! algorithm benefits unchanged. Three tiers:
 //!
 //! * **Exact statistics tier** — `COUNT` answers keyed by the bit-exact
 //!   query rectangle (a total-order `f64::to_bits` key, so `-0.0 ≠ 0.0`
@@ -29,6 +24,43 @@
 //!   windows. A `WINDOW` (or ε-RANGE) request whose reach is contained in
 //!   a cached window is answered locally by filtering; the containment
 //!   index also derives `COUNT` answers for covered windows.
+//! * **Exact probe tier** — ε-RANGE answers keyed by the bit-exact
+//!   `(q, ε)`, for the probes no cached window contains. Its entry cap is
+//!   its own, not a share of the window budget: a join's windows plus its
+//!   probes are one cyclic working set, and an LRU they shared would evict
+//!   it whole.
+//!
+//! # One content generation
+//!
+//! Servers serve **generational snapshots** and stamp every reply with
+//! the generation it was answered from. Every entry of a [`ClientCache`]
+//! is an answer at one and the same generation — the *content generation*
+//! — and **every local answer equals, as a set, what the server would
+//! answer at that generation**. Lookups and admissions name a generation:
+//! a lookup at any other matches nothing, an answer served at any other is
+//! not stored.
+//!
+//! The cache learns that the servers moved on only from what crosses the
+//! link anyway — the `Ack` of an update sent through it, or the stamp of a
+//! reply to a miss ([`ClientCache::note_generation`]). The next batch that
+//! consults the cache then asks **once** what changed
+//! ([`Request::Changes`]) and patches every entry with the ordered
+//! remove/add list it gets back: a window drops the removed id and takes
+//! in an added object that intersects it, an exact count moves by one per
+//! op whose MBR intersects its rectangle, a probe answer is patched under
+//! `within_distance` — each the very predicate the server would evaluate,
+//! so the invariant carries over to the generation the list reaches.
+//!
+//! The list is bought only where it can pay: its most is what the content
+//! would cost to download again, so a list *known* to cost that much —
+//! every bump since the content generation was an update acknowledged
+//! through this store, at most two ops an update — is not asked for, and
+//! an empty store asks for none. Then, and where no list is to be had —
+//! `Refused` by a frozen store, by a log that no longer reaches back, by a
+//! fleet router (a summed fleet generation names no shard's `since`), or
+//! a failed exchange — the cache is **purged** and starts over at the new
+//! generation. Against a frozen (generation-0) server none of this ever
+//! runs: every hit simply deletes a round trip and its wire bytes.
 //!
 //! # Containment invariant
 //!
@@ -45,14 +77,14 @@
 //! # Eviction invariant
 //!
 //! Eviction only ever *forgets*: the LRU drops whole window entries until
-//! the tier fits its byte budget, never mutating a retained entry, so a
-//! hit is always served from a complete, verbatim server download.
+//! the tier fits its byte budget, so a hit is always served from a
+//! complete server download (patched, if the servers have moved since).
 //! Admission keeps the index canonical: a window covered by an existing
 //! entry is not admitted (it is derivable), and admitting a window drops
-//! any cached entries it covers. Exact statistics entries are ~40 bytes
-//! each and invalidation-free; their tier is capped at the same byte
-//! scale as the window budget, replacing an arbitrary entry at the cap
-//! (forgetting a count is always safe — it just re-pays one `Taq`).
+//! any cached entries it covers. The two exact tiers are capped at the
+//! window budget's scale in entries and replace their oldest entry at the
+//! cap (forgetting an answer is always safe — it just re-pays one round
+//! trip).
 //!
 //! # Accounting
 //!
@@ -60,25 +92,27 @@
 //! and are instead tallied in a per-link
 //! [`CacheTelemetry`](crate::meter::CacheTelemetry), with saved wire
 //! bytes priced at the logical-request seam (the v1 frame sizes the
-//! codec publishes). Misses are metered where every exchange is: at the
-//! physical edges below.
+//! codec publishes). Misses, and the `Changes` exchange, are metered where
+//! every exchange is: at the physical edges below.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use asj_geom::{Rect, SpatialObject};
+use asj_geom::{Point, Rect, SpatialObject};
 
 use crate::codec::{
-    request_wire_bytes, response_wire_bytes, wire_exact, WireVersion, GEN_STAMP_BYTES,
-    OBJECTS_HEADER_BYTES, OBJ_BYTES,
+    request_wire_bytes, response_wire_bytes, wire_exact, WireVersion, ANSWER_BYTES,
+    CHANGES_HEADER_BYTES, CHANGES_QUERY_BYTES, CHANGE_OP_BYTES, EPS_QUERY_BYTES, GEN_STAMP_BYTES,
+    OBJECTS_HEADER_BYTES, OBJ_BYTES, QUERY_BYTES,
 };
 use crate::edge::{Edge, Layer};
 use crate::few::Few;
 use crate::meter::{CacheSnapshot, CacheTelemetry, LinkMeter};
 use crate::packet::{PacketModel, RetryPolicy};
-use crate::proto::{Request, Response};
+use crate::proto::{DeltaOp, Request, Response, Update};
 use crate::transport::RawExchange;
 
 /// Client-cache knob of a deployment's network configuration. Off by
@@ -117,224 +151,429 @@ impl RectKey {
             r.max.y.to_bits(),
         ])
     }
+
+    /// The rectangle this is the key of.
+    fn rect(&self) -> Rect {
+        let [x0, y0, x1, y1] = self.0.map(f64::from_bits);
+        Rect::new(Point::new(x0, y0), Point::new(x1, y1))
+    }
 }
 
-/// One cached window download, pinned to the generation it was served
-/// from: a lookup at any other generation never matches it.
+/// Probe-tier key: the bit-exact probe rectangle and ε.
+type ProbeKey = (RectKey, u64);
+
+/// One cached window download.
 struct WindowEntry {
     window: Rect,
-    generation: u64,
     objects: Vec<SpatialObject>,
-    /// Wire-format size charged against the budget.
-    bytes: u64,
     /// LRU recency tick (bumped on every hit).
     last_used: u64,
 }
 
-/// Stats-tier key: the serving generation plus the bit-exact rectangle.
-type CountKey = (u64, RectKey);
+impl WindowEntry {
+    /// Wire-format size charged against the budget.
+    fn bytes(&self) -> u64 {
+        OBJECTS_HEADER_BYTES + self.objects.len() as u64 * OBJ_BYTES
+    }
+}
+
+/// An exact tier: answers by key, the oldest replaced at the cap. The
+/// insertion-order queue makes the victim deterministic (std `HashMap`
+/// iteration order is process-randomized, which would break the repo's
+/// bit-identical pinned-seed reproducibility once the cap is hit).
+struct ExactTier<K, V> {
+    entries: HashMap<K, V>,
+    order: VecDeque<K>,
+}
+
+impl<K, V> Default for ExactTier<K, V> {
+    fn default() -> Self {
+        ExactTier {
+            entries: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash, V> ExactTier<K, V> {
+    /// Records an authoritative answer. Replacing the oldest entry at the
+    /// cap is correctness-safe — forgetting an answer only re-pays one
+    /// round trip — and keeps a long-lived session store bounded.
+    fn put(&mut self, key: K, value: V, cap: usize) {
+        if let Some(resident) = self.entries.get_mut(&key) {
+            *resident = value;
+            return;
+        }
+        if self.entries.len() >= cap {
+            let Some(victim) = self.order.pop_front() else {
+                return; // a cap of zero holds nothing
+            };
+            self.entries.remove(&victim);
+        }
+        self.entries.insert(key, value);
+        self.order.push_back(key);
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.order.clear();
+    }
+}
 
 #[derive(Default)]
 struct CacheState {
-    counts: HashMap<CountKey, u64>,
-    /// Insertion order of `counts` keys — the deterministic FIFO victim
-    /// queue of the stats tier (std `HashMap` iteration order is
-    /// process-randomized, which would break the repo's bit-identical
-    /// pinned-seed reproducibility once the cap is hit).
-    count_order: VecDeque<CountKey>,
+    /// The content generation: every entry below is an answer at it.
+    content: u64,
+    /// Highest serving generation heard of from the server(s) behind this
+    /// cache; ahead of `content` between a bump being heard of and the
+    /// next batch catching up with it.
+    noted: u64,
+    /// While `noted` is ahead: an upper bound on the ops of the change
+    /// list between the two, kept as long as every bump in between was an
+    /// update acknowledged through a link to this store; `None` once one
+    /// was not — learnt from a stamp, its size anybody's guess.
+    owed_ops: Option<u64>,
+    counts: ExactTier<RectKey, u64>,
     windows: Vec<WindowEntry>,
+    probes: ExactTier<ProbeKey, Vec<SpatialObject>>,
     tick: u64,
+}
+
+/// What stands between a store's content and the newest generation it has
+/// heard of.
+struct Lag {
+    /// The content generation.
+    since: u64,
+    noted: u64,
+    /// Wire bytes it would take to buy the content again, entry by entry.
+    worth: u64,
+    /// See [`CacheState::owed_ops`].
+    owed_ops: Option<u64>,
+}
+
+impl CacheState {
+    /// What the entries held would cost to download again, one round trip
+    /// each at the content generation.
+    fn worth(&self, packet: &PacketModel) -> u64 {
+        let stamp = if self.content > 0 { GEN_STAMP_BYTES } else { 0 };
+        let trip = |req: u64, resp: u64| packet.tb(req) + packet.tb(stamp + resp);
+        let objects = |n: usize| OBJECTS_HEADER_BYTES + n as u64 * OBJ_BYTES;
+        let windows = self.windows.iter();
+        let probes = self.probes.entries.values();
+        self.counts.entries.len() as u64 * trip(QUERY_BYTES, ANSWER_BYTES)
+            + windows.map(|e| trip(QUERY_BYTES, e.bytes())).sum::<u64>()
+            + probes
+                .map(|a| trip(EPS_QUERY_BYTES, objects(a.len())))
+                .sum::<u64>()
+    }
+
+    /// Records that the servers reached `generation` — by an update of at
+    /// most `ops` ops acknowledged through this store, or (`None`) as a
+    /// reply's stamp tells.
+    fn note(&mut self, generation: u64, ops: Option<u64>) {
+        if generation <= self.noted {
+            return;
+        }
+        let owed = if self.noted == self.content {
+            Some(0)
+        } else {
+            self.owed_ops
+        };
+        // Only the very next generation is reached by that update alone.
+        let next = generation == self.noted + 1;
+        self.owed_ops = owed.zip(ops).filter(|_| next).map(|(owed, ops)| owed + ops);
+        self.noted = generation;
+    }
+
+    /// The first cached window containing `reach`, marked used.
+    fn containing(&mut self, reach: &Rect) -> Option<&WindowEntry> {
+        let i = self
+            .windows
+            .iter()
+            .position(|e| e.window.contains_rect(reach))?;
+        self.tick += 1;
+        self.windows[i].last_used = self.tick;
+        Some(&self.windows[i])
+    }
+}
+
+/// Applies `ops`, in order, to the answer `objects` of a query that holds
+/// exactly the objects whose MBR satisfies `holds`.
+fn patch(objects: &mut Vec<SpatialObject>, ops: &[DeltaOp], holds: impl Fn(&Rect) -> bool) {
+    for op in ops {
+        match *op {
+            DeltaOp::Remove { id, mbr } if holds(&mbr) => objects.retain(|o| o.id != id),
+            DeltaOp::Add(o) if holds(&o.mbr) => objects.push(o),
+            _ => {}
+        }
+    }
+}
+
+/// A bug the differential suites can plant in the way a store applies a
+/// change list, to prove they would catch it.
+#[cfg(any(test, feature = "testing"))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlantedBug {
+    /// Probe answers keep the objects a change list removes.
+    ProbeRemovesSkipped,
+    /// Exact counts ignore removes.
+    CountDecrementsSkipped,
 }
 
 /// The shared cache store behind one logical server (or fleet).
 ///
 /// One `ClientCache` is created per *side* of a deployment and shared by
 /// every link the deployment hands out, so a session of joins against the
-/// same immutable servers reuses earlier downloads across joins. All
-/// methods are `&self` (internally locked): concurrent device threads may
-/// share one cache.
+/// same servers reuses earlier downloads across joins. All methods are
+/// `&self` (internally locked): concurrent device threads may share one
+/// cache.
 pub struct ClientCache {
     state: Mutex<CacheState>,
     window_budget: u64,
-    /// Entry cap of the exact statistics tier, derived from the window
-    /// budget (an exact entry is ~40 bytes of device memory): the device
-    /// the system models is memory-constrained, and a long-lived session
-    /// store must not grow without bound.
-    stats_cap: usize,
+    /// Entry cap of each exact tier, derived from the window budget (an
+    /// exact count is ~40 bytes of device memory): the device the system
+    /// models is memory-constrained, and a long-lived session store must
+    /// not grow without bound.
+    exact_cap: usize,
     resident_bytes: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
-    /// Highest serving generation observed from the server(s) behind this
-    /// cache. Lookups only match entries at this generation.
-    current_generation: AtomicU64,
+    #[cfg(any(test, feature = "testing"))]
+    planted: Mutex<Option<PlantedBug>>,
 }
 
 impl ClientCache {
-    /// An empty cache with the given window-tier byte budget. The exact
-    /// statistics tier is capped at roughly the same byte scale
-    /// (`budget / 40` entries, at least 256).
+    /// An empty cache with the given window-tier byte budget. Each exact
+    /// tier is capped at the same byte scale (`budget / 40` entries).
     pub fn new(window_budget_bytes: u64) -> Self {
         ClientCache {
             state: Mutex::new(CacheState::default()),
             window_budget: window_budget_bytes,
-            stats_cap: ((window_budget_bytes / 40) as usize).max(256),
+            exact_cap: (window_budget_bytes / 40) as usize,
             resident_bytes: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            current_generation: AtomicU64::new(0),
+            #[cfg(any(test, feature = "testing"))]
+            planted: Mutex::new(None),
         }
     }
 
     /// The highest serving generation observed so far (0 until the
     /// servers go live — frozen responses carry no stamp).
     pub fn generation(&self) -> u64 {
-        self.current_generation.load(Ordering::Acquire)
+        self.state.lock().expect("cache poisoned").noted
     }
 
-    /// Records an observed serving generation (monotone max). Entries
-    /// keyed at older generations stop matching from here on and age out
-    /// of the LRU budget; nothing is actively purged.
+    /// Records an observed serving generation (monotone max). Nothing
+    /// changes hands here: the next batch through a [`CacheLayer`] brings
+    /// the content up to it.
     pub fn note_generation(&self, generation: u64) {
-        self.current_generation
-            .fetch_max(generation, Ordering::AcqRel);
+        // Frozen servers report 0 with every reply: nothing to lock for.
+        if generation > 0 {
+            self.state
+                .lock()
+                .expect("cache poisoned")
+                .note(generation, None);
+        }
+    }
+
+    /// Records the `Ack` of an update sent through a link to this store:
+    /// the servers reached `generation` by a batch of at most `ops` ops.
+    fn note_update(&self, generation: u64, ops: u64) {
+        let mut state = self.state.lock().expect("cache poisoned");
+        state.note(generation, Some(ops));
+    }
+
+    /// The content generation when it is the newest heard of, else what
+    /// catching up would take.
+    fn lag(&self, packet: &PacketModel) -> Result<u64, Lag> {
+        let state = self.state.lock().expect("cache poisoned");
+        if state.noted <= state.content {
+            return Ok(state.content);
+        }
+        Err(Lag {
+            since: state.content,
+            noted: state.noted,
+            worth: state.worth(packet),
+            owed_ops: state.owed_ops,
+        })
+    }
+
+    /// The generation every entry is an answer at — the only one lookups
+    /// match and admissions are stored at.
+    pub fn content_generation(&self) -> u64 {
+        self.state.lock().expect("cache poisoned").content
+    }
+
+    /// The state, if `generation` is the content generation.
+    fn at(&self, generation: u64) -> Option<std::sync::MutexGuard<'_, CacheState>> {
+        let state = self.state.lock().expect("cache poisoned");
+        (state.content == generation).then_some(state)
     }
 
     /// Looks up `COUNT(w)` at `generation`: the exact statistics tier
     /// first (bit-exact key — a poisoned exact entry *must* win over
     /// derivation, which the non-vacuity test relies on), then derivation
-    /// from any cached same-generation window containing `w`.
+    /// from any cached window containing `w`.
     pub fn count(&self, w: &Rect, generation: u64) -> Option<u64> {
-        let mut state = self.state.lock().expect("cache poisoned");
-        if let Some(&c) = state.counts.get(&(generation, RectKey::of(w))) {
+        let mut state = self.at(generation)?;
+        if let Some(&c) = state.counts.entries.get(&RectKey::of(w)) {
             return Some(c);
         }
-        let i = state
-            .windows
-            .iter()
-            .position(|e| e.generation == generation && e.window.contains_rect(w))?;
-        let c = state.windows[i]
-            .objects
-            .iter()
-            .filter(|o| o.mbr.intersects(w))
-            .count() as u64;
-        state.tick += 1;
-        let tick = state.tick;
-        state.windows[i].last_used = tick;
-        Some(c)
+        let held = &state.containing(w)?.objects;
+        Some(held.iter().filter(|o| o.mbr.intersects(w)).count() as u64)
     }
 
-    /// Records an authoritative `COUNT(w)` answer. At the tier's entry
-    /// cap the *oldest* entry is replaced — deterministic FIFO, so
-    /// pinned-seed runs stay bit-identical — which is correctness-safe:
-    /// forgetting a count only re-pays one `Taq`. A long-lived session
-    /// store therefore stays bounded.
+    /// Records an authoritative `COUNT(w)` answer served at `generation`.
     pub fn observe_count(&self, w: &Rect, count: u64, generation: u64) {
-        let mut state = self.state.lock().expect("cache poisoned");
-        let key = (generation, RectKey::of(w));
-        if let Some(resident) = state.counts.get_mut(&key) {
-            *resident = count;
-            return;
+        if let Some(mut state) = self.at(generation) {
+            state.counts.put(RectKey::of(w), count, self.exact_cap);
         }
-        if state.counts.len() >= self.stats_cap {
-            let victim = state
-                .count_order
-                .pop_front()
-                .expect("cap reached with an empty order queue");
-            state.counts.remove(&victim);
-        }
-        state.counts.insert(key, count);
-        state.count_order.push_back(key);
     }
 
     /// Looks up `WINDOW(w)` at `generation` via containment: filtered
-    /// objects of a cached same-generation window containing `w`.
+    /// objects of a cached window containing `w`.
     pub fn window(&self, w: &Rect, generation: u64) -> Option<Vec<SpatialObject>> {
-        self.filter_contained(w, generation, |o| o.mbr.intersects(w))
+        let mut state = self.at(generation)?;
+        let held = &state.containing(w)?.objects;
+        Some(
+            held.iter()
+                .filter(|o| o.mbr.intersects(w))
+                .copied()
+                .collect(),
+        )
     }
 
-    /// Looks up `ε-RANGE(q, eps)` at `generation` via containment: a
-    /// qualifying object's MBR is within `eps` of `q` and therefore
-    /// intersects `q.expand(eps)`; any cached same-generation window
+    /// Looks up `ε-RANGE(q, eps)` at `generation`: the exact probe tier
+    /// first, then containment — a qualifying object's MBR is within `eps`
+    /// of `q` and therefore intersects `q.expand(eps)`; any cached window
     /// containing that reach holds every answer.
     pub fn eps_range(&self, q: &Rect, eps: f64, generation: u64) -> Option<Vec<SpatialObject>> {
-        let reach = q.expand(eps);
-        self.filter_contained(&reach, generation, |o| o.mbr.within_distance(q, eps))
+        let mut state = self.at(generation)?;
+        if let Some(answer) = state.probes.entries.get(&(RectKey::of(q), eps.to_bits())) {
+            return Some(answer.clone());
+        }
+        let held = &state.containing(&q.expand(eps))?.objects;
+        let near = held.iter().filter(|o| o.mbr.within_distance(q, eps));
+        Some(near.copied().collect())
     }
 
-    fn filter_contained(
+    /// Records an authoritative `ε-RANGE(q, eps)` answer served at
+    /// `generation`.
+    pub(crate) fn admit_probe(
         &self,
-        reach: &Rect,
+        q: &Rect,
+        eps: f64,
+        objects: &[SpatialObject],
         generation: u64,
-        keep: impl Fn(&SpatialObject) -> bool,
-    ) -> Option<Vec<SpatialObject>> {
-        let mut state = self.state.lock().expect("cache poisoned");
-        let i = state
-            .windows
-            .iter()
-            .position(|e| e.generation == generation && e.window.contains_rect(reach))?;
-        let out = state.windows[i]
-            .objects
-            .iter()
-            .filter(|o| keep(o))
-            .copied()
-            .collect();
-        state.tick += 1;
-        let tick = state.tick;
-        state.windows[i].last_used = tick;
-        Some(out)
+    ) {
+        if let Some(mut state) = self.at(generation) {
+            let key = (RectKey::of(q), eps.to_bits());
+            state.probes.put(key, objects.to_vec(), self.exact_cap);
+        }
     }
 
     /// Admits a `WINDOW(w)` download served at `generation`, evicting
     /// least-recently-used entries until the byte budget holds. Skipped
-    /// when the window is already derivable from a same-generation entry
-    /// or alone exceeds the budget; same-generation entries covered by
-    /// `w` are dropped (they become derivable). Entries from *other*
-    /// generations are left alone — they are unreachable for lookups at
-    /// the current generation and age out through the LRU budget.
+    /// when the window is already derivable from an entry or alone exceeds
+    /// the budget; entries covered by `w` are dropped (they become
+    /// derivable).
     pub fn admit_window(&self, w: &Rect, objects: &[SpatialObject], generation: u64) {
-        let bytes = OBJECTS_HEADER_BYTES + objects.len() as u64 * OBJ_BYTES;
-        if bytes > self.window_budget {
+        if OBJECTS_HEADER_BYTES + objects.len() as u64 * OBJ_BYTES > self.window_budget {
             return;
         }
-        let mut state = self.state.lock().expect("cache poisoned");
-        if state
-            .windows
-            .iter()
-            .any(|e| e.generation == generation && e.window.contains_rect(w))
-        {
+        let Some(mut state) = self.at(generation) else {
+            return;
+        };
+        if state.windows.iter().any(|e| e.window.contains_rect(w)) {
             return;
         }
-        let mut freed = 0u64;
-        state.windows.retain(|e| {
-            let covered = e.generation == generation && w.contains_rect(&e.window);
-            if covered {
-                freed += e.bytes;
-            }
-            !covered
-        });
-        let mut resident = self.resident_bytes.load(Ordering::Relaxed) - freed;
-        while resident + bytes > self.window_budget {
-            let (i, _) = state
-                .windows
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .expect("budget overflow with no entries");
-            resident -= state.windows.remove(i).bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        state.windows.retain(|e| !w.contains_rect(&e.window));
         state.tick += 1;
         let entry = WindowEntry {
             window: *w,
-            generation,
             objects: objects.to_vec(),
-            bytes,
             last_used: state.tick,
         };
         state.windows.push(entry);
-        self.resident_bytes
-            .store(resident + bytes, Ordering::Relaxed);
         self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.fit_budget(&mut state);
+    }
+
+    /// Evicts least-recently-used windows until the tier fits its budget,
+    /// and publishes what is left as the resident gauge.
+    fn fit_budget(&self, state: &mut CacheState) {
+        let mut resident: u64 = state.windows.iter().map(WindowEntry::bytes).sum();
+        while resident > self.window_budget {
+            let oldest = state.windows.iter().enumerate();
+            let (i, _) = oldest
+                .min_by_key(|(_, e)| e.last_used)
+                .expect("budget overflow with no entries");
+            resident -= state.windows.remove(i).bytes();
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        self.resident_bytes.store(resident, Ordering::Relaxed);
+    }
+
+    /// Carries every entry from generation `since` over to `reached` by
+    /// the ordered change list between the two: each answer is patched
+    /// under the predicate that defines it, so it stays what the server
+    /// would answer. A no-op unless `since` is the content generation
+    /// (another link sharing the store got there first).
+    pub(crate) fn apply_changes(&self, since: u64, reached: u64, ops: &[DeltaOp]) {
+        let Some(mut state) = self.at(since) else {
+            return;
+        };
+        // Which ops each exact tier sees: all of them, unless a planted
+        // bug hides the removes from one.
+        #[cfg(not(any(test, feature = "testing")))]
+        let (count_ops, probe_ops) = (ops, ops);
+        #[cfg(any(test, feature = "testing"))]
+        let adds: Vec<DeltaOp> = (ops.iter().copied())
+            .filter(|op| matches!(op, DeltaOp::Add(_)))
+            .collect();
+        #[cfg(any(test, feature = "testing"))]
+        let (count_ops, probe_ops) = match *self.planted.lock().expect("cache poisoned") {
+            Some(PlantedBug::CountDecrementsSkipped) => (&adds[..], ops),
+            Some(PlantedBug::ProbeRemovesSkipped) => (ops, &adds[..]),
+            None => (ops, ops),
+        };
+        let state = &mut *state;
+        for e in &mut state.windows {
+            patch(&mut e.objects, ops, |mbr| mbr.intersects(&e.window));
+        }
+        for (key, count) in &mut state.counts.entries {
+            let w = key.rect();
+            for op in count_ops {
+                match op {
+                    DeltaOp::Remove { mbr, .. } if mbr.intersects(&w) => {
+                        *count = count.saturating_sub(1)
+                    }
+                    DeltaOp::Add(o) if o.mbr.intersects(&w) => *count += 1,
+                    _ => {}
+                }
+            }
+        }
+        for ((q, eps), answer) in &mut state.probes.entries {
+            let (q, eps) = (q.rect(), f64::from_bits(*eps));
+            patch(answer, probe_ops, |mbr| mbr.within_distance(&q, eps));
+        }
+        state.content = reached;
+        state.note(reached, None);
+        self.fit_budget(state);
+    }
+
+    /// Forgets everything and starts over at `generation` (or stays where
+    /// it is, if already past it): what is done when the servers moved on
+    /// and no change list is to be had.
+    pub(crate) fn purge(&self, generation: u64) {
+        let mut state = self.state.lock().expect("cache poisoned");
+        state.counts.clear();
+        state.windows.clear();
+        state.probes.clear();
+        state.content = state.content.max(generation);
+        state.note(generation, None);
+        self.resident_bytes.store(0, Ordering::Relaxed);
     }
 
     /// Bytes currently resident in the window tier.
@@ -354,13 +593,21 @@ impl ClientCache {
         let mut state = self.state.lock().expect("cache poisoned");
         // Ties broken by key so the victim is deterministic across
         // processes (HashMap iteration order is randomly seeded).
-        match state.counts.iter_mut().max_by_key(|(k, c)| (**c, **k)) {
+        let largest = state.counts.entries.iter_mut();
+        match largest.max_by_key(|(k, c)| (**c, **k)) {
             Some((_, c)) => {
                 *c = if *c == 0 { 1 } else { 0 };
                 true
             }
             None => false,
         }
+    }
+
+    /// Test instrument, like [`ClientCache::poison_one_count`]: from here
+    /// on a change list is applied with `bug`.
+    #[cfg(any(test, feature = "testing"))]
+    pub fn plant(&self, bug: PlantedBug) {
+        *self.planted.lock().expect("cache poisoned") = Some(bug);
     }
 
     fn gauges(&self) -> (u64, u64, u64) {
@@ -492,11 +739,37 @@ impl CacheLayer {
         self.packet.tb(request_wire_bytes(req)) + self.packet.tb(stamp + response_wire_bytes(resp))
     }
 
-    /// The lookup pass for one request, at the batch's `generation`:
-    /// what the cache can answer of it, tallied as hits and misses.
-    /// Everything but the four cacheable kinds (bucket probes, avg-area,
-    /// the cooperative extension, writes) always ships.
-    fn lookup<'a>(&self, req: &'a Request, generation: u64) -> Planned<'a> {
+    /// Brings the store's content up to the newest generation heard of,
+    /// and returns the content generation. Where the content is behind,
+    /// one `Changes` exchange below buys the list that patches it —
+    /// unless the list is known to cost more than everything it could
+    /// save, the price of downloading the content again (nothing, for an
+    /// empty store). Then, and on a refusal or a failure, the content is
+    /// purged instead.
+    fn catch_up(&self) -> u64 {
+        let lag = match self.cache.lag(&self.packet) {
+            Ok(current) => return current,
+            Err(lag) => lag,
+        };
+        let list = |ops| GEN_STAMP_BYTES + CHANGES_HEADER_BYTES + ops * CHANGE_OP_BYTES;
+        let price = |ops| self.packet.tb(CHANGES_QUERY_BYTES) + self.packet.tb(list(ops));
+        if lag.worth <= lag.owed_ops.map_or(0, price) {
+            self.cache.purge(lag.noted);
+            return lag.noted;
+        }
+        match self.inner.call(&Request::Changes { since: lag.since }) {
+            (Response::Changes(ops), reached) => self.cache.apply_changes(lag.since, reached, &ops),
+            (_, refused_at) => self.cache.purge(lag.noted.max(refused_at)),
+        }
+        self.cache.content_generation()
+    }
+
+    /// The lookup pass for one request, at the content generation (caught
+    /// up on by the first request of the batch that can use it): what the
+    /// cache can answer of it, tallied as hits and misses. Everything but
+    /// the four cacheable kinds (bucket probes, avg-area, the cooperative
+    /// extension, writes) always ships.
+    fn lookup<'a>(&self, req: &'a Request, generation: &mut Option<u64>) -> Planned<'a> {
         let req = match req {
             Request::Count(_)
             | Request::MultiCount(_)
@@ -504,15 +777,17 @@ impl CacheLayer {
             | Request::EpsRange { .. } => Cow::Owned(wire_exact(req)),
             _ => Cow::Borrowed(req),
         };
+        let mut at = || *generation.get_or_insert_with(|| self.catch_up());
         let found = |hit: Option<Response>| hit.map_or(Local::Miss, Local::Hit);
         let local = match &*req {
             Request::Count(w) => {
-                let hit = self.cache.count(w, generation);
+                let hit = self.cache.count(w, at());
                 self.telemetry
                     .record_stats(hit.is_some() as u64, hit.is_none() as u64);
                 found(hit.map(Response::Count))
             }
             Request::MultiCount(windows) => {
+                let generation = at();
                 let mut counts = vec![0; windows.len()];
                 let mut miss_idx = Vec::new();
                 for (i, w) in windows.iter().enumerate() {
@@ -535,12 +810,12 @@ impl CacheLayer {
                 }
             }
             Request::Window(w) => {
-                let hit = self.cache.window(w, generation);
+                let hit = self.cache.window(w, at());
                 self.telemetry.record_window(hit.is_some());
                 found(hit.map(Response::Objects))
             }
             Request::EpsRange { q, eps } => {
-                let hit = self.cache.eps_range(q, *eps, generation);
+                let hit = self.cache.eps_range(q, *eps, at());
                 self.telemetry.record_probe(hit.is_some());
                 found(hit.map(Response::Objects))
             }
@@ -555,9 +830,10 @@ impl CacheLayer {
 
     /// Ships, in one batch, whatever the plan still needs from the layer
     /// below, and notes the serving generation every reply reports into
-    /// the shared store, so entries keyed at older generations stop
-    /// matching before the next lookup. (A failed exchange reports no
-    /// generation a healthy one has not.)
+    /// the shared store — an acknowledged update's with the most ops its
+    /// batch can have made (a delete removes, an insert or a move may
+    /// remove and add). (A failed exchange reports no generation a healthy
+    /// one has not.)
     fn ship(&self, plan: &mut [Planned]) {
         if plan.iter().all(|p| p.ships().is_none()) {
             return;
@@ -565,20 +841,26 @@ impl CacheLayer {
         let mut replies = Few::new();
         self.inner.call_many(
             &mut plan.iter().filter_map(Planned::ships),
-            &mut |resp, generation| {
-                self.cache.note_generation(generation);
-                replies.push((resp, generation));
-            },
+            &mut |resp, generation| replies.push((resp, generation)),
         );
         let unanswered = plan.iter_mut().filter(|p| p.ships().is_some());
-        unanswered
-            .zip(replies)
-            .for_each(|(p, reply)| p.shipped = Some(reply));
+        for (p, (resp, generation)) in unanswered.zip(replies) {
+            match (p.ships(), &resp) {
+                (Some(Request::ApplyUpdates(batch)), Response::Ack { .. }) => {
+                    let ops = |u: &Update| if matches!(u, Update::Delete(_)) { 1 } else { 2 };
+                    self.cache
+                        .note_update(generation, batch.iter().map(ops).sum());
+                }
+                _ => self.cache.note_generation(generation),
+            }
+            p.shipped = Some((resp, generation));
+        }
     }
 
     /// The admit pass for one request: its answer and the generation it
     /// was served at, with authoritative replies admitted to the cache
-    /// and local answers priced as saved bytes.
+    /// (which keeps those served at its content generation) and local
+    /// answers priced as saved bytes.
     fn settle(&self, p: &mut Planned, generation: u64) -> (Response, u64) {
         let (local, shipped) = (
             std::mem::replace(&mut p.local, Local::Miss),
@@ -604,6 +886,9 @@ impl CacheLayer {
                     }
                     (Request::Window(w), Response::Objects(objects)) => {
                         self.cache.admit_window(w, objects, generation)
+                    }
+                    (Request::EpsRange { q, eps }, Response::Objects(objects)) => {
+                        self.cache.admit_probe(q, *eps, objects, generation)
                     }
                     _ => {}
                 }
@@ -666,25 +951,29 @@ impl Planned<'_> {
 }
 
 impl Layer for CacheLayer {
-    /// Lookup → the misses ride one `call_many` below → admit. A local
-    /// answer is only as current as the generation it was looked up at:
-    /// when a shipped reply reports a different one — an update landed
-    /// in between — every locally answered request is re-asked whole at
-    /// the new generation rather than handed back beside it.
-    /// Correctness first; this only costs bytes when an update races the
-    /// batch. (A failure reports generation 0, which is not "the servers
-    /// advanced".)
+    /// Catch up → lookup → the misses ride one `call_many` below → admit.
+    /// A local answer is only as current as the generation it was looked
+    /// up at: when a shipped reply reports a different one — an update
+    /// landed in between — the store catches up again and every locally
+    /// answered request is re-asked whole rather than handed back beside
+    /// it. Correctness first; this only costs bytes when an update races
+    /// the batch. (A failure reports generation 0, which is not "the
+    /// servers advanced".)
     fn call_many(
         &self,
         reqs: &mut dyn Iterator<Item = &Request>,
         reply: &mut dyn FnMut(Response, u64),
     ) {
-        let generation = self.cache.generation();
-        let mut plan: Few<Planned> = reqs.map(|req| self.lookup(req, generation)).collect();
+        let mut caught_up = None;
+        let mut plan: Few<Planned> = reqs.map(|req| self.lookup(req, &mut caught_up)).collect();
         let plan_mut = plan.as_mut_slice();
         self.ship(plan_mut);
+        // A batch with nothing cacheable in it looked nothing up, and has
+        // nothing to be current with.
+        let generation = caught_up.unwrap_or_default();
         let advanced = |p: &Planned| matches!(&p.shipped, Some((resp, g)) if !resp.is_failure() && *g != generation);
-        if plan_mut.iter().any(advanced) {
+        if caught_up.is_some() && plan_mut.iter().any(advanced) {
+            self.catch_up();
             for p in plan_mut
                 .iter_mut()
                 .filter(|p| !matches!(p.local, Local::Miss))
@@ -727,7 +1016,13 @@ mod tests {
         }
 
         fn cached_counts(&self) -> usize {
-            self.state.lock().expect("cache poisoned").counts.len()
+            let state = self.state.lock().expect("cache poisoned");
+            state.counts.entries.len()
+        }
+
+        fn cached_probes(&self) -> usize {
+            let state = self.state.lock().expect("cache poisoned");
+            state.probes.entries.len()
         }
     }
 
@@ -755,120 +1050,386 @@ mod tests {
     }
 
     #[test]
-    fn generation_bump_makes_old_entries_unreachable() {
+    fn entries_answer_and_are_admitted_only_at_the_content_generation() {
         let store = Arc::new(ClientCache::new(1 << 20));
         let objs = lattice(4);
         let big = w(0.0, 0.0, 4.0, 4.0);
+        let origin = w(0.0, 0.0, 0.0, 0.0);
         store.admit_window(&big, &objs, 0);
         store.observe_count(&big, 16, 0);
+        store.admit_probe(&origin, 1.0, &objs[..2], 0);
         assert_eq!(store.count(&big, 0), Some(16));
         assert!(store.window(&w(1.0, 1.0, 2.0, 2.0), 0).is_some());
-        // The servers advance: generation-0 entries stop matching.
+        assert_eq!(store.eps_range(&origin, 1.0, 0).map(|v| v.len()), Some(2));
+        // The servers are heard to advance: the content stays at 0 until a
+        // batch catches up, and matches no lookup at the new generation.
         store.note_generation(3);
-        assert_eq!(store.generation(), 3);
+        assert_eq!((store.generation(), store.content_generation()), (3, 0));
         assert_eq!(store.count(&big, 3), None, "stale count must not serve");
         assert!(store.window(&w(1.0, 1.0, 2.0, 2.0), 3).is_none());
-        assert!(store.eps_range(&w(1.0, 1.0, 1.0, 1.0), 0.5, 3).is_none());
-        // Same rect at the new generation is a distinct entry.
+        assert!(store.eps_range(&origin, 1.0, 3).is_none());
+        // An answer served at any other generation is dropped, not stored
+        // under a key of its own.
+        store.observe_count(&big, 15, 3);
+        store.admit_window(&w(10.0, 10.0, 11.0, 11.0), &[], 3);
+        store.admit_probe(&origin, 2.0, &objs[..3], 3);
+        assert_eq!(
+            (
+                store.cached_counts(),
+                store.cached_windows(),
+                store.cached_probes()
+            ),
+            (1, 1, 1)
+        );
+        assert_eq!(store.count(&big, 0), Some(16), "the content is intact");
+        // A purge starts over at the new generation.
+        store.purge(3);
+        assert_eq!(
+            (
+                store.cached_counts(),
+                store.cached_windows(),
+                store.cached_probes()
+            ),
+            (0, 0, 0)
+        );
+        assert_eq!((store.content_generation(), store.resident_bytes()), (3, 0));
         store.observe_count(&big, 15, 3);
         assert_eq!(store.count(&big, 3), Some(15));
-        assert_eq!(store.count(&big, 0), Some(16), "old key still intact");
-        // note_generation is monotone: a late gen-1 stamp cannot regress.
+        assert_eq!(store.count(&big, 0), None);
+        // Both generations are monotone: a late stamp cannot regress them.
         store.note_generation(1);
-        assert_eq!(store.generation(), 3);
+        store.purge(2);
+        assert_eq!((store.generation(), store.content_generation()), (3, 3));
+    }
+
+    #[test]
+    fn a_change_list_patches_every_tier_in_place() {
+        let store = Arc::new(ClientCache::new(1 << 20));
+        let objs = lattice(4);
+        let (big, corner) = (w(0.0, 0.0, 4.0, 4.0), w(0.0, 0.0, 1.0, 1.0));
+        let origin = w(0.0, 0.0, 0.0, 0.0);
+        store.admit_window(&corner, &[objs[0], objs[1], objs[4], objs[5]], 0);
+        store.observe_count(&big, 16, 0);
+        store.observe_count(&w(2.0, 2.0, 3.0, 3.0), 4, 0);
+        store.admit_probe(&origin, 1.0, &[objs[0], objs[1], objs[4]], 0);
+        let resident = store.resident_bytes();
+        // Object 0 leaves the corner for (3, 3); object 15 moves to where
+        // it was; object 99 appears far away and is removed again.
+        let ops = [
+            DeltaOp::Remove {
+                id: 0,
+                mbr: objs[0].mbr,
+            },
+            DeltaOp::Add(SpatialObject::point(0, 3.0, 3.0)),
+            DeltaOp::Remove {
+                id: 15,
+                mbr: objs[15].mbr,
+            },
+            DeltaOp::Add(SpatialObject::point(15, 0.0, 0.0)),
+            DeltaOp::Add(SpatialObject::point(99, 50.0, 50.0)),
+            DeltaOp::Remove {
+                id: 99,
+                mbr: SpatialObject::point(99, 50.0, 50.0).mbr,
+            },
+        ];
+        store.apply_changes(0, 2, &ops);
+        assert_eq!((store.content_generation(), store.generation()), (2, 2));
+        let ids = |mut v: Vec<SpatialObject>| {
+            v.sort_unstable_by_key(|o| o.id);
+            v.into_iter()
+                .map(|o| (o.id, o.mbr.min.x, o.mbr.min.y))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            ids(store.window(&corner, 2).unwrap()),
+            [(1, 1.0, 0.0), (4, 0.0, 1.0), (5, 1.0, 1.0), (15, 0.0, 0.0)]
+        );
+        assert_eq!(
+            ids(store.eps_range(&origin, 1.0, 2).unwrap()),
+            [(1, 1.0, 0.0), (4, 0.0, 1.0), (15, 0.0, 0.0)]
+        );
+        assert_eq!(
+            store.count(&big, 2),
+            Some(16),
+            "a move inside nets to nothing"
+        );
+        assert_eq!(
+            store.count(&w(2.0, 2.0, 3.0, 3.0), 2),
+            Some(4),
+            "-15 at (3,3), +0 at (3,3)"
+        );
+        assert_eq!(store.resident_bytes(), resident, "one out, one in");
+        // A list from any other generation than the content's is not for
+        // this content: a second link sharing the store got there first.
+        store.apply_changes(0, 3, &ops);
+        assert_eq!(store.content_generation(), 2);
+        assert_eq!(store.window(&corner, 2).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn planted_bugs_break_exactly_what_they_name() {
+        let gone = |o: &SpatialObject| DeltaOp::Remove {
+            id: o.id,
+            mbr: o.mbr,
+        };
+        let origin = w(0.0, 0.0, 0.0, 0.0);
+        let primed = |bug| {
+            let store = ClientCache::new(1 << 20);
+            store.observe_count(&origin, 1, 0);
+            store.admit_probe(&origin, 0.5, &lattice(1), 0);
+            store.plant(bug);
+            store.apply_changes(0, 1, &[gone(&lattice(1)[0])]);
+            (
+                store.count(&origin, 1),
+                store.eps_range(&origin, 0.5, 1).map(|v| v.len()),
+            )
+        };
+        assert_eq!(primed(PlantedBug::ProbeRemovesSkipped), (Some(0), Some(1)));
+        assert_eq!(
+            primed(PlantedBug::CountDecrementsSkipped),
+            (Some(1), Some(0))
+        );
+    }
+
+    /// A live server double: applies update batches to a scan set, logs
+    /// each batch's remove/add list, stamps every reply with its
+    /// generation and answers `Changes` from the log — from `keeps`
+    /// generations back at most.
+    struct Live {
+        state: Mutex<(Vec<SpatialObject>, Vec<Vec<DeltaOp>>)>,
+        keeps: usize,
+    }
+
+    impl Live {
+        fn new(objects: Vec<SpatialObject>, keeps: usize) -> Arc<Self> {
+            let state = Mutex::new((objects, Vec::new()));
+            Arc::new(Live { state, keeps })
+        }
+    }
+
+    impl RawExchange for Arc<Live> {
+        fn exchange(&self, raw: Bytes) -> Bytes {
+            use crate::proto::Update;
+            let mut state = self.state.lock().unwrap();
+            let (objects, log) = &mut *state;
+            let resp = match decode_request(raw).expect("malformed request") {
+                Request::ApplyUpdates(batch) => {
+                    let mut ops = Vec::new();
+                    for u in batch {
+                        let (id, to) = match u {
+                            Update::Delete(id) => (id, None),
+                            Update::Insert(o) => (o.id, Some(o)),
+                            Update::Move { id, to } => (id, Some(SpatialObject::new(id, to))),
+                        };
+                        if let Some(at) = objects.iter().position(|o| o.id == id) {
+                            let mbr = objects.remove(at).mbr;
+                            ops.push(DeltaOp::Remove { id, mbr });
+                        }
+                        objects.extend(to);
+                        ops.extend(to.map(DeltaOp::Add));
+                    }
+                    log.push(ops);
+                    let generation = log.len() as u64;
+                    return encode_response(&Response::Ack { generation });
+                }
+                Request::Changes { since } => match log.get(since as usize..) {
+                    Some(later) if later.len() <= self.keeps => Response::Changes(later.concat()),
+                    _ => Response::Refused,
+                },
+                other => Scan(objects.clone()).handle(other),
+            };
+            let mut buf = BytesMut::new();
+            stamp_generation(log.len() as u64, &mut buf);
+            encode_response_into(&resp, &mut buf);
+            buf.freeze()
+        }
+    }
+
+    fn live_link(server: &Arc<Live>, budget: u64) -> Link {
+        let store = Arc::new(ClientCache::new(budget));
+        let carrier = Box::new(Arc::clone(server));
+        Link::cached(CacheLayer::new(carrier, PacketModel::default(), store), 1.0)
+    }
+
+    fn delete(id: u32) -> Request {
+        Request::ApplyUpdates(vec![crate::proto::Update::Delete(id)])
     }
 
     #[test]
     fn layer_switches_generations_on_an_ack() {
-        // A server double that serves gen 0 until it sees ApplyUpdates,
-        // then serves a changed dataset stamped gen 1.
-        struct Flip {
-            objects: Mutex<Vec<SpatialObject>>,
-            generation: AtomicU64,
-        }
-        impl RawExchange for Flip {
-            fn exchange(&self, raw: Bytes) -> Bytes {
-                let req = decode_request(raw).expect("malformed request");
-                let generation = self.generation.load(Ordering::SeqCst);
-                let resp = match req {
-                    Request::ApplyUpdates(batch) => {
-                        let mut objs = self.objects.lock().unwrap();
-                        for u in &batch {
-                            match u {
-                                crate::proto::Update::Delete(id) => objs.retain(|o| o.id != *id),
-                                crate::proto::Update::Insert(o) => objs.push(*o),
-                                crate::proto::Update::Move { id, to } => {
-                                    objs.retain(|o| o.id != *id);
-                                    objs.push(SpatialObject::new(*id, *to));
-                                }
-                            }
-                        }
-                        let g = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-                        return encode_response(&Response::Ack { generation: g });
-                    }
-                    Request::Count(w) => Response::Count(
-                        self.objects
-                            .lock()
-                            .unwrap()
-                            .iter()
-                            .filter(|o| o.mbr.intersects(&w))
-                            .count() as u64,
-                    ),
-                    Request::Window(w) => Response::Objects(
-                        self.objects
-                            .lock()
-                            .unwrap()
-                            .iter()
-                            .filter(|o| o.mbr.intersects(&w))
-                            .copied()
-                            .collect(),
-                    ),
-                    _ => Response::Refused,
-                };
-                let mut buf = BytesMut::new();
-                stamp_generation(generation, &mut buf);
-                encode_response_into(&resp, &mut buf);
-                buf.freeze()
-            }
-        }
-        let server = Arc::new(Flip {
-            objects: Mutex::new(lattice(4)),
-            generation: AtomicU64::new(0),
-        });
-        struct Shared(Arc<Flip>);
-        impl RawExchange for Shared {
-            fn exchange(&self, raw: Bytes) -> Bytes {
-                self.0.exchange(raw)
-            }
-        }
-        let link = Link::cached(
-            CacheLayer::new(
-                Box::new(Shared(Arc::clone(&server))),
-                PacketModel::default(),
-                Arc::new(ClientCache::new(1 << 20)),
-            ),
-            1.0,
-        );
+        let server = Live::new(lattice(4), 8);
+        let link = live_link(&server, 1 << 20);
         let big = w(0.0, 0.0, 4.0, 4.0);
         assert_eq!(link.request(&Request::Count(big)).into_count(), 16);
         assert_eq!(link.request(&Request::Count(big)).into_count(), 16, "hit");
         assert_eq!(link.cache().unwrap().snapshot().stats_hits, 1);
-        // Delete one object through the cache layer: the Ack bumps the
-        // cache's generation, so the primed count must NOT be served.
-        let ack = link.request(&Request::ApplyUpdates(vec![crate::proto::Update::Delete(
-            0,
-        )]));
-        assert_eq!(ack, Response::Ack { generation: 1 });
+        assert_eq!(link.request(&Request::Window(big)).into_objects().len(), 16);
+        // Delete one object through the cache layer: the Ack tells the
+        // store the servers moved on — and nothing more is sent for it.
+        let before = link.meter().snapshot();
+        assert_eq!(link.request(&delete(0)), Response::Ack { generation: 1 });
         assert_eq!(link.last_generation(), 1);
+        let store = Arc::clone(link.cache().unwrap().store());
+        assert_eq!((store.generation(), store.content_generation()), (1, 0));
+        let update = link.meter().snapshot().since(&before);
+        assert_eq!(update.total_queries(), 0, "an update is not a query");
+        // The next lookup buys the change list — one exchange, counted as
+        // an object download — and the primed count answers, patched.
+        let before = link.meter().snapshot();
         assert_eq!(
             link.request(&Request::Count(big)).into_count(),
             15,
             "a stale cached count must never be served after the bump"
         );
-        // And the fresh gen-1 entry is hot again.
+        let caught_up = link.meter().snapshot().since(&before);
+        assert_eq!(
+            (caught_up.window_queries, caught_up.total_queries()),
+            (1, 1)
+        );
+        assert_eq!(caught_up.objects_received, 1, "one remove");
+        assert_eq!(store.content_generation(), 1);
+        assert_eq!(link.cache().unwrap().snapshot().stats_hits, 2);
+        // And everything is hot again.
         let before = link.meter().snapshot();
         assert_eq!(link.request(&Request::Count(big)).into_count(), 15);
         assert_eq!(link.meter().snapshot(), before);
+    }
+
+    #[test]
+    fn a_list_known_to_cost_more_than_the_content_is_not_bought() {
+        let server = Live::new(lattice(4), 8);
+        let link = live_link(&server, 1 << 20);
+        let (big, corner) = (w(0.0, 0.0, 4.0, 4.0), w(0.0, 0.0, 1.0, 1.0));
+        // One count: 57 + 49 bytes to ask again. The list of a delete
+        // sent through this store is known to be one op: 49 + 75 bytes.
+        assert_eq!(link.request(&Request::Count(big)).into_count(), 16);
+        link.request(&delete(0));
+        let before = link.meter().snapshot();
+        assert_eq!(link.request(&Request::Count(big)).into_count(), 15);
+        let asked = link.meter().snapshot().since(&before);
+        assert_eq!((asked.count_queries, asked.total_queries()), (1, 1));
+        // Two counts are worth it.
+        assert_eq!(link.request(&Request::Count(corner)).into_count(), 3);
+        link.request(&delete(1));
+        let before = link.meter().snapshot();
+        assert_eq!(link.request(&Request::Count(big)).into_count(), 14);
+        assert_eq!(link.request(&Request::Count(corner)).into_count(), 2);
+        let asked = link.meter().snapshot().since(&before);
+        assert_eq!((asked.window_queries, asked.total_queries()), (1, 1));
+        // A bump learnt from a stamp has no known size: the list is asked
+        // for whatever the store holds, if it holds anything.
+        server.exchange(encode_request(&delete(2)));
+        assert_eq!(
+            link.request(&Request::Count(w(9.0, 9.0, 9.5, 9.5)))
+                .into_count(),
+            0
+        );
+        let before = link.meter().snapshot();
+        assert_eq!(link.request(&Request::Count(big)).into_count(), 13);
+        assert_eq!(
+            link.meter().snapshot(),
+            before,
+            "patched when the stamp was heard"
+        );
+    }
+
+    #[test]
+    fn a_log_that_no_longer_reaches_back_purges_the_store() {
+        let server = Live::new(lattice(4), 1);
+        let link = live_link(&server, 1 << 20);
+        let big = w(0.0, 0.0, 4.0, 4.0);
+        link.request(&Request::Window(big));
+        link.request(&Request::EpsRange { q: big, eps: 9.0 });
+        let store = Arc::clone(link.cache().unwrap().store());
+        // Two batches with no read in between: the second is sent with
+        // the store a generation behind, and asks nothing for it.
+        link.request(&delete(0));
+        let before = link.meter().snapshot();
+        link.request(&delete(1));
+        assert_eq!(link.meter().snapshot().since(&before).total_queries(), 0);
+        assert_eq!((store.generation(), store.content_generation()), (2, 0));
+        // The server keeps one batch: `since 0` is refused, everything
+        // goes, and the answer is a fresh download at generation 2.
+        assert_eq!(link.request(&Request::Count(big)).into_count(), 14);
+        assert_eq!(store.content_generation(), 2);
+        assert_eq!(
+            (
+                store.cached_windows(),
+                store.cached_probes(),
+                store.cached_counts()
+            ),
+            (0, 0, 1)
+        );
+        assert_eq!(store.resident_bytes(), 0);
+        let snap = link.cache().unwrap().snapshot();
+        assert_eq!(
+            (snap.stats_hits, snap.evictions),
+            (0, 0),
+            "a purge is not an eviction"
+        );
+    }
+
+    #[test]
+    fn a_third_partys_update_is_learnt_from_a_stamp_and_patched_in() {
+        let server = Live::new(lattice(4), 8);
+        let link = live_link(&server, 1 << 20);
+        let (big, corner) = (w(0.0, 0.0, 4.0, 4.0), w(-1.0, -1.0, 1.5, 1.5));
+        let origin = w(0.0, 0.0, 0.0, 0.0);
+        assert_eq!(link.request(&Request::Count(big)).into_count(), 16);
+        let probe = Request::EpsRange {
+            q: origin,
+            eps: 1.0,
+        };
+        assert_eq!(link.request(&probe).into_objects().len(), 3);
+        // Somebody else deletes object 0. This link has no way to know
+        // until a reply says so: its hits stay at generation 0.
+        server.exchange(encode_request(&delete(0)));
+        assert_eq!(link.request(&Request::Count(big)).into_count(), 16);
+        assert_eq!(link.last_generation(), 0);
+        // A batch with a miss in it hears the stamp: the store catches up
+        // and the whole batch answers at generation 1.
+        let mut counts = Vec::new();
+        link.request_many(&[Request::Count(big), Request::Count(corner)], |resp| {
+            counts.push(resp.into_count())
+        });
+        assert_eq!(counts, [15, 3]);
+        assert_eq!(link.last_generation(), 1);
+        // The probe answer was never re-sent: it was patched.
+        let before = link.meter().snapshot();
+        assert_eq!(link.request(&probe).into_objects().len(), 2);
+        assert_eq!(link.meter().snapshot(), before);
+    }
+
+    #[test]
+    fn repeated_eps_range_is_answered_from_the_probe_tier() {
+        let cached = cached_link(lattice(10), 1 << 20);
+        let plain = plain_link(lattice(10));
+        let probe = Request::EpsRange {
+            q: Rect::point(asj_geom::Point::new(3.0, 3.0)),
+            eps: 2.0,
+        };
+        let want = plain.request(&probe).into_objects();
+        assert_eq!(cached.request(&probe).into_objects(), want);
+        let before = cached.meter().snapshot();
+        assert_eq!(cached.request(&probe).into_objects(), want);
+        assert_eq!(
+            cached.meter().snapshot(),
+            before,
+            "a probe hit is not a message"
+        );
+        // Bit-exact keys: the same probe at another ε is another probe.
+        let wider = Request::EpsRange {
+            q: Rect::point(asj_geom::Point::new(3.0, 3.0)),
+            eps: 2.5,
+        };
+        assert_eq!(cached.request(&wider), plain.request(&wider));
+        let snap = cached.cache().unwrap().snapshot();
+        assert_eq!((snap.probe_hits, snap.probe_misses), (1, 2));
+        assert_eq!(
+            snap.resident_bytes, 0,
+            "probes are not charged to the window budget"
+        );
+        assert_eq!(cached.cache().unwrap().store().cached_probes(), 2);
     }
 
     #[test]
@@ -1075,8 +1636,8 @@ mod tests {
 
     #[test]
     fn stats_tier_is_bounded_by_the_cap() {
-        // Budget 400 → cap max(256, 10) = 256 exact entries.
-        let store = Arc::new(ClientCache::new(400));
+        // Budget 10 240 → 256 exact entries.
+        let store = Arc::new(ClientCache::new(10_240));
         for i in 0..1000 {
             store.observe_count(&w(i as f64, 0.0, i as f64 + 1.0, 1.0), i, 0);
         }
@@ -1089,6 +1650,24 @@ mod tests {
         assert_eq!(store.cached_counts(), before);
         // The latest observation is always resident.
         assert_eq!(store.count(&w(999.0, 0.0, 1000.0, 1.0), 0), Some(999));
+        // The probe tier has the same cap, and its own: oldest out first.
+        for i in 0..300 {
+            store.admit_probe(&w(i as f64, 0.0, i as f64, 0.0), 1.0, &[], 0);
+        }
+        assert_eq!((store.cached_probes(), store.cached_counts()), (256, 256));
+        assert!(store.eps_range(&w(43.0, 0.0, 43.0, 0.0), 1.0, 0).is_none());
+        assert!(store.eps_range(&w(44.0, 0.0, 44.0, 0.0), 1.0, 0).is_some());
+        // A budget of nothing holds nothing, in any tier.
+        let none = ClientCache::new(0);
+        none.observe_count(&w(0.0, 0.0, 1.0, 1.0), 1, 0);
+        none.admit_probe(&w(0.0, 0.0, 0.0, 0.0), 1.0, &[], 0);
+        none.admit_window(&w(0.0, 0.0, 1.0, 1.0), &[], 0);
+        let held = (
+            none.cached_counts(),
+            none.cached_probes(),
+            none.cached_windows(),
+        );
+        assert_eq!(held, (0, 0, 0));
     }
 
     #[test]

@@ -9,11 +9,53 @@
 //! `asj-workloads` rounds coordinates through `f32` at creation time, which
 //! the integration tests rely on when comparing against brute-force ground
 //! truth computed on the original data.
+//!
+//! # The `Changes` exchange (normative)
+//!
+//! All integers are big-endian; an *object record* is the 20-byte
+//! `id: u32, min.x, min.y, max.x, max.y: f32` of every other frame.
+//!
+//! ## Requirement: request layout
+//! A `Changes` request SHALL be 9 bytes: opcode `0x09`, then `since: u64`,
+//! the generation the sender's copy of the dataset is current at. On a v2
+//! link it rides the 1-byte `0x71` marker like every request.
+//!
+//! ## Requirement: response layout
+//! A `Changes` response SHALL be opcode `0x93`, `n: u32`, then `n` ops of
+//! 21 bytes each — tag `0x01` (remove) or `0x02` (add), then an object
+//! record — in the order the store applied them. The layout is the same on
+//! v1 and v2 links. The frame SHALL be prefixed with the generation stamp
+//! of the link's wire version, naming the generation the ops *reach*.
+//!
+//! - **WHEN** a live store's change log covers every generation after
+//!   `since` **THEN** it answers the ops of those generations, oldest
+//!   first, stamped with its current generation; `since` equal to the
+//!   current generation answers `n = 0`.
+//! - **WHEN** an id is removed **THEN** the record carries the MBR the
+//!   store held it at, so a receiver holding only counts can tell which
+//!   of them lose one.
+//! - **WHEN** the store is frozen, or its log no longer reaches `since`
+//!   **THEN** it answers `Refused` (`0x87`) and the receiver SHALL discard
+//!   what it derived from older generations.
+//! - **WHEN** a tag is neither `0x01` nor `0x02`, or the frame ends inside
+//!   an op **THEN** the frame SHALL be rejected whole.
+//!
+//! ## Example
+//! Object 7 moved from the point (1, 2) to the point (3, 2) between
+//! generations 41 and 42, asked and answered over v1:
+//!
+//! ```text
+//! request   09 0000000000000029
+//! response  8A 000000000000002A                      stamp: generation 42
+//!           93 00000002                              2 ops
+//!           01 00000007 3F800000 40000000 3F800000 40000000   remove 7 at (1, 2)
+//!           02 00000007 40400000 40000000 40400000 40000000   add 7 at (3, 2)
+//! ```
 
 use asj_geom::{Point, Rect, SpatialObject};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::proto::{Request, Response, Update};
+use crate::proto::{DeltaOp, Request, Response, Update};
 
 /// Wire size of one spatial object (`Bobj`).
 pub const OBJ_BYTES: u64 = 20;
@@ -86,6 +128,14 @@ pub const ACK_BYTES: u64 = 1 + 8;
 /// frames carry **no** stamp, so frozen-store traffic is bit-for-bit the
 /// pre-generation wire format.
 pub const GEN_STAMP_BYTES: u64 = 1 + 8;
+/// Wire size of a `Changes` request (opcode + u64 `since`).
+pub const CHANGES_QUERY_BYTES: u64 = 1 + 8;
+/// Fixed overhead of a `Changes` response (opcode + u32 n); each op adds
+/// [`CHANGE_OP_BYTES`].
+pub const CHANGES_HEADER_BYTES: u64 = 1 + 4;
+/// Wire size of one op inside a `Changes` response (tag + object record —
+/// a remove names the MBR it takes the id out at).
+pub const CHANGE_OP_BYTES: u64 = 1 + OBJ_BYTES;
 /// Wire size of the retry-dedup envelope prefixed to `ApplyUpdates`
 /// requests when a [`crate::packet::RetryPolicy`] is enabled (opcode +
 /// u64 nonce + u64 seq). With retries off the envelope is never attached
@@ -178,6 +228,7 @@ pub(crate) mod op {
     /// instead of double-applying (see `QueryHandler::
     /// handle_tagged_updates`).
     pub const APPLY_UPDATES_SEQ: u8 = 0x08;
+    pub const CHANGES: u8 = 0x09;
     pub const COOP_LEVEL_MBRS: u8 = 0x10;
     pub const COOP_FILTER: u8 = 0x11;
     pub const COOP_JOIN_PUSH: u8 = 0x12;
@@ -194,6 +245,14 @@ pub(crate) mod op {
     /// Not a response in its own right: the generation-stamp envelope
     /// prefix. `[R_GEN][u64 generation][response frame]`.
     pub const R_GEN: u8 = 0x8A;
+
+    /// `[R_CHANGES][u32 n]` then `n` ops (see the `Changes` block in the
+    /// module docs).
+    pub const R_CHANGES: u8 = 0x93;
+
+    /// Wire tags of the two [`crate::proto::DeltaOp`] kinds.
+    pub const CHG_REMOVE: u8 = 0x01;
+    pub const CHG_ADD: u8 = 0x02;
 
     /// Wire tags of the three [`crate::proto::Update`] kinds.
     pub const UPD_INSERT: u8 = 0x01;
@@ -288,6 +347,7 @@ pub fn request_wire_bytes(req: &Request) -> u64 {
         Request::ApplyUpdates(batch) => {
             UPDATES_HEADER_BYTES + batch.iter().map(update_wire_bytes).sum::<u64>()
         }
+        Request::Changes { .. } => CHANGES_QUERY_BYTES,
     }
 }
 
@@ -312,6 +372,7 @@ pub fn response_wire_bytes(resp: &Response) -> u64 {
         Response::Malformed => MALFORMED_BYTES,
         Response::Unavailable => UNAVAILABLE_BYTES,
         Response::Ack { .. } => ACK_BYTES,
+        Response::Changes(ops) => CHANGES_HEADER_BYTES + ops.len() as u64 * CHANGE_OP_BYTES,
     }
 }
 
@@ -445,6 +506,10 @@ pub fn encode_request_into(req: &Request, buf: &mut BytesMut) {
                 }
             }
         }
+        Request::Changes { since } => {
+            buf.put_u8(op::CHANGES);
+            buf.put_u64(*since);
+        }
     }
     debug_assert_eq!(
         (buf.len() - start) as u64,
@@ -535,6 +600,7 @@ pub fn wire_exact(req: &Request) -> Request {
                 })
                 .collect(),
         ),
+        Request::Changes { since } => Request::Changes { since: *since },
     }
 }
 
@@ -611,6 +677,14 @@ fn decode_request_body(mut buf: Bytes) -> Result<Request, CodecError> {
                 });
             }
             Ok(Request::ApplyUpdates(batch))
+        }
+        op::CHANGES => {
+            if buf.remaining() < 8 {
+                return Err(CodecError::Truncated);
+            }
+            Ok(Request::Changes {
+                since: buf.get_u64(),
+            })
         }
         other => Err(CodecError::UnknownOpcode(other)),
     }
@@ -691,6 +765,18 @@ pub fn encode_response_into(resp: &Response, buf: &mut BytesMut) {
         Response::Ack { generation } => {
             buf.put_u8(op::R_ACK);
             buf.put_u64(*generation);
+        }
+        Response::Changes(ops) => {
+            buf.put_u8(op::R_CHANGES);
+            buf.put_u32(ops.len() as u32);
+            for change in ops {
+                let (tag, o) = match change {
+                    DeltaOp::Remove { id, mbr } => (op::CHG_REMOVE, SpatialObject::new(*id, *mbr)),
+                    DeltaOp::Add(o) => (op::CHG_ADD, *o),
+                };
+                buf.put_u8(tag);
+                put_object(buf, &o);
+            }
         }
     }
     debug_assert_eq!(
@@ -896,6 +982,26 @@ pub fn decode_response(mut buf: Bytes) -> Result<Response, CodecError> {
             Ok(Response::Ack {
                 generation: buf.get_u64(),
             })
+        }
+        op::R_CHANGES => {
+            let n = get_u32(&mut buf)? as usize;
+            let mut ops = Vec::with_capacity(n.min(1 << 20));
+            for _ in 0..n {
+                if buf.remaining() < 1 {
+                    return Err(CodecError::Truncated);
+                }
+                let tag = buf.get_u8();
+                let o = get_object(&mut buf)?;
+                ops.push(match tag {
+                    op::CHG_REMOVE => DeltaOp::Remove {
+                        id: o.id,
+                        mbr: o.mbr,
+                    },
+                    op::CHG_ADD => DeltaOp::Add(o),
+                    tag => return Err(CodecError::UnknownOpcode(tag)),
+                });
+            }
+            Ok(Response::Changes(ops))
         }
         other => Err(CodecError::UnknownOpcode(other)),
     }
@@ -1484,6 +1590,79 @@ mod tests {
         let truncated = wrapped.slice(0..DEDUP_HEADER_BYTES as usize - 1);
         assert!(peel_dedup(&truncated).is_none());
         assert!(decode_request(truncated).is_err());
+    }
+
+    /// The bytes of the module docs' `Changes` example: per line, the
+    /// label dropped and every even-length hex token up to the comment.
+    fn doc_example(label: &str) -> Bytes {
+        let block = include_str!("codec.rs")
+            .split("//! ## Example")
+            .nth(1)
+            .and_then(|rest| rest.split("//! ```").nth(1))
+            .expect("the module docs carry the example block");
+        let is_hex = |t: &&str| t.len() % 2 == 0 && t.bytes().all(|b| b.is_ascii_hexdigit());
+        let mut bytes = Vec::new();
+        let mut on = false;
+        for line in block.lines().map(|l| l.trim_start_matches("//!")) {
+            let mut tokens = line.split_whitespace().peekable();
+            if tokens.peek().is_some_and(|t| !is_hex(t)) {
+                on = tokens.next() == Some(label);
+            }
+            for t in tokens.take_while(is_hex).filter(|_| on) {
+                let pairs = (0..t.len()).step_by(2);
+                bytes.extend(pairs.map(|i| u8::from_str_radix(&t[i..i + 2], 16).unwrap()));
+            }
+        }
+        Bytes::from(bytes)
+    }
+
+    #[test]
+    fn changes_doc_example_parses_and_roundtrips() {
+        let (req, resp) = (doc_example("request"), doc_example("response"));
+        assert_eq!(req.len() as u64, CHANGES_QUERY_BYTES);
+        assert_eq!(
+            resp.len() as u64,
+            GEN_STAMP_BYTES + CHANGES_HEADER_BYTES + 2 * CHANGE_OP_BYTES
+        );
+        let want_req = Request::Changes { since: 41 };
+        let want_resp = Response::Changes(vec![
+            DeltaOp::Remove {
+                id: 7,
+                mbr: obj(7, 1.0, 2.0).mbr,
+            },
+            DeltaOp::Add(obj(7, 3.0, 2.0)),
+        ]);
+        assert_eq!(decode_request(req.clone()).unwrap(), want_req);
+        assert_eq!(encode_request(&want_req), req);
+        assert_eq!(
+            decode_response_gen(resp.clone()).unwrap(),
+            (want_resp.clone(), 42)
+        );
+        let mut buf = BytesMut::new();
+        stamp_generation(42, &mut buf);
+        encode_response_into(&want_resp, &mut buf);
+        assert_eq!(buf.freeze(), resp);
+        // One layout for both versions: v2 differs in the marker and the
+        // stamp, never in the frame.
+        let mut v2 = BytesMut::new();
+        encode_response_versioned(&want_resp, WireVersion::V2, None, &mut v2);
+        assert_eq!(
+            v2.freeze(),
+            resp.slice(GEN_STAMP_BYTES as usize..resp.len())
+        );
+        assert_eq!(
+            encode_request_versioned(&want_req, WireVersion::V2)[1..],
+            req[..]
+        );
+        // A bad tag or a cut op rejects the frame whole.
+        let mut bad = resp[GEN_STAMP_BYTES as usize..].to_vec();
+        bad[CHANGES_HEADER_BYTES as usize] = 0x03;
+        assert_eq!(
+            decode_response(Bytes::from(bad)),
+            Err(CodecError::UnknownOpcode(0x03))
+        );
+        let cut = resp.slice(GEN_STAMP_BYTES as usize..resp.len() - 1);
+        assert_eq!(decode_response(cut), Err(CodecError::Truncated));
     }
 
     #[test]

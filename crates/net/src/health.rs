@@ -36,8 +36,8 @@
 //! already seen, so it is rejected — metered as real traffic, counted as a
 //! failure against the replica's health, and refetched from a sibling.
 //! The floor makes replica handoff invisible to everything above the
-//! router: the generation-keyed client cache never stores a stale window
-//! under a fresh key, and the never-wrong envelope of the chaos suites
+//! router: the client cache never admits a stale window at a fresh
+//! content generation, and the never-wrong envelope of the chaos suites
 //! survives arbitrary failover orders.
 //!
 //! EWMA failure rates are tracked per edge in integer parts-per-million

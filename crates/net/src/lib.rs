@@ -36,9 +36,9 @@
 //!   bounds, sub-batching, merging, metering per replica, per shard and in
 //!   aggregate — and is wire-identical to a flat deployment at N = 1;
 //! * [`cache`] — the **client-cache extension**: a [`CacheLayer`] answers
-//!   repeated `COUNT`s and contained `WINDOW`/ε-RANGE requests locally,
-//!   keyed by the serving generation so live updates need no invalidation
-//!   protocol. Gated by [`NetConfig::client_cache`], **off by default**
+//!   repeated `COUNT`s and ε-RANGE probes and contained `WINDOW`/ε-RANGE
+//!   requests locally, every entry at one content generation that a
+//!   `Changes` exchange carries over a live update. Gated by [`NetConfig::client_cache`], **off by default**
 //!   (off ⇒ byte-identical wire traffic), tallied in a [`CacheSnapshot`];
 //! * [`fault`] — the **deterministic fault injector**: a [`FaultLayer`]
 //!   replays scripted drops, garbled frames and crash-then-restart
@@ -175,6 +175,6 @@ pub use fault::{CrashPlan, FaultLayer, FaultPlan, FaultStats};
 pub use health::{BreakerConfig, BreakerState, EdgeHealth, HealthSnapshot, ReplicaSetHealth};
 pub use meter::{CacheSnapshot, CacheTelemetry, LinkMeter, LinkSnapshot};
 pub use packet::{NetConfig, PacketModel, RetryPolicy};
-pub use proto::{QueryHandler, Request, Response, Update};
+pub use proto::{DeltaOp, QueryHandler, Request, Response, Update};
 pub use router::{FleetSnapshot, ShardEndpoint, ShardMeta, ShardRouter, ShardTelemetry};
 pub use transport::{ChannelServer, Link, Pending, RawExchange, ServerHandle};

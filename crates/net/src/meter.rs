@@ -302,7 +302,8 @@ impl LinkMeter {
             Request::Count(_) | Request::AvgArea(_) | Request::MultiCount(_) => {
                 Some(&self.count_queries)
             }
-            Request::Window(_) => Some(&self.window_queries),
+            // A change list is an object download like a window's.
+            Request::Window(_) | Request::Changes { .. } => Some(&self.window_queries),
             Request::EpsRange { .. } => Some(&self.range_queries),
             Request::BucketEpsRange { .. } => Some(&self.bucket_queries),
             Request::CoopLevelMbrs(_)

@@ -52,6 +52,22 @@ pub enum Request {
     /// copy-on-write into a fresh store generation and acknowledged with
     /// the new generation number. Frozen stores answer [`Response::Refused`].
     ApplyUpdates(Vec<Update>),
+    /// Read-only: the ordered remove/add list that turns the dataset as
+    /// served at generation `since` into the one the reply is stamped
+    /// with. A store that is frozen, or whose change log no longer reaches
+    /// `since`, answers [`Response::Refused`].
+    Changes { since: u64 },
+}
+
+/// One step of the ordered remove/add list a live store turns an update
+/// batch into — what it path-copies into its index, and what
+/// [`Request::Changes`] ships to a client cache.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DeltaOp {
+    /// Take out the object `id`, which the store holds at exactly `mbr`.
+    Remove { id: u32, mbr: Rect },
+    /// Put in an object whose id the store does not hold.
+    Add(SpatialObject),
 }
 
 /// One element of a batched dataset update.
@@ -106,7 +122,8 @@ impl Request {
             | (Request::AvgArea(_), Response::Area(_))
             | (Request::CoopLevelMbrs(_), Response::Rects(_))
             | (Request::CoopJoinPush { .. }, Response::Pairs(_))
-            | (Request::ApplyUpdates(_), Response::Ack { .. }) => true,
+            | (Request::ApplyUpdates(_), Response::Ack { .. })
+            | (Request::Changes { .. }, Response::Changes(_)) => true,
             (Request::MultiCount(ws), Response::Counts(cs)) => ws.len() == cs.len(),
             (Request::BucketEpsRange { probes, .. }, Response::Buckets(bs)) => {
                 probes.len() == bs.len()
@@ -140,6 +157,8 @@ pub enum Response {
     /// Acknowledges [`Request::ApplyUpdates`]: the generation number of the
     /// freshly published snapshot.
     Ack { generation: u64 },
+    /// The ordered change list answering [`Request::Changes`].
+    Changes(Vec<DeltaOp>),
     /// The server could not decode the request frame. A *typed* error
     /// reply — answering it instead of panicking is what keeps a shared
     /// server thread serving its other devices when one client garbles a
@@ -167,6 +186,7 @@ impl Response {
         match self {
             Response::Objects(v) => v.len() as u64,
             Response::Buckets(b) => b.iter().map(|x| x.len() as u64).sum(),
+            Response::Changes(ops) => ops.len() as u64,
             _ => 0,
         }
     }

@@ -43,7 +43,9 @@
 //! tracks them in per-shard [`ShardMeta`]s, and reports the fleet
 //! generation with every merged response (0 on a frozen fleet). Owner
 //! routing needs a declared partition: a fleet whose shards carry no
-//! cells refuses updates.
+//! cells refuses updates. `Request::Changes` is refused here, with
+//! nothing sent: a sum of generations names no shard's `since` (a fleet of
+//! one edge passes it through like everything else).
 //!
 //! If any contacted shard answers [`Response::Refused`] (e.g. a
 //! cooperative query against a non-cooperative fleet), the merged answer
@@ -568,8 +570,8 @@ impl ShardRouter {
         let meta = &self.telemetry.metas[f.shard];
         // The generation floor: a read reply stamped below the highest
         // generation already observed from this shard came from a
-        // lagging replica. Serving it would hand a generation-keyed
-        // cache (and the client) state known to be superseded, so it is
+        // lagging replica. Serving it would hand the cache (and the
+        // client) state known to be superseded, so it is
         // rejected like a lost exchange — metered, noted on the breaker,
         // re-fetched from a sibling. Only replica *sets* are floored: a
         // single-replica shard has no sibling to lag behind, its sole
@@ -718,8 +720,9 @@ impl ShardRouter {
     /// the sub-request *is* the request — and returns, for the batched
     /// kinds, which probes each shard was sent. Every rectangle decision
     /// is taken on the request's [`wire_exact`] form, returned for the
-    /// merge. `AvgArea` opens with its COUNT round; `ApplyUpdates`
-    /// scatters nothing here — both finish in [`ShardRouter::merge`].
+    /// merge. `AvgArea` opens with its COUNT round; `ApplyUpdates` and
+    /// `Changes` scatter nothing here — all three finish in
+    /// [`ShardRouter::merge`].
     fn scatter<'a>(
         &self,
         slot: usize,
@@ -774,7 +777,7 @@ impl ShardRouter {
                     eps: *eps,
                 }))
             }),
-            Request::ApplyUpdates(_) => {}
+            Request::ApplyUpdates(_) | Request::Changes { .. } => {}
         }
         (exact, picks)
     }
@@ -832,6 +835,9 @@ impl ShardRouter {
                 Response::Rects(mbrs)
             }
             Request::ApplyUpdates(batch) => self.apply_updates(batch),
+            // The fleet generation is a sum over shards: no shard can be
+            // asked for what changed since it. Refused here, nothing sent.
+            Request::Changes { .. } => Response::Refused,
             Request::CoopJoinPush { .. } => {
                 let mut merged = Vec::new();
                 for (_, resp) in replies {

@@ -8,7 +8,9 @@
 //! 4-shard × 2-replica fleet with no-op fault layers, retry and breakers
 //! on allocate exactly as often as through a flat link; so do they
 //! through a 1 × 1 fleet; a cache hit allocates nothing for a COUNT and
-//! only its answer for a WINDOW. These are the numbers the stack reaches,
+//! only its answer for a WINDOW or an ε-RANGE, whether a cached window
+//! contains the probe or the probe tier holds it. These are the numbers
+//! the stack reaches,
 //! pinned: a `Vec` that creeps back into a per-request path fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -144,7 +146,21 @@ fn a_cache_hit_allocates_only_its_answer() {
     assert_eq!(allocations(&cached, &count), 0, "COUNT hit");
     // The four objects of the answer, in one `Vec`; nothing else.
     assert_eq!(allocations(&cached, &window), 1, "WINDOW hit");
+    // An ε-RANGE: derived from the window, and — reaching past it — from
+    // the probe tier's copy of the server's own answer.
+    let probe = |eps| Request::EpsRange {
+        q: Rect::from_coords(15.0, 15.0, 15.0, 15.0),
+        eps,
+    };
+    assert_eq!(
+        allocations(&cached, &probe(8.0)),
+        1,
+        "contained ε-RANGE hit"
+    );
+    assert_eq!(allocations(&cached, &probe(40.0)), 1, "probe-tier hit");
     let snap = cached.cache().unwrap().snapshot();
     assert!(snap.stats_hits >= 9 && snap.window_hits >= 9, "{snap:?}");
-    assert_eq!(cached.meter().snapshot().window_queries, 1);
+    assert_eq!((snap.probe_hits, snap.probe_misses), (17, 1), "{snap:?}");
+    let wire = cached.meter().snapshot();
+    assert_eq!((wire.window_queries, wire.range_queries), (1, 1));
 }

@@ -2,19 +2,21 @@
 //! window/query workloads, locally-filtered answers from a cached
 //! superset window must equal a fresh server download (dedup-normalized),
 //! including ε/2-extension derivations and degenerate (point) rectangles.
-//! A second suite interleaves live update batches with the queries and
-//! proves the generation-keyed cache never serves a stale answer.
+//! A second suite interleaves update batches — sent through the cached
+//! link, and by a third party through a link of its own — with the
+//! queries against the real live server, and proves that every cached
+//! answer is the server's answer at the generation it reports: entries
+//! patched by a change list, entries dropped by a purge and answers re-asked
+//! after a racing bump alike.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use asj_geom::{Point, Rect, SpatialObject};
 use asj_net::cache::{CacheLayer, ClientCache};
-use asj_net::codec::{encode_response_versioned, stamp_generation_versioned, WireVersion};
 use asj_net::testutil::ScanHandler as Scan;
 use asj_net::transport::InProcExchange;
 use asj_net::{Link, PacketModel, QueryHandler, Request, Response, Update};
-use bytes::BytesMut;
+use asj_server::{apply_updates_to, RTreeStore, SpatialService, VersionedStore};
 use proptest::prelude::*;
 
 /// f32-representable coordinates on a coarse grid, so random rectangles
@@ -135,73 +137,18 @@ proptest! {
     }
 }
 
-/// Reference update semantics, shared by the live test double and the
-/// offline mirror so both evolve identically: Insert/Move upsert by id,
-/// Delete is a no-op when absent.
-fn apply_all(objects: &mut Vec<SpatialObject>, batch: &[Update]) {
-    fn upsert(objects: &mut Vec<SpatialObject>, o: SpatialObject) {
-        match objects.iter_mut().find(|e| e.id == o.id) {
-            Some(e) => *e = o,
-            None => objects.push(o),
-        }
-    }
-    for u in batch {
-        match *u {
-            Update::Insert(o) => upsert(objects, o),
-            Update::Move { id, to } => upsert(objects, SpatialObject::new(id, to)),
-            Update::Delete(id) => objects.retain(|o| o.id != id),
-        }
-    }
-}
-
-/// Live scan server: applies update batches under a lock, bumps its
-/// generation per batch, and stamps every query response with it — the
-/// minimal server contract the generation-keyed cache relies on.
-struct LiveScan {
-    objects: Mutex<Vec<SpatialObject>>,
-    generation: AtomicU64,
-}
-
-impl LiveScan {
-    fn new(objects: Vec<SpatialObject>) -> Self {
-        LiveScan {
-            objects: Mutex::new(objects),
-            generation: AtomicU64::new(0),
-        }
-    }
-}
-
-impl QueryHandler for LiveScan {
-    fn handle(&self, req: Request) -> Response {
-        match req {
-            Request::ApplyUpdates(batch) => {
-                let mut objects = self.objects.lock().unwrap();
-                apply_all(&mut objects, &batch);
-                Response::Ack {
-                    generation: self.generation.fetch_add(1, Ordering::AcqRel) + 1,
-                }
-            }
-            other => Scan(self.objects.lock().unwrap().clone()).handle(other),
-        }
-    }
-
-    fn handle_into(&self, req: Request, wire: WireVersion, buf: &mut BytesMut) {
-        let is_update = matches!(req, Request::ApplyUpdates(_));
-        let resp = self.handle(req);
-        if !is_update {
-            stamp_generation_versioned(self.generation.load(Ordering::Acquire), wire, buf);
-        }
-        // No quantization context: v2 objects ship as exact-f32 escapes,
-        // which decode bit-equal to v1 without the window grid.
-        encode_response_versioned(&resp, wire, None, buf);
-    }
-}
-
-/// One step of the live workload: a query or an update batch.
+/// One step of the live workload.
 #[derive(Debug, Clone)]
 enum Step {
+    /// One query through the cached link.
     Query(Op),
+    /// Several queries in one `request_many`: hits and misses side by side.
+    Batch(Vec<Op>),
+    /// An update batch sent through the cached link, which hears its Ack …
     Update(Vec<Update>),
+    /// … or by somebody else through a link of their own: the cache can
+    /// only learn of it from the stamp of a later reply.
+    ThirdParty(Vec<Update>),
 }
 
 fn update() -> impl Strategy<Value = Update> {
@@ -212,79 +159,269 @@ fn update() -> impl Strategy<Value = Update> {
     ]
 }
 
-// The staleness oracle: after any interleaving of update batches and
-// queries, the generation-keyed cache never serves an object set (or
-// count) differing from a fresh evaluation of the server's *current*
-// state — stale entries stop matching by keying alone, with no
-// invalidation protocol anywhere.
-proptest! {
-    #[test]
-    fn generation_keyed_cache_never_serves_stale_answers(
-        objects in prop::collection::vec(object(), 0..40),
-        bases in prop::collection::vec(rect(), 1..6),
-        steps in prop::collection::vec(
-            prop_oneof![
-                op(6).prop_map(Step::Query),
-                op(6).prop_map(Step::Query),
-                op(6).prop_map(Step::Query),
-                prop::collection::vec(update(), 1..8).prop_map(Step::Update),
-            ],
-            1..30,
-        ),
-        budget in prop_oneof![Just(400u64), Just(1u64 << 20)],
-    ) {
-        let server = Arc::new(LiveScan::new(objects.clone()));
-        let cached = Link::cached(
-            CacheLayer::new(
-                Box::new(InProcExchange::new(Arc::clone(&server))),
-                PacketModel::default(),
-                Arc::new(ClientCache::new(budget)),
-            ),
-            1.0,
+/// Queries drawn from few enough windows and ε values that a script asks
+/// the same one again after an update: only a repeat can be a stale hit.
+fn live_op() -> impl Strategy<Value = Op> {
+    (
+        0u8..4,
+        0..3usize,
+        derive(),
+        (0u32..4).prop_map(|v| v as f64 * 0.5),
+    )
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    let batch = || prop::collection::vec(update(), 1..8);
+    prop_oneof![
+        live_op().prop_map(Step::Query),
+        live_op().prop_map(Step::Query),
+        live_op().prop_map(Step::Query),
+        prop::collection::vec(live_op(), 2..6).prop_map(Step::Batch),
+        batch().prop_map(Step::Update),
+        batch().prop_map(Step::ThirdParty),
+    ]
+}
+
+/// Objects (ids made unique — the live store's contract), base windows,
+/// the script, and the cache's window budget.
+type LiveCase = (Vec<SpatialObject>, Vec<Rect>, Vec<Step>, u64);
+
+fn live_case() -> impl Strategy<Value = LiveCase> {
+    let objects = prop::collection::vec(object(), 0..40).prop_map(|mut objects| {
+        objects.sort_unstable_by_key(|o| o.id);
+        objects.dedup_by_key(|o| o.id);
+        objects
+    });
+    (
+        objects,
+        prop::collection::vec(rect(), 1..4),
+        prop::collection::vec(step(), 1..40),
+        prop_oneof![Just(400u64), Just(1u64 << 20)],
+    )
+}
+
+fn request((kind, base, how, e): Op, bases: &[Rect]) -> Request {
+    let w = apply(&bases[base % bases.len()], how, e);
+    match kind {
+        0 => Request::Window(w),
+        1 => Request::Count(w),
+        2 => Request::EpsRange { q: w, eps: e },
+        _ => Request::MultiCount(bases.iter().map(|b| apply(b, how, e)).collect()),
+    }
+}
+
+/// Order-free form of an answer: the cache answers as a set.
+fn normalized(resp: Response) -> Response {
+    match resp {
+        Response::Objects(mut objects) => {
+            objects.sort_unstable_by_key(|o| o.id);
+            Response::Objects(objects)
+        }
+        other => other,
+    }
+}
+
+type LiveServer = Arc<SpatialService<VersionedStore<RTreeStore>>>;
+
+fn live_server(objects: &[SpatialObject]) -> LiveServer {
+    let store = VersionedStore::new(objects.to_vec(), RTreeStore::new);
+    Arc::new(SpatialService::new(store))
+}
+
+fn cached_link(server: &LiveServer, store: &Arc<ClientCache>) -> Link {
+    let carrier = Box::new(InProcExchange::new(Arc::clone(server)));
+    let layer = CacheLayer::new(carrier, PacketModel::default(), Arc::clone(store));
+    Link::cached(layer, 1.0)
+}
+
+/// The property: whatever the interleaving, every answer the cached link
+/// hands back is — as a set — what the server answers at the generation
+/// the link reports for it, which is never behind a generation the link
+/// itself was acknowledged; a batch answers at one generation. `prepare`
+/// gets at the store before the script runs (the planted-bug runs).
+fn cached_answers_are_the_servers(
+    (objects, bases, steps, budget): LiveCase,
+    prepare: impl Fn(&ClientCache),
+) -> Result<(), TestCaseError> {
+    let server = live_server(&objects);
+    let store = Arc::new(ClientCache::new(budget));
+    prepare(&store);
+    let cached = cached_link(&server, &store);
+    let uncached = Link::in_process(Arc::clone(&server), PacketModel::default(), 1.0);
+    // The dataset at every generation so far, and the newest generation
+    // the cached link was itself told of.
+    let mut states = vec![objects];
+    let mut heard = 0;
+    let check = |reqs: &[Request], got: Vec<Response>, states: &[Vec<SpatialObject>], heard| {
+        let at = cached.last_generation();
+        prop_assert!(
+            heard <= at && (at as usize) < states.len(),
+            "reported {}",
+            at
         );
-        let mut mirror = objects;
-        let mut batches = 0u64;
-        for step in steps {
-            match step {
-                Step::Update(batch) => {
-                    batches += 1;
-                    let resp = cached.request(&Request::ApplyUpdates(batch.clone()));
-                    prop_assert_eq!(resp, Response::Ack { generation: batches });
-                    apply_all(&mut mirror, &batch);
-                }
-                Step::Query((kind, base, how, e)) => {
-                    let w = apply(&bases[base % bases.len()], how, e);
-                    let oracle = Scan(mirror.clone());
-                    match kind {
-                        0 => prop_assert_eq!(
-                            ids(cached.request(&Request::Window(w)).into_objects()),
-                            ids(oracle.handle(Request::Window(w)).into_objects()),
-                            "WINDOW({:?}) after {} batches", w, batches
-                        ),
-                        1 => prop_assert_eq!(
-                            cached.request(&Request::Count(w)).into_count(),
-                            oracle.handle(Request::Count(w)).into_count(),
-                            "COUNT({:?}) after {} batches", w, batches
-                        ),
-                        2 => prop_assert_eq!(
-                            ids(cached.request(&Request::EpsRange { q: w, eps: e }).into_objects()),
-                            ids(oracle.handle(Request::EpsRange { q: w, eps: e }).into_objects()),
-                            "EPS({:?}, {}) after {} batches", w, e, batches
-                        ),
-                        _ => {
-                            let windows: Vec<Rect> =
-                                bases.iter().map(|b| apply(b, how, e)).collect();
-                            prop_assert_eq!(
-                                cached.request(&Request::MultiCount(windows.clone())).into_counts(),
-                                oracle.handle(Request::MultiCount(windows)).into_counts(),
-                                "MULTI({:?}, {}) after {} batches", how, e, batches
-                            );
-                        }
-                    }
+        let oracle = Scan(states[at as usize].clone());
+        for (req, got) in reqs.iter().zip(got) {
+            let got = normalized(got);
+            let want = normalized(oracle.handle(req.clone()));
+            prop_assert_eq!(&got, &want, "{:?} at generation {}", req, at);
+            if at as usize == states.len() - 1 {
+                // Current: the server itself, asked without a cache, agrees.
+                prop_assert_eq!(&got, &normalized(uncached.request(req)), "{:?}", req);
+            }
+        }
+        Ok(())
+    };
+    for step in steps {
+        let through_cache = matches!(step, Step::Update(_));
+        match step {
+            Step::Query(op) => {
+                let req = request(op, &bases);
+                check(
+                    std::slice::from_ref(&req),
+                    vec![cached.request(&req)],
+                    &states,
+                    heard,
+                )?;
+            }
+            Step::Batch(ops) => {
+                let reqs: Vec<Request> = ops.into_iter().map(|op| request(op, &bases)).collect();
+                let mut got = Vec::new();
+                cached.request_many(&reqs, |resp| got.push(resp));
+                check(&reqs, got, &states, heard)?;
+            }
+            Step::Update(batch) | Step::ThirdParty(batch) => {
+                let generation = states.len() as u64;
+                let link = if through_cache { &cached } else { &uncached };
+                let ack = link.request(&Request::ApplyUpdates(batch.clone()));
+                prop_assert_eq!(ack, Response::Ack { generation });
+                let mut next = states[states.len() - 1].clone();
+                apply_updates_to(&mut next, &batch);
+                states.push(next);
+                if through_cache {
+                    heard = generation;
                 }
             }
         }
-        // The link heard every generation the server reached.
-        prop_assert_eq!(cached.last_generation(), batches);
     }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn cached_answers_equal_the_servers_at_the_generation_they_report(case in live_case()) {
+        cached_answers_are_the_servers(case, |_| {})?;
+    }
+}
+
+// Non-vacuity: a store that mis-applies change lists in either of the two
+// ways the instrument offers is caught by the property above.
+#[cfg(feature = "testing")]
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    #[should_panic(expected = "property failed")]
+    fn a_store_that_keeps_removed_probe_answers_fails_the_property(case in live_case()) {
+        let bug = asj_net::cache::PlantedBug::ProbeRemovesSkipped;
+        cached_answers_are_the_servers(case, |store| store.plant(bug))?;
+    }
+
+    #[test]
+    #[should_panic(expected = "property failed")]
+    fn a_store_that_never_lowers_a_count_fails_the_property(case in live_case()) {
+        let bug = asj_net::cache::PlantedBug::CountDecrementsSkipped;
+        cached_answers_are_the_servers(case, |store| store.plant(bug))?;
+    }
+}
+
+/// Sixteen points on a 4 × 4 lattice: the live store's log keeps two ops.
+fn lattice() -> Vec<SpatialObject> {
+    (0..16)
+        .map(|i| SpatialObject::point(i, (i % 4) as f64, (i / 4) as f64))
+        .collect()
+}
+
+fn shift(ids: std::ops::Range<u32>, by: f64) -> Request {
+    let moved = ids.map(|id| Update::Move {
+        id,
+        to: Rect::point(Point::new((id % 4) as f64 + by, (id / 4) as f64 + by)),
+    });
+    Request::ApplyUpdates(moved.collect())
+}
+
+/// The three ways a store gets from one generation to the next, pinned on
+/// the wire: a change list where the log reaches, a purge where it does
+/// not, and nothing at all for a store that holds nothing.
+#[test]
+fn a_bump_costs_a_change_list_a_purge_or_nothing() {
+    let server = live_server(&lattice());
+    let store = Arc::new(ClientCache::new(1 << 20));
+    let cached = cached_link(&server, &store);
+    let third_party = Link::in_process(Arc::clone(&server), PacketModel::default(), 1.0);
+    let all = Rect::from_coords(-1.0, -1.0, 9.0, 9.0);
+    let corner = Request::Count(Rect::from_coords(-1.0, -1.0, 1.25, 1.25));
+    // Nothing held: the first reply's stamp re-stamps the empty store.
+    third_party.request(&shift(0..1, 0.5));
+    assert_eq!(
+        cached.request(&Request::Window(all)).into_objects().len(),
+        16
+    );
+    assert_eq!(
+        cached.request(&corner).into_count(),
+        4,
+        "derived from the window"
+    );
+    let primed = cached.meter().snapshot();
+    assert_eq!((primed.total_queries(), store.content_generation()), (1, 1));
+    // One batch behind: two moves are four ops, and the newest batch is
+    // always in the log. The window and what derives from it stay.
+    cached.request(&shift(0..2, 2.0));
+    assert_eq!(
+        cached.request(&corner).into_count(),
+        2,
+        "objects 0 and 1 left"
+    );
+    let caught_up = cached.meter().snapshot().since(&primed);
+    assert_eq!((caught_up.window_queries, caught_up.count_queries), (1, 0));
+    assert_eq!(caught_up.objects_received, 4);
+    assert_eq!(store.content_generation(), 2);
+    // Two batches behind: the log has dropped the older one, the server
+    // refuses, and the store starts over with a fresh download.
+    third_party.request(&shift(4..6, 0.25));
+    cached.request(&shift(8..10, 0.25));
+    let before = cached.meter().snapshot();
+    assert_eq!(cached.request(&corner), third_party.request(&corner));
+    let purged = cached.meter().snapshot().since(&before);
+    assert_eq!((purged.window_queries, purged.count_queries), (1, 1));
+    assert_eq!((purged.objects_received, store.resident_bytes()), (0, 0));
+    assert_eq!(store.content_generation(), 4);
+}
+
+/// An update lands between a batch's lookups and its shipped misses: the
+/// store catches up on the spot and the locally answered part is asked
+/// again, so the batch never hands back two generations side by side.
+#[test]
+fn a_bump_racing_a_batch_never_mixes_generations() {
+    let server = live_server(&lattice());
+    let store = Arc::new(ClientCache::new(1 << 20));
+    let cached = cached_link(&server, &store);
+    let third_party = Link::in_process(Arc::clone(&server), PacketModel::default(), 1.0);
+    let low = Request::Count(Rect::from_coords(-1.0, -1.0, 9.0, 1.5));
+    let high = Request::Count(Rect::from_coords(-1.0, 1.5, 9.0, 9.0));
+    assert_eq!(cached.request(&low).into_count(), 8);
+    // Object 0 jumps from the low band to the high one behind the cache's
+    // back: `low` would hit at generation 0, `high` is answered at 1.
+    third_party.request(&shift(0..1, 3.0));
+    let mut counts = Vec::new();
+    cached.request_many(&[low.clone(), high.clone()], |resp| {
+        counts.push(resp.into_count())
+    });
+    assert_eq!(counts, [7, 9], "[8, 9] is one object counted twice");
+    assert_eq!(
+        (cached.last_generation(), store.content_generation()),
+        (1, 1)
+    );
+    let before = cached.meter().snapshot();
+    assert_eq!(cached.request(&low).into_count(), 7);
+    assert_eq!(cached.meter().snapshot(), before, "and it is cached at 1");
 }

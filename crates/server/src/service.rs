@@ -77,6 +77,16 @@ impl<S: SpatialStore> SpatialService<S> {
             None => Response::Refused,
         }
     }
+
+    /// Answers `Changes { since }` — like an update, outside any pinned
+    /// snapshot (the log belongs to the live store, not to a generation)
+    /// — with the generation the ops reach, which is the reply's stamp.
+    fn changes(&self, since: u64) -> (Response, u64) {
+        match self.store.changes_since(since) {
+            Some((reached, ops)) => (Response::Changes(ops), reached),
+            None => (Response::Refused, self.store.generation()),
+        }
+    }
 }
 
 fn bucket_eps_range(
@@ -117,8 +127,9 @@ fn bucket_eps_range(
 
 /// Answers one query against a pinned store snapshot — the full dispatch,
 /// shared by [`QueryHandler::handle`] and the zero-copy `handle_into`
-/// (which overrides only the object-streaming arms). `ApplyUpdates` never
-/// reaches this: it is dispatched before the snapshot is pinned.
+/// (which overrides only the object-streaming arms). `ApplyUpdates` and
+/// `Changes` never reach this: they are dispatched before the snapshot is
+/// pinned.
 fn answer(
     store: &dyn SpatialStore,
     policy: ServicePolicy,
@@ -172,7 +183,9 @@ fn answer(
             };
             Response::Pairs(plane_sweep_join(&objects, &local, &pred))
         }
-        Request::ApplyUpdates(_) => unreachable!("ApplyUpdates is dispatched before pinning"),
+        Request::ApplyUpdates(_) | Request::Changes { .. } => {
+            unreachable!("dispatched before pinning")
+        }
     }
 }
 
@@ -209,8 +222,10 @@ impl<S: SpatialStore> QueryHandler for SpatialService<S> {
     }
 
     fn handle(&self, req: Request) -> Response {
-        if let Request::ApplyUpdates(batch) = req {
-            return self.apply(&batch);
+        match req {
+            Request::ApplyUpdates(batch) => return self.apply(&batch),
+            Request::Changes { since } => return self.changes(since).0,
+            _ => {}
         }
         let mut req = Some(req);
         let mut out = None;
@@ -236,15 +251,25 @@ impl<S: SpatialStore> QueryHandler for SpatialService<S> {
     /// answers, so the stamp can never disagree with the snapshot that
     /// produced the payload. Generation 0 stamps nothing: frozen-store
     /// traffic is bit-identical to the pre-generation wire format. Ack
-    /// frames are never stamped (the payload already is the generation).
+    /// frames are never stamped (the payload already is the generation);
+    /// a `Changes` answer is stamped with the generation its ops reach.
     /// The same single-traversal path serves both wire versions: the
     /// encoder is parameterized by the negotiated [`WireVersion`] and the
     /// request's quantization context, so v2 frames stream with the same
     /// exact-capacity reservation discipline (from the `*_BYTES_V2`
     /// bounds) as v1.
     fn handle_into(&self, req: Request, wire: WireVersion, buf: &mut BytesMut) {
-        if let Request::ApplyUpdates(batch) = req {
-            return asj_net::codec::encode_response_versioned(&self.apply(&batch), wire, None, buf);
+        match req {
+            Request::ApplyUpdates(batch) => {
+                let ack = self.apply(&batch);
+                return asj_net::codec::encode_response_versioned(&ack, wire, None, buf);
+            }
+            Request::Changes { since } => {
+                let (resp, reached) = self.changes(since);
+                asj_net::codec::stamp_generation_versioned(reached, wire, buf);
+                return asj_net::codec::encode_response_versioned(&resp, wire, None, buf);
+            }
+            _ => {}
         }
         // Derived from the *decoded* request — the post-f32-rounding
         // rectangle — so client and server agree on the grid bit-for-bit.
@@ -466,6 +491,38 @@ mod tests {
             Response::Ack { generation: 2 },
             "empty batches still tick the generation"
         );
+    }
+
+    #[test]
+    fn changes_are_stamped_with_the_generation_they_reach() {
+        use crate::versioned::VersionedStore;
+        use asj_net::codec::decode_response_gen;
+        use asj_net::{DeltaOp, Update};
+
+        let svc = SpatialService::new(VersionedStore::new(lattice(10), RTreeStore::new));
+        let ask = |svc: &dyn QueryHandler, since| {
+            let mut buf = BytesMut::new();
+            svc.handle_into(Request::Changes { since }, WireVersion::V1, &mut buf);
+            decode_response_gen(buf.freeze()).unwrap()
+        };
+        assert_eq!(ask(&svc, 0), (Response::Changes(Vec::new()), 0));
+        svc.handle(Request::ApplyUpdates(vec![Update::Delete(0)]));
+        svc.handle(Request::ApplyUpdates(vec![Update::Delete(1)]));
+        let gone = |id: u32| DeltaOp::Remove {
+            id,
+            mbr: lattice(10)[id as usize].mbr,
+        };
+        assert_eq!(ask(&svc, 0), (Response::Changes(vec![gone(0), gone(1)]), 2));
+        assert_eq!(ask(&svc, 1), (Response::Changes(vec![gone(1)]), 2));
+        assert_eq!(
+            svc.handle(Request::Changes { since: 2 }),
+            Response::Changes(Vec::new())
+        );
+        // Beyond the log a live store refuses, stamped like every live frame;
+        // a frozen one refuses unstamped.
+        assert_eq!(ask(&svc, 3), (Response::Refused, 2));
+        let frozen = SpatialService::new(RTreeStore::new(lattice(4)));
+        assert_eq!(ask(&frozen, 0), (Response::Refused, 0));
     }
 
     #[test]

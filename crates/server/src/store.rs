@@ -1,18 +1,9 @@
 //! Storage backends for a spatial service.
 
 use asj_geom::{Rect, SpatialObject};
+pub use asj_net::DeltaOp;
 use asj_net::Update;
 use asj_rtree::RTree;
-
-/// One step of the ordered remove/add list a live store turns an update
-/// batch into (see [`SpatialStore::with_delta`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DeltaOp {
-    /// Take out the object `id`, which the store holds at exactly `mbr`.
-    Remove { id: u32, mbr: Rect },
-    /// Put in an object whose id the store does not hold.
-    Add(SpatialObject),
-}
 
 /// What a server's storage layer must answer. All methods are read-only;
 /// services share a store across threads (`Sync`).
@@ -97,6 +88,14 @@ pub trait SpatialStore: Send + Sync {
     where
         Self: Sized,
     {
+        None
+    }
+    /// The ordered ops that turn the dataset as served at generation
+    /// `since` into the one served at the returned generation (the current
+    /// one). `None` — the default — from a frozen store, and from a live
+    /// one whose change log no longer reaches `since`; the service answers
+    /// `Refused`.
+    fn changes_since(&self, _since: u64) -> Option<(u64, Vec<DeltaOp>)> {
         None
     }
     /// Runs `f` against one consistent `(snapshot, generation)` pair. The

@@ -13,9 +13,12 @@
 //! index instead. Queries in flight keep the `Arc` of the snapshot they
 //! started on, so a swap never invalidates a traversal;
 //! [`SpatialStore::with_frozen`] pins one snapshot for an entire
-//! multi-part request.
+//! multi-part request. The remove/add lists of the latest batches stay in
+//! a bounded log beside the published generation, so a client that holds
+//! answers from one of them can ask what changed since
+//! ([`SpatialStore::changes_since`]) instead of downloading them again.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, RwLock};
 
 use asj_geom::{Rect, SpatialObject};
@@ -61,6 +64,15 @@ struct Generation<S> {
     number: u64,
 }
 
+/// What readers see: the current generation and how the latest ones came
+/// about. Both change together, under one write lock.
+struct Published<S> {
+    current: Generation<S>,
+    /// `(generation, the ops that produced it)`, consecutive generations
+    /// ending at the current one (empty until the first batch).
+    log: VecDeque<(u64, Vec<DeltaOp>)>,
+}
+
 impl<S> Clone for Generation<S> {
     fn clone(&self) -> Self {
         Generation {
@@ -84,16 +96,16 @@ struct Writer {
 }
 
 impl Writer {
-    /// The store that serves `base` + `batch`: `base` itself when the
-    /// batch changes nothing, else `base` with the batch's remove/add list
-    /// path-copied in, else — no delta form, or [`REPACK_SHARE`] exceeded —
-    /// a rebuild from the index.
+    /// The store that serves `base` + `batch` and the batch's remove/add
+    /// list: `base` itself when the list is empty, else `base` with the
+    /// list path-copied in, else — no delta form, or [`REPACK_SHARE`]
+    /// exceeded — a rebuild from the index.
     fn successor<S: SpatialStore>(
         &mut self,
         base: &Arc<S>,
         batch: &[Update],
         build: &dyn Fn(Vec<SpatialObject>) -> S,
-    ) -> Arc<S> {
+    ) -> (Arc<S>, Vec<DeltaOp>) {
         let index = self.index.get_or_insert_with(|| {
             let objects = objects_by_id(&**base);
             objects.into_iter().map(|o| (o.id, o.mbr)).collect()
@@ -113,17 +125,18 @@ impl Writer {
             ops.extend(to.map(|mbr| DeltaOp::Add(SpatialObject::new(id, mbr))));
         }
         if ops.is_empty() {
-            return Arc::clone(base);
+            return (Arc::clone(base), ops);
         }
         self.delta_ops += ops.len();
         let delta = (self.delta_ops * REPACK_SHARE <= index.len())
             .then(|| base.with_delta(&ops))
             .flatten();
-        Arc::new(delta.unwrap_or_else(|| {
+        let store = delta.unwrap_or_else(|| {
             self.delta_ops = 0;
             let objects = index.iter().map(|(&id, &mbr)| SpatialObject::new(id, mbr));
             build(objects.collect())
-        }))
+        });
+        (Arc::new(store), ops)
     }
 }
 
@@ -140,7 +153,7 @@ fn objects_by_id(store: &impl SpatialStore) -> Vec<SpatialObject> {
 /// production deployments use `VersionedStore<RTreeStore>`). Object ids
 /// must be unique within the store.
 pub struct VersionedStore<S: SpatialStore> {
-    current: RwLock<Generation<S>>,
+    published: RwLock<Published<S>>,
     build: Box<dyn Fn(Vec<SpatialObject>) -> S + Send + Sync>,
     /// Serializes writers so concurrent batches can't both build from the
     /// same base and lose one of the two. Readers never take this lock.
@@ -168,9 +181,12 @@ impl<S: SpatialStore> VersionedStore<S> {
         build: impl Fn(Vec<SpatialObject>) -> S + Send + Sync + 'static,
     ) -> Self {
         VersionedStore {
-            current: RwLock::new(Generation {
-                store: Arc::new(build(objects)),
-                number: generation,
+            published: RwLock::new(Published {
+                current: Generation {
+                    store: Arc::new(build(objects)),
+                    number: generation,
+                },
+                log: VecDeque::new(),
             }),
             build: Box::new(build),
             writer: Mutex::new(Writer::default()),
@@ -178,7 +194,8 @@ impl<S: SpatialStore> VersionedStore<S> {
     }
 
     fn snapshot(&self) -> Generation<S> {
-        self.current.read().expect("snapshot lock poisoned").clone()
+        let published = self.published.read().expect("snapshot lock poisoned");
+        published.current.clone()
     }
 
     /// Applies `batch` copy-on-write and publishes the result, returning
@@ -194,13 +211,23 @@ impl<S: SpatialStore> VersionedStore<S> {
         let base = self.snapshot();
         // Whatever is built is built outside the snapshot lock: readers
         // keep serving the old generation until the one-pointer swap below.
-        let store = if batch.is_empty() {
-            base.store
+        let (store, ops) = if batch.is_empty() {
+            (base.store, Vec::new())
         } else {
             writer.successor(&base.store, batch, &self.build)
         };
         let number = base.number + 1;
-        *self.current.write().expect("snapshot lock poisoned") = Generation { store, number };
+        // The log keeps whole batches while their ops add up to no more
+        // than a repack tolerates — never longer than the deltas the
+        // served tree itself carries — and always the newest batch.
+        let budget = store.len() / REPACK_SHARE;
+        let mut published = self.published.write().expect("snapshot lock poisoned");
+        published.current = Generation { store, number };
+        published.log.push_back((number, ops));
+        let mut logged: usize = published.log.iter().map(|(_, ops)| ops.len()).sum();
+        while logged > budget && published.log.len() > 1 {
+            logged -= published.log.pop_front().map_or(0, |(_, ops)| ops.len());
+        }
         number
     }
 
@@ -230,7 +257,11 @@ impl<S: SpatialStore> VersionedStore<S> {
             store: Arc::new((self.build)(objects)),
             number: generation,
         };
-        *self.current.write().expect("snapshot lock poisoned") = next;
+        // How the donor got here is not known: the log starts over.
+        *self.published.write().expect("snapshot lock poisoned") = Published {
+            current: next,
+            log: VecDeque::new(),
+        };
     }
 }
 
@@ -276,7 +307,21 @@ impl<S: SpatialStore> SpatialStore for VersionedStore<S> {
     }
 
     fn generation(&self) -> u64 {
-        self.current.read().expect("snapshot lock poisoned").number
+        let published = self.published.read().expect("snapshot lock poisoned");
+        published.current.number
+    }
+
+    fn changes_since(&self, since: u64) -> Option<(u64, Vec<DeltaOp>)> {
+        let published = self.published.read().expect("snapshot lock poisoned");
+        let current = published.current.number;
+        let reached_back_to = published
+            .log
+            .front()
+            .map_or(current, |(first, _)| first - 1);
+        (reached_back_to..=current).contains(&since).then(|| {
+            let later = published.log.iter().filter(|(number, _)| *number > since);
+            (current, later.flat_map(|(_, ops)| ops).copied().collect())
+        })
     }
 
     fn apply_updates(&self, batch: &[Update]) -> Option<u64> {
@@ -416,6 +461,64 @@ mod tests {
         assert_eq!(a.window(&everything), b.window(&everything));
         assert_eq!(a.window(&everything), packed(&a).window(&everything));
         assert_eq!(a.level_mbrs(0), packed(&a).level_mbrs(0));
+    }
+
+    /// `objects` after `ops`, in id order — what a client patching its
+    /// copy computes.
+    fn patched(mut objects: Vec<SpatialObject>, ops: &[DeltaOp]) -> Vec<SpatialObject> {
+        for op in ops {
+            match *op {
+                DeltaOp::Remove { id, mbr } => {
+                    let at = objects.iter().position(|o| o.id == id);
+                    assert_eq!(objects.remove(at.expect("removes what is held")).mbr, mbr);
+                }
+                DeltaOp::Add(o) => {
+                    assert!(objects.iter().all(|held| held.id != o.id));
+                    objects.push(o);
+                }
+            }
+        }
+        objects.sort_unstable_by_key(|o| o.id);
+        objects
+    }
+
+    #[test]
+    fn changes_since_replays_the_log_and_refuses_what_it_no_longer_reaches() {
+        // 256 objects: the log keeps 32 ops, a 5-move batch is 10.
+        let live = versioned(lattice(16));
+        assert_eq!(live.changes_since(0), Some((0, Vec::new())));
+        assert_eq!(live.changes_since(1), None, "the future is not logged");
+        let mut states = vec![(*live.current_objects()).clone()];
+        for round in 0..3 {
+            live.apply(&shift(16, (0..5).map(|i| 50 * i + round)));
+            states.push((*live.current_objects()).clone());
+        }
+        live.apply(&[]); // an empty tick is a logged generation like any other
+        states.push(states[3].clone());
+        for (since, state) in states.iter().enumerate() {
+            let (reached, ops) = live.changes_since(since as u64).expect("within the log");
+            assert_eq!(reached, 4);
+            assert_eq!(ops.len(), 10 * 3usize.saturating_sub(since));
+            assert_eq!(patched(state.clone(), &ops), states[4], "since {since}");
+        }
+        // A fourth batch makes 40 ops: the oldest falls out, whole.
+        live.apply(&shift(16, (0..5).map(|i| 50 * i + 3)));
+        assert_eq!(live.changes_since(0), None);
+        let (reached, ops) = live.changes_since(1).expect("three batches fit");
+        assert_eq!((reached, ops.len()), (5, 30));
+        assert_eq!(patched(states[1].clone(), &ops), *live.current_objects());
+        // The newest batch stays however large it is.
+        live.apply(&shift(16, 0..100));
+        assert_eq!(live.changes_since(4), None);
+        assert_eq!(
+            live.changes_since(5).map(|(g, ops)| (g, ops.len())),
+            Some((6, 200))
+        );
+        // A resynchronised replica does not know how its donor got there.
+        live.catch_up(lattice(16), 9);
+        assert_eq!(live.changes_since(6), None);
+        assert_eq!(live.changes_since(9), Some((9, Vec::new())));
+        assert_eq!(RTreeStore::new(lattice(4)).changes_since(0), None, "frozen");
     }
 
     #[test]

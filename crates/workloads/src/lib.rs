@@ -10,8 +10,9 @@
 //! * [`germany_rail`] — a synthetic substitute for the "real dataset (with
 //!   around 35 K objects) representing the railway segments of Germany":
 //!   a deterministic rail network of hub cities joined by jittered
-//!   polylines, subdivided into ~35 000 short segment MBRs. See DESIGN.md
-//!   §3 for why the substitution preserves the experiment's behaviour.
+//!   polylines, subdivided into ~35 000 short segment MBRs. The [`rail`]
+//!   module docs say why the substitution preserves the experiment's
+//!   behaviour.
 //!
 //! **Invariant**: every generated coordinate is snapped through `f32`
 //! ([`snap`]), so the 20-byte wire encoding of `asj-net` round-trips

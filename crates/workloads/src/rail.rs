@@ -3,7 +3,7 @@
 //! The paper's Figure 8 joins a "real dataset (with around 35 K objects)
 //! representing the railway segments of Germany" against a 1000-point
 //! synthetic dataset. The original file is not redistributable, so this
-//! module builds the closest synthetic equivalent (DESIGN.md §3):
+//! module builds the closest synthetic equivalent:
 //!
 //! 1. place `cities` hub points — a few metropolitan hubs plus
 //!    uniformly scattered towns (population-like skew);

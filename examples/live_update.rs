@@ -3,9 +3,10 @@
 //! The servers are built *live* — each store is a generational snapshot
 //! that applies batched insert/delete/move updates copy-on-write and
 //! publishes the result atomically as the next generation. Responses are
-//! stamped with the serving generation, and the client-side cache keys
-//! its entries by it, so nothing ever needs invalidating: after an
-//! update tick the old entries simply stop matching. Run with:
+//! stamped with the serving generation, and the client-side cache holds
+//! every entry at one content generation: after an update tick the first
+//! join asks each server once what changed since, and patches what it
+//! holds instead of downloading it again. Run with:
 //!
 //! ```text
 //! cargo run --release --example live_update
@@ -74,7 +75,9 @@ fn main() {
         );
     }
 
-    // Later joins still hit the cache for whatever the fleet did *not*
-    // disturb — but only at the current generation: a stamp mismatch can
-    // never serve stale objects (the differential suites prove it).
+    // Later joins hit the cache for everything an earlier one paid for,
+    // the moved objects patched in from the change list — and only ever
+    // at the content generation: an answer served at another one is never
+    // stored, so stale objects are never served (the differential suites
+    // prove it).
 }

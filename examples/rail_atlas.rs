@@ -23,7 +23,8 @@ fn main() {
     );
 
     // Window extension must cover the largest segment half-diagonal so
-    // duplicate avoidance stays exact on MBR objects (DESIGN.md §5).
+    // duplicate avoidance stays exact on MBR objects (see
+    // `JoinSpec::with_mbr_half_extent`).
     let hint = rail
         .iter()
         .map(|o| o.mbr.width().hypot(o.mbr.height()) * 0.5)

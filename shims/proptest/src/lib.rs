@@ -153,10 +153,10 @@ macro_rules! proptest {
 #[macro_export]
 macro_rules! __proptest_cases {
     ($config:expr; $(
-        #[test]
+        $(#[$meta:meta])*
         fn $name:ident($($arg:ident in $strategy:expr),* $(,)?) $body:block
     )*) => {$(
-        #[test]
+        $(#[$meta])*
         fn $name() {
             let config = $config;
             $crate::run_test(&config, stringify!($name), |__proptest_rng| {

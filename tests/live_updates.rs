@@ -10,14 +10,24 @@
 //!   exactly equal a replay against an offline store rebuilt frozen at
 //!   the observed generation (the same `apply_updates_to` fold the
 //!   server runs), and the byte-conservation law survives.
-//! * **Staleness** — a deliberately planted cache entry keyed to a wrong
-//!   (stale) generation is never served; the same plant at the current
-//!   generation *is* served, so the check is not vacuous.
+//! * **Staleness** — a cache entry planted at a generation other than the
+//!   store's content generation is never served; the same plant at the
+//!   content generation *is* served, and one planted before an update is
+//!   carried over it by the change list, so the check is not vacuous.
+//! * **A tick costs its delta** — on a flat cached deployment the join
+//!   after an update tick still equals brute force and pays for the
+//!   `Changes` frames plus a stated multiple of the moved objects' own
+//!   traffic, not for the cold join again; a cached fleet, which has no
+//!   change list to ask for, pays what it paid before this existed.
 
 use adhoc_spatial_joins::prelude::*;
 use asj_core::{DeploymentBuilder, Side};
-use asj_geom::SpatialObject;
-use asj_net::{Request, Update};
+use asj_geom::{sweep::nested_loop_join, SpatialObject};
+use asj_net::codec::{
+    CHANGES_HEADER_BYTES, CHANGES_QUERY_BYTES, CHANGE_OP_BYTES, EPS_QUERY_BYTES, GEN_STAMP_BYTES,
+    OBJECTS_HEADER_BYTES, OBJ_BYTES,
+};
+use asj_net::{PacketModel, Request, Update};
 use asj_server::apply_updates_to;
 use asj_workloads::{
     default_space, gaussian_clusters, SyntheticSpec, TrajectorySpec, TrajectoryStream,
@@ -171,9 +181,11 @@ fn live_joins_replay_exactly_at_the_observed_generation() {
     }
 }
 
-/// Staleness proof: an entry planted at a *wrong* generation is never
-/// served — and the identical plant at the current generation is, so the
-/// keying (not luck) is what protects the results.
+/// Staleness proof: an entry planted at any generation but the store's
+/// content generation is never served — and the identical plant at the
+/// content generation is, so the generation check (not luck) is what
+/// protects the results. A plant made *before* an update is an entry like
+/// any other: the change list carries it over.
 #[test]
 fn stale_cache_entries_are_never_served() {
     let r = clusters(4, 200, 51);
@@ -183,30 +195,164 @@ fn stale_cache_entries_are_never_served() {
     let (cache_r, _) = live.caches();
     let cache_r = cache_r.expect("cache enabled");
 
-    // Tick once so the deployment sits at generation 1.
+    // Tick once so the servers sit at generation 1; the first lookup
+    // brings the (empty) store there.
     let gen = live.apply_updates(Side::R, vec![Update::Delete(r[0].id)]);
     assert_eq!(gen, 1);
-
-    // Plant a poisoned count at the *stale* generation 0: invisible.
-    cache_r.observe_count(&w, 999_999, 0);
     let (link_r, _) = live.connect();
     let truth = link_r.request(&Request::Count(w)).into_count();
     assert_eq!(truth, r.len() as u64 - 1, "fresh download after the delete");
-    let snap = link_r.cache().expect("cached link").snapshot();
+    assert_eq!(cache_r.content_generation(), gen);
+
+    // Plant a poisoned count at the *stale* generation 0: dropped.
+    cache_r.observe_count(&w, 999_999, 0);
+    let (link_r, _) = live.connect();
+    assert_eq!(link_r.request(&Request::Count(w)).into_count(), truth);
     assert_eq!(
-        (snap.stats_hits, snap.stats_misses),
-        (0, 1),
-        "the stale plant must not register as a hit"
+        link_r.meter().snapshot().total_bytes(),
+        0,
+        "the honest entry"
     );
 
-    // Non-vacuity: the same plant at the *current* generation is served.
+    // Non-vacuity: the same plant at the *content* generation is served.
     cache_r.observe_count(&w, 777_777, gen);
     let (link2, _) = live.connect();
     assert_eq!(
         link2.request(&Request::Count(w)).into_count(),
         777_777,
-        "a current-generation entry must be served — otherwise the stale \
+        "a content-generation entry must be served — otherwise the stale \
          check above proves nothing"
     );
     assert_eq!(link2.cache().unwrap().snapshot().stats_hits, 1);
+
+    // And it lives through the next tick as what it is — a count of the
+    // window, one lower for the object the batch took out of it — once
+    // the store holds enough for the change list to be worth asking for.
+    link2.request(&Request::Window(w));
+    live.apply_updates(Side::R, vec![Update::Delete(r[1].id)]);
+    let (link3, _) = live.connect();
+    assert_eq!(link3.request(&Request::Count(w)).into_count(), 777_776);
+    assert_eq!(cache_r.content_generation(), 2);
+}
+
+fn moves(stream: &mut TrajectoryStream) -> Vec<Update> {
+    let moved = stream.tick().into_iter();
+    moved
+        .map(|o| Update::Move {
+            id: o.id,
+            to: o.mbr,
+        })
+        .collect()
+}
+
+/// After a tick that moved *k* objects, the join over a flat cached
+/// deployment equals brute force on the moved data and costs at most the
+/// two `Changes` exchanges plus two ε-probe round trips per moved object
+/// — whatever the moved objects themselves make the plan re-ask — and
+/// nowhere near the cold join. SemiJoin's cooperative traffic is never
+/// cached: it is held to the answer, not to the bound.
+#[test]
+fn a_tick_costs_its_delta_not_the_cold_join() {
+    let r0 = clusters(4, 1000, 7);
+    let s0 = clusters(8, 1000, 1007);
+    let spec = JoinSpec::distance_join(150.0);
+    let tspec = TrajectorySpec {
+        move_fraction: 0.01,
+        ..TrajectorySpec::default()
+    };
+    let tb = |payload| PacketModel::default().tb(payload);
+    for alg in algorithms() {
+        // Small enough to split and probe; NaiveJoin needs it all.
+        let buffer = if alg.name() == "naive" { 4000 } else { 200 };
+        let live = DeploymentBuilder::new(r0.clone(), s0.clone())
+            .with_buffer(buffer)
+            .with_space(default_space())
+            .with_client_cache(true)
+            .cooperative()
+            .live()
+            .build();
+        let cold = alg.run(&live, &spec).expect("cold join").total_bytes();
+        // Hit rates feed the planner's prices, so a warm plan is not the
+        // cold plan: let the session settle on what it asks for.
+        alg.run(&live, &spec).expect("warm join");
+        let mut traj_r = TrajectoryStream::new(&r0, tspec, 5);
+        let mut traj_s = TrajectoryStream::new(&s0, tspec, 1005);
+        let (mut mirror_r, mut mirror_s) = (r0.clone(), s0.clone());
+        for tick in 0..3 {
+            let (batch_r, batch_s) = (moves(&mut traj_r), moves(&mut traj_s));
+            let moved = (batch_r.len() + batch_s.len()) as u64;
+            assert!(moved > 0, "vacuous tick");
+            apply_updates_to(&mut mirror_r, &batch_r);
+            apply_updates_to(&mut mirror_s, &batch_s);
+            // One request and one stamped list of a remove and an add
+            // per move, on each side.
+            let changes: u64 = [&batch_r, &batch_s]
+                .iter()
+                .map(|b| {
+                    let ops = 2 * b.len() as u64 * CHANGE_OP_BYTES;
+                    tb(CHANGES_QUERY_BYTES) + tb(GEN_STAMP_BYTES + CHANGES_HEADER_BYTES + ops)
+                })
+                .sum();
+            live.apply_updates(Side::R, batch_r);
+            live.apply_updates(Side::S, batch_s);
+            let rep = alg.run(&live, &spec).expect("join after the tick");
+            let mut want = nested_loop_join(&mirror_r, &mirror_s, &spec.predicate);
+            want.sort_unstable();
+            assert_eq!(sorted_pairs(&rep), want, "{} tick {tick}", alg.name());
+            assert!(!want.is_empty(), "vacuous join");
+            if alg.name() == "semijoin" {
+                continue;
+            }
+            let probe =
+                tb(EPS_QUERY_BYTES) + tb(GEN_STAMP_BYTES + OBJECTS_HEADER_BYTES + OBJ_BYTES);
+            let bound = changes + 2 * moved * probe;
+            assert!(
+                changes <= rep.total_bytes() && rep.total_bytes() <= bound,
+                "{} tick {tick}: {} B for {moved} moved objects, {changes} B of change lists, \
+                 bound {bound}",
+                alg.name(),
+                rep.total_bytes()
+            );
+            assert!(2 * bound < cold, "{}: the bound is no bound", alg.name());
+        }
+    }
+}
+
+/// A fleet's generation is a sum over its shards, so the router refuses
+/// `Changes` without sending anything and the cache starts over after
+/// every tick — which is what it did before there was a change list. The
+/// byte totals are the parent commit's on this very scenario, per
+/// algorithm: cold, warm, and after each of three ticks.
+#[test]
+fn a_cached_fleet_pays_what_it_paid_before_change_lists() {
+    let r0 = clusters(4, 200, 7);
+    let s0 = clusters(8, 200, 1007);
+    let spec = JoinSpec::distance_join(150.0);
+    let tspec = TrajectorySpec {
+        move_fraction: 0.05,
+        ..TrajectorySpec::default()
+    };
+    let parents: [(&str, [u64; 5]); 6] = [
+        ("naive", [9704, 0, 9848, 9848, 9848]),
+        ("grid", [5900, 0, 6242, 6242, 6242]),
+        ("mobijoin", [9704, 0, 9848, 9848, 9848]),
+        ("upjoin", [11612, 0, 11918, 11918, 11918]),
+        ("srjoin", [12072, 0, 12378, 12378, 12378]),
+        ("semijoin", [8960, 8112, 9168, 9144, 9152]),
+    ];
+    for (alg, (name, want)) in algorithms().iter().zip(parents) {
+        assert_eq!(alg.name(), name);
+        let live = build(&r0, &s0, Some(4), true, true);
+        let mut traj_r = TrajectoryStream::new(&r0, tspec, 5);
+        let mut traj_s = TrajectoryStream::new(&s0, tspec, 1005);
+        let mut got = Vec::new();
+        for round in 0..5 {
+            if round >= 2 {
+                live.apply_updates(Side::R, moves(&mut traj_r));
+                live.apply_updates(Side::S, moves(&mut traj_s));
+            }
+            got.push(alg.run(&live, &spec).expect("fleet join").total_bytes());
+        }
+        assert_eq!(got, want, "{name}");
+    }
 }
