@@ -18,7 +18,9 @@ use asj_net::Request;
 /// 3. upload those MBRs to the smaller server, which returns its objects
 ///    within ε of any MBR (the semi-join filter) — through the device;
 /// 4. upload the filtered objects to the larger server, which performs
-///    the final join and returns the qualifying id pairs.
+///    the final join — one ε-RANGE descent of its own R-tree per pushed
+///    object, no copy of its dataset and no sort — and returns the
+///    qualifying id pairs.
 ///
 /// "In practice, SemiJoin cannot be applied in our problem, because the
 /// servers are unlikely to publish the internal structures of their
@@ -71,7 +73,7 @@ impl DistributedJoin for SemiJoin {
             .into_objects();
 
         // Step 4: final join at the large server. Pairs come back as
-        // (pushed_id, local_id) = (small, large).
+        // (pushed_id, local_id) = (small, large), in pushed order.
         let pairs = ctx
             .link(large)
             .request(&Request::CoopJoinPush {

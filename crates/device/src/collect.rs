@@ -1,10 +1,8 @@
 //! Join result accumulation and iceberg aggregation.
 
-use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
-use std::hash::{BuildHasher, Hasher};
 
-use asj_geom::ObjectId;
+use asj_geom::{IdMix, ObjectId};
 
 /// Accumulates the join output on the device.
 ///
@@ -24,36 +22,9 @@ pub struct ResultCollector {
     /// `Some` in deduplicating mode (live deployments), in every build
     /// profile — the "exactly once" report contract then holds by
     /// construction rather than by upstream discipline. Holds packed pairs.
-    dedup: Option<HashSet<u64, PairMix>>,
+    dedup: Option<HashSet<u64, IdMix>>,
     #[cfg(debug_assertions)]
     seen: HashSet<(ObjectId, ObjectId)>,
-}
-
-/// Hash state of the deduplicating set: one 64-bit mix (the `splitmix64`
-/// finaliser) of the packed pair in place of SipHash over a tuple. Ids come
-/// off the wire, so the mix is keyed with a seed drawn per collector from
-/// [`RandomState`]: a server cannot choose ids that collide.
-#[derive(Debug, Clone, Copy)]
-struct PairMix(u64);
-
-impl BuildHasher for PairMix {
-    type Hasher = PairMix;
-    fn build_hasher(&self) -> PairMix {
-        *self
-    }
-}
-
-impl Hasher for PairMix {
-    fn write(&mut self, key: &[u8]) {
-        let key = u64::from_ne_bytes(key.try_into().expect("the set holds u64 keys only"));
-        let mut z = (self.0 ^ key).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = z ^ (z >> 31);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 impl ResultCollector {
@@ -66,9 +37,7 @@ impl ResultCollector {
     /// re-derive a pair without any upstream bug.
     pub fn deduplicating() -> Self {
         ResultCollector {
-            dedup: Some(HashSet::with_hasher(PairMix(
-                RandomState::new().hash_one(0u64),
-            ))),
+            dedup: Some(HashSet::default()),
             ..ResultCollector::default()
         }
     }
@@ -90,6 +59,18 @@ impl ResultCollector {
             );
         }
         self.pairs.push((r, s));
+    }
+
+    /// Records a run of qualifying pairs, in order, as [`Self::push`] would
+    /// one by one — which is what a debug build and a deduplicating
+    /// collector do; a strict collector in a release build appends the slice.
+    pub fn extend(&mut self, pairs: &[(ObjectId, ObjectId)]) {
+        if cfg!(not(debug_assertions)) && self.dedup.is_none() {
+            return self.pairs.extend_from_slice(pairs);
+        }
+        for &(r, s) in pairs {
+            self.push(r, s);
+        }
     }
 
     /// All pairs reported so far.
@@ -226,6 +207,34 @@ mod tests {
             c.push(r, s);
         }
         assert_eq!(c.pairs(), &[(0, u32::MAX), (u32::MAX, 0), (0, 0)]);
+    }
+
+    #[test]
+    fn extend_is_push_slice_by_slice() {
+        let runs: [&[(ObjectId, ObjectId)]; 4] =
+            [&[(3, 9), (1, 9)], &[], &[(3, 8)], &[(9, 3), (0, u32::MAX)]];
+        let mut strict = ResultCollector::new();
+        runs.iter().for_each(|run| strict.extend(run));
+        assert_eq!(strict.pairs(), runs.concat());
+        // Deduplicating: repeats within a slice and across slices are
+        // dropped, first occurrences keep their arrival order.
+        let mut live = ResultCollector::deduplicating();
+        live.push(1, 9);
+        runs.iter().for_each(|run| live.extend(run));
+        live.extend(&[(3, 8), (4, 4), (4, 4), (3, 9)]);
+        assert_eq!(
+            live.pairs(),
+            &[(1, 9), (3, 9), (3, 8), (9, 3), (0, u32::MAX), (4, 4)]
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate-avoidance violation")]
+    fn duplicate_pair_in_an_extended_slice_panics_in_debug() {
+        let mut c = ResultCollector::new();
+        c.push(1, 1);
+        c.extend(&[(2, 2), (1, 1)]);
     }
 
     #[test]

@@ -214,3 +214,190 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The seams: reference points *exactly* on a cell boundary.
+//
+// The kernel evaluates ownership with hoisted edge flags and
+// non-short-circuit operators; a `<` / `<=` slip there survives random
+// coordinates, which almost never put a reference point on a boundary.
+// Here the space is 960 wide — halves (480) and thirds (320, 640) are exact
+// — and every coordinate is a multiple of 0.25, so a midpoint aimed at a
+// seam lands on it bit for bit.
+// ---------------------------------------------------------------------
+
+const SEAM_SIDE: f64 = 960.0;
+const SEAM_S_IDS: u32 = 10_000;
+
+/// One coordinate to aim a reference point at: an interior seam of the
+/// 2 × 2 or the 3 × 3 partition, the far edge of the space, or anywhere.
+fn seam() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(480.0),
+        Just(320.0),
+        Just(640.0),
+        Just(SEAM_SIDE),
+        (80i32..=3760).prop_map(|v| v as f64 * 0.25),
+    ]
+}
+
+/// An `(r, s)` pair built around the target `(tx, ty)`, offsets in
+/// quarter units. Shape 0 is two points, shape 1 two boxes, either way
+/// with centres mirrored about the target: the distance join's midpoint
+/// *is* the target. Shape 2 is two boxes touching in exactly the target:
+/// it is the intersection join's reference point. On the far edge the
+/// offset along that axis is dropped, so no centre and no lower-left
+/// corner leaves the space and every cross pair still has an owner.
+type Aimed = (f64, f64, (u32, u32), (u32, u32), u32);
+
+fn aimed() -> impl Strategy<Value = Aimed> {
+    (
+        seam(),
+        seam(),
+        (0u32..=40, 0u32..=40),
+        (0u32..=12, 0u32..=12),
+        0u32..3,
+    )
+}
+
+fn aim(i: u32, (tx, ty, (dx, dy), (w, h), shape): Aimed) -> (SpatialObject, SpatialObject) {
+    let quarter = |t: f64, d: u32| {
+        if t == SEAM_SIDE {
+            0.0
+        } else {
+            f64::from(d) * 0.25
+        }
+    };
+    let (dx, dy, w, h) = (
+        quarter(tx, dx),
+        quarter(ty, dy),
+        quarter(tx, w),
+        quarter(ty, h),
+    );
+    let (a, b) = match shape {
+        0 => (
+            Rect::from_coords(tx - dx, ty - dy, tx - dx, ty - dy),
+            Rect::from_coords(tx + dx, ty + dy, tx + dx, ty + dy),
+        ),
+        1 => (
+            Rect::from_coords(tx - dx - w, ty - dy - h, tx - dx + w, ty - dy + h),
+            Rect::from_coords(tx + dx - h, ty + dy - w, tx + dx + h, ty + dy + w),
+        ),
+        _ => (
+            Rect::from_coords(tx - dx - w, ty - dy - h, tx, ty),
+            Rect::from_coords(tx, ty, tx + dx, ty + dy),
+        ),
+    };
+    (
+        SpatialObject::new(i, a),
+        SpatialObject::new(SEAM_S_IDS + i, b),
+    )
+}
+
+/// Joins every cell of the 2 × 2 (`Rect::quadrants`) and the 3 × 3
+/// (`Grid`) partition on one and three workers, under both predicates:
+/// each cell reports exactly nested loop + `reference_point_in`, in the
+/// same order at either worker count, and the cells together report the
+/// nested-loop result exactly once. `pad` lifts the input over
+/// `PARALLEL_JOIN_THRESHOLD` with lattice points.
+fn check_seams(aimed: Vec<Aimed>, eps: f64, pad: bool) {
+    let space = Rect::from_coords(0.0, 0.0, SEAM_SIDE, SEAM_SIDE);
+    // Always present: coincident points on the corner four cells share (in
+    // either partition), on the far corner and on the far edges' seams.
+    let corners = [
+        (480.0, 480.0),
+        (320.0, 640.0),
+        (SEAM_SIDE, SEAM_SIDE),
+        (480.0, SEAM_SIDE),
+        (SEAM_SIDE, 320.0),
+    ];
+    let fixed = corners.iter().map(|&(x, y)| (x, y, (0, 0), (0, 0), 0));
+    let (mut r, mut s): (Vec<_>, Vec<_>) = fixed
+        .chain(aimed)
+        .zip(0..)
+        .map(|(spec, i)| aim(i, spec))
+        .unzip();
+    if pad {
+        for i in r.len() as u32..memjoin::PARALLEL_JOIN_THRESHOLD as u32 / 2 {
+            let at = |k: u32| f64::from(i * k % 3841) * 0.25;
+            r.push(SpatialObject::point(i, at(37), at(91)));
+            s.push(SpatialObject::point(SEAM_S_IDS + i, at(53), at(29)));
+        }
+    }
+    assert_eq!(r.len() + s.len() >= memjoin::PARALLEL_JOIN_THRESHOLD, pad);
+    let partitions = [
+        space.quadrants().to_vec(),
+        asj_geom::Grid::square(space, 3).cells().collect::<Vec<_>>(),
+    ];
+    let on_seam = |v: f64| [320.0, 480.0, 640.0, SEAM_SIDE].contains(&v);
+    for pred in [
+        JoinPredicate::Intersects,
+        JoinPredicate::WithinDistance(eps),
+    ] {
+        let all = oracle(&r, &s, &pred);
+        let of = |&(a, b): &(u32, u32)| (&r[a as usize], &s[(b - SEAM_S_IDS) as usize]);
+        let aimed_at_seams = all
+            .iter()
+            .filter_map(|ids| asj_geom::pair_reference_point(of(ids).0, of(ids).1, &pred))
+            .filter(|p| on_seam(p.x) || on_seam(p.y))
+            .count();
+        assert!(aimed_at_seams >= corners.len(), "non-vacuous: {pred:?}");
+        for cells in &partitions {
+            let mut union = Vec::new();
+            for cell in cells {
+                let want: Vec<_> = all
+                    .iter()
+                    .filter(|ids| reference_point_in(of(ids).0, of(ids).1, &pred, cell, &space))
+                    .copied()
+                    .collect();
+                let run = |workers| {
+                    let mut out = ResultCollector::new();
+                    memjoin::grid_hash_join_with_workers(
+                        &r, &s, &pred, cell, &space, workers, &mut out,
+                    );
+                    out.into_pairs()
+                };
+                let mut got = run(1);
+                assert_eq!(run(3), got, "{pred:?} {cell:?}: workers change the output");
+                got.sort_unstable();
+                assert_eq!(got, want, "{pred:?} {cell:?}");
+                union.extend(got);
+            }
+            union.sort_unstable();
+            assert_eq!(
+                union,
+                all,
+                "{pred:?}, {} cells: not exactly once",
+                cells.len()
+            );
+        }
+    }
+}
+
+fn seam_eps() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(2.5), Just(12.0), Just(30.0)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn seams_are_owned_exactly_once_below_threshold(
+        aimed in prop::collection::vec(aimed(), 0..60),
+        eps in seam_eps(),
+    ) {
+        check_seams(aimed, eps, false);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn seams_are_owned_exactly_once_above_threshold(
+        aimed in prop::collection::vec(aimed(), 0..60),
+        eps in seam_eps(),
+    ) {
+        check_seams(aimed, eps, true);
+    }
+}

@@ -15,7 +15,8 @@
 //! * [`JoinPredicate`] — MBR intersection or ε-distance;
 //! * duplicate avoidance via *reference points* ([`dedup`]), so that a pair
 //!   found in overlapping extended windows is reported exactly once;
-//! * an in-memory [`sweep`] (plane-sweep) join, the kernel of HBSJ.
+//! * an in-memory [`sweep`] (plane-sweep) join: a reference kernel for the
+//!   test suites and the benchmark, called by no library path.
 //!
 //! Everything here is pure computational geometry: no I/O, no randomness.
 
@@ -29,7 +30,7 @@ pub mod sweep;
 
 pub use dedup::{pair_reference_point, reference_point_in};
 pub use grid::Grid;
-pub use object::{ObjectId, SpatialObject};
+pub use object::{IdMix, ObjectId, SpatialObject};
 pub use point::Point;
 pub use predicate::JoinPredicate;
 pub use rect::Rect;

@@ -1,9 +1,9 @@
 //! The request handler a server exposes over the network.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use asj_geom::{plane_sweep_join, JoinPredicate, Rect, SpatialObject};
+use asj_geom::{IdMix, ObjectId, SpatialObject};
 use asj_net::codec::{DedupTag, ObjectsEncoder, QuantCtx, WireVersion};
 use asj_net::{QueryHandler, Request, Response};
 use bytes::BytesMut;
@@ -130,6 +130,14 @@ fn bucket_eps_range(
 /// (which overrides only the object-streaming arms). `ApplyUpdates` and
 /// `Changes` never reach this: they are dispatched before the snapshot is
 /// pinned.
+///
+/// The two cooperative arms probe the index they are standing on: one
+/// ε-RANGE visit per shipped item, nothing materialised in between.
+/// `CoopFilterByMbrs` replies in first-seen order — shipped MBR order, then
+/// the store's visit order — and `CoopJoinPush` with `(pushed_id, local_id)`
+/// in pushed order, then the store's visit order (tree order on an R-tree).
+/// [`crate::ScanStore`]'s visitor is linear, so the reference store answers
+/// a push in |pushed| × n; it serves no workload.
 fn answer(
     store: &dyn SpatialStore,
     policy: ServicePolicy,
@@ -158,30 +166,27 @@ fn answer(
         },
         Request::CoopFilterByMbrs { mbrs, eps } => {
             // Objects within eps of ANY of the shipped MBRs, each once.
-            let mut seen = std::collections::HashSet::new();
+            let mut seen: HashSet<ObjectId, IdMix> = HashSet::default();
             let mut out = Vec::new();
             for m in &mbrs {
-                for o in store.eps_range(m, eps) {
+                store.for_each_eps_range(m, eps, &mut |o| {
                     if seen.insert(o.id) {
-                        out.push(o);
+                        out.push(*o);
                     }
-                }
+                });
             }
             Response::Objects(out)
         }
         Request::CoopJoinPush { objects, eps } => {
             // Final join at the server: pushed (outer) × local (inner).
-            let bounds = match Rect::union_of(objects.iter().map(|o| o.mbr)) {
-                Some(b) => b.expand(eps),
-                None => return Response::Pairs(Vec::new()),
-            };
-            let local = store.window(&bounds);
-            let pred = if eps > 0.0 {
-                JoinPredicate::WithinDistance(eps)
-            } else {
-                JoinPredicate::Intersects
-            };
-            Response::Pairs(plane_sweep_join(&objects, &local, &pred))
+            // `eps > 0` is the ε-distance join; anything else — zero,
+            // negative, NaN — is the closed intersection join, ε = 0.
+            let eps = if eps > 0.0 { eps } else { 0.0 };
+            let mut pairs = Vec::new();
+            for o in &objects {
+                store.for_each_eps_range(&o.mbr, eps, &mut |local| pairs.push((o.id, local.id)));
+            }
+            Response::Pairs(pairs)
         }
         Request::ApplyUpdates(_) | Request::Changes { .. } => {
             unreachable!("dispatched before pinning")
@@ -309,6 +314,8 @@ impl<S: SpatialStore> QueryHandler for SpatialService<S> {
 mod tests {
     use super::*;
     use crate::store::{RTreeStore, ScanStore};
+    use asj_geom::sweep::nested_loop_join;
+    use asj_geom::{JoinPredicate, Rect};
 
     fn lattice(n: u32) -> Vec<SpatialObject> {
         (0..n * n)
@@ -416,6 +423,81 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), objs.len(), "duplicates leaked");
         assert_eq!(objs.len(), 4);
+    }
+
+    #[test]
+    fn coop_filter_replies_in_first_seen_order() {
+        // Overlapping MBRs, one of them twice and one off the map: the reply
+        // is the per-MBR ε-RANGE answers in shipped order with every later
+        // repeat dropped — the bytes the materialising handler sent.
+        let mbrs = vec![
+            Rect::from_coords(3.0, 3.0, 6.0, 4.0),
+            Rect::from_coords(0.0, 0.0, 4.0, 4.0),
+            Rect::from_coords(50.0, 50.0, 60.0, 60.0),
+            Rect::from_coords(3.0, 3.0, 6.0, 4.0),
+            Rect::from_coords(5.5, 0.5, 8.5, 9.5),
+        ];
+        fn check<S: SpatialStore>(store: S, mbrs: &[Rect]) {
+            let svc = SpatialService::new(store).with_policy(ServicePolicy::Cooperative);
+            for eps in [0.0, 1.5] {
+                let mut want: Vec<SpatialObject> = Vec::new();
+                for o in mbrs.iter().flat_map(|m| svc.store().eps_range(m, eps)) {
+                    if want.iter().all(|kept| kept.id != o.id) {
+                        want.push(o);
+                    }
+                }
+                let mbrs = mbrs.to_vec();
+                let got = svc.handle(Request::CoopFilterByMbrs { mbrs, eps });
+                assert!(want.len() > 30, "non-vacuous");
+                assert_eq!(got.into_objects(), want, "eps={eps}");
+            }
+        }
+        check(ScanStore::new(lattice(10)), &mbrs);
+        check(RTreeStore::with_fanout(lattice(10), 4), &mbrs);
+    }
+
+    #[test]
+    fn join_push_is_a_nested_loop_under_the_eps_rule() {
+        // `eps > 0` is the ε-distance join; zero, negative and NaN are the
+        // closed intersection join. Points and boxes on both sides, some
+        // pushed objects far off the store's map, on either store.
+        let boxes = |n: u32, id0: u32, step: f64, size: f64| -> Vec<SpatialObject> {
+            (0..n)
+                .map(|i| {
+                    let (x, y) = (f64::from(i % 7) * step, f64::from(i / 7) * step * 0.5);
+                    let side = f64::from(i % 3) * size; // every third one a point
+                    SpatialObject::new(id0 + i, Rect::from_coords(x, y, x + side, y + side))
+                })
+                .collect()
+        };
+        let local = boxes(90, 0, 3.0, 1.25);
+        let mut pushed = boxes(40, 1000, 4.5, 2.0);
+        pushed.push(SpatialObject::point(2000, 1.0e6, -1.0e6));
+        pushed.push(SpatialObject::new(
+            2001,
+            Rect::from_coords(-900.0, -900.0, -800.0, -850.0),
+        ));
+        fn check<S: SpatialStore>(store: S, local: &[SpatialObject], pushed: &[SpatialObject]) {
+            let svc = SpatialService::new(store).with_policy(ServicePolicy::Cooperative);
+            for eps in [-1.0, 0.0, f64::NAN, 2.5] {
+                let pred = if eps > 0.0 {
+                    JoinPredicate::WithinDistance(eps)
+                } else {
+                    JoinPredicate::Intersects
+                };
+                let mut want = nested_loop_join(pushed, local, &pred);
+                let objects = pushed.to_vec();
+                let mut got = svc
+                    .handle(Request::CoopJoinPush { objects, eps })
+                    .into_pairs();
+                want.sort_unstable();
+                got.sort_unstable();
+                assert!(want.len() > 20, "non-vacuous");
+                assert_eq!(got, want, "eps={eps}");
+            }
+        }
+        check(ScanStore::new(local.clone()), &local, &pushed);
+        check(RTreeStore::with_fanout(local.clone(), 4), &local, &pushed);
     }
 
     #[test]
@@ -576,14 +658,17 @@ mod tests {
 
     #[test]
     fn join_push_empty_outer() {
-        let svc =
-            SpatialService::new(ScanStore::new(lattice(4))).with_policy(ServicePolicy::Cooperative);
-        let pairs = svc
-            .handle(Request::CoopJoinPush {
-                objects: vec![],
-                eps: 5.0,
-            })
-            .into_pairs();
-        assert!(pairs.is_empty());
+        fn check<S: SpatialStore>(store: S) {
+            let svc = SpatialService::new(store).with_policy(ServicePolicy::Cooperative);
+            let pairs = svc
+                .handle(Request::CoopJoinPush {
+                    objects: vec![],
+                    eps: 5.0,
+                })
+                .into_pairs();
+            assert!(pairs.is_empty());
+        }
+        check(ScanStore::new(lattice(4)));
+        check(RTreeStore::new(lattice(4)));
     }
 }
