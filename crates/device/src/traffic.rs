@@ -162,7 +162,6 @@ fn digest_response(hash: &mut u64, resp: &Response) {
             word(hash, cs.len() as u64);
             cs.iter().for_each(|&c| word(hash, c));
         }
-        Response::Area(a) => [3, a.to_bits()].iter().for_each(|&v| word(hash, v)),
         Response::Buckets(buckets) => {
             word(hash, 4);
             word(hash, buckets.len() as u64);
@@ -404,7 +403,6 @@ mod tests {
             vec![Response::Count(1), Response::Count(2)],
             vec![Response::Count(2), Response::Count(1)],
             vec![Response::Counts(vec![1, 2])],
-            vec![Response::Area(1.0)],
             vec![Response::Ack { generation: 1 }],
             vec![Response::Refused],
             vec![Response::Malformed],

@@ -57,7 +57,7 @@ impl Hasher for IdMix {
 /// (16 bytes)` = 20 bytes, the `Bobj` of the paper's cost model. Points are
 /// degenerate MBRs and use the same encoding, keeping `Bobj` constant across
 /// workloads as the paper assumes.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SpatialObject {
     pub id: ObjectId,
     pub mbr: Rect,

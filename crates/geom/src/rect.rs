@@ -6,7 +6,7 @@ use crate::point::Point;
 ///
 /// Doubles as the minimum bounding rectangle (MBR) of a spatial object and
 /// as a query window. Degenerate rectangles (`min == max`) represent points.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Rect {
     pub min: Point,
     pub max: Point,

@@ -767,7 +767,7 @@ impl CacheLayer {
     /// The lookup pass for one request, at the content generation (caught
     /// up on by the first request of the batch that can use it): what the
     /// cache can answer of it, tallied as hits and misses. Everything but
-    /// the four cacheable kinds (bucket probes, avg-area, the cooperative
+    /// the four cacheable kinds (bucket probes, the cooperative
     /// extension, writes) always ships.
     fn lookup<'a>(&self, req: &'a Request, generation: &mut Option<u64>) -> Planned<'a> {
         let req = match req {
@@ -1001,7 +1001,8 @@ impl Layer for CacheLayer {
 mod tests {
     use super::*;
     use crate::codec::{
-        decode_request, encode_request, encode_response, encode_response_into, stamp_generation,
+        decode_request, encode_request, encode_response, encode_response_into,
+        stamp_generation_versioned,
     };
     use crate::proto::QueryHandler;
     use crate::router::{ShardEndpoint, ShardRouter};
@@ -1239,7 +1240,7 @@ mod tests {
                 other => Scan(objects.clone()).handle(other),
             };
             let mut buf = BytesMut::new();
-            stamp_generation(log.len() as u64, &mut buf);
+            stamp_generation_versioned(log.len() as u64, WireVersion::V1, &mut buf);
             encode_response_into(&resp, &mut buf);
             buf.freeze()
         }
@@ -1449,7 +1450,7 @@ mod tests {
                 let objects = lattice(4).split_off(generation.min(1) as usize);
                 let resp = Scan(objects).handle(decode_request(raw).unwrap());
                 let mut buf = BytesMut::new();
-                stamp_generation(generation, &mut buf);
+                stamp_generation_versioned(generation, WireVersion::V1, &mut buf);
                 encode_response_into(&resp, &mut buf);
                 buf.freeze()
             }
@@ -1687,7 +1688,6 @@ mod tests {
         let cached = cached_link(lattice(6), 1 << 20);
         let plain = plain_link(lattice(6));
         for req in [
-            Request::AvgArea(w(0.0, 0.0, 3.0, 3.0)),
             Request::BucketEpsRange {
                 probes: vec![SpatialObject::point(99, 2.0, 2.0)],
                 eps: 1.0,
@@ -1919,7 +1919,7 @@ mod tests {
                 }
                 let resp = Scan(lattice(10)).handle(decode_request(raw).unwrap());
                 let mut buf = BytesMut::new();
-                stamp_generation(1, &mut buf);
+                stamp_generation_versioned(1, WireVersion::V1, &mut buf);
                 encode_response_into(&resp, &mut buf);
                 buf.freeze()
             }

@@ -50,9 +50,13 @@
 //!   floor that keeps failover from serving stale state. Gated by
 //!   [`NetConfig::breaker`] / replica count, **off by default**;
 //! * the **generation stamp** — servers answering from a generation > 0
-//!   prefix every response frame with `[R_GEN][u64 generation]`
-//!   ([`codec::stamp_generation`]); generation-0 (frozen) traffic stays
-//!   bit-for-bit the pre-generation wire format.
+//!   prefix every response frame with the generation stamp of the
+//!   link's wire version ([`codec::stamp_generation_versioned`]);
+//!   generation-0 (frozen) traffic stays bit-for-bit the pre-generation
+//!   wire format.
+//!
+//! The byte-level contract of all of the above — every frame's layout,
+//! with examples a test decodes — is `WIRE.md` at the repository root.
 //!
 //! Every message — including the queries themselves, as the paper insists —
 //! is packetized and metered.
@@ -138,19 +142,6 @@ pub mod testutil {
                         .copied()
                         .collect(),
                 ),
-                Request::AvgArea(w) => {
-                    let areas: Vec<f64> = self
-                        .0
-                        .iter()
-                        .filter(|o| o.mbr.intersects(&w))
-                        .map(|o| o.mbr.area())
-                        .collect();
-                    Response::Area(if areas.is_empty() {
-                        0.0
-                    } else {
-                        areas.iter().sum::<f64>() / areas.len() as f64
-                    })
-                }
                 Request::BucketEpsRange { probes, eps } => Response::Buckets(
                     probes
                         .iter()

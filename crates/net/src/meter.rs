@@ -299,9 +299,7 @@ impl LinkMeter {
             self.aggregate_up_bytes.fetch_add(wire, Ordering::Relaxed);
         }
         let counter = match req {
-            Request::Count(_) | Request::AvgArea(_) | Request::MultiCount(_) => {
-                Some(&self.count_queries)
-            }
+            Request::Count(_) | Request::MultiCount(_) => Some(&self.count_queries),
             // A change list is an object download like a window's.
             Request::Window(_) | Request::Changes { .. } => Some(&self.window_queries),
             Request::EpsRange { .. } => Some(&self.range_queries),

@@ -4,9 +4,8 @@ use asj_geom::{Rect, SpatialObject};
 
 /// A request from the device to one server.
 ///
-/// The first five variants are the paper's primitive interface (Section 3):
-/// `WINDOW`, `COUNT`, `ε-RANGE`, the bucket ε-RANGE of Section 3.1, and the
-/// average-MBR-area aggregate mentioned for polygon datasets. The
+/// The first four variants are the paper's primitive interface (Section 3):
+/// `WINDOW`, `COUNT`, `ε-RANGE` and the bucket ε-RANGE of Section 3.1. The
 /// `Coop*` variants are the *cooperative extension* that only the SemiJoin
 /// baseline uses (Section 5.3) — real non-cooperative servers would reject
 /// them, and [`crate::proto::Request::is_cooperative`] lets servers do so.
@@ -26,9 +25,6 @@ pub enum Request {
         probes: Vec<SpatialObject>,
         eps: f64,
     },
-    /// Average MBR area of objects intersecting `w` — the extra aggregate
-    /// the paper piggybacks on COUNT for polygon datasets.
-    AvgArea(Rect),
     /// Batched statistics: one COUNT per window, answered together in a
     /// single [`Response::Counts`] so message framing and packet headers
     /// are amortized across all probes (the `2k²·Taq` of one
@@ -100,10 +96,7 @@ impl Request {
 
     /// `true` for aggregate (statistics) queries, the paper's `Taq` class.
     pub fn is_aggregate(&self) -> bool {
-        matches!(
-            self,
-            Request::Count(_) | Request::AvgArea(_) | Request::MultiCount(_)
-        )
+        matches!(self, Request::Count(_) | Request::MultiCount(_))
     }
 
     /// `true` when `resp` is an answer this request can get: its own
@@ -119,7 +112,6 @@ impl Request {
                 Response::Objects(_),
             )
             | (Request::Count(_), Response::Count(_))
-            | (Request::AvgArea(_), Response::Area(_))
             | (Request::CoopLevelMbrs(_), Response::Rects(_))
             | (Request::CoopJoinPush { .. }, Response::Pairs(_))
             | (Request::ApplyUpdates(_), Response::Ack { .. })
@@ -143,8 +135,6 @@ pub enum Response {
     /// Per-window counts for [`Request::MultiCount`], probe order
     /// preserved.
     Counts(Vec<u64>),
-    /// Scalar area average.
-    Area(f64),
     /// Per-probe result lists for `BucketEpsRange`, probe order preserved.
     Buckets(Vec<Vec<SpatialObject>>),
     /// MBRs for `CoopLevelMbrs`.
@@ -305,7 +295,6 @@ mod tests {
     fn aggregate_classification() {
         let w = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
         assert!(Request::Count(w).is_aggregate());
-        assert!(Request::AvgArea(w).is_aggregate());
         assert!(Request::MultiCount(vec![w, w]).is_aggregate());
         assert!(!Request::Window(w).is_aggregate());
         assert!(!Request::MultiCount(vec![w]).is_cooperative());

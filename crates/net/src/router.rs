@@ -289,8 +289,7 @@ pub struct FleetSnapshot {
     /// Sub-requests actually sent to shards.
     pub scattered: u64,
     /// (request, shard) slots skipped because the shard could not
-    /// contribute to the answer — a bounds miss, or a zero-COUNT shard
-    /// skipped by the second phase of a merged `AvgArea`.
+    /// contribute to the answer — a bounds miss.
     pub pruned: u64,
     /// Shards that failed to *serve* at least once, in shard order: a
     /// read exhausted the whole replica set (surfaced as `Unavailable`,
@@ -720,9 +719,8 @@ impl ShardRouter {
     /// the sub-request *is* the request — and returns, for the batched
     /// kinds, which probes each shard was sent. Every rectangle decision
     /// is taken on the request's [`wire_exact`] form, returned for the
-    /// merge. `AvgArea` opens with its COUNT round; `ApplyUpdates` and
-    /// `Changes` scatter nothing here — all three finish in
-    /// [`ShardRouter::merge`].
+    /// merge. `ApplyUpdates` and `Changes` scatter nothing here — both
+    /// finish in [`ShardRouter::merge`].
     fn scatter<'a>(
         &self,
         slot: usize,
@@ -740,9 +738,6 @@ impl ShardRouter {
         match &exact {
             Request::Window(w) | Request::Count(w) => self.fan(flights, slot, whole(*w)),
             Request::EpsRange { q, eps } => self.fan(flights, slot, whole(q.expand(*eps))),
-            Request::AvgArea(w) => self.fan(flights, slot, |_, b| {
-                touches(b, w).then_some(Cow::Owned(Request::Count(*w)))
-            }),
             Request::MultiCount(windows) => {
                 picks = self.pick_indices(windows, |b, w| b.intersects(w));
                 let sub = |p: &[usize]| p.iter().map(|&k| windows[k]).collect();
@@ -787,7 +782,7 @@ impl ShardRouter {
     /// request's kind or a typed non-answer (`Edge::judge` saw to that);
     /// the first non-answer is the merged answer.
     fn merge(&self, req: &Request, picks: &[Vec<usize>], run: &mut [Flight]) -> Response {
-        let mut replies = run.iter_mut().filter_map(|f| match f.result.take() {
+        let replies = run.iter_mut().filter_map(|f| match f.result.take() {
             Some(Landing::Resp(resp)) => Some((f.shard, resp)),
             _ => None,
         });
@@ -816,7 +811,6 @@ impl ShardRouter {
                 }
                 Response::Counts(totals)
             }
-            Request::AvgArea(_) => self.avg_area(req, &mut replies),
             Request::BucketEpsRange { probes, .. } => {
                 let mut merged: Vec<Vec<SpatialObject>> = vec![Vec::new(); probes.len()];
                 for (shard, resp) in replies {
@@ -922,39 +916,6 @@ impl ShardRouter {
             sum += generation;
         }
         Response::Ack { generation: sum }
-    }
-
-    /// Merged `AvgArea`: per-shard averages weighted by matching-object
-    /// count. An unweighted mean of shard means would be wrong whenever
-    /// shards match different numbers of objects; the weights are the
-    /// COUNT round's `count_replies`, and shards counting zero skip the
-    /// area round — `req` itself, issued here — entirely.
-    fn avg_area(
-        &self,
-        req: &Request,
-        count_replies: &mut dyn Iterator<Item = (usize, Response)>,
-    ) -> Response {
-        let mut counts = vec![0u64; self.edges.len()];
-        for (shard, resp) in count_replies {
-            counts[shard] = payload!(resp, Response::Count);
-        }
-        let mut flights = Few::new();
-        self.fan(&mut flights, 0, |i, _| {
-            (counts[i] > 0).then_some(Cow::Borrowed(req))
-        });
-        self.execute(flights.as_mut_slice());
-        let total: u64 = counts.iter().sum();
-        let mut weighted = 0.0f64;
-        for f in flights {
-            if let Some(Landing::Resp(resp)) = f.result {
-                weighted += payload!(resp, Response::Area) * counts[f.shard] as f64;
-            }
-        }
-        Response::Area(if total == 0 {
-            0.0
-        } else {
-            weighted / total as f64
-        })
     }
 }
 
@@ -1189,19 +1150,6 @@ mod tests {
                         .copied()
                         .collect(),
                 ),
-                Request::AvgArea(w) => {
-                    let areas: Vec<f64> = self
-                        .0
-                        .iter()
-                        .filter(|o| o.mbr.intersects(&w))
-                        .map(|o| o.mbr.area())
-                        .collect();
-                    Response::Area(if areas.is_empty() {
-                        0.0
-                    } else {
-                        areas.iter().sum::<f64>() / areas.len() as f64
-                    })
-                }
                 Request::BucketEpsRange { probes, eps } => Response::Buckets(
                     probes
                         .iter()
@@ -1400,12 +1348,10 @@ mod tests {
         let nowhere = Rect::from_coords(40.0, 40.0, 50.0, 50.0);
         assert_eq!(l.request(&Request::Count(nowhere)).into_count(), 0);
         assert_eq!(l.request(&Request::Window(nowhere)).into_objects(), vec![]);
-        assert_eq!(l.request(&Request::AvgArea(nowhere)), Response::Area(0.0));
         let s = l.meter().snapshot();
         assert_eq!(s.total_bytes(), 0, "pruned queries cost nothing");
-        // Count 2 + Window 2 + AvgArea 4 (its COUNT round prunes both
-        // shards, then its area round skips both zero-count shards).
-        assert_eq!(l.fleet().unwrap().snapshot().pruned, 8);
+        // Count 2 + Window 2.
+        assert_eq!(l.fleet().unwrap().snapshot().pruned, 4);
     }
 
     #[test]
@@ -1441,34 +1387,6 @@ mod tests {
         let fleet = l.fleet().unwrap().snapshot();
         assert_eq!(fleet.per_shard[0].bucket_queries, 1);
         assert_eq!(fleet.per_shard[1].bucket_queries, 1);
-    }
-
-    #[test]
-    fn avg_area_weights_by_matching_count() {
-        // Left shard: 3 unit squares (area 1). Right shard: 1 big square
-        // (area 4). Flat average over the window = (3·1 + 4)/4 = 1.75; an
-        // unweighted mean of shard means would say (1 + 4)/2 = 2.5.
-        let left: Vec<SpatialObject> = (0..3)
-            .map(|i| {
-                SpatialObject::new(
-                    i,
-                    Rect::from_coords(i as f64 * 10.0, 0.0, i as f64 * 10.0 + 1.0, 1.0),
-                )
-            })
-            .collect();
-        let right = vec![SpatialObject::new(
-            100,
-            Rect::from_coords(100.0, 0.0, 102.0, 2.0),
-        )];
-        let l = link(ShardRouter::new(
-            vec![endpoint(left), endpoint(right)],
-            PacketModel::default(),
-        ));
-        let w = Rect::from_coords(-1.0, -1.0, 200.0, 10.0);
-        match l.request(&Request::AvgArea(w)) {
-            Response::Area(a) => assert_eq!(a, 1.75),
-            other => panic!("expected Area, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1523,8 +1441,8 @@ mod tests {
     }
 
     use crate::codec::{
-        decode_request, decode_response_gen, encode_request, encode_response, encode_response_into,
-        stamp_generation,
+        decode_request, decode_response_gen_ctx, encode_request, encode_response,
+        encode_response_into, stamp_generation_versioned,
     };
     use bytes::BytesMut;
     use std::sync::Mutex;
@@ -1588,7 +1506,11 @@ mod tests {
                 _ => Response::Refused,
             };
             let mut buf = BytesMut::new();
-            stamp_generation(self.generation.load(Ordering::SeqCst), &mut buf);
+            stamp_generation_versioned(
+                self.generation.load(Ordering::SeqCst),
+                WireVersion::V1,
+                &mut buf,
+            );
             encode_response_into(&resp, &mut buf);
             buf.freeze()
         }
@@ -1739,7 +1661,7 @@ mod tests {
         let w = Rect::from_coords(-1.0, -1.0, 10.0, 1.0);
         let via_router = roundtrip(&router, &Request::Window(w));
         let direct = shard.exchange(encode_request(&Request::Window(w)));
-        assert_eq!(via_router, decode_response_gen(direct).unwrap());
+        assert_eq!(via_router, decode_response_gen_ctx(direct, None).unwrap());
         let (resp, stamp) = via_router;
         assert_eq!(stamp, 1);
         assert_eq!(resp.into_objects().len(), 4);
@@ -1831,7 +1753,7 @@ mod tests {
                     }
                     let reply = self.inner.exchange(body);
                     if let Ok((Response::Ack { generation }, _)) =
-                        decode_response_gen(reply.clone())
+                        decode_response_gen_ctx(reply.clone(), None)
                     {
                         seen.insert(tag.nonce, (tag.seq, generation));
                     }

@@ -716,6 +716,26 @@ mod tests {
     }
 
     #[test]
+    fn a_request_with_bytes_behind_it_is_answered_malformed() {
+        // A frame is consumed whole: a valid request followed by a byte —
+        // bare, marked for v2, or inside a dedup envelope — is not that
+        // request. The server says so to its sender and serves on.
+        let ex = InProcExchange::new(Arc::new(Fixed));
+        let padded = |frame: Bytes| Bytes::from([frame.as_slice(), &[0]].concat());
+        let count = Request::Count(w());
+        let update = crate::codec::encode_request(&Request::ApplyUpdates(vec![]));
+        let tag = crate::codec::DedupTag { nonce: 9, seq: 0 };
+        for frame in [
+            crate::codec::encode_request(&count),
+            crate::codec::encode_request_versioned(&count, WireVersion::V2),
+            crate::codec::wrap_dedup(tag, &update),
+        ] {
+            assert_ne!(ex.exchange(frame.clone()), crate::codec::malformed_frame());
+            assert_eq!(ex.exchange(padded(frame)), crate::codec::malformed_frame());
+        }
+    }
+
+    #[test]
     fn failed_exchange_charges_no_meter_bytes() {
         let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "meter-conservation");
         let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);

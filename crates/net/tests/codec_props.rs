@@ -23,13 +23,20 @@
 //! A third suite round-trips the scalar v2 frames (varint counts, acks,
 //! generation stamps), which have no quantization to verify but share
 //! the varint primitives.
+//!
+//! And one rule holds for every frame of every kind, either version,
+//! stamped, marked or wrapped: **a frame is consumed whole**. A valid
+//! frame with junk behind it, or with its count prefix lowered so that
+//! records are left over, is rejected — never decoded to the part the
+//! decoder did read (`WIRE.md`, "a frame is consumed whole").
 
 use asj_geom::{Point, Rect, SpatialObject};
 use asj_net::codec::{
-    decode_response, decode_response_ctx, decode_response_gen_ctx, encode_response,
-    encode_response_versioned, stamp_generation_versioned, QuantCtx, WireVersion, OBJ_BYTES,
+    decode_request_versioned, decode_response, decode_response_ctx, decode_response_gen_ctx,
+    encode_request_versioned, encode_response, encode_response_versioned, peel_dedup,
+    stamp_generation_versioned, wrap_dedup, CodecError, DedupTag, QuantCtx, WireVersion, OBJ_BYTES,
 };
-use asj_net::Response;
+use asj_net::{DeltaOp, Request, Response, Update};
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
@@ -90,6 +97,84 @@ fn window() -> impl Strategy<Value = Rect> {
             .prop_map(|(a, b, c, d)| Rect::new(Point::new(a, b), Point::new(c, d))),
         (grid_coord(), grid_coord()).prop_map(|(x, y)| Rect::point(Point::new(x, y))),
     ]
+}
+
+fn eps() -> impl Strategy<Value = f64> {
+    (0u32..64).prop_map(|v| f64::from(v) * 0.3)
+}
+
+fn update() -> impl Strategy<Value = Update> {
+    prop_oneof![
+        object().prop_map(Update::Insert),
+        any_id().prop_map(Update::Delete),
+        (any_id(), shape()).prop_map(|(id, to)| Update::Move { id, to }),
+    ]
+}
+
+/// Every request kind, lists possibly empty.
+fn request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        shape().prop_map(Request::Window),
+        shape().prop_map(Request::Count),
+        (shape(), eps()).prop_map(|(q, eps)| Request::EpsRange { q, eps }),
+        (prop::collection::vec(object(), 0..6), eps())
+            .prop_map(|(probes, eps)| Request::BucketEpsRange { probes, eps }),
+        prop::collection::vec(shape(), 0..6).prop_map(Request::MultiCount),
+        (0u32..256).prop_map(|level| Request::CoopLevelMbrs(level as u8)),
+        (prop::collection::vec(shape(), 0..6), eps())
+            .prop_map(|(mbrs, eps)| Request::CoopFilterByMbrs { mbrs, eps }),
+        (prop::collection::vec(object(), 0..6), eps())
+            .prop_map(|(objects, eps)| Request::CoopJoinPush { objects, eps }),
+        prop::collection::vec(update(), 0..6).prop_map(Request::ApplyUpdates),
+        any::<u64>().prop_map(|since| Request::Changes { since }),
+    ]
+}
+
+/// Every response kind, lists possibly empty.
+fn response() -> impl Strategy<Value = Response> {
+    let change = (object(), any::<bool>()).prop_map(|(o, add)| match add {
+        true => DeltaOp::Add(o),
+        false => DeltaOp::Remove {
+            id: o.id,
+            mbr: o.mbr,
+        },
+    });
+    prop_oneof![
+        prop::collection::vec(object(), 0..8).prop_map(Response::Objects),
+        any::<u64>().prop_map(Response::Count),
+        prop::collection::vec(any::<u64>(), 0..8).prop_map(Response::Counts),
+        prop::collection::vec(prop::collection::vec(object(), 0..4), 0..5)
+            .prop_map(Response::Buckets),
+        prop::collection::vec(shape(), 0..8).prop_map(Response::Rects),
+        prop::collection::vec((any_id(), any_id()), 0..8).prop_map(Response::Pairs),
+        Just(Response::Refused),
+        any::<u64>().prop_map(|generation| Response::Ack { generation }),
+        prop::collection::vec(change, 0..6).prop_map(Response::Changes),
+        Just(Response::Malformed),
+    ]
+}
+
+fn wire() -> impl Strategy<Value = WireVersion> {
+    prop_oneof![Just(WireVersion::V1), Just(WireVersion::V2)]
+}
+
+/// Generations at both ends of the varint: none, small, above 2^63.
+fn generation() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0), 1u64..1000, any::<u64>().prop_map(|g| g | 1 << 63)]
+}
+
+/// A response frame as a server sends it: stamped, then encoded against
+/// the grid of `win`.
+fn response_frame(resp: &Response, wire: WireVersion, win: Rect, generation: u64) -> Bytes {
+    let ctx = QuantCtx::new(win);
+    let mut buf = BytesMut::new();
+    stamp_generation_versioned(generation, wire, &mut buf);
+    encode_response_versioned(resp, wire, ctx.as_ref(), &mut buf);
+    buf.freeze()
+}
+
+fn with_tail(frame: &Bytes, tail: &[u8]) -> Bytes {
+    Bytes::from([frame.as_slice(), tail].concat())
 }
 
 /// The bit pattern a decode delivered — `PartialEq` on `f64` would pass
@@ -212,7 +297,174 @@ fn seeded_garble_sweep_decodes_typed_or_errors_never_panics() {
     }
 }
 
+/// The four reserved bytes (`WIRE.md`, "Reserved opcodes") with a
+/// plausible payload behind them: `05` and `83` were a request and its
+/// answer until nothing turned out to send them, `EE` is the injected
+/// garble. All are unknown opcodes to both decoders. (`92` is reserved
+/// differently: decodable, but only ever fabricated locally.)
+#[test]
+fn reserved_opcodes_are_rejected_as_unknown() {
+    let window = encode_request_versioned(
+        &Request::Window(Rect::from_coords(0.0, 0.0, 1.0, 1.0)),
+        WireVersion::V1,
+    );
+    let count = encode_response(&Response::Count(7));
+    for (opcode, body) in [(0x05, &window), (0x83, &count), (0xEE, &count)] {
+        let mut frame = body.to_vec();
+        frame[0] = opcode;
+        let frame = Bytes::from(frame);
+        let unknown = Err(CodecError::UnknownOpcode(opcode));
+        assert_eq!(decode_request_versioned(frame.clone()).map(drop), unknown);
+        assert_eq!(decode_response_gen_ctx(frame, None).map(drop), unknown);
+    }
+}
+
+/// One accepted encoding per value and length: the tenth byte of a
+/// varint holds the 64th bit and nothing else. `…, 0x02` there used to
+/// contribute nothing and decode like `…, 0x00`.
+#[test]
+fn a_varint_may_not_carry_bits_above_the_64th() {
+    let varint = |last: u8| [[0xFF; 9].as_slice(), &[last]].concat();
+    for (opcode, stamped) in [(0x8D, false), (0x8F, false), (0x90, true)] {
+        let frame = |last| {
+            let tail: &[u8] = if stamped { &[0x87] } else { &[] };
+            Bytes::from([&[opcode], varint(last).as_slice(), tail].concat())
+        };
+        let top = decode_response_gen_ctx(frame(0x01), None).expect("u64::MAX is a value");
+        match (top, stamped) {
+            ((Response::Refused, generation), true) => assert_eq!(generation, u64::MAX),
+            ((Response::Count(v) | Response::Ack { generation: v }, 0), false) => {
+                assert_eq!(v, u64::MAX)
+            }
+            other => panic!("{other:?}"),
+        }
+        for last in [0x02, 0x03, 0x7F, 0x80, 0x81] {
+            assert!(
+                decode_response_gen_ctx(frame(last), None).is_err(),
+                "opcode {opcode:#x}: a tenth byte of {last:#x} was accepted"
+            );
+        }
+    }
+}
+
+/// A complete compact object whose id delta lands outside `u32` is a
+/// value out of range — the error an unknown update tag gets — not a
+/// truncated frame.
+#[test]
+fn an_id_delta_that_leaves_u32_is_out_of_range_not_truncated() {
+    // [8C][n = 1][tag: point][zigzag(-1)][x f32][y f32]
+    let below = [0x8C, 0, 0, 0, 1, 0x01, 0x01, 0, 0, 0, 0, 0, 0, 0, 0];
+    assert_eq!(
+        decode_response(Bytes::copy_from_slice(&below)),
+        Err(CodecError::UnknownOpcode(0x01))
+    );
+    // id u32::MAX, then +1.
+    let objs = vec![SpatialObject::point(u32::MAX, 1.0, 1.0)];
+    let mut above = encode_v2(&Response::Objects(objs), None).to_vec();
+    above[4] = 2;
+    above.extend([0x01, 0x02, 0, 0, 0, 0, 0, 0, 0, 0]);
+    assert_eq!(
+        decode_response(Bytes::from(above)),
+        Err(CodecError::UnknownOpcode(0x01))
+    );
+}
+
 proptest! {
+    // A frame is consumed whole: any valid request frame — bare, marked
+    // for v2, or in a dedup envelope — followed by junk is rejected.
+    #[test]
+    fn a_valid_frame_followed_by_junk_is_rejected(
+        req in request(),
+        resp in response(),
+        wire in wire(),
+        win in window(),
+        generation in generation(),
+        tag in any::<u64>(),
+        junk in prop::collection::vec(any::<u64>(), 1..9),
+    ) {
+        let junk: Vec<u8> = junk.iter().map(|&b| b as u8).collect();
+        let frame = encode_request_versioned(&req, wire);
+        prop_assert!(decode_request_versioned(frame.clone()).is_ok());
+        prop_assert_eq!(
+            decode_request_versioned(with_tail(&frame, &junk)).map(drop),
+            Err(CodecError::TrailingBytes(junk.len())),
+            "{:?} + {:?}", req, junk
+        );
+        // The envelope is peeled first; its body is then held to the rule.
+        let wrapped = wrap_dedup(DedupTag { nonce: tag, seq: !tag }, &frame);
+        let (_, body) = peel_dedup(&with_tail(&wrapped, &junk)).expect("an envelope");
+        prop_assert!(decode_request_versioned(body).is_err());
+
+        let ctx = QuantCtx::new(win);
+        let frame = response_frame(&resp, wire, win, generation);
+        prop_assert!(decode_response_gen_ctx(frame.clone(), ctx.as_ref()).is_ok());
+        prop_assert_eq!(
+            decode_response_gen_ctx(with_tail(&frame, &junk), ctx.as_ref()).map(drop),
+            Err(CodecError::TrailingBytes(junk.len())),
+            "{:?} at {} + {:?}", resp, generation, junk
+        );
+    }
+
+    // A count prefix is input. Lowered, it leaves records behind the ones
+    // it counts: the frame is rejected, not decoded to its first records.
+    #[test]
+    fn a_lowered_count_prefix_is_rejected(
+        objs in prop::collection::vec(object(), 1..6),
+        counts in prop::collection::vec(any::<u64>(), 1..6),
+        updates in prop::collection::vec(update(), 1..6),
+        wire in wire(),
+        win in window(),
+        generation in generation(),
+        lower in any::<u64>(),
+    ) {
+        let rects = || objs.iter().map(|o| o.mbr).collect::<Vec<Rect>>();
+        let added = objs.iter().copied().map(DeltaOp::Add).collect();
+        let responses = [
+            (objs.len(), Response::Objects(objs.clone())),
+            (counts.len(), Response::Counts(counts)),
+            (2, Response::Buckets(vec![objs.clone(); 2])),
+            (objs.len(), Response::Rects(rects())),
+            (objs.len(), Response::Pairs(objs.iter().map(|o| (o.id, !o.id)).collect())),
+            (objs.len(), Response::Changes(added)),
+        ];
+        let ctx = QuantCtx::new(win);
+        for (n, resp) in responses {
+            let stamp = response_frame(&resp, wire, win, generation).len()
+                - response_frame(&resp, wire, win, 0).len();
+            let mut frame = response_frame(&resp, wire, win, generation).to_vec();
+            // The prefix follows the opcode: a u32, or — compact counts —
+            // a varint, one byte long for these lengths.
+            let compact_counts = wire == WireVersion::V2 && matches!(resp, Response::Counts(_));
+            let at = stamp + if compact_counts { 1 } else { 4 };
+            prop_assert_eq!(frame[at] as usize, n, "{:?}", resp);
+            frame[at] = (lower % n as u64) as u8;
+            prop_assert!(
+                decode_response_gen_ctx(Bytes::from(frame), ctx.as_ref()).is_err(),
+                "{:?} with its count lowered to {}", resp, lower % n as u64
+            );
+        }
+        let requests = [
+            Request::MultiCount(rects()),
+            Request::ApplyUpdates(updates),
+            Request::BucketEpsRange { probes: objs.clone(), eps: 0.5 },
+            Request::CoopFilterByMbrs { mbrs: rects(), eps: 0.5 },
+            Request::CoopJoinPush { objects: objs.clone(), eps: 0.5 },
+        ];
+        for req in requests {
+            let mut frame = encode_request_versioned(&req, wire).to_vec();
+            // Marker (v2), opcode, ε where the kind has one, then the u32.
+            let eps = !matches!(req, Request::MultiCount(_) | Request::ApplyUpdates(_));
+            let at = usize::from(wire == WireVersion::V2) + 1 + 4 * usize::from(eps) + 3;
+            let n = frame[at] as u64;
+            prop_assert!((1..6).contains(&n), "{:?}", req);
+            frame[at] = (lower % n) as u8;
+            prop_assert!(
+                decode_request_versioned(Bytes::from(frame)).is_err(),
+                "{:?} with its count lowered to {}", req, lower % n
+            );
+        }
+    }
+
     // Verify-else-escape, end to end: whatever the window grid makes of
     // each coordinate, the v2 decode is bit-equal to the v1 decode.
     #[test]

@@ -9,6 +9,9 @@
 //! On every shape, `request_many(script)` hands back what
 //! `script.map(request)` returns, in the same order, and leaves the same
 //! meters behind.
+//!
+//! And one over a damaged reply: a frame with a byte behind it is
+//! `Malformed` — charged, retried — never the value in front of the byte.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -116,6 +119,34 @@ fn faulted_threaded(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn Raw
     ))
 }
 
+/// A carrier that appends a byte to replies: to every one, or — `flaky` —
+/// only to the first delivery of a frame, so its retry gets through.
+struct Padded {
+    inner: InProcExchange<LiveScan>,
+    flaky: bool,
+    last: Mutex<Option<Bytes>>,
+}
+
+impl RawExchange for Padded {
+    fn exchange(&self, request: Bytes) -> Bytes {
+        let reply = self.inner.exchange(request.clone());
+        let again = self.last.lock().unwrap().replace(request.clone()) == Some(request);
+        if self.flaky && again {
+            return reply;
+        }
+        Bytes::from([reply.as_slice(), &[0]].concat())
+    }
+}
+
+fn padded(flaky: bool) -> Link {
+    let carrier = Padded {
+        inner: InProcExchange::new(LiveScan::new(lattice())),
+        flaky,
+        last: Mutex::new(None),
+    };
+    Link::new(Box::new(carrier), PacketModel::default(), 1.0)
+}
+
 /// Three shards cut at x = 10 and x = 20, two replicas each, every
 /// replica edge under its own decorrelated copy of the plan.
 fn shards_3x2(plan: FaultPlan) -> Vec<ShardEndpoint> {
@@ -142,8 +173,8 @@ fn shards_3x2(plan: FaultPlan) -> Vec<ShardEndpoint> {
         .collect()
 }
 
-/// One step of a script: `(kind, x, y, h)`; kind 5 is an update batch,
-/// kind 6 the aggregate a fleet merges in two rounds.
+/// One step of a script: `(kind, x, y, h)`; kinds 5 and up are update
+/// batches.
 type Step = (u8, i32, i32, u32);
 
 /// The `i`-th request of a script. Every rectangle is `1 + n/32` wide
@@ -170,7 +201,6 @@ fn request(i: usize, (kind, x, y, h): Step) -> Request {
                 .collect(),
             eps: h as f64 * 0.25,
         },
-        6 => Request::AvgArea(rect(4 * i)),
         _ => Request::ApplyUpdates(vec![
             Update::Insert(SpatialObject::new(id, rect(4 * i))),
             Update::Move {
@@ -203,6 +233,37 @@ fn summed(snaps: &[LinkSnapshot]) -> LinkSnapshot {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // A reply that is a valid frame plus one byte is not that frame. On
+    // every kind of read, asked for in either wire version (the padded
+    // links themselves stay on v1: a padded `ACCEPT` is no `ACCEPT`, and
+    // values do not depend on the version): with no retry the answer
+    // is `Malformed` and the exchange is charged like any other; with a
+    // retry that gets a clean reply, the answer is the clean link's and
+    // the damaged attempt shows as one retry. (Before decoders checked
+    // that they consumed their frame, the value decoded and was used.)
+    #[test]
+    fn a_reply_with_a_byte_appended_is_malformed_never_a_value(
+        steps in prop::collection::vec((0u8..5, -8i32..48, -8i32..28, 1u32..12), 1..10),
+        v2 in any::<bool>(),
+    ) {
+        let tune = |link: Link| if v2 { link.negotiate() } else { link };
+        let clean = faulted(lattice(), FaultPlan::default());
+        let clean = tune(Link::new(clean, PacketModel::default(), 1.0));
+        let always = tune(padded(false));
+        let flaky = tune(padded(true).with_retry(RetryPolicy::attempts(2)));
+        prop_assert_eq!(always.wire(), WireVersion::V1);
+        for (i, &step) in steps.iter().enumerate() {
+            let req = request(i, step);
+            let want = clean.request(&req);
+            prop_assert_eq!(always.request(&req), Response::Malformed, "step {}: {:?}", i, req);
+            prop_assert_eq!(flaky.request(&req), want, "step {}: {:?}", i, req);
+        }
+        let (charged, retried) = (always.meter().snapshot(), flaky.meter().snapshot());
+        prop_assert!(charged.down_bytes > 0 && charged.up_bytes > 0, "a damaged reply crossed the wire");
+        prop_assert_eq!(charged.retried, 0);
+        prop_assert_eq!(retried.retried, steps.len() as u64);
+    }
 
     #[test]
     fn stack_shapes_agree_on_responses_and_meters(

@@ -28,7 +28,6 @@ fn request() -> impl Strategy<Value = Request> {
     prop_oneof![
         rect().prop_map(Request::Window),
         rect().prop_map(Request::Count),
-        rect().prop_map(Request::AvgArea),
         prop::collection::vec(rect(), 0..20).prop_map(Request::MultiCount),
         (rect(), eps()).prop_map(|(q, eps)| Request::EpsRange { q, eps }),
         (prop::collection::vec(object(), 0..20), eps())
@@ -46,7 +45,6 @@ fn response() -> impl Strategy<Value = Response> {
         prop::collection::vec(object(), 0..30).prop_map(Response::Objects),
         any::<u64>().prop_map(Response::Count),
         prop::collection::vec(any::<u64>(), 0..20).prop_map(Response::Counts),
-        (0u32..1_000_000).prop_map(|a| Response::Area(a as f64 * 0.5)),
         prop::collection::vec(prop::collection::vec(object(), 0..6), 0..10)
             .prop_map(Response::Buckets),
         prop::collection::vec(rect(), 0..30).prop_map(Response::Rects),

@@ -4,10 +4,10 @@ use std::sync::Arc;
 
 use asj_geom::{Rect, SpatialObject};
 
-/// A tree node: its MBR, the aR-tree aggregates of its subtree (object
-/// count and MBR-area sum) and either leaf entries or child nodes.
+/// A tree node: its MBR, the aR-tree aggregate of its subtree (the object
+/// count) and either leaf entries or child nodes.
 ///
-/// A `Node` is the *entry* its parent stores: the MBR and aggregates sit
+/// A `Node` is the *entry* its parent stores: the MBR and aggregate sit
 /// inline in the parent's child array, so pruning a subtree never
 /// dereferences it, and the body behind [`NodeKind`] is one shared,
 /// immutable allocation. Cloning a node is a reference-count bump; every
@@ -19,11 +19,6 @@ pub(crate) struct Node {
     /// Objects in this subtree — maintained on every structural change so
     /// `COUNT` queries can stop at fully-covered nodes.
     pub count: u64,
-    /// Σ of the subtree's object MBR areas — the second aR aggregate, so
-    /// `AvgArea` queries stop at fully-covered nodes exactly like `COUNT`.
-    /// Always recomputed bottom-up from direct content (never adjusted
-    /// incrementally), so the stored value is bit-reproducible.
-    pub area_sum: f64,
     pub kind: NodeKind,
 }
 
@@ -34,26 +29,23 @@ pub(crate) enum NodeKind {
 }
 
 impl Node {
-    /// A leaf over `entries`, its MBR and aggregates computed from them in
-    /// entry order.
+    /// A leaf over `entries`, its MBR and count computed from them.
     pub fn leaf(entries: impl Into<Arc<[SpatialObject]>>) -> Node {
         let entries = entries.into();
         Node {
             mbr: mbr_of_objects(&entries),
             count: entries.len() as u64,
-            area_sum: area_of_objects(&entries),
             kind: NodeKind::Leaf(entries),
         }
     }
 
-    /// An internal node over `children`, its MBR and aggregates computed
-    /// from theirs in child order.
+    /// An internal node over `children`, its MBR and count computed from
+    /// theirs.
     pub fn internal(children: impl Into<Arc<[Node]>>) -> Node {
         let children = children.into();
         Node {
             mbr: mbr_of_nodes(&children),
             count: children.iter().map(|c| c.count).sum(),
-            area_sum: children.iter().map(|c| c.area_sum).sum(),
             kind: NodeKind::Internal(children),
         }
     }
@@ -79,12 +71,6 @@ pub(crate) fn mbr_of_nodes(nodes: &[Node]) -> Rect {
         .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 0.0, 0.0))
 }
 
-/// Σ of the objects' MBR areas, folded in entry order (the canonical order
-/// the invariant checker reproduces).
-pub(crate) fn area_of_objects(objects: &[SpatialObject]) -> f64 {
-    objects.iter().map(|o| o.mbr.area()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,26 +82,9 @@ mod tests {
             SpatialObject::point(2, 4.0, 2.0),
         ]);
         assert_eq!(n.count, 2);
-        assert_eq!(n.area_sum, 0.0, "points have zero area");
         assert_eq!(n.mbr, Rect::from_coords(0.0, 0.0, 4.0, 2.0));
         assert!(matches!(n.kind, NodeKind::Leaf(_)));
         assert_eq!(n.fanout(), 2);
-    }
-
-    #[test]
-    fn area_aggregates_sum_bottom_up() {
-        let a = Node::leaf(vec![SpatialObject::new(
-            1,
-            Rect::from_coords(0.0, 0.0, 2.0, 2.0), // area 4
-        )]);
-        let b = Node::leaf(vec![
-            SpatialObject::new(2, Rect::from_coords(3.0, 3.0, 4.0, 5.0)), // area 2
-            SpatialObject::new(3, Rect::from_coords(5.0, 5.0, 6.0, 6.0)), // area 1
-        ]);
-        assert_eq!(a.area_sum, 4.0);
-        assert_eq!(b.area_sum, 3.0);
-        let n = Node::internal(vec![a, b]);
-        assert_eq!(n.area_sum, 7.0);
     }
 
     #[test]

@@ -205,17 +205,6 @@ impl RTree {
         }
     }
 
-    /// `(count, Σ area)` of the objects intersecting `w`, answered from the
-    /// aR aggregates: subtrees fully inside `w` contribute their
-    /// pre-computed `(count, area_sum)` without being visited — `AvgArea`
-    /// costs the same as `COUNT` instead of materializing the window.
-    pub fn area_stats(&self, w: &Rect) -> (u64, f64) {
-        match &self.root {
-            Some(root) => area_stats_rec(root, w),
-            None => (0, 0.0),
-        }
-    }
-
     /// The MBRs of all nodes `levels_above_leaves` levels above the leaf
     /// level (0 = the leaf nodes themselves). The SemiJoin baseline ships
     /// level 0 — the paper's "second to last level of the R-tree".
@@ -411,25 +400,6 @@ fn range_rec(node: &Node, q: &Rect, eps: f64, f: &mut dyn FnMut(&SpatialObject))
     }
 }
 
-fn area_stats_rec(node: &Node, w: &Rect) -> (u64, f64) {
-    if !node.mbr.intersects(w) {
-        return (0, 0.0);
-    }
-    if w.contains_rect(&node.mbr) {
-        return (node.count, node.area_sum); // aR shortcut, as for COUNT
-    }
-    match &node.kind {
-        NodeKind::Leaf(es) => es
-            .iter()
-            .filter(|o| o.mbr.intersects(w))
-            .fold((0, 0.0), |(n, a), o| (n + 1, a + o.mbr.area())),
-        NodeKind::Internal(cs) => cs
-            .iter()
-            .map(|c| area_stats_rec(c, w))
-            .fold((0, 0.0), |(n, a), (cn, ca)| (n + cn, a + ca)),
-    }
-}
-
 fn range_count_rec(node: &Node, q: &Rect, eps: f64) -> u64 {
     if node.mbr.min_dist(q) > eps {
         return 0;
@@ -463,24 +433,11 @@ fn check_rec(node: &Node, max_entries: usize) -> (usize, u64, usize) {
     match &node.kind {
         NodeKind::Leaf(es) => {
             assert_eq!(node.count, es.len() as u64, "leaf count mismatch");
-            // Aggregates are always recomputed from direct content in
-            // entry order, so the stored sum must be *bit*-identical to
-            // this recompute — no tolerance.
-            assert_eq!(
-                node.area_sum,
-                crate::node::area_of_objects(es),
-                "leaf area aggregate stale"
-            );
             assert_eq!(node.mbr, mbr_of_objects(es), "leaf mbr stale");
             (1, node.count, 1)
         }
         NodeKind::Internal(cs) => {
             assert_eq!(node.mbr, mbr_of_nodes(cs), "internal mbr stale");
-            assert_eq!(
-                node.area_sum,
-                cs.iter().map(|c| c.area_sum).sum::<f64>(),
-                "internal area aggregate stale"
-            );
             let mut nodes = 1;
             let mut count = 0;
             let mut height = None;
@@ -642,47 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn area_stats_match_window_materialization() {
-        // Rect objects (nonzero areas) in both bulk-loaded and
-        // incrementally built trees: the aggregate answer must match the
-        // window-materializing fold to float tolerance on every query,
-        // and exactly on full coverage of exactly-representable areas.
-        let boxes: Vec<SpatialObject> = (0..400)
-            .map(|i| {
-                let x = (i % 20) as f64 * 50.0;
-                let y = (i / 20) as f64 * 50.0;
-                let w = 1.0 + (i % 7) as f64; // integral side lengths
-                SpatialObject::new(i, Rect::from_coords(x, y, x + w, y + w))
-            })
-            .collect();
-        let bulk = RTree::bulk_load(boxes.clone(), 8);
-        let mut inc = RTree::new(4);
-        for &o in &boxes {
-            inc.insert(o);
-        }
-        bulk.check_invariants();
-        inc.check_invariants();
-        for w in [
-            Rect::from_coords(0.0, 0.0, 2000.0, 2000.0), // everything
-            Rect::from_coords(100.0, 100.0, 480.0, 770.0),
-            Rect::from_coords(-10.0, -10.0, -1.0, -1.0), // nothing
-        ] {
-            for t in [&bulk, &inc] {
-                let (n, sum) = t.area_stats(&w);
-                let objs = t.window(&w);
-                assert_eq!(n, objs.len() as u64, "window {w:?}");
-                let naive: f64 = objs.iter().map(|o| o.mbr.area()).sum();
-                assert!((sum - naive).abs() <= 1e-9 * naive.max(1.0), "window {w:?}");
-            }
-        }
-        // Full coverage hits the root aggregate: both trees agree exactly
-        // (integral areas sum exactly in f64 at this scale).
-        let everything = Rect::from_coords(-1.0, -1.0, 2000.0, 2000.0);
-        assert_eq!(bulk.area_stats(&everything), inc.area_stats(&everything));
-        assert_eq!(RTree::default().area_stats(&everything), (0, 0.0));
-    }
-
-    #[test]
     fn visitors_match_materializing_queries_in_order() {
         let pts = lcg_points(500, 9);
         let t = RTree::bulk_load(pts, 8);
@@ -739,7 +655,7 @@ mod tests {
         let mut t = RTree::bulk_load(pts.clone(), 8);
         let before = t.clone();
         let w = Rect::from_coords(100.0, 100.0, 600.0, 700.0);
-        let (window, count, stats) = (before.window(&w), before.count(&w), before.area_stats(&w));
+        let (window, count) = (before.window(&w), before.count(&w));
         let leaves = before.level_mbrs(0);
         for o in &pts[..500] {
             assert!(t.remove(o.id, &o.mbr));
@@ -754,7 +670,6 @@ mod tests {
         assert_eq!(before.len(), 2000);
         assert_eq!(before.window(&w), window, "same objects, same order");
         assert_eq!(before.count(&w), count);
-        assert_eq!(before.area_stats(&w), stats);
         assert_eq!(before.level_mbrs(0), leaves);
         assert_ne!(t.window(&w), window);
     }

@@ -99,34 +99,6 @@ proptest! {
     }
 
     #[test]
-    fn area_stats_match_scan_fold(
-        data in dataset(120),
-        w in (coord(), coord(), coord(), coord()),
-    ) {
-        // The aggregate (count, Σ area) walk — which shortcuts at fully
-        // covered nodes — must agree with a linear fold over the same
-        // window, for bulk-loaded and incrementally built trees alike.
-        let window = Rect::new(Point::new(w.0, w.1), Point::new(w.2, w.3));
-        let (want_n, want_sum) = data
-            .iter()
-            .filter(|o| o.mbr.intersects(&window))
-            .fold((0u64, 0.0f64), |(n, a), o| (n + 1, a + o.mbr.area()));
-        let bulk = RTree::bulk_load(data.clone(), 6);
-        let mut inc = RTree::new(4);
-        for &o in &data {
-            inc.insert(o);
-        }
-        for tree in [&bulk, &inc] {
-            let (n, sum) = tree.area_stats(&window);
-            prop_assert_eq!(n, want_n);
-            prop_assert!(
-                (sum - want_sum).abs() <= 1e-9 * want_sum.max(1.0),
-                "aggregate Σ area {} vs scan fold {}", sum, want_sum
-            );
-        }
-    }
-
-    #[test]
     fn leaf_level_mbrs_cover_everything(data in dataset(200)) {
         prop_assume!(!data.is_empty());
         let tree = RTree::bulk_load(data.clone(), 6);
@@ -165,7 +137,6 @@ struct Answers {
     count: u64,
     range: Vec<SpatialObject>,
     range_count: u64,
-    area: (u64, f64),
     leaves: Vec<Rect>,
     len: usize,
 }
@@ -176,7 +147,6 @@ fn answers(tree: &RTree, w: &Rect, q: &Rect, eps: f64) -> Answers {
         count: tree.count(w),
         range: tree.eps_range(q, eps),
         range_count: tree.eps_range_count(q, eps),
-        area: tree.area_stats(w),
         leaves: tree.level_mbrs(0),
         len: tree.len(),
     }
@@ -234,16 +204,12 @@ proptest! {
 
             let in_window: Vec<_> = model.iter().filter(|o| o.mbr.intersects(&window)).copied().collect();
             let in_range: Vec<_> = model.iter().filter(|o| o.mbr.within_distance(&probe, eps)).copied().collect();
-            let area: f64 = in_window.iter().map(|o| o.mbr.area()).sum();
             for t in [&tree, &RTree::bulk_load(model.clone(), 4)] {
                 prop_assert_eq!(t.len(), model.len());
                 prop_assert_eq!(ids(t.window(&window)), ids(in_window.clone()));
                 prop_assert_eq!(t.count(&window), in_window.len() as u64);
                 prop_assert_eq!(ids(t.eps_range(&probe, eps)), ids(in_range.clone()));
                 prop_assert_eq!(t.eps_range_count(&probe, eps), in_range.len() as u64);
-                let (n, sum) = t.area_stats(&window);
-                prop_assert_eq!(n, in_window.len() as u64);
-                prop_assert!((sum - area).abs() <= 1e-9 * area.max(1.0), "Σ area {} vs scan {}", sum, area);
             }
         }
     }

@@ -154,7 +154,6 @@ fn answer(
         Request::BucketEpsRange { probes, eps } => {
             Response::Buckets(bucket_eps_range(store, &probes, eps, bucket_workers))
         }
-        Request::AvgArea(w) => Response::Area(store.avg_area(&w)),
         Request::MultiCount(windows) => {
             // Batched statistics: one COUNT per window, answered in
             // probe order from the same store path as single COUNTs.
@@ -534,7 +533,7 @@ mod tests {
     #[test]
     fn live_service_acks_updates_and_stamps_generations() {
         use crate::versioned::VersionedStore;
-        use asj_net::codec::decode_response_gen;
+        use asj_net::codec::decode_response_gen_ctx;
         use asj_net::Update;
 
         let svc = SpatialService::new(VersionedStore::new(lattice(10), RTreeStore::new));
@@ -558,13 +557,13 @@ mod tests {
             WireVersion::V1,
             &mut ack_buf,
         );
-        let (ack, stamp) = decode_response_gen(ack_buf.freeze()).unwrap();
+        let (ack, stamp) = decode_response_gen_ctx(ack_buf.freeze(), None).unwrap();
         assert_eq!(stamp, 0, "Ack frames are never stamped");
         assert_eq!(ack, Response::Ack { generation: 1 });
         // Queries now serve generation 1 and say so on the wire.
         let mut buf = BytesMut::new();
         svc.handle_into(Request::Window(w), WireVersion::V1, &mut buf);
-        let (resp, stamp) = decode_response_gen(buf.freeze()).unwrap();
+        let (resp, stamp) = decode_response_gen_ctx(buf.freeze(), None).unwrap();
         assert_eq!(stamp, 1);
         assert_eq!(resp.into_objects().len(), 8); // 9 lattice points minus id 0
         assert_eq!(svc.handle(Request::Count(w)).into_count(), 8);
@@ -578,14 +577,14 @@ mod tests {
     #[test]
     fn changes_are_stamped_with_the_generation_they_reach() {
         use crate::versioned::VersionedStore;
-        use asj_net::codec::decode_response_gen;
+        use asj_net::codec::decode_response_gen_ctx;
         use asj_net::{DeltaOp, Update};
 
         let svc = SpatialService::new(VersionedStore::new(lattice(10), RTreeStore::new));
         let ask = |svc: &dyn QueryHandler, since| {
             let mut buf = BytesMut::new();
             svc.handle_into(Request::Changes { since }, WireVersion::V1, &mut buf);
-            decode_response_gen(buf.freeze()).unwrap()
+            decode_response_gen_ctx(buf.freeze(), None).unwrap()
         };
         assert_eq!(ask(&svc, 0), (Response::Changes(Vec::new()), 0));
         svc.handle(Request::ApplyUpdates(vec![Update::Delete(0)]));

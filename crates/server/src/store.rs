@@ -51,8 +51,6 @@ pub trait SpatialStore: Send + Sync {
         self.for_each_eps_range(q, eps, &mut |o| out.push(*o));
         out
     }
-    /// Average MBR area among objects intersecting `w` (0.0 when none).
-    fn avg_area(&self, w: &Rect) -> f64;
     /// MBRs of one index level (`levels_above_leaves`), if the backend is
     /// hierarchical; `None` otherwise. Cooperative extension only.
     fn level_mbrs(&self, levels_above_leaves: usize) -> Option<Vec<Rect>>;
@@ -150,22 +148,6 @@ impl SpatialStore for ScanStore {
         self.objects.iter().filter(|o| o.mbr.intersects(w)).count() as u64
     }
 
-    fn avg_area(&self, w: &Rect) -> f64 {
-        let mut n = 0u64;
-        let mut sum = 0.0;
-        for o in &self.objects {
-            if o.mbr.intersects(w) {
-                n += 1;
-                sum += o.mbr.area();
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
     fn level_mbrs(&self, _levels_above_leaves: usize) -> Option<Vec<Rect>> {
         None // no hierarchy to publish
     }
@@ -234,22 +216,6 @@ impl SpatialStore for RTreeStore {
         Some(self.tree.count(w))
     }
 
-    fn avg_area(&self, w: &Rect) -> f64 {
-        // Answered from the aR area aggregates, like `count` — fully
-        // covered subtrees contribute without being materialized. The sum
-        // associates per subtree instead of per flat result vector, so
-        // the f64 can differ in the last ulp from a linear fold; no join
-        // algorithm consumes AvgArea (only the router's weighted merge
-        // and the differential suites, which compare with tolerance), so
-        // no decision or wire byte depends on those bits.
-        let (n, sum) = self.tree.area_stats(w);
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
     fn level_mbrs(&self, levels_above_leaves: usize) -> Option<Vec<Rect>> {
         Some(self.tree.level_mbrs(levels_above_leaves))
     }
@@ -315,27 +281,6 @@ mod tests {
                 "eps={eps}"
             );
         }
-    }
-
-    #[test]
-    fn avg_area_of_points_is_zero() {
-        let s = ScanStore::new(dataset());
-        assert_eq!(s.avg_area(&Rect::from_coords(0.0, 0.0, 9.0, 9.0)), 0.0);
-    }
-
-    #[test]
-    fn avg_area_of_rect_objects() {
-        let objs = vec![
-            SpatialObject::new(1, Rect::from_coords(0.0, 0.0, 2.0, 2.0)), // area 4
-            SpatialObject::new(2, Rect::from_coords(0.0, 0.0, 1.0, 2.0)), // area 2
-        ];
-        let s = ScanStore::new(objs.clone());
-        let t = RTreeStore::new(objs);
-        let w = Rect::from_coords(-1.0, -1.0, 3.0, 3.0);
-        assert_eq!(s.avg_area(&w), 3.0);
-        assert_eq!(t.avg_area(&w), 3.0);
-        // Empty window → 0.
-        assert_eq!(s.avg_area(&Rect::from_coords(50.0, 50.0, 60.0, 60.0)), 0.0);
     }
 
     #[test]

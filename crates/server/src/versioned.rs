@@ -290,10 +290,6 @@ impl<S: SpatialStore> SpatialStore for VersionedStore<S> {
         self.snapshot().store.window_count_hint(w)
     }
 
-    fn avg_area(&self, w: &Rect) -> f64 {
-        self.snapshot().store.avg_area(w)
-    }
-
     fn level_mbrs(&self, levels_above_leaves: usize) -> Option<Vec<Rect>> {
         self.snapshot().store.level_mbrs(levels_above_leaves)
     }

@@ -61,14 +61,6 @@ proptest! {
         // ε-RANGE
         let r = norm(scan.handle(Request::EpsRange { q: probe, eps }));
         prop_assert_eq!(&r, &norm(tree.handle(Request::EpsRange { q: probe, eps })));
-
-        // AvgArea
-        let area = |resp: Response| match resp {
-            Response::Area(a) => a,
-            other => panic!("expected Area, got {other:?}"),
-        };
-        let av = area(scan.handle(Request::AvgArea(window)));
-        prop_assert!((av - area(tree.handle(Request::AvgArea(window)))).abs() < 1e-9);
     }
 
     #[test]
@@ -176,8 +168,6 @@ proptest! {
                     by_id(live.eps_range(&probe, eps)),
                     by_id(want.eps_range(&probe, eps))
                 );
-                let (a, b) = (live.avg_area(&window), want.avg_area(&window));
-                prop_assert!((a - b).abs() <= 1e-9 * b.max(1.0), "avg area {} vs {}", a, b);
             }
         }
     }

@@ -14,14 +14,11 @@
 //! * **Meter conservation** — a threaded fleet under many interleaved
 //!   client threads loses no packet: the sum of per-shard meters equals
 //!   the router's aggregate, field by field.
-//! * **Merged aggregate semantics** — the router's `AvgArea` weights
-//!   per-shard averages by matching-object count, matching the flat
-//!   server's answer.
 
 use adhoc_spatial_joins::prelude::*;
 use asj_core::DeploymentBuilder;
 use asj_geom::{Rect, SpatialObject};
-use asj_net::{Request, Response};
+use asj_net::Request;
 use asj_server::{ScanStore, SpatialStore};
 use asj_workloads::{default_space, gaussian_clusters, SyntheticSpec};
 
@@ -265,65 +262,6 @@ fn threaded_fleet_conserves_meter_accounting_under_stress() {
             "scatter slots must be conserved"
         );
         assert!(fleet.scattered > 0);
-    }
-}
-
-/// Satellite: the router's merged `AvgArea` weights per-shard averages by
-/// matching-object count — pinned against the flat server's answer.
-#[test]
-fn router_avg_area_matches_flat_weighted() {
-    // Rectangles with exactly-representable areas, deliberately uneven
-    // across the space so shards hold different counts AND different
-    // mean areas (an unweighted mean of shard means would be wrong).
-    let mut objects = Vec::new();
-    for i in 0..12 {
-        // Cluster of unit squares on the left.
-        let x = 100.0 + (i % 4) as f64 * 300.0;
-        let y = 100.0 + (i / 4) as f64 * 300.0;
-        objects.push(SpatialObject::new(
-            i,
-            Rect::from_coords(x, y, x + 1.0, y + 1.0),
-        ));
-    }
-    for i in 0..3 {
-        // Three big 4-area rectangles on the far right.
-        let x = 9000.0 + i as f64 * 200.0;
-        objects.push(SpatialObject::new(
-            100 + i,
-            Rect::from_coords(x, 5000.0, x + 2.0, 5002.0),
-        ));
-    }
-    let flat = DeploymentBuilder::new(objects.clone(), Vec::new())
-        .with_space(default_space())
-        .build();
-    let expected = {
-        let (link, _) = flat.connect();
-        match link.request(&Request::AvgArea(default_space())) {
-            Response::Area(a) => a,
-            other => panic!("expected Area, got {other:?}"),
-        }
-    };
-    // Exactly representable: (12·1 + 3·4)/15 = 1.6.
-    assert_eq!(expected, 1.6);
-    for n in SHARD_COUNTS {
-        let fleet = DeploymentBuilder::new(objects.clone(), Vec::new())
-            .with_space(default_space())
-            .with_shards(n, 1)
-            .build();
-        let (link, _) = fleet.connect();
-        match link.request(&Request::AvgArea(default_space())) {
-            Response::Area(a) => assert_eq!(
-                a, expected,
-                "router avg-area must equal flat at N={n} (count-weighted merge)"
-            ),
-            other => panic!("expected Area, got {other:?}"),
-        }
-        // A window matching only the left cluster averages to exactly 1.
-        let left = Rect::from_coords(0.0, 0.0, 2000.0, 2000.0);
-        match link.request(&Request::AvgArea(left)) {
-            Response::Area(a) => assert_eq!(a, 1.0),
-            other => panic!("expected Area, got {other:?}"),
-        }
     }
 }
 
