@@ -22,8 +22,11 @@
 //!   are spliced back in probe order.
 //! * **Semantic window tier** — a byte-budgeted LRU of downloaded
 //!   windows. A `WINDOW` (or ε-RANGE) request whose reach is contained in
-//!   a cached window is answered locally by filtering; the containment
-//!   index also derives `COUNT` answers for covered windows.
+//!   a cached window is answered locally by filtering that window's
+//!   objects; a covered `COUNT` is derived the same way. An entry keeps,
+//!   beside its objects, the MBR of every 16 consecutive ones (a *run*),
+//!   and a lookup tests runs before objects: a hit costs about what its
+//!   answer holds, not what its window does.
 //! * **Exact probe tier** — ε-RANGE answers keyed by the bit-exact
 //!   `(q, ε)`, for the probes no cached window contains. Its entry cap is
 //!   its own, not a share of the window budget: a join's windows plus its
@@ -68,11 +71,32 @@
 //! object the server would return for `w` intersects `w ⊆ W`, hence was
 //! in the `W` download; filtering the cached objects with the *server's
 //! own predicate* (`intersects` for `WINDOW`/`COUNT`, `within_distance`
-//! for ε-RANGE — whose reach `q.expand(eps)` bounds the qualifying MBRs)
-//! therefore reproduces the server's answer exactly, as a set. All checks
+//! for ε-RANGE — whose reach `q.expand(|ε|)` bounds the qualifying MBRs,
+//! ε entering the predicate squared) therefore reproduces the server's
+//! answer exactly, as a set. All checks
 //! run on the request's [`wire_exact`] form, i.e. after the codec's f32
 //! rounding — the very rectangle the server would evaluate — so float
 //! rounding can never make a local answer diverge from a remote one.
+//!
+//! The filter skips a run whose MBR fails the *very predicate its objects
+//! are filtered by*, and that is exact for the reason the server's R-tree
+//! may prune: an object's MBR lies inside its run's, and both predicates
+//! are comparisons over float operations monotone in every coordinate, so
+//! an object that passes has a run that passes — no grid arithmetic, no
+//! padding, no epsilon. A `COUNT` adds a run's length unvisited when the
+//! window contains the run's MBR, hence every MBR in it.
+//!
+//! # Order of a local answer
+//!
+//! A containment hit lists the matching objects **in the order the entry
+//! holds them**, as the plain filter it replaces did. An entry is admitted
+//! in the order the server sent it, so until a change list first touches
+//! it a local answer is the server's own answer element for element —
+//! `tests/device_scaling.rs::shared_cache_answers_match_serial_replay`
+//! digests answers order-sensitively and holds that. A change list that
+//! touches an entry drops, appends and then re-orders it for locality
+//! (`WindowEntry::repack`); from then on the contract is the set, and the
+//! order merely one every lookup of that entry agrees on.
 //!
 //! # Eviction invariant
 //!
@@ -101,7 +125,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use asj_geom::{Point, Rect, SpatialObject};
+use asj_geom::{IdMix, Point, Rect, SpatialObject};
 
 use crate::codec::{
     request_wire_bytes, response_wire_bytes, wire_exact, WireVersion, ANSWER_BYTES,
@@ -162,18 +186,118 @@ impl RectKey {
 /// Probe-tier key: the bit-exact probe rectangle and ε.
 type ProbeKey = (RectKey, u64);
 
+/// Objects per run of a window entry's index.
+const RUN: usize = 16;
+
 /// One cached window download.
 struct WindowEntry {
     window: Rect,
+    /// In held order: the server's, until a change list touches the entry.
     objects: Vec<SpatialObject>,
+    /// The MBR of every `RUN` consecutive objects, the last run the
+    /// shorter one: a one-level packed R-tree over the held order.
+    runs: Vec<Rect>,
     /// LRU recency tick (bumped on every hit).
     last_used: u64,
 }
 
 impl WindowEntry {
+    /// The download `objects` of `window`, indexed in the order it came.
+    fn new(window: Rect, objects: &[SpatialObject], last_used: u64) -> Self {
+        let mut entry = WindowEntry {
+            window,
+            objects: objects.to_vec(),
+            runs: Vec::with_capacity(objects.len().div_ceil(RUN)),
+            last_used,
+        };
+        entry.index();
+        entry
+    }
+
     /// Wire-format size charged against the budget.
     fn bytes(&self) -> u64 {
         OBJECTS_HEADER_BYTES + self.objects.len() as u64 * OBJ_BYTES
+    }
+
+    /// Recomputes the run MBRs from the objects as they are held.
+    fn index(&mut self) {
+        let mbr = |run: &[SpatialObject]| {
+            Rect::union_of(run.iter().map(|o| o.mbr)).expect("a chunk is never empty")
+        };
+        self.runs.clear();
+        self.runs.extend(self.objects.chunks(RUN).map(mbr));
+    }
+
+    /// The runs whose MBR satisfies `pred`, each with its MBR. An object
+    /// satisfying one of the two lookup predicates lies in such a run.
+    fn runs_where<'a>(
+        &'a self,
+        pred: impl Fn(&Rect) -> bool + 'a,
+    ) -> impl Iterator<Item = (&'a Rect, &'a [SpatialObject])> {
+        let runs = self.runs.iter().zip(self.objects.chunks(RUN));
+        runs.filter(move |(mbr, _)| pred(mbr))
+    }
+
+    /// The held objects whose MBR satisfies `pred`, in held order, in a
+    /// `Vec` allocated once: the passing runs bound its length.
+    fn select(&self, pred: impl Fn(&Rect) -> bool) -> Vec<SpatialObject> {
+        let reserve = self.runs_where(&pred).map(|(_, run)| run.len()).sum();
+        let mut out = Vec::with_capacity(reserve);
+        for (_, run) in self.runs_where(&pred) {
+            out.extend(run.iter().filter(|o| pred(&o.mbr)));
+        }
+        out
+    }
+
+    /// How many held objects intersect `w`. A run `w` contains is counted
+    /// unvisited — the aR-tree shortcut of `asj-rtree`, on the device.
+    fn count(&self, w: &Rect) -> u64 {
+        let hits = |(mbr, run): (&Rect, &[SpatialObject])| {
+            if w.contains_rect(mbr) {
+                return run.len();
+            }
+            run.iter().filter(|o| o.mbr.intersects(w)).count()
+        };
+        self.runs_where(|mbr| mbr.intersects(w))
+            .map(hits)
+            .sum::<usize>() as u64
+    }
+
+    /// Re-orders the objects for locality after a patch appended to them
+    /// — one stable counting sort, cell-major over a ⌈√(n / RUN)⌉² grid
+    /// of the window by MBR centre — and indexes the new order. Which
+    /// order is a locality choice only: a patched entry answers as a set.
+    fn repack(&mut self) {
+        let runs = self.objects.len().div_ceil(RUN);
+        let k = ((runs as f64).sqrt().ceil() as usize).max(1);
+        let (lo, kx, ky) = (
+            self.window.min,
+            k as f64 / self.window.width(),
+            k as f64 / self.window.height(),
+        );
+        // `as usize` saturates and sends NaN — a centre on a zero-extent
+        // axis, `0.0 * inf` — to 0: every centre, in the window or out of
+        // it, gets a cell.
+        let axis = |c: f64, lo: f64, per: f64| (((c - lo) * per) as usize).min(k - 1);
+        let cell = |o: &SpatialObject| {
+            let c = o.mbr.center();
+            axis(c.y, lo.y, ky) * k + axis(c.x, lo.x, kx)
+        };
+        let mut next = vec![0; k * k + 1];
+        for o in &self.objects {
+            next[cell(o) + 1] += 1;
+        }
+        for c in 0..k * k {
+            next[c + 1] += next[c];
+        }
+        let mut packed = self.objects.clone();
+        for o in &self.objects {
+            let slot = &mut next[cell(o)];
+            packed[*slot] = *o;
+            *slot += 1;
+        }
+        self.objects = packed;
+        self.index();
     }
 }
 
@@ -182,14 +306,16 @@ impl WindowEntry {
 /// iteration order is process-randomized, which would break the repo's
 /// bit-identical pinned-seed reproducibility once the cap is hit).
 struct ExactTier<K, V> {
-    entries: HashMap<K, V>,
+    /// Keyed by the device's own requests, bit for bit: one keyed 64-bit
+    /// mix a word instead of SipHash.
+    entries: HashMap<K, V, IdMix>,
     order: VecDeque<K>,
 }
 
 impl<K, V> Default for ExactTier<K, V> {
     fn default() -> Self {
         ExactTier {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             order: VecDeque::new(),
         }
     }
@@ -318,6 +444,8 @@ pub enum PlantedBug {
     ProbeRemovesSkipped,
     /// Exact counts ignore removes.
     CountDecrementsSkipped,
+    /// A patched window keeps the run MBRs of what it held before.
+    RunsLeftStale,
 }
 
 /// The shared cache store behind one logical server (or fleet).
@@ -420,8 +548,7 @@ impl ClientCache {
         if let Some(&c) = state.counts.entries.get(&RectKey::of(w)) {
             return Some(c);
         }
-        let held = &state.containing(w)?.objects;
-        Some(held.iter().filter(|o| o.mbr.intersects(w)).count() as u64)
+        Some(state.containing(w)?.count(w))
     }
 
     /// Records an authoritative `COUNT(w)` answer served at `generation`.
@@ -435,13 +562,7 @@ impl ClientCache {
     /// objects of a cached window containing `w`.
     pub fn window(&self, w: &Rect, generation: u64) -> Option<Vec<SpatialObject>> {
         let mut state = self.at(generation)?;
-        let held = &state.containing(w)?.objects;
-        Some(
-            held.iter()
-                .filter(|o| o.mbr.intersects(w))
-                .copied()
-                .collect(),
-        )
+        Some(state.containing(w)?.select(|mbr| mbr.intersects(w)))
     }
 
     /// Looks up `ε-RANGE(q, eps)` at `generation`: the exact probe tier
@@ -453,9 +574,8 @@ impl ClientCache {
         if let Some(answer) = state.probes.entries.get(&(RectKey::of(q), eps.to_bits())) {
             return Some(answer.clone());
         }
-        let held = &state.containing(&q.expand(eps))?.objects;
-        let near = held.iter().filter(|o| o.mbr.within_distance(q, eps));
-        Some(near.copied().collect())
+        let held = state.containing(&q.expand(eps.abs()))?;
+        Some(held.select(|mbr| mbr.within_distance(q, eps)))
     }
 
     /// Records an authoritative `ε-RANGE(q, eps)` answer served at
@@ -490,11 +610,7 @@ impl ClientCache {
         }
         state.windows.retain(|e| !w.contains_rect(&e.window));
         state.tick += 1;
-        let entry = WindowEntry {
-            window: *w,
-            objects: objects.to_vec(),
-            last_used: state.tick,
-        };
+        let entry = WindowEntry::new(*w, objects, state.tick);
         state.windows.push(entry);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         self.fit_budget(&mut state);
@@ -533,14 +649,30 @@ impl ClientCache {
             .filter(|op| matches!(op, DeltaOp::Add(_)))
             .collect();
         #[cfg(any(test, feature = "testing"))]
-        let (count_ops, probe_ops) = match *self.planted.lock().expect("cache poisoned") {
+        let planted = *self.planted.lock().expect("cache poisoned");
+        #[cfg(any(test, feature = "testing"))]
+        let (count_ops, probe_ops) = match planted {
             Some(PlantedBug::CountDecrementsSkipped) => (&adds[..], ops),
             Some(PlantedBug::ProbeRemovesSkipped) => (ops, &adds[..]),
-            None => (ops, ops),
+            _ => (ops, ops),
         };
         let state = &mut *state;
-        for e in &mut state.windows {
+        // Only an entry some op's MBR touches changes; it is patched —
+        // removes retained out, adds appended — and packed again.
+        let touches = |w: &Rect| {
+            ops.iter().any(|op| match op {
+                DeltaOp::Remove { mbr, .. } | DeltaOp::Add(SpatialObject { mbr, .. }) => {
+                    mbr.intersects(w)
+                }
+            })
+        };
+        for e in state.windows.iter_mut().filter(|e| touches(&e.window)) {
             patch(&mut e.objects, ops, |mbr| mbr.intersects(&e.window));
+            #[cfg(any(test, feature = "testing"))]
+            if planted == Some(PlantedBug::RunsLeftStale) {
+                continue;
+            }
+            e.repack();
         }
         for (key, count) in &mut state.counts.entries {
             let w = key.rect();
@@ -1190,6 +1322,175 @@ mod tests {
             primed(PlantedBug::CountDecrementsSkipped),
             (Some(1), Some(0))
         );
+        assert_eq!(primed(PlantedBug::RunsLeftStale), (Some(0), Some(0)));
+        // Stale runs: the object a list adds is held, and no run says so.
+        let store = ClientCache::new(1 << 20);
+        store.admit_window(&w(0.0, 0.0, 4.0, 4.0), &lattice(1), 0);
+        store.plant(PlantedBug::RunsLeftStale);
+        store.apply_changes(0, 1, &[DeltaOp::Add(SpatialObject::point(9, 3.0, 3.0))]);
+        assert_eq!(store.count(&w(2.0, 2.0, 4.0, 4.0), 1), Some(0));
+    }
+
+    /// `e`'s runs are the MBRs of its objects, sixteen at a time.
+    fn assert_indexed(e: &WindowEntry) {
+        let mbrs: Vec<Rect> = (e.objects.chunks(RUN))
+            .map(|run| Rect::union_of(run.iter().map(|o| o.mbr)).unwrap())
+            .collect();
+        assert_eq!(e.runs, mbrs);
+    }
+
+    /// The three lookups of `e` against the linear filter they replaced,
+    /// order included.
+    fn assert_filters(e: &WindowEntry, q: &Rect, eps: f64) {
+        let linear = |pred: &dyn Fn(&Rect) -> bool| -> Vec<SpatialObject> {
+            e.objects.iter().filter(|o| pred(&o.mbr)).copied().collect()
+        };
+        let inside = linear(&|mbr| mbr.intersects(q));
+        assert_eq!(e.count(q), inside.len() as u64, "{q:?}");
+        assert_eq!(e.select(|mbr| mbr.intersects(q)), inside, "{q:?}");
+        let near = linear(&|mbr| mbr.within_distance(q, eps));
+        assert_eq!(e.select(|mbr| mbr.within_distance(q, eps)), near, "{q:?}");
+    }
+
+    #[test]
+    fn an_entry_is_indexed_whatever_its_length() {
+        let all = w(0.0, 0.0, 9.0, 9.0);
+        // Nothing held: no run, and every lookup answers nothing.
+        let empty = WindowEntry::new(all, &[], 0);
+        assert!(empty.runs.is_empty());
+        assert_filters(&empty, &all, 1.0);
+        // 0 < n < RUN, n = RUN, and n % RUN != 0 with a run of one at the end.
+        for n in [5, 16, 33, 100] {
+            let e = WindowEntry::new(all, &lattice(10)[..n], 0);
+            assert_eq!(e.runs.len(), n.div_ceil(RUN));
+            assert_indexed(&e);
+            assert_eq!(e.objects, &lattice(10)[..n], "admission keeps the order");
+            for q in [
+                all,
+                w(2.0, 1.0, 5.0, 2.0),
+                w(3.5, 3.5, 3.5, 3.5),
+                w(9.0, 9.0, 9.0, 9.0),
+            ] {
+                assert_filters(&e, &q, 1.5);
+                assert_filters(&e, &q, -1.5);
+                assert_filters(&e, &q, f64::NAN);
+            }
+        }
+        // A run the window contains is counted without a visit: every
+        // lattice row of ten is inside [0, 9] × [0, 2], runs straddle rows.
+        let e = WindowEntry::new(all, &lattice(10), 0);
+        assert_eq!(e.count(&w(0.0, 0.0, 9.0, 2.0)), 30);
+    }
+
+    #[test]
+    fn a_repack_gives_every_centre_a_cell() {
+        // A point, a segment sticking out both ways, and 40 duplicates.
+        let mut objects = vec![
+            SpatialObject::point(0, 5.0, 5.0),
+            SpatialObject::new(1, w(-20.0, 5.0, 30.0, 5.0)),
+            SpatialObject::new(2, w(5.0, -20.0, 5.0, 90.0)),
+        ];
+        objects.extend((3..43).map(|id| SpatialObject::point(id, 5.0, 5.0)));
+        let by_id = |mut v: Vec<SpatialObject>| {
+            v.sort_unstable_by_key(|o| o.id);
+            v
+        };
+        // Zero width, zero height, a point, and a window with room: `k /
+        // 0.0` is infinite and `0.0 * inf` NaN, and each still names a cell.
+        for window in [
+            w(5.0, 0.0, 5.0, 10.0),
+            w(0.0, 5.0, 10.0, 5.0),
+            w(5.0, 5.0, 5.0, 5.0),
+            w(0.0, 0.0, 10.0, 10.0),
+        ] {
+            let mut e = WindowEntry::new(window, &objects, 0);
+            e.repack();
+            assert_indexed(&e);
+            assert_eq!(
+                by_id(e.objects.clone()),
+                objects,
+                "{window:?}: a permutation"
+            );
+            assert_filters(&e, &window, 0.5);
+        }
+        // Everything in one cell: the sort is stable, the order stays.
+        let stacked: Vec<SpatialObject> = (0..40)
+            .map(|id| SpatialObject::point(id, 1.0, 1.0))
+            .collect();
+        let mut e = WindowEntry::new(w(0.0, 0.0, 10.0, 10.0), &stacked, 0);
+        e.repack();
+        assert_eq!(e.objects, stacked);
+        // Nothing left to pack.
+        let mut e = WindowEntry::new(w(0.0, 0.0, 10.0, 10.0), &[], 0);
+        e.repack();
+        assert!(e.objects.is_empty() && e.runs.is_empty());
+        // What it is for: a lattice held in scattered order — every run
+        // spans most of the window — packs into runs a cell or two wide.
+        let scattered: Vec<SpatialObject> = (0..100).map(|i| lattice(10)[i * 37 % 100]).collect();
+        let mut e = WindowEntry::new(w(0.0, 0.0, 9.0, 9.0), &scattered, 0);
+        let covered = |e: &WindowEntry| e.runs.iter().map(Rect::area).sum::<f64>();
+        let loose = covered(&e);
+        e.repack();
+        assert!(covered(&e) * 3.0 < loose, "{} from {loose}", covered(&e));
+    }
+
+    #[test]
+    fn a_change_list_repacks_the_entries_it_touches_and_no_other() {
+        let store = ClientCache::new(1 << 20);
+        let (left, right) = (w(0.0, 0.0, 4.0, 4.0), w(10.0, 0.0, 14.0, 4.0));
+        let shifted: Vec<SpatialObject> = (lattice(5).iter())
+            .map(|o| SpatialObject::point(100 + o.id, o.mbr.min.x + 10.0, o.mbr.min.y))
+            .collect();
+        store.admit_window(&left, &lattice(5), 0);
+        store.admit_window(&right, &shifted, 0);
+        let buffers = |store: &ClientCache, i: usize| {
+            let state = store.state.lock().unwrap();
+            let e = &state.windows[i];
+            (
+                e.objects.as_ptr(),
+                e.runs.as_ptr(),
+                e.objects.clone(),
+                e.runs.clone(),
+            )
+        };
+        let before = buffers(&store, 1);
+        // Two adds land in the left window, out of the runs held so far.
+        let ops = [
+            DeltaOp::Add(SpatialObject::point(50, 0.5, 0.5)),
+            DeltaOp::Add(SpatialObject::point(51, 3.5, 3.5)),
+        ];
+        store.apply_changes(0, 1, &ops);
+        assert_eq!(
+            buffers(&store, 1),
+            before,
+            "the untouched entry's own buffers"
+        );
+        {
+            let state = store.state.lock().unwrap();
+            let e = &state.windows[0];
+            assert_eq!(e.objects.len(), 27);
+            assert_indexed(e);
+            assert_filters(e, &w(0.0, 0.0, 1.0, 1.0), 0.75);
+            assert_ne!(
+                e.objects[..25],
+                lattice(5)[..],
+                "packed again, not appended to"
+            );
+        }
+        assert_eq!(store.count(&w(0.25, 0.25, 0.75, 0.75), 1), Some(1));
+        // A list that empties an entry leaves it resident, and empty.
+        let gone: Vec<DeltaOp> = (shifted.iter())
+            .map(|o| DeltaOp::Remove {
+                id: o.id,
+                mbr: o.mbr,
+            })
+            .collect();
+        store.apply_changes(1, 2, &gone);
+        assert_eq!(store.window(&right, 2), Some(vec![]));
+        assert_eq!(store.count(&right, 2), Some(0));
+        let state = store.state.lock().unwrap();
+        assert!(state.windows[1].runs.is_empty());
+        assert_eq!(state.windows[0].objects.len(), 27);
     }
 
     /// A live server double: applies update batches to a scan set, logs

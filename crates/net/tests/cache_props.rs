@@ -7,7 +7,9 @@
 //! queries against the real live server, and proves that every cached
 //! answer is the server's answer at the generation it reports: entries
 //! patched by a change list, entries dropped by a purge and answers re-asked
-//! after a racing bump alike.
+//! after a racing bump alike. A third holds the run index of a window entry
+//! to the linear filter it replaced — same objects, same order — on a fresh
+//! download and after every change list.
 
 use std::sync::Arc;
 
@@ -34,8 +36,15 @@ fn object() -> impl Strategy<Value = SpatialObject> {
     (0u32..1000, rect()).prop_map(|(id, r)| SpatialObject::new(id, r))
 }
 
+/// ε anywhere in [−50, 300), mostly near the coordinates' own scale: a
+/// negative ε answers as |ε| does, whoever answers.
 fn eps() -> impl Strategy<Value = f64> {
-    (0u32..16).prop_map(|v| (v as f32 * 0.25) as f64)
+    let quarters = |v: i32| (v as f32 * 0.25) as f64;
+    prop_oneof![
+        (-8i32..16).prop_map(quarters),
+        (-8i32..16).prop_map(quarters),
+        (-200i32..1200).prop_map(quarters),
+    ]
 }
 
 /// How a query window is derived from a base rectangle — designed to
@@ -162,11 +171,12 @@ fn update() -> impl Strategy<Value = Update> {
 /// Queries drawn from few enough windows and ε values that a script asks
 /// the same one again after an update: only a repeat can be a stale hit.
 fn live_op() -> impl Strategy<Value = Op> {
+    const EPS: [f64; 8] = [-50.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 299.5];
     (
         0u8..4,
         0..3usize,
         derive(),
-        (0u32..4).prop_map(|v| v as f64 * 0.5),
+        (0..EPS.len()).prop_map(|i| EPS[i]),
     )
 }
 
@@ -313,8 +323,8 @@ proptest! {
     }
 }
 
-// Non-vacuity: a store that mis-applies change lists in either of the two
-// ways the instrument offers is caught by the property above.
+// Non-vacuity: a store that mis-applies change lists in any of the ways
+// the instrument offers is caught by the property above.
 #[cfg(feature = "testing")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
@@ -331,6 +341,132 @@ proptest! {
     fn a_store_that_never_lowers_a_count_fails_the_property(case in live_case()) {
         let bug = asj_net::cache::PlantedBug::CountDecrementsSkipped;
         cached_answers_are_the_servers(case, |store| store.plant(bug))?;
+    }
+
+    #[test]
+    #[should_panic(expected = "property failed")]
+    fn a_store_that_leaves_run_mbrs_stale_after_a_patch_fails_the_property(case in live_case()) {
+        let bug = asj_net::cache::PlantedBug::RunsLeftStale;
+        cached_answers_are_the_servers(case, |store| store.plant(bug))?;
+    }
+
+    #[test]
+    #[should_panic(expected = "property failed")]
+    fn a_store_that_leaves_run_mbrs_stale_is_not_the_linear_filter(case in indexed_case()) {
+        let bug = asj_net::cache::PlantedBug::RunsLeftStale;
+        indexed_lookups_are_the_linear_filter(case, |store| store.plant(bug))?;
+    }
+}
+
+/// What a window entry holds: points, rectangles — some sticking out of
+/// the window that downloads them — and segments across the whole space,
+/// longer than any run's extent; on `coord`'s grid, so with duplicates.
+fn held_mbr() -> impl Strategy<Value = Rect> {
+    prop_oneof![
+        (coord(), coord()).prop_map(|(x, y)| Rect::point(Point::new(x, y))),
+        (coord(), coord()).prop_map(|(x, y)| Rect::point(Point::new(x, y))),
+        rect(),
+        coord().prop_map(|y| Rect::from_coords(-8.0, y, 8.0, y)),
+        coord().prop_map(|x| Rect::from_coords(x, -8.0, x, 8.0)),
+    ]
+}
+
+/// Updates over the ids `indexed_case` hands out and a few more, so
+/// that most of them hit an object a window holds.
+fn held_update() -> impl Strategy<Value = Update> {
+    prop_oneof![
+        (0u32..200, held_mbr()).prop_map(|(id, r)| Update::Insert(SpatialObject::new(id, r))),
+        (0u32..160).prop_map(Update::Delete),
+        (0u32..160, held_mbr()).prop_map(|(id, to)| Update::Move { id, to }),
+    ]
+}
+
+/// The MBRs of the dataset (ids are their positions), the one window
+/// downloaded, the probes — a rectangle and an ε each — asked of it after
+/// every round, and the update batch that ends each round but the last.
+type IndexedCase = (Vec<Rect>, Rect, Vec<(Rect, f64)>, Vec<Vec<Update>>);
+
+fn indexed_case() -> impl Strategy<Value = IndexedCase> {
+    (
+        prop::collection::vec(held_mbr(), 0..160),
+        rect(),
+        prop::collection::vec((rect(), eps()), 1..10),
+        prop::collection::vec(prop::collection::vec(held_update(), 1..12), 0..4),
+    )
+}
+
+/// The property: `count` / `window` / `eps_range` of an indexed window
+/// entry are the linear filter over what the entry holds — **as vectors,
+/// order included** — which is the server's own answer, order and all,
+/// until the first change list and its set from then on (patched and
+/// re-packed; or purged and downloaded again, where the list would have
+/// cost more).
+fn indexed_lookups_are_the_linear_filter(
+    (mbrs, window, probes, batches): IndexedCase,
+    prepare: impl Fn(&ClientCache),
+) -> Result<(), TestCaseError> {
+    let objects: Vec<SpatialObject> = (0..)
+        .zip(mbrs)
+        .map(|(id, r)| SpatialObject::new(id, r))
+        .collect();
+    let server = live_server(&objects);
+    let store = Arc::new(ClientCache::new(1 << 20));
+    prepare(&store);
+    let cached = cached_link(&server, &store);
+    let uncached = Link::in_process(Arc::clone(&server), PacketModel::default(), 1.0);
+    let filtered = |held: &[SpatialObject], pred: &dyn Fn(&Rect) -> bool| -> Vec<SpatialObject> {
+        held.iter().filter(|o| pred(&o.mbr)).copied().collect()
+    };
+    let by_id = |mut objects: Vec<SpatialObject>| {
+        objects.sort_unstable_by_key(|o| o.id);
+        objects
+    };
+    let mut batches = batches.into_iter();
+    for round in 0.. {
+        // Miss (round 0, or after a purge) or hit, the answer is what the
+        // entry holds, in the order it holds it.
+        let got = cached.request(&Request::Window(window)).into_objects();
+        let at = store.content_generation();
+        let held = store.window(&window, at).expect("admitted or resident");
+        prop_assert_eq!(&got, &held, "round {}", round);
+        let fresh = uncached.request(&Request::Window(window)).into_objects();
+        if round == 0 {
+            prop_assert_eq!(&held, &fresh, "a fresh entry is in the server's order");
+        }
+        prop_assert_eq!(by_id(held.clone()), by_id(fresh), "round {}", round);
+        for &(q, eps) in &probes {
+            let Some(q) = window.intersection(&q) else {
+                continue;
+            };
+            let inside = filtered(&held, &|mbr| mbr.intersects(&q));
+            prop_assert_eq!(
+                store.count(&q, at),
+                Some(inside.len() as u64),
+                "COUNT({:?})",
+                q
+            );
+            prop_assert_eq!(store.window(&q, at), Some(inside), "WINDOW({:?})", q);
+            // A probe whose reach sticks out of the window is no hit.
+            for q in [q, Rect::point(q.center())] {
+                if let Some(near) = store.eps_range(&q, eps, at) {
+                    let want = filtered(&held, &|mbr| mbr.within_distance(&q, eps));
+                    prop_assert_eq!(near, want, "EPS({:?}, {})", q, eps);
+                }
+            }
+        }
+        let Some(batch) = batches.next() else {
+            break;
+        };
+        let ack = cached.request(&Request::ApplyUpdates(batch));
+        prop_assert!(matches!(ack, Response::Ack { .. }), "{:?}", ack);
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn indexed_lookups_equal_the_linear_filter_order_included(case in indexed_case()) {
+        indexed_lookups_are_the_linear_filter(case, |_| {})?;
     }
 }
 

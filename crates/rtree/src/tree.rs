@@ -388,7 +388,9 @@ fn count_rec(node: &Node, w: &Rect) -> u64 {
 }
 
 fn range_rec(node: &Node, q: &Rect, eps: f64, f: &mut dyn FnMut(&SpatialObject)) {
-    if node.mbr.min_dist(q) > eps {
+    // Pruned by the predicate the leaves apply, so the answer has one
+    // definition for every ε — negative (ε² decides) and NaN (nothing).
+    if !node.mbr.within_distance(q, eps) {
         return;
     }
     match &node.kind {
@@ -401,7 +403,7 @@ fn range_rec(node: &Node, q: &Rect, eps: f64, f: &mut dyn FnMut(&SpatialObject))
 }
 
 fn range_count_rec(node: &Node, q: &Rect, eps: f64) -> u64 {
-    if node.mbr.min_dist(q) > eps {
+    if !node.mbr.within_distance(q, eps) {
         return 0;
     }
     match &node.kind {
