@@ -1,6 +1,7 @@
 //! Debug/inspection tool: run every algorithm once on a chosen workload
 //! and print the full report breakdown (bytes by direction, query mix,
-//! operator statistics). Usage:
+//! operator statistics; `dups` is what a live join's duplicate pass
+//! removed, `-` where it did not run). Usage:
 //!
 //! ```text
 //! inspect [--clusters K] [--seed N] [--buffer B] [--eps E] [--bucket]
@@ -69,7 +70,7 @@ fn main() {
         "workload: clusters={clusters} seed={seed} buffer={buffer} eps={eps} bucket={bucket} rail={rail} sigma={sigma}"
     );
     println!(
-        "{:>9} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
+        "{:>9} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "algo",
         "bytes",
         "pairs",
@@ -79,13 +80,14 @@ fn main() {
         "ranges",
         "splits",
         "hbsj",
+        "dups",
         "nlsj",
         "pruned"
     );
     for a in algos {
         match a.run(&dep, &spec) {
             Ok(rep) => println!(
-                "{:>9} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
+                "{:>9} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
                 rep.algorithm,
                 rep.total_bytes(),
                 rep.pairs.len(),
@@ -98,6 +100,9 @@ fn main() {
                     + rep.link_s.bucket_queries,
                 rep.stats.splits,
                 rep.stats.hbsj_runs,
+                rep.stats
+                    .collapsed_pairs
+                    .map_or_else(|| "-".to_string(), |n| n.to_string()),
                 rep.stats.nlsj_runs,
                 rep.stats.pruned_windows,
             ),

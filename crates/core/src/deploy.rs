@@ -548,7 +548,9 @@ impl DeploymentBuilder {
     /// the result as the next generation. Queries served from a
     /// generation > 0 carry the generation stamp on the wire; until the
     /// first update tick a live deployment is byte-identical to a frozen
-    /// one.
+    /// one. A join racing a writer still reports each pair once: the
+    /// [`exec`](crate::exec) module docs say when that takes a duplicate
+    /// pass over the pairs and when the stamps prove it needs none.
     pub fn live(mut self) -> Self {
         self.live = true;
         self
@@ -1031,8 +1033,12 @@ mod tests {
         assert_eq!(gen, 1);
         assert_eq!(r.request(&Request::Count(w)).into_count(), 11);
         assert_eq!(r.last_generation(), 1, "stamp observed on the old link");
+        assert_eq!(r.generations(), (0, 1), "the link read two generations");
         // The untouched side is unaffected.
-        let (_, s) = d.connect();
+        let (r, s) = d.connect();
+        assert_eq!(r.generations(), (0, 0), "nothing read yet");
+        r.request(&Request::Count(w));
+        assert_eq!(r.generations(), (1, 1));
         assert_eq!(s.request(&Request::Count(w)).into_count(), 10);
         assert_eq!(s.last_generation(), 0);
     }

@@ -21,6 +21,35 @@
 //! ([`ExecCtx::ext`]) and every emitted pair passes the reference-point
 //! filter against the *core* window, so COUNT-based pruning is sound and
 //! output is exactly-once regardless of how algorithms partition space.
+//!
+//! # Exactly once on a live deployment
+//!
+//! The reference-point test is exact on *one* dataset state. A frozen
+//! deployment has only one, so its collector only appends. A live one
+//! may be written to while the join runs, and then two windows can read
+//! two states: an object that moves across a seam between the reads
+//! honestly qualifies in both, and its pair is derived twice. The join's
+//! links say whether that can have happened. Each [`Link`] records the
+//! window of serving generations its replies reported
+//! ([`Link::generations`]). A flat live server stamps every reply with
+//! the generation of the one snapshot that answered it, and a client
+//! cache hit reports its content generation, at which it equals the
+//! server's answer (`asj-net`'s `cache_props` suite proves that). So
+//! when every reply of a side reported one generation, the side was read
+//! in one state, and the frozen argument holds as it is. Two exclusions:
+//!
+//! * **fleets** — a router reports the *sum* of its shards' generations,
+//!   and a batch that has landed on some shards but not on others is an
+//!   inconsistent cut no sum shows;
+//! * **failed exchanges** — they report generation 0, so a join that had
+//!   one beside stamped replies counts as raced.
+//!
+//! Otherwise [`ExecCtx::finish`] runs
+//! [`ResultCollector::collapse_duplicates`] — one pass, before anything
+//! reads the pairs — and reports what it removed in
+//! [`ExecStats::collapsed_pairs`]. Debug builds run the pass on the
+//! one-snapshot joins too and assert it removes nothing, so every live
+//! join a debug test suite runs checks this argument.
 
 use asj_device::{memjoin, BufferExceeded, DeviceBuffer, ResultCollector};
 use asj_geom::{reference_point_in, Rect, SpatialObject};
@@ -67,6 +96,10 @@ pub struct ExecStats {
     pub pruned_windows: u32,
     /// Recursion-limit fallbacks (degenerate inputs only).
     pub forced_fallbacks: u32,
+    /// Pairs the duplicate pass removed, when it ran: `None` on a frozen
+    /// deployment and on a live join that read one generation per flat
+    /// side (see the module docs).
+    pub collapsed_pairs: Option<usize>,
 }
 
 /// Costs of the three physical choices on one window.
@@ -105,7 +138,8 @@ pub struct ExecCtx<'a> {
     link_s: Link,
     /// The device's bounded buffer.
     pub buffer: DeviceBuffer,
-    /// Result accumulation (exactly-once verified in debug builds).
+    /// Result accumulation: strict on a frozen deployment, append-only
+    /// on a live one until [`ExecCtx::finish`] (see the module docs).
     pub out: ResultCollector,
     /// The join being executed.
     pub spec: &'a JoinSpec,
@@ -124,6 +158,8 @@ pub struct ExecCtx<'a> {
     /// `0` mapped to available parallelism). Result-identical at every
     /// value.
     sweep_workers: usize,
+    /// The deployment takes updates, so a writer may race this join.
+    live: bool,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -141,9 +177,6 @@ impl<'a> ExecCtx<'a> {
             link_r,
             link_s,
             buffer: DeviceBuffer::new(deployment.buffer_capacity()),
-            // A live deployment can race a writer: disjoint-window reads
-            // are distinct snapshots, so a moving object may honestly
-            // re-derive a pair — collapse instead of double-reporting.
             out: if deployment.is_live() {
                 ResultCollector::deduplicating()
             } else {
@@ -158,6 +191,7 @@ impl<'a> ExecCtx<'a> {
             max_depth: 24,
             min_window,
             sweep_workers: deployment.sweep_workers(),
+            live: deployment.is_live(),
         }
     }
 
@@ -549,8 +583,26 @@ impl<'a> ExecCtx<'a> {
         self.nlsj(w, side);
     }
 
-    /// Closes the run into a report.
-    pub fn finish(self, algorithm: &'static str) -> JoinReport {
+    /// Closes the run into a report. On a live deployment the pair list
+    /// is made exactly-once first: by the one-snapshot argument of the
+    /// module docs where both sides are flat and each reported one
+    /// generation, by [`ResultCollector::collapse_duplicates`] otherwise.
+    pub fn finish(mut self, algorithm: &'static str) -> JoinReport {
+        let (generations_r, generations_s) = (self.link_r.generations(), self.link_s.generations());
+        if self.live {
+            let one_snapshot =
+                |link: &Link, (lowest, highest)| link.fleet().is_none() && lowest == highest;
+            let raced = !(one_snapshot(&self.link_r, generations_r)
+                && one_snapshot(&self.link_s, generations_s));
+            if raced || cfg!(debug_assertions) {
+                let removed = self.out.collapse_duplicates();
+                assert!(
+                    raced || removed == 0,
+                    "one generation per flat side, yet {removed} pairs were derived twice"
+                );
+                self.stats.collapsed_pairs = raced.then_some(removed);
+            }
+        }
         let link_r = self.link_r.meter().snapshot();
         let link_s = self.link_s.meter().snapshot();
         let fleet_r = self.link_r.fleet().map(|t| t.snapshot());
@@ -582,6 +634,8 @@ impl<'a> ExecCtx<'a> {
             cache_r,
             cache_s,
             coverage,
+            generations_r,
+            generations_s,
             cost_units,
             peak_buffer,
             stats: self.stats,

@@ -66,6 +66,13 @@ pub struct JoinReport {
     /// replica sets — the pair list is then a *subset* of the true
     /// answer.
     pub coverage: f64,
+    /// `(lowest, highest)` serving generation the R link's replies
+    /// reported ([`Link::generations`](asj_net::Link::generations)); one
+    /// value on both flat sides is what lets a live join skip the
+    /// duplicate pass (see `ExecStats::collapsed_pairs`).
+    pub generations_r: (u64, u64),
+    /// The same for the S link.
+    pub generations_s: (u64, u64),
     /// Tariff-weighted cost: `bR·bytes_R + bS·bytes_S`.
     pub cost_units: f64,
     /// Highest device-buffer occupancy observed.
@@ -182,6 +189,8 @@ mod tests {
             cache_r: None,
             cache_s: None,
             coverage: 1.0,
+            generations_r: (0, 0),
+            generations_s: (0, 0),
             cost_units: 310.0,
             peak_buffer: 42,
             stats: ExecStats::default(),
@@ -223,6 +232,8 @@ mod tests {
             cache_r: None,
             cache_s: None,
             coverage: 1.0,
+            generations_r: (0, 0),
+            generations_s: (0, 0),
             cost_units: 400.0,
             peak_buffer: 0,
             stats: ExecStats::default(),

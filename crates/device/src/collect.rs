@@ -1,28 +1,29 @@
 //! Join result accumulation and iceberg aggregation.
+//!
+//! A join reports every pair exactly once because the reference-point
+//! test assigns each pair to one window — exact on one dataset state. A
+//! **strict** collector ([`ResultCollector::new`], frozen deployments)
+//! relies on that: it appends, and debug builds prove it was handed no
+//! pair twice. A **live** collector ([`ResultCollector::deduplicating`])
+//! appends too and checks nothing per pair: a writer racing the join can
+//! make two windows read two states, so a moving object may honestly
+//! qualify in both. Whoever knows what the join observed decides whether
+//! that happened and, if so, runs [`ResultCollector::collapse_duplicates`]
+//! once — `asj-core`'s `ExecCtx::finish` does, and its module docs hold
+//! the argument for when the pass may be skipped.
 
 use std::collections::HashSet;
 
 use asj_geom::{IdMix, ObjectId};
 
-/// Accumulates the join output on the device.
-///
-/// In the default **strict** mode pairs must arrive *exactly once* — the
-/// duplicate-avoidance discipline upstream guarantees it on a frozen
-/// snapshot, and debug builds verify it with a hash set. That set is
-/// compiled out in release, where a strict `push` hashes nothing: it
-/// appends to the pair list and the PDA memory model stays honest. Against
-/// a **live** deployment that guarantee is not derivable: two reads of
-/// disjoint windows are not one snapshot, and an object moving between
-/// them while a writer races the join can honestly qualify in both. The
-/// [`ResultCollector::deduplicating`] mode collapses such re-derived
-/// pairs instead of treating them as a logic bug.
+/// Accumulates the join output on the device: a pair list, appended to
+/// in arrival order (see the module docs for the two modes).
 #[derive(Debug, Default)]
 pub struct ResultCollector {
     pairs: Vec<(ObjectId, ObjectId)>,
-    /// `Some` in deduplicating mode (live deployments), in every build
-    /// profile — the "exactly once" report contract then holds by
-    /// construction rather than by upstream discipline. Holds packed pairs.
-    dedup: Option<HashSet<u64, IdMix>>,
+    /// Debug builds of a live collector skip the per-pair check.
+    #[cfg(debug_assertions)]
+    live: bool,
     #[cfg(debug_assertions)]
     seen: HashSet<(ObjectId, ObjectId)>,
 }
@@ -32,12 +33,13 @@ impl ResultCollector {
         ResultCollector::default()
     }
 
-    /// A collector that silently collapses duplicate pairs — for joins
-    /// over live deployments, where snapshot skew between reads can
-    /// re-derive a pair without any upstream bug.
+    /// A collector for joins over live deployments, where snapshot skew
+    /// between reads can re-derive a pair without any upstream bug: it
+    /// accepts repeats, and [`Self::collapse_duplicates`] removes them.
     pub fn deduplicating() -> Self {
         ResultCollector {
-            dedup: Some(HashSet::default()),
+            #[cfg(debug_assertions)]
+            live: true,
             ..ResultCollector::default()
         }
     }
@@ -47,30 +49,35 @@ impl ResultCollector {
     /// # Panics (strict mode, debug builds)
     /// If the pair was already reported — a duplicate-avoidance bug.
     pub fn push(&mut self, r: ObjectId, s: ObjectId) {
-        if let Some(dedup) = &mut self.dedup {
-            if !dedup.insert(u64::from(r) << 32 | u64::from(s)) {
-                return;
-            }
-        } else {
-            #[cfg(debug_assertions)]
-            assert!(
-                self.seen.insert((r, s)),
-                "pair ({r}, {s}) reported twice: duplicate-avoidance violation"
-            );
-        }
+        #[cfg(debug_assertions)]
+        assert!(
+            self.live || self.seen.insert((r, s)),
+            "pair ({r}, {s}) reported twice: duplicate-avoidance violation"
+        );
         self.pairs.push((r, s));
     }
 
     /// Records a run of qualifying pairs, in order, as [`Self::push`] would
-    /// one by one — which is what a debug build and a deduplicating
-    /// collector do; a strict collector in a release build appends the slice.
+    /// one by one — which is what a strict collector in a debug build
+    /// does; everything else appends the slice.
     pub fn extend(&mut self, pairs: &[(ObjectId, ObjectId)]) {
-        if cfg!(not(debug_assertions)) && self.dedup.is_none() {
-            return self.pairs.extend_from_slice(pairs);
+        #[cfg(debug_assertions)]
+        if !self.live {
+            return pairs.iter().for_each(|&(r, s)| self.push(r, s));
         }
-        for &(r, s) in pairs {
-            self.push(r, s);
-        }
+        self.pairs.extend_from_slice(pairs);
+    }
+
+    /// Drops every pair reported before, keeping first occurrences in
+    /// arrival order, and returns how many it dropped: one pass through a
+    /// set sized for the whole list.
+    pub fn collapse_duplicates(&mut self) -> usize {
+        let before = self.pairs.len();
+        let mut seen: HashSet<u64, IdMix> =
+            HashSet::with_capacity_and_hasher(before, IdMix::default());
+        self.pairs
+            .retain(|&(r, s)| seen.insert(u64::from(r) << 32 | u64::from(s)));
+        before - self.pairs.len()
     }
 
     /// All pairs reported so far.
@@ -196,9 +203,13 @@ mod tests {
         for (r, s) in [(3, 9), (1, 9), (3, 9), (3, 8), (1, 9), (9, 3), (3, 9)] {
             c.push(r, s);
         }
-        // First occurrences, in arrival order; (9, 3) is not (3, 9).
+        // Pushes append, repeats included, until the pass runs…
+        assert_eq!(c.len(), 7);
+        assert_eq!(c.collapse_duplicates(), 3);
+        // …which keeps first occurrences, in arrival order; (9, 3) is not
+        // (3, 9).
         assert_eq!(c.pairs(), &[(3, 9), (1, 9), (3, 8), (9, 3)]);
-        assert_eq!(c.len(), 4);
+        assert_eq!(c.collapse_duplicates(), 0, "a second pass finds nothing");
         // A re-derived pair counts once towards its R object.
         assert_eq!(c.iceberg(1).qualifying, vec![(1, 1), (3, 2), (9, 1)]);
         // Ids at the ends of the range pack without colliding.
@@ -206,7 +217,9 @@ mod tests {
         for (r, s) in [(0, u32::MAX), (u32::MAX, 0), (0, 0), (0, u32::MAX)] {
             c.push(r, s);
         }
+        assert_eq!(c.collapse_duplicates(), 1);
         assert_eq!(c.pairs(), &[(0, u32::MAX), (u32::MAX, 0), (0, 0)]);
+        assert_eq!(ResultCollector::deduplicating().collapse_duplicates(), 0);
     }
 
     #[test]
@@ -216,12 +229,21 @@ mod tests {
         let mut strict = ResultCollector::new();
         runs.iter().for_each(|run| strict.extend(run));
         assert_eq!(strict.pairs(), runs.concat());
-        // Deduplicating: repeats within a slice and across slices are
-        // dropped, first occurrences keep their arrival order.
+        // Live: repeats within a slice and across slices are appended like
+        // everything else; the pass then leaves first occurrences in
+        // arrival order.
         let mut live = ResultCollector::deduplicating();
+        let mut pushed = ResultCollector::deduplicating();
         live.push(1, 9);
-        runs.iter().for_each(|run| live.extend(run));
-        live.extend(&[(3, 8), (4, 4), (4, 4), (3, 9)]);
+        pushed.push(1, 9);
+        let tail: &[(ObjectId, ObjectId)] = &[(3, 8), (4, 4), (4, 4), (3, 9)];
+        for run in runs.iter().chain([&tail]) {
+            live.extend(run);
+            run.iter().for_each(|&(r, s)| pushed.push(r, s));
+        }
+        assert_eq!(live.pairs(), pushed.pairs());
+        assert_eq!(live.len(), 10);
+        assert_eq!(live.collapse_duplicates(), 4);
         assert_eq!(
             live.pairs(),
             &[(1, 9), (3, 9), (3, 8), (9, 3), (0, u32::MAX), (4, 4)]

@@ -173,6 +173,29 @@ proptest! {
         drop(held);
         prop_assert_eq!(buf.in_use(), 0);
     }
+
+    #[test]
+    fn collapse_duplicates_is_the_incremental_filter(
+        pushes in prop::collection::vec((0u32..6, 0u32..6, 0u32..3), 0..80),
+    ) {
+        // Ids from a small range, so repeats are common; every third pair
+        // sits at the ends of the id range, where packing could collide.
+        let pairs: Vec<(u32, u32)> = pushes
+            .iter()
+            .map(|&(r, s, far)| if far == 0 { (u32::MAX - r, s) } else { (r, s) })
+            .collect();
+        // What the live collector did per push before the pass replaced it.
+        let mut seen = std::collections::HashSet::new();
+        let want: Vec<(u32, u32)> = pairs.iter().copied().filter(|&p| seen.insert(p)).collect();
+        let mut live = ResultCollector::deduplicating();
+        for run in pairs.chunks(7) {
+            live.extend(&run[..run.len() / 2]);
+            run[run.len() / 2..].iter().for_each(|&(r, s)| live.push(r, s));
+        }
+        prop_assert_eq!(live.pairs(), &pairs[..], "pushes append, repeats included");
+        prop_assert_eq!(live.collapse_duplicates(), pairs.len() - want.len());
+        prop_assert_eq!(live.into_pairs(), want);
+    }
 }
 
 proptest! {

@@ -727,6 +727,11 @@ impl ShardRouter {
         req: &'a Request,
         flights: &mut Few<Flight<'a>>,
     ) -> (Request, Vec<Vec<usize>>) {
+        // Where an ε-kind probe reaches: a shard filters by `dx² + dy² ≤
+        // ε²`, so whatever ε's sign, every object it can answer lies in the
+        // probe grown by |ε| — the reach the client cache's containment
+        // test uses too. (`expand(ε)` itself would shrink for ε < 0.)
+        let reach = |probe: &Rect, eps: f64| probe.expand(eps.abs());
         let touches = |b: Option<Rect>, reach: &Rect| b.is_some_and(|b| b.intersects(reach));
         let whole = |reach: Rect| move |_, b| touches(b, &reach).then_some(Cow::Borrowed(req));
         // A batched request's cut for each shard its `picks` name probes for.
@@ -737,14 +742,14 @@ impl ShardRouter {
         let (exact, mut picks) = (wire_exact(req), Vec::new());
         match &exact {
             Request::Window(w) | Request::Count(w) => self.fan(flights, slot, whole(*w)),
-            Request::EpsRange { q, eps } => self.fan(flights, slot, whole(q.expand(*eps))),
+            Request::EpsRange { q, eps } => self.fan(flights, slot, whole(reach(q, *eps))),
             Request::MultiCount(windows) => {
                 picks = self.pick_indices(windows, |b, w| b.intersects(w));
                 let sub = |p: &[usize]| p.iter().map(|&k| windows[k]).collect();
                 cut(flights, &picks, &|p| Request::MultiCount(sub(p)));
             }
             Request::BucketEpsRange { probes, eps } => {
-                picks = self.pick_indices(probes, |b, p| b.intersects(&p.mbr.expand(*eps)));
+                picks = self.pick_indices(probes, |b, p| b.intersects(&reach(&p.mbr, *eps)));
                 let sub = |p: &[usize]| p.iter().map(|&k| probes[k]).collect();
                 let eps = *eps;
                 cut(flights, &picks, &|p| Request::BucketEpsRange {
@@ -759,14 +764,18 @@ impl ShardRouter {
             // Payload trimmed per shard, but every shard is contacted
             // so a non-cooperative policy refusal propagates.
             Request::CoopFilterByMbrs { mbrs, eps } => self.fan(flights, slot, |_, b| {
-                let near = |m: &&Rect| touches(b, &m.expand(*eps));
+                let near = |m: &&Rect| touches(b, &reach(m, *eps));
                 Some(Cow::Owned(Request::CoopFilterByMbrs {
                     mbrs: mbrs.iter().filter(near).copied().collect(),
                     eps: *eps,
                 }))
             }),
+            // Reaches as far as the ε the shard joins at: `eps > 0` is the
+            // ε-distance join, anything else (zero, negative, NaN) the
+            // intersection join.
             Request::CoopJoinPush { objects, eps } => self.fan(flights, slot, |_, b| {
-                let near = |o: &&SpatialObject| touches(b, &o.mbr.expand(*eps));
+                let joined_at = if *eps > 0.0 { *eps } else { 0.0 };
+                let near = |o: &&SpatialObject| touches(b, &reach(&o.mbr, joined_at));
                 Some(Cow::Owned(Request::CoopJoinPush {
                     objects: objects.iter().filter(near).copied().collect(),
                     eps: *eps,

@@ -225,6 +225,9 @@ pub struct Link {
     /// Highest serving generation observed on this link (from response
     /// stamps and `Ack`s). 0 until the server goes live.
     last_generation: AtomicU64,
+    /// Lowest serving generation any reply reported (`u64::MAX` before
+    /// the first); see [`Link::generations`].
+    first_generation: AtomicU64,
     /// What [`Link::negotiate`] settled on, per physical edge in edge
     /// order; empty until it runs.
     wires: Vec<WireVersion>,
@@ -247,6 +250,7 @@ impl Link {
             fleet,
             cache,
             last_generation: AtomicU64::new(0),
+            first_generation: AtomicU64::new(u64::MAX),
             wires: Vec::new(),
         }
     }
@@ -301,8 +305,15 @@ impl Link {
     /// [`Response::Malformed`], after any retry budget is spent.
     pub fn request(&self, req: &Request) -> Response {
         let (resp, generation) = self.stack.call(req);
-        self.last_generation.fetch_max(generation, Ordering::AcqRel);
+        self.observe(generation);
         resp
+    }
+
+    /// Widens the generation window by one reply's serving generation.
+    fn observe(&self, generation: u64) {
+        self.last_generation.fetch_max(generation, Ordering::AcqRel);
+        self.first_generation
+            .fetch_min(generation, Ordering::AcqRel);
     }
 
     /// Issues independent requests together: they share round trips
@@ -315,7 +326,7 @@ impl Link {
         for run in reqs.split_inclusive(|req| matches!(req, Request::ApplyUpdates(_))) {
             self.stack
                 .call_many(&mut run.iter(), &mut |resp, generation| {
-                    self.last_generation.fetch_max(generation, Ordering::AcqRel);
+                    self.observe(generation);
                     reply(resp);
                 });
         }
@@ -355,6 +366,18 @@ impl Link {
     /// (frozen responses carry no stamp).
     pub fn last_generation(&self) -> u64 {
         self.last_generation.load(Ordering::Acquire)
+    }
+
+    /// The generation window of this link: `(lowest, highest)` serving
+    /// generation its replies reported — a stamp, an `Ack`, a cache hit's
+    /// content generation, 0 for a frozen server or a failed exchange.
+    /// `(0, 0)` before the first reply. One value means every reply was
+    /// served from one generation, which on a flat link is one dataset
+    /// state; `asj-core`'s `exec` module docs say what a join makes of it.
+    pub fn generations(&self) -> (u64, u64) {
+        let highest = self.last_generation();
+        let lowest = self.first_generation.load(Ordering::Acquire);
+        (lowest.min(highest), highest)
     }
 
     /// This link's meter (shared; snapshot at will). For a routed link

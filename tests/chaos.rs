@@ -7,10 +7,17 @@
 //! across three pinned seeds and three topologies (flat, 4-shard fleet,
 //! cached). The laws:
 //!
+//! * **Exactly once, everywhere** — no report holds a pair twice: not
+//!   after a race, not on a fleet (the join's duplicate pass, not this
+//!   suite, collapses re-derived pairs).
 //! * **Exact replay (flat)** — a flat live server swaps generations
-//!   atomically per request, and `NaiveJoin` downloads each side in one
-//!   request, so its pairs must *exactly* equal a brute-force replay of
-//!   some observed `(generation R, generation S)` state.
+//!   atomically per request, so a join whose replies all reported one
+//!   generation per side — whatever the algorithm — read one state, and
+//!   its pairs must *exactly* equal the brute-force replay of that
+//!   `(generation R, generation S)`. `NaiveJoin` downloads each side in
+//!   one request, so its pairs equal the replay of *some* observed state
+//!   even when a COUNT beside it saw another. Each cell prints how many
+//!   of its reports read more than one generation and took the pass.
 //! * **Never-wrong envelope (everything)** — every reported pair must be
 //!   justified by object positions at *some* observed generation (subset
 //!   of the union oracle), and every pair of never-moved objects that
@@ -50,10 +57,12 @@ fn algorithms() -> Vec<Box<dyn DistributedJoin>> {
     ]
 }
 
+/// The report's pairs, sorted — after asserting it holds none twice.
 fn sorted_pairs(rep: &JoinReport) -> Vec<(u32, u32)> {
     let mut pairs = rep.pairs.clone();
     pairs.sort_unstable();
-    pairs.dedup();
+    let twice = pairs.windows(2).find(|w| w[0] == w[1]);
+    assert_eq!(twice, None, "{} reported a pair twice", rep.algorithm);
     pairs
 }
 
@@ -239,6 +248,7 @@ fn chaos_matrix_joins_race_writer_over_faulted_fleets() {
                     reports
                 });
 
+                let (mut collapsed, mut replayed) = (0, 0);
                 let mut last_fleet_gens: Vec<u64> = Vec::new();
                 for rep in &reports {
                     let got = sorted_pairs(rep);
@@ -259,14 +269,41 @@ fn chaos_matrix_joins_race_writer_over_faulted_fleets() {
                             rep.algorithm
                         );
                     }
-                    // Exact replay where a single-state read is
-                    // guaranteed: flat server, single-download join.
+                    // Exact replay where a single-state read is shown
+                    // (flat, one generation per side) or guaranteed
+                    // (flat, single-download join).
+                    let one = |(lowest, highest): (u64, u64)| {
+                        (lowest == highest).then_some(lowest as usize)
+                    };
+                    let single = match (one(rep.generations_r), one(rep.generations_s)) {
+                        (Some(g_r), Some(g_s)) if topo != Topology::Fleet4 => Some((g_r, g_s)),
+                        _ => None,
+                    };
+                    if let Some((g_r, g_s)) = single {
+                        assert_eq!(
+                            got, exact[g_r][g_s],
+                            "{label}: {} read generation {g_r} of R and {g_s} of S \
+                             only, yet differs from their replay",
+                            rep.algorithm
+                        );
+                        replayed += 1;
+                    }
                     if topo != Topology::Fleet4 && rep.algorithm == "naive" {
                         assert!(
                             exact.iter().flatten().any(|want| *want == got),
                             "{label}: naive pairs match no (gen R, gen S) replay"
                         );
                     }
+                    // The pass ran exactly where the argument does not hold.
+                    assert_eq!(
+                        rep.stats.collapsed_pairs.is_none(),
+                        single.is_some(),
+                        "{label}: {} windows R {:?} S {:?}",
+                        rep.algorithm,
+                        rep.generations_r,
+                        rep.generations_s
+                    );
+                    collapsed += usize::from(rep.stats.collapsed_pairs.is_some());
                     // Fleet generation vectors never regress across
                     // reports, and no shard may have been abandoned.
                     if let Some(fleet) = &rep.fleet_r {
@@ -288,6 +325,11 @@ fn chaos_matrix_joins_race_writer_over_faulted_fleets() {
                         last_fleet_gens = fleet.generations.clone();
                     }
                 }
+                println!(
+                    "{label}: {} reports, {collapsed} took the duplicate pass, \
+                     {replayed} replayed exactly",
+                    reports.len()
+                );
 
                 // Cache tiers never cross generations, even after chaos:
                 // a stale plant is invisible, a current plant is served.

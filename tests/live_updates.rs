@@ -19,10 +19,14 @@
 //!   `Changes` frames plus a stated multiple of the moved objects' own
 //!   traffic, not for the cold join again; a cached fleet, which has no
 //!   change list to ask for, pays what it paid before this existed.
+//! * **Exactly once across a raced seam** — a join whose windows read two
+//!   generations reports a pair derived in both once, and says so
+//!   (`ExecStats::collapsed_pairs`, `JoinReport::generations_*`); one that
+//!   read one generation per flat side skips the pass.
 
 use adhoc_spatial_joins::prelude::*;
-use asj_core::{DeploymentBuilder, Side};
-use asj_geom::{sweep::nested_loop_join, SpatialObject};
+use asj_core::{DeploymentBuilder, ExecCtx, Side};
+use asj_geom::{sweep::nested_loop_join, Point, Rect, SpatialObject};
 use asj_net::codec::{
     CHANGES_HEADER_BYTES, CHANGES_QUERY_BYTES, CHANGE_OP_BYTES, EPS_QUERY_BYTES, GEN_STAMP_BYTES,
     OBJECTS_HEADER_BYTES, OBJ_BYTES,
@@ -355,4 +359,91 @@ fn a_cached_fleet_pays_what_it_paid_before_change_lists() {
         }
         assert_eq!(got, want, "{name}");
     }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Topology {
+    Flat,
+    Cached,
+    Fleet2,
+}
+
+/// A writer racing one join, scripted by hand: HBSJ on the left half of
+/// the space, then — with `moved` — a tick that carries R object 1 across
+/// the seam, then HBSJ on the right half. Object 1 is within ε of S
+/// object 101 before and after, and the pair's reference point (the
+/// midpoint) moves with it from the left half into the right: each leaf
+/// derives the pair once, at its own generation. Returns the generation
+/// the join started at and its report.
+fn race_one_seam(topology: Topology, moved: bool) -> (u64, JoinReport) {
+    let space = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
+    let r = vec![
+        SpatialObject::point(1, 46.0, 50.0),
+        SpatialObject::point(2, 10.0, 10.0),
+        SpatialObject::point(3, 90.0, 90.0),
+    ];
+    let s = vec![
+        SpatialObject::point(101, 50.0, 50.0),
+        SpatialObject::point(102, 10.0, 12.0),
+        SpatialObject::point(103, 90.0, 88.0),
+    ];
+    let b = DeploymentBuilder::new(r, s).with_space(space).live();
+    let dep = match topology {
+        Topology::Flat => b,
+        Topology::Cached => b.with_client_cache(true),
+        Topology::Fleet2 => b.with_shards(2, 2),
+    }
+    .build();
+    // One tick first, so the join starts at a stamped generation.
+    let far = SpatialObject::point(4, 20.0, 80.0);
+    let start = dep.apply_updates(Side::R, vec![Update::Insert(far)]);
+    let spec = JoinSpec::distance_join(10.0);
+    let mut ctx = ExecCtx::new(&dep, &spec);
+    ctx.hbsj_leaf(&Rect::from_coords(0.0, 0.0, 50.0, 100.0))
+        .expect("fits");
+    if moved {
+        let to = Rect::point(Point::new(54.0, 50.0));
+        dep.apply_updates(Side::R, vec![Update::Move { id: 1, to }]);
+    }
+    ctx.hbsj_leaf(&Rect::from_coords(50.0, 0.0, 100.0, 100.0))
+        .expect("fits");
+    assert_eq!(
+        ctx.out.len(),
+        3 + usize::from(moved),
+        "the race plants one duplicate"
+    );
+    (start, ctx.finish("by hand"))
+}
+
+#[test]
+fn a_pair_derived_on_both_sides_of_a_raced_seam_is_reported_once() {
+    let want = vec![(1, 101), (2, 102), (3, 103)];
+    for topology in [Topology::Flat, Topology::Cached] {
+        let (g, raced) = race_one_seam(topology, true);
+        assert_eq!(raced.pairs.len(), 3, "{topology:?}: {:?}", raced.pairs);
+        assert_eq!(sorted_pairs(&raced), want, "{topology:?}");
+        assert_eq!(raced.stats.collapsed_pairs, Some(1), "{topology:?}");
+        assert_eq!(raced.generations_r, (g, g + 1), "{topology:?}");
+        assert_eq!(
+            raced.generations_s,
+            (0, 0),
+            "{topology:?}: S was never written"
+        );
+
+        // Without the move the join read one state per side: the
+        // reference-point test alone is exact, and the pass is skipped.
+        let (g, calm) = race_one_seam(topology, false);
+        assert_eq!(sorted_pairs(&calm), want, "{topology:?}");
+        assert_eq!(calm.stats.collapsed_pairs, None, "{topology:?}");
+        assert_eq!(calm.generations_r, (g, g), "{topology:?}");
+    }
+    // A fleet's summed generation cannot show an inconsistent cut, so
+    // its joins take the pass whatever they observed.
+    let (g, calm) = race_one_seam(Topology::Fleet2, false);
+    assert_eq!((g, calm.generations_r), (2, (2, 2)), "two shards, one tick");
+    assert_eq!(sorted_pairs(&calm), want);
+    assert_eq!(calm.stats.collapsed_pairs, Some(0));
+    let (_, raced) = race_one_seam(Topology::Fleet2, true);
+    assert_eq!(sorted_pairs(&raced), want);
+    assert_eq!(raced.stats.collapsed_pairs, Some(1));
 }

@@ -18,7 +18,7 @@
 use adhoc_spatial_joins::prelude::*;
 use asj_core::DeploymentBuilder;
 use asj_geom::{Rect, SpatialObject};
-use asj_net::Request;
+use asj_net::{Request, Response};
 use asj_server::{ScanStore, SpatialStore};
 use asj_workloads::{default_space, gaussian_clusters, SyntheticSpec};
 
@@ -290,4 +290,98 @@ fn fleet_level_mbrs_concatenate_per_shard_forests() {
     // tree over the same data, and every object is under some leaf in
     // both answers (checked indirectly: SemiJoin exactness above).
     assert!(fleet_leaves.len() >= flat_leaves.len().min(4));
+}
+
+/// Sorts what a fleet merges in shard order, so answers compare as sets.
+fn canonical(resp: Response) -> Response {
+    let sorted = |mut objects: Vec<SpatialObject>| {
+        objects.sort_by_key(|o| o.id);
+        objects
+    };
+    match resp {
+        Response::Objects(objects) => Response::Objects(sorted(objects)),
+        Response::Buckets(buckets) => Response::Buckets(buckets.into_iter().map(sorted).collect()),
+        Response::Pairs(mut pairs) => {
+            pairs.sort_unstable();
+            Response::Pairs(pairs)
+        }
+        other => panic!("not an answer: {other:?}"),
+    }
+}
+
+/// Every ε-kind request at every ε a device can send — negative, signed
+/// zero, NaN, small, past the space — answers through a 1/2/4/7-shard
+/// fleet what the flat server answers. A shard filters by `dx² + dy² ≤
+/// ε²`, so a probe reaches |ε| whatever ε's sign, and `CoopJoinPush` as
+/// far as the ε it joins at (`eps > 0`, else 0) — the router must not
+/// prune by a window a negative ε shrinks. The probes are boxes
+/// centred between lattice columns, so a shard seam can pass between a
+/// probe's centre and every point it reaches.
+#[test]
+fn fleets_answer_every_eps_as_the_flat_server_does() {
+    let lattice: Vec<SpatialObject> = (0..400)
+        .map(|i| SpatialObject::point(i, f64::from(i % 20) * 10.0, f64::from(i / 20) * 10.0))
+        .collect();
+    let probes: Vec<SpatialObject> = (0..19)
+        .map(|k| {
+            let (x, y) = (
+                f64::from(k) * 10.0 + 5.0,
+                f64::from(k * 7 % 19) * 10.0 + 5.0,
+            );
+            SpatialObject::new(
+                1000 + k,
+                Rect::from_coords(x - 6.0, y - 6.0, x + 6.0, y + 6.0),
+            )
+        })
+        .collect();
+    let mbrs: Vec<Rect> = probes.iter().map(|p| p.mbr).collect();
+    let build = |shards: Option<usize>| {
+        let b = DeploymentBuilder::new(lattice.clone(), lattice.clone())
+            .with_space(Rect::from_coords(0.0, 0.0, 190.0, 190.0))
+            .cooperative();
+        match shards {
+            Some(n) => b.with_shards(n, n),
+            None => b,
+        }
+        .build()
+    };
+    let flat = build(None);
+    let fleets: Vec<(usize, Deployment)> = SHARD_COUNTS.map(|n| (n, build(Some(n)))).into();
+    let mut reached_at_negative_eps = 0;
+    for eps in [-50.0, -1.0, -0.0, 0.0, f64::NAN, 2.5, 300.0] {
+        let mut requests: Vec<Request> = probes
+            .iter()
+            .map(|p| Request::EpsRange { q: p.mbr, eps })
+            .collect();
+        requests.extend([
+            Request::BucketEpsRange {
+                probes: probes.clone(),
+                eps,
+            },
+            Request::CoopFilterByMbrs {
+                mbrs: mbrs.clone(),
+                eps,
+            },
+            Request::CoopJoinPush {
+                objects: probes.clone(),
+                eps,
+            },
+        ]);
+        let (flat_link, _) = flat.connect();
+        for req in &requests {
+            let want = canonical(flat_link.request(req));
+            if eps == -50.0 && matches!(&want, Response::Objects(o) if !o.is_empty()) {
+                reached_at_negative_eps += 1;
+            }
+            for (n, fleet) in &fleets {
+                let (link, _) = fleet.connect();
+                assert_eq!(
+                    canonical(link.request(req)),
+                    want,
+                    "{n} shards, eps {eps}: {req:?}"
+                );
+            }
+        }
+    }
+    assert!(reached_at_negative_eps > probes.len(), "vacuous at ε = −50");
 }
