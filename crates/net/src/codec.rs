@@ -17,7 +17,8 @@
 //! crate-private `Io` passes ([`Request`]'s, [`Response`]'s, and the
 //! tagged elements [`Update`] and [`DeltaOp`]); the size functions, the
 //! encoders, the decoders and [`wire_exact`] are that walk under four
-//! different passes. The per-object loops, the quantisation grid and the
+//! different passes. The two records (object and rect, each read and
+//! written whole), the per-object loops, the quantisation grid and the
 //! envelopes are hand-written and the walks name them.
 
 use asj_geom::{Point, Rect, SpatialObject};
@@ -280,9 +281,10 @@ trait Io: Sized {
         v.iter().try_for_each(|item| each(self, item).map(drop))?;
         Ok(Vec::new())
     }
-    /// The body of a compact object frame: `u32` count, then per object
-    /// [`put_object_v2`] / [`get_object_v2`] against the exchange's grid.
-    fn objects_v2(&mut self, v: &[SpatialObject]) -> Walked<Vec<SpatialObject>> {
+    /// A `u32`-counted object list: 20-byte records, or — `compact` — per
+    /// object [`put_object_v2`] / [`get_object_v2`] against the exchange's
+    /// grid.
+    fn objects(&mut self, _compact: bool, v: &[SpatialObject]) -> Walked<Vec<SpatialObject>> {
         self.seq(v, Self::object)
     }
 
@@ -380,7 +382,7 @@ impl Request {
             // (A literal's fields are evaluated as written: ε comes first.)
             Self::BucketEpsRange { probes, eps } => Self::BucketEpsRange {
                 eps: io.op(op::BUCKET_EPS_RANGE).f32(eps)?,
-                probes: io.seq(probes, I::object)?,
+                probes: io.objects(false, probes)?,
             },
             Self::MultiCount(ws) => Self::MultiCount(io.op(op::MULTI_COUNT).seq(ws, I::rect)?),
             Self::CoopLevelMbrs(level) => {
@@ -392,7 +394,7 @@ impl Request {
             },
             Self::CoopJoinPush { objects, eps } => Self::CoopJoinPush {
                 eps: io.op(op::COOP_JOIN_PUSH).f32(eps)?,
-                objects: io.seq(objects, I::object)?,
+                objects: io.objects(false, objects)?,
             },
             Self::ApplyUpdates(batch) => {
                 let io = io.op(op::APPLY_UPDATES);
@@ -456,11 +458,10 @@ impl Response {
     #[inline]
     fn fields<I: Io>(io: &mut I, resp: &Self) -> Walked<Self> {
         Ok(match resp {
-            Self::Objects(objs) => Self::Objects(if io.op2(op::R_OBJECTS, op::R_OBJECTS_V2) {
-                io.objects_v2(objs)?
-            } else {
-                io.seq(objs, I::object)?
-            }),
+            Self::Objects(objs) => {
+                let compact = io.op2(op::R_OBJECTS, op::R_OBJECTS_V2);
+                Self::Objects(io.objects(compact, objs)?)
+            }
             Self::Count(c) => {
                 let compact = io.op2(op::R_COUNT, op::R_COUNT_V2);
                 Self::Count(io.scalar(compact, c)?)
@@ -471,7 +472,7 @@ impl Response {
                 Self::Counts(io.items(cs, compact, |_| Ok(0), count)?)
             }
             Self::Buckets(buckets) => {
-                let bucket = |io: &mut I, b: &Vec<SpatialObject>| io.seq(b, I::object);
+                let bucket = |io: &mut I, b: &Vec<SpatialObject>| io.objects(false, b);
                 Self::Buckets(io.op(op::R_BUCKETS).seq(buckets, bucket)?)
             }
             Self::Rects(rects) => Self::Rects(io.op(op::R_RECTS).seq(rects, I::rect)?),
@@ -553,8 +554,8 @@ impl Io for Size {
         self.bytes += if width == 0 { varint_len(v) } else { width };
         Ok(v)
     }
-    fn objects_v2(&mut self, v: &[SpatialObject]) -> Walked<Vec<SpatialObject>> {
-        self.bytes += 4 + v.len() as u64 * OBJ_BYTES_V2_MAX;
+    fn objects(&mut self, compact: bool, v: &[SpatialObject]) -> Walked<Vec<SpatialObject>> {
+        self.bytes += 4 + v.len() as u64 * if compact { OBJ_BYTES_V2_MAX } else { OBJ_BYTES };
         Ok(Vec::new())
     }
 }
@@ -582,10 +583,22 @@ impl Io for Put<'_> {
         }
         Ok(v)
     }
-    fn objects_v2(&mut self, v: &[SpatialObject]) -> Walked<Vec<SpatialObject>> {
+    fn rect(&mut self, r: &Rect) -> Walked<Rect> {
+        self.buf.extend_from_slice(&rect_record(r));
+        Ok(*r)
+    }
+    fn object(&mut self, o: &SpatialObject) -> Walked<SpatialObject> {
+        put_object(self.buf, o);
+        Ok(*o)
+    }
+    fn objects(&mut self, compact: bool, v: &[SpatialObject]) -> Walked<Vec<SpatialObject>> {
         self.buf.put_u32(v.len() as u32);
         let mut prev_id = 0;
         for o in v {
+            if !compact {
+                put_object(self.buf, o);
+                continue;
+            }
             put_object_v2(self.buf, o, prev_id, self.ctx);
             prev_id = o.id;
         }
@@ -594,8 +607,9 @@ impl Io for Put<'_> {
 }
 
 /// The decoding pass: every read bounds-checked, every list's capacity
-/// capped (a length prefix is input), and [`Get::finish`] refusing a
-/// frame that was not consumed whole.
+/// capped by the bytes left (an item takes one at least; a length prefix
+/// is input), and [`Get::finish`] refusing a frame that was not consumed
+/// whole.
 struct Get<'a> {
     buf: Bytes,
     ctx: Option<&'a QuantCtx>,
@@ -626,6 +640,14 @@ impl Get<'_> {
         self.buf.first().copied().ok_or(CodecError::Truncated)
     }
 
+    /// The next `N` bytes, consumed whole: one bounds check per record.
+    fn record<const N: usize>(&mut self) -> Walked<[u8; N]> {
+        let raw = self.buf.get(..N).ok_or(CodecError::Truncated)?;
+        let raw = raw.try_into().expect("N bytes");
+        self.buf.advance(N);
+        Ok(raw)
+    }
+
     fn finish(self) -> Walked<()> {
         match self.buf.remaining() {
             0 => Ok(()),
@@ -652,17 +674,11 @@ impl Io for Get<'_> {
             _ => self.buf.get_u64(),
         })
     }
-    /// One bounds check for the four coordinates.
     fn rect(&mut self, _: &Rect) -> Walked<Rect> {
-        need(&self.buf, RECT_BYTES as usize)?;
-        Ok(get_rect(&mut self.buf))
+        Ok(get_rect(&self.record()?))
     }
     fn object(&mut self, _: &SpatialObject) -> Walked<SpatialObject> {
-        need(&self.buf, OBJ_BYTES as usize)?;
-        Ok(SpatialObject::new(
-            self.buf.get_u32(),
-            get_rect(&mut self.buf),
-        ))
+        Ok(get_object(&self.record()?))
     }
     fn items<T>(
         &mut self,
@@ -672,16 +688,27 @@ impl Io for Get<'_> {
         each: impl Fn(&mut Self, &T) -> Walked<T>,
     ) -> Walked<Vec<T>> {
         let n = self.word(if varint { 0 } else { 4 }, 0)? as usize;
-        let mut items = Vec::with_capacity(n.min(1 << 20));
+        let mut items = Vec::with_capacity(n.min(self.buf.remaining()));
         for _ in 0..n {
             let item = blank(self.peek()?)?;
             items.push(each(self, &item)?);
         }
         Ok(items)
     }
-    fn objects_v2(&mut self, _: &[SpatialObject]) -> Walked<Vec<SpatialObject>> {
+    /// A v1 list is checked against the frame whole, before anything is
+    /// reserved for it, and read in one pass over its records.
+    fn objects(&mut self, compact: bool, _: &[SpatialObject]) -> Walked<Vec<SpatialObject>> {
         let n = self.u32(&0)? as usize;
-        let mut objs = Vec::with_capacity(n.min(1 << 20));
+        if !compact {
+            let len = n.checked_mul(OBJ_BYTES as usize);
+            let records = len.and_then(|len| self.buf.get(..len));
+            let records = records.ok_or(CodecError::Truncated)?.chunks_exact(20);
+            let objs = records.map(|raw| get_object(raw.try_into().expect("20")));
+            let objs: Vec<_> = objs.collect();
+            self.buf.advance(objs.len() * OBJ_BYTES as usize);
+            return Ok(objs);
+        }
+        let mut objs = Vec::with_capacity(n.min(self.buf.remaining()));
         let mut prev_id = 0;
         for _ in 0..n {
             let o = get_object_v2(&mut self.buf, prev_id, self.ctx)?;
@@ -721,23 +748,35 @@ impl Io for Snap {
     }
 }
 
-/// Reads 16 bytes the caller has checked for.
-fn get_rect(buf: &mut Bytes) -> Rect {
-    let mut f32 = || buf.get_f32() as f64;
-    let (min, max) = (Point::new(f32(), f32()), Point::new(f32(), f32()));
-    Rect::new(min, max)
+// The two records, whole: big-endian fields at fixed offsets.
+
+/// A rect record: min x, min y, max x, max y, each an `f32`.
+fn rect_record(r: &Rect) -> [u8; 16] {
+    let mut raw = [0; 16];
+    for (at, v) in [r.min.x, r.min.y, r.max.x, r.max.y].into_iter().enumerate() {
+        raw[4 * at..4 * at + 4].copy_from_slice(&(v as f32).to_be_bytes());
+    }
+    raw
 }
 
-fn put_rect(buf: &mut BytesMut, r: &Rect) {
-    buf.put_f32(r.min.x as f32);
-    buf.put_f32(r.min.y as f32);
-    buf.put_f32(r.max.x as f32);
-    buf.put_f32(r.max.y as f32);
-}
-
+/// Appends an object record — the `u32` id, then the rect — in one write.
 fn put_object(buf: &mut BytesMut, o: &SpatialObject) {
-    buf.put_u32(o.id);
-    put_rect(buf, &o.mbr);
+    let mut raw = [0; 20];
+    raw[..4].copy_from_slice(&o.id.to_be_bytes());
+    raw[4..].copy_from_slice(&rect_record(&o.mbr));
+    buf.extend_from_slice(&raw);
+}
+
+/// Normalised by `Rect::new`, like every rect a peer reads.
+fn get_rect(raw: &[u8; 16]) -> Rect {
+    let f = |at: usize| f64::from(f32::from_be_bytes(raw[at..at + 4].try_into().expect("4")));
+    Rect::new(Point::new(f(0), f(4)), Point::new(f(8), f(12)))
+}
+
+fn get_object(raw: &[u8; 20]) -> SpatialObject {
+    let (id, mbr) = raw.split_at(4);
+    let id = u32::from_be_bytes(id.try_into().expect("4"));
+    SpatialObject::new(id, get_rect(mbr.try_into().expect("16")))
 }
 
 /// Exact wire size of an encoded request, by the walk the encoder takes —
@@ -1198,6 +1237,9 @@ fn get_object_v2(
 ) -> Result<SpatialObject, CodecError> {
     need(buf, 1)?;
     let tag = buf.get_u8();
+    if tag & !(op::V2_POINT | op::V2_QX | op::V2_QY) != 0 {
+        return Err(CodecError::UnknownOpcode(tag));
+    }
     let point = tag & op::V2_POINT != 0;
     let delta = unzigzag(get_varint(buf)?);
     // A delta that leaves `u32` is a complete record with a value out of

@@ -220,10 +220,12 @@ impl EventLoop {
 
     /// The poll loop: takes the whole ready-queue per wake-up and serves
     /// it in order; the replies go out together afterwards, so a client
-    /// parked on them is woken once per drained batch. One reusable
-    /// encode buffer serves every endpoint — reactor-owned, per the
-    /// module's state-ownership contract — so steady-state serving grows
-    /// no buffer; the only per-request allocation is the reply message.
+    /// parked on them is woken once per drained batch. It serves by the
+    /// one discipline [`crate::transport::InProcExchange`] shares: one
+    /// reusable encode buffer serves every endpoint — reactor-owned, per
+    /// the module's state-ownership contract — so steady-state serving
+    /// grows no buffer, and each reply ships as one exact-size copy of it,
+    /// the only per-request allocation.
     fn run(ready: End<Event>) -> u64 {
         let mut served = 0u64;
         let mut buf = BytesMut::with_capacity(4096);
@@ -291,8 +293,9 @@ impl EventLoop {
                 }
                 conn.dequeued(1);
                 // The shim's `Bytes` is `Arc<[u8]>`-backed, so one copy
-                // into the reply stands in for the real crate's zero-copy,
-                // allocation-recycling `buf.split().freeze()`.
+                // (one allocation) into the reply stands in for the real
+                // crate's zero-copy, allocation-recycling
+                // `buf.split().freeze()`.
                 replies.push((reply, Bytes::copy_from_slice(&buf), conn));
             }
             for (reply, answer, conn) in replies.drain(..) {

@@ -147,9 +147,20 @@ impl Pending {
     }
 }
 
+thread_local! {
+    /// The encode buffer of every in-process exchange on this thread: it
+    /// grows to the thread's largest reply once.
+    static REPLY_BUF: std::cell::Cell<BytesMut> = Default::default();
+}
+
 /// In-process carrier: decodes and handles on the calling thread.
 /// `H` may be unsized, so a deployment holding `Arc<dyn QueryHandler>`
 /// uses this adapter too.
+///
+/// It serves as the reactor's loop does ([`crate::event_loop`]), the one
+/// serving discipline of both carriers: the handler encodes into one
+/// reused buffer — here the calling thread's — and the reply ships as one
+/// exact-size copy of it, the only per-request allocation.
 pub struct InProcExchange<H: QueryHandler + ?Sized> {
     handler: Arc<H>,
 }
@@ -167,14 +178,16 @@ impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
         if let Some(accept) = crate::codec::try_answer_hello(&request) {
             return accept;
         }
-        // The zero-copy serving path: the handler encodes straight into
-        // the reply buffer (exact-capacity reserve inside the codec), so
-        // no intermediate `Response` vectors are materialized. A garbled
-        // frame is answered with a typed error, never panicked on — same
-        // contract as the shared server thread.
-        let mut buf = BytesMut::new();
+        // A garbled frame is answered with a typed error, never panicked
+        // on — same contract as the shared server thread. The buffer is
+        // taken out of its slot, not borrowed: an exchange nested in a
+        // handler on this thread serves into a fresh one.
+        let mut buf = REPLY_BUF.take();
+        buf.clear();
         serve_frame_into(self.handler.as_ref(), request, &mut buf);
-        buf.freeze()
+        let reply = Bytes::copy_from_slice(&buf);
+        REPLY_BUF.set(buf);
+        reply
     }
 }
 

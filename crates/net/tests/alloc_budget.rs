@@ -9,8 +9,10 @@
 //! on allocate exactly as often as through a flat link; so do they
 //! through a 1 × 1 fleet; a cache hit allocates nothing for a COUNT and
 //! only its answer for a WINDOW or an ε-RANGE, whether a cached window
-//! contains the probe or the probe tier holds it. These are the numbers
-//! the stack reaches,
+//! contains the probe or the probe tier holds it. A flat exchange costs
+//! the same whatever its answer's size: the server streams into a reused
+//! buffer and ships one copy. A lying count prefix reserves nothing.
+//! These are the numbers the stack reaches,
 //! pinned: a `Vec` that creeps back into a per-request path fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -19,12 +21,15 @@ use std::sync::Arc;
 
 use asj_geom::{Rect, SpatialObject};
 use asj_net::cache::{CacheLayer, ClientCache};
+use asj_net::codec::{decode_response, encode_response, CodecError};
 use asj_net::testutil::ScanHandler;
 use asj_net::transport::InProcExchange;
 use asj_net::{
-    BreakerConfig, FaultLayer, FaultPlan, Link, PacketModel, RawExchange, Request, RetryPolicy,
-    ShardEndpoint, ShardMeta, ShardRouter,
+    BreakerConfig, FaultLayer, FaultPlan, Link, PacketModel, RawExchange, Request, Response,
+    RetryPolicy, ShardEndpoint, ShardMeta, ShardRouter,
 };
+use asj_server::{RTreeStore, SpatialService};
+use bytes::Bytes;
 
 struct Counting;
 
@@ -163,4 +168,43 @@ fn a_cache_hit_allocates_only_its_answer() {
     assert_eq!((snap.probe_hits, snap.probe_misses), (17, 1), "{snap:?}");
     let wire = cached.meter().snapshot();
     assert_eq!((wire.window_queries, wire.range_queries), (1, 1));
+}
+
+/// An answer's size is not an allocation: through a flat in-process link
+/// to the real server, which streams objects into the thread's reused
+/// reply buffer, a WINDOW and an ε-RANGE answering 1, 16 or 200 objects
+/// each allocate their request frame (built, then frozen: two), one
+/// reply frame and one answer `Vec`. A reply that grows by reallocation
+/// again fails here.
+#[test]
+fn a_reply_allocates_once_whatever_its_size() {
+    let service = SpatialService::new(RTreeStore::new(lattice()));
+    let flat = Link::in_process(Arc::new(service), PacketModel::default(), 1.0);
+    // 1 × 1, 4 × 4 and 10 × 20 lattice points.
+    let windows = [
+        (Rect::from_coords(5.0, 5.0, 15.0, 15.0), 1),
+        (Rect::from_coords(5.0, 5.0, 45.0, 45.0), 16),
+        (Rect::from_coords(-1.0, -1.0, 95.0, 195.0), 200),
+    ];
+    for (w, n) in windows {
+        for req in [Request::Window(w), Request::EpsRange { q: w, eps: 0.5 }] {
+            assert_eq!(flat.request(&req).into_objects().len(), n, "{req:?}");
+            assert_eq!(allocations(&flat, &req), 4, "{req:?}");
+        }
+    }
+}
+
+/// A count prefix is input: one claiming more objects than its frame
+/// holds — `u32::MAX` of them — is truncated before a byte is reserved
+/// for the claim.
+#[test]
+fn a_raised_object_count_reserves_nothing() {
+    let objects = Response::Objects(lattice()[..3].to_vec());
+    let mut frame = encode_response(&objects).to_vec();
+    frame[1..5].copy_from_slice(&u32::MAX.to_be_bytes());
+    let frame = Bytes::from(frame);
+    let before = ALLOCATIONS.with(Cell::get);
+    let decoded = decode_response(frame);
+    assert_eq!(ALLOCATIONS.with(Cell::get) - before, 0);
+    assert_eq!(decoded, Err(CodecError::Truncated));
 }

@@ -28,7 +28,8 @@
 //! stamped, marked or wrapped: **a frame is consumed whole**. A valid
 //! frame with junk behind it, or with its count prefix lowered so that
 //! records are left over, is rejected — never decoded to the part the
-//! decoder did read (`WIRE.md`, "a frame is consumed whole").
+//! decoder did read (`WIRE.md`, "a frame is consumed whole"). Raised past
+//! its records, a count prefix is a truncation.
 
 use asj_geom::{Point, Rect, SpatialObject};
 use asj_net::codec::{
@@ -369,6 +370,28 @@ fn an_id_delta_that_leaves_u32_is_out_of_range_not_truncated() {
     );
 }
 
+/// A compact object's tag has three bits — POINT, QX, QY — and a tag with
+/// any other bit set names no layout: rejected as unknown, so no two tag
+/// bytes decode to one value. Behind each tag, the coordinates its known
+/// bits call for.
+#[test]
+fn a_compact_object_tag_with_an_unknown_bit_is_rejected() {
+    let ctx = QuantCtx::new(Rect::from_coords(0.0, 0.0, 1.0, 1.0));
+    for tag in 0..=u8::MAX {
+        let known = tag & 0x07;
+        // Per axis one value (a point) or two, each a u16 cell or an f32.
+        let axis = |q: u8| (2 - usize::from(known & 0x01)) * if known & q != 0 { 2 } else { 4 };
+        let coords = vec![0; axis(0x02) + axis(0x04)];
+        let frame = Bytes::from([&[0x8C, 0, 0, 0, 1, tag, 0x0E][..], &coords].concat());
+        let got = decode_response_ctx(frame, ctx.as_ref());
+        if tag == known {
+            assert!(got.is_ok(), "tag {tag:#04x}: {got:?}");
+        } else {
+            assert_eq!(got, Err(CodecError::UnknownOpcode(tag)), "tag {tag:#04x}");
+        }
+    }
+}
+
 proptest! {
     // A frame is consumed whole: any valid request frame — bare, marked
     // for v2, or in a dedup envelope — followed by junk is rejected.
@@ -462,6 +485,41 @@ proptest! {
                 decode_request_versioned(Bytes::from(frame)).is_err(),
                 "{:?} with its count lowered to {}", req, lower % n
             );
+        }
+    }
+
+    // Raised, a count prefix claims records the frame does not hold — up
+    // to `u32::MAX` of them: the frame is truncated, and nothing is
+    // reserved for the claim (`alloc_budget` counts that).
+    #[test]
+    fn a_raised_count_prefix_is_truncated(
+        objs in prop::collection::vec(object(), 0..6),
+        win in window(),
+        generation in generation(),
+        raise in any::<u32>(),
+    ) {
+        let rects = objs.iter().map(|o| o.mbr).collect();
+        let pairs = objs.iter().map(|o| (o.id, !o.id)).collect();
+        let responses = [
+            (objs.len(), Response::Objects(objs.clone())),
+            (objs.len(), Response::Rects(rects)),
+            (objs.len(), Response::Pairs(pairs)),
+            (2, Response::Buckets(vec![objs.clone(); 2])),
+        ];
+        let ctx = QuantCtx::new(win);
+        for (n, resp) in responses {
+            let frame = response_frame(&resp, WireVersion::V1, win, generation);
+            let at = frame.len() - response_frame(&resp, WireVersion::V1, win, 0).len() + 1;
+            let n = n as u32;
+            for claim in [n + 1 + raise % (u32::MAX - n), u32::MAX] {
+                let mut raised = frame.to_vec();
+                raised[at..at + 4].copy_from_slice(&claim.to_be_bytes());
+                prop_assert_eq!(
+                    decode_response_gen_ctx(Bytes::from(raised), ctx.as_ref()).map(drop),
+                    Err(CodecError::Truncated),
+                    "{:?} claiming {} items", resp, claim
+                );
+            }
         }
     }
 

@@ -43,13 +43,18 @@ pub struct Bytes {
 
 impl Bytes {
     pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes::copy_from_slice(data)
     }
 
-    /// Copies a slice into a fresh buffer — how a server ships the
-    /// contents of a reused encode buffer without surrendering it.
+    /// Copies a slice into a fresh buffer, in one allocation — how a
+    /// server ships the contents of a reused encode buffer without
+    /// surrendering it.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes {
+            data: Arc::from(data),
+            start: 0,
+            end: data.len(),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -91,13 +96,9 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// A copy: a `Vec`'s buffer cannot hold an `Arc`'s counts.
     fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Bytes {
-            data: v.into(),
-            start: 0,
-            end,
-        }
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -202,6 +203,12 @@ impl BytesMut {
         self.buf.clear();
     }
 
+    /// Appends a slice: a record the codec assembled, in one write.
+    #[inline]
+    pub fn extend_from_slice(&mut self, data: &[u8]) {
+        self.buf.extend_from_slice(data);
+    }
+
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -246,6 +253,44 @@ impl BufMut for BytesMut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Tallies the calling thread's allocations (reallocations included).
+    struct Counting;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    // SAFETY: defers to `System` unchanged; the tally touches no allocator state.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    #[test]
+    fn copy_from_slice_allocates_once() {
+        let data = [7u8; 300];
+        let before = ALLOCATIONS.with(Cell::get);
+        let copy = Bytes::copy_from_slice(&data);
+        assert_eq!(ALLOCATIONS.with(Cell::get) - before, 1);
+        assert_eq!(copy.as_slice(), data);
+    }
 
     #[test]
     fn roundtrip_all_widths() {
