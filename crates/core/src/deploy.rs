@@ -272,6 +272,9 @@ pub struct Deployment {
     space: Rect,
     cooperative: bool,
     live: bool,
+    /// `net.sweep_workers` resolved once, at build: asking the machine
+    /// reads cgroup quota files, too slow to repeat on every join.
+    sweep_workers: usize,
     /// Per-side client-cache stores when `net.client_cache` is enabled:
     /// shared by every link to a side (a *session*, see
     /// [`Deployment::connect`]), never between the sides — they front
@@ -364,15 +367,10 @@ impl Deployment {
 
     /// The resolved device join-kernel worker count:
     /// [`NetConfig::sweep_workers`], with `0` mapped to the machine's
-    /// available parallelism. Results are identical at every value — the
-    /// knob only moves wall-clock time.
+    /// available parallelism when the deployment was built. Results are
+    /// identical at every value — the knob only moves wall-clock time.
     pub fn sweep_workers(&self) -> usize {
-        match self.net.sweep_workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
+        self.sweep_workers
     }
 
     /// `true` when the servers were built with the cooperative extension
@@ -738,6 +736,10 @@ impl DeploymentBuilder {
             space,
             cooperative: self.cooperative,
             live: self.live,
+            sweep_workers: match self.net.sweep_workers {
+                0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                n => n,
+            },
             cache_r: cache(self.net.client_cache),
             cache_s: cache(self.net.client_cache),
             fault: self.fault,
@@ -765,6 +767,17 @@ mod tests {
         assert_eq!(d.space(), Rect::from_coords(0.0, 0.0, 109.0, 100.0));
         assert_eq!(d.buffer_capacity(), DEFAULT_BUFFER);
         assert!(!d.is_cooperative());
+    }
+
+    #[test]
+    fn sweep_workers_resolve_when_built() {
+        let build = |n| {
+            DeploymentBuilder::new(pts(4, 0.0), pts(4, 0.0))
+                .with_sweep_workers(n)
+                .build()
+        };
+        assert_eq!(build(3).sweep_workers(), 3);
+        assert!(build(0).sweep_workers() >= 1, "0 means the machine's count");
     }
 
     #[test]

@@ -153,10 +153,9 @@ pub struct ExecCtx<'a> {
     pub stats: ExecStats,
     max_depth: u32,
     min_window: f64,
-    /// Resolved worker count for the in-memory join kernels (the
-    /// deployment's [`NetConfig::sweep_workers`](asj_net::NetConfig) with
-    /// `0` mapped to available parallelism). Result-identical at every
-    /// value.
+    /// Worker count for the in-memory join kernels, as the deployment
+    /// resolved it when built ([`Deployment::sweep_workers`]).
+    /// Result-identical at every value.
     sweep_workers: usize,
     /// The deployment takes updates, so a writer may race this join.
     live: bool,

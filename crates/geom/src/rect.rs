@@ -79,13 +79,16 @@ impl Rect {
         )
     }
 
-    /// Closed-set intersection test (shared boundaries intersect).
+    /// Closed-set intersection test (shared boundaries intersect; a NaN
+    /// coordinate on either side intersects nothing). Branch-free: the four
+    /// compares are joined with `&`, so a filter over many rectangles —
+    /// an R-tree node, a cached run, a shard list — does not mispredict.
     #[inline]
     pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
+        (self.min.x <= other.max.x)
+            & (other.min.x <= self.max.x)
+            & (self.min.y <= other.max.y)
+            & (other.min.y <= self.max.y)
     }
 
     /// Intersection rectangle, or `None` when disjoint.

@@ -101,7 +101,8 @@ pub const MAX_WIRE_VERSION: u8 = 2;
 pub const HELLO_BYTES: u64 = 2;
 /// Worst-case wire size of one object inside a v2 `Objects` frame: tag
 /// byte + 5-byte zigzag id delta + full exact-`f32` rect escape. This is
-/// the per-object bound the exact-count reservation uses; typical point
+/// the per-object bound the size pass (`Size::objects`) reserves for a
+/// materialised v2 `Objects` frame; typical point
 /// objects encode in 6–11 bytes (see the quantization contract on
 /// [`QuantCtx`]).
 pub const OBJ_BYTES_V2_MAX: u64 = 1 + 5 + RECT_BYTES;
@@ -940,71 +941,38 @@ pub fn decode_response_gen_ctx(
 
 /// Streaming encoder for an `Objects` response — the zero-copy serving
 /// path. The header and every object go **directly into the wire
-/// buffer**: no intermediate object `Vec`, no `Response`. Two modes:
+/// buffer**: no intermediate object `Vec`, no `Response`. A placeholder
+/// count is written and **patched** on [`finish`](ObjectsEncoder::finish),
+/// so the store is visited exactly once and counted never. Only the header
+/// is reserved: both carriers serve into a reused buffer, which grows to
+/// its high-water capacity once and never again.
 ///
-/// * [`ObjectsEncoder::new_versioned`] — count unknown: a placeholder
-///   length prefix is written and **patched** on
-///   [`finish`](ObjectsEncoder::finish), so the store is traversed exactly
-///   once (a second counting pass would cost a scan-backed store as much
-///   as the query itself). Only the header is reserved; a reused server
-///   buffer grows to its high-water capacity once and never again.
-/// * [`ObjectsEncoder::with_exact_count_versioned`] — count known exactly
-///   *and cheaply* (the aR-tree's aggregate `COUNT`): the frame capacity
-///   is reserved up front and the count is hard-asserted on finish (in
-///   every build — a frame whose length prefix lies would corrupt the
-///   stream for the peer).
-///
-/// Either mode produces bytes identical to encoding `Response::Objects`
-/// over the same object sequence in the same wire version. Under
-/// [`WireVersion::V2`] objects stream in the compact layout, quantized
-/// against `ctx` when one exists (escaping per the [`QuantCtx`] contract).
+/// The bytes are identical to encoding `Response::Objects` over the same
+/// object sequence in the same wire version. Under [`WireVersion::V2`]
+/// objects stream in the compact layout, quantized against `ctx` when one
+/// exists (escaping per the [`QuantCtx`] contract).
 pub struct ObjectsEncoder<'a> {
     buf: &'a mut BytesMut,
-    announced: Option<u64>,
     len_at: usize,
-    written: u64,
+    written: u32,
     wire: WireVersion,
     ctx: Option<QuantCtx>,
     prev_id: u32,
 }
 
 impl<'a> ObjectsEncoder<'a> {
-    /// Opens a frame whose length prefix is patched on `finish`.
+    /// Opens a frame whose count is patched on `finish`.
     pub fn new_versioned(buf: &'a mut BytesMut, wire: WireVersion, ctx: Option<QuantCtx>) -> Self {
-        Self::open(buf, None, wire, ctx)
-    }
-
-    /// Opens a frame for exactly `count` objects. v2 objects are
-    /// variable-width, so the reservation uses the published per-object
-    /// *bound* [`OBJ_BYTES_V2_MAX`] — still one allocation at most, never
-    /// less than the frame needs.
-    pub fn with_exact_count_versioned(
-        buf: &'a mut BytesMut,
-        count: u64,
-        wire: WireVersion,
-        ctx: Option<QuantCtx>,
-    ) -> Self {
-        Self::open(buf, Some(count), wire, ctx)
-    }
-
-    fn open(
-        buf: &'a mut BytesMut,
-        announced: Option<u64>,
-        wire: WireVersion,
-        ctx: Option<QuantCtx>,
-    ) -> Self {
-        let (opcode, per_obj) = match wire {
-            WireVersion::V1 => (op::R_OBJECTS, OBJ_BYTES),
-            WireVersion::V2 => (op::R_OBJECTS_V2, OBJ_BYTES_V2_MAX),
+        let opcode = match wire {
+            WireVersion::V1 => op::R_OBJECTS,
+            WireVersion::V2 => op::R_OBJECTS_V2,
         };
-        let count = announced.unwrap_or(0);
-        buf.reserve((OBJECTS_HEADER_BYTES + count * per_obj) as usize);
+        buf.reserve(OBJECTS_HEADER_BYTES as usize);
         buf.put_u8(opcode);
         let len_at = buf.len();
-        buf.put_u32(count as u32);
+        buf.put_u32(0);
         ObjectsEncoder {
             buf,
-            announced,
             len_at,
             written: 0,
             wire,
@@ -1025,18 +993,9 @@ impl<'a> ObjectsEncoder<'a> {
         self.written += 1;
     }
 
-    /// Closes the frame: patches the streamed count in, or asserts the
-    /// announced one was honoured.
+    /// Closes the frame: patches the streamed count in.
     pub fn finish(self) {
-        match self.announced {
-            Some(count) => assert_eq!(
-                self.written, count,
-                "objects-response framing mismatch: announced {count} objects, streamed {}",
-                self.written
-            ),
-            None => self.buf[self.len_at..self.len_at + 4]
-                .copy_from_slice(&(self.written as u32).to_be_bytes()),
-        }
+        self.buf[self.len_at..self.len_at + 4].copy_from_slice(&self.written.to_be_bytes());
     }
 }
 
@@ -1155,6 +1114,16 @@ impl QuantCtx {
                 QuantCtx::new(snap_rect_f32(q).expand((*eps as f32) as f64))
             }
             _ => None,
+        }
+    }
+
+    /// The grid a `wire` frame answering `req` is coded against: the
+    /// request's ([`QuantCtx::for_request`]) on v2, none on v1 — a v1
+    /// frame never quantizes, so it derives no grid.
+    pub fn for_wire(req: &Request, wire: WireVersion) -> Option<QuantCtx> {
+        match wire {
+            WireVersion::V1 => None,
+            WireVersion::V2 => QuantCtx::for_request(req),
         }
     }
 

@@ -73,7 +73,8 @@ pub(crate) struct Frame<'a> {
     /// built it for one shard.
     pub req: Cow<'a, Request>,
     pub bytes: Bytes,
-    /// The v2 coordinate grid both peers derive from the request.
+    /// The v2 coordinate grid both peers derive from the request; none on
+    /// a v1 edge.
     ctx: Option<QuantCtx>,
 }
 
@@ -141,7 +142,7 @@ impl Edge {
             bytes = wrap_dedup(tag, &bytes);
         }
         Frame {
-            ctx: QuantCtx::for_request(&req),
+            ctx: QuantCtx::for_wire(&req, self.wire),
             req,
             bytes,
         }

@@ -251,7 +251,7 @@ pub trait QueryHandler: Send + Sync {
         wire: crate::codec::WireVersion,
         buf: &mut bytes::BytesMut,
     ) {
-        let ctx = crate::codec::QuantCtx::for_request(&req);
+        let ctx = crate::codec::QuantCtx::for_wire(&req, wire);
         crate::codec::encode_response_versioned(&self.handle(req), wire, ctx.as_ref(), buf);
     }
 

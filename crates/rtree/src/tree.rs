@@ -167,7 +167,7 @@ impl RTree {
     /// the same order [`RTree::window`] materializes, which the zero-copy
     /// serving path in `asj-server` relies on for wire-byte identity.
     pub fn for_each_in_window(&self, w: &Rect, f: &mut dyn FnMut(&SpatialObject)) {
-        if let Some(root) = &self.root {
+        if let Some(root) = self.root.as_ref().filter(|r| r.mbr.intersects(w)) {
             window_rec(root, w, f);
         }
     }
@@ -175,7 +175,7 @@ impl RTree {
     /// Visits every object within distance `eps` of `q`, in tree order —
     /// the visitor form of [`RTree::eps_range`].
     pub fn for_each_eps_range(&self, q: &Rect, eps: f64, f: &mut dyn FnMut(&SpatialObject)) {
-        if let Some(root) = &self.root {
+        if let Some(root) = self.root.as_ref().filter(|r| r.mbr.within_distance(q, eps)) {
             range_rec(root, q, eps, f);
         }
     }
@@ -183,10 +183,7 @@ impl RTree {
     /// `COUNT(w)`: number of objects intersecting `w`. Uses the aggregate
     /// counts: subtrees fully inside `w` contribute without being visited.
     pub fn count(&self, w: &Rect) -> u64 {
-        match &self.root {
-            Some(root) => count_rec(root, w),
-            None => 0,
-        }
+        self.root.as_ref().map_or(0, |root| count_entry(root, w))
     }
 
     /// `ε-RANGE(q, ε)`: objects within Euclidean distance `eps` of the
@@ -195,14 +192,6 @@ impl RTree {
         let mut out = Vec::new();
         self.for_each_eps_range(q, eps, &mut |o| out.push(*o));
         out
-    }
-
-    /// Count-only variant of [`RTree::eps_range`].
-    pub fn eps_range_count(&self, q: &Rect, eps: f64) -> u64 {
-        match &self.root {
-            Some(root) => range_count_rec(root, q, eps),
-            None => 0,
-        }
     }
 
     /// The MBRs of all nodes `levels_above_leaves` levels above the leaf
@@ -364,51 +353,56 @@ fn least_overlap_split<T>(
     (entries, tail)
 }
 
+// The three walks share one shape: the caller has already tested `node`
+// (the root at entry, every other node in its parent's loop), and each
+// walk tests a node's children in that loop, entering only those that
+// pass. A call is made per qualifying subtree, never per child.
+
 fn window_rec(node: &Node, w: &Rect, f: &mut dyn FnMut(&SpatialObject)) {
-    if !node.mbr.intersects(w) {
-        return;
-    }
     match &node.kind {
         NodeKind::Leaf(es) => es.iter().filter(|o| o.mbr.intersects(w)).for_each(f),
-        NodeKind::Internal(cs) => cs.iter().for_each(|c| window_rec(c, w, f)),
+        NodeKind::Internal(cs) => {
+            for c in cs.iter().filter(|c| c.mbr.intersects(w)) {
+                window_rec(c, w, f);
+            }
+        }
+    }
+}
+
+/// `COUNT(w)` under one entry: nothing when its MBR misses `w`, its
+/// aggregate when `w` covers it (the aR-tree shortcut: the subtree is not
+/// entered), otherwise the count of a visit.
+#[inline(always)]
+fn count_entry(node: &Node, w: &Rect) -> u64 {
+    if !node.mbr.intersects(w) {
+        0
+    } else if w.contains_rect(&node.mbr) {
+        node.count
+    } else {
+        count_rec(node, w)
     }
 }
 
 fn count_rec(node: &Node, w: &Rect) -> u64 {
-    if !node.mbr.intersects(w) {
-        return 0;
-    }
-    if w.contains_rect(&node.mbr) {
-        return node.count; // aR-tree shortcut: whole subtree qualifies.
-    }
     match &node.kind {
-        NodeKind::Leaf(es) => es.iter().filter(|o| o.mbr.intersects(w)).count() as u64,
-        NodeKind::Internal(cs) => cs.iter().map(|c| count_rec(c, w)).sum(),
+        NodeKind::Leaf(es) => es.iter().map(|o| u64::from(o.mbr.intersects(w))).sum(),
+        NodeKind::Internal(cs) => cs.iter().map(|c| count_entry(c, w)).sum(),
     }
 }
 
 fn range_rec(node: &Node, q: &Rect, eps: f64, f: &mut dyn FnMut(&SpatialObject)) {
     // Pruned by the predicate the leaves apply, so the answer has one
     // definition for every ε — negative (ε² decides) and NaN (nothing).
-    if !node.mbr.within_distance(q, eps) {
-        return;
-    }
     match &node.kind {
         NodeKind::Leaf(es) => es
             .iter()
             .filter(|o| o.mbr.within_distance(q, eps))
             .for_each(f),
-        NodeKind::Internal(cs) => cs.iter().for_each(|c| range_rec(c, q, eps, f)),
-    }
-}
-
-fn range_count_rec(node: &Node, q: &Rect, eps: f64) -> u64 {
-    if !node.mbr.within_distance(q, eps) {
-        return 0;
-    }
-    match &node.kind {
-        NodeKind::Leaf(es) => es.iter().filter(|o| o.mbr.within_distance(q, eps)).count() as u64,
-        NodeKind::Internal(cs) => cs.iter().map(|c| range_count_rec(c, q, eps)).sum(),
+        NodeKind::Internal(cs) => {
+            for c in cs.iter().filter(|c| c.mbr.within_distance(q, eps)) {
+                range_rec(c, q, eps, f);
+            }
+        }
     }
 }
 
@@ -555,7 +549,7 @@ mod tests {
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "eps={eps}");
-            assert_eq!(t.eps_range_count(&q, eps), want.len() as u64);
+            assert_eq!(t.eps_range(&q, eps).len(), want.len());
         }
     }
 

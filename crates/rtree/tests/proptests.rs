@@ -69,7 +69,7 @@ proptest! {
             v
         };
         prop_assert_eq!(ids(tree.eps_range(&probe, eps)), want.clone());
-        prop_assert_eq!(tree.eps_range_count(&probe, eps), want.len() as u64);
+        prop_assert_eq!(tree.eps_range(&probe, eps).len(), want.len());
     }
 
     #[test]
@@ -146,7 +146,7 @@ fn answers(tree: &RTree, w: &Rect, q: &Rect, eps: f64) -> Answers {
         window: tree.window(w),
         count: tree.count(w),
         range: tree.eps_range(q, eps),
-        range_count: tree.eps_range_count(q, eps),
+        range_count: tree.eps_range(q, eps).len() as u64,
         leaves: tree.level_mbrs(0),
         len: tree.len(),
     }
@@ -209,8 +209,82 @@ proptest! {
                 prop_assert_eq!(ids(t.window(&window)), ids(in_window.clone()));
                 prop_assert_eq!(t.count(&window), in_window.len() as u64);
                 prop_assert_eq!(ids(t.eps_range(&probe, eps)), ids(in_range.clone()));
-                prop_assert_eq!(t.eps_range_count(&probe, eps), in_range.len() as u64);
+                prop_assert_eq!(t.eps_range(&probe, eps).len(), in_range.len());
             }
         }
+    }
+}
+
+/// A window of one of four kinds: anywhere on the map, around the whole
+/// map (it contains the root MBR), off the map, or one with a NaN
+/// coordinate (it intersects nothing).
+fn any_window() -> impl Strategy<Value = Rect> {
+    let corners = (coord(), coord(), coord(), coord());
+    (0u32..4, corners, 0usize..4).prop_map(|(kind, (a, b, c, d), nan_at)| match kind {
+        0 => Rect::new(Point::new(a, b), Point::new(c, d)),
+        1 => Rect::from_coords(-1.0, -1.0, 1100.0, 1100.0),
+        2 => Rect::new(
+            Point::new(a + 1100.0, b + 1100.0),
+            Point::new(c + 1100.0, d + 1100.0),
+        ),
+        _ => {
+            let mut xy = [a.min(c), b.min(d), a.max(c), b.max(d)];
+            xy[nan_at] = f64::NAN;
+            Rect {
+                min: Point::new(xy[0], xy[1]),
+                max: Point::new(xy[2], xy[3]),
+            }
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The walks answer in tree order: exactly `objects()` filtered by the
+    /// query's predicate, in that order. A walk that reordered its answers
+    /// would pass every sorted-id property above, yet move v2 delta-id
+    /// bytes and pair order.
+    #[test]
+    fn walks_answer_in_tree_order(
+        data in dataset(150),
+        fanout in 4usize..17,
+        built in 0u32..3,
+        w in any_window(),
+        q in (coord(), coord(), 0.0f64..20.0, 0.0f64..20.0),
+        eps in prop_oneof![-60.0f64..0.0, Just(0.0), 0.0f64..200.0, Just(f64::NAN)],
+    ) {
+        // Packed, grown by inserts, or grown and then thinned by removes.
+        let tree = if built == 0 {
+            RTree::bulk_load(data.clone(), fanout)
+        } else {
+            let mut t = RTree::new(fanout);
+            data.iter().for_each(|&o| t.insert(o));
+            if built == 2 {
+                for o in data.iter().filter(|o| o.id % 3 == 1) {
+                    prop_assert!(t.remove(o.id, &o.mbr), "object {} not found", o.id);
+                }
+            }
+            t
+        };
+        tree.check_invariants();
+        let all = tree.objects();
+        prop_assert_eq!(all.len(), tree.len());
+
+        let mut visited = Vec::new();
+        tree.for_each_in_window(&w, &mut |o| visited.push(*o));
+        let want: Vec<_> = all.iter().filter(|o| o.mbr.intersects(&w)).copied().collect();
+        prop_assert_eq!(&visited, &want);
+        prop_assert_eq!(tree.count(&w), want.len() as u64);
+
+        let probe = Rect::from_coords(q.0, q.1, q.0 + q.2, q.1 + q.3);
+        let mut ranged = Vec::new();
+        tree.for_each_eps_range(&probe, eps, &mut |o| ranged.push(*o));
+        let want: Vec<_> = all
+            .iter()
+            .filter(|o| o.mbr.within_distance(&probe, eps))
+            .copied()
+            .collect();
+        prop_assert_eq!(ranged, want);
     }
 }

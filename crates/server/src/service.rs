@@ -243,12 +243,10 @@ impl<S: SpatialStore> QueryHandler for SpatialService<S> {
     /// The zero-copy serving path for the hot object-shipping queries:
     /// `WINDOW` and `ε-RANGE` answers are encoded **directly into the wire
     /// buffer** by the store's visitor — no intermediate object `Vec`, no
-    /// `Response`, single store traversal. When the backend can announce
-    /// the exact count more cheaply than the visit (the aR-tree's
-    /// aggregate COUNT), the codec reserves the exact frame capacity from
-    /// its published constants up front; otherwise the frame's length
-    /// prefix is patched after the one and only pass. Byte-identical to
-    /// the materializing default (differentially tested in
+    /// `Response`, one store traversal and no COUNT: the frame's count is
+    /// patched in after the pass. Both carriers serve into a reused buffer,
+    /// so there is nothing to pre-size. Byte-identical to the
+    /// materializing default (differentially tested in
     /// `tests/zero_copy.rs`).
     /// Every frame served from a generation > 0 is prefixed with the
     /// generation stamp **inside the same pinned-snapshot closure** that
@@ -258,10 +256,8 @@ impl<S: SpatialStore> QueryHandler for SpatialService<S> {
     /// frames are never stamped (the payload already is the generation);
     /// a `Changes` answer is stamped with the generation its ops reach.
     /// The same single-traversal path serves both wire versions: the
-    /// encoder is parameterized by the negotiated [`WireVersion`] and the
-    /// request's quantization context, so v2 frames stream with the same
-    /// exact-capacity reservation discipline (from the `*_BYTES_V2`
-    /// bounds) as v1.
+    /// encoder is parameterized by the negotiated [`WireVersion`] and, on
+    /// v2, the request's quantization grid.
     fn handle_into(&self, req: Request, wire: WireVersion, buf: &mut BytesMut) {
         match req {
             Request::ApplyUpdates(batch) => {
@@ -277,16 +273,13 @@ impl<S: SpatialStore> QueryHandler for SpatialService<S> {
         }
         // Derived from the *decoded* request — the post-f32-rounding
         // rectangle — so client and server agree on the grid bit-for-bit.
-        let ctx = QuantCtx::for_request(&req);
+        let ctx = QuantCtx::for_wire(&req, wire);
         let mut req = Some(req);
         self.store.with_frozen(&mut |store, generation| {
             asj_net::codec::stamp_generation_versioned(generation, wire, buf);
             match req.take().expect("with_frozen invokes exactly once") {
                 Request::Window(w) => {
-                    let mut enc = match store.window_count_hint(&w) {
-                        Some(n) => ObjectsEncoder::with_exact_count_versioned(buf, n, wire, ctx),
-                        None => ObjectsEncoder::new_versioned(buf, wire, ctx),
-                    };
+                    let mut enc = ObjectsEncoder::new_versioned(buf, wire, ctx);
                     store.for_each_in_window(&w, &mut |o| enc.push(o));
                     enc.finish();
                 }

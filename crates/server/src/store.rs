@@ -12,9 +12,8 @@ use asj_rtree::RTree;
 /// provided on top of them, so a backend's materialized results and its
 /// streamed visits are identical — same objects, same order — by
 /// construction. The zero-copy serving path in [`crate::service`] leans on
-/// that: it announces the count (`count` / `eps_count` must agree exactly
-/// with what the visitor yields), then encodes each visited object straight
-/// into the wire buffer.
+/// that: it visits the store once, encoding each visited object straight
+/// into the wire buffer, and patches the frame's count in afterwards.
 pub trait SpatialStore: Send + Sync {
     /// Visits every object intersecting `w`, exactly once, in the
     /// backend's canonical order.
@@ -24,21 +23,6 @@ pub trait SpatialStore: Send + Sync {
     fn for_each_eps_range(&self, q: &Rect, eps: f64, f: &mut dyn FnMut(&SpatialObject));
     /// Number of objects intersecting `w`.
     fn count(&self, w: &Rect) -> u64;
-    /// Number of objects within `eps` of `q`. The default counts via the
-    /// visitor; hierarchical backends override with an aggregate walk.
-    fn eps_count(&self, q: &Rect, eps: f64) -> u64 {
-        let mut n = 0;
-        self.for_each_eps_range(q, eps, &mut |_| n += 1);
-        n
-    }
-    /// The exact `WINDOW(w)` cardinality, **only when the backend can
-    /// answer it more cheaply than the visit itself** (aggregate
-    /// indexes). `None` — the default — tells the zero-copy serving path
-    /// to stream single-pass and patch the frame length, instead of
-    /// paying a second traversal just to pre-size the frame.
-    fn window_count_hint(&self, _w: &Rect) -> Option<u64> {
-        None
-    }
     /// Objects intersecting `w` (materialized visitor order).
     fn window(&self, w: &Rect) -> Vec<SpatialObject> {
         let mut out = Vec::new();
@@ -200,20 +184,6 @@ impl SpatialStore for RTreeStore {
 
     fn count(&self, w: &Rect) -> u64 {
         self.tree.count(w)
-    }
-
-    fn eps_count(&self, q: &Rect, eps: f64) -> u64 {
-        self.tree.eps_range_count(q, eps)
-    }
-
-    fn window_count_hint(&self, w: &Rect) -> Option<u64> {
-        // The aR aggregate COUNT shortcuts whole covered subtrees, so it
-        // is usually far cheaper than the visit (a thin window covering
-        // no subtree degenerates to a second traversal — but one that
-        // touches no payload and allocates nothing). Announcing it buys
-        // the serving path an exact-capacity frame reserve, which the
-        // in-process carrier's fresh-buffer replies depend on.
-        Some(self.tree.count(w))
     }
 
     fn level_mbrs(&self, levels_above_leaves: usize) -> Option<Vec<Rect>> {

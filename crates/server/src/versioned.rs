@@ -282,14 +282,6 @@ impl<S: SpatialStore> SpatialStore for VersionedStore<S> {
         self.snapshot().store.count(w)
     }
 
-    fn eps_count(&self, q: &Rect, eps: f64) -> u64 {
-        self.snapshot().store.eps_count(q, eps)
-    }
-
-    fn window_count_hint(&self, w: &Rect) -> Option<u64> {
-        self.snapshot().store.window_count_hint(w)
-    }
-
     fn level_mbrs(&self, levels_above_leaves: usize) -> Option<Vec<Rect>> {
         self.snapshot().store.level_mbrs(levels_above_leaves)
     }
@@ -355,7 +347,6 @@ mod tests {
         assert_eq!(live.window(&w), frozen.window(&w));
         assert_eq!(live.bounds(), frozen.bounds());
         assert_eq!(live.len(), frozen.len());
-        assert_eq!(live.window_count_hint(&w), frozen.window_count_hint(&w));
     }
 
     #[test]

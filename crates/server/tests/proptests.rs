@@ -163,7 +163,7 @@ proptest! {
                 prop_assert_eq!(live.bounds(), want.bounds());
                 prop_assert_eq!(live.count(&window), want.count(&window));
                 prop_assert_eq!(by_id(live.window(&window)), by_id(want.window(&window)));
-                prop_assert_eq!(live.eps_count(&probe, eps), want.eps_count(&probe, eps));
+                prop_assert_eq!(live.eps_range(&probe, eps).len(), want.eps_range(&probe, eps).len());
                 prop_assert_eq!(
                     by_id(live.eps_range(&probe, eps)),
                     by_id(want.eps_range(&probe, eps))

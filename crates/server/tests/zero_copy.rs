@@ -2,14 +2,19 @@
 //! to the materializing one.
 //!
 //! `SpatialService::handle_into` streams WINDOW/ε-RANGE answers straight
-//! into the wire buffer (visitor stores + exact-capacity frame reserve);
-//! `handle` materializes a `Response` that the codec then encodes. The two
-//! must produce the same bytes for every request on every backend — this
-//! is the invariant that lets the transports switch to the streaming path
-//! without any differential suite noticing.
+//! into the wire buffer (one visit of the store, the frame's count patched
+//! in afterwards, no COUNT); `handle` materializes a `Response` that the
+//! codec then encodes. The two must produce the same bytes for every
+//! request on every backend — this is the invariant that lets the
+//! transports switch to the streaming path without any differential suite
+//! noticing.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use asj_geom::{Point, Rect, SpatialObject};
-use asj_net::codec::{encode_response, encode_response_into, WireVersion};
+use asj_net::codec::{
+    encode_response, encode_response_into, encode_response_versioned, QuantCtx, WireVersion,
+};
 use asj_net::{QueryHandler, Request};
 use asj_server::{RTreeStore, ScanStore, ServicePolicy, SpatialService, SpatialStore};
 use bytes::BytesMut;
@@ -144,7 +149,90 @@ fn visitor_queries_match_materialized_order_on_every_backend() {
         let mut ranged = Vec::new();
         store.for_each_eps_range(&q, 120.0, &mut |o| ranged.push(*o));
         assert_eq!(ranged, store.eps_range(&q, 120.0));
-        assert_eq!(ranged.len() as u64, store.eps_count(&q, 120.0));
         assert!(!visited.is_empty() && !ranged.is_empty(), "non-vacuous");
     }
+}
+
+/// A store that tallies the COUNTs and window visits it answers.
+struct Counting<S> {
+    inner: S,
+    counts: AtomicU64,
+    window_visits: AtomicU64,
+}
+
+impl<S: SpatialStore> SpatialStore for Counting<S> {
+    fn for_each_in_window(&self, w: &Rect, f: &mut dyn FnMut(&SpatialObject)) {
+        self.window_visits.fetch_add(1, Ordering::Relaxed);
+        self.inner.for_each_in_window(w, f)
+    }
+
+    fn for_each_eps_range(&self, q: &Rect, eps: f64, f: &mut dyn FnMut(&SpatialObject)) {
+        self.inner.for_each_eps_range(q, eps, f)
+    }
+
+    fn count(&self, w: &Rect) -> u64 {
+        self.counts.fetch_add(1, Ordering::Relaxed);
+        self.inner.count(w)
+    }
+
+    fn level_mbrs(&self, levels_above_leaves: usize) -> Option<Vec<Rect>> {
+        self.inner.level_mbrs(levels_above_leaves)
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn bounds(&self) -> Option<Rect> {
+        self.inner.bounds()
+    }
+}
+
+/// A served WINDOW walks the store once and never asks it to COUNT, and its
+/// bytes on either wire equal the materialised answer's. The COUNT half
+/// guards against a future `count` call on the serving path; it does not
+/// tell this serving path from one that pre-sized through an optional hint,
+/// since a wrapper that does not forward a hint reads as "no hint" too.
+#[test]
+fn a_served_window_visits_once_and_counts_never() {
+    fn check<S: SpatialStore>(inner: S) {
+        let svc = SpatialService::new(Counting {
+            inner,
+            counts: AtomicU64::new(0),
+            window_visits: AtomicU64::new(0),
+        });
+        let tally = |svc: &SpatialService<Counting<S>>| {
+            let store = svc.store();
+            (
+                store.counts.swap(0, Ordering::Relaxed),
+                store.window_visits.swap(0, Ordering::Relaxed),
+            )
+        };
+        for w in [
+            Rect::from_coords(100.0, 100.0, 400.0, 700.0),
+            Rect::from_coords(-50.0, -50.0, 1100.0, 1100.0),
+            Rect::from_coords(2000.0, 2000.0, 2100.0, 2100.0),
+        ] {
+            for wire in [WireVersion::V1, WireVersion::V2] {
+                let req = Request::Window(w);
+                let mut buf = BytesMut::new();
+                svc.handle_into(req.clone(), wire, &mut buf);
+                assert_eq!(tally(&svc), (0, 1), "COUNTs, visits: {w:?} {wire:?}");
+                let resp = svc.handle(req.clone());
+                let want = match wire {
+                    WireVersion::V1 => encode_response(&resp),
+                    WireVersion::V2 => {
+                        let mut b = BytesMut::new();
+                        let ctx = QuantCtx::for_request(&req);
+                        encode_response_versioned(&resp, wire, ctx.as_ref(), &mut b);
+                        b.freeze()
+                    }
+                };
+                assert_eq!(&buf[..], want.as_slice(), "bytes for {w:?} on {wire:?}");
+                tally(&svc);
+            }
+        }
+    }
+    check(RTreeStore::new(dataset(300, 3)));
+    check(ScanStore::new(dataset(300, 3)));
 }
