@@ -86,26 +86,26 @@ fn main() {
     );
     for a in algos {
         match a.run(&dep, &spec) {
-            Ok(rep) => println!(
-                "{:>9} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
-                rep.algorithm,
-                rep.total_bytes(),
-                rep.pairs.len(),
-                rep.objects_downloaded(),
-                rep.aggregate_queries(),
-                rep.link_r.window_queries + rep.link_s.window_queries,
-                rep.link_r.range_queries
-                    + rep.link_s.range_queries
-                    + rep.link_r.bucket_queries
-                    + rep.link_s.bucket_queries,
-                rep.stats.splits,
-                rep.stats.hbsj_runs,
-                rep.stats
-                    .collapsed_pairs
-                    .map_or_else(|| "-".to_string(), |n| n.to_string()),
-                rep.stats.nlsj_runs,
-                rep.stats.pruned_windows,
-            ),
+            Ok(rep) => {
+                let both = rep.link_r.plus(&rep.link_s);
+                println!(
+                    "{:>9} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
+                    rep.algorithm,
+                    rep.total_bytes(),
+                    rep.pairs.len(),
+                    rep.objects_downloaded(),
+                    rep.aggregate_queries(),
+                    both.window_queries,
+                    both.range_queries + both.bucket_queries,
+                    rep.stats.splits,
+                    rep.stats.hbsj_runs,
+                    rep.stats
+                        .collapsed_pairs
+                        .map_or_else(|| "-".to_string(), |n| n.to_string()),
+                    rep.stats.nlsj_runs,
+                    rep.stats.pruned_windows,
+                )
+            }
             Err(e) => println!("{:>9} error: {e}", a.name()),
         }
     }

@@ -225,24 +225,17 @@ impl<'a> ExecCtx<'a> {
     /// this returns the base model unchanged (multipliers exactly `1.0`),
     /// keeping every decision bit-identical to an uncached build.
     pub fn decision_cost(&self) -> CostModel {
-        let (mut sh, mut sm, mut wh, mut wm) = (0u64, 0u64, 0u64, 0u64);
-        let mut cached = false;
-        for link in [&self.link_r, &self.link_s] {
-            if let Some(view) = link.cache() {
-                cached = true;
-                let snap = view.snapshot();
-                sh += snap.stats_hits;
-                sm += snap.stats_misses;
-                wh += snap.window_hits;
-                wm += snap.window_misses;
-            }
-        }
-        if !cached {
+        let caches = [&self.link_r, &self.link_s]
+            .into_iter()
+            .filter_map(Link::cache);
+        let Some(c) = caches.map(|view| view.snapshot()).reduce(|a, b| a.plus(&b)) else {
             return self.cost;
-        }
+        };
         let discount = |hits: u64, misses: u64| (misses + 1) as f64 / (hits + misses + 1) as f64;
-        self.cost
-            .with_cache_discount(discount(sh, sm), discount(wh, wm))
+        self.cost.with_cache_discount(
+            discount(c.stats_hits, c.stats_misses),
+            discount(c.window_hits, c.window_misses),
+        )
     }
 
     /// The window actually sent to servers for `w`: extended by ε/2 (plus

@@ -2,6 +2,7 @@
 
 use asj_device::{BufferExceeded, IcebergResult};
 use asj_geom::ObjectId;
+use asj_net::meter::rate;
 use asj_net::{CacheSnapshot, FleetSnapshot, LinkSnapshot};
 
 use crate::exec::ExecStats;
@@ -136,16 +137,11 @@ impl JoinReport {
     /// Fraction of scatter slots the routers skipped by bounds pruning,
     /// over both fleets (0 when neither side is sharded).
     pub fn pruning_rate(&self) -> f64 {
-        let (mut scattered, mut pruned) = (0u64, 0u64);
-        for fleet in [&self.fleet_r, &self.fleet_s].into_iter().flatten() {
-            scattered += fleet.scattered;
-            pruned += fleet.pruned;
-        }
-        if scattered + pruned == 0 {
-            0.0
-        } else {
-            pruned as f64 / (scattered + pruned) as f64
-        }
+        let fleets = || [&self.fleet_r, &self.fleet_s].into_iter().flatten();
+        rate(
+            fleets().map(|f| f.pruned).sum(),
+            fleets().map(|f| f.scattered).sum(),
+        )
     }
 }
 

@@ -113,16 +113,15 @@
 //! # Accounting
 //!
 //! Locally answered requests touch no meter — they are not messages —
-//! and are instead tallied in a per-link
-//! [`CacheTelemetry`](crate::meter::CacheTelemetry), with saved wire
-//! bytes priced at the logical-request seam (the v1 frame sizes the
-//! codec publishes). Misses, and the `Changes` exchange, are metered where
-//! every exchange is: at the physical edges below.
+//! and are instead tallied per link as a [`CacheSnapshot`]'s hits, misses
+//! and saved wire bytes, priced at the logical-request seam (the v1 frame
+//! sizes the codec publishes). Misses, and the `Changes` exchange, are
+//! metered where every exchange is: at the physical edges below.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use asj_geom::{IdMix, Point, Rect, SpatialObject};
@@ -463,9 +462,9 @@ pub struct ClientCache {
     /// models is memory-constrained, and a long-lived session store must
     /// not grow without bound.
     exact_cap: usize,
-    resident_bytes: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
+    /// Admissions, evictions and residency; its lookup counters stay 0
+    /// (each link tallies its own).
+    tally: CacheTelemetry,
     #[cfg(any(test, feature = "testing"))]
     planted: Mutex<Option<PlantedBug>>,
 }
@@ -478,9 +477,7 @@ impl ClientCache {
             state: Mutex::new(CacheState::default()),
             window_budget: window_budget_bytes,
             exact_cap: (window_budget_bytes / 40) as usize,
-            resident_bytes: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            tally: CacheTelemetry::default(),
             #[cfg(any(test, feature = "testing"))]
             planted: Mutex::new(None),
         }
@@ -612,7 +609,7 @@ impl ClientCache {
         state.tick += 1;
         let entry = WindowEntry::new(*w, objects, state.tick);
         state.windows.push(entry);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.tally.insertions.fetch_add(1, Ordering::Relaxed);
         self.fit_budget(&mut state);
     }
 
@@ -626,9 +623,9 @@ impl ClientCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .expect("budget overflow with no entries");
             resident -= state.windows.remove(i).bytes();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.tally.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        self.resident_bytes.store(resident, Ordering::Relaxed);
+        self.tally.resident_bytes.store(resident, Ordering::Relaxed);
     }
 
     /// Carries every entry from generation `since` over to `reached` by
@@ -705,12 +702,12 @@ impl ClientCache {
         state.probes.clear();
         state.content = state.content.max(generation);
         state.note(generation, None);
-        self.resident_bytes.store(0, Ordering::Relaxed);
+        self.tally.resident_bytes.store(0, Ordering::Relaxed);
     }
 
     /// Bytes currently resident in the window tier.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes.load(Ordering::Relaxed)
+        self.tally.resident_bytes.load(Ordering::Relaxed)
     }
 
     /// Test instrument: flips the largest cached exact count to a wrong
@@ -741,14 +738,6 @@ impl ClientCache {
     pub fn plant(&self, bug: PlantedBug) {
         *self.planted.lock().expect("cache poisoned") = Some(bug);
     }
-
-    fn gauges(&self) -> (u64, u64, u64) {
-        (
-            self.insertions.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-            self.resident_bytes.load(Ordering::Relaxed),
-        )
-    }
 }
 
 /// One link's view of its cache: the per-link telemetry plus the
@@ -761,30 +750,10 @@ pub struct CacheView {
 
 impl CacheView {
     /// Point-in-time copy: this link's hit/miss/saved counters plus the
-    /// shared store's resident gauges.
+    /// shared store's admissions and residency. Each of the two tallies
+    /// leaves the other's fields at 0, so the view is their sum.
     pub fn snapshot(&self) -> CacheSnapshot {
-        let (
-            stats_hits,
-            stats_misses,
-            window_hits,
-            window_misses,
-            probe_hits,
-            probe_misses,
-            bytes_saved,
-        ) = self.telemetry.counters();
-        let (insertions, evictions, resident_bytes) = self.cache.gauges();
-        CacheSnapshot {
-            stats_hits,
-            stats_misses,
-            window_hits,
-            window_misses,
-            probe_hits,
-            probe_misses,
-            bytes_saved,
-            insertions,
-            evictions,
-            resident_bytes,
-        }
+        self.telemetry.load().plus(&self.cache.tally.load())
     }
 
     /// The shared store (for session inspection and test poisoning).
@@ -837,7 +806,7 @@ impl CacheLayer {
             meter,
             fleet,
             cache,
-            telemetry: Arc::new(CacheTelemetry::new()),
+            telemetry: Arc::default(),
         }
     }
 
@@ -1141,6 +1110,7 @@ mod tests {
     use crate::testutil::ScanHandler as Scan;
     use crate::transport::{InProcExchange, Link};
     use bytes::{Bytes, BytesMut};
+    use std::sync::atomic::AtomicU64;
 
     /// Inspection handles of the tests below: entries per tier.
     impl ClientCache {

@@ -84,8 +84,8 @@ pub(crate) struct Edge {
     /// Ships frames split-phase ([`RawExchange::begin_many`]).
     pub(crate) carrier: Box<dyn RawExchange>,
     packet: PacketModel,
-    /// The one meter this edge's traffic is charged to. A fleet's shard
-    /// and aggregate meters sum their edges' ([`LinkMeter::summing`]).
+    /// The one meter this edge's traffic is charged to. A fleet's
+    /// aggregate meter sums its edges' ([`LinkMeter::summing`]).
     meter: Arc<LinkMeter>,
     wire: WireVersion,
     retry: RetryPolicy,

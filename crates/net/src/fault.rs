@@ -37,6 +37,7 @@ use bytes::Bytes;
 use crate::codec::{garble_frame, unavailable_frame};
 use crate::few::Few;
 use crate::health::spread_hash;
+use crate::meter::telemetry;
 use crate::transport::{Pending, RawExchange};
 
 /// Scripted crash of the endpoint behind a [`FaultLayer`]: exchanges
@@ -125,27 +126,19 @@ impl FaultPlan {
     }
 }
 
-/// Point-in-time injection tally of one [`FaultLayer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultStats {
-    /// Exchanges answered with the locally fabricated unavailable frame
-    /// (nothing touched the inner carrier).
-    pub dropped: u64,
-    /// Frames stamped with the garble marker.
-    pub garbled: u64,
-    /// Exchanges swallowed by the scripted crash window.
-    pub blacked_out: u64,
-    /// Restart hooks fired (0 or 1).
-    pub restarts: u64,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    dropped: AtomicU64,
-    /// Shared with the [`Pending`]s whose replies are garbled on arrival.
-    garbled: Arc<AtomicU64>,
-    blacked_out: AtomicU64,
-    restarts: AtomicU64,
+telemetry! {
+    /// Point-in-time injection tally of one [`FaultLayer`].
+    pub struct FaultStats / FaultCounters {
+        /// Exchanges answered with the locally fabricated unavailable frame
+        /// (nothing touched the inner carrier).
+        counter dropped,
+        /// Frames stamped with the garble marker.
+        counter garbled,
+        /// Exchanges swallowed by the scripted crash window.
+        counter blacked_out,
+        /// Restart hooks fired (0 or 1).
+        counter restarts,
+    }
 }
 
 /// A fresh carrier for the restarted endpoint — typically connected to a
@@ -167,7 +160,8 @@ pub struct FaultLayer {
     exchanges: AtomicU64,
     restart: Option<RestartFn>,
     restarted: AtomicBool,
-    counters: Counters,
+    /// Shared with the [`Pending`]s whose replies are garbled on arrival.
+    counters: Arc<FaultCounters>,
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -199,7 +193,7 @@ impl FaultLayer {
             exchanges: AtomicU64::new(0),
             restart: None,
             restarted: AtomicBool::new(false),
-            counters: Counters::default(),
+            counters: Arc::default(),
         }
     }
 
@@ -228,12 +222,7 @@ impl FaultLayer {
 
     /// Injection tally so far.
     pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            dropped: self.counters.dropped.load(Ordering::Relaxed),
-            garbled: self.counters.garbled.load(Ordering::Relaxed),
-            blacked_out: self.counters.blacked_out.load(Ordering::Relaxed),
-            restarts: self.counters.restarts.load(Ordering::Relaxed),
-        }
+        self.counters.load()
     }
 
     /// The pure fault roll of `(seed, request hash, attempt)` — see the
@@ -291,7 +280,7 @@ impl FaultLayer {
     /// touched and the fabricated unavailable frame must stay unmetered;
     /// otherwise the frame to ship and, when its *reply* is to be garbled
     /// on arrival, the tally that counts it.
-    fn admit(&self, request: Bytes) -> Option<(Bytes, Option<Arc<AtomicU64>>)> {
+    fn admit(&self, request: Bytes) -> Option<(Bytes, Option<Arc<FaultCounters>>)> {
         let n = self.exchanges.fetch_add(1, Ordering::SeqCst);
         if let Some(crash) = &self.plan.crash {
             if n >= crash.at && n < crash.at + crash.dark {
@@ -311,7 +300,7 @@ impl FaultLayer {
             self.counters.garbled.fetch_add(1, Ordering::Relaxed);
             return Some((garble_frame(&request), None));
         }
-        let garble_reply = roll.garble.then(|| Arc::clone(&self.counters.garbled));
+        let garble_reply = roll.garble.then(|| Arc::clone(&self.counters));
         Some((request, garble_reply))
     }
 }

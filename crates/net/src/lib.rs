@@ -22,7 +22,9 @@
 //! * [`codec`] — a compact binary wire format (`Bobj` = 20 bytes/object,
 //!   mirroring the paper's constant object size);
 //! * [`LinkMeter`] — atomically counts uplink/downlink wire bytes and query
-//!   mix per link; *this is where every reported number comes from*;
+//!   mix per link; *this is where every reported number comes from*. Its
+//!   counters, the cache's and the fault layer's are each declared once,
+//!   one line per field, in [`meter`]'s telemetry lists;
 //! * [`transport`] — split-phase RPC over two interchangeable carriers: an
 //!   in-process call (fast, used by the experiment sweeps) and a mailbox
 //!   connection to a server on a reactor thread (the "distributed"
@@ -164,7 +166,7 @@ pub use cache::{CacheConfig, CacheLayer, CacheView, ClientCache};
 pub use event_loop::{ConnState, EndpointStats, EventConnection, EventEndpoint, EventLoop};
 pub use fault::{CrashPlan, FaultLayer, FaultPlan, FaultStats};
 pub use health::{BreakerConfig, BreakerState, EdgeHealth, HealthSnapshot, ReplicaSetHealth};
-pub use meter::{CacheSnapshot, CacheTelemetry, LinkMeter, LinkSnapshot};
+pub use meter::{CacheSnapshot, LinkMeter, LinkSnapshot};
 pub use packet::{NetConfig, PacketModel, RetryPolicy};
 pub use proto::{DeltaOp, QueryHandler, Request, Response, Update};
 pub use router::{FleetSnapshot, ShardEndpoint, ShardMeta, ShardRouter, ShardTelemetry};

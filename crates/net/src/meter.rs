@@ -1,10 +1,113 @@
 //! Per-link byte accounting — the source of every number the experiments
 //! report.
+//!
+//! Every tally is declared once, as one line of a `telemetry!` list.
+//! The list gives the public snapshot type its fields, and a crate-visible
+//! atomic twin one `AtomicU64` per field, which the hot path increments.
+//! It also gives the twin a `load` and the snapshot a `plus` and a
+//! `since`. A new counter is one line in its list, plus the code that
+//! increments it. The list says what each field is:
+//!
+//! * a `counter` is a running total: `plus` adds it, `since` subtracts
+//!   the earlier reading;
+//! * a `gauge` is a level (bytes resident now): `plus` adds it too, since
+//!   two gauges in a sum front different stores, and `since` keeps the
+//!   later reading.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use crate::packet::PacketModel;
 use crate::proto::Request;
+
+/// Declares one telemetry record: the public snapshot (`Debug, Clone,
+/// Copy, PartialEq, Eq, Default`, one `pub u64` per field, in list order)
+/// and its crate-visible atomic twin, with `load`, `plus` and `since`.
+/// See the module docs for the counter/gauge rule.
+macro_rules! telemetry {
+    (
+        $(#[$doc:meta])*
+        pub struct $snapshot:ident / $twin:ident {
+            $($(#[$field_doc:meta])* $kind:ident $field:ident,)*
+        }
+    ) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $snapshot {
+            $($(#[$field_doc])* pub $field: u64,)*
+        }
+
+        #[doc = concat!("The atomic twin of [`", stringify!($snapshot), "`].")]
+        #[derive(Debug, Default)]
+        pub(crate) struct $twin {
+            $(pub(crate) $field: ::std::sync::atomic::AtomicU64,)*
+        }
+
+        impl $twin {
+            /// Reads every field once. Each is an independent tally, so
+            /// `Relaxed` loads suffice.
+            pub(crate) fn load(&self) -> $snapshot {
+                let relaxed = ::std::sync::atomic::Ordering::Relaxed;
+                $snapshot { $($field: self.$field.load(relaxed),)* }
+            }
+        }
+
+        impl $snapshot {
+            /// Field-wise sum with another snapshot, gauges included.
+            pub fn plus(&self, other: &Self) -> Self {
+                $snapshot { $($field: self.$field + other.$field,)* }
+            }
+
+            /// The change since an `earlier` snapshot of the same source:
+            /// counters subtract, gauges keep this (the later) reading.
+            pub fn since(&self, earlier: &Self) -> Self {
+                $snapshot {
+                    $($field: $crate::meter::telemetry!(@since $kind self.$field, earlier.$field),)*
+                }
+            }
+        }
+    };
+    (@since counter $later:expr, $earlier:expr) => { $later - $earlier };
+    (@since gauge $later:expr, $earlier:expr) => { $later };
+}
+pub(crate) use telemetry;
+
+telemetry! {
+    /// A point-in-time copy of a [`LinkMeter`].
+    pub struct LinkSnapshot / LinkCounters {
+        counter up_bytes,
+        counter down_bytes,
+        counter up_packets,
+        counter down_packets,
+        /// Aggregate request *messages* (one `MultiCount` batching k windows
+        /// counts once — compare against per-query mode to see the saving).
+        counter count_queries,
+        counter window_queries,
+        counter range_queries,
+        counter bucket_queries,
+        counter coop_queries,
+        counter objects_received,
+        /// Wire bytes of aggregate requests (uplink direction).
+        counter aggregate_up_bytes,
+        /// Wire bytes of aggregate answers (downlink direction).
+        counter aggregate_down_bytes,
+        /// Exchanges re-issued under a [`crate::packet::RetryPolicy`] after a
+        /// failed attempt (unavailable or undecodable reply). 0 when retries
+        /// are off.
+        counter retried,
+        /// Exchanges that exhausted their retry budget and surfaced a typed
+        /// error to the caller. 0 when retries are off (a first-attempt
+        /// failure with no budget is not an abandonment — nothing was ever
+        /// retried).
+        counter abandoned,
+        /// Failed exchanges re-routed to a sibling replica of the same shard
+        /// *before* consuming retry budget. 0 on replica-less links.
+        counter failovers,
+        /// Circuit-breaker trips to Open observed on this edge (a half-open
+        /// probe failing counts again). 0 with breakers off.
+        counter breaker_open,
+    }
+}
 
 /// Atomic counters for one device↔server link.
 ///
@@ -18,60 +121,9 @@ use crate::proto::Request;
 /// statistics overhead batching recovers.
 #[derive(Debug, Default)]
 pub struct LinkMeter {
-    up_bytes: AtomicU64,
-    down_bytes: AtomicU64,
-    up_packets: AtomicU64,
-    down_packets: AtomicU64,
-    count_queries: AtomicU64,
-    window_queries: AtomicU64,
-    range_queries: AtomicU64,
-    bucket_queries: AtomicU64,
-    coop_queries: AtomicU64,
-    objects_received: AtomicU64,
-    aggregate_up_bytes: AtomicU64,
-    aggregate_down_bytes: AtomicU64,
-    retried: AtomicU64,
-    abandoned: AtomicU64,
-    failovers: AtomicU64,
-    breaker_open: AtomicU64,
+    own: LinkCounters,
     /// Meters whose traffic this one reports on top of its own.
-    parts: Vec<std::sync::Arc<LinkMeter>>,
-}
-
-/// A point-in-time copy of a [`LinkMeter`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LinkSnapshot {
-    pub up_bytes: u64,
-    pub down_bytes: u64,
-    pub up_packets: u64,
-    pub down_packets: u64,
-    /// Aggregate request *messages* (one `MultiCount` batching k windows
-    /// counts once — compare against per-query mode to see the saving).
-    pub count_queries: u64,
-    pub window_queries: u64,
-    pub range_queries: u64,
-    pub bucket_queries: u64,
-    pub coop_queries: u64,
-    pub objects_received: u64,
-    /// Wire bytes of aggregate requests (uplink direction).
-    pub aggregate_up_bytes: u64,
-    /// Wire bytes of aggregate answers (downlink direction).
-    pub aggregate_down_bytes: u64,
-    /// Exchanges re-issued under a [`crate::packet::RetryPolicy`] after a
-    /// failed attempt (unavailable or undecodable reply). 0 when retries
-    /// are off.
-    pub retried: u64,
-    /// Exchanges that exhausted their retry budget and surfaced a typed
-    /// error to the caller. 0 when retries are off (a first-attempt
-    /// failure with no budget is not an abandonment — nothing was ever
-    /// retried).
-    pub abandoned: u64,
-    /// Failed exchanges re-routed to a sibling replica of the same shard
-    /// *before* consuming retry budget. 0 on replica-less links.
-    pub failovers: u64,
-    /// Circuit-breaker trips to Open observed on this edge (a half-open
-    /// probe failing counts again). 0 with breakers off.
-    pub breaker_open: u64,
+    parts: Vec<Arc<LinkMeter>>,
 }
 
 impl LinkSnapshot {
@@ -94,74 +146,43 @@ impl LinkSnapshot {
     pub fn aggregate_bytes(&self) -> u64 {
         self.aggregate_up_bytes + self.aggregate_down_bytes
     }
-
-    /// Field-wise sum with another snapshot (for fleet aggregation: the
-    /// sum of per-shard snapshots must equal the router's aggregate).
-    pub fn plus(&self, other: &LinkSnapshot) -> LinkSnapshot {
-        LinkSnapshot {
-            up_bytes: self.up_bytes + other.up_bytes,
-            down_bytes: self.down_bytes + other.down_bytes,
-            up_packets: self.up_packets + other.up_packets,
-            down_packets: self.down_packets + other.down_packets,
-            count_queries: self.count_queries + other.count_queries,
-            window_queries: self.window_queries + other.window_queries,
-            range_queries: self.range_queries + other.range_queries,
-            bucket_queries: self.bucket_queries + other.bucket_queries,
-            coop_queries: self.coop_queries + other.coop_queries,
-            objects_received: self.objects_received + other.objects_received,
-            aggregate_up_bytes: self.aggregate_up_bytes + other.aggregate_up_bytes,
-            aggregate_down_bytes: self.aggregate_down_bytes + other.aggregate_down_bytes,
-            retried: self.retried + other.retried,
-            abandoned: self.abandoned + other.abandoned,
-            failovers: self.failovers + other.failovers,
-            breaker_open: self.breaker_open + other.breaker_open,
-        }
-    }
-
-    /// Difference against an earlier snapshot (for per-phase accounting).
-    pub fn since(&self, earlier: &LinkSnapshot) -> LinkSnapshot {
-        LinkSnapshot {
-            up_bytes: self.up_bytes - earlier.up_bytes,
-            down_bytes: self.down_bytes - earlier.down_bytes,
-            up_packets: self.up_packets - earlier.up_packets,
-            down_packets: self.down_packets - earlier.down_packets,
-            count_queries: self.count_queries - earlier.count_queries,
-            window_queries: self.window_queries - earlier.window_queries,
-            range_queries: self.range_queries - earlier.range_queries,
-            bucket_queries: self.bucket_queries - earlier.bucket_queries,
-            coop_queries: self.coop_queries - earlier.coop_queries,
-            objects_received: self.objects_received - earlier.objects_received,
-            aggregate_up_bytes: self.aggregate_up_bytes - earlier.aggregate_up_bytes,
-            aggregate_down_bytes: self.aggregate_down_bytes - earlier.aggregate_down_bytes,
-            retried: self.retried - earlier.retried,
-            abandoned: self.abandoned - earlier.abandoned,
-            failovers: self.failovers - earlier.failovers,
-            breaker_open: self.breaker_open - earlier.breaker_open,
-        }
-    }
 }
 
-/// Atomic hit/miss/bytes-saved counters of one link's client-side cache
-/// (see `crate::cache`). Kept separate from [`LinkMeter`] deliberately:
-/// the link meter records what *crossed the wire*, and its conservation
-/// laws (per-shard sums equal the aggregate) must keep holding when a
-/// cache answers requests that never reach any shard.
-#[derive(Debug, Default)]
-pub struct CacheTelemetry {
-    stats_hits: AtomicU64,
-    stats_misses: AtomicU64,
-    window_hits: AtomicU64,
-    window_misses: AtomicU64,
-    probe_hits: AtomicU64,
-    probe_misses: AtomicU64,
-    bytes_saved: AtomicU64,
+telemetry! {
+    /// A point-in-time copy of one link's cache accounting: per-link hit/miss
+    /// counters plus the (possibly session-shared) cache's resident gauges.
+    ///
+    /// Its twin, `CacheTelemetry`, is kept apart from [`LinkMeter`]
+    /// deliberately: the link meter records what *crossed the wire*, and its
+    /// conservation laws (per-shard sums equal the aggregate) must keep
+    /// holding when a cache answers requests that never reach any shard.
+    /// Each link tallies its lookups in a twin of its own; the shared store
+    /// tallies its admissions and residency in another.
+    pub struct CacheSnapshot / CacheTelemetry {
+        /// Statistics entries (COUNT / `MultiCount` windows) answered locally.
+        counter stats_hits,
+        /// Statistics entries that had to be shipped.
+        counter stats_misses,
+        /// `WINDOW` requests answered from a cached superset window.
+        counter window_hits,
+        /// `WINDOW` requests that had to be shipped.
+        counter window_misses,
+        /// ε-RANGE probes answered from a cached superset window.
+        counter probe_hits,
+        /// ε-RANGE probes that had to be shipped.
+        counter probe_misses,
+        /// Wire bytes (packetized, both directions) local answers avoided.
+        counter bytes_saved,
+        /// Windows admitted into the window tier over the cache's lifetime.
+        counter insertions,
+        /// Windows evicted by the byte-budget LRU.
+        counter evictions,
+        /// Bytes currently resident in the window tier.
+        gauge resident_bytes,
+    }
 }
 
 impl CacheTelemetry {
-    pub fn new() -> Self {
-        CacheTelemetry::default()
-    }
-
     /// Records `hits` statistics entries answered locally and `misses`
     /// shipped to the server (a `MultiCount` batch contributes per entry).
     pub fn record_stats(&self, hits: u64, misses: u64) {
@@ -195,47 +216,6 @@ impl CacheTelemetry {
     pub fn record_saved(&self, bytes: u64) {
         self.bytes_saved.fetch_add(bytes, Ordering::Relaxed);
     }
-
-    /// Counter part of a [`CacheSnapshot`]; the cache's resident-size
-    /// gauges are filled in by the cache itself.
-    #[allow(clippy::type_complexity)]
-    pub fn counters(&self) -> (u64, u64, u64, u64, u64, u64, u64) {
-        (
-            self.stats_hits.load(Ordering::Relaxed),
-            self.stats_misses.load(Ordering::Relaxed),
-            self.window_hits.load(Ordering::Relaxed),
-            self.window_misses.load(Ordering::Relaxed),
-            self.probe_hits.load(Ordering::Relaxed),
-            self.probe_misses.load(Ordering::Relaxed),
-            self.bytes_saved.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// A point-in-time copy of one link's cache accounting: per-link hit/miss
-/// counters plus the (possibly session-shared) cache's resident gauges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheSnapshot {
-    /// Statistics entries (COUNT / `MultiCount` windows) answered locally.
-    pub stats_hits: u64,
-    /// Statistics entries that had to be shipped.
-    pub stats_misses: u64,
-    /// `WINDOW` requests answered from a cached superset window.
-    pub window_hits: u64,
-    /// `WINDOW` requests that had to be shipped.
-    pub window_misses: u64,
-    /// ε-RANGE probes answered from a cached superset window.
-    pub probe_hits: u64,
-    /// ε-RANGE probes that had to be shipped.
-    pub probe_misses: u64,
-    /// Wire bytes (packetized, both directions) local answers avoided.
-    pub bytes_saved: u64,
-    /// Windows admitted into the window tier over the cache's lifetime.
-    pub insertions: u64,
-    /// Windows evicted by the byte-budget LRU.
-    pub evictions: u64,
-    /// Bytes currently resident in the window tier.
-    pub resident_bytes: u64,
 }
 
 impl CacheSnapshot {
@@ -246,26 +226,11 @@ impl CacheSnapshot {
             self.stats_misses + self.window_misses + self.probe_misses,
         )
     }
-
-    /// Field-wise sum (for both-links accounting in reports). Resident
-    /// gauges add too: the two links front different caches.
-    pub fn plus(&self, other: &CacheSnapshot) -> CacheSnapshot {
-        CacheSnapshot {
-            stats_hits: self.stats_hits + other.stats_hits,
-            stats_misses: self.stats_misses + other.stats_misses,
-            window_hits: self.window_hits + other.window_hits,
-            window_misses: self.window_misses + other.window_misses,
-            probe_hits: self.probe_hits + other.probe_hits,
-            probe_misses: self.probe_misses + other.probe_misses,
-            bytes_saved: self.bytes_saved + other.bytes_saved,
-            insertions: self.insertions + other.insertions,
-            evictions: self.evictions + other.evictions,
-            resident_bytes: self.resident_bytes + other.resident_bytes,
-        }
-    }
 }
 
-fn rate(hits: u64, misses: u64) -> f64 {
+/// `hits / (hits + misses)`, and 0 when both are 0: the one ratio every
+/// hit and pruning rate is read as.
+pub fn rate(hits: u64, misses: u64) -> f64 {
     if hits + misses == 0 {
         0.0
     } else {
@@ -279,10 +244,9 @@ impl LinkMeter {
     }
 
     /// A meter that reports the sum of `parts`: a fleet's aggregate over
-    /// its shards', a shard's over its replica edges'. An exchange is
-    /// charged once, at its edge, and `aggregate == Σ shard == Σ Σ
-    /// replica` holds by construction.
-    pub fn summing(parts: Vec<std::sync::Arc<LinkMeter>>) -> Self {
+    /// its replica edges'. An exchange is charged once, at its edge, and
+    /// `aggregate == Σ replica` holds by construction.
+    pub fn summing(parts: Vec<Arc<LinkMeter>>) -> Self {
         LinkMeter {
             parts,
             ..LinkMeter::default()
@@ -291,22 +255,22 @@ impl LinkMeter {
 
     /// Records an outgoing request of `payload` bytes.
     pub fn record_request(&self, req: &Request, payload: u64, packet: &PacketModel) {
-        let wire = packet.tb(payload);
-        self.up_bytes.fetch_add(wire, Ordering::Relaxed);
-        self.up_packets
+        let (own, wire) = (&self.own, packet.tb(payload));
+        own.up_bytes.fetch_add(wire, Ordering::Relaxed);
+        own.up_packets
             .fetch_add(packet.packets(payload), Ordering::Relaxed);
         if req.is_aggregate() {
-            self.aggregate_up_bytes.fetch_add(wire, Ordering::Relaxed);
+            own.aggregate_up_bytes.fetch_add(wire, Ordering::Relaxed);
         }
         let counter = match req {
-            Request::Count(_) | Request::MultiCount(_) => Some(&self.count_queries),
+            Request::Count(_) | Request::MultiCount(_) => Some(&own.count_queries),
             // A change list is an object download like a window's.
-            Request::Window(_) | Request::Changes { .. } => Some(&self.window_queries),
-            Request::EpsRange { .. } => Some(&self.range_queries),
-            Request::BucketEpsRange { .. } => Some(&self.bucket_queries),
+            Request::Window(_) | Request::Changes { .. } => Some(&own.window_queries),
+            Request::EpsRange { .. } => Some(&own.range_queries),
+            Request::BucketEpsRange { .. } => Some(&own.bucket_queries),
             Request::CoopLevelMbrs(_)
             | Request::CoopFilterByMbrs { .. }
-            | Request::CoopJoinPush { .. } => Some(&self.coop_queries),
+            | Request::CoopJoinPush { .. } => Some(&own.coop_queries),
             // Updates are maintenance traffic, not a query: bytes and
             // packets are metered above, but no query-mix counter moves,
             // so join-time message accounting is undisturbed.
@@ -327,58 +291,40 @@ impl LinkMeter {
         packet: &PacketModel,
         aggregate: bool,
     ) {
-        let wire = packet.tb(payload);
-        self.down_bytes.fetch_add(wire, Ordering::Relaxed);
-        self.down_packets
+        let (own, wire) = (&self.own, packet.tb(payload));
+        own.down_bytes.fetch_add(wire, Ordering::Relaxed);
+        own.down_packets
             .fetch_add(packet.packets(payload), Ordering::Relaxed);
         if aggregate {
-            self.aggregate_down_bytes.fetch_add(wire, Ordering::Relaxed);
+            own.aggregate_down_bytes.fetch_add(wire, Ordering::Relaxed);
         }
-        self.objects_received.fetch_add(objects, Ordering::Relaxed);
+        own.objects_received.fetch_add(objects, Ordering::Relaxed);
     }
 
     /// Records one re-issued exchange attempt (retry `k` of a request).
     pub fn record_retry(&self) {
-        self.retried.fetch_add(1, Ordering::Relaxed);
+        self.own.retried.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one exchange that exhausted its retry budget.
     pub fn record_abandon(&self) {
-        self.abandoned.fetch_add(1, Ordering::Relaxed);
+        self.own.abandoned.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one failover to a sibling replica after a failed exchange.
     pub fn record_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
+        self.own.failovers.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one circuit-breaker trip to Open on this edge.
     pub fn record_breaker_open(&self) {
-        self.breaker_open.fetch_add(1, Ordering::Relaxed);
+        self.own.breaker_open.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Copies the counters (plus those of the meters this one sums).
     pub fn snapshot(&self) -> LinkSnapshot {
-        let own = LinkSnapshot {
-            up_bytes: self.up_bytes.load(Ordering::Relaxed),
-            down_bytes: self.down_bytes.load(Ordering::Relaxed),
-            up_packets: self.up_packets.load(Ordering::Relaxed),
-            down_packets: self.down_packets.load(Ordering::Relaxed),
-            count_queries: self.count_queries.load(Ordering::Relaxed),
-            window_queries: self.window_queries.load(Ordering::Relaxed),
-            range_queries: self.range_queries.load(Ordering::Relaxed),
-            bucket_queries: self.bucket_queries.load(Ordering::Relaxed),
-            coop_queries: self.coop_queries.load(Ordering::Relaxed),
-            objects_received: self.objects_received.load(Ordering::Relaxed),
-            aggregate_up_bytes: self.aggregate_up_bytes.load(Ordering::Relaxed),
-            aggregate_down_bytes: self.aggregate_down_bytes.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
-            abandoned: self.abandoned.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            breaker_open: self.breaker_open.load(Ordering::Relaxed),
-        };
         let parts = self.parts.iter().map(|part| part.snapshot());
-        parts.fold(own, |sum, part| sum.plus(&part))
+        parts.fold(self.own.load(), |sum, part| sum.plus(&part))
     }
 }
 
@@ -488,25 +434,18 @@ mod tests {
 
     #[test]
     fn cache_snapshot_rates_and_sum() {
-        let t = CacheTelemetry::new();
+        let t = CacheTelemetry::default();
         t.record_stats(3, 1);
         t.record_window(true);
         t.record_window(false);
         t.record_probe(true);
         t.record_probe(true);
         t.record_saved(100);
-        let (sh, sm, wh, wm, ph, pm, saved) = t.counters();
         let a = CacheSnapshot {
-            stats_hits: sh,
-            stats_misses: sm,
-            window_hits: wh,
-            window_misses: wm,
-            probe_hits: ph,
-            probe_misses: pm,
-            bytes_saved: saved,
             insertions: 2,
             evictions: 1,
             resident_bytes: 500,
+            ..t.load()
         };
         assert_eq!(
             (a.window_hits, a.window_misses),

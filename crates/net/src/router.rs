@@ -26,8 +26,8 @@
 //!    MBRs concatenate into a forest level (the fleet's defined
 //!    cooperative-mode answer);
 //! 4. **meters** every physical exchange — once, at its edge — into a
-//!    per-replica [`LinkMeter`]; the per-shard meters sum those and the
-//!    aggregate meter the fronting link exposes sums the shards':
+//!    per-replica [`LinkMeter`]; the aggregate meter the fronting link
+//!    exposes sums those, and a [`FleetSnapshot`] sums each shard's row:
 //!    reported bytes are the scatter traffic that actually crossed the wire.
 //!
 //! A fleet of **one** edge has nothing to prune and nothing to merge:
@@ -66,7 +66,7 @@ use crate::codec::{wire_exact, WireVersion};
 use crate::edge::{Edge, Frame, Layer};
 use crate::few::Few;
 use crate::health::{spread_hash, BreakerConfig, HealthSnapshot, ReplicaSetHealth};
-use crate::meter::{LinkMeter, LinkSnapshot};
+use crate::meter::{rate, LinkMeter, LinkSnapshot};
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{Request, Response, Update};
 use crate::transport::{Pending, RawExchange};
@@ -181,13 +181,11 @@ impl ShardEndpoint {
     }
 }
 
-/// Shared scatter accounting of one router: per-shard meters (each the
-/// field-wise sum of its per-replica meters), per-replica meters and
+/// Shared scatter accounting of one router: per-replica meters and
 /// breaker health, plus the prune/scatter decision counters the bench
 /// experiments report.
 #[derive(Debug)]
 pub struct ShardTelemetry {
-    meters: Vec<Arc<LinkMeter>>,
     replica_meters: Vec<Vec<Arc<LinkMeter>>>,
     health: Vec<Arc<ReplicaSetHealth>>,
     breaker: BreakerConfig,
@@ -210,10 +208,6 @@ impl ShardTelemetry {
             .map(|&n| (0..n).map(|_| Arc::new(LinkMeter::new())).collect())
             .collect();
         ShardTelemetry {
-            meters: replica_meters
-                .iter()
-                .map(|row| Arc::new(LinkMeter::summing(row.clone())))
-                .collect(),
             replica_meters,
             health: replicas
                 .iter()
@@ -229,12 +223,7 @@ impl ShardTelemetry {
 
     /// Number of shards in the fleet.
     pub fn shard_count(&self) -> usize {
-        self.meters.len()
-    }
-
-    /// The meter of one shard (sums the shard's replica edges).
-    pub fn meter(&self, shard: usize) -> &Arc<LinkMeter> {
-        &self.meters[shard]
+        self.replica_meters.len()
     }
 
     /// The per-shard generation vector, in shard order — each entry the
@@ -250,9 +239,14 @@ impl ShardTelemetry {
             .insert(shard);
     }
 
-    /// Point-in-time copy of the whole fleet's accounting.
+    /// Point-in-time copy of the whole fleet's accounting. Each replica
+    /// meter is read once, and each shard's entry is the sum of its row
+    /// as read, so `per_shard[i] == Σ per_replica[i]` holds in every
+    /// snapshot, even one taken while the fleet serves.
     pub fn snapshot(&self) -> FleetSnapshot {
-        let per_shard: Vec<LinkSnapshot> = self.meters.iter().map(|m| m.snapshot()).collect();
+        let per_replica: Vec<Vec<LinkSnapshot>> = (self.replica_meters.iter())
+            .map(|row| row.iter().map(|m| m.snapshot()).collect())
+            .collect();
         let failed = self
             .failed
             .lock()
@@ -260,17 +254,13 @@ impl ShardTelemetry {
             .clone();
         FleetSnapshot {
             failed_shards: failed.into_iter().collect(),
-            per_replica: self
-                .replica_meters
-                .iter()
-                .map(|rs| rs.iter().map(|m| m.snapshot()).collect())
-                .collect(),
+            per_shard: per_replica.iter().map(|row| sum(row)).collect(),
+            per_replica,
             health: self
                 .health
                 .iter()
                 .map(|h| h.snapshot(&self.breaker))
                 .collect(),
-            per_shard,
             generations: self.generations(),
             scattered: self.scattered.load(Ordering::Relaxed),
             pruned: self.pruned.load(Ordering::Relaxed),
@@ -317,9 +307,7 @@ impl FleetSnapshot {
     /// Field-wise sum of the per-shard snapshots. Equals the router's
     /// aggregate meter — the conservation law the stress tests pin.
     pub fn summed(&self) -> LinkSnapshot {
-        self.per_shard
-            .iter()
-            .fold(LinkSnapshot::default(), |acc, s| acc.plus(s))
+        sum(&self.per_shard)
     }
 
     /// The fleet generation: the sum of the per-shard generations (every
@@ -341,13 +329,13 @@ impl FleetSnapshot {
 
     /// Fraction of scatter slots avoided by bounds pruning.
     pub fn pruning_rate(&self) -> f64 {
-        let total = self.scattered + self.pruned;
-        if total == 0 {
-            0.0
-        } else {
-            self.pruned as f64 / total as f64
-        }
+        rate(self.pruned, self.scattered)
     }
+}
+
+/// Field-wise sum of `snapshots`.
+fn sum(snapshots: &[LinkSnapshot]) -> LinkSnapshot {
+    (snapshots.iter()).fold(LinkSnapshot::default(), |acc, s| acc.plus(s))
 }
 
 /// The payload of a sub-reply of the expected kind. Any other reply is a
@@ -365,11 +353,11 @@ macro_rules! payload {
 /// docs for the routing, merging and metering rules.
 pub struct ShardRouter {
     /// The physical edges, `edges[shard][replica]`; each charges its own
-    /// replica meter, which its shard's and the aggregate sum. A shard's
-    /// primary edge (`[0]`) frames for the whole replica set: one dedup
-    /// identity per (router, shard), so every replica receives the
-    /// *same* tagged bytes and one that sees a broadcast sub-batch twice
-    /// (retry, or catch-up replay) applies it once.
+    /// replica meter, which the aggregate sums. A shard's primary edge
+    /// (`[0]`) frames for the whole replica set: one dedup identity per
+    /// (router, shard), so every replica receives the *same* tagged
+    /// bytes and one that sees a broadcast sub-batch twice (retry, or
+    /// catch-up replay) applies it once.
     edges: Vec<Vec<Edge>>,
     packet: PacketModel,
     aggregate: Arc<LinkMeter>,
@@ -392,7 +380,8 @@ impl ShardRouter {
             shards.iter().map(|s| Arc::clone(&s.meta)).collect(),
             shards.iter().map(|s| s.replicas.len()).collect(),
         ));
-        let aggregate = Arc::new(LinkMeter::summing(telemetry.meters.clone()));
+        let replicas = telemetry.replica_meters.iter().flatten().cloned();
+        let aggregate = Arc::new(LinkMeter::summing(replicas.collect()));
         let edge = |i: usize, j: usize, carrier| {
             Edge::new(carrier, packet, Arc::clone(&telemetry.replica_meters[i][j]))
         };
@@ -452,7 +441,7 @@ impl ShardRouter {
         &self.aggregate
     }
 
-    /// Per-shard meters and prune counters.
+    /// Per-replica meters, breaker health and prune counters.
     pub fn telemetry(&self) -> &Arc<ShardTelemetry> {
         &self.telemetry
     }

@@ -25,6 +25,7 @@ use bytes::{Bytes, BytesMut};
 use crate::codec::{garble_frame, is_unavailable, unavailable_frame, WireVersion};
 use crate::edge::{Edge, Layer};
 use crate::event_loop::EventLoop;
+use crate::fault::FaultCounters;
 use crate::mailbox::SlotEnd;
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
@@ -117,7 +118,7 @@ pub struct Pending {
     /// Set by a [`FaultLayer`](crate::FaultLayer) that rolled a garbled
     /// reply: the frame is stamped, and tallied here, when it arrives —
     /// unless nothing crossed the wire and there is no frame to garble.
-    pub(crate) garble: Option<Arc<AtomicU64>>,
+    pub(crate) garble: Option<Arc<FaultCounters>>,
 }
 
 impl Pending {
@@ -139,7 +140,7 @@ impl Pending {
             .unwrap_or_else(|slot| slot.wait().unwrap_or_else(unavailable_frame));
         match self.garble {
             Some(tally) if !is_unavailable(&raw) => {
-                tally.fetch_add(1, Ordering::Relaxed);
+                tally.garbled.fetch_add(1, Ordering::Relaxed);
                 garble_frame(&raw)
             }
             _ => raw,

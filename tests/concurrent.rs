@@ -7,6 +7,7 @@
 //! interleaved requests without mixing replies, and per-shard meters keep
 //! summing exactly to each link's aggregate (meter conservation).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use adhoc_spatial_joins::prelude::*;
@@ -194,4 +195,63 @@ fn channel_server_meters_are_per_link_under_contention() {
         ((CLIENTS + 1) * sequence.len()) as u64,
         "every request must be served exactly once"
     );
+}
+
+/// A fleet snapshot taken while clients drive the link still satisfies
+/// the row law `per_shard[i] == Σ per_replica[i]`: each replica meter is
+/// read once per snapshot, and each shard's entry is the sum of its row
+/// as read. Reading the shard totals and the rows at two different times
+/// would let an exchange that lands in between break the law.
+#[test]
+fn fleet_snapshots_under_traffic_keep_the_row_law() {
+    let dep = DeploymentBuilder::new(clusters(4, 250, 43), clusters(8, 250, 143))
+        .with_space(default_space())
+        .with_shards(2, 2)
+        .with_replicas(2)
+        .threaded()
+        .build();
+    let (link, _) = dep.connect();
+    let fleet = Arc::clone(link.fleet().expect("fleet telemetry"));
+    let done = AtomicBool::new(false);
+    let (mut taken, mut moved, mut broken) = (0u32, 0u32, Vec::new());
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2)
+            .map(|client| {
+                let (link, done) = (&link, &done);
+                scope.spawn(move || {
+                    for i in (client..).step_by(2) {
+                        if done.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        let a = (i * 37 % 97) as f64 / 97.0 * 8000.0;
+                        let w = Rect::from_coords(a, 8000.0 - a, a + 2000.0, 10_000.0 - a);
+                        link.request(&Request::Window(w));
+                    }
+                })
+            })
+            .collect();
+        // At least 1000 snapshots, and at least 20 of them must have seen
+        // the fleet move since the one before (non-vacuity).
+        let mut last = fleet.snapshot().summed();
+        while (taken < 1000 || moved < 20) && clients.iter().all(|c| !c.is_finished()) {
+            let snap = fleet.snapshot();
+            taken += 1;
+            for (shard, (total, row)) in snap.per_shard.iter().zip(&snap.per_replica).enumerate() {
+                let row_sum = row
+                    .iter()
+                    .fold(LinkSnapshot::default(), |acc, r| acc.plus(r));
+                if row_sum != *total {
+                    broken.push((taken, shard));
+                }
+            }
+            moved += u32::from(snap.summed() != last);
+            last = snap.summed();
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    assert!(
+        taken >= 1000 && moved >= 20,
+        "{taken} snapshots, {moved} moved"
+    );
+    assert_eq!(broken, [], "(snapshot, shard) pairs whose row law broke");
 }
