@@ -272,9 +272,10 @@ pub struct Deployment {
     space: Rect,
     cooperative: bool,
     live: bool,
-    /// `net.sweep_workers` resolved once, at build: asking the machine
-    /// reads cgroup quota files, too slow to repeat on every join.
-    sweep_workers: usize,
+    /// The machine's available parallelism, read once at build (it reads
+    /// cgroup quota files, too slow to repeat on every join): the worker
+    /// count of the device's ε-grid kernel ([`ExecCtx`](crate::exec::ExecCtx)).
+    pub(crate) workers: usize,
     /// Per-side client-cache stores when `net.client_cache` is enabled:
     /// shared by every link to a side (a *session*, see
     /// [`Deployment::connect`]), never between the sides — they front
@@ -363,14 +364,6 @@ impl Deployment {
     /// Network configuration.
     pub fn net(&self) -> &NetConfig {
         &self.net
-    }
-
-    /// The resolved device join-kernel worker count:
-    /// [`NetConfig::sweep_workers`], with `0` mapped to the machine's
-    /// available parallelism when the deployment was built. Results are
-    /// identical at every value — the knob only moves wall-clock time.
-    pub fn sweep_workers(&self) -> usize {
-        self.sweep_workers
     }
 
     /// `true` when the servers were built with the cooperative extension
@@ -564,16 +557,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Device join-kernel worker count — shorthand for setting
-    /// [`NetConfig::sweep_workers`] (`0` = auto, `1` = serial). The
-    /// parallel kernels are differentially proven result- and
-    /// byte-identical to the serial ones, so this knob only trades
-    /// wall-clock time.
-    pub fn with_sweep_workers(mut self, workers: usize) -> Self {
-        self.net = self.net.with_sweep_workers(workers);
-        self
-    }
-
     /// Wraps every physical edge of the deployment (both sides, every
     /// shard) in a deterministic [`FaultLayer`] scripted by `plan` —
     /// drops, garbled replies, crash-then-restart. Pair with
@@ -736,10 +719,7 @@ impl DeploymentBuilder {
             space,
             cooperative: self.cooperative,
             live: self.live,
-            sweep_workers: match self.net.sweep_workers {
-                0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-                n => n,
-            },
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cache_r: cache(self.net.client_cache),
             cache_s: cache(self.net.client_cache),
             fault: self.fault,
@@ -767,17 +747,6 @@ mod tests {
         assert_eq!(d.space(), Rect::from_coords(0.0, 0.0, 109.0, 100.0));
         assert_eq!(d.buffer_capacity(), DEFAULT_BUFFER);
         assert!(!d.is_cooperative());
-    }
-
-    #[test]
-    fn sweep_workers_resolve_when_built() {
-        let build = |n| {
-            DeploymentBuilder::new(pts(4, 0.0), pts(4, 0.0))
-                .with_sweep_workers(n)
-                .build()
-        };
-        assert_eq!(build(3).sweep_workers(), 3);
-        assert!(build(0).sweep_workers() >= 1, "0 means the machine's count");
     }
 
     #[test]

@@ -153,10 +153,10 @@ pub struct ExecCtx<'a> {
     pub stats: ExecStats,
     max_depth: u32,
     min_window: f64,
-    /// Worker count for the in-memory join kernels, as the deployment
-    /// resolved it when built ([`Deployment::sweep_workers`]).
-    /// Result-identical at every value.
-    sweep_workers: usize,
+    /// Worker count of the device's ε-grid kernel: the machine's available
+    /// parallelism, read once when the deployment was built. The kernel's
+    /// output is identical at every count.
+    workers: usize,
     /// The deployment takes updates, so a writer may race this join.
     live: bool,
 }
@@ -189,7 +189,7 @@ impl<'a> ExecCtx<'a> {
             stats: ExecStats::default(),
             max_depth: 24,
             min_window,
-            sweep_workers: deployment.sweep_workers(),
+            workers: deployment.workers,
             live: deployment.is_live(),
         }
     }
@@ -459,7 +459,7 @@ impl<'a> ExecCtx<'a> {
             &self.spec.predicate,
             w,
             &self.space,
-            self.sweep_workers,
+            self.workers,
             &mut self.out,
         );
         drop(s_hold);

@@ -140,9 +140,7 @@ impl DistributedJoin for SrJoin {
         let mut ctx = ExecCtx::new(deployment, spec);
         let space = ctx.space;
         let (count_r, count_s) = ctx.counts(&space);
-        if count_r > 0 && count_s > 0 {
-            self.step(&mut ctx, &space, count_r, count_s, 0);
-        }
+        self.step(&mut ctx, &space, count_r, count_s, 0);
         Ok(ctx.finish(self.name()))
     }
 }

@@ -55,8 +55,9 @@ use asj_geom::{reference_point_in, JoinPredicate, ObjectId, Point, Rect, Spatial
 
 use crate::collect::ResultCollector;
 
-/// Input size (|R| + |S|) below which the worker knob is inert: thread
-/// spawn overhead exceeds the win on small windows.
+/// Input size (|R| + |S|) below which the kernel stays on the calling
+/// thread whatever its worker count: thread spawn overhead exceeds the win
+/// on small windows.
 pub const PARALLEL_JOIN_THRESHOLD: usize = 4096;
 
 /// Most cells per axis, whatever the input size.
@@ -184,6 +185,8 @@ pub fn grid_hash_join(
 /// At or above [`PARALLEL_JOIN_THRESHOLD`] R fans out over `workers` scoped
 /// threads in equal contiguous runs, outputs appended in run order, so the
 /// result is identical — same pairs, same order — at every worker count.
+/// A join's HBSJ leaves pass the machine's available parallelism, which a
+/// deployment reads once when it is built.
 pub fn grid_hash_join_with_workers(
     r: &[SpatialObject],
     s: &[SpatialObject],

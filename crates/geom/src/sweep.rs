@@ -11,24 +11,14 @@
 //! while `min.x ≤ current.max.x + ε`, and surviving candidates are tested on
 //! the full predicate.
 //!
-//! Two implementation notes:
-//!
-//! * The sort operates on **packed `(f64 key, u32 idx)` pairs**, not bare
-//!   indices with an indirect comparator — both the sort and the forward
-//!   candidate scan read keys sequentially from a dense array instead of
-//!   chasing into the 40-byte object array, and ties break on the original
-//!   index so the order is a total order (deterministic even with
-//!   duplicated coordinates).
-//! * The sweep is expressed as a walk over the *merged head sequence* (both
-//!   sorted inputs merged by key, R before S on ties — exactly the order
-//!   the classic two-cursor loop processes heads in). That formulation
-//!   makes the kernel trivially partitionable: [`plane_sweep_join_parallel`]
-//!   splits the head sequence into contiguous x-spans, processes each on a
-//!   scoped thread (each worker reads past its span's right edge for
-//!   ε-overlap candidates — the seam), and concatenates the per-span
-//!   outputs in span order. The merged output is **identical — same pairs,
-//!   same order — to the serial kernel at every worker count**, which the
-//!   unit and property tests pin.
+//! The sweep is serial. The sort operates on **packed `(f64 key, u32 idx)`
+//! pairs**, not bare indices with an indirect comparator — both the sort and
+//! the forward candidate scan read keys sequentially from a dense array
+//! instead of chasing into the object array, and ties break on the original
+//! index so the order is a total order (deterministic even with duplicated
+//! coordinates). No workload runs a sweep, so nothing pays for splitting one
+//! across threads: [`plane_sweep_join_parallel`] is the serial kernel under
+//! the name the benchmark's frozen API calls.
 //!
 //! Complexity `O(n log n + k)` for k tested candidate pairs — in contrast to
 //! the `O(n·m)` nested loop.
@@ -61,133 +51,13 @@ pub fn plane_sweep_pairs<F: FnMut(&SpatialObject, &SpatialObject)>(
     if r.is_empty() || s.is_empty() {
         return;
     }
-    let rk = packed_keys(r);
-    let sk = packed_keys(s);
-    let heads = rk.len() + sk.len();
-    sweep_span(
-        Lane { objs: r, keys: &rk },
-        Lane { objs: s, keys: &sk },
-        pred,
-        Cursor { i: 0, j: 0, heads },
-        &mut emit,
-    );
-}
-
-/// Parallel plane sweep: identical output (same pairs, same order) to
-/// [`plane_sweep_join`] at every `workers` count, computed on `workers`
-/// scoped threads. `workers ≤ 1` runs the serial kernel.
-pub fn plane_sweep_join_parallel(
-    r: &[SpatialObject],
-    s: &[SpatialObject],
-    pred: &JoinPredicate,
-    workers: usize,
-) -> Vec<(ObjectId, ObjectId)> {
-    if r.is_empty() || s.is_empty() {
-        return Vec::new();
-    }
-    let heads = r.len() + s.len();
-    let workers = workers.clamp(1, heads);
-    if workers == 1 {
-        return plane_sweep_join(r, s, pred);
-    }
-    let rk = packed_keys(r);
-    let sk = packed_keys(s);
-    // Span boundaries of the merged head sequence, with the (i, j) cursor
-    // state at each boundary recorded during one O(n + m) merge pass so
-    // every worker starts exactly where the serial sweep would stand.
-    let per_span = heads.div_ceil(workers);
-    let mut spans: Vec<(usize, usize, usize)> = Vec::with_capacity(workers); // (i, j, head_count)
-    {
-        let (mut i, mut j) = (0usize, 0usize);
-        for t in 0..heads {
-            if t % per_span == 0 {
-                spans.push((i, j, per_span.min(heads - t)));
-            }
-            if i < rk.len() && (j >= sk.len() || rk[i].0 <= sk[j].0) {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-    }
-    let (rk, sk) = (&rk, &sk);
-    let parts: Vec<Vec<(ObjectId, ObjectId)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .iter()
-            .map(|&(i, j, heads)| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    sweep_span(
-                        Lane { objs: r, keys: rk },
-                        Lane { objs: s, keys: sk },
-                        pred,
-                        Cursor { i, j, heads },
-                        &mut |a, b| out.push((a.id, b.id)),
-                    );
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    parts.concat()
-}
-
-/// Packed sort keys `(min.x, original index)`, ordered by key then index —
-/// a total order, so duplicated coordinates cannot make the emission order
-/// depend on sort internals.
-fn packed_keys(objs: &[SpatialObject]) -> Vec<(f64, u32)> {
-    let mut keys: Vec<(f64, u32)> = objs
-        .iter()
-        .enumerate()
-        .map(|(i, o)| (o.mbr.min.x, i as u32))
-        .collect();
-    keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    keys
-}
-
-/// One sweep input: the objects and their packed sort keys.
-#[derive(Clone, Copy)]
-struct Lane<'a> {
-    objs: &'a [SpatialObject],
-    keys: &'a [(f64, u32)],
-}
-
-/// A position in the merged head sequence: `i` / `j` heads of each lane
-/// already consumed, `heads` left to process.
-#[derive(Clone, Copy)]
-struct Cursor {
-    i: usize,
-    j: usize,
-    heads: usize,
-}
-
-/// Processes `cur.heads` consecutive heads of the merged sweep sequence,
-/// starting from cursor state `(cur.i, cur.j)`. Heads merge by key with R
-/// first on ties, matching the classic loop's `ro.min.x <= so.min.x`
-/// branch; a head past the other side's end scans an empty candidate
-/// slice, so a full walk (`i = j = 0`, `heads = n + m`) is exactly the
-/// serial kernel.
-fn sweep_span<F: FnMut(&SpatialObject, &SpatialObject)>(
-    r: Lane<'_>,
-    s: Lane<'_>,
-    pred: &JoinPredicate,
-    cur: Cursor,
-    emit: &mut F,
-) {
     let eps = pred.epsilon();
-    let (r, rk) = (r.objs, r.keys);
-    let (s, sk) = (s.objs, s.keys);
-    let Cursor {
-        mut i,
-        mut j,
-        heads,
-    } = cur;
-    for _ in 0..heads {
-        if i < rk.len() && (j >= sk.len() || rk[i].0 <= sk[j].0) {
+    let (rk, sk) = (packed_keys(r), packed_keys(s));
+    let (mut i, mut j) = (0, 0);
+    // Heads merge by key, R first on ties; once either side runs out, the
+    // other's remaining heads have no candidates left.
+    while i < rk.len() && j < sk.len() {
+        if rk[i].0 <= sk[j].0 {
             // An R head: scan S forward while it can still be within eps
             // on the x axis.
             let ro = &r[rk[i].1 as usize];
@@ -217,6 +87,30 @@ fn sweep_span<F: FnMut(&SpatialObject, &SpatialObject)>(
             j += 1;
         }
     }
+}
+
+/// [`plane_sweep_join`] under the benchmark's frozen parallel name;
+/// `workers` is ignored.
+pub fn plane_sweep_join_parallel(
+    r: &[SpatialObject],
+    s: &[SpatialObject],
+    pred: &JoinPredicate,
+    _workers: usize,
+) -> Vec<(ObjectId, ObjectId)> {
+    plane_sweep_join(r, s, pred)
+}
+
+/// Packed sort keys `(min.x, original index)`, ordered by key then index —
+/// a total order, so duplicated coordinates cannot make the emission order
+/// depend on sort internals.
+fn packed_keys(objs: &[SpatialObject]) -> Vec<(f64, u32)> {
+    let mut keys: Vec<(f64, u32)> = objs
+        .iter()
+        .enumerate()
+        .map(|(i, o)| (o.mbr.min.x, i as u32))
+        .collect();
+    keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    keys
 }
 
 /// Reference `O(n·m)` nested-loop join; used by tests and as the ground
@@ -284,47 +178,26 @@ mod tests {
 
     #[test]
     fn matches_nested_loop_on_grid_cluster() {
-        // Deterministic pseudo-random-ish layout exercising many overlaps.
-        let mut r = Vec::new();
-        let mut s = Vec::new();
-        for i in 0..40u32 {
-            let f = i as f64;
-            r.push(pt(i, (f * 7.3) % 13.0, (f * 3.1) % 11.0));
-            s.push(pt(i, (f * 5.7) % 13.0, (f * 2.9) % 11.0));
-        }
-        for eps in [0.0, 0.5, 2.0, 20.0] {
-            let pred = JoinPredicate::WithinDistance(eps);
-            assert_eq!(
-                sorted(plane_sweep_join(&r, &s, &pred)),
-                sorted(nested_loop_join(&r, &s, &pred)),
-                "eps={eps}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_output_identical_to_serial_every_worker_count() {
-        // Includes duplicated x coordinates so the seam and tie handling
-        // are both exercised; equality is on the full vector — same pairs
-        // in the same order, not just the same set.
-        let mut r = Vec::new();
-        let mut s = Vec::new();
-        for i in 0..150u32 {
-            let f = i as f64;
-            r.push(pt(i, (f * 7.3) % 13.0, (f * 3.1) % 11.0));
-            s.push(pt(1000 + i, (f * 5.7) % 13.0, (f * 2.9) % 11.0));
-            if i % 10 == 0 {
-                s.push(pt(2000 + i, (f * 7.3) % 13.0, (f * 2.9) % 11.0)); // shared min.x
+        // Deterministic pseudo-random-ish layouts exercising many overlaps;
+        // the larger one gives every tenth S object an R object's min.x, so
+        // ties between the two sides are swept too.
+        for (n, shared) in [(40u32, false), (150, true)] {
+            let mut r = Vec::new();
+            let mut s = Vec::new();
+            for i in 0..n {
+                let f = i as f64;
+                r.push(pt(i, (f * 7.3) % 13.0, (f * 3.1) % 11.0));
+                s.push(pt(1000 + i, (f * 5.7) % 13.0, (f * 2.9) % 11.0));
+                if shared && i % 10 == 0 {
+                    s.push(pt(2000 + i, (f * 7.3) % 13.0, (f * 2.9) % 11.0));
+                }
             }
-        }
-        for eps in [0.0, 0.5, 2.0, 20.0] {
-            let pred = JoinPredicate::WithinDistance(eps);
-            let serial = plane_sweep_join(&r, &s, &pred);
-            for workers in [1, 2, 3, 4, 7, 8, 16, 1000] {
+            for eps in [0.0, 0.5, 2.0, 20.0] {
+                let pred = JoinPredicate::WithinDistance(eps);
                 assert_eq!(
-                    plane_sweep_join_parallel(&r, &s, &pred, workers),
-                    serial,
-                    "eps={eps} workers={workers}"
+                    sorted(plane_sweep_join(&r, &s, &pred)),
+                    sorted(nested_loop_join(&r, &s, &pred)),
+                    "n={n} eps={eps}"
                 );
             }
         }

@@ -131,15 +131,6 @@ pub struct NetConfig {
     /// changes frame density only, never decoded objects or join results:
     /// the quantization contract guarantees bit-faithful decode.
     pub wire_v2: bool,
-    /// Worker threads the device's in-memory join kernel (the ε-grid of
-    /// `asj_device::memjoin`, R split into runs) may use. `0` (the
-    /// default) resolves to the machine's available parallelism; `1`
-    /// forces the serial kernel. A
-    /// device-compute knob, not a wire capability: the kernels produce
-    /// identical output — same pairs, same order, same wire traffic — at
-    /// every worker count (differentially tested), so this only moves
-    /// wall-clock time.
-    pub sweep_workers: usize,
     /// Retry discipline of the device's physical exchanges (see
     /// [`RetryPolicy`]). **Off by default** (`max_attempts == 1`): no
     /// dedup envelope is attached, no exchange is re-issued, and every
@@ -172,7 +163,6 @@ impl Default for NetConfig {
             batched_stats: false,
             client_cache: crate::cache::CacheConfig::default(),
             wire_v2: false,
-            sweep_workers: 0,
             retry: RetryPolicy::default(),
             breaker: crate::health::BreakerConfig::disabled(),
             allow_partial: false,
@@ -205,13 +195,6 @@ impl NetConfig {
     /// links.
     pub fn with_wire_v2(mut self, on: bool) -> Self {
         self.wire_v2 = on;
-        self
-    }
-
-    /// Sets the device join-kernel worker count (`0` = auto, `1` =
-    /// serial). Results and wire traffic are identical at every value.
-    pub fn with_sweep_workers(mut self, workers: usize) -> Self {
-        self.sweep_workers = workers;
         self
     }
 
@@ -293,12 +276,6 @@ mod tests {
         assert!(!NetConfig::default().batched_stats);
         assert!(!NetConfig::dialup().batched_stats);
         assert!(NetConfig::default().with_batched_stats(true).batched_stats);
-    }
-
-    #[test]
-    fn sweep_workers_defaults_to_auto() {
-        assert_eq!(NetConfig::default().sweep_workers, 0);
-        assert_eq!(NetConfig::default().with_sweep_workers(4).sweep_workers, 4);
     }
 
     #[test]

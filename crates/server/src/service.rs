@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use asj_geom::{IdMix, ObjectId, SpatialObject};
+use asj_geom::{IdMix, ObjectId};
 use asj_net::codec::{DedupTag, ObjectsEncoder, QuantCtx, WireVersion};
 use asj_net::{QueryHandler, Request, Response};
 use bytes::BytesMut;
@@ -22,10 +22,6 @@ pub enum ServicePolicy {
     Cooperative,
 }
 
-/// Threshold above which bucket ε-RANGE probes are fanned out across
-/// scoped threads. Below it, the spawn overhead exceeds the win.
-const PARALLEL_BUCKET_THRESHOLD: usize = 512;
-
 /// A spatial service: one dataset, one store, one policy.
 ///
 /// `handle` is `&self` and the store is immutable, so one service instance
@@ -34,8 +30,6 @@ const PARALLEL_BUCKET_THRESHOLD: usize = 512;
 pub struct SpatialService<S: SpatialStore> {
     store: Arc<S>,
     policy: ServicePolicy,
-    /// Worker threads used for large bucket queries.
-    bucket_workers: usize,
     /// At-most-once table of the retry-dedup envelope: sender nonce →
     /// (last applied batch seq, the generation its Ack carried). A
     /// duplicated delivery replays the remembered Ack instead of
@@ -50,9 +44,6 @@ impl<S: SpatialStore> SpatialService<S> {
         SpatialService {
             store: Arc::new(store),
             policy: ServicePolicy::NonCooperative,
-            bucket_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             dedup: Mutex::new(HashMap::new()),
         }
     }
@@ -89,42 +80,6 @@ impl<S: SpatialStore> SpatialService<S> {
     }
 }
 
-fn bucket_eps_range(
-    store: &dyn SpatialStore,
-    probes: &[SpatialObject],
-    eps: f64,
-    workers: usize,
-) -> Vec<Vec<SpatialObject>> {
-    if probes.len() < PARALLEL_BUCKET_THRESHOLD || workers == 1 {
-        return probes
-            .iter()
-            .map(|p| store.eps_range(&p.mbr, eps))
-            .collect();
-    }
-    // Fan the probes across scoped threads in contiguous chunks; probe
-    // order (and thus the response framing) is preserved by reassembling
-    // in chunk order. The borrowed store reference is the *pinned
-    // snapshot*, so all workers answer from the same generation.
-    let chunk = probes.len().div_ceil(workers);
-    let mut results: Vec<Vec<Vec<SpatialObject>>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = probes
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|p| store.eps_range(&p.mbr, eps))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("bucket worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
-}
-
 /// Answers one query against a pinned store snapshot — the full dispatch,
 /// shared by [`QueryHandler::handle`] and the zero-copy `handle_into`
 /// (which overrides only the object-streaming arms). `ApplyUpdates` and
@@ -138,12 +93,7 @@ fn bucket_eps_range(
 /// in pushed order, then the store's visit order (tree order on an R-tree).
 /// [`crate::ScanStore`]'s visitor is linear, so the reference store answers
 /// a push in |pushed| × n; it serves no workload.
-fn answer(
-    store: &dyn SpatialStore,
-    policy: ServicePolicy,
-    bucket_workers: usize,
-    req: Request,
-) -> Response {
+fn answer(store: &dyn SpatialStore, policy: ServicePolicy, req: Request) -> Response {
     if req.is_cooperative() && policy == ServicePolicy::NonCooperative {
         return Response::Refused;
     }
@@ -152,7 +102,9 @@ fn answer(
         Request::Count(w) => Response::Count(store.count(&w)),
         Request::EpsRange { q, eps } => Response::Objects(store.eps_range(&q, eps)),
         Request::BucketEpsRange { probes, eps } => {
-            Response::Buckets(bucket_eps_range(store, &probes, eps, bucket_workers))
+            // One ε-RANGE per probe, in probe order, on the calling thread.
+            let ranges = probes.iter().map(|p| store.eps_range(&p.mbr, eps));
+            Response::Buckets(ranges.collect())
         }
         Request::MultiCount(windows) => {
             // Batched statistics: one COUNT per window, answered in
@@ -235,7 +187,7 @@ impl<S: SpatialStore> QueryHandler for SpatialService<S> {
         let mut out = None;
         self.store.with_frozen(&mut |store, _generation| {
             let req = req.take().expect("with_frozen invokes exactly once");
-            out = Some(answer(store, self.policy, self.bucket_workers, req));
+            out = Some(answer(store, self.policy, req));
         });
         out.expect("with_frozen must invoke its closure")
     }
@@ -292,7 +244,7 @@ impl<S: SpatialStore> QueryHandler for SpatialService<S> {
                 // cold (cooperative/bucket paths); the materializing
                 // default stays the single source of semantics for those.
                 other => asj_net::codec::encode_response_versioned(
-                    &answer(store, self.policy, self.bucket_workers, other),
+                    &answer(store, self.policy, other),
                     wire,
                     ctx.as_ref(),
                     buf,
@@ -307,7 +259,7 @@ mod tests {
     use super::*;
     use crate::store::{RTreeStore, ScanStore};
     use asj_geom::sweep::nested_loop_join;
-    use asj_geom::{JoinPredicate, Rect};
+    use asj_geom::{JoinPredicate, Rect, SpatialObject};
 
     fn lattice(n: u32) -> Vec<SpatialObject> {
         (0..n * n)
@@ -490,27 +442,6 @@ mod tests {
         }
         check(ScanStore::new(local.clone()), &local, &pushed);
         check(RTreeStore::with_fanout(local.clone(), 4), &local, &pushed);
-    }
-
-    #[test]
-    fn bucket_parallel_matches_sequential() {
-        let store = RTreeStore::new(lattice(40)); // 1600 points
-        let probes: Vec<SpatialObject> = lattice(40)
-            .into_iter()
-            .step_by(2)
-            .take(PARALLEL_BUCKET_THRESHOLD + 100)
-            .collect();
-
-        let a = bucket_eps_range(&store, &probes, 1.5, 1);
-        let b = bucket_eps_range(&store, &probes, 1.5, 4);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            let mut xi: Vec<u32> = x.iter().map(|o| o.id).collect();
-            let mut yi: Vec<u32> = y.iter().map(|o| o.id).collect();
-            xi.sort_unstable();
-            yi.sort_unstable();
-            assert_eq!(xi, yi);
-        }
     }
 
     #[test]

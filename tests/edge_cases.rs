@@ -50,6 +50,32 @@ fn single_objects_just_out_of_range() {
 }
 
 #[test]
+fn an_empty_side_prunes_the_root_window_and_says_so() {
+    // The two global COUNTs settle it: every adaptive algorithm prunes the
+    // whole space on them and reports that one pruned window.
+    let r: Vec<_> = (0..30)
+        .map(|i| SpatialObject::point(i, 100.0 + i as f64 * 300.0, 4000.0))
+        .collect();
+    for (r, s) in [(r.clone(), Vec::new()), (Vec::new(), r)] {
+        let dep = DeploymentBuilder::new(r, s)
+            .with_space(default_space())
+            .build();
+        let algorithms: [Box<dyn DistributedJoin>; 3] = [
+            Box::new(MobiJoin),
+            Box::new(UpJoin::default()),
+            Box::new(SrJoin::default()),
+        ];
+        for alg in algorithms {
+            let rep = alg.run(&dep, &JoinSpec::distance_join(100.0)).unwrap();
+            assert!(rep.pairs.is_empty(), "{}", alg.name());
+            assert_eq!(rep.stats.pruned_windows, 1, "{}", alg.name());
+            assert_eq!(rep.total_queries(), 2, "{}", alg.name());
+            assert_eq!(rep.objects_downloaded(), 0, "{}", alg.name());
+        }
+    }
+}
+
+#[test]
 fn eps_spanning_the_whole_space_is_a_cross_product() {
     // ε larger than the space diagonal: every pair qualifies.
     let r: Vec<_> = (0..20)
