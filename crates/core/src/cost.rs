@@ -229,8 +229,10 @@ impl CostModel {
     /// the bucket submission (the probe set is sub-batched across the
     /// inner fleet's shards). Both probe paths assume each ε-probe
     /// reaches exactly one inner shard — probes are ε-scale, far smaller
-    /// than a shard cell. The router actually duplicates a probe into
-    /// *every* shard whose advertised bounds its ε-expanded MBR
+    /// than a shard cell. The fan-out rule this leaves unpriced is the
+    /// protocol's *reach* (`Request::reach` in `asj-net`'s `proto`
+    /// module), which the router and the client cache share: a probe
+    /// goes to *every* shard whose advertised bounds its MBR grown by |ε|
     /// intersects, so near cell edges (or when straddlers widen a shard's
     /// bounds) the estimate undershoots the meter; like the paper's own
     /// uniformity assumption, this is a deliberate estimation error, and

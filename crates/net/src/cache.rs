@@ -18,8 +18,8 @@
 //!   query rectangle (a total-order `f64::to_bits` key, so `-0.0 ≠ 0.0`
 //!   and NaN-free wire rects never alias). A `MultiCount` batch is
 //!   resolved *per entry*: windows with cached counts are answered
-//!   locally, only the misses ship (in one sub-batch), and the answers
-//!   are spliced back in probe order.
+//!   locally, only the cut to the misses ships, and its answer is
+//!   spliced back by the protocol's merge law, in probe order.
 //! * **Semantic window tier** — a byte-budgeted LRU of downloaded
 //!   windows. A `WINDOW` (or ε-RANGE) request whose reach is contained in
 //!   a cached window is answered locally by filtering that window's
@@ -67,13 +67,15 @@
 //!
 //! # Containment invariant
 //!
-//! For any query window `w` contained in a cached window `W`, every
-//! object the server would return for `w` intersects `w ⊆ W`, hence was
-//! in the `W` download; filtering the cached objects with the *server's
-//! own predicate* (`intersects` for `WINDOW`/`COUNT`, `within_distance`
-//! for ε-RANGE — whose reach `q.expand(|ε|)` bounds the qualifying MBRs,
-//! ε entering the predicate squared) therefore reproduces the server's
-//! answer exactly, as a set. All checks
+//! Every object the server would return for a probe intersects the
+//! probe's *reach*, the protocol's law the shard router prunes by too: a
+//! window reaches itself, an ε-RANGE reaches `q` grown by |ε| (ε enters
+//! the predicate squared). For a probe whose reach lies inside a cached
+//! window `W`, every such object intersects `W`, hence was in the `W`
+//! download; filtering the cached objects with the *server's own
+//! predicate* (`intersects` for `WINDOW`/`COUNT`, `within_distance` for
+//! ε-RANGE) therefore reproduces the server's answer exactly, as a set.
+//! All checks
 //! run on the request's [`wire_exact`] form, i.e. after the codec's f32
 //! rounding — the very rectangle the server would evaluate — so float
 //! rounding can never make a local answer diverge from a remote one.
@@ -563,15 +565,15 @@ impl ClientCache {
     }
 
     /// Looks up `ε-RANGE(q, eps)` at `generation`: the exact probe tier
-    /// first, then containment — a qualifying object's MBR is within `eps`
-    /// of `q` and therefore intersects `q.expand(eps)`; any cached window
-    /// containing that reach holds every answer.
+    /// first, then containment — a qualifying object's MBR intersects the
+    /// probe's reach, `q` grown by |ε|; any cached window containing that
+    /// reach holds every answer.
     pub fn eps_range(&self, q: &Rect, eps: f64, generation: u64) -> Option<Vec<SpatialObject>> {
         let mut state = self.at(generation)?;
         if let Some(answer) = state.probes.entries.get(&(RectKey::of(q), eps.to_bits())) {
             return Some(answer.clone());
         }
-        let held = state.containing(&q.expand(eps.abs()))?;
+        let held = state.containing(&Request::EpsRange { q: *q, eps }.reach(0))?;
         Some(held.select(|mbr| mbr.within_distance(q, eps)))
     }
 
@@ -866,66 +868,73 @@ impl CacheLayer {
     }
 
     /// The lookup pass for one request, at the content generation (caught
-    /// up on by the first request of the batch that can use it): what the
-    /// cache can answer of it, tallied as hits and misses. Everything but
-    /// the four cacheable kinds (bucket probes, the cooperative
-    /// extension, writes) always ships.
+    /// up on by the first request of the batch that can use it): the
+    /// probes the cache holds, merged into the request's empty answer by
+    /// the protocol's merge law, and the cut to the probes it does not.
+    /// Everything but the four cacheable kinds (bucket probes, the
+    /// cooperative extension, writes) always ships whole.
     fn lookup<'a>(&self, req: &'a Request, generation: &mut Option<u64>) -> Planned<'a> {
-        let req = match req {
-            Request::Count(_)
-            | Request::MultiCount(_)
-            | Request::Window(_)
-            | Request::EpsRange { .. } => Cow::Owned(wire_exact(req)),
-            _ => Cow::Borrowed(req),
+        let mut plan = Planned {
+            req: Cow::Borrowed(req),
+            local: None,
+            misses: Few::new(),
+            cut: None,
+            shipped: None,
         };
-        let mut at = || *generation.get_or_insert_with(|| self.catch_up());
-        let found = |hit: Option<Response>| hit.map_or(Local::Miss, Local::Hit);
-        let local = match &*req {
+        let cacheable = matches!(
+            req,
+            Request::Count(_)
+                | Request::MultiCount(_)
+                | Request::Window(_)
+                | Request::EpsRange { .. }
+        );
+        if !cacheable {
+            return plan;
+        }
+        let at = *generation.get_or_insert_with(|| self.catch_up());
+        let req = wire_exact(req);
+        for i in 0..req.probes() {
+            match self.held(&req, i, at) {
+                Some(hit) => {
+                    (plan.local.get_or_insert_with(|| req.empty_answer())).merge(hit, &[i])
+                }
+                None => plan.misses.push(i),
+            }
+        }
+        if plan.local.is_some() && !plan.misses.as_slice().is_empty() {
+            plan.cut = Some(req.cut(plan.misses.as_slice()));
+        }
+        plan.req = Cow::Owned(req);
+        plan
+    }
+
+    /// The cache's answer to probe `i` of a cacheable `req` at
+    /// `generation` — the answer to the cut to that probe — tallied as a
+    /// hit or a miss.
+    fn held(&self, req: &Request, i: usize, generation: u64) -> Option<Response> {
+        let t = &self.telemetry;
+        match req {
             Request::Count(w) => {
-                let hit = self.cache.count(w, at());
-                self.telemetry
-                    .record_stats(hit.is_some() as u64, hit.is_none() as u64);
-                found(hit.map(Response::Count))
+                let hit = self.cache.count(w, generation);
+                t.record_stats(hit.is_some() as u64, hit.is_none() as u64);
+                hit.map(Response::Count)
             }
             Request::MultiCount(windows) => {
-                let generation = at();
-                let mut counts = vec![0; windows.len()];
-                let mut miss_idx = Vec::new();
-                for (i, w) in windows.iter().enumerate() {
-                    match self.cache.count(w, generation) {
-                        Some(c) => counts[i] = c,
-                        None => miss_idx.push(i),
-                    }
-                }
-                let misses = miss_idx.len();
-                self.telemetry
-                    .record_stats((windows.len() - misses) as u64, misses as u64);
-                if misses == windows.len() {
-                    Local::Miss
-                } else if misses == 0 {
-                    Local::Hit(Response::Counts(counts))
-                } else {
-                    // Partial hit: only the misses ship.
-                    let sub = Request::MultiCount(miss_idx.iter().map(|&i| windows[i]).collect());
-                    Local::Partial(counts, miss_idx, sub)
-                }
+                let hit = self.cache.count(&windows[i], generation);
+                t.record_stats(hit.is_some() as u64, hit.is_none() as u64);
+                hit.map(|c| Response::Counts(vec![c]))
             }
             Request::Window(w) => {
-                let hit = self.cache.window(w, at());
-                self.telemetry.record_window(hit.is_some());
-                found(hit.map(Response::Objects))
+                let hit = self.cache.window(w, generation);
+                t.record_window(hit.is_some());
+                hit.map(Response::Objects)
             }
             Request::EpsRange { q, eps } => {
-                let hit = self.cache.eps_range(q, *eps, at());
-                self.telemetry.record_probe(hit.is_some());
-                found(hit.map(Response::Objects))
+                let hit = self.cache.eps_range(q, *eps, generation);
+                t.record_probe(hit.is_some());
+                hit.map(Response::Objects)
             }
-            _ => Local::Miss,
-        };
-        Planned {
-            req,
-            local,
-            shipped: None,
+            _ => None,
         }
     }
 
@@ -961,61 +970,47 @@ impl CacheLayer {
     /// The admit pass for one request: its answer and the generation it
     /// was served at, with authoritative replies admitted to the cache
     /// (which keeps those served at its content generation) and local
-    /// answers priced as saved bytes.
+    /// answers priced as saved bytes: the whole round trip, less what the
+    /// cut to the misses cost. A failed or refused cut surfaces typed:
+    /// the local part is discarded rather than spliced against an error.
     fn settle(&self, p: &mut Planned, generation: u64) -> (Response, u64) {
-        let (local, shipped) = (
-            std::mem::replace(&mut p.local, Local::Miss),
-            p.shipped.take(),
-        );
-        let (counts, miss_idx, sub) = match local {
-            // A fully local answer: the whole round trip is saved.
-            Local::Hit(resp) => {
-                self.telemetry
-                    .record_saved(self.priced(&p.req, &resp, generation));
-                return (resp, generation);
-            }
-            Local::Miss => {
-                let (resp, generation) = shipped.expect("every miss was shipped");
-                match (&*p.req, &resp) {
-                    (Request::Count(w), Response::Count(c)) => {
-                        self.cache.observe_count(w, *c, generation)
-                    }
-                    (Request::MultiCount(windows), Response::Counts(cs)) => {
-                        for (w, &c) in windows.iter().zip(cs) {
-                            self.cache.observe_count(w, c, generation);
-                        }
-                    }
-                    (Request::Window(w), Response::Objects(objects)) => {
-                        self.cache.admit_window(w, objects, generation)
-                    }
-                    (Request::EpsRange { q, eps }, Response::Objects(objects)) => {
-                        self.cache.admit_probe(q, *eps, objects, generation)
-                    }
-                    _ => {}
-                }
-                return (resp, generation);
-            }
-            Local::Partial(counts, miss_idx, sub) => (counts, miss_idx, sub),
+        let Some(mut answer) = p.local.take() else {
+            let (resp, generation) = p.shipped.take().expect("every miss was shipped");
+            self.admit(&p.req, &resp, generation);
+            return (resp, generation);
         };
-        let (fresh, fresh_generation) = shipped.expect("every sub-batch was shipped");
-        let (Request::MultiCount(windows), Response::Counts(cs)) = (&*p.req, &fresh) else {
-            // A failed or refused sub-exchange surfaces typed: the
-            // locally answered entries are discarded rather than spliced
-            // against an error, and nothing is admitted.
-            return (fresh, fresh_generation);
-        };
-        // Splice the answers back in probe order.
-        let mut counts = counts;
-        for (&i, &c) in miss_idx.iter().zip(cs) {
-            counts[i] = c;
-            self.cache.observe_count(&windows[i], c, generation);
+        let mut spent = 0;
+        if let (Some(cut), Some((fresh, served))) = (&p.cut, p.shipped.take()) {
+            if fresh.is_non_answer() {
+                return (fresh, served);
+            }
+            self.admit(cut, &fresh, served);
+            spent = self.priced(cut, &fresh, generation);
+            answer.merge(fresh, p.misses.as_slice());
         }
-        let resp = Response::Counts(counts);
-        // Saved: the framing/entries the sub-batch did not carry.
-        self.telemetry.record_saved(
-            self.priced(&p.req, &resp, generation) - self.priced(&sub, &fresh, generation),
-        );
-        (resp, generation)
+        let whole = self.priced(&p.req, &answer, generation);
+        self.telemetry.record_saved(whole - spent);
+        (answer, generation)
+    }
+
+    /// Admits `resp`, an authoritative answer to `req` served at
+    /// `generation`, to the tier that holds its kind.
+    fn admit(&self, req: &Request, resp: &Response, generation: u64) {
+        match (req, resp) {
+            (Request::Count(w), Response::Count(c)) => self.cache.observe_count(w, *c, generation),
+            (Request::MultiCount(windows), Response::Counts(cs)) => {
+                for (w, &c) in windows.iter().zip(cs) {
+                    self.cache.observe_count(w, c, generation);
+                }
+            }
+            (Request::Window(w), Response::Objects(objects)) => {
+                self.cache.admit_window(w, objects, generation)
+            }
+            (Request::EpsRange { q, eps }, Response::Objects(objects)) => {
+                self.cache.admit_probe(q, *eps, objects, generation)
+            }
+            _ => {}
+        }
     }
 }
 
@@ -1024,29 +1019,26 @@ struct Planned<'a> {
     /// The request in the form every rectangle decision is taken on:
     /// [`wire_exact`] for the cacheable kinds, as it came otherwise.
     req: Cow<'a, Request>,
-    local: Local,
+    /// The answer of the probes the cache held, merged into the empty
+    /// answer; none when it held none of them.
+    local: Option<Response>,
+    /// The probes it did not hold, in probe order.
+    misses: Few<usize>,
+    /// The cut to [`Planned::misses`], when the cache held some probes
+    /// and not others.
+    cut: Option<Request>,
     /// What the layer below answered to [`Planned::ships`].
     shipped: Option<(Response, u64)>,
 }
 
-/// What the lookup pass found for one request.
-enum Local {
-    /// Answered from the cache.
-    Hit(Response),
-    /// Nothing cached: the request ships whole.
-    Miss,
-    /// A `MultiCount` some of whose windows were cached: their counts
-    /// (0 in the gaps), the gaps' indices, and the sub-batch that ships.
-    Partial(Vec<u64>, Vec<usize>, Request),
-}
-
 impl Planned<'_> {
-    /// The request still to be sent below for this entry, if any.
+    /// The request still to be sent below for this entry, if any: the
+    /// whole request when the cache held none of it, the cut otherwise.
     fn ships(&self) -> Option<&Request> {
-        match &self.local {
-            Local::Miss if self.shipped.is_none() => Some(&self.req),
-            Local::Partial(_, _, sub) if self.shipped.is_none() => Some(sub),
-            _ => None,
+        match (&self.shipped, &self.local) {
+            (Some(_), _) => None,
+            (None, None) => Some(&self.req),
+            (None, Some(_)) => self.cut.as_ref(),
         }
     }
 }
@@ -1075,11 +1067,8 @@ impl Layer for CacheLayer {
         let advanced = |p: &Planned| matches!(&p.shipped, Some((resp, g)) if !resp.is_failure() && *g != generation);
         if caught_up.is_some() && plan_mut.iter().any(advanced) {
             self.catch_up();
-            for p in plan_mut
-                .iter_mut()
-                .filter(|p| !matches!(p.local, Local::Miss))
-            {
-                (p.local, p.shipped) = (Local::Miss, None);
+            for p in plan_mut.iter_mut().filter(|p| p.local.is_some()) {
+                (p.local, p.cut, p.shipped) = (None, None, None);
             }
             self.ship(plan_mut);
         }

@@ -23,6 +23,13 @@ impl<T> Few<T> {
         }
     }
 
+    pub(crate) fn as_slice(&self) -> &[T] {
+        match self {
+            Few::Inline(slot) => slot.as_slice(),
+            Few::Heap(items) => items,
+        }
+    }
+
     pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         match self {
             Few::Inline(slot) => slot.as_mut_slice(),

@@ -125,6 +125,97 @@ impl Request {
     }
 }
 
+// The per-kind laws of a read. A non-cooperative server knows nothing of
+// the fleet it is a shard of, or of the cache in front of it, so what a
+// request's answer is made of is the client's to know. The shard router
+// and the client cache both read these laws instead of restating them:
+// the router prunes by the reach, sends the cut and folds the shards'
+// answers with the merge; the cache answers the probes it holds, ships
+// the cut to the rest and splices the reply in with the same merge.
+impl Request {
+    /// The probes of a read: one for `WINDOW`, `COUNT` and `ε-RANGE`, one
+    /// per window, probe, MBR or pushed object for the batched and
+    /// cooperative kinds. A level read and the writes carry none.
+    pub(crate) fn probes(&self) -> usize {
+        match self {
+            Request::Window(_) | Request::Count(_) | Request::EpsRange { .. } => 1,
+            Request::MultiCount(windows) => windows.len(),
+            Request::BucketEpsRange { probes, .. } => probes.len(),
+            Request::CoopFilterByMbrs { mbrs, .. } => mbrs.len(),
+            Request::CoopJoinPush { objects, .. } => objects.len(),
+            Request::CoopLevelMbrs(_) | Request::ApplyUpdates(_) | Request::Changes { .. } => 0,
+        }
+    }
+
+    /// The reach of probe `i`: a rectangle that every object in its answer
+    /// intersects, so a store whose objects all lie outside it answers the
+    /// probe with nothing. A window reaches itself. An ε-probe reaches its
+    /// rectangle grown by |ε|: the server keeps an object when `dx² + dy²
+    /// ≤ ε²`, which bounds each gap by |ε| whatever ε's sign (`expand(ε)`
+    /// itself would shrink for ε < 0). A pushed object reaches as far as
+    /// the ε the server joins at: `ε > 0` is the distance join, anything
+    /// else — zero, negative, NaN — the intersection join.
+    pub(crate) fn reach(&self, i: usize) -> Rect {
+        match self {
+            Request::Window(w) | Request::Count(w) => *w,
+            Request::MultiCount(windows) => windows[i],
+            Request::EpsRange { q, eps } => q.expand(eps.abs()),
+            Request::BucketEpsRange { probes, eps } => probes[i].mbr.expand(eps.abs()),
+            Request::CoopFilterByMbrs { mbrs, eps } => mbrs[i].expand(eps.abs()),
+            Request::CoopJoinPush { objects, eps } => {
+                objects[i].mbr.expand(if *eps > 0.0 { *eps } else { 0.0 })
+            }
+            Request::CoopLevelMbrs(_) | Request::ApplyUpdates(_) | Request::Changes { .. } => {
+                unreachable!("{self:?} carries no probe")
+            }
+        }
+    }
+
+    /// The cut: this request narrowed to the probes `picks` names, in
+    /// that order. The answer to the cut is the answer to those probes —
+    /// every probe is answered on its own. A request without probes is
+    /// its own cut.
+    pub(crate) fn cut(&self, picks: &[usize]) -> Request {
+        fn pick<T: Copy>(items: &[T], picks: &[usize]) -> Vec<T> {
+            picks.iter().map(|&i| items[i]).collect()
+        }
+        match self {
+            Request::MultiCount(windows) => Request::MultiCount(pick(windows, picks)),
+            Request::BucketEpsRange { probes, eps } => Request::BucketEpsRange {
+                probes: pick(probes, picks),
+                eps: *eps,
+            },
+            Request::CoopFilterByMbrs { mbrs, eps } => Request::CoopFilterByMbrs {
+                mbrs: pick(mbrs, picks),
+                eps: *eps,
+            },
+            Request::CoopJoinPush { objects, eps } => Request::CoopJoinPush {
+                objects: pick(objects, picks),
+                eps: *eps,
+            },
+            one_or_none => one_or_none.clone(),
+        }
+    }
+
+    /// The empty answer: what a store holding nothing answers, and what a
+    /// merge starts from. A write has none; a merge of one is refused.
+    pub(crate) fn empty_answer(&self) -> Response {
+        match self {
+            Request::Window(_) | Request::EpsRange { .. } | Request::CoopFilterByMbrs { .. } => {
+                Response::Objects(Vec::new())
+            }
+            Request::Count(_) => Response::Count(0),
+            Request::MultiCount(windows) => Response::Counts(vec![0; windows.len()]),
+            Request::BucketEpsRange { probes, .. } => {
+                Response::Buckets(vec![Vec::new(); probes.len()])
+            }
+            Request::CoopLevelMbrs(_) => Response::Rects(Vec::new()),
+            Request::CoopJoinPush { .. } => Response::Pairs(Vec::new()),
+            Request::ApplyUpdates(_) | Request::Changes { .. } => Response::Refused,
+        }
+    }
+}
+
 /// A server's answer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -166,6 +257,47 @@ impl Response {
     /// reply that did not decode — which retry and failover act on.
     pub fn is_failure(&self) -> bool {
         matches!(self, Response::Malformed | Response::Unavailable)
+    }
+
+    /// `true` for the typed non-answers any request may draw: a refusal
+    /// or a failed exchange.
+    pub(crate) fn is_non_answer(&self) -> bool {
+        self.is_failure() || *self == Response::Refused
+    }
+
+    /// The merge: folds `more`, one store's answer to the cut to `picks`,
+    /// into `self`, the answer merged so far (the empty answer, first).
+    /// Counts add: the partitioner assigns every object to exactly one
+    /// shard, and a cache answers a probe only where no shard is asked it.
+    /// Object lists and pairs keep the first occurrence of each key
+    /// ([`absorb`]): a straddler replicated into two stores is one object.
+    /// Level MBRs concatenate into the fleet's forest level. The batched
+    /// kinds merge position by position, the `k`-th entry of `more` into
+    /// position `picks[k]`, since the cut keeps its probes in `picks`
+    /// order. Any other reply is a typed non-answer, and it becomes the
+    /// merged answer; a later reply does not unseat it.
+    pub(crate) fn merge(&mut self, more: Response, picks: &[usize]) {
+        match (self, more) {
+            (Response::Count(total), Response::Count(n)) => *total += n,
+            (Response::Counts(totals), Response::Counts(more)) => {
+                for (&i, n) in picks.iter().zip(more) {
+                    totals[i] += n;
+                }
+            }
+            (Response::Objects(merged), Response::Objects(more)) => absorb(merged, more, |o| o.id),
+            (Response::Buckets(merged), Response::Buckets(more)) => {
+                for (&i, bucket) in picks.iter().zip(more) {
+                    absorb(&mut merged[i], bucket, |o| o.id);
+                }
+            }
+            (Response::Rects(merged), Response::Rects(more)) => merged.extend(more),
+            (Response::Pairs(merged), Response::Pairs(more)) => absorb(merged, more, |&pair| pair),
+            (merged, non_answer) => {
+                if !merged.is_non_answer() {
+                    *merged = non_answer;
+                }
+            }
+        }
     }
 
     /// Spatial objects this answer carries — what the meters charge as
@@ -229,6 +361,28 @@ impl Response {
             Response::Pairs(p) => p,
             other => panic!("protocol mismatch: expected Pairs, got {other:?}"),
         }
+    }
+}
+
+/// Adds one more store's contribution to a merged list. A sole
+/// contributor's list is moved in untouched — a store holds a key once.
+/// A further one is appended and the list reduced to the first
+/// occurrence of each key, in order (defensive: the partitioner is
+/// disjoint, so a repeat is a replicated straddler and must collapse to
+/// one item) — by a sorted scan over (key, position), nothing hashed.
+pub(crate) fn absorb<T, K: Ord>(merged: &mut Vec<T>, more: Vec<T>, key: impl Fn(&T) -> K) {
+    if merged.is_empty() {
+        *merged = more;
+    } else if !more.is_empty() {
+        merged.extend(more);
+        let mut order: Vec<(K, usize)> = merged.iter().map(&key).zip(0..).collect();
+        order.sort_unstable();
+        let mut repeat = vec![false; merged.len()];
+        for pair in order.windows(2) {
+            repeat[pair[1].1] = pair[0].0 == pair[1].0;
+        }
+        let mut repeat = repeat.into_iter();
+        merged.retain(|_| !repeat.next().expect("one flag per item"));
     }
 }
 
@@ -327,5 +481,177 @@ mod tests {
     #[should_panic(expected = "protocol mismatch")]
     fn unwrap_mismatch_panics() {
         Response::Count(1).into_objects();
+    }
+
+    #[test]
+    fn absorb_keeps_first_occurrences_in_order_and_moves_a_sole_list_in() {
+        let mut merged: Vec<u32> = Vec::new();
+        let sole = vec![3, 1, 3, 2];
+        let at = sole.as_ptr();
+        absorb(&mut merged, sole, |&k| k);
+        assert_eq!(
+            merged,
+            [3, 1, 3, 2],
+            "a store's own reply is not second-guessed"
+        );
+        assert_eq!(merged.as_ptr(), at, "moved, not copied");
+        absorb(&mut merged, vec![], |&k| k);
+        assert_eq!(merged, [3, 1, 3, 2]);
+        absorb(&mut merged, vec![2, 9, 1, 9], |&k| k);
+        assert_eq!(merged, [3, 1, 2, 9]);
+    }
+
+    // ---- the laws, against the server's own predicates ----
+
+    use crate::testutil::ScanHandler;
+    use asj_geom::Point;
+    use proptest::prelude::*;
+
+    /// The ε values every law must hold for: negative, both zeros, NaN,
+    /// one inside the data's scale and one beyond it.
+    const EPS: [f64; 7] = [-50.0, -1.0, -0.0, 0.0, f64::NAN, 2.5, 300.0];
+
+    /// A rectangle on a quarter-unit grid, degenerate (a point or a
+    /// segment) whenever a side draws 0.
+    fn rect() -> impl Strategy<Value = Rect> {
+        (-80i32..=80, -80i32..=80, 0i32..=24, 0i32..=24).prop_map(|(x, y, w, h)| {
+            let (x, y) = (x as f64 * 0.25, y as f64 * 0.25);
+            Rect::new(
+                Point::new(x, y),
+                Point::new(x + w as f64 * 0.25, y + h as f64 * 0.25),
+            )
+        })
+    }
+
+    fn objects(mbrs: &[Rect]) -> Vec<SpatialObject> {
+        let ids = 0..mbrs.len() as u32;
+        ids.zip(mbrs)
+            .map(|(id, &mbr)| SpatialObject::new(id, mbr))
+            .collect()
+    }
+
+    /// Every read kind that carries probes, over the same windows and ε.
+    fn reads(windows: &[Rect], eps: f64) -> Vec<Request> {
+        let (w, pushed) = (windows[0], objects(windows));
+        vec![
+            Request::Window(w),
+            Request::Count(w),
+            Request::MultiCount(windows.to_vec()),
+            Request::EpsRange { q: w, eps },
+            Request::BucketEpsRange {
+                probes: pushed.clone(),
+                eps,
+            },
+            Request::CoopFilterByMbrs {
+                mbrs: windows.to_vec(),
+                eps,
+            },
+            Request::CoopJoinPush {
+                objects: pushed,
+                eps,
+            },
+        ]
+    }
+
+    /// Whether the server puts an object at `mbr` in probe `i`'s answer:
+    /// `intersects` for the windows, `within_distance` for the ε-probes,
+    /// and for a push the join at `ε > 0 ? ε : 0` (`asj-server`'s
+    /// `SpatialService`).
+    fn accepts(req: &Request, i: usize, mbr: &Rect) -> bool {
+        match req {
+            Request::Window(w) | Request::Count(w) => mbr.intersects(w),
+            Request::MultiCount(windows) => mbr.intersects(&windows[i]),
+            Request::EpsRange { q, eps } => mbr.within_distance(q, *eps),
+            Request::BucketEpsRange { probes, eps } => mbr.within_distance(&probes[i].mbr, *eps),
+            Request::CoopFilterByMbrs { mbrs, eps } => mbr.within_distance(&mbrs[i], *eps),
+            Request::CoopJoinPush { objects, eps } => {
+                mbr.within_distance(&objects[i].mbr, if *eps > 0.0 { *eps } else { 0.0 })
+            }
+            other => panic!("{other:?} carries no probe"),
+        }
+    }
+
+    /// An answer with every object list sorted by id: a merged list equals
+    /// the flat one as a set.
+    fn by_id(resp: Response) -> Response {
+        let sorted = |mut v: Vec<SpatialObject>| {
+            v.sort_unstable_by_key(|o| o.id);
+            v
+        };
+        match resp {
+            Response::Objects(v) => Response::Objects(sorted(v)),
+            Response::Buckets(b) => Response::Buckets(b.into_iter().map(sorted).collect()),
+            other => other,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // Reach soundness: an object the server's predicate accepts for a
+        // probe intersects that probe's reach, so a store the reach misses
+        // can only answer it with nothing.
+        #[test]
+        fn every_accepted_object_intersects_its_probes_reach(
+            windows in prop::collection::vec(rect(), 1..6),
+            mbrs in prop::collection::vec(rect(), 0..40),
+            e in 0usize..EPS.len(),
+        ) {
+            for req in reads(&windows, EPS[e]) {
+                for i in 0..req.probes() {
+                    let reach = req.reach(i);
+                    for mbr in mbrs.iter().filter(|m| accepts(&req, i, m)) {
+                        prop_assert!(mbr.intersects(&reach), "{req:?} probe {i}: {mbr:?} outside {reach:?}");
+                    }
+                }
+            }
+        }
+
+        // Split then merge equals the flat answer: each of 1–7 disjoint
+        // stores answers the cut to the probes that reach its MBR union,
+        // and the replies merge, from the empty answer, into exactly what
+        // one store holding every object answers.
+        #[test]
+        fn the_merged_cuts_of_disjoint_stores_answer_as_one_store(
+            windows in prop::collection::vec(rect(), 1..6),
+            placed in prop::collection::vec((rect(), 0usize..7), 0..40),
+            stores in 1usize..=7,
+            e in 0usize..EPS.len(),
+        ) {
+            let all = objects(&placed.iter().map(|&(mbr, _)| mbr).collect::<Vec<_>>());
+            let split: Vec<Vec<SpatialObject>> = (0..stores)
+                .map(|s| {
+                    let own = all.iter().zip(&placed).filter(|(_, &(_, at))| at % stores == s);
+                    own.map(|(o, _)| *o).collect()
+                })
+                .collect();
+            for req in reads(&windows, EPS[e]).into_iter().filter(|r| !r.is_cooperative()) {
+                let mut merged = req.empty_answer();
+                for objects in &split {
+                    let Some(bounds) = Rect::union_of(objects.iter().map(|o| o.mbr)) else {
+                        continue;
+                    };
+                    let picks: Vec<usize> = (0..req.probes())
+                        .filter(|&i| bounds.intersects(&req.reach(i)))
+                        .collect();
+                    if !picks.is_empty() {
+                        let reply = ScanHandler(objects.clone()).handle(req.cut(&picks));
+                        merged.merge(reply, &picks);
+                    }
+                }
+                let flat = ScanHandler(all.clone()).handle(req.clone());
+                prop_assert_eq!(by_id(merged), by_id(flat), "{:?}", req);
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_answer_is_the_merged_answer_and_stays_it() {
+        let mut merged = Request::Count(Rect::from_coords(0.0, 0.0, 1.0, 1.0)).empty_answer();
+        merged.merge(Response::Count(3), &[0]);
+        merged.merge(Response::Refused, &[0]);
+        merged.merge(Response::Count(4), &[0]);
+        merged.merge(Response::Unavailable, &[0]);
+        assert_eq!(merged, Response::Refused);
     }
 }

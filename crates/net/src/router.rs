@@ -12,19 +12,19 @@
 //! 1. **prunes** shards whose advertised bounds cannot contain an answer
 //!    (a shard's bounds cover the full MBRs of all its objects, including
 //!    boundary straddlers, so pruning never loses a result);
-//! 2. **scatters** sub-requests to the survivors — split-phase, the
-//!    sub-requests of *every* request of a batch together, one
+//! 2. **scatters** to the survivors — split-phase, the sub-requests of
+//!    *every* request of a batch together, one
 //!    [`RawExchange::begin_many`] per (shard, replica) edge, so threaded
-//!    shard servers work concurrently and a batch shares its round trips;
-//!    batched requests (`MultiCount`, `BucketEpsRange`) are *sub-batched*:
-//!    each shard receives only the probes that can touch it;
-//! 3. **merges** the responses: a sole contributor's object list is the
-//!    answer as it came, several are concatenated in shard order keeping
-//!    the first occurrence of each id, counts are summed (exact, because the
-//!    partitioner assigns every object to exactly one shard), average
-//!    areas are weighted by matching-object count, and cooperative level
-//!    MBRs concatenate into a forest level (the fleet's defined
-//!    cooperative-mode answer);
+//!    shard servers work concurrently and a batch shares its round trips.
+//!    Each shard receives the *cut* of the request to the probes whose
+//!    *reach* touches its bounds — the request itself when that is all of
+//!    them — both laws of the protocol (`proto.rs`), not of the router;
+//! 3. **merges** the responses in shard order by the protocol's *merge*
+//!    law, from the request's empty answer: counts add, object lists and
+//!    pairs keep the first occurrence of each key (a sole contributor's
+//!    list is the answer as it came), level MBRs concatenate into the
+//!    fleet's forest level, and the batched kinds merge position by
+//!    position;
 //! 4. **meters** every physical exchange — once, at its edge — into a
 //!    per-replica [`LinkMeter`]; the aggregate meter the fronting link
 //!    exposes sums those, and a [`FleetSnapshot`] sums each shard's row:
@@ -35,7 +35,7 @@
 //! wire-identical to a flat one — the anchor of the differential test
 //! suite — while going through the same flight scheduler as any fleet.
 //!
-//! **Live updates.** `Request::ApplyUpdates` scatters to *owning* shards
+//! **Live updates.** `ApplyUpdates` scatters to *owning* shards
 //! (see `apply_updates`): every shard is contacted on every fleet-level
 //! batch, so the **fleet generation** — the *sum* of the per-shard
 //! generations — advances by exactly the shard count per batch. The
@@ -43,7 +43,7 @@
 //! tracks them in per-shard [`ShardMeta`]s, and reports the fleet
 //! generation with every merged response (0 on a frozen fleet). Owner
 //! routing needs a declared partition: a fleet whose shards carry no
-//! cells refuses updates. `Request::Changes` is refused here, with
+//! cells refuses updates. `Changes` is refused here, with
 //! nothing sent: a sum of generations names no shard's `since` (a fleet of
 //! one edge passes it through like everything else).
 //!
@@ -59,7 +59,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use asj_geom::{Point, Rect, SpatialObject};
+use asj_geom::{Point, Rect};
 use bytes::Bytes;
 
 use crate::codec::{wire_exact, WireVersion};
@@ -338,17 +338,6 @@ fn sum(snapshots: &[LinkSnapshot]) -> LinkSnapshot {
     (snapshots.iter()).fold(LinkSnapshot::default(), |acc, s| acc.plus(s))
 }
 
-/// The payload of a sub-reply of the expected kind. Any other reply is a
-/// typed non-answer, and the merged answer: the enclosing merge returns it.
-macro_rules! payload {
-    ($resp:expr, $kind:path) => {
-        match $resp {
-            $kind(payload) => payload,
-            non_answer => return non_answer,
-        }
-    };
-}
-
 /// Scatter-gather layer over a fleet of shard servers. See the module
 /// docs for the routing, merging and metering rules.
 pub struct ShardRouter {
@@ -449,37 +438,6 @@ impl ShardRouter {
     /// The packet model sub-exchanges are metered under.
     pub fn packet(&self) -> PacketModel {
         self.packet
-    }
-
-    /// Negotiates wire protocol v2 on every shard's physical edges: every
-    /// edge's `HELLO` is sent before any `ACCEPT` is read, so the whole
-    /// fleet handshakes in one round trip (4 unmetered link-control bytes
-    /// per edge). A shard speaks v2 only when **every** replica
-    /// `ACCEPT`s — a mixed replica set stays at [`WireVersion::V1`] so
-    /// failing over mid-request never changes the frame format.
-    /// Mixed-version fleets degrade per shard, never fail. Call sites
-    /// gate on `NetConfig::wire_v2`.
-    pub fn negotiate_v2(&mut self) {
-        let hellos: Vec<Vec<Pending>> = self
-            .edges
-            .iter()
-            .map(|group| group.iter().map(Edge::hello).collect())
-            .collect();
-        for (group, hellos) in self.edges.iter_mut().zip(hellos) {
-            let mut unanimous = true;
-            for (edge, hello) in group.iter_mut().zip(hellos) {
-                unanimous &= edge.accept(&hello.wait()) == WireVersion::V2;
-            }
-            if !unanimous {
-                group.iter_mut().for_each(|e| e.set_wire(WireVersion::V1));
-            }
-        }
-    }
-
-    /// The wire version of each shard's edges, in shard order. All
-    /// [`WireVersion::V1`] unless [`ShardRouter::negotiate_v2`] ran.
-    pub fn wire_versions(&self) -> Vec<WireVersion> {
-        self.edges.iter().map(|group| group[0].wire()).collect()
     }
 
     /// Notes a failed exchange on one replica edge's breaker; meters the
@@ -661,27 +619,6 @@ impl ShardRouter {
         }
     }
 
-    /// One request's scatter: flies `sub(shard, bounds)`, as a read for
-    /// request `slot` of the batch, to every shard it names a sub-request
-    /// for and counts the others as pruned.
-    fn fan<'a>(
-        &self,
-        flights: &mut Few<Flight<'a>>,
-        slot: usize,
-        sub: impl Fn(usize, Option<Rect>) -> Option<Cow<'a, Request>>,
-    ) {
-        for (shard, meta) in self.telemetry.metas.iter().enumerate() {
-            let Some(sub) = sub(shard, meta.bounds()) else {
-                self.telemetry.pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            let frame = self.edges[shard][0].frame(sub);
-            let hash = spread_hash(&frame.bytes);
-            let rotation = self.rotation(shard, hash);
-            flights.push(Flight::new(slot, shard, frame, hash, rotation, false));
-        }
-    }
-
     /// The fleet generation one request's flights (`run`, at most one
     /// per shard) were served at: per shard, the generation its own reply
     /// reported or, where it contributed nothing, the highest observed
@@ -695,149 +632,64 @@ impl ShardRouter {
             .sum()
     }
 
-    /// Probe indices each shard can answer, under `reach(bounds, probe)`.
-    fn pick_indices<T>(&self, probes: &[T], reach: impl Fn(&Rect, &T) -> bool) -> Vec<Vec<usize>> {
-        let reached = |b: Option<Rect>, i: usize| b.is_some_and(|b| reach(&b, &probes[i]));
-        let picks = |b| (0..probes.len()).filter(|&i| reached(b, i)).collect();
-        let metas = self.telemetry.metas.iter();
-        metas.map(|m| picks(m.bounds())).collect()
-    }
-
-    /// The first half of a scatter-gather: flies `req`'s sub-request to
-    /// every shard that can contribute — `req` itself, borrowed, where
-    /// the sub-request *is* the request — and returns, for the batched
-    /// kinds, which probes each shard was sent. Every rectangle decision
-    /// is taken on the request's [`wire_exact`] form, returned for the
-    /// merge. `ApplyUpdates` and `Changes` scatter nothing here — both
-    /// finish in [`ShardRouter::merge`].
-    fn scatter<'a>(
-        &self,
-        slot: usize,
-        req: &'a Request,
-        flights: &mut Few<Flight<'a>>,
-    ) -> (Request, Vec<Vec<usize>>) {
-        // Where an ε-kind probe reaches: a shard filters by `dx² + dy² ≤
-        // ε²`, so whatever ε's sign, every object it can answer lies in the
-        // probe grown by |ε| — the reach the client cache's containment
-        // test uses too. (`expand(ε)` itself would shrink for ε < 0.)
-        let reach = |probe: &Rect, eps: f64| probe.expand(eps.abs());
-        let touches = |b: Option<Rect>, reach: &Rect| b.is_some_and(|b| b.intersects(reach));
-        let whole = |reach: Rect| move |_, b| touches(b, &reach).then_some(Cow::Borrowed(req));
-        // A batched request's cut for each shard its `picks` name probes for.
-        let cut = |flights: &mut _, picks: &[Vec<usize>], sub: &dyn Fn(&[usize]) -> Request| {
-            let sub = |i: usize, _| (!picks[i].is_empty()).then(|| Cow::Owned(sub(&picks[i])));
-            self.fan(flights, slot, sub)
-        };
-        let (exact, mut picks) = (wire_exact(req), Vec::new());
-        match &exact {
-            Request::Window(w) | Request::Count(w) => self.fan(flights, slot, whole(*w)),
-            Request::EpsRange { q, eps } => self.fan(flights, slot, whole(reach(q, *eps))),
-            Request::MultiCount(windows) => {
-                picks = self.pick_indices(windows, |b, w| b.intersects(w));
-                let sub = |p: &[usize]| p.iter().map(|&k| windows[k]).collect();
-                cut(flights, &picks, &|p| Request::MultiCount(sub(p)));
-            }
-            Request::BucketEpsRange { probes, eps } => {
-                picks = self.pick_indices(probes, |b, p| b.intersects(&reach(&p.mbr, *eps)));
-                let sub = |p: &[usize]| p.iter().map(|&k| probes[k]).collect();
-                let eps = *eps;
-                cut(flights, &picks, &|p| Request::BucketEpsRange {
-                    probes: sub(p),
-                    eps,
-                });
-            }
-            // The fleet's cooperative level is the *forest* level: the
-            // concatenation of every shard's published level, in shard
-            // order. Never pruned — index structure is global.
-            Request::CoopLevelMbrs(_) => self.fan(flights, slot, |_, _| Some(Cow::Borrowed(req))),
-            // Payload trimmed per shard, but every shard is contacted
-            // so a non-cooperative policy refusal propagates.
-            Request::CoopFilterByMbrs { mbrs, eps } => self.fan(flights, slot, |_, b| {
-                let near = |m: &&Rect| touches(b, &reach(m, *eps));
-                Some(Cow::Owned(Request::CoopFilterByMbrs {
-                    mbrs: mbrs.iter().filter(near).copied().collect(),
-                    eps: *eps,
-                }))
-            }),
-            // Reaches as far as the ε the shard joins at: `eps > 0` is the
-            // ε-distance join, anything else (zero, negative, NaN) the
-            // intersection join.
-            Request::CoopJoinPush { objects, eps } => self.fan(flights, slot, |_, b| {
-                let joined_at = if *eps > 0.0 { *eps } else { 0.0 };
-                let near = |o: &&SpatialObject| touches(b, &reach(&o.mbr, joined_at));
-                Some(Cow::Owned(Request::CoopJoinPush {
-                    objects: objects.iter().filter(near).copied().collect(),
-                    eps: *eps,
-                }))
-            }),
-            Request::ApplyUpdates(_) | Request::Changes { .. } => {}
+    /// The first half of a scatter-gather: flies to every shard, as a read
+    /// for request `slot` of the batch, the cut of `req` to the probes
+    /// whose reach touches the shard's bounds — `req` itself, borrowed,
+    /// where that is all of them — and counts the shards it reaches none
+    /// on as pruned. A cooperative request is never pruned: index
+    /// structure is global, and a non-cooperative policy refusal must
+    /// propagate from every shard. Every rectangle decision is taken on
+    /// the request's [`wire_exact`] form, returned for the merge.
+    /// `ApplyUpdates` and `Changes` scatter nothing here — both finish in
+    /// [`ShardRouter::merge`].
+    fn scatter<'a>(&self, slot: usize, req: &'a Request, flights: &mut Few<Flight<'a>>) -> Request {
+        let exact = wire_exact(req);
+        if matches!(req, Request::ApplyUpdates(_) | Request::Changes { .. }) {
+            return exact;
         }
-        (exact, picks)
+        let reaches: Few<Rect> = (0..exact.probes()).map(|i| exact.reach(i)).collect();
+        let (reaches, cooperative) = (reaches.as_slice(), req.is_cooperative());
+        for (shard, meta) in self.telemetry.metas.iter().enumerate() {
+            let bounds = meta.bounds();
+            let reached = |&i: &usize| bounds.is_some_and(|b| b.intersects(&reaches[i]));
+            let picks: Few<usize> = (0..reaches.len()).filter(reached).collect();
+            let sub = match picks.as_slice().len() {
+                all if all == reaches.len() => Cow::Borrowed(req),
+                0 if !cooperative => {
+                    self.telemetry.pruned.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                _ => Cow::Owned(exact.cut(picks.as_slice())),
+            };
+            let frame = self.edges[shard][0].frame(sub);
+            let hash = spread_hash(&frame.bytes);
+            let rotation = self.rotation(shard, hash);
+            let flight = Flight::new(slot, shard, frame, hash, rotation, false);
+            flights.push(Flight { picks, ..flight });
+        }
+        exact
     }
 
     /// The second half: `req`'s answer from what its flights (`run`)
-    /// landed, in shard order. Every sub-reply reaching a merge is of its
-    /// request's kind or a typed non-answer (`Edge::judge` saw to that);
-    /// the first non-answer is the merged answer.
-    fn merge(&self, req: &Request, picks: &[Vec<usize>], run: &mut [Flight]) -> Response {
-        let replies = run.iter_mut().filter_map(|f| match f.result.take() {
-            Some(Landing::Resp(resp)) => Some((f.shard, resp)),
-            _ => None,
-        });
+    /// landed — the empty answer, with each reply merged in shard order at
+    /// the probes its flight carried. Every sub-reply reaching a merge is
+    /// of its request's kind or a typed non-answer (`Edge::judge` saw to
+    /// that); the first non-answer is the merged answer.
+    fn merge(&self, req: &Request, run: &mut [Flight]) -> Response {
         match req {
-            Request::Window(_) | Request::EpsRange { .. } | Request::CoopFilterByMbrs { .. } => {
-                let mut merged = Vec::new();
-                for (_, resp) in replies {
-                    absorb(&mut merged, payload!(resp, Response::Objects), |o| o.id);
-                }
-                Response::Objects(merged)
-            }
-            Request::Count(_) => {
-                let mut total = 0u64;
-                for (_, resp) in replies {
-                    total += payload!(resp, Response::Count);
-                }
-                Response::Count(total)
-            }
-            Request::MultiCount(windows) => {
-                let mut totals = vec![0u64; windows.len()];
-                for (shard, resp) in replies {
-                    let counts = payload!(resp, Response::Counts);
-                    for (&i, c) in picks[shard].iter().zip(counts) {
-                        totals[i] += c;
-                    }
-                }
-                Response::Counts(totals)
-            }
-            Request::BucketEpsRange { probes, .. } => {
-                let mut merged: Vec<Vec<SpatialObject>> = vec![Vec::new(); probes.len()];
-                for (shard, resp) in replies {
-                    let buckets = payload!(resp, Response::Buckets);
-                    for (&i, bucket) in picks[shard].iter().zip(buckets) {
-                        absorb(&mut merged[i], bucket, |o| o.id);
-                    }
-                }
-                Response::Buckets(merged)
-            }
-            Request::CoopLevelMbrs(_) => {
-                let mut mbrs = Vec::new();
-                for (_, resp) in replies {
-                    mbrs.extend(payload!(resp, Response::Rects));
-                }
-                Response::Rects(mbrs)
-            }
-            Request::ApplyUpdates(batch) => self.apply_updates(batch),
+            Request::ApplyUpdates(batch) => return self.apply_updates(batch),
             // The fleet generation is a sum over shards: no shard can be
             // asked for what changed since it. Refused here, nothing sent.
-            Request::Changes { .. } => Response::Refused,
-            Request::CoopJoinPush { .. } => {
-                let mut merged = Vec::new();
-                for (_, resp) in replies {
-                    absorb(&mut merged, payload!(resp, Response::Pairs), |&pair| pair);
-                }
-                Response::Pairs(merged)
+            Request::Changes { .. } => return Response::Refused,
+            _ => {}
+        }
+        let mut merged = req.empty_answer();
+        for f in run {
+            if let Some(Landing::Resp(resp)) = f.result.take() {
+                merged.merge(resp, f.picks.as_slice());
             }
         }
+        merged
     }
 
     /// Scattered `ApplyUpdates`: each insert/move goes to the shard whose
@@ -950,18 +802,18 @@ impl Layer for ShardRouter {
         // the fleet generation that run was served at (0 on a frozen
         // fleet); an `Ack` carries its own.
         let mut flights = Few::new();
-        let plans: Few<_> = reqs
+        let exact: Few<_> = reqs
             .enumerate()
             .map(|(slot, req)| self.scatter(slot, req, &mut flights))
             .collect();
         let mut rest = flights.as_mut_slice();
         self.execute(rest);
-        for (slot, (req, picks)) in plans.into_iter().enumerate() {
+        for (slot, req) in exact.into_iter().enumerate() {
             let own = rest.iter().take_while(|f| f.slot == slot).count();
             let (run, later) = std::mem::take(&mut rest).split_at_mut(own);
             rest = later;
             let generation = self.served_at(run);
-            match self.merge(&req, &picks, run) {
+            match self.merge(&req, run) {
                 resp @ Response::Ack { generation } => reply(resp, generation),
                 resp => reply(resp, generation),
             }
@@ -975,13 +827,33 @@ impl Layer for ShardRouter {
         }
     }
 
+    /// Without `known`, negotiates wire protocol v2 on every shard's
+    /// physical edges: every edge's `HELLO` is sent before any `ACCEPT` is
+    /// read, so the whole fleet handshakes in one round trip (4 unmetered
+    /// link-control bytes per edge). A shard speaks v2 only when **every**
+    /// replica `ACCEPT`s — a mixed replica set stays at
+    /// [`WireVersion::V1`] so failing over mid-request never changes the
+    /// frame format. Mixed-version fleets degrade per shard, never fail.
     fn negotiate(&mut self, known: Option<&[WireVersion]>) -> Vec<WireVersion> {
         match known {
             Some(known) => {
                 let edges = self.edges.iter_mut().flatten();
                 edges.zip(known).for_each(|(e, &wire)| e.set_wire(wire));
             }
-            None => self.negotiate_v2(),
+            None => {
+                let hellos: Vec<Vec<Pending>> = (self.edges.iter())
+                    .map(|group| group.iter().map(Edge::hello).collect())
+                    .collect();
+                for (group, hellos) in self.edges.iter_mut().zip(hellos) {
+                    let mut unanimous = true;
+                    for (edge, hello) in group.iter_mut().zip(hellos) {
+                        unanimous &= edge.accept(&hello.wait()) == WireVersion::V2;
+                    }
+                    if !unanimous {
+                        group.iter_mut().for_each(|e| e.set_wire(WireVersion::V1));
+                    }
+                }
+            }
         }
         self.edges.iter().flatten().map(Edge::wire).collect()
     }
@@ -1032,6 +904,9 @@ struct Flight<'a> {
     slot: usize,
     shard: usize,
     frame: Frame<'a>,
+    /// The probes of the request this sub-request is the cut to: where
+    /// its reply merges in. None on a flight whose reply is the answer.
+    picks: Few<usize>,
     /// Request-hash spread key; re-picks the rotation on retry rounds.
     hash: u64,
     /// Replica try order for the current round.
@@ -1064,6 +939,7 @@ impl<'a> Flight<'a> {
             slot,
             shard,
             frame,
+            picks: Few::new(),
             hash,
             primary: rotation.at(0),
             rotation,
@@ -1091,79 +967,13 @@ fn owner_of(cells: &[Rect], p: &Point) -> usize {
     inside.or_else(nearest).expect("a fleet has shards")
 }
 
-/// Adds one more shard's contribution to a merged list. A sole
-/// contributor's list is moved in untouched — a store holds a key once.
-/// A further one is appended and the list reduced to the first
-/// occurrence of each key, in order (defensive: the partitioner is
-/// disjoint, so a repeat is a replicated straddler and must collapse to
-/// one item) — by a sorted scan over (key, position), nothing hashed.
-fn absorb<T, K: Ord>(merged: &mut Vec<T>, more: Vec<T>, key: impl Fn(&T) -> K) {
-    if merged.is_empty() {
-        *merged = more;
-    } else if !more.is_empty() {
-        merged.extend(more);
-        let mut order: Vec<(K, usize)> = merged.iter().map(&key).zip(0..).collect();
-        order.sort_unstable();
-        let mut repeat = vec![false; merged.len()];
-        for pair in order.windows(2) {
-            repeat[pair[1].1] = pair[0].0 == pair[1].0;
-        }
-        let mut repeat = repeat.into_iter();
-        merged.retain(|_| !repeat.next().expect("one flag per item"));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::QueryHandler;
+    use crate::testutil::ScanHandler as Scan;
     use crate::transport::{InProcExchange, Link};
-    use asj_geom::Point;
-
-    /// A scan-backed handler over a fixed object list.
-    struct Scan(Vec<SpatialObject>);
-
-    impl QueryHandler for Scan {
-        fn handle(&self, req: Request) -> Response {
-            match req {
-                Request::Window(w) => Response::Objects(
-                    self.0
-                        .iter()
-                        .filter(|o| o.mbr.intersects(&w))
-                        .copied()
-                        .collect(),
-                ),
-                Request::Count(w) => {
-                    Response::Count(self.0.iter().filter(|o| o.mbr.intersects(&w)).count() as u64)
-                }
-                Request::MultiCount(ws) => Response::Counts(
-                    ws.iter()
-                        .map(|w| self.0.iter().filter(|o| o.mbr.intersects(w)).count() as u64)
-                        .collect(),
-                ),
-                Request::EpsRange { q, eps } => Response::Objects(
-                    self.0
-                        .iter()
-                        .filter(|o| o.mbr.within_distance(&q, eps))
-                        .copied()
-                        .collect(),
-                ),
-                Request::BucketEpsRange { probes, eps } => Response::Buckets(
-                    probes
-                        .iter()
-                        .map(|p| {
-                            self.0
-                                .iter()
-                                .filter(|o| o.mbr.within_distance(&p.mbr, eps))
-                                .copied()
-                                .collect()
-                        })
-                        .collect(),
-                ),
-                _ => Response::Refused,
-            }
-        }
-    }
+    use asj_geom::{Point, SpatialObject};
 
     fn endpoint(objects: Vec<SpatialObject>) -> ShardEndpoint {
         let bounds = Rect::union_of(objects.iter().map(|o| o.mbr));
@@ -1301,24 +1111,6 @@ mod tests {
         );
         let fleet = l.fleet().unwrap().snapshot();
         assert_eq!((fleet.scattered, fleet.pruned), (3, 3));
-    }
-
-    #[test]
-    fn absorb_keeps_first_occurrences_in_order_and_moves_a_sole_list_in() {
-        let mut merged: Vec<u32> = Vec::new();
-        let sole = vec![3, 1, 3, 2];
-        let at = sole.as_ptr();
-        absorb(&mut merged, sole, |&k| k);
-        assert_eq!(
-            merged,
-            [3, 1, 3, 2],
-            "a store's own reply is not second-guessed"
-        );
-        assert_eq!(merged.as_ptr(), at, "moved, not copied");
-        absorb(&mut merged, vec![], |&k| k);
-        assert_eq!(merged, [3, 1, 3, 2]);
-        absorb(&mut merged, vec![2, 9, 1, 9], |&k| k);
-        assert_eq!(merged, [3, 1, 2, 9]);
     }
 
     #[test]

@@ -196,7 +196,7 @@ fn mixed_version_fleet_falls_back_per_link() {
     let net = NetConfig::default().with_wire_v2(true);
     // Both shards advertise the whole space: the router scatters every
     // query to both, so merging really crosses the version boundary.
-    let mut router = ShardRouter::new(
+    let router = ShardRouter::new(
         vec![
             ShardEndpoint::new(
                 Some(default_space()),
@@ -209,14 +209,13 @@ fn mixed_version_fleet_falls_back_per_link() {
         ],
         net.packet,
     );
-    router.negotiate_v2();
+    let link = Link::routed(router, net.tariff_r).negotiate();
     assert_eq!(
-        router.wire_versions(),
-        vec![WireVersion::V2, WireVersion::V1],
+        link.edge_wires(),
+        [WireVersion::V2, WireVersion::V1],
         "negotiation must settle per link, not per fleet"
     );
 
-    let link = Link::routed(router, net.tariff_r);
     for w in [
         Rect::from_coords(0.0, 0.0, 10_000.0, 10_000.0),
         Rect::from_coords(2_000.0, 1_000.0, 7_500.0, 8_000.0),
