@@ -397,7 +397,7 @@ pub fn run_sweep(
                 let net = cfg
                     .net
                     .with_batched_stats(cfg.net.batched_stats || algos[ai].batched_stats)
-                    .with_client_cache(cfg.net.client_cache.enabled || algos[ai].client_cache)
+                    .with_client_cache(cfg.net.client_cache || algos[ai].client_cache)
                     .with_wire_v2(cfg.net.wire_v2 || algos[ai].wire_v2);
                 let (dep, hint, data_r, data_s) =
                     build_deployment(rows[ri].1, 7 + seed * 97, cfg, net, algos[ai].shards);

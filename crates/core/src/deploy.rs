@@ -292,11 +292,6 @@ pub struct Deployment {
     /// on the first link to it: a property of the edge — its endpoint, its
     /// fault seed — not of the session, so later links resume at these.
     wires: [OnceLock<Vec<WireVersion>>; 2],
-    /// The shared reactor thread when the deployment was built with
-    /// [`DeploymentBuilder::event_loop`]: every endpoint of both sides is
-    /// served by this one thread. `None` in-process and when every server
-    /// has a reactor of its own.
-    reactor: Option<Arc<asj_net::EventLoop>>,
 }
 
 impl Deployment {
@@ -432,14 +427,6 @@ impl Deployment {
         self.r.replica_count().max(self.s.replica_count())
     }
 
-    /// `true` when every server is multiplexed onto one shared reactor
-    /// thread (built via [`DeploymentBuilder::event_loop`]); `false`
-    /// in-process and when each server has its own
-    /// ([`DeploymentBuilder::threaded`]).
-    pub fn is_event_loop(&self) -> bool {
-        self.reactor.is_some()
-    }
-
     /// Reactor endpoint stats (queue-depth high-water marks,
     /// served/malformed counters) for one side: one entry per server
     /// replica, shard-major. Empty on an in-process deployment.
@@ -562,8 +549,9 @@ impl DeploymentBuilder {
     /// drops, garbled replies, crash-then-restart. Pair with
     /// [`NetConfig::with_retry`] to give links a recovery budget; the
     /// chaos suites prove the faulted deployment still answers exactly
-    /// like a clean one whenever the budget suffices. A
-    /// [`FaultPlan::is_noop`] plan leaves traffic byte-identical.
+    /// like a clean one whenever the budget suffices. A plan that injects
+    /// nothing (a bare [`FaultPlan::seeded`]) leaves traffic
+    /// byte-identical.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -617,7 +605,7 @@ impl DeploymentBuilder {
 
     pub fn build(self) -> Deployment {
         assert!(
-            !(self.net.allow_partial && self.net.client_cache.enabled),
+            !(self.net.allow_partial && self.net.client_cache),
             "allow_partial cannot run with the client cache: a partial reply \
              must never be cached as the truth"
         );
@@ -708,10 +696,6 @@ impl DeploymentBuilder {
                 }
             }
         };
-        let cache = |cfg: asj_net::CacheConfig| {
-            cfg.enabled
-                .then(|| Arc::new(ClientCache::new(cfg.window_budget_bytes)))
-        };
         Deployment {
             r: make(self.r_objects, shards.map(|s| s.0), "R"),
             s: make(self.s_objects, shards.map(|s| s.1), "S"),
@@ -720,12 +704,11 @@ impl DeploymentBuilder {
             cooperative: self.cooperative,
             live: self.live,
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            cache_r: cache(self.net.client_cache),
-            cache_s: cache(self.net.client_cache),
+            cache_r: self.net.client_cache.then(Arc::default),
+            cache_s: self.net.client_cache.then(Arc::default),
             fault: self.fault,
             net: self.net,
             wires: Default::default(),
-            reactor,
         }
     }
 }
@@ -848,8 +831,6 @@ mod tests {
         let b = DeploymentBuilder::new(pts(50, 0.0), pts(50, 5.0))
             .event_loop()
             .build();
-        assert!(!a.is_event_loop());
-        assert!(b.is_event_loop());
         let w = Rect::from_coords(0.0, 0.0, 25.0, 25.0);
         let (ra, sa) = a.connect();
         let (rb, sb) = b.connect();
@@ -901,8 +882,6 @@ mod tests {
         // One reactor endpoint per shard server whatever the placement —
         // each on a thread of its own, or all on the shared one — and
         // none in-process.
-        assert!(looped.is_event_loop());
-        assert!(!threaded.is_event_loop() && !inproc.is_event_loop());
         let everything = Rect::from_coords(-1.0, -1.0, 100.0, 100.0);
         for d in [&threaded, &looped] {
             let (r, s) = d.connect();
@@ -1048,7 +1027,7 @@ mod tests {
         assert_eq!(r.request(&Request::Count(w)).into_count(), 39);
         assert_eq!(r.last_generation(), 8, "merged replies carry the fleet sum");
         let t = r.fleet().unwrap().snapshot();
-        assert_eq!(t.fleet_generation(), 8);
+        assert_eq!(t.generations, vec![2; 4]);
     }
 
     #[test]

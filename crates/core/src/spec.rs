@@ -84,7 +84,15 @@ impl JoinSpec {
     }
 
     /// Per-side window extension for every server interaction: ε/2 plus
-    /// the half-extent hint (0 for intersection joins).
+    /// the half-extent hint, per Section 3 of the paper (0 for
+    /// intersection joins).
+    ///
+    /// Soundness: a qualifying pair at distance `d ≤ ε` whose reference
+    /// point (the midpoint of its centres) falls in cell `c` has both
+    /// members within `d/2 ≤ ε/2` of that midpoint when they are points,
+    /// hence both intersect `c` extended by ε/2. A non-point member's
+    /// centre can lie farther from the midpoint by up to its half-extent,
+    /// which the hint bounds (see `asj_geom::dedup`).
     pub fn extension(&self) -> f64 {
         match self.predicate {
             JoinPredicate::Intersects => 0.0,

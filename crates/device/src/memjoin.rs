@@ -588,8 +588,9 @@ mod tests {
 
         let mut per_quadrant = ResultCollector::new();
         for q in space.quadrants() {
-            // Simulate window downloads: only objects near the quadrant.
-            let ext = pred.window_extension();
+            // Simulate window downloads: only objects near the quadrant,
+            // by the ε/2 rule of `JoinSpec::extension` for points.
+            let ext = pred.epsilon() * 0.5;
             let rq: Vec<_> = r
                 .iter()
                 .filter(|o| o.mbr.expand(ext).intersects(&q))

@@ -347,18 +347,6 @@ impl TrafficReport {
         }
         max / min
     }
-
-    /// Field-wise sum of every device's two link meters — the aggregate
-    /// the per-shard conservation law is checked against.
-    pub fn summed_meters(&self) -> (LinkSnapshot, LinkSnapshot) {
-        let mut r = LinkSnapshot::default();
-        let mut s = LinkSnapshot::default();
-        for o in &self.outcomes {
-            r = r.plus(&o.r_meter);
-            s = s.plus(&o.s_meter);
-        }
-        (r, s)
-    }
 }
 
 #[cfg(test)]

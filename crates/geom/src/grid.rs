@@ -98,13 +98,6 @@ impl Grid {
         Some((i, j))
     }
 
-    /// `true` when cell `(i, j)` owns `p`: half-open membership, far edge
-    /// closed. Every point of the (closed) window is owned by exactly one
-    /// cell.
-    pub fn cell_owns(&self, i: u32, j: u32, p: &Point) -> bool {
-        self.cell_of(p) == Some((i, j))
-    }
-
     /// The inclusive cell index ranges `(i0..=i1, j0..=j1)` whose (closed)
     /// cells can intersect `r`, or `None` when `r` lies strictly outside
     /// the window. A superset under FP drift: every returned index range
@@ -216,7 +209,7 @@ mod tests {
         ] {
             let owners = (0..3)
                 .flat_map(|j| (0..3).map(move |i| (i, j)))
-                .filter(|&(i, j)| g.cell_owns(i, j, &p))
+                .filter(|&(i, j)| g.cell_of(&p) == Some((i, j)))
                 .count();
             assert_eq!(owners, 1, "point {p:?} owned by {owners} cells");
         }

@@ -81,12 +81,6 @@ impl SpatialObject {
     pub fn center(&self) -> Point {
         self.mbr.center()
     }
-
-    /// `true` for degenerate (point) objects.
-    #[inline]
-    pub fn is_point(&self) -> bool {
-        self.mbr.min == self.mbr.max
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +90,7 @@ mod tests {
     #[test]
     fn point_object_is_degenerate() {
         let o = SpatialObject::point(7, 1.0, 2.0);
-        assert!(o.is_point());
+        assert_eq!(o.mbr.min, o.mbr.max);
         assert_eq!(o.center(), Point::new(1.0, 2.0));
         assert_eq!(o.id, 7);
     }
@@ -130,7 +124,7 @@ mod tests {
     #[test]
     fn mbr_object_center() {
         let o = SpatialObject::new(1, Rect::from_coords(0.0, 0.0, 2.0, 4.0));
-        assert!(!o.is_point());
+        assert_ne!(o.mbr.min, o.mbr.max);
         assert_eq!(o.center(), Point::new(1.0, 2.0));
     }
 }

@@ -40,19 +40,6 @@ impl JoinPredicate {
             JoinPredicate::WithinDistance(eps) => eps,
         }
     }
-
-    /// How far each *window* sent to a server must be extended per side so
-    /// that no qualifying pair straddling a cell boundary is missed: ε/2,
-    /// per Section 3 of the paper.
-    ///
-    /// Soundness: a qualifying pair at distance `d ≤ ε` whose reference
-    /// point (pair midpoint) falls in cell `c` has both members within
-    /// `d/2 ≤ ε/2` of the midpoint, hence both intersect `c` extended by
-    /// ε/2.
-    #[inline]
-    pub fn window_extension(&self) -> f64 {
-        self.epsilon() * 0.5
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +57,6 @@ mod tests {
         assert!(p.matches(&r(0.0, 0.0, 2.0, 2.0), &r(1.0, 1.0, 3.0, 3.0)));
         assert!(!p.matches(&r(0.0, 0.0, 1.0, 1.0), &r(2.0, 2.0, 3.0, 3.0)));
         assert_eq!(p.epsilon(), 0.0);
-        assert_eq!(p.window_extension(), 0.0);
     }
 
     #[test]
@@ -78,7 +64,6 @@ mod tests {
         let p = JoinPredicate::WithinDistance(1.5);
         assert!(p.matches(&r(0.0, 0.0, 1.0, 1.0), &r(2.0, 0.0, 3.0, 1.0))); // gap 1.0
         assert!(!p.matches(&r(0.0, 0.0, 1.0, 1.0), &r(3.0, 0.0, 4.0, 1.0))); // gap 2.0
-        assert_eq!(p.window_extension(), 0.75);
     }
 
     #[test]

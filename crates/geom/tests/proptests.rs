@@ -95,7 +95,7 @@ proptest! {
         if space.contains(&p) {
             let owners = (0..k)
                 .flat_map(|j| (0..k).map(move |i| (i, j)))
-                .filter(|&(i, j)| g.cell_owns(i, j, &p))
+                .filter(|&(i, j)| g.cell_of(&p) == Some((i, j)))
                 .count();
             prop_assert_eq!(owners, 1);
         } else {

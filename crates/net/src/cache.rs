@@ -140,27 +140,6 @@ use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{DeltaOp, Request, Response, Update};
 use crate::transport::RawExchange;
 
-/// Client-cache knob of a deployment's network configuration. Off by
-/// default: with `enabled = false` no [`CacheLayer`] is constructed at
-/// all, so wire traffic is byte-identical to a build without the
-/// extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Construct a [`CacheLayer`] in front of every server/fleet.
-    pub enabled: bool,
-    /// Byte budget of the window tier's LRU (wire-format bytes).
-    pub window_budget_bytes: u64,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            enabled: false,
-            window_budget_bytes: 256 * 1024,
-        }
-    }
-}
-
 /// Bit-exact total-order key of a query rectangle. `Ord` so victim
 /// selection can break ties deterministically (std `HashMap` iteration
 /// order is process-random).
@@ -189,6 +168,10 @@ type ProbeKey = (RectKey, u64);
 
 /// Objects per run of a window entry's index.
 const RUN: usize = 16;
+
+/// Byte budget (wire-format bytes) of the window tier of a deployment's
+/// stores, [`ClientCache::default`].
+const WINDOW_BUDGET_BYTES: u64 = 256 * 1024;
 
 /// One cached window download.
 struct WindowEntry {
@@ -739,6 +722,13 @@ impl ClientCache {
     #[cfg(any(test, feature = "testing"))]
     pub fn plant(&self, bug: PlantedBug) {
         *self.planted.lock().expect("cache poisoned") = Some(bug);
+    }
+}
+
+impl Default for ClientCache {
+    /// The store a deployment gives each side: a 256 KiB window tier.
+    fn default() -> Self {
+        ClientCache::new(WINDOW_BUDGET_BYTES)
     }
 }
 

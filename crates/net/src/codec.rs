@@ -228,9 +228,7 @@ pub(crate) mod op {
     /// frame it garbles (see `crate::fault::FaultLayer`). Deliberately
     /// outside every valid opcode range so a garbled frame can never
     /// silently decode as a different valid value — decoders reject it as
-    /// `UnknownOpcode(0xEE)` — while chaos-aware stats (the event loop's
-    /// `garbled` gauge) can still tell an injected garble from a
-    /// genuinely alien frame.
+    /// `UnknownOpcode(0xEE)`.
     pub const GARBLE: u8 = 0xEE;
 
     /// v2 object tag bit: min == max on both axes (a point) — the max
@@ -1272,14 +1270,6 @@ pub fn decode_accept(raw: &[u8]) -> Option<u8> {
     (raw.len() == HELLO_BYTES as usize && raw[0] == op::R_ACCEPT).then(|| raw[1])
 }
 
-/// The typed error reply a transport adapter sends back when it cannot
-/// decode a request frame ([`op::R_MALFORMED`]). Answering — instead of
-/// `expect`ing — is what keeps a shared server thread alive when one
-/// client garbles a frame.
-pub fn malformed_frame() -> Bytes {
-    Bytes::copy_from_slice(&[op::R_MALFORMED])
-}
-
 /// The locally fabricated pseudo-reply of a carrier whose peer is gone
 /// ([`op::R_UNAVAILABLE`]). Decodes to
 /// [`crate::proto::Response::Unavailable`]; metering layers must treat it
@@ -1344,13 +1334,6 @@ pub fn garble_frame(raw: &[u8]) -> Bytes {
         out.extend_from_slice(&raw[1..]);
     }
     Bytes::from(out)
-}
-
-/// `true` iff `raw` leads with the injected-garble marker — how
-/// chaos-aware stats distinguish injected corruption from genuinely
-/// alien frames.
-pub fn is_injected_garble(raw: &[u8]) -> bool {
-    !raw.is_empty() && raw[0] == op::GARBLE
 }
 
 #[cfg(test)]
@@ -1574,7 +1557,7 @@ mod tests {
         ];
         for f in frames {
             let g = garble_frame(&f);
-            assert!(is_injected_garble(&g));
+            assert_eq!(g[0], op::GARBLE);
             assert_eq!(g.len(), f.len());
             assert_eq!(
                 decode_response(g.clone()),
@@ -1585,8 +1568,6 @@ mod tests {
                 Err(CodecError::UnknownOpcode(op::GARBLE))
             );
         }
-        assert!(!is_injected_garble(&encode_response(&Response::Refused)));
-        assert!(!is_injected_garble(&[]));
     }
 
     #[test]

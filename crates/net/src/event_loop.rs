@@ -8,10 +8,9 @@
 //!   whole ready-queue per wake-up (there is no tokio here, and none is
 //!   needed: requests are already discrete ready-to-run events);
 //! * each [`EventEndpoint`] is one logical server (a [`QueryHandler`])
-//!   registered on a loop. Alone on it
-//!   ([`ChannelServer::spawn`](crate::ChannelServer::spawn)) it is the
-//!   paper's independent UNIX server, and a fleet costs a thread per
-//!   shard replica; any number can share one loop instead, and the
+//!   registered on a loop. Alone on a loop of its own it is the paper's
+//!   independent UNIX server, and a fleet costs a thread per shard
+//!   replica; any number can share one loop instead, and the
 //!   thread count stays constant however many shards there are and
 //!   however many devices connect — what a many-device harness needs;
 //! * each [`EventConnection`] is one device's socket to one endpoint,
@@ -75,6 +74,7 @@ pub struct ConnState {
 impl ConnState {
     /// The version the reactor negotiated on this connection (`V1`
     /// before any handshake — exactly a fresh socket's state).
+    #[cfg(any(test, feature = "testing"))]
     pub fn negotiated(&self) -> WireVersion {
         match self.wire.load(Ordering::Acquire) {
             v if v >= 2 => WireVersion::V2,
@@ -121,13 +121,9 @@ pub struct EndpointStats {
     served: AtomicU64,
     /// `HELLO` probes answered.
     handshakes: AtomicU64,
-    /// Undecodable frames with a recognizable-but-broken shape (alien
-    /// opcode, truncated payload) answered with the typed error.
+    /// Undecodable frames answered with the typed error: an alien opcode,
+    /// a truncated payload, a frame corrupted in transit.
     malformed: AtomicU64,
-    /// Undecodable frames bearing the fault layer's garble marker
-    /// (first byte [`crate::codec::op::GARBLE`]) — corruption injected
-    /// in transit, counted apart from genuinely alien traffic.
-    garbled: AtomicU64,
     /// Duplicate deliveries of an already-seen retry-dedup tag — each
     /// one is a client retry the endpoint absorbed at-most-once.
     retried: AtomicU64,
@@ -160,16 +156,9 @@ impl EndpointStats {
         self.handshakes.load(Ordering::Acquire)
     }
 
-    /// Undecodable non-garble frames answered with
-    /// [`crate::Response::Malformed`].
+    /// Undecodable frames answered with [`crate::Response::Malformed`].
     pub fn malformed(&self) -> u64 {
         self.malformed.load(Ordering::Acquire)
-    }
-
-    /// Injected-garble frames (first byte `0xEE`) answered with
-    /// [`crate::Response::Malformed`], counted apart from alien opcodes.
-    pub fn garbled(&self) -> u64 {
-        self.garbled.load(Ordering::Acquire)
     }
 
     /// Duplicate dedup-tagged deliveries absorbed at-most-once.
@@ -263,32 +252,22 @@ impl EventLoop {
                     replies.push((reply, accept, conn));
                     continue;
                 }
-                // Byte 0 is all the reactor reads of a frame it is about
-                // to serve. Only the retry-dedup envelope is opened: its
-                // tag feeds the retry gauge, and should the frame not
-                // decode, the body it wraps decides garbled-vs-malformed.
-                let mut head = request.first().copied();
-                if head == Some(crate::codec::op::APPLY_UPDATES_SEQ) {
-                    if let Some((tag, body)) = crate::codec::peel_dedup(&request) {
-                        let key = (Arc::as_ptr(stats) as usize, tag.nonce);
-                        if last_tags.insert(key, tag.seq) == Some(tag.seq) {
-                            stats.retried.fetch_add(1, Ordering::AcqRel);
-                        }
-                        head = body.first().copied();
+                // Of a frame it is about to serve, the reactor opens only
+                // the retry-dedup envelope: its tag feeds the retry gauge.
+                if let Some((tag, _)) = crate::codec::peel_dedup(&request) {
+                    let key = (Arc::as_ptr(stats) as usize, tag.nonce);
+                    if last_tags.insert(key, tag.seq) == Some(tag.seq) {
+                        stats.retried.fetch_add(1, Ordering::AcqRel);
                     }
                 }
                 buf.clear();
                 if crate::transport::serve_frame_into(conn.handler.as_ref(), request, &mut buf) {
                     served += 1;
                     stats.served.fetch_add(1, Ordering::AcqRel);
-                } else if head == Some(crate::codec::op::GARBLE) {
+                } else {
                     // The reactor serves every device: an undecodable
                     // frame gets the typed error (already encoded into
-                    // `buf`) and the loop keeps running. Injected
-                    // corruption (the fault layer's 0xEE marker) is
-                    // counted apart from genuinely alien opcodes.
-                    stats.garbled.fetch_add(1, Ordering::AcqRel);
-                } else {
+                    // `buf`) and the loop keeps running.
                     stats.malformed.fetch_add(1, Ordering::AcqRel);
                 }
                 conn.dequeued(1);
@@ -405,6 +384,7 @@ pub struct EventConnection {
 
 impl EventConnection {
     /// This connection's state (reactor-owned; read-only here).
+    #[cfg(any(test, feature = "testing"))]
     pub fn state(&self) -> &Arc<ConnState> {
         &self.conn
     }
@@ -455,14 +435,14 @@ impl RawExchange for EventConnection {
 pub(crate) mod tests {
     //! Each carrier behaviour is checked by one body that runs on either
     //! placement of the loop: this module's tests run it on a reactor
-    //! shared with a bystander endpoint, `transport::tests` on a
-    //! [`ChannelServer`]'s private one.
+    //! shared with a bystander endpoint, `transport::tests` on a reactor
+    //! of the endpoint's own.
 
     use super::*;
     use crate::packet::PacketModel;
     use crate::proto::{Request, Response};
     use crate::testutil::ScanHandler;
-    use crate::transport::{ChannelServer, Link};
+    use crate::transport::Link;
     use asj_geom::{Rect, SpatialObject};
     use std::sync::{mpsc, Mutex};
 
@@ -489,38 +469,26 @@ pub(crate) mod tests {
         Shared,
     }
 
-    /// The reactor of an endpoint under test.
-    enum Reactor {
-        Private(ChannelServer),
-        Shared(EventLoop, EventEndpoint),
-    }
+    /// The reactor of an endpoint under test, and the bystander endpoint
+    /// it shares it with, if any.
+    struct Reactor(EventLoop, Option<EventEndpoint>);
 
     impl Placement {
         fn serve<H: QueryHandler + 'static>(self, handler: Arc<H>) -> (Reactor, EventEndpoint) {
-            match self {
-                Placement::Private => {
-                    let (server, handle) = ChannelServer::spawn(handler, "private");
-                    (Reactor::Private(server), handle)
-                }
-                Placement::Shared => {
-                    let reactor = EventLoop::spawn("shared");
-                    let bystander = reactor.serve(Arc::new(ScanHandler(objects(1))));
-                    let endpoint = reactor.serve(handler);
-                    (Reactor::Shared(reactor, bystander), endpoint)
-                }
-            }
+            let reactor = EventLoop::spawn("under-test");
+            let bystander = match self {
+                Placement::Private => None,
+                Placement::Shared => Some(reactor.serve(Arc::new(ScanHandler(objects(1))))),
+            };
+            let endpoint = reactor.serve(handler);
+            (Reactor(reactor, bystander), endpoint)
         }
     }
 
     impl Reactor {
         fn join(self) -> u64 {
-            match self {
-                Reactor::Private(server) => server.join(),
-                Reactor::Shared(reactor, bystander) => {
-                    drop(bystander);
-                    reactor.join()
-                }
-            }
+            drop(self.1);
+            self.0.join()
         }
     }
 
@@ -595,8 +563,8 @@ pub(crate) mod tests {
     pub(crate) fn garbled_frames_answer_typed_and_serving_survives(on: Placement) {
         let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(5))));
         let conn = endpoint.connect();
-        // An injected-garble frame (0xEE marker) is answered typed like a
-        // genuinely alien opcode or a truncated frame, but counted apart.
+        // A frame garbled in transit (the fault layer's 0xEE marker), an
+        // alien opcode and a truncated frame are all answered typed.
         for garbage in [&[0xEE, 0x01, 0x02][..], &[0x5A, 0x01, 0x02], &[]] {
             let reply = conn.exchange(Bytes::copy_from_slice(garbage));
             assert_eq!(
@@ -604,8 +572,7 @@ pub(crate) mod tests {
                 Response::Malformed
             );
         }
-        assert_eq!(endpoint.stats().garbled(), 1, "injected corruption");
-        assert_eq!(endpoint.stats().malformed(), 2, "alien opcode, truncation");
+        assert_eq!(endpoint.stats().malformed(), 3, "garbled, alien, truncated");
         // Healthy traffic still flows on the same reactor.
         let healthy = link(endpoint.connect());
         assert_eq!(healthy.request(&Request::Count(w(100.0))).into_count(), 5);

@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use bytes::Bytes;
 
-use crate::codec::{garble_frame, unavailable_frame};
+use crate::codec::unavailable_frame;
 use crate::few::Few;
 use crate::health::spread_hash;
 use crate::meter::telemetry;
@@ -60,14 +60,9 @@ pub struct FaultPlan {
     /// Probability an exchange is dropped entirely (locally fabricated
     /// `R_UNAVAILABLE`; the inner carrier is never touched).
     pub drop_rate: f64,
-    /// Probability the frame is garbled (byte 0 stamped with the garble
-    /// marker). Applies to the reply, or to the request when
-    /// [`FaultPlan::garble_requests`] is set.
+    /// Probability the reply is garbled (byte 0 stamped with the garble
+    /// marker).
     pub garble_rate: f64,
-    /// Garble the *request* before it reaches the server instead of the
-    /// reply — exercises the server-side typed-error path and the event
-    /// loop's injected-garble gauge.
-    pub garble_requests: bool,
     /// Optional scripted crash-then-restart window.
     pub crash: Option<CrashPlan>,
 }
@@ -78,7 +73,6 @@ impl Default for FaultPlan {
             seed: 0,
             drop_rate: 0.0,
             garble_rate: 0.0,
-            garble_requests: false,
             crash: None,
         }
     }
@@ -108,21 +102,10 @@ impl FaultPlan {
         self
     }
 
-    /// Redirects garbling at request frames instead of replies.
-    pub fn garbling_requests(mut self) -> Self {
-        self.garble_requests = true;
-        self
-    }
-
     /// Scripts a crash window: exchanges `at .. at + dark` go dark.
     pub fn with_crash(mut self, at: u64, dark: u64) -> Self {
         self.crash = Some(CrashPlan { at, dark });
         self
-    }
-
-    /// `true` when the plan injects nothing at all.
-    pub fn is_noop(&self) -> bool {
-        self.drop_rate == 0.0 && self.garble_rate == 0.0 && self.crash.is_none()
     }
 }
 
@@ -215,11 +198,6 @@ impl FaultLayer {
         self
     }
 
-    /// The plan this layer injects from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Injection tally so far.
     pub fn stats(&self) -> FaultStats {
         self.counters.load()
@@ -275,7 +253,7 @@ impl FaultLayer {
 
 impl FaultLayer {
     /// Everything the script decides when an exchange begins, in request
-    /// order: crash window, roll, drop, request garbling. `None`
+    /// order: crash window, roll, drop. `None`
     /// when the exchange never happens — the inner carrier is not
     /// touched and the fabricated unavailable frame must stay unmetered;
     /// otherwise the frame to ship and, when its *reply* is to be garbled
@@ -295,10 +273,6 @@ impl FaultLayer {
         if roll.drop {
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
             return None;
-        }
-        if roll.garble && self.plan.garble_requests {
-            self.counters.garbled.fetch_add(1, Ordering::Relaxed);
-            return Some((garble_frame(&request), None));
         }
         let garble_reply = roll.garble.then(|| Arc::clone(&self.counters));
         Some((request, garble_reply))
@@ -374,7 +348,6 @@ mod tests {
             );
         }
         assert_eq!(layer.stats(), FaultStats::default());
-        assert!(FaultPlan::default().is_noop());
     }
 
     #[test]
@@ -427,19 +400,9 @@ mod tests {
     fn garbled_replies_decode_to_typed_malformed() {
         let layer = FaultLayer::new(inner(), FaultPlan::seeded(3).with_garbles(1.0));
         let reply = layer.exchange(count_req(0));
-        assert!(crate::codec::is_injected_garble(&reply));
+        assert_eq!(reply[0], crate::codec::op::GARBLE);
         assert!(decode_response(reply).is_err());
         assert_eq!(layer.stats().garbled, 1);
-    }
-
-    #[test]
-    fn garbled_requests_surface_as_server_side_malformed() {
-        let layer = FaultLayer::new(
-            inner(),
-            FaultPlan::seeded(3).with_garbles(1.0).garbling_requests(),
-        );
-        let reply = layer.exchange(count_req(0));
-        assert_eq!(decode_response(reply).unwrap(), Response::Malformed);
     }
 
     #[test]
@@ -508,10 +471,7 @@ mod tests {
     fn split_phase_replies_rolls_and_stats_match_the_serial_path() {
         for plan in [
             FaultPlan::seeded(42).with_drops(0.3).with_garbles(0.3),
-            FaultPlan::seeded(43)
-                .with_drops(0.2)
-                .with_garbles(0.4)
-                .garbling_requests(),
+            FaultPlan::seeded(43).with_drops(0.2).with_garbles(0.4),
         ] {
             let serial = FaultLayer::new(inner(), plan);
             let batched = FaultLayer::new(inner(), plan);

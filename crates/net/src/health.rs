@@ -57,14 +57,14 @@ pub struct BreakerConfig {
     /// Closed and routing never skips an edge.
     pub enabled: bool,
     /// Consecutive failures that trip a Closed breaker to Open.
-    pub threshold: u32,
+    pub(crate) threshold: u32,
     /// Exchange-clock ticks an Open breaker holds before HalfOpen.
-    pub cooldown: u64,
+    pub(crate) cooldown: u64,
 }
 
 impl BreakerConfig {
-    pub const DEFAULT_THRESHOLD: u32 = 3;
-    pub const DEFAULT_COOLDOWN: u64 = 8;
+    const DEFAULT_THRESHOLD: u32 = 3;
+    const DEFAULT_COOLDOWN: u64 = 8;
 
     /// Breakers off (the default): tracking only, no routing effect.
     pub fn disabled() -> Self {
@@ -75,7 +75,9 @@ impl BreakerConfig {
         }
     }
 
-    /// Breakers on with explicit knobs.
+    /// Breakers on with explicit knobs: a test seam — every deployment
+    /// runs [`BreakerConfig::enabled`]'s.
+    #[cfg(any(test, feature = "testing"))]
     pub fn new(threshold: u32, cooldown: u64) -> Self {
         assert!(threshold >= 1, "a breaker needs a positive trip threshold");
         BreakerConfig {
@@ -85,9 +87,13 @@ impl BreakerConfig {
         }
     }
 
-    /// Breakers on with the default knobs.
+    /// Breakers on with the default knobs: a Closed breaker trips on the
+    /// 3rd consecutive failure and half-opens 8 exchange-clock ticks later.
     pub fn enabled() -> Self {
-        BreakerConfig::new(Self::DEFAULT_THRESHOLD, Self::DEFAULT_COOLDOWN)
+        BreakerConfig {
+            enabled: true,
+            ..BreakerConfig::disabled()
+        }
     }
 }
 
@@ -312,6 +318,20 @@ mod tests {
         assert!(e.on_failure(&CFG, 2), "third consecutive failure trips");
         assert_eq!(e.state(&CFG, 3), BreakerState::Open);
         assert_eq!(e.snapshot(&CFG, 3).trips, 1);
+    }
+
+    #[test]
+    fn enabled_breakers_trip_on_the_third_failure_and_half_open_after_the_default_cooldown() {
+        let cfg = BreakerConfig::enabled();
+        let e = EdgeHealth::new();
+        assert!(!e.on_failure(&cfg, 0));
+        assert!(!e.on_failure(&cfg, 1));
+        assert_eq!(e.state(&cfg, 1), BreakerState::Closed, "2 failures");
+        assert!(e.on_failure(&cfg, 2), "the 3rd consecutive failure trips");
+        assert_eq!(BreakerConfig::DEFAULT_COOLDOWN, 8);
+        let half_open = 2 + BreakerConfig::DEFAULT_COOLDOWN;
+        assert_eq!(e.state(&cfg, half_open - 1), BreakerState::Open);
+        assert_eq!(e.state(&cfg, half_open), BreakerState::HalfOpen);
     }
 
     #[test]

@@ -27,12 +27,12 @@
 //!   one line per field, in [`meter`]'s telemetry lists;
 //! * [`transport`] — split-phase RPC over two interchangeable carriers: an
 //!   in-process call (fast, used by the experiment sweeps) and a mailbox
-//!   connection to a server on a reactor thread (the "distributed"
+//!   connection to an endpoint on a reactor thread (the "distributed"
 //!   deployment used by examples and integration tests);
 //! * [`event_loop`] — the **serving carrier**, the only serving loop: a
 //!   reactor thread multiplexing every endpoint and connection registered
-//!   on it; placement is one reactor per server ([`ChannelServer`]) or one
-//!   shared by a whole deployment;
+//!   on it; placement is one [`EventLoop`] per server or one shared by a
+//!   whole deployment;
 //! * [`router`] — the **scatter-gather extension**: a [`ShardRouter`]
 //!   makes a fleet of shard servers look like one — pruning by advertised
 //!   bounds, sub-batching, merging, metering per replica, per shard and in
@@ -162,7 +162,7 @@ pub mod testutil {
     }
 }
 
-pub use cache::{CacheConfig, CacheLayer, CacheView, ClientCache};
+pub use cache::{CacheLayer, CacheView, ClientCache};
 pub use event_loop::{ConnState, EndpointStats, EventConnection, EventEndpoint, EventLoop};
 pub use fault::{CrashPlan, FaultLayer, FaultPlan, FaultStats};
 pub use health::{BreakerConfig, BreakerState, EdgeHealth, HealthSnapshot, ReplicaSetHealth};
@@ -170,4 +170,4 @@ pub use meter::{CacheSnapshot, LinkMeter, LinkSnapshot};
 pub use packet::{NetConfig, PacketModel, RetryPolicy};
 pub use proto::{DeltaOp, QueryHandler, Request, Response, Update};
 pub use router::{FleetSnapshot, ShardEndpoint, ShardMeta, ShardRouter, ShardTelemetry};
-pub use transport::{ChannelServer, Link, Pending, RawExchange, ServerHandle};
+pub use transport::{Link, Pending, RawExchange};

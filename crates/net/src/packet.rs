@@ -43,8 +43,7 @@ impl PacketModel {
     /// the header is always paid).
     #[inline]
     pub fn tb(&self, payload: u64) -> u64 {
-        let packets = payload.div_ceil(self.payload_per_packet()).max(1);
-        payload + packets * self.header_bytes as u64
+        payload + self.packets(payload) * self.header_bytes as u64
     }
 
     /// Number of packets a payload occupies.
@@ -117,11 +116,13 @@ pub struct NetConfig {
     /// only the statistics traffic, never the join result.
     pub batched_stats: bool,
     /// Client-side semantic statistics/window cache in front of every
-    /// server or fleet (see [`crate::cache`]). **Off by default** — when
-    /// disabled no cache layer is constructed at all, so every wire byte
-    /// is identical to a build without the extension; turning it on never
-    /// changes join results, only deletes repeated traffic.
-    pub client_cache: crate::cache::CacheConfig,
+    /// server or fleet (see [`crate::cache`]); each side's store holds up
+    /// to `cache::WINDOW_BUDGET_BYTES` (256 KiB) of windows. **Off by
+    /// default** — when disabled no cache layer is constructed at all, so
+    /// every wire byte is identical to a build without the extension;
+    /// turning it on never changes join results, only deletes repeated
+    /// traffic.
+    pub client_cache: bool,
     /// Capability flag: negotiate the compact wire protocol v2 per
     /// physical link (`HELLO`/`ACCEPT` handshake, then delta-varint ids,
     /// quantized coordinates and varint scalars on links whose peer
@@ -161,7 +162,7 @@ impl Default for NetConfig {
             tariff_r: 1.0,
             tariff_s: 1.0,
             batched_stats: false,
-            client_cache: crate::cache::CacheConfig::default(),
+            client_cache: false,
             wire_v2: false,
             retry: RetryPolicy::default(),
             breaker: crate::health::BreakerConfig::disabled(),
@@ -187,7 +188,7 @@ impl NetConfig {
 
     /// Enables the client-side statistics/window cache on the device.
     pub fn with_client_cache(mut self, on: bool) -> Self {
-        self.client_cache.enabled = on;
+        self.client_cache = on;
         self
     }
 
@@ -312,13 +313,8 @@ mod tests {
 
     #[test]
     fn client_cache_defaults_off() {
-        assert!(!NetConfig::default().client_cache.enabled);
-        assert!(!NetConfig::dialup().client_cache.enabled);
-        assert!(
-            NetConfig::default()
-                .with_client_cache(true)
-                .client_cache
-                .enabled
-        );
+        assert!(!NetConfig::default().client_cache);
+        assert!(!NetConfig::dialup().client_cache);
+        assert!(NetConfig::default().with_client_cache(true).client_cache);
     }
 }

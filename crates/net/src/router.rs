@@ -149,13 +149,7 @@ impl ShardEndpoint {
     /// Endpoint with fresh meta and no partition cell (query routing
     /// only; a fleet of such endpoints refuses updates).
     pub fn new(bounds: Option<Rect>, carrier: Box<dyn RawExchange>) -> Self {
-        ShardEndpoint::with_meta(Arc::new(ShardMeta::new(bounds)), carrier)
-    }
-
-    /// Endpoint over externally shared meta (a deployment keeps the
-    /// `Arc` so several links to the same fleet share one view).
-    pub fn with_meta(meta: Arc<ShardMeta>, carrier: Box<dyn RawExchange>) -> Self {
-        ShardEndpoint::with_replicas(meta, vec![carrier])
+        ShardEndpoint::with_replicas(Arc::new(ShardMeta::new(bounds)), vec![carrier])
     }
 
     /// Endpoint over a replica set: `carriers[0]` is the primary edge,
@@ -168,11 +162,6 @@ impl ShardEndpoint {
             meta,
             replicas: carriers,
         }
-    }
-
-    /// This shard's meta.
-    pub fn meta(&self) -> &Arc<ShardMeta> {
-        &self.meta
     }
 
     /// Number of replica edges behind this shard.
@@ -308,13 +297,6 @@ impl FleetSnapshot {
     /// aggregate meter — the conservation law the stress tests pin.
     pub fn summed(&self) -> LinkSnapshot {
         sum(&self.per_shard)
-    }
-
-    /// The fleet generation: the sum of the per-shard generations (every
-    /// shard bumps exactly once per fleet-level update batch, so this
-    /// advances by `shard_count` per batch).
-    pub fn fleet_generation(&self) -> u64 {
-        self.generations.iter().sum()
     }
 
     /// Fraction of shards that answered: `1 - failed/total`. `1.0` on a
@@ -1317,9 +1299,9 @@ mod tests {
             .collect();
         let shard = |objects: Vec<SpatialObject>, cell: Rect| {
             let bounds = Rect::union_of(objects.iter().map(|o| o.mbr));
-            ShardEndpoint::with_meta(
+            ShardEndpoint::with_replicas(
                 Arc::new(ShardMeta::with_cell(bounds, Some(cell))),
-                Box::new(LiveShard::new(objects)),
+                vec![Box::new(LiveShard::new(objects))],
             )
         };
         ShardRouter::new(
@@ -1348,7 +1330,7 @@ mod tests {
         assert_eq!(stamp, 2, "an Ack reports the generation it carries");
         assert_eq!(ack, Response::Ack { generation: 2 }, "1 + 1 across shards");
         assert_eq!(router.telemetry().generations(), vec![1, 1]);
-        assert_eq!(router.telemetry().snapshot().fleet_generation(), 2);
+        assert_eq!(router.telemetry().snapshot().generations, vec![1, 1]);
 
         let everywhere = Rect::from_coords(-1.0, -1.0, 200.0, 1.0);
         let (resp, stamp) = roundtrip(&router, &Request::Window(everywhere));
@@ -1437,9 +1419,9 @@ mod tests {
             }
         }
         let router = ShardRouter::new(
-            vec![ShardEndpoint::with_meta(
+            vec![ShardEndpoint::with_replicas(
                 meta,
-                Box::new(Shared(Arc::clone(&shard))),
+                vec![Box::new(Shared(Arc::clone(&shard)))],
             )],
             PacketModel::default(),
         );
@@ -1471,7 +1453,6 @@ mod tests {
         assert_eq!(l.last_generation(), 2, "stamps agree with the Ack");
         let fleet = l.fleet().unwrap().snapshot();
         assert_eq!(fleet.generations, vec![1, 1]);
-        assert_eq!(fleet.fleet_generation(), 2);
         assert_eq!(fleet.summed(), l.meter().snapshot());
     }
 
@@ -1560,7 +1541,8 @@ mod tests {
         carrier: Box<dyn RawExchange>,
     ) -> ShardEndpoint {
         let bounds = Rect::union_of(objects.iter().map(|o| o.mbr));
-        ShardEndpoint::with_meta(Arc::new(ShardMeta::with_cell(bounds, Some(cell))), carrier)
+        let meta = Arc::new(ShardMeta::with_cell(bounds, Some(cell)));
+        ShardEndpoint::with_replicas(meta, vec![carrier])
     }
 
     #[test]

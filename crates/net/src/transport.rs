@@ -7,9 +7,10 @@
 //!
 //! * [`InProcExchange`] — calls the server's handler on the calling thread
 //!   (fast path for the thousands of joins an experiment sweep runs);
-//! * [`ChannelExchange`] — a mailbox connection to a server on a reactor
-//!   thread ([`crate::event_loop`]; a [`ChannelServer`] has one to itself,
-//!   modelling the paper's two independent UNIX servers and a WiFi PDA).
+//! * [`EventConnection`](crate::EventConnection) — a mailbox connection to
+//!   an endpoint on a reactor thread ([`crate::event_loop`]; one
+//!   [`EventLoop`](crate::EventLoop) per server models the paper's two
+//!   independent UNIX servers and a WiFi PDA).
 //!   Integration tests run both carriers and assert identical byte counts.
 //!
 //! Exchanges are split-phase: [`RawExchange::begin`] ships a request and
@@ -24,7 +25,6 @@ use bytes::{Bytes, BytesMut};
 
 use crate::codec::{garble_frame, is_unavailable, unavailable_frame, WireVersion};
 use crate::edge::{Edge, Layer};
-use crate::event_loop::EventLoop;
 use crate::fault::FaultCounters;
 use crate::mailbox::SlotEnd;
 use crate::meter::LinkMeter;
@@ -189,34 +189,6 @@ impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
         let reply = Bytes::copy_from_slice(&buf);
         REPLY_BUF.set(buf);
         reply
-    }
-}
-
-/// A server on a reactor thread of its own: the private *placement* of
-/// the one serving loop in [`crate::event_loop`], as opposed to an
-/// endpoint registered on a reactor it shares with others. It serves
-/// until every client handle is dropped — or until the server itself is
-/// dropped, whichever comes first (drop enqueues a shutdown sentinel, so
-/// it never deadlocks waiting on handles that outlive it).
-pub struct ChannelServer(EventLoop);
-
-/// A [`ChannelServer`]'s endpoint (which keeps a joined server serving)
-/// and a connection opened from it.
-pub use crate::event_loop::{EventConnection as ChannelExchange, EventEndpoint as ServerHandle};
-
-impl ChannelServer {
-    /// Spawns a reactor with `handler` as its one endpoint. Returns the
-    /// server (join on drop) and the endpoint's handle.
-    pub fn spawn<H: QueryHandler + 'static>(handler: Arc<H>, name: &str) -> (Self, ServerHandle) {
-        let reactor = EventLoop::spawn(name);
-        let handle = reactor.serve(handler);
-        (ChannelServer(reactor), handle)
-    }
-
-    /// Waits for the server to drain and stop (all handles and their
-    /// connections dropped); returns the number of queries served.
-    pub fn join(self) -> u64 {
-        self.0.join()
     }
 }
 
@@ -432,6 +404,7 @@ impl Link {
 mod tests {
     use super::*;
     use crate::event_loop::tests::{self as carrier, Placement::Private};
+    use crate::event_loop::EventLoop;
     use asj_geom::{Rect, SpatialObject};
 
     /// Toy handler: COUNT returns 7, WINDOW returns two fixed objects.
@@ -479,7 +452,8 @@ mod tests {
         // Ship two requests split-phase before collecting either reply:
         // the server thread drains both; the completions then yield the
         // replies in issue order.
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "split-phase");
+        let server = EventLoop::spawn("split-phase");
+        let handle = server.serve(Arc::new(Fixed));
         let ex = handle.connect();
         let first = ex.begin(crate::codec::encode_request(&Request::Count(w())));
         let second = ex.begin(crate::codec::encode_request(&Request::Window(w())));
@@ -493,8 +467,8 @@ mod tests {
     }
 
     // The carrier behaviours below have one body each, in
-    // `event_loop::tests`; here they run on a `ChannelServer`'s private
-    // reactor, there on a shared one.
+    // `event_loop::tests`; here they run on a reactor of the endpoint's
+    // own, there on a shared one.
 
     #[test]
     fn channel_server_roundtrip_matches_in_process_bytes() {
@@ -523,7 +497,8 @@ mod tests {
 
     #[test]
     fn client_outliving_server_sees_unavailable_not_panic() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "short-lived");
+        let server = EventLoop::spawn("short-lived");
+        let handle = server.serve(Arc::new(Fixed));
         let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
         assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
         drop(server);
@@ -534,7 +509,8 @@ mod tests {
 
     #[test]
     fn join_waits_for_the_last_connection_and_counts_queries_only() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "join");
+        let server = EventLoop::spawn("join");
+        let handle = server.serve(Arc::new(Fixed));
         let (ex, link) = (
             handle.connect(),
             Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0),
@@ -767,14 +743,16 @@ mod tests {
             crate::codec::encode_request_versioned(&count, WireVersion::V2),
             crate::codec::wrap_dedup(tag, &update),
         ] {
-            assert_ne!(ex.exchange(frame.clone()), crate::codec::malformed_frame());
-            assert_eq!(ex.exchange(padded(frame)), crate::codec::malformed_frame());
+            let malformed = crate::codec::encode_response(&Response::Malformed);
+            assert_ne!(ex.exchange(frame.clone()), malformed);
+            assert_eq!(ex.exchange(padded(frame)), malformed);
         }
     }
 
     #[test]
     fn failed_exchange_charges_no_meter_bytes() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "meter-conservation");
+        let server = EventLoop::spawn("meter-conservation");
+        let handle = server.serve(Arc::new(Fixed));
         let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
         link.request(&Request::Count(w()));
         let before = link.meter().snapshot();

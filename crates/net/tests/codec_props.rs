@@ -253,7 +253,7 @@ fn garble_corpus() -> Vec<(Bytes, Option<QuantCtx>)> {
 /// is always caught.
 #[test]
 fn seeded_garble_sweep_decodes_typed_or_errors_never_panics() {
-    use asj_net::codec::{decode_request_versioned, garble_frame, is_injected_garble};
+    use asj_net::codec::{decode_request_versioned, garble_frame};
     let corpus = garble_corpus();
     let mut state = 0x5eed_0dd5_u64;
     let (mut ok, mut err) = (0u64, 0u64);
@@ -280,7 +280,7 @@ fn seeded_garble_sweep_decodes_typed_or_errors_never_panics() {
         // The injected-garble marker (byte 0 stamped) can never silently
         // decode to a different valid value — it is always a typed error.
         let garbled = garble_frame(frame);
-        assert!(is_injected_garble(&garbled));
+        assert_eq!(garbled[0], 0xEE, "byte 0 carries the garble marker");
         assert!(decode_response_gen_ctx(garbled.clone(), ctx.as_ref()).is_err());
         assert!(decode_request_versioned(garbled).is_err());
         // Every truncation — the frame cut short at *any* length, the

@@ -20,11 +20,11 @@ use asj_geom::{Point, Rect, SpatialObject};
 use asj_net::cache::{CacheLayer, ClientCache};
 use asj_net::codec::{encode_response_versioned, stamp_generation_versioned, WireVersion};
 use asj_net::testutil::ScanHandler as Scan;
-use asj_net::transport::{ChannelExchange, InProcExchange};
+use asj_net::transport::InProcExchange;
 use asj_net::{
-    BreakerConfig, ChannelServer, FaultLayer, FaultPlan, Link, LinkSnapshot, PacketModel, Pending,
-    QueryHandler, RawExchange, Request, Response, RetryPolicy, ShardEndpoint, ShardMeta,
-    ShardRouter, Update,
+    BreakerConfig, EventConnection, EventLoop, FaultLayer, FaultPlan, Link, LinkSnapshot,
+    PacketModel, Pending, QueryHandler, RawExchange, Request, Response, RetryPolicy, ShardEndpoint,
+    ShardMeta, ShardRouter, Update,
 };
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
@@ -88,9 +88,9 @@ fn faulted(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn RawExchange>
     Box::new(FaultLayer::new(server, plan))
 }
 
-/// A channel carrier that owns its server thread, so a link over it is
-/// self-contained like the in-process ones.
-struct Threaded(ChannelExchange, #[allow(dead_code)] ChannelServer);
+/// A connection that owns its server's reactor thread, so a link over it
+/// is self-contained like the in-process ones.
+struct Threaded(EventConnection, #[allow(dead_code)] EventLoop);
 
 impl RawExchange for Threaded {
     fn exchange(&self, request: Bytes) -> Bytes {
@@ -112,7 +112,8 @@ impl RawExchange for Threaded {
 
 /// [`faulted`], with the server on a thread of its own.
 fn faulted_threaded(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn RawExchange> {
-    let (server, handle) = ChannelServer::spawn(LiveScan::new(objects), "edge-props");
+    let server = EventLoop::spawn("edge-props");
+    let handle = server.serve(LiveScan::new(objects));
     Box::new(FaultLayer::new(
         Box::new(Threaded(handle.connect(), server)),
         plan,

@@ -166,11 +166,6 @@ impl RTreeStore {
             tree: RTree::bulk_load(objects, max_entries),
         }
     }
-
-    /// The underlying tree.
-    pub fn tree(&self) -> &RTree {
-        &self.tree
-    }
 }
 
 impl SpatialStore for RTreeStore {

@@ -121,7 +121,7 @@ mod tests {
         assert_eq!(pts.len(), 1000);
         for p in &pts {
             assert!(default_space().contains(&p.center()));
-            assert!(p.is_point());
+            assert_eq!(p.mbr.min, p.mbr.max);
         }
         // Ids are unique and dense.
         let mut ids: Vec<u32> = pts.iter().map(|p| p.id).collect();

@@ -14,7 +14,7 @@ use adhoc_spatial_joins::prelude::*;
 use asj_core::DeploymentBuilder;
 use asj_geom::SpatialObject;
 use asj_net::{
-    BreakerConfig, ChannelServer, FaultPlan, Link, LinkSnapshot, NetConfig, PacketModel, Request,
+    BreakerConfig, EventLoop, FaultPlan, Link, LinkSnapshot, NetConfig, PacketModel, Request,
     RetryPolicy,
 };
 use asj_server::{RTreeStore, SpatialService};
@@ -137,14 +137,16 @@ fn concurrent_clients_of_a_replicated_faulted_fleet_conserve_meters() {
     assert_concurrent_replay_identical(&dep, &spec, true);
 }
 
-/// Raw link level: N clients of one `ChannelServer` issue the same request
-/// sequence; every per-link meter must equal the serial replay's exactly,
-/// and the server must have served exactly the expected request count.
+/// Raw link level: N clients of one server on a reactor of its own issue
+/// the same request sequence; every per-link meter must equal the serial
+/// replay's exactly, and the server must have served exactly the expected
+/// request count.
 #[test]
 fn channel_server_meters_are_per_link_under_contention() {
     let objs = clusters(4, 400, 47);
     let service = Arc::new(SpatialService::new(RTreeStore::new(objs)));
-    let (server, handle) = ChannelServer::spawn(service, "stress");
+    let server = EventLoop::spawn("stress");
+    let handle = server.serve(service);
 
     let sequence: Vec<Request> = (0..25)
         .map(|i| {

@@ -28,7 +28,6 @@ fn a_thousand_devices_replay_identically_on_the_event_loop() {
             .with_shards(shards, shards)
             .event_loop()
             .build();
-        assert!(dep.is_event_loop());
 
         let space = default_space();
         let pooled_cfg = TrafficConfig::new(1024, 8, space);

@@ -1,18 +1,17 @@
 //! Transport robustness — a garbled frame must never kill a shared server.
 //!
-//! The channel server thread and the event-loop reactor are shared by
-//! every connected device, so the failure modes this suite pins are the
-//! ones that take *other* clients down with them:
+//! A reactor thread is shared by every device connected to it — whether
+//! it carries one server or many — so the failure modes this suite pins
+//! are the ones that take *other* clients down with them:
 //!
 //! * **Garbled frames** (fuzz-ish: empty, truncated, bit-flipped, alien
 //!   opcodes, absurd length prefixes) get a typed `R_MALFORMED` error
 //!   frame back — the serving thread must survive every one of them, and
 //!   every *healthy* client's run must stay byte-identical (meters) and
 //!   pair-identical (local joins) to an uncontended replay.
-//! * **Shutdown ordering**: dropping a `ChannelServer` while handles and
-//!   connections are still alive must not deadlock (regression for the
-//!   join-on-drop deadlock) — and an `EventLoop` dropped with live
-//!   connections likewise.
+//! * **Shutdown ordering**: dropping an `EventLoop` while its endpoints
+//!   and connections are still alive must not deadlock (regression for
+//!   the join-on-drop deadlock).
 //! * **Dead servers**: a client outliving its server sees
 //!   `Response::Unavailable`, never a panic — and the failed exchange
 //!   charges **no** meter bytes in either direction (meters record
@@ -25,7 +24,7 @@ use adhoc_spatial_joins::prelude::*;
 use asj_device::{run_traffic, TrafficConfig};
 use asj_geom::SpatialObject;
 use asj_net::codec;
-use asj_net::{ChannelServer, EventLoop, Link, PacketModel, RawExchange, Request, Response};
+use asj_net::{EventLoop, Link, LinkSnapshot, PacketModel, RawExchange, Request, Response};
 use asj_server::{RTreeStore, SpatialService};
 use asj_workloads::{default_space, gaussian_clusters, SyntheticSpec};
 use bytes::Bytes;
@@ -91,13 +90,14 @@ fn scripted_requests() -> Vec<Request> {
         .collect()
 }
 
-/// Channel server: an attacker connection spraying garbage concurrently
-/// with healthy clients. Every garbage frame gets the typed error frame;
-/// every healthy client's meter equals the uncontended replay; the
-/// served count excludes the garbage.
+/// A reactor of the server's own: an attacker connection spraying garbage
+/// concurrently with healthy clients. Every garbage frame gets the typed
+/// error frame; every healthy client's meter equals the uncontended
+/// replay; the served count excludes the garbage.
 #[test]
 fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
-    let (server, handle) = ChannelServer::spawn(service(29), "robust");
+    let server = EventLoop::spawn("robust");
+    let handle = server.serve(service(29));
     let sequence = scripted_requests();
     let run = |carrier: Box<dyn RawExchange>| {
         let link = Link::new(carrier, PacketModel::default(), 1.0);
@@ -121,8 +121,8 @@ fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
                     for g in garbage_frames() {
                         let reply = conn.exchange(g);
                         assert_eq!(
-                            reply.as_slice(),
-                            codec::malformed_frame().as_slice(),
+                            reply,
+                            codec::encode_response(&Response::Malformed),
                             "garbage must get the typed error frame"
                         );
                         sprayed += 1;
@@ -192,14 +192,9 @@ fn garbled_frames_leave_event_loop_joins_pair_identical() {
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     for g in garbage_frames() {
-                        assert_eq!(
-                            atk_r.exchange(g.clone()).as_slice(),
-                            codec::malformed_frame().as_slice()
-                        );
-                        assert_eq!(
-                            atk_s.exchange(g).as_slice(),
-                            codec::malformed_frame().as_slice()
-                        );
+                        let malformed = codec::encode_response(&Response::Malformed);
+                        assert_eq!(atk_r.exchange(g.clone()), malformed);
+                        assert_eq!(atk_s.exchange(g), malformed);
                     }
                 }
             })
@@ -227,8 +222,9 @@ fn garbled_frames_leave_event_loop_joins_pair_identical() {
 /// sentinel drains queued RPCs and the drop returns.
 #[test]
 fn dropping_carriers_with_live_clients_never_hangs() {
-    // Channel server: handle outlives the server value.
-    let (server, handle) = ChannelServer::spawn(service(37), "drop-order");
+    // A reactor of the server's own: the endpoint outlives the loop value.
+    let server = EventLoop::spawn("drop-order");
+    let handle = server.serve(service(37));
     let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
     assert!(matches!(
         link.request(&Request::Count(default_space())),
@@ -255,7 +251,8 @@ fn dropping_carriers_with_live_clients_never_hangs() {
 /// completed exchanges only).
 #[test]
 fn dead_server_yields_unavailable_and_charges_no_bytes() {
-    let (server, handle) = ChannelServer::spawn(service(43), "mortal");
+    let server = EventLoop::spawn("mortal");
+    let handle = server.serve(service(43));
     let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
     let w = Rect::from_coords(1000.0, 1000.0, 4000.0, 4000.0);
     assert!(matches!(
@@ -334,13 +331,11 @@ fn lossy_traffic_with_retries_matches_fault_free_replay() {
         baseline.result_digest(),
         "retries must recover every scripted answer bit-for-bit"
     );
-    let (r_sum, s_sum) = recovered.summed_meters();
-    assert!(r_sum.retried + s_sum.retried > 0, "the plans must fire");
-    assert_eq!(
-        r_sum.abandoned + s_sum.abandoned,
-        0,
-        "budget 6 must suffice at these seeds"
-    );
+    let sum = (recovered.outcomes.iter()).fold(LinkSnapshot::default(), |acc, o| {
+        acc.plus(&o.r_meter).plus(&o.s_meter)
+    });
+    assert!(sum.retried > 0, "the plans must fire");
+    assert_eq!(sum.abandoned, 0, "budget 6 must suffice at these seeds");
 
     // Exhausted budget: every fifth device sits behind a totally dark
     // link with no retry budget at all.
@@ -398,9 +393,10 @@ fn lossy_traffic_with_retries_matches_fault_free_replay() {
     assert!(reactor.shutdown() > 0);
 }
 
-/// Both threaded carriers over the same service, as bare `RawExchange`s.
-fn threaded_carriers(seed: u64) -> (ChannelServer, EventLoop, Vec<Arc<dyn RawExchange>>) {
-    let (server, handle) = ChannelServer::spawn(service(seed), "batches");
+/// Both reactor placements over the same service, as bare `RawExchange`s.
+fn threaded_carriers(seed: u64) -> (EventLoop, EventLoop, Vec<Arc<dyn RawExchange>>) {
+    let server = EventLoop::spawn("batches-own");
+    let handle = server.serve(service(seed));
     let reactor = EventLoop::spawn("batches");
     let endpoint = reactor.serve(service(seed));
     let carriers: Vec<Arc<dyn RawExchange>> =
@@ -421,7 +417,8 @@ fn exchange_many(carrier: &dyn RawExchange, requests: &[Request]) -> Vec<Bytes> 
 /// `Unavailable`, in order, and none of them moves the meter.
 #[test]
 fn dead_server_fails_every_member_of_a_batch_and_charges_nothing() {
-    let (server, handle) = ChannelServer::spawn(service(47), "mortal-batch");
+    let server = EventLoop::spawn("mortal-batch-own");
+    let handle = server.serve(service(47));
     let reactor = EventLoop::spawn("mortal-batch");
     let links = [
         Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0),
