@@ -17,9 +17,9 @@
 //! crate-private `Io` passes ([`Request`]'s, [`Response`]'s, and the
 //! tagged elements [`Update`] and [`DeltaOp`]); the size functions, the
 //! encoders, the decoders and [`wire_exact`] are that walk under four
-//! different passes. The two records (object and rect, each read and
-//! written whole), the per-object loops, the quantisation grid and the
-//! envelopes are hand-written and the walks name them.
+//! different passes. The three records (object, rect and compact object,
+//! each read and written whole), the per-object loops, the quantisation
+//! grid and the envelopes are hand-written and the walks name them.
 
 use asj_geom::{Point, Rect, SpatialObject};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -708,12 +708,13 @@ impl Io for Get<'_> {
             return Ok(objs);
         }
         let mut objs = Vec::with_capacity(n.min(self.buf.remaining()));
-        let mut prev_id = 0;
+        let (frame, mut at, mut prev_id) = (&self.buf[..], 0, 0);
         for _ in 0..n {
-            let o = get_object_v2(&mut self.buf, prev_id, self.ctx)?;
-            prev_id = o.id;
+            let (o, len) = get_object_v2(&frame[at..], prev_id, self.ctx)?;
+            (at, prev_id) = (at + len, o.id);
             objs.push(o);
         }
+        self.buf.advance(at);
         Ok(objs)
     }
 }
@@ -1009,23 +1010,41 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
     buf.put_u8(v as u8);
 }
 
+/// An id delta's zigzag varint (below 2³³, so five groups at most), its
+/// first byte lowest in the word, and its length: no branch on the value.
+/// Every byte below the top group's carries the continuation bit, and
+/// those bits all lie below the top group's highest set bit.
+fn delta_varint(v: u64) -> (u64, usize) {
+    let groups = (0..5).fold(0, |word, i| word | (v & 0x7f << (7 * i)) << i);
+    let top = (groups | 1).leading_zeros();
+    (
+        groups | 0x80_8080_8080 & u64::MAX >> top,
+        (71 - top as usize) / 8,
+    )
+}
+
 /// The one varint reader (counts, acks, id deltas, the v2 stamp): ten
 /// bytes at most, and the tenth may carry only the 64th bit — so every
-/// value has exactly one encoding a decoder accepts per length.
-fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
+/// value has exactly one encoding a decoder accepts per length. Returns
+/// the value and the bytes of `raw` it took.
+fn varint(raw: &[u8]) -> Walked<(u64, usize)> {
     let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        need(buf, 1)?;
-        let b = buf.get_u8();
-        if shift == 63 && b > 1 {
+    for (i, &b) in raw.iter().take(10).enumerate() {
+        if i == 9 && b > 1 {
             break;
         }
-        v |= u64::from(b & 0x7f) << shift;
+        v |= u64::from(b & 0x7f) << (7 * i);
         if b & 0x80 == 0 {
-            return Ok(v);
+            return Ok((v, i + 1));
         }
     }
     Err(CodecError::Truncated)
+}
+
+fn get_varint(buf: &mut Bytes) -> Walked<u64> {
+    let (v, len) = varint(buf)?;
+    buf.advance(len);
+    Ok(v)
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -1036,22 +1055,7 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_u16be(buf: &mut BytesMut, v: u16) {
-    buf.put_u8((v >> 8) as u8);
-    buf.put_u8(v as u8);
-}
-
-fn get_u16be(buf: &mut Bytes) -> Result<u16, CodecError> {
-    need(buf, 2)?;
-    Ok(u16::from(buf.get_u8()) << 8 | u16::from(buf.get_u8()))
-}
-
-fn get_f32(buf: &mut Bytes) -> Result<f32, CodecError> {
-    need(buf, 4)?;
-    Ok(buf.get_f32())
-}
-
-fn snap_rect_f32(r: &Rect) -> Rect {
+pub(crate) fn snap_rect_f32(r: &Rect) -> Rect {
     Snap.rect(r).expect("rounding cannot fail")
 }
 
@@ -1071,13 +1075,15 @@ fn snap_rect_f32(r: &Rect) -> Rect {
 ///    original) compute bit-identical grids. `WINDOW` grids over the
 ///    window itself, `ε-RANGE` over the probe expanded by ε; requests
 ///    without a natural window have no grid and every coordinate escapes.
-/// 2. **Verified round trip.** The encoder quantizes a coordinate only if
-///    dequantizing the candidate cell reproduces — compared bitwise — the
-///    exact `f64` value v1's `f32` wire cast would deliver (`(v as f32)
-///    as f64`). Anything else (out-of-window, off-grid, degenerate or
-///    non-finite spans) **escapes** to the exact `f32`. A v2 decode is
-///    therefore bit-equal to the v1 decode of the same objects, always:
-///    join results cannot depend on the negotiated version.
+/// 2. **Verified round trip.** The encoder tries one cell per coordinate,
+///    the nearest to `t = (v − min) / (max − min) · 65535` (ties away from
+///    zero), and quantizes the coordinate only if dequantizing that cell
+///    reproduces — compared bitwise — the exact `f64` value v1's `f32`
+///    wire cast would deliver (`(v as f32) as f64`). Anything else
+///    (out-of-window, off-grid, degenerate or non-finite spans)
+///    **escapes** to the exact `f32`. A v2 decode is therefore bit-equal
+///    to the v1 decode of the same objects, always: join results cannot
+///    depend on the negotiated version.
 /// 3. **Exact endpoints.** Cell 0 dequantizes to exactly the window min
 ///    and cell 65535 to exactly the max, so window-edge and grid-aligned
 ///    coordinates always quantize.
@@ -1085,10 +1091,43 @@ fn snap_rect_f32(r: &Rect) -> Rect {
 /// Density on the point workloads comes mostly from the tag's POINT bit
 /// (min == max ships one coordinate pair, not two) and the delta-varint
 /// ids; quantization adds a further 2× on grid-aligned data.
+///
+/// # Candidate, then verify
+///
+/// The encoder finds clause 2's cell without dividing or calling `round`:
+/// each axis keeps `65535 / (max − min)`, computed once when the grid is
+/// derived, `t` is a multiply, and the float adder rounds it. The product
+/// may differ from the quotient in its last bits, and the adder breaks a
+/// tie to even, so the result only proposes. A cell that dequantizes to
+/// exactly `v` lies within 2⁻¹³ of `t`: dequantizing rounds three times,
+/// each within 2⁻⁵³ of a value at most 2²⁴ spans large (an `f32`
+/// window's span is at least one `f32` ulp of its ends), and
+/// 65535 · 2²⁴ · 2⁻⁵³ < 2⁻¹³. Cells are 2⁻¹⁶ spans apart, far more than
+/// an `f64` ulp of `v`, so at most one cell can verify. A `t` farther
+/// than `NEAR` (2⁻¹⁰) from every integer — a tie among them — therefore
+/// has no such cell and escapes without a division; a nearer one rounds
+/// to the same integer under the multiply as under the division, and that
+/// cell meets the unchanged, exact, dividing `dequant` comparison. So the
+/// encoder quantizes exactly the coordinates a dividing one does, into
+/// the same cells.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantCtx {
-    rect: Rect,
+    axes: [Axis; 2],
 }
+
+/// One axis of a grid: the snapped window's extent on it, and the scale
+/// its candidates are multiplied out with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Axis {
+    min: f64,
+    max: f64,
+    scale: f64,
+}
+
+/// How far from an integer a candidate may land and still be verified.
+const NEAR: f64 = 1.0 / 1024.0;
+/// 1.5 · 2⁵²: added to a candidate below 2⁵¹, it rounds it to an integer.
+const ROUND: f64 = 6_755_399_441_055_744.0;
 
 impl QuantCtx {
     /// Grid over the f32-snapped `rect`; `None` when either axis span is
@@ -1096,23 +1135,22 @@ impl QuantCtx {
     /// escape anyway).
     pub fn new(rect: Rect) -> Option<QuantCtx> {
         let r = snap_rect_f32(&rect);
-        let ok = |min: f64, max: f64| (max - min).is_finite() && max - min > 0.0;
-        (ok(r.min.x, r.max.x) && ok(r.min.y, r.max.y)).then_some(QuantCtx { rect: r })
+        let axis = |min: f64, max: f64| {
+            let span = max - min;
+            let scale = 65535.0 / span;
+            (span.is_finite() && span > 0.0).then_some(Axis { min, max, scale })
+        };
+        let axes = [axis(r.min.x, r.max.x)?, axis(r.min.y, r.max.y)?];
+        Some(QuantCtx { axes })
     }
 
-    /// The grid both peers of `req` agree on (clause 1 of the contract).
-    /// Callers on the *client* side pass the request they are about to
-    /// encode; the server passes the request it decoded — both land on
-    /// the same grid because the derivation starts from the f32 wire
-    /// form.
+    /// The grid both peers of `req` agree on (clause 1 of the contract,
+    /// over the rectangle [`Request::grid`] names). Callers on the
+    /// *client* side pass the request they are about to encode; the
+    /// server passes the request it decoded — both land on the same grid
+    /// because the derivation starts from the f32 wire form.
     pub fn for_request(req: &Request) -> Option<QuantCtx> {
-        match req {
-            Request::Window(w) => QuantCtx::new(*w),
-            Request::EpsRange { q, eps } => {
-                QuantCtx::new(snap_rect_f32(q).expand((*eps as f32) as f64))
-            }
-            _ => None,
-        }
+        req.grid().and_then(QuantCtx::new)
     }
 
     /// The grid a `wire` frame answering `req` is coded against: the
@@ -1124,127 +1162,131 @@ impl QuantCtx {
             WireVersion::V2 => QuantCtx::for_request(req),
         }
     }
+}
 
-    fn quant(min: f64, max: f64, v: f64) -> Option<u16> {
-        if !(v >= min && v <= max) {
+impl Axis {
+    /// The cell `v` ships as, if any: the candidate, verified.
+    fn quant(&self, v: f64) -> Option<u16> {
+        if !(v >= self.min && v <= self.max) {
             return None;
         }
-        let t = ((v - min) / (max - min) * 65535.0).round();
-        if !(0.0..=65535.0).contains(&t) {
-            return None;
-        }
-        let q = t as u16;
-        (Self::dequant(min, max, q).to_bits() == v.to_bits()).then_some(q)
+        // Past 2⁵² an `f64` holds integers only: adding `ROUND` rounds `t`
+        // to the nearest, whose low bits are the cell.
+        let t = (v - self.min) * self.scale;
+        let rounded = t + ROUND;
+        let near = (t - (rounded - ROUND)).abs() < NEAR;
+        let q = rounded.to_bits() as u16;
+        (near && self.dequant(q).to_bits() == v.to_bits()).then_some(q)
     }
 
-    fn dequant(min: f64, max: f64, q: u16) -> f64 {
+    fn dequant(&self, q: u16) -> f64 {
         match q {
-            0 => min,
-            u16::MAX => max,
-            q => min + (f64::from(q) / 65535.0) * (max - min),
+            0 => self.min,
+            u16::MAX => self.max,
+            q => self.min + (f64::from(q) / 65535.0) * (self.max - self.min),
         }
-    }
-
-    fn span_x(&self) -> (f64, f64) {
-        (self.rect.min.x, self.rect.max.x)
-    }
-
-    fn span_y(&self) -> (f64, f64) {
-        (self.rect.min.y, self.rect.max.y)
     }
 }
 
+/// Appends a compact object: the record is opened at full width, the tag,
+/// the id delta and both axes are written into it whole, and it is cut
+/// back to the bytes its layout takes.
+#[inline]
 fn put_object_v2(buf: &mut BytesMut, o: &SpatialObject, prev_id: u32, ctx: Option<&QuantCtx>) {
     // The f32 values a v1 frame would deliver — the bit-faithfulness
-    // target every quantization candidate is verified against.
-    let xmin = (o.mbr.min.x as f32) as f64;
-    let ymin = (o.mbr.min.y as f32) as f64;
-    let xmax = (o.mbr.max.x as f32) as f64;
-    let ymax = (o.mbr.max.y as f32) as f64;
-    let point = xmin.to_bits() == xmax.to_bits() && ymin.to_bits() == ymax.to_bits();
-    let cells = |span: Option<(f64, f64)>, lo: f64, hi: f64| {
-        let (min, max) = span?;
-        let qlo = QuantCtx::quant(min, max, lo)?;
-        let qhi = if point {
-            qlo
-        } else {
-            QuantCtx::quant(min, max, hi)?
+    // target every candidate cell is verified against.
+    let wire = |v: f64| f64::from(v as f32);
+    let lo = [wire(o.mbr.min.x), wire(o.mbr.min.y)];
+    let hi = [wire(o.mbr.max.x), wire(o.mbr.max.y)];
+    let point = lo.map(f64::to_bits) == hi.map(f64::to_bits);
+    let start = buf.len();
+    buf.extend_from_slice(&[0; OBJ_BYTES_V2_MAX as usize]);
+    let raw = &mut buf[start..];
+    let (delta, len) = delta_varint(zigzag(i64::from(o.id) - i64::from(prev_id)));
+    raw[1..9].copy_from_slice(&delta.to_le_bytes());
+    let (mut tag, mut end) = (if point { op::V2_POINT } else { 0 }, 1 + len);
+    for (axis, bit) in [(0, op::V2_QX), (1, op::V2_QY)] {
+        let cells = ctx.and_then(|ctx| {
+            let grid = &ctx.axes[axis];
+            let qlo = grid.quant(lo[axis])?;
+            Some((qlo, if point { qlo } else { grid.quant(hi[axis])? }))
+        });
+        // The axis's cells or values, from the top of a big-endian word;
+        // a point keeps the first half of what a rect keeps.
+        let f32_bits = |v: f64| u64::from((v as f32).to_bits());
+        let (word, len) = match cells {
+            Some((qlo, qhi)) => (u64::from(qlo) << 48 | u64::from(qhi) << 32, 4),
+            None => (f32_bits(lo[axis]) << 32 | f32_bits(hi[axis]), 8),
         };
-        Some((qlo, qhi))
-    };
-    let qx = cells(ctx.map(QuantCtx::span_x), xmin, xmax);
-    let qy = cells(ctx.map(QuantCtx::span_y), ymin, ymax);
-    let bit = |set: bool, bit: u8| if set { bit } else { 0 };
-    let tag =
-        bit(point, op::V2_POINT) | bit(qx.is_some(), op::V2_QX) | bit(qy.is_some(), op::V2_QY);
-    buf.put_u8(tag);
-    put_varint(buf, zigzag(i64::from(o.id) - i64::from(prev_id)));
-    for (cells, lo, hi) in [(qx, xmin, xmax), (qy, ymin, ymax)] {
-        match cells {
-            Some((qlo, qhi)) => {
-                put_u16be(buf, qlo);
-                if !point {
-                    put_u16be(buf, qhi);
-                }
-            }
-            None => {
-                buf.put_f32(lo as f32);
-                if !point {
-                    buf.put_f32(hi as f32);
-                }
-            }
-        }
+        tag |= if cells.is_some() { bit } else { 0 };
+        raw[end..end + 8].copy_from_slice(&word.to_be_bytes());
+        end += len >> u8::from(point);
     }
+    raw[0] = tag;
+    buf.truncate(start + end);
 }
 
+/// Reads the compact object `rest` opens whole, and the bytes it took:
+/// its first 32 bytes — more than the longest record a decoder accepts,
+/// a tag, a ten-byte varint and a rect; zero past the end of the frame —
+/// are parsed with a local cursor. Each field is checked against the
+/// bytes the frame holds, in wire order, so every cut fails as it did
+/// read a byte at a time.
 fn get_object_v2(
-    buf: &mut Bytes,
+    rest: &[u8],
     prev_id: u32,
     ctx: Option<&QuantCtx>,
-) -> Result<SpatialObject, CodecError> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
+) -> Walked<(SpatialObject, usize)> {
+    let have = rest.len().min(32);
+    let padded;
+    let raw: &[u8; 32] = match rest.get(..32) {
+        Some(raw) => raw.try_into().expect("32 bytes"),
+        None => {
+            padded = std::array::from_fn(|i| rest.get(i).copied().unwrap_or(0));
+            &padded
+        }
+    };
+    let tag = *rest.first().ok_or(CodecError::Truncated)?;
     if tag & !(op::V2_POINT | op::V2_QX | op::V2_QY) != 0 {
         return Err(CodecError::UnknownOpcode(tag));
     }
     let point = tag & op::V2_POINT != 0;
-    let delta = unzigzag(get_varint(buf)?);
+    let (delta, vlen) = varint(&raw[1..have])?;
     // A delta that leaves `u32` is a complete record with a value out of
     // range, like an unknown update tag — not a truncation.
-    let id = u32::try_from(i64::from(prev_id).wrapping_add(delta))
+    let id = u32::try_from(i64::from(prev_id).wrapping_add(unzigzag(delta)))
         .map_err(|_| CodecError::UnknownOpcode(tag))?;
-    let (xmin, xmax) = if tag & op::V2_QX != 0 {
-        let (min, max) = ctx.ok_or(CodecError::MissingContext)?.span_x();
-        let lo = QuantCtx::dequant(min, max, get_u16be(buf)?);
-        let hi = if point {
-            lo
-        } else {
-            QuantCtx::dequant(min, max, get_u16be(buf)?)
-        };
-        (lo, hi)
-    } else {
-        let lo = get_f32(buf)? as f64;
-        let hi = if point { lo } else { get_f32(buf)? as f64 };
-        (lo, hi)
+    // Where each axis starts and the record ends, then the checks in wire
+    // order: x's grid, x's bytes, y's grid, y's bytes.
+    let width = |bit: u8| if tag & bit != 0 { 4 } else { 8 } >> u8::from(point);
+    let (x_at, y_at) = (1 + vlen, 1 + vlen + width(op::V2_QX));
+    let end = y_at + width(op::V2_QY);
+    let grid = |axis: usize, bit: u8| match tag & bit {
+        0 => Ok(None),
+        _ => Ok(Some(&ctx.ok_or(CodecError::MissingContext)?.axes[axis])),
     };
-    let (ymin, ymax) = if tag & op::V2_QY != 0 {
-        let (min, max) = ctx.ok_or(CodecError::MissingContext)?.span_y();
-        let lo = QuantCtx::dequant(min, max, get_u16be(buf)?);
-        let hi = if point {
-            lo
-        } else {
-            QuantCtx::dequant(min, max, get_u16be(buf)?)
+    let gx = grid(0, op::V2_QX)?;
+    if y_at > have {
+        return Err(CodecError::Truncated);
+    }
+    let gy = grid(1, op::V2_QY)?;
+    if end > have {
+        return Err(CodecError::Truncated);
+    }
+    // An axis's two values, from the top of the big-endian word it starts
+    // (a point's second is its first).
+    let axis = |grid: Option<&Axis>, at: usize| {
+        let word = u64::from_be_bytes(raw[at..at + 8].try_into().expect("8 bytes"));
+        let value = |second: u32| match grid {
+            Some(grid) => grid.dequant((word << (16 * second) >> 48) as u16),
+            None => f64::from(f32::from_bits((word << (32 * second) >> 32) as u32)),
         };
-        (lo, hi)
-    } else {
-        let lo = get_f32(buf)? as f64;
-        let hi = if point { lo } else { get_f32(buf)? as f64 };
-        (lo, hi)
+        let lo = value(0);
+        (lo, if point { lo } else { value(1) })
     };
-    Ok(SpatialObject::new(
-        id,
-        Rect::new(Point::new(xmin, ymin), Point::new(xmax, ymax)),
-    ))
+    let ((xlo, xhi), (ylo, yhi)) = (axis(gx, x_at), axis(gy, y_at));
+    let (min, max) = (Point::new(xlo, ylo), Point::new(xhi, yhi));
+    Ok((SpatialObject::new(id, Rect::new(min, max)), end))
 }
 
 /// Encodes the `HELLO` probe a negotiating client opens a link with.

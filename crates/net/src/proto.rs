@@ -171,6 +171,23 @@ impl Request {
         }
     }
 
+    /// The rectangle a v2 reply to this request quantizes against
+    /// (`WIRE.md`, clause 1 of the quantisation contract): a window grids
+    /// over itself, an ε-probe over its rectangle grown by ε as the wire
+    /// carries it, every other request over nothing. Unlike the reach,
+    /// ε keeps its sign here — a negative ε shrinks the grid, or leaves
+    /// none — because the grid is part of the wire format and the golden
+    /// frames pin it; the reach is only a pruning bound.
+    pub(crate) fn grid(&self) -> Option<Rect> {
+        match self {
+            Request::Window(w) => Some(*w),
+            Request::EpsRange { q, eps } => {
+                Some(crate::codec::snap_rect_f32(q).expand(f64::from(*eps as f32)))
+            }
+            _ => None,
+        }
+    }
+
     /// The cut: this request narrowed to the probes `picks` names, in
     /// that order. The answer to the cut is the answer to those probes —
     /// every probe is answered on its own. A request without probes is

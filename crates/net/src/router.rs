@@ -623,16 +623,22 @@ impl ShardRouter {
     /// propagate from every shard. Every rectangle decision is taken on
     /// the request's [`wire_exact`] form, returned for the merge.
     /// `ApplyUpdates` and `Changes` scatter nothing here — both finish in
-    /// [`ShardRouter::merge`].
-    fn scatter<'a>(&self, slot: usize, req: &'a Request, flights: &mut Few<Flight<'a>>) -> Request {
+    /// [`ShardRouter::merge`]. `bounds` is every shard's, as the batch
+    /// read them.
+    fn scatter<'a>(
+        &self,
+        slot: usize,
+        req: &'a Request,
+        bounds: &[Option<Rect>],
+        flights: &mut Few<Flight<'a>>,
+    ) -> Request {
         let exact = wire_exact(req);
         if matches!(req, Request::ApplyUpdates(_) | Request::Changes { .. }) {
             return exact;
         }
         let reaches: Few<Rect> = (0..exact.probes()).map(|i| exact.reach(i)).collect();
         let (reaches, cooperative) = (reaches.as_slice(), req.is_cooperative());
-        for (shard, meta) in self.telemetry.metas.iter().enumerate() {
-            let bounds = meta.bounds();
+        for (shard, bounds) in bounds.iter().enumerate() {
             let reached = |&i: &usize| bounds.is_some_and(|b| b.intersects(&reaches[i]));
             let picks: Few<usize> = (0..reaches.len()).filter(reached).collect();
             let sub = match picks.as_slice().len() {
@@ -782,12 +788,18 @@ impl Layer for ShardRouter {
         // by request and in shard order within each; each request is
         // then merged from its own run of them. A merged answer carries
         // the fleet generation that run was served at (0 on a frozen
-        // fleet); an `Ack` carries its own.
+        // fleet); an `Ack` carries its own. Every request is scattered
+        // against one read of the fleet's bounds: bounds only grow, so a
+        // copy taken at batch start is a cut a racing read could see.
         let mut flights = Few::new();
+        let mut bounds = BOUNDS.take();
+        bounds.extend(self.telemetry.metas.iter().map(|meta| meta.bounds()));
         let exact: Few<_> = reqs
             .enumerate()
-            .map(|(slot, req)| self.scatter(slot, req, &mut flights))
+            .map(|(slot, req)| self.scatter(slot, req, &bounds, &mut flights))
             .collect();
+        bounds.clear();
+        BOUNDS.set(bounds);
         let mut rest = flights.as_mut_slice();
         self.execute(rest);
         for (slot, req) in exact.into_iter().enumerate() {
@@ -839,6 +851,12 @@ impl Layer for ShardRouter {
         }
         self.edges.iter().flatten().map(Edge::wire).collect()
     }
+}
+
+thread_local! {
+    /// The fleet's bounds as a batch reads them, on this thread: grown to
+    /// the largest fleet once, never per batch.
+    static BOUNDS: Cell<Vec<Option<Rect>>> = const { Cell::new(Vec::new()) };
 }
 
 /// How a resolved flight lands in its round's result set.

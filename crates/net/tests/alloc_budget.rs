@@ -10,8 +10,9 @@
 //! through a 1 × 1 fleet; a cache hit allocates nothing for a COUNT and
 //! only its answer for a WINDOW or an ε-RANGE, whether a cached window
 //! contains the probe or the probe tier holds it. A flat exchange costs
-//! the same whatever its answer's size: the server streams into a reused
-//! buffer and ships one copy. A lying count prefix reserves nothing.
+//! the same whatever its answer's size, in either wire version: the
+//! server streams into a reused buffer and ships one copy. A lying count
+//! prefix reserves nothing.
 //! These are the numbers the stack reaches,
 //! pinned: a `Vec` that creeps back into a per-request path fails here.
 
@@ -21,7 +22,7 @@ use std::sync::Arc;
 
 use asj_geom::{Rect, SpatialObject};
 use asj_net::cache::{CacheLayer, ClientCache};
-use asj_net::codec::{decode_response, encode_response, CodecError};
+use asj_net::codec::{decode_response, encode_response, CodecError, WireVersion, OBJ_BYTES};
 use asj_net::testutil::ScanHandler;
 use asj_net::transport::InProcExchange;
 use asj_net::{
@@ -170,28 +171,62 @@ fn a_cache_hit_allocates_only_its_answer() {
     assert_eq!((wire.window_queries, wire.range_queries), (1, 1));
 }
 
-/// An answer's size is not an allocation: through a flat in-process link
-/// to the real server, which streams objects into the thread's reused
-/// reply buffer, a WINDOW and an ε-RANGE answering 1, 16 or 200 objects
-/// each allocate their request frame (built, then frozen: two), one
-/// reply frame and one answer `Vec`. A reply that grows by reallocation
-/// again fails here.
-#[test]
-fn a_reply_allocates_once_whatever_its_size() {
-    let service = SpatialService::new(RTreeStore::new(lattice()));
-    let flat = Link::in_process(Arc::new(service), PacketModel::default(), 1.0);
-    // 1 × 1, 4 × 4 and 10 × 20 lattice points.
+/// A WINDOW and an ε-RANGE answering 1 × 1, 4 × 4 and 10 × 20 lattice
+/// points, with their answer sizes.
+fn sized_reads() -> Vec<(Request, usize)> {
     let windows = [
         (Rect::from_coords(5.0, 5.0, 15.0, 15.0), 1),
         (Rect::from_coords(5.0, 5.0, 45.0, 45.0), 16),
         (Rect::from_coords(-1.0, -1.0, 95.0, 195.0), 200),
     ];
-    for (w, n) in windows {
-        for req in [Request::Window(w), Request::EpsRange { q: w, eps: 0.5 }] {
-            assert_eq!(flat.request(&req).into_objects().len(), n, "{req:?}");
-            assert_eq!(allocations(&flat, &req), 4, "{req:?}");
-        }
+    let reads = windows.into_iter().flat_map(|(w, n)| {
+        [
+            (Request::Window(w), n),
+            (Request::EpsRange { q: w, eps: 0.5 }, n),
+        ]
+    });
+    reads.collect()
+}
+
+/// A flat in-process link to the real server, which streams objects into
+/// the thread's reused reply buffer.
+fn served() -> Link {
+    let service = SpatialService::new(RTreeStore::new(lattice()));
+    Link::in_process(Arc::new(service), PacketModel::default(), 1.0)
+}
+
+/// An answer's size is not an allocation: a WINDOW and an ε-RANGE
+/// answering 1, 16 or 200 objects each allocate their request frame
+/// (built, then frozen: two), one reply frame and one answer `Vec`. A
+/// reply that grows by reallocation again fails here.
+#[test]
+fn a_reply_allocates_once_whatever_its_size() {
+    let flat = served();
+    for (req, n) in sized_reads() {
+        assert_eq!(flat.request(&req).into_objects().len(), n, "{req:?}");
+        assert_eq!(allocations(&flat, &req), 4, "{req:?}");
     }
+}
+
+/// A compact reply costs what a plain one does: on a link that negotiated
+/// wire v2 the server writes each object's record into the reused reply
+/// buffer and the client reads it from the frame in place, so the same
+/// reads allocate the same 4 times.
+#[test]
+fn a_v2_reply_allocates_what_a_v1_reply_does() {
+    let compact = served().negotiate();
+    assert_eq!(compact.wire(), WireVersion::V2);
+    for (req, n) in sized_reads() {
+        assert_eq!(compact.request(&req).into_objects().len(), n, "{req:?}");
+        assert_eq!(allocations(&compact, &req), 4, "{req:?}");
+    }
+    // Compact on the wire: a lattice point's record is shorter than a v1
+    // record, frame headers included.
+    let wire = compact.meter().snapshot();
+    assert!(
+        wire.down_bytes < wire.objects_received * OBJ_BYTES,
+        "{wire:?}"
+    );
 }
 
 /// A count prefix is input: one claiming more objects than its frame

@@ -24,6 +24,11 @@
 //! generation stamps), which have no quantization to verify but share
 //! the varint primitives.
 //!
+//! The record codec — each compact object assembled and parsed whole,
+//! its candidate cell found by a multiply — is held to the byte-at-a-time
+//! codec it replaced (`mod reference`): the same frame byte for byte, and
+//! the same error for every cut and every single-byte corruption of one.
+//!
 //! And one rule holds for every frame of every kind, either version,
 //! stamped, marked or wrapped: **a frame is consumed whole**. A valid
 //! frame with junk behind it, or with its count prefix lowered so that
@@ -589,6 +594,407 @@ proptest! {
             let (got, gen) = decode_response_gen_ctx(buf.freeze(), None).expect("v2 decode");
             prop_assert_eq!(got, resp);
             prop_assert_eq!(gen, generation, "generation stamp did not survive the peel");
+        }
+    }
+}
+
+/// The byte-at-a-time compact-object codec the record codec replaced,
+/// kept verbatim in behaviour as the oracle: every byte written and read
+/// one `put_*` / `get_*` at a time, the candidate cell found by dividing
+/// and rounding, exactly as the golden frames were first written.
+mod reference {
+    use asj_geom::{Point, Rect, SpatialObject};
+    use asj_net::codec::CodecError;
+    use bytes::{Buf, BufMut, Bytes, BytesMut};
+
+    /// Per axis, the `(min, max)` of the f32-snapped window.
+    pub type Grid = [(f64, f64); 2];
+
+    pub fn grid(win: Rect) -> Option<Grid> {
+        let snap = |v: f64| f64::from(v as f32);
+        let (a, b) = (win.min, win.max);
+        let r = Rect::new(
+            Point::new(snap(a.x), snap(a.y)),
+            Point::new(snap(b.x), snap(b.y)),
+        );
+        let ok = |min: f64, max: f64| (max - min).is_finite() && max - min > 0.0;
+        (ok(r.min.x, r.max.x) && ok(r.min.y, r.max.y))
+            .then_some([(r.min.x, r.max.x), (r.min.y, r.max.y)])
+    }
+
+    pub fn dequant(min: f64, max: f64, q: u16) -> f64 {
+        match q {
+            0 => min,
+            u16::MAX => max,
+            q => min + (f64::from(q) / 65535.0) * (max - min),
+        }
+    }
+
+    fn quant(min: f64, max: f64, v: f64) -> Option<u16> {
+        if !(v >= min && v <= max) {
+            return None;
+        }
+        let t = ((v - min) / (max - min) * 65535.0).round();
+        if !(0.0..=65535.0).contains(&t) {
+            return None;
+        }
+        let q = t as u16;
+        (dequant(min, max, q).to_bits() == v.to_bits()).then_some(q)
+    }
+
+    fn need(buf: &Bytes, bytes: usize) -> Result<(), CodecError> {
+        if buf.remaining() < bytes {
+            return Err(CodecError::Truncated);
+        }
+        Ok(())
+    }
+
+    fn put_varint(buf: &mut BytesMut, mut v: u64) {
+        while v >= 0x80 {
+            buf.put_u8((v as u8) | 0x80);
+            v >>= 7;
+        }
+        buf.put_u8(v as u8);
+    }
+
+    fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            need(buf, 1)?;
+            let b = buf.get_u8();
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(CodecError::Truncated)
+    }
+
+    fn get_u16be(buf: &mut Bytes) -> Result<u16, CodecError> {
+        need(buf, 2)?;
+        Ok(u16::from(buf.get_u8()) << 8 | u16::from(buf.get_u8()))
+    }
+
+    fn get_f32(buf: &mut Bytes) -> Result<f32, CodecError> {
+        need(buf, 4)?;
+        Ok(buf.get_f32())
+    }
+
+    fn put_object(buf: &mut BytesMut, o: &SpatialObject, prev_id: u32, grid: Option<&Grid>) {
+        let xmin = (o.mbr.min.x as f32) as f64;
+        let ymin = (o.mbr.min.y as f32) as f64;
+        let xmax = (o.mbr.max.x as f32) as f64;
+        let ymax = (o.mbr.max.y as f32) as f64;
+        let point = xmin.to_bits() == xmax.to_bits() && ymin.to_bits() == ymax.to_bits();
+        let cells = |span: Option<(f64, f64)>, lo: f64, hi: f64| {
+            let (min, max) = span?;
+            let qlo = quant(min, max, lo)?;
+            let qhi = if point { qlo } else { quant(min, max, hi)? };
+            Some((qlo, qhi))
+        };
+        let qx = cells(grid.map(|g| g[0]), xmin, xmax);
+        let qy = cells(grid.map(|g| g[1]), ymin, ymax);
+        let bit = |set: bool, bit: u8| if set { bit } else { 0 };
+        buf.put_u8(bit(point, 0x01) | bit(qx.is_some(), 0x02) | bit(qy.is_some(), 0x04));
+        let delta = i64::from(o.id) - i64::from(prev_id);
+        put_varint(buf, ((delta << 1) ^ (delta >> 63)) as u64);
+        for (cells, lo, hi) in [(qx, xmin, xmax), (qy, ymin, ymax)] {
+            match cells {
+                Some((qlo, qhi)) => {
+                    buf.put_u8((qlo >> 8) as u8);
+                    buf.put_u8(qlo as u8);
+                    if !point {
+                        buf.put_u8((qhi >> 8) as u8);
+                        buf.put_u8(qhi as u8);
+                    }
+                }
+                None => {
+                    buf.put_f32(lo as f32);
+                    if !point {
+                        buf.put_f32(hi as f32);
+                    }
+                }
+            }
+        }
+    }
+
+    fn get_object(
+        buf: &mut Bytes,
+        prev_id: u32,
+        grid: Option<&Grid>,
+    ) -> Result<SpatialObject, CodecError> {
+        need(buf, 1)?;
+        let tag = buf.get_u8();
+        if tag & !0x07 != 0 {
+            return Err(CodecError::UnknownOpcode(tag));
+        }
+        let point = tag & 0x01 != 0;
+        let v = get_varint(buf)?;
+        let delta = ((v >> 1) as i64) ^ -((v & 1) as i64);
+        let id = u32::try_from(i64::from(prev_id).wrapping_add(delta))
+            .map_err(|_| CodecError::UnknownOpcode(tag))?;
+        let mut axes = [(0.0, 0.0); 2];
+        for (axis, bit) in [(0, 0x02), (1, 0x04)] {
+            axes[axis] = if tag & bit != 0 {
+                let (min, max) = grid.ok_or(CodecError::MissingContext)?[axis];
+                let lo = dequant(min, max, get_u16be(buf)?);
+                let hi = if point {
+                    lo
+                } else {
+                    dequant(min, max, get_u16be(buf)?)
+                };
+                (lo, hi)
+            } else {
+                let lo = get_f32(buf)? as f64;
+                let hi = if point { lo } else { get_f32(buf)? as f64 };
+                (lo, hi)
+            };
+        }
+        let [(xmin, xmax), (ymin, ymax)] = axes;
+        Ok(SpatialObject::new(
+            id,
+            Rect::new(Point::new(xmin, ymin), Point::new(xmax, ymax)),
+        ))
+    }
+
+    /// `[8C][u32 n]`, then the objects.
+    pub fn encode(objs: &[SpatialObject], grid: Option<&Grid>) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u8(0x8C);
+        buf.put_u32(objs.len() as u32);
+        let mut prev_id = 0;
+        for o in objs {
+            put_object(&mut buf, o, prev_id, grid);
+            prev_id = o.id;
+        }
+        buf.freeze()
+    }
+
+    /// What a v2 decoder makes of a frame that opens `[8C]`, or of none.
+    pub fn decode(mut buf: Bytes, grid: Option<&Grid>) -> Result<Vec<SpatialObject>, CodecError> {
+        need(&buf, 1)?;
+        assert_eq!(buf.get_u8(), 0x8C, "the oracle reads compact object frames");
+        need(&buf, 4)?;
+        let n = buf.get_u32();
+        let mut objs = Vec::new();
+        let mut prev_id = 0;
+        for _ in 0..n {
+            let o = get_object(&mut buf, prev_id, grid)?;
+            prev_id = o.id;
+            objs.push(o);
+        }
+        match buf.remaining() {
+            0 => Ok(objs),
+            n => Err(CodecError::TrailingBytes(n)),
+        }
+    }
+}
+
+fn f32_next_up(v: f32) -> f32 {
+    if v.is_nan() || v == f32::INFINITY {
+        v
+    } else if v == 0.0 {
+        f32::from_bits(1)
+    } else if v > 0.0 {
+        f32::from_bits(v.to_bits() + 1)
+    } else {
+        f32::from_bits(v.to_bits() - 1)
+    }
+}
+
+fn f32_next_down(v: f32) -> f32 {
+    -f32_next_up(-v)
+}
+
+/// One axis of an oracle window, as f32 values `min < max`: a quarter
+/// grid near the origin, a span of one f32 ulp, a span of a few ulps, or
+/// a power-of-two span up to 2²³ spans from the origin.
+fn oracle_axis(kind: u64, r: u64) -> (f32, f32) {
+    let pick = |n: u64, shift: u32| (r >> shift) % n;
+    let magnitude = f32::from_bits((100 + pick(60, 0) as u32) << 23 | pick(1 << 23, 8) as u32);
+    let signed = if r >> 63 == 1 { -magnitude } else { magnitude };
+    let (min, max) = match kind % 4 {
+        0 => {
+            let min = (pick(2001, 0) as f32 - 1000.0) * 0.25;
+            (min, min + (1 + pick(1000, 16)) as f32 * 0.125)
+        }
+        1 => (signed, f32_next_up(signed)),
+        2 => {
+            let ulps = 2 + pick(1000, 40) as u32;
+            let bits = signed.abs().to_bits() + ulps;
+            (signed.abs(), f32::from_bits(bits))
+        }
+        _ => {
+            let span = 2f32.powi(pick(40, 0) as i32 - 20);
+            let min = span * pick(1 << 23, 6) as f32 * if r >> 63 == 1 { -1.0 } else { 1.0 };
+            (min, min + span * (1 + pick(4, 30)) as f32)
+        }
+    };
+    (min, if max > min { max } else { f32_next_up(min) })
+}
+
+/// A coordinate on `axis` from every class the encoder tells apart: on a
+/// cell's dequantized value, one f32 ulp either side of it, off the grid,
+/// outside the window, non-finite, or subnormal.
+fn oracle_coord(kind: u64, r: u64, (min, max): (f64, f64)) -> f64 {
+    let on = reference::dequant(min, max, r as u16) as f32;
+    let edge = [min as f32, max as f32][(r >> 16) as usize % 2];
+    f64::from(match kind % 10 {
+        0 | 1 => on,
+        2 => f32_next_up(on),
+        3 => f32_next_down(on),
+        4 => [edge, f32_next_up(edge), f32_next_down(edge)][(r >> 17) as usize % 3],
+        5 => (min + (max - min) * ((r >> 20) % 1_000_003) as f64 / 1_000_003.0) as f32,
+        6 => (if r >> 63 == 1 { min } else { max } + (max - min) * ((r >> 20) % 9) as f64) as f32,
+        7 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(r >> 16) as usize % 3],
+        _ => f32::from_bits((r as u32 & 0x807f_ffff).max(1)),
+    })
+}
+
+/// Ids whose deltas take every varint length from one byte to five.
+fn oracle_id(r: u64) -> u32 {
+    (r as u32) >> ((r >> 32) % 32)
+}
+
+/// The objects and the window an oracle case is coded against, built from
+/// raw draws; boxes keep their min before their max on each axis unless
+/// a NaN makes them unordered, and the NaN is kept.
+fn oracle_case(window: (u64, u64, u64, u64), draws: &[[u64; 6]]) -> (Rect, Vec<SpatialObject>) {
+    let (x, y) = (
+        oracle_axis(window.0, window.1),
+        oracle_axis(window.2, window.3),
+    );
+    let win = Rect {
+        min: Point::new(x.0.into(), y.0.into()),
+        max: Point::new(x.1.into(), y.1.into()),
+    };
+    let axes = [(win.min.x, win.max.x), (win.min.y, win.max.y)];
+    let objs = draws
+        .iter()
+        .map(|d| {
+            let c = |i: usize, axis: usize| oracle_coord(d[i] >> 56, d[i], axes[axis]);
+            let (mut x0, mut y0, mut x1, mut y1) = (c(1, 0), c(2, 1), c(3, 0), c(4, 1));
+            if d[5] % 3 == 0 {
+                (x1, y1) = (x0, y0);
+            }
+            if x0 > x1 {
+                (x0, x1) = (x1, x0);
+            }
+            if y0 > y1 {
+                (y0, y1) = (y1, y0);
+            }
+            let mbr = Rect {
+                min: Point::new(x0, y0),
+                max: Point::new(x1, y1),
+            };
+            SpatialObject::new(oracle_id(d[0]), mbr)
+        })
+        .collect();
+    (win, objs)
+}
+
+fn objects_bits(resp: Result<Response, CodecError>) -> Result<Vec<(u32, [u64; 4])>, CodecError> {
+    resp.map(|r| r.into_objects().iter().map(bits).collect())
+}
+
+/// Holds the record codec to the oracle on one case: the same frame byte
+/// for byte; every cut of it, with the grid and without, the same error;
+/// and single-byte mutations of its records the same value or error.
+fn agrees_with_the_oracle(win: Rect, objs: &[SpatialObject], mutations: u64) -> Result<(), String> {
+    let (ctx, grid) = (QuantCtx::new(win), reference::grid(win));
+    if ctx.is_some() != grid.is_some() {
+        return Err(format!("window {win:?}: grid {ctx:?} vs {grid:?}"));
+    }
+    let want = reference::encode(objs, grid.as_ref());
+    let got = encode_v2(&Response::Objects(objs.to_vec()), ctx.as_ref());
+    if got != want {
+        return Err(format!("{objs:?} on {win:?}:\n{got:02x?}\n{want:02x?}"));
+    }
+    let check = |frame: Bytes, what: &str| {
+        for (ctx, grid) in [(ctx.as_ref(), grid.as_ref()), (None, None)] {
+            let new = objects_bits(decode_response_ctx(frame.clone(), ctx));
+            let old = reference::decode(frame.clone(), grid).map(|o| o.iter().map(bits).collect());
+            if new != old {
+                return Err(format!(
+                    "{what} of {want:02x?} on {win:?}: {new:?} vs {old:?}"
+                ));
+            }
+        }
+        Ok(())
+    };
+    for len in 0..=want.len() {
+        check(want.slice(0..len), &format!("the {len}-byte cut"))?;
+    }
+    let mut state = mutations;
+    for _ in 0..mutations % 16 {
+        if want.len() > 5 {
+            let mut frame = want.to_vec();
+            let at = 5 + lcg(&mut state) as usize % (want.len() - 5);
+            frame[at] = lcg(&mut state) as u8;
+            check(Bytes::from(frame), &format!("byte {at} mutated"))?;
+        }
+    }
+    Ok(())
+}
+
+/// The oracle's corpus reaches every layout: all eight tags, id deltas of
+/// every varint length, and quantized and escaped axes on every window
+/// kind — and on all of it the record codec is the oracle.
+#[test]
+fn the_oracle_corpus_reaches_every_layout_and_agrees() {
+    let mut state = 0x0dd5_eed5_u64;
+    let mut draw = || lcg(&mut state) << 31 ^ lcg(&mut state);
+    let (mut tags, mut delta_lengths) = ([0u32; 8], [0u32; 6]);
+    for case in 0..400 {
+        let window = (case, draw(), case / 4, draw());
+        let draws: Vec<[u64; 6]> = (0..24).map(|_| [(); 6].map(|_| draw())).collect();
+        let (win, objs) = oracle_case(window, &draws);
+        agrees_with_the_oracle(win, &objs, draw()).unwrap();
+        let grid = reference::grid(win);
+        let frame = reference::encode(&objs, grid.as_ref());
+        let mut at = 5;
+        let mut prev_id = 0u32;
+        for o in &objs {
+            let tag = frame[at];
+            tags[usize::from(tag)] += 1;
+            let delta = i64::from(o.id) - i64::from(prev_id);
+            let zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+            let len = (1..=5).find(|&n| zigzag < 1 << (7 * n)).unwrap();
+            delta_lengths[len] += 1;
+            let axis = |q: u8| if tag & q != 0 { 2 } else { 4 } * (2 - usize::from(tag & 1));
+            at += 1 + len + axis(0x02) + axis(0x04);
+            prev_id = o.id;
+        }
+        assert_eq!(at, frame.len(), "the corpus walk lost its place");
+    }
+    assert!(tags.iter().all(|&n| n > 20), "tags {tags:?}");
+    assert!(
+        delta_lengths[1..].iter().all(|&n| n > 20),
+        "{delta_lengths:?}"
+    );
+}
+
+proptest! {
+    // The record codec against the byte-at-a-time oracle, on windows from
+    // a quarter grid to one f32 ulp wide and up to 2²³ spans from the
+    // origin, objects on cells, beside them, off the grid, outside the
+    // window, non-finite and subnormal.
+    #[test]
+    fn the_record_codec_is_the_byte_at_a_time_codec(
+        window in (0u64..4, any::<u64>(), 0u64..4, any::<u64>()),
+        draws in prop::collection::vec(
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>())
+                .prop_map(|(a, b, c, d, e, f)| [a, b, c, d, e, f]),
+            0..24,
+        ),
+        mutations in any::<u64>(),
+    ) {
+        let (win, objs) = oracle_case(window, &draws);
+        if let Err(diverged) = agrees_with_the_oracle(win, &objs, mutations) {
+            prop_assert!(false, "{}", diverged);
         }
     }
 }

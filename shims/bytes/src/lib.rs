@@ -79,10 +79,12 @@ impl Bytes {
         }
     }
 
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> &[u8] {
         assert!(
             self.len() >= n,
@@ -111,6 +113,7 @@ impl AsRef<[u8]> for Bytes {
 impl std::ops::Deref for Bytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -137,6 +140,7 @@ impl Buf for Bytes {
         self.len()
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         self.take(n);
     }
@@ -207,6 +211,14 @@ impl BytesMut {
     #[inline]
     pub fn extend_from_slice(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
+    }
+
+    /// Shortens the buffer to `len` bytes, keeping its allocation (no-op
+    /// when it is no longer): how a record written at full width is cut
+    /// back to the bytes it used.
+    #[inline]
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
     }
 
     pub fn freeze(self) -> Bytes {
@@ -330,6 +342,13 @@ mod tests {
         assert_eq!(b.capacity(), cap, "clear must keep the allocation");
         b.put_u32(9);
         assert_eq!(Bytes::copy_from_slice(&b).as_slice(), 9u32.to_be_bytes());
+        // A record written at full width and cut back; a longer cut is
+        // no cut.
+        b.put_u64(u64::MAX);
+        b.truncate(4);
+        b.truncate(5);
+        assert_eq!(Bytes::copy_from_slice(&b).as_slice(), 9u32.to_be_bytes());
+        assert_eq!(b.capacity(), cap, "truncate must keep the allocation");
     }
 
     #[test]
