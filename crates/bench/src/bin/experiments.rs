@@ -3,8 +3,8 @@
 //! ```text
 //! experiments [all | fig6a | fig6b | fig7a | fig7b | fig8a | fig8b |
 //!              ablation-baselines | ablation-bucket | ablation-confirm |
-//!              ablation-batched-stats | ablation-mtu | shard-scaling |
-//!              cache-ablation]
+//!              ablation-mtu | shard-scaling | cache-ablation | live-update |
+//!              codec-v2]
 //!             [--seeds N] [--points N] [--out DIR]
 //! ```
 //!

@@ -352,25 +352,6 @@ pub fn all_experiments() -> Vec<Experiment> {
             check: no_check,
         },
         Experiment {
-            id: "ablation-batched-stats",
-            figure: "Ablation (ours): per-query COUNT vs batched MultiCount statistics, \
-                     buffer 100",
-            expectation: "Each repartitioning round's 2k² COUNT round trips collapse into \
-                          one MultiCount per server; the small buffer makes every run \
-                          split-heavy, so the batched columns (+mc) recover most of the \
-                          Fig. 7 statistics overhead (compare mean_agg_bytes in the CSV) \
-                          with identical join results.",
-            algos: vec![
-                AlgoKind::Mobi.into(),
-                AlgoSpec::batched(AlgoKind::Mobi),
-                AlgoKind::Sr { rho: 0.30 }.into(),
-                AlgoSpec::batched(AlgoKind::Sr { rho: 0.30 }),
-            ],
-            rail: false,
-            tweak: |c| c.buffer = 100,
-            check: no_check,
-        },
-        Experiment {
             id: "shard-scaling",
             figure: "Scaling (ours): scatter-gather shard fleets, N ∈ {1, 2, 4, 7} per side",
             expectation: "Join results identical at every shard count. Aggregate bytes grow \
@@ -514,7 +495,6 @@ mod tests {
             "fig7b",
             "fig8a",
             "fig8b",
-            "ablation-batched-stats",
             "shard-scaling",
             "cache-ablation",
             "live-update",

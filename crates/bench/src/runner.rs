@@ -74,15 +74,12 @@ impl AlgoKind {
 }
 
 /// One sweep column: an algorithm plus per-column capabilities — the
-/// batched `MultiCount` statistics mode, the shard count of the server
-/// fleets, and the client-side cache — so flat, batched, sharded and
-/// cached variants of the same algorithm can sit side by side in one
-/// table.
+/// shard count of the server fleets, the client-side cache and wire v2 —
+/// so flat, sharded, cached and v2 variants of the same algorithm can sit
+/// side by side in one table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlgoSpec {
     pub kind: AlgoKind,
-    /// Run this column with batched `MultiCount` statistics enabled.
-    pub batched_stats: bool,
     /// Shard both sides across fleets of this size (`0` = flat
     /// single-server deployment; `1` = an explicit 1-shard fleet, which is
     /// byte-identical to flat but exercises the router).
@@ -99,18 +96,9 @@ impl AlgoSpec {
     pub const fn new(kind: AlgoKind) -> Self {
         AlgoSpec {
             kind,
-            batched_stats: false,
             shards: 0,
             client_cache: false,
             wire_v2: false,
-        }
-    }
-
-    /// The same column with batched `MultiCount` statistics.
-    pub const fn batched(kind: AlgoKind) -> Self {
-        AlgoSpec {
-            batched_stats: true,
-            ..AlgoSpec::new(kind)
         }
     }
 
@@ -143,14 +131,10 @@ impl AlgoSpec {
         self.kind.make()
     }
 
-    /// Column label; batched columns carry a `+mc` suffix, sharded
-    /// columns a `+sN` suffix, cached columns a `+cc` suffix, wire-v2
-    /// columns a `+v2` suffix.
+    /// Column label; sharded columns carry a `+sN` suffix, cached
+    /// columns a `+cc` suffix, wire-v2 columns a `+v2` suffix.
     pub fn label(&self) -> String {
         let mut label = self.kind.label();
-        if self.batched_stats {
-            label.push_str("+mc");
-        }
         if self.shards >= 1 {
             label.push_str(&format!("+s{}", self.shards));
         }
@@ -246,15 +230,15 @@ pub struct CellStats {
     pub mean_pairs: f64,
     pub mean_objects: f64,
     /// Mean wire bytes spent on aggregate (statistics) traffic — the
-    /// column the batched-vs-single ablation reads its saving from.
+    /// column the cache ablation reads its statistics saving from.
     pub mean_agg_bytes: f64,
     /// Mean wire bytes carried *per shard server* — for flat columns this
     /// is half the total (one "shard" per side); for fleets it shows how
     /// scatter-gather spreads the load.
     pub mean_shard_bytes: f64,
     /// Mean fraction of scatter slots the routers skipped because a shard
-    /// could not contribute (bounds miss, or a zero-count skip inside a
-    /// merged avg-area); 0 for flat columns.
+    /// could not contribute (its bounds miss the request's reach); 0 for
+    /// flat columns.
     pub pruning_rate: f64,
     /// Mean wire bytes the client cache kept off the links (summed over a
     /// session); 0 for uncached columns.
@@ -396,7 +380,6 @@ pub fn run_sweep(
                 };
                 let net = cfg
                     .net
-                    .with_batched_stats(cfg.net.batched_stats || algos[ai].batched_stats)
                     .with_client_cache(cfg.net.client_cache || algos[ai].client_cache)
                     .with_wire_v2(cfg.net.wire_v2 || algos[ai].wire_v2);
                 let (dep, hint, data_r, data_s) =
@@ -552,7 +535,6 @@ mod tests {
     #[test]
     fn labels() {
         assert_eq!(AlgoSpec::new(AlgoKind::Mobi).label(), "mobiJoin");
-        assert_eq!(AlgoSpec::batched(AlgoKind::Mobi).label(), "mobiJoin+mc");
         assert_eq!(
             AlgoSpec::new(AlgoKind::Up {
                 alpha: 0.25,
@@ -562,10 +544,6 @@ mod tests {
             "upJoin"
         );
         assert_eq!(AlgoSpec::new(AlgoKind::Sr { rho: 0.30 }).label(), "srJoin");
-        assert_eq!(
-            AlgoSpec::batched(AlgoKind::Sr { rho: 0.30 }).label(),
-            "srJoin+mc"
-        );
         assert_eq!(
             AlgoSpec::new(AlgoKind::Sr { rho: 2.0 }).label(),
             "sr(r=200%)"
@@ -656,38 +634,6 @@ mod tests {
             sharded.mean_shard_bytes,
             flat.mean_shard_bytes
         );
-    }
-
-    #[test]
-    fn batched_column_recovers_statistics_bytes() {
-        // SrJoin COUNTs the four quadrants of every non-limit window, so
-        // at least one statistics round is guaranteed; buffer 100 makes
-        // the run split-heavy like the Fig. 7(a) configuration.
-        let cfg = SweepConfig {
-            n_points: 150,
-            seeds: 2,
-            buffer: 100,
-            ..SweepConfig::default()
-        };
-        let rows = vec![("4".to_string(), Workload::SyntheticPair { clusters: 4 })];
-        let algos = [
-            AlgoSpec::new(AlgoKind::Sr { rho: 0.3 }),
-            AlgoSpec::batched(AlgoKind::Sr { rho: 0.3 }),
-        ];
-        let r = run_sweep(&rows, &algos, &cfg);
-        assert_eq!(r.algos, vec!["srJoin", "srJoin+mc"]);
-        let (single, batched) = (r.cells[0][0], r.cells[0][1]);
-        assert_eq!(
-            single.mean_pairs, batched.mean_pairs,
-            "batching must not change join results"
-        );
-        assert!(
-            batched.mean_agg_bytes < single.mean_agg_bytes,
-            "batched {} vs single {} aggregate bytes",
-            batched.mean_agg_bytes,
-            single.mean_agg_bytes
-        );
-        assert!(batched.mean_bytes < single.mean_bytes);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 
 use asj_geom::Rect;
 use asj_net::codec::{
-    ANSWER_BYTES, BUCKET_FRAME_BYTES, BUCKET_REQ_HEADER_BYTES, COUNTS_HEADER_BYTES,
-    COUNT_ENTRY_BYTES, EPS_QUERY_BYTES, MULTI_COUNT_HEADER_BYTES, OBJECTS_HEADER_BYTES, OBJ_BYTES,
-    OBJ_BYTES_V2_EST, QUERY_BYTES, RECT_BYTES,
+    ANSWER_BYTES, BUCKET_FRAME_BYTES, BUCKET_REQ_HEADER_BYTES, EPS_QUERY_BYTES,
+    OBJECTS_HEADER_BYTES, OBJ_BYTES, OBJ_BYTES_V2_EST, QUERY_BYTES,
 };
 use asj_net::{NetConfig, PacketModel};
 
@@ -29,10 +28,6 @@ pub struct CostModel {
     pub tariff_s: f64,
     /// Device buffer capacity in objects; `c1 = ∞` beyond it.
     pub buffer_capacity: usize,
-    /// Statistics go out as batched `MultiCount` messages
-    /// ([`NetConfig::batched_stats`]); split-cost estimates must price
-    /// what the meter will actually measure.
-    pub batched_stats: bool,
     /// Shard fan-out of the R side: a query to a fleet of `f` shards pays
     /// up to `f` framed sub-requests and `f` framed responses, which the
     /// meters measure and the estimates below price. `1.0` for flat
@@ -42,7 +37,7 @@ pub struct CostModel {
     pub fanout_r: f64,
     /// Shard fan-out of the S side.
     pub fanout_s: f64,
-    /// Price multiplier on statistics (COUNT/`MultiCount`) rounds,
+    /// Price multiplier on statistics (COUNT) rounds,
     /// `(0, 1]`. With the client cache enabled, repeated statistics cost
     /// nothing on the wire; decisions should price a round at its
     /// *expected* cost, i.e. discounted by the observed hit rate (see
@@ -71,7 +66,6 @@ impl CostModel {
             tariff_r: net.tariff_r,
             tariff_s: net.tariff_s,
             buffer_capacity,
-            batched_stats: net.batched_stats,
             fanout_r: 1.0,
             fanout_s: 1.0,
             stats_discount: 1.0,
@@ -143,26 +137,11 @@ impl CostModel {
         self.tb(QUERY_BYTES as f64) + self.tb(ANSWER_BYTES as f64)
     }
 
-    /// One batched `MultiCount` round trip carrying `k` probe windows on
-    /// one link, unweighted — the companion of Eq. (7) for the batched
-    /// statistics protocol: one framed request up, one framed count
-    /// vector down.
-    pub fn taq_batched(&self, k: u32) -> f64 {
-        self.tb(MULTI_COUNT_HEADER_BYTES as f64 + k as f64 * RECT_BYTES as f64)
-            + self.tb(COUNTS_HEADER_BYTES as f64 + k as f64 * COUNT_ENTRY_BYTES as f64)
-    }
-
-    /// Wire cost of counting `probes` windows on one link, unweighted,
-    /// under whichever statistics protocol is active: `probes · Taq`
-    /// per-query, or one `taq_batched(probes)` round trip when batched —
-    /// scaled by the cache's statistics discount (`1.0` without a cache).
+    /// Wire cost of counting `probes` windows on one link, unweighted:
+    /// `probes · Taq`, scaled by the cache's statistics discount (`1.0`
+    /// without a cache).
     pub fn stats_round(&self, probes: u32) -> f64 {
-        self.stats_discount
-            * if self.batched_stats {
-                self.taq_batched(probes)
-            } else {
-                probes as f64 * self.taq()
-            }
+        self.stats_discount * (probes as f64 * self.taq())
     }
 
     /// Tariff- and fan-out-weighted cost of one statistics round sent to
@@ -175,8 +154,7 @@ impl CostModel {
 
     /// The wire cost of one 2×2 repartitioning round of statistics on
     /// both links — the paper's `2k²·Taq` with `k = 2`: four quadrant
-    /// COUNTs to each server (or one batched `MultiCount` each), times
-    /// the shard fan-out on each side.
+    /// COUNTs to each server, times the shard fan-out on each side.
     pub fn split_stats_cost(&self) -> f64 {
         self.stats_round_both(4)
     }
@@ -412,30 +390,12 @@ mod tests {
         assert_eq!(m.taq(), (40.0 + 17.0) + (40.0 + 9.0));
     }
 
-    fn batched_model(buffer: usize) -> CostModel {
-        CostModel::new(&NetConfig::default().with_batched_stats(true), buffer)
-    }
-
     #[test]
-    fn taq_batched_beats_per_query_for_a_quadrant_round() {
+    fn stats_round_is_one_taq_per_probe() {
         let m = model(800);
-        // One MultiCount of 4 windows: (BH + 5 + 4·16) + (BH + 5 + 4·8).
-        assert_eq!(m.taq_batched(4), (40.0 + 69.0) + (40.0 + 37.0));
-        assert!(m.taq_batched(4) < 4.0 * m.taq());
-        // Huge batches still pay multi-packet headers, never less than
-        // the payload itself.
-        assert!(m.taq_batched(10_000) > 10_000.0 * RECT_BYTES as f64);
-    }
-
-    #[test]
-    fn stats_round_switches_on_capability() {
-        let single = model(800);
-        let batched = batched_model(800);
-        assert_eq!(single.stats_round(4), 4.0 * single.taq());
-        assert_eq!(batched.stats_round(4), batched.taq_batched(4));
-        assert!(batched.split_stats_cost() < single.split_stats_cost());
+        assert_eq!(m.stats_round(4), 4.0 * m.taq());
         // With both tariffs at 1, a split costs the round on both links.
-        assert_eq!(single.split_stats_cost(), 8.0 * single.taq());
+        assert_eq!(m.split_stats_cost(), 8.0 * m.taq());
     }
 
     /// Simulates the actual 2×2 recursion under the uniformity assumption:
@@ -455,7 +415,7 @@ mod tests {
 
     #[test]
     fn c1_decomposed_matches_recursion_simulation() {
-        for m in [model(800), model(100), batched_model(800)] {
+        for m in [model(800), model(100)] {
             for (r, s) in [
                 (100.0, 100.0),       // fits: no stats at all
                 (500.0, 301.0),       // barely overflows 800

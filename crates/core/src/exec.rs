@@ -257,35 +257,9 @@ impl<'a> ExecCtx<'a> {
         (self.count(Side::R, w), self.count(Side::S, w))
     }
 
-    /// Batched `COUNT` on many windows in one `MultiCount` message:
-    /// answers in probe order, same ε/2-extended windows as
-    /// [`ExecCtx::count`]. Callers gate on
-    /// [`CostModel::batched_stats`](crate::CostModel) — or go through
-    /// [`ExecCtx::window_counts`], which in per-query mode issues
-    /// individual COUNTs instead.
-    ///
-    /// The reply length is validated in every build (not just debug):
-    /// quadrant counts feed pruning decisions, so a short or long
-    /// `Counts` vector from a buggy server or cache layer must surface as
-    /// a protocol error rather than silently misindex.
-    pub fn multi_count(&self, side: Side, windows: &[Rect]) -> Vec<u64> {
-        let ext: Vec<Rect> = windows.iter().map(|w| self.ext(w)).collect();
-        let counts = self
-            .link(side)
-            .request(&Request::MultiCount(ext))
-            .into_counts();
-        validated_counts(windows.len(), counts)
-    }
-
-    /// `COUNT` of every window on one side, in window order: one batched
-    /// `MultiCount` when the deployment's
-    /// [`NetConfig::batched_stats`](asj_net::NetConfig) capability is on,
-    /// otherwise one COUNT query each, all sent together. Same extended
-    /// windows, same answers — only the framing differs.
+    /// `COUNT` of every window on one side, in window order: one COUNT
+    /// query each, on the extended windows, all sent together.
     pub fn window_counts(&self, side: Side, windows: &[Rect]) -> Vec<u64> {
-        if self.cost.batched_stats {
-            return self.multi_count(side, windows);
-        }
         let reqs: Vec<Request> = windows
             .iter()
             .map(|w| Request::Count(self.ext(w)))
@@ -302,10 +276,6 @@ impl<'a> ExecCtx<'a> {
     /// device's hottest statistics path.
     pub fn quadrant_counts(&self, side: Side, quads: &[Rect; 4]) -> [u64; 4] {
         let mut counts = [0; 4];
-        if self.cost.batched_stats {
-            counts.copy_from_slice(&self.multi_count(side, quads));
-            return counts;
-        }
         let reqs = quads.map(|q| Request::Count(self.ext(&q)));
         let mut slots = counts.iter_mut();
         self.link(side).request_many(&reqs, |resp| {
@@ -362,8 +332,7 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// The wire cost of one 2×2 repartitioning round of statistics:
-    /// `2k² · Taq` with `k = 2` — four COUNTs to each server, or one
-    /// batched `MultiCount` each when the capability is on. Delegates to
+    /// `2k² · Taq` with `k = 2` — four COUNTs to each server. Delegates to
     /// the (cache-discounted) decision model so decisions price what
     /// [`ExecCtx::quadrant_counts`] will actually put on the wire.
     pub fn stats_cost_per_split(&self) -> f64 {
@@ -523,8 +492,7 @@ impl<'a> ExecCtx<'a> {
                 unreachable!("request variant is fixed above")
             };
             // Validated in release too: zip would silently drop the
-            // unmatched outer objects on a short reply (same defect
-            // class `validated_counts` closes for `MultiCount`).
+            // unmatched outer objects on a short reply.
             if buckets.len() != outer_objs.len() {
                 panic!(
                     "protocol mismatch: BucketEpsRange({}) answered with {} buckets",
@@ -633,21 +601,6 @@ impl<'a> ExecCtx<'a> {
             stats: self.stats,
         }
     }
-}
-
-/// Validates a `Counts` reply against the number of probe windows sent,
-/// panicking with the protocol-mismatch convention of
-/// [`Response::into_counts`](asj_net::Response) — a named violation in
-/// release builds too, instead of a short reply's opaque index panic or a
-/// long reply's silently dropped entries.
-fn validated_counts(want: usize, counts: Vec<u64>) -> Vec<u64> {
-    if counts.len() != want {
-        panic!(
-            "protocol mismatch: MultiCount({want}) answered with {} counts",
-            counts.len()
-        );
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -825,37 +778,24 @@ mod tests {
 
     #[test]
     fn batched_quadrant_counts_match_per_query() {
-        let pts = grid_points(10, 10.0, 0);
-        let space = Rect::from_coords(0.0, 0.0, 90.0, 90.0);
-        let build = |batched: bool| {
-            crate::deploy::DeploymentBuilder::new(pts.clone(), pts.clone())
-                .with_buffer(800)
-                .with_space(space)
-                .with_net(asj_net::NetConfig::default().with_batched_stats(batched))
-                .build()
-        };
+        let dep = deployment(800);
         let spec = JoinSpec::distance_join(10.0);
-        let dep_single = build(false);
-        let dep_batched = build(true);
-        let single = ExecCtx::new(&dep_single, &spec);
-        let batched = ExecCtx::new(&dep_batched, &spec);
-        let quads = space.quadrants();
+        let ctx = ExecCtx::new(&dep, &spec);
+        let quads = Rect::from_coords(0.0, 0.0, 90.0, 90.0).quadrants();
+        // A split's four COUNTs travel as one pipelined batch and answer
+        // as four single COUNTs do.
         for side in [Side::R, Side::S] {
-            assert_eq!(
-                single.quadrant_counts(side, &quads),
-                batched.quadrant_counts(side, &quads)
-            );
+            let one_by_one = quads.map(|q| ctx.count(side, &q));
+            assert_eq!(ctx.quadrant_counts(side, &quads), one_by_one);
+            assert_eq!(ctx.window_counts(side, &quads), one_by_one);
         }
-        // One MultiCount message vs four COUNTs, strictly fewer bytes.
-        let sm = single.link(Side::R).meter().snapshot();
-        let bm = batched.link(Side::R).meter().snapshot();
-        assert_eq!(sm.count_queries, 4);
-        assert_eq!(bm.count_queries, 1);
-        assert!(bm.up_packets < sm.up_packets);
-        assert!(bm.aggregate_bytes() < sm.aggregate_bytes());
-        // And the cost model prices exactly what the meter measured.
-        assert_eq!(sm.aggregate_bytes() as f64, single.cost.stats_round(4));
-        assert_eq!(bm.aggregate_bytes() as f64, batched.cost.stats_round(4));
+        // Four COUNTs a round, and the cost model prices exactly what
+        // the meter measured.
+        let before = ctx.link(Side::R).meter().snapshot();
+        ctx.quadrant_counts(Side::R, &quads);
+        let round = ctx.link(Side::R).meter().snapshot().since(&before);
+        assert_eq!(round.count_queries, 4);
+        assert_eq!(round.aggregate_bytes() as f64, ctx.cost.stats_round(4));
     }
 
     #[test]
@@ -941,24 +881,6 @@ mod tests {
         let mut want = asj_geom::sweep::nested_loop_join(&pts, &pts, &spec.predicate);
         want.sort_unstable();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn validated_counts_accepts_exact_length() {
-        assert_eq!(validated_counts(3, vec![1, 2, 3]), vec![1, 2, 3]);
-        assert_eq!(validated_counts(0, vec![]), Vec::<u64>::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "protocol mismatch: MultiCount(4) answered with 5 counts")]
-    fn validated_counts_rejects_long_reply() {
-        validated_counts(4, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "protocol mismatch: MultiCount(4) answered with 2 counts")]
-    fn validated_counts_rejects_short_reply() {
-        validated_counts(4, vec![1, 2]);
     }
 
     #[test]

@@ -46,8 +46,7 @@ impl DistributedJoin for GridJoin {
         let grid = Grid::square(ctx.space, self.k);
         let cells: Vec<_> = grid.cells().collect();
         // All cells on R, then only the R-occupied cells on S: the 2k²
-        // cell COUNTs are independent, so each server's travel together
-        // (or collapse to one MultiCount with batched statistics on).
+        // cell COUNTs are independent, so each server's travel together.
         let counts_r = ctx.window_counts(Side::R, &cells);
         let mut live = Vec::new();
         for (cell, count_r) in cells.into_iter().zip(counts_r) {
@@ -146,34 +145,6 @@ mod tests {
         assert_eq!(a, b);
         // Grid skips the lonely S cluster at (900,900).
         assert!(grid.objects_downloaded() < naive.objects_downloaded());
-    }
-
-    #[test]
-    fn batched_cell_sweep_same_result_two_aggregate_messages() {
-        let r = cluster(100, 100.0, 100.0, 0);
-        let s = cluster(100, 103.0, 100.0, 1000);
-        let build = |batched: bool| {
-            DeploymentBuilder::new(r.clone(), s.clone())
-                .with_buffer(800)
-                .with_space(space())
-                .with_net(asj_net::NetConfig::default().with_batched_stats(batched))
-                .build()
-        };
-        let spec = JoinSpec::distance_join(5.0);
-        let single = GridJoin::new(8).run(&build(false), &spec).unwrap();
-        let batched = GridJoin::new(8).run(&build(true), &spec).unwrap();
-        let mut a = single.pairs.clone();
-        let mut b = batched.pairs.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        // Per-query: 64 R-cell COUNTs + one S COUNT per occupied cell.
-        // Batched: one MultiCount per server.
-        assert!(single.aggregate_queries() >= 64);
-        assert_eq!(batched.aggregate_queries(), 2);
-        assert!(batched.total_bytes() < single.total_bytes());
-        assert_eq!(single.stats.pruned_windows, batched.stats.pruned_windows);
     }
 
     #[test]

@@ -21,20 +21,13 @@
 //! from the cost model. The cost model ([`CostModel`]) is used for
 //! *decisions* — exactly the separation the real prototype had.
 //!
-//! ## Batched statistics (opt-in)
+//! ## Statistics rounds
 //!
-//! When a deployment's `NetConfig::batched_stats` capability is on, the
-//! quadrant COUNTs of every repartitioning round go out as one
-//! `MultiCount` message per server instead of `k²` separate COUNT round
-//! trips — [`ExecCtx::quadrant_counts`] switches carriers, and the cost
-//! model's split-cost helpers ([`CostModel::taq_batched`],
-//! [`CostModel::stats_round`], [`CostModel::split_stats_cost`]) price the
-//! batched framing so decisions stay consistent with what the meters
-//! measure. MobiJoin, UpJoin, SrJoin and GridJoin all benefit without
-//! per-algorithm changes. **The flag defaults to off**: per-query mode is
-//! byte-identical to the paper-faithful protocol, and batched mode changes
-//! statistics traffic only — join results are identical by construction
-//! (same extended windows, same answers).
+//! The quadrant COUNTs of a repartitioning round are independent, so
+//! [`ExecCtx::quadrant_counts`] sends each server's four together, one
+//! pipelined batch of plain COUNTs; the cost model's split-cost helpers
+//! ([`CostModel::stats_round`], [`CostModel::split_stats_cost`]) price
+//! them as the paper's `2k²·Taq`, which is what the meters measure.
 //!
 //! ## Sharded server fleets (opt-in)
 //!
@@ -44,7 +37,7 @@
 //! router that presents the same `Link` the single-server deployment
 //! uses — `ExecCtx` and every algorithm work unchanged. The
 //! router prunes shards whose bounds miss the query window, sub-batches
-//! `MultiCount`/bucket probes, merges and deduplicates answers, and
+//! bucket probes, merges and deduplicates answers, and
 //! meters per shard and in aggregate; [`CostModel::with_fanout`] teaches
 //! operator decisions the per-round fan-out factor the meters will
 //! measure. A fleet of one is byte-identical on the wire to a flat

@@ -93,7 +93,7 @@ impl JoinReport {
         self.link_r.total_queries() + self.link_s.total_queries()
     }
 
-    /// Aggregate (COUNT/avg-area) queries issued — the statistics overhead
+    /// Aggregate (COUNT) queries issued — the statistics overhead
     /// the paper trades against pruning.
     pub fn aggregate_queries(&self) -> u64 {
         self.link_r.count_queries + self.link_s.count_queries

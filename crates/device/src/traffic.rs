@@ -157,11 +157,6 @@ fn digest_response(hash: &mut u64, resp: &Response) {
             objects(hash, objs);
         }
         Response::Count(c) => [1, *c].iter().for_each(|&v| word(hash, v)),
-        Response::Counts(cs) => {
-            word(hash, 2);
-            word(hash, cs.len() as u64);
-            cs.iter().for_each(|&c| word(hash, c));
-        }
         Response::Buckets(buckets) => {
             word(hash, 4);
             word(hash, buckets.len() as u64);
@@ -390,7 +385,6 @@ mod tests {
             vec![Response::Buckets(vec![vec![]])],
             vec![Response::Count(1), Response::Count(2)],
             vec![Response::Count(2), Response::Count(1)],
-            vec![Response::Counts(vec![1, 2])],
             vec![Response::Ack { generation: 1 }],
             vec![Response::Refused],
             vec![Response::Malformed],

@@ -16,10 +16,7 @@
 //!
 //! * **Exact statistics tier** — `COUNT` answers keyed by the bit-exact
 //!   query rectangle (a total-order `f64::to_bits` key, so `-0.0 ≠ 0.0`
-//!   and NaN-free wire rects never alias). A `MultiCount` batch is
-//!   resolved *per entry*: windows with cached counts are answered
-//!   locally, only the cut to the misses ships, and its answer is
-//!   spliced back by the protocol's merge law, in probe order.
+//!   and NaN-free wire rects never alias).
 //! * **Semantic window tier** — a byte-budgeted LRU of downloaded
 //!   windows. A `WINDOW` (or ε-RANGE) request whose reach is contained in
 //!   a cached window is answered locally by filtering that window's
@@ -859,60 +856,36 @@ impl CacheLayer {
 
     /// The lookup pass for one request, at the content generation (caught
     /// up on by the first request of the batch that can use it): the
-    /// probes the cache holds, merged into the request's empty answer by
-    /// the protocol's merge law, and the cut to the probes it does not.
-    /// Everything but the four cacheable kinds (bucket probes, the
-    /// cooperative extension, writes) always ships whole.
+    /// cache's answer, if it holds one. Everything but the three cacheable
+    /// kinds (bucket probes, the cooperative extension, writes) always
+    /// ships.
     fn lookup<'a>(&self, req: &'a Request, generation: &mut Option<u64>) -> Planned<'a> {
         let mut plan = Planned {
             req: Cow::Borrowed(req),
             local: None,
-            misses: Few::new(),
-            cut: None,
             shipped: None,
         };
-        let cacheable = matches!(
+        if matches!(
             req,
-            Request::Count(_)
-                | Request::MultiCount(_)
-                | Request::Window(_)
-                | Request::EpsRange { .. }
-        );
-        if !cacheable {
-            return plan;
+            Request::Count(_) | Request::Window(_) | Request::EpsRange { .. }
+        ) {
+            let at = *generation.get_or_insert_with(|| self.catch_up());
+            let req = wire_exact(req);
+            plan.local = self.held(&req, at);
+            plan.req = Cow::Owned(req);
         }
-        let at = *generation.get_or_insert_with(|| self.catch_up());
-        let req = wire_exact(req);
-        for i in 0..req.probes() {
-            match self.held(&req, i, at) {
-                Some(hit) => {
-                    (plan.local.get_or_insert_with(|| req.empty_answer())).merge(hit, &[i])
-                }
-                None => plan.misses.push(i),
-            }
-        }
-        if plan.local.is_some() && !plan.misses.as_slice().is_empty() {
-            plan.cut = Some(req.cut(plan.misses.as_slice()));
-        }
-        plan.req = Cow::Owned(req);
         plan
     }
 
-    /// The cache's answer to probe `i` of a cacheable `req` at
-    /// `generation` — the answer to the cut to that probe — tallied as a
-    /// hit or a miss.
-    fn held(&self, req: &Request, i: usize, generation: u64) -> Option<Response> {
+    /// The cache's answer to a cacheable `req` at `generation`, tallied as
+    /// a hit or a miss.
+    fn held(&self, req: &Request, generation: u64) -> Option<Response> {
         let t = &self.telemetry;
         match req {
             Request::Count(w) => {
                 let hit = self.cache.count(w, generation);
-                t.record_stats(hit.is_some() as u64, hit.is_none() as u64);
+                t.record_stats(hit.is_some());
                 hit.map(Response::Count)
-            }
-            Request::MultiCount(windows) => {
-                let hit = self.cache.count(&windows[i], generation);
-                t.record_stats(hit.is_some() as u64, hit.is_none() as u64);
-                hit.map(|c| Response::Counts(vec![c]))
             }
             Request::Window(w) => {
                 let hit = self.cache.window(w, generation);
@@ -960,26 +933,15 @@ impl CacheLayer {
     /// The admit pass for one request: its answer and the generation it
     /// was served at, with authoritative replies admitted to the cache
     /// (which keeps those served at its content generation) and local
-    /// answers priced as saved bytes: the whole round trip, less what the
-    /// cut to the misses cost. A failed or refused cut surfaces typed:
-    /// the local part is discarded rather than spliced against an error.
+    /// answers priced as saved bytes, the whole round trip.
     fn settle(&self, p: &mut Planned, generation: u64) -> (Response, u64) {
-        let Some(mut answer) = p.local.take() else {
+        let Some(answer) = p.local.take() else {
             let (resp, generation) = p.shipped.take().expect("every miss was shipped");
             self.admit(&p.req, &resp, generation);
             return (resp, generation);
         };
-        let mut spent = 0;
-        if let (Some(cut), Some((fresh, served))) = (&p.cut, p.shipped.take()) {
-            if fresh.is_non_answer() {
-                return (fresh, served);
-            }
-            self.admit(cut, &fresh, served);
-            spent = self.priced(cut, &fresh, generation);
-            answer.merge(fresh, p.misses.as_slice());
-        }
-        let whole = self.priced(&p.req, &answer, generation);
-        self.telemetry.record_saved(whole - spent);
+        self.telemetry
+            .record_saved(self.priced(&p.req, &answer, generation));
         (answer, generation)
     }
 
@@ -988,11 +950,6 @@ impl CacheLayer {
     fn admit(&self, req: &Request, resp: &Response, generation: u64) {
         match (req, resp) {
             (Request::Count(w), Response::Count(c)) => self.cache.observe_count(w, *c, generation),
-            (Request::MultiCount(windows), Response::Counts(cs)) => {
-                for (w, &c) in windows.iter().zip(cs) {
-                    self.cache.observe_count(w, c, generation);
-                }
-            }
             (Request::Window(w), Response::Objects(objects)) => {
                 self.cache.admit_window(w, objects, generation)
             }
@@ -1009,27 +966,17 @@ struct Planned<'a> {
     /// The request in the form every rectangle decision is taken on:
     /// [`wire_exact`] for the cacheable kinds, as it came otherwise.
     req: Cow<'a, Request>,
-    /// The answer of the probes the cache held, merged into the empty
-    /// answer; none when it held none of them.
+    /// The cache's answer; none when it held none.
     local: Option<Response>,
-    /// The probes it did not hold, in probe order.
-    misses: Few<usize>,
-    /// The cut to [`Planned::misses`], when the cache held some probes
-    /// and not others.
-    cut: Option<Request>,
     /// What the layer below answered to [`Planned::ships`].
     shipped: Option<(Response, u64)>,
 }
 
 impl Planned<'_> {
     /// The request still to be sent below for this entry, if any: the
-    /// whole request when the cache held none of it, the cut otherwise.
+    /// request, when the cache held no answer and none came back yet.
     fn ships(&self) -> Option<&Request> {
-        match (&self.shipped, &self.local) {
-            (Some(_), _) => None,
-            (None, None) => Some(&self.req),
-            (None, Some(_)) => self.cut.as_ref(),
-        }
+        (self.local.is_none() && self.shipped.is_none()).then_some(&*self.req)
     }
 }
 
@@ -1058,7 +1005,7 @@ impl Layer for CacheLayer {
         if caught_up.is_some() && plan_mut.iter().any(advanced) {
             self.catch_up();
             for p in plan_mut.iter_mut().filter(|p| p.local.is_some()) {
-                (p.local, p.cut, p.shipped) = (None, None, None);
+                (p.local, p.shipped) = (None, None);
             }
             self.ship(plan_mut);
         }
@@ -1755,35 +1702,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_count_partial_hit_ships_only_the_misses() {
-        let cached = cached_link(lattice(10), 1 << 20);
-        let a = w(0.0, 0.0, 2.0, 2.0);
-        let b = w(5.0, 5.0, 9.0, 9.0);
-        let c = w(20.0, 20.0, 30.0, 30.0);
-        cached.request(&Request::Count(a)); // prime a
-        let before = cached.meter().snapshot();
-        let counts = cached
-            .request(&Request::MultiCount(vec![a, b, c]))
-            .into_counts();
-        assert_eq!(counts, vec![9, 25, 0]);
-        let delta = cached.meter().snapshot().since(&before);
-        // The sub-batch carried exactly the two missing windows.
-        let sub = encode_request(&Request::MultiCount(vec![b, c]));
-        assert_eq!(delta.up_bytes, PacketModel::default().tb(sub.len() as u64));
-        assert_eq!(delta.count_queries, 1);
-        // A repeat is now fully local.
-        let before = cached.meter().snapshot();
-        let again = cached
-            .request(&Request::MultiCount(vec![a, b, c]))
-            .into_counts();
-        assert_eq!(again, vec![9, 25, 0]);
-        assert_eq!(cached.meter().snapshot(), before);
-        let snap = cached.cache().unwrap().snapshot();
-        assert_eq!(snap.stats_hits, 1 + 3);
-        assert_eq!(snap.stats_misses, 1 + 2);
-    }
-
-    #[test]
     fn contained_window_count_and_eps_range_answered_locally() {
         let cached = cached_link(lattice(10), 1 << 20);
         let plain = plain_link(lattice(10));
@@ -2118,12 +2036,11 @@ mod tests {
         let b = w(5.0, 5.0, 9.0, 9.0);
         cached.request(&Request::Count(a)); // prime a: the next batch is a partial hit
         knob.store(u64::MAX, Ordering::SeqCst);
-        // Retries are off: the garbled sub-reply must degrade typed.
-        assert_eq!(
-            cached.request(&Request::MultiCount(vec![a, b])),
-            Response::Malformed,
-            "splice against a garbled sub-reply must not panic"
-        );
+        // Retries are off: the garbled reply to the miss must degrade
+        // typed, in its place beside the hit.
+        let mut replies = Vec::new();
+        cached.request_many(&[Request::Count(a), Request::Count(b)], |r| replies.push(r));
+        assert_eq!(replies, [Response::Count(9), Response::Malformed]);
         assert_eq!(
             cached.cache().unwrap().store().cached_counts(),
             1,
@@ -2157,7 +2074,7 @@ mod tests {
     #[test]
     fn partial_hit_on_a_live_server_spends_one_retry_budget_when_the_edge_dies() {
         // A live server at generation 1 behind a switch that kills the
-        // edge: the exhausted sub-batch of a partial hit reports
+        // edge: the exhausted miss of a partially hit batch reports
         // generation 0, which must read as a failure, not as "the
         // servers advanced" (that re-asked the full batch and spent a
         // second retry budget).
@@ -2188,10 +2105,9 @@ mod tests {
         assert_eq!(store.generation(), 1);
         dead.store(1, Ordering::SeqCst);
         let before = cached.meter().snapshot();
-        assert_eq!(
-            cached.request(&Request::MultiCount(vec![a, b])),
-            Response::Unavailable
-        );
+        let mut replies = Vec::new();
+        cached.request_many(&[Request::Count(a), Request::Count(b)], |r| replies.push(r));
+        assert_eq!(replies, [Response::Count(9), Response::Unavailable]);
         let delta = cached.meter().snapshot().since(&before);
         assert_eq!((delta.retried, delta.abandoned), (1, 1));
         assert_eq!(delta.total_bytes(), 0);

@@ -44,14 +44,6 @@ pub const BUCKET_REQ_HEADER_BYTES: u64 = 1 + 4 + 4;
 pub const OBJECTS_HEADER_BYTES: u64 = 1 + 4;
 /// Per-probe framing overhead inside a `Buckets` response (u32 length).
 pub const BUCKET_FRAME_BYTES: u64 = 4;
-/// Fixed overhead of a batched `MultiCount` request (opcode + u32 n);
-/// each probe window adds [`RECT_BYTES`].
-pub const MULTI_COUNT_HEADER_BYTES: u64 = 1 + 4;
-/// Fixed overhead of a `Counts` response (opcode + u32 n); each count adds
-/// [`COUNT_ENTRY_BYTES`].
-pub const COUNTS_HEADER_BYTES: u64 = 1 + 4;
-/// Wire size of one count inside a `Counts` response (u64).
-pub const COUNT_ENTRY_BYTES: u64 = 8;
 /// Wire size of the `Unavailable` pseudo-frame (opcode only). Never sent
 /// by a server: carriers fabricate it locally when the peer is gone, so
 /// the client degrades to a typed [`crate::proto::Response::Unavailable`]
@@ -152,7 +144,8 @@ pub(crate) mod op {
     pub const BUCKET_EPS_RANGE: u8 = 0x04;
     // 0x05 is reserved: the average-MBR-area aggregate, which no device
     // ever sent. Rejected as unknown.
-    pub const MULTI_COUNT: u8 = 0x06;
+    // 0x06 is reserved: the batched COUNT of many windows, retired with
+    // its answers 0x88 and 0x8E. Rejected as unknown.
     pub const APPLY_UPDATES: u8 = 0x07;
     /// Idempotency envelope for retried update deliveries:
     /// `[APPLY_UPDATES_SEQ][u64 nonce][u64 seq][inner request frame]`.
@@ -174,7 +167,7 @@ pub(crate) mod op {
     pub const R_RECTS: u8 = 0x85;
     pub const R_PAIRS: u8 = 0x86;
     pub const R_REFUSED: u8 = 0x87;
-    pub const R_COUNTS: u8 = 0x88;
+    // 0x88 is reserved: the counts answering 0x06. Rejected as unknown.
     pub const R_ACK: u8 = 0x89;
     /// Not a response in its own right: the generation-stamp envelope
     /// prefix. `[R_GEN][u64 generation][response frame]`.
@@ -209,8 +202,8 @@ pub(crate) mod op {
     pub const R_OBJECTS_V2: u8 = 0x8C;
     /// Compact count: `[R_COUNT_V2][varint]`.
     pub const R_COUNT_V2: u8 = 0x8D;
-    /// Compact batched counts: `[R_COUNTS_V2][varint n][varint × n]`.
-    pub const R_COUNTS_V2: u8 = 0x8E;
+    // 0x8E is reserved: the compact counts answering 0x06. Rejected as
+    // unknown.
     /// Compact update ack: `[R_ACK_V2][varint generation]`.
     pub const R_ACK_V2: u8 = 0x8F;
     /// Compact generation-stamp envelope: `[R_GEN_V2][varint generation]`.
@@ -265,18 +258,17 @@ trait Io: Sized {
     /// 0, a varint. Always inlined: every caller's `width` is a constant,
     /// and the choice must be made at compile time.
     fn word(&mut self, width: u64, v: u64) -> Walked<u64>;
-    /// A length prefix — `u32`, or a varint — then that many items. As
-    /// given, for a pass that only reads the frame; one that builds a list
-    /// ([`Get`], which asks `blank` for each item's blank by its first
-    /// byte, and [`Snap`]) has its own.
+    /// A `u32` length prefix, then that many items. As given, for a pass
+    /// that only reads the frame; one that builds a list ([`Get`], which
+    /// asks `blank` for each item's blank by its first byte, and [`Snap`])
+    /// has its own.
     fn items<T>(
         &mut self,
         v: &[T],
-        varint: bool,
         _blank: impl Fn(u8) -> Walked<T>,
         each: impl Fn(&mut Self, &T) -> Walked<T>,
     ) -> Walked<Vec<T>> {
-        self.word(if varint { 0 } else { 4 }, v.len() as u64)?;
+        self.word(4, v.len() as u64)?;
         v.iter().try_for_each(|item| each(self, item).map(drop))?;
         Ok(Vec::new())
     }
@@ -335,7 +327,7 @@ trait Io: Sized {
         v: &[T],
         each: impl Fn(&mut Self, &T) -> Walked<T>,
     ) -> Walked<Vec<T>> {
-        self.items(v, false, |_| Ok(T::default()), each)
+        self.items(v, |_| Ok(T::default()), each)
     }
 }
 
@@ -351,7 +343,6 @@ impl Request {
                 probes: Vec::new(),
                 eps,
             },
-            op::MULTI_COUNT => Self::MultiCount(Vec::new()),
             op::COOP_LEVEL_MBRS => Self::CoopLevelMbrs(0),
             op::COOP_FILTER => Self::CoopFilterByMbrs {
                 mbrs: Vec::new(),
@@ -383,7 +374,6 @@ impl Request {
                 eps: io.op(op::BUCKET_EPS_RANGE).f32(eps)?,
                 probes: io.objects(false, probes)?,
             },
-            Self::MultiCount(ws) => Self::MultiCount(io.op(op::MULTI_COUNT).seq(ws, I::rect)?),
             Self::CoopLevelMbrs(level) => {
                 Self::CoopLevelMbrs(io.op(op::COOP_LEVEL_MBRS).u8(level)?)
             }
@@ -397,7 +387,7 @@ impl Request {
             },
             Self::ApplyUpdates(batch) => {
                 let io = io.op(op::APPLY_UPDATES);
-                Self::ApplyUpdates(io.items(batch, false, Update::blank, Update::fields)?)
+                Self::ApplyUpdates(io.items(batch, Update::blank, Update::fields)?)
             }
             Self::Changes { since } => Self::Changes {
                 since: io.op(op::CHANGES).u64(since)?,
@@ -438,7 +428,6 @@ impl Response {
         Ok(match opcode {
             op::R_OBJECTS | op::R_OBJECTS_V2 => Self::Objects(Vec::new()),
             op::R_COUNT | op::R_COUNT_V2 => Self::Count(0),
-            op::R_COUNTS | op::R_COUNTS_V2 => Self::Counts(Vec::new()),
             op::R_BUCKETS => Self::Buckets(Vec::new()),
             op::R_RECTS => Self::Rects(Vec::new()),
             op::R_PAIRS => Self::Pairs(Vec::new()),
@@ -451,7 +440,7 @@ impl Response {
         })
     }
 
-    /// The layout of every response frame. Four kinds have a compact v2
+    /// The layout of every response frame. Three kinds have a compact v2
     /// layout under an opcode of its own; the rest are the same bytes on
     /// both versions.
     #[inline]
@@ -464,11 +453,6 @@ impl Response {
             Self::Count(c) => {
                 let compact = io.op2(op::R_COUNT, op::R_COUNT_V2);
                 Self::Count(io.scalar(compact, c)?)
-            }
-            Self::Counts(cs) => {
-                let compact = io.op2(op::R_COUNTS, op::R_COUNTS_V2);
-                let count = |io: &mut I, c: &u64| io.scalar(compact, c);
-                Self::Counts(io.items(cs, compact, |_| Ok(0), count)?)
             }
             Self::Buckets(buckets) => {
                 let bucket = |io: &mut I, b: &Vec<SpatialObject>| io.objects(false, b);
@@ -484,7 +468,7 @@ impl Response {
             }
             Self::Changes(ops) => {
                 let io = io.op(op::R_CHANGES);
-                Self::Changes(io.items(ops, false, DeltaOp::blank, DeltaOp::fields)?)
+                Self::Changes(io.items(ops, DeltaOp::blank, DeltaOp::fields)?)
             }
             Self::Malformed => io.unit(op::R_MALFORMED, Self::Malformed),
             Self::Unavailable => io.unit(op::R_UNAVAILABLE, Self::Unavailable),
@@ -682,11 +666,10 @@ impl Io for Get<'_> {
     fn items<T>(
         &mut self,
         _: &[T],
-        varint: bool,
         blank: impl Fn(u8) -> Walked<T>,
         each: impl Fn(&mut Self, &T) -> Walked<T>,
     ) -> Walked<Vec<T>> {
-        let n = self.word(if varint { 0 } else { 4 }, 0)? as usize;
+        let n = self.u32(&0)? as usize;
         let mut items = Vec::with_capacity(n.min(self.buf.remaining()));
         for _ in 0..n {
             let item = blank(self.peek()?)?;
@@ -734,7 +717,6 @@ impl Io for Snap {
     fn items<T>(
         &mut self,
         v: &[T],
-        _: bool,
         _: impl Fn(u8) -> Walked<T>,
         each: impl Fn(&mut Self, &T) -> Walked<T>,
     ) -> Walked<Vec<T>> {
@@ -1395,9 +1377,11 @@ mod tests {
         let (w, o) = (Rect::default(), SpatialObject::default());
         let req = |r: Request| request_wire_bytes(&r);
         let resp = |r: Response| response_wire_bytes(&r);
-        let windows = |n| req(Request::MultiCount(vec![w; n]));
+        let windows = |n| {
+            let mbrs = vec![w; n];
+            req(Request::CoopFilterByMbrs { mbrs, eps: 0.0 })
+        };
         let objects = |n| resp(Response::Objects(vec![o; n]));
-        let counts = |n| resp(Response::Counts(vec![0; n]));
         let changes = |n| resp(Response::Changes(vec![DeltaOp::Add(o); n]));
         let v2 = |resp: &Response, generation| {
             let mut buf = BytesMut::new();
@@ -1435,17 +1419,6 @@ mod tests {
                 "BUCKET_FRAME_BYTES",
                 BUCKET_FRAME_BYTES,
                 resp(Response::Buckets(vec![vec![]])) - resp(Response::Buckets(vec![])),
-            ),
-            (
-                "MULTI_COUNT_HEADER_BYTES",
-                MULTI_COUNT_HEADER_BYTES,
-                windows(0),
-            ),
-            ("COUNTS_HEADER_BYTES", COUNTS_HEADER_BYTES, counts(0)),
-            (
-                "COUNT_ENTRY_BYTES",
-                COUNT_ENTRY_BYTES,
-                counts(1) - counts(0),
             ),
             ("GEN_STAMP_BYTES", GEN_STAMP_BYTES, v1_stamp.len() as u64),
             (
@@ -1623,8 +1596,6 @@ mod tests {
                 probes: vec![obj(1, 1.0, 2.0), obj(2, 3.0, 4.0)],
                 eps: 2.0,
             },
-            Request::MultiCount(vec![w, w, w]),
-            Request::MultiCount(vec![]),
             Request::CoopLevelMbrs(3),
             Request::CoopFilterByMbrs {
                 mbrs: vec![w, w],
@@ -1656,7 +1627,6 @@ mod tests {
                 probes: vec![o, o],
                 eps: 0.3,
             },
-            Request::MultiCount(vec![w, w]),
             Request::CoopLevelMbrs(2),
             Request::CoopFilterByMbrs {
                 mbrs: vec![w],
@@ -1687,8 +1657,6 @@ mod tests {
         let resps = vec![
             Response::Objects(vec![obj(1, 1.0, 1.0), obj(2, 2.0, 2.0)]),
             Response::Count(123_456),
-            Response::Counts(vec![0, 7, u64::MAX]),
-            Response::Counts(vec![]),
             Response::Buckets(vec![vec![obj(1, 0.0, 0.0)], vec![], vec![obj(2, 1.0, 1.0)]]),
             Response::Rects(vec![Rect::from_coords(0.0, 0.0, 1.0, 1.0)]),
             Response::Pairs(vec![(1, 2), (3, 4)]),
@@ -1732,50 +1700,6 @@ mod tests {
             encode_request(&Request::BucketEpsRange { probes, eps: 1.0 }).len() as u64,
             BUCKET_REQ_HEADER_BYTES + 2 * OBJ_BYTES
         );
-    }
-
-    #[test]
-    fn multi_count_wire_sizes() {
-        let w = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
-        // One MultiCount of 4 windows replaces 4 COUNT round trips.
-        assert_eq!(
-            encode_request(&Request::MultiCount(vec![w; 4])).len() as u64,
-            MULTI_COUNT_HEADER_BYTES + 4 * RECT_BYTES
-        );
-        assert_eq!(
-            encode_response(&Response::Counts(vec![1, 2, 3, 4])).len() as u64,
-            COUNTS_HEADER_BYTES + 4 * COUNT_ENTRY_BYTES
-        );
-        // Raw payload is a wash (106 vs 104 bytes for k=4); the win is the
-        // per-message packet headers the batch amortizes.
-        let p = crate::packet::PacketModel::default();
-        let batched = p.tb(MULTI_COUNT_HEADER_BYTES + 4 * RECT_BYTES)
-            + p.tb(COUNTS_HEADER_BYTES + 4 * COUNT_ENTRY_BYTES);
-        let single = 4 * (p.tb(QUERY_BYTES) + p.tb(ANSWER_BYTES));
-        assert!(batched < single, "batched {batched} vs single {single}");
-    }
-
-    #[test]
-    fn multi_count_truncation_rejected() {
-        let full = encode_request(&Request::MultiCount(vec![
-            Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-            Rect::from_coords(1.0, 1.0, 2.0, 2.0),
-        ]));
-        for cut in [1, 4, 5, 20, 36] {
-            assert_eq!(
-                decode_request(full.slice(0..cut)),
-                Err(CodecError::Truncated),
-                "cut={cut}"
-            );
-        }
-        let resp = encode_response(&Response::Counts(vec![1, 2]));
-        for cut in [1, 4, 12, 20] {
-            assert_eq!(
-                decode_response(resp.slice(0..cut)),
-                Err(CodecError::Truncated),
-                "cut={cut}"
-            );
-        }
     }
 
     #[test]
@@ -1992,7 +1916,6 @@ mod tests {
         let resps = [
             Response::Objects(vec![obj(1, 1.0, 1.0), obj(2, 2.0, 2.0)]),
             Response::Count(123_456),
-            Response::Counts(vec![0, 7, u64::MAX]),
             Response::Ack { generation: 4 },
             Response::Refused,
         ];

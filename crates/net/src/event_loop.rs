@@ -124,9 +124,6 @@ pub struct EndpointStats {
     /// Undecodable frames answered with the typed error: an alien opcode,
     /// a truncated payload, a frame corrupted in transit.
     malformed: AtomicU64,
-    /// Duplicate deliveries of an already-seen retry-dedup tag — each
-    /// one is a client retry the endpoint absorbed at-most-once.
-    retried: AtomicU64,
     /// Replies that could not be delivered because the client had
     /// already given up on the exchange.
     abandoned: AtomicU64,
@@ -159,11 +156,6 @@ impl EndpointStats {
     /// Undecodable frames answered with [`crate::Response::Malformed`].
     pub fn malformed(&self) -> u64 {
         self.malformed.load(Ordering::Acquire)
-    }
-
-    /// Duplicate dedup-tagged deliveries absorbed at-most-once.
-    pub fn retried(&self) -> u64 {
-        self.retried.load(Ordering::Acquire)
     }
 
     /// Replies dropped because the client abandoned the exchange.
@@ -218,12 +210,6 @@ impl EventLoop {
     fn run(ready: End<Event>) -> u64 {
         let mut served = 0u64;
         let mut buf = BytesMut::with_capacity(4096);
-        // Reactor-owned retry-observability table: the last dedup seq
-        // seen per (endpoint, nonce). A re-delivery of the same seq is a
-        // client retry the endpoint's handler absorbs at-most-once —
-        // counted here without touching the handler's own dedup state.
-        let mut last_tags: std::collections::HashMap<(usize, u64), u64> =
-            std::collections::HashMap::new();
         let (mut batch, mut replies) = (VecDeque::new(), Vec::new());
         let mut running = true;
         while running && ready.take_all(&mut batch) {
@@ -251,14 +237,6 @@ impl EventLoop {
                     conn.dequeued(1);
                     replies.push((reply, accept, conn));
                     continue;
-                }
-                // Of a frame it is about to serve, the reactor opens only
-                // the retry-dedup envelope: its tag feeds the retry gauge.
-                if let Some((tag, _)) = crate::codec::peel_dedup(&request) {
-                    let key = (Arc::as_ptr(stats) as usize, tag.nonce);
-                    if last_tags.insert(key, tag.seq) == Some(tag.seq) {
-                        stats.retried.fetch_add(1, Ordering::AcqRel);
-                    }
                 }
                 buf.clear();
                 if crate::transport::serve_frame_into(conn.handler.as_ref(), request, &mut buf) {
@@ -564,15 +542,21 @@ pub(crate) mod tests {
         let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(5))));
         let conn = endpoint.connect();
         // A frame garbled in transit (the fault layer's 0xEE marker), an
-        // alien opcode and a truncated frame are all answered typed.
-        for garbage in [&[0xEE, 0x01, 0x02][..], &[0x5A, 0x01, 0x02], &[]] {
+        // alien opcode, a retired one (0x06, a batched COUNT of no
+        // windows) and a truncated frame are all answered typed.
+        let retired = [0x06, 0, 0, 0, 0];
+        for garbage in [&[0xEE, 0x01, 0x02][..], &[0x5A, 0x01, 0x02], &retired, &[]] {
             let reply = conn.exchange(Bytes::copy_from_slice(garbage));
             assert_eq!(
                 crate::codec::decode_response(reply).unwrap(),
                 Response::Malformed
             );
         }
-        assert_eq!(endpoint.stats().malformed(), 3, "garbled, alien, truncated");
+        assert_eq!(
+            endpoint.stats().malformed(),
+            4,
+            "garbled, alien, retired, truncated"
+        );
         // Healthy traffic still flows on the same reactor.
         let healthy = link(endpoint.connect());
         assert_eq!(healthy.request(&Request::Count(w(100.0))).into_count(), 5);
@@ -583,29 +567,6 @@ pub(crate) mod tests {
     #[test]
     fn garbled_frame_answers_typed_error_and_reactor_survives() {
         garbled_frames_answer_typed_and_serving_survives(Placement::Shared);
-    }
-
-    #[test]
-    fn duplicate_tagged_deliveries_count_as_retries() {
-        use crate::codec::DedupTag;
-        use crate::proto::Update;
-        let reactor = EventLoop::spawn("dedup");
-        let endpoint = reactor.serve(Arc::new(ScanHandler(objects(5))));
-        let conn = endpoint.connect();
-        let inner = crate::codec::encode_request(&Request::ApplyUpdates(vec![Update::Delete(1)]));
-        let tagged = crate::codec::wrap_dedup(DedupTag { nonce: 11, seq: 0 }, &inner);
-        // Same tag delivered twice: the second is a retry. ScanHandler
-        // refuses updates, but the retry gauge counts deliveries, not
-        // outcomes.
-        let first = conn.exchange(tagged.clone());
-        let second = conn.exchange(tagged);
-        assert_eq!(first, second);
-        assert_eq!(endpoint.stats().retried(), 1);
-        // A fresh seq on the same nonce is new work, not a retry.
-        let next = crate::codec::wrap_dedup(DedupTag { nonce: 11, seq: 1 }, &inner);
-        conn.exchange(next);
-        assert_eq!(endpoint.stats().retried(), 1);
-        reactor.shutdown();
     }
 
     pub(crate) fn abandoned_exchanges_are_served_and_tallied(on: Placement) {

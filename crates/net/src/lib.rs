@@ -8,17 +8,8 @@
 //!   `TB(B) = B + BH·⌈B/(MTU−BH)⌉`, the bytes a B-byte payload occupies on
 //!   the wire once TCP/IP headers (BH = 40) and the MTU are accounted for;
 //! * [`proto`] — the request/response protocol of a *non-cooperative*
-//!   spatial server (`WINDOW`, `COUNT`, `ε-RANGE`, bucket ε-RANGE, the
-//!   average-area aggregate) plus the cooperative extension used only by
-//!   the SemiJoin baseline;
-//! * the **batched statistics extension** — `Request::MultiCount` carries
-//!   any number of COUNT windows in one message and `Response::Counts`
-//!   answers them together, amortizing message framing and packet headers
-//!   across a repartitioning round's `2k²` aggregate probes. It is gated
-//!   by [`NetConfig::batched_stats`] and **off by default**: in the default
-//!   per-query mode every meter total is byte-identical to the
-//!   paper-faithful protocol, and turning the flag on changes statistics
-//!   traffic only — never join results;
+//!   spatial server (`WINDOW`, `COUNT`, `ε-RANGE`, bucket ε-RANGE) plus
+//!   the cooperative extension used only by the SemiJoin baseline;
 //! * [`codec`] — a compact binary wire format (`Bobj` = 20 bytes/object,
 //!   mirroring the paper's constant object size);
 //! * [`LinkMeter`] — atomically counts uplink/downlink wire bytes and query
@@ -132,11 +123,6 @@ pub mod testutil {
                 Request::Count(w) => {
                     Response::Count(self.0.iter().filter(|o| o.mbr.intersects(&w)).count() as u64)
                 }
-                Request::MultiCount(ws) => Response::Counts(
-                    ws.iter()
-                        .map(|w| self.0.iter().filter(|o| o.mbr.intersects(w)).count() as u64)
-                        .collect(),
-                ),
                 Request::EpsRange { q, eps } => Response::Objects(
                     self.0
                         .iter()

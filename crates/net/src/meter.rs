@@ -79,8 +79,7 @@ telemetry! {
         counter down_bytes,
         counter up_packets,
         counter down_packets,
-        /// Aggregate request *messages* (one `MultiCount` batching k windows
-        /// counts once — compare against per-query mode to see the saving).
+        /// Aggregate (COUNT) request messages.
         counter count_queries,
         counter window_queries,
         counter range_queries,
@@ -115,10 +114,9 @@ telemetry! {
 /// TCP/IP headers per Eq. 1) crossing both links in both directions. The
 /// meter also keeps the query mix so reports can show *where* the bytes
 /// went (aggregate statistics vs object downloads), which the paper
-/// discusses qualitatively. Aggregate (COUNT / `MultiCount` / avg-area)
-/// traffic is additionally metered in bytes on both directions, so the
-/// batched-statistics experiments can report exactly how much of the
-/// statistics overhead batching recovers.
+/// discusses qualitatively. Aggregate (COUNT) traffic is additionally
+/// metered in bytes on both directions, so reports can show the paper's
+/// `Taq` overhead measured rather than estimated.
 #[derive(Debug, Default)]
 pub struct LinkMeter {
     own: LinkCounters,
@@ -159,9 +157,9 @@ telemetry! {
     /// Each link tallies its lookups in a twin of its own; the shared store
     /// tallies its admissions and residency in another.
     pub struct CacheSnapshot / CacheTelemetry {
-        /// Statistics entries (COUNT / `MultiCount` windows) answered locally.
+        /// `COUNT` requests answered locally.
         counter stats_hits,
-        /// Statistics entries that had to be shipped.
+        /// `COUNT` requests that had to be shipped.
         counter stats_misses,
         /// `WINDOW` requests answered from a cached superset window.
         counter window_hits,
@@ -183,11 +181,13 @@ telemetry! {
 }
 
 impl CacheTelemetry {
-    /// Records `hits` statistics entries answered locally and `misses`
-    /// shipped to the server (a `MultiCount` batch contributes per entry).
-    pub fn record_stats(&self, hits: u64, misses: u64) {
-        self.stats_hits.fetch_add(hits, Ordering::Relaxed);
-        self.stats_misses.fetch_add(misses, Ordering::Relaxed);
+    /// Records one `COUNT` lookup against the statistics tier.
+    pub fn record_stats(&self, hit: bool) {
+        if hit {
+            self.stats_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.stats_misses.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Records one `WINDOW` lookup against the window tier.
@@ -263,7 +263,7 @@ impl LinkMeter {
             own.aggregate_up_bytes.fetch_add(wire, Ordering::Relaxed);
         }
         let counter = match req {
-            Request::Count(_) | Request::MultiCount(_) => Some(&own.count_queries),
+            Request::Count(_) => Some(&own.count_queries),
             // A change list is an object download like a window's.
             Request::Window(_) | Request::Changes { .. } => Some(&own.window_queries),
             Request::EpsRange { .. } => Some(&own.range_queries),
@@ -358,19 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_count_is_one_aggregate_message() {
-        let m = LinkMeter::new();
-        let p = PacketModel::default();
-        let w = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
-        m.record_request(&Request::MultiCount(vec![w; 4]), 69, &p);
-        m.record_response(37, 0, &p, true);
-        let s = m.snapshot();
-        assert_eq!(s.count_queries, 1, "one batched request, one message");
-        assert_eq!(s.aggregate_bytes(), p.tb(69) + p.tb(37));
-        assert_eq!(s.aggregate_bytes(), s.total_bytes());
-    }
-
-    #[test]
     fn since_subtracts() {
         let m = LinkMeter::new();
         let p = PacketModel::default();
@@ -435,7 +422,9 @@ mod tests {
     #[test]
     fn cache_snapshot_rates_and_sum() {
         let t = CacheTelemetry::default();
-        t.record_stats(3, 1);
+        for hit in [true, true, true, false] {
+            t.record_stats(hit);
+        }
         t.record_window(true);
         t.record_window(false);
         t.record_probe(true);

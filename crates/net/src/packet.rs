@@ -108,13 +108,6 @@ pub struct NetConfig {
     pub tariff_r: f64,
     /// Cost per transferred byte from/to server S (`bS`).
     pub tariff_s: f64,
-    /// Capability flag: the device batches the per-split quadrant COUNTs
-    /// into one `MultiCount` request per server instead of `k²` separate
-    /// COUNT round trips. **Off by default** — the default protocol is the
-    /// paper-faithful per-query mode and produces byte-identical meter
-    /// totals to a build without the extension; turning it on changes
-    /// only the statistics traffic, never the join result.
-    pub batched_stats: bool,
     /// Client-side semantic statistics/window cache in front of every
     /// server or fleet (see [`crate::cache`]); each side's store holds up
     /// to `cache::WINDOW_BUDGET_BYTES` (256 KiB) of windows. **Off by
@@ -161,7 +154,6 @@ impl Default for NetConfig {
             packet: PacketModel::default(),
             tariff_r: 1.0,
             tariff_s: 1.0,
-            batched_stats: false,
             client_cache: false,
             wire_v2: false,
             retry: RetryPolicy::default(),
@@ -178,12 +170,6 @@ impl NetConfig {
             packet: PacketModel::new(576, 40),
             ..NetConfig::default()
         }
-    }
-
-    /// Enables batched `MultiCount` statistics on the device.
-    pub fn with_batched_stats(mut self, on: bool) -> Self {
-        self.batched_stats = on;
-        self
     }
 
     /// Enables the client-side statistics/window cache on the device.
@@ -270,13 +256,6 @@ mod tests {
     #[should_panic(expected = "MTU must exceed")]
     fn invalid_model_rejected() {
         PacketModel::new(40, 40);
-    }
-
-    #[test]
-    fn batched_stats_defaults_off() {
-        assert!(!NetConfig::default().batched_stats);
-        assert!(!NetConfig::dialup().batched_stats);
-        assert!(NetConfig::default().with_batched_stats(true).batched_stats);
     }
 
     #[test]

@@ -25,14 +25,6 @@ pub enum Request {
         probes: Vec<SpatialObject>,
         eps: f64,
     },
-    /// Batched statistics: one COUNT per window, answered together in a
-    /// single [`Response::Counts`] so message framing and packet headers
-    /// are amortized across all probes (the `2k²·Taq` of one
-    /// repartitioning round collapses to two round trips). An *extension*
-    /// to the paper's interface — devices only send it when
-    /// `NetConfig::batched_stats` is on; the default is the paper-faithful
-    /// per-query COUNT.
-    MultiCount(Vec<Rect>),
     /// Cooperative: the MBRs of one R-tree level (`levels_above_leaves`).
     CoopLevelMbrs(u8),
     /// Cooperative: objects within `eps` of any of the given MBRs (the
@@ -96,11 +88,11 @@ impl Request {
 
     /// `true` for aggregate (statistics) queries, the paper's `Taq` class.
     pub fn is_aggregate(&self) -> bool {
-        matches!(self, Request::Count(_) | Request::MultiCount(_))
+        matches!(self, Request::Count(_))
     }
 
     /// `true` when `resp` is an answer this request can get: its own
-    /// result kind (one entry per probe for the batched requests) or one
+    /// result kind (one bucket per probe for the bucket ε-RANGE) or one
     /// of the typed non-answers any request may draw. A reply is input
     /// from outside the program, so the link stack checks this once per
     /// physical exchange and treats a mismatch like a garbled frame.
@@ -116,7 +108,6 @@ impl Request {
             | (Request::CoopJoinPush { .. }, Response::Pairs(_))
             | (Request::ApplyUpdates(_), Response::Ack { .. })
             | (Request::Changes { .. }, Response::Changes(_)) => true,
-            (Request::MultiCount(ws), Response::Counts(cs)) => ws.len() == cs.len(),
             (Request::BucketEpsRange { probes, .. }, Response::Buckets(bs)) => {
                 probes.len() == bs.len()
             }
@@ -130,16 +121,15 @@ impl Request {
 // request's answer is made of is the client's to know. The shard router
 // and the client cache both read these laws instead of restating them:
 // the router prunes by the reach, sends the cut and folds the shards'
-// answers with the merge; the cache answers the probes it holds, ships
-// the cut to the rest and splices the reply in with the same merge.
+// answers with the merge; the cache answers a probe from a window that
+// contains its reach.
 impl Request {
     /// The probes of a read: one for `WINDOW`, `COUNT` and `ε-RANGE`, one
-    /// per window, probe, MBR or pushed object for the batched and
-    /// cooperative kinds. A level read and the writes carry none.
+    /// per probe, MBR or pushed object for the bucket and cooperative
+    /// kinds. A level read and the writes carry none.
     pub(crate) fn probes(&self) -> usize {
         match self {
             Request::Window(_) | Request::Count(_) | Request::EpsRange { .. } => 1,
-            Request::MultiCount(windows) => windows.len(),
             Request::BucketEpsRange { probes, .. } => probes.len(),
             Request::CoopFilterByMbrs { mbrs, .. } => mbrs.len(),
             Request::CoopJoinPush { objects, .. } => objects.len(),
@@ -158,7 +148,6 @@ impl Request {
     pub(crate) fn reach(&self, i: usize) -> Rect {
         match self {
             Request::Window(w) | Request::Count(w) => *w,
-            Request::MultiCount(windows) => windows[i],
             Request::EpsRange { q, eps } => q.expand(eps.abs()),
             Request::BucketEpsRange { probes, eps } => probes[i].mbr.expand(eps.abs()),
             Request::CoopFilterByMbrs { mbrs, eps } => mbrs[i].expand(eps.abs()),
@@ -197,7 +186,6 @@ impl Request {
             picks.iter().map(|&i| items[i]).collect()
         }
         match self {
-            Request::MultiCount(windows) => Request::MultiCount(pick(windows, picks)),
             Request::BucketEpsRange { probes, eps } => Request::BucketEpsRange {
                 probes: pick(probes, picks),
                 eps: *eps,
@@ -222,7 +210,6 @@ impl Request {
                 Response::Objects(Vec::new())
             }
             Request::Count(_) => Response::Count(0),
-            Request::MultiCount(windows) => Response::Counts(vec![0; windows.len()]),
             Request::BucketEpsRange { probes, .. } => {
                 Response::Buckets(vec![Vec::new(); probes.len()])
             }
@@ -240,9 +227,6 @@ pub enum Response {
     Objects(Vec<SpatialObject>),
     /// Scalar count (`BA` = 8 bytes on the wire, "one long integer").
     Count(u64),
-    /// Per-window counts for [`Request::MultiCount`], probe order
-    /// preserved.
-    Counts(Vec<u64>),
     /// Per-probe result lists for `BucketEpsRange`, probe order preserved.
     Buckets(Vec<Vec<SpatialObject>>),
     /// MBRs for `CoopLevelMbrs`.
@@ -285,22 +269,16 @@ impl Response {
     /// The merge: folds `more`, one store's answer to the cut to `picks`,
     /// into `self`, the answer merged so far (the empty answer, first).
     /// Counts add: the partitioner assigns every object to exactly one
-    /// shard, and a cache answers a probe only where no shard is asked it.
-    /// Object lists and pairs keep the first occurrence of each key
+    /// shard. Object lists and pairs keep the first occurrence of each key
     /// ([`absorb`]): a straddler replicated into two stores is one object.
-    /// Level MBRs concatenate into the fleet's forest level. The batched
-    /// kinds merge position by position, the `k`-th entry of `more` into
+    /// Level MBRs concatenate into the fleet's forest level. Buckets
+    /// merge position by position, the `k`-th bucket of `more` into
     /// position `picks[k]`, since the cut keeps its probes in `picks`
     /// order. Any other reply is a typed non-answer, and it becomes the
     /// merged answer; a later reply does not unseat it.
     pub(crate) fn merge(&mut self, more: Response, picks: &[usize]) {
         match (self, more) {
             (Response::Count(total), Response::Count(n)) => *total += n,
-            (Response::Counts(totals), Response::Counts(more)) => {
-                for (&i, n) in picks.iter().zip(more) {
-                    totals[i] += n;
-                }
-            }
             (Response::Objects(merged), Response::Objects(more)) => absorb(merged, more, |o| o.id),
             (Response::Buckets(merged), Response::Buckets(more)) => {
                 for (&i, bucket) in picks.iter().zip(more) {
@@ -345,14 +323,6 @@ impl Response {
         match self {
             Response::Count(c) => c,
             other => panic!("protocol mismatch: expected Count, got {other:?}"),
-        }
-    }
-
-    /// Unwraps a batched count list.
-    pub fn into_counts(self) -> Vec<u64> {
-        match self {
-            Response::Counts(c) => c,
-            other => panic!("protocol mismatch: expected Counts, got {other:?}"),
         }
     }
 
@@ -466,9 +436,7 @@ mod tests {
     fn aggregate_classification() {
         let w = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
         assert!(Request::Count(w).is_aggregate());
-        assert!(Request::MultiCount(vec![w, w]).is_aggregate());
         assert!(!Request::Window(w).is_aggregate());
-        assert!(!Request::MultiCount(vec![w]).is_cooperative());
     }
 
     #[test]
@@ -489,7 +457,6 @@ mod tests {
     #[test]
     fn unwrap_helpers() {
         assert_eq!(Response::Count(5).into_count(), 5);
-        assert_eq!(Response::Counts(vec![1, 2, 3]).into_counts(), vec![1, 2, 3]);
         assert_eq!(Response::Objects(vec![]).into_objects(), vec![]);
         assert_eq!(Response::Pairs(vec![(1, 2)]).into_pairs(), vec![(1, 2)]);
     }
@@ -553,7 +520,6 @@ mod tests {
         vec![
             Request::Window(w),
             Request::Count(w),
-            Request::MultiCount(windows.to_vec()),
             Request::EpsRange { q: w, eps },
             Request::BucketEpsRange {
                 probes: pushed.clone(),
@@ -577,7 +543,6 @@ mod tests {
     fn accepts(req: &Request, i: usize, mbr: &Rect) -> bool {
         match req {
             Request::Window(w) | Request::Count(w) => mbr.intersects(w),
-            Request::MultiCount(windows) => mbr.intersects(&windows[i]),
             Request::EpsRange { q, eps } => mbr.within_distance(q, *eps),
             Request::BucketEpsRange { probes, eps } => mbr.within_distance(&probes[i].mbr, *eps),
             Request::CoopFilterByMbrs { mbrs, eps } => mbr.within_distance(&mbrs[i], *eps),

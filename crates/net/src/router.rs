@@ -23,7 +23,7 @@
 //!    law, from the request's empty answer: counts add, object lists and
 //!    pairs keep the first occurrence of each key (a sole contributor's
 //!    list is the answer as it came), level MBRs concatenate into the
-//!    fleet's forest level, and the batched kinds merge position by
+//!    fleet's forest level, and bucket probes merge position by
 //!    position;
 //! 4. **meters** every physical exchange — once, at its edge — into a
 //!    per-replica [`LinkMeter`]; the aggregate meter the fronting link
@@ -1111,25 +1111,6 @@ mod tests {
         );
         let fleet = l.fleet().unwrap().snapshot();
         assert_eq!((fleet.scattered, fleet.pruned), (3, 3));
-    }
-
-    #[test]
-    fn multi_count_sub_batches_per_shard() {
-        let l = link(two_shard_router());
-        let left = Rect::from_coords(0.0, -1.0, 3.0, 1.0); // 4 points
-        let right = Rect::from_coords(100.0, -1.0, 101.0, 1.0); // 2 points
-        let both = Rect::from_coords(-1.0, -1.0, 200.0, 1.0); // 20 points
-        let nowhere = Rect::from_coords(40.0, 40.0, 50.0, 50.0);
-        let counts = l
-            .request(&Request::MultiCount(vec![left, right, both, nowhere]))
-            .into_counts();
-        assert_eq!(counts, vec![4, 2, 20, 0]);
-        let fleet = l.fleet().unwrap().snapshot();
-        // One sub-batch per shard, each carrying 2 windows.
-        assert_eq!(fleet.scattered, 2);
-        assert_eq!(fleet.per_shard[0].count_queries, 1);
-        assert_eq!(fleet.per_shard[1].count_queries, 1);
-        // `nowhere` reached no shard at all, yet got its zero.
     }
 
     #[test]

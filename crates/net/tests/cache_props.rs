@@ -80,7 +80,8 @@ fn apply(base: &Rect, how: Derive, eps: f64) -> Rect {
 }
 
 /// One query against both links: 0 = WINDOW, 1 = COUNT, 2 = ε-RANGE,
-/// 3 = MultiCount over every base window derived the same way.
+/// 3 = a bucket ε-RANGE probing at every base window derived the same
+/// way (never cached: it passes through beside the kinds that are).
 type Op = (u8, usize, Derive, f64);
 
 fn op(bases: usize) -> impl Strategy<Value = Op> {
@@ -129,13 +130,8 @@ proptest! {
                     prop_assert_eq!(ids(got), ids(want), "EPS({:?}, {})", w, e);
                 }
                 _ => {
-                    let windows: Vec<Rect> =
-                        bases.iter().map(|b| apply(b, how, e)).collect();
-                    prop_assert_eq!(
-                        cached.request(&Request::MultiCount(windows.clone())).into_counts(),
-                        plain.request(&Request::MultiCount(windows)).into_counts(),
-                        "MULTI({:?}, {:?})", how, e
-                    );
+                    let req = request((kind, base, how, e), &bases);
+                    prop_assert_eq!(cached.request(&req), plain.request(&req), "{:?}", req);
                 }
             }
         }
@@ -216,17 +212,25 @@ fn request((kind, base, how, e): Op, bases: &[Rect]) -> Request {
         0 => Request::Window(w),
         1 => Request::Count(w),
         2 => Request::EpsRange { q: w, eps: e },
-        _ => Request::MultiCount(bases.iter().map(|b| apply(b, how, e)).collect()),
+        _ => Request::BucketEpsRange {
+            probes: (0..)
+                .zip(bases)
+                .map(|(id, b)| SpatialObject::new(id, apply(b, how, e)))
+                .collect(),
+            eps: e,
+        },
     }
 }
 
 /// Order-free form of an answer: the cache answers as a set.
 fn normalized(resp: Response) -> Response {
+    let sorted = |mut objects: Vec<SpatialObject>| {
+        objects.sort_unstable_by_key(|o| o.id);
+        objects
+    };
     match resp {
-        Response::Objects(mut objects) => {
-            objects.sort_unstable_by_key(|o| o.id);
-            Response::Objects(objects)
-        }
+        Response::Objects(objects) => Response::Objects(sorted(objects)),
+        Response::Buckets(buckets) => Response::Buckets(buckets.into_iter().map(sorted).collect()),
         other => other,
     }
 }

@@ -125,7 +125,6 @@ fn request() -> impl Strategy<Value = Request> {
         (shape(), eps()).prop_map(|(q, eps)| Request::EpsRange { q, eps }),
         (prop::collection::vec(object(), 0..6), eps())
             .prop_map(|(probes, eps)| Request::BucketEpsRange { probes, eps }),
-        prop::collection::vec(shape(), 0..6).prop_map(Request::MultiCount),
         (0u32..256).prop_map(|level| Request::CoopLevelMbrs(level as u8)),
         (prop::collection::vec(shape(), 0..6), eps())
             .prop_map(|(mbrs, eps)| Request::CoopFilterByMbrs { mbrs, eps }),
@@ -148,7 +147,6 @@ fn response() -> impl Strategy<Value = Response> {
     prop_oneof![
         prop::collection::vec(object(), 0..8).prop_map(Response::Objects),
         any::<u64>().prop_map(Response::Count),
-        prop::collection::vec(any::<u64>(), 0..8).prop_map(Response::Counts),
         prop::collection::vec(prop::collection::vec(object(), 0..4), 0..5)
             .prop_map(Response::Buckets),
         prop::collection::vec(shape(), 0..8).prop_map(Response::Rects),
@@ -226,9 +224,9 @@ fn garble_corpus() -> Vec<(Bytes, Option<QuantCtx>)> {
         SpatialObject::point(901, -4.5, 9.5),
     ];
     let responses = [
-        Response::Objects(objs),
+        Response::Objects(objs.clone()),
         Response::Count(123_456),
-        Response::Counts(vec![0, 7, u64::MAX, 42]),
+        Response::Buckets(vec![objs[..1].to_vec(), vec![], objs[1..].to_vec()]),
         Response::Ack { generation: 7 },
     ];
     let mut corpus = Vec::new();
@@ -242,7 +240,10 @@ fn garble_corpus() -> Vec<(Bytes, Option<QuantCtx>)> {
     for req in [
         asj_net::Request::Count(win),
         asj_net::Request::Window(win),
-        asj_net::Request::MultiCount(vec![win, win]),
+        asj_net::Request::BucketEpsRange {
+            probes: objs[..2].to_vec(),
+            eps: 1.5,
+        },
     ] {
         for wire in [WireVersion::V1, WireVersion::V2] {
             corpus.push((encode_request_versioned(&req, wire), None));
@@ -303,11 +304,13 @@ fn seeded_garble_sweep_decodes_typed_or_errors_never_panics() {
     }
 }
 
-/// The four reserved bytes (`WIRE.md`, "Reserved opcodes") with a
+/// The seven reserved bytes (`WIRE.md`, "Reserved opcodes") with a
 /// plausible payload behind them: `05` and `83` were a request and its
-/// answer until nothing turned out to send them, `EE` is the injected
-/// garble. All are unknown opcodes to both decoders. (`92` is reserved
-/// differently: decodable, but only ever fabricated locally.)
+/// answer until nothing turned out to send them, `06` a batched COUNT
+/// and `88` / `8E` its v1 and v2 answers until it was retired, `EE` is
+/// the injected garble. All are unknown opcodes to both decoders. (`92`
+/// is reserved differently: decodable, but only ever fabricated
+/// locally.)
 #[test]
 fn reserved_opcodes_are_rejected_as_unknown() {
     let window = encode_request_versioned(
@@ -315,7 +318,19 @@ fn reserved_opcodes_are_rejected_as_unknown() {
         WireVersion::V1,
     );
     let count = encode_response(&Response::Count(7));
-    for (opcode, body) in [(0x05, &window), (0x83, &count), (0xEE, &count)] {
+    // A list of two windows, and of two counts: `[u32 2]` then records.
+    let windows = Bytes::from([&[0, 0, 0, 0, 2][..], &[0; 32]].concat());
+    let counts = Bytes::from([&[0, 0, 0, 0, 2][..], &[0; 16]].concat());
+    let compact = Bytes::from_static(&[0, 2, 0, 7]);
+    let reserved = [
+        (0x05, &window),
+        (0x83, &count),
+        (0x06, &windows),
+        (0x88, &counts),
+        (0x8E, &compact),
+        (0xEE, &count),
+    ];
+    for (opcode, body) in reserved {
         let mut frame = body.to_vec();
         frame[0] = opcode;
         let frame = Bytes::from(frame);
@@ -438,7 +453,6 @@ proptest! {
     #[test]
     fn a_lowered_count_prefix_is_rejected(
         objs in prop::collection::vec(object(), 1..6),
-        counts in prop::collection::vec(any::<u64>(), 1..6),
         updates in prop::collection::vec(update(), 1..6),
         wire in wire(),
         win in window(),
@@ -449,7 +463,6 @@ proptest! {
         let added = objs.iter().copied().map(DeltaOp::Add).collect();
         let responses = [
             (objs.len(), Response::Objects(objs.clone())),
-            (counts.len(), Response::Counts(counts)),
             (2, Response::Buckets(vec![objs.clone(); 2])),
             (objs.len(), Response::Rects(rects())),
             (objs.len(), Response::Pairs(objs.iter().map(|o| (o.id, !o.id)).collect())),
@@ -460,10 +473,8 @@ proptest! {
             let stamp = response_frame(&resp, wire, win, generation).len()
                 - response_frame(&resp, wire, win, 0).len();
             let mut frame = response_frame(&resp, wire, win, generation).to_vec();
-            // The prefix follows the opcode: a u32, or — compact counts —
-            // a varint, one byte long for these lengths.
-            let compact_counts = wire == WireVersion::V2 && matches!(resp, Response::Counts(_));
-            let at = stamp + if compact_counts { 1 } else { 4 };
+            // The prefix follows the opcode: a u32.
+            let at = stamp + 4;
             prop_assert_eq!(frame[at] as usize, n, "{:?}", resp);
             frame[at] = (lower % n as u64) as u8;
             prop_assert!(
@@ -472,7 +483,6 @@ proptest! {
             );
         }
         let requests = [
-            Request::MultiCount(rects()),
             Request::ApplyUpdates(updates),
             Request::BucketEpsRange { probes: objs.clone(), eps: 0.5 },
             Request::CoopFilterByMbrs { mbrs: rects(), eps: 0.5 },
@@ -481,7 +491,7 @@ proptest! {
         for req in requests {
             let mut frame = encode_request_versioned(&req, wire).to_vec();
             // Marker (v2), opcode, ε where the kind has one, then the u32.
-            let eps = !matches!(req, Request::MultiCount(_) | Request::ApplyUpdates(_));
+            let eps = !matches!(req, Request::ApplyUpdates(_));
             let at = usize::from(wire == WireVersion::V2) + 1 + 4 * usize::from(eps) + 3;
             let n = frame[at] as u64;
             prop_assert!((1..6).contains(&n), "{:?}", req);
@@ -580,12 +590,10 @@ proptest! {
     #[test]
     fn v2_scalars_and_stamps_round_trip(
         count in any::<u64>(),
-        counts in prop::collection::vec(any::<u64>(), 0..20),
         generation in any::<u64>(),
     ) {
         for resp in [
             Response::Count(count),
-            Response::Counts(counts.clone()),
             Response::Ack { generation: count },
         ] {
             let mut buf = BytesMut::new();

@@ -190,7 +190,12 @@ fn request(i: usize, (kind, x, y, h): Step) -> Request {
     let id = 1000 + i as u32;
     match kind {
         0 => Request::Count(rect(4 * i)),
-        1 => Request::MultiCount((0..4).map(|k| rect(4 * i + k)).collect()),
+        1 => Request::BucketEpsRange {
+            probes: (0..4)
+                .map(|k| SpatialObject::new(id, rect(4 * i + k)))
+                .collect(),
+            eps: 0.0,
+        },
         2 => Request::Window(rect(4 * i)),
         3 => Request::EpsRange {
             q: rect(4 * i),

@@ -32,7 +32,6 @@ fn request() -> impl Strategy<Value = Request> {
     prop_oneof![
         rect().prop_map(Request::Window),
         rect().prop_map(Request::Count),
-        prop::collection::vec(rect(), 0..20).prop_map(Request::MultiCount),
         (rect(), eps()).prop_map(|(q, eps)| Request::EpsRange { q, eps }),
         (prop::collection::vec(object(), 0..20), eps())
             .prop_map(|(probes, eps)| Request::BucketEpsRange { probes, eps }),
@@ -48,7 +47,6 @@ fn response() -> impl Strategy<Value = Response> {
     prop_oneof![
         prop::collection::vec(object(), 0..30).prop_map(Response::Objects),
         any::<u64>().prop_map(Response::Count),
-        prop::collection::vec(any::<u64>(), 0..20).prop_map(Response::Counts),
         prop::collection::vec(prop::collection::vec(object(), 0..6), 0..10)
             .prop_map(Response::Buckets),
         prop::collection::vec(rect(), 0..30).prop_map(Response::Rects),

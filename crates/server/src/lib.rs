@@ -2,18 +2,17 @@
 //!
 //! Each dataset of the join lives on its own server. Servers are
 //! **primitive and non-cooperative** (paper, Section 1): they answer only
-//! `WINDOW`, `COUNT`, `ε-RANGE` (plus the bucket form and the average-area
-//! aggregate) through a standard interface, publish no index internals, and
-//! refuse anything else.
+//! `WINDOW`, `COUNT` and `ε-RANGE` (plus the bucket form) through a
+//! standard interface, publish no index internals, and refuse anything
+//! else.
 //!
 //! * [`store`] — storage backends: a linear [`store::ScanStore`] (ground
 //!   truth for tests) and the production [`store::RTreeStore`] (aR-tree:
 //!   `COUNT` is answered from aggregate node counts, as footnote 2 of the
 //!   paper prescribes);
 //! * [`service`] — [`SpatialService`], the [`asj_net::QueryHandler`] that
-//!   dispatches protocol requests onto a store, parallelizing large bucket
-//!   queries across scoped threads (the server machines, unlike the PDA,
-//!   have cores to spare);
+//!   dispatches protocol requests onto a store, a bucket query one probe
+//!   at a time on the calling thread;
 //! * [`versioned`] — generational snapshots: [`versioned::VersionedStore`]
 //!   wraps any frozen backend, applies batched updates copy-on-write into
 //!   a fresh generation — path-copied into the served aR-tree, rebuilt for

@@ -25,8 +25,8 @@ pub enum ServicePolicy {
 /// A spatial service: one dataset, one store, one policy.
 ///
 /// `handle` is `&self` and the store is immutable, so one service instance
-/// can serve any number of connections concurrently; the channel server in
-/// `asj-net` relies on that.
+/// can serve any number of connections concurrently: every connection to
+/// an `asj-net` reactor endpoint, and every in-process caller.
 pub struct SpatialService<S: SpatialStore> {
     store: Arc<S>,
     policy: ServicePolicy,
@@ -105,11 +105,6 @@ fn answer(store: &dyn SpatialStore, policy: ServicePolicy, req: Request) -> Resp
             // One ε-RANGE per probe, in probe order, on the calling thread.
             let ranges = probes.iter().map(|p| store.eps_range(&p.mbr, eps));
             Response::Buckets(ranges.collect())
-        }
-        Request::MultiCount(windows) => {
-            // Batched statistics: one COUNT per window, answered in
-            // probe order from the same store path as single COUNTs.
-            Response::Counts(windows.iter().map(|w| store.count(w)).collect())
         }
         Request::CoopLevelMbrs(level) => match store.level_mbrs(level as usize) {
             Some(mbrs) => Response::Rects(mbrs),
@@ -280,35 +275,6 @@ mod tests {
             })
             .into_objects();
         assert_eq!(objs.len(), 5); // center + 4 axis neighbours
-    }
-
-    #[test]
-    fn multi_count_matches_single_counts_on_both_stores() {
-        let windows = vec![
-            Rect::from_coords(0.0, 0.0, 2.0, 2.0),
-            Rect::from_coords(3.5, 3.5, 6.5, 6.5),
-            Rect::from_coords(50.0, 50.0, 60.0, 60.0), // empty
-            Rect::from_coords(-5.0, -5.0, 20.0, 20.0), // everything
-        ];
-        let scan = SpatialService::new(ScanStore::new(lattice(10)));
-        let tree = SpatialService::new(RTreeStore::with_fanout(lattice(10), 4));
-        for svc in [
-            &scan as &dyn asj_net::QueryHandler,
-            &tree as &dyn asj_net::QueryHandler,
-        ] {
-            let batched = svc
-                .handle(Request::MultiCount(windows.clone()))
-                .into_counts();
-            let singles: Vec<u64> = windows
-                .iter()
-                .map(|w| svc.handle(Request::Count(*w)).into_count())
-                .collect();
-            assert_eq!(batched, singles);
-        }
-        assert_eq!(
-            scan.handle(Request::MultiCount(vec![])).into_counts(),
-            Vec::<u64>::new()
-        );
     }
 
     #[test]

@@ -49,10 +49,6 @@ fn requests(objs: &[SpatialObject]) -> Vec<Request> {
         Request::Window(Rect::from_coords(-50.0, -50.0, 1100.0, 1100.0)), // everything
         Request::Window(Rect::from_coords(2000.0, 2000.0, 2100.0, 2100.0)), // nothing
         Request::Count(Rect::from_coords(0.0, 0.0, 500.0, 500.0)),
-        Request::MultiCount(vec![
-            Rect::from_coords(0.0, 0.0, 100.0, 100.0),
-            Rect::from_coords(500.0, 500.0, 900.0, 900.0),
-        ]),
         Request::CoopLevelMbrs(0),
         Request::CoopFilterByMbrs {
             mbrs: vec![Rect::from_coords(200.0, 200.0, 300.0, 300.0)],

@@ -6,7 +6,7 @@
 //! * **Result identity** — for pinned seeds and every algorithm
 //!   (NaiveJoin, GridJoin, MobiJoin, UpJoin, SrJoin, SemiJoin), a cached
 //!   deployment yields exactly the pairs of an uncached one — flat and
-//!   stacked over a 4-shard fleet, per-query and batched statistics.
+//!   stacked over a 4-shard fleet, with a roomy and a small buffer.
 //! * **Byte identity when off** — `client_cache` disabled builds no layer
 //!   at all: link snapshots equal the plain deployment's bit for bit.
 //! * **Session savings** — a split-heavy MobiJoin session (3 identical
@@ -38,7 +38,6 @@ fn algorithms() -> Vec<Box<dyn DistributedJoin>> {
 
 struct Config {
     buffer: usize,
-    batched: bool,
     bucket: bool,
     shards: Option<usize>,
 }
@@ -47,7 +46,6 @@ fn build(r: &[SpatialObject], s: &[SpatialObject], cfg: &Config, cache: bool) ->
     let mut b = DeploymentBuilder::new(r.to_vec(), s.to_vec())
         .with_buffer(cfg.buffer)
         .with_space(default_space())
-        .with_net(NetConfig::default().with_batched_stats(cfg.batched))
         .with_client_cache(cache)
         .cooperative(); // SemiJoin runs too; others ignore the extension
     if let Some(n) = cfg.shards {
@@ -78,9 +76,9 @@ fn assert_cache_invisible(r: &[SpatialObject], s: &[SpatialObject], cfg: &Config
                 assert_eq!(
                     sorted_pairs(&rep),
                     sorted_pairs(&plain_rep),
-                    "{} diverged (batched={}, bucket={}, shards={:?})",
+                    "{} diverged (buffer={}, bucket={}, shards={:?})",
                     alg.name(),
-                    cfg.batched,
+                    cfg.buffer,
                     cfg.bucket,
                     cfg.shards
                 );
@@ -132,7 +130,6 @@ fn cached_joins_identical_flat() {
             &clusters(4, 180, seed + 100),
             &Config {
                 buffer: 800,
-                batched: false,
                 bucket: false,
                 shards: None,
             },
@@ -142,15 +139,14 @@ fn cached_joins_identical_flat() {
 }
 
 #[test]
-fn cached_joins_identical_flat_batched_small_buffer() {
-    // Buffer 100 forces splits (MultiCount partial hits) and NLSJ
+fn cached_joins_identical_flat_small_buffer() {
+    // Buffer 100 forces splits (repeated quadrant COUNTs) and NLSJ
     // (ε-RANGE containment lookups).
     assert_cache_invisible(
         &clusters(2, 180, 7),
         &clusters(8, 180, 107),
         &Config {
             buffer: 100,
-            batched: true,
             bucket: false,
             shards: None,
         },
@@ -166,7 +162,6 @@ fn cached_joins_identical_stacked_over_fleet() {
         &clusters(16, 180, 103),
         &Config {
             buffer: 800,
-            batched: false,
             bucket: false,
             shards: Some(4),
         },
@@ -175,13 +170,12 @@ fn cached_joins_identical_stacked_over_fleet() {
 }
 
 #[test]
-fn cached_joins_identical_fleet_batched_bucket() {
+fn cached_joins_identical_fleet_bucket() {
     assert_cache_invisible(
         &clusters(1, 150, 5),
         &clusters(1, 150, 105),
         &Config {
             buffer: 100,
-            batched: true,
             bucket: true,
             shards: Some(4),
         },
@@ -231,7 +225,6 @@ fn mobijoin_session_cuts_aggregate_bytes_and_messages() {
     for shards in [None, Some(4)] {
         let cfg = Config {
             buffer: 100, // split-heavy: every join repartitions
-            batched: false,
             bucket: false,
             shards,
         };
@@ -284,7 +277,6 @@ fn poisoned_cache_is_caught_by_the_oracle() {
     let spec = JoinSpec::distance_join(150.0);
     let cfg = Config {
         buffer: 800,
-        batched: false,
         bucket: false,
         shards: None,
     };

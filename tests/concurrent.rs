@@ -3,7 +3,7 @@
 //! Many device threads hammer one threaded server (and one 4-shard
 //! threaded fleet). Every concurrent client must get **byte- and
 //! result-identical** answers to a serial replay: links are per-client, so
-//! metering never bleeds between clients, the channel server serves
+//! metering never bleeds between clients, the reactor serves
 //! interleaved requests without mixing replies, and per-shard meters keep
 //! summing exactly to each link's aggregate (meter conservation).
 

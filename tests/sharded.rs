@@ -6,8 +6,8 @@
 //! * **Result identity** — for pinned seeds and every algorithm
 //!   (NaiveJoin, GridJoin, MobiJoin, UpJoin, SrJoin, SemiJoin), a
 //!   deployment sharded `N ∈ {1, 2, 4, 7}` ways per side yields exactly
-//!   the pairs of the single-server deployment, in per-query and batched
-//!   statistics modes, with per-probe and bucket NLSJ.
+//!   the pairs of the single-server deployment, with roomy and small
+//!   buffers, with per-probe and bucket NLSJ.
 //! * **Wire identity at N = 1** — a 1-shard fleet's link snapshots are
 //!   byte-identical to the flat deployment's: the router adds zero
 //!   traffic when there is nothing to scatter.
@@ -41,7 +41,6 @@ fn algorithms() -> Vec<Box<dyn DistributedJoin>> {
 
 struct Config {
     buffer: usize,
-    batched: bool,
     bucket: bool,
 }
 
@@ -54,7 +53,6 @@ fn build(
     let mut b = DeploymentBuilder::new(r.to_vec(), s.to_vec())
         .with_buffer(cfg.buffer)
         .with_space(default_space())
-        .with_net(asj_net::NetConfig::default().with_batched_stats(cfg.batched))
         .cooperative(); // SemiJoin runs too; others ignore the extension
     if let Some(n) = shards {
         b = b.with_shards(n, n);
@@ -103,9 +101,9 @@ fn assert_sharding_invisible(r: &[SpatialObject], s: &[SpatialObject], cfg: &Con
             assert_eq!(
                 sorted_pairs(&rep),
                 want,
-                "{} diverged at N={n} (batched={}, bucket={})",
+                "{} diverged at N={n} (buffer={}, bucket={})",
                 alg.name(),
-                cfg.batched,
+                cfg.buffer,
                 cfg.bucket
             );
             assert!(
@@ -132,7 +130,6 @@ fn sharded_joins_identical_skewed_data() {
             &clusters(4, 180, seed + 100),
             &Config {
                 buffer: 800,
-                batched: false,
                 bucket: false,
             },
             150.0,
@@ -141,13 +138,12 @@ fn sharded_joins_identical_skewed_data() {
 }
 
 #[test]
-fn sharded_joins_identical_batched_stats() {
+fn sharded_joins_identical_two_against_eight_clusters() {
     assert_sharding_invisible(
         &clusters(2, 180, 7),
         &clusters(8, 180, 107),
         &Config {
             buffer: 800,
-            batched: true,
             bucket: false,
         },
         150.0,
@@ -163,7 +159,6 @@ fn sharded_joins_identical_small_buffer_bucket_nlsj() {
         &clusters(1, 180, 103),
         &Config {
             buffer: 100,
-            batched: false,
             bucket: true,
         },
         150.0,
@@ -177,7 +172,6 @@ fn sharded_joins_identical_small_buffer_per_probe_nlsj() {
         &clusters(16, 150, 105),
         &Config {
             buffer: 100,
-            batched: false,
             bucket: false,
         },
         120.0,
@@ -233,11 +227,21 @@ fn threaded_fleet_conserves_meter_accounting_under_stress() {
                     let mut want: Vec<u32> = oracle_s.window(&w).iter().map(|o| o.id).collect();
                     want.sort_unstable();
                     assert_eq!(got, want, "fleet WINDOW diverged under concurrency");
-                    let counts = link_r
-                        .request(&Request::MultiCount(vec![w, space]))
-                        .into_counts();
-                    assert_eq!(counts[0], oracle_r.count(&w));
-                    assert_eq!(counts[1], oracle_r.count(&space));
+                    // A sub-batched kind races too: each shard gets the
+                    // cut of the two probes that reach it.
+                    let probes = vec![SpatialObject::new(0, w), SpatialObject::new(1, space)];
+                    let eps = 40.0;
+                    let buckets = link_r
+                        .request(&Request::BucketEpsRange { probes, eps })
+                        .into_buckets();
+                    for (bucket, q) in buckets.iter().zip([w, space]) {
+                        let mut got: Vec<u32> = bucket.iter().map(|o| o.id).collect();
+                        got.sort_unstable();
+                        let want = oracle_r.eps_range(&q, eps).into_iter().map(|o| o.id);
+                        let mut want: Vec<u32> = want.collect();
+                        want.sort_unstable();
+                        assert_eq!(got, want, "fleet bucket diverged under concurrency");
+                    }
                 }
             });
         }
@@ -253,7 +257,7 @@ fn threaded_fleet_conserves_meter_accounting_under_stress() {
         );
         // Every logical request produced exactly `shards` scatter slots.
         let requests = match shards {
-            4 => (threads * per_thread * 2) as u64, // Count + MultiCount on R
+            4 => (threads * per_thread * 2) as u64, // Count + bucket on R
             _ => (threads * per_thread) as u64,     // Window on S
         };
         assert_eq!(

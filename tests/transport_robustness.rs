@@ -47,9 +47,10 @@ fn garbage_frames() -> Vec<Bytes> {
     let mut frames: Vec<Vec<u8>> = vec![
         vec![],
         vec![0xff],
-        vec![0x02],                         // COUNT with no window
-        vec![0x01, 1, 2, 3],                // truncated WINDOW
-        vec![0x06, 0xff, 0xff, 0xff, 0xff], // MULTI_COUNT claiming 4 G windows
+        vec![0x02],                                     // COUNT with no window
+        vec![0x01, 1, 2, 3],                            // truncated WINDOW
+        vec![0x04, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff], // bucket claiming 4 G probes
+        vec![0x06, 0, 0, 0, 0],                         // the retired batched COUNT, of no windows
         vec![0x00; 64],
         vec![0x91], // the R_MALFORMED *response* opcode as a request
     ];

@@ -43,6 +43,9 @@ set independently of each other:
     `event_loop` both write the placement, which is one value).
     `with_client_cache` writes the `NetConfig`, so it counts once, as the
     `client_cache` field it sets.
+The guard fails when the count exceeds `SETTABLE_CEILING`: a change that
+adds a settable value raises the ceiling in its own diff, where a reviewer
+sees it.
 """
 
 import argparse
@@ -64,6 +67,9 @@ PUB_FN = re.compile(
 )
 PUB_CONST = re.compile(r"\bpub\s+const\s+([A-Za-z_]\w*)\s*:")
 RECEIVER = re.compile(r"^\s*(?:&\s*(?:'\w+\s+)?)?(?:mut\s+)?self\b")
+
+# The most settable deployment values the guard lets through.
+SETTABLE_CEILING = 22
 
 
 def lex(text):
@@ -431,10 +437,16 @@ def main():
     table = structs(root)
     net, fault = leaves("NetConfig", table), leaves("FaultPlan", table)
     builder = builder_values(root, table)
+    settable = net + fault + builder
     print(
         "settable deployment values: %d (NetConfig %d, FaultPlan %d, DeploymentBuilder %d)"
-        % (net + fault + builder, net, fault, builder)
+        % (settable, net, fault, builder)
     )
+    if settable > SETTABLE_CEILING:
+        problems.append(
+            "settable deployment values: %d, above the ceiling of %d"
+            % (settable, SETTABLE_CEILING)
+        )
     for p in problems:
         print(p)
     return 1 if problems else 0
