@@ -426,7 +426,7 @@ pub fn all_experiments() -> Vec<Experiment> {
             id: "codec-v2",
             figure: "Ablation (ours): wire protocol v1 vs v2 (compact object frames), \
                      buffer 2500",
-            expectation: "The +v2 columns negotiate per-link protocol v2: object streams \
+            expectation: "The +v2 columns speak protocol v2 on every link: object streams \
                           ship delta-varint ids and u16 coordinates quantized against the \
                           request window (exact-f32 escapes keep decodes bit-equal), so on \
                           this window-heavy configuration total bytes fall by at least 40 % \

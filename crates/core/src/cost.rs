@@ -50,7 +50,7 @@ pub struct CostModel {
     /// Estimated wire bytes of one object in a `WINDOW`/ε-RANGE response
     /// frame. Exactly [`OBJ_BYTES`] on v1 links (bit-exact — the v1
     /// layout is fixed-width); the codec's published [`OBJ_BYTES_V2_EST`]
-    /// when the deployment negotiates wire v2, whose frames are
+    /// when the deployment speaks wire v2, whose frames are
     /// variable-width (delta-varint ids, quantized-or-escaped
     /// coordinates). Decisions price the expected v2 density; reported
     /// bytes always come from the meters. Probe *uploads* and bucket

@@ -9,7 +9,7 @@
 //! link meter reports the physical scatter traffic, with per-shard detail
 //! available through [`Link::fleet`].
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use asj_geom::{Rect, SpatialObject};
 use asj_net::codec::WireVersion;
@@ -70,12 +70,11 @@ impl Endpoint {
         }
     }
 
-    /// A fresh connection, opened at `wire` (the version an earlier one
-    /// negotiated, or V1).
-    fn raw(&self, wire: WireVersion) -> Box<dyn RawExchange> {
+    /// A fresh connection.
+    fn raw(&self) -> Box<dyn RawExchange> {
         match self {
             Endpoint::InProc(h) => Box::new(InProcExchange::new(Arc::clone(h))),
-            Endpoint::Reactor { endpoint, .. } => Box::new(endpoint.connect_at(wire)),
+            Endpoint::Reactor { endpoint, .. } => Box::new(endpoint.connect()),
         }
     }
 
@@ -129,17 +128,10 @@ fn replica_plan(plan: &FaultPlan, replica: usize) -> FaultPlan {
 /// replica's store up from the freshest sibling: a replica that stayed
 /// dark through an outage missed the update batches its siblings acked,
 /// and resynchronizing here is what lets the router's generation floor
-/// readmit it. An edge resuming at `known`, the version its first link
-/// negotiated, sends no `HELLO`: its fault layer counts from past it.
-fn replica_edge(
-    group: &[Replica],
-    j: usize,
-    fault: Option<&FaultPlan>,
-    known: Option<WireVersion>,
-) -> Box<dyn RawExchange> {
-    let wire = known.unwrap_or_default();
+/// readmit it.
+fn replica_edge(group: &[Replica], j: usize, fault: Option<&FaultPlan>) -> Box<dyn RawExchange> {
     match fault {
-        None => group[j].endpoint.raw(wire),
+        None => group[j].endpoint.raw(),
         Some(plan) => {
             let ep = Arc::clone(&group[j].endpoint);
             let own = group[j].live.clone();
@@ -157,11 +149,11 @@ fn replica_edge(
                         own.catch_up((*best.current_objects()).clone(), best.generation());
                     }
                 }
-                ep.raw(wire)
+                ep.raw()
             };
-            let layer = FaultLayer::new(group[j].endpoint.raw(wire), replica_plan(plan, j))
+            let layer = FaultLayer::new(group[j].endpoint.raw(), replica_plan(plan, j))
                 .with_restart(Box::new(restart));
-            Box::new(layer.starting_at(u64::from(known.is_some())))
+            Box::new(layer)
         }
     }
 }
@@ -170,12 +162,10 @@ impl Carrier {
     /// Opens a fresh link — the stack of the `asj_net` crate docs, bottom
     /// up: physical edges, a [`ShardRouter`] over them for a fleet, a
     /// [`CacheLayer`] (fresh per-link telemetry, the given shared store)
-    /// when `cache` is set, the [`Link`]. Retry and — with `net.wire_v2`
-    /// on — the v2 handshake are handed down from the top to whichever
-    /// layer owns the edges; a link given the per-edge versions an earlier
-    /// one settled on (`known`) resumes at them instead. With the flag off
-    /// (the default) no handshake frame is ever sent and every edge
-    /// speaks v1 byte-identically.
+    /// when `cache` is set, the [`Link`]. Retry and the wire version
+    /// (`net.wire_v2`) are handed down from the top to whichever layer
+    /// owns the edges, so every edge speaks the deployment's version from
+    /// its first frame.
     ///
     /// Fleet links all share the carrier's [`ShardMeta`]s, so generation
     /// stamps and bounds growth observed through any link (including the
@@ -186,11 +176,8 @@ impl Carrier {
         tariff: f64,
         cache: Option<&Arc<ClientCache>>,
         fault: Option<&FaultPlan>,
-        known: Option<&[WireVersion]>,
     ) -> Link {
-        let mut wires = known.map(|known| known.iter().copied());
-        let mut edge =
-            |group, j| replica_edge(group, j, fault, wires.as_mut().and_then(Iterator::next));
+        let edge = |group, j| replica_edge(group, j, fault);
         let link = match self {
             Carrier::Single(replica) => {
                 let edge = edge(std::slice::from_ref(replica), 0);
@@ -219,11 +206,11 @@ impl Carrier {
             }
         }
         .with_retry(net.retry);
-        match known {
-            Some(known) => link.resume(known),
-            None if net.wire_v2 => link.negotiate(),
-            None => link,
-        }
+        link.with_wire(if net.wire_v2 {
+            WireVersion::V2
+        } else {
+            WireVersion::V1
+        })
     }
 
     /// Shard servers behind this side (1 for a single server).
@@ -288,10 +275,6 @@ pub struct Deployment {
     /// [`FaultLayer`] seeded from this plan, so fault sequences are
     /// deterministic per link and replayable by seed.
     fault: Option<FaultPlan>,
-    /// The wire version each physical edge of each side (R, S) negotiated
-    /// on the first link to it: a property of the edge — its endpoint, its
-    /// fault seed — not of the session, so later links resume at these.
-    wires: [OnceLock<Vec<WireVersion>>; 2],
 }
 
 impl Deployment {
@@ -315,28 +298,19 @@ impl Deployment {
     /// the connections, and each edge's fault script, which restarts from
     /// its seed. **Per deployment:** the client-cache stores, when
     /// enabled — consecutive joins (a session) reuse each other's
-    /// statistics and windows — and the wire version each physical edge
-    /// negotiated: the first link to a side runs the `HELLO` handshake,
-    /// every later one opens its edges at what that settled on and sends
-    /// none.
+    /// statistics and windows. Every link speaks the deployment's wire
+    /// version (`NetConfig::wire_v2`) from its first frame.
     pub fn connect(&self) -> (Link, Link) {
         (self.open(Side::R), self.open(Side::S))
     }
 
     /// One fresh link to `side`.
     fn open(&self, side: Side) -> Link {
-        let (carrier, tariff, cache, wires) = match side {
-            Side::R => (&self.r, self.net.tariff_r, &self.cache_r, &self.wires[0]),
-            Side::S => (&self.s, self.net.tariff_s, &self.cache_s, &self.wires[1]),
+        let (carrier, tariff, cache) = match side {
+            Side::R => (&self.r, self.net.tariff_r, &self.cache_r),
+            Side::S => (&self.s, self.net.tariff_s, &self.cache_s),
         };
-        let (net, fault, known) = (&self.net, self.fault.as_ref(), wires.get());
-        let link = carrier.link(net, tariff, cache.as_ref(), fault, known.map(Vec::as_slice));
-        if self.net.wire_v2 {
-            // Racing first links all negotiate the same outcome: it is a
-            // function of each edge's endpoint and fault seed alone.
-            wires.get_or_init(|| link.edge_wires().to_vec());
-        }
-        link
+        carrier.link(&self.net, tariff, cache.as_ref(), self.fault.as_ref())
     }
 
     /// The per-side client-cache stores `(R, S)`; `None` per side when
@@ -509,8 +483,8 @@ impl DeploymentBuilder {
     /// **one** shared reactor thread — the many-device placement. Unlike
     /// [`threaded`], the thread count stays constant no matter how many
     /// shards the fleet has or how many devices [`Deployment::connect`];
-    /// each connection carries its own negotiation state inside the
-    /// reactor (see `asj_net::event_loop`). Replies are byte-identical
+    /// connections carry no protocol state, so none of it is shared
+    /// (see `asj_net::event_loop`). Replies are byte-identical
     /// to the other placement and to in-process serving.
     ///
     /// [`threaded`]: DeploymentBuilder::threaded
@@ -708,7 +682,6 @@ impl DeploymentBuilder {
             cache_s: self.net.client_cache.then(Arc::default),
             fault: self.fault,
             net: self.net,
-            wires: Default::default(),
         }
     }
 }

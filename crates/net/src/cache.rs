@@ -1019,8 +1019,8 @@ impl Layer for CacheLayer {
         self.inner.set_retry(retry);
     }
 
-    fn negotiate(&mut self, known: Option<&[WireVersion]>) -> Vec<WireVersion> {
-        self.inner.negotiate(known)
+    fn set_wire(&mut self, wire: WireVersion) {
+        self.inner.set_wire(wire);
     }
 }
 

@@ -68,29 +68,23 @@ pub const CHANGE_OP_BYTES: u64 = 1 + OBJ_BYTES;
 /// and update traffic is bit-for-bit the plain format.
 pub const DEDUP_HEADER_BYTES: u64 = 1 + 8 + 8;
 
-/// Frame-layout strategy of one physical link — the negotiated wire
-/// protocol version. `V1` is the seed format every peer speaks; `V2` is a
-/// strict superset a link may upgrade to via the `HELLO`/`ACCEPT`
-/// handshake ([`encode_hello`] / [`decode_accept`]): requests gain a 1-byte
-/// envelope marker, object frames switch to the compact layout
-/// ([`ObjectsEncoder`]), counts and acks travel as LEB128 varints, and
-/// generation stamps shrink to a varint. Everything else keeps its v1
-/// layout — a v2 decoder accepts both, so the upgrade is per-frame
+/// Frame-layout strategy of one physical link — the wire protocol
+/// version its deployment speaks (`NetConfig::wire_v2`), fixed when the
+/// link is built. `V1` is the seed format every peer speaks; `V2` is a
+/// strict superset: requests gain a 1-byte envelope marker, object frames
+/// switch to the compact layout ([`ObjectsEncoder`]), counts and acks
+/// travel as LEB128 varints, and generation stamps shrink to a varint. Everything else keeps its v1
+/// layout — a v2 decoder accepts both, so the version is per-frame
 /// self-describing and stateless on the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireVersion {
-    /// The seed wire format — always spoken when negotiation is off.
+    /// The seed wire format — spoken unless a deployment sets `wire_v2`.
     #[default]
     V1,
     /// Compact frames: varint ids/counts, quantized coordinates.
     V2,
 }
 
-/// Highest wire protocol version this build speaks.
-pub const MAX_WIRE_VERSION: u8 = 2;
-/// Wire size of a `HELLO` handshake probe (opcode + u8 max version); the
-/// `ACCEPT` reply has the same shape.
-pub const HELLO_BYTES: u64 = 2;
 /// Worst-case wire size of one object inside a v2 `Objects` frame: tag
 /// byte + 5-byte zigzag id delta + full exact-`f32` rect escape. This is
 /// the per-object bound the size pass (`Size::objects`) reserves for a
@@ -186,17 +180,16 @@ pub(crate) mod op {
     pub const UPD_DELETE: u8 = 0x02;
     pub const UPD_MOVE: u8 = 0x03;
 
-    // ---- wire protocol v2 (negotiated; see `WireVersion`) ----
+    // ---- wire protocol v2 (see `WireVersion`) ----
 
-    /// Link-control probe `[HELLO][u8 max_version]` — the only frame a
-    /// negotiating client sends before knowing the peer's version.
-    pub const HELLO: u8 = 0x70;
+    // 0x70 is reserved: the version handshake probe, retired with its
+    // answer 0x8B. Rejected as unknown.
     /// Request-envelope prefix `[V2_MARK][v1-layout request]`: marks a
     /// request whose sender wants the reply in v2 framing. Stateless —
     /// a server can interleave v1 and v2 peers on one queue.
     pub const V2_MARK: u8 = 0x71;
-    /// Handshake reply `[R_ACCEPT][u8 version]`.
-    pub const R_ACCEPT: u8 = 0x8B;
+    // 0x8B is reserved: the handshake answer to 0x70. Rejected as
+    // unknown.
     /// Compact objects frame: `[R_OBJECTS_V2][u32 count]` then per-object
     /// `[tag][zigzag varint Δid][coords]` (see [`QuantCtx`]).
     pub const R_OBJECTS_V2: u8 = 0x8C;
@@ -779,7 +772,7 @@ pub fn encode_request(req: &Request) -> Bytes {
     encode_request_versioned(req, WireVersion::V1)
 }
 
-/// Encodes a request in the negotiated wire version: v1 requests are
+/// Encodes a request in the link's wire version: v1 requests are
 /// exactly [`encode_request`]; v2 requests prepend the 1-byte
 /// [`op::V2_MARK`] envelope to the unchanged v1 body, telling the server
 /// to answer in v2 framing. Request bodies are not recoded — they are
@@ -843,7 +836,7 @@ pub fn encode_response_into(resp: &Response, buf: &mut BytesMut) {
     encode_response_versioned(resp, WireVersion::V1, None, buf);
 }
 
-/// Encodes a response in the negotiated wire version, appending to `buf`
+/// Encodes a response in the requested wire version, appending to `buf`
 /// after reserving what the frame needs (one allocation at most). `V2`
 /// swaps in the compact layouts — objects (delta-varint ids,
 /// quantized/escaped coordinates against `ctx`), varint counts and acks —
@@ -1065,7 +1058,7 @@ pub(crate) fn snap_rect_f32(r: &Rect) -> Rect {
 ///    (out-of-window, off-grid, degenerate or non-finite spans)
 ///    **escapes** to the exact `f32`. A v2 decode is therefore bit-equal
 ///    to the v1 decode of the same objects, always: join results cannot
-///    depend on the negotiated version.
+///    depend on the wire version.
 /// 3. **Exact endpoints.** Cell 0 dequantizes to exactly the window min
 ///    and cell 65535 to exactly the max, so window-edge and grid-aligned
 ///    coordinates always quantize.
@@ -1271,29 +1264,6 @@ fn get_object_v2(
     Ok((SpatialObject::new(id, Rect::new(min, max)), end))
 }
 
-/// Encodes the `HELLO` probe a negotiating client opens a link with.
-pub fn encode_hello(max_version: u8) -> Bytes {
-    Bytes::copy_from_slice(&[op::HELLO, max_version])
-}
-
-/// Answers a raw frame if — and only if — it is a `HELLO` probe: the
-/// transport-adapter intercept servers use so version negotiation never
-/// reaches the query handler. Returns the `ACCEPT` reply to send back, or
-/// `None` for every non-handshake frame.
-pub fn try_answer_hello(raw: &[u8]) -> Option<Bytes> {
-    (raw.len() == HELLO_BYTES as usize && raw[0] == op::HELLO).then(|| {
-        let version = raw[1].clamp(1, MAX_WIRE_VERSION);
-        Bytes::copy_from_slice(&[op::R_ACCEPT, version])
-    })
-}
-
-/// Parses an `ACCEPT` handshake reply. Anything else — including a v1
-/// peer's `UnknownOpcode` refusal or garbage — means the link must fall
-/// back to v1, so this returns `Option`, not `Result`.
-pub fn decode_accept(raw: &[u8]) -> Option<u8> {
-    (raw.len() == HELLO_BYTES as usize && raw[0] == op::R_ACCEPT).then(|| raw[1])
-}
-
 /// The locally fabricated pseudo-reply of a carrier whose peer is gone
 /// ([`op::R_UNAVAILABLE`]). Decodes to
 /// [`crate::proto::Response::Unavailable`]; metering layers must treat it
@@ -1448,7 +1418,6 @@ mod tests {
                 UNAVAILABLE_BYTES,
                 unavailable_frame().len() as u64,
             ),
-            ("HELLO_BYTES", HELLO_BYTES, encode_hello(2).len() as u64),
             (
                 "DEDUP_HEADER_BYTES",
                 DEDUP_HEADER_BYTES,
@@ -1855,28 +1824,6 @@ mod tests {
             .unwrap()
             .into_objects();
         assert_eq!(back[0], o);
-    }
-
-    #[test]
-    fn hello_accept_handshake() {
-        let hello = encode_hello(2);
-        assert_eq!(hello.len() as u64, HELLO_BYTES);
-        let accept = try_answer_hello(&hello).expect("a HELLO probe must be intercepted");
-        assert_eq!(accept.len() as u64, HELLO_BYTES);
-        assert_eq!(decode_accept(&accept), Some(2));
-        // An over-eager client is clamped to what the server speaks; an
-        // ancient one is lifted to v1.
-        let answer = |max| decode_accept(&try_answer_hello(&encode_hello(max)).unwrap());
-        assert_eq!(answer(9), Some(MAX_WIRE_VERSION));
-        assert_eq!(answer(0), Some(1));
-        // Ordinary request frames are not the handshake's business.
-        let count = encode_request(&Request::Count(Rect::from_coords(0.0, 0.0, 1.0, 1.0)));
-        assert_eq!(try_answer_hello(&count), None);
-        // A v1 peer's refusal byte — or any garbage — is not an ACCEPT:
-        // the link must fall back, not error.
-        assert_eq!(decode_accept(&[0x00]), None);
-        assert_eq!(decode_accept(&encode_response(&Response::Refused)), None);
-        assert_eq!(decode_accept(&[]), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The one physical edge under the typed link stack.
 //!
 //! An [`Edge`] owns one carrier (with any [`FaultLayer`](crate::FaultLayer)
-//! beneath it), the wire version negotiated over it and the meters its
+//! beneath it), the wire version its deployment speaks and the meters its
 //! traffic is charged to. It is the only place a request becomes bytes
 //! and a reply becomes a [`Response`] again: [`Edge::frame`] versions and
 //! tags, the carrier's [`RawExchange::begin_many`] ships split-phase,
@@ -19,8 +19,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use crate::codec::{
-    decode_accept, decode_response_gen_ctx, encode_hello, encode_request_versioned, is_unavailable,
-    wrap_dedup, DedupTag, QuantCtx, WireVersion, MAX_WIRE_VERSION,
+    decode_response_gen_ctx, encode_request_versioned, is_unavailable, wrap_dedup, DedupTag,
+    QuantCtx, WireVersion,
 };
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
@@ -58,11 +58,9 @@ pub(crate) trait Layer: Send + Sync {
     /// Hands a retry discipline down to the physical edges below.
     fn set_retry(&mut self, retry: RetryPolicy);
 
-    /// Settles the wire version of every physical edge below and returns
-    /// them in edge order: by the `HELLO`/`ACCEPT` handshake, or — given
-    /// what an earlier handshake on the same edges settled on — by
-    /// adopting `known` without sending anything.
-    fn negotiate(&mut self, known: Option<&[WireVersion]>) -> Vec<WireVersion>;
+    /// Hands the deployment's wire version down to the physical edges
+    /// below; every edge speaks it from its first frame.
+    fn set_wire(&mut self, wire: WireVersion);
 }
 
 /// One request framed for an edge: the bytes every attempt ships and
@@ -78,8 +76,8 @@ pub(crate) struct Frame<'a> {
     ctx: Option<QuantCtx>,
 }
 
-/// One physical carrier with its negotiated version, meters, retry
-/// discipline and dedup identity.
+/// One physical carrier with its wire version, meters, retry discipline
+/// and dedup identity.
 pub(crate) struct Edge {
     /// Ships frames split-phase ([`RawExchange::begin_many`]).
     pub(crate) carrier: Box<dyn RawExchange>,
@@ -112,16 +110,6 @@ impl Edge {
         }
     }
 
-    pub(crate) fn wire(&self) -> WireVersion {
-        self.wire
-    }
-
-    /// Pins the version (a replica set speaks v2 only when every sibling
-    /// accepted it).
-    pub(crate) fn set_wire(&mut self, wire: WireVersion) {
-        self.wire = wire;
-    }
-
     /// Applies `f` to this edge's meter.
     pub(crate) fn tally(&self, f: fn(&LinkMeter)) {
         f(&self.meter);
@@ -146,24 +134,6 @@ impl Edge {
             req,
             bytes,
         }
-    }
-
-    /// Sends the `HELLO` probe of the version handshake. The 4 handshake
-    /// bytes are link control and are not metered, like TCP's own
-    /// connection setup.
-    pub(crate) fn hello(&self) -> Pending {
-        self.carrier.begin(encode_hello(MAX_WIRE_VERSION))
-    }
-
-    /// Adopts what the peer answered the probe with. A peer that rejects
-    /// or garbles it (every v1-only server) leaves the edge at
-    /// [`WireVersion::V1`] — negotiation can only fall back, never fail.
-    pub(crate) fn accept(&mut self, reply: &[u8]) -> WireVersion {
-        self.wire = match decode_accept(reply) {
-            Some(v) if v >= 2 => WireVersion::V2,
-            _ => WireVersion::V1,
-        };
-        self.wire
     }
 
     /// Judges the first attempt of one exchange and sees it through:
@@ -259,11 +229,7 @@ impl Layer for Edge {
         self.retry = retry;
     }
 
-    fn negotiate(&mut self, known: Option<&[WireVersion]>) -> Vec<WireVersion> {
-        match known {
-            Some(known) => self.wire = known[0],
-            None => self.wire = self.accept(&self.hello().wait()),
-        }
-        vec![self.wire]
+    fn set_wire(&mut self, wire: WireVersion) {
+        self.wire = wire;
     }
 }

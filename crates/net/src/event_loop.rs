@@ -13,21 +13,17 @@
 //!   replica; any number can share one loop instead, and the
 //!   thread count stays constant however many shards there are and
 //!   however many devices connect — what a many-device harness needs;
-//! * each [`EventConnection`] is one device's socket to one endpoint,
-//!   carrying its own **per-connection state** ([`ConnState`]).
+//! * each [`EventConnection`] is one device's socket to one endpoint.
 //!
-//! # Connection-state ownership
+//! # Connection state
 //!
-//! The reactor *owns* all mutable per-connection state. A connection's
-//! [`ConnState`] — the negotiated wire version, a socket's handshake
-//! state — starts at V1, or at the version an earlier handshake with the
-//! endpoint settled on ([`EventEndpoint::connect_at`]), and is written
-//! only by the reactor thread while it answers that connection's `HELLO`;
-//! the client side only reads it. The reactor also owns the one encode
-//! buffer every reply is built in. So thousands of connections coexist
-//! without per-connection locks, two connections to one endpoint can be
-//! at different versions, and concurrent handshakes cannot race: the
-//! reactor processes them one at a time.
+//! A connection carries no protocol state: a server decodes each request
+//! in the version its own marker asks for, so two connections to one
+//! endpoint need agree on nothing, and a connection's first frame is a
+//! query like any other. What a connection keeps is its share of the
+//! endpoint's queue gauges; the one encode buffer every reply is built
+//! in is the reactor's own. So thousands of connections coexist without
+//! per-connection locks.
 //!
 //! # Robustness contract
 //!
@@ -42,28 +38,23 @@
 //!
 //! Per-endpoint [`EndpointStats`] gauge the requests outstanding (every
 //! member of a pipelined batch counts) and the connections with at least
-//! one outstanding, each with a high-water mark, beside the serving,
-//! handshake and malformed-frame counts.
+//! one outstanding, each with a high-water mark, beside the serving and
+//! malformed-frame counts.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 
-use crate::codec::WireVersion;
 use crate::few::Few;
 use crate::mailbox::{mailbox, slots, End, SlotEnd};
 use crate::proto::QueryHandler;
 use crate::transport::{Pending, RawExchange};
 
-/// One connection, as the reactor sees it: the state it owns (see module
-/// docs) and the endpoint the connection leads to. The client side holds
-/// the same `Arc` but only ever reads it.
-pub struct ConnState {
-    /// Negotiated wire version: 1 until the reactor answers this
-    /// connection's `HELLO` with an `ACCEPT`, then whatever it accepted.
-    wire: AtomicU8,
+/// One connection, as the reactor sees it: its queue gauge and the
+/// endpoint the connection leads to.
+struct Conn {
     /// This connection's requests sitting in the ready-queue (or being
     /// served).
     outstanding: AtomicU64,
@@ -71,17 +62,7 @@ pub struct ConnState {
     stats: Arc<EndpointStats>,
 }
 
-impl ConnState {
-    /// The version the reactor negotiated on this connection (`V1`
-    /// before any handshake — exactly a fresh socket's state).
-    #[cfg(any(test, feature = "testing"))]
-    pub fn negotiated(&self) -> WireVersion {
-        match self.wire.load(Ordering::Acquire) {
-            v if v >= 2 => WireVersion::V2,
-            _ => WireVersion::V1,
-        }
-    }
-
+impl Conn {
     /// `n` requests of this connection are about to be queued.
     fn enqueued(&self, n: u64) {
         let stats = &self.stats;
@@ -117,10 +98,8 @@ pub struct EndpointStats {
     /// High-water mark of `waiting`: how many devices ever contended for
     /// this endpoint at once, however wide each one's batch was.
     max_waiting: AtomicU64,
-    /// Query frames served (handshakes and malformed frames excluded).
+    /// Query frames served (malformed frames excluded).
     served: AtomicU64,
-    /// `HELLO` probes answered.
-    handshakes: AtomicU64,
     /// Undecodable frames answered with the typed error: an alien opcode,
     /// a truncated payload, a frame corrupted in transit.
     malformed: AtomicU64,
@@ -147,12 +126,6 @@ impl EndpointStats {
         self.served.load(Ordering::Acquire)
     }
 
-    /// `HELLO` probes answered: one per connection that negotiated, none
-    /// from one that resumed at a version negotiated before it.
-    pub fn handshakes(&self) -> u64 {
-        self.handshakes.load(Ordering::Acquire)
-    }
-
     /// Undecodable frames answered with [`crate::Response::Malformed`].
     pub fn malformed(&self) -> u64 {
         self.malformed.load(Ordering::Acquire)
@@ -172,7 +145,7 @@ enum Event {
         /// The connection it came in on, which names the endpoint's
         /// handler too — so the reactor needs no endpoint registry at
         /// all, and registration is just handing out the mailbox.
-        conn: Arc<ConnState>,
+        conn: Arc<Conn>,
     },
     Shutdown,
 }
@@ -203,8 +176,8 @@ impl EventLoop {
     /// it in order; the replies go out together afterwards, so a client
     /// parked on them is woken once per drained batch. It serves by the
     /// one discipline [`crate::transport::InProcExchange`] shares: one
-    /// reusable encode buffer serves every endpoint — reactor-owned, per
-    /// the module's state-ownership contract — so steady-state serving
+    /// reusable encode buffer serves every endpoint — reactor-owned (see
+    /// the module's "Connection state") — so steady-state serving
     /// grows no buffer, and each reply ships as one exact-size copy of it,
     /// the only per-request allocation.
     fn run(ready: End<Event>) -> u64 {
@@ -224,20 +197,6 @@ impl EventLoop {
                     break;
                 };
                 let stats = &conn.stats;
-                if let Some(accept) = crate::codec::try_answer_hello(&request) {
-                    // Connection setup: record the accepted version into
-                    // *this connection's* state, then answer. Only the
-                    // reactor ever writes here, so concurrent handshakes
-                    // from many devices serialize cleanly. Link control
-                    // is never counted as a served query.
-                    if let Some(version) = crate::codec::decode_accept(&accept) {
-                        conn.wire.store(version, Ordering::Release);
-                    }
-                    stats.handshakes.fetch_add(1, Ordering::AcqRel);
-                    conn.dequeued(1);
-                    replies.push((reply, accept, conn));
-                    continue;
-                }
                 buf.clear();
                 if crate::transport::serve_frame_into(conn.handler.as_ref(), request, &mut buf) {
                     served += 1;
@@ -299,8 +258,7 @@ impl EventLoop {
 
     /// Waits until every endpoint and connection handed out by this loop
     /// is dropped and everything they enqueued is served, then returns
-    /// the number of query frames served (handshakes and malformed frames
-    /// excluded).
+    /// the number of query frames served (malformed frames excluded).
     pub fn join(mut self) -> u64 {
         self.stop(false).expect("reactor thread panicked")
     }
@@ -325,19 +283,11 @@ pub struct EventEndpoint {
 }
 
 impl EventEndpoint {
-    /// Opens a new connection with fresh per-connection state.
+    /// Opens a new connection.
     pub fn connect(&self) -> EventConnection {
-        self.connect_at(WireVersion::V1)
-    }
-
-    /// Opens a connection that resumes at `wire`, the version an earlier
-    /// handshake with this endpoint settled on: that is its *initial*
-    /// state, and the reactor stays the only writer afterwards.
-    pub fn connect_at(&self, wire: WireVersion) -> EventConnection {
         EventConnection {
             queue: Arc::clone(&self.queue),
-            conn: Arc::new(ConnState {
-                wire: AtomicU8::new(wire as u8 + 1),
+            conn: Arc::new(Conn {
                 outstanding: AtomicU64::new(0),
                 handler: Arc::clone(&self.handler),
                 stats: Arc::clone(&self.stats),
@@ -357,15 +307,7 @@ impl EventEndpoint {
 /// a [`CacheLayer`](crate::CacheLayer) unchanged.
 pub struct EventConnection {
     queue: Arc<End<Event>>,
-    conn: Arc<ConnState>,
-}
-
-impl EventConnection {
-    /// This connection's state (reactor-owned; read-only here).
-    #[cfg(any(test, feature = "testing"))]
-    pub fn state(&self) -> &Arc<ConnState> {
-        &self.conn
-    }
+    conn: Arc<Conn>,
 }
 
 impl RawExchange for EventConnection {
@@ -542,10 +484,12 @@ pub(crate) mod tests {
         let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(5))));
         let conn = endpoint.connect();
         // A frame garbled in transit (the fault layer's 0xEE marker), an
-        // alien opcode, a retired one (0x06, a batched COUNT of no
-        // windows) and a truncated frame are all answered typed.
-        let retired = [0x06, 0, 0, 0, 0];
-        for garbage in [&[0xEE, 0x01, 0x02][..], &[0x5A, 0x01, 0x02], &retired, &[]] {
+        // alien opcode, two retired ones (0x06, a batched COUNT of no
+        // windows; 0x70, a version handshake probe) and a truncated frame
+        // are all answered typed.
+        let (batched, hello) = ([0x06, 0, 0, 0, 0], [0x70, 0x02]);
+        let alien = [&[0xEE, 0x01, 0x02][..], &[0x5A, 0x01, 0x02]];
+        for garbage in alien.into_iter().chain([&batched[..], &hello, &[]]) {
             let reply = conn.exchange(Bytes::copy_from_slice(garbage));
             assert_eq!(
                 crate::codec::decode_response(reply).unwrap(),
@@ -554,8 +498,8 @@ pub(crate) mod tests {
         }
         assert_eq!(
             endpoint.stats().malformed(),
-            4,
-            "garbled, alien, retired, truncated"
+            5,
+            "garbled, alien, two retired, truncated"
         );
         // Healthy traffic still flows on the same reactor.
         let healthy = link(endpoint.connect());
@@ -693,21 +637,5 @@ pub(crate) mod tests {
     #[test]
     fn dropping_the_loop_with_live_connections_does_not_hang() {
         dropping_the_reactor_first_does_not_hang(Placement::Shared);
-    }
-
-    #[test]
-    fn negotiation_is_per_connection_state() {
-        let reactor = EventLoop::spawn("hello");
-        let endpoint = reactor.serve(Arc::new(ScanHandler(objects(5))));
-        let negotiated = endpoint.connect();
-        let plain = endpoint.connect();
-        let conn_state = Arc::clone(negotiated.state());
-        assert_eq!(conn_state.negotiated(), WireVersion::V1);
-        let link = link(negotiated).negotiate();
-        assert_eq!(link.wire(), WireVersion::V2);
-        // The reactor recorded the handshake on exactly the connection
-        // that sent it.
-        assert_eq!(conn_state.negotiated(), WireVersion::V2);
-        assert_eq!(plain.state().negotiated(), WireVersion::V1);
     }
 }

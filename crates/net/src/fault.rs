@@ -45,7 +45,9 @@ use crate::transport::{Pending, RawExchange};
 /// the first exchange past the window triggers the restart hook, once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPlan {
-    /// Exchange index at which the endpoint goes dark.
+    /// Exchange index at which the endpoint goes dark. Every frame an
+    /// edge sends is a request (a retry is one more), so index `i` is the
+    /// `i`-th request the edge's link sends over this layer, 0 its first.
     pub at: u64,
     /// Number of consecutive exchanges the endpoint stays dark for.
     pub dark: u64,
@@ -185,16 +187,6 @@ impl FaultLayer {
     /// replaces the crashed one.
     pub fn with_restart(mut self, hook: RestartFn) -> Self {
         self.restart = Some(hook);
-        self
-    }
-
-    /// Counts this layer's exchanges from `first` instead of 0. A link
-    /// that resumes at a version an earlier one negotiated starts at 1:
-    /// the `HELLO` it does not send was exchange 0 of that link's layer,
-    /// so a scripted crash window ([`CrashPlan::at`]) falls on the same
-    /// requests on every link.
-    pub fn starting_at(self, first: u64) -> Self {
-        self.exchanges.store(first, Ordering::SeqCst);
         self
     }
 

@@ -72,13 +72,14 @@
 //! with one wake-up, and its reactor drains its whole queue per
 //! wake-up. The physical edge (`edge.rs`) is who frames (wire version,
 //! dedup envelope), meters, judges a reply ok / `Unavailable` /
-//! `Malformed`, retries and negotiates — once per physical exchange, in
+//! `Malformed` and retries — once per physical exchange, in
 //! one copy, each failed member of a batch on its own budget. A flat
 //! link has one edge; a fleet has one per replica, driven by the
 //! router's flight scheduler through the same frame / begin / judge
-//! steps. Retry and negotiation requested on a [`Link`] are handed down
-//! to whichever layer owns the edges, so neither can be applied above
-//! them. Batching changes when the device waits, never what crosses the
+//! steps. The retry discipline and the wire version set on a [`Link`]
+//! are handed down to whichever layer owns the edges, so neither can be
+//! applied above them, and every edge speaks its deployment's version
+//! from its first frame. Batching changes when the device waits, never what crosses the
 //! wire: same requests, same frames, same fault rolls, same bytes. And
 //! above the edge a request allocates its frames and its answer, nothing
 //! else (`tests/alloc_budget.rs` pins it).
@@ -149,7 +150,7 @@ pub mod testutil {
 }
 
 pub use cache::{CacheLayer, CacheView, ClientCache};
-pub use event_loop::{ConnState, EndpointStats, EventConnection, EventEndpoint, EventLoop};
+pub use event_loop::{EndpointStats, EventConnection, EventEndpoint, EventLoop};
 pub use fault::{CrashPlan, FaultLayer, FaultPlan, FaultStats};
 pub use health::{BreakerConfig, BreakerState, EdgeHealth, HealthSnapshot, ReplicaSetHealth};
 pub use meter::{CacheSnapshot, LinkMeter, LinkSnapshot};

@@ -116,11 +116,12 @@ pub struct NetConfig {
     /// turning it on never changes join results, only deletes repeated
     /// traffic.
     pub client_cache: bool,
-    /// Capability flag: negotiate the compact wire protocol v2 per
-    /// physical link (`HELLO`/`ACCEPT` handshake, then delta-varint ids,
-    /// quantized coordinates and varint scalars on links whose peer
-    /// accepts — see `asj_net::codec::WireVersion`). **Off by default** —
-    /// no handshake frame is ever sent and every link speaks v1
+    /// The deployment's wire version: every physical link speaks the
+    /// compact protocol v2 (delta-varint ids, quantized coordinates and
+    /// varint scalars — see `asj_net::codec::WireVersion`) from its first
+    /// frame. There is no handshake: every server the library builds
+    /// reads both versions, and a peer that cannot read v2 answers
+    /// `Malformed`. **Off by default** — every link speaks v1
     /// byte-identically to a build without the extension. Turning it on
     /// changes frame density only, never decoded objects or join results:
     /// the quantization contract guarantees bit-faithful decode.
@@ -178,8 +179,8 @@ impl NetConfig {
         self
     }
 
-    /// Enables wire protocol v2 negotiation on the device's physical
-    /// links.
+    /// Sets the deployment's wire version: v2 on every physical link of
+    /// the device when `on`, v1 otherwise.
     pub fn with_wire_v2(mut self, on: bool) -> Self {
         self.wire_v2 = on;
         self

@@ -821,35 +821,10 @@ impl Layer for ShardRouter {
         }
     }
 
-    /// Without `known`, negotiates wire protocol v2 on every shard's
-    /// physical edges: every edge's `HELLO` is sent before any `ACCEPT` is
-    /// read, so the whole fleet handshakes in one round trip (4 unmetered
-    /// link-control bytes per edge). A shard speaks v2 only when **every**
-    /// replica `ACCEPT`s — a mixed replica set stays at
-    /// [`WireVersion::V1`] so failing over mid-request never changes the
-    /// frame format. Mixed-version fleets degrade per shard, never fail.
-    fn negotiate(&mut self, known: Option<&[WireVersion]>) -> Vec<WireVersion> {
-        match known {
-            Some(known) => {
-                let edges = self.edges.iter_mut().flatten();
-                edges.zip(known).for_each(|(e, &wire)| e.set_wire(wire));
-            }
-            None => {
-                let hellos: Vec<Vec<Pending>> = (self.edges.iter())
-                    .map(|group| group.iter().map(Edge::hello).collect())
-                    .collect();
-                for (group, hellos) in self.edges.iter_mut().zip(hellos) {
-                    let mut unanimous = true;
-                    for (edge, hello) in group.iter_mut().zip(hellos) {
-                        unanimous &= edge.accept(&hello.wait()) == WireVersion::V2;
-                    }
-                    if !unanimous {
-                        group.iter_mut().for_each(|e| e.set_wire(WireVersion::V1));
-                    }
-                }
-            }
+    fn set_wire(&mut self, wire: WireVersion) {
+        for edge in self.edges.iter_mut().flatten() {
+            edge.set_wire(wire);
         }
-        self.edges.iter().flatten().map(Edge::wire).collect()
     }
 }
 

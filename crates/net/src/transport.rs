@@ -174,11 +174,6 @@ impl<H: QueryHandler + ?Sized> InProcExchange<H> {
 
 impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
     fn exchange(&self, request: Bytes) -> Bytes {
-        // Version negotiation is link control: answered by the transport
-        // adapter, never seen by the query handler.
-        if let Some(accept) = crate::codec::try_answer_hello(&request) {
-            return accept;
-        }
         // A garbled frame is answered with a typed error, never panicked
         // on — same contract as the shared server thread. The buffer is
         // taken out of its slot, not borrowed: an exchange nested in a
@@ -214,9 +209,6 @@ pub struct Link {
     /// Lowest serving generation any reply reported (`u64::MAX` before
     /// the first); see [`Link::generations`].
     first_generation: AtomicU64,
-    /// What [`Link::negotiate`] settled on, per physical edge in edge
-    /// order; empty until it runs.
-    wires: Vec<WireVersion>,
 }
 
 impl Link {
@@ -237,7 +229,6 @@ impl Link {
             cache,
             last_generation: AtomicU64::new(0),
             first_generation: AtomicU64::new(u64::MAX),
-            wires: Vec::new(),
         }
     }
 
@@ -285,6 +276,16 @@ impl Link {
         self
     }
 
+    /// Sets the wire version every physical edge under this link speaks
+    /// from its first frame — a deployment's `NetConfig::wire_v2`, fixed
+    /// when it is built. A link is [`WireVersion::V1`] until told
+    /// otherwise; a peer that cannot read the version answers
+    /// [`Response::Malformed`].
+    pub fn with_wire(mut self, wire: WireVersion) -> Self {
+        self.stack.set_wire(wire);
+        self
+    }
+
     /// Issues one RPC. Takes the request by reference — framing a
     /// request never requires surrendering (or cloning) its payload.
     /// A failed exchange surfaces typed, as [`Response::Unavailable`] or
@@ -316,35 +317,6 @@ impl Link {
                     reply(resp);
                 });
         }
-    }
-
-    /// Runs the version handshake on the physical edges under this link
-    /// and upgrades each to whatever its peer accepted; call sites gate
-    /// on `NetConfig::wire_v2`.
-    pub fn negotiate(mut self) -> Self {
-        self.wires = self.stack.negotiate(None);
-        self
-    }
-
-    /// Opens the physical edges under this link at `wires` — what
-    /// [`Link::edge_wires`] reported after an earlier link to the same
-    /// servers negotiated — without sending a single `HELLO`.
-    pub fn resume(mut self, wires: &[WireVersion]) -> Self {
-        self.wires = self.stack.negotiate(Some(wires));
-        self
-    }
-
-    /// The wire version every physical edge under this link speaks
-    /// (`V1` until a successful [`Link::negotiate`]).
-    pub fn wire(&self) -> WireVersion {
-        let lowest = self.wires.iter().copied().min_by_key(|&wire| wire as u8);
-        lowest.unwrap_or_default()
-    }
-
-    /// The negotiated version of each physical edge under this link, in
-    /// edge order (a fleet's shard-major); empty before any negotiation.
-    pub fn edge_wires(&self) -> &[WireVersion] {
-        &self.wires
     }
 
     /// Highest serving generation observed on this link so far — from
@@ -523,15 +495,16 @@ mod tests {
         });
         about_to_join.recv().unwrap();
         // The connections left keep the joined server serving: a
-        // handshake and a garbled frame (neither is a query), then two
-        // queries.
-        let link = link.negotiate();
-        assert_eq!(link.wire(), WireVersion::V2);
-        let reply = ex.exchange(Bytes::copy_from_slice(&[0xFF, 0x01]));
-        assert_eq!(
-            crate::codec::decode_response(reply).unwrap(),
-            Response::Malformed
-        );
+        // garbled frame and a retired handshake probe (neither is a
+        // query), then two queries at v2.
+        let link = link.with_wire(WireVersion::V2);
+        for garbage in [[0xFF, 0x01], [0x70, 0x02]] {
+            let reply = ex.exchange(Bytes::copy_from_slice(&garbage));
+            assert_eq!(
+                crate::codec::decode_response(reply).unwrap(),
+                Response::Malformed
+            );
+        }
         drop(ex);
         assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
         assert_eq!(link.request(&Request::Window(w())).into_objects().len(), 2);
@@ -557,12 +530,44 @@ mod tests {
 
     #[test]
     fn in_process_garbled_frame_degrades_identically() {
+        // An alien opcode and the retired handshake probe are answered
+        // typed, and serving continues.
         let ex = InProcExchange::new(Arc::new(Fixed));
-        let reply = ex.exchange(Bytes::copy_from_slice(&[0xFF]));
-        assert_eq!(
-            crate::codec::decode_response(reply).unwrap(),
-            Response::Malformed
-        );
+        for garbage in [&[0xFF][..], &[0x70, 0x02]] {
+            let reply = ex.exchange(Bytes::copy_from_slice(garbage));
+            assert_eq!(
+                crate::codec::decode_response(reply).unwrap(),
+                Response::Malformed
+            );
+        }
+        let count = crate::codec::encode_request(&Request::Count(w()));
+        let reply = crate::codec::decode_response(ex.exchange(count)).unwrap();
+        assert_eq!(reply.into_count(), 7);
+    }
+
+    #[test]
+    fn a_link_speaks_its_wire_version_from_its_first_frame() {
+        /// Records every request frame, then serves it in process.
+        struct Capture(Arc<std::sync::Mutex<Vec<Bytes>>>, InProcExchange<Fixed>);
+        impl RawExchange for Capture {
+            fn exchange(&self, request: Bytes) -> Bytes {
+                self.0.lock().unwrap().push(request.clone());
+                self.1.exchange(request)
+            }
+        }
+        for (wire, first) in [(WireVersion::V1, 0x02), (WireVersion::V2, 0x71)] {
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let carrier = Capture(Arc::clone(&seen), InProcExchange::new(Arc::new(Fixed)));
+            let link = Link::new(Box::new(carrier), PacketModel::default(), 1.0).with_wire(wire);
+            assert!(
+                seen.lock().unwrap().is_empty(),
+                "building a link sends nothing"
+            );
+            assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
+            let seen = seen.lock().unwrap();
+            assert_eq!(seen.len(), 1, "{wire:?}: one request, nothing before it");
+            assert_eq!(seen[0][0], first, "{wire:?}");
+        }
     }
 
     /// Fails the first `fails` exchanges with the fabricated unavailable

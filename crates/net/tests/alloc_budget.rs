@@ -208,14 +208,13 @@ fn a_reply_allocates_once_whatever_its_size() {
     }
 }
 
-/// A compact reply costs what a plain one does: on a link that negotiated
+/// A compact reply costs what a plain one does: on a link that speaks
 /// wire v2 the server writes each object's record into the reused reply
 /// buffer and the client reads it from the frame in place, so the same
 /// reads allocate the same 4 times.
 #[test]
 fn a_v2_reply_allocates_what_a_v1_reply_does() {
-    let compact = served().negotiate();
-    assert_eq!(compact.wire(), WireVersion::V2);
+    let compact = served().with_wire(WireVersion::V2);
     for (req, n) in sized_reads() {
         assert_eq!(compact.request(&req).into_objects().len(), n, "{req:?}");
         assert_eq!(allocations(&compact, &req), 4, "{req:?}");

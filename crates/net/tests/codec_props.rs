@@ -304,11 +304,12 @@ fn seeded_garble_sweep_decodes_typed_or_errors_never_panics() {
     }
 }
 
-/// The seven reserved bytes (`WIRE.md`, "Reserved opcodes") with a
+/// The nine reserved bytes (`WIRE.md`, "Reserved opcodes") with a
 /// plausible payload behind them: `05` and `83` were a request and its
 /// answer until nothing turned out to send them, `06` a batched COUNT
-/// and `88` / `8E` its v1 and v2 answers until it was retired, `EE` is
-/// the injected garble. All are unknown opcodes to both decoders. (`92`
+/// and `88` / `8E` its v1 and v2 answers until it was retired, `70` and
+/// `8B` the version handshake's probe and answer until a link's version
+/// became its deployment's, `EE` is the injected garble. All are unknown opcodes to both decoders. (`92`
 /// is reserved differently: decodable, but only ever fabricated
 /// locally.)
 #[test]
@@ -322,12 +323,16 @@ fn reserved_opcodes_are_rejected_as_unknown() {
     let windows = Bytes::from([&[0, 0, 0, 0, 2][..], &[0; 32]].concat());
     let counts = Bytes::from([&[0, 0, 0, 0, 2][..], &[0; 16]].concat());
     let compact = Bytes::from_static(&[0, 2, 0, 7]);
+    // The retired handshake's probe and answer, each `[opcode][u8 2]`.
+    let handshake = Bytes::from_static(&[0, 2]);
     let reserved = [
         (0x05, &window),
         (0x83, &count),
         (0x06, &windows),
         (0x88, &counts),
         (0x8E, &compact),
+        (0x70, &handshake),
+        (0x8B, &handshake),
         (0xEE, &count),
     ];
     for (opcode, body) in reserved {

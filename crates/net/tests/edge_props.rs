@@ -241,10 +241,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     // A reply that is a valid frame plus one byte is not that frame. On
-    // every kind of read, asked for in either wire version (the padded
-    // links themselves stay on v1: a padded `ACCEPT` is no `ACCEPT`, and
-    // values do not depend on the version): with no retry the answer
-    // is `Malformed` and the exchange is charged like any other; with a
+    // every kind of read, in either wire version (a v2 link's padded
+    // replies are v2 frames): with no retry the answer is `Malformed` and the exchange is charged like any other; with a
     // retry that gets a clean reply, the answer is the clean link's and
     // the damaged attempt shows as one retry. (Before decoders checked
     // that they consumed their frame, the value decoded and was used.)
@@ -253,12 +251,11 @@ proptest! {
         steps in prop::collection::vec((0u8..5, -8i32..48, -8i32..28, 1u32..12), 1..10),
         v2 in any::<bool>(),
     ) {
-        let tune = |link: Link| if v2 { link.negotiate() } else { link };
+        let wire = if v2 { WireVersion::V2 } else { WireVersion::V1 };
         let clean = faulted(lattice(), FaultPlan::default());
-        let clean = tune(Link::new(clean, PacketModel::default(), 1.0));
-        let always = tune(padded(false));
-        let flaky = tune(padded(true).with_retry(RetryPolicy::attempts(2)));
-        prop_assert_eq!(always.wire(), WireVersion::V1);
+        let clean = Link::new(clean, PacketModel::default(), 1.0).with_wire(wire);
+        let always = padded(false).with_wire(wire);
+        let flaky = padded(true).with_retry(RetryPolicy::attempts(2)).with_wire(wire);
         for (i, &step) in steps.iter().enumerate() {
             let req = request(i, step);
             let want = clean.request(&req);
@@ -285,8 +282,8 @@ proptest! {
         let packet = PacketModel::default();
         let tune = |link: Link| {
             let retry = if retrying { RetryPolicy::attempts(3) } else { RetryPolicy::default() };
-            let link = link.with_retry(retry);
-            if v2 { link.negotiate() } else { link }
+            let wire = if v2 { WireVersion::V2 } else { WireVersion::V1 };
+            link.with_retry(retry).with_wire(wire)
         };
         let bounds = Rect::union_of(lattice().iter().map(|o| o.mbr));
         let flat = tune(Link::new(faulted(lattice(), plan), packet, 1.0));
@@ -368,8 +365,8 @@ proptest! {
         let packet = PacketModel::default();
         let tune = |link: Link| {
             let retry = if retrying { RetryPolicy::attempts(3) } else { RetryPolicy::default() };
-            let link = link.with_retry(retry);
-            if v2 { link.negotiate() } else { link }
+            let wire = if v2 { WireVersion::V2 } else { WireVersion::V1 };
+            link.with_retry(retry).with_wire(wire)
         };
         // Updates only on clean plans (the envelope nonce is per sender,
         // so fault rolls on tagged frames differ between any two links).

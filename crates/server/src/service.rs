@@ -203,7 +203,7 @@ impl<S: SpatialStore> QueryHandler for SpatialService<S> {
     /// frames are never stamped (the payload already is the generation);
     /// a `Changes` answer is stamped with the generation its ops reach.
     /// The same single-traversal path serves both wire versions: the
-    /// encoder is parameterized by the negotiated [`WireVersion`] and, on
+    /// encoder is parameterized by the request's [`WireVersion`] and, on
     /// v2, the request's quantization grid.
     fn handle_into(&self, req: Request, wire: WireVersion, buf: &mut BytesMut) {
         match req {

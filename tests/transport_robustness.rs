@@ -38,10 +38,9 @@ fn service(seed: u64) -> Arc<SpatialService<RTreeStore>> {
 }
 
 /// Deterministic fuzz-ish garbage: empty frames, truncated valid
-/// opcodes, alien opcodes, absurd length prefixes, and LCG noise. None
-/// of these decode as a request (the two-byte HELLO shape is excluded —
-/// that one is *valid* link control, answered with an ACCEPT). Opcode
-/// bytes are written literally here; the suite deliberately speaks raw
+/// opcodes, alien and retired opcodes, absurd length prefixes, and LCG
+/// noise. None of these decode as a request. Opcode bytes are written
+/// literally here; the suite deliberately speaks raw
 /// wire bytes, not the codec's vocabulary.
 fn garbage_frames() -> Vec<Bytes> {
     let mut frames: Vec<Vec<u8>> = vec![
@@ -51,6 +50,7 @@ fn garbage_frames() -> Vec<Bytes> {
         vec![0x01, 1, 2, 3],                            // truncated WINDOW
         vec![0x04, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff], // bucket claiming 4 G probes
         vec![0x06, 0, 0, 0, 0],                         // the retired batched COUNT, of no windows
+        vec![0x70, 0x02],                               // the retired handshake probe
         vec![0x00; 64],
         vec![0x91], // the R_MALFORMED *response* opcode as a request
     ];
@@ -62,10 +62,6 @@ fn garbage_frames() -> Vec<Bytes> {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             f.push((x >> 33) as u8);
-        }
-        // Keep the fuzz out of the one valid 2-byte control frame shape.
-        if f.len() == codec::HELLO_BYTES as usize {
-            f.push(0);
         }
         frames.push(f);
     }
@@ -158,7 +154,7 @@ fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
     assert_eq!(
         server.join(),
         ((HEALTHY + 1) * sequence.len()) as u64,
-        "garbage and handshakes must not count as served queries"
+        "garbage must not count as served queries"
     );
 }
 

@@ -4,9 +4,9 @@
 //! names as enforcing a scenario must exist.
 
 use asj_net::codec::{
-    decode_accept, decode_request_versioned, decode_response_gen_ctx, encode_hello,
-    encode_request_versioned, encode_response_versioned, garble_frame, peel_dedup,
-    stamp_generation_versioned, try_answer_hello, wrap_dedup, QuantCtx, WireVersion,
+    decode_request_versioned, decode_response_gen_ctx, encode_request_versioned,
+    encode_response_versioned, garble_frame, peel_dedup, stamp_generation_versioned, wrap_dedup,
+    QuantCtx, WireVersion,
 };
 use asj_net::Request;
 use bytes::{Bytes, BytesMut};
@@ -78,7 +78,6 @@ fn every_hex_example_decodes_reencodes_and_rejects_its_mutations() {
     for block in blocks() {
         // The exchange a `response` line answers: the request above it.
         let mut asked: Option<(Request, WireVersion)> = None;
-        let mut probe = Bytes::from(Vec::new());
         for (label, frame) in frames(block) {
             let shown = format!("{label} {frame:02X?}");
             match label {
@@ -99,15 +98,6 @@ fn every_hex_example_decodes_reencodes_and_rejects_its_mutations() {
                     encode_response_versioned(&resp, *wire, ctx.as_ref(), &mut buf);
                     assert_eq!(buf.freeze(), frame, "{shown}");
                     mutations_are_rejected(&shown, &frame, ctx.as_ref());
-                }
-                "hello" => {
-                    assert_eq!(encode_hello(frame[1]), frame, "{shown}");
-                    probe = frame;
-                }
-                "accept" => {
-                    // Answers the `hello` above it.
-                    assert_eq!(try_answer_hello(&probe), Some(frame.clone()), "{shown}");
-                    assert_eq!(decode_accept(&frame), Some(frame[1]), "{shown}");
                 }
                 "dedup" => {
                     let (tag, body) = peel_dedup(&frame).expect(&shown);

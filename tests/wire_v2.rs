@@ -1,10 +1,10 @@
 //! Differential oracles for wire protocol v2.
 //!
-//! Protocol v2 is a per-link negotiated capability: compact object
-//! frames (delta-varint ids, window-quantized u16 coordinates with
-//! exact-f32 escapes), varint scalar and generation frames, negotiated
-//! by a HELLO/ACCEPT handshake on each physical link. This suite pins
-//! the two contracts that make it deployable:
+//! Protocol v2 is a per-deployment wire version (`NetConfig::wire_v2`):
+//! compact object frames (delta-varint ids, window-quantized u16
+//! coordinates with exact-f32 escapes) and varint scalar and generation
+//! frames, spoken by every physical link of the deployment from its first
+//! frame. This suite pins the two contracts that make it deployable:
 //!
 //! * **Result identity** — for every algorithm (NaiveJoin, GridJoin,
 //!   MobiJoin, UpJoin, SrJoin, SemiJoin) on flat, 4-shard and cached
@@ -15,18 +15,21 @@
 //!   denser frames — but results cannot.
 //! * **Off means off** — with `wire_v2` disabled (the default), every
 //!   link speaks v1 byte-identically: link meters match a default-config
-//!   run field by field, and no handshake frame is ever sent.
+//!   run field by field.
 //!
-//! Plus the fleet-mix contract: a v2-capable client negotiating against
-//! a fleet with one pre-v2 shard falls back to v1 *on that link only*,
-//! without error — versions are per physical edge, not per deployment.
+//! Plus the fleet-mix contract: a v2 link that meets a peer which cannot
+//! read v2 fails typed — its answers are `Malformed`, charged and
+//! retried, never a value — while the shards that read v2 answer as the
+//! scan does.
 
 use adhoc_spatial_joins::prelude::*;
 use asj_core::DeploymentBuilder;
 use asj_geom::{Rect, SpatialObject};
 use asj_net::codec::WireVersion;
 use asj_net::transport::InProcExchange;
-use asj_net::{Link, NetConfig, RawExchange, Request, ShardEndpoint, ShardRouter};
+use asj_net::{
+    Link, NetConfig, RawExchange, Request, Response, RetryPolicy, ShardEndpoint, ShardRouter,
+};
 use asj_server::{ScanStore, SpatialService, SpatialStore};
 use asj_workloads::{default_space, gaussian_clusters, SyntheticSpec};
 use bytes::Bytes;
@@ -132,12 +135,6 @@ fn v2_off_is_byte_identical_to_default() {
             );
         }
     }
-    // And the negotiated version is observable on a flat link: off stays
-    // v1 (no handshake is even attempted), on upgrades to v2.
-    let (off_r, _) = build(&r, &s, Shape::Flat, NetConfig::default()).connect();
-    assert_eq!(off_r.wire(), WireVersion::V1);
-    let (on_r, _) = build(&r, &s, Shape::Flat, NetConfig::default().with_wire_v2(true)).connect();
-    assert_eq!(on_r.wire(), WireVersion::V2);
 }
 
 /// The compact frames actually pay: the download-dominated NaiveJoin
@@ -163,136 +160,95 @@ fn v2_saves_bytes_on_download_heavy_plans() {
     );
 }
 
-/// A pre-v2 server: no HELLO intercept in its transport adapter, so a
-/// version probe falls through to the request decoder and gets refused
-/// like any unknown frame.
+/// A pre-v2 server: its decoder has never seen the v2 marker `0x71`, so
+/// a v2 request is an unknown frame to it and is answered with the typed
+/// `Malformed` error, like any other it cannot read.
 struct V1OnlyShard(InProcExchange<SpatialService<ScanStore>>);
 
 impl RawExchange for V1OnlyShard {
     fn exchange(&self, request: Bytes) -> Bytes {
-        if request.first() == Some(&0x70) {
-            // An old server has no idea what 0x70 is; whatever it sends
-            // back (an error byte here), it is not a valid ACCEPT.
-            return Bytes::from_static(&[0x00]);
+        if request.first() == Some(&0x71) {
+            return asj_net::codec::encode_response(&Response::Malformed);
         }
         self.0.exchange(request)
     }
 }
 
-/// A mixed fleet — one v2-capable shard, one v1-only shard — negotiates
-/// per physical link: the capable link upgrades, the old one falls back,
-/// and every query merges correctly across the version boundary.
+/// A two-shard fleet, one shard behind a v1-only server. At v2 the
+/// requests the router sends to that shard fail typed: `Malformed`,
+/// charged, retried within the budget and abandoned, never decoded into a
+/// value. Requests pruned to the other shard still equal the scan. At v1
+/// the whole fleet does.
 #[test]
-fn mixed_version_fleet_falls_back_per_link() {
+fn a_v2_fleet_with_a_v1_only_shard_fails_typed_there() {
     let all = clusters(4, 200, 13);
     let (left, right): (Vec<_>, Vec<_>) = all
         .iter()
         .copied()
         .partition(|o| o.mbr.center().x < default_space().center().x);
+    let right_bounds = Rect::union_of(right.iter().map(|o| o.mbr)).unwrap();
     let oracle = ScanStore::new(all.clone());
-
-    let shard =
-        |objs: &[SpatialObject]| Arc::new(SpatialService::new(ScanStore::new(objs.to_vec())));
-    let net = NetConfig::default().with_wire_v2(true);
-    // Both shards advertise the whole space: the router scatters every
-    // query to both, so merging really crosses the version boundary.
-    let router = ShardRouter::new(
-        vec![
-            ShardEndpoint::new(
-                Some(default_space()),
-                Box::new(InProcExchange::new(shard(&left))),
-            ),
-            ShardEndpoint::new(
-                Some(default_space()),
-                Box::new(V1OnlyShard(InProcExchange::new(shard(&right)))),
-            ),
-        ],
-        net.packet,
-    );
-    let link = Link::routed(router, net.tariff_r).negotiate();
-    assert_eq!(
-        link.edge_wires(),
-        [WireVersion::V2, WireVersion::V1],
-        "negotiation must settle per link, not per fleet"
-    );
-
-    for w in [
+    let net = NetConfig::default();
+    let fleet = |wire: WireVersion| {
+        let shard = |objs: &[SpatialObject]| {
+            let bounds = Rect::union_of(objs.iter().map(|o| o.mbr));
+            let service = Arc::new(SpatialService::new(ScanStore::new(objs.to_vec())));
+            (bounds, InProcExchange::new(service))
+        };
+        let ((lb, l), (rb, r)) = (shard(&left), shard(&right));
+        let router = ShardRouter::new(
+            vec![
+                ShardEndpoint::new(lb, Box::new(l)),
+                ShardEndpoint::new(rb, Box::new(V1OnlyShard(r))),
+            ],
+            net.packet,
+        );
+        Link::routed(router, net.tariff_r)
+            .with_retry(RetryPolicy::attempts(3))
+            .with_wire(wire)
+    };
+    let ids = |resp: Response| {
+        let mut ids: Vec<u32> = resp.into_objects().iter().map(|o| o.id).collect();
+        ids.sort_unstable();
+        ids
+    };
+    let scan = |w: &Rect| ids(Response::Objects(oracle.window(w)));
+    let windows = [
         Rect::from_coords(0.0, 0.0, 10_000.0, 10_000.0),
         Rect::from_coords(2_000.0, 1_000.0, 7_500.0, 8_000.0),
         Rect::from_coords(4_900.0, 0.0, 5_100.0, 10_000.0), // straddles the split
-    ] {
+        Rect::from_coords(0.0, 0.0, 4_000.0, 10_000.0),     // left shard only
+        Rect::from_coords(500.0, 2_000.0, 3_000.0, 6_000.0), // left shard only
+    ];
+    let left_only = windows.iter().filter(|w| !right_bounds.intersects(w));
+    assert_eq!(left_only.count(), 2, "both sides of the fleet are asked");
+    let (v1, v2) = (fleet(WireVersion::V1), fleet(WireVersion::V2));
+    for w in windows {
         assert_eq!(
-            link.request(&Request::Count(w)).into_count(),
-            oracle.count(&w),
-            "mixed-version COUNT diverged"
+            v1.request(&Request::Count(w)).into_count(),
+            oracle.count(&w)
         );
-        let mut got: Vec<u32> = link
-            .request(&Request::Window(w))
-            .into_objects()
-            .iter()
-            .map(|o| o.id)
-            .collect();
-        got.sort_unstable();
-        let mut want: Vec<u32> = oracle.window(&w).iter().map(|o| o.id).collect();
-        want.sort_unstable();
-        assert_eq!(got, want, "mixed-version WINDOW diverged");
-    }
-}
-
-/// Concurrent negotiation: 64 devices race their `HELLO`/`ACCEPT`
-/// handshakes over one shared reactor (plus a crowd of v1 holdouts that
-/// never probe). Versions are per physical edge, and the reactor is the
-/// only writer of each connection's state — so every negotiating link
-/// must land on v2, every holdout must stay v1, and each connection's
-/// recorded state must agree with what its link speaks. Queries issued
-/// through the racing links afterwards must all decode to the same
-/// answers.
-#[test]
-fn concurrent_negotiation_settles_every_edge_consistently() {
-    use asj_net::{EventLoop, PacketModel};
-
-    let objs = clusters(4, 250, 17);
-    let oracle = ScanStore::new(objs.clone());
-    let reactor = EventLoop::spawn("nego-race");
-    let endpoint = reactor.serve(Arc::new(SpatialService::new(ScanStore::new(objs))));
-    let w = Rect::from_coords(1_500.0, 1_500.0, 6_000.0, 6_000.0);
-    let want = oracle.count(&w);
-
-    const RACERS: usize = 64;
-    const HOLDOUTS: usize = 16;
-    let outcomes: Vec<(WireVersion, WireVersion, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..RACERS + HOLDOUTS)
-            .map(|i| {
-                let conn = endpoint.connect();
-                scope.spawn(move || {
-                    let state = Arc::clone(conn.state());
-                    let mut link = Link::new(Box::new(conn), PacketModel::default(), 1.0);
-                    if i < RACERS {
-                        link = link.negotiate();
-                    }
-                    let count = link.request(&Request::Count(w)).into_count();
-                    (link.wire(), state.negotiated(), count)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    for (i, (spoken, recorded, count)) in outcomes.iter().enumerate() {
-        let expected = if i < RACERS {
-            WireVersion::V2
+        assert_eq!(ids(v1.request(&Request::Window(w))), scan(&w));
+        let before = v2.meter().snapshot();
+        let (count, window) = (
+            v2.request(&Request::Count(w)),
+            v2.request(&Request::Window(w)),
+        );
+        let after = v2.meter().snapshot();
+        if right_bounds.intersects(&w) {
+            assert_eq!((count, window), (Response::Malformed, Response::Malformed));
+            assert_eq!(after.retried - before.retried, 4, "two retries a request");
+            assert_eq!(after.abandoned - before.abandoned, 2, "budget spent");
+            assert!(
+                after.down_bytes > before.down_bytes,
+                "the refusals were charged"
+            );
         } else {
-            WireVersion::V1
-        };
-        assert_eq!(
-            *spoken, expected,
-            "link {i}: negotiation raced to the wrong version"
-        );
-        assert_eq!(
-            *recorded, *spoken,
-            "link {i}: reactor-owned connection state disagrees with the link"
-        );
-        assert_eq!(*count, want, "link {i}: answer diverged after the race");
+            assert_eq!(count.into_count(), oracle.count(&w), "{w:?}");
+            assert_eq!(ids(window), scan(&w), "{w:?}");
+            assert_eq!(after.retried, before.retried, "{w:?}");
+        }
     }
-    reactor.shutdown();
+    assert_eq!(v1.meter().snapshot().retried, 0);
+    assert_eq!(v2.meter().snapshot().abandoned, 6, "three windows reach it");
 }

@@ -46,6 +46,10 @@ set independently of each other:
 The guard fails when the count exceeds `SETTABLE_CEILING`: a change that
 adds a settable value raises the ceiling in its own diff, where a reviewer
 sees it.
+
+The public count. The guard fails, too, when the public fns and consts it
+lists exceed `PUBLIC_CEILING`: a change that grows the public surface
+raises that ceiling in its own diff, the same way.
 """
 
 import argparse
@@ -70,6 +74,8 @@ RECEIVER = re.compile(r"^\s*(?:&\s*(?:'\w+\s+)?)?(?:mut\s+)?self\b")
 
 # The most settable deployment values the guard lets through.
 SETTABLE_CEILING = 22
+# The most public fns and consts the guard lets through.
+PUBLIC_CEILING = 451
 
 
 def lex(text):
@@ -434,6 +440,10 @@ def main():
         "%d public fns and consts; %d without a caller, %d of those allowlisted"
         % (len(items), len(uncalled), len(uncalled & set(allowed)))
     )
+    if len(items) > PUBLIC_CEILING:
+        problems.append(
+            "public fns and consts: %d, above the ceiling of %d" % (len(items), PUBLIC_CEILING)
+        )
     table = structs(root)
     net, fault = leaves("NetConfig", table), leaves("FaultPlan", table)
     builder = builder_values(root, table)
