@@ -28,45 +28,26 @@ use crate::Side;
 /// data size for the synthetic datasets").
 pub const DEFAULT_BUFFER: usize = 800;
 
-/// How servers are carried: in the caller's process, or served by a
-/// reactor thread (see `asj_net::event_loop`) that is either the
-/// server's own or one shared by the whole deployment.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum CarrierKind {
-    InProc,
-    Threaded,
-    EventLoop,
-}
-
-/// One server process: in the caller's process, or an endpoint on a
-/// reactor.
+/// One server process: in the caller's process, or an endpoint on the
+/// deployment's one reactor (see `asj_net::event_loop`).
 enum Endpoint {
     InProc(Arc<dyn QueryHandler>),
     Reactor {
         endpoint: asj_net::EventEndpoint,
-        /// Keeps the thread serving: this server's own reactor, or the
-        /// one the whole deployment shares.
+        /// Keeps the thread serving: the reactor every endpoint of the
+        /// deployment shares.
         _reactor: Arc<asj_net::EventLoop>,
     },
 }
 
 impl Endpoint {
-    fn spawn(
-        service: Arc<dyn QueryHandler>,
-        kind: CarrierKind,
-        shared: Option<&Arc<asj_net::EventLoop>>,
-        name: &str,
-    ) -> Endpoint {
-        let reactor = match kind {
-            CarrierKind::InProc => return Endpoint::InProc(service),
-            CarrierKind::Threaded => Arc::new(asj_net::EventLoop::spawn(name)),
-            CarrierKind::EventLoop => {
-                Arc::clone(shared.expect("event-loop deployments carry a reactor"))
-            }
-        };
-        Endpoint::Reactor {
-            endpoint: reactor.serve(service),
-            _reactor: reactor,
+    fn new(service: Arc<dyn QueryHandler>, reactor: Option<&Arc<asj_net::EventLoop>>) -> Endpoint {
+        match reactor {
+            None => Endpoint::InProc(service),
+            Some(reactor) => Endpoint::Reactor {
+                endpoint: reactor.serve(service),
+                _reactor: Arc::clone(reactor),
+            },
         }
     }
 
@@ -284,8 +265,9 @@ impl Deployment {
         DeploymentBuilder::new(r, s).with_net(net).build()
     }
 
-    /// Deployment with each server on a reactor thread of its own — the
-    /// distributed topology of the paper's prototype.
+    /// Deployment with its servers served off the caller's thread — the
+    /// distributed topology of the paper's prototype, both servers on one
+    /// reactor (see [`DeploymentBuilder::threaded`]).
     pub fn threaded(r: Vec<SpatialObject>, s: Vec<SpatialObject>, net: NetConfig) -> Self {
         DeploymentBuilder::new(r, s)
             .with_net(net)
@@ -420,7 +402,8 @@ pub struct DeploymentBuilder {
     buffer_capacity: usize,
     space: Option<Rect>,
     cooperative: bool,
-    carrier: CarrierKind,
+    /// Serve from a reactor thread rather than in-process.
+    reactor: bool,
     live: bool,
     shards: Option<(usize, usize)>,
     replicas: usize,
@@ -436,7 +419,7 @@ impl DeploymentBuilder {
             buffer_capacity: DEFAULT_BUFFER,
             space: None,
             cooperative: false,
-            carrier: CarrierKind::InProc,
+            reactor: false,
             live: false,
             shards: None,
             replicas: 1,
@@ -469,27 +452,29 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Serves every server (each side, every shard replica) from a
-    /// reactor thread **of its own** — the paper's independent servers.
-    /// The serving loop is the one [`DeploymentBuilder::event_loop`]
-    /// uses; only thread placement differs: one per replica here, one in
-    /// all there. Replies are byte-identical either way.
+    /// Serves every server (each side, every shard replica) off the
+    /// caller's thread — the paper's servers, apart from its device. All
+    /// of them share **one** reactor thread, the same as
+    /// [`DeploymentBuilder::event_loop`]: the paper prices a join in
+    /// bytes, not threads, and one reactor drains a whole fleet round
+    /// trip per activation. Replies are byte-identical to in-process
+    /// serving.
     pub fn threaded(mut self) -> Self {
-        self.carrier = CarrierKind::Threaded;
+        self.reactor = true;
         self
     }
 
     /// Serves every server (both sides, every shard replica) from
-    /// **one** shared reactor thread — the many-device placement. Unlike
-    /// [`threaded`], the thread count stays constant no matter how many
-    /// shards the fleet has or how many devices [`Deployment::connect`];
-    /// connections carry no protocol state, so none of it is shared
-    /// (see `asj_net::event_loop`). Replies are byte-identical
-    /// to the other placement and to in-process serving.
+    /// **one** shared reactor thread, so the thread count stays constant
+    /// no matter how many shards the fleet has or how many devices
+    /// [`Deployment::connect`]; connections carry no protocol state, so
+    /// none of it is shared (see `asj_net::event_loop`). The same
+    /// placement as [`threaded`], under the many-device name. Replies
+    /// are byte-identical to in-process serving.
     ///
     /// [`threaded`]: DeploymentBuilder::threaded
     pub fn event_loop(mut self) -> Self {
-        self.carrier = CarrierKind::EventLoop;
+        self.reactor = true;
         self
     }
 
@@ -535,9 +520,9 @@ impl DeploymentBuilder {
     /// partitioned servers behind a client-side scatter-gather router
     /// (see `asj_server::partition` and `asj_net::router`). `n = 1` is a
     /// legitimate fleet: the router is byte-transparent, which the
-    /// differential tests exploit. Combine with [`threaded`] to give every
-    /// shard its own server thread — the router then scatters to them
-    /// concurrently.
+    /// differential tests exploit. Combine with [`threaded`] to serve the
+    /// shards off the caller's thread — the router then has every shard's
+    /// batch in flight at once, and the reactor drains them together.
     ///
     /// [`threaded`]: DeploymentBuilder::threaded
     pub fn with_shards(mut self, n_r: usize, n_s: usize) -> Self {
@@ -597,16 +582,17 @@ impl DeploymentBuilder {
             )
             .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0))
         });
-        // One reactor thread carries every endpoint of an event-loop
-        // deployment (a threaded one spawns a reactor per endpoint). The
-        // endpoints hold it, so links can never outlive it accidentally.
-        let reactor = (self.carrier == CarrierKind::EventLoop)
+        // One reactor thread carries every endpoint of a deployment that
+        // is not in-process. The endpoints hold it, so links can never
+        // outlive it accidentally.
+        let reactor = self
+            .reactor
             .then(|| Arc::new(asj_net::EventLoop::spawn("deploy")));
         // Frozen servers answer straight from an immutable R-tree; live
         // servers wrap the same store in a `VersionedStore` whose rebuild
         // closure re-packs the R-tree at the same fanout, so generation 0
         // answers identically either way.
-        let spawn = |objects: Vec<SpatialObject>, name: &str| -> Replica {
+        let server = |objects: Vec<SpatialObject>| -> Replica {
             let (service, live): (Arc<dyn QueryHandler>, _) = if self.live {
                 let store = VersionedStore::new(objects, RTreeStore::new);
                 let service = Arc::new(SpatialService::new(store).with_policy(policy));
@@ -619,7 +605,7 @@ impl DeploymentBuilder {
                 let service = SpatialService::new(store).with_policy(policy);
                 (Arc::new(service), None)
             };
-            let endpoint = Endpoint::spawn(service, self.carrier, reactor.as_ref(), name);
+            let endpoint = Endpoint::new(service, reactor.as_ref());
             Replica {
                 endpoint: Arc::new(endpoint),
                 live,
@@ -633,9 +619,9 @@ impl DeploymentBuilder {
             self.shards
         };
         let replicas = self.replicas;
-        let make = |objects: Vec<SpatialObject>, shards: Option<usize>, name: &str| -> Carrier {
+        let make = |objects: Vec<SpatialObject>, shards: Option<usize>| -> Carrier {
             match shards {
-                None => Carrier::Single(spawn(objects, name)),
+                None => Carrier::Single(server(objects)),
                 Some(n) => {
                     let part = partition_objects(&space, n, objects);
                     // Advertised bounds come from the partitioner's
@@ -650,18 +636,9 @@ impl DeploymentBuilder {
                             .into_iter()
                             .zip(part.members)
                             .zip(part.cells)
-                            .enumerate()
-                            .map(|(i, ((bounds, members), cell))| {
-                                let group = (0..replicas)
-                                    .map(|j| {
-                                        let rname = if replicas > 1 {
-                                            format!("{name}{i}.{j}")
-                                        } else {
-                                            format!("{name}{i}")
-                                        };
-                                        spawn(members.clone(), &rname)
-                                    })
-                                    .collect();
+                            .map(|((bounds, members), cell)| {
+                                let group =
+                                    (0..replicas).map(|_| server(members.clone())).collect();
                                 let meta = Arc::new(ShardMeta::with_cell(bounds, Some(cell)));
                                 (meta, group)
                             })
@@ -671,8 +648,8 @@ impl DeploymentBuilder {
             }
         };
         Deployment {
-            r: make(self.r_objects, shards.map(|s| s.0), "R"),
-            s: make(self.s_objects, shards.map(|s| s.1), "S"),
+            r: make(self.r_objects, shards.map(|s| s.0)),
+            s: make(self.s_objects, shards.map(|s| s.1)),
             buffer_capacity: self.buffer_capacity,
             space,
             cooperative: self.cooperative,
@@ -827,70 +804,29 @@ mod tests {
     }
 
     #[test]
-    fn event_loop_fleet_matches_threaded_fleet() {
-        let build = |kind: u8| {
-            let mut b = DeploymentBuilder::new(pts(40, 0.0), pts(40, 2.0)).with_shards(3, 2);
-            b = match kind {
-                0 => b,
-                1 => b.threaded(),
-                _ => b.event_loop(),
-            };
-            b.build()
+    fn every_endpoint_of_a_served_fleet_holds_the_one_reactor() {
+        let reactor = |replica: &Replica| match &*replica.endpoint {
+            Endpoint::Reactor { _reactor, .. } => Arc::clone(_reactor),
+            Endpoint::InProc(_) => panic!("served in-process"),
         };
-        let w = Rect::from_coords(0.0, 0.0, 25.0, 25.0);
-        let run = |d: &Deployment| {
-            let (r, s) = d.connect();
-            let count = r.request(&Request::Count(w)).into_count();
-            let objs = s.request(&Request::Window(w)).into_objects();
-            (
-                count,
-                objs,
-                r.meter().snapshot().total_bytes(),
-                s.meter().snapshot().total_bytes(),
-            )
-        };
-        let (inproc, threaded, looped) = (build(0), build(1), build(2));
-        assert_eq!(run(&inproc), run(&threaded));
-        assert_eq!(run(&inproc), run(&looped));
-        // One reactor endpoint per shard server whatever the placement —
-        // each on a thread of its own, or all on the shared one — and
-        // none in-process.
-        let everything = Rect::from_coords(-1.0, -1.0, 100.0, 100.0);
-        for d in [&threaded, &looped] {
-            let (r, s) = d.connect();
-            for (side, link, shards) in [(Side::R, r, 3), (Side::S, s, 2)] {
-                assert_eq!(link.request(&Request::Count(everything)).into_count(), 40);
-                let stats = d.event_stats(side);
-                assert_eq!(stats.len(), shards);
-                assert!(stats.iter().all(|s| s.served() > 0), "no shard is pruned");
-            }
+        for served in [DeploymentBuilder::threaded, DeploymentBuilder::event_loop] {
+            let b = DeploymentBuilder::new(pts(40, 0.0), pts(40, 2.0))
+                .with_shards(4, 4)
+                .with_replicas(2);
+            let d = served(b).build();
+            let replicas: Vec<&Replica> = [&d.r, &d.s]
+                .into_iter()
+                .flat_map(|side| match side {
+                    Carrier::Fleet(members) => members.iter().flat_map(|(_, group)| group),
+                    Carrier::Single(_) => panic!("a 4x4x2 fleet"),
+                })
+                .collect();
+            assert_eq!(replicas.len(), 2 * 4 * 2);
+            let one = reactor(replicas[0]);
+            assert!(replicas.iter().all(|r| Arc::ptr_eq(&reactor(r), &one)));
+            assert_eq!(d.event_stats(Side::R).len(), 8, "one endpoint per replica");
+            assert_eq!(d.event_stats(Side::S).len(), 8);
         }
-        assert!(inproc.event_stats(Side::R).is_empty());
-        assert!(inproc.event_stats(Side::S).is_empty());
-    }
-
-    #[test]
-    fn placement_changes_neither_a_live_join_nor_what_each_server_served() {
-        use crate::{DistributedJoin, JoinSpec, SrJoin};
-        let run = |shared: bool| {
-            let b = DeploymentBuilder::new(pts(60, 0.0), pts(60, 1.0))
-                .with_shards(2, 2)
-                .with_buffer(16)
-                .live();
-            let d = if shared { b.event_loop() } else { b.threaded() }.build();
-            d.apply_updates(
-                Side::S,
-                vec![Update::Insert(SpatialObject::point(777, 3.0, 3.0))],
-            );
-            let report = SrJoin::default()
-                .run(&d, &JoinSpec::distance_join(1.5))
-                .expect("join runs");
-            assert!(!report.pairs.is_empty(), "vacuous join");
-            let served =
-                |side| -> Vec<u64> { d.event_stats(side).iter().map(|s| s.served()).collect() };
-            (format!("{report:?}"), served(Side::R), served(Side::S))
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

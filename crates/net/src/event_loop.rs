@@ -8,12 +8,19 @@
 //!   whole ready-queue per wake-up (there is no tokio here, and none is
 //!   needed: requests are already discrete ready-to-run events);
 //! * each [`EventEndpoint`] is one logical server (a [`QueryHandler`])
-//!   registered on a loop. Alone on a loop of its own it is the paper's
-//!   independent UNIX server, and a fleet costs a thread per shard
-//!   replica; any number can share one loop instead, and the
+//!   registered on a loop. A deployment registers every server it
+//!   serves — both sides, every shard replica — on one loop, so the
 //!   thread count stays constant however many shards there are and
-//!   however many devices connect — what a many-device harness needs;
+//!   however many devices connect;
 //! * each [`EventConnection`] is one device's socket to one endpoint.
+//!
+//! # Wake-up
+//!
+//! A begun batch is queued quietly; the client that first waits on a
+//! reply still missing wakes the reactor (see `mailbox`). So everything
+//! a shard router begins before its first wait — a batch per (shard,
+//! replica) edge — is drained in one activation of the reactor: one
+//! pair of context switches per round trip, however wide the scatter.
 //!
 //! # Connection state
 //!
@@ -245,6 +252,7 @@ impl EventLoop {
         let (queue, thread) = self.running.take()?;
         if now {
             queue.push_all([Event::Shutdown]);
+            queue.kick();
         }
         drop(queue);
         thread.join().ok()
@@ -315,9 +323,10 @@ impl RawExchange for EventConnection {
         self.begin(request).wait()
     }
 
-    /// The whole batch is enqueued under one lock with one wake-up. If
-    /// the reactor is gone the batch is dropped unsent, and every pending
-    /// then yields the unavailable frame.
+    /// The whole batch is enqueued under one lock, waking nobody: the
+    /// first [`Pending::wait`] that finds its reply missing wakes the
+    /// reactor. If the reactor is gone the batch is dropped unsent, and
+    /// every pending then yields the unavailable frame.
     fn begin_many(
         &self,
         requests: &mut dyn Iterator<Item = Bytes>,
@@ -330,7 +339,9 @@ impl RawExchange for EventConnection {
         }
         // The slots the reactor answers into; one refuses its reply once
         // the client has dropped the pending that waits on it.
-        let paired = requests.into_iter().zip(slots(n as usize));
+        let paired = requests
+            .into_iter()
+            .zip(slots(n as usize, self.queue.waker()));
         let events = paired.map(|(request, (reply, waiter))| {
             begun(Pending {
                 reply: Err(waiter),
@@ -480,6 +491,72 @@ pub(crate) mod tests {
         assert_eq!(reactor.shutdown(), 8);
     }
 
+    /// Returns once the reactor `conn` leads to is parked on its queue.
+    fn until_parked(conn: &EventConnection) {
+        while !conn.queue.parked() {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Quiet pushes, woken by the waiter: batches begun on two endpoints
+    /// of a parked reactor leave it parked, and the first wait wakes it
+    /// to both — A's reply goes out after B was served.
+    #[test]
+    fn batches_begun_on_two_endpoints_before_the_first_wait_are_served_in_one_drain() {
+        let reactor = EventLoop::spawn("one-drain");
+        let a = reactor.serve(Arc::new(ScanHandler(objects(3))));
+        let b = reactor.serve(Arc::new(ScanHandler(objects(4))));
+        let (to_a, to_b) = (a.connect(), b.connect());
+        let count = || crate::codec::encode_request(&Request::Count(w(100.0)));
+        for round in 1..=100 {
+            until_parked(&to_a);
+            let (pa, pb) = (to_a.begin(count()), to_b.begin(count()));
+            assert!(to_a.queue.parked(), "a begun batch wakes nobody");
+            let reply = crate::codec::decode_response(pa.wait()).unwrap();
+            assert_eq!(b.stats().served(), round, "B was drained with A");
+            assert_eq!(reply, Response::Count(3));
+            assert_eq!(
+                crate::codec::decode_response(pb.wait()).unwrap(),
+                Response::Count(4)
+            );
+        }
+        drop((to_a, to_b, a, b));
+        assert_eq!(reactor.join(), 200);
+    }
+
+    /// Nobody waits, so nobody wakes the parked reactor but its own exit:
+    /// the closing mailbox for `join`, the sentinel for `shutdown`.
+    #[test]
+    fn a_batch_never_waited_on_is_served_by_join_and_unavailable_after_shutdown() {
+        let count = || crate::codec::encode_request(&Request::Count(w(100.0)));
+        let reactor = EventLoop::spawn("unwaited");
+        let endpoint = reactor.serve(Arc::new(ScanHandler(objects(5))));
+        let conn = endpoint.connect();
+        until_parked(&conn);
+        let mut begun = Vec::new();
+        conn.begin_many(&mut (0..3).map(|_| count()), &mut |p| begun.push(p));
+        let stats = Arc::clone(endpoint.stats());
+        drop((conn, endpoint));
+        // The held pendings do not keep the joined loop serving.
+        assert_eq!(reactor.join(), 3);
+        assert_eq!(stats.served(), 3);
+        for pending in begun {
+            let reply = crate::codec::decode_response(pending.wait()).unwrap();
+            assert_eq!(reply, Response::Count(5));
+        }
+
+        let reactor = EventLoop::spawn("unwaited");
+        let endpoint = reactor.serve(Arc::new(ScanHandler(objects(5))));
+        let conn = endpoint.connect();
+        until_parked(&conn);
+        let before = conn.begin(count());
+        assert_eq!(reactor.shutdown(), 1, "served ahead of the sentinel");
+        let after = conn.begin(count());
+        assert!(crate::codec::is_unavailable(&after.wait()));
+        let reply = crate::codec::decode_response(before.wait()).unwrap();
+        assert_eq!(reply, Response::Count(5));
+    }
+
     pub(crate) fn garbled_frames_answer_typed_and_serving_survives(on: Placement) {
         let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(5))));
         let conn = endpoint.connect();
@@ -581,7 +658,7 @@ pub(crate) mod tests {
         // One push, so the reactor drains all five events together.
         let (mut events, pendings): (Vec<Event>, Vec<Pending>) = (0..4)
             .map(|_| {
-                let (reply, waiter) = slots(1).next().unwrap();
+                let (reply, waiter) = slots(1, conn.queue.waker()).next().unwrap();
                 let pending = Pending {
                     reply: Err(waiter),
                     garble: None,

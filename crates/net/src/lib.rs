@@ -22,8 +22,8 @@
 //!   deployment used by examples and integration tests);
 //! * [`event_loop`] — the **serving carrier**, the only serving loop: a
 //!   reactor thread multiplexing every endpoint and connection registered
-//!   on it; placement is one [`EventLoop`] per server or one shared by a
-//!   whole deployment;
+//!   on it, one [`EventLoop`] per deployment, woken by the first client
+//!   that waits on a missing reply;
 //! * [`router`] — the **scatter-gather extension**: a [`ShardRouter`]
 //!   makes a fleet of shard servers look like one — pruning by advertised
 //!   bounds, sub-batching, merging, metering per replica, per shard and in
@@ -68,9 +68,10 @@
 //! of one — there is no second path). The cache answers what it can and
 //! lets the misses ride one batch; the router turns all the requests'
 //! pruned sub-requests into one set of flights, one carrier batch per
-//! (shard, replica) edge; a connection enqueues a batch under one lock
-//! with one wake-up, and its reactor drains its whole queue per
-//! wake-up. The physical edge (`edge.rs`) is who frames (wire version,
+//! (shard, replica) edge; a connection enqueues a batch under one lock,
+//! waking nobody, and the first wait wakes the reactor to drain its
+//! whole queue — every edge's batch in one activation. The physical
+//! edge (`edge.rs`) is who frames (wire version,
 //! dedup envelope), meters, judges a reply ok / `Unavailable` /
 //! `Malformed` and retries — once per physical exchange, in
 //! one copy, each failed member of a batch on its own budget. A flat

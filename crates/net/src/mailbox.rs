@@ -1,13 +1,17 @@
-//! The queue under the reactor carrier: push-all, take-all,
-//! wake-if-parked.
+//! The queue under the reactor carrier: quiet pushes, take-all, woken
+//! by the waiter.
 //!
-//! A batch is enqueued under one lock with at most one wake-up and the
-//! consumer takes its *whole* queue per wake-up, so a pipelined batch
-//! costs one context switch each way, not one per request. Its replies
-//! come back through [`slots`], allocated once for the batch.
+//! A batch is enqueued under one lock and wakes nobody. The consumer is
+//! woken by the first client that waits on a reply still missing (see
+//! [`SlotEnd::wait`]), or by the mailbox closing, and it takes its
+//! *whole* queue per wake-up. So every batch begun before the first wait
+//! — on any number of endpoints of one reactor — is served in one
+//! activation: one context switch each way per round trip, not one per
+//! batch. Its replies come back through [`slots`], allocated once for
+//! the batch.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 
 use crate::few::Few;
 
@@ -42,9 +46,37 @@ pub(crate) fn mailbox<T>() -> (End<T>, End<T>) {
     (End(Arc::clone(&shared)), End(shared))
 }
 
+impl<T> Mailbox<T> {
+    fn wake(&self, mut inbox: MutexGuard<Inbox<T>>) {
+        let parked = std::mem::take(&mut inbox.parked);
+        drop(inbox);
+        if parked {
+            self.ready.notify_one();
+        }
+    }
+}
+
+/// A consumer a waiter can wake: what the reply slots of a batch hold,
+/// so that waiting on a reply still missing wakes whoever owes it.
+pub(crate) trait Kick: Send + Sync {
+    /// Wakes the consumer if it is parked with something queued.
+    fn kick(&self);
+}
+
+impl<T: Send> Kick for Mailbox<T> {
+    fn kick(&self) {
+        // Poisoned means the consumer panicked: nobody to wake.
+        if let Ok(inbox) = self.inbox.lock() {
+            if !inbox.items.is_empty() {
+                self.wake(inbox);
+            }
+        }
+    }
+}
+
 impl<T> End<T> {
-    /// Enqueues `items` in order under one lock and wakes the consumer
-    /// once — only if it is parked and there is something to take.
+    /// Enqueues `items` in order under one lock, waking nobody: a parked
+    /// consumer stays parked until [`kick`](Self::kick)ed or closed.
     /// Returns `false`, enqueuing nothing, once the mailbox is closed.
     pub(crate) fn push_all(&self, items: impl IntoIterator<Item = T>) -> bool {
         let mut inbox = self.0.inbox.lock().expect("mailbox poisoned");
@@ -52,9 +84,6 @@ impl<T> End<T> {
             return false;
         }
         inbox.items.extend(items);
-        if !inbox.items.is_empty() {
-            self.wake(inbox);
-        }
         true
     }
 
@@ -89,16 +118,22 @@ impl<T> End<T> {
         // Poisoned means the peer panicked mid-update: nobody to wake.
         if let Ok(mut inbox) = self.0.inbox.lock() {
             inbox.closed = true;
-            self.wake(inbox);
+            self.0.wake(inbox);
         }
     }
+}
 
-    fn wake(&self, mut inbox: std::sync::MutexGuard<Inbox<T>>) {
-        let parked = std::mem::take(&mut inbox.parked);
-        drop(inbox);
-        if parked {
-            self.0.ready.notify_one();
-        }
+impl<T: Send + 'static> End<T> {
+    /// Wakes the consumer if it is parked with something queued.
+    pub(crate) fn kick(&self) {
+        self.0.kick();
+    }
+
+    /// The handle a batch's reply slots wake this mailbox's consumer by.
+    /// It is weak: queued replies never keep their own queue alive, or
+    /// the mailbox open.
+    pub(crate) fn waker(&self) -> Weak<dyn Kick> {
+        Arc::downgrade(&self.0) as Weak<dyn Kick>
     }
 }
 
@@ -114,6 +149,9 @@ impl<T> Drop for End<T> {
 pub(crate) struct Slots<T> {
     slots: Mutex<(Few<Slot<T>>, bool)>,
     ready: Condvar,
+    /// The consumer the batch is queued on, woken by a waiter that finds
+    /// its slot still empty.
+    server: Weak<dyn Kick>,
 }
 
 enum Slot<T> {
@@ -132,12 +170,17 @@ pub(crate) struct SlotEnd<T> {
     done: bool,
 }
 
-/// The `n` slots of one batch, as their two ends each.
-pub(crate) fn slots<T>(n: usize) -> impl Iterator<Item = (SlotEnd<T>, SlotEnd<T>)> {
+/// The `n` slots of one batch queued on `server`, as their two ends
+/// each.
+pub(crate) fn slots<T>(
+    n: usize,
+    server: Weak<dyn Kick>,
+) -> impl Iterator<Item = (SlotEnd<T>, SlotEnd<T>)> {
     let empty = (0..n).map(|_| Slot::Empty).collect();
     let shared = Arc::new(Slots {
         slots: Mutex::new((empty, false)),
         ready: Condvar::new(),
+        server,
     });
     let end = move |index| SlotEnd {
         shared: Arc::clone(&shared),
@@ -174,8 +217,11 @@ impl<T> SlotEnd<T> {
     }
 
     /// Blocks until the slot is filled; `None` once the filler has gone.
+    /// A slot found empty first wakes the server, in case it is parked
+    /// on the batch: pushes wake nobody.
     pub(crate) fn wait(mut self) -> Option<T> {
         self.done = true;
+        let mut kick = Some(&self.shared.server);
         let mut guard = self.shared.slots.lock().expect("slots poisoned");
         loop {
             let slot = &mut guard.0.as_mut_slice()[self.index];
@@ -183,6 +229,14 @@ impl<T> SlotEnd<T> {
                 Slot::Filled(reply) => return Some(reply),
                 Slot::Over => return None,
                 Slot::Empty => *slot = Slot::Empty,
+            }
+            if let Some(server) = kick.take() {
+                drop(guard);
+                if let Some(server) = server.upgrade() {
+                    server.kick();
+                }
+                guard = self.shared.slots.lock().expect("slots poisoned");
+                continue;
             }
             guard.1 = true;
             guard = self.shared.ready.wait(guard).expect("slots poisoned");
@@ -201,6 +255,13 @@ impl<T> Drop for SlotEnd<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> End<T> {
+        /// Whether the consumer is parked in [`take_all`](Self::take_all).
+        pub(crate) fn parked(&self) -> bool {
+            self.0.inbox.lock().expect("mailbox poisoned").parked
+        }
+    }
 
     #[test]
     fn batches_arrive_whole_and_in_order() {
@@ -229,7 +290,8 @@ mod tests {
 
     #[test]
     fn a_slot_end_dropped_undone_refuses_or_releases_its_peer() {
-        let mut batch = slots::<u8>(3);
+        let (server, _) = mailbox::<()>();
+        let mut batch = slots::<u8>(3, server.waker());
         let (fill, wait) = batch.next().unwrap();
         assert!(fill.fill(7), "the waiter is still there");
         assert_eq!(wait.wait(), Some(7));
@@ -247,8 +309,10 @@ mod tests {
         assert!(batch.next().is_none());
     }
 
-    /// The same, through the slots of one batch: replies filled from
-    /// another thread in any order reach exactly their own waiter.
+    /// The same, through the slots of one batch: pushed quietly, woken
+    /// by the first waiter that finds its slot empty, and filled from
+    /// another thread in any order, every reply reaches exactly its own
+    /// waiter.
     #[test]
     fn batch_slots_never_lose_a_wake_up_or_cross_replies() {
         let (tx, rx) = mailbox::<SlotEnd<usize>>();
@@ -263,7 +327,7 @@ mod tests {
         });
         for depth in [1usize, 2, 32] {
             for _ in 0..20_000 / depth {
-                let (fills, waits): (Vec<_>, Vec<_>) = slots(depth).unzip();
+                let (fills, waits): (Vec<_>, Vec<_>) = slots(depth, tx.waker()).unzip();
                 assert!(tx.push_all(fills));
                 for (k, wait) in waits.into_iter().enumerate() {
                     assert_eq!(wait.wait(), Some(k));
@@ -274,9 +338,10 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// No lost wake-up in either direction: every ping parks the server
-    /// on an empty mailbox or finds it running, every pong parks the
-    /// client on an empty slot or finds it filled.
+    /// No lost wake-up in either direction: every round of pings is
+    /// pushed quietly and kicked once by the client about to wait, which
+    /// wakes the server parked on it or finds it running; every pong
+    /// parks the client on an empty mailbox or finds it filled.
     #[test]
     fn ping_pong_never_loses_a_wake_up() {
         let (tx, rx) = mailbox::<End<u8>>();
@@ -285,6 +350,7 @@ mod tests {
             while rx.take_all(&mut batch) {
                 for slot in batch.drain(..) {
                     slot.push_all([1]);
+                    slot.kick();
                     served += 1;
                 }
             }
@@ -294,6 +360,7 @@ mod tests {
             for _ in 0..100_000 / depth {
                 let (slots, waiters): (Vec<_>, Vec<_>) = (0..depth).map(|_| mailbox()).unzip();
                 assert!(tx.push_all(slots));
+                tx.kick();
                 for waiter in waiters {
                     let mut pong = VecDeque::new();
                     assert!(waiter.take_all(&mut pong));

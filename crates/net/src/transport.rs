@@ -8,9 +8,9 @@
 //! * [`InProcExchange`] — calls the server's handler on the calling thread
 //!   (fast path for the thousands of joins an experiment sweep runs);
 //! * [`EventConnection`](crate::EventConnection) — a mailbox connection to
-//!   an endpoint on a reactor thread ([`crate::event_loop`]; one
-//!   [`EventLoop`](crate::EventLoop) per server models the paper's two
-//!   independent UNIX servers and a WiFi PDA).
+//!   an endpoint on a reactor thread ([`crate::event_loop`]; a deployment
+//!   serves all its servers from one [`EventLoop`](crate::EventLoop), off
+//!   the device's thread, as the paper's servers are off its WiFi PDA).
 //!   Integration tests run both carriers and assert identical byte counts.
 //!
 //! Exchanges are split-phase: [`RawExchange::begin`] ships a request and
@@ -97,9 +97,11 @@ pub trait RawExchange: Send + Sync {
     /// The default is fully synchronous — each reply is computed before
     /// its [`Pending`] is handed over, which is the only possibility for
     /// in-process carriers (the server *is* the calling thread). Carriers
-    /// backed by a server thread enqueue the whole batch under one lock
-    /// with one wake-up and block only inside `wait`, so independent
-    /// requests are in flight together.
+    /// backed by a server thread enqueue the whole batch under one lock,
+    /// waking nobody, and block only inside `wait`, which wakes the
+    /// server if the reply is still missing: independent requests are in
+    /// flight together, and batches begun before the first wait — on any
+    /// number of one reactor's endpoints — are served in one activation.
     fn begin_many(
         &self,
         requests: &mut dyn Iterator<Item = Bytes>,

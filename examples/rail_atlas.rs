@@ -30,7 +30,8 @@ fn main() {
         .map(|o| o.mbr.width().hypot(o.mbr.height()) * 0.5)
         .fold(0.0f64, f64::max);
 
-    // Servers on their own threads, cooperative so SemiJoin can run too.
+    // Servers off the device's thread (both on one reactor), cooperative
+    // so SemiJoin can run too.
     let dep = DeploymentBuilder::new(pois, rail)
         .with_space(space)
         .with_buffer(800)
