@@ -531,16 +531,17 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Replicates every shard server `n`-fold. Each replica is a full
-    /// server over the shard's data; the router spreads reads across the
-    /// replica set by request hash, fails a lost exchange over to the
-    /// next sibling before any retry budget is spent, and broadcasts
-    /// update batches to every replica (one surviving ack carries the
-    /// batch; a replica that stayed dark catches up at its restart
-    /// hook). Under [`with_faults`] every replica edge gets its own
-    /// decorrelated fault stream. `n = 1` (the default) is byte-identical
-    /// to an unreplicated deployment; `n > 1` without [`with_shards`]
-    /// implies a 1-shard fleet per side.
+    /// Replicates every shard server `n`-fold. Each replica serves the
+    /// shard's one R-tree, built once and shared, until its first update
+    /// gives it a copy-on-write successor of its own. The router spreads
+    /// reads across the replica set by request hash, fails a lost
+    /// exchange over to the next sibling before any retry budget is
+    /// spent, and broadcasts update batches to every replica (one
+    /// surviving ack carries the batch; a replica that stayed dark
+    /// catches up at its restart hook). Under [`with_faults`] every
+    /// replica edge gets its own decorrelated fault stream. `n = 1` (the
+    /// default) is byte-identical to an unreplicated deployment; `n > 1`
+    /// without [`with_shards`] implies a 1-shard fleet per side.
     ///
     /// ```
     /// use asj_core::DeploymentBuilder;
@@ -588,21 +589,23 @@ impl DeploymentBuilder {
         let reactor = self
             .reactor
             .then(|| Arc::new(asj_net::EventLoop::spawn("deploy")));
-        // Frozen servers answer straight from an immutable R-tree; live
-        // servers wrap the same store in a `VersionedStore` whose rebuild
-        // closure re-packs the R-tree at the same fanout, so generation 0
-        // answers identically either way.
-        let server = |objects: Vec<SpatialObject>| -> Replica {
+        // A shard's R-tree is built once, and every replica serves an O(1)
+        // clone of it: the tree is persistent, its nodes immutable and
+        // shared. A frozen replica answers straight from its clone; a live
+        // one starts a `VersionedStore` at generation 0 from it, whose
+        // rebuild closure re-packs at the same fanout, so generation 0
+        // answers identically either way and each replica diverges
+        // copy-on-write from its first update.
+        let server = |tree: &RTreeStore| -> Replica {
             let (service, live): (Arc<dyn QueryHandler>, _) = if self.live {
-                let store = VersionedStore::new(objects, RTreeStore::new);
+                let store = VersionedStore::with_generation(tree.clone(), 0, RTreeStore::new);
                 let service = Arc::new(SpatialService::new(store).with_policy(policy));
                 // The store handle outlives the endpoint wiring so a
                 // replica restart hook can catch up from a sibling.
                 let live = Arc::clone(service.store());
                 (service, Some(live))
             } else {
-                let store = RTreeStore::new(objects);
-                let service = SpatialService::new(store).with_policy(policy);
+                let service = SpatialService::new(tree.clone()).with_policy(policy);
                 (Arc::new(service), None)
             };
             let endpoint = Endpoint::new(service, reactor.as_ref());
@@ -621,7 +624,7 @@ impl DeploymentBuilder {
         let replicas = self.replicas;
         let make = |objects: Vec<SpatialObject>, shards: Option<usize>| -> Carrier {
             match shards {
-                None => Carrier::Single(server(objects)),
+                None => Carrier::Single(server(&RTreeStore::new(objects))),
                 Some(n) => {
                     let part = partition_objects(&space, n, objects);
                     // Advertised bounds come from the partitioner's
@@ -637,8 +640,8 @@ impl DeploymentBuilder {
                             .zip(part.members)
                             .zip(part.cells)
                             .map(|((bounds, members), cell)| {
-                                let group =
-                                    (0..replicas).map(|_| server(members.clone())).collect();
+                                let tree = RTreeStore::new(members);
+                                let group = (0..replicas).map(|_| server(&tree)).collect();
                                 let meta = Arc::new(ShardMeta::with_cell(bounds, Some(cell)));
                                 (meta, group)
                             })

@@ -161,29 +161,32 @@ pub struct VersionedStore<S: SpatialStore> {
 }
 
 impl<S: SpatialStore> VersionedStore<S> {
-    /// Builds generation 0 from `objects`; `build` is reused whenever a
-    /// later generation is rebuilt rather than derived.
+    /// Builds generation 0 from `objects` with `build`, which is reused
+    /// whenever a later generation is rebuilt rather than derived.
     pub fn new(
         objects: Vec<SpatialObject>,
         build: impl Fn(Vec<SpatialObject>) -> S + Send + Sync + 'static,
     ) -> Self {
-        Self::with_generation(objects, 0, build)
+        Self::with_generation(build(objects), 0, build)
     }
 
-    /// Builds the store at an arbitrary starting `generation` — the
-    /// restart constructor: a crashed endpoint replays the object set it
-    /// last published and resumes at that generation number, so clients'
-    /// observed generation vectors never regress across a
-    /// crash-then-restart window.
+    /// Serves the already built `store` as `generation`. At 0 this is how
+    /// replicas share one build: each wraps an O(1) clone of the shard's
+    /// persistent tree and diverges copy-on-write from its first update.
+    /// Past 0 it is the restart constructor: a crashed endpoint rebuilds
+    /// the object set it last published and resumes at that generation
+    /// number, so clients' observed generation vectors never regress
+    /// across a crash-then-restart window. `build` rebuilds later
+    /// generations, as in [`VersionedStore::new`].
     pub fn with_generation(
-        objects: Vec<SpatialObject>,
+        store: S,
         generation: u64,
         build: impl Fn(Vec<SpatialObject>) -> S + Send + Sync + 'static,
     ) -> Self {
         VersionedStore {
             published: RwLock::new(Published {
                 current: Generation {
-                    store: Arc::new(build(objects)),
+                    store: Arc::new(store),
                     number: generation,
                 },
                 log: VecDeque::new(),
@@ -588,7 +591,8 @@ mod tests {
         let objects = (*live.current_objects()).clone();
         let generation = live.generation();
         // The crash-restart path: rebuild from the last published state.
-        let reborn = VersionedStore::with_generation(objects, generation, RTreeStore::new);
+        let reborn =
+            VersionedStore::with_generation(RTreeStore::new(objects), generation, RTreeStore::new);
         assert_eq!(reborn.generation(), 2);
         assert_eq!(reborn.len(), live.len());
         let w = Rect::from_coords(0.0, 0.0, 10.0, 10.0);

@@ -80,7 +80,7 @@
 //! let restaurants = gaussian_clusters(&SyntheticSpec::new(space, 300, 8), 8);
 //! let deployment = DeploymentBuilder::new(hotels, restaurants)
 //!     .with_shards(4, 4)
-//!     .with_replicas(2) // two full servers per shard
+//!     .with_replicas(2) // two servers per shard, sharing its one R-tree
 //!     .live()
 //!     .build();
 //! let report = SrJoin::default()
