@@ -1,5 +1,6 @@
-//! Execution context: metered links, device resources, and the two
-//! physical join operators every algorithm composes.
+//! Execution context: metered links, device resources, the two physical
+//! join operators every algorithm composes, and the one recursion every
+//! adaptive planner runs.
 //!
 //! * **HBSJ** (`c1`) — download both windows, join in device memory
 //!   ([`ExecCtx::hbsj_leaf`]); [`ExecCtx::hbsj`] adds the recursive
@@ -21,6 +22,30 @@
 //! ([`ExecCtx::ext`]) and every emitted pair passes the reference-point
 //! filter against the *core* window, so COUNT-based pruning is sound and
 //! output is exactly-once regardless of how algorithms partition space.
+//!
+//! # One recursion
+//!
+//! MobiJoin, UpJoin and SrJoin differ only in how they decide a window:
+//! prune, HBSJ, NLSJ, or a COUNT-pruned 2×2 split. Each is a [`Policy`],
+//! and every `Policy` is a [`DistributedJoin`]: the root window gets two
+//! COUNTs, and from there one private `visit`/`apply` pair runs the
+//! recursion for all of them. `visit` drops a window one of whose sides is
+//! empty, before the policy decides and again after it (an estimated count
+//! may have been refreshed to zero), and `apply` is the one place a
+//! [`Decision`] takes effect:
+//!
+//! * [`Decision::Hbsj`] joins one leaf when the counts fit the buffer, and
+//!   otherwise runs HBSJ's own decomposition: a split whose windows are all
+//!   HBSJ again, forced at the recursion floor. A leaf the buffer refuses
+//!   (its counts understated it, because a writer grew it after its COUNT)
+//!   is treated as an overflowing one: decomposed, not downloaded again.
+//! * [`Decision::Nlsj`] runs NLSJ with the given outer side.
+//! * [`Decision::Forced`] runs the cheaper feasible operator on a window
+//!   that may not split further.
+//! * [`Decision::Split`] visits the four quadrants with the counts and the
+//!   [`Policy::Note`]s the policy bought or estimated for them.
+//!
+//! [`ExecStats`] is written only here, so each counter has one definition.
 //!
 //! # Exactly once on a live deployment
 //!
@@ -59,12 +84,17 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::cost::CostModel;
 use crate::deploy::Deployment;
-use crate::report::JoinReport;
+use crate::report::{JoinError, JoinReport};
 use crate::spec::{JoinSpec, OutputKind};
+use crate::DistributedJoin;
 
 /// ε-RANGE probes NLSJ keeps in flight together (see the module docs for
 /// why this is not configurable).
 const PROBE_WINDOW: usize = 32;
+
+/// Splits between the root and the deepest window a recursion visits;
+/// a window this deep is finished by a physical operator.
+const MAX_DEPTH: u32 = 24;
 
 /// Which server a request goes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,18 +113,22 @@ impl Side {
     }
 }
 
-/// Operator and recursion statistics of one run.
+/// Operator and recursion statistics of one run. Only this module writes
+/// them, and each counter has one definition for every algorithm.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Repartitioning (2×2 split) steps.
+    /// One per [`Decision::Split`] applied: a planner's repartitioning
+    /// round, or one step of HBSJ's decomposition.
     pub splits: u32,
-    /// In-memory HBSJ executions.
+    /// One per HBSJ leaf joined in device memory.
     pub hbsj_runs: u32,
-    /// NLSJ executions (windows, not probes).
+    /// One per NLSJ run (a window, not a probe).
     pub nlsj_runs: u32,
-    /// Windows pruned because one side counted zero.
+    /// One per window the recursion drops because a side's count is zero,
+    /// or an estimated count (UpJoin's) refreshed to zero.
     pub pruned_windows: u32,
-    /// Recursion-limit fallbacks (degenerate inputs only).
+    /// One per [`Decision::Forced`] applied: a window at the recursion
+    /// floor (degenerate inputs only).
     pub forced_fallbacks: u32,
     /// Pairs the duplicate pass removed, when it ran: `None` on a frozen
     /// deployment and on a live join that read one generation per flat
@@ -132,6 +166,143 @@ impl OperatorCosts {
     }
 }
 
+/// One window of the recursion, as a [`Policy`] sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct Window<N> {
+    /// The core window.
+    pub rect: Rect,
+    /// `|Rw|`: an extended-window COUNT, or the policy's estimate of one.
+    pub count_r: f64,
+    /// `|Sw|`, likewise.
+    pub count_s: f64,
+    /// Splits between the root and this window.
+    pub depth: u32,
+    /// What the decision that split the parent handed down.
+    pub note: N,
+}
+
+impl<N> Window<N> {
+    fn at(rect: Rect, (count_r, count_s, note): (f64, f64, N), depth: u32) -> Self {
+        Window {
+            rect,
+            count_r,
+            count_s,
+            depth,
+            note,
+        }
+    }
+}
+
+/// What a [`Policy`] decides for one window (see the module docs for
+/// what each does).
+#[derive(Debug, Clone, Copy)]
+pub enum Decision<N> {
+    /// HBSJ: one leaf, or HBSJ's decomposition when the window overflows
+    /// the buffer.
+    Hbsj,
+    /// NLSJ with this side as the outer.
+    Nlsj(Side),
+    /// The cheaper feasible operator, at the recursion floor.
+    Forced,
+    /// A 2×2 split: each quadrant's `(|Rw|, |Sw|, note)`, in
+    /// [`Rect::quadrants`] order.
+    Split([(f64, f64, N); 4]),
+}
+
+/// A planner: the rule that decides each window of the one recursion.
+pub trait Policy {
+    /// The name reports and experiment tables use.
+    const NAME: &'static str;
+    /// What a split hands down to each of its windows.
+    type Note: Copy + Default;
+
+    /// Decides `w`, whose counts are both non-zero. The policy may buy
+    /// statistics, and may replace an estimated count in `w` with a real
+    /// one (the window is dropped if that one is zero).
+    fn decide(&self, ctx: &mut ExecCtx<'_>, w: &mut Window<Self::Note>) -> Decision<Self::Note>;
+}
+
+impl<P: Policy> DistributedJoin for P {
+    fn name(&self) -> &'static str {
+        P::NAME
+    }
+
+    fn run(&self, deployment: &Deployment, spec: &JoinSpec) -> Result<JoinReport, JoinError> {
+        let mut ctx = ExecCtx::new(deployment, spec);
+        let rect = ctx.space;
+        let (count_r, count_s) = ctx.counts(&rect);
+        let root = (count_r as f64, count_s as f64, P::Note::default());
+        visit(self, &mut ctx, Window::at(rect, root, 0));
+        Ok(ctx.finish(P::NAME))
+    }
+}
+
+/// HBSJ's decomposition as a policy: every window of it is HBSJ again.
+struct Decompose;
+
+impl Policy for Decompose {
+    const NAME: &'static str = "hbsj";
+    type Note = ();
+
+    fn decide(&self, _: &mut ExecCtx<'_>, _: &mut Window<()>) -> Decision<()> {
+        Decision::Hbsj
+    }
+}
+
+/// Decides and applies `w`, unless a side is empty before the policy
+/// decides or after (a refreshed estimate can be zero): then it is pruned.
+fn visit<P: Policy>(policy: &P, ctx: &mut ExecCtx<'_>, mut w: Window<P::Note>) {
+    let empty = |w: &Window<P::Note>| w.count_r <= 0.0 || w.count_s <= 0.0;
+    if !empty(&w) {
+        let decision = policy.decide(ctx, &mut w);
+        if !empty(&w) {
+            return apply(policy, ctx, w, decision);
+        }
+    }
+    ctx.stats.pruned_windows += 1;
+}
+
+/// The one place a [`Decision`] takes effect.
+fn apply<P: Policy>(
+    policy: &P,
+    ctx: &mut ExecCtx<'_>,
+    w: Window<P::Note>,
+    decision: Decision<P::Note>,
+) {
+    let (count_r, count_s) = (w.count_r.round() as u64, w.count_s.round() as u64);
+    match decision {
+        Decision::Nlsj(outer) => ctx.nlsj(&w.rect, outer),
+        Decision::Forced => ctx.forced(&w.rect, count_r, count_s),
+        Decision::Hbsj => {
+            if (count_r + count_s) as usize <= ctx.buffer.capacity()
+                && ctx.hbsj_leaf(&w.rect, Some(count_s)).is_ok()
+            {
+                return;
+            }
+            // Too big for one leaf, or refused by the buffer although the
+            // counts fit (they understate the window): decompose rather
+            // than download the same leaf again.
+            let decision = if ctx.at_limit(&w.rect, w.depth) {
+                Decision::Forced
+            } else {
+                Decision::Split(ctx.quadrant_split(&w.rect, ()))
+            };
+            let w = Window::at(w.rect, (w.count_r, w.count_s, ()), w.depth);
+            apply(&Decompose, ctx, w, decision);
+        }
+        Decision::Split(quadrants) => {
+            debug_assert!(
+                !ctx.at_limit(&w.rect, w.depth),
+                "a split at the recursion floor"
+            );
+            ctx.stats.splits += 1;
+            for (rect, quadrant) in w.rect.quadrants().into_iter().zip(quadrants) {
+                visit(policy, ctx, Window::at(rect, quadrant, w.depth + 1));
+            }
+        }
+    }
+}
+
 /// Everything one algorithm run needs.
 pub struct ExecCtx<'a> {
     link_r: Link,
@@ -151,7 +322,6 @@ pub struct ExecCtx<'a> {
     pub rng: ChaCha8Rng,
     /// Run statistics.
     pub stats: ExecStats,
-    max_depth: u32,
     min_window: f64,
     /// Worker count of the device's ε-grid kernel: the machine's available
     /// parallelism, read once when the deployment was built. The kernel's
@@ -187,7 +357,6 @@ impl<'a> ExecCtx<'a> {
                 .with_fanout(shards_r as f64, shards_s as f64),
             rng: ChaCha8Rng::seed_from_u64(spec.seed),
             stats: ExecStats::default(),
-            max_depth: 24,
             min_window,
             workers: deployment.workers,
             live: deployment.is_live(),
@@ -284,6 +453,16 @@ impl<'a> ExecCtx<'a> {
         counts
     }
 
+    /// Buys the COUNTs of `w`'s four quadrants, R's four in one batch and
+    /// then S's, as the quadrants of a [`Decision::Split`], each carrying
+    /// `note`.
+    pub(crate) fn quadrant_split<N: Copy>(&self, w: &Rect, note: N) -> [(f64, f64, N); 4] {
+        let quads = w.quadrants();
+        let counts_r = self.quadrant_counts(Side::R, &quads);
+        let counts_s = self.quadrant_counts(Side::S, &quads);
+        [0, 1, 2, 3].map(|i| (counts_r[i] as f64, counts_s[i] as f64, note))
+    }
+
     /// `WINDOW` download of the extended window.
     pub fn download(&self, side: Side, w: &Rect) -> Vec<SpatialObject> {
         self.link(side)
@@ -328,45 +507,7 @@ impl<'a> ExecCtx<'a> {
     /// `true` when recursion must stop (window shrunk to the ε scale or
     /// depth bound hit) and a physical operator must be forced.
     pub fn at_limit(&self, w: &Rect, depth: u32) -> bool {
-        depth >= self.max_depth || w.width() <= self.min_window || w.height() <= self.min_window
-    }
-
-    /// The wire cost of one 2×2 repartitioning round of statistics:
-    /// `2k² · Taq` with `k = 2` — four COUNTs to each server. Delegates to
-    /// the (cache-discounted) decision model so decisions price what
-    /// [`ExecCtx::quadrant_counts`] will actually put on the wire.
-    pub fn stats_cost_per_split(&self) -> f64 {
-        self.decision_cost().split_stats_cost()
-    }
-
-    /// MobiJoin's `c4(w)` — Equation (8) evaluated entirely under the
-    /// uniformity assumption (Section 3.2): quadrant counts are `|Dw|/4`
-    /// at every level, the space is split until those estimated quarters
-    /// fit the device buffer, and **every** resulting subwindow is assumed
-    /// to finish with one HBSJ. No queries are issued; the estimate is
-    /// pure arithmetic.
-    ///
-    /// This optimistic heuristic is the flaw Figures 2, 7 and 8 dissect:
-    /// it never anticipates pruning (so on a skewed-but-co-located pair it
-    /// gladly stops early and downloads everything the buffer can hold),
-    /// and on a huge inner dataset it prices repartitioning at
-    /// full-download cost, pushing MobiJoin into NLSJ "most of the time"
-    /// (Fig. 8a).
-    pub fn c4_mobijoin(&self, count_r: f64, count_s: f64) -> f64 {
-        let capacity = self.buffer.capacity() as f64;
-        let cost = self.decision_cost();
-        let mut stats = 0.0;
-        let mut windows_prev = 1.0; // windows being split at this level
-        for level in 1..=12u32 {
-            stats += cost.split_stats_cost() * windows_prev;
-            let cells = 4f64.powi(level as i32);
-            let (qr, qs) = (count_r / cells, count_s / cells);
-            if qr + qs <= capacity || level == 12 {
-                return stats + cells * cost.c1_unchecked(qr, qs);
-            }
-            windows_prev = cells;
-        }
-        unreachable!("loop always returns by level 12")
+        depth >= MAX_DEPTH || w.width() <= self.min_window || w.height() <= self.min_window
     }
 
     /// Reports a qualifying pair found while processing window `w`,
@@ -391,21 +532,15 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// HBSJ on one window that fits the buffer: download both sides, join
-    /// in memory. Without a count hint the S side must be downloaded
-    /// before its size is known; prefer [`ExecCtx::hbsj_leaf_counted`]
-    /// when `|Sw|` is already known so the failure path never pays for S.
-    pub fn hbsj_leaf(&mut self, w: &Rect) -> Result<(), BufferExceeded> {
-        self.hbsj_leaf_counted(w, None)
-    }
-
-    /// HBSJ with the caller's known `|Sw|` (the extended-window COUNT).
-    /// Fails without downloading — or paying for — the second side when
-    /// `|Rw| + |Sw|` exceeds the buffer: the R window is downloaded and
-    /// reserved, the hint is checked against the remaining capacity, and
-    /// only then is S downloaded (and reserved incrementally, which also
-    /// covers a hint that undershoots). Callers fall back to splitting.
-    pub fn hbsj_leaf_counted(
+    /// HBSJ on one window: download both sides, join in memory. With the
+    /// caller's known `|Sw|` (the extended-window COUNT) it fails without
+    /// downloading — or paying for — the second side when `|Rw| + |Sw|`
+    /// exceeds the buffer: the R window is downloaded and reserved, the
+    /// hint is checked against the remaining capacity, and only then is S
+    /// downloaded (and reserved incrementally, which also covers a hint
+    /// that undershoots). Without one, S is downloaded before its size is
+    /// known.
+    pub fn hbsj_leaf(
         &mut self,
         w: &Rect,
         known_count_s: Option<u64>,
@@ -437,32 +572,14 @@ impl<'a> ExecCtx<'a> {
         Ok(())
     }
 
-    /// HBSJ with recursive quadrant decomposition: windows that overflow
-    /// the buffer are split 2×2, children are COUNT-pruned and recursed —
-    /// "if the data do not fit in memory, the cell can be recursively
-    /// partitioned (e.g., PBSM)" plus SrJoin's "pruning can also be
-    /// applied at each recursion level".
+    /// HBSJ with recursive quadrant decomposition: [`Decision::Hbsj`]
+    /// applied to `w`. Windows that overflow the buffer are split 2×2,
+    /// children are COUNT-pruned and recursed — "if the data do not fit in
+    /// memory, the cell can be recursively partitioned (e.g., PBSM)" plus
+    /// SrJoin's "pruning can also be applied at each recursion level".
     pub fn hbsj(&mut self, w: &Rect, count_r: u64, count_s: u64, depth: u32) {
-        if count_r == 0 || count_s == 0 {
-            self.stats.pruned_windows += 1;
-            return;
-        }
-        if (count_r + count_s) as usize <= self.buffer.capacity()
-            && self.hbsj_leaf_counted(w, Some(count_s)).is_ok()
-        {
-            return;
-        }
-        if self.at_limit(w, depth) {
-            self.forced(w, count_r, count_s);
-            return;
-        }
-        self.stats.splits += 1;
-        let quads = w.quadrants();
-        let qr = self.quadrant_counts(Side::R, &quads);
-        let qs = self.quadrant_counts(Side::S, &quads);
-        for i in 0..4 {
-            self.hbsj(&quads[i], qr[i], qs[i], depth + 1);
-        }
+        let counts = (count_r as f64, count_s as f64, ());
+        visit(&Decompose, self, Window::at(*w, counts, depth));
     }
 
     /// NLSJ over `w` with the given outer side. Streams the outer window
@@ -533,10 +650,10 @@ impl<'a> ExecCtx<'a> {
     /// Forces the cheapest feasible operator on `w` — the recursion-limit
     /// escape hatch (degenerate clustered data at the ε scale). NLSJ is
     /// always feasible because it streams.
-    pub fn forced(&mut self, w: &Rect, count_r: u64, count_s: u64) {
+    fn forced(&mut self, w: &Rect, count_r: u64, count_s: u64) {
         self.stats.forced_fallbacks += 1;
         let costs = self.costs(w, count_r as f64, count_s as f64);
-        if costs.hbsj_wins() && self.hbsj_leaf_counted(w, Some(count_s)).is_ok() {
+        if costs.hbsj_wins() && self.hbsj_leaf(w, Some(count_s)).is_ok() {
             return;
         }
         let (side, _) = costs.cheaper_nlsj();
@@ -642,7 +759,7 @@ mod tests {
         let spec = JoinSpec::distance_join(0.5);
         let mut ctx = ExecCtx::new(&dep, &spec);
         let w = dep.space();
-        ctx.hbsj_leaf(&w).unwrap();
+        ctx.hbsj_leaf(&w, None).unwrap();
         // Identical datasets: every point pairs with itself only (ε=0.5 <
         // lattice step 10).
         assert_eq!(ctx.out.len(), 100);
@@ -655,7 +772,7 @@ mod tests {
         let dep = deployment(50);
         let spec = JoinSpec::distance_join(0.5);
         let mut ctx = ExecCtx::new(&dep, &spec);
-        assert!(ctx.hbsj_leaf(&dep.space()).is_err());
+        assert!(ctx.hbsj_leaf(&dep.space(), None).is_err());
         assert_eq!(ctx.out.len(), 0);
     }
 
@@ -687,7 +804,7 @@ mod tests {
         let spec0 = JoinSpec::distance_join(12.0);
         let dep = deployment(800);
         let mut h = ExecCtx::new(&dep, &spec0);
-        h.hbsj_leaf(&dep.space()).unwrap();
+        h.hbsj_leaf(&dep.space(), None).unwrap();
         let mut want = h.out.into_pairs();
         want.sort_unstable();
 
@@ -725,7 +842,7 @@ mod tests {
         let dep = deployment(800);
         let spec = JoinSpec::distance_join(0.5);
         let mut ctx = ExecCtx::new(&dep, &spec);
-        ctx.hbsj_leaf(&dep.space()).unwrap();
+        ctx.hbsj_leaf(&dep.space(), None).unwrap();
         let rep = ctx.finish("test");
         assert_eq!(rep.pairs.len(), 100);
         assert_eq!(rep.algorithm, "test");
@@ -744,7 +861,7 @@ mod tests {
         let dep = deployment(800);
         let spec = JoinSpec::iceberg(12.0, 3);
         let mut ctx = ExecCtx::new(&dep, &spec);
-        ctx.hbsj_leaf(&dep.space()).unwrap();
+        ctx.hbsj_leaf(&dep.space(), None).unwrap();
         let rep = ctx.finish("test");
         let ice = rep.iceberg.unwrap();
         // Interior lattice points have 5 partners (self + 4 neighbours at
@@ -762,7 +879,7 @@ mod tests {
         let spec = JoinSpec::distance_join(0.5);
         let mut ctx = ExecCtx::new(&dep, &spec);
         let w = dep.space();
-        assert!(ctx.hbsj_leaf_counted(&w, Some(100)).is_err());
+        assert!(ctx.hbsj_leaf(&w, Some(100)).is_err());
         let s_meter = ctx.link(Side::S).meter().snapshot();
         assert_eq!(s_meter.window_queries, 0, "S window must not be paid for");
         assert_eq!(s_meter.objects_received, 0);
@@ -772,8 +889,47 @@ mod tests {
         assert_eq!(r_meter.objects_received, 100);
         assert_eq!(ctx.buffer.in_use(), 0, "reservation released on failure");
         // The un-hinted form must still fail — after the fact.
-        assert!(ctx.hbsj_leaf(&w).is_err());
+        assert!(ctx.hbsj_leaf(&w, None).is_err());
         assert!(ctx.link(Side::S).meter().snapshot().window_queries > 0);
+    }
+
+    #[test]
+    fn a_refused_leaf_is_decomposed_and_never_downloaded_again() {
+        // Counts of 50 + 50 understate the 100 + 100 lattice points, as a
+        // writer growing the window after its COUNT would make them: the
+        // leaf fits on paper, and the buffer refuses it once R is in. The
+        // fallback splits and joins four leaves of 25 + 25, so R's window
+        // is read once whole and once in quarters, and nothing is forced.
+        let dep = deployment(120);
+        let spec = JoinSpec::distance_join(0.5);
+        let pts = grid_points(10, 10.0, 0);
+        let mut want = asj_geom::sweep::nested_loop_join(&pts, &pts, &spec.predicate);
+        want.sort_unstable();
+        for planner in ["mobijoin", "hbsj"] {
+            let mut ctx = ExecCtx::new(&dep, &spec);
+            let rect = dep.space();
+            match planner {
+                "mobijoin" => visit(
+                    &crate::MobiJoin,
+                    &mut ctx,
+                    Window::at(rect, (50.0, 50.0, ()), 0),
+                ),
+                _ => ctx.hbsj(&rect, 50, 50, 0),
+            }
+            let rep = ctx.finish(planner);
+            assert_eq!(rep.stats.forced_fallbacks, 0, "{planner}");
+            assert_eq!((rep.stats.splits, rep.stats.hbsj_runs), (1, 4), "{planner}");
+            assert_eq!(rep.link_r.objects_received, 200, "{planner}");
+            assert_eq!(rep.link_s.objects_received, 100, "{planner}");
+            assert!(
+                rep.peak_buffer <= 120,
+                "{planner}: peak {}",
+                rep.peak_buffer
+            );
+            let mut got = rep.pairs;
+            got.sort_unstable();
+            assert_eq!(got, want, "{planner}");
+        }
     }
 
     #[test]

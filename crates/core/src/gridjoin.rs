@@ -48,24 +48,20 @@ impl DistributedJoin for GridJoin {
         // All cells on R, then only the R-occupied cells on S: the 2k²
         // cell COUNTs are independent, so each server's travel together.
         let counts_r = ctx.window_counts(Side::R, &cells);
-        let mut live = Vec::new();
-        for (cell, count_r) in cells.into_iter().zip(counts_r) {
-            if count_r == 0 {
-                ctx.stats.pruned_windows += 1;
-            } else {
-                live.push((cell, count_r));
-            }
-        }
-        if !live.is_empty() {
-            let probes: Vec<_> = live.iter().map(|(c, _)| *c).collect();
-            let counts_s = ctx.window_counts(Side::S, &probes);
-            for ((cell, count_r), count_s) in live.into_iter().zip(counts_s) {
-                if count_s == 0 {
-                    ctx.stats.pruned_windows += 1;
-                } else {
-                    ctx.hbsj(&cell, count_r, count_s, 0);
-                }
-            }
+        let occupied: Vec<_> = cells
+            .iter()
+            .zip(&counts_r)
+            .filter_map(|(cell, &count_r)| (count_r > 0).then_some(*cell))
+            .collect();
+        let mut counts_s = ctx.window_counts(Side::S, &occupied).into_iter();
+        for (cell, count_r) in cells.iter().zip(counts_r) {
+            // `hbsj` prunes a cell either side of which is empty; S is not
+            // asked about a cell R left empty.
+            let count_s = match count_r {
+                0 => 0,
+                _ => counts_s.next().expect("one S count per occupied cell"),
+            };
+            ctx.hbsj(cell, count_r, count_s, 0);
         }
         Ok(ctx.finish(self.name()))
     }

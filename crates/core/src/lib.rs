@@ -21,6 +21,19 @@
 //! from the cost model. The cost model ([`CostModel`]) is used for
 //! *decisions* — exactly the separation the real prototype had.
 //!
+//! ## One recursion
+//!
+//! MobiJoin, UpJoin and SrJoin are three decision rules over one
+//! recursion. Each is a [`Policy`]: shown a window and its counts, it
+//! returns a [`Decision`] — HBSJ, NLSJ, a forced operator at the
+//! recursion floor, or a 2×2 split carrying each quadrant's counts and a
+//! note of the policy's own (UpJoin's uniformity labels, SrJoin's bitmap
+//! verdict). Every `Policy` is a [`DistributedJoin`]. The driver in
+//! [`exec`] prunes empty windows, and its one `apply` function is where
+//! a `Decision` takes effect and [`ExecStats`] is counted; HBSJ's own
+//! decomposition of a window too big for the buffer (GridJoin's cells
+//! included) is a split applied there too.
+//!
 //! ## Statistics rounds
 //!
 //! The quadrant COUNTs of a repartitioning round are independent, so
@@ -65,7 +78,7 @@ pub mod upjoin;
 
 pub use cost::CostModel;
 pub use deploy::{Deployment, DeploymentBuilder};
-pub use exec::{ExecCtx, ExecStats, Side};
+pub use exec::{Decision, ExecCtx, ExecStats, Policy, Side, Window};
 pub use gridjoin::GridJoin;
 pub use mobijoin::MobiJoin;
 pub use naive::NaiveJoin;

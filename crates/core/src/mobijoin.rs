@@ -1,12 +1,6 @@
 //! MobiJoin — the prior art the paper improves on (Section 3.2, [9]).
 
-use asj_geom::Rect;
-
-use crate::deploy::Deployment;
-use crate::exec::ExecCtx;
-use crate::report::{JoinError, JoinReport};
-use crate::spec::JoinSpec;
-use crate::DistributedJoin;
+use crate::exec::{Decision, ExecCtx, Policy, Window};
 
 /// MobiJoin: COUNT both datasets for the current window, prune if either
 /// is empty, otherwise estimate `c1…c4` and follow the cheapest action;
@@ -26,57 +20,55 @@ use crate::DistributedJoin;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MobiJoin;
 
-impl MobiJoin {
-    fn step(&self, ctx: &mut ExecCtx<'_>, w: &Rect, count_r: u64, count_s: u64, depth: u32) {
-        if count_r == 0 || count_s == 0 {
-            ctx.stats.pruned_windows += 1;
-            return;
-        }
-        let costs = ctx.costs(w, count_r as f64, count_s as f64);
+impl Policy for MobiJoin {
+    const NAME: &'static str = "mobijoin";
+    type Note = ();
+
+    fn decide(&self, ctx: &mut ExecCtx<'_>, w: &mut Window<()>) -> Decision<()> {
+        let costs = ctx.costs(&w.rect, w.count_r, w.count_s);
         let (nlsj_side, nlsj_cost) = costs.cheaper_nlsj();
-        let c4 = if ctx.at_limit(w, depth) {
+        let c4 = if ctx.at_limit(&w.rect, w.depth) {
             f64::INFINITY // cannot repartition further
         } else {
-            ctx.c4_mobijoin(count_r as f64, count_s as f64)
+            c4(ctx, w.count_r, w.count_s)
         };
-
-        let best_known = match costs.c1 {
-            Some(c1) => c1.min(nlsj_cost),
-            None => nlsj_cost,
-        };
+        let best_known = costs.c1.map_or(nlsj_cost, |c1| c1.min(nlsj_cost));
         if c4 < best_known {
-            // Repartition: pay the aggregate queries, recurse.
-            ctx.stats.splits += 1;
-            let quads = w.quadrants();
-            let qr = ctx.quadrant_counts(crate::exec::Side::R, &quads);
-            let qs = ctx.quadrant_counts(crate::exec::Side::S, &quads);
-            for i in 0..4 {
-                self.step(ctx, &quads[i], qr[i], qs[i], depth + 1);
-            }
+            Decision::Split(ctx.quadrant_split(&w.rect, ()))
         } else if costs.c1.is_some_and(|c1| c1 <= nlsj_cost) {
-            if ctx.hbsj_leaf_counted(w, Some(count_s)).is_err() {
-                // Counts said it fits; the buffer disagreed (cannot happen
-                // with exact counts, kept as a defensive fallback).
-                ctx.forced(w, count_r, count_s);
-            }
+            Decision::Hbsj
         } else {
-            ctx.nlsj(w, nlsj_side);
+            Decision::Nlsj(nlsj_side)
         }
     }
 }
 
-impl DistributedJoin for MobiJoin {
-    fn name(&self) -> &'static str {
-        "mobijoin"
+/// MobiJoin's `c4(w)` — Equation (8) evaluated entirely under the
+/// uniformity assumption (Section 3.2): quadrant counts are `|Dw|/4` at
+/// every level, the space is split until those estimated quarters fit the
+/// device buffer, and **every** resulting subwindow is assumed to finish
+/// with one HBSJ. No queries are issued; the estimate is pure arithmetic.
+///
+/// This optimistic heuristic is the flaw Figures 2, 7 and 8 dissect: it
+/// never anticipates pruning (so on a skewed-but-co-located pair it gladly
+/// stops early and downloads everything the buffer can hold), and on a
+/// huge inner dataset it prices repartitioning at full-download cost,
+/// pushing MobiJoin into NLSJ "most of the time" (Fig. 8a).
+fn c4(ctx: &ExecCtx<'_>, count_r: f64, count_s: f64) -> f64 {
+    let capacity = ctx.buffer.capacity() as f64;
+    let cost = ctx.decision_cost();
+    let mut stats = 0.0;
+    let mut windows_prev = 1.0; // windows being split at this level
+    for level in 1..=12u32 {
+        stats += cost.split_stats_cost() * windows_prev;
+        let cells = 4f64.powi(level as i32);
+        let (qr, qs) = (count_r / cells, count_s / cells);
+        if qr + qs <= capacity || level == 12 {
+            return stats + cells * cost.c1_unchecked(qr, qs);
+        }
+        windows_prev = cells;
     }
-
-    fn run(&self, deployment: &Deployment, spec: &JoinSpec) -> Result<JoinReport, JoinError> {
-        let mut ctx = ExecCtx::new(deployment, spec);
-        let space = ctx.space;
-        let (count_r, count_s) = ctx.counts(&space);
-        self.step(&mut ctx, &space, count_r, count_s, 0);
-        Ok(ctx.finish(self.name()))
-    }
+    unreachable!("loop always returns by level 12")
 }
 
 #[cfg(test)]
@@ -84,7 +76,9 @@ mod tests {
     use super::*;
     use crate::deploy::DeploymentBuilder;
     use crate::naive::NaiveJoin;
-    use asj_geom::SpatialObject;
+    use crate::spec::JoinSpec;
+    use crate::DistributedJoin;
+    use asj_geom::{Rect, SpatialObject};
 
     fn cluster(n: u32, cx: f64, cy: f64, id0: u32, spread: f64) -> Vec<SpatialObject> {
         (0..n)

@@ -34,7 +34,7 @@ impl DistributedJoin for NaiveJoin {
             }));
         }
         if count_r > 0 && count_s > 0 {
-            ctx.hbsj_leaf(&space)?;
+            ctx.hbsj_leaf(&space, None)?;
         }
         Ok(ctx.finish(self.name()))
     }

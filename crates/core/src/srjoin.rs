@@ -1,12 +1,7 @@
 //! SrJoin — Similarity Related Join (Section 4.2, Figure 5).
 
-use asj_geom::Rect;
-
-use crate::deploy::Deployment;
-use crate::exec::{ExecCtx, Side};
-use crate::report::{JoinError, JoinReport};
-use crate::spec::JoinSpec;
-use crate::DistributedJoin;
+use crate::cost::CostModel;
+use crate::exec::{Decision, ExecCtx, Policy, Window};
 
 /// SrJoin compares the distributions of the **two datasets against each
 /// other** instead of judging each in isolation (UpJoin's blind spot,
@@ -48,100 +43,66 @@ impl SrJoin {
 
     /// Density bitmap of one dataset over equal-area quadrants:
     /// `|Dwi| > ρ·|Dw|/4`.
-    fn bitmap(&self, quadrant_counts: &[u64; 4], total: u64) -> [bool; 4] {
-        let threshold = self.rho * total as f64 / 4.0;
-        [
-            quadrant_counts[0] as f64 > threshold,
-            quadrant_counts[1] as f64 > threshold,
-            quadrant_counts[2] as f64 > threshold,
-            quadrant_counts[3] as f64 > threshold,
-        ]
-    }
-
-    /// Applies the cheaper physical operator on a quadrant.
-    fn apply_operator(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        w: &Rect,
-        count_r: u64,
-        count_s: u64,
-        depth: u32,
-    ) {
-        let costs = ctx.costs(w, count_r as f64, count_s as f64);
-        let c1d = ctx
-            .decision_cost()
-            .c1_decomposed(count_r as f64, count_s as f64);
-        let (nlsj_side, nlsj_cost) = costs.cheaper_nlsj();
-        if c1d <= nlsj_cost {
-            // `hbsj` falls back to recursive decomposition when the window
-            // overflows the buffer, pruning as it goes.
-            ctx.hbsj(w, count_r, count_s, depth);
-        } else {
-            ctx.nlsj(w, nlsj_side);
-        }
-    }
-
-    fn step(&self, ctx: &mut ExecCtx<'_>, w: &Rect, count_r: u64, count_s: u64, depth: u32) {
-        if count_r == 0 || count_s == 0 {
-            ctx.stats.pruned_windows += 1;
-            return;
-        }
-        if ctx.at_limit(w, depth) {
-            ctx.forced(w, count_r, count_s);
-            return;
-        }
-        let quads = w.quadrants();
-        let qr = ctx.quadrant_counts(Side::R, &quads);
-        let qs = ctx.quadrant_counts(Side::S, &quads);
-        let bit_r = self.bitmap(&qr, count_r);
-        let bit_s = self.bitmap(&qs, count_s);
-
-        if bit_r == bit_s {
-            // Similar distributions: no repartitioning, operate per
-            // quadrant (Fig. 5 lines 6–11).
-            for i in 0..4 {
-                if qr[i] == 0 || qs[i] == 0 {
-                    ctx.stats.pruned_windows += 1;
-                    continue;
-                }
-                self.apply_operator(ctx, &quads[i], qr[i], qs[i], depth + 1);
-            }
-        } else {
-            // Divergent distributions: recurse hoping to prune, unless the
-            // quadrant is already cheap (Fig. 5 lines 12–19). One
-            // discounted-model snapshot prices the whole round.
-            let cost = ctx.decision_cost();
-            let cheap = cost.cheap_threshold();
-            for i in 0..4 {
-                if qr[i] == 0 || qs[i] == 0 {
-                    ctx.stats.pruned_windows += 1;
-                    continue;
-                }
-                let costs = ctx.costs(&quads[i], qr[i] as f64, qs[i] as f64);
-                let c1d = cost.c1_decomposed(qr[i] as f64, qs[i] as f64);
-                let (_, nlsj_cost) = costs.cheaper_nlsj();
-                if c1d < cheap || nlsj_cost < cheap {
-                    self.apply_operator(ctx, &quads[i], qr[i], qs[i], depth + 1);
-                } else {
-                    ctx.stats.splits += 1;
-                    self.step(ctx, &quads[i], qr[i], qs[i], depth + 1);
-                }
-            }
-        }
+    fn bitmap(&self, quadrant_counts: [f64; 4], total: f64) -> [bool; 4] {
+        let threshold = self.rho * total / 4.0;
+        quadrant_counts.map(|c| c > threshold)
     }
 }
 
-impl DistributedJoin for SrJoin {
-    fn name(&self) -> &'static str {
-        "srjoin"
-    }
+/// The bitmap verdict of the round that split a window's parent.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum Verdict {
+    /// The root: no round yet.
+    #[default]
+    Unjudged,
+    /// Equal bitmaps: operate on the window.
+    Similar,
+    /// Different bitmaps: recurse unless the window is already cheap, by
+    /// the discounted model the round was priced with.
+    Divergent(CostModel),
+}
 
-    fn run(&self, deployment: &Deployment, spec: &JoinSpec) -> Result<JoinReport, JoinError> {
-        let mut ctx = ExecCtx::new(deployment, spec);
-        let space = ctx.space;
-        let (count_r, count_s) = ctx.counts(&space);
-        self.step(&mut ctx, &space, count_r, count_s, 0);
-        Ok(ctx.finish(self.name()))
+impl Policy for SrJoin {
+    const NAME: &'static str = "srjoin";
+    type Note = Verdict;
+
+    fn decide(&self, ctx: &mut ExecCtx<'_>, w: &mut Window<Verdict>) -> Decision<Verdict> {
+        let (nlsj_side, nlsj_cost) = ctx.costs(&w.rect, w.count_r, w.count_s).cheaper_nlsj();
+        let operate = match w.note {
+            Verdict::Unjudged => false,
+            // Similar distributions: no repartitioning (Fig. 5 lines 6–11).
+            Verdict::Similar => true,
+            // Divergent distributions: recurse hoping to prune, unless the
+            // window is already cheap (Fig. 5 lines 12–19).
+            Verdict::Divergent(cost) => {
+                let cheap = cost.cheap_threshold();
+                cost.c1_decomposed(w.count_r, w.count_s) < cheap || nlsj_cost < cheap
+            }
+        };
+        if operate {
+            // The cheaper of NLSJ and HBSJ, which decomposes recursively,
+            // with pruning, when the window overflows the buffer.
+            let c1d = ctx.decision_cost().c1_decomposed(w.count_r, w.count_s);
+            return if c1d <= nlsj_cost {
+                Decision::Hbsj
+            } else {
+                Decision::Nlsj(nlsj_side)
+            };
+        }
+        if ctx.at_limit(&w.rect, w.depth) {
+            return Decision::Forced;
+        }
+        let mut quadrants = ctx.quadrant_split(&w.rect, Verdict::Similar);
+        let bit_r = self.bitmap(quadrants.map(|q| q.0), w.count_r);
+        let bit_s = self.bitmap(quadrants.map(|q| q.1), w.count_s);
+        if bit_r != bit_s {
+            // One discounted-model snapshot prices the whole round.
+            let divergent = Verdict::Divergent(ctx.decision_cost());
+            for q in &mut quadrants {
+                q.2 = divergent;
+            }
+        }
+        Decision::Split(quadrants)
     }
 }
 
@@ -150,7 +111,9 @@ mod tests {
     use super::*;
     use crate::deploy::DeploymentBuilder;
     use crate::naive::NaiveJoin;
-    use asj_geom::SpatialObject;
+    use crate::spec::JoinSpec;
+    use crate::DistributedJoin;
+    use asj_geom::{Rect, SpatialObject};
 
     fn cluster(n: u32, cx: f64, cy: f64, id0: u32, spread: f64) -> Vec<SpatialObject> {
         (0..n)
@@ -185,11 +148,11 @@ mod tests {
         let sr = SrJoin::default();
         // 1000 objects, ρ = 0.3 → threshold 75.
         assert_eq!(
-            sr.bitmap(&[1000, 74, 76, 0], 1000),
+            sr.bitmap([1000.0, 74.0, 76.0, 0.0], 1000.0),
             [true, false, true, false]
         );
         // All-equal quadrants of a uniform window are all dense.
-        assert_eq!(sr.bitmap(&[250, 250, 250, 250], 1000), [true; 4]);
+        assert_eq!(sr.bitmap([250.0; 4], 1000.0), [true; 4]);
     }
 
     #[test]
@@ -256,8 +219,8 @@ mod tests {
     #[test]
     fn similar_co_located_clusters_do_not_recurse_forever() {
         // Figure 4's trap: both datasets clustered identically. Bitmaps
-        // are equal at the top, so SrJoin must apply operators instead of
-        // recursing.
+        // are equal at the top, so after that one round SrJoin must apply
+        // operators instead of recursing.
         let r = cluster(400, 480.0, 480.0, 0, 2.0);
         let s = cluster(400, 482.0, 481.0, 5000, 2.0);
         let dep = DeploymentBuilder::new(r, s)
@@ -267,8 +230,8 @@ mod tests {
         let spec = JoinSpec::distance_join(5.0);
         let rep = SrJoin::default().run(&dep, &spec).unwrap();
         assert_eq!(
-            rep.stats.splits, 0,
-            "similar distributions: no SrJoin recursion"
+            rep.stats.splits, 1,
+            "similar distributions: one round at the root, none below"
         );
         let mut want = NaiveJoin.run(&dep, &spec).unwrap().pairs;
         let mut got = rep.pairs.clone();

@@ -3,11 +3,7 @@
 use asj_geom::Rect;
 use rand::Rng;
 
-use crate::deploy::Deployment;
-use crate::exec::{ExecCtx, Side};
-use crate::report::{JoinError, JoinReport};
-use crate::spec::JoinSpec;
-use crate::DistributedJoin;
+use crate::exec::{Decision, ExecCtx, Policy, Side, Window};
 
 /// UpJoin identifies regions where each dataset's distribution is
 /// *relatively uniform* — there the cost model is accurate and a physical
@@ -48,29 +44,45 @@ impl Default for UpJoin {
     }
 }
 
+/// UpJoin's labels of one window's two sides, handed down by the split
+/// that made the window.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Labels {
+    r: Label,
+    s: Label,
+}
+
+/// One side's label: judged uniform (Eq. 9, or too small to be worth
+/// more statistics), and whether the window's count is an `|Dw|/4`
+/// estimate rather than a COUNT.
+#[derive(Debug, Clone, Copy, Default)]
+struct Label {
+    uniform: bool,
+    estimated: bool,
+}
+
 impl UpJoin {
-    /// Examines one dataset over `w`: returns the quadrant views (real or
-    /// estimated) and whether the dataset is (now) considered uniform.
+    /// Examines one side over `w`: its quadrant counts (real or estimated)
+    /// and its label below `w`.
     fn examine(
         &self,
         ctx: &mut ExecCtx<'_>,
         w: &Rect,
-        quads: &[Rect; 4],
         side: Side,
-        ds: DsView,
-    ) -> ([DsView; 4], bool) {
+        count: f64,
+        label: Label,
+    ) -> ([f64; 4], Label) {
         // Fig. 3 lines 3 & 7: small or previously-uniform datasets are
         // assumed uniform; quadrant counts are estimated, not queried.
-        if ds.uniform || !ctx.decision_cost().worth_more_stats(ds.count) {
-            let est = DsView {
-                count: ds.count / 4.0,
+        if label.uniform || !ctx.decision_cost().worth_more_stats(count) {
+            let estimated = Label {
                 uniform: true,
                 estimated: true,
             };
-            return ([est; 4], true);
+            return ([count / 4.0; 4], estimated);
         }
-        let real = ctx.quadrant_counts(side, quads);
-        let quarter = ds.count / 4.0;
+        let real = ctx.quadrant_counts(side, &w.quadrants());
+        let quarter = count / 4.0;
         // Eq. (9) tolerance. Two readings are possible from the paper
         // (α·|Dw| as printed, or α·|Dw|/4 relative to the expected quarter
         // count); we use the relative form — the printed one never lets
@@ -82,8 +94,8 @@ impl UpJoin {
         // The floor is capped just below the quarter so a (nearly) empty
         // quadrant — the actual pruning opportunity — always reads as
         // skewed.
-        let tolerance = (self.alpha * ds.count / 4.0)
-            .max(3.0 * ds.count.sqrt())
+        let tolerance = (self.alpha * count / 4.0)
+            .max(3.0 * count.sqrt())
             .min(quarter * (1.0 - 1e-9));
         let passes_eq9 = real.iter().all(|&c| (quarter - c as f64).abs() < tolerance);
         let uniform = if !passes_eq9 {
@@ -96,54 +108,48 @@ impl UpJoin {
             let c = ctx.count(side, &probe) as f64;
             (quarter - c).abs() < tolerance
         };
-        let views = real.map(|c| DsView {
-            count: c as f64,
+        let label = Label {
             uniform,
             estimated: false,
-        });
-        (views, uniform)
+        };
+        (real.map(|c| c as f64), label)
     }
+}
 
-    /// "Additional aggregate queries … only when accuracy is crucial,
-    /// i.e., when applying the physical operators": replaces an estimated
-    /// count with a real COUNT right before an operator fires.
-    fn refresh(&self, ctx: &mut ExecCtx<'_>, w: &Rect, side: Side, ds: DsView) -> DsView {
-        if !ds.estimated {
-            return ds;
-        }
-        DsView {
-            count: ctx.count(side, w) as f64,
-            uniform: ds.uniform,
-            estimated: false,
-        }
+/// "Additional aggregate queries … only when accuracy is crucial, i.e.,
+/// when applying the physical operators": replaces each estimated count
+/// with a real COUNT right before an operator fires.
+fn refresh(ctx: &ExecCtx<'_>, w: &mut Window<Labels>) {
+    if w.note.r.estimated {
+        w.count_r = ctx.count(Side::R, &w.rect) as f64;
     }
+    if w.note.s.estimated {
+        w.count_s = ctx.count(Side::S, &w.rect) as f64;
+    }
+}
 
-    fn step(&self, ctx: &mut ExecCtx<'_>, w: &Rect, r: DsView, s: DsView, depth: u32) {
-        if r.count <= 0.0 || s.count <= 0.0 {
-            ctx.stats.pruned_windows += 1;
-            return;
-        }
-        if ctx.at_limit(w, depth) {
-            let r = self.refresh(ctx, w, Side::R, r);
-            let s = self.refresh(ctx, w, Side::S, s);
-            if r.count > 0.0 && s.count > 0.0 {
-                ctx.forced(w, r.count.round() as u64, s.count.round() as u64);
-            }
-            return;
-        }
-        let quads = w.quadrants();
-        let (qr, r_uni) = self.examine(ctx, w, &quads, Side::R, r);
-        let (qs, s_uni) = self.examine(ctx, w, &quads, Side::S, s);
+impl Policy for UpJoin {
+    const NAME: &'static str = "upjoin";
+    type Note = Labels;
 
-        let costs = ctx.costs(w, r.count, s.count);
+    fn decide(&self, ctx: &mut ExecCtx<'_>, w: &mut Window<Labels>) -> Decision<Labels> {
+        if ctx.at_limit(&w.rect, w.depth) {
+            refresh(ctx, w);
+            return Decision::Forced;
+        }
+        let (qr, r) = self.examine(ctx, &w.rect, Side::R, w.count_r, w.note.r);
+        let (qs, s) = self.examine(ctx, &w.rect, Side::S, w.count_s, w.note.s);
+
+        let costs = ctx.costs(&w.rect, w.count_r, w.count_s);
         let (nlsj_side, nlsj_cost) = costs.cheaper_nlsj();
+        let cost = ctx.decision_cost();
         // Fig. 3 line 9 compares the *cost formulas*; the memory check is
         // a separate condition on line 10 ("…and there is enough memory").
-        let hbsj_chosen = ctx.decision_cost().c1_unchecked(r.count, s.count) < nlsj_cost;
+        let hbsj_chosen = cost.c1_unchecked(w.count_r, w.count_s) < nlsj_cost;
         // Don't buy another round of statistics (8 COUNTs ≈ one split)
         // when the chosen operator is already cheaper than two such
         // rounds — the Eq. (10) philosophy applied to repartitioning.
-        let cheap_gate = 2.0 * ctx.stats_cost_per_split();
+        let cheap_gate = 2.0 * cost.split_stats_cost();
 
         // Stopping decision (on the possibly-estimated counts):
         // * HBSJ chosen → stop on doubly-uniform (or trivially cheap)
@@ -163,67 +169,38 @@ impl UpJoin {
             // mass concentration (a quadrant 50 % above its share): the
             // complementary quadrants are draining, so emptiness is
             // likely one level down.
-            qr[i].count <= 0.05 * (r.count / 4.0)
-                || qs[i].count <= 0.05 * (s.count / 4.0)
-                || qr[i].count >= 1.5 * (r.count / 4.0)
-                || qs[i].count >= 1.5 * (s.count / 4.0)
+            qr[i] <= 0.05 * (w.count_r / 4.0)
+                || qs[i] <= 0.05 * (w.count_s / 4.0)
+                || qr[i] >= 1.5 * (w.count_r / 4.0)
+                || qs[i] >= 1.5 * (w.count_s / 4.0)
         });
         let stop = if hbsj_chosen {
-            (r_uni && s_uni) || costs.c1.is_some_and(|c1| c1 < cheap_gate) || !prunable
+            (r.uniform && s.uniform) || costs.c1.is_some_and(|c1| c1 < cheap_gate) || !prunable
         } else {
             let inner_uniform = match nlsj_side {
-                Side::R => s_uni,
-                Side::S => r_uni,
+                Side::R => s.uniform,
+                Side::S => r.uniform,
             };
             inner_uniform || nlsj_cost < cheap_gate || !prunable
         };
-
-        if stop {
-            // "Accuracy is crucial" now: resolve estimates, then pick the
-            // physical operator from the *real* costs.
-            let r = self.refresh(ctx, w, Side::R, r);
-            let s = self.refresh(ctx, w, Side::S, s);
-            if r.count <= 0.0 || s.count <= 0.0 {
-                ctx.stats.pruned_windows += 1;
-                return;
-            }
-            let real = ctx.costs(w, r.count, s.count);
-            let (real_side, real_nlsj) = real.cheaper_nlsj();
-            if real.hbsj_wins()
-                && ctx
-                    .hbsj_leaf_counted(w, Some(s.count.round() as u64))
-                    .is_ok()
-            {
-                return;
-            }
-            if ctx.decision_cost().c1_decomposed(r.count, s.count) < real_nlsj {
-                // The window overflows the device but downloading it in
-                // buffer-sized pieces still beats NLSJ: decompose with
-                // plain COUNT-pruned HBSJ (real counts at every level) —
-                // further uniformity analysis has nothing left to add.
-                ctx.hbsj(w, r.count.round() as u64, s.count.round() as u64, depth);
-                return;
-            }
-            ctx.nlsj(w, real_side);
-            return;
+        if !stop {
+            return Decision::Split([0, 1, 2, 3].map(|i| (qr[i], qs[i], Labels { r, s })));
         }
-        // Repartition.
-        ctx.stats.splits += 1;
-        for i in 0..4 {
-            self.step(ctx, &quads[i], qr[i], qs[i], depth + 1);
+        // "Accuracy is crucial" now: resolve estimates (a side refreshed
+        // to zero prunes the window), then pick the physical operator
+        // from the *real* costs. A window that overflows the device but
+        // whose buffer-sized pieces still beat NLSJ is decomposed with
+        // plain COUNT-pruned HBSJ — further uniformity analysis has
+        // nothing left to add.
+        refresh(ctx, w);
+        let real = ctx.costs(&w.rect, w.count_r, w.count_s);
+        let (real_side, real_nlsj) = real.cheaper_nlsj();
+        if real.hbsj_wins() || ctx.decision_cost().c1_decomposed(w.count_r, w.count_s) < real_nlsj {
+            Decision::Hbsj
+        } else {
+            Decision::Nlsj(real_side)
         }
     }
-}
-
-/// One dataset's view at the current window: its count (possibly an
-/// estimate derived from an ancestor's count under the uniformity
-/// assumption), whether it is labelled uniform, and whether the count is
-/// estimated.
-#[derive(Debug, Clone, Copy)]
-struct DsView {
-    count: f64,
-    uniform: bool,
-    estimated: bool,
 }
 
 /// A quadrant-sized window at a uniformly random position inside `w`.
@@ -235,30 +212,13 @@ fn random_subwindow(ctx: &mut ExecCtx<'_>, w: &Rect) -> Rect {
     Rect::from_coords(x, y, x + hw, y + hh)
 }
 
-impl DistributedJoin for UpJoin {
-    fn name(&self) -> &'static str {
-        "upjoin"
-    }
-
-    fn run(&self, deployment: &Deployment, spec: &JoinSpec) -> Result<JoinReport, JoinError> {
-        let mut ctx = ExecCtx::new(deployment, spec);
-        let space = ctx.space;
-        let (count_r, count_s) = ctx.counts(&space);
-        let view = |count: u64| DsView {
-            count: count as f64,
-            uniform: false,
-            estimated: false,
-        };
-        self.step(&mut ctx, &space, view(count_r), view(count_s), 0);
-        Ok(ctx.finish(self.name()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deploy::DeploymentBuilder;
     use crate::naive::NaiveJoin;
+    use crate::spec::JoinSpec;
+    use crate::DistributedJoin;
     use asj_geom::SpatialObject;
 
     fn cluster(n: u32, cx: f64, cy: f64, id0: u32, spread: f64) -> Vec<SpatialObject> {

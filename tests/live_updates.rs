@@ -399,13 +399,13 @@ fn race_one_seam(topology: Topology, moved: bool) -> (u64, JoinReport) {
     let start = dep.apply_updates(Side::R, vec![Update::Insert(far)]);
     let spec = JoinSpec::distance_join(10.0);
     let mut ctx = ExecCtx::new(&dep, &spec);
-    ctx.hbsj_leaf(&Rect::from_coords(0.0, 0.0, 50.0, 100.0))
+    ctx.hbsj_leaf(&Rect::from_coords(0.0, 0.0, 50.0, 100.0), None)
         .expect("fits");
     if moved {
         let to = Rect::point(Point::new(54.0, 50.0));
         dep.apply_updates(Side::R, vec![Update::Move { id: 1, to }]);
     }
-    ctx.hbsj_leaf(&Rect::from_coords(50.0, 0.0, 100.0, 100.0))
+    ctx.hbsj_leaf(&Rect::from_coords(50.0, 0.0, 100.0, 100.0), None)
         .expect("fits");
     assert_eq!(
         ctx.out.len(),
