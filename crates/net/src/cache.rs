@@ -416,19 +416,6 @@ fn patch(objects: &mut Vec<SpatialObject>, ops: &[DeltaOp], holds: impl Fn(&Rect
     }
 }
 
-/// A bug the differential suites can plant in the way a store applies a
-/// change list, to prove they would catch it.
-#[cfg(any(test, feature = "testing"))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlantedBug {
-    /// Probe answers keep the objects a change list removes.
-    ProbeRemovesSkipped,
-    /// Exact counts ignore removes.
-    CountDecrementsSkipped,
-    /// A patched window keeps the run MBRs of what it held before.
-    RunsLeftStale,
-}
-
 /// The shared cache store behind one logical server (or fleet).
 ///
 /// One `ClientCache` is created per *side* of a deployment and shared by
@@ -447,8 +434,6 @@ pub struct ClientCache {
     /// Admissions, evictions and residency; its lookup counters stay 0
     /// (each link tallies its own).
     tally: CacheTelemetry,
-    #[cfg(any(test, feature = "testing"))]
-    planted: Mutex<Option<PlantedBug>>,
 }
 
 impl ClientCache {
@@ -460,8 +445,6 @@ impl ClientCache {
             window_budget: window_budget_bytes,
             exact_cap: (window_budget_bytes / 40) as usize,
             tally: CacheTelemetry::default(),
-            #[cfg(any(test, feature = "testing"))]
-            planted: Mutex::new(None),
         }
     }
 
@@ -519,9 +502,11 @@ impl ClientCache {
     }
 
     /// Looks up `COUNT(w)` at `generation`: the exact statistics tier
-    /// first (bit-exact key — a poisoned exact entry *must* win over
-    /// derivation, which the non-vacuity test relies on), then derivation
-    /// from any cached window containing `w`.
+    /// first (bit-exact key; an exact entry wins over derivation, so a
+    /// wrong one is served — `tests/cached.rs` must catch the mutant
+    /// `tools/mutants/cache-exact-count-flipped.diff`, which answers every
+    /// exact hit flipped), then derivation from any cached window
+    /// containing `w`.
     pub fn count(&self, w: &Rect, generation: u64) -> Option<u64> {
         let mut state = self.at(generation)?;
         if let Some(&c) = state.counts.entries.get(&RectKey::of(w)) {
@@ -619,22 +604,6 @@ impl ClientCache {
         let Some(mut state) = self.at(since) else {
             return;
         };
-        // Which ops each exact tier sees: all of them, unless a planted
-        // bug hides the removes from one.
-        #[cfg(not(any(test, feature = "testing")))]
-        let (count_ops, probe_ops) = (ops, ops);
-        #[cfg(any(test, feature = "testing"))]
-        let adds: Vec<DeltaOp> = (ops.iter().copied())
-            .filter(|op| matches!(op, DeltaOp::Add(_)))
-            .collect();
-        #[cfg(any(test, feature = "testing"))]
-        let planted = *self.planted.lock().expect("cache poisoned");
-        #[cfg(any(test, feature = "testing"))]
-        let (count_ops, probe_ops) = match planted {
-            Some(PlantedBug::CountDecrementsSkipped) => (&adds[..], ops),
-            Some(PlantedBug::ProbeRemovesSkipped) => (ops, &adds[..]),
-            _ => (ops, ops),
-        };
         let state = &mut *state;
         // Only an entry some op's MBR touches changes; it is patched —
         // removes retained out, adds appended — and packed again.
@@ -647,15 +616,11 @@ impl ClientCache {
         };
         for e in state.windows.iter_mut().filter(|e| touches(&e.window)) {
             patch(&mut e.objects, ops, |mbr| mbr.intersects(&e.window));
-            #[cfg(any(test, feature = "testing"))]
-            if planted == Some(PlantedBug::RunsLeftStale) {
-                continue;
-            }
             e.repack();
         }
         for (key, count) in &mut state.counts.entries {
             let w = key.rect();
-            for op in count_ops {
+            for op in ops {
                 match op {
                     DeltaOp::Remove { mbr, .. } if mbr.intersects(&w) => {
                         *count = count.saturating_sub(1)
@@ -667,7 +632,7 @@ impl ClientCache {
         }
         for ((q, eps), answer) in &mut state.probes.entries {
             let (q, eps) = (q.rect(), f64::from_bits(*eps));
-            patch(answer, probe_ops, |mbr| mbr.within_distance(&q, eps));
+            patch(answer, ops, |mbr| mbr.within_distance(&q, eps));
         }
         state.content = reached;
         state.note(reached, None);
@@ -690,35 +655,6 @@ impl ClientCache {
     /// Bytes currently resident in the window tier.
     pub fn resident_bytes(&self) -> u64 {
         self.tally.resident_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Test instrument: flips the largest cached exact count to a wrong
-    /// value (0, or 1 if it was already 0) and returns `true` when an
-    /// entry existed. The differential suites use this to prove they are
-    /// non-vacuous — a single corrupted cached statistic must be caught
-    /// by the result oracle. Compiled only for this crate's own tests and
-    /// for downstream suites that opt in via the `testing` feature: a
-    /// production build carries no cache-corruption entry point.
-    #[cfg(any(test, feature = "testing"))]
-    pub fn poison_one_count(&self) -> bool {
-        let mut state = self.state.lock().expect("cache poisoned");
-        // Ties broken by key so the victim is deterministic across
-        // processes (HashMap iteration order is randomly seeded).
-        let largest = state.counts.entries.iter_mut();
-        match largest.max_by_key(|(k, c)| (**c, **k)) {
-            Some((_, c)) => {
-                *c = if *c == 0 { 1 } else { 0 };
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Test instrument, like [`ClientCache::poison_one_count`]: from here
-    /// on a change list is applied with `bug`.
-    #[cfg(any(test, feature = "testing"))]
-    pub fn plant(&self, bug: PlantedBug) {
-        *self.planted.lock().expect("cache poisoned") = Some(bug);
     }
 }
 
@@ -745,7 +681,7 @@ impl CacheView {
         self.telemetry.load().plus(&self.cache.tally.load())
     }
 
-    /// The shared store (for session inspection and test poisoning).
+    /// The shared store (for session inspection).
     pub fn store(&self) -> &Arc<ClientCache> {
         &self.cache
     }
@@ -1193,38 +1129,6 @@ mod tests {
         store.apply_changes(0, 3, &ops);
         assert_eq!(store.content_generation(), 2);
         assert_eq!(store.window(&corner, 2).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn planted_bugs_break_exactly_what_they_name() {
-        let gone = |o: &SpatialObject| DeltaOp::Remove {
-            id: o.id,
-            mbr: o.mbr,
-        };
-        let origin = w(0.0, 0.0, 0.0, 0.0);
-        let primed = |bug| {
-            let store = ClientCache::new(1 << 20);
-            store.observe_count(&origin, 1, 0);
-            store.admit_probe(&origin, 0.5, &lattice(1), 0);
-            store.plant(bug);
-            store.apply_changes(0, 1, &[gone(&lattice(1)[0])]);
-            (
-                store.count(&origin, 1),
-                store.eps_range(&origin, 0.5, 1).map(|v| v.len()),
-            )
-        };
-        assert_eq!(primed(PlantedBug::ProbeRemovesSkipped), (Some(0), Some(1)));
-        assert_eq!(
-            primed(PlantedBug::CountDecrementsSkipped),
-            (Some(1), Some(0))
-        );
-        assert_eq!(primed(PlantedBug::RunsLeftStale), (Some(0), Some(0)));
-        // Stale runs: the object a list adds is held, and no run says so.
-        let store = ClientCache::new(1 << 20);
-        store.admit_window(&w(0.0, 0.0, 4.0, 4.0), &lattice(1), 0);
-        store.plant(PlantedBug::RunsLeftStale);
-        store.apply_changes(0, 1, &[DeltaOp::Add(SpatialObject::point(9, 3.0, 3.0))]);
-        assert_eq!(store.count(&w(2.0, 2.0, 4.0, 4.0), 1), Some(0));
     }
 
     /// `e`'s runs are the MBRs of its objects, sixteen at a time.
@@ -1706,7 +1610,10 @@ mod tests {
         let cached = cached_link(lattice(10), 1 << 20);
         let plain = plain_link(lattice(10));
         let big = w(0.0, 0.0, 6.0, 6.0);
-        let small = w(1.0, 1.0, 3.0, 3.0);
+        // `small`'s corner travels as (3, 3) (f32), so the server's answers
+        // hold the point there: a lookup must filter by what it decodes.
+        let below = 3.0 - 1e-9;
+        let small = w(1.0, 1.0, below, below);
         assert_eq!(
             cached.request(&Request::Window(big)).into_objects(),
             plain.request(&Request::Window(big)).into_objects()
@@ -1837,18 +1744,6 @@ mod tests {
             none.cached_windows(),
         );
         assert_eq!(held, (0, 0, 0));
-    }
-
-    #[test]
-    fn poison_flips_the_largest_count() {
-        let store = Arc::new(ClientCache::new(1000));
-        assert!(!store.poison_one_count(), "nothing to poison yet");
-        store.observe_count(&w(0.0, 0.0, 1.0, 1.0), 3, 0);
-        store.observe_count(&w(0.0, 0.0, 2.0, 2.0), 9, 0);
-        assert!(store.poison_one_count());
-        let poisoned = store.count(&w(0.0, 0.0, 2.0, 2.0), 0).unwrap();
-        assert_eq!(poisoned, 0, "largest entry flipped to 0");
-        assert_eq!(store.count(&w(0.0, 0.0, 1.0, 1.0), 0), Some(3));
     }
 
     #[test]
