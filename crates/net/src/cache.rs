@@ -504,8 +504,8 @@ impl ClientCache {
     /// Looks up `COUNT(w)` at `generation`: the exact statistics tier
     /// first (bit-exact key; an exact entry wins over derivation, so a
     /// wrong one is served — `tests/cached.rs` must catch the mutant
-    /// `tools/mutants/cache-exact-count-flipped.diff`, which answers every
-    /// exact hit flipped), then derivation from any cached window
+    /// `tools/mutants/cache-exact-count-flipped.diff`, which flips the one
+    /// largest cached count), then derivation from any cached window
     /// containing `w`.
     pub fn count(&self, w: &Rect, generation: u64) -> Option<u64> {
         let mut state = self.at(generation)?;

@@ -13,9 +13,8 @@
 //!   joins) sends fewer messages and at least 20 % fewer aggregate bytes
 //!   than the uncached session, with identical pairs every time.
 //! * **Non-vacuity** — the mutant `tools/mutants/cache-exact-count-flipped.diff`,
-//!   whose exact-tier COUNT hits answer a flipped value, fails this suite
-//!   (`tools/mutants.py` re-plants it): the suite would catch a buggy
-//!   cache.
+//!   which serves the one largest cached count flipped, fails this suite
+//!   (`tools/mutants.py` re-plants it): a single bad count is caught.
 
 use adhoc_spatial_joins::prelude::*;
 use asj_core::DeploymentBuilder;

@@ -2,7 +2,7 @@
 """Planted bugs, re-killed: every mutant under `tools/mutants/` must fail
 the test target it names.
 
-    python3 tools/mutants.py [--check] [--timeout SECS] [NAME ...]
+    python3 tools/mutants.py [--check] [NAME ...]
 
 A mutant is one unified diff against the tree, `tools/mutants/NAME.diff`,
 after a header of `Key: value` lines (a line that starts with no key
@@ -20,10 +20,11 @@ The script copies the tracked files of the tree into a temporary
 directory. There it first runs every named target on the unmutated copy:
 a kill counts only against a target that passes without the bug. Then,
 one mutant at a time, it applies the diff, builds the target
-(`cargo test --release --offline --no-run`), runs it under the timeout
-and reverts the diff. All runs share one target directory. A failing run
-or a timeout kills the mutant. The script exits 1 and names the mutant
-when a diff no longer applies, a mutant does not build, or one survives.
+(`cargo test --release --offline --no-run`), runs it for at most
+`TIMEOUT` seconds and reverts the diff. All runs share one target
+directory. A failing run or a timeout kills the mutant. The script
+exits 1 and names the mutant when a diff no longer applies, a mutant
+does not build, or one survives.
 
 `--check` only asks whether each diff still applies to the tree as it is
 (`git apply --check`), which takes seconds: a stale mutant fails the way
@@ -48,6 +49,7 @@ import time
 
 KEYS = ("Bug", "Kill", "Why", "Equivalent")
 ROW = "%-8s %-44s %6.1f s build, %6.1f s run"
+TIMEOUT = 600  # seconds per test run
 
 
 class Mutant:
@@ -126,14 +128,14 @@ def cargo_test(target, cwd, env, log, timeout=None, build_only=False):
     return ("pass" if code == 0 else "fail"), time.monotonic() - start
 
 
-def build_and_run(target, cwd, env, log, timeout):
-    """Builds `target`, then runs it under `timeout`: returns the outcome
-    ("pass", "fail", "timeout", or "broken" when it does not build) and
-    the seconds each step took."""
+def build_and_run(target, cwd, env, log):
+    """Builds `target`, then runs it for at most `TIMEOUT` seconds: returns
+    the outcome ("pass", "fail", "timeout", or "broken" when it does not
+    build) and the seconds each step took."""
     built, build_s = cargo_test(target, cwd, env, log, build_only=True)
     if built != "pass":
         return "broken", build_s, 0.0
-    outcome, run_s = cargo_test(target, cwd, env, log, timeout)
+    outcome, run_s = cargo_test(target, cwd, env, log, TIMEOUT)
     return outcome, build_s, run_s
 
 
@@ -147,7 +149,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("names", nargs="*", help="run only these mutants")
     ap.add_argument("--check", action="store_true", help="only check that every diff applies")
-    ap.add_argument("--timeout", type=float, default=600, help="seconds per test run")
     args = ap.parse_args()
     root = os.path.dirname(here)
 
@@ -178,7 +179,7 @@ def main():
         env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tmp, "target"))
         for target in sorted({m.target for m in runs}):
             log = os.path.join(logs, "unmutated.log")
-            outcome, build_s, run_s = build_and_run(target, tree, env, log, args.timeout)
+            outcome, build_s, run_s = build_and_run(target, tree, env, log)
             print(ROW % (outcome, target, build_s, run_s) + "  (unmutated)")
             if outcome != "pass":
                 problems.append("`%s` does not pass on the unmutated tree:\n%s" % (target, tail(log)))
@@ -192,7 +193,7 @@ def main():
                 problems.append("%s: the diff no longer applies: %s" % (m.name, err))
                 continue
             try:
-                outcome, build_s, run_s = build_and_run(m.target, tree, env, log, args.timeout)
+                outcome, build_s, run_s = build_and_run(m.target, tree, env, log)
             finally:
                 git_apply(m.path, tree, "--reverse")
             verdict = {"pass": "survived", "broken": "broken"}.get(outcome, "killed")
