@@ -76,9 +76,11 @@
 //! one-snapshot joins too and assert it removes nothing, so every live
 //! join a debug test suite runs checks this argument.
 
+use std::cell::Cell;
+
 use asj_device::{memjoin, BufferExceeded, DeviceBuffer, ResultCollector};
 use asj_geom::{reference_point_in, Rect, SpatialObject};
-use asj_net::{Link, Request};
+use asj_net::{Link, Request, Response};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -134,6 +136,9 @@ pub struct ExecStats {
     /// deployment and on a live join that read one generation per flat
     /// side (see the module docs).
     pub collapsed_pairs: Option<usize>,
+    /// One per point where the join waited on its links: one non-empty
+    /// [`Link`] call. Exact, and the same on every carrier.
+    pub round_trips: u32,
 }
 
 /// Costs of the three physical choices on one window.
@@ -303,10 +308,43 @@ fn apply<P: Policy>(
     }
 }
 
+/// The join's two links, and the round trips it has waited on them.
+struct Links {
+    r: Link,
+    s: Link,
+    /// [`ExecStats::round_trips`] so far. It lives beside the links, not
+    /// in the context's stats, so that a reply can be paired off into the
+    /// context's other fields while a link is borrowed.
+    round_trips: Cell<u32>,
+}
+
+impl Links {
+    fn side(&self, side: Side) -> &Link {
+        match side {
+            Side::R => &self.r,
+            Side::S => &self.s,
+        }
+    }
+
+    /// One side's batch, waited on: one round trip, unless it is empty.
+    fn request_many(&self, side: Side, reqs: &[Request], reply: impl FnMut(Response)) {
+        if !reqs.is_empty() {
+            self.round_trips.set(self.round_trips.get() + 1);
+        }
+        self.side(side).request_many(reqs, reply);
+    }
+
+    /// One request, waited on: one round trip.
+    fn request(&self, side: Side, req: &Request) -> Response {
+        let mut answer = None;
+        self.request_many(side, std::slice::from_ref(req), |resp| answer = Some(resp));
+        answer.expect("one reply per request")
+    }
+}
+
 /// Everything one algorithm run needs.
 pub struct ExecCtx<'a> {
-    link_r: Link,
-    link_s: Link,
+    links: Links,
     /// The device's bounded buffer.
     pub buffer: DeviceBuffer,
     /// Result accumulation: strict on a frozen deployment, append-only
@@ -343,8 +381,11 @@ impl<'a> ExecCtx<'a> {
         let max_dim = space.width().max(space.height());
         let min_window = (4.0 * spec.extension()).max(max_dim * 1e-7);
         ExecCtx {
-            link_r,
-            link_s,
+            links: Links {
+                r: link_r,
+                s: link_s,
+                round_trips: Cell::new(0),
+            },
             buffer: DeviceBuffer::new(deployment.buffer_capacity()),
             out: if deployment.is_live() {
                 ResultCollector::deduplicating()
@@ -365,10 +406,12 @@ impl<'a> ExecCtx<'a> {
 
     /// The link to one server.
     pub fn link(&self, side: Side) -> &Link {
-        match side {
-            Side::R => &self.link_r,
-            Side::S => &self.link_s,
-        }
+        self.links.side(side)
+    }
+
+    /// One request to one server, waited on.
+    pub(crate) fn request(&self, side: Side, req: &Request) -> Response {
+        self.links.request(side, req)
     }
 
     fn tariff(&self, side: Side) -> f64 {
@@ -394,7 +437,7 @@ impl<'a> ExecCtx<'a> {
     /// this returns the base model unchanged (multipliers exactly `1.0`),
     /// keeping every decision bit-identical to an uncached build.
     pub fn decision_cost(&self) -> CostModel {
-        let caches = [&self.link_r, &self.link_s]
+        let caches = [&self.links.r, &self.links.s]
             .into_iter()
             .filter_map(Link::cache);
         let Some(c) = caches.map(|view| view.snapshot()).reduce(|a, b| a.plus(&b)) else {
@@ -416,8 +459,7 @@ impl<'a> ExecCtx<'a> {
 
     /// `COUNT` on the extended window.
     pub fn count(&self, side: Side, w: &Rect) -> u64 {
-        self.link(side)
-            .request(&Request::Count(self.ext(w)))
+        self.request(side, &Request::Count(self.ext(w)))
             .into_count()
     }
 
@@ -434,8 +476,8 @@ impl<'a> ExecCtx<'a> {
             .map(|w| Request::Count(self.ext(w)))
             .collect();
         let mut counts = Vec::with_capacity(reqs.len());
-        self.link(side)
-            .request_many(&reqs, |resp| counts.push(resp.into_count()));
+        self.links
+            .request_many(side, &reqs, |resp| counts.push(resp.into_count()));
         counts
     }
 
@@ -447,7 +489,7 @@ impl<'a> ExecCtx<'a> {
         let mut counts = [0; 4];
         let reqs = quads.map(|q| Request::Count(self.ext(&q)));
         let mut slots = counts.iter_mut();
-        self.link(side).request_many(&reqs, |resp| {
+        self.links.request_many(side, &reqs, |resp| {
             *slots.next().expect("one reply per request") = resp.into_count();
         });
         counts
@@ -465,8 +507,7 @@ impl<'a> ExecCtx<'a> {
 
     /// `WINDOW` download of the extended window.
     pub fn download(&self, side: Side, w: &Rect) -> Vec<SpatialObject> {
-        self.link(side)
-            .request(&Request::Window(self.ext(w)))
+        self.request(side, &Request::Window(self.ext(w)))
             .into_objects()
     }
 
@@ -601,7 +642,7 @@ impl<'a> ExecCtx<'a> {
                 probes: outer_objs,
                 eps,
             };
-            let buckets = self.link(inner).request(&req).into_buckets();
+            let buckets = self.request(inner, &req).into_buckets();
             let Request::BucketEpsRange {
                 probes: outer_objs, ..
             } = req
@@ -626,17 +667,14 @@ impl<'a> ExecCtx<'a> {
             // One ε-RANGE per outer object, a window of them in flight
             // together; replies are handed over in probe order, so pairs
             // are reported exactly as one probe at a time would.
-            let link = match inner {
-                Side::R => &self.link_r,
-                Side::S => &self.link_s,
-            };
-            let (out, spec, space) = (&mut self.out, self.spec, &self.space);
+            let (links, out) = (&self.links, &mut self.out);
+            let (spec, space) = (self.spec, &self.space);
             let mut probes = Vec::with_capacity(PROBE_WINDOW);
             for window in outer_objs.chunks(PROBE_WINDOW) {
                 probes.clear();
                 probes.extend(window.iter().map(|o| Request::EpsRange { q: o.mbr, eps }));
                 let mut probing = window.iter();
-                link.request_many(&probes, |resp| {
+                links.request_many(inner, &probes, |resp| {
                     let o = probing.next().expect("one reply per probe");
                     for m in resp.into_objects() {
                         Self::report_pair(out, spec, space, outer, o, &m, w);
@@ -665,12 +703,13 @@ impl<'a> ExecCtx<'a> {
     /// module docs where both sides are flat and each reported one
     /// generation, by [`ResultCollector::collapse_duplicates`] otherwise.
     pub fn finish(mut self, algorithm: &'static str) -> JoinReport {
-        let (generations_r, generations_s) = (self.link_r.generations(), self.link_s.generations());
+        let (link_r, link_s) = (&self.links.r, &self.links.s);
+        let (generations_r, generations_s) = (link_r.generations(), link_s.generations());
         if self.live {
             let one_snapshot =
                 |link: &Link, (lowest, highest)| link.fleet().is_none() && lowest == highest;
-            let raced = !(one_snapshot(&self.link_r, generations_r)
-                && one_snapshot(&self.link_s, generations_s));
+            let raced =
+                !(one_snapshot(link_r, generations_r) && one_snapshot(link_s, generations_s));
             if raced || cfg!(debug_assertions) {
                 let removed = self.out.collapse_duplicates();
                 assert!(
@@ -680,12 +719,12 @@ impl<'a> ExecCtx<'a> {
                 self.stats.collapsed_pairs = raced.then_some(removed);
             }
         }
-        let link_r = self.link_r.meter().snapshot();
-        let link_s = self.link_s.meter().snapshot();
-        let fleet_r = self.link_r.fleet().map(|t| t.snapshot());
-        let fleet_s = self.link_s.fleet().map(|t| t.snapshot());
-        let cache_r = self.link_r.cache().map(|v| v.snapshot());
-        let cache_s = self.link_s.cache().map(|v| v.snapshot());
+        self.stats.round_trips = self.links.round_trips.get();
+        let fleet_r = link_r.fleet().map(|t| t.snapshot());
+        let fleet_s = link_s.fleet().map(|t| t.snapshot());
+        let cache_r = link_r.cache().map(|v| v.snapshot());
+        let cache_s = link_s.cache().map(|v| v.snapshot());
+        let (link_r, link_s) = (link_r.meter().snapshot(), link_s.meter().snapshot());
         let cost_units = self.cost.tariff_r * link_r.total_bytes() as f64
             + self.cost.tariff_s * link_s.total_bytes() as f64;
         let peak_buffer = self.buffer.peak();

@@ -62,24 +62,24 @@ impl DistributedJoin for SemiJoin {
 
         // Step 2: one R-tree level of the large dataset, via the device.
         let mbrs = ctx
-            .link(large)
-            .request(&Request::CoopLevelMbrs(self.level))
+            .request(large, &Request::CoopLevelMbrs(self.level))
             .into_rects();
 
         // Step 3: semi-join filter at the small server.
         let filtered = ctx
-            .link(small)
-            .request(&Request::CoopFilterByMbrs { mbrs, eps })
+            .request(small, &Request::CoopFilterByMbrs { mbrs, eps })
             .into_objects();
 
         // Step 4: final join at the large server. Pairs come back as
         // (pushed_id, local_id) = (small, large), in pushed order.
         let pairs = ctx
-            .link(large)
-            .request(&Request::CoopJoinPush {
-                objects: filtered,
-                eps,
-            })
+            .request(
+                large,
+                &Request::CoopJoinPush {
+                    objects: filtered,
+                    eps,
+                },
+            )
             .into_pairs();
         for (small_id, large_id) in pairs {
             let (r, s) = match small {

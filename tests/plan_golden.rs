@@ -52,8 +52,14 @@ fn meter(snap: &LinkSnapshot) -> String {
 
 fn stats(s: &ExecStats) -> String {
     format!(
-        "splits={} hbsj_runs={} nlsj_runs={} pruned_windows={} forced_fallbacks={} collapsed_pairs={:?}",
-        s.splits, s.hbsj_runs, s.nlsj_runs, s.pruned_windows, s.forced_fallbacks, s.collapsed_pairs
+        "splits={} hbsj_runs={} nlsj_runs={} pruned_windows={} forced_fallbacks={} collapsed_pairs={:?} round_trips={}",
+        s.splits,
+        s.hbsj_runs,
+        s.nlsj_runs,
+        s.pruned_windows,
+        s.forced_fallbacks,
+        s.collapsed_pairs,
+        s.round_trips
     )
 }
 
