@@ -47,6 +47,23 @@
 //!
 //! [`ExecStats`] is written only here, so each counter has one definition.
 //!
+//! # Both sides in one round trip
+//!
+//! A link is split-phase ([`Link::begin`], then [`Begun::finish`]).
+//! Where the join needs both sides and neither request depends on the
+//! other's answer, R's batch and S's are begun before either is waited
+//! on: the root `counts`, every quadrant split, UpJoin's refresh of two
+//! estimated counts, and an HBSJ leaf of [`Decision::Hbsj`] or
+//! [`Decision::Forced`] on a frozen deployment whose two counts fit the
+//! buffer together. A fleet puts both sides' flights on the wire at once,
+//! and its reactor serves them in one activation; a flat or cached link
+//! defers its batch to `finish`, so it waits as before. Requests per
+//! link and their order, bytes, pairs and plans are those of asking R,
+//! then S; only [`ExecStats::round_trips`] counts one wait where it
+//! counted two. A live leaf still asks S after R's reservation: a writer
+//! can grow a window after its COUNT, and a leaf the buffer refuses must
+//! not have paid for S. So does the public [`ExecCtx::hbsj_leaf`].
+//!
 //! # Exactly once on a live deployment
 //!
 //! The reference-point test is exact on *one* dataset state. A frozen
@@ -80,7 +97,7 @@ use std::cell::Cell;
 
 use asj_device::{memjoin, BufferExceeded, DeviceBuffer, ResultCollector};
 use asj_geom::{reference_point_in, Rect, SpatialObject};
-use asj_net::{Link, Request, Response};
+use asj_net::{Begun, Link, Request, Response};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -137,7 +154,8 @@ pub struct ExecStats {
     /// side (see the module docs).
     pub collapsed_pairs: Option<usize>,
     /// One per point where the join waited on its links: one non-empty
-    /// [`Link`] call. Exact, and the same on every carrier.
+    /// [`Link`] call, or one R and S pair of batches begun together.
+    /// Exact, and the same on every carrier.
     pub round_trips: u32,
 }
 
@@ -280,7 +298,7 @@ fn apply<P: Policy>(
         Decision::Forced => ctx.forced(&w.rect, count_r, count_s),
         Decision::Hbsj => {
             if (count_r + count_s) as usize <= ctx.buffer.capacity()
-                && ctx.hbsj_leaf(&w.rect, Some(count_s)).is_ok()
+                && ctx.counted_leaf(&w.rect, count_r, count_s).is_ok()
             {
                 return;
             }
@@ -340,6 +358,26 @@ impl Links {
         self.request_many(side, std::slice::from_ref(req), |resp| answer = Some(resp));
         answer.expect("one reply per request")
     }
+
+    /// R's batch and S's, both begun before either is waited on: one
+    /// round trip for the two. The caller finishes R's first, so replies
+    /// arrive in the order a join asking one side after the other gets
+    /// them.
+    fn begin_both<'l>(
+        &'l self,
+        reqs_r: &'l [Request],
+        reqs_s: &'l [Request],
+    ) -> (Begun<'l>, Begun<'l>) {
+        self.round_trips.set(self.round_trips.get() + 1);
+        (self.r.begin(reqs_r), self.s.begin(reqs_s))
+    }
+}
+
+/// The objects a batch of one WINDOW answers.
+fn objects(batch: Begun<'_>) -> Vec<SpatialObject> {
+    let mut objects = Vec::new();
+    batch.finish(|resp| objects = resp.into_objects());
+    objects
 }
 
 /// Everything one algorithm run needs.
@@ -463,9 +501,24 @@ impl<'a> ExecCtx<'a> {
             .into_count()
     }
 
-    /// Counts on both sides: `(|Rw|, |Sw|)`.
+    /// Counts on both sides: `(|Rw|, |Sw|)`, in one round trip.
     pub fn counts(&self, w: &Rect) -> (u64, u64) {
-        (self.count(Side::R, w), self.count(Side::S, w))
+        let ([count_r], [count_s]) = self.counts_of(&[*w]);
+        (count_r, count_s)
+    }
+
+    /// `COUNT` of every window on both sides, R's batch and S's begun
+    /// together: one round trip.
+    fn counts_of<const N: usize>(&self, windows: &[Rect; N]) -> ([u64; N], [u64; N]) {
+        let reqs = windows.map(|w| Request::Count(self.ext(&w)));
+        let (batch_r, batch_s) = self.links.begin_both(&reqs, &reqs);
+        let take = |batch: Begun<'_>| {
+            let mut counts = [0; N];
+            let mut slots = counts.iter_mut();
+            batch.finish(|resp| *slots.next().expect("one reply per request") = resp.into_count());
+            counts
+        };
+        (take(batch_r), take(batch_s))
     }
 
     /// `COUNT` of every window on one side, in window order: one COUNT
@@ -495,13 +548,11 @@ impl<'a> ExecCtx<'a> {
         counts
     }
 
-    /// Buys the COUNTs of `w`'s four quadrants, R's four in one batch and
-    /// then S's, as the quadrants of a [`Decision::Split`], each carrying
-    /// `note`.
+    /// Buys the COUNTs of `w`'s four quadrants, R's four and S's four in
+    /// one round trip, as the quadrants of a [`Decision::Split`], each
+    /// carrying `note`.
     pub(crate) fn quadrant_split<N: Copy>(&self, w: &Rect, note: N) -> [(f64, f64, N); 4] {
-        let quads = w.quadrants();
-        let counts_r = self.quadrant_counts(Side::R, &quads);
-        let counts_s = self.quadrant_counts(Side::S, &quads);
+        let (counts_r, counts_s) = self.counts_of(&w.quadrants());
         [0, 1, 2, 3].map(|i| (counts_r[i] as f64, counts_s[i] as f64, note))
     }
 
@@ -586,7 +637,39 @@ impl<'a> ExecCtx<'a> {
         w: &Rect,
         known_count_s: Option<u64>,
     ) -> Result<(), BufferExceeded> {
-        let r_objs = self.download(Side::R, w);
+        self.leaf(w, known_count_s, false)
+    }
+
+    /// HBSJ on one window whose two counts are known, as [`Decision::Hbsj`]
+    /// and [`Decision::Forced`] run it: [`ExecCtx::hbsj_leaf`] with
+    /// `|Sw|`, except that on a frozen deployment where the two counts fit
+    /// the buffer together, R's window and S's are begun in one round
+    /// trip. A frozen deployment's counts are exact, so the buffer does
+    /// not refuse such a leaf after S's window was shipped. On a live one
+    /// a writer can grow a window after its COUNT, so S still waits for
+    /// R's reservation.
+    fn counted_leaf(&mut self, w: &Rect, count_r: u64, count_s: u64) -> Result<(), BufferExceeded> {
+        let together = !self.live && self.buffer.fits((count_r + count_s) as usize);
+        self.leaf(w, Some(count_s), together)
+    }
+
+    /// [`ExecCtx::hbsj_leaf`], with S's window begun together with R's
+    /// when `together` holds. A leaf refused after that drops S's batch
+    /// unfinished: what it deferred is never sent.
+    fn leaf(
+        &mut self,
+        w: &Rect,
+        known_count_s: Option<u64>,
+        together: bool,
+    ) -> Result<(), BufferExceeded> {
+        let window = [Request::Window(self.ext(w))];
+        let links = &self.links;
+        let (r_objs, begun_s) = if together {
+            let (batch_r, batch_s) = links.begin_both(&window, &window);
+            (objects(batch_r), Some(batch_s))
+        } else {
+            (links.request(Side::R, &window[0]).into_objects(), None)
+        };
         let r_hold = self.buffer.reserve(r_objs.len())?;
         if let Some(count_s) = known_count_s {
             if !self.buffer.fits(count_s as usize) {
@@ -596,7 +679,10 @@ impl<'a> ExecCtx<'a> {
                 });
             }
         }
-        let s_objs = self.download(Side::S, w);
+        let s_objs = match begun_s {
+            Some(batch_s) => objects(batch_s),
+            None => links.request(Side::S, &window[0]).into_objects(),
+        };
         let s_hold = self.buffer.reserve(s_objs.len())?;
         memjoin::grid_hash_join_with_workers(
             &r_objs,
@@ -691,7 +777,7 @@ impl<'a> ExecCtx<'a> {
     fn forced(&mut self, w: &Rect, count_r: u64, count_s: u64) {
         self.stats.forced_fallbacks += 1;
         let costs = self.costs(w, count_r as f64, count_s as f64);
-        if costs.hbsj_wins() && self.hbsj_leaf(w, Some(count_s)).is_ok() {
+        if costs.hbsj_wins() && self.counted_leaf(w, count_r, count_s).is_ok() {
             return;
         }
         let (side, _) = costs.cheaper_nlsj();

@@ -41,7 +41,15 @@ impl From<BufferExceeded> for JoinError {
 pub struct JoinReport {
     /// Algorithm identifier.
     pub algorithm: &'static str,
-    /// Qualifying `(r_id, s_id)` pairs, exactly once each.
+    /// Qualifying `(r_id, s_id)` pairs, in the order the join derived
+    /// them. A frozen join, and a live join that read one generation per
+    /// side (`generations_r` and `generations_s` each one value), has
+    /// every qualifying pair exactly once. A live join that raced an
+    /// update has no pair twice — its duplicate pass ran
+    /// (`ExecStats::collapsed_pairs` is `Some`) — but it can miss a pair
+    /// whose object moved across a seam between two of its reads, and
+    /// `coverage` does not show that: read `generations_*` and
+    /// `collapsed_pairs` before taking such a list as complete.
     pub pairs: Vec<(ObjectId, ObjectId)>,
     /// Iceberg aggregation when the spec asked for it.
     pub iceberg: Option<IcebergResult>,

@@ -118,12 +118,16 @@ impl UpJoin {
 
 /// "Additional aggregate queries … only when accuracy is crucial, i.e.,
 /// when applying the physical operators": replaces each estimated count
-/// with a real COUNT right before an operator fires.
+/// with a real COUNT right before an operator fires — both in one round
+/// trip when both are estimates.
 fn refresh(ctx: &ExecCtx<'_>, w: &mut Window<Labels>) {
-    if w.note.r.estimated {
+    let (r, s) = (w.note.r.estimated, w.note.s.estimated);
+    if r && s {
+        let (count_r, count_s) = ctx.counts(&w.rect);
+        (w.count_r, w.count_s) = (count_r as f64, count_s as f64);
+    } else if r {
         w.count_r = ctx.count(Side::R, &w.rect) as f64;
-    }
-    if w.note.s.estimated {
+    } else if s {
         w.count_s = ctx.count(Side::S, &w.rect) as f64;
     }
 }

@@ -8,7 +8,8 @@
 //! [`Edge::judge`] charges and classifies, and the edge's own
 //! [`Layer::call_many`] ships a batch, then judges each reply in order
 //! and retries failures one by one. Everything above speaks
-//! [`Layer::call_many`].
+//! [`Layer::begin`] and [`Started::finish`]; [`Layer::call_many`] is the
+//! two back to back.
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
@@ -25,6 +26,7 @@ use crate::codec::{
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{Request, Response};
+use crate::router::Scatter;
 use crate::transport::{Pending, RawExchange};
 
 /// Process-unique sender nonce for the retry-dedup envelope: each edge
@@ -35,11 +37,22 @@ static EDGE_NONCE: AtomicU64 = AtomicU64::new(1);
 /// The typed seam of the link stack: `Link`, `CacheLayer` and
 /// `ShardRouter` hand each other requests and responses, never frames.
 pub(crate) trait Layer: Send + Sync {
+    /// Begins a batch: ships what this layer can ship before anyone waits
+    /// and leaves the rest — the waiting, judging, retrying and merging —
+    /// to [`Started::finish`]. A layer with nothing to overlap defers the
+    /// whole batch ([`Started::Deferred`]): the edge, whose in-process
+    /// carrier serves a request as it ships it, and the cache, whose
+    /// lookups then run where a batch begun and finished at once runs
+    /// them.
+    fn begin<'a>(&'a self, reqs: &'a [Request]) -> Started<'a>;
+
     /// Answers independent logical requests together — a single request
     /// is a batch of one. `reply` receives one answer per request, in
     /// request order: the response, and the serving generation it
     /// reports (an `Ack`'s payload, otherwise the reply's stamp; 0 from a
-    /// frozen server or a failed exchange).
+    /// frozen server or a failed exchange). A batch begun and finished at
+    /// once: the router's is its [`Layer::begin`] and
+    /// [`Started::finish`], and a deferring layer's `finish` is this.
     fn call_many(
         &self,
         reqs: &mut dyn Iterator<Item = &Request>,
@@ -61,6 +74,32 @@ pub(crate) trait Layer: Send + Sync {
     /// Hands the deployment's wire version down to the physical edges
     /// below; every edge speaks it from its first frame.
     fn set_wire(&mut self, wire: WireVersion);
+}
+
+/// A batch [`Layer::begin`] started.
+// Boxing the fleet's variant would allocate once per batch, which the
+// allocation budget (`tests/alloc_budget.rs`) forbids; a begun batch
+// lives on the stack of the call that finishes it.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Started<'a> {
+    /// Nothing shipped yet: [`Started::finish`] runs the whole batch
+    /// through the layer's [`Layer::call_many`]. Dropped, it sends
+    /// nothing.
+    Deferred(&'a dyn Layer, &'a [Request]),
+    /// A fleet's flights, in the air.
+    Scattered(Scatter<'a>),
+}
+
+impl Started<'_> {
+    /// Waits for the batch, judges and retries what it shipped, and hands
+    /// `reply` one answer per request, in request order, as
+    /// [`Layer::call_many`] does.
+    pub(crate) fn finish(self, reply: &mut dyn FnMut(Response, u64)) {
+        match self {
+            Started::Deferred(layer, reqs) => layer.call_many(&mut reqs.iter(), reply),
+            Started::Scattered(batch) => batch.finish(reply),
+        }
+    }
 }
 
 /// One request framed for an edge: the bytes every attempt ships and
@@ -184,6 +223,10 @@ impl Edge {
 }
 
 impl Layer for Edge {
+    fn begin<'a>(&'a self, reqs: &'a [Request]) -> Started<'a> {
+        Started::Deferred(self, reqs)
+    }
+
     /// Frames and ships the whole batch, then settles each exchange in
     /// request order. A reply that is already here when nothing older is
     /// still in flight is settled on the spot, so over a synchronous

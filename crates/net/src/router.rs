@@ -63,7 +63,7 @@ use asj_geom::{Point, Rect};
 use bytes::Bytes;
 
 use crate::codec::{wire_exact, WireVersion};
-use crate::edge::{Edge, Frame, Layer};
+use crate::edge::{Edge, Frame, Layer, Started};
 use crate::few::Few;
 use crate::health::{spread_hash, BreakerConfig, HealthSnapshot, ReplicaSetHealth};
 use crate::meter::{rate, LinkMeter, LinkSnapshot};
@@ -522,26 +522,25 @@ impl ShardRouter {
         f.result = Some(Landing::Resp(resp));
     }
 
-    /// Drives a set of flights to resolution — the fleet's retry loop,
-    /// over the same `frame`/`begin_many`/`judge` as the edge's own. All
-    /// in-flight tries are issued split-phase before any completion is
-    /// awaited, and *failed* flights re-issue together too — so recovery
-    /// latency is the max of the failures, not their sum. A failed try
-    /// first **fails over** along the flight's rotation (siblings cost
-    /// no retry budget); only once the rotation is exhausted does a
-    /// retry round begin, re-picking the rotation so breaker trips
-    /// observed meanwhile are honored. Observed shard generations only
-    /// ever move through the monotone [`ShardMeta::note_generation`] max — and
-    /// failed attempts never note one — so a retried round can never
-    /// regress the generation vector. Each flight fails and recovers
-    /// *individually* — a healthy shard's reply is kept as-is, never
-    /// re-fetched — and one that exhausts its budget lands a typed
-    /// [`Response::Unavailable`] (or, under
-    /// [`ShardRouter::with_allow_partial`], drops out of the merge) with
-    /// the shard recorded in [`FleetSnapshot::failed_shards`].
-    fn execute(&self, flights: &mut [Flight]) {
+    /// Drives a set of issued flights to resolution — the fleet's retry
+    /// loop, over the same `frame`/`begin_many`/`judge` as the edge's own.
+    /// All in-flight tries are issued split-phase before any completion
+    /// is awaited, and *failed* flights re-issue together too — so
+    /// recovery latency is the max of the failures, not their sum. A
+    /// failed try first **fails over** along the flight's rotation
+    /// (siblings cost no retry budget); only once the rotation is
+    /// exhausted does a retry round begin, re-picking the rotation so
+    /// breaker trips observed meanwhile are honored. Observed shard
+    /// generations only ever move through the monotone
+    /// [`ShardMeta::note_generation`] max — and failed attempts never
+    /// note one — so a retried round can never regress the generation
+    /// vector. Each flight fails and recovers *individually* — a healthy
+    /// shard's reply is kept as-is, never re-fetched — and one that
+    /// exhausts its budget lands a typed [`Response::Unavailable`] (or,
+    /// under [`ShardRouter::with_allow_partial`], drops out of the merge)
+    /// with the shard recorded in [`FleetSnapshot::failed_shards`].
+    fn resolve(&self, flights: &mut [Flight]) {
         loop {
-            self.issue(flights);
             for f in flights.iter_mut() {
                 if let Some((replica, pending)) = f.inflight.take() {
                     f.scheduled = false;
@@ -598,6 +597,7 @@ impl ShardRouter {
             if !unresolved {
                 return;
             }
+            self.issue(flights);
         }
     }
 
@@ -726,7 +726,8 @@ impl ShardRouter {
                 flights.push(Flight::new(0, i, frame.clone(), 0, Rotation::only(j), true));
             }
         }
-        self.execute(&mut flights);
+        self.issue(&flights);
+        self.resolve(&mut flights);
         // The batch is durable on a shard once *any* replica acks (the
         // shard generation fetch-maxes over the replica acks); a replica
         // that stayed dark catches up at its restart hook, and until
@@ -757,12 +758,11 @@ impl ShardRouter {
     }
 }
 
-impl Layer for ShardRouter {
-    fn call_many(
-        &self,
-        reqs: &mut dyn Iterator<Item = &Request>,
-        reply: &mut dyn FnMut(Response, u64),
-    ) {
+impl ShardRouter {
+    /// Begins a batch: frames every request's flights and issues them
+    /// split-phase, waiting on none (see [`Scatter`]).
+    fn scatter_all<'a, 'r: 'a>(&'a self, reqs: impl Iterator<Item = &'r Request>) -> Scatter<'a> {
+        let mut flights = Few::new();
         if self.edges.len() == 1 && self.edges[0].len() == 1 {
             // A fleet of one edge has nothing to prune and nothing to
             // merge: each request itself is one flight, so the sole
@@ -772,46 +772,106 @@ impl Layer for ShardRouter {
             // deployment while the scheduler still ticks its health,
             // breaker and retry accounting.
             let sole = |req| self.edges[0][0].frame(Cow::Borrowed(req));
-            let mut flights: Few<Flight> = reqs
+            flights = reqs
                 .map(|req| Flight::new(0, 0, sole(req), 0, Rotation::only(0), false))
                 .collect();
-            self.execute(flights.as_mut_slice());
-            for f in flights.as_mut_slice() {
+            self.issue(flights.as_slice());
+            return Scatter {
+                router: self,
+                flights,
+                exact: None,
+            };
+        }
+        // All the requests' pruned sub-requests fly as one set, request
+        // by request and in shard order within each; each request is
+        // then merged from its own run of them. Every request is
+        // scattered against one read of the fleet's bounds: bounds only
+        // grow, so a copy taken at batch start is a cut a racing read
+        // could see.
+        let mut bounds = BOUNDS.take();
+        bounds.extend(self.telemetry.metas.iter().map(|meta| meta.bounds()));
+        let exact = reqs
+            .enumerate()
+            .map(|(slot, req)| self.scatter(slot, req, &bounds, &mut flights))
+            .collect();
+        bounds.clear();
+        BOUNDS.set(bounds);
+        self.issue(flights.as_slice());
+        Scatter {
+            router: self,
+            flights,
+            exact: Some(exact),
+        }
+    }
+}
+
+/// A fleet batch begun: every request's flights framed and issued, none
+/// waited on yet. [`Scatter::finish`] drives them through failover and
+/// retry and merges each request's answer. A batch dropped unfinished
+/// waits on and judges every flight still in the air — the frames it
+/// shipped are charged to the meters as they crossed — and re-sends
+/// nothing.
+pub(crate) struct Scatter<'a> {
+    router: &'a ShardRouter,
+    flights: Few<Flight<'a>>,
+    /// Each request's [`wire_exact`] form, which its merge is taken on;
+    /// none on a fleet of one edge, whose flights' replies are the
+    /// answers.
+    exact: Option<Few<Request>>,
+}
+
+impl Scatter<'_> {
+    /// Resolves the flights, then answers each request in order: a merged
+    /// answer carries the fleet generation its run was served at (0 on a
+    /// frozen fleet), an `Ack` its own.
+    pub(crate) fn finish(mut self, reply: &mut dyn FnMut(Response, u64)) {
+        let router = self.router;
+        let mut rest = self.flights.as_mut_slice();
+        router.resolve(rest);
+        let Some(exact) = &self.exact else {
+            for f in rest {
                 match f.result.take() {
                     Some(Landing::Resp(resp)) => reply(resp, f.generation),
                     _ => reply(f.outcome.clone(), 0),
                 }
             }
             return;
-        }
-        // All the requests' pruned sub-requests fly as one set, request
-        // by request and in shard order within each; each request is
-        // then merged from its own run of them. A merged answer carries
-        // the fleet generation that run was served at (0 on a frozen
-        // fleet); an `Ack` carries its own. Every request is scattered
-        // against one read of the fleet's bounds: bounds only grow, so a
-        // copy taken at batch start is a cut a racing read could see.
-        let mut flights = Few::new();
-        let mut bounds = BOUNDS.take();
-        bounds.extend(self.telemetry.metas.iter().map(|meta| meta.bounds()));
-        let exact: Few<_> = reqs
-            .enumerate()
-            .map(|(slot, req)| self.scatter(slot, req, &bounds, &mut flights))
-            .collect();
-        bounds.clear();
-        BOUNDS.set(bounds);
-        let mut rest = flights.as_mut_slice();
-        self.execute(rest);
-        for (slot, req) in exact.into_iter().enumerate() {
+        };
+        for (slot, req) in exact.as_slice().iter().enumerate() {
             let own = rest.iter().take_while(|f| f.slot == slot).count();
             let (run, later) = std::mem::take(&mut rest).split_at_mut(own);
             rest = later;
-            let generation = self.served_at(run);
-            match self.merge(&req, run) {
+            let generation = router.served_at(run);
+            match router.merge(req, run) {
                 resp @ Response::Ack { generation } => reply(resp, generation),
                 resp => reply(resp, generation),
             }
         }
+    }
+}
+
+impl Drop for Scatter<'_> {
+    fn drop(&mut self) {
+        let router = self.router;
+        for f in self.flights.as_mut_slice() {
+            if let Some((replica, pending)) = f.inflight.take() {
+                router.evaluate(f, replica, pending.wait());
+            }
+        }
+    }
+}
+
+impl Layer for ShardRouter {
+    fn begin<'a>(&'a self, reqs: &'a [Request]) -> Started<'a> {
+        Started::Scattered(self.scatter_all(reqs.iter()))
+    }
+
+    fn call_many(
+        &self,
+        reqs: &mut dyn Iterator<Item = &Request>,
+        reply: &mut dyn FnMut(Response, u64),
+    ) {
+        self.scatter_all(reqs).finish(reply);
     }
 
     fn set_retry(&mut self, retry: RetryPolicy) {

@@ -16,7 +16,9 @@
 //! Exchanges are split-phase: [`RawExchange::begin`] ships a request and
 //! returns an owned [`Pending`]; independent requests begun together
 //! ([`RawExchange::begin_many`], [`Link::request_many`]) share a round
-//! trip.
+//! trip. A link is split-phase too: [`Link::begin`] starts a batch and
+//! [`Begun::finish`] waits for it, so batches begun on two links before
+//! either is finished share a round trip as well.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,7 +26,7 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 
 use crate::codec::{garble_frame, is_unavailable, unavailable_frame, WireVersion};
-use crate::edge::{Edge, Layer};
+use crate::edge::{Edge, Layer, Started};
 use crate::fault::FaultCounters;
 use crate::mailbox::SlotEnd;
 use crate::meter::LinkMeter;
@@ -189,6 +191,39 @@ impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
     }
 }
 
+/// A write ends a run of a batch: nothing issued after it travels with it.
+fn is_write(req: &Request) -> bool {
+    matches!(req, Request::ApplyUpdates(_))
+}
+
+/// A batch [`Link::begin`] started: its first run (up to and including
+/// its first write) begun below, the runs after it not yet sent.
+///
+/// Dropped unfinished, it still charges every frame it shipped to the
+/// link's meters, as they crossed, and never sends what it deferred.
+#[must_use = "a begun batch is answered by `finish`"]
+pub struct Begun<'a> {
+    link: &'a Link,
+    first: Started<'a>,
+    rest: &'a [Request],
+}
+
+impl Begun<'_> {
+    /// Waits for the batch and hands `reply` exactly one response per
+    /// request, in request order, as [`Link::request_many`] does.
+    pub fn finish(self, mut reply: impl FnMut(Response)) {
+        let link = self.link;
+        let mut reply = |resp, generation| {
+            link.observe(generation);
+            reply(resp);
+        };
+        self.first.finish(&mut reply);
+        for run in self.rest.split_inclusive(is_write) {
+            link.stack.begin(run).finish(&mut reply);
+        }
+    }
+}
+
 /// The device's metered handle to one server (or one fleet of shard
 /// servers behind a [`ShardRouter`](crate::router::ShardRouter)): the top
 /// of the link stack described in the crate docs.
@@ -293,9 +328,9 @@ impl Link {
     /// A failed exchange surfaces typed, as [`Response::Unavailable`] or
     /// [`Response::Malformed`], after any retry budget is spent.
     pub fn request(&self, req: &Request) -> Response {
-        let (resp, generation) = self.stack.call(req);
-        self.observe(generation);
-        resp
+        let mut answer = None;
+        self.request_many(std::slice::from_ref(req), |resp| answer = Some(resp));
+        answer.expect("every request is answered")
     }
 
     /// Widens the generation window by one reply's serving generation.
@@ -310,14 +345,26 @@ impl Link {
     /// exactly one response per request, in request order — the same
     /// responses, bytes and meter charges as issuing them one by one. A
     /// write is a barrier: `ApplyUpdates` ends its run, so no request
-    /// travels with a write it was issued after.
-    pub fn request_many(&self, reqs: &[Request], mut reply: impl FnMut(Response)) {
-        for run in reqs.split_inclusive(|req| matches!(req, Request::ApplyUpdates(_))) {
-            self.stack
-                .call_many(&mut run.iter(), &mut |resp, generation| {
-                    self.observe(generation);
-                    reply(resp);
-                });
+    /// travels with a write it was issued after. This is
+    /// [`Link::begin`] and [`Begun::finish`] back to back.
+    pub fn request_many(&self, reqs: &[Request], reply: impl FnMut(Response)) {
+        self.begin(reqs).finish(reply)
+    }
+
+    /// Begins independent requests without waiting for them: ships what
+    /// the stack can ship now and returns the batch, which
+    /// [`Begun::finish`] waits for. What a batch does between the two is
+    /// exactly what [`Link::request_many`] does: the same requests,
+    /// frames, fault rolls, bytes and replies. Only a fleet ships at
+    /// `begin`; a flat or cached link defers the whole batch to `finish`,
+    /// and so does every request after the batch's first write.
+    pub fn begin<'a>(&'a self, reqs: &'a [Request]) -> Begun<'a> {
+        let first = reqs.iter().position(is_write).map_or(reqs.len(), |i| i + 1);
+        let (first, rest) = reqs.split_at(first);
+        Begun {
+            link: self,
+            first: self.stack.begin(first),
+            rest,
         }
     }
 
