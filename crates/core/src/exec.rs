@@ -1025,6 +1025,9 @@ mod tests {
         // leaf fits on paper, and the buffer refuses it once R is in. The
         // fallback splits and joins four leaves of 25 + 25, so R's window
         // is read once whole and once in quarters, and nothing is forced.
+        // S's whole window was begun together with R's, but the in-process
+        // stack defers a batch to its finish, so the refused leaf never
+        // sent it.
         let dep = deployment(120);
         let spec = JoinSpec::distance_join(0.5);
         let pts = grid_points(10, 10.0, 0);
@@ -1055,6 +1058,47 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, want, "{planner}");
         }
+    }
+
+    #[test]
+    fn both_sides_share_a_round_trip_where_neither_waits_on_the_other() {
+        let spec = JoinSpec::distance_join(0.5);
+        let frozen = deployment(800);
+        let live = crate::deploy::DeploymentBuilder::new(
+            grid_points(10, 10.0, 0),
+            grid_points(10, 10.0, 0),
+        )
+        .with_buffer(800)
+        .with_space(Rect::from_coords(0.0, 0.0, 90.0, 90.0))
+        .live()
+        .build();
+        let w = frozen.space();
+        let ctx = ExecCtx::new(&frozen, &spec);
+        let trips = |ctx: &ExecCtx<'_>| ctx.links.round_trips.get();
+        assert_eq!(ctx.counts(&w), (100, 100));
+        assert_eq!(trips(&ctx), 1);
+        let split = ctx.quadrant_split(&w, ());
+        assert_eq!(trips(&ctx), 2);
+        let one_by_one = w
+            .quadrants()
+            .map(|q| (ctx.count(Side::R, &q), ctx.count(Side::S, &q)));
+        assert_eq!(split.map(|(r, s, ())| (r as u64, s as u64)), one_by_one);
+        // A frozen leaf whose counts fit: one round trip, and the bytes,
+        // pairs and peak of the sequential leaf.
+        let mut together = ExecCtx::new(&frozen, &spec);
+        together.counted_leaf(&w, 100, 100).unwrap();
+        assert_eq!(trips(&together), 1);
+        let mut sequential = ExecCtx::new(&frozen, &spec);
+        sequential.hbsj_leaf(&w, Some(100)).unwrap();
+        assert_eq!(trips(&sequential), 2);
+        let (a, b) = (together.finish("t"), sequential.finish("s"));
+        assert_eq!((a.link_r, a.link_s), (b.link_r, b.link_s));
+        assert_eq!((a.pairs, a.peak_buffer), (b.pairs, b.peak_buffer));
+        assert_eq!((a.stats.round_trips, b.stats.round_trips), (1, 2));
+        // Live, S waits for R's reservation.
+        let mut ctx = ExecCtx::new(&live, &spec);
+        ctx.counted_leaf(&w, 100, 100).unwrap();
+        assert_eq!(trips(&ctx), 2);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! [`Edge::judge`] charges and classifies, and the edge's own
 //! [`Layer::call_many`] ships a batch, then judges each reply in order
 //! and retries failures one by one. Everything above speaks
-//! [`Layer::begin`] and [`Started::finish`]; [`Layer::call_many`] is the
-//! two back to back.
+//! [`Layer::begin`] and [`Started::finish`].
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
@@ -39,20 +38,19 @@ static EDGE_NONCE: AtomicU64 = AtomicU64::new(1);
 pub(crate) trait Layer: Send + Sync {
     /// Begins a batch: ships what this layer can ship before anyone waits
     /// and leaves the rest — the waiting, judging, retrying and merging —
-    /// to [`Started::finish`]. A layer with nothing to overlap defers the
-    /// whole batch ([`Started::Deferred`]): the edge, whose in-process
-    /// carrier serves a request as it ships it, and the cache, whose
-    /// lookups then run where a batch begun and finished at once runs
-    /// them.
+    /// to [`Started::finish`]. The edge and the cache defer the whole
+    /// batch ([`Started::Deferred`]): over an in-process carrier shipping
+    /// a request is serving it, so there is nothing to overlap, and the
+    /// cache's lookups then run where a batch asked at once runs them.
     fn begin<'a>(&'a self, reqs: &'a [Request]) -> Started<'a>;
 
     /// Answers independent logical requests together — a single request
     /// is a batch of one. `reply` receives one answer per request, in
     /// request order: the response, and the serving generation it
     /// reports (an `Ack`'s payload, otherwise the reply's stamp; 0 from a
-    /// frozen server or a failed exchange). A batch begun and finished at
-    /// once: the router's is its [`Layer::begin`] and
-    /// [`Started::finish`], and a deferring layer's `finish` is this.
+    /// frozen server or a failed exchange). The router's is its
+    /// [`Layer::begin`] and [`Started::finish`] back to back; a deferred
+    /// batch's `finish` calls this.
     fn call_many(
         &self,
         reqs: &mut dyn Iterator<Item = &Request>,

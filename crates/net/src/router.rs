@@ -756,14 +756,11 @@ impl ShardRouter {
         }
         Response::Ack { generation: sum }
     }
-}
 
-impl ShardRouter {
     /// Begins a batch: frames every request's flights and issues them
     /// split-phase, waiting on none (see [`Scatter`]).
     fn scatter_all<'a, 'r: 'a>(&'a self, reqs: impl Iterator<Item = &'r Request>) -> Scatter<'a> {
-        let mut flights = Few::new();
-        if self.edges.len() == 1 && self.edges[0].len() == 1 {
+        let (flights, exact) = if self.edges.len() == 1 && self.edges[0].len() == 1 {
             // A fleet of one edge has nothing to prune and nothing to
             // merge: each request itself is one flight, so the sole
             // shard sees exactly the frames a flat link would send it
@@ -772,35 +769,31 @@ impl ShardRouter {
             // deployment while the scheduler still ticks its health,
             // breaker and retry accounting.
             let sole = |req| self.edges[0][0].frame(Cow::Borrowed(req));
-            flights = reqs
-                .map(|req| Flight::new(0, 0, sole(req), 0, Rotation::only(0), false))
+            let flights = reqs.map(|req| Flight::new(0, 0, sole(req), 0, Rotation::only(0), false));
+            (flights.collect(), None)
+        } else {
+            // All the requests' pruned sub-requests fly as one set,
+            // request by request and in shard order within each; each
+            // request is then merged from its own run of them. Every
+            // request is scattered against one read of the fleet's
+            // bounds: bounds only grow, so a copy taken at batch start is
+            // a cut a racing read could see.
+            let mut flights = Few::new();
+            let mut bounds = BOUNDS.take();
+            bounds.extend(self.telemetry.metas.iter().map(|meta| meta.bounds()));
+            let exact = reqs
+                .enumerate()
+                .map(|(slot, req)| self.scatter(slot, req, &bounds, &mut flights))
                 .collect();
-            self.issue(flights.as_slice());
-            return Scatter {
-                router: self,
-                flights,
-                exact: None,
-            };
-        }
-        // All the requests' pruned sub-requests fly as one set, request
-        // by request and in shard order within each; each request is
-        // then merged from its own run of them. Every request is
-        // scattered against one read of the fleet's bounds: bounds only
-        // grow, so a copy taken at batch start is a cut a racing read
-        // could see.
-        let mut bounds = BOUNDS.take();
-        bounds.extend(self.telemetry.metas.iter().map(|meta| meta.bounds()));
-        let exact = reqs
-            .enumerate()
-            .map(|(slot, req)| self.scatter(slot, req, &bounds, &mut flights))
-            .collect();
-        bounds.clear();
-        BOUNDS.set(bounds);
+            bounds.clear();
+            BOUNDS.set(bounds);
+            (flights, Some(exact))
+        };
         self.issue(flights.as_slice());
         Scatter {
             router: self,
             flights,
-            exact: Some(exact),
+            exact,
         }
     }
 }

@@ -17,7 +17,7 @@
 //! returns an owned [`Pending`]; independent requests begun together
 //! ([`RawExchange::begin_many`], [`Link::request_many`]) share a round
 //! trip. A link is split-phase too: [`Link::begin`] starts a batch and
-//! [`Begun::finish`] waits for it, so batches begun on two links before
+//! [`Begun::finish`] waits for it, so two fleets' batches begun before
 //! either is finished share a round trip as well.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -5,8 +5,8 @@
 //! * Two links whose batches are begun together answer what they answer
 //!   one after the other, reply for reply, and leave equal meters behind.
 //!   This holds on a flat link, on a 4×2 fleet over a reactor with faults,
-//!   retry and breakers on, and on a cached link, batches with a write in
-//!   them included.
+//!   retry and breakers on, and on a cached link; on the flat and cached
+//!   links a write in a batch ends its first run.
 //! * A fleet batch dropped unfinished leaves its meters equal to the
 //!   frames that crossed, failed ones included, and re-sends nothing.
 //! * A deferring stack (flat or cached) ships nothing at `begin`, so a
