@@ -54,15 +54,18 @@
 //! other's answer, R's batch and S's are begun before either is waited
 //! on: the root `counts`, every quadrant split, UpJoin's refresh of two
 //! estimated counts, and an HBSJ leaf of [`Decision::Hbsj`] or
-//! [`Decision::Forced`] on a frozen deployment whose two counts fit the
-//! buffer together. A fleet puts both sides' flights on the wire at once,
+//! [`Decision::Forced`] whose two counts are exact and fit the buffer
+//! together. A fleet puts both sides' flights on the wire at once,
 //! and its reactor serves them in one activation; a flat or cached link
 //! defers its batch to `finish`, so it waits as before. Requests per
 //! link and their order, bytes, pairs and plans are those of asking R,
 //! then S; only [`ExecStats::round_trips`] counts one wait where it
-//! counted two. A live leaf still asks S after R's reservation: a writer
-//! can grow a window after its COUNT, and a leaf the buffer refuses must
-//! not have paid for S. So does the public [`ExecCtx::hbsj_leaf`].
+//! counted two. A leaf whose counts may understate its window still asks
+//! S after R's reservation, because a leaf the buffer refuses must not
+//! have paid for S. That is a live deployment's leaf (a writer can grow
+//! a window after its COUNT) and a leaf under `NetConfig::allow_partial`
+//! (a COUNT can leave out a shard that a later WINDOW reads). So does
+//! the public [`ExecCtx::hbsj_leaf`].
 //!
 //! # Exactly once on a live deployment
 //!
@@ -153,9 +156,12 @@ pub struct ExecStats {
     /// deployment and on a live join that read one generation per flat
     /// side (see the module docs).
     pub collapsed_pairs: Option<usize>,
-    /// One per point where the join waited on its links: one non-empty
-    /// [`Link`] call, or one R and S pair of batches begun together.
-    /// Exact, and the same on every carrier.
+    /// One per non-empty [`Link`] call, and one per R and S pair of
+    /// batches begun together ([`Link::begin`]). Exact, and the same on
+    /// every carrier. It counts requests the join could wait on at once,
+    /// not waits: only a fleet serves such a pair in one wait. A flat or
+    /// cached link defers each side's batch to its finish, so it still
+    /// waits once per side.
     pub round_trips: u32,
 }
 
@@ -373,6 +379,15 @@ impl Links {
     }
 }
 
+/// The counts a batch of `N` COUNTs answers, in request order: `ask`
+/// sends the batch and hands each reply to the callback it is given.
+fn fill_counts<const N: usize>(ask: impl FnOnce(&mut dyn FnMut(Response))) -> [u64; N] {
+    let mut counts = [0; N];
+    let mut slots = counts.iter_mut();
+    ask(&mut |resp| *slots.next().expect("one reply per request") = resp.into_count());
+    counts
+}
+
 /// The objects a batch of one WINDOW answers.
 fn objects(batch: Begun<'_>) -> Vec<SpatialObject> {
     let mut objects = Vec::new();
@@ -405,6 +420,12 @@ pub struct ExecCtx<'a> {
     workers: usize,
     /// The deployment takes updates, so a writer may race this join.
     live: bool,
+    /// Every COUNT is exact: the deployment is frozen, and no read may
+    /// leave out a shard whose replicas were exhausted
+    /// ([`NetConfig::allow_partial`] is off).
+    ///
+    /// [`NetConfig::allow_partial`]: asj_net::NetConfig::allow_partial
+    exact_counts: bool,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -439,6 +460,7 @@ impl<'a> ExecCtx<'a> {
             min_window,
             workers: deployment.workers,
             live: deployment.is_live(),
+            exact_counts: !deployment.is_live() && !deployment.net().allow_partial,
         }
     }
 
@@ -512,13 +534,10 @@ impl<'a> ExecCtx<'a> {
     fn counts_of<const N: usize>(&self, windows: &[Rect; N]) -> ([u64; N], [u64; N]) {
         let reqs = windows.map(|w| Request::Count(self.ext(&w)));
         let (batch_r, batch_s) = self.links.begin_both(&reqs, &reqs);
-        let take = |batch: Begun<'_>| {
-            let mut counts = [0; N];
-            let mut slots = counts.iter_mut();
-            batch.finish(|resp| *slots.next().expect("one reply per request") = resp.into_count());
-            counts
-        };
-        (take(batch_r), take(batch_s))
+        (
+            fill_counts(|reply| batch_r.finish(reply)),
+            fill_counts(|reply| batch_s.finish(reply)),
+        )
     }
 
     /// `COUNT` of every window on one side, in window order: one COUNT
@@ -539,13 +558,8 @@ impl<'a> ExecCtx<'a> {
     /// [`ExecCtx::window_counts`] without its vectors: a split is the
     /// device's hottest statistics path.
     pub fn quadrant_counts(&self, side: Side, quads: &[Rect; 4]) -> [u64; 4] {
-        let mut counts = [0; 4];
         let reqs = quads.map(|q| Request::Count(self.ext(&q)));
-        let mut slots = counts.iter_mut();
-        self.links.request_many(side, &reqs, |resp| {
-            *slots.next().expect("one reply per request") = resp.into_count();
-        });
-        counts
+        fill_counts(|reply| self.links.request_many(side, &reqs, reply))
     }
 
     /// Buys the COUNTs of `w`'s four quadrants, R's four and S's four in
@@ -642,14 +656,16 @@ impl<'a> ExecCtx<'a> {
 
     /// HBSJ on one window whose two counts are known, as [`Decision::Hbsj`]
     /// and [`Decision::Forced`] run it: [`ExecCtx::hbsj_leaf`] with
-    /// `|Sw|`, except that on a frozen deployment where the two counts fit
-    /// the buffer together, R's window and S's are begun in one round
-    /// trip. A frozen deployment's counts are exact, so the buffer does
-    /// not refuse such a leaf after S's window was shipped. On a live one
-    /// a writer can grow a window after its COUNT, so S still waits for
-    /// R's reservation.
+    /// `|Sw|`, except that where the counts are exact and fit the buffer
+    /// together, R's window and S's are begun in one round trip. Exact
+    /// counts cannot understate a window, so the buffer does not refuse
+    /// such a leaf after S's window was shipped. Elsewhere S still waits
+    /// for R's reservation: on a live deployment a writer can grow a
+    /// window after its COUNT, and under
+    /// [`NetConfig::allow_partial`](asj_net::NetConfig::allow_partial) a
+    /// COUNT can leave out a shard that a later WINDOW reads again.
     fn counted_leaf(&mut self, w: &Rect, count_r: u64, count_s: u64) -> Result<(), BufferExceeded> {
-        let together = !self.live && self.buffer.fits((count_r + count_s) as usize);
+        let together = self.exact_counts && self.buffer.fits((count_r + count_s) as usize);
         self.leaf(w, Some(count_s), together)
     }
 
@@ -1099,6 +1115,45 @@ mod tests {
         let mut ctx = ExecCtx::new(&live, &spec);
         ctx.counted_leaf(&w, 100, 100).unwrap();
         assert_eq!(trips(&ctx), 2);
+    }
+
+    #[test]
+    fn a_partial_count_never_begins_s_beside_r() {
+        // Two shards a side, cut at x = 45, and replica 0 of every shard
+        // dark for its third exchange. Two COUNTs of a corner reach R's
+        // left shard only, so the root COUNT loses that shard on R (50 of
+        // 100) and none on S. The leaf's counts fit a buffer of 160 on
+        // paper; R's window reads both shards again, and the buffer
+        // refuses the leaf once R is in. S's window must not have been
+        // begun beside R's: it would cross the wire before the refusal.
+        let dep = crate::deploy::DeploymentBuilder::new(
+            grid_points(10, 10.0, 0),
+            grid_points(10, 10.0, 0),
+        )
+        .with_buffer(160)
+        .with_space(Rect::from_coords(0.0, 0.0, 90.0, 90.0))
+        .with_net(asj_net::NetConfig::default().with_allow_partial(true))
+        .with_shards(2, 2)
+        .with_faults(asj_net::FaultPlan::seeded(0).with_crash(2, 1))
+        .build();
+        let spec = JoinSpec::distance_join(0.5);
+        let mut ctx = ExecCtx::new(&dep, &spec);
+        let corner = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
+        assert_eq!(
+            [ctx.count(Side::R, &corner), ctx.count(Side::R, &corner)],
+            [4, 4]
+        );
+        let w = dep.space();
+        assert_eq!(ctx.counts(&w), (50, 100), "R's COUNT lost its left shard");
+        let s_before = ctx.link(Side::S).meter().snapshot();
+        assert!(ctx.counted_leaf(&w, 50, 100).is_err());
+        assert_eq!(ctx.link(Side::R).meter().snapshot().objects_received, 100);
+        assert_eq!(
+            ctx.link(Side::S).meter().snapshot(),
+            s_before,
+            "S's window must not be paid for"
+        );
+        assert_eq!(ctx.links.round_trips.get(), 4);
     }
 
     #[test]
