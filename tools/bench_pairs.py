@@ -2,17 +2,17 @@
 """Paired benchmark runs of two commits: a perf claim as one command.
 
     python3 tools/bench_pairs.py pair A B [--rounds N] [--holdout N]
-        [--seconds S] [--workload W ...] [--moves METRIC ...] [--work DIR]
+        [--moves METRIC ...] [--work DIR]
 
 `pair A B` exports each commit's tracked tree (`git archive`) into a
 work directory and builds its benchmark there once (`cargo build
 --release --offline --locked --manifest-path benchmark/Cargo.toml`). Then
-it runs N rounds at seed `--seed` (7) and `--holdout` more at the held-out
-seed 1007. A round runs every workload once on A and once on B, back to
-back, and flips which goes first each round, so a slow spell of the host
-lands on both sides alike. Each run is
+it runs N rounds at seed 7 and `--holdout` more at the held-out seed 1007.
+A round runs every workload that `BENCHMARK.json` declares once on A and
+once on B, back to back, and flips which goes first each round, so a slow
+spell of the host lands on both sides alike. Each run is
 
-    asj-benchmark --workload W --seed S --seconds T --trace 0
+    asj-benchmark --workload W --seed S --seconds 10 --trace 0
 
 and the last line of its standard output is its JSON result.
 
@@ -41,7 +41,9 @@ import subprocess
 import sys
 import tempfile
 
+SEED = 7
 HOLDOUT_SEED = 1007
+SECONDS = 10
 EXACT = ("wire_bytes_per_op", "correct", "failed")
 ROW = "| %-18s | %-20s | %-20s | %+7.1f %% | %5s | %-3s |"
 
@@ -76,11 +78,11 @@ def build(tree):
     return os.path.join(tree, "benchmark", "target", "release", "asj-benchmark")
 
 
-def run(binary, workload, seed, seconds):
+def run(binary, workload, seed):
     """One run; returns its JSON result line, parsed."""
-    cmd = [binary, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    cmd = [binary, "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
     cmd += ["--trace", "0"]
-    done = subprocess.run(cmd, capture_output=True, text=True, timeout=30 * seconds + 300)
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=30 * SECONDS + 300)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit("%s failed (exit %d):\n%s" % (" ".join(cmd), done.returncode, done.stderr[-3000:]))
@@ -122,7 +124,7 @@ def pair(args, root):
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as f:
         declared = json.load(f)
     metrics = declared["end_to_end"]
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    workloads = [w["name"] for w in declared["workloads"]]
     unknown = set(args.moves) - {m["name"] for m in metrics} - set(EXACT)
     if unknown:
         raise SystemExit("--moves names no metric: %s" % ", ".join(sorted(unknown)))
@@ -134,14 +136,14 @@ def pair(args, root):
             tree, sha = export(root, rev, work)
             binaries[side] = build(tree)
             print("%s = %s (%s), built" % (side, rev, sha), flush=True)
-        schedule = [(args.seed, i) for i in range(args.rounds)]
+        schedule = [(SEED, i) for i in range(args.rounds)]
         schedule += [(HOLDOUT_SEED, i) for i in range(args.holdout)]
         results = {}
         problems = []
         for k, (seed, i) in enumerate(schedule):
             order = ("A", "B") if k % 2 == 0 else ("B", "A")
             for w in workloads:
-                got = {side: run(binaries[side], w, seed, args.seconds) for side in order}
+                got = {side: run(binaries[side], w, seed) for side in order}
                 results.setdefault((w, seed), []).append((got["A"], got["B"]))
                 for name in EXACT:
                     if name not in args.moves and value(got["A"], name) != value(got["B"], name):
@@ -167,11 +169,8 @@ def main():
     p = sub.add_parser("pair", help="alternating paired runs of commits A and B")
     p.add_argument("a", help="the parent commit (any git revision)")
     p.add_argument("b", help="the changed commit")
-    p.add_argument("--rounds", type=int, default=10, help="pairs at --seed (default 10)")
+    p.add_argument("--rounds", type=int, default=10, help="pairs at seed 7 (default 10)")
     p.add_argument("--holdout", type=int, default=2, help="pairs at seed 1007 (default 2)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--seconds", type=int, default=10)
-    p.add_argument("--workload", action="append", help="only this workload (repeatable)")
     p.add_argument("--moves", action="append", default=[],
                    help="a metric of %s the change moves on purpose (repeatable)" % ", ".join(EXACT))
     p.add_argument("--work", help="keep exported trees and builds here")
