@@ -14,7 +14,6 @@
 //! aligned tables on stdout and CSV files under `results/`.
 
 pub mod experiments;
-pub mod fault;
 pub mod runner;
 pub mod table;
 

@@ -5,11 +5,19 @@
 //! model on *estimated* (fractional) counts — UpJoin keeps `|Dw|/4`
 //! estimates for datasets it has labelled uniform.
 //!
-//! The model predicts what the meters in `asj-net` will measure: the same
-//! packetization (`TB`), the same message framing constants from the codec.
-//! Prediction error — e.g. the uniformity assumption inside `Tdq` — is
-//! intentional and exactly the paper's: decisions are made on estimates,
-//! results are measured on the wire.
+//! The model prices what the meters in `asj-net` measure with the same
+//! packetization (`TB`) and the same message framing constants from the
+//! codec. Its error is of two kinds. *Estimation* error — e.g. the
+//! uniformity assumption inside `Tdq` — is intentional and exactly the
+//! paper's: decisions are made on estimates, results are measured on the
+//! wire. *Accounting* error is not intended: four terms the meters
+//! charge are not priced here at all —
+//!
+//! * the generation stamp on every response served at generation > 0
+//!   (9 bytes on v1, a varint on v2);
+//! * v2's request marker, one byte before every v2 request;
+//! * v2's varint COUNT answer, priced as v1's `ANSWER_BYTES`;
+//! * one ε-probe copy per shard its reach touches (`nlsj` prices one).
 
 use asj_geom::Rect;
 use asj_net::codec::{
@@ -76,23 +84,6 @@ impl CostModel {
                 OBJ_BYTES as f64
             },
         }
-    }
-
-    /// Expected attempts issued per request under iid loss `drop_rate`
-    /// with a budget of `max_attempts`: attempt `k + 1` is issued iff the
-    /// first `k` all failed, so `E = Σ pᵏ = (1 − pⁿ)/(1 − p)` — exactly
-    /// `1.0` on a reliable link or a single-attempt budget, approaching
-    /// `1/(1 − p)` as the budget grows.
-    pub fn expected_attempts(drop_rate: f64, max_attempts: u32) -> f64 {
-        assert!(
-            (0.0..1.0).contains(&drop_rate),
-            "drop rate must be in [0, 1)"
-        );
-        assert!(max_attempts >= 1, "the first attempt is always issued");
-        if drop_rate == 0.0 {
-            return 1.0;
-        }
-        (1.0 - drop_rate.powi(max_attempts as i32)) / (1.0 - drop_rate)
     }
 
     /// Sets the per-side shard fan-out factors (≥ 1).
@@ -520,21 +511,5 @@ mod tests {
     #[should_panic(expected = "price multipliers")]
     fn zero_discount_rejected() {
         model(800).with_cache_discount(0.0, 1.0);
-    }
-
-    #[test]
-    fn retry_factor_prices_expected_attempts() {
-        // E = (1 − pⁿ)/(1 − p): half the requests retry once at p = 0.5
-        // with a budget of 2.
-        assert_eq!(CostModel::expected_attempts(0.5, 2), 1.5);
-        assert_eq!(CostModel::expected_attempts(0.0, 5), 1.0);
-        assert_eq!(CostModel::expected_attempts(0.5, 1), 1.0);
-        // Monotone in the budget, approaching 1/(1 − p) from below.
-        let mut last = 0.0;
-        for n in 1..20 {
-            let e = CostModel::expected_attempts(0.5, n);
-            assert!(e > last && e < 2.0);
-            last = e;
-        }
     }
 }

@@ -91,9 +91,10 @@ enum Carrier {
 /// Decorrelates the scripted fault stream per replica edge: replica 0
 /// keeps the plan's seed, sibling `j` gets `seed ^ j·φ`. The derivation
 /// is independent of the replica *count*, so growing a fleet from 1 to
-/// n replicas never reshuffles the faults an existing edge sees — the
-/// fault-matrix monotonicity claim (more replicas, never fewer
-/// successes) rests on exactly this.
+/// n replicas never reshuffles the faults an existing edge sees — more
+/// replicas, never fewer successes, which the property
+/// `success_is_monotone_in_the_replica_count` in
+/// `tests/prop_end_to_end.rs` holds per request.
 fn replica_plan(plan: &FaultPlan, replica: usize) -> FaultPlan {
     let mut p = *plan;
     p.seed ^= (replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);

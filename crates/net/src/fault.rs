@@ -22,8 +22,10 @@
 //! delivery. Thread scheduling therefore cannot change which fault an
 //! attempt draws: a chaos run is replayable from its seed alone, and
 //! raising a retry budget only *appends* attempts (attempts `0..k` roll
-//! identically at every budget ≥ `k`), which is what makes join success
-//! rate structurally monotone in the retry budget at a fixed drop rate.
+//! identically at every budget ≥ `k`), which is what makes a request's
+//! success structurally monotone in the retry budget at a fixed seed —
+//! the law `success_is_monotone_in_the_retry_budget` in the facade's
+//! `tests/prop_end_to_end.rs` holds per request on generated scripts.
 //! The crash window is keyed by the layer's exchange counter instead, so
 //! it is deterministic for a serial request stream and approximately
 //! placed under concurrency.
@@ -400,8 +402,9 @@ mod tests {
     #[test]
     fn attempt_rolls_are_budget_stable_and_reset_on_clean_delivery() {
         // Attempts 0..k of one request roll identically regardless of how
-        // many more attempts follow — the structural monotonicity the
-        // fault-matrix CI check rests on.
+        // many more attempts follow — the structural monotonicity that
+        // `success_is_monotone_in_the_retry_budget` (tests/prop_end_to_end.rs)
+        // holds a whole deployment to.
         let plan = FaultPlan::seeded(11).with_drops(0.6);
         let layer_a = FaultLayer::new(inner(), plan);
         let layer_b = FaultLayer::new(inner(), plan);

@@ -1,5 +1,5 @@
-//! Per-endpoint health: deterministic circuit breakers and EWMA failure
-//! tracking for replicated shard fleets.
+//! Per-endpoint health: deterministic circuit breakers for replicated
+//! shard fleets.
 //!
 //! # The breaker contract
 //!
@@ -39,10 +39,6 @@
 //! router: the client cache never admits a stale window at a fresh
 //! content generation, and the never-wrong envelope of the chaos suites
 //! survives arbitrary failover orders.
-//!
-//! EWMA failure rates are tracked per edge in integer parts-per-million
-//! (fixed point, window [`EWMA_WINDOW`]) so snapshots stay `Eq`-comparable
-//! and bit-reproducible across runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -52,8 +48,8 @@ use std::sync::Mutex;
 /// byte-identical to pre-breaker builds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
-    /// When `false` (the default) EWMA and consecutive-failure tracking
-    /// still run — they are observability — but the state machine stays
+    /// When `false` (the default) consecutive failures are still
+    /// counted — they are observability — but the state machine stays
     /// Closed and routing never skips an edge.
     pub enabled: bool,
     /// Consecutive failures that trip a Closed breaker to Open.
@@ -112,13 +108,6 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// EWMA window: each sample moves the tracked failure rate by 1/8 of the
-/// distance to the new observation. Integer arithmetic in ppm, so the
-/// trace is deterministic and snapshots stay `Eq`.
-pub const EWMA_WINDOW: u64 = 8;
-
-const PPM: u64 = 1_000_000;
-
 #[derive(Debug, Default)]
 struct EdgeState {
     /// Consecutive failed exchanges since the last success.
@@ -126,14 +115,9 @@ struct EdgeState {
     /// Exchange-clock reading at the moment the breaker last opened;
     /// `None` while Closed.
     opened_at: Option<u64>,
-    /// EWMA failure rate in parts-per-million.
-    ewma_ppm: u64,
-    /// Times the breaker transitioned to Open (first trips and half-open
-    /// probe failures both count).
-    trips: u64,
 }
 
-/// Health of one replica edge: breaker state plus EWMA failure tracking.
+/// Health of one replica edge: breaker state and consecutive failures.
 /// All methods take the owning replica set's exchange clock, never a wall
 /// clock — see the module docs.
 #[derive(Debug, Default)]
@@ -146,10 +130,6 @@ impl EdgeHealth {
         EdgeHealth::default()
     }
 
-    fn ewma(prev: u64, sample: u64) -> u64 {
-        (prev * (EWMA_WINDOW - 1) + sample) / EWMA_WINDOW
-    }
-
     /// Records a successful exchange: resets the consecutive-failure
     /// counter and closes the breaker (a HalfOpen probe succeeding is the
     /// close transition; an Open edge succeeding as a last resort heals
@@ -158,7 +138,6 @@ impl EdgeHealth {
         let mut s = self.state.lock().expect("health lock poisoned");
         s.consecutive = 0;
         s.opened_at = None;
-        s.ewma_ppm = Self::ewma(s.ewma_ppm, 0);
     }
 
     /// Records a failed exchange at exchange-clock reading `clock`.
@@ -168,7 +147,6 @@ impl EdgeHealth {
     pub fn on_failure(&self, cfg: &BreakerConfig, clock: u64) -> bool {
         let mut s = self.state.lock().expect("health lock poisoned");
         s.consecutive = s.consecutive.saturating_add(1);
-        s.ewma_ppm = Self::ewma(s.ewma_ppm, PPM);
         if !cfg.enabled {
             return false;
         }
@@ -176,14 +154,12 @@ impl EdgeHealth {
             // A failed HalfOpen probe re-opens and restarts the cooldown.
             Some(at) if clock >= at.saturating_add(cfg.cooldown) => {
                 s.opened_at = Some(clock);
-                s.trips += 1;
                 true
             }
             // Still Open (last-resort traffic failed): hold the state.
             Some(_) => false,
             None if s.consecutive >= cfg.threshold => {
                 s.opened_at = Some(clock);
-                s.trips += 1;
                 true
             }
             None => false,
@@ -217,25 +193,18 @@ impl EdgeHealth {
         HealthSnapshot {
             state,
             consecutive_failures: s.consecutive,
-            failure_ewma_ppm: s.ewma_ppm,
-            trips: s.trips,
         }
     }
 }
 
-/// A point-in-time copy of one replica edge's health. Integer-encoded
-/// (ppm fixed point) so the containing
-/// [`FleetSnapshot`](crate::router::FleetSnapshot) stays `Eq`.
+/// A point-in-time copy of one replica edge's health. The edge's trips
+/// are its meter's `breaker_open`
+/// ([`FleetSnapshot::per_replica`](crate::router::FleetSnapshot::per_replica)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthSnapshot {
     pub state: BreakerState,
     /// Consecutive failed exchanges since the last success.
     pub consecutive_failures: u32,
-    /// EWMA failure rate in parts-per-million (0 = healthy, 1_000_000 =
-    /// every recent exchange failed), window [`EWMA_WINDOW`].
-    pub failure_ewma_ppm: u64,
-    /// Times the breaker tripped to Open.
-    pub trips: u64,
 }
 
 /// Health of one shard's replica set: one [`EdgeHealth`] per replica plus
@@ -317,7 +286,6 @@ mod tests {
         assert_eq!(e.state(&CFG, 2), BreakerState::Closed);
         assert!(e.on_failure(&CFG, 2), "third consecutive failure trips");
         assert_eq!(e.state(&CFG, 3), BreakerState::Open);
-        assert_eq!(e.snapshot(&CFG, 3).trips, 1);
     }
 
     #[test]
@@ -373,7 +341,6 @@ mod tests {
         assert!(b.on_failure(&CFG, 7), "a failed probe is a fresh trip");
         assert_eq!(b.state(&CFG, 8), BreakerState::Open);
         assert_eq!(b.state(&CFG, 12), BreakerState::HalfOpen);
-        assert_eq!(b.snapshot(&CFG, 12).trips, 2);
     }
 
     #[test]
@@ -387,28 +354,6 @@ mod tests {
         assert!(e.admits(&cfg, 10));
         let snap = e.snapshot(&cfg, 10);
         assert_eq!(snap.consecutive_failures, 10);
-        assert!(snap.failure_ewma_ppm > 0, "EWMA still observes");
-        assert_eq!(snap.trips, 0);
-    }
-
-    #[test]
-    fn ewma_is_integer_deterministic_and_bounded() {
-        let e = EdgeHealth::new();
-        let mut expect = 0u64;
-        for clock in 0..20 {
-            e.on_failure(&CFG, clock);
-            expect = (expect * (EWMA_WINDOW - 1) + PPM) / EWMA_WINDOW;
-        }
-        assert_eq!(e.snapshot(&CFG, 20).failure_ewma_ppm, expect);
-        assert!(expect < PPM);
-        for _ in 0..200 {
-            e.on_success();
-        }
-        assert_eq!(
-            e.snapshot(&CFG, 20).failure_ewma_ppm,
-            0,
-            "integer EWMA decays all the way to zero"
-        );
     }
 
     /// Same outcome sequence ⇒ same state trace: the determinism pin the
@@ -416,20 +361,19 @@ mod tests {
     #[test]
     fn same_outcome_sequence_replays_the_same_states() {
         let script: Vec<bool> = (0..64).map(|i| (i * 7 + 3) % 5 < 2).collect();
-        let run = |script: &[bool]| -> Vec<(BreakerState, u64, u64)> {
+        let run = |script: &[bool]| -> Vec<(BreakerState, u32, bool)> {
             let e = EdgeHealth::new();
             script
                 .iter()
                 .enumerate()
                 .map(|(clock, &ok)| {
                     let clock = clock as u64;
+                    let tripped = !ok && e.on_failure(&CFG, clock);
                     if ok {
                         e.on_success();
-                    } else {
-                        e.on_failure(&CFG, clock);
                     }
                     let s = e.snapshot(&CFG, clock + 1);
-                    (s.state, s.failure_ewma_ppm, s.trips)
+                    (s.state, s.consecutive_failures, tripped)
                 })
                 .collect()
         };

@@ -283,7 +283,8 @@ pub struct FleetSnapshot {
     /// replica-less fleet.
     pub per_replica: Vec<Vec<LinkSnapshot>>,
     /// Circuit-breaker health per replica edge, `health[shard][replica]`:
-    /// breaker state, consecutive failures, failure EWMA, trip count.
+    /// breaker state and consecutive failures. An edge's trips are its
+    /// `per_replica` meter's `breaker_open`.
     pub health: Vec<Vec<HealthSnapshot>>,
 }
 
@@ -1795,15 +1796,20 @@ mod tests {
             );
         }
         let fleet = router.telemetry().snapshot();
-        assert!(fleet.health[0][0].failure_ewma_ppm > 0);
-        assert_eq!(fleet.health[0][0].trips, 0, "below the threshold");
+        assert_eq!(fleet.health[0][0].consecutive_failures, 2);
+        assert_eq!(
+            fleet.per_replica[0][0].breaker_open, 0,
+            "below the threshold"
+        );
         roundtrip(&router, &Request::Count(w));
         let fleet = router.telemetry().snapshot();
-        assert_eq!(fleet.health[0][0].trips, 1, "tripped at the threshold");
+        assert_eq!(
+            fleet.per_replica[0][0].breaker_open, 1,
+            "tripped at the threshold"
+        );
         assert_eq!(fleet.health[0][0].state, BreakerState::Open);
         assert_eq!(router.aggregate_meter().snapshot().breaker_open, 1);
         assert_eq!(fleet.per_shard[0].breaker_open, 1);
-        assert_eq!(fleet.per_replica[0][0].breaker_open, 1);
         // An open breaker on the only edge is still the last resort: the
         // recovered shard serves, and the success closes it again.
         assert_eq!(roundtrip(&router, &Request::Count(w)).0, Response::Count(5));
@@ -1955,7 +1961,7 @@ mod tests {
         assert!(fleet.failed_shards.is_empty(), "the shard served");
         assert_eq!(
             fleet.health[0][0].consecutive_failures, 1,
-            "EWMA health tracks failures even with breakers off"
+            "health counts failures even with breakers off"
         );
         assert_eq!(
             fleet.per_shard[0],
@@ -1984,7 +1990,6 @@ mod tests {
         assert_eq!(fleet.per_replica[0][0].breaker_open, 1);
         assert_eq!(fleet.per_replica[0][0].failovers, 1);
         assert_eq!(fleet.health[0][0].state, BreakerState::Open);
-        assert_eq!(fleet.health[0][0].trips, 1);
         // Subsequent reads — even ones whose hash prefers the dead
         // replica — route straight to the healthy sibling: no more
         // failovers, no more trips, nothing offered to the open edge.
@@ -2033,7 +2038,7 @@ mod tests {
         let fleet = router.telemetry().snapshot();
         assert_eq!(fleet.health[0][0].state, BreakerState::Closed);
         assert_eq!(fleet.health[0][0].consecutive_failures, 0);
-        assert_eq!(fleet.health[0][0].trips, 1);
+        assert_eq!(fleet.per_replica[0][0].breaker_open, 1);
         assert_eq!(
             fleet.per_replica[0][0].count_queries, 1,
             "the successful probe is the only metered exchange on the edge"

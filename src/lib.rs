@@ -42,11 +42,12 @@
 //! no-op plan the whole machinery is byte-identical to an unwrapped
 //! deployment — proven for all six algorithms in `tests/chaos.rs`,
 //! which also races joins against a live writer over faulted fleets
-//! across pinned seeds. `CostModel::expected_attempts` gives the
-//! expected deliveries per exchange at a drop rate and budget, and the
-//! `fault-matrix` bench sweeps drop rate × retry budget
-//! (success within the budget is exactly monotone in the budget —
-//! asserted in CI).
+//! across pinned seeds. At a fixed fault seed, whether a request is
+//! answered is exactly monotone in the retry budget and in the replica
+//! count: `tests/prop_end_to_end.rs` holds both laws per request on
+//! generated scripts, deployments and drop rates
+//! (`success_is_monotone_in_the_retry_budget`,
+//! `success_is_monotone_in_the_replica_count`).
 //!
 //! ## Replication & failover
 //!

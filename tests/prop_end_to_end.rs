@@ -1,11 +1,19 @@
-//! End-to-end property test: every distributed algorithm equals the
+//! End-to-end property tests: every distributed algorithm equals the
 //! brute-force oracle on arbitrary small workloads, buffers and ε —
 //! the whole stack (codec, meters, servers, physical operators, cost
-//! model, duplicate avoidance) under random fire.
+//! model, duplicate avoidance) under random fire — and the seeded fault
+//! layer's two structural laws hold per request on arbitrary scripts:
+//! at a fixed fault seed, success never falls as the retry budget grows
+//! ([`success_is_monotone_in_the_retry_budget`]) or as the replica count
+//! grows ([`success_is_monotone_in_the_replica_count`]).
+
+use std::ops::Range;
+use std::sync::Mutex;
 
 use adhoc_spatial_joins::prelude::*;
 use asj_core::DeploymentBuilder;
 use asj_geom::sweep::nested_loop_join;
+use asj_net::{BreakerConfig, FaultPlan, LinkSnapshot, Request, Response, RetryPolicy};
 use proptest::prelude::*;
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -13,8 +21,8 @@ fn coord() -> impl Strategy<Value = f64> {
     (0i32..=40_000).prop_map(|v| v as f64 * 0.25)
 }
 
-fn dataset(max: usize) -> impl Strategy<Value = Vec<SpatialObject>> {
-    prop::collection::vec((coord(), coord()), 0..max).prop_map(|pts| {
+fn dataset(sizes: Range<usize>) -> impl Strategy<Value = Vec<SpatialObject>> {
+    prop::collection::vec((coord(), coord()), sizes).prop_map(|pts| {
         pts.into_iter()
             .enumerate()
             .map(|(i, (x, y))| SpatialObject::point(i as u32, x, y))
@@ -27,8 +35,8 @@ proptest! {
 
     #[test]
     fn all_algorithms_equal_oracle(
-        r in dataset(60),
-        s in dataset(60),
+        r in dataset(0..60),
+        s in dataset(0..60),
         eps in 1.0f64..2000.0,
         buffer in 10usize..200,
         bucket in any::<bool>(),
@@ -65,5 +73,266 @@ proptest! {
                 prop_assert!(rep.peak_buffer <= buffer);
             }
         }
+    }
+}
+
+/// One step of a fault script: `(to S, kind, corner, extent)`.
+type Step = (bool, u8, (f64, f64), (u32, u32));
+
+/// The `i`-th request of a fault script: a COUNT, WINDOW or ε-RANGE
+/// whose rectangle is `1 + i/32` wider than its drawn extent, so no two
+/// requests of a script are equal. The fault layer keys a request's
+/// attempt counter on its bytes: a request asked twice would start its
+/// second asking where its first left off, at every budget differently.
+fn fault_request(i: usize, (_, kind, (x, y), (w, h)): Step) -> Request {
+    let q = Rect::from_coords(
+        x,
+        y,
+        x + f64::from(w) + 1.0 + i as f64 / 32.0,
+        y + f64::from(h),
+    );
+    match kind {
+        0 => Request::Count(q),
+        1 => Request::Window(q),
+        _ => Request::EpsRange {
+            q,
+            eps: f64::from(h) * 0.25,
+        },
+    }
+}
+
+/// One drawn fault case: a seeded drop plan over a flat or a 2×2
+/// deployment on wire v1 or v2, and the script its two links are asked.
+#[derive(Debug)]
+struct FaultCase {
+    seed: u64,
+    drop_rate: f64,
+    sharded: bool,
+    wire_v2: bool,
+    r: Vec<SpatialObject>,
+    s: Vec<SpatialObject>,
+    script: Vec<(bool, Request)>,
+}
+
+fn fault_case() -> impl Strategy<Value = FaultCase> {
+    let step = (
+        any::<bool>(),
+        0u8..3,
+        (coord(), coord()),
+        (0u32..4_000, 0u32..4_000),
+    );
+    (
+        any::<u64>(),
+        // Tenths, so a clean plan is drawn as often as any lossy one.
+        (0u32..=6).prop_map(|tenths| f64::from(tenths) / 10.0),
+        (any::<bool>(), any::<bool>()),
+        (dataset(8..60), dataset(8..60)),
+        prop::collection::vec(step, 8..25),
+    )
+        .prop_map(|(seed, drop_rate, (sharded, wire_v2), (r, s), steps)| {
+            let script = steps.into_iter().enumerate();
+            FaultCase {
+                seed,
+                drop_rate,
+                sharded,
+                wire_v2,
+                r,
+                s,
+                script: script
+                    .map(|(i, step)| (step.0, fault_request(i, step)))
+                    .collect(),
+            }
+        })
+}
+
+/// What one build of a fault case answered: every reply in script order
+/// and both links' meters after the script.
+#[derive(Debug, PartialEq)]
+struct FaultRun {
+    replies: Vec<Response>,
+    meters: [LinkSnapshot; 2],
+}
+
+impl FaultRun {
+    fn answered(&self) -> impl Iterator<Item = bool> + '_ {
+        self.replies.iter().map(|r| *r != Response::Unavailable)
+    }
+
+    fn metered(&self) -> LinkSnapshot {
+        self.meters[0].plus(&self.meters[1])
+    }
+}
+
+/// Builds `case`'s deployment with `budget` attempts per exchange and
+/// `replicas` servers per shard, breakers off, and asks it the script
+/// one request at a time. Then holds the run to the laws that need no
+/// sibling run:
+/// * a clean plan answers everything, with nothing retried or failed over;
+/// * one replica never fails over;
+/// * with a retry budget, every unavailable reply was metered abandoned —
+///   exactly once where a request is one flight (a flat deployment),
+///   at least once on the 2×2 fleet, where each shard a request reaches
+///   is a flight of its own.
+fn fault_run(case: &FaultCase, budget: u32, replicas: usize) -> Result<FaultRun, TestCaseError> {
+    let net = NetConfig::default()
+        .with_wire_v2(case.wire_v2)
+        .with_retry(RetryPolicy::attempts(budget))
+        .with_breakers(BreakerConfig::disabled());
+    let mut builder = DeploymentBuilder::new(case.r.clone(), case.s.clone())
+        .with_space(Rect::from_coords(0.0, 0.0, 10_000.0, 10_000.0))
+        .with_net(net)
+        .with_replicas(replicas)
+        .with_faults(FaultPlan::seeded(case.seed).with_drops(case.drop_rate));
+    if case.sharded {
+        builder = builder.with_shards(2, 2);
+    }
+    let (link_r, link_s) = builder.build().connect();
+    let replies = case.script.iter();
+    let replies = replies.map(|(to_s, req)| if *to_s { &link_s } else { &link_r }.request(req));
+    let run = FaultRun {
+        replies: replies.collect(),
+        meters: [link_r.meter().snapshot(), link_s.meter().snapshot()],
+    };
+    let at = format!(
+        "seed {}, drop {}, sharded {}, v2 {}, budget {budget} x {replicas} replicas",
+        case.seed, case.drop_rate, case.sharded, case.wire_v2
+    );
+    let metered = run.metered();
+    if case.drop_rate == 0.0 {
+        prop_assert!(
+            run.answered().all(|a| a),
+            "a clean plan lost a reply, {}",
+            at
+        );
+        prop_assert_eq!(
+            (metered.retried, metered.failovers),
+            (0, 0),
+            "clean, {}",
+            at
+        );
+    }
+    if replicas == 1 {
+        prop_assert_eq!(metered.failovers, 0, "no sibling to fail over to, {}", at);
+    }
+    if budget > 1 {
+        let unavailable = run.answered().filter(|a| !a).count() as u64;
+        if case.sharded {
+            prop_assert!(metered.abandoned >= unavailable, "{}", at);
+        } else {
+            prop_assert_eq!(metered.abandoned, unavailable, "{}", at);
+        }
+    }
+    Ok(run)
+}
+
+/// Runs of one case along one axis (budget or replica count), in
+/// increasing order: per request, whatever a smaller value answered the
+/// next value answers too. Returns how many requests the largest value
+/// answered beyond the smallest.
+fn nested(runs: &[FaultRun], axis: &str) -> Result<usize, TestCaseError> {
+    for (k, pair) in runs.windows(2).enumerate() {
+        let answers = pair[0].answered().zip(pair[1].answered());
+        for (i, (smaller, larger)) in answers.enumerate() {
+            prop_assert!(
+                !smaller || larger,
+                "request {} was answered at {} {} and lost at {} {}",
+                i,
+                axis,
+                k + 1,
+                axis,
+                k + 2
+            );
+        }
+    }
+    let (first, last) = (&runs[0], &runs[runs.len() - 1]);
+    Ok(last.answered().filter(|a| *a).count() - first.answered().filter(|a| *a).count())
+}
+
+/// Cases per fault law.
+const FAULT_CASES: u32 = 256;
+
+/// What a fault law's cases saw over its whole run. Each law holds
+/// vacuously on a run that never lost a reply, so its last case also
+/// asserts the run drew a clean plan, retried, failed over, and
+/// answered more at the largest value than at the smallest.
+struct Seen {
+    cases: u32,
+    clean: bool,
+    retried: bool,
+    failed_over: bool,
+    gained: bool,
+}
+
+impl Seen {
+    const fn new() -> Self {
+        Seen {
+            cases: 0,
+            clean: false,
+            retried: false,
+            failed_over: false,
+            gained: false,
+        }
+    }
+
+    fn note(
+        &mut self,
+        case: &FaultCase,
+        runs: &[FaultRun],
+        gain: usize,
+    ) -> Result<(), TestCaseError> {
+        self.cases += 1;
+        self.clean |= case.drop_rate == 0.0;
+        self.retried |= runs.iter().any(|r| r.metered().retried > 0);
+        self.failed_over |= runs.iter().any(|r| r.metered().failovers > 0);
+        self.gained |= gain > 0;
+        if self.cases == FAULT_CASES {
+            prop_assert!(self.clean, "no case drew a clean plan");
+            prop_assert!(self.retried, "no case retried: the fault layer never fired");
+            prop_assert!(self.failed_over, "no case failed over to a sibling");
+            prop_assert!(
+                self.gained,
+                "the largest value never answered more than the smallest"
+            );
+        }
+        Ok(())
+    }
+}
+
+static BUDGET_RUN: Mutex<Seen> = Mutex::new(Seen::new());
+static REPLICA_RUN: Mutex<Seen> = Mutex::new(Seen::new());
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(FAULT_CASES))]
+
+    /// At a fixed fault seed, raising the retry budget only appends
+    /// attempts: a request answered within `b` attempts is answered
+    /// within `b + 1` (the fault layer's rolls are a pure function of
+    /// the seed, the request's bytes and the attempt index).
+    #[test]
+    fn success_is_monotone_in_the_retry_budget(
+        case in fault_case(),
+        replicas in 1usize..=3,
+    ) {
+        let runs = (1..=4).map(|budget| fault_run(&case, budget, replicas));
+        let runs = runs.collect::<Result<Vec<_>, _>>()?;
+        let gain = nested(&runs, "budget")?;
+        prop_assert_eq!(&fault_run(&case, 4, replicas)?, &runs[3], "a rebuild replays");
+        BUDGET_RUN.lock().unwrap().note(&case, &runs, gain)?;
+    }
+
+    /// At a fixed fault seed, adding a replica only adds a sibling:
+    /// replica `j`'s fault stream does not depend on how many replicas
+    /// there are, and a failed try fails over before it spends budget,
+    /// so the tries `n` replicas make are a subset of those `n + 1` make.
+    #[test]
+    fn success_is_monotone_in_the_replica_count(
+        case in fault_case(),
+        budget in 1u32..=4,
+    ) {
+        let runs = (1..=3).map(|replicas| fault_run(&case, budget, replicas));
+        let runs = runs.collect::<Result<Vec<_>, _>>()?;
+        let gain = nested(&runs, "replicas")?;
+        prop_assert_eq!(&fault_run(&case, budget, 3)?, &runs[2], "a rebuild replays");
+        REPLICA_RUN.lock().unwrap().note(&case, &runs, gain)?;
     }
 }
