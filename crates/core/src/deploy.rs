@@ -34,8 +34,9 @@ enum Endpoint {
     InProc(Arc<dyn QueryHandler>),
     Reactor {
         endpoint: asj_net::EventEndpoint,
-        /// Keeps the thread serving: the reactor every endpoint of the
-        /// deployment shares.
+        /// Keeps the loop open: the reactor every endpoint of the
+        /// deployment shares. Dropping the last endpoint serves what is
+        /// still queued on it.
         _reactor: Arc<asj_net::EventLoop>,
     },
 }
@@ -403,7 +404,7 @@ pub struct DeploymentBuilder {
     buffer_capacity: usize,
     space: Option<Rect>,
     cooperative: bool,
-    /// Serve from a reactor thread rather than in-process.
+    /// Serve through a reactor rather than in-process.
     reactor: bool,
     live: bool,
     shards: Option<(usize, usize)>,
@@ -453,25 +454,27 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Serves every server (each side, every shard replica) off the
-    /// caller's thread — the paper's servers, apart from its device. All
-    /// of them share **one** reactor thread, the same as
-    /// [`DeploymentBuilder::event_loop`]: the paper prices a join in
-    /// bytes, not threads, and one reactor drains a whole fleet round
-    /// trip per activation. Replies are byte-identical to in-process
-    /// serving.
+    /// Serves every server (each side, every shard replica) through a
+    /// queue rather than a call — the paper's servers, apart from its
+    /// device. All of them share **one** reactor, the same as
+    /// [`DeploymentBuilder::event_loop`]. It starts no thread: the first
+    /// device thread that waits on a reply drains the queue, a whole
+    /// fleet round trip per pass, and the paper prices a join in bytes,
+    /// not in the thread that serves it. Replies are byte-identical to
+    /// in-process serving.
     pub fn threaded(mut self) -> Self {
         self.reactor = true;
         self
     }
 
     /// Serves every server (both sides, every shard replica) from
-    /// **one** shared reactor thread, so the thread count stays constant
-    /// no matter how many shards the fleet has or how many devices
-    /// [`Deployment::connect`]; connections carry no protocol state, so
-    /// none of it is shared (see `asj_net::event_loop`). The same
-    /// placement as [`threaded`], under the many-device name. Replies
-    /// are byte-identical to in-process serving.
+    /// **one** shared reactor, whose queue the waiting devices drain, so
+    /// no thread is added however many shards the fleet has or however
+    /// many devices [`Deployment::connect`]; connections carry no
+    /// protocol state, so none of it is shared (see
+    /// `asj_net::event_loop`). The same placement as [`threaded`], under
+    /// the many-device name. Replies are byte-identical to in-process
+    /// serving.
     ///
     /// [`threaded`]: DeploymentBuilder::threaded
     pub fn event_loop(mut self) -> Self {
@@ -522,8 +525,8 @@ impl DeploymentBuilder {
     /// (see `asj_server::partition` and `asj_net::router`). `n = 1` is a
     /// legitimate fleet: the router is byte-transparent, which the
     /// differential tests exploit. Combine with [`threaded`] to serve the
-    /// shards off the caller's thread — the router then has every shard's
-    /// batch in flight at once, and the reactor drains them together.
+    /// shards through the reactor — the router then has every shard's
+    /// batch in flight at once, and its first wait drains them together.
     ///
     /// [`threaded`]: DeploymentBuilder::threaded
     pub fn with_shards(mut self, n_r: usize, n_s: usize) -> Self {
@@ -584,12 +587,10 @@ impl DeploymentBuilder {
             )
             .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0))
         });
-        // One reactor thread carries every endpoint of a deployment that
-        // is not in-process. The endpoints hold it, so links can never
-        // outlive it accidentally.
-        let reactor = self
-            .reactor
-            .then(|| Arc::new(asj_net::EventLoop::spawn("deploy")));
+        // One reactor carries every endpoint of a deployment that is not
+        // in-process. The endpoints hold it, so links can never outlive
+        // it accidentally.
+        let reactor = self.reactor.then(|| Arc::new(asj_net::EventLoop::new()));
         // A shard's R-tree is built once, and every replica serves an O(1)
         // clone of it: the tree is persistent, its nodes immutable and
         // shared. A frozen replica answers straight from its clone; a live

@@ -1,26 +1,34 @@
-//! The serving carrier: a reactor thread draining one mailbox.
+//! The serving carrier: a reactor whose queue the waiting clients drain.
 //!
 //! Every server that is not called in-process is served here. The
 //! paper's cost model sees bytes, not threads, so there is one serving
 //! loop and the only choice left is *placement*:
 //!
-//! * an [`EventLoop`] owns the reactor — a plain poll loop that takes its
-//!   whole ready-queue per wake-up (there is no tokio here, and none is
-//!   needed: requests are already discrete ready-to-run events);
+//! * an [`EventLoop`] owns the reactor — one ready-queue, taken whole
+//!   per pass (there is no tokio here, and none is needed: requests are
+//!   already discrete ready-to-run events) — and starts no thread;
 //! * each [`EventEndpoint`] is one logical server (a [`QueryHandler`])
 //!   registered on a loop. A deployment registers every server it
-//!   serves — both sides, every shard replica — on one loop, so the
-//!   thread count stays constant however many shards there are and
-//!   however many devices connect;
+//!   serves — both sides, every shard replica — on one loop, so one
+//!   queue and one encode buffer serve however many shards there are
+//!   and however many devices connect;
 //! * each [`EventConnection`] is one device's socket to one endpoint.
 //!
-//! # Wake-up
+//! # Serving
 //!
-//! A begun batch is queued quietly; the client that first waits on a
-//! reply still missing wakes the reactor (see `mailbox`). So everything
-//! a shard router begins before its first wait — a batch per (shard,
-//! replica) edge — is drained in one activation of the reactor: one
-//! pair of context switches per round trip, however wide the scatter.
+//! A begun batch is queued quietly. The client that first waits on a
+//! reply still missing serves the queue itself, on its own thread (see
+//! `mailbox`): it claims the loop's one `serving` flag and drains every
+//! batch queued — a batch per (shard, replica) edge of a router's
+//! scatter, and whatever other devices began — in FIFO order, filling
+//! every slot, until it finds the queue empty. A client that finds the
+//! flag set parks on its reply, and the drain in progress fills it. So a
+//! round trip switches no thread, however wide the scatter; the bytes,
+//! the replies and each connection's queue order are those a serving
+//! thread would produce.
+//!
+//! The drain relies on one condition: a handler never waits on its own
+//! loop (it would park on the drain it runs inside). No handler does.
 //!
 //! # Connection state
 //!
@@ -29,26 +37,27 @@
 //! endpoint need agree on nothing, and a connection's first frame is a
 //! query like any other. What a connection keeps is its share of the
 //! endpoint's queue gauges; the one encode buffer every reply is built
-//! in is the reactor's own. So thousands of connections coexist without
+//! in is the loop's own. So thousands of connections coexist without
 //! per-connection locks.
 //!
 //! # Robustness contract
 //!
-//! A reactor thread is shared by every device connected to it, so it
-//! must never die on bad input: an undecodable frame answers the typed
+//! A drain serves every device on the loop, so it must never stop on bad
+//! input: an undecodable frame answers the typed
 //! [`Response::Malformed`](crate::Response::Malformed) error frame and
-//! serving continues. Dropping the [`EventLoop`] enqueues a shutdown
-//! sentinel behind in-flight requests (FIFO — they all still complete);
-//! connections that outlive the loop degrade to
-//! [`Response::Unavailable`](crate::Response::Unavailable) instead of
-//! panicking.
+//! serving continues. [`EventLoop::shutdown`] and dropping the loop
+//! close it and serve what is still queued on the calling thread (FIFO —
+//! in-flight requests all still complete); connections that outlive the
+//! loop degrade to [`Response::Unavailable`](crate::Response::Unavailable)
+//! instead of panicking. A handler that panics ends its drain the same
+//! way: the loop closes, and what was queued behind it answers
+//! unavailable.
 //!
 //! Per-endpoint [`EndpointStats`] gauge the requests outstanding (every
 //! member of a pipelined batch counts) and the connections with at least
 //! one outstanding, each with a high-water mark, beside the serving and
 //! malformed-frame counts.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -59,7 +68,7 @@ use crate::mailbox::{mailbox, slots, End, SlotEnd};
 use crate::proto::QueryHandler;
 use crate::transport::{Pending, RawExchange};
 
-/// One connection, as the reactor sees it: its queue gauge and the
+/// One connection, as the loop sees it: its queue gauge and the
 /// endpoint the connection leads to.
 struct Conn {
     /// This connection's requests sitting in the ready-queue (or being
@@ -82,7 +91,7 @@ impl Conn {
     }
 
     /// `n` queued requests of this connection were served (or refused by
-    /// a reactor that is gone).
+    /// a closed loop).
     fn dequeued(&self, n: u64) {
         self.stats.pending.fetch_sub(n, Ordering::AcqRel);
         if self.outstanding.fetch_sub(n, Ordering::AcqRel) == n {
@@ -144,148 +153,136 @@ impl EndpointStats {
     }
 }
 
-/// One unit of work on the ready-queue.
-enum Event {
-    Rpc {
-        request: Bytes,
-        reply: SlotEnd<Bytes>,
-        /// The connection it came in on, which names the endpoint's
-        /// handler too — so the reactor needs no endpoint registry at
-        /// all, and registration is just handing out the mailbox.
-        conn: Arc<Conn>,
-    },
-    Shutdown,
+/// One request on the ready-queue.
+struct Event {
+    request: Bytes,
+    reply: SlotEnd<Bytes>,
+    /// The connection it came in on, which names the endpoint's handler
+    /// too — so the loop needs no endpoint registry at all, and
+    /// registration is just handing out the mailbox.
+    conn: Arc<Conn>,
 }
 
-/// The reactor: one thread multiplexing every endpoint and connection
-/// registered on it. Dropping it shuts the thread down without
-/// deadlocking on live connections (a FIFO shutdown sentinel).
+/// The ready-queue, with the loop's one encode buffer as its drains'
+/// scratch.
+type Queue = End<Event, BytesMut>;
+
+/// Serves one queued request and fills its slot, by the one discipline
+/// [`crate::transport::InProcExchange`] shares: the reply is encoded
+/// into the loop's reused buffer — so steady-state serving grows no
+/// buffer — and ships as one exact-size copy of it, the only
+/// per-request allocation. Returns whether the frame was a query.
+fn serve(event: Event, buf: &mut BytesMut) -> bool {
+    let Event {
+        request,
+        reply,
+        conn,
+    } = event;
+    let stats = &conn.stats;
+    buf.clear();
+    let query = crate::transport::serve_frame_into(conn.handler.as_ref(), request, buf);
+    if query {
+        stats.served.fetch_add(1, Ordering::AcqRel);
+    } else {
+        // A drain serves every device: an undecodable frame gets the
+        // typed error (already encoded into `buf`) and serving goes on.
+        stats.malformed.fetch_add(1, Ordering::AcqRel);
+    }
+    conn.dequeued(1);
+    // The shim's `Bytes` is `Arc<[u8]>`-backed, so one copy (one
+    // allocation) into the reply stands in for the real crate's
+    // zero-copy, allocation-recycling `buf.split().freeze()`.
+    if !reply.fill(Bytes::copy_from_slice(buf)) {
+        // A refused reply just means the client gave up.
+        stats.abandoned.fetch_add(1, Ordering::AcqRel);
+    }
+    query
+}
+
+/// A reply a loop still owes, and the queue its request waits in.
+pub(crate) struct Waiter {
+    slot: SlotEnd<Bytes>,
+    queue: Arc<Queue>,
+}
+
+impl Waiter {
+    /// The reply, served on this thread unless a drain is already in
+    /// progress (see the module's "Serving"); `None` if the loop closed
+    /// before serving it.
+    pub(crate) fn wait(self) -> Option<Bytes> {
+        let queue = self.queue;
+        self.slot.wait(|| {
+            queue.drain(serve);
+        })
+    }
+}
+
+/// The reactor: one ready-queue shared by every endpoint and connection
+/// registered on it, drained by the clients that wait on it. It starts
+/// no thread. Dropping it serves what is queued and refuses what comes
+/// later, so live connections never deadlock it.
 pub struct EventLoop {
-    /// The loop's own end of the ready-queue and its thread, until
-    /// [`shutdown`](Self::shutdown), [`join`](Self::join) or drop stops it.
-    running: Option<(Arc<End<Event>>, std::thread::JoinHandle<u64>)>,
+    /// The loop's own end of the ready-queue, closed by
+    /// [`shutdown`](Self::shutdown) or drop.
+    own: Queue,
+    /// The end endpoints push on and waiters drain.
+    queue: Arc<Queue>,
+}
+
+impl Default for EventLoop {
+    fn default() -> Self {
+        EventLoop::new()
+    }
 }
 
 impl EventLoop {
-    /// Spawns the reactor thread.
-    pub fn spawn(name: &str) -> Self {
-        let (queue, ready) = mailbox();
-        let thread = std::thread::Builder::new()
-            .name(format!("asj-reactor-{name}"))
-            .spawn(move || Self::run(ready))
-            .expect("failed to spawn reactor thread");
+    /// A loop with nothing registered on it yet.
+    pub fn new() -> Self {
+        let (own, queue) = mailbox();
         EventLoop {
-            running: Some((Arc::new(queue), thread)),
+            own,
+            queue: Arc::new(queue),
         }
-    }
-
-    /// The poll loop: takes the whole ready-queue per wake-up and serves
-    /// it in order; the replies go out together afterwards, so a client
-    /// parked on them is woken once per drained batch. It serves by the
-    /// one discipline [`crate::transport::InProcExchange`] shares: one
-    /// reusable encode buffer serves every endpoint — reactor-owned (see
-    /// the module's "Connection state") — so steady-state serving
-    /// grows no buffer, and each reply ships as one exact-size copy of it,
-    /// the only per-request allocation.
-    fn run(ready: End<Event>) -> u64 {
-        let mut served = 0u64;
-        let mut buf = BytesMut::with_capacity(4096);
-        let (mut batch, mut replies) = (VecDeque::new(), Vec::new());
-        let mut running = true;
-        while running && ready.take_all(&mut batch) {
-            for event in batch.drain(..) {
-                let Event::Rpc {
-                    request,
-                    reply,
-                    conn,
-                } = event
-                else {
-                    running = false;
-                    break;
-                };
-                let stats = &conn.stats;
-                buf.clear();
-                if crate::transport::serve_frame_into(conn.handler.as_ref(), request, &mut buf) {
-                    served += 1;
-                    stats.served.fetch_add(1, Ordering::AcqRel);
-                } else {
-                    // The reactor serves every device: an undecodable
-                    // frame gets the typed error (already encoded into
-                    // `buf`) and the loop keeps running.
-                    stats.malformed.fetch_add(1, Ordering::AcqRel);
-                }
-                conn.dequeued(1);
-                // The shim's `Bytes` is `Arc<[u8]>`-backed, so one copy
-                // (one allocation) into the reply stands in for the real
-                // crate's zero-copy, allocation-recycling
-                // `buf.split().freeze()`.
-                replies.push((reply, Bytes::copy_from_slice(&buf), conn));
-            }
-            for (reply, answer, conn) in replies.drain(..) {
-                // A refused reply just means the client gave up.
-                if !reply.fill(answer) {
-                    conn.stats.abandoned.fetch_add(1, Ordering::AcqRel);
-                }
-            }
-        }
-        // Whatever sat behind the sentinel — in that batch or enqueued
-        // since — is dropped unanswered: its clients see `Unavailable`.
-        ready.shut();
-        served
     }
 
     /// Registers one logical server on the loop. Any number of endpoints
-    /// (and connections per endpoint) share the one reactor thread.
+    /// (and connections per endpoint) share its one queue.
     pub fn serve(&self, handler: Arc<dyn QueryHandler>) -> EventEndpoint {
-        let (queue, _) = self.running.as_ref().expect("running until consumed");
         EventEndpoint {
-            queue: Arc::clone(queue),
+            queue: Arc::clone(&self.queue),
             handler,
             stats: Arc::new(EndpointStats::default()),
         }
     }
 
-    /// Releases the loop's own end of the ready-queue — behind a shutdown
-    /// sentinel if `now` — and waits for the reactor thread: what it
-    /// served, unless it panicked (or was stopped before).
-    fn stop(&mut self, now: bool) -> Option<u64> {
-        let (queue, thread) = self.running.take()?;
-        if now {
-            queue.push_all([Event::Shutdown]);
-            queue.kick();
+    /// Closes the loop — later requests answer unavailable — and serves
+    /// what is still queued on the calling thread, after a drain running
+    /// on another one has finished. Returns the number of query frames
+    /// the loop served (malformed frames excluded).
+    pub fn shutdown(self) -> u64 {
+        self.own.close();
+        loop {
+            if let Some(served) = self.own.drain(serve) {
+                return served;
+            }
+            std::thread::yield_now();
         }
-        drop(queue);
-        thread.join().ok()
-    }
-
-    /// Stops the reactor (after draining everything already enqueued)
-    /// and returns the number of query frames it served.
-    pub fn shutdown(mut self) -> u64 {
-        self.stop(true).expect("reactor thread panicked")
-    }
-
-    /// Waits until every endpoint and connection handed out by this loop
-    /// is dropped and everything they enqueued is served, then returns
-    /// the number of query frames served (malformed frames excluded).
-    pub fn join(mut self) -> u64 {
-        self.stop(false).expect("reactor thread panicked")
     }
 }
 
 impl Drop for EventLoop {
     fn drop(&mut self) {
-        // FIFO sentinel: everything enqueued before the drop is still
-        // served; live connections afterwards degrade to `Unavailable`
-        // instead of deadlocking this join.
-        self.stop(true);
+        // Everything enqueued before the drop is still served — here, or
+        // by a drain already running on another thread; live connections
+        // afterwards degrade to `Unavailable`.
+        self.own.close();
+        self.own.drain(serve);
     }
 }
 
-/// One logical server registered on an [`EventLoop`]. Endpoints and
-/// their connections keep a joined loop serving (see
-/// [`EventLoop::join`]).
+/// One logical server registered on an [`EventLoop`].
 pub struct EventEndpoint {
-    queue: Arc<End<Event>>,
+    queue: Arc<Queue>,
     handler: Arc<dyn QueryHandler>,
     stats: Arc<EndpointStats>,
 }
@@ -314,7 +311,7 @@ impl EventEndpoint {
 /// [`Link`](crate::Link), a [`ShardRouter`](crate::ShardRouter) edge, or
 /// a [`CacheLayer`](crate::CacheLayer) unchanged.
 pub struct EventConnection {
-    queue: Arc<End<Event>>,
+    queue: Arc<Queue>,
     conn: Arc<Conn>,
 }
 
@@ -324,9 +321,10 @@ impl RawExchange for EventConnection {
     }
 
     /// The whole batch is enqueued under one lock, waking nobody: the
-    /// first [`Pending::wait`] that finds its reply missing wakes the
-    /// reactor. If the reactor is gone the batch is dropped unsent, and
-    /// every pending then yields the unavailable frame.
+    /// first [`Pending::wait`] that finds its reply missing drains the
+    /// loop's queue on its own thread, or parks on the drain in progress.
+    /// If the loop is closed the batch is dropped unsent, and every
+    /// pending then yields the unavailable frame.
     fn begin_many(
         &self,
         requests: &mut dyn Iterator<Item = Bytes>,
@@ -337,18 +335,17 @@ impl RawExchange for EventConnection {
         if n == 0 {
             return;
         }
-        // The slots the reactor answers into; one refuses its reply once
-        // the client has dropped the pending that waits on it.
-        let paired = requests
-            .into_iter()
-            .zip(slots(n as usize, self.queue.waker()));
-        let events = paired.map(|(request, (reply, waiter))| {
+        // The slots a drain answers into; one refuses its reply once the
+        // client has dropped the pending that waits on it.
+        let paired = requests.into_iter().zip(slots(n as usize));
+        let events = paired.map(|(request, (reply, slot))| {
+            let queue = Arc::clone(&self.queue);
             begun(Pending {
-                reply: Err(waiter),
+                reply: Err(Waiter { slot, queue }),
                 garble: None,
             });
             let conn = Arc::clone(&self.conn);
-            Event::Rpc {
+            Event {
                 request,
                 reply,
                 conn,
@@ -376,6 +373,7 @@ pub(crate) mod tests {
     use crate::transport::Link;
     use asj_geom::{Rect, SpatialObject};
     use std::sync::{mpsc, Mutex};
+    use std::thread::ThreadId;
 
     fn objects(n: u32) -> Vec<SpatialObject> {
         (0..n)
@@ -389,6 +387,14 @@ pub(crate) mod tests {
 
     fn link(conn: EventConnection) -> Link {
         Link::new(Box::new(conn), PacketModel::default(), 1.0)
+    }
+
+    fn count() -> Bytes {
+        crate::codec::encode_request(&Request::Count(w(100.0)))
+    }
+
+    fn decode(reply: Bytes) -> Response {
+        crate::codec::decode_response(reply).unwrap()
     }
 
     /// Where the endpoint under test is served from.
@@ -406,7 +412,7 @@ pub(crate) mod tests {
 
     impl Placement {
         fn serve<H: QueryHandler + 'static>(self, handler: Arc<H>) -> (Reactor, EventEndpoint) {
-            let reactor = EventLoop::spawn("under-test");
+            let reactor = EventLoop::new();
             let bystander = match self {
                 Placement::Private => None,
                 Placement::Shared => Some(reactor.serve(Arc::new(ScanHandler(objects(1))))),
@@ -417,9 +423,9 @@ pub(crate) mod tests {
     }
 
     impl Reactor {
-        fn join(self) -> u64 {
+        fn shutdown(self) -> u64 {
             drop(self.1);
-            self.0.join()
+            self.0.shutdown()
         }
     }
 
@@ -437,6 +443,17 @@ pub(crate) mod tests {
     fn gated() -> (mpsc::Sender<()>, Arc<Gated>) {
         let (release, gate) = mpsc::channel();
         (release, Arc::new(Gated(Mutex::new(gate))))
+    }
+
+    /// Counts 1, noting the thread that served it.
+    #[derive(Default)]
+    struct OnThread(Mutex<Vec<ThreadId>>);
+
+    impl QueryHandler for OnThread {
+        fn handle(&self, _req: Request) -> Response {
+            self.0.lock().unwrap().push(std::thread::current().id());
+            Response::Count(1)
+        }
     }
 
     pub(crate) fn serves_byte_identically_to_in_process(on: Placement) {
@@ -463,7 +480,7 @@ pub(crate) mod tests {
             "the carrier must not change accounting"
         );
         drop((looped, endpoint));
-        assert_eq!(reactor.join(), 6);
+        assert_eq!(reactor.shutdown(), 6);
     }
 
     #[test]
@@ -473,7 +490,7 @@ pub(crate) mod tests {
 
     #[test]
     fn many_endpoints_share_one_reactor_thread() {
-        let reactor = EventLoop::spawn("multi");
+        let reactor = EventLoop::new();
         let endpoints: Vec<EventEndpoint> = (0..8)
             .map(|i| reactor.serve(Arc::new(ScanHandler(objects(i + 1)))))
             .collect();
@@ -491,70 +508,124 @@ pub(crate) mod tests {
         assert_eq!(reactor.shutdown(), 8);
     }
 
-    /// Returns once the reactor `conn` leads to is parked on its queue.
-    fn until_parked(conn: &EventConnection) {
-        while !conn.queue.parked() {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Quiet pushes, woken by the waiter: batches begun on two endpoints
-    /// of a parked reactor leave it parked, and the first wait wakes it
-    /// to both — A's reply goes out after B was served.
+    /// Quiet pushes, served by the waiter: batches begun on two endpoints
+    /// of one loop are served by nobody until the first wait, which
+    /// drains both — A's reply comes back after B was served.
     #[test]
     fn batches_begun_on_two_endpoints_before_the_first_wait_are_served_in_one_drain() {
-        let reactor = EventLoop::spawn("one-drain");
+        let reactor = EventLoop::new();
         let a = reactor.serve(Arc::new(ScanHandler(objects(3))));
         let b = reactor.serve(Arc::new(ScanHandler(objects(4))));
         let (to_a, to_b) = (a.connect(), b.connect());
-        let count = || crate::codec::encode_request(&Request::Count(w(100.0)));
         for round in 1..=100 {
-            until_parked(&to_a);
             let (pa, pb) = (to_a.begin(count()), to_b.begin(count()));
-            assert!(to_a.queue.parked(), "a begun batch wakes nobody");
-            let reply = crate::codec::decode_response(pa.wait()).unwrap();
+            assert_eq!(b.stats().served(), round - 1, "a begun batch waits");
+            assert_eq!(decode(pa.wait()), Response::Count(3));
             assert_eq!(b.stats().served(), round, "B was drained with A");
-            assert_eq!(reply, Response::Count(3));
-            assert_eq!(
-                crate::codec::decode_response(pb.wait()).unwrap(),
-                Response::Count(4)
-            );
+            assert_eq!(decode(pb.wait()), Response::Count(4));
         }
         drop((to_a, to_b, a, b));
-        assert_eq!(reactor.join(), 200);
+        assert_eq!(reactor.shutdown(), 200);
     }
 
-    /// Nobody waits, so nobody wakes the parked reactor but its own exit:
-    /// the closing mailbox for `join`, the sentinel for `shutdown`.
+    /// Nobody waits, so nobody serves until the loop closes: `shutdown`,
+    /// or a drop, serves what is queued on the calling thread and refuses
+    /// what comes after.
     #[test]
-    fn a_batch_never_waited_on_is_served_by_join_and_unavailable_after_shutdown() {
-        let count = || crate::codec::encode_request(&Request::Count(w(100.0)));
-        let reactor = EventLoop::spawn("unwaited");
+    fn a_batch_never_waited_on_is_served_when_the_loop_closes() {
+        let reactor = EventLoop::new();
         let endpoint = reactor.serve(Arc::new(ScanHandler(objects(5))));
         let conn = endpoint.connect();
-        until_parked(&conn);
         let mut begun = Vec::new();
         conn.begin_many(&mut (0..3).map(|_| count()), &mut |p| begun.push(p));
         let stats = Arc::clone(endpoint.stats());
-        drop((conn, endpoint));
-        // The held pendings do not keep the joined loop serving.
-        assert_eq!(reactor.join(), 3);
+        assert_eq!(stats.served(), 0);
+        assert_eq!(reactor.shutdown(), 3);
         assert_eq!(stats.served(), 3);
+        assert!(crate::codec::is_unavailable(&conn.begin(count()).wait()));
         for pending in begun {
-            let reply = crate::codec::decode_response(pending.wait()).unwrap();
-            assert_eq!(reply, Response::Count(5));
+            assert_eq!(decode(pending.wait()), Response::Count(5));
         }
 
-        let reactor = EventLoop::spawn("unwaited");
+        let reactor = EventLoop::new();
         let endpoint = reactor.serve(Arc::new(ScanHandler(objects(5))));
         let conn = endpoint.connect();
-        until_parked(&conn);
         let before = conn.begin(count());
-        assert_eq!(reactor.shutdown(), 1, "served ahead of the sentinel");
-        let after = conn.begin(count());
-        assert!(crate::codec::is_unavailable(&after.wait()));
-        let reply = crate::codec::decode_response(before.wait()).unwrap();
-        assert_eq!(reply, Response::Count(5));
+        drop(reactor);
+        assert_eq!(endpoint.stats().served(), 1, "served by the drop");
+        assert!(crate::codec::is_unavailable(&conn.begin(count()).wait()));
+        assert_eq!(decode(before.wait()), Response::Count(5));
+    }
+
+    /// A waiter that finds a drain in progress parks, and that drain's
+    /// re-check of the queue serves it: thread A is held inside its drain
+    /// while B begins a batch and waits. B's replies are served on A's
+    /// thread, never on B's, and none of them is `Unavailable`.
+    #[test]
+    fn a_waiter_behind_a_running_drain_is_served_by_its_re_check() {
+        for _ in 0..20 {
+            let (release, gate) = gated();
+            let reactor = EventLoop::new();
+            let held = reactor.serve(gate);
+            let seen = Arc::new(OnThread::default());
+            let to_seen = reactor.serve(seen.clone()).connect();
+            let to_held = held.connect();
+            let a = std::thread::spawn(move || decode(to_held.begin(count()).wait()));
+            while !held.queue.serving() {
+                std::thread::yield_now();
+            }
+            // A has taken its batch and is held in it: B's batch queues
+            // behind it.
+            let mut begun = Vec::new();
+            to_seen.begin_many(&mut (0..2).map(|_| count()), &mut |p| begun.push(p));
+            let (first, second) = (begun.remove(0), begun.remove(0));
+            let b = std::thread::spawn(move || first.wait());
+            let Err(parked) = &second.reply else {
+                unreachable!("a begun reply is owed")
+            };
+            while !parked.slot.parked() && !b.is_finished() {
+                std::thread::yield_now();
+            }
+            let a_thread = a.thread().id();
+            release.send(()).unwrap();
+            assert_eq!(a.join().unwrap(), Response::Count(0));
+            for reply in [b.join().unwrap(), second.wait()] {
+                assert_eq!(decode(reply), Response::Count(1), "B read its own reply");
+            }
+            assert_eq!(*seen.0.lock().unwrap(), [a_thread, a_thread], "A served B");
+            assert_eq!(reactor.shutdown(), 3);
+        }
+    }
+
+    /// Many clients on one loop, each waiting on batches of its own: every
+    /// wait drains the queue or parks on a drain in progress, and every
+    /// reply reaches its own waiter. Endpoint `t` holds `64` points, and
+    /// client `t`'s `k`-th request of a batch counts those up to
+    /// `x = depth·t + k`, so an answer names the request it answers.
+    #[test]
+    fn every_reply_reaches_its_own_waiter_whoever_drains() {
+        let (threads, depth, rounds) = (4u32, 8u32, 400u32);
+        let reactor = EventLoop::new();
+        let clients: Vec<_> = (0..threads)
+            .map(|t| {
+                let conn = reactor.serve(Arc::new(ScanHandler(objects(64)))).connect();
+                std::thread::spawn(move || {
+                    let hi = |k| (depth * t + k) as f64;
+                    for _ in 0..rounds {
+                        let mut begun = Vec::new();
+                        let requests = (0..depth).map(|k| Request::Count(w(hi(k))));
+                        let mut frames = requests.map(|r| crate::codec::encode_request(&r));
+                        conn.begin_many(&mut frames, &mut |p| begun.push(p));
+                        for (k, pending) in (0..depth).zip(begun) {
+                            let want = Response::Count(u64::from(depth * t + k + 1));
+                            assert_eq!(decode(pending.wait()), want);
+                        }
+                    }
+                })
+            })
+            .collect();
+        clients.into_iter().for_each(|c| c.join().unwrap());
+        assert_eq!(reactor.shutdown(), u64::from(threads * depth * rounds));
     }
 
     pub(crate) fn garbled_frames_answer_typed_and_serving_survives(on: Placement) {
@@ -568,10 +639,7 @@ pub(crate) mod tests {
         let alien = [&[0xEE, 0x01, 0x02][..], &[0x5A, 0x01, 0x02]];
         for garbage in alien.into_iter().chain([&batched[..], &hello, &[]]) {
             let reply = conn.exchange(Bytes::copy_from_slice(garbage));
-            assert_eq!(
-                crate::codec::decode_response(reply).unwrap(),
-                Response::Malformed
-            );
+            assert_eq!(decode(reply), Response::Malformed);
         }
         assert_eq!(
             endpoint.stats().malformed(),
@@ -582,7 +650,7 @@ pub(crate) mod tests {
         let healthy = link(endpoint.connect());
         assert_eq!(healthy.request(&Request::Count(w(100.0))).into_count(), 5);
         drop((conn, healthy, endpoint));
-        assert_eq!(reactor.join(), 1, "garbage is not a served query");
+        assert_eq!(reactor.shutdown(), 1, "garbage is not a served query");
     }
 
     #[test]
@@ -592,7 +660,7 @@ pub(crate) mod tests {
 
     pub(crate) fn abandoned_exchanges_are_served_and_tallied(on: Placement) {
         // The handler blocks until released, so the client can give up
-        // on queued exchanges *before* the reactor serves them.
+        // on queued exchanges *before* they are served.
         let (release, handler) = gated();
         let (reactor, endpoint) = on.serve(handler);
         let conn = endpoint.connect();
@@ -602,16 +670,17 @@ pub(crate) mod tests {
             &mut |p| begun.push(p),
         );
         // The client abandons the two exchanges queued behind the first,
-        // then the reactor is released to serve all three.
+        // then the handler is released to serve all three.
         begun.truncate(1);
         (0..3).for_each(|_| release.send(()).unwrap());
-        assert_eq!(
-            crate::codec::decode_response(begun.pop().unwrap().wait()).unwrap(),
-            Response::Count(0)
-        );
+        assert_eq!(decode(begun.pop().unwrap().wait()), Response::Count(0));
         let stats = Arc::clone(endpoint.stats());
         drop((conn, endpoint));
-        assert_eq!(reactor.join(), 3, "the abandoned frames were still served");
+        assert_eq!(
+            reactor.shutdown(),
+            3,
+            "the abandoned frames were still served"
+        );
         assert_eq!(stats.abandoned(), 2);
         assert_eq!(stats.served(), 3);
         assert_eq!(stats.max_queue_depth(), 3, "every batch member counts");
@@ -651,46 +720,30 @@ pub(crate) mod tests {
         assert_eq!(stats.waiting.load(Ordering::Acquire), 0);
     }
 
+    /// `shutdown` while a drain is held inside a batch: what was queued
+    /// before it closed the loop is answered, by that drain; what is
+    /// begun after is refused at once; and `shutdown` returns only once
+    /// the drain is done, counting it.
     pub(crate) fn shutdown_inside_a_drained_batch(on: Placement) {
-        let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(5))));
+        let (release, handler) = gated();
+        let (reactor, endpoint) = on.serve(handler);
         let conn = endpoint.connect();
-        let count = || crate::codec::encode_request(&Request::Count(w(100.0)));
-        // One push, so the reactor drains all five events together.
-        let (mut events, pendings): (Vec<Event>, Vec<Pending>) = (0..4)
-            .map(|_| {
-                let (reply, waiter) = slots(1, conn.queue.waker()).next().unwrap();
-                let pending = Pending {
-                    reply: Err(waiter),
-                    garble: None,
-                };
-                let event = Event::Rpc {
-                    request: count(),
-                    reply,
-                    conn: Arc::clone(&conn.conn),
-                };
-                (event, pending)
-            })
-            .unzip();
-        conn.conn.enqueued(4);
-        events.insert(2, Event::Shutdown);
-        assert!(conn.queue.push_all(events));
-        let replies: Vec<Response> = pendings
-            .into_iter()
-            .map(|p| crate::codec::decode_response(p.wait()).unwrap())
-            .collect();
-        assert_eq!(
-            replies,
-            [
-                Response::Count(5),
-                Response::Count(5),
-                Response::Unavailable,
-                Response::Unavailable
-            ]
-        );
-        // The reactor is gone: later exchanges degrade too, and dropping
-        // the loop does not hang on it.
-        assert!(crate::codec::is_unavailable(&conn.exchange(count())));
-        drop(reactor);
+        let first = conn.begin(count());
+        let held = std::thread::spawn(move || first.wait());
+        while !endpoint.queue.serving() {
+            std::thread::yield_now();
+        }
+        let before = conn.begin(count());
+        let closing = std::thread::spawn(move || reactor.shutdown());
+        while !endpoint.queue.closed() {
+            std::thread::yield_now();
+        }
+        assert!(crate::codec::is_unavailable(&conn.begin(count()).wait()));
+        assert!(!closing.is_finished(), "a drain is still running");
+        (0..2).for_each(|_| release.send(()).unwrap());
+        assert_eq!(decode(held.join().unwrap()), Response::Count(0));
+        assert_eq!(decode(before.wait()), Response::Count(0));
+        assert_eq!(closing.join().unwrap(), 2);
     }
 
     #[test]

@@ -443,7 +443,7 @@ mod tests {
             }
         }
         let (release, gate) = mpsc::channel();
-        let reactor = EventLoop::spawn("fault-split-phase");
+        let reactor = EventLoop::new();
         let endpoint = reactor.serve(Arc::new(Gated(Mutex::new(gate))));
         let layer = FaultLayer::new(Box::new(endpoint.connect()), FaultPlan::seeded(5));
         // A layer that ran the whole exchange inside `begin` would block

@@ -18,12 +18,12 @@
 //!   one line per field, in [`meter`]'s telemetry lists;
 //! * [`transport`] — split-phase RPC over two interchangeable carriers: an
 //!   in-process call (fast, used by the experiment sweeps) and a mailbox
-//!   connection to an endpoint on a reactor thread (the "distributed"
-//!   deployment used by examples and integration tests);
+//!   connection to an endpoint on a reactor (the "distributed" deployment
+//!   used by examples and integration tests);
 //! * [`event_loop`] — the **serving carrier**, the only serving loop: a
-//!   reactor thread multiplexing every endpoint and connection registered
-//!   on it, one [`EventLoop`] per deployment, woken by the first client
-//!   that waits on a missing reply;
+//!   reactor multiplexing every endpoint and connection registered on
+//!   it, one [`EventLoop`] per deployment. It has no thread: the first
+//!   client that waits on a missing reply drains its queue;
 //! * [`router`] — the **scatter-gather extension**: a [`ShardRouter`]
 //!   makes a fleet of shard servers look like one — pruning by advertised
 //!   bounds, sub-batching, merging, metering per replica, per shard and in
@@ -69,8 +69,8 @@
 //! lets the misses ride one batch; the router turns all the requests'
 //! pruned sub-requests into one set of flights, one carrier batch per
 //! (shard, replica) edge; a connection enqueues a batch under one lock,
-//! waking nobody, and the first wait wakes the reactor to drain its
-//! whole queue — every edge's batch in one activation. The physical
+//! waking nobody, and the first wait drains the reactor's whole queue on
+//! the waiting thread — every edge's batch in one pass. The physical
 //! edge (`edge.rs`) is who frames (wire version,
 //! dedup envelope), meters, judges a reply ok / `Unavailable` /
 //! `Malformed` and retries — once per physical exchange, in
@@ -92,7 +92,7 @@
 //! to `finish`: over an in-process carrier shipping is serving, and the
 //! cache's lookups stay where a batch asked at once makes them. So two
 //! fleets' batches begun before either is finished — a join's R and S —
-//! are served in one reactor activation. A batch dropped unfinished still
+//! are served in one drain of the reactor. A batch dropped unfinished still
 //! charges the frames it shipped, and it never sends what it deferred.
 
 pub mod cache;

@@ -8,9 +8,12 @@
 //! * [`InProcExchange`] — calls the server's handler on the calling thread
 //!   (fast path for the thousands of joins an experiment sweep runs);
 //! * [`EventConnection`](crate::EventConnection) — a mailbox connection to
-//!   an endpoint on a reactor thread ([`crate::event_loop`]; a deployment
-//!   serves all its servers from one [`EventLoop`](crate::EventLoop), off
-//!   the device's thread, as the paper's servers are off its WiFi PDA).
+//!   an endpoint on a reactor ([`crate::event_loop`]; a deployment serves
+//!   all its servers from one [`EventLoop`](crate::EventLoop)). Requests
+//!   are queued, not called: the client that waits first serves the
+//!   queue for everyone, so several device threads share one queue, one
+//!   serving order and one encode buffer. Which thread serves is not part
+//!   of the paper's cost model, which sees only bytes.
 //!   Integration tests run both carriers and assert identical byte counts.
 //!
 //! Exchanges are split-phase: [`RawExchange::begin`] ships a request and
@@ -27,8 +30,8 @@ use bytes::{Bytes, BytesMut};
 
 use crate::codec::{garble_frame, is_unavailable, unavailable_frame, WireVersion};
 use crate::edge::{Edge, Layer, Started};
+use crate::event_loop::Waiter;
 use crate::fault::FaultCounters;
-use crate::mailbox::SlotEnd;
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{QueryHandler, Request, Response};
@@ -97,13 +100,12 @@ pub trait RawExchange: Send + Sync {
     /// per request, in request order.
     ///
     /// The default is fully synchronous — each reply is computed before
-    /// its [`Pending`] is handed over, which is the only possibility for
-    /// in-process carriers (the server *is* the calling thread). Carriers
-    /// backed by a server thread enqueue the whole batch under one lock,
-    /// waking nobody, and block only inside `wait`, which wakes the
-    /// server if the reply is still missing: independent requests are in
-    /// flight together, and batches begun before the first wait — on any
-    /// number of one reactor's endpoints — are served in one activation.
+    /// its [`Pending`] is handed over, as an in-process carrier does. A
+    /// reactor connection enqueues the whole batch under one lock and
+    /// serves nothing until a `wait` finds its reply missing: that wait
+    /// drains the reactor's queue on its own thread, so batches begun
+    /// before it — on any number of one reactor's endpoints — are served
+    /// in one pass, and their requests are in flight together.
     fn begin_many(
         &self,
         requests: &mut dyn Iterator<Item = Bytes>,
@@ -117,8 +119,8 @@ pub trait RawExchange: Send + Sync {
 /// can be held across locks and dropped at will (an abandoned exchange is
 /// still served; its reply is discarded).
 pub struct Pending {
-    /// The reply if it is already here, else the slot it will arrive in.
-    pub(crate) reply: Result<Bytes, SlotEnd<Bytes>>,
+    /// The reply if it is already here, else the loop that owes it.
+    pub(crate) reply: Result<Bytes, Waiter>,
     /// Set by a [`FaultLayer`](crate::FaultLayer) that rolled a garbled
     /// reply: the frame is stamped, and tallied here, when it arrives —
     /// unless nothing crossed the wire and there is no frame to garble.
@@ -141,7 +143,7 @@ impl Pending {
     pub fn wait(self) -> Bytes {
         let raw = self
             .reply
-            .unwrap_or_else(|slot| slot.wait().unwrap_or_else(unavailable_frame));
+            .unwrap_or_else(|waiter| waiter.wait().unwrap_or_else(unavailable_frame));
         match self.garble {
             Some(tally) if !is_unavailable(&raw) => {
                 tally.garbled.fetch_add(1, Ordering::Relaxed);
@@ -179,7 +181,7 @@ impl<H: QueryHandler + ?Sized> InProcExchange<H> {
 impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
     fn exchange(&self, request: Bytes) -> Bytes {
         // A garbled frame is answered with a typed error, never panicked
-        // on — same contract as the shared server thread. The buffer is
+        // on — same contract as the reactor's drain. The buffer is
         // taken out of its slot, not borrowed: an exchange nested in a
         // handler on this thread serves into a fresh one.
         let mut buf = REPLY_BUF.take();
@@ -471,9 +473,9 @@ mod tests {
     #[test]
     fn begin_overlaps_requests_on_the_channel_carrier() {
         // Ship two requests split-phase before collecting either reply:
-        // the server thread drains both; the completions then yield the
+        // the first wait drains both; the completions then yield the
         // replies in issue order.
-        let server = EventLoop::spawn("split-phase");
+        let server = EventLoop::new();
         let handle = server.serve(Arc::new(Fixed));
         let ex = handle.connect();
         let first = ex.begin(crate::codec::encode_request(&Request::Count(w())));
@@ -484,7 +486,7 @@ mod tests {
         assert_eq!(r2.into_objects().len(), 2);
         drop(ex);
         drop(handle);
-        assert_eq!(server.join(), 2);
+        assert_eq!(server.shutdown(), 2);
     }
 
     // The carrier behaviours below have one body each, in
@@ -518,7 +520,7 @@ mod tests {
 
     #[test]
     fn client_outliving_server_sees_unavailable_not_panic() {
-        let server = EventLoop::spawn("short-lived");
+        let server = EventLoop::new();
         let handle = server.serve(Arc::new(Fixed));
         let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
         assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
@@ -529,22 +531,14 @@ mod tests {
     }
 
     #[test]
-    fn join_waits_for_the_last_connection_and_counts_queries_only() {
-        let server = EventLoop::spawn("join");
+    fn shutdown_counts_queries_only() {
+        let server = EventLoop::new();
         let handle = server.serve(Arc::new(Fixed));
         let (ex, link) = (
             handle.connect(),
             Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0),
         );
-        drop(handle);
-        let (joining, about_to_join) = std::sync::mpsc::channel();
-        let joiner = std::thread::spawn(move || {
-            joining.send(()).unwrap();
-            server.join()
-        });
-        about_to_join.recv().unwrap();
-        // The connections left keep the joined server serving: a
-        // garbled frame and a retired handshake probe (neither is a
+        // A garbled frame and a retired handshake probe (neither is a
         // query), then two queries at v2.
         let link = link.with_wire(WireVersion::V2);
         for garbage in [[0xFF, 0x01], [0x70, 0x02]] {
@@ -554,12 +548,10 @@ mod tests {
                 Response::Malformed
             );
         }
-        drop(ex);
         assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
         assert_eq!(link.request(&Request::Window(w())).into_objects().len(), 2);
-        assert!(!joiner.is_finished(), "joined with a connection still open");
-        drop(link);
-        assert_eq!(joiner.join().unwrap(), 2);
+        assert_eq!(handle.stats().malformed(), 2);
+        assert_eq!(server.shutdown(), 2);
     }
 
     #[test]
@@ -805,7 +797,7 @@ mod tests {
 
     #[test]
     fn failed_exchange_charges_no_meter_bytes() {
-        let server = EventLoop::spawn("meter-conservation");
+        let server = EventLoop::new();
         let handle = server.serve(Arc::new(Fixed));
         let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
         link.request(&Request::Count(w()));

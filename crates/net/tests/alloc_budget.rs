@@ -2,7 +2,8 @@
 //! allocates its frames and its answer, nothing else.
 //!
 //! A counting `#[global_allocator]` tallies the calling thread's heap
-//! allocations; every carrier here is in-process, so a request's whole
+//! allocations; every carrier here serves on the calling thread (the
+//! reactor's too: its waiter drains its queue), so a request's whole
 //! trip — link, cache, router, fault layer, server — runs on that
 //! thread. After warm-up, a COUNT and a single-shard WINDOW through a
 //! 4-shard × 2-replica fleet with no-op fault layers, retry and breakers
@@ -26,8 +27,8 @@ use asj_net::codec::{decode_response, encode_response, CodecError, WireVersion, 
 use asj_net::testutil::ScanHandler;
 use asj_net::transport::InProcExchange;
 use asj_net::{
-    BreakerConfig, FaultLayer, FaultPlan, Link, PacketModel, RawExchange, Request, Response,
-    RetryPolicy, ShardEndpoint, ShardMeta, ShardRouter,
+    BreakerConfig, EventLoop, FaultLayer, FaultPlan, Link, PacketModel, RawExchange, Request,
+    Response, RetryPolicy, ShardEndpoint, ShardMeta, ShardRouter,
 };
 use asj_server::{RTreeStore, SpatialService};
 use bytes::Bytes;
@@ -241,4 +242,23 @@ fn a_raised_object_count_reserves_nothing() {
     let decoded = decode_response(frame);
     assert_eq!(ALLOCATIONS.with(Cell::get) - before, 0);
     assert_eq!(decoded, Err(CodecError::Truncated));
+}
+
+/// A flat link over a reactor: its waits drain the reactor's queue on the
+/// calling thread, so the whole exchange is counted here. Beside what an
+/// in-process exchange allocates, it costs two allocations: the batch's
+/// reply slots, and the edge's list of the exchanges in flight (an
+/// in-process reply is settled on the spot): 5 for the COUNT, 7 for the
+/// WINDOW, whose scan handler collects its answer. The queue, and the
+/// encode buffer the reply is built in, are reused.
+#[test]
+fn a_reactor_exchange_allocates_two_more_than_an_in_process_one() {
+    let reactor = EventLoop::new();
+    let endpoint = reactor.serve(Arc::new(ScanHandler(lattice())));
+    let looped = Link::new(Box::new(endpoint.connect()), PacketModel::default(), 1.0);
+    let flat = Link::new(server(lattice(), false), PacketModel::default(), 1.0);
+    for (req, exact) in requests().into_iter().zip([5, 7]) {
+        assert_eq!(allocations(&looped, &req), exact, "{req:?}");
+        assert_eq!(allocations(&flat, &req) + 2, exact, "{req:?}");
+    }
 }

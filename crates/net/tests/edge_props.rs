@@ -88,8 +88,9 @@ fn faulted(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn RawExchange>
     Box::new(FaultLayer::new(server, plan))
 }
 
-/// A connection that owns its server's reactor thread, so a link over it
-/// is self-contained like the in-process ones.
+/// A connection that owns its server's reactor, so a link over it is
+/// self-contained like the in-process ones; its waits drain the
+/// reactor's queue on the calling thread.
 struct Threaded(EventConnection, #[allow(dead_code)] EventLoop);
 
 impl RawExchange for Threaded {
@@ -110,9 +111,9 @@ impl RawExchange for Threaded {
     }
 }
 
-/// [`faulted`], with the server on a thread of its own.
+/// [`faulted`], with the server on a reactor of its own.
 fn faulted_threaded(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn RawExchange> {
-    let server = EventLoop::spawn("edge-props");
+    let server = EventLoop::new();
     let handle = server.serve(LiveScan::new(objects));
     Box::new(FaultLayer::new(
         Box::new(Threaded(handle.connect(), server)),

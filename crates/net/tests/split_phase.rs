@@ -162,7 +162,7 @@ fn meters(link: &Link) -> (LinkSnapshot, Option<Vec<LinkSnapshot>>) {
 
 #[test]
 fn batches_begun_together_answer_what_they_answer_one_after_the_other() {
-    let reactor = EventLoop::spawn("split-phase");
+    let reactor = EventLoop::new();
     for shape in [Shape::Flat, Shape::Fleet, Shape::Cached] {
         let mut script = script();
         if let Shape::Fleet = shape {

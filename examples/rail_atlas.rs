@@ -30,7 +30,7 @@ fn main() {
         .map(|o| o.mbr.width().hypot(o.mbr.height()) * 0.5)
         .fold(0.0f64, f64::max);
 
-    // Servers off the device's thread (both on one reactor), cooperative
+    // Servers behind one reactor's queue (not called in-process), cooperative
     // so SemiJoin can run too.
     let dep = DeploymentBuilder::new(pois, rail)
         .with_space(space)

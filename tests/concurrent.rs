@@ -145,7 +145,7 @@ fn concurrent_clients_of_a_replicated_faulted_fleet_conserve_meters() {
 fn channel_server_meters_are_per_link_under_contention() {
     let objs = clusters(4, 400, 47);
     let service = Arc::new(SpatialService::new(RTreeStore::new(objs)));
-    let server = EventLoop::spawn("stress");
+    let server = EventLoop::new();
     let handle = server.serve(service);
 
     let sequence: Vec<Request> = (0..25)
@@ -193,7 +193,7 @@ fn channel_server_meters_are_per_link_under_contention() {
     }
     drop(handle);
     assert_eq!(
-        server.join(),
+        server.shutdown(),
         ((CLIENTS + 1) * sequence.len()) as u64,
         "every request must be served exactly once"
     );

@@ -1,12 +1,14 @@
 //! Many-device determinism on the event-loop carrier.
 //!
-//! The async carrier multiplexes every simulated device over one reactor
-//! thread, so the property that makes it trustworthy is *unobservability*:
-//! at a thousand devices, any worker-pool schedule must produce, per
-//! device, exactly the answers, join pairs and meter bytes of a serial
-//! replay — and on a sharded fleet every device's per-shard meters must
-//! keep summing exactly to its aggregate meter (conservation), just like
-//! the threaded carrier before it.
+//! The event-loop carrier multiplexes every simulated device over one
+//! reactor, whose queue is drained by whichever worker waits first — one
+//! device's requests are often served on the thread of another. So the
+//! property that makes it trustworthy is *unobservability*: at a
+//! thousand devices, any worker-pool schedule must produce, per device,
+//! exactly the answers, join pairs and meter bytes of a serial replay —
+//! and on a sharded fleet every device's per-shard meters must keep
+//! summing exactly to its aggregate meter (conservation), just like the
+//! threaded carrier before it.
 
 use asj_core::{DeploymentBuilder, Side};
 use asj_device::{run_traffic, TrafficConfig};

@@ -18,8 +18,8 @@ fn points(seed: u64) -> Vec<SpatialObject> {
     uniform(&default_space(), 600, seed)
 }
 
-/// Wire v2, 4 shards × 2 replicas a side on reactor threads of their
-/// own, retry and breakers on, every edge dropping a fifth of its frames.
+/// Wire v2, 4 shards × 2 replicas a side on the deployment's reactor,
+/// retry and breakers on, every edge dropping a fifth of its frames.
 /// Every edge speaks v2 from its first frame, whatever the seed.
 fn faulted_fleet(seed: u64) -> Deployment {
     let net = NetConfig::default()

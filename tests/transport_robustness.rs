@@ -1,17 +1,18 @@
 //! Transport robustness — a garbled frame must never kill a shared server.
 //!
-//! A reactor thread is shared by every device connected to it — whether
-//! it carries one server or many — so the failure modes this suite pins
-//! are the ones that take *other* clients down with them:
+//! A reactor is shared by every device connected to it — whether it
+//! carries one server or many — and whichever of them waits first serves
+//! the others' requests too, so the failure modes this suite pins are the
+//! ones that take *other* clients down with them:
 //!
 //! * **Garbled frames** (fuzz-ish: empty, truncated, bit-flipped, alien
 //!   opcodes, absurd length prefixes) get a typed `R_MALFORMED` error
-//!   frame back — the serving thread must survive every one of them, and
+//!   frame back — the drain serving them must survive every one, and
 //!   every *healthy* client's run must stay byte-identical (meters) and
 //!   pair-identical (local joins) to an uncontended replay.
 //! * **Shutdown ordering**: dropping an `EventLoop` while its endpoints
 //!   and connections are still alive must not deadlock (regression for
-//!   the join-on-drop deadlock).
+//!   the join-on-drop deadlock of a loop that had a thread).
 //! * **Dead servers**: a client outliving its server sees
 //!   `Response::Unavailable`, never a panic — and the failed exchange
 //!   charges **no** meter bytes in either direction (meters record
@@ -93,7 +94,7 @@ fn scripted_requests() -> Vec<Request> {
 /// replay; the served count excludes the garbage.
 #[test]
 fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
-    let server = EventLoop::spawn("robust");
+    let server = EventLoop::new();
     let handle = server.serve(service(29));
     let sequence = scripted_requests();
     let run = |carrier: Box<dyn RawExchange>| {
@@ -152,7 +153,7 @@ fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
     }
     drop(handle);
     assert_eq!(
-        server.join(),
+        server.shutdown(),
         ((HEALTHY + 1) * sequence.len()) as u64,
         "garbage must not count as served queries"
     );
@@ -163,7 +164,7 @@ fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
 /// "byte-identical" extends to the join pairs themselves.
 #[test]
 fn garbled_frames_leave_event_loop_joins_pair_identical() {
-    let reactor = EventLoop::spawn("robust");
+    let reactor = EventLoop::new();
     let endpoint_r = reactor.serve(service(31));
     let endpoint_s = reactor.serve(service(131));
     let space = default_space();
@@ -215,12 +216,12 @@ fn garbled_frames_leave_event_loop_joins_pair_identical() {
 }
 
 /// Regression: dropping the server value while handles/connections are
-/// still alive used to deadlock the join-on-drop. Now the shutdown
-/// sentinel drains queued RPCs and the drop returns.
+/// still alive used to deadlock the join-on-drop. Now the drop serves
+/// what is queued on the calling thread and returns.
 #[test]
 fn dropping_carriers_with_live_clients_never_hangs() {
     // A reactor of the server's own: the endpoint outlives the loop value.
-    let server = EventLoop::spawn("drop-order");
+    let server = EventLoop::new();
     let handle = server.serve(service(37));
     let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
     assert!(matches!(
@@ -234,7 +235,7 @@ fn dropping_carriers_with_live_clients_never_hangs() {
     );
 
     // Event loop: connections outlive the loop value.
-    let reactor = EventLoop::spawn("drop-order");
+    let reactor = EventLoop::new();
     let endpoint = reactor.serve(service(41));
     let conn = endpoint.connect();
     drop(reactor); // must return, not deadlock on the live connection
@@ -248,7 +249,7 @@ fn dropping_carriers_with_live_clients_never_hangs() {
 /// completed exchanges only).
 #[test]
 fn dead_server_yields_unavailable_and_charges_no_bytes() {
-    let server = EventLoop::spawn("mortal");
+    let server = EventLoop::new();
     let handle = server.serve(service(43));
     let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
     let w = Rect::from_coords(1000.0, 1000.0, 4000.0, 4000.0);
@@ -283,7 +284,7 @@ fn dead_server_yields_unavailable_and_charges_no_bytes() {
 #[test]
 fn lossy_traffic_with_retries_matches_fault_free_replay() {
     use asj_net::{FaultLayer, FaultPlan, RetryPolicy};
-    let reactor = EventLoop::spawn("lossy");
+    let reactor = EventLoop::new();
     let endpoint_r = reactor.serve(service(31));
     let endpoint_s = reactor.serve(service(131));
     let space = default_space();
@@ -392,9 +393,9 @@ fn lossy_traffic_with_retries_matches_fault_free_replay() {
 
 /// Both reactor placements over the same service, as bare `RawExchange`s.
 fn threaded_carriers(seed: u64) -> (EventLoop, EventLoop, Vec<Arc<dyn RawExchange>>) {
-    let server = EventLoop::spawn("batches-own");
+    let server = EventLoop::new();
     let handle = server.serve(service(seed));
-    let reactor = EventLoop::spawn("batches");
+    let reactor = EventLoop::new();
     let endpoint = reactor.serve(service(seed));
     let carriers: Vec<Arc<dyn RawExchange>> =
         vec![Arc::new(handle.connect()), Arc::new(endpoint.connect())];
@@ -414,9 +415,9 @@ fn exchange_many(carrier: &dyn RawExchange, requests: &[Request]) -> Vec<Bytes> 
 /// `Unavailable`, in order, and none of them moves the meter.
 #[test]
 fn dead_server_fails_every_member_of_a_batch_and_charges_nothing() {
-    let server = EventLoop::spawn("mortal-batch-own");
+    let server = EventLoop::new();
     let handle = server.serve(service(47));
-    let reactor = EventLoop::spawn("mortal-batch");
+    let reactor = EventLoop::new();
     let links = [
         Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0),
         Link::new(
