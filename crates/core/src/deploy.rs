@@ -35,8 +35,8 @@ enum Endpoint {
     Reactor {
         endpoint: asj_net::EventEndpoint,
         /// Keeps the loop open: the reactor every endpoint of the
-        /// deployment shares. Dropping the last endpoint serves what is
-        /// still queued on it.
+        /// deployment shares. Dropping the last endpoint closes it, once
+        /// the serves in progress on it have finished.
         _reactor: Arc<asj_net::EventLoop>,
     },
 }
@@ -385,8 +385,8 @@ impl Deployment {
         self.r.replica_count().max(self.s.replica_count())
     }
 
-    /// Reactor endpoint stats (queue-depth high-water marks,
-    /// served/malformed counters) for one side: one entry per server
+    /// Reactor endpoint stats (high-water marks of the requests and
+    /// connections in service, served/malformed counters) for one side: one entry per server
     /// replica, shard-major. Empty on an in-process deployment.
     pub fn event_stats(&self, side: Side) -> Vec<Arc<asj_net::EndpointStats>> {
         match side {
@@ -454,24 +454,23 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Serves every server (each side, every shard replica) through a
-    /// queue rather than a call — the paper's servers, apart from its
-    /// device. All of them share **one** reactor, the same as
-    /// [`DeploymentBuilder::event_loop`]. It starts no thread: the first
-    /// device thread that waits on a reply drains the queue, a whole
-    /// fleet round trip per pass, and the paper prices a join in bytes,
-    /// not in the thread that serves it. Replies are byte-identical to
-    /// in-process serving.
+    /// Serves every server (each side, every shard replica) as an
+    /// endpoint on a reactor rather than by a bare call — the paper's
+    /// servers, apart from its device. All of them share **one** reactor,
+    /// the same as [`DeploymentBuilder::event_loop`]. It starts no thread:
+    /// each request is served at the call, on the device thread that
+    /// asks it, and the paper prices a join in bytes, not in the thread
+    /// that serves it. Replies are byte-identical to in-process serving.
     pub fn threaded(mut self) -> Self {
         self.reactor = true;
         self
     }
 
     /// Serves every server (both sides, every shard replica) from
-    /// **one** shared reactor, whose queue the waiting devices drain, so
-    /// no thread is added however many shards the fleet has or however
-    /// many devices [`Deployment::connect`]; connections carry no
-    /// protocol state, so none of it is shared (see
+    /// **one** shared reactor, which serves each request on the device
+    /// thread that asks it, so no thread is added however many shards
+    /// the fleet has or however many devices [`Deployment::connect`];
+    /// connections carry no protocol state, so none of it is shared (see
     /// `asj_net::event_loop`). The same placement as [`threaded`], under
     /// the many-device name. Replies are byte-identical to in-process
     /// serving.
@@ -525,8 +524,8 @@ impl DeploymentBuilder {
     /// (see `asj_server::partition` and `asj_net::router`). `n = 1` is a
     /// legitimate fleet: the router is byte-transparent, which the
     /// differential tests exploit. Combine with [`threaded`] to serve the
-    /// shards through the reactor — the router then has every shard's
-    /// batch in flight at once, and its first wait drains them together.
+    /// shards through the reactor: every shard's batch is served as the
+    /// router issues it, before it judges any reply.
     ///
     /// [`threaded`]: DeploymentBuilder::threaded
     pub fn with_shards(mut self, n_r: usize, n_s: usize) -> Self {

@@ -4,10 +4,10 @@
 //! beneath it), the wire version its deployment speaks and the meters its
 //! traffic is charged to. It is the only place a request becomes bytes
 //! and a reply becomes a [`Response`] again: [`Edge::frame`] versions and
-//! tags, the carrier's [`RawExchange::begin_many`] ships split-phase,
+//! tags, the carrier's [`RawExchange::exchange_many`] ships a batch,
 //! [`Edge::judge`] charges and classifies, and the edge's own
-//! [`Layer::call_many`] ships a batch, then judges each reply in order
-//! and retries failures one by one. Everything above speaks
+//! [`Layer::call_many`] ships a batch and judges each reply in order as
+//! it comes back, retrying failures one by one. Everything above speaks
 //! [`Layer::begin`] and [`Started::finish`].
 
 use std::borrow::Cow;
@@ -26,7 +26,7 @@ use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{Request, Response};
 use crate::router::Scatter;
-use crate::transport::{Pending, RawExchange};
+use crate::transport::RawExchange;
 
 /// Process-unique sender nonce for the retry-dedup envelope: each edge
 /// draws one at construction, so two senders never collide in a server's
@@ -116,7 +116,7 @@ pub(crate) struct Frame<'a> {
 /// One physical carrier with its wire version, meters, retry discipline
 /// and dedup identity.
 pub(crate) struct Edge {
-    /// Ships frames split-phase ([`RawExchange::begin_many`]).
+    /// Ships frames in batches ([`RawExchange::exchange_many`]).
     pub(crate) carrier: Box<dyn RawExchange>,
     packet: PacketModel,
     /// The one meter this edge's traffic is charged to. A fleet's
@@ -225,24 +225,20 @@ impl Layer for Edge {
         Started::Deferred(self, reqs)
     }
 
-    /// Frames and ships the whole batch, then settles each exchange in
-    /// request order. A reply that is already here when nothing older is
-    /// still in flight is settled on the spot, so over a synchronous
-    /// carrier — which begins each request as it pulls it — a batch is a
-    /// plain loop: the one frame awaiting its pending sits in `newest`
-    /// and nothing touches the heap.
+    /// Frames and ships the whole batch, and settles each reply in
+    /// request order as the carrier hands it back. A carrier hands a
+    /// reply back as soon as it has served its request, so a batch is a
+    /// plain loop: the one frame awaiting its reply sits in `newest` and
+    /// nothing touches the heap. Only a fault layer, which decides a
+    /// whole batch before it ships any of it, leaves `earlier` frames
+    /// waiting.
     fn call_many(
         &self,
         reqs: &mut dyn Iterator<Item = &Request>,
         reply: &mut dyn FnMut(Response, u64),
     ) {
         let (newest, earlier) = (Cell::new(None), RefCell::new(VecDeque::new()));
-        let mut in_flight: Vec<(Frame, Pending)> = Vec::new();
-        let mut settle = |frame: &Frame, pending: Pending| {
-            let (resp, generation) = self.settle(frame, pending.wait());
-            reply(resp, generation);
-        };
-        self.carrier.begin_many(
+        self.carrier.exchange_many(
             &mut reqs.map(|req| {
                 let frame = self.frame(Cow::Borrowed(req));
                 let bytes = frame.bytes.clone();
@@ -251,19 +247,13 @@ impl Layer for Edge {
                 }
                 bytes
             }),
-            &mut |pending| {
+            &mut |raw| {
                 let frame = earlier.borrow_mut().pop_front().or_else(|| newest.take());
-                let frame = frame.expect("one pending per request");
-                if in_flight.is_empty() && pending.reply.is_ok() {
-                    settle(&frame, pending);
-                } else {
-                    in_flight.push((frame, pending));
-                }
+                let frame = frame.expect("one reply per request");
+                let (resp, generation) = self.settle(&frame, raw);
+                reply(resp, generation);
             },
         );
-        in_flight
-            .into_iter()
-            .for_each(|(frame, p)| settle(&frame, p));
     }
 
     fn set_retry(&mut self, retry: RetryPolicy) {

@@ -32,15 +32,15 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 
 use bytes::Bytes;
 
-use crate::codec::unavailable_frame;
+use crate::codec::{garble_frame, is_unavailable, unavailable_frame};
 use crate::few::Few;
 use crate::health::spread_hash;
 use crate::meter::telemetry;
-use crate::transport::{Pending, RawExchange};
+use crate::transport::RawExchange;
 
 /// Scripted crash of the endpoint behind a [`FaultLayer`]: exchanges
 /// `at .. at + dark` (0-based, counted at the layer) answer unavailable;
@@ -147,8 +147,7 @@ pub struct FaultLayer {
     exchanges: AtomicU64,
     restart: Option<RestartFn>,
     restarted: AtomicBool,
-    /// Shared with the [`Pending`]s whose replies are garbled on arrival.
-    counters: Arc<FaultCounters>,
+    counters: FaultCounters,
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -180,7 +179,7 @@ impl FaultLayer {
             exchanges: AtomicU64::new(0),
             restart: None,
             restarted: AtomicBool::new(false),
-            counters: Arc::default(),
+            counters: FaultCounters::default(),
         }
     }
 
@@ -250,9 +249,9 @@ impl FaultLayer {
     /// order: crash window, roll, drop. `None`
     /// when the exchange never happens — the inner carrier is not
     /// touched and the fabricated unavailable frame must stay unmetered;
-    /// otherwise the frame to ship and, when its *reply* is to be garbled
-    /// on arrival, the tally that counts it.
-    fn admit(&self, request: Bytes) -> Option<(Bytes, Option<Arc<FaultCounters>>)> {
+    /// otherwise the frame to ship and whether its *reply* is to be
+    /// garbled.
+    fn admit(&self, request: Bytes) -> Option<(Bytes, bool)> {
         let n = self.exchanges.fetch_add(1, Ordering::SeqCst);
         if let Some(crash) = &self.plan.crash {
             if n >= crash.at && n < crash.at + crash.dark {
@@ -268,38 +267,51 @@ impl FaultLayer {
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let garble_reply = roll.garble.then(|| Arc::clone(&self.counters));
-        Some((request, garble_reply))
+        Some((request, roll.garble))
     }
 }
 
 impl RawExchange for FaultLayer {
     fn exchange(&self, request: Bytes) -> Bytes {
-        self.begin(request).wait()
+        let mut out = None;
+        self.exchange_many(&mut std::iter::once(request), &mut |reply| {
+            out = Some(reply)
+        });
+        out.expect("one reply per request")
     }
 
-    fn begin_many(
+    fn exchange_many(
         &self,
         requests: &mut dyn Iterator<Item = Bytes>,
-        begun: &mut dyn FnMut(Pending),
+        reply: &mut dyn FnMut(Bytes),
     ) {
         // Every decision first: `admit` may restart the carrier, which it
         // cannot do under the read lock the batch is shipped under.
-        let mut admitted: Few<_> = requests.map(|request| self.admit(request)).collect();
+        let admitted: Few<_> = requests.map(|request| self.admit(request)).collect();
+        let ships = admitted.as_slice().iter().flatten();
+        let mut garbles = ships.clone().map(|&(_, garble)| garble);
         let mut shipped = Few::new();
-        let ships = admitted.as_mut_slice().iter().flatten();
-        self.inner.read().expect("fault inner lock").begin_many(
+        self.inner.read().expect("fault inner lock").exchange_many(
             &mut ships.map(|(request, _)| request.clone()),
-            &mut |pending| shipped.push(pending),
+            &mut |raw| {
+                // A carrier-fabricated unavailable frame never crossed the
+                // wire: there is no frame to garble.
+                let garble = garbles.next().expect("one reply per shipped request");
+                shipped.push(if garble && !is_unavailable(&raw) {
+                    self.counters.garbled.fetch_add(1, Ordering::Relaxed);
+                    garble_frame(&raw)
+                } else {
+                    raw
+                });
+            },
         );
+        // Handed on only now the lock is released: a retry inside `reply`
+        // may restart the carrier.
         let mut shipped = shipped.into_iter();
-        for verdict in admitted {
-            begun(match verdict {
-                None => Pending::ready(unavailable_frame()),
-                Some((_, garble)) => Pending {
-                    garble,
-                    ..shipped.next().expect("one pending per shipped request")
-                },
+        for verdict in admitted.as_slice() {
+            reply(match verdict {
+                None => unavailable_frame(),
+                Some(_) => shipped.next().expect("one reply per shipped request"),
             });
         }
     }
@@ -309,7 +321,7 @@ impl RawExchange for FaultLayer {
 mod tests {
     use super::*;
     use crate::codec::{decode_response, encode_request, is_unavailable};
-    use crate::proto::{Request, Response};
+    use crate::proto::Request;
     use crate::testutil::ScanHandler;
     use crate::transport::InProcExchange;
     use asj_geom::{Rect, SpatialObject};
@@ -428,41 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn begun_exchanges_are_in_flight_together_behind_the_fault_layer() {
-        use crate::event_loop::EventLoop;
-        use crate::proto::QueryHandler;
-        use std::sync::mpsc;
-
-        /// Serves nothing until released, so the test decides when an
-        /// exchange can complete.
-        struct Gated(Mutex<mpsc::Receiver<()>>);
-        impl QueryHandler for Gated {
-            fn handle(&self, _req: Request) -> Response {
-                let _ = self.0.lock().unwrap().recv();
-                Response::Count(0)
-            }
-        }
-        let (release, gate) = mpsc::channel();
-        let reactor = EventLoop::new();
-        let endpoint = reactor.serve(Arc::new(Gated(Mutex::new(gate))));
-        let layer = FaultLayer::new(Box::new(endpoint.connect()), FaultPlan::seeded(5));
-        // A layer that ran the whole exchange inside `begin` would block
-        // here forever: the gate is still shut.
-        let first = layer.begin(count_req(0));
-        let second = layer.begin(count_req(1));
-        assert_eq!(
-            endpoint.stats().max_queue_depth(),
-            2,
-            "both exchanges are queued before either completes"
-        );
-        release.send(()).unwrap();
-        release.send(()).unwrap();
-        for pending in [first, second] {
-            assert_eq!(decode_response(pending.wait()).unwrap(), Response::Count(0));
-        }
-    }
-
-    #[test]
     fn split_phase_replies_rolls_and_stats_match_the_serial_path() {
         for plan in [
             FaultPlan::seeded(42).with_drops(0.3).with_garbles(0.3),
@@ -475,9 +452,8 @@ mod tests {
             // must have advanced (or reset) identically too.
             for _pass in 0..2 {
                 let want: Vec<Bytes> = (0..40).map(|i| serial.exchange(count_req(i))).collect();
-                let mut begun = Vec::new();
-                batched.begin_many(&mut (0..40).map(count_req), &mut |p| begun.push(p));
-                let got: Vec<Bytes> = begun.into_iter().map(Pending::wait).collect();
+                let mut got = Vec::new();
+                batched.exchange_many(&mut (0..40).map(count_req), &mut |r| got.push(r));
                 assert_eq!(got, want);
                 assert_eq!(batched.stats(), serial.stats());
             }

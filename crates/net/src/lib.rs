@@ -16,14 +16,15 @@
 //!   mix per link; *this is where every reported number comes from*. Its
 //!   counters, the cache's and the fault layer's are each declared once,
 //!   one line per field, in [`meter`]'s telemetry lists;
-//! * [`transport`] — split-phase RPC over two interchangeable carriers: an
-//!   in-process call (fast, used by the experiment sweeps) and a mailbox
-//!   connection to an endpoint on a reactor (the "distributed" deployment
-//!   used by examples and integration tests);
-//! * [`event_loop`] — the **serving carrier**, the only serving loop: a
-//!   reactor multiplexing every endpoint and connection registered on
-//!   it, one [`EventLoop`] per deployment. It has no thread: the first
-//!   client that waits on a missing reply drains its queue;
+//! * [`transport`] — RPC over two interchangeable carriers, both served
+//!   at the call on the calling thread: an in-process call (fast, used by
+//!   the experiment sweeps) and a connection to an endpoint on a reactor
+//!   (the "distributed" deployment used by examples and integration
+//!   tests);
+//! * [`event_loop`] — the **serving carrier**: a reactor every endpoint
+//!   and connection of a deployment is registered on, one [`EventLoop`]
+//!   per deployment. It has no thread and holds no request: it adds each
+//!   endpoint's gauges and the loop's close gate to an in-process serve;
 //! * [`router`] — the **scatter-gather extension**: a [`ShardRouter`]
 //!   makes a fleet of shard servers look like one — pruning by advertised
 //!   bounds, sub-batching, merging, metering per replica, per shard and in
@@ -68,15 +69,14 @@
 //! of one — there is no second path). The cache answers what it can and
 //! lets the misses ride one batch; the router turns all the requests'
 //! pruned sub-requests into one set of flights, one carrier batch per
-//! (shard, replica) edge; a connection enqueues a batch under one lock,
-//! waking nobody, and the first wait drains the reactor's whole queue on
-//! the waiting thread — every edge's batch in one pass. The physical
+//! (shard, replica) edge; a connection serves each request of a batch
+//! as the batch reaches it, on the calling thread. The physical
 //! edge (`edge.rs`) is who frames (wire version,
 //! dedup envelope), meters, judges a reply ok / `Unavailable` /
 //! `Malformed` and retries — once per physical exchange, in
 //! one copy, each failed member of a batch on its own budget. A flat
 //! link has one edge; a fleet has one per replica, driven by the
-//! router's flight scheduler through the same frame / begin / judge
+//! router's flight scheduler through the same frame / exchange / judge
 //! steps. The retry discipline and the wire version set on a [`Link`]
 //! are handed down to whichever layer owns the edges, so neither can be
 //! applied above them, and every edge speaks its deployment's version
@@ -89,11 +89,11 @@
 //! before anyone waits, and [`Begun::finish`] waits, judges, retries and
 //! merges; `request_many` is the two back to back. The router issues
 //! every flight at `begin`. The edge and the cache defer the whole batch
-//! to `finish`: over an in-process carrier shipping is serving, and the
-//! cache's lookups stay where a batch asked at once makes them. So two
-//! fleets' batches begun before either is finished — a join's R and S —
-//! are served in one drain of the reactor. A batch dropped unfinished still
-//! charges the frames it shipped, and it never sends what it deferred.
+//! to `finish`: shipping is serving, and the cache's lookups stay where a
+//! batch asked at once makes them. So two fleets' batches begun before
+//! either is finished — a join's R and S — are answered by the time the
+//! join waits on either. A batch dropped unfinished still charges the
+//! frames it shipped, and it never sends what it deferred.
 
 pub mod cache;
 pub mod codec;
@@ -102,7 +102,6 @@ pub mod event_loop;
 pub mod fault;
 mod few;
 pub mod health;
-mod mailbox;
 pub mod meter;
 pub mod packet;
 pub mod proto;
@@ -168,4 +167,4 @@ pub use meter::{CacheSnapshot, LinkMeter, LinkSnapshot};
 pub use packet::{NetConfig, PacketModel, RetryPolicy};
 pub use proto::{DeltaOp, QueryHandler, Request, Response, Update};
 pub use router::{FleetSnapshot, ShardEndpoint, ShardMeta, ShardRouter, ShardTelemetry};
-pub use transport::{Begun, Link, Pending, RawExchange};
+pub use transport::{Begun, Link, RawExchange};

@@ -12,10 +12,10 @@
 //! 1. **prunes** shards whose advertised bounds cannot contain an answer
 //!    (a shard's bounds cover the full MBRs of all its objects, including
 //!    boundary straddlers, so pruning never loses a result);
-//! 2. **scatters** to the survivors — split-phase, the sub-requests of
-//!    *every* request of a batch together, one
-//!    [`RawExchange::begin_many`] per (shard, replica) edge, so threaded
-//!    shard servers work concurrently and a batch shares its round trips.
+//! 2. **scatters** to the survivors — the sub-requests of *every*
+//!    request of a batch together, one
+//!    [`RawExchange::exchange_many`] per (shard, replica) edge, so a
+//!    batch shares its round trips.
 //!    Each shard receives the *cut* of the request to the probes whose
 //!    *reach* touches its bounds — the request itself when that is all of
 //!    them — both laws of the protocol (`proto.rs`), not of the router;
@@ -69,7 +69,7 @@ use crate::health::{spread_hash, BreakerConfig, HealthSnapshot, ReplicaSetHealth
 use crate::meter::{rate, LinkMeter, LinkSnapshot};
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{Request, Response, Update};
-use crate::transport::{Pending, RawExchange};
+use crate::transport::RawExchange;
 
 /// Client-side knowledge about one shard, shared between the router and
 /// whoever built the fleet (a `Deployment` keeps its own `Arc`s so update
@@ -458,9 +458,10 @@ impl ShardRouter {
         }
     }
 
-    /// Issues the current try of every scheduled flight split-phase —
-    /// bucketed once by (shard, replica) edge, one carrier batch per
-    /// edge in edge order, in flight order within it — ticking each
+    /// Issues the current try of every scheduled flight — bucketed once
+    /// by (shard, replica) edge, one carrier batch per edge in edge
+    /// order, in flight order within it — and leaves each reply in its
+    /// flight for [`ShardRouter::resolve`] to judge, ticking each
     /// replica set's exchange clock (the breakers' deterministic
     /// cooldown time base) once per try.
     fn issue(&self, flights: &[Flight]) {
@@ -475,14 +476,14 @@ impl ShardRouter {
             let (bucket, later) = rest.split_at(rest.iter().take_while(same_edge).count());
             rest = later;
             let mut begun = bucket.iter();
-            self.edges[shard][replica].carrier.begin_many(
+            self.edges[shard][replica].carrier.exchange_many(
                 &mut bucket.iter().map(|&(.., k)| {
                     self.telemetry.health[shard].tick();
                     flights[k].frame.bytes.clone()
                 }),
-                &mut |pending| {
-                    let &(.., k) = begun.next().expect("one pending per flight");
-                    flights[k].inflight.set(Some((replica, pending)));
+                &mut |raw| {
+                    let &(.., k) = begun.next().expect("one reply per flight");
+                    flights[k].inflight.set(Some((replica, raw)));
                 },
             );
         }
@@ -524,9 +525,9 @@ impl ShardRouter {
     }
 
     /// Drives a set of issued flights to resolution — the fleet's retry
-    /// loop, over the same `frame`/`begin_many`/`judge` as the edge's own.
-    /// All in-flight tries are issued split-phase before any completion
-    /// is awaited, and *failed* flights re-issue together too — so
+    /// loop, over the same `frame`/`exchange_many`/`judge` as the edge's
+    /// own. All of a round's tries are issued before any reply is
+    /// judged, and *failed* flights re-issue together too — so
     /// recovery latency is the max of the failures, not their sum. A
     /// failed try first **fails over** along the flight's rotation
     /// (siblings cost no retry budget); only once the rotation is
@@ -543,9 +544,9 @@ impl ShardRouter {
     fn resolve(&self, flights: &mut [Flight]) {
         loop {
             for f in flights.iter_mut() {
-                if let Some((replica, pending)) = f.inflight.take() {
+                if let Some((replica, raw)) = f.inflight.take() {
                     f.scheduled = false;
-                    self.evaluate(f, replica, pending.wait());
+                    self.evaluate(f, replica, raw);
                 }
             }
             let mut unresolved = false;
@@ -758,8 +759,8 @@ impl ShardRouter {
         Response::Ack { generation: sum }
     }
 
-    /// Begins a batch: frames every request's flights and issues them
-    /// split-phase, waiting on none (see [`Scatter`]).
+    /// Begins a batch: frames every request's flights and issues them,
+    /// judging none (see [`Scatter`]).
     fn scatter_all<'a, 'r: 'a>(&'a self, reqs: impl Iterator<Item = &'r Request>) -> Scatter<'a> {
         let (flights, exact) = if self.edges.len() == 1 && self.edges[0].len() == 1 {
             // A fleet of one edge has nothing to prune and nothing to
@@ -800,11 +801,10 @@ impl ShardRouter {
 }
 
 /// A fleet batch begun: every request's flights framed and issued, none
-/// waited on yet. [`Scatter::finish`] drives them through failover and
+/// judged yet. [`Scatter::finish`] drives them through failover and
 /// retry and merges each request's answer. A batch dropped unfinished
-/// waits on and judges every flight still in the air — the frames it
-/// shipped are charged to the meters as they crossed — and re-sends
-/// nothing.
+/// judges every reply it holds — the frames it shipped are charged to
+/// the meters as they crossed — and re-sends nothing.
 pub(crate) struct Scatter<'a> {
     router: &'a ShardRouter,
     flights: Few<Flight<'a>>,
@@ -848,8 +848,8 @@ impl Drop for Scatter<'_> {
     fn drop(&mut self) {
         let router = self.router;
         for f in self.flights.as_mut_slice() {
-            if let Some((replica, pending)) = f.inflight.take() {
-                router.evaluate(f, replica, pending.wait());
+            if let Some((replica, raw)) = f.inflight.take() {
+                router.evaluate(f, replica, raw);
             }
         }
     }
@@ -950,7 +950,9 @@ struct Flight<'a> {
     outcome: Response,
     /// The serving generation the resolving reply reported.
     generation: u64,
-    inflight: Cell<Option<(usize, Pending)>>,
+    /// The reply to the try issued last, and the replica that sent it,
+    /// until it is judged.
+    inflight: Cell<Option<(usize, Bytes)>>,
     scheduled: bool,
     result: Option<Landing>,
 }

@@ -7,31 +7,28 @@
 //!
 //! * [`InProcExchange`] — calls the server's handler on the calling thread
 //!   (fast path for the thousands of joins an experiment sweep runs);
-//! * [`EventConnection`](crate::EventConnection) — a mailbox connection to
-//!   an endpoint on a reactor ([`crate::event_loop`]; a deployment serves
-//!   all its servers from one [`EventLoop`](crate::EventLoop)). Requests
-//!   are queued, not called: the client that waits first serves the
-//!   queue for everyone, so several device threads share one queue, one
-//!   serving order and one encode buffer. Which thread serves is not part
-//!   of the paper's cost model, which sees only bytes.
+//! * [`EventConnection`](crate::EventConnection) — a connection to an
+//!   endpoint on a reactor ([`crate::event_loop`]; a deployment serves
+//!   all its servers from one [`EventLoop`](crate::EventLoop)). It serves
+//!   each request at the call, on the calling thread, as the in-process
+//!   carrier does, and adds the endpoint's gauges and the loop's close
+//!   gate around it. Which thread serves is not part of the paper's cost
+//!   model, which sees only bytes.
 //!   Integration tests run both carriers and assert identical byte counts.
 //!
-//! Exchanges are split-phase: [`RawExchange::begin`] ships a request and
-//! returns an owned [`Pending`]; independent requests begun together
-//! ([`RawExchange::begin_many`], [`Link::request_many`]) share a round
-//! trip. A link is split-phase too: [`Link::begin`] starts a batch and
-//! [`Begun::finish`] waits for it, so two fleets' batches begun before
-//! either is finished share a round trip as well.
+//! Independent requests travel as one batch ([`RawExchange::exchange_many`],
+//! [`Link::request_many`]), which hands back one reply frame per request,
+//! in request order. A link is split-phase: [`Link::begin`] starts a batch
+//! and [`Begun::finish`] waits for it, so two fleets' batches begun before
+//! either is finished share a round trip.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 
-use crate::codec::{garble_frame, is_unavailable, unavailable_frame, WireVersion};
+use crate::codec::WireVersion;
 use crate::edge::{Edge, Layer, Started};
-use crate::event_loop::Waiter;
-use crate::fault::FaultCounters;
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{QueryHandler, Request, Response};
@@ -88,86 +85,47 @@ pub(crate) fn serve_frame_into<H: QueryHandler + ?Sized>(
 pub trait RawExchange: Send + Sync {
     fn exchange(&self, request: Bytes) -> Bytes;
 
-    /// Starts an exchange — a batch of one; [`Pending::wait`] yields the
-    /// reply.
-    fn begin(&self, request: Bytes) -> Pending {
-        let mut pending = None;
-        self.begin_many(&mut std::iter::once(request), &mut |p| pending = Some(p));
-        pending.expect("one pending per request")
-    }
-
-    /// Starts every request of a batch, handing `begun` one [`Pending`]
-    /// per request, in request order.
-    ///
-    /// The default is fully synchronous — each reply is computed before
-    /// its [`Pending`] is handed over, as an in-process carrier does. A
-    /// reactor connection enqueues the whole batch under one lock and
-    /// serves nothing until a `wait` finds its reply missing: that wait
-    /// drains the reactor's queue on its own thread, so batches begun
-    /// before it — on any number of one reactor's endpoints — are served
-    /// in one pass, and their requests are in flight together.
-    fn begin_many(
+    /// Ships every request of a batch and hands `reply` one reply frame
+    /// per request, in request order. The default exchanges each request
+    /// as it pulls it, as both carriers do; a
+    /// [`FaultLayer`](crate::FaultLayer) decides the whole batch before it
+    /// ships any of it.
+    fn exchange_many(
         &self,
         requests: &mut dyn Iterator<Item = Bytes>,
-        begun: &mut dyn FnMut(Pending),
+        reply: &mut dyn FnMut(Bytes),
     ) {
-        requests.for_each(|request| begun(Pending::ready(self.exchange(request))));
-    }
-}
-
-/// One begun exchange: owned, borrowing nothing from its carrier, so it
-/// can be held across locks and dropped at will (an abandoned exchange is
-/// still served; its reply is discarded).
-pub struct Pending {
-    /// The reply if it is already here, else the loop that owes it.
-    pub(crate) reply: Result<Bytes, Waiter>,
-    /// Set by a [`FaultLayer`](crate::FaultLayer) that rolled a garbled
-    /// reply: the frame is stamped, and tallied here, when it arrives —
-    /// unless nothing crossed the wire and there is no frame to garble.
-    pub(crate) garble: Option<Arc<FaultCounters>>,
-}
-
-impl Pending {
-    /// An exchange whose reply is already here.
-    pub fn ready(reply: Bytes) -> Self {
-        Pending {
-            reply: Ok(reply),
-            garble: None,
-        }
-    }
-
-    /// Blocks until the reply is here. A server that went away before
-    /// answering degrades to the locally fabricated unavailable frame
-    /// instead of panicking the client — a shard dying mid-session must
-    /// not take the device down with it.
-    pub fn wait(self) -> Bytes {
-        let raw = self
-            .reply
-            .unwrap_or_else(|waiter| waiter.wait().unwrap_or_else(unavailable_frame));
-        match self.garble {
-            Some(tally) if !is_unavailable(&raw) => {
-                tally.garbled.fetch_add(1, Ordering::Relaxed);
-                garble_frame(&raw)
-            }
-            _ => raw,
-        }
+        requests.for_each(|request| reply(self.exchange(request)));
     }
 }
 
 thread_local! {
-    /// The encode buffer of every in-process exchange on this thread: it
-    /// grows to the thread's largest reply once.
+    /// The encode buffer every exchange served on this thread is built
+    /// in: it grows to the thread's largest reply once.
     static REPLY_BUF: std::cell::Cell<BytesMut> = Default::default();
+}
+
+/// Serves one request frame by the one discipline of both carriers: the
+/// handler encodes into this thread's reused buffer, and the reply ships
+/// as one exact-size copy of it, the only per-request allocation. The
+/// buffer is taken out of its slot, not borrowed, so an exchange nested
+/// in a handler on this thread serves into a fresh one. Returns the reply
+/// and whether the frame was a query ([`serve_frame_into`]).
+pub(crate) fn serve_frame<H: QueryHandler + ?Sized>(handler: &H, request: Bytes) -> (Bytes, bool) {
+    let mut buf = REPLY_BUF.take();
+    buf.clear();
+    let query = serve_frame_into(handler, request, &mut buf);
+    // The shim's `Bytes` is `Arc<[u8]>`-backed, so one copy (one
+    // allocation) into the reply stands in for the real crate's
+    // zero-copy, allocation-recycling `buf.split().freeze()`.
+    let reply = Bytes::copy_from_slice(&buf);
+    REPLY_BUF.set(buf);
+    (reply, query)
 }
 
 /// In-process carrier: decodes and handles on the calling thread.
 /// `H` may be unsized, so a deployment holding `Arc<dyn QueryHandler>`
 /// uses this adapter too.
-///
-/// It serves as the reactor's loop does ([`crate::event_loop`]), the one
-/// serving discipline of both carriers: the handler encodes into one
-/// reused buffer — here the calling thread's — and the reply ships as one
-/// exact-size copy of it, the only per-request allocation.
 pub struct InProcExchange<H: QueryHandler + ?Sized> {
     handler: Arc<H>,
 }
@@ -179,17 +137,9 @@ impl<H: QueryHandler + ?Sized> InProcExchange<H> {
 }
 
 impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
+    /// A garbled frame is answered with a typed error, never panicked on.
     fn exchange(&self, request: Bytes) -> Bytes {
-        // A garbled frame is answered with a typed error, never panicked
-        // on — same contract as the reactor's drain. The buffer is
-        // taken out of its slot, not borrowed: an exchange nested in a
-        // handler on this thread serves into a fresh one.
-        let mut buf = REPLY_BUF.take();
-        buf.clear();
-        serve_frame_into(self.handler.as_ref(), request, &mut buf);
-        let reply = Bytes::copy_from_slice(&buf);
-        REPLY_BUF.set(buf);
-        reply
+        serve_frame(self.handler.as_ref(), request).0
     }
 }
 
@@ -472,16 +422,18 @@ mod tests {
 
     #[test]
     fn begin_overlaps_requests_on_the_channel_carrier() {
-        // Ship two requests split-phase before collecting either reply:
-        // the first wait drains both; the completions then yield the
-        // replies in issue order.
+        // Ship two requests as one batch: the replies come back in issue
+        // order, each served at the call.
         let server = EventLoop::new();
         let handle = server.serve(Arc::new(Fixed));
         let ex = handle.connect();
-        let first = ex.begin(crate::codec::encode_request(&Request::Count(w())));
-        let second = ex.begin(crate::codec::encode_request(&Request::Window(w())));
-        let r1 = crate::codec::decode_response(first.wait()).unwrap();
-        let r2 = crate::codec::decode_response(second.wait()).unwrap();
+        let requests = [Request::Count(w()), Request::Window(w())];
+        let mut replies = Vec::new();
+        ex.exchange_many(
+            &mut requests.iter().map(crate::codec::encode_request),
+            &mut |reply| replies.push(crate::codec::decode_response(reply).unwrap()),
+        );
+        let [r1, r2]: [Response; 2] = replies.try_into().unwrap();
         assert_eq!(r1.into_count(), 7);
         assert_eq!(r2.into_objects().len(), 2);
         drop(ex);
@@ -500,12 +452,7 @@ mod tests {
 
     #[test]
     fn shutdown_inside_a_drained_batch_answers_before_it_and_fails_after_it() {
-        carrier::shutdown_inside_a_drained_batch(Private);
-    }
-
-    #[test]
-    fn pendings_dropped_before_wait_neither_wedge_nor_leak() {
-        carrier::abandoned_exchanges_are_served_and_tallied(Private);
+        carrier::shutdown_during_a_serve(Private);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use asj_net::testutil::ScanHandler as Scan;
 use asj_net::transport::InProcExchange;
 use asj_net::{
     BreakerConfig, EventConnection, EventLoop, FaultLayer, FaultPlan, Link, LinkSnapshot,
-    PacketModel, Pending, QueryHandler, RawExchange, Request, Response, RetryPolicy, ShardEndpoint,
+    PacketModel, QueryHandler, RawExchange, Request, Response, RetryPolicy, ShardEndpoint,
     ShardMeta, ShardRouter, Update,
 };
 use bytes::{Bytes, BytesMut};
@@ -89,25 +89,12 @@ fn faulted(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn RawExchange>
 }
 
 /// A connection that owns its server's reactor, so a link over it is
-/// self-contained like the in-process ones; its waits drain the
-/// reactor's queue on the calling thread.
+/// self-contained like the in-process ones.
 struct Threaded(EventConnection, #[allow(dead_code)] EventLoop);
 
 impl RawExchange for Threaded {
     fn exchange(&self, request: Bytes) -> Bytes {
         self.0.exchange(request)
-    }
-
-    fn begin(&self, request: Bytes) -> Pending {
-        self.0.begin(request)
-    }
-
-    fn begin_many(
-        &self,
-        requests: &mut dyn Iterator<Item = Bytes>,
-        begun: &mut dyn FnMut(Pending),
-    ) {
-        self.0.begin_many(requests, begun)
     }
 }
 

@@ -30,8 +30,8 @@ fn main() {
         .map(|o| o.mbr.width().hypot(o.mbr.height()) * 0.5)
         .fold(0.0f64, f64::max);
 
-    // Servers behind one reactor's queue (not called in-process), cooperative
-    // so SemiJoin can run too.
+    // Servers as endpoints on one reactor (not bare in-process calls),
+    // cooperative so SemiJoin can run too.
     let dep = DeploymentBuilder::new(pois, rail)
         .with_space(space)
         .with_buffer(800)

@@ -1,8 +1,8 @@
 //! Many-device determinism on the event-loop carrier.
 //!
 //! The event-loop carrier multiplexes every simulated device over one
-//! reactor, whose queue is drained by whichever worker waits first — one
-//! device's requests are often served on the thread of another. So the
+//! reactor, and the pool's workers call its handlers concurrently, each
+//! serving the device it is running at the moment. So the
 //! property that makes it trustworthy is *unobservability*: at a
 //! thousand devices, any worker-pool schedule must produce, per device,
 //! exactly the answers, join pairs and meter bytes of a serial replay —

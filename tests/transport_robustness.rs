@@ -1,13 +1,13 @@
 //! Transport robustness — a garbled frame must never kill a shared server.
 //!
 //! A reactor is shared by every device connected to it — whether it
-//! carries one server or many — and whichever of them waits first serves
-//! the others' requests too, so the failure modes this suite pins are the
-//! ones that take *other* clients down with them:
+//! carries one server or many — and its handlers serve them all, so the
+//! failure modes this suite pins are the ones that take *other* clients
+//! down with them:
 //!
 //! * **Garbled frames** (fuzz-ish: empty, truncated, bit-flipped, alien
 //!   opcodes, absurd length prefixes) get a typed `R_MALFORMED` error
-//!   frame back — the drain serving them must survive every one, and
+//!   frame back — the server answering them must survive every one, and
 //!   every *healthy* client's run must stay byte-identical (meters) and
 //!   pair-identical (local joins) to an uncontended replay.
 //! * **Shutdown ordering**: dropping an `EventLoop` while its endpoints
@@ -402,13 +402,13 @@ fn threaded_carriers(seed: u64) -> (EventLoop, EventLoop, Vec<Arc<dyn RawExchang
     (server, reactor, carriers)
 }
 
-/// Ships `requests` as one batch and waits for the replies in order.
+/// Ships `requests` as one batch and collects the replies in order.
 fn exchange_many(carrier: &dyn RawExchange, requests: &[Request]) -> Vec<Bytes> {
-    let mut begun = Vec::with_capacity(requests.len());
-    carrier.begin_many(&mut requests.iter().map(codec::encode_request), &mut |p| {
-        begun.push(p)
+    let mut replies = Vec::with_capacity(requests.len());
+    carrier.exchange_many(&mut requests.iter().map(codec::encode_request), &mut |r| {
+        replies.push(r)
     });
-    begun.into_iter().map(|p| p.wait()).collect()
+    replies
 }
 
 /// Every member of a batch sent to a dead server degrades to
@@ -459,7 +459,7 @@ fn threads_sharing_one_carrier_each_get_their_own_batch_replies() {
                 scope.spawn(move || {
                     for round in 0..50u32 {
                         // Windows unique to (thread, round, member), so a
-                        // reply delivered to the wrong waiter is caught.
+                        // reply delivered to the wrong thread is caught.
                         let batch: Vec<Request> = (0..16u32)
                             .map(|k| {
                                 let x = 100.0 * f64::from(t) + 7.0 * f64::from(round);
