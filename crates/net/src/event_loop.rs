@@ -25,6 +25,10 @@
 //! however wide the scatter, and an endpoint's handler runs on as many
 //! device threads at once as call it, as in process.
 //!
+//! The gate relies on one condition: a handler never asks its own loop.
+//! Its nested read would queue behind a close waiting for the serve it
+//! runs inside. No handler does.
+//!
 //! # Connection state
 //!
 //! A connection carries no protocol state: a server decodes each request
