@@ -386,8 +386,9 @@ impl Deployment {
     }
 
     /// Reactor endpoint stats (high-water marks of the requests and
-    /// connections in service, served/malformed counters) for one side: one entry per server
-    /// replica, shard-major. Empty on an in-process deployment.
+    /// connections in service, served/malformed counters) for one side:
+    /// one entry per server replica, shard-major. Empty on an in-process
+    /// deployment.
     pub fn event_stats(&self, side: Side) -> Vec<Arc<asj_net::EndpointStats>> {
         match side {
             Side::R => self.r.event_stats(),
