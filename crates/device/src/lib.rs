@@ -16,7 +16,9 @@
 //!   Spatial Join ([`memjoin::grid_hash_join`]): a one-sided ε-grid. Each R
 //!   object is hashed to the one cell of its MBR centre, each S object to
 //!   the cells a partner's centre can lie in, so a pair is examined in
-//!   exactly one cell and only the caller's reference-point filter runs.
+//!   exactly one cell and only the caller's reference-point filter runs —
+//!   not even that for an R object deep enough inside the window to own
+//!   every pair it qualifies in.
 //! * [`traffic`] — the **many-device traffic harness**: thousands of
 //!   deterministic scripted devices driven by a small worker pool over a
 //!   shared carrier, with per-device outcome digests (responses, pairs,

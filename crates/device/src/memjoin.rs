@@ -20,36 +20,71 @@
 //! reference-point test \[3\] against `(report_cell, space)`, so
 //! exactly-once reporting across windows holds unchanged.
 //!
-//! **The inner loop has no data-dependent branch.** About one candidate in
-//! three qualifies, which is the worst case for a predictor, so an R object
-//! takes its home cell's run in two passes that *compact* instead of
-//! branching (`hits[n] = j; n += usize::from(test)`): first
-//! [`Rect::within_distance`] over the whole run, then the ownership of the
-//! pair's reference point over the survivors only; what is left goes to the
-//! collector as one slice. Hoisted out of both passes: the R object's MBR and
-//! centre, and the window's edges with their two closed-far-edge flags — the
-//! ownership test is [`asj_geom::grid::owns_reference_point`] term for term,
-//! with `&` / `|` on `bool`s where that one short-circuits and returns early
-//! (a NaN keeps its verdict: `!(p < min)` admits it, `p < max` and
-//! `p <= max` both refuse it). The midpoint stays
-//! `(ca + cb) * 0.5` with `c = (min + max) * 0.5`, as `Rect::center` and
-//! `Point::midpoint` compute it, and is never rearranged into comparing `cb`
-//! with `2·edge − ca`: the windows either side of a seam judge the same pair
-//! from the same bits, and exactly one of them must claim it. An
-//! intersection join keeps the scalar [`reference_point_in`] per candidate,
-//! through the same compaction. S is indexed in place (`s[j]`): a
-//! cell-ordered copy of it, replicated about nine times, measured no faster
-//! and added 11 % to the device's peak memory on a 6000 × 6000 leaf. On the
-//! benchmark's dense leaves (about 500 objects, 9 600 candidates, 2 900
-//! pairs) the kernel went from 12–13 ns per candidate to 5–6, build
-//! included: `device.leaf_ns_per_pair` 33–38 → 14–17.
+//! **Ownership is settled per R object where it can be.** The reference
+//! point of a distance pair is the midpoint of the two centres. On each
+//! axis the centres of a qualifying pair are at most `|ε| + ha + hb` apart,
+//! `ha` and `hb` their half-extents: `cb − ca = (b.min − a.max) + ha + hb`
+//! exactly, and `b.min − a.max` is at most the gap the predicate bounds by
+//! `|ε|` (the same holds mirrored, and for an inverted box, whose negative
+//! half-extent only helps). So the midpoint lies within the **margin**
+//! `m = ½(|ε| + max R half-extent + max S half-extent)` of `ca` per axis,
+//! and an R object whose centre is at least `m` inside every edge of the
+//! report cell owns every pair it qualifies in, whichever edges are closed.
+//! The kernel widens `m` by `1e-12 · (|cell edge| + 3m) + 1e-150`. Every
+//! rounding between the inputs and the verdict — the centres, the
+//! midpoint, the gap and the squares of the ε test, the margin and the
+//! shrunk cell — errs by at most 2⁻⁵³ of a magnitude below `|cell edge| +
+//! 3m`, twenty of them stay under 3·10⁻¹⁵ of it, and the ε test's squares
+//! can underflow only for gaps below 2⁻⁵⁰⁸ (about 3·10⁻¹⁵³); so the widened
+//! margin dominates them all. The margin is taken per leaf, from the
+//! half-extents [`Axis::over`] already folds over R and `bucket`'s block
+//! pass folds over S, and only when it is provable: the predicate is a
+//! distance, `ε²` is finite (no NaN, no ε whose square saturates the test),
+//! and every centre and half-extent of both inputs is finite — a NaN
+//! centre makes the largest half-extent infinite, where `f64::max` would
+//! drop it. The cell shrunk by the margin is built field by field, so an
+//! empty one simply contains no centre.
+//!
+//! **The inner loops have no data-dependent branch.** About one candidate
+//! in three qualifies, which is the worst case for a predictor, so a pass
+//! over R's home-cell run *compacts* instead of branching
+//! (`hits[n] = pair; n += usize::from(test)`). An **interior** R object — a
+//! centre inside the shrunk cell — takes its run in one pass that writes
+//! `(a.id, b.id)` straight into the slice the collector gets. A
+//! **boundary** R object takes two: [`Rect::within_distance`] over the
+//! whole run, then the ownership of the pair's reference point over the
+//! survivors only. Hoisted out of both: the R object's MBR and centre, and
+//! the window's edges with their two closed-far-edge flags — the ownership
+//! test is [`asj_geom::grid::owns_reference_point`] term for term, with `&`
+//! / `|` on `bool`s where that one short-circuits and returns early (a NaN
+//! keeps its verdict: `!(p < min)` admits it, `p < max` and `p <= max` both
+//! refuse it). The midpoint stays `(ca + cb) * 0.5` with
+//! `c = (min + max) * 0.5`, as `Rect::center` and `Point::midpoint` compute
+//! it, and is never rearranged into comparing `cb` with `2·edge − ca`: the
+//! windows either side of a seam judge the same pair from the same bits,
+//! and exactly one of them must claim it. An intersection join judges every
+//! R object in one pass with the scalar [`reference_point_in`]. S is
+//! indexed in place (`s[j]`): a cell-ordered copy of it, replicated about
+//! nine times, measured no faster and added 11 % to the device's peak
+//! memory on a 6000 × 6000 leaf.
+//!
+//! **Point form.** When every object of both inputs is a finite point
+//! (`max − min` is `0` exactly on both axes, which no NaN or infinity
+//! passes), the ε test is `dx * dx + dy * dy <= ε * ε` on the coordinates'
+//! differences. On a degenerate rectangle `within_distance`'s
+//! `max(a − b, 0, b − a)` is exactly `|a − b|`, whose square is the square
+//! of `a − b`, so every verdict is the same bit for bit. The check costs
+//! nothing extra: it rides on the same two folds as the margin.
 //!
 //! Coordinates arrive off the wire unvalidated. Cell indices are clamped in
-//! the `f64` domain before any cast (a NaN casts to cell 0, and an object
-//! with a NaN coordinate qualifies with nothing, so where it lands is
-//! immaterial), and an R centre that is not finite makes `reach` infinite —
-//! one cell, a nested loop. Hostile input costs time, never a panic or a
-//! lost pair.
+//! the `f64` domain before any cast (a NaN casts to cell 0), and an R centre
+//! that is not finite makes `reach` infinite — one cell, a nested loop. An
+//! object with a NaN coordinate can still pass the ε test — `f64::max`
+//! drops a NaN gap, so an S box with a NaN `min.x` and a finite `max.x`
+//! qualifies by its `max.x` alone — but its centre is NaN, so is the
+//! midpoint, and every ownership test refuses it; it is never reported,
+//! because its NaN centre also switches the margin off for the leaf.
+//! Hostile input costs time, never a panic or a lost pair.
 
 use asj_geom::{reference_point_in, JoinPredicate, ObjectId, Point, Rect, SpatialObject};
 
@@ -68,30 +103,62 @@ const MAX_CELLS_PER_AXIS: f64 = 256.0;
 /// is never lost to a cell boundary.
 const RANGE_SLACK: f64 = 1e-3;
 
+/// Relative and absolute widening of the interior margin: they dominate
+/// the rounding of the centres, the midpoint and the ε test (module docs).
+const MARGIN_SLACK: (f64, f64) = (1e-12, 1e-150);
+
+type Pairs = [(ObjectId, ObjectId)];
+
+/// What one pass over a side learns of one axis: its largest half-extent
+/// (infinite once a centre is not finite) and whether every extent is one
+/// finite coordinate.
+#[derive(Clone, Copy)]
+struct Spread {
+    half: f64,
+    points: bool,
+}
+
+impl Spread {
+    const NONE: Spread = Spread {
+        half: 0.0,
+        points: true,
+    };
+
+    /// Folds in the extent `min..=max`; returns its centre.
+    fn add(&mut self, min: f64, max: f64) -> f64 {
+        let (centre, width) = ((min + max) * 0.5, max - min);
+        self.points &= width == 0.0;
+        self.half = if centre.is_finite() {
+            self.half.max(width * 0.5)
+        } else {
+            f64::INFINITY // no home cell and no margin is right
+        };
+        centre
+    }
+}
+
 /// One axis of the grid: cells `0..=last`, `1 / scale` wide, from `origin`.
 struct Axis {
     origin: f64,
     scale: f64,
     last: f64,
     reach: f64,
+    spread: Spread,
 }
 
 impl Axis {
     /// Grids the finite centres of R's `(min, max)` extents on one axis:
     /// about `want` cells, none narrower than `reach`.
     fn over(extents: impl Iterator<Item = (f64, f64)>, eps: f64, want: f64) -> Axis {
-        let (mut lo, mut hi, mut half) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
+        let (mut lo, mut hi, mut spread) = (f64::INFINITY, f64::NEG_INFINITY, Spread::NONE);
         for (min, max) in extents {
-            let centre = (min + max) * 0.5;
+            let centre = spread.add(min, max);
             if centre.is_finite() {
                 lo = lo.min(centre);
                 hi = hi.max(centre);
-                half = half.max((max - min) * 0.5);
-            } else {
-                half = f64::INFINITY; // no home cell is right: look everywhere
             }
         }
-        let (reach, span) = (eps + half, hi - lo);
+        let (reach, span) = (eps + spread.half, hi - lo);
         let side = reach.max(span / want);
         let (cells, scale) = if side > 0.0 && side.is_finite() {
             let cells = (span / side).ceil().clamp(1.0, MAX_CELLS_PER_AXIS);
@@ -105,6 +172,7 @@ impl Axis {
             scale,
             last,
             reach,
+            spread,
         }
     }
 
@@ -127,16 +195,77 @@ impl Axis {
     }
 }
 
-/// Counting sort of S into the grid as `(starts, partners)`: cell `c` (row
-/// `c / nx`) holds the indices `partners[starts[c]..starts[c + 1]]` into `s`,
-/// in input order. An object's block of cells is computed once, for both
-/// passes of the sort.
-fn bucket(s: &[SpatialObject], ax: &Axis, ay: &Axis) -> (Vec<usize>, Vec<u32>) {
+/// S bucketed into R's grid.
+struct Grid<'a> {
+    s: &'a [SpatialObject],
+    ax: Axis,
+    ay: Axis,
+    /// Cell `c` (row `c / nx`) holds `partners[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    partners: Vec<u32>,
+    longest: usize,
+}
+
+impl Grid<'_> {
+    /// The candidates of an R object centred at `c`: its home cell's run.
+    fn run(&self, c: Point) -> &[u32] {
+        let home = self.ay.home(c.y) * (self.ax.last as usize + 1) + self.ax.home(c.x);
+        &self.partners[self.starts[home]..self.starts[home + 1]]
+    }
+
+    /// Joins `r` into `emit`, one slice per R object: R's input order,
+    /// then S's within the home cell. `near` is the pair test; an R centre
+    /// `settled` approves keeps every pair `near` keeps, any other only
+    /// those whose reference point `window` owns.
+    fn join(
+        &self,
+        r: &[SpatialObject],
+        near: impl Fn(&SpatialObject, &SpatialObject) -> bool,
+        settled: impl Fn(Point) -> bool,
+        window: &Window,
+        emit: &mut dyn FnMut(&Pairs),
+    ) {
+        let mut hits = vec![(0, 0); self.longest];
+        for a in r {
+            let ac = a.center();
+            let run = self.run(ac);
+            let mut n = 0;
+            if settled(ac) {
+                for &j in run {
+                    let b = &self.s[j as usize];
+                    hits[n] = (a.id, b.id);
+                    n += usize::from(near(a, b));
+                }
+            } else {
+                for &j in run {
+                    hits[n] = (a.id, j);
+                    n += usize::from(near(a, &self.s[j as usize]));
+                }
+                let mut owned = 0;
+                for i in 0..n {
+                    let b = &self.s[hits[i].1 as usize];
+                    hits[owned] = (a.id, b.id);
+                    owned += usize::from(window.owns(ac.midpoint(&b.center())));
+                }
+                n = owned;
+            }
+            emit(&hits[..n]);
+        }
+    }
+}
+
+/// Counting sort of S into the grid of `(ax, ay)`, in input order. An
+/// object's block of cells is computed once, for both passes of the sort,
+/// in the pass that also folds S's extents.
+fn bucket<'a>(s: &'a [SpatialObject], ax: Axis, ay: Axis) -> (Grid<'a>, [Spread; 2]) {
     let nx = ax.last as usize + 1;
     let cells = nx * (ay.last as usize + 1);
+    let mut spread = [Spread::NONE; 2];
     let blocks: Vec<[u32; 4]> = s
         .iter()
         .map(|o| {
+            spread[0].add(o.mbr.min.x, o.mbr.max.x);
+            spread[1].add(o.mbr.min.y, o.mbr.max.y);
             let (x0, x1) = ax.covering(o.mbr.min.x, o.mbr.max.x);
             let (y0, y1) = ay.covering(o.mbr.min.y, o.mbr.max.y);
             [x0, x1, y0, y1]
@@ -164,7 +293,75 @@ fn bucket(s: &[SpatialObject], ax: &Axis, ay: &Axis) -> (Vec<usize>, Vec<u32>) {
             }
         }
     }
-    (starts, partners)
+    let longest = starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let grid = Grid {
+        s,
+        ax,
+        ay,
+        starts,
+        partners,
+        longest,
+    };
+    (grid, spread)
+}
+
+/// The report cell as the kernel tests it: `owns` is
+/// `owns_reference_point(cell, space, p)` with its edge flags hoisted, and
+/// `inner` the cell shrunk by the interior margin (NaN, containing
+/// nothing, where no margin is provable).
+#[derive(Clone, Copy)]
+struct Window {
+    cell: Rect,
+    closed_x: bool,
+    closed_y: bool,
+    inner: Rect,
+}
+
+impl Window {
+    fn new(cell: &Rect, space: &Rect, eps: Option<f64>, r: [Spread; 2], s: [Spread; 2]) -> Window {
+        let pad = |eps: f64, r: Spread, s: Spread, lo: f64, hi: f64| {
+            let m = 0.5 * (eps.abs() + r.half + s.half);
+            let (rel, abs) = MARGIN_SLACK;
+            m + rel * (lo.abs().max(hi.abs()) + 3.0 * m) + abs
+        };
+        let nowhere = Rect::point(Point::new(f64::NAN, f64::NAN));
+        let inner = match eps {
+            Some(eps) if (eps * eps).is_finite() => {
+                let px = pad(eps, r[0], s[0], cell.min.x, cell.max.x);
+                let py = pad(eps, r[1], s[1], cell.min.y, cell.max.y);
+                if px.is_finite() & py.is_finite() {
+                    Rect {
+                        min: Point::new(cell.min.x + px, cell.min.y + py),
+                        max: Point::new(cell.max.x - px, cell.max.y - py),
+                    }
+                } else {
+                    nowhere
+                }
+            }
+            _ => nowhere,
+        };
+        Window {
+            cell: *cell,
+            closed_x: cell.max.x >= space.max.x,
+            closed_y: cell.max.y >= space.max.y,
+            inner,
+        }
+    }
+
+    fn owns(&self, p: Point) -> bool {
+        let c = &self.cell;
+        let below = (p.x < c.min.x) | (p.y < c.min.y);
+        let x_ok = (p.x < c.max.x) | (self.closed_x & (p.x <= c.max.x));
+        let y_ok = (p.y < c.max.y) | (self.closed_y & (p.y <= c.max.y));
+        !below & x_ok & y_ok
+    }
+
+    /// `true` when the cell owns every pair an R object centred at `c`
+    /// qualifies in.
+    fn settles(&self, c: Point) -> bool {
+        let i = &self.inner;
+        (c.x >= i.min.x) & (c.x < i.max.x) & (c.y >= i.min.y) & (c.y < i.max.y)
+    }
 }
 
 /// [`grid_hash_join_with_workers`] on the calling thread.
@@ -202,46 +399,41 @@ pub fn grid_hash_join_with_workers(
     let (eps, want) = (pred.epsilon(), ((r.len() + s.len()) as f64).sqrt().ceil());
     let ax = Axis::over(r.iter().map(|o| (o.mbr.min.x, o.mbr.max.x)), eps, want);
     let ay = Axis::over(r.iter().map(|o| (o.mbr.min.y, o.mbr.max.y)), eps, want);
-    let nx = ax.last as usize + 1;
-    let (starts, partners) = bucket(s, &ax, &ay);
-    let longest = starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-    // `owns_reference_point(report_cell, space, p)`, its edge flags hoisted.
-    let cell = *report_cell;
-    let (closed_x, closed_y) = (cell.max.x >= space.max.x, cell.max.y >= space.max.y);
-    let owns = move |p: Point| {
-        let below = (p.x < cell.min.x) | (p.y < cell.min.y);
-        let x_ok = (p.x < cell.max.x) | (closed_x & (p.x <= cell.max.x));
-        let y_ok = (p.y < cell.max.y) | (closed_y & (p.y <= cell.max.y));
-        !below & x_ok & y_ok
-    };
+    let r_spread = [ax.spread, ay.spread];
+    let (grid, s_spread) = bucket(s, ax, ay);
     let within = match *pred {
         JoinPredicate::WithinDistance(eps) => Some(eps),
         JoinPredicate::Intersects => None,
     };
-    // The pairs of a run of R: R's input order, then S's within the home cell
-    // (`center()` is the `(min + max) * 0.5` the axes were gridded on).
-    type Pairs = [(ObjectId, ObjectId)];
+    let window = Window::new(report_cell, space, within, r_spread, s_spread);
+    let points = r_spread.iter().chain(&s_spread).all(|a| a.points);
+    // `center()` is the `(min + max) * 0.5` the axes were gridded on.
     let join = |run: &[SpatialObject], emit: &mut dyn FnMut(&Pairs)| {
-        let mut hits = vec![(0, 0); longest];
-        for a in run {
-            let (am, ac) = (a.mbr, a.center());
-            let home = ay.home(ac.y) * nx + ax.home(ac.x);
-            let mut near = 0;
-            for &j in &partners[starts[home]..starts[home + 1]] {
-                let b = &s[j as usize];
-                hits[near] = (a.id, j);
-                near += usize::from(match within {
-                    Some(eps) => am.within_distance(&b.mbr, eps),
-                    None => reference_point_in(a, b, pred, report_cell, space),
-                });
+        let (g, w) = (&grid, &window);
+        let settled = |c| w.settles(c);
+        match within {
+            None => g.join(
+                run,
+                |a, b| reference_point_in(a, b, pred, report_cell, space),
+                |_| true,
+                w,
+                emit,
+            ),
+            Some(eps) if points => {
+                let e2 = eps * eps;
+                let near = |a: &SpatialObject, b: &SpatialObject| {
+                    let (dx, dy) = (a.mbr.min.x - b.mbr.min.x, a.mbr.min.y - b.mbr.min.y);
+                    dx * dx + dy * dy <= e2
+                };
+                g.join(run, near, settled, w, emit)
             }
-            let mut owned = 0;
-            for i in 0..near {
-                let b = &s[hits[i].1 as usize];
-                hits[owned] = (a.id, b.id);
-                owned += usize::from(within.is_none() | owns(ac.midpoint(&b.center())));
-            }
-            emit(&hits[..owned]);
+            Some(eps) => g.join(
+                run,
+                |a, b| a.mbr.within_distance(&b.mbr, eps),
+                settled,
+                w,
+                emit,
+            ),
         }
     };
     if workers <= 1 || r.len() + s.len() < PARALLEL_JOIN_THRESHOLD {
@@ -574,6 +766,55 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_nan_min_x_partner_qualifies_and_is_never_reported() {
+        // `within_distance` drops the NaN gap a NaN `min.x` makes
+        // (`f64::max` ignores a NaN), so this S box qualifies by its
+        // `max.x` alone; its centre, and so every midpoint, is NaN.
+        let space = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
+        let cell = Rect::from_coords(0.0, 0.0, 50.0, 50.0);
+        let eps = 4.0;
+        let pred = JoinPredicate::WithinDistance(eps);
+        let nan_box = SpatialObject {
+            id: 900,
+            mbr: Rect {
+                min: Point::new(f64::NAN, 20.0),
+                max: Point::new(50.0, 22.0),
+            },
+        };
+        // R 1 lies deep inside the cell, R 2 within the margin of its edge.
+        let r = [pt(1, 24.0, 21.0), pt(2, 49.0, 21.0)];
+        let finite = [pt(10, 25.0, 21.0), pt(11, 47.0, 21.0)];
+        let s = [finite[0], nan_box, finite[1]];
+        // The kernel's grid and window for one leaf, built as it builds them.
+        fn leaf<'a>(
+            r: &[SpatialObject],
+            s: &'a [SpatialObject],
+            cell: &Rect,
+        ) -> (Grid<'a>, Window) {
+            let space = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
+            let ax = Axis::over(r.iter().map(|o| (o.mbr.min.x, o.mbr.max.x)), 4.0, 2.0);
+            let ay = Axis::over(r.iter().map(|o| (o.mbr.min.y, o.mbr.max.y)), 4.0, 2.0);
+            let spread = [ax.spread, ay.spread];
+            let (grid, s_spread) = bucket(s, ax, ay);
+            (grid, Window::new(cell, &space, Some(4.0), spread, s_spread))
+        }
+        let (_, w) = leaf(&r, &finite, &cell);
+        assert!(w.settles(r[0].center()) && !w.settles(r[1].center()));
+        let (grid, w) = leaf(&r, &s, &cell);
+        for a in &r {
+            assert!(a.mbr.within_distance(&nan_box.mbr, eps), "qualifies");
+            assert!(grid.run(a.center()).contains(&1), "is a candidate");
+            assert!(
+                !w.settles(a.center()),
+                "its NaN centre turns the margin off"
+            );
+        }
+        let want = vec![(1, 10), (2, 11)];
+        assert_eq!(filtered_truth(&r, &s, &pred, &cell, &space), want);
+        assert_eq!(joined(&r, &s, &pred, &cell, &space, 1), want);
     }
 
     #[test]

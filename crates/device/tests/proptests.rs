@@ -51,6 +51,261 @@ fn window() -> impl Strategy<Value = Rect> {
     })
 }
 
+/// The kernel's whole contract on one window: nested loop, then the
+/// reference-point filter against (cell, space).
+fn window_equals_filtered_oracle(
+    r: &[SpatialObject],
+    s: &[SpatialObject],
+    pred: &JoinPredicate,
+    cell: &Rect,
+) -> Result<(), TestCaseError> {
+    let mut want = Vec::new();
+    for a in r {
+        for b in s {
+            if reference_point_in(a, b, pred, cell, &space()) {
+                want.push((a.id, b.id));
+            }
+        }
+    }
+    want.sort_unstable();
+    let mut out = ResultCollector::new();
+    memjoin::grid_hash_join(r, s, pred, cell, &space(), &mut out);
+    let mut got = out.into_pairs();
+    got.sort_unstable();
+    prop_assert_eq!(got, want);
+    Ok(())
+}
+
+/// Joins per cell of a 2^depth × 2^depth partition, simulating the
+/// windowed downloads (extension covers ε/2 + max half-extent); the union
+/// must equal the oracle with no duplicates. The collector itself panics
+/// on duplicates in debug builds.
+fn partition_equals_oracle(
+    r: &[SpatialObject],
+    s: &[SpatialObject],
+    eps: f64,
+    depth: u32,
+) -> Result<(), TestCaseError> {
+    let pred = JoinPredicate::WithinDistance(eps);
+    let max_half = r
+        .iter()
+        .chain(s.iter())
+        .map(|o| o.mbr.width().hypot(o.mbr.height()) * 0.5)
+        .fold(0.0f64, f64::max);
+    let ext = eps / 2.0 + max_half;
+    let k = 1u32 << depth;
+    let grid = asj_geom::Grid::square(space(), k);
+    let mut out = ResultCollector::new();
+    for cell in grid.cells() {
+        let cx = cell.expand(ext);
+        let rc: Vec<_> = r
+            .iter()
+            .filter(|o| o.mbr.intersects(&cx))
+            .copied()
+            .collect();
+        let sc: Vec<_> = s
+            .iter()
+            .filter(|o| o.mbr.intersects(&cx))
+            .copied()
+            .collect();
+        memjoin::grid_hash_join(&rc, &sc, &pred, &cell, &space(), &mut out);
+    }
+    let mut got = out.into_pairs();
+    got.sort_unstable();
+    prop_assert_eq!(got, oracle(r, s, &pred));
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Leaves that reach the kernel's two shortcuts: the point form (every
+// object of both sides a finite point) and the interior margin (an R
+// centre at least `m = ½(ε + hr + hs)` inside every edge of the window
+// owns all its pairs). Lattice boxes never make an all-point leaf and
+// never put a centre within an ulp of the margin.
+// ---------------------------------------------------------------------
+
+/// Points only, each coordinate on the quarter lattice or anywhere.
+fn points(max: usize, id0: u32) -> impl Strategy<Value = Vec<SpatialObject>> {
+    let anywhere = || prop_oneof![coord(), 0.0f64..1005.0];
+    prop::collection::vec((anywhere(), anywhere()), 0..max).prop_map(move |at| {
+        at.into_iter()
+            .zip(id0..)
+            .map(|((x, y), id)| SpatialObject::point(id, x, y))
+            .collect()
+    })
+}
+
+/// Points with one box among them, anywhere in the list: that one object
+/// must switch the point form off for the whole leaf.
+fn mixed(max: usize, id0: u32) -> impl Strategy<Value = Vec<SpatialObject>> {
+    let size = (0.25f64..20.0, 0.0f64..20.0, any::<bool>());
+    (points(max, id0), coord(), coord(), size, any::<usize>()).prop_map(
+        move |(mut objs, x, y, (w, h, tall), at)| {
+            let (w, h) = if tall { (h, w) } else { (w, h) };
+            let id = id0 + objs.len() as u32;
+            let boxed = SpatialObject::new(id, Rect::from_coords(x, y, x + w, y + h));
+            objs.insert(at % (objs.len() + 1), boxed);
+            objs
+        },
+    )
+}
+
+/// An all-point leaf, or one with a single box on either side.
+fn point_leaf() -> impl Strategy<Value = (Vec<SpatialObject>, Vec<SpatialObject>)> {
+    prop_oneof![
+        (points(60, 0), points(60, 10_000)),
+        (mixed(60, 0), points(60, 10_000)),
+        (points(60, 0), mixed(60, 10_000)),
+    ]
+}
+
+/// `(ε, hr, hs)`: the distance and the half-extent of every R and every S
+/// box of a seam leaf (zero makes points).
+fn seam_shape() -> impl Strategy<Value = (f64, f64, f64)> {
+    let half = || prop_oneof![Just(0.0), 0.0f64..6.0];
+    (
+        prop_oneof![Just(0.0), Just(2.5), 0.01f64..40.0],
+        half(),
+        half(),
+    )
+}
+
+/// One pair aimed at a window edge: the axis (`true` for y), which edge,
+/// whether R's centre lies inside or outside it, the ulps `k` it is moved
+/// by, whether the partner is the next float past ε, and where along the
+/// edge (a fraction of its span).
+type SeamSpec = (bool, usize, bool, i32, bool, f64);
+
+fn seam_spec() -> impl Strategy<Value = SeamSpec> {
+    (
+        any::<bool>(),
+        any::<usize>(),
+        any::<bool>(),
+        -2i32..=2,
+        any::<bool>(),
+        0.0f64..1.0,
+    )
+}
+
+/// The finite `x` moved `k` floats up (`k > 0`) or down.
+fn ulps(x: f64, k: i32) -> f64 {
+    let step = |v: f64| match v {
+        0.0 => f64::from_bits(1).copysign(f64::from(k)),
+        _ if (v > 0.0) == (k > 0) => f64::from_bits(v.to_bits() + 1),
+        _ => f64::from_bits(v.to_bits() - 1),
+    };
+    (0..k.abs()).fold(x, |v, _| step(v))
+}
+
+/// An edge of the windows under test: where it is on its axis, and the
+/// sign of the direction into the window it bounds.
+type Edge = (f64, f64);
+
+/// One `(r, s)` pair per spec. R's centre lies at `edge ± m ± k` ulps,
+/// `m = ½(ε + hr + hs)`, inside or outside the edge; its partner lies
+/// across the edge with a gap of ε, or of the float after ε, so the pair's
+/// midpoint is the edge give or take its rounding. `edges[axis]` are the
+/// edges an axis's specs pick from, and `along[axis]` the span on the
+/// other axis they are placed along.
+fn seam_pairs(
+    specs: &[SeamSpec],
+    edges: [&[Edge]; 2],
+    along: [(f64, f64); 2],
+    (eps, hr, hs): (f64, f64, f64),
+) -> (Vec<SpatialObject>, Vec<SpatialObject>) {
+    let m = (eps + hr + hs) * 0.5;
+    let mut pairs = Vec::new();
+    for (i, &(y_axis, pick, inside, k, past, t)) in (0u32..).zip(specs) {
+        let axis = usize::from(y_axis);
+        let (edge, inward) = edges[axis][pick % edges[axis].len()];
+        let side = if inside { inward } else { -inward };
+        let c = ulps(edge + side * m, k);
+        let gap = if past { ulps(eps, 1) } else { eps };
+        let (r0, r1) = (c - hr, c + hr);
+        let (s0, s1) = if side > 0.0 {
+            let s1 = r0 - gap;
+            (s1 - 2.0 * hs, s1)
+        } else {
+            let s0 = r1 + gap;
+            (s0, s0 + 2.0 * hs)
+        };
+        let (lo, hi) = along[axis];
+        let o = lo + t * (hi - lo);
+        let rect = |a0: f64, a1: f64, h: f64| {
+            let (b0, b1) = (o - h, o + h);
+            if y_axis {
+                Rect::from_coords(b0, a0, b1, a1)
+            } else {
+                Rect::from_coords(a0, b0, a1, b1)
+            }
+        };
+        pairs.push((
+            SpatialObject::new(i, rect(r0, r1, hr)),
+            SpatialObject::new(10_000 + i, rect(s0, s1, hs)),
+        ));
+    }
+    pairs.into_iter().unzip()
+}
+
+/// A window on the quarter lattice whose far edges may be the closed far
+/// edge of the space.
+fn seam_window() -> impl Strategy<Value = Rect> {
+    let far = || prop_oneof![coord(), Just(space().max.x)];
+    (coord(), coord(), far(), far()).prop_map(|(x0, y0, x1, y1)| {
+        Rect::from_coords(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1))
+    })
+}
+
+/// Seam pairs on the four edges of one window, among background points:
+/// `(r, s, ε, window)`.
+fn seam_window_leaf() -> impl Strategy<Value = (Vec<SpatialObject>, Vec<SpatialObject>, f64, Rect)>
+{
+    let specs = prop::collection::vec(seam_spec(), 1..24);
+    (
+        seam_window(),
+        seam_shape(),
+        specs,
+        points(12, 5_000),
+        points(12, 15_000),
+    )
+        .prop_map(|(cell, shape, specs, r_bg, s_bg)| {
+            let x_edges = [(cell.min.x, 1.0), (cell.max.x, -1.0)];
+            let y_edges = [(cell.min.y, 1.0), (cell.max.y, -1.0)];
+            let along = [(cell.min.y, cell.max.y), (cell.min.x, cell.max.x)];
+            let (mut r, mut s) = seam_pairs(&specs, [&x_edges, &y_edges], along, shape);
+            r.extend(r_bg);
+            s.extend(s_bg);
+            (r, s, shape.0, cell)
+        })
+}
+
+/// Seam pairs on the inner seams of a 2^depth × 2^depth partition of the
+/// space, among background points: `(r, s, ε, depth)`. The far edge of
+/// the space is left out: a midpoint an ulp past it has no owner.
+fn seam_partition_leaf() -> impl Strategy<Value = (Vec<SpatialObject>, Vec<SpatialObject>, f64, u32)>
+{
+    let specs = prop::collection::vec(seam_spec(), 1..24);
+    (
+        1u32..3,
+        seam_shape(),
+        specs,
+        points(12, 5_000),
+        points(12, 15_000),
+    )
+        .prop_map(|(depth, shape, specs, r_bg, s_bg)| {
+            let k = 1u32 << depth;
+            let side = space().max.x / f64::from(k);
+            let seams: Vec<Edge> = (1..k)
+                .flat_map(|j| [(f64::from(j) * side, 1.0), (f64::from(j) * side, -1.0)])
+                .collect();
+            let along = [(1.0, 1000.0); 2];
+            let (mut r, mut s) = seam_pairs(&specs, [&seams, &seams], along, shape);
+            r.extend(r_bg);
+            s.extend(s_bg);
+            (r, s, shape.0, depth)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -62,26 +317,12 @@ proptest! {
         cell in window(),
         single in 0u32..4,
     ) {
-        // The kernel's whole contract on one window: nested loop, then
-        // the reference-point filter against (cell, space). Nothing ties
-        // the inputs to the window, so R centres fall outside it as they
-        // do in ε/2-extended downloads; `single` cuts a side to one object.
+        // Nothing ties the inputs to the window, so R centres fall outside
+        // it as they do in ε/2-extended downloads; `single` cuts a side to
+        // one object.
         let r = if single == 1 { &r[..r.len().min(1)] } else { &r[..] };
         let s = if single == 2 { &s[..s.len().min(1)] } else { &s[..] };
-        let mut want = Vec::new();
-        for a in r {
-            for b in s {
-                if reference_point_in(a, b, &pred, &cell, &space()) {
-                    want.push((a.id, b.id));
-                }
-            }
-        }
-        want.sort_unstable();
-        let mut out = ResultCollector::new();
-        memjoin::grid_hash_join(r, s, &pred, &cell, &space(), &mut out);
-        let mut got = out.into_pairs();
-        got.sort_unstable();
-        prop_assert_eq!(got, want);
+        window_equals_filtered_oracle(r, s, &pred, &cell)?;
     }
 
     #[test]
@@ -109,27 +350,31 @@ proptest! {
         eps in 1.0f64..120.0,
         depth in 1u32..3,
     ) {
-        // Join per cell of a 2^depth × 2^depth partition, simulating the
-        // windowed downloads (extension covers ε/2 + max half-extent);
-        // the union must equal the oracle with no duplicates. The
-        // collector itself panics on duplicates in debug builds.
-        let pred = JoinPredicate::WithinDistance(eps);
-        let max_half = r.iter().chain(s.iter())
-            .map(|o| o.mbr.width().hypot(o.mbr.height()) * 0.5)
-            .fold(0.0f64, f64::max);
-        let ext = eps / 2.0 + max_half;
-        let k = 1u32 << depth;
-        let grid = asj_geom::Grid::square(space(), k);
-        let mut out = ResultCollector::new();
-        for cell in grid.cells() {
-            let cx = cell.expand(ext);
-            let rc: Vec<_> = r.iter().filter(|o| o.mbr.intersects(&cx)).copied().collect();
-            let sc: Vec<_> = s.iter().filter(|o| o.mbr.intersects(&cx)).copied().collect();
-            memjoin::grid_hash_join(&rc, &sc, &pred, &cell, &space(), &mut out);
-        }
-        let mut got = out.into_pairs();
-        got.sort_unstable();
-        prop_assert_eq!(got, oracle(&r, &s, &pred));
+        partition_equals_oracle(&r, &s, eps, depth)?;
+    }
+
+    #[test]
+    fn point_and_seam_leaves_equal_filtered_oracle(
+        points in point_leaf(),
+        pred in predicate(),
+        cell in window(),
+        seams in seam_window_leaf(),
+    ) {
+        window_equals_filtered_oracle(&points.0, &points.1, &pred, &cell)?;
+        let (r, s, eps, cell) = seams;
+        window_equals_filtered_oracle(&r, &s, &JoinPredicate::WithinDistance(eps), &cell)?;
+    }
+
+    #[test]
+    fn point_and_seam_leaves_partition_exactly_once(
+        points in point_leaf(),
+        eps in 1.0f64..120.0,
+        depth in 1u32..3,
+        seams in seam_partition_leaf(),
+    ) {
+        partition_equals_oracle(&points.0, &points.1, eps, depth)?;
+        let (r, s, eps, depth) = seams;
+        partition_equals_oracle(&r, &s, eps, depth)?;
     }
 
     #[test]
