@@ -77,7 +77,7 @@
 //! of `a − b`, so every verdict is the same bit for bit. The check costs
 //! nothing extra: it rides on the same two folds as the margin. On
 //! `dense_device`, whose leaves are all points and where about half the R
-//! objects of a leaf are interior, the two took `op_ms` from 2.50 to 1.95
+//! objects of a leaf are interior, the two took `op_ms` from 2.51 to 1.95
 //! (seed 7, 10 alternating pairs on 2 CPUs).
 //!
 //! Coordinates arrive off the wire unvalidated. Cell indices are clamped in
