@@ -28,42 +28,27 @@ use crate::Side;
 /// data size for the synthetic datasets").
 pub const DEFAULT_BUFFER: usize = 800;
 
-/// One server process: in the caller's process, or an endpoint on the
-/// deployment's one reactor (see `asj_net::event_loop`).
+/// One server process: a bare call in the caller's process, or a gauged
+/// endpoint behind the deployment's one close gate (see
+/// `asj_net::event_loop`).
 enum Endpoint {
     InProc(Arc<dyn QueryHandler>),
-    Reactor {
-        endpoint: asj_net::EventEndpoint,
-        /// Keeps the loop open: the reactor every endpoint of the
-        /// deployment shares. Dropping the last endpoint closes it, once
-        /// the serves in progress on it have finished.
-        _reactor: Arc<asj_net::EventLoop>,
-    },
+    Gauged(asj_net::EventEndpoint),
 }
 
 impl Endpoint {
-    fn new(service: Arc<dyn QueryHandler>, reactor: Option<&Arc<asj_net::EventLoop>>) -> Endpoint {
-        match reactor {
-            None => Endpoint::InProc(service),
-            Some(reactor) => Endpoint::Reactor {
-                endpoint: reactor.serve(service),
-                _reactor: Arc::clone(reactor),
-            },
-        }
-    }
-
     /// A fresh connection.
     fn raw(&self) -> Box<dyn RawExchange> {
         match self {
             Endpoint::InProc(h) => Box::new(InProcExchange::new(Arc::clone(h))),
-            Endpoint::Reactor { endpoint, .. } => Box::new(endpoint.connect()),
+            Endpoint::Gauged(endpoint) => Box::new(endpoint.connect()),
         }
     }
 
     fn event_stats(&self) -> Option<Arc<asj_net::EndpointStats>> {
         match self {
             Endpoint::InProc(_) => None,
-            Endpoint::Reactor { endpoint, .. } => Some(Arc::clone(endpoint.stats())),
+            Endpoint::Gauged(endpoint) => Some(Arc::clone(endpoint.stats())),
         }
     }
 }
@@ -213,7 +198,7 @@ impl Carrier {
         }
     }
 
-    /// Reactor endpoint stats for every replica of every shard,
+    /// Gauged endpoint stats for every replica of every shard,
     /// shard-major order; empty when this side is served in-process.
     fn event_stats(&self) -> Vec<Arc<asj_net::EndpointStats>> {
         match self {
@@ -229,8 +214,8 @@ impl Carrier {
 /// A ready-to-join deployment: server R, server S, the network
 /// configuration, the device's buffer size and the global data space.
 ///
-/// Construct via [`Deployment::in_process`] / [`Deployment::threaded`] or
-/// the full [`DeploymentBuilder`]. Each [`DistributedJoin::run`] call opens
+/// Construct via [`Deployment::in_process`] or the full
+/// [`DeploymentBuilder`]. Each [`DistributedJoin::run`] call opens
 /// fresh metered links, so reports never bleed into each other.
 ///
 /// [`DistributedJoin::run`]: crate::DistributedJoin::run
@@ -258,6 +243,10 @@ pub struct Deployment {
     /// [`FaultLayer`] seeded from this plan, so fault sequences are
     /// deterministic per link and replayable by seed.
     fault: Option<FaultPlan>,
+    /// The close gate of every gauged endpoint, when the servers are
+    /// gauged ([`DeploymentBuilder::threaded`]): dropping the deployment
+    /// closes it, once the serves in progress have finished.
+    _gate: Option<asj_net::EventLoop>,
 }
 
 impl Deployment {
@@ -265,16 +254,6 @@ impl Deployment {
     /// non-cooperative R-tree servers and default network/buffer.
     pub fn in_process(r: Vec<SpatialObject>, s: Vec<SpatialObject>, net: NetConfig) -> Self {
         DeploymentBuilder::new(r, s).with_net(net).build()
-    }
-
-    /// Deployment with its servers served off the caller's thread — the
-    /// distributed topology of the paper's prototype, both servers on one
-    /// reactor (see [`DeploymentBuilder::threaded`]).
-    pub fn threaded(r: Vec<SpatialObject>, s: Vec<SpatialObject>, net: NetConfig) -> Self {
-        DeploymentBuilder::new(r, s)
-            .with_net(net)
-            .threaded()
-            .build()
     }
 
     /// Fresh links `(R, S)` for one algorithm run. **Per link:** the
@@ -385,7 +364,7 @@ impl Deployment {
         self.r.replica_count().max(self.s.replica_count())
     }
 
-    /// Reactor endpoint stats (high-water marks of the requests and
+    /// Gauged endpoint stats (high-water marks of the requests and
     /// connections in service, served/malformed counters) for one side:
     /// one entry per server replica, shard-major. Empty on an in-process
     /// deployment.
@@ -405,8 +384,8 @@ pub struct DeploymentBuilder {
     buffer_capacity: usize,
     space: Option<Rect>,
     cooperative: bool,
-    /// Serve through a reactor rather than in-process.
-    reactor: bool,
+    /// Serve every server as a gauged endpoint rather than by a bare call.
+    gauged: bool,
     live: bool,
     shards: Option<(usize, usize)>,
     replicas: usize,
@@ -422,7 +401,7 @@ impl DeploymentBuilder {
             buffer_capacity: DEFAULT_BUFFER,
             space: None,
             cooperative: false,
-            reactor: false,
+            gauged: false,
             live: false,
             shards: None,
             replicas: 1,
@@ -455,30 +434,27 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Serves every server (each side, every shard replica) as an
-    /// endpoint on a reactor rather than by a bare call — the paper's
-    /// servers, apart from its device. All of them share **one** reactor,
-    /// the same as [`DeploymentBuilder::event_loop`]. It starts no thread:
-    /// each request is served at the call, on the device thread that
-    /// asks it, and the paper prices a join in bytes, not in the thread
-    /// that serves it. Replies are byte-identical to in-process serving.
+    /// Serves every server (both sides, every shard replica) as a gauged
+    /// endpoint rather than by a bare call: the same serve path, behind
+    /// the deployment's one close gate and with per-endpoint gauges
+    /// ([`Deployment::event_stats`]; see `asj_net::event_loop`).
+    /// `threaded` and [`event_loop`] are two names for this one switch.
+    /// It starts no thread: each request is served at the call, on the
+    /// device thread that asks it, and the paper prices a join in bytes,
+    /// not in the thread that serves it. Replies are byte-identical to
+    /// in-process serving.
+    ///
+    /// [`event_loop`]: DeploymentBuilder::event_loop
     pub fn threaded(mut self) -> Self {
-        self.reactor = true;
+        self.gauged = true;
         self
     }
 
-    /// Serves every server (both sides, every shard replica) from
-    /// **one** shared reactor, which serves each request on the device
-    /// thread that asks it, so no thread is added however many shards
-    /// the fleet has or however many devices [`Deployment::connect`];
-    /// connections carry no protocol state, so none of it is shared (see
-    /// `asj_net::event_loop`). The same placement as [`threaded`], under
-    /// the many-device name. Replies are byte-identical to in-process
-    /// serving.
+    /// The same switch as [`threaded`], under the many-device name.
     ///
     /// [`threaded`]: DeploymentBuilder::threaded
     pub fn event_loop(mut self) -> Self {
-        self.reactor = true;
+        self.gauged = true;
         self
     }
 
@@ -525,7 +501,7 @@ impl DeploymentBuilder {
     /// (see `asj_server::partition` and `asj_net::router`). `n = 1` is a
     /// legitimate fleet: the router is byte-transparent, which the
     /// differential tests exploit. Combine with [`threaded`] to serve the
-    /// shards through the reactor: every shard's batch is served as the
+    /// shards as gauged endpoints: every shard's batch is served as the
     /// router issues it, before it judges any reply.
     ///
     /// [`threaded`]: DeploymentBuilder::threaded
@@ -587,10 +563,8 @@ impl DeploymentBuilder {
             )
             .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0))
         });
-        // One reactor carries every endpoint of a deployment that is not
-        // in-process. The endpoints hold it, so links can never outlive
-        // it accidentally.
-        let reactor = self.reactor.then(|| Arc::new(asj_net::EventLoop::new()));
+        // One gate for every gauged endpoint of the deployment.
+        let gate = self.gauged.then(asj_net::EventLoop::new);
         // A shard's R-tree is built once, and every replica serves an O(1)
         // clone of it: the tree is persistent, its nodes immutable and
         // shared. A frozen replica answers straight from its clone; a live
@@ -610,7 +584,10 @@ impl DeploymentBuilder {
                 let service = SpatialService::new(tree.clone()).with_policy(policy);
                 (Arc::new(service), None)
             };
-            let endpoint = Endpoint::new(service, reactor.as_ref());
+            let endpoint = match &gate {
+                None => Endpoint::InProc(service),
+                Some(gate) => Endpoint::Gauged(gate.serve(service)),
+            };
             Replica {
                 endpoint: Arc::new(endpoint),
                 live,
@@ -664,6 +641,7 @@ impl DeploymentBuilder {
             cache_s: self.net.client_cache.then(Arc::default),
             fault: self.fault,
             net: self.net,
+            _gate: gate,
         }
     }
 }
@@ -697,25 +675,58 @@ mod tests {
         assert_eq!(r2.meter().snapshot().count_queries, 0);
     }
 
+    /// One table over the topologies, each built bare, `.threaded()` and
+    /// `.event_loop()`: every build answers and meters alike, both gauged
+    /// builds gauge each replica once and every one of them served, and
+    /// the bare build gauges nothing.
     #[test]
     fn threaded_and_inproc_answer_identically() {
-        let a = Deployment::in_process(pts(50, 0.0), pts(50, 5.0), NetConfig::default());
-        let b = Deployment::threaded(pts(50, 0.0), pts(50, 5.0), NetConfig::default());
-        let w = Rect::from_coords(0.0, 0.0, 25.0, 25.0);
-        let (ra, sa) = a.connect();
-        let (rb, sb) = b.connect();
-        assert_eq!(
-            ra.request(&Request::Count(w)).into_count(),
-            rb.request(&Request::Count(w)).into_count()
-        );
-        assert_eq!(
-            sa.request(&Request::Window(w)).into_objects(),
-            sb.request(&Request::Window(w)).into_objects()
-        );
-        assert_eq!(
-            ra.meter().snapshot().total_bytes(),
-            rb.meter().snapshot().total_bytes()
-        );
+        type Shape = fn(DeploymentBuilder) -> DeploymentBuilder;
+        let topologies: [(&str, Shape); 3] = [
+            ("flat", |b| b),
+            ("3x3 fleet", |b| b.with_shards(3, 3)),
+            ("live 3x3 fleet", |b| b.with_shards(3, 3).live()),
+        ];
+        let builds: [(&str, Shape); 3] = [
+            ("bare", |b| b),
+            ("threaded", DeploymentBuilder::threaded),
+            ("event_loop", DeploymentBuilder::event_loop),
+        ];
+        let w = Rect::from_coords(-10.0, -10.0, 100.0, 100.0);
+        for (topology, shape) in topologies {
+            let run = |build: Shape| {
+                let d = build(shape(DeploymentBuilder::new(pts(40, 0.0), pts(40, 2.0)))).build();
+                if d.is_live() {
+                    let insert = Update::Insert(SpatialObject::point(77, 3.0, 3.0));
+                    d.apply_updates(Side::S, vec![insert]);
+                }
+                let (r, s) = d.connect();
+                let answers = (
+                    r.request(&Request::Count(w)).into_count(),
+                    s.request(&Request::Window(w)).into_objects(),
+                );
+                let meters = (r.meter().snapshot(), s.meter().snapshot());
+                let served = [Side::R, Side::S].map(|side| {
+                    d.event_stats(side)
+                        .iter()
+                        .map(|e| e.served())
+                        .collect::<Vec<_>>()
+                });
+                let (shards, _) = d.shard_counts();
+                (answers, meters, served, shards)
+            };
+            let (want, want_meters, served, _) = run(builds[0].1);
+            assert_eq!(served, [vec![], vec![]], "{topology}: bare gauges nothing");
+            for (name, build) in &builds[1..] {
+                let (answers, meters, served, shards) = run(*build);
+                assert_eq!(answers, want, "{topology}, {name}: answers");
+                assert_eq!(meters, want_meters, "{topology}, {name}: meter bytes");
+                for per_replica in served {
+                    assert_eq!(per_replica.len(), shards, "{topology}, {name}");
+                    assert!(per_replica.iter().all(|&n| n > 0), "{topology}, {name}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -753,85 +764,6 @@ mod tests {
         let t = gr.fleet().unwrap().snapshot();
         assert_eq!(t.shard_count(), 4);
         assert_eq!(t.summed(), gr.meter().snapshot());
-    }
-
-    #[test]
-    fn threaded_fleet_matches_in_process_fleet() {
-        let build = |threaded: bool| {
-            let mut b = DeploymentBuilder::new(pts(40, 0.0), pts(40, 2.0)).with_shards(3, 3);
-            if threaded {
-                b = b.threaded();
-            }
-            b.build()
-        };
-        let a = build(false);
-        let b = build(true);
-        let w = Rect::from_coords(0.0, 0.0, 25.0, 25.0);
-        let (ra, _) = a.connect();
-        let (rb, _) = b.connect();
-        assert_eq!(
-            ra.request(&Request::Count(w)).into_count(),
-            rb.request(&Request::Count(w)).into_count()
-        );
-        assert_eq!(
-            ra.meter().snapshot().total_bytes(),
-            rb.meter().snapshot().total_bytes(),
-            "carrier must not change accounting"
-        );
-    }
-
-    #[test]
-    fn event_loop_deployment_matches_in_process_bytes() {
-        let a = Deployment::in_process(pts(50, 0.0), pts(50, 5.0), NetConfig::default());
-        let b = DeploymentBuilder::new(pts(50, 0.0), pts(50, 5.0))
-            .event_loop()
-            .build();
-        let w = Rect::from_coords(0.0, 0.0, 25.0, 25.0);
-        let (ra, sa) = a.connect();
-        let (rb, sb) = b.connect();
-        assert_eq!(
-            ra.request(&Request::Count(w)).into_count(),
-            rb.request(&Request::Count(w)).into_count()
-        );
-        assert_eq!(
-            sa.request(&Request::Window(w)).into_objects(),
-            sb.request(&Request::Window(w)).into_objects()
-        );
-        assert_eq!(
-            ra.meter().snapshot().total_bytes(),
-            rb.meter().snapshot().total_bytes(),
-            "carrier must not change accounting"
-        );
-        let stats = b.event_stats(Side::R);
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].served(), 1);
-        assert!(a.event_stats(Side::R).is_empty());
-    }
-
-    #[test]
-    fn every_endpoint_of_a_served_fleet_holds_the_one_reactor() {
-        let reactor = |replica: &Replica| match &*replica.endpoint {
-            Endpoint::Reactor { _reactor, .. } => Arc::clone(_reactor),
-            Endpoint::InProc(_) => panic!("served in-process"),
-        };
-        for served in [DeploymentBuilder::threaded, DeploymentBuilder::event_loop] {
-            let b = DeploymentBuilder::new(pts(40, 0.0), pts(40, 2.0))
-                .with_shards(4, 4)
-                .with_replicas(2);
-            let d = served(b).build();
-            let replicas: Vec<&Replica> = [&d.r, &d.s]
-                .into_iter()
-                .flat_map(|side| match side {
-                    Carrier::Fleet(members) => members.iter().flat_map(|(_, group)| group),
-                    Carrier::Single(_) => panic!("a 4x4x2 fleet"),
-                })
-                .collect();
-            assert_eq!(replicas.len(), 2 * 4 * 2);
-            let one = reactor(replicas[0]);
-            assert!(replicas.iter().all(|r| Arc::ptr_eq(&reactor(r), &one)));
-            assert_eq!(d.event_stats(Side::R).len(), 8, "one endpoint per replica");
-            assert_eq!(d.event_stats(Side::S).len(), 8);
-        }
     }
 
     #[test]
@@ -942,34 +874,6 @@ mod tests {
         assert_eq!(r.last_generation(), 8, "merged replies carry the fleet sum");
         let t = r.fleet().unwrap().snapshot();
         assert_eq!(t.generations, vec![2; 4]);
-    }
-
-    #[test]
-    fn threaded_live_fleet_matches_in_process() {
-        let run = |threaded: bool| {
-            let mut b = DeploymentBuilder::new(pts(30, 0.0), pts(30, 2.0))
-                .with_shards(3, 3)
-                .live();
-            if threaded {
-                b = b.threaded();
-            }
-            let d = b.build();
-            d.apply_updates(
-                Side::S,
-                vec![Update::Insert(SpatialObject::point(77, 3.0, 3.0))],
-            );
-            let (_, s) = d.connect();
-            let w = Rect::from_coords(0.0, 0.0, 25.0, 25.0);
-            let mut ids: Vec<u32> = s
-                .request(&Request::Window(w))
-                .into_objects()
-                .iter()
-                .map(|o| o.id)
-                .collect();
-            ids.sort_unstable();
-            (ids, s.meter().snapshot().total_bytes())
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! estimated counts, and an HBSJ leaf of [`Decision::Hbsj`] or
 //! [`Decision::Forced`] whose two counts are exact and fit the buffer
 //! together. A fleet puts both sides' flights on the wire at once,
-//! and its reactor serves them in one activation; a flat or cached link
+//! and its servers answer both as issued; a flat or cached link
 //! defers its batch to `finish`, so it waits as before. Requests per
 //! link and their order, bytes, pairs and plans are those of asking R,
 //! then S; only [`ExecStats::round_trips`] counts one wait where it
@@ -99,7 +99,7 @@
 use std::cell::Cell;
 
 use asj_device::{memjoin, BufferExceeded, DeviceBuffer, ResultCollector};
-use asj_geom::{reference_point_in, Rect, SpatialObject};
+use asj_geom::{reference_point_in, JoinPredicate, Rect, SpatialObject};
 use asj_net::{Begun, Link, Request, Response};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -248,7 +248,7 @@ pub trait Policy {
     /// Decides `w`, whose counts are both non-zero. The policy may buy
     /// statistics, and may replace an estimated count in `w` with a real
     /// one (the window is dropped if that one is zero).
-    fn decide(&self, ctx: &mut ExecCtx<'_>, w: &mut Window<Self::Note>) -> Decision<Self::Note>;
+    fn decide(&self, ctx: &mut ExecCtx, w: &mut Window<Self::Note>) -> Decision<Self::Note>;
 }
 
 impl<P: Policy> DistributedJoin for P {
@@ -273,14 +273,14 @@ impl Policy for Decompose {
     const NAME: &'static str = "hbsj";
     type Note = ();
 
-    fn decide(&self, _: &mut ExecCtx<'_>, _: &mut Window<()>) -> Decision<()> {
+    fn decide(&self, _: &mut ExecCtx, _: &mut Window<()>) -> Decision<()> {
         Decision::Hbsj
     }
 }
 
 /// Decides and applies `w`, unless a side is empty before the policy
 /// decides or after (a refreshed estimate can be zero): then it is pruned.
-fn visit<P: Policy>(policy: &P, ctx: &mut ExecCtx<'_>, mut w: Window<P::Note>) {
+fn visit<P: Policy>(policy: &P, ctx: &mut ExecCtx, mut w: Window<P::Note>) {
     let empty = |w: &Window<P::Note>| w.count_r <= 0.0 || w.count_s <= 0.0;
     if !empty(&w) {
         let decision = policy.decide(ctx, &mut w);
@@ -294,7 +294,7 @@ fn visit<P: Policy>(policy: &P, ctx: &mut ExecCtx<'_>, mut w: Window<P::Note>) {
 /// The one place a [`Decision`] takes effect.
 fn apply<P: Policy>(
     policy: &P,
-    ctx: &mut ExecCtx<'_>,
+    ctx: &mut ExecCtx,
     w: Window<P::Note>,
     decision: Decision<P::Note>,
 ) {
@@ -396,15 +396,16 @@ fn objects(batch: Begun<'_>) -> Vec<SpatialObject> {
 }
 
 /// Everything one algorithm run needs.
-pub struct ExecCtx<'a> {
+pub struct ExecCtx {
     links: Links,
     /// The device's bounded buffer.
     pub buffer: DeviceBuffer,
     /// Result accumulation: strict on a frozen deployment, append-only
     /// on a live one until [`ExecCtx::finish`] (see the module docs).
     pub out: ResultCollector,
-    /// The join being executed.
-    pub spec: &'a JoinSpec,
+    /// The join being executed, its ε and half-extent hint read as their
+    /// absolute values (the `spec` module's one meaning of ε).
+    pub spec: JoinSpec,
     /// The global data space.
     pub space: Rect,
     /// The decision cost model.
@@ -428,9 +429,14 @@ pub struct ExecCtx<'a> {
     exact_counts: bool,
 }
 
-impl<'a> ExecCtx<'a> {
+impl ExecCtx {
     /// Opens fresh links against the deployment.
-    pub fn new(deployment: &Deployment, spec: &'a JoinSpec) -> Self {
+    pub fn new(deployment: &Deployment, spec: &JoinSpec) -> Self {
+        let mut spec = *spec;
+        if let JoinPredicate::WithinDistance(eps) = spec.predicate {
+            spec.predicate = JoinPredicate::WithinDistance(eps.abs());
+        }
+        spec.mbr_half_extent_hint = spec.mbr_half_extent_hint.abs();
         let (link_r, link_s) = deployment.connect();
         let space = deployment.space();
         let (shards_r, shards_s) = deployment.shard_counts();
@@ -762,7 +768,7 @@ impl<'a> ExecCtx<'a> {
             }
             for (o, matches) in outer_objs.iter().zip(buckets) {
                 for m in matches {
-                    Self::report_pair(&mut self.out, self.spec, &self.space, outer, o, &m, w);
+                    Self::report_pair(&mut self.out, &self.spec, &self.space, outer, o, &m, w);
                 }
             }
         } else {
@@ -770,7 +776,7 @@ impl<'a> ExecCtx<'a> {
             // together; replies are handed over in probe order, so pairs
             // are reported exactly as one probe at a time would.
             let (links, out) = (&self.links, &mut self.out);
-            let (spec, space) = (self.spec, &self.space);
+            let (spec, space) = (&self.spec, &self.space);
             let mut probes = Vec::with_capacity(PROBE_WINDOW);
             for window in outer_objs.chunks(PROBE_WINDOW) {
                 probes.clear();
@@ -1090,7 +1096,7 @@ mod tests {
         .build();
         let w = frozen.space();
         let ctx = ExecCtx::new(&frozen, &spec);
-        let trips = |ctx: &ExecCtx<'_>| ctx.links.round_trips.get();
+        let trips = |ctx: &ExecCtx| ctx.links.round_trips.get();
         assert_eq!(ctx.counts(&w), (100, 100));
         assert_eq!(trips(&ctx), 1);
         let split = ctx.quadrant_split(&w, ());

@@ -24,7 +24,7 @@ impl Policy for MobiJoin {
     const NAME: &'static str = "mobijoin";
     type Note = ();
 
-    fn decide(&self, ctx: &mut ExecCtx<'_>, w: &mut Window<()>) -> Decision<()> {
+    fn decide(&self, ctx: &mut ExecCtx, w: &mut Window<()>) -> Decision<()> {
         let costs = ctx.costs(&w.rect, w.count_r, w.count_s);
         let (nlsj_side, nlsj_cost) = costs.cheaper_nlsj();
         let c4 = if ctx.at_limit(&w.rect, w.depth) {
@@ -54,7 +54,7 @@ impl Policy for MobiJoin {
 /// stops early and downloads everything the buffer can hold), and on a
 /// huge inner dataset it prices repartitioning at full-download cost,
 /// pushing MobiJoin into NLSJ "most of the time" (Fig. 8a).
-fn c4(ctx: &ExecCtx<'_>, count_r: f64, count_s: f64) -> f64 {
+fn c4(ctx: &ExecCtx, count_r: f64, count_s: f64) -> f64 {
     let capacity = ctx.buffer.capacity() as f64;
     let cost = ctx.decision_cost();
     let mut stats = 0.0;

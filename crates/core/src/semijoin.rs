@@ -47,7 +47,7 @@ impl DistributedJoin for SemiJoin {
         }
         let mut ctx = ExecCtx::new(deployment, spec);
         let space = ctx.space;
-        let eps = spec.predicate.epsilon();
+        let eps = ctx.spec.predicate.epsilon();
 
         // Step 1: sizes.
         let (count_r, count_s) = ctx.counts(&space);

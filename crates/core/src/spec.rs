@@ -1,4 +1,28 @@
 //! Join specifications.
+//!
+//! # Requirement: one meaning for ε
+//!
+//! A distance join pairs `r` and `s` when their MBRs lie within |ε| of
+//! each other, whatever sign ε is written with, and every algorithm
+//! returns the pairs the nested-loop reference
+//! (`asj_geom::sweep::nested_loop_join`, whose `Rect::within_distance`
+//! squares ε) returns.
+//!
+//! - **WHEN** a join runs a [`JoinPredicate::WithinDistance`] spec with
+//!   ε < 0 or ε = −0
+//! - **THEN** it runs as `WithinDistance(|ε|)`: the device's kernel,
+//!   every request it sends and the window extension all read |ε|
+//! - **AND** NaN and +∞ are read as they are, and −∞ as +∞
+//! - **WHEN** the spec's [`mbr_half_extent_hint`](JoinSpec::mbr_half_extent_hint)
+//!   is negative
+//! - **THEN** the join reads its absolute value
+//!
+//! The constructors cannot enforce this, since the fields are public, and
+//! a server still takes any ε a client sends (`WIRE.md`).
+//!
+//! Enforced by: `ExecCtx::new`, which every algorithm's `run` starts with
+//! (pinned by `tests/edge_cases.rs`'s
+//! `negative_eps_joins_like_its_absolute_value`).
 
 use asj_geom::JoinPredicate;
 

@@ -66,7 +66,7 @@ impl Policy for SrJoin {
     const NAME: &'static str = "srjoin";
     type Note = Verdict;
 
-    fn decide(&self, ctx: &mut ExecCtx<'_>, w: &mut Window<Verdict>) -> Decision<Verdict> {
+    fn decide(&self, ctx: &mut ExecCtx, w: &mut Window<Verdict>) -> Decision<Verdict> {
         let (nlsj_side, nlsj_cost) = ctx.costs(&w.rect, w.count_r, w.count_s).cheaper_nlsj();
         let operate = match w.note {
             Verdict::Unjudged => false,

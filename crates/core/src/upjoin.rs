@@ -66,7 +66,7 @@ impl UpJoin {
     /// and its label below `w`.
     fn examine(
         &self,
-        ctx: &mut ExecCtx<'_>,
+        ctx: &mut ExecCtx,
         w: &Rect,
         side: Side,
         count: f64,
@@ -120,7 +120,7 @@ impl UpJoin {
 /// when applying the physical operators": replaces each estimated count
 /// with a real COUNT right before an operator fires — both in one round
 /// trip when both are estimates.
-fn refresh(ctx: &ExecCtx<'_>, w: &mut Window<Labels>) {
+fn refresh(ctx: &ExecCtx, w: &mut Window<Labels>) {
     let (r, s) = (w.note.r.estimated, w.note.s.estimated);
     if r && s {
         let (count_r, count_s) = ctx.counts(&w.rect);
@@ -136,7 +136,7 @@ impl Policy for UpJoin {
     const NAME: &'static str = "upjoin";
     type Note = Labels;
 
-    fn decide(&self, ctx: &mut ExecCtx<'_>, w: &mut Window<Labels>) -> Decision<Labels> {
+    fn decide(&self, ctx: &mut ExecCtx, w: &mut Window<Labels>) -> Decision<Labels> {
         if ctx.at_limit(&w.rect, w.depth) {
             refresh(ctx, w);
             return Decision::Forced;
@@ -208,7 +208,7 @@ impl Policy for UpJoin {
 }
 
 /// A quadrant-sized window at a uniformly random position inside `w`.
-fn random_subwindow(ctx: &mut ExecCtx<'_>, w: &Rect) -> Rect {
+fn random_subwindow(ctx: &mut ExecCtx, w: &Rect) -> Rect {
     let hw = w.width() * 0.5;
     let hh = w.height() * 0.5;
     let x = ctx.rng.random_range(w.min.x..=w.min.x + hw);

@@ -7,8 +7,8 @@
 //! deterministic request scripts, executed by a small **worker pool**
 //! (each worker runs one device to completion, then pulls the next), and
 //! the server side is whatever carrier the caller's `connect` factory
-//! wires up — the event-loop reactor for the scaling benchmarks, threaded
-//! or in-process deployments for differential replays.
+//! wires up — gauged endpoints for the scaling benchmarks, gauged or
+//! in-process deployments for differential replays.
 //!
 //! Determinism is the whole point: a device's script depends only on its
 //! index, every request is issued in script order on that device's own

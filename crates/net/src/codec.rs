@@ -204,11 +204,11 @@ pub(crate) mod op {
     /// Typed decode-error reply `[R_MALFORMED]`: the server could not
     /// decode the request and is telling the sender so — and nobody
     /// else. A garbled frame from one client must never take down a
-    /// reactor shared by every other client.
+    /// server shared by every other client.
     pub const R_MALFORMED: u8 = 0x91;
     /// Local transport-failure pseudo-frame `[R_UNAVAILABLE]`: fabricated
-    /// by a carrier whose peer is gone (reactor closed, reply slot
-    /// dropped). Reserved — a live server never sends it.
+    /// by a carrier whose peer is gone (its gate closed). Reserved — a
+    /// live server never sends it.
     pub const R_UNAVAILABLE: u8 = 0x92;
     /// Marker a deterministic fault injector stamps over byte 0 of a
     /// frame it garbles (see `crate::fault::FaultLayer`). Deliberately

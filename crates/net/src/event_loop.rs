@@ -1,16 +1,16 @@
-//! The serving carrier: endpoints on a reactor, served at the call.
+//! The gauged endpoint: a server behind a close gate, with gauges.
 //!
-//! Every server that is not called in-process is served here. The
-//! paper's cost model sees bytes, not threads, so the only choice left
-//! is *placement*:
+//! A deployment built `.threaded()` or `.event_loop()` serves each of its
+//! servers as a gauged endpoint rather than by a bare in-process call.
+//! The paper's cost model sees bytes, not threads, so a gauged endpoint
+//! serves on the in-process path and adds two things around it:
 //!
-//! * an [`EventLoop`] is the reactor: the one gate every endpoint
-//!   registered on it serves through, open until the loop closes. It
-//!   starts no thread and holds no request;
+//! * an [`EventLoop`] is the close gate every endpoint registered on it
+//!   serves through, open until the loop closes. It starts no thread and
+//!   holds no request. A deployment owns one and registers every server
+//!   it serves on it — both sides, every shard replica;
 //! * each [`EventEndpoint`] is one logical server (a [`QueryHandler`])
-//!   registered on a loop. A deployment registers every server it
-//!   serves — both sides, every shard replica — on one loop, however
-//!   many shards there are and however many devices connect;
+//!   registered on a loop, with its [`EndpointStats`] gauges;
 //! * each [`EventConnection`] is one device's socket to one endpoint.
 //!
 //! # Serving
@@ -54,7 +54,7 @@
 //! high-water mark, beside the served and malformed-frame counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use bytes::Bytes;
 
@@ -112,15 +112,12 @@ impl EndpointStats {
 /// the close.
 type Gate = RwLock<bool>;
 
-/// The reactor: the gate every endpoint and connection registered on it
-/// serves through. It starts no thread and holds no request. Dropping it
-/// waits for the serves in progress and refuses what comes later, so
-/// live connections never deadlock it.
+/// The close gate every endpoint and connection registered on it serves
+/// through. It starts no thread and holds no request. Dropping it waits
+/// for the serves in progress and refuses what comes later, so live
+/// connections never deadlock it.
 pub struct EventLoop {
     open: Arc<Gate>,
-    /// The stats of every endpoint registered, which
-    /// [`shutdown`](Self::shutdown) sums.
-    endpoints: Mutex<Vec<Arc<EndpointStats>>>,
 }
 
 impl Default for EventLoop {
@@ -134,37 +131,24 @@ impl EventLoop {
     pub fn new() -> Self {
         EventLoop {
             open: Arc::new(RwLock::new(true)),
-            endpoints: Mutex::default(),
         }
     }
 
     /// Registers one logical server on the loop. Any number of endpoints
     /// (and connections per endpoint) share its one gate.
     pub fn serve(&self, handler: Arc<dyn QueryHandler>) -> EventEndpoint {
-        let stats = Arc::new(EndpointStats::default());
-        let mut endpoints = self
-            .endpoints
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        endpoints.push(Arc::clone(&stats));
         EventEndpoint {
             open: Arc::clone(&self.open),
             handler,
-            stats,
+            stats: Arc::default(),
         }
     }
 
     /// Closes the loop — later requests answer unavailable — once the
-    /// serves in progress have finished. Returns the number of query
-    /// frames the loop served, those included (malformed frames
-    /// excluded).
-    pub fn shutdown(self) -> u64 {
+    /// serves in progress have finished. What each endpoint served is in
+    /// its [`EventEndpoint::stats`].
+    pub fn shutdown(self) {
         self.close();
-        let endpoints = self
-            .endpoints
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        endpoints.iter().map(|stats| stats.served()).sum()
     }
 
     fn close(&self) {
@@ -202,8 +186,8 @@ impl EventEndpoint {
     }
 }
 
-/// One connection from a device to an [`EventEndpoint`]: the carrier's
-/// analogue of a socket. Implements [`RawExchange`], so it slots under a
+/// One connection from a device to an [`EventEndpoint`]: a gauged
+/// endpoint's analogue of a socket. Implements [`RawExchange`], so it slots under a
 /// [`Link`](crate::Link), a [`ShardRouter`](crate::ShardRouter) edge, or
 /// a [`CacheLayer`](crate::CacheLayer) unchanged.
 pub struct EventConnection {
@@ -260,19 +244,14 @@ impl RawExchange for EventConnection {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
-    //! Each carrier behaviour is checked by one body that runs on either
-    //! placement of the loop: this module's tests run it on a reactor
-    //! shared with a bystander endpoint, `transport::tests` on a reactor
-    //! of the endpoint's own.
-
+mod tests {
     use super::*;
     use crate::packet::PacketModel;
     use crate::proto::{Request, Response};
     use crate::testutil::ScanHandler;
     use crate::transport::Link;
     use asj_geom::{Rect, SpatialObject};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Mutex};
 
     fn objects(n: u32) -> Vec<SpatialObject> {
         (0..n)
@@ -294,38 +273,6 @@ pub(crate) mod tests {
 
     fn decode(reply: Bytes) -> Response {
         crate::codec::decode_response(reply).unwrap()
-    }
-
-    /// Where the endpoint under test is served from.
-    #[derive(Clone, Copy)]
-    pub(crate) enum Placement {
-        /// A reactor of its own.
-        Private,
-        /// A reactor it shares with a bystander endpoint.
-        Shared,
-    }
-
-    /// The reactor of an endpoint under test, and the bystander endpoint
-    /// it shares it with, if any.
-    struct Reactor(EventLoop, Option<EventEndpoint>);
-
-    impl Placement {
-        fn serve<H: QueryHandler + 'static>(self, handler: Arc<H>) -> (Reactor, EventEndpoint) {
-            let reactor = EventLoop::new();
-            let bystander = match self {
-                Placement::Private => None,
-                Placement::Shared => Some(reactor.serve(Arc::new(ScanHandler(objects(1))))),
-            };
-            let endpoint = reactor.serve(handler);
-            (Reactor(reactor, bystander), endpoint)
-        }
-    }
-
-    impl Reactor {
-        fn shutdown(self) -> u64 {
-            drop(self.1);
-            self.0.shutdown()
-        }
     }
 
     /// Serves nothing until released, so a test decides when an exchange
@@ -357,9 +304,11 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn serves_byte_identically_to_in_process(on: Placement) {
-        let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(20))));
-        let looped = link(endpoint.connect());
+    #[test]
+    fn event_loop_serves_byte_identically_to_in_process() {
+        let gate = EventLoop::new();
+        let endpoint = gate.serve(Arc::new(ScanHandler(objects(20))));
+        let gauged = link(endpoint.connect());
         let inproc = Link::in_process(
             Arc::new(ScanHandler(objects(20))),
             PacketModel::default(),
@@ -367,33 +316,27 @@ pub(crate) mod tests {
         );
         for hi in [3.0, 7.5, 19.0] {
             assert_eq!(
-                looped.request(&Request::Window(w(hi))),
+                gauged.request(&Request::Window(w(hi))),
                 inproc.request(&Request::Window(w(hi)))
             );
             assert_eq!(
-                looped.request(&Request::Count(w(hi))),
+                gauged.request(&Request::Count(w(hi))),
                 inproc.request(&Request::Count(w(hi)))
             );
         }
         assert_eq!(
-            looped.meter().snapshot(),
+            gauged.meter().snapshot(),
             inproc.meter().snapshot(),
-            "the carrier must not change accounting"
+            "the gauges must not change accounting"
         );
-        drop((looped, endpoint));
-        assert_eq!(reactor.shutdown(), 6);
-    }
-
-    #[test]
-    fn event_loop_serves_byte_identically_to_in_process() {
-        serves_byte_identically_to_in_process(Placement::Shared);
+        assert_eq!(endpoint.stats().served(), 6);
     }
 
     #[test]
     fn many_endpoints_share_one_reactor_thread() {
-        let reactor = EventLoop::new();
+        let gate = EventLoop::new();
         let endpoints: Vec<EventEndpoint> = (0..8)
-            .map(|i| reactor.serve(Arc::new(ScanHandler(objects(i + 1)))))
+            .map(|i| gate.serve(Arc::new(ScanHandler(objects(i + 1)))))
             .collect();
         for (i, e) in endpoints.iter().enumerate() {
             let link = link(e.connect());
@@ -406,7 +349,12 @@ pub(crate) mod tests {
             assert_eq!(e.stats().served(), 1);
             assert!(e.stats().max_queue_depth() >= 1);
         }
-        assert_eq!(reactor.shutdown(), 8);
+        // One close shuts every endpoint registered on the loop.
+        gate.shutdown();
+        for e in &endpoints {
+            assert!(crate::codec::is_unavailable(&e.connect().exchange(count())));
+            assert_eq!(e.stats().served(), 1);
+        }
     }
 
     /// Many clients on one loop at once, each shipping batches of its
@@ -417,11 +365,12 @@ pub(crate) mod tests {
     #[test]
     fn every_reply_reaches_its_own_caller() {
         let (threads, depth, rounds) = (4u32, 8u32, 400u32);
-        let reactor = EventLoop::new();
+        let gate = EventLoop::new();
         let clients: Vec<_> = (0..threads)
             .map(|t| {
-                let conn = reactor.serve(Arc::new(ScanHandler(objects(64)))).connect();
-                std::thread::spawn(move || {
+                let endpoint = gate.serve(Arc::new(ScanHandler(objects(64))));
+                let conn = endpoint.connect();
+                let client = std::thread::spawn(move || {
                     let hi = |k| (depth * t + k) as f64;
                     for _ in 0..rounds {
                         let requests = (0..depth).map(|k| Request::Count(w(hi(k))));
@@ -434,15 +383,20 @@ pub(crate) mod tests {
                         });
                         assert_eq!(k, depth, "one reply per request");
                     }
-                })
+                });
+                (endpoint, client)
             })
             .collect();
-        clients.into_iter().for_each(|c| c.join().unwrap());
-        assert_eq!(reactor.shutdown(), u64::from(threads * depth * rounds));
+        for (endpoint, client) in clients {
+            client.join().unwrap();
+            assert_eq!(endpoint.stats().served(), u64::from(depth * rounds));
+        }
     }
 
-    pub(crate) fn garbled_frames_answer_typed_and_serving_survives(on: Placement) {
-        let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(5))));
+    #[test]
+    fn garbled_frame_answers_typed_error_and_reactor_survives() {
+        let gate = EventLoop::new();
+        let endpoint = gate.serve(Arc::new(ScanHandler(objects(5))));
         let conn = endpoint.connect();
         // A frame garbled in transit (the fault layer's 0xEE marker), an
         // alien opcode, two retired ones (0x06, a batched COUNT of no
@@ -459,16 +413,14 @@ pub(crate) mod tests {
             5,
             "garbled, alien, two retired, truncated"
         );
-        // Healthy traffic still flows on the same reactor.
+        // Healthy traffic still flows through the same gate.
         let healthy = link(endpoint.connect());
         assert_eq!(healthy.request(&Request::Count(w(100.0))).into_count(), 5);
-        drop((conn, healthy, endpoint));
-        assert_eq!(reactor.shutdown(), 1, "garbage is not a served query");
-    }
-
-    #[test]
-    fn garbled_frame_answers_typed_error_and_reactor_survives() {
-        garbled_frames_answer_typed_and_serving_survives(Placement::Shared);
+        assert_eq!(
+            endpoint.stats().served(),
+            1,
+            "garbage is not a served query"
+        );
     }
 
     /// Holds one request per entry of `on` inside the handler at once,
@@ -476,7 +428,8 @@ pub(crate) mod tests {
     /// returns the endpoint's stats.
     fn held_at_once(on: &[usize]) -> Arc<EndpointStats> {
         let (release, handler) = gated();
-        let (reactor, endpoint) = Placement::Shared.serve(handler);
+        let gate = EventLoop::new();
+        let endpoint = gate.serve(handler);
         let conns: Vec<_> = (0..on.len())
             .map(|_| Arc::new(endpoint.connect()))
             .collect();
@@ -489,8 +442,7 @@ pub(crate) mod tests {
         }
         assert_eq!(stats.in_service.load(Ordering::Acquire), 0);
         assert_eq!(stats.waiting.load(Ordering::Acquire), 0);
-        drop((conns, endpoint));
-        assert_eq!(reactor.shutdown(), on.len() as u64);
+        assert_eq!(stats.served(), on.len() as u64);
         stats
     }
 
@@ -508,22 +460,25 @@ pub(crate) mod tests {
     }
 
     /// `shutdown` while a request is held inside its handler: it returns
-    /// only once that serve is done, counts it, and every request asked
-    /// after it is refused without reaching the handler.
-    pub(crate) fn shutdown_during_a_serve(on: Placement) {
+    /// only once that serve is done, and every request asked after it is
+    /// refused without reaching the handler.
+    #[test]
+    fn shutdown_inside_a_drained_batch_answers_before_it_and_fails_after_it() {
         let (release, handler) = gated();
-        let (reactor, endpoint) = on.serve(handler);
+        let gate = EventLoop::new();
+        let endpoint = gate.serve(handler);
         let conn = Arc::new(endpoint.connect());
         let held = ask(&conn);
         until_in_service(endpoint.stats(), 1);
-        let closing = std::thread::spawn(move || reactor.shutdown());
+        let closing = std::thread::spawn(move || gate.shutdown());
         for _ in 0..1000 {
             std::thread::yield_now();
         }
         assert!(!closing.is_finished(), "a serve is still in progress");
         release.send(()).unwrap();
         assert_eq!(decode(held.join().unwrap()), Response::Count(0));
-        assert_eq!(closing.join().unwrap(), 1);
+        closing.join().unwrap();
+        assert_eq!(endpoint.stats().served(), 1);
         // The gate is shut: nothing more reaches the handler, which would
         // answer at once now that its gate is gone too.
         drop(release);
@@ -532,15 +487,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn shutdown_inside_a_drained_batch_answers_before_it_and_fails_after_it() {
-        shutdown_during_a_serve(Placement::Shared);
-    }
-
-    pub(crate) fn dropping_the_reactor_first_does_not_hang(on: Placement) {
-        let (reactor, endpoint) = on.serve(Arc::new(ScanHandler(objects(5))));
+    fn dropping_the_loop_with_live_connections_does_not_hang() {
+        let gate = EventLoop::new();
+        let endpoint = gate.serve(Arc::new(ScanHandler(objects(5))));
         let opened_before = endpoint.connect();
         // The endpoint and a connection are still alive.
-        drop(reactor);
+        drop(gate);
         for conn in [opened_before, endpoint.connect()] {
             let link = link(conn);
             assert_eq!(link.request(&Request::Count(w(1.0))), Response::Unavailable);
@@ -548,10 +500,5 @@ pub(crate) mod tests {
             assert_eq!(link.meter().snapshot().total_bytes(), 0);
         }
         assert_eq!(endpoint.stats().served(), 0, "no handler was reached");
-    }
-
-    #[test]
-    fn dropping_the_loop_with_live_connections_does_not_hang() {
-        dropping_the_reactor_first_does_not_hang(Placement::Shared);
     }
 }

@@ -16,14 +16,13 @@
 //!   mix per link; *this is where every reported number comes from*. Its
 //!   counters, the cache's and the fault layer's are each declared once,
 //!   one line per field, in [`meter`]'s telemetry lists;
-//! * [`transport`] — RPC over two interchangeable carriers, both served
-//!   at the call on the calling thread: an in-process call (fast, used by
-//!   the experiment sweeps) and a connection to an endpoint on a reactor
-//!   (the "distributed" deployment used by examples and integration
-//!   tests);
-//! * [`event_loop`] — the **serving carrier**: a reactor every endpoint
-//!   and connection of a deployment is registered on, one [`EventLoop`]
-//!   per deployment. It has no thread and holds no request: it adds each
+//! * [`transport`] — RPC over a bare in-process call (fast, used by the
+//!   experiment sweeps) or a connection to a gauged endpoint, both served
+//!   at the call on the calling thread through one serve path;
+//! * [`event_loop`] — the **gauged endpoint**: a server behind a close
+//!   gate, with gauges. A deployment built `.threaded()` or
+//!   `.event_loop()` registers every server on its one [`EventLoop`], the
+//!   gate. It has no thread and holds no request: it adds each
 //!   endpoint's gauges and the loop's close gate to an in-process serve;
 //! * [`router`] — the **scatter-gather extension**: a [`ShardRouter`]
 //!   makes a fleet of shard servers look like one — pruning by advertised

@@ -243,7 +243,7 @@ pub enum Response {
     Changes(Vec<DeltaOp>),
     /// The server could not decode the request frame. A *typed* error
     /// reply — answering it instead of panicking is what keeps a shared
-    /// reactor serving its other devices when one client garbles a
+    /// server serving its other devices when one client garbles a
     /// frame. One opcode byte on the wire.
     Malformed,
     /// The carrier's peer is gone (server dropped mid-session). This

@@ -7,14 +7,13 @@
 //!
 //! * [`InProcExchange`] — calls the server's handler on the calling thread
 //!   (fast path for the thousands of joins an experiment sweep runs);
-//! * [`EventConnection`](crate::EventConnection) — a connection to an
-//!   endpoint on a reactor ([`crate::event_loop`]; a deployment serves
-//!   all its servers from one [`EventLoop`](crate::EventLoop)). It serves
-//!   each request at the call, on the calling thread, as the in-process
-//!   carrier does, and adds the endpoint's gauges and the loop's close
-//!   gate around it. Which thread serves is not part of the paper's cost
-//!   model, which sees only bytes.
-//!   Integration tests run both carriers and assert identical byte counts.
+//! * [`EventConnection`](crate::EventConnection) — a connection to a
+//!   gauged endpoint ([`crate::event_loop`]; a deployment registers all
+//!   its servers on one [`EventLoop`](crate::EventLoop), its close gate).
+//!   It serves each request at the call, on the calling thread, through
+//!   the same `serve_frame` as the in-process carrier, and adds the
+//!   endpoint's gauges and the loop's close gate around it. Which thread
+//!   serves is not part of the paper's cost model, which sees only bytes.
 //!
 //! Independent requests travel as one batch ([`RawExchange::exchange_many`],
 //! [`Link::request_many`]), which hands back one reply frame per request,
@@ -87,7 +86,7 @@ pub trait RawExchange: Send + Sync {
 
     /// Ships every request of a batch and hands `reply` one reply frame
     /// per request, in request order. The default exchanges each request
-    /// as it pulls it, as both carriers do; a
+    /// as it pulls it, as the in-process and gauged carriers do; a
     /// [`FaultLayer`](crate::FaultLayer) decides the whole batch before it
     /// ships any of it.
     fn exchange_many(
@@ -105,12 +104,13 @@ thread_local! {
     static REPLY_BUF: std::cell::Cell<BytesMut> = Default::default();
 }
 
-/// Serves one request frame by the one discipline of both carriers: the
-/// handler encodes into this thread's reused buffer, and the reply ships
-/// as one exact-size copy of it, the only per-request allocation. The
-/// buffer is taken out of its slot, not borrowed, so an exchange nested
-/// in a handler on this thread serves into a fresh one. Returns the reply
-/// and whether the frame was a query ([`serve_frame_into`]).
+/// Serves one request frame by the one discipline of the in-process and
+/// gauged carriers: the handler encodes into this thread's reused buffer,
+/// and the reply ships as one exact-size copy of it, the only per-request
+/// allocation. The buffer is taken out of its slot, not borrowed, so an
+/// exchange nested in a handler on this thread serves into a fresh one.
+/// Returns the reply and whether the frame was a query
+/// ([`serve_frame_into`]).
 pub(crate) fn serve_frame<H: QueryHandler + ?Sized>(handler: &H, request: Bytes) -> (Bytes, bool) {
     let mut buf = REPLY_BUF.take();
     buf.clear();
@@ -376,7 +376,6 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event_loop::tests::{self as carrier, Placement::Private};
     use crate::event_loop::EventLoop;
     use asj_geom::{Rect, SpatialObject};
 
@@ -436,33 +435,7 @@ mod tests {
         let [r1, r2]: [Response; 2] = replies.try_into().unwrap();
         assert_eq!(r1.into_count(), 7);
         assert_eq!(r2.into_objects().len(), 2);
-        drop(ex);
-        drop(handle);
-        assert_eq!(server.shutdown(), 2);
-    }
-
-    // The carrier behaviours below have one body each, in
-    // `event_loop::tests`; here they run on a reactor of the endpoint's
-    // own, there on a shared one.
-
-    #[test]
-    fn channel_server_roundtrip_matches_in_process_bytes() {
-        carrier::serves_byte_identically_to_in_process(Private);
-    }
-
-    #[test]
-    fn shutdown_inside_a_drained_batch_answers_before_it_and_fails_after_it() {
-        carrier::shutdown_during_a_serve(Private);
-    }
-
-    #[test]
-    fn garbled_frame_gets_typed_error_and_server_keeps_serving() {
-        carrier::garbled_frames_answer_typed_and_serving_survives(Private);
-    }
-
-    #[test]
-    fn dropping_server_before_handles_does_not_hang() {
-        carrier::dropping_the_reactor_first_does_not_hang(Private);
+        assert_eq!(handle.stats().served(), 2);
     }
 
     #[test]
@@ -497,8 +470,9 @@ mod tests {
         }
         assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
         assert_eq!(link.request(&Request::Window(w())).into_objects().len(), 2);
+        server.shutdown();
         assert_eq!(handle.stats().malformed(), 2);
-        assert_eq!(server.shutdown(), 2);
+        assert_eq!(handle.stats().served(), 2);
     }
 
     #[test]

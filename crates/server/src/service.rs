@@ -26,7 +26,7 @@ pub enum ServicePolicy {
 ///
 /// `handle` is `&self` and the store is immutable, so one service instance
 /// can serve any number of connections concurrently: every connection to
-/// an `asj-net` reactor endpoint, and every in-process caller.
+/// an `asj-net` gauged endpoint, and every in-process caller.
 pub struct SpatialService<S: SpatialStore> {
     store: Arc<S>,
     policy: ServicePolicy,

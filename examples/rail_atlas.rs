@@ -30,8 +30,9 @@ fn main() {
         .map(|o| o.mbr.width().hypot(o.mbr.height()) * 0.5)
         .fold(0.0f64, f64::max);
 
-    // Servers as endpoints on one reactor (not bare in-process calls),
-    // cooperative so SemiJoin can run too.
+    // Servers as gauged endpoints (the in-process serve path behind one
+    // close gate, with per-endpoint gauges), cooperative so SemiJoin can
+    // run too.
     let dep = DeploymentBuilder::new(pois, rail)
         .with_space(space)
         .with_buffer(800)

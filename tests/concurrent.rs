@@ -3,7 +3,7 @@
 //! Many device threads hammer one threaded server (and one 4-shard
 //! threaded fleet). Every concurrent client must get **byte- and
 //! result-identical** answers to a serial replay: links are per-client, so
-//! metering never bleeds between clients, the reactor serves
+//! metering never bleeds between clients, a gauged endpoint serves
 //! interleaved requests without mixing replies, and per-shard meters keep
 //! summing exactly to each link's aggregate (meter conservation).
 
@@ -137,7 +137,7 @@ fn concurrent_clients_of_a_replicated_faulted_fleet_conserve_meters() {
     assert_concurrent_replay_identical(&dep, &spec, true);
 }
 
-/// Raw link level: N clients of one server on a reactor of its own issue
+/// Raw link level: N clients of one gauged server issue
 /// the same request sequence; every per-link meter must equal the serial
 /// replay's exactly, and the server must have served exactly the expected
 /// request count.
@@ -191,9 +191,9 @@ fn channel_server_meters_are_per_link_under_contention() {
             "client {client}: per-link metering diverged under contention"
         );
     }
-    drop(handle);
+    server.shutdown();
     assert_eq!(
-        server.shutdown(),
+        handle.stats().served(),
         ((CLIENTS + 1) * sequence.len()) as u64,
         "every request must be served exactly once"
     );

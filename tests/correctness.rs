@@ -241,34 +241,3 @@ fn naive_join_when_it_fits() {
     got.sort_unstable();
     assert_eq!(got, want);
 }
-
-#[test]
-fn threaded_deployment_matches_in_process() {
-    let r = clusters(4, 400, 18);
-    let s = clusters(4, 400, 118);
-    let spec = JoinSpec::distance_join(100.0);
-    let inproc = DeploymentBuilder::new(r.clone(), s.clone())
-        .with_buffer(800)
-        .with_space(default_space())
-        .build();
-    let threaded = DeploymentBuilder::new(r, s)
-        .with_buffer(800)
-        .with_space(default_space())
-        .threaded()
-        .build();
-    for alg in algorithms() {
-        let a = alg.run(&inproc, &spec).unwrap();
-        let b = alg.run(&threaded, &spec).unwrap();
-        assert_eq!(
-            a.total_bytes(),
-            b.total_bytes(),
-            "{}: byte accounting must be carrier-independent",
-            alg.name()
-        );
-        let mut pa = a.pairs.clone();
-        let mut pb = b.pairs.clone();
-        pa.sort_unstable();
-        pb.sort_unstable();
-        assert_eq!(pa, pb, "{}", alg.name());
-    }
-}

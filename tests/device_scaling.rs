@@ -1,14 +1,14 @@
-//! Many-device determinism on the event-loop carrier.
+//! Many-device determinism on gauged endpoints.
 //!
-//! The event-loop carrier multiplexes every simulated device over one
-//! reactor, and the pool's workers call its handlers concurrently, each
-//! serving the device it is running at the moment. So the
-//! property that makes it trustworthy is *unobservability*: at a
-//! thousand devices, any worker-pool schedule must produce, per device,
-//! exactly the answers, join pairs and meter bytes of a serial replay —
-//! and on a sharded fleet every device's per-shard meters must keep
-//! summing exactly to its aggregate meter (conservation), just like the
-//! threaded carrier before it.
+//! A deployment built `.event_loop()` serves every simulated device
+//! through gauged endpoints behind one close gate, and the pool's workers
+//! call its handlers concurrently, each serving the device it is running
+//! at the moment. So the property that makes it trustworthy is
+//! *unobservability*: at a thousand devices, any worker-pool schedule
+//! must produce, per device, exactly the answers, join pairs and meter
+//! bytes of a serial replay — and on a sharded fleet every device's
+//! per-shard meters must keep summing exactly to its aggregate meter
+//! (conservation).
 
 use asj_core::{DeploymentBuilder, Side};
 use asj_device::{run_traffic, TrafficConfig};
@@ -67,7 +67,7 @@ fn a_thousand_devices_replay_identically_on_the_event_loop() {
         assert!(pooled.total_pairs() > 0, "non-vacuous workload");
         assert!(pooled.fairness_ratio().is_finite(), "a device starved");
 
-        // The reactor actually carried the traffic: per-shard served
+        // The gauged endpoints carried the traffic: per-shard served
         // counts are positive and the endpoint gauges saw real depth.
         for side in [Side::R, Side::S] {
             let stats = dep.event_stats(side);

@@ -250,3 +250,36 @@ fn naive_reports_buffer_error_with_exact_numbers() {
         other => panic!("expected buffer error, got {other:?}"),
     }
 }
+
+/// A negative ε joins like its absolute value (the one meaning of ε in
+/// `asj_core::spec`): 50 R points at x = 10 + 1.5·i and 50 S points half
+/// a step to their right, all at y = 50, give the nested-loop reference's
+/// 196 pairs at ε = −3 on all six algorithms, bucket NLSJ off and on.
+#[test]
+fn negative_eps_joins_like_its_absolute_value() {
+    let row = |x0: f64| -> Vec<SpatialObject> {
+        (0..50)
+            .map(|i| SpatialObject::point(i, x0 + 1.5 * f64::from(i), 50.0))
+            .collect()
+    };
+    let (r, s) = (row(10.0), row(10.75));
+    let spec = JoinSpec::distance_join(-3.0);
+    let want = oracle(&r, &s, &spec.predicate);
+    assert_eq!(want.len(), 196);
+    let dep = DeploymentBuilder::new(r, s)
+        .with_space(Rect::from_coords(0.0, 0.0, 100.0, 100.0))
+        .with_buffer(200)
+        .cooperative()
+        .build();
+    let mut algorithms = adaptive();
+    algorithms.push(Box::new(NaiveJoin));
+    algorithms.push(Box::new(SemiJoin::default()));
+    for bucket in [false, true] {
+        for alg in &algorithms {
+            let rep = alg.run(&dep, &spec.with_bucket_nlsj(bucket)).unwrap();
+            let mut got = rep.pairs.clone();
+            got.sort_unstable();
+            assert_eq!(got, want, "{}, bucket NLSJ {bucket}", alg.name());
+        }
+    }
+}

@@ -18,7 +18,7 @@ fn points(seed: u64) -> Vec<SpatialObject> {
     uniform(&default_space(), 600, seed)
 }
 
-/// Wire v2, 4 shards × 2 replicas a side on the deployment's reactor,
+/// Wire v2, 4 shards × 2 replicas a side as gauged endpoints,
 /// retry and breakers on, every edge dropping a fifth of its frames.
 /// Every edge speaks v2 from its first frame, whatever the seed.
 fn faulted_fleet(seed: u64) -> Deployment {

@@ -1,9 +1,9 @@
 //! Transport robustness — a garbled frame must never kill a shared server.
 //!
-//! A reactor is shared by every device connected to it — whether it
-//! carries one server or many — and its handlers serve them all, so the
-//! failure modes this suite pins are the ones that take *other* clients
-//! down with them:
+//! A gauged server is shared by every device connected to it — whether
+//! its gate carries one server or many — and its handlers serve them all,
+//! so the failure modes this suite pins are the ones that take *other*
+//! clients down with them:
 //!
 //! * **Garbled frames** (fuzz-ish: empty, truncated, bit-flipped, alien
 //!   opcodes, absurd length prefixes) get a typed `R_MALFORMED` error
@@ -72,7 +72,7 @@ fn garbage_frames() -> Vec<Bytes> {
         .collect()
 }
 
-/// The healthy-client script both carriers replay.
+/// The healthy-client script every client replays.
 fn scripted_requests() -> Vec<Request> {
     (0..20)
         .map(|i| {
@@ -88,7 +88,7 @@ fn scripted_requests() -> Vec<Request> {
         .collect()
 }
 
-/// A reactor of the server's own: an attacker connection spraying garbage
+/// One gauged server: an attacker connection spraying garbage
 /// concurrently with healthy clients. Every garbage frame gets the typed
 /// error frame; every healthy client's meter equals the uncontended
 /// replay; the served count excludes the garbage.
@@ -151,15 +151,15 @@ fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
             "client {client}: wire bytes diverged under garbage contention"
         );
     }
-    drop(handle);
+    server.shutdown();
     assert_eq!(
-        server.shutdown(),
+        handle.stats().served(),
         ((HEALTHY + 1) * sequence.len()) as u64,
         "garbage must not count as served queries"
     );
 }
 
-/// Event-loop reactor: same contract, plus the per-endpoint gauges. The
+/// Two endpoints on one gate: same contract, plus the per-endpoint gauges. The
 /// healthy side here is the traffic harness running real local joins, so
 /// "byte-identical" extends to the join pairs themselves.
 #[test]
@@ -206,21 +206,21 @@ fn garbled_frames_leave_event_loop_joins_pair_identical() {
     assert_eq!(
         contended.determinism_digest(),
         baseline.determinism_digest(),
-        "garbage into the shared reactor perturbed healthy devices"
+        "garbage into the shared gate perturbed healthy devices"
     );
     assert!(
         endpoint_r.stats().malformed() > malformed_before,
-        "the reactor must have seen (and gauged) the garbage"
+        "the endpoint must have seen (and gauged) the garbage"
     );
-    assert!(reactor.shutdown() > 0);
+    assert!(endpoint_r.stats().served() > 0 && endpoint_s.stats().served() > 0);
 }
 
 /// Regression: dropping the server value while handles/connections are
-/// still alive used to deadlock the join-on-drop. Now the drop serves
-/// what is queued on the calling thread and returns.
+/// still alive used to deadlock the join-on-drop. Now the drop closes the
+/// gate once the serves in progress finish, and returns.
 #[test]
 fn dropping_carriers_with_live_clients_never_hangs() {
-    // A reactor of the server's own: the endpoint outlives the loop value.
+    // The endpoint and a link over it outlive the loop value.
     let server = EventLoop::new();
     let handle = server.serve(service(37));
     let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
@@ -233,15 +233,6 @@ fn dropping_carriers_with_live_clients_never_hangs() {
         link.request(&Request::Count(default_space())),
         Response::Unavailable
     );
-
-    // Event loop: connections outlive the loop value.
-    let reactor = EventLoop::new();
-    let endpoint = reactor.serve(service(41));
-    let conn = endpoint.connect();
-    drop(reactor); // must return, not deadlock on the live connection
-    assert!(codec::is_unavailable(
-        &conn.exchange(Bytes::from_static(&[0x02]))
-    ));
 }
 
 /// A client outliving a dead server sees `Unavailable` — and the failed
@@ -388,18 +379,6 @@ fn lossy_traffic_with_retries_matches_fault_free_replay() {
         .map(|o| o.digest)
         .collect();
     assert!(dark_digests.windows(2).all(|w| w[0] == w[1]));
-    assert!(reactor.shutdown() > 0);
-}
-
-/// Both reactor placements over the same service, as bare `RawExchange`s.
-fn threaded_carriers(seed: u64) -> (EventLoop, EventLoop, Vec<Arc<dyn RawExchange>>) {
-    let server = EventLoop::new();
-    let handle = server.serve(service(seed));
-    let reactor = EventLoop::new();
-    let endpoint = reactor.serve(service(seed));
-    let carriers: Vec<Arc<dyn RawExchange>> =
-        vec![Arc::new(handle.connect()), Arc::new(endpoint.connect())];
-    (server, reactor, carriers)
 }
 
 /// Ships `requests` as one batch and collects the replies in order.
@@ -417,83 +396,48 @@ fn exchange_many(carrier: &dyn RawExchange, requests: &[Request]) -> Vec<Bytes> 
 fn dead_server_fails_every_member_of_a_batch_and_charges_nothing() {
     let server = EventLoop::new();
     let handle = server.serve(service(47));
-    let reactor = EventLoop::new();
-    let links = [
-        Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0),
-        Link::new(
-            Box::new(reactor.serve(service(47)).connect()),
-            PacketModel::default(),
-            1.0,
-        ),
-    ];
+    let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
     let script = scripted_requests();
-    let mut before = Vec::new();
-    for link in &links {
-        let mut answered = 0;
-        link.request_many(&script, |resp| answered += usize::from(!resp.is_failure()));
-        assert_eq!(answered, script.len(), "the live server answers the batch");
-        before.push(link.meter().snapshot());
-    }
+    let mut answered = 0;
+    link.request_many(&script, |resp| answered += usize::from(!resp.is_failure()));
+    assert_eq!(answered, script.len(), "the live server answers the batch");
+    let before = link.meter().snapshot();
     drop(handle);
     drop(server);
-    drop(reactor);
-    for (link, before) in links.iter().zip(before) {
-        let mut replies = Vec::new();
-        link.request_many(&script, |resp| replies.push(resp));
-        assert_eq!(replies, vec![Response::Unavailable; script.len()]);
-        assert_eq!(link.meter().snapshot(), before, "nothing crossed the wire");
-    }
+    let mut replies = Vec::new();
+    link.request_many(&script, |resp| replies.push(resp));
+    assert_eq!(replies, vec![Response::Unavailable; script.len()]);
+    assert_eq!(link.meter().snapshot(), before, "nothing crossed the wire");
 }
 
-/// Eight threads share one connection of each carrier and pipeline
-/// batches through it at once: every thread gets the replies to its own
-/// requests, in its own order.
+/// Eight threads share one connection and pipeline batches through it
+/// at once: every thread gets the replies to its own requests, in its
+/// own order.
 #[test]
 fn threads_sharing_one_carrier_each_get_their_own_batch_replies() {
-    let (_server, _reactor, carriers) = threaded_carriers(53);
+    let server = EventLoop::new();
+    let connection = server.serve(service(53)).connect();
     let oracle = service(53);
-    for carrier in &carriers {
-        std::thread::scope(|scope| {
-            for t in 0..8u32 {
-                let (carrier, oracle) = (Arc::clone(carrier), Arc::clone(&oracle));
-                scope.spawn(move || {
-                    for round in 0..50u32 {
-                        // Windows unique to (thread, round, member), so a
-                        // reply delivered to the wrong thread is caught.
-                        let batch: Vec<Request> = (0..16u32)
-                            .map(|k| {
-                                let x = 100.0 * f64::from(t) + 7.0 * f64::from(round);
-                                let side = 500.0 + 90.0 * f64::from(k);
-                                Request::Count(Rect::from_coords(x, x, x + side, x + 2.0 * side))
-                            })
-                            .collect();
-                        for (req, raw) in batch.iter().zip(exchange_many(&*carrier, &batch)) {
-                            let want = asj_net::QueryHandler::handle(&*oracle, req.clone());
-                            assert_eq!(codec::decode_response(raw).unwrap(), want);
-                        }
+    std::thread::scope(|scope| {
+        for t in 0..8u32 {
+            let (carrier, oracle) = (&connection, Arc::clone(&oracle));
+            scope.spawn(move || {
+                for round in 0..50u32 {
+                    // Windows unique to (thread, round, member), so a
+                    // reply delivered to the wrong thread is caught.
+                    let batch: Vec<Request> = (0..16u32)
+                        .map(|k| {
+                            let x = 100.0 * f64::from(t) + 7.0 * f64::from(round);
+                            let side = 500.0 + 90.0 * f64::from(k);
+                            Request::Count(Rect::from_coords(x, x, x + side, x + 2.0 * side))
+                        })
+                        .collect();
+                    for (req, raw) in batch.iter().zip(exchange_many(carrier, &batch)) {
+                        let want = asj_net::QueryHandler::handle(&*oracle, req.clone());
+                        assert_eq!(codec::decode_response(raw).unwrap(), want);
                     }
-                });
-            }
-        });
-    }
-}
-
-/// No lost wake-up: a server parked on an empty queue is always woken by
-/// the next send, and a client parked on an unanswered slot by its
-/// reply — 10⁵ round trips one at a time, and as many again 32 deep.
-#[test]
-fn a_hundred_thousand_ping_pongs_complete_at_depth_1_and_32() {
-    let (_server, _reactor, carriers) = threaded_carriers(59);
-    let ping = Request::Count(Rect::from_coords(0.0, 0.0, 1.0, 1.0));
-    for carrier in &carriers {
-        let want = carrier.exchange(codec::encode_request(&ping));
-        for depth in [1usize, 32] {
-            let batch = vec![ping.clone(); depth];
-            for _ in 0..100_000 / depth {
-                for raw in exchange_many(&**carrier, &batch) {
-                    assert_eq!(raw, want);
                 }
-            }
+            });
         }
-    }
+    });
 }
