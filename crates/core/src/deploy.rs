@@ -15,8 +15,8 @@ use asj_geom::{Rect, SpatialObject};
 use asj_net::codec::WireVersion;
 use asj_net::transport::InProcExchange;
 use asj_net::{
-    CacheLayer, ClientCache, FaultLayer, FaultPlan, Link, NetConfig, QueryHandler, RawExchange,
-    Request, Response, ShardEndpoint, ShardMeta, ShardRouter, Update,
+    CacheLayer, ClientCache, EndpointStats, FaultLayer, FaultPlan, Link, NetConfig, QueryHandler,
+    RawExchange, Request, Response, ShardEndpoint, ShardMeta, ShardRouter, Update,
 };
 use asj_server::{
     partition_objects, RTreeStore, ServicePolicy, SpatialService, SpatialStore, VersionedStore,
@@ -28,28 +28,21 @@ use crate::Side;
 /// data size for the synthetic datasets").
 pub const DEFAULT_BUFFER: usize = 800;
 
-/// One server process: a bare call in the caller's process, or a gauged
-/// endpoint behind the deployment's one close gate (see
-/// `asj_net::event_loop`).
-enum Endpoint {
-    InProc(Arc<dyn QueryHandler>),
-    Gauged(asj_net::EventEndpoint),
+/// One server process, called in the caller's process: bare, or gauged
+/// with `stats` (see `asj_net::transport`).
+struct Endpoint {
+    handler: Arc<dyn QueryHandler>,
+    stats: Option<Arc<EndpointStats>>,
 }
 
 impl Endpoint {
     /// A fresh connection.
     fn raw(&self) -> Box<dyn RawExchange> {
-        match self {
-            Endpoint::InProc(h) => Box::new(InProcExchange::new(Arc::clone(h))),
-            Endpoint::Gauged(endpoint) => Box::new(endpoint.connect()),
-        }
-    }
-
-    fn event_stats(&self) -> Option<Arc<asj_net::EndpointStats>> {
-        match self {
-            Endpoint::InProc(_) => None,
-            Endpoint::Gauged(endpoint) => Some(Arc::clone(endpoint.stats())),
-        }
+        let handler = Arc::clone(&self.handler);
+        Box::new(match &self.stats {
+            None => InProcExchange::new(handler),
+            Some(stats) => InProcExchange::gauged(handler, Arc::clone(stats)),
+        })
     }
 }
 
@@ -200,12 +193,12 @@ impl Carrier {
 
     /// Gauged endpoint stats for every replica of every shard,
     /// shard-major order; empty when this side is served in-process.
-    fn event_stats(&self) -> Vec<Arc<asj_net::EndpointStats>> {
+    fn event_stats(&self) -> Vec<Arc<EndpointStats>> {
         match self {
-            Carrier::Single(replica) => replica.endpoint.event_stats().into_iter().collect(),
+            Carrier::Single(replica) => replica.endpoint.stats.iter().cloned().collect(),
             Carrier::Fleet(members) => members
                 .iter()
-                .flat_map(|(_, group)| group.iter().filter_map(|r| r.endpoint.event_stats()))
+                .flat_map(|(_, group)| group.iter().filter_map(|r| r.endpoint.stats.clone()))
                 .collect(),
         }
     }
@@ -243,10 +236,6 @@ pub struct Deployment {
     /// [`FaultLayer`] seeded from this plan, so fault sequences are
     /// deterministic per link and replayable by seed.
     fault: Option<FaultPlan>,
-    /// The close gate of every gauged endpoint, when the servers are
-    /// gauged ([`DeploymentBuilder::threaded`]): dropping the deployment
-    /// closes it, once the serves in progress have finished.
-    _gate: Option<asj_net::EventLoop>,
 }
 
 impl Deployment {
@@ -364,11 +353,10 @@ impl Deployment {
         self.r.replica_count().max(self.s.replica_count())
     }
 
-    /// Gauged endpoint stats (high-water marks of the requests and
-    /// connections in service, served/malformed counters) for one side:
-    /// one entry per server replica, shard-major. Empty on an in-process
-    /// deployment.
-    pub fn event_stats(&self, side: Side) -> Vec<Arc<asj_net::EndpointStats>> {
+    /// Gauged endpoint stats (high-water mark of the requests in
+    /// service, served/malformed counters) for one side: one entry per
+    /// server replica, shard-major. Empty on a bare deployment.
+    pub fn event_stats(&self, side: Side) -> Vec<Arc<EndpointStats>> {
         match side {
             Side::R => self.r.event_stats(),
             Side::S => self.s.event_stats(),
@@ -435,9 +423,9 @@ impl DeploymentBuilder {
     }
 
     /// Serves every server (both sides, every shard replica) as a gauged
-    /// endpoint rather than by a bare call: the same serve path, behind
-    /// the deployment's one close gate and with per-endpoint gauges
-    /// ([`Deployment::event_stats`]; see `asj_net::event_loop`).
+    /// endpoint rather than by a bare call: the same serve path, with
+    /// per-endpoint gauges ([`Deployment::event_stats`]; see
+    /// `asj_net::transport`).
     /// `threaded` and [`event_loop`] are two names for this one switch.
     /// It starts no thread: each request is served at the call, on the
     /// device thread that asks it, and the paper prices a join in bytes,
@@ -563,8 +551,6 @@ impl DeploymentBuilder {
             )
             .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0))
         });
-        // One gate for every gauged endpoint of the deployment.
-        let gate = self.gauged.then(asj_net::EventLoop::new);
         // A shard's R-tree is built once, and every replica serves an O(1)
         // clone of it: the tree is persistent, its nodes immutable and
         // shared. A frozen replica answers straight from its clone; a live
@@ -584,9 +570,9 @@ impl DeploymentBuilder {
                 let service = SpatialService::new(tree.clone()).with_policy(policy);
                 (Arc::new(service), None)
             };
-            let endpoint = match &gate {
-                None => Endpoint::InProc(service),
-                Some(gate) => Endpoint::Gauged(gate.serve(service)),
+            let endpoint = Endpoint {
+                handler: service,
+                stats: self.gauged.then(Arc::default),
             };
             Replica {
                 endpoint: Arc::new(endpoint),
@@ -641,7 +627,6 @@ impl DeploymentBuilder {
             cache_s: self.net.client_cache.then(Arc::default),
             fault: self.fault,
             net: self.net,
-            _gate: gate,
         }
     }
 }

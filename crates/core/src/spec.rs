@@ -22,7 +22,9 @@
 //!
 //! Enforced by: `ExecCtx::new`, which every algorithm's `run` starts with
 //! (pinned by `tests/edge_cases.rs`'s
-//! `negative_eps_joins_like_its_absolute_value`).
+//! `negative_eps_joins_like_its_absolute_value` and, for every class of
+//! ε and hint on four deployment shapes, `tests/prop_end_to_end.rs`'s
+//! `every_eps_means_one_thing_on_every_deployment`).
 
 use asj_geom::JoinPredicate;
 

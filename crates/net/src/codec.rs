@@ -207,8 +207,8 @@ pub(crate) mod op {
     /// server shared by every other client.
     pub const R_MALFORMED: u8 = 0x91;
     /// Local transport-failure pseudo-frame `[R_UNAVAILABLE]`: fabricated
-    /// by a carrier whose peer is gone (its gate closed). Reserved — a
-    /// live server never sends it.
+    /// by a fault layer for an exchange that never happened (a drop, a
+    /// crash window). Reserved — a live server never sends it.
     pub const R_UNAVAILABLE: u8 = 0x92;
     /// Marker a deterministic fault injector stamps over byte 0 of a
     /// frame it garbles (see `crate::fault::FaultLayer`). Deliberately

@@ -51,7 +51,8 @@ pub struct CrashPlan {
     /// edge sends is a request (a retry is one more), so index `i` is the
     /// `i`-th request the edge's link sends over this layer, 0 its first.
     pub at: u64,
-    /// Number of consecutive exchanges the endpoint stays dark for.
+    /// Number of consecutive exchanges the endpoint stays dark for;
+    /// `u64::MAX` keeps it dark for good.
     pub dark: u64,
 }
 
@@ -254,11 +255,12 @@ impl FaultLayer {
     fn admit(&self, request: Bytes) -> Option<(Bytes, bool)> {
         let n = self.exchanges.fetch_add(1, Ordering::SeqCst);
         if let Some(crash) = &self.plan.crash {
-            if n >= crash.at && n < crash.at + crash.dark {
+            let end = crash.at.saturating_add(crash.dark);
+            if n >= crash.at && n < end {
                 self.counters.blacked_out.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
-            if n >= crash.at + crash.dark {
+            if n >= end {
                 self.ensure_restarted();
             }
         }

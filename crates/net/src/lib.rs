@@ -16,14 +16,10 @@
 //!   mix per link; *this is where every reported number comes from*. Its
 //!   counters, the cache's and the fault layer's are each declared once,
 //!   one line per field, in [`meter`]'s telemetry lists;
-//! * [`transport`] — RPC over a bare in-process call (fast, used by the
-//!   experiment sweeps) or a connection to a gauged endpoint, both served
-//!   at the call on the calling thread through one serve path;
-//! * [`event_loop`] — the **gauged endpoint**: a server behind a close
-//!   gate, with gauges. A deployment built `.threaded()` or
-//!   `.event_loop()` registers every server on its one [`EventLoop`], the
-//!   gate. It has no thread and holds no request: it adds each
-//!   endpoint's gauges and the loop's close gate to an in-process serve;
+//! * [`transport`] — RPC over one in-process carrier, served at the call
+//!   on the calling thread: bare (fast, used by the experiment sweeps) or
+//!   gauged, with per-endpoint [`EndpointStats`] (a deployment built
+//!   `.threaded()` or `.event_loop()` gauges every server);
 //! * [`router`] — the **scatter-gather extension**: a [`ShardRouter`]
 //!   makes a fleet of shard servers look like one — pruning by advertised
 //!   bounds, sub-batching, merging, metering per replica, per shard and in
@@ -68,7 +64,7 @@
 //! of one — there is no second path). The cache answers what it can and
 //! lets the misses ride one batch; the router turns all the requests'
 //! pruned sub-requests into one set of flights, one carrier batch per
-//! (shard, replica) edge; a connection serves each request of a batch
+//! (shard, replica) edge; a carrier serves each request of a batch
 //! as the batch reaches it, on the calling thread. The physical
 //! edge (`edge.rs`) is who frames (wire version,
 //! dedup envelope), meters, judges a reply ok / `Unavailable` /
@@ -97,7 +93,6 @@
 pub mod cache;
 pub mod codec;
 mod edge;
-pub mod event_loop;
 pub mod fault;
 mod few;
 pub mod health;
@@ -159,11 +154,10 @@ pub mod testutil {
 }
 
 pub use cache::{CacheLayer, CacheView, ClientCache};
-pub use event_loop::{EndpointStats, EventConnection, EventEndpoint, EventLoop};
 pub use fault::{CrashPlan, FaultLayer, FaultPlan, FaultStats};
 pub use health::{BreakerConfig, BreakerState, EdgeHealth, HealthSnapshot, ReplicaSetHealth};
 pub use meter::{CacheSnapshot, LinkMeter, LinkSnapshot};
 pub use packet::{NetConfig, PacketModel, RetryPolicy};
 pub use proto::{DeltaOp, QueryHandler, Request, Response, Update};
 pub use router::{FleetSnapshot, ShardEndpoint, ShardMeta, ShardRouter, ShardTelemetry};
-pub use transport::{Begun, Link, RawExchange};
+pub use transport::{Begun, EndpointStats, Link, RawExchange};

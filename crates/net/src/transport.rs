@@ -3,17 +3,17 @@
 //! A [`Link`] is the device's handle to one server. Every exchange is
 //! framed, carried over a [`RawExchange`], charged and decoded by the one
 //! physical edge at the bottom of the link's stack — so no byte can cross
-//! unmetered, whichever carrier is used:
+//! unmetered, whichever carrier is used.
 //!
-//! * [`InProcExchange`] — calls the server's handler on the calling thread
-//!   (fast path for the thousands of joins an experiment sweep runs);
-//! * [`EventConnection`](crate::EventConnection) — a connection to a
-//!   gauged endpoint ([`crate::event_loop`]; a deployment registers all
-//!   its servers on one [`EventLoop`](crate::EventLoop), its close gate).
-//!   It serves each request at the call, on the calling thread, through
-//!   the same `serve_frame` as the in-process carrier, and adds the
-//!   endpoint's gauges and the loop's close gate around it. Which thread
-//!   serves is not part of the paper's cost model, which sees only bytes.
+//! There is one in-process carrier, [`InProcExchange`]: it calls the
+//! server's handler on the calling thread. A bare one is the fast path
+//! for the thousands of joins an experiment sweep runs. A gauged one
+//! ([`InProcExchange::gauged`]; a deployment built `.threaded()` or
+//! `.event_loop()` serves every server so) serves the same way and adds
+//! its endpoint's [`EndpointStats`] around each serve. Which thread
+//! serves is not part of the paper's cost model, which sees only bytes;
+//! a server that goes dark is a [`FaultLayer`](crate::FaultLayer)'s crash
+//! window, not a property of the carrier.
 //!
 //! Independent requests travel as one batch ([`RawExchange::exchange_many`],
 //! [`Link::request_many`]), which hands back one reply frame per request,
@@ -104,14 +104,13 @@ thread_local! {
     static REPLY_BUF: std::cell::Cell<BytesMut> = Default::default();
 }
 
-/// Serves one request frame by the one discipline of the in-process and
-/// gauged carriers: the handler encodes into this thread's reused buffer,
-/// and the reply ships as one exact-size copy of it, the only per-request
-/// allocation. The buffer is taken out of its slot, not borrowed, so an
-/// exchange nested in a handler on this thread serves into a fresh one.
-/// Returns the reply and whether the frame was a query
+/// Serves one request frame: the handler encodes into this thread's
+/// reused buffer, and the reply ships as one exact-size copy of it, the
+/// only per-request allocation. The buffer is taken out of its slot, not
+/// borrowed, so an exchange nested in a handler on this thread serves
+/// into a fresh one. Returns the reply and whether the frame was a query
 /// ([`serve_frame_into`]).
-pub(crate) fn serve_frame<H: QueryHandler + ?Sized>(handler: &H, request: Bytes) -> (Bytes, bool) {
+fn serve_frame<H: QueryHandler + ?Sized>(handler: &H, request: Bytes) -> (Bytes, bool) {
     let mut buf = REPLY_BUF.take();
     buf.clear();
     let query = serve_frame_into(handler, request, &mut buf);
@@ -123,23 +122,83 @@ pub(crate) fn serve_frame<H: QueryHandler + ?Sized>(handler: &H, request: Bytes)
     (reply, query)
 }
 
-/// In-process carrier: decodes and handles on the calling thread.
-/// `H` may be unsized, so a deployment holding `Arc<dyn QueryHandler>`
-/// uses this adapter too.
+/// The gauges of one gauged endpoint, shared by every carrier to it.
+#[derive(Debug, Default)]
+pub struct EndpointStats {
+    /// Requests in service right now.
+    in_service: AtomicU64,
+    /// High-water mark of `in_service`.
+    max_depth: AtomicU64,
+    /// Query frames served (malformed frames excluded).
+    served: AtomicU64,
+    /// Undecodable frames answered with the typed error: an alien opcode,
+    /// a truncated payload, a frame corrupted in transit.
+    malformed: AtomicU64,
+}
+
+impl EndpointStats {
+    /// Most requests ever in service at once: each is served on the
+    /// thread that asks it, so this is at most the number of threads
+    /// calling the endpoint.
+    pub fn max_queue_depth(&self) -> u64 {
+        self.max_depth.load(Ordering::Acquire)
+    }
+
+    /// Query frames served so far.
+    pub fn served(&self) -> u64 {
+        self.served.load(Ordering::Acquire)
+    }
+
+    /// Undecodable frames answered with [`Response::Malformed`].
+    pub fn malformed(&self) -> u64 {
+        self.malformed.load(Ordering::Acquire)
+    }
+}
+
+/// In-process carrier: decodes and handles on the calling thread, bare or
+/// gauged. `H` may be unsized, so a deployment holding
+/// `Arc<dyn QueryHandler>` uses this adapter too.
 pub struct InProcExchange<H: QueryHandler + ?Sized> {
     handler: Arc<H>,
+    stats: Option<Arc<EndpointStats>>,
 }
 
 impl<H: QueryHandler + ?Sized> InProcExchange<H> {
     pub fn new(handler: Arc<H>) -> Self {
-        InProcExchange { handler }
+        InProcExchange {
+            handler,
+            stats: None,
+        }
+    }
+
+    /// The same carrier, publishing each serve to `stats`: the requests
+    /// in service, and the frames served or answered malformed.
+    pub fn gauged(handler: Arc<H>, stats: Arc<EndpointStats>) -> Self {
+        InProcExchange {
+            handler,
+            stats: Some(stats),
+        }
     }
 }
 
 impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
-    /// A garbled frame is answered with a typed error, never panicked on.
+    /// A garbled frame is answered with a typed error, never panicked on,
+    /// and serving goes on.
     fn exchange(&self, request: Bytes) -> Bytes {
-        serve_frame(self.handler.as_ref(), request).0
+        let Some(stats) = &self.stats else {
+            return serve_frame(self.handler.as_ref(), request).0;
+        };
+        let depth = stats.in_service.fetch_add(1, Ordering::AcqRel) + 1;
+        stats.max_depth.fetch_max(depth, Ordering::AcqRel);
+        let (reply, query) = serve_frame(self.handler.as_ref(), request);
+        let tally = if query {
+            &stats.served
+        } else {
+            &stats.malformed
+        };
+        tally.fetch_add(1, Ordering::AcqRel);
+        stats.in_service.fetch_sub(1, Ordering::AcqRel);
+        reply
     }
 }
 
@@ -376,8 +435,10 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event_loop::EventLoop;
+    use crate::fault::{FaultLayer, FaultPlan};
+    use crate::testutil::ScanHandler;
     use asj_geom::{Rect, SpatialObject};
+    use std::sync::{mpsc, Mutex};
 
     /// Toy handler: COUNT returns 7, WINDOW returns two fixed objects.
     struct Fixed;
@@ -419,13 +480,22 @@ mod tests {
         assert_eq!(link.cost(), s.total_bytes() as f64);
     }
 
+    /// A server that answers its first `k` exchanges, then goes dark for
+    /// good: a crash window that never ends and no restart hook.
+    fn dead_after(k: u64) -> Box<dyn RawExchange> {
+        let server = Box::new(InProcExchange::new(Arc::new(Fixed)));
+        Box::new(FaultLayer::new(
+            server,
+            FaultPlan::default().with_crash(k, u64::MAX),
+        ))
+    }
+
     #[test]
     fn begin_overlaps_requests_on_the_channel_carrier() {
         // Ship two requests as one batch: the replies come back in issue
         // order, each served at the call.
-        let server = EventLoop::new();
-        let handle = server.serve(Arc::new(Fixed));
-        let ex = handle.connect();
+        let stats = Arc::new(EndpointStats::default());
+        let ex = InProcExchange::gauged(Arc::new(Fixed), Arc::clone(&stats));
         let requests = [Request::Count(w()), Request::Window(w())];
         let mut replies = Vec::new();
         ex.exchange_many(
@@ -435,28 +505,24 @@ mod tests {
         let [r1, r2]: [Response; 2] = replies.try_into().unwrap();
         assert_eq!(r1.into_count(), 7);
         assert_eq!(r2.into_objects().len(), 2);
-        assert_eq!(handle.stats().served(), 2);
+        assert_eq!(stats.served(), 2);
     }
 
     #[test]
     fn client_outliving_server_sees_unavailable_not_panic() {
-        let server = EventLoop::new();
-        let handle = server.serve(Arc::new(Fixed));
-        let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
+        let link = Link::new(dead_after(1), PacketModel::default(), 1.0);
         assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
-        drop(server);
-        drop(handle);
         assert_eq!(link.request(&Request::Count(w())), Response::Unavailable);
         assert_eq!(link.request(&Request::Window(w())), Response::Unavailable);
     }
 
     #[test]
-    fn shutdown_counts_queries_only() {
-        let server = EventLoop::new();
-        let handle = server.serve(Arc::new(Fixed));
+    fn gauges_count_queries_only() {
+        let stats = Arc::new(EndpointStats::default());
+        let carrier = || InProcExchange::gauged(Arc::new(Fixed), Arc::clone(&stats));
         let (ex, link) = (
-            handle.connect(),
-            Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0),
+            carrier(),
+            Link::new(Box::new(carrier()), PacketModel::default(), 1.0),
         );
         // A garbled frame and a retired handshake probe (neither is a
         // query), then two queries at v2.
@@ -470,9 +536,8 @@ mod tests {
         }
         assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
         assert_eq!(link.request(&Request::Window(w())).into_objects().len(), 2);
-        server.shutdown();
-        assert_eq!(handle.stats().malformed(), 2);
-        assert_eq!(handle.stats().served(), 2);
+        assert_eq!(stats.malformed(), 2);
+        assert_eq!(stats.served(), 2);
     }
 
     #[test]
@@ -718,13 +783,9 @@ mod tests {
 
     #[test]
     fn failed_exchange_charges_no_meter_bytes() {
-        let server = EventLoop::new();
-        let handle = server.serve(Arc::new(Fixed));
-        let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
+        let link = Link::new(dead_after(1), PacketModel::default(), 1.0);
         link.request(&Request::Count(w()));
         let before = link.meter().snapshot();
-        drop(server);
-        drop(handle);
         // Failed exchanges must not move the meter: only completed
         // exchanges count, in both directions.
         assert_eq!(link.request(&Request::Count(w())), Response::Unavailable);
@@ -733,5 +794,167 @@ mod tests {
         assert_eq!(before.up_bytes, after.up_bytes);
         assert_eq!(before.down_bytes, after.down_bytes);
         assert_eq!(before.count_queries, after.count_queries);
+    }
+
+    fn objects(n: u32) -> Vec<SpatialObject> {
+        (0..n)
+            .map(|i| SpatialObject::point(i, i as f64, 0.0))
+            .collect()
+    }
+
+    fn wide(hi: f64) -> Rect {
+        Rect::from_coords(-1.0, -1.0, hi, 1.0)
+    }
+
+    fn gauged(objects: Vec<SpatialObject>, stats: &Arc<EndpointStats>) -> Link {
+        let carrier = InProcExchange::gauged(Arc::new(ScanHandler(objects)), Arc::clone(stats));
+        Link::new(Box::new(carrier), PacketModel::default(), 1.0)
+    }
+
+    #[test]
+    fn gauged_carrier_serves_byte_identically_to_bare() {
+        let stats = Arc::new(EndpointStats::default());
+        let gauged = gauged(objects(20), &stats);
+        let bare = Link::in_process(
+            Arc::new(ScanHandler(objects(20))),
+            PacketModel::default(),
+            1.0,
+        );
+        for hi in [3.0, 7.5, 19.0] {
+            for req in [Request::Window(wide(hi)), Request::Count(wide(hi))] {
+                assert_eq!(gauged.request(&req), bare.request(&req));
+            }
+        }
+        assert_eq!(
+            gauged.meter().snapshot(),
+            bare.meter().snapshot(),
+            "the gauges must not change accounting"
+        );
+        assert_eq!(stats.served(), 6);
+    }
+
+    #[test]
+    fn each_endpoint_gauges_only_its_own_serves() {
+        let stats: Vec<Arc<EndpointStats>> = (0..8).map(|_| Arc::default()).collect();
+        for (i, stats) in stats.iter().enumerate() {
+            let link = gauged(objects(i as u32 + 1), stats);
+            let count = link.request(&Request::Count(wide(100.0))).into_count();
+            assert_eq!(count, i as u64 + 1);
+        }
+        for stats in &stats {
+            assert_eq!(stats.served(), 1);
+            assert_eq!(stats.max_queue_depth(), 1);
+        }
+    }
+
+    /// Many clients at once, each shipping batches of its own to an
+    /// endpoint of its own: every reply reaches the client that asked
+    /// it. Endpoint `t` holds `64` points, and client `t`'s `k`-th
+    /// request of a batch counts those up to `x = depth·t + k`, so an
+    /// answer names the request it answers.
+    #[test]
+    fn every_reply_reaches_its_own_caller() {
+        let (threads, depth, rounds) = (4u32, 8u32, 400u32);
+        let clients: Vec<_> = (0..threads)
+            .map(|t| {
+                let stats = Arc::new(EndpointStats::default());
+                let handler = Arc::new(ScanHandler(objects(64)));
+                let conn = InProcExchange::gauged(handler, Arc::clone(&stats));
+                let client = std::thread::spawn(move || {
+                    let hi = |k| (depth * t + k) as f64;
+                    for _ in 0..rounds {
+                        let requests = (0..depth).map(|k| Request::Count(wide(hi(k))));
+                        let mut frames = requests.map(|r| crate::codec::encode_request(&r));
+                        let mut k = 0;
+                        conn.exchange_many(&mut frames, &mut |reply| {
+                            let want = Response::Count(u64::from(depth * t + k + 1));
+                            assert_eq!(crate::codec::decode_response(reply).unwrap(), want);
+                            k += 1;
+                        });
+                        assert_eq!(k, depth, "one reply per request");
+                    }
+                });
+                (stats, client)
+            })
+            .collect();
+        for (stats, client) in clients {
+            client.join().unwrap();
+            assert_eq!(stats.served(), u64::from(depth * rounds));
+        }
+    }
+
+    #[test]
+    fn garbled_frame_answers_typed_error_and_gauged_carrier_survives() {
+        let stats = Arc::new(EndpointStats::default());
+        let conn = InProcExchange::gauged(Arc::new(ScanHandler(objects(5))), Arc::clone(&stats));
+        // A frame garbled in transit (the fault layer's 0xEE marker), an
+        // alien opcode, two retired ones (0x06, a batched COUNT of no
+        // windows; 0x70, a version handshake probe) and a truncated frame
+        // are all answered typed.
+        let (batched, hello) = ([0x06, 0, 0, 0, 0], [0x70, 0x02]);
+        let alien = [&[0xEE, 0x01, 0x02][..], &[0x5A, 0x01, 0x02]];
+        for garbage in alien.into_iter().chain([&batched[..], &hello, &[]]) {
+            let reply = conn.exchange(Bytes::copy_from_slice(garbage));
+            assert_eq!(
+                crate::codec::decode_response(reply).unwrap(),
+                Response::Malformed
+            );
+        }
+        assert_eq!(
+            stats.malformed(),
+            5,
+            "garbled, alien, two retired, truncated"
+        );
+        // Healthy traffic still flows to the same endpoint.
+        let healthy = gauged(objects(5), &stats);
+        assert_eq!(
+            healthy.request(&Request::Count(wide(100.0))).into_count(),
+            5
+        );
+        assert_eq!(stats.served(), 1, "garbage is not a served query");
+    }
+
+    /// Serves nothing until released, so a test decides when an exchange
+    /// can complete.
+    struct Held(Mutex<mpsc::Receiver<()>>);
+
+    impl QueryHandler for Held {
+        fn handle(&self, _req: Request) -> Response {
+            let _ = self.0.lock().unwrap().recv();
+            Response::Count(0)
+        }
+    }
+
+    /// Holds `n` requests inside the handler at once, each asked on a
+    /// thread and a carrier of its own, then releases them all and
+    /// returns the endpoint's gauges once every thread has joined.
+    fn held_at_once(n: usize) -> Arc<EndpointStats> {
+        let (release, held) = mpsc::channel();
+        let handler = Arc::new(Held(Mutex::new(held)));
+        let stats = Arc::new(EndpointStats::default());
+        let callers: Vec<_> = (0..n)
+            .map(|_| {
+                let conn = InProcExchange::gauged(Arc::clone(&handler), Arc::clone(&stats));
+                let count = crate::codec::encode_request(&Request::Count(wide(100.0)));
+                std::thread::spawn(move || conn.exchange(count))
+            })
+            .collect();
+        while stats.in_service.load(Ordering::Acquire) < n as u64 {
+            std::thread::yield_now();
+        }
+        (0..n).for_each(|_| release.send(()).unwrap());
+        for caller in callers {
+            let reply = crate::codec::decode_response(caller.join().unwrap());
+            assert_eq!(reply.unwrap(), Response::Count(0));
+        }
+        assert_eq!(stats.in_service.load(Ordering::Acquire), 0);
+        assert_eq!(stats.served(), n as u64);
+        stats
+    }
+
+    #[test]
+    fn queue_depth_counts_requests_in_service() {
+        assert_eq!(held_at_once(4).max_queue_depth(), 4);
+        assert_eq!(held_at_once(2).max_queue_depth(), 2);
     }
 }

@@ -2,8 +2,8 @@
 //! allocates its frames and its answer, nothing else.
 //!
 //! A counting `#[global_allocator]` tallies the calling thread's heap
-//! allocations; every carrier here serves on the calling thread (the
-//! reactor's too), so a request's whole
+//! allocations; every carrier here serves on the calling thread (a
+//! gauged one too), so a request's whole
 //! trip — link, cache, router, fault layer, server — runs on that
 //! thread. After warm-up, a COUNT and a single-shard WINDOW through a
 //! 4-shard × 2-replica fleet with no-op fault layers, retry and breakers
@@ -27,8 +27,8 @@ use asj_net::codec::{decode_response, encode_response, CodecError, WireVersion, 
 use asj_net::testutil::ScanHandler;
 use asj_net::transport::InProcExchange;
 use asj_net::{
-    BreakerConfig, EventLoop, FaultLayer, FaultPlan, Link, PacketModel, RawExchange, Request,
-    Response, RetryPolicy, ShardEndpoint, ShardMeta, ShardRouter,
+    BreakerConfig, FaultLayer, FaultPlan, Link, PacketModel, RawExchange, Request, Response,
+    RetryPolicy, ShardEndpoint, ShardMeta, ShardRouter,
 };
 use asj_server::{RTreeStore, SpatialService};
 use bytes::Bytes;
@@ -244,20 +244,19 @@ fn a_raised_object_count_reserves_nothing() {
     assert_eq!(decoded, Err(CodecError::Truncated));
 }
 
-/// A flat link over a reactor: a connection serves at the call, on the
-/// calling thread, into that thread's reused reply buffer, as an
+/// A flat link over a gauged carrier: it serves at the call, on the
+/// calling thread, into that thread's reused reply buffer, as a bare
 /// in-process exchange does — so the whole exchange is counted here and
-/// it allocates exactly what the in-process one does: 3 for the COUNT, 5
-/// for the WINDOW, whose scan handler collects its answer. The loop's
-/// gate and the endpoint's gauges allocate nothing.
+/// it allocates exactly what the bare one does: 3 for the COUNT, 5 for
+/// the WINDOW, whose scan handler collects its answer. The endpoint's
+/// gauges allocate nothing.
 #[test]
 fn a_reactor_exchange_allocates_what_an_in_process_one_does() {
-    let reactor = EventLoop::new();
-    let endpoint = reactor.serve(Arc::new(ScanHandler(lattice())));
-    let looped = Link::new(Box::new(endpoint.connect()), PacketModel::default(), 1.0);
+    let carrier = InProcExchange::gauged(Arc::new(ScanHandler(lattice())), Arc::default());
+    let gauged = Link::new(Box::new(carrier), PacketModel::default(), 1.0);
     let flat = Link::new(server(lattice(), false), PacketModel::default(), 1.0);
     for (req, exact) in requests().into_iter().zip([3, 5]) {
-        assert_eq!(allocations(&looped, &req), exact, "{req:?}");
+        assert_eq!(allocations(&gauged, &req), exact, "{req:?}");
         assert_eq!(allocations(&flat, &req), exact, "{req:?}");
     }
 }

@@ -22,9 +22,8 @@ use asj_net::codec::{encode_response_versioned, stamp_generation_versioned, Wire
 use asj_net::testutil::ScanHandler as Scan;
 use asj_net::transport::InProcExchange;
 use asj_net::{
-    BreakerConfig, EventConnection, EventLoop, FaultLayer, FaultPlan, Link, LinkSnapshot,
-    PacketModel, QueryHandler, RawExchange, Request, Response, RetryPolicy, ShardEndpoint,
-    ShardMeta, ShardRouter, Update,
+    BreakerConfig, FaultLayer, FaultPlan, Link, LinkSnapshot, PacketModel, QueryHandler,
+    RawExchange, Request, Response, RetryPolicy, ShardEndpoint, ShardMeta, ShardRouter, Update,
 };
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
@@ -88,24 +87,13 @@ fn faulted(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn RawExchange>
     Box::new(FaultLayer::new(server, plan))
 }
 
-/// A connection that owns its server's reactor, so a link over it is
-/// self-contained like the in-process ones.
-struct Threaded(EventConnection, #[allow(dead_code)] EventLoop);
-
-impl RawExchange for Threaded {
-    fn exchange(&self, request: Bytes) -> Bytes {
-        self.0.exchange(request)
-    }
-}
-
-/// [`faulted`], with the server on a reactor of its own.
-fn faulted_threaded(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn RawExchange> {
-    let server = EventLoop::new();
-    let handle = server.serve(LiveScan::new(objects));
-    Box::new(FaultLayer::new(
-        Box::new(Threaded(handle.connect(), server)),
-        plan,
-    ))
+/// [`faulted`], with the server gauged.
+fn faulted_gauged(objects: Vec<SpatialObject>, plan: FaultPlan) -> Box<dyn RawExchange> {
+    let server = Box::new(InProcExchange::gauged(
+        LiveScan::new(objects),
+        Arc::default(),
+    ));
+    Box::new(FaultLayer::new(server, plan))
 }
 
 /// A carrier that appends a byte to replies: to every one, or — `flaky` —
@@ -393,8 +381,8 @@ proptest! {
         type Shape<'a> = (&'a str, &'a [Request], Box<dyn Fn() -> Link + 'a>, bool);
         let shapes: Vec<Shape> = vec![
             ("flat", &script, Box::new(|| tune(Link::new(faulted(lattice(), plan), packet, 1.0))), true),
-            ("flat, threaded", &script, Box::new(|| {
-                tune(Link::new(faulted_threaded(lattice(), plan), packet, 1.0))
+            ("flat, gauged", &script, Box::new(|| {
+                tune(Link::new(faulted_gauged(lattice(), plan), packet, 1.0))
             }), true),
             ("cold cache", &script, Box::new(|| {
                 let store = Arc::new(ClientCache::new(0));

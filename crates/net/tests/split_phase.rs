@@ -4,7 +4,7 @@
 //!
 //! * Two links whose batches are begun together answer what they answer
 //!   one after the other, reply for reply, and leave equal meters behind.
-//!   This holds on a flat link, on a 4×2 fleet over a reactor with faults,
+//!   This holds on a flat link, on a 4×2 fleet of gauged carriers with faults,
 //!   retry and breakers on, and on a cached link; on the flat and cached
 //!   links a write in a batch ends its first run.
 //! * A fleet batch dropped unfinished leaves its meters equal to the
@@ -20,8 +20,8 @@ use asj_net::cache::{CacheLayer, ClientCache};
 use asj_net::testutil::ScanHandler as Scan;
 use asj_net::transport::InProcExchange;
 use asj_net::{
-    BreakerConfig, EventLoop, FaultLayer, FaultPlan, Link, LinkSnapshot, PacketModel, RawExchange,
-    Request, Response, RetryPolicy, ShardEndpoint, ShardMeta, ShardRouter, Update,
+    BreakerConfig, FaultLayer, FaultPlan, Link, LinkSnapshot, PacketModel, RawExchange, Request,
+    Response, RetryPolicy, ShardEndpoint, ShardMeta, ShardRouter, Update,
 };
 use bytes::Bytes;
 
@@ -136,14 +136,17 @@ enum Shape {
     Cached,
 }
 
-fn link(shape: Shape, objects: Vec<SpatialObject>, reactor: &EventLoop) -> Link {
+fn link(shape: Shape, objects: Vec<SpatialObject>) -> Link {
     let packet = PacketModel::default();
     match shape {
         Shape::Flat => Link::in_process(Arc::new(Scan(objects)), packet, 1.0),
         Shape::Fleet => {
             let plan = FaultPlan::seeded(11).with_drops(0.2).with_garbles(0.1);
             fleet_4x2(&objects, plan, |members| {
-                Box::new(reactor.serve(Arc::new(Scan(members))).connect())
+                Box::new(InProcExchange::gauged(
+                    Arc::new(Scan(members)),
+                    Arc::default(),
+                ))
             })
         }
         Shape::Cached => {
@@ -162,7 +165,6 @@ fn meters(link: &Link) -> (LinkSnapshot, Option<Vec<LinkSnapshot>>) {
 
 #[test]
 fn batches_begun_together_answer_what_they_answer_one_after_the_other() {
-    let reactor = EventLoop::new();
     for shape in [Shape::Flat, Shape::Fleet, Shape::Cached] {
         let mut script = script();
         if let Shape::Fleet = shape {
@@ -170,14 +172,8 @@ fn batches_begun_together_answer_what_they_answer_one_after_the_other() {
             // two fleets frame it apart and their fault rolls part ways.
             script.retain(|req| !matches!(req, Request::ApplyUpdates(_)));
         }
-        let one_by_one = [
-            link(shape, lattice(0.0), &reactor),
-            link(shape, lattice(1.0), &reactor),
-        ];
-        let together = [
-            link(shape, lattice(0.0), &reactor),
-            link(shape, lattice(1.0), &reactor),
-        ];
+        let one_by_one = [link(shape, lattice(0.0)), link(shape, lattice(1.0))];
+        let together = [link(shape, lattice(0.0)), link(shape, lattice(1.0))];
         // Twice over, so the cached shape answers its second pass locally.
         for batch in script.chunks(7).chain(script.chunks(5)) {
             let mut want: [Vec<Response>; 2] = Default::default();

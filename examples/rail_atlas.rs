@@ -30,9 +30,8 @@ fn main() {
         .map(|o| o.mbr.width().hypot(o.mbr.height()) * 0.5)
         .fold(0.0f64, f64::max);
 
-    // Servers as gauged endpoints (the in-process serve path behind one
-    // close gate, with per-endpoint gauges), cooperative so SemiJoin can
-    // run too.
+    // Servers as gauged endpoints (the in-process serve path with
+    // per-endpoint gauges), cooperative so SemiJoin can run too.
     let dep = DeploymentBuilder::new(pois, rail)
         .with_space(space)
         .with_buffer(800)

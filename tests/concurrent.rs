@@ -13,8 +13,9 @@ use std::sync::Arc;
 use adhoc_spatial_joins::prelude::*;
 use asj_core::DeploymentBuilder;
 use asj_geom::SpatialObject;
+use asj_net::transport::InProcExchange;
 use asj_net::{
-    BreakerConfig, EventLoop, FaultPlan, Link, LinkSnapshot, NetConfig, PacketModel, Request,
+    BreakerConfig, EndpointStats, FaultPlan, Link, LinkSnapshot, NetConfig, PacketModel, Request,
     RetryPolicy,
 };
 use asj_server::{RTreeStore, SpatialService};
@@ -145,8 +146,13 @@ fn concurrent_clients_of_a_replicated_faulted_fleet_conserve_meters() {
 fn channel_server_meters_are_per_link_under_contention() {
     let objs = clusters(4, 400, 47);
     let service = Arc::new(SpatialService::new(RTreeStore::new(objs)));
-    let server = EventLoop::new();
-    let handle = server.serve(service);
+    let stats = Arc::new(EndpointStats::default());
+    let connect = || {
+        Box::new(InProcExchange::gauged(
+            Arc::clone(&service),
+            Arc::clone(&stats),
+        ))
+    };
 
     let sequence: Vec<Request> = (0..25)
         .map(|i| {
@@ -168,7 +174,7 @@ fn channel_server_meters_are_per_link_under_contention() {
         link.meter().snapshot()
     };
     let serial = {
-        let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
+        let link = Link::new(connect(), PacketModel::default(), 1.0);
         run(&link)
     };
     assert!(serial.total_bytes() > 0);
@@ -176,9 +182,9 @@ fn channel_server_meters_are_per_link_under_contention() {
     let snapshots: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|_| {
-                let conn = handle.connect();
+                let conn = connect();
                 scope.spawn(move || {
-                    let link = Link::new(Box::new(conn), PacketModel::default(), 1.0);
+                    let link = Link::new(conn, PacketModel::default(), 1.0);
                     run(&link)
                 })
             })
@@ -191,9 +197,8 @@ fn channel_server_meters_are_per_link_under_contention() {
             "client {client}: per-link metering diverged under contention"
         );
     }
-    server.shutdown();
     assert_eq!(
-        handle.stats().served(),
+        stats.served(),
         ((CLIENTS + 1) * sequence.len()) as u64,
         "every request must be served exactly once"
     );

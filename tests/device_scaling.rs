@@ -1,9 +1,8 @@
 //! Many-device determinism on gauged endpoints.
 //!
 //! A deployment built `.event_loop()` serves every simulated device
-//! through gauged endpoints behind one close gate, and the pool's workers
-//! call its handlers concurrently, each serving the device it is running
-//! at the moment. So the property that makes it trustworthy is
+//! through gauged endpoints, and the pool's workers call its handlers
+//! concurrently, each serving the device it is running at the moment. So the property that makes it trustworthy is
 //! *unobservability*: at a thousand devices, any worker-pool schedule
 //! must produce, per device, exactly the answers, join pairs and meter
 //! bytes of a serial replay — and on a sharded fleet every device's

@@ -1,7 +1,10 @@
 //! End-to-end property tests: every distributed algorithm equals the
 //! brute-force oracle on arbitrary small workloads, buffers and ε —
 //! the whole stack (codec, meters, servers, physical operators, cost
-//! model, duplicate avoidance) under random fire — and the seeded fault
+//! model, duplicate avoidance) under random fire — every ε and
+//! half-extent hint a spec can hold means what `spec.rs`'s one
+//! definition says on every deployment shape
+//! ([`every_eps_means_one_thing_on_every_deployment`]), and the seeded fault
 //! layer's two structural laws hold per request on arbitrary scripts:
 //! at a fixed fault seed, success never falls as the retry budget grows
 //! ([`success_is_monotone_in_the_retry_budget`]) or as the replica count
@@ -11,7 +14,7 @@ use std::ops::Range;
 use std::sync::Mutex;
 
 use adhoc_spatial_joins::prelude::*;
-use asj_core::DeploymentBuilder;
+use asj_core::{DeploymentBuilder, JoinError};
 use asj_geom::sweep::nested_loop_join;
 use asj_net::{BreakerConfig, FaultPlan, LinkSnapshot, Request, Response, RetryPolicy};
 use proptest::prelude::*;
@@ -71,6 +74,137 @@ proptest! {
             // buffer; everyone else must respect it.
             if rep.algorithm != "semijoin" {
                 prop_assert!(rep.peak_buffer <= buffer);
+            }
+        }
+    }
+}
+
+/// Every class of ε that `spec.rs`'s definition names: negative, ±0,
+/// NaN, a subnormal, ±∞, beyond f32's range, and an ordinary positive ε.
+fn any_eps() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (1.0f64..2000.0).prop_map(|eps| -eps),
+        Just(-0.0),
+        Just(0.0),
+        Just(f64::NAN),
+        Just(f64::MIN_POSITIVE / 1024.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(1e39),
+        1.0f64..2000.0,
+    ]
+}
+
+/// The deployment shapes a spec must mean one thing on.
+const SHAPES: [&str; 4] = ["flat", "2x2 fleet", "cached", "v2"];
+
+fn deploy(shape: &str, r: &[SpatialObject], s: &[SpatialObject], buffer: usize) -> Deployment {
+    let builder = DeploymentBuilder::new(r.to_vec(), s.to_vec())
+        .with_space(Rect::from_coords(0.0, 0.0, 10_000.0, 10_000.0))
+        .with_buffer(buffer)
+        .cooperative(); // lets SemiJoin run too
+    match shape {
+        "flat" => builder,
+        "2x2 fleet" => builder.with_shards(2, 2),
+        "cached" => builder.with_client_cache(true),
+        _ => builder.with_net(NetConfig::default().with_wire_v2(true)),
+    }
+    .build()
+}
+
+/// One drawn ε case: points or boxes (up to 200 on a side, clipped to
+/// the 10k space), an ε, and a half-extent hint that is 0, the data's
+/// true bound (its largest MBR half-diagonal) or that bound negated.
+#[derive(Debug)]
+struct EpsCase {
+    r: Vec<SpatialObject>,
+    s: Vec<SpatialObject>,
+    eps: f64,
+    hint: f64,
+    buffer: usize,
+}
+
+fn eps_case() -> impl Strategy<Value = EpsCase> {
+    // `(corner, extent)`, the extent in quarter units.
+    let drawn = || prop::collection::vec(((coord(), coord()), (0u32..=800, 0u32..=800)), 0..40);
+    (
+        any::<bool>(),
+        (drawn(), drawn()),
+        any_eps(),
+        0usize..3,
+        10usize..200,
+    )
+        .prop_map(|(boxes, (r, s), eps, hint, buffer)| {
+            let edge = |lo: f64, quarters: u32| (lo + f64::from(quarters) * 0.25).min(10_000.0);
+            let objects = |drawn: Vec<((f64, f64), (u32, u32))>| -> Vec<SpatialObject> {
+                let drawn = drawn.into_iter().enumerate();
+                drawn
+                    .map(|(i, ((x, y), (w, h)))| {
+                        let (w, h) = if boxes { (w, h) } else { (0, 0) };
+                        let mbr = Rect::from_coords(x, y, edge(x, w), edge(y, h));
+                        SpatialObject::new(i as u32, mbr)
+                    })
+                    .collect()
+            };
+            let (r, s) = (objects(r), objects(s));
+            let bound = r
+                .iter()
+                .chain(&s)
+                .map(|o| o.mbr.width().hypot(o.mbr.height()) * 0.5)
+                .fold(0.0f64, f64::max);
+            EpsCase {
+                r,
+                s,
+                eps,
+                hint: [0.0, bound, -bound][hint],
+                buffer,
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A distance join pairs `r` and `s` within |ε| whatever sign ε is
+    /// written with, reads NaN and +∞ as they are and −∞ as +∞, and reads
+    /// a negative half-extent hint as its absolute value. Every algorithm,
+    /// with bucket NLSJ off and on, on a flat, a 2×2 fleet, a cached and a
+    /// v2 deployment, returns the nested-loop reference's pairs under
+    /// that reading, or fails typed. Here the one typed failure is
+    /// NaiveJoin's, which needs a whole side in the buffer: every
+    /// deployment is fault-free and cooperative.
+    #[test]
+    fn every_eps_means_one_thing_on_every_deployment(case in eps_case()) {
+        let EpsCase { r, s, eps, hint, buffer } = &case;
+        let defined = JoinPredicate::WithinDistance(eps.abs());
+        let mut want = nested_loop_join(r, s, &defined);
+        want.sort_unstable();
+        for shape in SHAPES {
+            let dep = deploy(shape, r, s, *buffer);
+            let algos: [Box<dyn DistributedJoin>; 6] = [
+                Box::new(GridJoin::new(4)),
+                Box::new(MobiJoin),
+                Box::new(UpJoin::default()),
+                Box::new(SrJoin::default()),
+                Box::new(SemiJoin::default()),
+                Box::new(NaiveJoin),
+            ];
+            for algo in &algos {
+                for bucket in [false, true] {
+                    let spec = JoinSpec::distance_join(*eps)
+                        .with_mbr_half_extent(*hint)
+                        .with_bucket_nlsj(bucket);
+                    let at = format!("{} on {}, bucket NLSJ {}", algo.name(), shape, bucket);
+                    match algo.run(&dep, &spec) {
+                        Ok(rep) => {
+                            let mut got = rep.pairs;
+                            got.sort_unstable();
+                            prop_assert_eq!(&got, &want, "{}: {:?}", at, case);
+                        }
+                        Err(JoinError::Buffer(_)) if algo.name() == "naive" => {}
+                        Err(e) => prop_assert!(false, "{} failed ({}): {:?}", at, e, case),
+                    }
+                }
             }
         }
     }

@@ -1,22 +1,18 @@
 //! Transport robustness — a garbled frame must never kill a shared server.
 //!
-//! A gauged server is shared by every device connected to it — whether
-//! its gate carries one server or many — and its handlers serve them all,
-//! so the failure modes this suite pins are the ones that take *other*
-//! clients down with them:
+//! A gauged server is shared by every device connected to it, and its
+//! handler serves them all, so the failure modes this suite pins are the
+//! ones that take *other* clients down with them:
 //!
 //! * **Garbled frames** (fuzz-ish: empty, truncated, bit-flipped, alien
 //!   opcodes, absurd length prefixes) get a typed `R_MALFORMED` error
 //!   frame back — the server answering them must survive every one, and
 //!   every *healthy* client's run must stay byte-identical (meters) and
 //!   pair-identical (local joins) to an uncontended replay.
-//! * **Shutdown ordering**: dropping an `EventLoop` while its endpoints
-//!   and connections are still alive must not deadlock (regression for
-//!   the join-on-drop deadlock of a loop that had a thread).
-//! * **Dead servers**: a client outliving its server sees
-//!   `Response::Unavailable`, never a panic — and the failed exchange
-//!   charges **no** meter bytes in either direction (meters record
-//!   completed exchanges only).
+//! * **Dead servers** (a `FaultLayer` crash window that never ends): a
+//!   client outliving its server sees `Response::Unavailable`, never a
+//!   panic — and the failed exchange charges **no** meter bytes in either
+//!   direction (meters record completed exchanges only).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,7 +21,11 @@ use adhoc_spatial_joins::prelude::*;
 use asj_device::{run_traffic, TrafficConfig};
 use asj_geom::SpatialObject;
 use asj_net::codec;
-use asj_net::{EventLoop, Link, LinkSnapshot, PacketModel, RawExchange, Request, Response};
+use asj_net::transport::InProcExchange;
+use asj_net::{
+    EndpointStats, FaultLayer, FaultPlan, Link, LinkSnapshot, PacketModel, RawExchange, Request,
+    Response,
+};
 use asj_server::{RTreeStore, SpatialService};
 use asj_workloads::{default_space, gaussian_clusters, SyntheticSpec};
 use bytes::Bytes;
@@ -36,6 +36,37 @@ fn clusters(k: usize, n: usize, seed: u64) -> Vec<SpatialObject> {
 
 fn service(seed: u64) -> Arc<SpatialService<RTreeStore>> {
     Arc::new(SpatialService::new(RTreeStore::new(clusters(4, 300, seed))))
+}
+
+/// One gauged endpoint: `connect` opens a carrier to it.
+struct Endpoint {
+    service: Arc<SpatialService<RTreeStore>>,
+    stats: Arc<EndpointStats>,
+}
+
+impl Endpoint {
+    fn new(seed: u64) -> Self {
+        Endpoint {
+            service: service(seed),
+            stats: Arc::default(),
+        }
+    }
+
+    fn connect(&self) -> InProcExchange<SpatialService<RTreeStore>> {
+        InProcExchange::gauged(Arc::clone(&self.service), Arc::clone(&self.stats))
+    }
+}
+
+/// A link to a server that answers its first `k` exchanges, then goes
+/// dark for good: a crash window that never ends, and no restart hook.
+fn dies_after(k: u64, seed: u64) -> Link {
+    let server = Box::new(InProcExchange::new(service(seed)));
+    let plan = FaultPlan::default().with_crash(k, u64::MAX);
+    Link::new(
+        Box::new(FaultLayer::new(server, plan)),
+        PacketModel::default(),
+        1.0,
+    )
 }
 
 /// Deterministic fuzz-ish garbage: empty frames, truncated valid
@@ -94,8 +125,7 @@ fn scripted_requests() -> Vec<Request> {
 /// replay; the served count excludes the garbage.
 #[test]
 fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
-    let server = EventLoop::new();
-    let handle = server.serve(service(29));
+    let handle = Endpoint::new(29);
     let sequence = scripted_requests();
     let run = |carrier: Box<dyn RawExchange>| {
         let link = Link::new(carrier, PacketModel::default(), 1.0);
@@ -151,22 +181,20 @@ fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
             "client {client}: wire bytes diverged under garbage contention"
         );
     }
-    server.shutdown();
     assert_eq!(
-        handle.stats().served(),
+        handle.stats.served(),
         ((HEALTHY + 1) * sequence.len()) as u64,
         "garbage must not count as served queries"
     );
 }
 
-/// Two endpoints on one gate: same contract, plus the per-endpoint gauges. The
+/// Two endpoints: same contract, plus the per-endpoint gauges. The
 /// healthy side here is the traffic harness running real local joins, so
 /// "byte-identical" extends to the join pairs themselves.
 #[test]
 fn garbled_frames_leave_event_loop_joins_pair_identical() {
-    let reactor = EventLoop::new();
-    let endpoint_r = reactor.serve(service(31));
-    let endpoint_s = reactor.serve(service(131));
+    let endpoint_r = Endpoint::new(31);
+    let endpoint_s = Endpoint::new(131);
     let space = default_space();
     let cfg = TrafficConfig::new(48, 4, space);
     let connect = |_| {
@@ -179,7 +207,7 @@ fn garbled_frames_leave_event_loop_joins_pair_identical() {
     // Uncontended replay first…
     let baseline = run_traffic(&cfg, connect);
     assert!(baseline.total_pairs() > 0, "non-vacuous workload");
-    let malformed_before = endpoint_r.stats().malformed();
+    let malformed_before = endpoint_r.stats.malformed();
 
     // …then the same traffic with an attacker spraying both endpoints.
     let stop = AtomicBool::new(false);
@@ -206,33 +234,13 @@ fn garbled_frames_leave_event_loop_joins_pair_identical() {
     assert_eq!(
         contended.determinism_digest(),
         baseline.determinism_digest(),
-        "garbage into the shared gate perturbed healthy devices"
+        "garbage into the shared endpoints perturbed healthy devices"
     );
     assert!(
-        endpoint_r.stats().malformed() > malformed_before,
+        endpoint_r.stats.malformed() > malformed_before,
         "the endpoint must have seen (and gauged) the garbage"
     );
-    assert!(endpoint_r.stats().served() > 0 && endpoint_s.stats().served() > 0);
-}
-
-/// Regression: dropping the server value while handles/connections are
-/// still alive used to deadlock the join-on-drop. Now the drop closes the
-/// gate once the serves in progress finish, and returns.
-#[test]
-fn dropping_carriers_with_live_clients_never_hangs() {
-    // The endpoint and a link over it outlive the loop value.
-    let server = EventLoop::new();
-    let handle = server.serve(service(37));
-    let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
-    assert!(matches!(
-        link.request(&Request::Count(default_space())),
-        Response::Count(_)
-    ));
-    drop(server); // must return, not deadlock on the live handle
-    assert_eq!(
-        link.request(&Request::Count(default_space())),
-        Response::Unavailable
-    );
+    assert!(endpoint_r.stats.served() > 0 && endpoint_s.stats.served() > 0);
 }
 
 /// A client outliving a dead server sees `Unavailable` — and the failed
@@ -240,9 +248,7 @@ fn dropping_carriers_with_live_clients_never_hangs() {
 /// completed exchanges only).
 #[test]
 fn dead_server_yields_unavailable_and_charges_no_bytes() {
-    let server = EventLoop::new();
-    let handle = server.serve(service(43));
-    let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
+    let link = dies_after(1, 43);
     let w = Rect::from_coords(1000.0, 1000.0, 4000.0, 4000.0);
     assert!(matches!(
         link.request(&Request::Window(w)),
@@ -250,9 +256,6 @@ fn dead_server_yields_unavailable_and_charges_no_bytes() {
     ));
     let before = link.meter().snapshot();
     assert!(before.up_bytes > 0 && before.down_bytes > 0);
-
-    drop(handle);
-    drop(server);
 
     for _ in 0..3 {
         assert_eq!(
@@ -275,9 +278,8 @@ fn dead_server_yields_unavailable_and_charges_no_bytes() {
 #[test]
 fn lossy_traffic_with_retries_matches_fault_free_replay() {
     use asj_net::{FaultLayer, FaultPlan, RetryPolicy};
-    let reactor = EventLoop::new();
-    let endpoint_r = reactor.serve(service(31));
-    let endpoint_s = reactor.serve(service(131));
+    let endpoint_r = Endpoint::new(31);
+    let endpoint_s = Endpoint::new(131);
     let space = default_space();
     let clean = |_device: usize| {
         (
@@ -394,16 +396,12 @@ fn exchange_many(carrier: &dyn RawExchange, requests: &[Request]) -> Vec<Bytes> 
 /// `Unavailable`, in order, and none of them moves the meter.
 #[test]
 fn dead_server_fails_every_member_of_a_batch_and_charges_nothing() {
-    let server = EventLoop::new();
-    let handle = server.serve(service(47));
-    let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
     let script = scripted_requests();
+    let link = dies_after(script.len() as u64, 47);
     let mut answered = 0;
     link.request_many(&script, |resp| answered += usize::from(!resp.is_failure()));
     assert_eq!(answered, script.len(), "the live server answers the batch");
     let before = link.meter().snapshot();
-    drop(handle);
-    drop(server);
     let mut replies = Vec::new();
     link.request_many(&script, |resp| replies.push(resp));
     assert_eq!(replies, vec![Response::Unavailable; script.len()]);
@@ -415,8 +413,7 @@ fn dead_server_fails_every_member_of_a_batch_and_charges_nothing() {
 /// own order.
 #[test]
 fn threads_sharing_one_carrier_each_get_their_own_batch_replies() {
-    let server = EventLoop::new();
-    let connection = server.serve(service(53)).connect();
+    let connection = Endpoint::new(53).connect();
     let oracle = service(53);
     std::thread::scope(|scope| {
         for t in 0..8u32 {

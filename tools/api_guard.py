@@ -25,6 +25,9 @@ or `src`. The form of the mention depends on the item:
   * an associated fn or const (no `self` receiver): `Type::name` or
     `Self::name`;
   * a method: `.name(` or `.name::<`, or one of the path forms above.
+    The receiver's type is not known, so one call covers every method of
+    that name: a non-test `.stats(` on any type would count as a caller of
+    `FaultLayer::stats` too.
 
 The allowlist. One `crate::path::Type::name  # reason` per line; blank lines
 and lines starting with `#` are comments. The guard fails on a name with no
@@ -75,7 +78,7 @@ RECEIVER = re.compile(r"^\s*(?:&\s*(?:'\w+\s+)?)?(?:mut\s+)?self\b")
 # The most settable deployment values the guard lets through.
 SETTABLE_CEILING = 22
 # The most public fns and consts the guard lets through.
-PUBLIC_CEILING = 437
+PUBLIC_CEILING = 432
 
 
 def lex(text):
