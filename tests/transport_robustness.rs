@@ -59,7 +59,7 @@ impl Endpoint {
 
 /// A link to a server that answers its first `k` exchanges, then goes
 /// dark for good: a crash window that never ends, and no restart hook.
-fn dies_after(k: u64, seed: u64) -> Link {
+fn dead_after(k: u64, seed: u64) -> Link {
     let server = Box::new(InProcExchange::new(service(seed)));
     let plan = FaultPlan::default().with_crash(k, u64::MAX);
     Link::new(
@@ -248,7 +248,7 @@ fn garbled_frames_leave_event_loop_joins_pair_identical() {
 /// completed exchanges only).
 #[test]
 fn dead_server_yields_unavailable_and_charges_no_bytes() {
-    let link = dies_after(1, 43);
+    let link = dead_after(1, 43);
     let w = Rect::from_coords(1000.0, 1000.0, 4000.0, 4000.0);
     assert!(matches!(
         link.request(&Request::Window(w)),
@@ -397,7 +397,7 @@ fn exchange_many(carrier: &dyn RawExchange, requests: &[Request]) -> Vec<Bytes> 
 #[test]
 fn dead_server_fails_every_member_of_a_batch_and_charges_nothing() {
     let script = scripted_requests();
-    let link = dies_after(script.len() as u64, 47);
+    let link = dead_after(script.len() as u64, 47);
     let mut answered = 0;
     link.request_many(&script, |resp| answered += usize::from(!resp.is_failure()));
     assert_eq!(answered, script.len(), "the live server answers the batch");
