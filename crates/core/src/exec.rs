@@ -49,23 +49,23 @@
 //!
 //! # Both sides in one round trip
 //!
-//! A link is split-phase ([`Link::begin`], then [`Begun::finish`]).
-//! Where the join needs both sides and neither request depends on the
-//! other's answer, R's batch and S's are begun before either is waited
-//! on: the root `counts`, every quadrant split, UpJoin's refresh of two
-//! estimated counts, and an HBSJ leaf of [`Decision::Hbsj`] or
-//! [`Decision::Forced`] whose two counts are exact and fit the buffer
-//! together. A fleet puts both sides' flights on the wire at once,
-//! and its servers answer both as issued; a flat or cached link
-//! defers its batch to `finish`, so it waits as before. Requests per
-//! link and their order, bytes, pairs and plans are those of asking R,
-//! then S; only [`ExecStats::round_trips`] counts one wait where it
-//! counted two. A leaf whose counts may understate its window still asks
-//! S after R's reservation, because a leaf the buffer refuses must not
-//! have paid for S. That is a live deployment's leaf (a writer can grow
-//! a window after its COUNT) and a leaf under `NetConfig::allow_partial`
-//! (a COUNT can leave out a shard that a later WINDOW reads). So does
-//! the public [`ExecCtx::hbsj_leaf`].
+//! A link answers each batch before the call returns
+//! ([`Link::request_many`]). Where the join needs both sides and neither
+//! side's requests depend on the other's answer, it asks R, then S, and
+//! [`ExecStats::round_trips`] counts the pair as one wait: the root
+//! `counts`, every quadrant split, UpJoin's refresh of two estimated
+//! counts, and an HBSJ leaf of [`Decision::Hbsj`] or [`Decision::Forced`]
+//! whose two counts are exact and fit the buffer together. The counter is
+//! a property of the plan, not of the carrier: it counts the waits a
+//! device that overlaps independent requests would make. A leaf whose
+//! counts may understate its window is two round trips, because S's
+//! window waits for R's reservation and a leaf the buffer refuses must
+//! not have paid for S. That is a live deployment's leaf (a writer can
+//! grow a window after its COUNT) and a leaf under
+//! `NetConfig::allow_partial` (a COUNT can leave out a shard that a later
+//! WINDOW reads). So is the public [`ExecCtx::hbsj_leaf`]. Every leaf asks
+//! S after R's reservation, so requests per link and their order, bytes,
+//! pairs and plans do not depend on how the pair is counted.
 //!
 //! # Exactly once on a live deployment
 //!
@@ -99,8 +99,8 @@
 use std::cell::Cell;
 
 use asj_device::{memjoin, BufferExceeded, DeviceBuffer, ResultCollector};
-use asj_geom::{reference_point_in, JoinPredicate, Rect, SpatialObject};
-use asj_net::{Begun, Link, Request, Response};
+use asj_geom::{reference_point_in, Rect, SpatialObject};
+use asj_net::{Link, Request, Response};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -157,11 +157,9 @@ pub struct ExecStats {
     /// side (see the module docs).
     pub collapsed_pairs: Option<usize>,
     /// One per non-empty [`Link`] call, and one per R and S pair of
-    /// batches begun together ([`Link::begin`]). Exact, and the same on
-    /// every carrier. It counts requests the join could wait on at once,
-    /// not waits: only a fleet serves such a pair in one wait. A flat or
-    /// cached link defers each side's batch to its finish, so it still
-    /// waits once per side.
+    /// batches neither of whose answers the other depends on: the waits
+    /// a device that overlaps independent requests would make (see the
+    /// module docs). A property of the plan, the same on every carrier.
     pub round_trips: u32,
 }
 
@@ -365,17 +363,12 @@ impl Links {
         answer.expect("one reply per request")
     }
 
-    /// R's batch and S's, both begun before either is waited on: one
-    /// round trip for the two. The caller finishes R's first, so replies
-    /// arrive in the order a join asking one side after the other gets
-    /// them.
-    fn begin_both<'l>(
-        &'l self,
-        reqs_r: &'l [Request],
-        reqs_s: &'l [Request],
-    ) -> (Begun<'l>, Begun<'l>) {
+    /// R's link and S's for a pair of batches neither of whose answers
+    /// the other depends on: one round trip for the two, counted here.
+    /// The caller asks R, then S.
+    fn both(&self) -> (&Link, &Link) {
         self.round_trips.set(self.round_trips.get() + 1);
-        (self.r.begin(reqs_r), self.s.begin(reqs_s))
+        (&self.r, &self.s)
     }
 }
 
@@ -388,13 +381,6 @@ fn fill_counts<const N: usize>(ask: impl FnOnce(&mut dyn FnMut(Response))) -> [u
     counts
 }
 
-/// The objects a batch of one WINDOW answers.
-fn objects(batch: Begun<'_>) -> Vec<SpatialObject> {
-    let mut objects = Vec::new();
-    batch.finish(|resp| objects = resp.into_objects());
-    objects
-}
-
 /// Everything one algorithm run needs.
 pub struct ExecCtx {
     links: Links,
@@ -403,8 +389,10 @@ pub struct ExecCtx {
     /// Result accumulation: strict on a frozen deployment, append-only
     /// on a live one until [`ExecCtx::finish`] (see the module docs).
     pub out: ResultCollector,
-    /// The join being executed, its ε and half-extent hint read as their
-    /// absolute values (the `spec` module's one meaning of ε).
+    /// The join being executed, its half-extent hint read as its absolute
+    /// value; ε is read through
+    /// [`JoinPredicate::epsilon`](asj_geom::JoinPredicate::epsilon), which
+    /// is |ε| (the `spec` module's one meaning of ε).
     pub spec: JoinSpec,
     /// The global data space.
     pub space: Rect,
@@ -433,9 +421,6 @@ impl ExecCtx {
     /// Opens fresh links against the deployment.
     pub fn new(deployment: &Deployment, spec: &JoinSpec) -> Self {
         let mut spec = *spec;
-        if let JoinPredicate::WithinDistance(eps) = spec.predicate {
-            spec.predicate = JoinPredicate::WithinDistance(eps.abs());
-        }
         spec.mbr_half_extent_hint = spec.mbr_half_extent_hint.abs();
         let (link_r, link_s) = deployment.connect();
         let space = deployment.space();
@@ -535,14 +520,14 @@ impl ExecCtx {
         (count_r, count_s)
     }
 
-    /// `COUNT` of every window on both sides, R's batch and S's begun
-    /// together: one round trip.
+    /// `COUNT` of every window on both sides, R's batch, then S's: one
+    /// round trip.
     fn counts_of<const N: usize>(&self, windows: &[Rect; N]) -> ([u64; N], [u64; N]) {
         let reqs = windows.map(|w| Request::Count(self.ext(&w)));
-        let (batch_r, batch_s) = self.links.begin_both(&reqs, &reqs);
+        let (r, s) = self.links.both();
         (
-            fill_counts(|reply| batch_r.finish(reply)),
-            fill_counts(|reply| batch_s.finish(reply)),
+            fill_counts(|reply| r.request_many(&reqs, reply)),
+            fill_counts(|reply| s.request_many(&reqs, reply)),
         )
     }
 
@@ -662,12 +647,11 @@ impl ExecCtx {
 
     /// HBSJ on one window whose two counts are known, as [`Decision::Hbsj`]
     /// and [`Decision::Forced`] run it: [`ExecCtx::hbsj_leaf`] with
-    /// `|Sw|`, except that where the counts are exact and fit the buffer
-    /// together, R's window and S's are begun in one round trip. Exact
-    /// counts cannot understate a window, so the buffer does not refuse
-    /// such a leaf after S's window was shipped. Elsewhere S still waits
-    /// for R's reservation: on a live deployment a writer can grow a
-    /// window after its COUNT, and under
+    /// `|Sw|`, counted as one round trip where the counts are exact and
+    /// fit the buffer together. Exact counts cannot understate a window,
+    /// so S's window does not depend on R's reservation there. Elsewhere
+    /// it does: on a live deployment a writer can grow a window after its
+    /// COUNT, and under
     /// [`NetConfig::allow_partial`](asj_net::NetConfig::allow_partial) a
     /// COUNT can leave out a shard that a later WINDOW reads again.
     fn counted_leaf(&mut self, w: &Rect, count_r: u64, count_s: u64) -> Result<(), BufferExceeded> {
@@ -675,22 +659,22 @@ impl ExecCtx {
         self.leaf(w, Some(count_s), together)
     }
 
-    /// [`ExecCtx::hbsj_leaf`], with S's window begun together with R's
-    /// when `together` holds. A leaf refused after that drops S's batch
-    /// unfinished: what it deferred is never sent.
+    /// [`ExecCtx::hbsj_leaf`]: R's window, its reservation, then S's
+    /// window, counted as one round trip for the two when `together`
+    /// holds.
     fn leaf(
         &mut self,
         w: &Rect,
         known_count_s: Option<u64>,
         together: bool,
     ) -> Result<(), BufferExceeded> {
-        let window = [Request::Window(self.ext(w))];
+        let window = Request::Window(self.ext(w));
         let links = &self.links;
-        let (r_objs, begun_s) = if together {
-            let (batch_r, batch_s) = links.begin_both(&window, &window);
-            (objects(batch_r), Some(batch_s))
+        let (r_objs, s_link) = if together {
+            let (r, s) = links.both();
+            (r.request(&window).into_objects(), Some(s))
         } else {
-            (links.request(Side::R, &window[0]).into_objects(), None)
+            (links.request(Side::R, &window).into_objects(), None)
         };
         let r_hold = self.buffer.reserve(r_objs.len())?;
         if let Some(count_s) = known_count_s {
@@ -701,10 +685,11 @@ impl ExecCtx {
                 });
             }
         }
-        let s_objs = match begun_s {
-            Some(batch_s) => objects(batch_s),
-            None => links.request(Side::S, &window[0]).into_objects(),
-        };
+        let s_objs = match s_link {
+            Some(s) => s.request(&window),
+            None => links.request(Side::S, &window),
+        }
+        .into_objects();
         let s_hold = self.buffer.reserve(s_objs.len())?;
         memjoin::grid_hash_join_with_workers(
             &r_objs,
@@ -1047,9 +1032,8 @@ mod tests {
         // leaf fits on paper, and the buffer refuses it once R is in. The
         // fallback splits and joins four leaves of 25 + 25, so R's window
         // is read once whole and once in quarters, and nothing is forced.
-        // S's whole window was begun together with R's, but the in-process
-        // stack defers a batch to its finish, so the refused leaf never
-        // sent it.
+        // S's whole window is asked only after R's reservation, so the
+        // refused leaf never sent it.
         let dep = deployment(120);
         let spec = JoinSpec::distance_join(0.5);
         let pts = grid_points(10, 10.0, 0);
@@ -1124,14 +1108,15 @@ mod tests {
     }
 
     #[test]
-    fn a_partial_count_never_begins_s_beside_r() {
+    fn a_refused_partial_leaf_never_pays_for_s() {
         // Two shards a side, cut at x = 45, and replica 0 of every shard
         // dark for its third exchange. Two COUNTs of a corner reach R's
         // left shard only, so the root COUNT loses that shard on R (50 of
         // 100) and none on S. The leaf's counts fit a buffer of 160 on
         // paper; R's window reads both shards again, and the buffer
-        // refuses the leaf once R is in. S's window must not have been
-        // begun beside R's: it would cross the wire before the refusal.
+        // refuses the leaf once R is in. S's window must not cross the
+        // wire, and the leaf is two round trips, not one: its counts are
+        // not exact.
         let dep = crate::deploy::DeploymentBuilder::new(
             grid_points(10, 10.0, 0),
             grid_points(10, 10.0, 0),

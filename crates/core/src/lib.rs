@@ -38,7 +38,7 @@
 //!
 //! The quadrant COUNTs of a repartitioning round are independent, so
 //! each server's four travel together, one pipelined batch of plain
-//! COUNTs, and a split begins R's batch and S's before it waits on either
+//! COUNTs, and neither side's batch depends on the other's answer
 //! (one round trip; see [`exec`]); the cost model's split-cost helpers
 //! ([`CostModel::stats_round`], [`CostModel::split_stats_cost`]) price
 //! them as the paper's `2k²·Taq`, which is what the meters measure.

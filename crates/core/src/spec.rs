@@ -20,8 +20,10 @@
 //! The constructors cannot enforce this, since the fields are public, and
 //! a server still takes any ε a client sends (`WIRE.md`).
 //!
-//! Enforced by: `ExecCtx::new`, which every algorithm's `run` starts with
-//! (pinned by `tests/edge_cases.rs`'s
+//! Enforced by: [`JoinPredicate::epsilon`], which returns |ε| and is how
+//! the window extension, the device's kernels and every request read a
+//! predicate's ε, and `ExecCtx::new`, which every algorithm's `run`
+//! starts with, for the hint (pinned by `tests/edge_cases.rs`'s
 //! `negative_eps_joins_like_its_absolute_value` and, for every class of
 //! ε and hint on four deployment shapes, `tests/prop_end_to_end.rs`'s
 //! `every_eps_means_one_thing_on_every_deployment`).
@@ -122,7 +124,9 @@ impl JoinSpec {
     pub fn extension(&self) -> f64 {
         match self.predicate {
             JoinPredicate::Intersects => 0.0,
-            JoinPredicate::WithinDistance(eps) => eps * 0.5 + self.mbr_half_extent_hint,
+            JoinPredicate::WithinDistance(_) => {
+                self.predicate.epsilon() * 0.5 + self.mbr_half_extent_hint
+            }
         }
     }
 }

@@ -328,7 +328,7 @@ impl Window {
         let inner = match eps {
             Some(eps) if (eps * eps).is_finite() => {
                 let pad = |r: Spread, s: Spread, lo: f64, hi: f64| {
-                    let m = 0.5 * (eps.abs() + r.half + s.half);
+                    let m = 0.5 * (eps + r.half + s.half);
                     let (rel, abs) = MARGIN_SLACK;
                     m + rel * (lo.abs().max(hi.abs()) + 3.0 * m) + abs
                 };
@@ -407,7 +407,7 @@ pub fn grid_hash_join_with_workers(
     let r_spread = [ax.spread, ay.spread];
     let (grid, s_spread) = bucket(s, ax, ay);
     let within = match *pred {
-        JoinPredicate::WithinDistance(eps) => Some(eps),
+        JoinPredicate::WithinDistance(_) => Some(eps),
         JoinPredicate::Intersects => None,
     };
     let window = Window::new(report_cell, space, within, r_spread, s_spread);

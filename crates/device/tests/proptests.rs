@@ -331,16 +331,19 @@ proptest! {
         s in dataset(60, 10_000),
         eps in prop_oneof![Just(0.0), 1.0f64..150.0],
     ) {
-        let pred = if eps == 0.0 {
-            JoinPredicate::Intersects
-        } else {
-            JoinPredicate::WithinDistance(eps)
-        };
-        let mut out = ResultCollector::new();
-        memjoin::grid_hash_join(&r, &s, &pred, &space(), &space(), &mut out);
-        let mut got = out.into_pairs();
-        got.sort_unstable();
-        prop_assert_eq!(got, oracle(&r, &s, &pred));
+        // Each ε is drawn with its negation too: both mean |ε|.
+        for eps in [eps, -eps] {
+            let pred = if eps == 0.0 {
+                JoinPredicate::Intersects
+            } else {
+                JoinPredicate::WithinDistance(eps)
+            };
+            let mut out = ResultCollector::new();
+            memjoin::grid_hash_join(&r, &s, &pred, &space(), &space(), &mut out);
+            let mut got = out.into_pairs();
+            got.sort_unstable();
+            prop_assert_eq!(got, oracle(&r, &s, &pred));
+        }
     }
 
     #[test]

@@ -32,12 +32,14 @@ impl JoinPredicate {
         self.matches(&a.mbr, &b.mbr)
     }
 
-    /// The ε of the predicate (zero for intersection).
+    /// The ε of the predicate as a distance, |ε|, whatever sign it is
+    /// written with (zero for intersection). Every reader of a
+    /// predicate's ε goes through here, so a negative ε means one thing.
     #[inline]
     pub fn epsilon(&self) -> f64 {
         match *self {
             JoinPredicate::Intersects => 0.0,
-            JoinPredicate::WithinDistance(eps) => eps,
+            JoinPredicate::WithinDistance(eps) => eps.abs(),
         }
     }
 }

@@ -192,7 +192,7 @@ mod tests {
                     s.push(pt(2000 + i, (f * 7.3) % 13.0, (f * 2.9) % 11.0));
                 }
             }
-            for eps in [0.0, 0.5, 2.0, 20.0] {
+            for eps in [0.0, 0.5, 2.0, 20.0].into_iter().flat_map(|e| [e, -e]) {
                 let pred = JoinPredicate::WithinDistance(eps);
                 assert_eq!(
                     sorted(plane_sweep_join(&r, &s, &pred)),

@@ -130,7 +130,7 @@ use crate::codec::{
     CHANGES_HEADER_BYTES, CHANGES_QUERY_BYTES, CHANGE_OP_BYTES, EPS_QUERY_BYTES, GEN_STAMP_BYTES,
     OBJECTS_HEADER_BYTES, OBJ_BYTES, QUERY_BYTES,
 };
-use crate::edge::{Edge, Layer, Started};
+use crate::edge::{Edge, Layer};
 use crate::few::Few;
 use crate::meter::{CacheSnapshot, CacheTelemetry, LinkMeter};
 use crate::packet::{PacketModel, RetryPolicy};
@@ -917,10 +917,6 @@ impl Planned<'_> {
 }
 
 impl Layer for CacheLayer {
-    fn begin<'a>(&'a self, reqs: &'a [Request]) -> Started<'a> {
-        Started::Deferred(self, reqs)
-    }
-
     /// Catch up → lookup → the misses ride one `call_many` below → admit.
     /// A local answer is only as current as the generation it was looked
     /// up at: when a shipped reply reports a different one — an update

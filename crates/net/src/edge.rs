@@ -8,7 +8,7 @@
 //! [`Edge::judge`] charges and classifies, and the edge's own
 //! [`Layer::call_many`] ships a batch and judges each reply in order as
 //! it comes back, retrying failures one by one. Everything above speaks
-//! [`Layer::begin`] and [`Started::finish`].
+//! [`Layer::call_many`].
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
@@ -25,7 +25,6 @@ use crate::codec::{
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{Request, Response};
-use crate::router::Scatter;
 use crate::transport::RawExchange;
 
 /// Process-unique sender nonce for the retry-dedup envelope: each edge
@@ -36,21 +35,11 @@ static EDGE_NONCE: AtomicU64 = AtomicU64::new(1);
 /// The typed seam of the link stack: `Link`, `CacheLayer` and
 /// `ShardRouter` hand each other requests and responses, never frames.
 pub(crate) trait Layer: Send + Sync {
-    /// Begins a batch: ships what this layer can ship before anyone waits
-    /// and leaves the rest — the waiting, judging, retrying and merging —
-    /// to [`Started::finish`]. The edge and the cache defer the whole
-    /// batch ([`Started::Deferred`]): over an in-process carrier shipping
-    /// a request is serving it, so there is nothing to overlap, and the
-    /// cache's lookups then run where a batch asked at once runs them.
-    fn begin<'a>(&'a self, reqs: &'a [Request]) -> Started<'a>;
-
     /// Answers independent logical requests together — a single request
     /// is a batch of one. `reply` receives one answer per request, in
     /// request order: the response, and the serving generation it
     /// reports (an `Ack`'s payload, otherwise the reply's stamp; 0 from a
-    /// frozen server or a failed exchange). The router's is its
-    /// [`Layer::begin`] and [`Started::finish`] back to back; a deferred
-    /// batch's `finish` calls this.
+    /// frozen server or a failed exchange).
     fn call_many(
         &self,
         reqs: &mut dyn Iterator<Item = &Request>,
@@ -72,32 +61,6 @@ pub(crate) trait Layer: Send + Sync {
     /// Hands the deployment's wire version down to the physical edges
     /// below; every edge speaks it from its first frame.
     fn set_wire(&mut self, wire: WireVersion);
-}
-
-/// A batch [`Layer::begin`] started.
-// Boxing the fleet's variant would allocate once per batch, which the
-// allocation budget (`tests/alloc_budget.rs`) forbids; a begun batch
-// lives on the stack of the call that finishes it.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Started<'a> {
-    /// Nothing shipped yet: [`Started::finish`] runs the whole batch
-    /// through the layer's [`Layer::call_many`]. Dropped, it sends
-    /// nothing.
-    Deferred(&'a dyn Layer, &'a [Request]),
-    /// A fleet's flights, in the air.
-    Scattered(Scatter<'a>),
-}
-
-impl Started<'_> {
-    /// Waits for the batch, judges and retries what it shipped, and hands
-    /// `reply` one answer per request, in request order, as
-    /// [`Layer::call_many`] does.
-    pub(crate) fn finish(self, reply: &mut dyn FnMut(Response, u64)) {
-        match self {
-            Started::Deferred(layer, reqs) => layer.call_many(&mut reqs.iter(), reply),
-            Started::Scattered(batch) => batch.finish(reply),
-        }
-    }
 }
 
 /// One request framed for an edge: the bytes every attempt ships and
@@ -221,10 +184,6 @@ impl Edge {
 }
 
 impl Layer for Edge {
-    fn begin<'a>(&'a self, reqs: &'a [Request]) -> Started<'a> {
-        Started::Deferred(self, reqs)
-    }
-
     /// Frames and ships the whole batch, and settles each reply in
     /// request order as the carrier hands it back. A carrier hands a
     /// reply back as soon as it has served its request, so a batch is a

@@ -442,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_replies_rolls_and_stats_match_the_serial_path() {
+    fn batched_replies_rolls_and_stats_match_the_serial_path() {
         for plan in [
             FaultPlan::seeded(42).with_drops(0.3).with_garbles(0.3),
             FaultPlan::seeded(43).with_drops(0.2).with_garbles(0.4),

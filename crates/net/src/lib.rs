@@ -79,16 +79,6 @@
 //! wire: same requests, same frames, same fault rolls, same bytes. And
 //! above the edge a request allocates its frames and its answer, nothing
 //! else (`tests/alloc_budget.rs` pins it).
-//!
-//! A batch is split-phase. [`Link::begin`] ships what the stack can ship
-//! before anyone waits, and [`Begun::finish`] waits, judges, retries and
-//! merges; `request_many` is the two back to back. The router issues
-//! every flight at `begin`. The edge and the cache defer the whole batch
-//! to `finish`: shipping is serving, and the cache's lookups stay where a
-//! batch asked at once makes them. So two fleets' batches begun before
-//! either is finished — a join's R and S — are answered by the time the
-//! join waits on either. A batch dropped unfinished still charges the
-//! frames it shipped, and it never sends what it deferred.
 
 pub mod cache;
 pub mod codec;
@@ -160,4 +150,4 @@ pub use meter::{CacheSnapshot, LinkMeter, LinkSnapshot};
 pub use packet::{NetConfig, PacketModel, RetryPolicy};
 pub use proto::{DeltaOp, QueryHandler, Request, Response, Update};
 pub use router::{FleetSnapshot, ShardEndpoint, ShardMeta, ShardRouter, ShardTelemetry};
-pub use transport::{Begun, EndpointStats, Link, RawExchange};
+pub use transport::{EndpointStats, Link, RawExchange};

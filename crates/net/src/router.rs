@@ -63,7 +63,7 @@ use asj_geom::{Point, Rect};
 use bytes::Bytes;
 
 use crate::codec::{wire_exact, WireVersion};
-use crate::edge::{Edge, Frame, Layer, Started};
+use crate::edge::{Edge, Frame, Layer};
 use crate::few::Few;
 use crate::health::{spread_hash, BreakerConfig, HealthSnapshot, ReplicaSetHealth};
 use crate::meter::{rate, LinkMeter, LinkSnapshot};
@@ -475,14 +475,14 @@ impl ShardRouter {
             let same_edge = |d: &&(usize, usize, usize)| (d.0, d.1) == (shard, replica);
             let (bucket, later) = rest.split_at(rest.iter().take_while(same_edge).count());
             rest = later;
-            let mut begun = bucket.iter();
+            let mut awaiting = bucket.iter();
             self.edges[shard][replica].carrier.exchange_many(
                 &mut bucket.iter().map(|&(.., k)| {
                     self.telemetry.health[shard].tick();
                     flights[k].frame.bytes.clone()
                 }),
                 &mut |raw| {
-                    let &(.., k) = begun.next().expect("one reply per flight");
+                    let &(.., k) = awaiting.next().expect("one reply per flight");
                     flights[k].inflight.set(Some((replica, raw)));
                 },
             );
@@ -758,11 +758,19 @@ impl ShardRouter {
         }
         Response::Ack { generation: sum }
     }
+}
 
-    /// Begins a batch: frames every request's flights and issues them,
-    /// judging none (see [`Scatter`]).
-    fn scatter_all<'a, 'r: 'a>(&'a self, reqs: impl Iterator<Item = &'r Request>) -> Scatter<'a> {
-        let (flights, exact) = if self.edges.len() == 1 && self.edges[0].len() == 1 {
+impl Layer for ShardRouter {
+    /// Scatters every request, issues all their flights, resolves them
+    /// through failover and retry, and answers each request in order: a
+    /// merged answer carries the fleet generation its run was served at
+    /// (0 on a frozen fleet), an `Ack` its own.
+    fn call_many(
+        &self,
+        reqs: &mut dyn Iterator<Item = &Request>,
+        reply: &mut dyn FnMut(Response, u64),
+    ) {
+        let (mut flights, exact) = if self.edges.len() == 1 && self.edges[0].len() == 1 {
             // A fleet of one edge has nothing to prune and nothing to
             // merge: each request itself is one flight, so the sole
             // shard sees exactly the frames a flat link would send it
@@ -783,7 +791,7 @@ impl ShardRouter {
             let mut flights = Few::new();
             let mut bounds = BOUNDS.take();
             bounds.extend(self.telemetry.metas.iter().map(|meta| meta.bounds()));
-            let exact = reqs
+            let exact: Few<Request> = reqs
                 .enumerate()
                 .map(|(slot, req)| self.scatter(slot, req, &bounds, &mut flights))
                 .collect();
@@ -792,37 +800,9 @@ impl ShardRouter {
             (flights, Some(exact))
         };
         self.issue(flights.as_slice());
-        Scatter {
-            router: self,
-            flights,
-            exact,
-        }
-    }
-}
-
-/// A fleet batch begun: every request's flights framed and issued, none
-/// judged yet. [`Scatter::finish`] drives them through failover and
-/// retry and merges each request's answer. A batch dropped unfinished
-/// judges every reply it holds — the frames it shipped are charged to
-/// the meters as they crossed — and re-sends nothing.
-pub(crate) struct Scatter<'a> {
-    router: &'a ShardRouter,
-    flights: Few<Flight<'a>>,
-    /// Each request's [`wire_exact`] form, which its merge is taken on;
-    /// none on a fleet of one edge, whose flights' replies are the
-    /// answers.
-    exact: Option<Few<Request>>,
-}
-
-impl Scatter<'_> {
-    /// Resolves the flights, then answers each request in order: a merged
-    /// answer carries the fleet generation its run was served at (0 on a
-    /// frozen fleet), an `Ack` its own.
-    pub(crate) fn finish(mut self, reply: &mut dyn FnMut(Response, u64)) {
-        let router = self.router;
-        let mut rest = self.flights.as_mut_slice();
-        router.resolve(rest);
-        let Some(exact) = &self.exact else {
+        let mut rest = flights.as_mut_slice();
+        self.resolve(rest);
+        let Some(exact) = exact else {
             for f in rest {
                 match f.result.take() {
                     Some(Landing::Resp(resp)) => reply(resp, f.generation),
@@ -835,37 +815,12 @@ impl Scatter<'_> {
             let own = rest.iter().take_while(|f| f.slot == slot).count();
             let (run, later) = std::mem::take(&mut rest).split_at_mut(own);
             rest = later;
-            let generation = router.served_at(run);
-            match router.merge(req, run) {
+            let generation = self.served_at(run);
+            match self.merge(req, run) {
                 resp @ Response::Ack { generation } => reply(resp, generation),
                 resp => reply(resp, generation),
             }
         }
-    }
-}
-
-impl Drop for Scatter<'_> {
-    fn drop(&mut self) {
-        let router = self.router;
-        for f in self.flights.as_mut_slice() {
-            if let Some((replica, raw)) = f.inflight.take() {
-                router.evaluate(f, replica, raw);
-            }
-        }
-    }
-}
-
-impl Layer for ShardRouter {
-    fn begin<'a>(&'a self, reqs: &'a [Request]) -> Started<'a> {
-        Started::Scattered(self.scatter_all(reqs.iter()))
-    }
-
-    fn call_many(
-        &self,
-        reqs: &mut dyn Iterator<Item = &Request>,
-        reply: &mut dyn FnMut(Response, u64),
-    ) {
-        self.scatter_all(reqs).finish(reply);
     }
 
     fn set_retry(&mut self, retry: RetryPolicy) {

@@ -17,9 +17,7 @@
 //!
 //! Independent requests travel as one batch ([`RawExchange::exchange_many`],
 //! [`Link::request_many`]), which hands back one reply frame per request,
-//! in request order. A link is split-phase: [`Link::begin`] starts a batch
-//! and [`Begun::finish`] waits for it, so two fleets' batches begun before
-//! either is finished share a round trip.
+//! in request order.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,7 +25,7 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 
 use crate::codec::WireVersion;
-use crate::edge::{Edge, Layer, Started};
+use crate::edge::{Edge, Layer};
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{QueryHandler, Request, Response};
@@ -207,34 +205,6 @@ fn is_write(req: &Request) -> bool {
     matches!(req, Request::ApplyUpdates(_))
 }
 
-/// A batch [`Link::begin`] started: its first run (up to and including
-/// its first write) begun below, the runs after it not yet sent.
-///
-/// Dropped unfinished, it still charges every frame it shipped to the
-/// link's meters, as they crossed, and never sends what it deferred.
-#[must_use = "a begun batch is answered by `finish`"]
-pub struct Begun<'a> {
-    link: &'a Link,
-    first: Started<'a>,
-    rest: &'a [Request],
-}
-
-impl Begun<'_> {
-    /// Waits for the batch and hands `reply` exactly one response per
-    /// request, in request order, as [`Link::request_many`] does.
-    pub fn finish(self, mut reply: impl FnMut(Response)) {
-        let link = self.link;
-        let mut reply = |resp, generation| {
-            link.observe(generation);
-            reply(resp);
-        };
-        self.first.finish(&mut reply);
-        for run in self.rest.split_inclusive(is_write) {
-            link.stack.begin(run).finish(&mut reply);
-        }
-    }
-}
-
 /// The device's metered handle to one server (or one fleet of shard
 /// servers behind a [`ShardRouter`](crate::router::ShardRouter)): the top
 /// of the link stack described in the crate docs.
@@ -356,26 +326,14 @@ impl Link {
     /// exactly one response per request, in request order — the same
     /// responses, bytes and meter charges as issuing them one by one. A
     /// write is a barrier: `ApplyUpdates` ends its run, so no request
-    /// travels with a write it was issued after. This is
-    /// [`Link::begin`] and [`Begun::finish`] back to back.
-    pub fn request_many(&self, reqs: &[Request], reply: impl FnMut(Response)) {
-        self.begin(reqs).finish(reply)
-    }
-
-    /// Begins independent requests without waiting for them: ships what
-    /// the stack can ship now and returns the batch, which
-    /// [`Begun::finish`] waits for. What a batch does between the two is
-    /// exactly what [`Link::request_many`] does: the same requests,
-    /// frames, fault rolls, bytes and replies. Only a fleet ships at
-    /// `begin`; a flat or cached link defers the whole batch to `finish`,
-    /// and so does every request after the batch's first write.
-    pub fn begin<'a>(&'a self, reqs: &'a [Request]) -> Begun<'a> {
-        let first = reqs.iter().position(is_write).map_or(reqs.len(), |i| i + 1);
-        let (first, rest) = reqs.split_at(first);
-        Begun {
-            link: self,
-            first: self.stack.begin(first),
-            rest,
+    /// travels with a write it was issued after.
+    pub fn request_many(&self, reqs: &[Request], mut reply: impl FnMut(Response)) {
+        let mut reply = |resp, generation| {
+            self.observe(generation);
+            reply(resp);
+        };
+        for run in reqs.split_inclusive(is_write) {
+            self.stack.call_many(&mut run.iter(), &mut reply);
         }
     }
 
@@ -491,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn begin_overlaps_requests_on_the_channel_carrier() {
+    fn a_gauged_carrier_hands_back_a_batch_in_request_order() {
         // Ship two requests as one batch: the replies come back in issue
         // order, each served at the call.
         let stats = Arc::new(EndpointStats::default());
