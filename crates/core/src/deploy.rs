@@ -12,7 +12,6 @@
 use std::sync::Arc;
 
 use asj_geom::{Rect, SpatialObject};
-use asj_net::codec::WireVersion;
 use asj_net::transport::InProcExchange;
 use asj_net::{
     CacheLayer, ClientCache, EndpointStats, FaultLayer, FaultPlan, Link, NetConfig, QueryHandler,
@@ -123,10 +122,11 @@ impl Carrier {
     /// Opens a fresh link — the stack of the `asj_net` crate docs, bottom
     /// up: physical edges, a [`ShardRouter`] over them for a fleet, a
     /// [`CacheLayer`] (fresh per-link telemetry, the given shared store)
-    /// when `cache` is set, the [`Link`]. Retry and the wire version
-    /// (`net.wire_v2`) are handed down from the top to whichever layer
-    /// owns the edges, so every edge speaks the deployment's version from
-    /// its first frame.
+    /// when `cache` is set, the [`Link`]. `net` is passed down once, to
+    /// whichever layer owns the edges: each edge is built speaking the
+    /// deployment's packet model, wire version (`net.wire_v2`) and retry
+    /// discipline from its first frame, and a router its breakers and
+    /// partial-result tolerance.
     ///
     /// Fleet links all share the carrier's [`ShardMeta`]s, so generation
     /// stamps and bounds growth observed through any link (including the
@@ -139,14 +139,12 @@ impl Carrier {
         fault: Option<&FaultPlan>,
     ) -> Link {
         let edge = |group, j| replica_edge(group, j, fault);
-        let link = match self {
+        match self {
             Carrier::Single(replica) => {
                 let edge = edge(std::slice::from_ref(replica), 0);
                 match cache {
-                    Some(c) => {
-                        Link::cached(CacheLayer::new(edge, net.packet, Arc::clone(c)), tariff)
-                    }
-                    None => Link::new(edge, net.packet, tariff),
+                    Some(c) => Link::cached(CacheLayer::new(edge, net, Arc::clone(c)), tariff),
+                    None => Link::new(edge, net, tariff),
                 }
             }
             Carrier::Fleet(members) => {
@@ -157,21 +155,13 @@ impl Carrier {
                         ShardEndpoint::with_replicas(Arc::clone(meta), edges)
                     })
                     .collect();
-                let router = ShardRouter::new(shards, net.packet)
-                    .with_breakers(net.breaker)
-                    .with_allow_partial(net.allow_partial);
+                let router = ShardRouter::new(shards, net);
                 match cache {
                     Some(c) => Link::cached(CacheLayer::over_router(router, Arc::clone(c)), tariff),
                     None => Link::routed(router, tariff),
                 }
             }
         }
-        .with_retry(net.retry);
-        link.with_wire(if net.wire_v2 {
-            WireVersion::V2
-        } else {
-            WireVersion::V1
-        })
     }
 
     /// Shard servers behind this side (1 for a single server).

@@ -126,14 +126,14 @@ use std::sync::{Arc, Mutex};
 use asj_geom::{IdMix, Point, Rect, SpatialObject};
 
 use crate::codec::{
-    request_wire_bytes, response_wire_bytes, wire_exact, WireVersion, ANSWER_BYTES,
-    CHANGES_HEADER_BYTES, CHANGES_QUERY_BYTES, CHANGE_OP_BYTES, EPS_QUERY_BYTES, GEN_STAMP_BYTES,
-    OBJECTS_HEADER_BYTES, OBJ_BYTES, QUERY_BYTES,
+    request_wire_bytes, response_wire_bytes, wire_exact, ANSWER_BYTES, CHANGES_HEADER_BYTES,
+    CHANGES_QUERY_BYTES, CHANGE_OP_BYTES, EPS_QUERY_BYTES, GEN_STAMP_BYTES, OBJECTS_HEADER_BYTES,
+    OBJ_BYTES, QUERY_BYTES,
 };
 use crate::edge::{Edge, Layer};
 use crate::few::Few;
 use crate::meter::{CacheSnapshot, CacheTelemetry, LinkMeter};
-use crate::packet::{PacketModel, RetryPolicy};
+use crate::packet::{NetConfig, PacketModel};
 use crate::proto::{DeltaOp, Request, Response, Update};
 use crate::transport::RawExchange;
 
@@ -702,18 +702,19 @@ pub struct CacheLayer {
 
 impl CacheLayer {
     /// A cache in front of one physical edge over `inner`, metered into
-    /// a fresh link meter.
-    pub fn new(inner: Box<dyn RawExchange>, packet: PacketModel, cache: Arc<ClientCache>) -> Self {
+    /// a fresh link meter; the edge speaks `net`'s packet model, wire
+    /// version and retry discipline.
+    pub fn new(inner: Box<dyn RawExchange>, net: &NetConfig, cache: Arc<ClientCache>) -> Self {
         let meter = Arc::new(LinkMeter::new());
-        let edge = Edge::new(inner, packet, Arc::clone(&meter));
-        CacheLayer::over(Box::new(edge), packet, meter, None, cache)
+        let edge = Edge::new(inner, net, Arc::clone(&meter));
+        CacheLayer::over(Box::new(edge), net.packet, meter, None, cache)
     }
 
     /// A cache stacked over a whole shard fleet: misses scatter as
     /// usual, and the fronting link adopts the router's aggregate meter
     /// and fleet telemetry unchanged.
     pub fn over_router(router: crate::router::ShardRouter, cache: Arc<ClientCache>) -> Self {
-        let (packet, meter) = (router.packet(), Arc::clone(router.aggregate_meter()));
+        let (packet, meter) = (router.packet, Arc::clone(router.aggregate_meter()));
         let fleet = Some(Arc::clone(router.telemetry()));
         CacheLayer::over(Box::new(router), packet, meter, fleet, cache)
     }
@@ -743,11 +744,6 @@ impl CacheLayer {
     /// Per-shard telemetry when the inner layer is a fleet router.
     pub fn fleet(&self) -> Option<&Arc<crate::router::ShardTelemetry>> {
         self.fleet.as_ref()
-    }
-
-    /// The packet model forwarded exchanges are metered under.
-    pub fn packet(&self) -> PacketModel {
-        self.packet
     }
 
     /// This layer's cache view (telemetry + shared store).
@@ -950,14 +946,6 @@ impl Layer for CacheLayer {
             reply(resp, generation);
         }
     }
-
-    fn set_retry(&mut self, retry: RetryPolicy) {
-        self.inner.set_retry(retry);
-    }
-
-    fn set_wire(&mut self, wire: WireVersion) {
-        self.inner.set_wire(wire);
-    }
 }
 
 #[cfg(test)]
@@ -965,8 +953,9 @@ mod tests {
     use super::*;
     use crate::codec::{
         decode_request, encode_request, encode_response, encode_response_into,
-        stamp_generation_versioned,
+        stamp_generation_versioned, WireVersion,
     };
+    use crate::packet::RetryPolicy;
     use crate::proto::QueryHandler;
     use crate::router::{ShardEndpoint, ShardRouter};
     use crate::testutil::ScanHandler as Scan;
@@ -1000,14 +989,14 @@ mod tests {
     fn cached_link(objects: Vec<SpatialObject>, budget: u64) -> Link {
         let layer = CacheLayer::new(
             Box::new(InProcExchange::new(Arc::new(Scan(objects)))),
-            PacketModel::default(),
+            &NetConfig::default(),
             Arc::new(ClientCache::new(budget)),
         );
         Link::cached(layer, 1.0)
     }
 
     fn plain_link(objects: Vec<SpatialObject>) -> Link {
-        Link::in_process(Arc::new(Scan(objects)), PacketModel::default(), 1.0)
+        Link::in_process(Arc::new(Scan(objects)), &NetConfig::default(), 1.0)
     }
 
     fn w(a: f64, b: f64, c: f64, d: f64) -> Rect {
@@ -1350,7 +1339,7 @@ mod tests {
     fn live_link(server: &Arc<Live>, budget: u64) -> Link {
         let store = Arc::new(ClientCache::new(budget));
         let carrier = Box::new(Arc::clone(server));
-        Link::cached(CacheLayer::new(carrier, PacketModel::default(), store), 1.0)
+        Link::cached(CacheLayer::new(carrier, &NetConfig::default(), store), 1.0)
     }
 
     fn delete(id: u32) -> Request {
@@ -1563,7 +1552,7 @@ mod tests {
         };
         let store = Arc::new(ClientCache::new(1 << 20));
         let link = Link::cached(
-            CacheLayer::new(Box::new(carrier), PacketModel::default(), store),
+            CacheLayer::new(Box::new(carrier), &NetConfig::default(), store),
             1.0,
         );
         // Both windows hold object 0; the big one is primed at gen 0.
@@ -1781,10 +1770,7 @@ mod tests {
                 Box::new(InProcExchange::new(Arc::new(Scan(objects)))),
             )
         };
-        let router = ShardRouter::new(
-            vec![endpoint(left), endpoint(right)],
-            PacketModel::default(),
-        );
+        let router = ShardRouter::new(vec![endpoint(left), endpoint(right)], &NetConfig::default());
         let layer = CacheLayer::over_router(router, Arc::new(ClientCache::new(1 << 20)));
         let link = Link::cached(layer, 1.0);
         let all = w(-1.0, -1.0, 200.0, 1.0);
@@ -1813,7 +1799,7 @@ mod tests {
             Link::cached(
                 CacheLayer::new(
                     Box::new(InProcExchange::new(Arc::new(Scan(lattice(10))))),
-                    PacketModel::default(),
+                    &NetConfig::default(),
                     Arc::clone(store),
                 ),
                 1.0,
@@ -1856,10 +1842,10 @@ mod tests {
                 garble: AtomicU64::new(garble),
                 inner: Box::new(InProcExchange::new(Arc::new(Scan(lattice(10))))),
             }),
-            PacketModel::default(),
+            &NetConfig::default().with_retry(retry),
             Arc::new(ClientCache::new(budget)),
         );
-        Link::cached(layer, 1.0).with_retry(retry)
+        Link::cached(layer, 1.0)
     }
 
     #[test]
@@ -1923,7 +1909,7 @@ mod tests {
         let knob = Arc::new(AtomicU64::new(0));
         let layer = CacheLayer::new(
             Box::new(Knob(Arc::clone(&knob), garbler)),
-            PacketModel::default(),
+            &NetConfig::default(),
             Arc::new(ClientCache::new(1 << 20)),
         );
         let cached = Link::cached(layer, 1.0);
@@ -1953,10 +1939,10 @@ mod tests {
         }
         let layer = CacheLayer::new(
             Box::new(Dead),
-            PacketModel::default(),
+            &NetConfig::default().with_retry(RetryPolicy::attempts(3)),
             Arc::new(ClientCache::new(1 << 20)),
         );
-        let cached = Link::cached(layer, 1.0).with_retry(RetryPolicy::attempts(3));
+        let cached = Link::cached(layer, 1.0);
         let q = w(0.0, 0.0, 3.0, 3.0);
         assert_eq!(cached.request(&Request::Count(q)), Response::Unavailable);
         let m = cached.meter().snapshot();
@@ -1989,10 +1975,10 @@ mod tests {
         let dead = Arc::new(AtomicU64::new(0));
         let layer = CacheLayer::new(
             Box::new(Switch(Arc::clone(&dead))),
-            PacketModel::default(),
+            &NetConfig::default().with_retry(RetryPolicy::attempts(2)),
             Arc::new(ClientCache::new(1 << 20)),
         );
-        let cached = Link::cached(layer, 1.0).with_retry(RetryPolicy::attempts(2));
+        let cached = Link::cached(layer, 1.0);
         let a = w(0.0, 0.0, 2.0, 2.0);
         let b = w(5.0, 5.0, 9.0, 9.0);
         assert_eq!(cached.request(&Request::Count(a)).into_count(), 9);

@@ -4,15 +4,14 @@
 //! beneath it), the wire version its deployment speaks and the meters its
 //! traffic is charged to. It is the only place a request becomes bytes
 //! and a reply becomes a [`Response`] again: [`Edge::frame`] versions and
-//! tags, the carrier's [`RawExchange::exchange_many`] ships a batch,
+//! tags, the carrier's [`RawExchange::exchange`] ships one frame,
 //! [`Edge::judge`] charges and classifies, and the edge's own
-//! [`Layer::call_many`] ships a batch and judges each reply in order as
-//! it comes back, retrying failures one by one. Everything above speaks
-//! [`Layer::call_many`].
+//! [`Layer::call_many`] frames, ships and settles each request of a batch
+//! in turn — retries included — before it frames the next. So a batch
+//! through an edge is exactly its requests issued one by one. Everything
+//! above speaks [`Layer::call_many`].
 
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,7 +22,7 @@ use crate::codec::{
     QuantCtx, WireVersion,
 };
 use crate::meter::LinkMeter;
-use crate::packet::{PacketModel, RetryPolicy};
+use crate::packet::{NetConfig, PacketModel, RetryPolicy};
 use crate::proto::{Request, Response};
 use crate::transport::RawExchange;
 
@@ -54,13 +53,6 @@ pub(crate) trait Layer: Send + Sync {
         });
         out.expect("every request is answered")
     }
-
-    /// Hands a retry discipline down to the physical edges below.
-    fn set_retry(&mut self, retry: RetryPolicy);
-
-    /// Hands the deployment's wire version down to the physical edges
-    /// below; every edge speaks it from its first frame.
-    fn set_wire(&mut self, wire: WireVersion);
 }
 
 /// One request framed for an edge: the bytes every attempt ships and
@@ -79,7 +71,7 @@ pub(crate) struct Frame<'a> {
 /// One physical carrier with its wire version, meters, retry discipline
 /// and dedup identity.
 pub(crate) struct Edge {
-    /// Ships frames in batches ([`RawExchange::exchange_many`]).
+    /// Ships one frame per call ([`RawExchange::exchange`]).
     pub(crate) carrier: Box<dyn RawExchange>,
     packet: PacketModel,
     /// The one meter this edge's traffic is charged to. A fleet's
@@ -94,17 +86,23 @@ pub(crate) struct Edge {
 }
 
 impl Edge {
+    /// An edge over `carrier` charging `meter`, speaking `net`'s packet
+    /// model, wire version and retry discipline from its first frame.
     pub(crate) fn new(
         carrier: Box<dyn RawExchange>,
-        packet: PacketModel,
+        net: &NetConfig,
         meter: Arc<LinkMeter>,
     ) -> Self {
         Edge {
             carrier,
-            packet,
+            packet: net.packet,
             meter,
-            wire: WireVersion::V1,
-            retry: RetryPolicy::default(),
+            wire: if net.wire_v2 {
+                WireVersion::V2
+            } else {
+                WireVersion::V1
+            },
+            retry: net.retry,
             nonce: EDGE_NONCE.fetch_add(1, Ordering::Relaxed),
             seq: AtomicU64::new(0),
         }
@@ -184,42 +182,20 @@ impl Edge {
 }
 
 impl Layer for Edge {
-    /// Frames and ships the whole batch, and settles each reply in
-    /// request order as the carrier hands it back. A carrier hands a
-    /// reply back as soon as it has served its request, so a batch is a
-    /// plain loop: the one frame awaiting its reply sits in `newest` and
-    /// nothing touches the heap. Only a fault layer, which decides a
-    /// whole batch before it ships any of it, leaves `earlier` frames
-    /// waiting.
+    /// Frames, ships and settles each request in turn: a request's
+    /// retries are spent before the next request is framed, so the fault
+    /// layer below admits a batch's frames in exactly the order the same
+    /// requests issued one by one would have.
     fn call_many(
         &self,
         reqs: &mut dyn Iterator<Item = &Request>,
         reply: &mut dyn FnMut(Response, u64),
     ) {
-        let (newest, earlier) = (Cell::new(None), RefCell::new(VecDeque::new()));
-        self.carrier.exchange_many(
-            &mut reqs.map(|req| {
-                let frame = self.frame(Cow::Borrowed(req));
-                let bytes = frame.bytes.clone();
-                if let Some(prev) = newest.replace(Some(frame)) {
-                    earlier.borrow_mut().push_back(prev);
-                }
-                bytes
-            }),
-            &mut |raw| {
-                let frame = earlier.borrow_mut().pop_front().or_else(|| newest.take());
-                let frame = frame.expect("one reply per request");
-                let (resp, generation) = self.settle(&frame, raw);
-                reply(resp, generation);
-            },
-        );
-    }
-
-    fn set_retry(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    fn set_wire(&mut self, wire: WireVersion) {
-        self.wire = wire;
+        for req in reqs {
+            let frame = self.frame(Cow::Borrowed(req));
+            let raw = self.carrier.exchange(frame.bytes.clone());
+            let (resp, generation) = self.settle(&frame, raw);
+            reply(resp, generation);
+        }
     }
 }

@@ -37,7 +37,6 @@ use std::sync::{Mutex, RwLock};
 use bytes::Bytes;
 
 use crate::codec::{garble_frame, is_unavailable, unavailable_frame};
-use crate::few::Few;
 use crate::health::spread_hash;
 use crate::meter::telemetry;
 use crate::transport::RawExchange;
@@ -243,15 +242,12 @@ impl FaultLayer {
         }
         self.restarted.store(true, Ordering::Release);
     }
-}
 
-impl FaultLayer {
-    /// Everything the script decides when an exchange begins, in request
-    /// order: crash window, roll, drop. `None`
-    /// when the exchange never happens — the inner carrier is not
-    /// touched and the fabricated unavailable frame must stay unmetered;
-    /// otherwise the frame to ship and whether its *reply* is to be
-    /// garbled.
+    /// Everything the script decides when an exchange begins: crash
+    /// window, roll, drop. `None` when the exchange never happens — the
+    /// inner carrier is not touched and the fabricated unavailable frame
+    /// must stay unmetered; otherwise the frame to ship and whether its
+    /// *reply* is to be garbled.
     fn admit(&self, request: Bytes) -> Option<(Bytes, bool)> {
         let n = self.exchanges.fetch_add(1, Ordering::SeqCst);
         if let Some(crash) = &self.plan.crash {
@@ -274,48 +270,25 @@ impl FaultLayer {
 }
 
 impl RawExchange for FaultLayer {
+    /// Admits, ships and garbles one frame. The decision comes first:
+    /// `admit` may restart the carrier, which it cannot do under the read
+    /// lock the frame is shipped under.
     fn exchange(&self, request: Bytes) -> Bytes {
-        let mut out = None;
-        self.exchange_many(&mut std::iter::once(request), &mut |reply| {
-            out = Some(reply)
-        });
-        out.expect("one reply per request")
-    }
-
-    fn exchange_many(
-        &self,
-        requests: &mut dyn Iterator<Item = Bytes>,
-        reply: &mut dyn FnMut(Bytes),
-    ) {
-        // Every decision first: `admit` may restart the carrier, which it
-        // cannot do under the read lock the batch is shipped under.
-        let admitted: Few<_> = requests.map(|request| self.admit(request)).collect();
-        let ships = admitted.as_slice().iter().flatten();
-        let mut garbles = ships.clone().map(|&(_, garble)| garble);
-        let mut shipped = Few::new();
-        self.inner.read().expect("fault inner lock").exchange_many(
-            &mut ships.map(|(request, _)| request.clone()),
-            &mut |raw| {
-                // A carrier-fabricated unavailable frame never crossed the
-                // wire: there is no frame to garble.
-                let garble = garbles.next().expect("one reply per shipped request");
-                shipped.push(if garble && !is_unavailable(&raw) {
-                    self.counters.garbled.fetch_add(1, Ordering::Relaxed);
-                    garble_frame(&raw)
-                } else {
-                    raw
-                });
-            },
-        );
-        // Handed on only now the lock is released: a retry inside `reply`
-        // may restart the carrier.
-        let mut shipped = shipped.into_iter();
-        for verdict in admitted.as_slice() {
-            reply(match verdict {
-                None => unavailable_frame(),
-                Some(_) => shipped.next().expect("one reply per shipped request"),
-            });
+        let Some((request, garble)) = self.admit(request) else {
+            return unavailable_frame();
+        };
+        let raw = self
+            .inner
+            .read()
+            .expect("fault inner lock")
+            .exchange(request);
+        // A carrier-fabricated unavailable frame never crossed the wire:
+        // there is no frame to garble.
+        if garble && !is_unavailable(&raw) {
+            self.counters.garbled.fetch_add(1, Ordering::Relaxed);
+            return garble_frame(&raw);
         }
+        raw
     }
 }
 
@@ -438,29 +411,6 @@ mod tests {
                 again, b[0],
                 "attempt 0 re-rolls identically after a reset (clean at {first_clean})"
             );
-        }
-    }
-
-    #[test]
-    fn batched_replies_rolls_and_stats_match_the_serial_path() {
-        for plan in [
-            FaultPlan::seeded(42).with_drops(0.3).with_garbles(0.3),
-            FaultPlan::seeded(43).with_drops(0.2).with_garbles(0.4),
-        ] {
-            let serial = FaultLayer::new(inner(), plan);
-            let batched = FaultLayer::new(inner(), plan);
-            // Two passes over the same requests: the second draws each
-            // request's next attempt, so the per-request attempt counters
-            // must have advanced (or reset) identically too.
-            for _pass in 0..2 {
-                let want: Vec<Bytes> = (0..40).map(|i| serial.exchange(count_req(i))).collect();
-                let mut got = Vec::new();
-                batched.exchange_many(&mut (0..40).map(count_req), &mut |r| got.push(r));
-                assert_eq!(got, want);
-                assert_eq!(batched.stats(), serial.stats());
-            }
-            let stats = serial.stats();
-            assert!(stats.dropped > 0 && stats.garbled > 0, "plan must fire");
         }
     }
 

@@ -13,9 +13,10 @@
 //!    (a shard's bounds cover the full MBRs of all its objects, including
 //!    boundary straddlers, so pruning never loses a result);
 //! 2. **scatters** to the survivors — the sub-requests of *every*
-//!    request of a batch together, one
-//!    [`RawExchange::exchange_many`] per (shard, replica) edge, so a
-//!    batch shares its round trips.
+//!    request of a batch together, as one round of flights: each flight
+//!    ships its one frame ([`RawExchange::exchange`]) in flight order,
+//!    and no reply is judged before the whole round is issued. Each
+//!    (shard, replica) edge sees its own flights in flight order.
 //!    Each shard receives the *cut* of the request to the probes whose
 //!    *reach* touches its bounds — the request itself when that is all of
 //!    them — both laws of the protocol (`proto.rs`), not of the router;
@@ -62,12 +63,12 @@ use std::sync::{Arc, Mutex, RwLock};
 use asj_geom::{Point, Rect};
 use bytes::Bytes;
 
-use crate::codec::{wire_exact, WireVersion};
+use crate::codec::wire_exact;
 use crate::edge::{Edge, Frame, Layer};
 use crate::few::Few;
 use crate::health::{spread_hash, BreakerConfig, HealthSnapshot, ReplicaSetHealth};
 use crate::meter::{rate, LinkMeter, LinkSnapshot};
-use crate::packet::{PacketModel, RetryPolicy};
+use crate::packet::{NetConfig, PacketModel, RetryPolicy};
 use crate::proto::{Request, Response, Update};
 use crate::transport::RawExchange;
 
@@ -190,7 +191,7 @@ pub struct ShardTelemetry {
 }
 
 impl ShardTelemetry {
-    fn new(metas: Vec<Arc<ShardMeta>>, replicas: Vec<usize>) -> Self {
+    fn new(metas: Vec<Arc<ShardMeta>>, replicas: Vec<usize>, breaker: BreakerConfig) -> Self {
         debug_assert_eq!(metas.len(), replicas.len());
         let replica_meters: Vec<Vec<_>> = replicas
             .iter()
@@ -202,7 +203,7 @@ impl ShardTelemetry {
                 .iter()
                 .map(|&n| Arc::new(ReplicaSetHealth::new(n)))
                 .collect(),
-            breaker: BreakerConfig::disabled(),
+            breaker,
             metas,
             scattered: AtomicU64::new(0),
             pruned: AtomicU64::new(0),
@@ -331,31 +332,43 @@ pub struct ShardRouter {
     /// bytes and one that sees a broadcast sub-batch twice (retry, or
     /// catch-up replay) applies it once.
     edges: Vec<Vec<Edge>>,
-    packet: PacketModel,
+    /// The packet model sub-exchanges are metered under (a cache over the
+    /// fleet prices its hits with it).
+    pub(crate) packet: PacketModel,
     aggregate: Arc<LinkMeter>,
     telemetry: Arc<ShardTelemetry>,
-    /// Retry discipline of the flight scheduler. Off by default — one
-    /// attempt per slot, wire traffic byte-identical to a policy-less
-    /// router.
+    /// Retry discipline of the flight scheduler
+    /// ([`NetConfig::retry`]). Failed slots recover **individually**: a
+    /// retried shard never causes healthy shards' replies to be
+    /// re-fetched, and a slot that exhausts its budget surfaces as a
+    /// typed [`Response::Unavailable`] with the shard recorded in
+    /// [`FleetSnapshot::failed_shards`].
     retry: RetryPolicy,
-    /// Partial-result tolerance: when on, a read whose entire replica
-    /// set for some shard is exhausted completes without that shard's
-    /// contribution instead of surfacing `Unavailable`. Off by default.
+    /// Partial-result tolerance ([`NetConfig::allow_partial`]): when on,
+    /// a read whose entire replica set for some shard is exhausted
+    /// completes without that shard's contribution instead of surfacing
+    /// `Unavailable`, and records the shard as uncovered. Never applies
+    /// to `ApplyUpdates`.
     allow_partial: bool,
 }
 
 impl ShardRouter {
-    /// Builds a router over `shards` (at least one) with fresh meters.
-    pub fn new(shards: Vec<ShardEndpoint>, packet: PacketModel) -> Self {
+    /// Builds a router over `shards` (at least one) with fresh meters,
+    /// under `net`'s packet model, wire version, retry discipline,
+    /// circuit breakers (see [`crate::health`]: replicas whose breaker is
+    /// open are skipped when picking read targets) and partial-result
+    /// tolerance.
+    pub fn new(shards: Vec<ShardEndpoint>, net: &NetConfig) -> Self {
         assert!(!shards.is_empty(), "a fleet needs at least one shard");
         let telemetry = Arc::new(ShardTelemetry::new(
             shards.iter().map(|s| Arc::clone(&s.meta)).collect(),
             shards.iter().map(|s| s.replicas.len()).collect(),
+            net.breaker,
         ));
         let replicas = telemetry.replica_meters.iter().flatten().cloned();
         let aggregate = Arc::new(LinkMeter::summing(replicas.collect()));
         let edge = |i: usize, j: usize, carrier| {
-            Edge::new(carrier, packet, Arc::clone(&telemetry.replica_meters[i][j]))
+            Edge::new(carrier, net, Arc::clone(&telemetry.replica_meters[i][j]))
         };
         let edges = shards
             .into_iter()
@@ -367,45 +380,12 @@ impl ShardRouter {
             .collect();
         ShardRouter {
             edges,
-            packet,
+            packet: net.packet,
             aggregate,
             telemetry,
-            retry: RetryPolicy::default(),
-            allow_partial: false,
+            retry: net.retry,
+            allow_partial: net.allow_partial,
         }
-    }
-
-    /// Adopts a retry discipline for the per-shard physical exchanges.
-    /// Failed slots recover **individually**: a retried shard
-    /// never causes healthy shards' replies to be re-fetched, and a slot
-    /// that exhausts its budget surfaces as a typed
-    /// [`Response::Unavailable`] with the shard recorded in
-    /// [`FleetSnapshot::failed_shards`].
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.set_retry(retry);
-        self
-    }
-
-    /// Adopts a circuit-breaker discipline for replica routing: replicas
-    /// whose breaker is open are skipped when picking read targets (see
-    /// [`crate::health`] for the state machine and its exchange-counted
-    /// cooldown clock). Must be called before the telemetry `Arc` is
-    /// shared (i.e. before a [`crate::cache::CacheLayer`] adopts it).
-    pub fn with_breakers(mut self, cfg: BreakerConfig) -> Self {
-        Arc::get_mut(&mut self.telemetry)
-            .expect("configure breakers before sharing the telemetry")
-            .breaker = cfg;
-        self
-    }
-
-    /// Tolerates partial scatter reads: an exhausted replica set no
-    /// longer fails the whole merge, it drops that shard's contribution
-    /// and records the shard as uncovered (surfacing in
-    /// [`FleetSnapshot::failed_shards`] and the snapshot's
-    /// [`FleetSnapshot::coverage`]). Never applies to `ApplyUpdates`.
-    pub fn with_allow_partial(mut self, on: bool) -> Self {
-        self.allow_partial = on;
-        self
     }
 
     /// The aggregate meter: the sum over every physical exchange.
@@ -416,11 +396,6 @@ impl ShardRouter {
     /// Per-replica meters, breaker health and prune counters.
     pub fn telemetry(&self) -> &Arc<ShardTelemetry> {
         &self.telemetry
-    }
-
-    /// The packet model sub-exchanges are metered under.
-    pub fn packet(&self) -> PacketModel {
-        self.packet
     }
 
     /// Notes a failed exchange on one replica edge's breaker; meters the
@@ -458,34 +433,19 @@ impl ShardRouter {
         }
     }
 
-    /// Issues the current try of every scheduled flight — bucketed once
-    /// by (shard, replica) edge, one carrier batch per edge in edge
-    /// order, in flight order within it — and leaves each reply in its
-    /// flight for [`ShardRouter::resolve`] to judge, ticking each
-    /// replica set's exchange clock (the breakers' deterministic
-    /// cooldown time base) once per try.
-    fn issue(&self, flights: &[Flight]) {
-        let scheduled = flights.iter().enumerate().filter(|(_, f)| f.scheduled);
-        let mut due: Few<_> = scheduled
-            .map(|(k, f)| (f.shard, f.rotation.at(f.pos), k))
-            .collect();
-        due.as_mut_slice().sort_unstable();
-        let mut rest = &*due.as_mut_slice();
-        while let Some(&(shard, replica, _)) = rest.first() {
-            let same_edge = |d: &&(usize, usize, usize)| (d.0, d.1) == (shard, replica);
-            let (bucket, later) = rest.split_at(rest.iter().take_while(same_edge).count());
-            rest = later;
-            let mut awaiting = bucket.iter();
-            self.edges[shard][replica].carrier.exchange_many(
-                &mut bucket.iter().map(|&(.., k)| {
-                    self.telemetry.health[shard].tick();
-                    flights[k].frame.bytes.clone()
-                }),
-                &mut |raw| {
-                    let &(.., k) = awaiting.next().expect("one reply per flight");
-                    flights[k].inflight.set(Some((replica, raw)));
-                },
-            );
+    /// Issues the current try of every scheduled flight, one frame per
+    /// exchange in flight order, and leaves each reply in its flight for
+    /// [`ShardRouter::resolve`] to judge, ticking each replica set's
+    /// exchange clock (the breakers' deterministic cooldown time base)
+    /// once per try.
+    fn issue(&self, flights: &mut [Flight]) {
+        for f in flights.iter_mut().filter(|f| f.scheduled) {
+            let replica = f.rotation.at(f.pos);
+            self.telemetry.health[f.shard].tick();
+            let raw = self.edges[f.shard][replica]
+                .carrier
+                .exchange(f.frame.bytes.clone());
+            f.inflight = Some((replica, raw));
         }
     }
 
@@ -525,10 +485,11 @@ impl ShardRouter {
     }
 
     /// Drives a set of issued flights to resolution — the fleet's retry
-    /// loop, over the same `frame`/`exchange_many`/`judge` as the edge's
-    /// own. All of a round's tries are issued before any reply is
-    /// judged, and *failed* flights re-issue together too — so
-    /// recovery latency is the max of the failures, not their sum. A
+    /// loop, over the same `frame`/`exchange`/`judge` as the edge's own.
+    /// All of a round's tries are issued before any reply is judged, and
+    /// *failed* flights re-issue together in the next round — so the
+    /// breakers and the observed generations see a round's failures
+    /// together, and recovery takes as many rounds as the worst flight. A
     /// failed try first **fails over** along the flight's rotation
     /// (siblings cost no retry budget); only once the rotation is
     /// exhausted does a retry round begin, re-picking the rotation so
@@ -539,7 +500,7 @@ impl ShardRouter {
     /// vector. Each flight fails and recovers *individually* — a healthy
     /// shard's reply is kept as-is, never re-fetched — and one that
     /// exhausts its budget lands a typed [`Response::Unavailable`] (or,
-    /// under [`ShardRouter::with_allow_partial`], drops out of the merge)
+    /// under [`NetConfig::allow_partial`], drops out of the merge)
     /// with the shard recorded in [`FleetSnapshot::failed_shards`].
     fn resolve(&self, flights: &mut [Flight]) {
         loop {
@@ -728,7 +689,7 @@ impl ShardRouter {
                 flights.push(Flight::new(0, i, frame.clone(), 0, Rotation::only(j), true));
             }
         }
-        self.issue(&flights);
+        self.issue(&mut flights);
         self.resolve(&mut flights);
         // The batch is durable on a shard once *any* replica acks (the
         // shard generation fetch-maxes over the replica acks); a replica
@@ -799,8 +760,8 @@ impl Layer for ShardRouter {
             BOUNDS.set(bounds);
             (flights, Some(exact))
         };
-        self.issue(flights.as_slice());
         let mut rest = flights.as_mut_slice();
+        self.issue(rest);
         self.resolve(rest);
         let Some(exact) = exact else {
             for f in rest {
@@ -820,19 +781,6 @@ impl Layer for ShardRouter {
                 resp @ Response::Ack { generation } => reply(resp, generation),
                 resp => reply(resp, generation),
             }
-        }
-    }
-
-    fn set_retry(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-        for edge in self.edges.iter_mut().flatten() {
-            edge.set_retry(retry);
-        }
-    }
-
-    fn set_wire(&mut self, wire: WireVersion) {
-        for edge in self.edges.iter_mut().flatten() {
-            edge.set_wire(wire);
         }
     }
 }
@@ -907,7 +855,7 @@ struct Flight<'a> {
     generation: u64,
     /// The reply to the try issued last, and the replica that sent it,
     /// until it is judged.
-    inflight: Cell<Option<(usize, Bytes)>>,
+    inflight: Option<(usize, Bytes)>,
     scheduled: bool,
     result: Option<Landing>,
 }
@@ -934,7 +882,7 @@ impl<'a> Flight<'a> {
             pinned,
             outcome: Response::Unavailable,
             generation: 0,
-            inflight: Cell::new(None),
+            inflight: None,
             scheduled: true,
             result: None,
         }
@@ -978,10 +926,7 @@ mod tests {
         let right: Vec<SpatialObject> = (0..10)
             .map(|i| SpatialObject::point(100 + i, 100.0 + i as f64, 0.0))
             .collect();
-        ShardRouter::new(
-            vec![endpoint(left), endpoint(right)],
-            PacketModel::default(),
-        )
+        ShardRouter::new(vec![endpoint(left), endpoint(right)], &NetConfig::default())
     }
 
     fn link(router: ShardRouter) -> Link {
@@ -1036,7 +981,7 @@ mod tests {
         let (left, right) = straddled();
         let l = link(ShardRouter::new(
             vec![endpoint(left), endpoint(right)],
-            PacketModel::default(),
+            &NetConfig::default(),
         ));
         let ids = |objs: Vec<SpatialObject>| objs.iter().map(|o| o.id).collect::<Vec<_>>();
         let all = Rect::from_coords(0.0, -1.0, 20.0, 2.0);
@@ -1069,7 +1014,7 @@ mod tests {
         let (left, right) = straddled();
         let l = link(ShardRouter::new(
             vec![endpoint(left), endpoint(right.clone())],
-            PacketModel::default(),
+            &NetConfig::default(),
         ));
         // Beyond the left shard's bounds: only the right one is asked, and
         // its reply is handed on as it came — in its order, nothing merged.
@@ -1165,10 +1110,10 @@ mod tests {
         let data: Vec<SpatialObject> = (0..10)
             .map(|i| SpatialObject::point(i, i as f64, 0.0))
             .collect();
-        let flat = Link::in_process(Arc::new(Scan(data.clone())), PacketModel::default(), 1.0);
+        let flat = Link::in_process(Arc::new(Scan(data.clone())), &NetConfig::default(), 1.0);
         let routed = link(ShardRouter::new(
             vec![endpoint(data)],
-            PacketModel::default(),
+            &NetConfig::default(),
         ));
         // Include a window that misses the data: even that must cross the
         // wire (no pruning at fleet size 1 — byte-transparency).
@@ -1194,12 +1139,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn empty_fleet_rejected() {
-        ShardRouter::new(Vec::new(), PacketModel::default());
+        ShardRouter::new(Vec::new(), &NetConfig::default());
     }
 
     use crate::codec::{
         decode_request, decode_response_gen_ctx, encode_request, encode_response,
-        encode_response_into, stamp_generation_versioned,
+        encode_response_into, stamp_generation_versioned, WireVersion,
     };
     use bytes::BytesMut;
     use std::sync::Mutex;
@@ -1294,7 +1239,7 @@ mod tests {
                 shard(left, Rect::from_coords(0.0, -10.0, 50.0, 10.0)),
                 shard(right, Rect::from_coords(50.0, -10.0, 110.0, 10.0)),
             ],
-            PacketModel::default(),
+            &NetConfig::default(),
         )
     }
 
@@ -1408,7 +1353,7 @@ mod tests {
                 meta,
                 vec![Box::new(Shared(Arc::clone(&shard)))],
             )],
-            PacketModel::default(),
+            &NetConfig::default(),
         );
         let (ack, _) = roundtrip(&router, &Request::ApplyUpdates(vec![Update::Delete(0)]));
         assert_eq!(ack, Response::Ack { generation: 1 });
@@ -1547,9 +1492,8 @@ mod tests {
                 ShardEndpoint::new(Rect::union_of(left.iter().map(|o| o.mbr)), flaky_left),
                 endpoint(right),
             ],
-            PacketModel::default(),
-        )
-        .with_retry(RetryPolicy::attempts(3));
+            &NetConfig::default().with_retry(RetryPolicy::attempts(3)),
+        );
         let all = Rect::from_coords(-1.0, -1.0, 200.0, 1.0);
         let (resp, _) = roundtrip(&router, &Request::Count(all));
         assert_eq!(
@@ -1594,9 +1538,8 @@ mod tests {
                 ShardEndpoint::new(Rect::union_of(left.iter().map(|o| o.mbr)), dead_left),
                 endpoint(right),
             ],
-            PacketModel::default(),
-        )
-        .with_retry(RetryPolicy::attempts(2));
+            &NetConfig::default().with_retry(RetryPolicy::attempts(2)),
+        );
         let all = Rect::from_coords(-1.0, -1.0, 200.0, 1.0);
         let (resp, _) = roundtrip(&router, &Request::Count(all));
         assert_eq!(
@@ -1640,9 +1583,8 @@ mod tests {
                     Box::new(DedupShard::new(right)),
                 ),
             ],
-            PacketModel::default(),
-        )
-        .with_retry(RetryPolicy::attempts(3));
+            &NetConfig::default().with_retry(RetryPolicy::attempts(3)),
+        );
         let (ack, _) = roundtrip(
             &router,
             &Request::ApplyUpdates(vec![Update::Insert(SpatialObject::point(900, 10.0, 0.0))]),
@@ -1685,9 +1627,8 @@ mod tests {
                 Rect::from_coords(0.0, -10.0, 10.0, 10.0),
                 lossy,
             )],
-            PacketModel::default(),
-        )
-        .with_retry(RetryPolicy::attempts(3));
+            &NetConfig::default().with_retry(RetryPolicy::attempts(3)),
+        );
         let (ack, _) = roundtrip(&router, &Request::ApplyUpdates(vec![Update::Delete(0)]));
         assert_eq!(
             ack,
@@ -1719,9 +1660,8 @@ mod tests {
                 Rect::union_of(data.iter().map(|o| o.mbr)),
                 dead,
             )],
-            PacketModel::default(),
-        )
-        .with_retry(RetryPolicy::attempts(2));
+            &NetConfig::default().with_retry(RetryPolicy::attempts(2)),
+        );
         let w = Rect::from_coords(0.0, -1.0, 4.0, 1.0);
         assert_eq!(
             roundtrip(&router, &Request::Count(w)),
@@ -1742,9 +1682,8 @@ mod tests {
         });
         let router = ShardRouter::new(
             vec![replicated(&data, vec![dropping])],
-            PacketModel::default(),
-        )
-        .with_breakers(BreakerConfig::new(3, 1_000));
+            &NetConfig::default().with_breakers(BreakerConfig::new(3, 1_000)),
+        );
         let w = Rect::from_coords(0.0, -1.0, 4.0, 1.0);
         for _ in 0..2 {
             assert_eq!(
@@ -1798,7 +1737,7 @@ mod tests {
                 replicated(&left, vec![Box::new(Liar), scan_carrier(&left)]),
                 replicated(&right, vec![scan_carrier(&right), scan_carrier(&right)]),
             ],
-            PacketModel::default(),
+            &NetConfig::default(),
         );
         let req = request_picking(0, 2, Request::Count);
         assert_eq!(roundtrip(&router, &req).0, Response::Count(20));
@@ -1815,7 +1754,7 @@ mod tests {
                 replicated(&left, vec![Box::new(Liar), Box::new(Liar)]),
                 replicated(&right, vec![Box::new(Liar), Box::new(Liar)]),
             ],
-            PacketModel::default(),
+            &NetConfig::default(),
         );
         assert_eq!(
             roundtrip(&router, &Request::Count(all)).0,
@@ -1864,7 +1803,7 @@ mod tests {
                 &data,
                 vec![scan_carrier(&data), scan_carrier(&data)],
             )],
-            PacketModel::default(),
+            &NetConfig::default(),
         );
         for want in 0..2 {
             let req = request_picking(want, 2, Request::Count);
@@ -1897,7 +1836,7 @@ mod tests {
         // recovers the read.
         let router = ShardRouter::new(
             vec![replicated(&data, vec![dead, scan_carrier(&data)])],
-            PacketModel::default(),
+            &NetConfig::default(),
         );
         let req = request_picking(0, 2, Request::Count);
         let (resp, _) = roundtrip(&router, &req);
@@ -1936,9 +1875,8 @@ mod tests {
         });
         let router = ShardRouter::new(
             vec![replicated(&data, vec![dead, scan_carrier(&data)])],
-            PacketModel::default(),
-        )
-        .with_breakers(BreakerConfig::new(1, 1_000));
+            &NetConfig::default().with_breakers(BreakerConfig::new(1, 1_000)),
+        );
         // First read picks the dead replica, fails, trips the breaker.
         let req = request_picking(0, 2, Request::Count);
         let (resp, _) = roundtrip(&router, &req);
@@ -1974,9 +1912,8 @@ mod tests {
         });
         let router = ShardRouter::new(
             vec![replicated(&data, vec![flaky, scan_carrier(&data)])],
-            PacketModel::default(),
-        )
-        .with_breakers(BreakerConfig::new(1, 2));
+            &NetConfig::default().with_breakers(BreakerConfig::new(1, 2)),
+        );
         let req = request_picking(0, 2, Request::Count);
         // Read 1: replica 0 fails once (trip at clock 1), sibling serves
         // (clock 2).
@@ -2030,7 +1967,7 @@ mod tests {
                 meta,
                 vec![Box::new(stale) as Box<dyn RawExchange>, Box::new(fresh)],
             )],
-            PacketModel::default(),
+            &NetConfig::default(),
         );
         (router, view)
     }
@@ -2109,9 +2046,8 @@ mod tests {
                     lossy,
                 ],
             )],
-            PacketModel::default(),
-        )
-        .with_retry(RetryPolicy::attempts(3));
+            &NetConfig::default().with_retry(RetryPolicy::attempts(3)),
+        );
         let (ack, stamp) = roundtrip(
             &router,
             &Request::ApplyUpdates(vec![Update::Insert(SpatialObject::point(900, 5.5, 0.0))]),
@@ -2162,11 +2098,11 @@ mod tests {
                     dark,
                 ],
             )],
-            PacketModel::default(),
-        )
-        .with_retry(RetryPolicy::attempts(2))
-        // Partial tolerance must never leak into the update path.
-        .with_allow_partial(true);
+            // Partial tolerance must never leak into the update path.
+            &NetConfig::default()
+                .with_retry(RetryPolicy::attempts(2))
+                .with_allow_partial(true),
+        );
         let (ack, _) = roundtrip(
             &router,
             &Request::ApplyUpdates(vec![Update::Insert(SpatialObject::point(900, 5.5, 0.0))]),
@@ -2203,10 +2139,10 @@ mod tests {
                 ShardEndpoint::new(Rect::union_of(left.iter().map(|o| o.mbr)), dead_left),
                 endpoint(right),
             ],
-            PacketModel::default(),
-        )
-        .with_retry(RetryPolicy::attempts(2))
-        .with_allow_partial(true);
+            &NetConfig::default()
+                .with_retry(RetryPolicy::attempts(2))
+                .with_allow_partial(true),
+        );
         let all = Rect::from_coords(-1.0, -1.0, 200.0, 1.0);
         let (resp, _) = roundtrip(&router, &Request::Count(all));
         assert_eq!(

@@ -23,11 +23,11 @@ use std::sync::Arc;
 
 use asj_geom::{Rect, SpatialObject};
 use asj_net::cache::{CacheLayer, ClientCache};
-use asj_net::codec::{decode_response, encode_response, CodecError, WireVersion, OBJ_BYTES};
+use asj_net::codec::{decode_response, encode_response, CodecError, OBJ_BYTES};
 use asj_net::testutil::ScanHandler;
 use asj_net::transport::InProcExchange;
 use asj_net::{
-    BreakerConfig, FaultLayer, FaultPlan, Link, PacketModel, RawExchange, Request, Response,
+    BreakerConfig, FaultLayer, FaultPlan, Link, NetConfig, RawExchange, Request, Response,
     RetryPolicy, ShardEndpoint, ShardMeta, ShardRouter,
 };
 use asj_server::{RTreeStore, SpatialService};
@@ -113,9 +113,10 @@ fn fleet(shards: usize, replicas: usize) -> Link {
             ShardEndpoint::with_replicas(Arc::new(meta), carriers)
         })
         .collect();
-    let router =
-        ShardRouter::new(endpoints, PacketModel::default()).with_breakers(BreakerConfig::enabled());
-    Link::routed(router, 1.0).with_retry(RetryPolicy::attempts(4))
+    let net = NetConfig::default()
+        .with_retry(RetryPolicy::attempts(4))
+        .with_breakers(BreakerConfig::enabled());
+    Link::routed(ShardRouter::new(endpoints, &net), 1.0)
 }
 
 /// A COUNT over the whole first strip and a WINDOW inside it: both touch
@@ -129,7 +130,7 @@ fn requests() -> [Request; 2] {
 
 #[test]
 fn a_fleet_exchange_allocates_what_a_flat_one_does() {
-    let flat = Link::new(server(lattice(), false), PacketModel::default(), 1.0);
+    let flat = Link::new(server(lattice(), false), &NetConfig::default(), 1.0);
     let (sole, wide) = (fleet(1, 1), fleet(4, 2));
     for req in requests() {
         let base = allocations(&flat, &req);
@@ -144,7 +145,7 @@ fn a_fleet_exchange_allocates_what_a_flat_one_does() {
 #[test]
 fn a_cache_hit_allocates_only_its_answer() {
     let store = Arc::new(ClientCache::new(1 << 20));
-    let layer = CacheLayer::new(server(lattice(), false), PacketModel::default(), store);
+    let layer = CacheLayer::new(server(lattice(), false), &NetConfig::default(), store);
     let cached = Link::cached(layer, 1.0);
     let [_, window] = requests();
     let count = Request::Count(Rect::from_coords(10.0, 10.0, 20.0, 20.0));
@@ -190,10 +191,10 @@ fn sized_reads() -> Vec<(Request, usize)> {
 }
 
 /// A flat in-process link to the real server, which streams objects into
-/// the thread's reused reply buffer.
-fn served() -> Link {
+/// the thread's reused reply buffer, speaking `net`'s wire version.
+fn served(net: &NetConfig) -> Link {
     let service = SpatialService::new(RTreeStore::new(lattice()));
-    Link::in_process(Arc::new(service), PacketModel::default(), 1.0)
+    Link::in_process(Arc::new(service), net, 1.0)
 }
 
 /// An answer's size is not an allocation: a WINDOW and an ε-RANGE
@@ -202,7 +203,7 @@ fn served() -> Link {
 /// reply that grows by reallocation again fails here.
 #[test]
 fn a_reply_allocates_once_whatever_its_size() {
-    let flat = served();
+    let flat = served(&NetConfig::default());
     for (req, n) in sized_reads() {
         assert_eq!(flat.request(&req).into_objects().len(), n, "{req:?}");
         assert_eq!(allocations(&flat, &req), 4, "{req:?}");
@@ -215,7 +216,7 @@ fn a_reply_allocates_once_whatever_its_size() {
 /// reads allocate the same 4 times.
 #[test]
 fn a_v2_reply_allocates_what_a_v1_reply_does() {
-    let compact = served().with_wire(WireVersion::V2);
+    let compact = served(&NetConfig::default().with_wire_v2(true));
     for (req, n) in sized_reads() {
         assert_eq!(compact.request(&req).into_objects().len(), n, "{req:?}");
         assert_eq!(allocations(&compact, &req), 4, "{req:?}");
@@ -253,8 +254,8 @@ fn a_raised_object_count_reserves_nothing() {
 #[test]
 fn a_reactor_exchange_allocates_what_an_in_process_one_does() {
     let carrier = InProcExchange::gauged(Arc::new(ScanHandler(lattice())), Arc::default());
-    let gauged = Link::new(Box::new(carrier), PacketModel::default(), 1.0);
-    let flat = Link::new(server(lattice(), false), PacketModel::default(), 1.0);
+    let gauged = Link::new(Box::new(carrier), &NetConfig::default(), 1.0);
+    let flat = Link::new(server(lattice(), false), &NetConfig::default(), 1.0);
     for (req, exact) in requests().into_iter().zip([3, 5]) {
         assert_eq!(allocations(&gauged, &req), exact, "{req:?}");
         assert_eq!(allocations(&flat, &req), exact, "{req:?}");

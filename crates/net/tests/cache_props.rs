@@ -24,7 +24,7 @@ use asj_geom::{Point, Rect, SpatialObject};
 use asj_net::cache::{CacheLayer, ClientCache};
 use asj_net::testutil::ScanHandler as Scan;
 use asj_net::transport::InProcExchange;
-use asj_net::{Link, PacketModel, QueryHandler, Request, Response, Update};
+use asj_net::{Link, NetConfig, QueryHandler, Request, Response, Update};
 use asj_server::{apply_updates_to, RTreeStore, SpatialService, VersionedStore};
 use proptest::prelude::*;
 
@@ -112,12 +112,12 @@ proptest! {
         let cached = Link::cached(
             CacheLayer::new(
                 Box::new(InProcExchange::new(Arc::new(Scan(objects.clone())))),
-                PacketModel::default(),
+                &NetConfig::default(),
                 Arc::new(ClientCache::new(budget)),
             ),
             1.0,
         );
-        let plain = Link::in_process(Arc::new(Scan(objects)), PacketModel::default(), 1.0);
+        let plain = Link::in_process(Arc::new(Scan(objects)), &NetConfig::default(), 1.0);
         for &(kind, base, how, e) in &ops {
             let w = apply(&bases[base % bases.len()], how, e);
             match kind {
@@ -251,7 +251,7 @@ fn live_server(objects: &[SpatialObject]) -> LiveServer {
 
 fn cached_link(server: &LiveServer, store: &Arc<ClientCache>) -> Link {
     let carrier = Box::new(InProcExchange::new(Arc::clone(server)));
-    let layer = CacheLayer::new(carrier, PacketModel::default(), Arc::clone(store));
+    let layer = CacheLayer::new(carrier, &NetConfig::default(), Arc::clone(store));
     Link::cached(layer, 1.0)
 }
 
@@ -265,7 +265,7 @@ fn cached_answers_are_the_servers(
     let server = live_server(&objects);
     let store = Arc::new(ClientCache::new(budget));
     let cached = cached_link(&server, &store);
-    let uncached = Link::in_process(Arc::clone(&server), PacketModel::default(), 1.0);
+    let uncached = Link::in_process(Arc::clone(&server), &NetConfig::default(), 1.0);
     // The dataset at every generation so far, and the newest generation
     // the cached link was itself told of.
     let mut states = vec![objects];
@@ -384,7 +384,7 @@ fn indexed_lookups_are_the_linear_filter(
     let server = live_server(&objects);
     let store = Arc::new(ClientCache::new(1 << 20));
     let cached = cached_link(&server, &store);
-    let uncached = Link::in_process(Arc::clone(&server), PacketModel::default(), 1.0);
+    let uncached = Link::in_process(Arc::clone(&server), &NetConfig::default(), 1.0);
     let filtered = |held: &[SpatialObject], pred: &dyn Fn(&Rect) -> bool| -> Vec<SpatialObject> {
         held.iter().filter(|o| pred(&o.mbr)).copied().collect()
     };
@@ -464,7 +464,7 @@ fn a_bump_costs_a_change_list_a_purge_or_nothing() {
     let server = live_server(&lattice());
     let store = Arc::new(ClientCache::new(1 << 20));
     let cached = cached_link(&server, &store);
-    let third_party = Link::in_process(Arc::clone(&server), PacketModel::default(), 1.0);
+    let third_party = Link::in_process(Arc::clone(&server), &NetConfig::default(), 1.0);
     let all = Rect::from_coords(-1.0, -1.0, 9.0, 9.0);
     let corner = Request::Count(Rect::from_coords(-1.0, -1.0, 1.25, 1.25));
     // Nothing held: the first reply's stamp re-stamps the empty store.
@@ -512,7 +512,7 @@ fn a_bump_racing_a_batch_never_mixes_generations() {
     let server = live_server(&lattice());
     let store = Arc::new(ClientCache::new(1 << 20));
     let cached = cached_link(&server, &store);
-    let third_party = Link::in_process(Arc::clone(&server), PacketModel::default(), 1.0);
+    let third_party = Link::in_process(Arc::clone(&server), &NetConfig::default(), 1.0);
     let low = Request::Count(Rect::from_coords(-1.0, -1.0, 9.0, 1.5));
     let high = Request::Count(Rect::from_coords(-1.0, 1.5, 9.0, 9.0));
     assert_eq!(cached.request(&low).into_count(), 8);

@@ -58,7 +58,7 @@ fn main() {
     // --- Stage 2: matched restaurants ⋈ (≤300) Metro ---------------------
     // Third non-cooperative server, own metered link.
     let metro_server = Arc::new(SpatialService::new(RTreeStore::new(metro)));
-    let metro_link = Link::in_process(metro_server, NetConfig::default().packet, 1.0);
+    let metro_link = Link::in_process(metro_server, &NetConfig::default(), 1.0);
     let probes: Vec<SpatialObject> = matched
         .iter()
         .map(|&id| SpatialObject::new(id, restaurant_mbr[&id]))

@@ -15,8 +15,7 @@ use asj_core::DeploymentBuilder;
 use asj_geom::SpatialObject;
 use asj_net::transport::InProcExchange;
 use asj_net::{
-    BreakerConfig, EndpointStats, FaultPlan, Link, LinkSnapshot, NetConfig, PacketModel, Request,
-    RetryPolicy,
+    BreakerConfig, EndpointStats, FaultPlan, Link, LinkSnapshot, NetConfig, Request, RetryPolicy,
 };
 use asj_server::{RTreeStore, SpatialService};
 use asj_workloads::default_space;
@@ -174,7 +173,7 @@ fn channel_server_meters_are_per_link_under_contention() {
         link.meter().snapshot()
     };
     let serial = {
-        let link = Link::new(connect(), PacketModel::default(), 1.0);
+        let link = Link::new(connect(), &NetConfig::default(), 1.0);
         run(&link)
     };
     assert!(serial.total_bytes() > 0);
@@ -184,7 +183,7 @@ fn channel_server_meters_are_per_link_under_contention() {
             .map(|_| {
                 let conn = connect();
                 scope.spawn(move || {
-                    let link = Link::new(conn, PacketModel::default(), 1.0);
+                    let link = Link::new(conn, &NetConfig::default(), 1.0);
                     run(&link)
                 })
             })

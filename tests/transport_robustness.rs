@@ -23,7 +23,7 @@ use asj_geom::SpatialObject;
 use asj_net::codec;
 use asj_net::transport::InProcExchange;
 use asj_net::{
-    EndpointStats, FaultLayer, FaultPlan, Link, LinkSnapshot, PacketModel, RawExchange, Request,
+    EndpointStats, FaultLayer, FaultPlan, Link, LinkSnapshot, NetConfig, RawExchange, Request,
     Response,
 };
 use asj_server::{RTreeStore, SpatialService};
@@ -64,7 +64,7 @@ fn dead_after(k: u64, seed: u64) -> Link {
     let plan = FaultPlan::default().with_crash(k, u64::MAX);
     Link::new(
         Box::new(FaultLayer::new(server, plan)),
-        PacketModel::default(),
+        &NetConfig::default(),
         1.0,
     )
 }
@@ -128,7 +128,7 @@ fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
     let handle = Endpoint::new(29);
     let sequence = scripted_requests();
     let run = |carrier: Box<dyn RawExchange>| {
-        let link = Link::new(carrier, PacketModel::default(), 1.0);
+        let link = Link::new(carrier, &NetConfig::default(), 1.0);
         let responses: Vec<Response> = sequence.iter().map(|r| link.request(r)).collect();
         (responses, link.meter().snapshot())
     };
@@ -199,8 +199,8 @@ fn garbled_frames_leave_event_loop_joins_pair_identical() {
     let cfg = TrafficConfig::new(48, 4, space);
     let connect = |_| {
         (
-            Link::new(Box::new(endpoint_r.connect()), PacketModel::default(), 1.0),
-            Link::new(Box::new(endpoint_s.connect()), PacketModel::default(), 1.0),
+            Link::new(Box::new(endpoint_r.connect()), &NetConfig::default(), 1.0),
+            Link::new(Box::new(endpoint_s.connect()), &NetConfig::default(), 1.0),
         )
     };
 
@@ -283,8 +283,8 @@ fn lossy_traffic_with_retries_matches_fault_free_replay() {
     let space = default_space();
     let clean = |_device: usize| {
         (
-            Link::new(Box::new(endpoint_r.connect()), PacketModel::default(), 1.0),
-            Link::new(Box::new(endpoint_s.connect()), PacketModel::default(), 1.0),
+            Link::new(Box::new(endpoint_r.connect()), &NetConfig::default(), 1.0),
+            Link::new(Box::new(endpoint_s.connect()), &NetConfig::default(), 1.0),
         )
     };
     // Fault-free serial replay: the oracle digests.
@@ -304,16 +304,14 @@ fn lossy_traffic_with_retries_matches_fault_free_replay() {
         (
             Link::new(
                 faulted(Box::new(endpoint_r.connect())),
-                PacketModel::default(),
+                &NetConfig::default().with_retry(RetryPolicy::attempts(6)),
                 1.0,
-            )
-            .with_retry(RetryPolicy::attempts(6)),
+            ),
             Link::new(
                 faulted(Box::new(endpoint_s.connect())),
-                PacketModel::default(),
+                &NetConfig::default().with_retry(RetryPolicy::attempts(6)),
                 1.0,
-            )
-            .with_retry(RetryPolicy::attempts(6)),
+            ),
         )
     };
     let recovered = run_traffic(&cfg, lossy);
@@ -336,12 +334,12 @@ fn lossy_traffic_with_retries_matches_fault_free_replay() {
             (
                 Link::new(
                     Box::new(FaultLayer::new(Box::new(endpoint_r.connect()), plan)),
-                    PacketModel::default(),
+                    &NetConfig::default(),
                     1.0,
                 ),
                 Link::new(
                     Box::new(FaultLayer::new(Box::new(endpoint_s.connect()), plan)),
-                    PacketModel::default(),
+                    &NetConfig::default(),
                     1.0,
                 ),
             )
@@ -383,13 +381,11 @@ fn lossy_traffic_with_retries_matches_fault_free_replay() {
     assert!(dark_digests.windows(2).all(|w| w[0] == w[1]));
 }
 
-/// Ships `requests` as one batch and collects the replies in order.
-fn exchange_many(carrier: &dyn RawExchange, requests: &[Request]) -> Vec<Bytes> {
-    let mut replies = Vec::with_capacity(requests.len());
-    carrier.exchange_many(&mut requests.iter().map(codec::encode_request), &mut |r| {
-        replies.push(r)
-    });
-    replies
+/// Ships each of `requests` in turn, one frame per exchange, and
+/// collects the replies in order.
+fn exchange_each(carrier: &dyn RawExchange, requests: &[Request]) -> Vec<Bytes> {
+    let frames = requests.iter().map(codec::encode_request);
+    frames.map(|frame| carrier.exchange(frame)).collect()
 }
 
 /// Every member of a batch sent to a dead server degrades to
@@ -408,11 +404,11 @@ fn dead_server_fails_every_member_of_a_batch_and_charges_nothing() {
     assert_eq!(link.meter().snapshot(), before, "nothing crossed the wire");
 }
 
-/// Eight threads share one connection and pipeline batches through it
-/// at once: every thread gets the replies to its own requests, in its
+/// Eight threads share one connection and ship their requests through
+/// it at once: every thread gets the replies to its own requests, in its
 /// own order.
 #[test]
-fn threads_sharing_one_carrier_each_get_their_own_batch_replies() {
+fn threads_sharing_one_carrier_each_get_their_own_replies() {
     let connection = Endpoint::new(53).connect();
     let oracle = service(53);
     std::thread::scope(|scope| {
@@ -429,7 +425,7 @@ fn threads_sharing_one_carrier_each_get_their_own_batch_replies() {
                             Request::Count(Rect::from_coords(x, x, x + side, x + 2.0 * side))
                         })
                         .collect();
-                    for (req, raw) in batch.iter().zip(exchange_many(carrier, &batch)) {
+                    for (req, raw) in batch.iter().zip(exchange_each(carrier, &batch)) {
                         let want = asj_net::QueryHandler::handle(&*oracle, req.clone());
                         assert_eq!(codec::decode_response(raw).unwrap(), want);
                     }

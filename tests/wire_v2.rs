@@ -25,7 +25,6 @@
 use adhoc_spatial_joins::prelude::*;
 use asj_core::DeploymentBuilder;
 use asj_geom::{Rect, SpatialObject};
-use asj_net::codec::WireVersion;
 use asj_net::transport::InProcExchange;
 use asj_net::{
     Link, NetConfig, RawExchange, Request, Response, RetryPolicy, ShardEndpoint, ShardRouter,
@@ -188,8 +187,8 @@ fn a_v2_fleet_with_a_v1_only_shard_fails_typed_there() {
         .partition(|o| o.mbr.center().x < default_space().center().x);
     let right_bounds = Rect::union_of(right.iter().map(|o| o.mbr)).unwrap();
     let oracle = ScanStore::new(all.clone());
-    let net = NetConfig::default();
-    let fleet = |wire: WireVersion| {
+    let net = NetConfig::default().with_retry(RetryPolicy::attempts(3));
+    let fleet = |v2: bool| {
         let shard = |objs: &[SpatialObject]| {
             let bounds = Rect::union_of(objs.iter().map(|o| o.mbr));
             let service = Arc::new(SpatialService::new(ScanStore::new(objs.to_vec())));
@@ -201,11 +200,9 @@ fn a_v2_fleet_with_a_v1_only_shard_fails_typed_there() {
                 ShardEndpoint::new(lb, Box::new(l)),
                 ShardEndpoint::new(rb, Box::new(V1OnlyShard(r))),
             ],
-            net.packet,
+            &net.with_wire_v2(v2),
         );
         Link::routed(router, net.tariff_r)
-            .with_retry(RetryPolicy::attempts(3))
-            .with_wire(wire)
     };
     let ids = |resp: Response| {
         let mut ids: Vec<u32> = resp.into_objects().iter().map(|o| o.id).collect();
@@ -222,7 +219,7 @@ fn a_v2_fleet_with_a_v1_only_shard_fails_typed_there() {
     ];
     let left_only = windows.iter().filter(|w| !right_bounds.intersects(w));
     assert_eq!(left_only.count(), 2, "both sides of the fleet are asked");
-    let (v1, v2) = (fleet(WireVersion::V1), fleet(WireVersion::V2));
+    let (v1, v2) = (fleet(false), fleet(true));
     for w in windows {
         assert_eq!(
             v1.request(&Request::Count(w)).into_count(),
