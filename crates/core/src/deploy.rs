@@ -4,7 +4,7 @@
 //! Each logical side is either a single server or — via
 //! [`DeploymentBuilder::with_shards`] — a *fleet* of spatially partitioned
 //! shard servers behind a client-side scatter-gather
-//! [`ShardRouter`](asj_net::ShardRouter). The fleet presents the exact
+//! [`ShardRouter`]. The fleet presents the exact
 //! same [`Link`] interface, so every join algorithm runs unchanged; its
 //! link meter reports the physical scatter traffic, with per-shard detail
 //! available through [`Link::fleet`].

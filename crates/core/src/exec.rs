@@ -9,7 +9,7 @@
 //! * **NLSJ** (`c2`/`c3`) — download the outer window, probe the inner
 //!   server with one ε-RANGE per object or one bucket request
 //!   ([`ExecCtx::nlsj`]). The outer side streams and the probes travel
-//!   [`PROBE_WINDOW`] at a time ([`Link::request_many`]): at most that
+//!   `PROBE_WINDOW` at a time ([`Link::request_many`]): at most that
 //!   many small probe replies sit in the link's receive window, and no
 //!   operator holds one — each is paired off as it is handed over — so
 //!   NLSJ has no buffer constraint (as the paper assumes) and

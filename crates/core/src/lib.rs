@@ -11,10 +11,10 @@
 //! |------|-------|----------|
 //! | [`NaiveJoin`] | §3 strawman | download both datasets, join on device |
 //! | [`GridJoin`] | §3 strawman | fixed grid, COUNT-prune, per-cell HBSJ |
-//! | [`MobiJoin`] | §3.2, [9] | recursive 2×2, cost-based operator choice under a uniformity heuristic |
+//! | [`MobiJoin`] | §3.2, \[9\] | recursive 2×2, cost-based operator choice under a uniformity heuristic |
 //! | [`UpJoin`] | §4.1, Fig. 3 | per-dataset uniformity tests decide *when statistics stop paying* |
 //! | [`SrJoin`] | §4.2, Fig. 5 | density-bitmap similarity of the two datasets decides repartitioning |
-//! | [`SemiJoin`] | §5.3, [16] | R-tree level MBR semi-join via cooperative servers (baseline) |
+//! | [`SemiJoin`] | §5.3, \[16\] | R-tree level MBR semi-join via cooperative servers (baseline) |
 //!
 //! All algorithms speak only `WINDOW`/`COUNT`/`ε-RANGE` (+ bucket) through
 //! metered links; every byte they report comes from the wire meters, not

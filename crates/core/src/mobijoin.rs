@@ -1,4 +1,4 @@
-//! MobiJoin — the prior art the paper improves on (Section 3.2, [9]).
+//! MobiJoin — the prior art the paper improves on (Section 3.2, \[9\]).
 
 use crate::exec::{Decision, ExecCtx, Policy, Window};
 

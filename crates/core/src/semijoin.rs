@@ -1,5 +1,5 @@
 //! SemiJoin — the indexed, cooperative baseline (Section 5.3, Tan et
-//! al. [16]).
+//! al. \[16\]).
 
 use crate::deploy::Deployment;
 use crate::exec::{ExecCtx, Side};

@@ -38,7 +38,7 @@
 //! squares add an absolute error only by underflowing, for gaps below
 //! 2⁻⁵⁰⁸ (about 3·10⁻¹⁵³). So the widening dominates every rounding by
 //! orders of magnitude. The margin is taken per leaf, from the
-//! half-extents [`Axis::over`] already folds over R and `bucket`'s block
+//! half-extents `Axis::over` already folds over R and `bucket`'s block
 //! pass folds over S, and only when it is provable: the predicate is a
 //! distance, `ε²` is finite (no NaN, no ε whose square saturates the test),
 //! and every centre and half-extent of both inputs is finite — a NaN

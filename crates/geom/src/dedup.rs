@@ -1,4 +1,4 @@
-//! Duplicate avoidance via reference points (Dittrich & Seeger [3]).
+//! Duplicate avoidance via reference points (Dittrich & Seeger \[3\]).
 //!
 //! Partition-based join processing downloads each window with an ε/2
 //! extension, so the same qualifying pair can be discovered in several

@@ -6,7 +6,7 @@
 //! compare against, and because [`plane_sweep_join`] and
 //! [`plane_sweep_join_parallel`] are on the benchmark's frozen API surface
 //! (its `geom.sweep_*` rows). Classic forward plane sweep over the x
-//! axis (Brinkhoff et al. [2], adapted to ε-distance): both inputs are
+//! axis (Brinkhoff et al. \[2\], adapted to ε-distance): both inputs are
 //! sorted by `mbr.min.x`; for each object the other list is scanned forward
 //! while `min.x ≤ current.max.x + ε`, and surviving candidates are tested on
 //! the full predicate.

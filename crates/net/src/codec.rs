@@ -774,7 +774,7 @@ pub fn encode_request(req: &Request) -> Bytes {
 
 /// Encodes a request in the link's wire version: v1 requests are
 /// exactly [`encode_request`]; v2 requests prepend the 1-byte
-/// [`op::V2_MARK`] envelope to the unchanged v1 body, telling the server
+/// `op::V2_MARK` envelope to the unchanged v1 body, telling the server
 /// to answer in v2 framing. Request bodies are not recoded — they are
 /// dominated by rectangles both peers must read exactly, and the marker
 /// keeps the server stateless.
@@ -1120,7 +1120,7 @@ impl QuantCtx {
     }
 
     /// The grid both peers of `req` agree on (clause 1 of the contract,
-    /// over the rectangle [`Request::grid`] names). Callers on the
+    /// over the rectangle `Request::grid` names). Callers on the
     /// *client* side pass the request they are about to encode; the
     /// server passes the request it decoded — both land on the same grid
     /// because the derivation starts from the f32 wire form.
@@ -1265,7 +1265,7 @@ fn get_object_v2(
 }
 
 /// The locally fabricated pseudo-reply of a carrier whose peer is gone
-/// ([`op::R_UNAVAILABLE`]). Decodes to
+/// (`op::R_UNAVAILABLE`). Decodes to
 /// [`crate::proto::Response::Unavailable`]; metering layers must treat it
 /// as zero wire traffic — nothing crossed.
 pub fn unavailable_frame() -> Bytes {
@@ -1316,7 +1316,7 @@ pub fn peel_dedup(raw: &Bytes) -> Option<(DedupTag, Bytes)> {
     ))
 }
 
-/// Stamps [`op::GARBLE`] over byte 0 of a frame — the deterministic
+/// Stamps `op::GARBLE` over byte 0 of a frame — the deterministic
 /// fault injector's reply corruption. The result never decodes to any
 /// valid value (the marker is outside every opcode range), so a garbled
 /// reply always surfaces as a typed `Malformed`, never as a silently

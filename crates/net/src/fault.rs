@@ -7,7 +7,7 @@
 //! never happens; the layer fabricates the local `R_UNAVAILABLE`
 //! pseudo-frame, so metering layers correctly charge nothing),
 //! **garbled replies** (byte 0 of the reply is stamped with the
-//! [`crate::codec::op::GARBLE`] marker, so it decodes to a typed
+//! `codec::op::GARBLE` marker, so it decodes to a typed
 //! `Malformed` and can never silently become a different valid value),
 //! and **crash-then-restart** (a scripted window of exchanges answers
 //! unavailable; when it ends, an optional restart hook swaps in a fresh

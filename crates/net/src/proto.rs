@@ -1,5 +1,7 @@
 //! The query protocol of a non-cooperative spatial server.
 
+use std::cell::Cell;
+
 use asj_geom::{Rect, SpatialObject};
 
 /// A request from the device to one server.
@@ -270,12 +272,19 @@ impl Response {
     /// into `self`, the answer merged so far (the empty answer, first).
     /// Counts add: the partitioner assigns every object to exactly one
     /// shard. Object lists and pairs keep the first occurrence of each key
-    /// ([`absorb`]): a straddler replicated into two stores is one object.
-    /// Level MBRs concatenate into the fleet's forest level. Buckets
-    /// merge position by position, the `k`-th bucket of `more` into
-    /// position `picks[k]`, since the cut keeps its probes in `picks`
-    /// order. Any other reply is a typed non-answer, and it becomes the
-    /// merged answer; a later reply does not unseat it.
+    /// ([`absorb`]), in one pass per merged object and with no sort. Level
+    /// MBRs concatenate into the fleet's forest level. Buckets merge
+    /// position by position, the `k`-th bucket of `more` into position
+    /// `picks[k]`, since the cut keeps its probes in `picks` order. Any
+    /// other reply is a typed non-answer, and it becomes the merged
+    /// answer; a later reply does not unseat it.
+    ///
+    /// The dedup is defensive. `asj_server::partition` places every object
+    /// in exactly one shard (its disjointness invariant), so on a
+    /// partitioned fleet no key repeats across replies. A repeat is a
+    /// straddler that a hand-built fleet replicated into two stores, or
+    /// one a live move has in two shards for the length of a raced read,
+    /// and it collapses to one item.
     pub(crate) fn merge(&mut self, more: Response, picks: &[usize]) {
         match (self, more) {
             (Response::Count(total), Response::Count(n)) => *total += n,
@@ -352,24 +361,91 @@ impl Response {
 }
 
 /// Adds one more store's contribution to a merged list. A sole
-/// contributor's list is moved in untouched — a store holds a key once.
-/// A further one is appended and the list reduced to the first
-/// occurrence of each key, in order (defensive: the partitioner is
-/// disjoint, so a repeat is a replicated straddler and must collapse to
-/// one item) — by a sorted scan over (key, position), nothing hashed.
-pub(crate) fn absorb<T, K: Ord>(merged: &mut Vec<T>, more: Vec<T>, key: impl Fn(&T) -> K) {
+/// contributor's list is moved in untouched: a store holds a key once. A
+/// further one is appended, and the list is reduced to the first
+/// occurrence of each key, in order: one pass over the concatenation,
+/// each item's key looked up and entered in the thread's [`Seen`] table.
+/// Nothing is sorted, and nothing is allocated but the list's own growth.
+pub(crate) fn absorb<T, K: MergeKey>(merged: &mut Vec<T>, more: Vec<T>, key: impl Fn(&T) -> K) {
     if merged.is_empty() {
         *merged = more;
     } else if !more.is_empty() {
         merged.extend(more);
-        let mut order: Vec<(K, usize)> = merged.iter().map(&key).zip(0..).collect();
-        order.sort_unstable();
-        let mut repeat = vec![false; merged.len()];
-        for pair in order.windows(2) {
-            repeat[pair[1].1] = pair[0].0 == pair[1].0;
+        let mut seen = SEEN.take();
+        seen.clear_for(merged.len());
+        merged.retain(|item| seen.insert(key(item).packed()));
+        SEEN.set(seen);
+    }
+}
+
+/// A key [`absorb`] keeps the first occurrence of: an object id, or a
+/// join pair.
+pub(crate) trait MergeKey: Copy {
+    /// The key as a `u64`, one-to-one.
+    fn packed(self) -> u64;
+}
+
+impl MergeKey for u32 {
+    fn packed(self) -> u64 {
+        u64::from(self)
+    }
+}
+
+impl MergeKey for (u32, u32) {
+    fn packed(self) -> u64 {
+        u64::from(self.0) << 32 | u64::from(self.1)
+    }
+}
+
+thread_local! {
+    /// The keys one [`absorb`] has met, on this thread: grown to the
+    /// largest merge once, never per merge.
+    static SEEN: Cell<Seen> = Cell::new(Seen::default());
+}
+
+/// An open-addressing set of packed keys, cleared in O(1): a slot holds a
+/// key of the current merge only while its stamp is the current one.
+#[derive(Default)]
+struct Seen {
+    /// `(stamp, key)`; a power of two of them, or none.
+    slots: Vec<(u32, u64)>,
+    stamp: u32,
+}
+
+impl Seen {
+    /// Empties the set for a merge of `n` keys, growing it so that at most
+    /// half its slots fill.
+    fn clear_for(&mut self, n: usize) {
+        let want = (2 * n).next_power_of_two();
+        if self.slots.len() < want {
+            self.slots = vec![(0, 0); want];
+            self.stamp = 0;
         }
-        let mut repeat = repeat.into_iter();
-        merged.retain(|_| !repeat.next().expect("one flag per item"));
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill((0, 0));
+            self.stamp = 1;
+        }
+    }
+
+    /// Enters `key`; `false` when it was already in.
+    fn insert(&mut self, key: u64) -> bool {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the product's top bits, which every bit of
+        // the key reaches.
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            let slot = &mut self.slots[at];
+            if slot.0 != self.stamp {
+                *slot = (self.stamp, key);
+                return true;
+            }
+            if slot.1 == key {
+                return false;
+            }
+            at = (at + 1) & mask;
+        }
     }
 }
 
@@ -483,6 +559,105 @@ mod tests {
         assert_eq!(merged, [3, 1, 3, 2]);
         absorb(&mut merged, vec![2, 9, 1, 9], |&k| k);
         assert_eq!(merged, [3, 1, 2, 9]);
+    }
+
+    /// The sort-based merge the one-pass [`absorb`] replaced, kept as its
+    /// oracle: append, then drop every item whose key a sorted scan over
+    /// `(key, position)` finds earlier in the list.
+    fn absorb_by_sorting<T, K: Ord>(merged: &mut Vec<T>, more: Vec<T>, key: impl Fn(&T) -> K) {
+        if merged.is_empty() {
+            *merged = more;
+        } else if !more.is_empty() {
+            merged.extend(more);
+            let mut order: Vec<(K, usize)> = merged.iter().map(&key).zip(0..).collect();
+            order.sort_unstable();
+            let mut repeat = vec![false; merged.len()];
+            for pair in order.windows(2) {
+                repeat[pair[1].1] = pair[0].0 == pair[1].0;
+            }
+            let mut repeat = repeat.into_iter();
+            merged.retain(|_| !repeat.next().expect("one flag per item"));
+        }
+    }
+
+    /// [`Response::merge`] for the three deduplicating kinds, over
+    /// [`absorb_by_sorting`].
+    fn merge_by_sorting(merged: &mut Response, more: Response, picks: &[usize]) {
+        match (merged, more) {
+            (Response::Objects(merged), Response::Objects(more)) => {
+                absorb_by_sorting(merged, more, |o| o.id)
+            }
+            (Response::Buckets(merged), Response::Buckets(more)) => {
+                for (&i, bucket) in picks.iter().zip(more) {
+                    absorb_by_sorting(&mut merged[i], bucket, |o| o.id);
+                }
+            }
+            (Response::Pairs(merged), Response::Pairs(more)) => {
+                absorb_by_sorting(merged, more, |&pair| pair)
+            }
+            (merged, more) => panic!("no deduplicating merge of {more:?} into {merged:?}"),
+        }
+    }
+
+    /// Probes of the bucket request the merge property below draws for.
+    const BUCKET_PROBES: usize = 4;
+
+    /// One contributor's replies of every deduplicating kind, from its
+    /// drawn `(key, other)` items and probe mask: the objects carry the
+    /// contributor and the position in their MBR, so equal lists kept the
+    /// same occurrences; the pairs are the items; the buckets deal the
+    /// items over the probes the mask picks, in turn. Returns the picks
+    /// with the replies.
+    fn contribution(c: usize, items: &[(u32, u32)], mask: u8) -> (Vec<usize>, [Response; 3]) {
+        let objects: Vec<SpatialObject> = (items.iter().enumerate())
+            .map(|(at, &(key, _))| SpatialObject::point(key, c as f64, at as f64))
+            .collect();
+        let picks: Vec<usize> = (0..BUCKET_PROBES).filter(|i| mask >> i & 1 == 1).collect();
+        let mut buckets = vec![Vec::new(); picks.len()];
+        if !picks.is_empty() {
+            for (at, o) in objects.iter().enumerate() {
+                buckets[at % picks.len()].push(*o);
+            }
+        }
+        let replies = [
+            Response::Objects(objects),
+            Response::Pairs(items.to_vec()),
+            Response::Buckets(buckets),
+        ];
+        (picks, replies)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The one-pass merge is the sort-based merge, element for element:
+        // one to four contributors, some empty, keys drawn from a handful
+        // so they repeat within a list and across lists, for object lists,
+        // pairs, and buckets reached through drawn picks.
+        #[test]
+        fn the_one_pass_merge_is_the_sort_based_merge(
+            drawn in prop::collection::vec(
+                (prop::collection::vec((0u32..6, 0u32..3), 0..9), 0u8..16),
+                1..5,
+            ),
+        ) {
+            let empty = || {
+                [
+                    Response::Objects(Vec::new()),
+                    Response::Pairs(Vec::new()),
+                    Response::Buckets(vec![Vec::new(); BUCKET_PROBES]),
+                ]
+            };
+            let (mut fast, mut oracle) = (empty(), empty());
+            for (c, (items, mask)) in drawn.iter().enumerate() {
+                let (picks, replies) = contribution(c, items, *mask);
+                for (k, reply) in replies.into_iter().enumerate() {
+                    merge_by_sorting(&mut oracle[k], reply.clone(), &picks);
+                    fast[k].merge(reply, &picks);
+                }
+            }
+            prop_assert_eq!(fast, oracle);
+        }
     }
 
     // ---- the laws, against the server's own predicates ----

@@ -11,7 +11,10 @@
 //!
 //! 1. **prunes** shards whose advertised bounds cannot contain an answer
 //!    (a shard's bounds cover the full MBRs of all its objects, including
-//!    boundary straddlers, so pruning never loses a result);
+//!    boundary straddlers, so pruning never loses a result): per shard of
+//!    the fleet, one bounds test per probe against a copy of the bounds
+//!    the batch took without a lock, and one tally of the pruned shards
+//!    per request;
 //! 2. **scatters** to the survivors — the sub-requests of *every*
 //!    request of a batch together, as one round of flights: each flight
 //!    ships its one frame ([`RawExchange::exchange`]) in flight order,
@@ -19,13 +22,18 @@
 //!    (shard, replica) edge sees its own flights in flight order.
 //!    Each shard receives the *cut* of the request to the probes whose
 //!    *reach* touches its bounds — the request itself when that is all of
-//!    them — both laws of the protocol (`proto.rs`), not of the router;
+//!    them — both laws of the protocol (`proto.rs`), not of the router.
+//!    Per reached shard this costs one frame, and a spread hash of it
+//!    only where the shard has siblings to spread over; a `WINDOW`,
+//!    `COUNT` or `ε-RANGE` has one probe, so its frame is the request
+//!    itself and nothing is picked;
 //! 3. **merges** the responses in shard order by the protocol's *merge*
 //!    law, from the request's empty answer: counts add, object lists and
 //!    pairs keep the first occurrence of each key (a sole contributor's
 //!    list is the answer as it came), level MBRs concatenate into the
 //!    fleet's forest level, and bucket probes merge position by
-//!    position;
+//!    position. Per reached shard that is one fold, and one pass per
+//!    merged object once a second list arrives: no sort;
 //! 4. **meters** every physical exchange — once, at its edge — into a
 //!    per-replica [`LinkMeter`]; the aggregate meter the fronting link
 //!    exposes sums those, and a [`FleetSnapshot`] sums each shard's row:
@@ -58,7 +66,7 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use asj_geom::{Point, Rect};
 use bytes::Bytes;
@@ -79,15 +87,17 @@ use crate::transport::RawExchange;
 /// * **bounds** — the advertised union of the shard's objects' MBRs, the
 ///   pruning predicate. Updates only ever *grow* bounds (a delete never
 ///   shrinks them): over-covering bounds cost pruning efficiency, never
-///   correctness;
+///   correctness. They are four coordinates that each only move outward,
+///   read and grown without a lock (see [`ShardMeta::grow_bounds`]);
 /// * **cell** — the shard's partition cell, the *ownership* predicate for
 ///   routing inserts and moves. `None` on fleets built without a declared
 ///   partition (such fleets refuse updates);
 /// * **generation** — the highest snapshot generation observed from this
 ///   shard (monotone; fed by `Ack`s and response stamps).
-#[derive(Debug)]
 pub struct ShardMeta {
-    bounds: RwLock<Option<Rect>>,
+    /// `[min.x, min.y, max.x, max.y]` of the bounds, each an `f64`'s bits.
+    /// Empty while a min lies above its max: `+∞` and `−∞` at the start.
+    bounds: [AtomicU64; 4],
     cell: Option<Rect>,
     generation: AtomicU64,
 }
@@ -100,8 +110,12 @@ impl ShardMeta {
 
     /// Meta for a shard owning `cell` of the partitioned space.
     pub fn with_cell(bounds: Option<Rect>, cell: Option<Rect>) -> Self {
+        let inf = f64::INFINITY;
+        let corners = bounds.map_or([inf, inf, -inf, -inf], |r| {
+            [r.min.x, r.min.y, r.max.x, r.max.y]
+        });
         ShardMeta {
-            bounds: RwLock::new(bounds),
+            bounds: corners.map(|c| AtomicU64::new(c.to_bits())),
             cell,
             generation: AtomicU64::new(0),
         }
@@ -109,7 +123,9 @@ impl ShardMeta {
 
     /// Current advertised bounds (`None` = empty shard, always prunable).
     pub fn bounds(&self) -> Option<Rect> {
-        *self.bounds.read().expect("bounds lock poisoned")
+        let at = |i: usize| f64::from_bits(self.bounds[i].load(Ordering::Acquire));
+        let (min, max) = (Point::new(at(0), at(1)), Point::new(at(2), at(3)));
+        (!(min.x > max.x || min.y > max.y)).then_some(Rect { min, max })
     }
 
     /// The shard's partition cell, if the fleet declared one.
@@ -127,13 +143,31 @@ impl ShardMeta {
         self.generation.fetch_max(generation, Ordering::AcqRel);
     }
 
-    /// Grows the advertised bounds to cover `r` (union; only-grow).
+    /// Grows the advertised bounds to cover `r` (union; only-grow), one
+    /// coordinate at a time. Sound without a lock: the router grows an
+    /// owner's bounds before any flight of the update ships, and each
+    /// coordinate only moves outward, so a read racing the growth sees a
+    /// rectangle between the old bounds and the new. Pruning by it loses
+    /// nothing the old bounds would not, and the old bounds cover every
+    /// object the shard held before the update: it is a cut that a read
+    /// made just before the growth could see.
     pub fn grow_bounds(&self, r: &Rect) {
-        let mut b = self.bounds.write().expect("bounds lock poisoned");
-        *b = Some(match *b {
-            Some(old) => old.union(r),
-            None => *r,
-        });
+        let corners = [r.min.x, r.min.y, r.max.x, r.max.y];
+        for (i, (coord, to)) in self.bounds.iter().zip(corners).enumerate() {
+            let outward = if i < 2 { f64::min } else { f64::max };
+            let grow = |bits| Some(outward(f64::from_bits(bits), to).to_bits());
+            let _ = coord.fetch_update(Ordering::AcqRel, Ordering::Acquire, grow);
+        }
+    }
+}
+
+impl std::fmt::Debug for ShardMeta {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardMeta")
+            .field("bounds", &self.bounds())
+            .field("cell", &self.cell)
+            .field("generation", &self.generation())
+            .finish()
     }
 }
 
@@ -416,10 +450,14 @@ impl ShardRouter {
     /// When *every* breaker is open, routing around the whole set would
     /// guarantee failure, so the full set is used anyway (last resort).
     fn rotation(&self, shard: usize, hash: u64) -> Rotation {
+        let n = self.edges[shard].len();
+        if n == 1 {
+            // Admitting or last resort, a sole replica is the rotation.
+            return Rotation::only(0);
+        }
         let set = &self.telemetry.health[shard];
         let cfg = &self.telemetry.breaker;
         let now = set.now();
-        let n = self.edges[shard].len();
         let admitting = (0..n).filter(|&j| set.edge(j).admits(cfg, now));
         let mut admitted = admitting.fold(0u64, |set, j| set | 1 << j);
         if admitted == 0 {
@@ -437,11 +475,16 @@ impl ShardRouter {
     /// exchange in flight order, and leaves each reply in its flight for
     /// [`ShardRouter::resolve`] to judge, ticking each replica set's
     /// exchange clock (the breakers' deterministic cooldown time base)
-    /// once per try.
+    /// once per try while breakers are on.
     fn issue(&self, flights: &mut [Flight]) {
+        // With breakers off nothing reads the clock: no state depends on
+        // it, and a tick would only contend for its cache line.
+        let clocked = self.telemetry.breaker.enabled;
         for f in flights.iter_mut().filter(|f| f.scheduled) {
             let replica = f.rotation.at(f.pos);
-            self.telemetry.health[f.shard].tick();
+            if clocked {
+                self.telemetry.health[f.shard].tick();
+            }
             let raw = self.edges[f.shard][replica]
                 .carrier
                 .exchange(f.frame.bytes.clone());
@@ -451,12 +494,11 @@ impl ShardRouter {
 
     /// Takes the edge's verdict on one completed exchange: resolves the
     /// flight on success, records a breaker failure (and leaves the
-    /// flight unresolved, to fail over or retry) otherwise.
-    fn evaluate(&self, f: &mut Flight, replica: usize, raw: Bytes) {
+    /// flight unresolved, to fail over or retry) otherwise. `true` when a
+    /// reply came back at all: the sub-request was scattered.
+    fn evaluate(&self, f: &mut Flight, replica: usize, raw: Bytes) -> bool {
         let (resp, generation) = self.edges[f.shard][replica].judge(&f.frame, raw);
-        if resp != Response::Unavailable {
-            self.telemetry.scattered.fetch_add(1, Ordering::Relaxed);
-        }
+        let crossed = resp != Response::Unavailable;
         let meta = &self.telemetry.metas[f.shard];
         // The generation floor: a read reply stamped below the highest
         // generation already observed from this shard came from a
@@ -474,7 +516,7 @@ impl ShardRouter {
         if resp.is_failure() || stale {
             f.outcome = if stale { Response::Unavailable } else { resp };
             self.note_edge_failure(f.shard, replica);
-            return;
+            return crossed;
         }
         if generation > 0 {
             meta.note_generation(generation);
@@ -482,6 +524,7 @@ impl ShardRouter {
         self.telemetry.health[f.shard].edge(replica).on_success();
         f.generation = generation;
         f.result = Some(Landing::Resp(resp));
+        crossed
     }
 
     /// Drives a set of issued flights to resolution — the fleet's retry
@@ -503,11 +546,13 @@ impl ShardRouter {
     /// under [`NetConfig::allow_partial`], drops out of the merge)
     /// with the shard recorded in [`FleetSnapshot::failed_shards`].
     fn resolve(&self, flights: &mut [Flight]) {
+        // Tallied once per resolve, not once per flight.
+        let mut scattered = 0;
         loop {
             for f in flights.iter_mut() {
                 if let Some((replica, raw)) = f.inflight.take() {
                     f.scheduled = false;
-                    self.evaluate(f, replica, raw);
+                    scattered += u64::from(self.evaluate(f, replica, raw));
                 }
             }
             let mut unresolved = false;
@@ -558,36 +603,45 @@ impl ShardRouter {
                 f.scheduled = true;
             }
             if !unresolved {
-                return;
+                break;
             }
             self.issue(flights);
         }
+        self.telemetry
+            .scattered
+            .fetch_add(scattered, Ordering::Relaxed);
     }
 
     /// The fleet generation one request's flights (`run`, at most one
-    /// per shard) were served at: per shard, the generation its own reply
-    /// reported or, where it contributed nothing, the highest observed
-    /// from it.
+    /// per shard, in shard order) were served at: per shard, the
+    /// generation its own reply reported or, where it contributed
+    /// nothing, the highest observed from it. One walk of the fleet's
+    /// metas beside the run.
     fn served_at(&self, run: &[Flight]) -> u64 {
         let answered = |f: &&Flight| matches!(&f.result, Some(Landing::Resp(r)) if !r.is_failure());
-        let stamp = |shard| run.iter().filter(answered).find(|f| f.shard == shard);
+        let mut stamps = run.iter().filter(answered).peekable();
         let metas = self.telemetry.metas.iter().enumerate();
         metas
-            .map(|(shard, meta)| stamp(shard).map_or_else(|| meta.generation(), |f| f.generation))
+            .map(|(shard, meta)| match stamps.next_if(|f| f.shard == shard) {
+                Some(f) => f.generation,
+                None => meta.generation(),
+            })
             .sum()
     }
 
-    /// The first half of a scatter-gather: flies to every shard, as a read
-    /// for request `slot` of the batch, the cut of `req` to the probes
-    /// whose reach touches the shard's bounds — `req` itself, borrowed,
-    /// where that is all of them — and counts the shards it reaches none
-    /// on as pruned. A cooperative request is never pruned: index
-    /// structure is global, and a non-cooperative policy refusal must
-    /// propagate from every shard. Every rectangle decision is taken on
-    /// the request's [`wire_exact`] form, returned for the merge.
+    /// The first half of a scatter-gather: flies to the shards `req`
+    /// reaches, as reads for request `slot` of the batch, and counts the
+    /// rest as pruned, once per request. Every rectangle decision is taken
+    /// on the request's [`wire_exact`] form, returned for the merge.
     /// `ApplyUpdates` and `Changes` scatter nothing here — both finish in
     /// [`ShardRouter::merge`]. `bounds` is every shard's, as the batch
     /// read them.
+    ///
+    /// A `WINDOW`, `COUNT` or `ε-RANGE` has one probe and is never
+    /// cooperative: per shard its work is one bounds test against the
+    /// probe's reach and, per reached shard, one frame of the request
+    /// itself, borrowed. A request of many probes takes
+    /// [`ShardRouter::scatter_cuts`].
     fn scatter<'a>(
         &self,
         slot: usize,
@@ -596,36 +650,92 @@ impl ShardRouter {
         flights: &mut Few<Flight<'a>>,
     ) -> Request {
         let exact = wire_exact(req);
-        if matches!(req, Request::ApplyUpdates(_) | Request::Changes { .. }) {
-            return exact;
+        match req {
+            Request::ApplyUpdates(_) | Request::Changes { .. } => {}
+            Request::Window(_) | Request::Count(_) | Request::EpsRange { .. } => {
+                let reach = exact.reach(0);
+                let mut pruned = 0;
+                for (shard, bounds) in bounds.iter().enumerate() {
+                    if bounds.is_some_and(|b| b.intersects(&reach)) {
+                        let frame = self.edges[shard][0].frame(Cow::Borrowed(req));
+                        flights.push(self.read_flight(slot, shard, frame));
+                    } else {
+                        pruned += 1;
+                    }
+                }
+                self.note_pruned(pruned);
+            }
+            _ => self.scatter_cuts(slot, req, &exact, bounds, flights),
         }
+        exact
+    }
+
+    /// The scatter of a request of many probes: flies to every shard the
+    /// cut of `req` to the probes whose reach touches the shard's bounds
+    /// — `req` itself, borrowed, where that is all of them — and counts
+    /// the shards it reaches none on as pruned. Per shard its work is one
+    /// bounds test per probe. A cooperative request is never pruned: index
+    /// structure is global, and a non-cooperative policy refusal must
+    /// propagate from every shard.
+    fn scatter_cuts<'a>(
+        &self,
+        slot: usize,
+        req: &'a Request,
+        exact: &Request,
+        bounds: &[Option<Rect>],
+        flights: &mut Few<Flight<'a>>,
+    ) {
         let reaches: Few<Rect> = (0..exact.probes()).map(|i| exact.reach(i)).collect();
         let (reaches, cooperative) = (reaches.as_slice(), req.is_cooperative());
+        let mut pruned = 0;
         for (shard, bounds) in bounds.iter().enumerate() {
             let reached = |&i: &usize| bounds.is_some_and(|b| b.intersects(&reaches[i]));
             let picks: Few<usize> = (0..reaches.len()).filter(reached).collect();
             let sub = match picks.as_slice().len() {
                 all if all == reaches.len() => Cow::Borrowed(req),
                 0 if !cooperative => {
-                    self.telemetry.pruned.fetch_add(1, Ordering::Relaxed);
+                    pruned += 1;
                     continue;
                 }
                 _ => Cow::Owned(exact.cut(picks.as_slice())),
             };
             let frame = self.edges[shard][0].frame(sub);
-            let hash = spread_hash(&frame.bytes);
-            let rotation = self.rotation(shard, hash);
-            let flight = Flight::new(slot, shard, frame, hash, rotation, false);
-            flights.push(Flight { picks, ..flight });
+            flights.push(Flight {
+                picks,
+                ..self.read_flight(slot, shard, frame)
+            });
         }
-        exact
+        self.note_pruned(pruned);
+    }
+
+    /// A read flight of request `slot` to `shard`, its rotation started at
+    /// the frame's spread hash. Only a shard with siblings hashes the
+    /// frame: a sole replica's rotation is itself whatever the hash.
+    fn read_flight<'a>(&self, slot: usize, shard: usize, frame: Frame<'a>) -> Flight<'a> {
+        let hash = match self.edges[shard].len() {
+            1 => 0,
+            _ => spread_hash(&frame.bytes),
+        };
+        let rotation = self.rotation(shard, hash);
+        Flight::new(slot, shard, frame, hash, rotation, false)
+    }
+
+    /// Adds one request's pruned (request, shard) slots to the tally.
+    fn note_pruned(&self, pruned: u64) {
+        if pruned > 0 {
+            self.telemetry.pruned.fetch_add(pruned, Ordering::Relaxed);
+        }
     }
 
     /// The second half: `req`'s answer from what its flights (`run`)
     /// landed — the empty answer, with each reply merged in shard order at
-    /// the probes its flight carried. Every sub-reply reaching a merge is
-    /// of its request's kind or a typed non-answer (`Edge::judge` saw to
-    /// that); the first non-answer is the merged answer.
+    /// the probes its flight carried ([`Response::merge`]). Its work is
+    /// per reached shard, not per shard of the fleet: a count adds, a sole
+    /// contributor's list is moved in as it came, and each further one
+    /// costs one pass per merged object, no sort. Every sub-reply reaching
+    /// a merge is of its request's kind or a typed non-answer
+    /// (`Edge::judge` saw to that); the first non-answer is the merged
+    /// answer.
     fn merge(&self, req: &Request, run: &mut [Flight]) -> Response {
         match req {
             Request::ApplyUpdates(batch) => return self.apply_updates(batch),
@@ -747,8 +857,9 @@ impl Layer for ShardRouter {
             // request by request and in shard order within each; each
             // request is then merged from its own run of them. Every
             // request is scattered against one read of the fleet's
-            // bounds: bounds only grow, so a copy taken at batch start is
-            // a cut a racing read could see.
+            // bounds, four atomic loads per shard and no lock: bounds
+            // only grow, so a copy taken at batch start is a cut a racing
+            // read could see (`ShardMeta::grow_bounds`).
             let mut flights = Few::new();
             let mut bounds = BOUNDS.take();
             bounds.extend(self.telemetry.metas.iter().map(|meta| meta.bounds()));
@@ -837,7 +948,8 @@ struct Flight<'a> {
     shard: usize,
     frame: Frame<'a>,
     /// The probes of the request this sub-request is the cut to: where
-    /// its reply merges in. None on a flight whose reply is the answer.
+    /// its reply's buckets merge in. None on a flight whose reply is the
+    /// answer, or on a single-probe read, whose merge places nothing.
     picks: Few<usize>,
     /// Request-hash spread key; re-picks the rotation on retry rounds.
     hash: u64,
@@ -2024,6 +2136,138 @@ mod tests {
             };
             prop_assert_eq!(got, expected);
             prop_assert_eq!(router.telemetry().generations(), vec![2]);
+        }
+    }
+
+    /// Hands every frame to the shard server behind it, keeping a copy.
+    struct Recording {
+        frames: Arc<Mutex<Vec<Bytes>>>,
+        inner: Box<dyn RawExchange>,
+    }
+
+    impl RawExchange for Recording {
+        fn exchange(&self, raw: Bytes) -> Bytes {
+            self.frames.lock().unwrap().push(raw.clone());
+            self.inner.exchange(raw)
+        }
+    }
+
+    /// A rectangle on a quarter-unit grid (exact in `f32`, so its wire
+    /// form is itself), degenerate whenever a side draws 0.
+    fn grid_rect() -> impl Strategy<Value = Rect> {
+        (-40i32..=40, -40i32..=40, 0i32..=16, 0i32..=16).prop_map(|(x, y, w, h)| {
+            let (x, y) = (x as f64 * 0.25, y as f64 * 0.25);
+            Rect::from_coords(x, y, x + w as f64 * 0.25, y + h as f64 * 0.25)
+        })
+    }
+
+    /// The ε values a single-probe read is drawn with: negative, both
+    /// zeros, NaN and a positive one, each exact in `f32`.
+    const LANE_EPS: [f64; 5] = [-3.0, -0.0, 0.0, f64::NAN, 2.5];
+
+    /// A fleet of `drawn` shards (objects, replica count), every replica
+    /// recording the frames it is sent.
+    type Recorded = Vec<Vec<Arc<Mutex<Vec<Bytes>>>>>;
+
+    fn recorded_fleet(drawn: &[(Vec<SpatialObject>, usize)]) -> (ShardRouter, Recorded) {
+        let mut frames = Vec::new();
+        let shards = drawn
+            .iter()
+            .map(|(objects, replicas)| {
+                let logs: Vec<_> = (0..*replicas).map(|_| Arc::default()).collect();
+                let carriers = logs.iter().map(|log| {
+                    let inner = scan_carrier(objects);
+                    Box::new(Recording {
+                        frames: Arc::clone(log),
+                        inner,
+                    }) as Box<dyn RawExchange>
+                });
+                let endpoint = replicated(objects, carriers.collect());
+                frames.push(logs);
+                endpoint
+            })
+            .collect();
+        (ShardRouter::new(shards, &NetConfig::default()), frames)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The single-probe lane reaches what the general path reaches: on
+        // fleets of 1–16 shards, some empty, some replicated, a WINDOW,
+        // COUNT or ε-RANGE (degenerate rectangles; negative, zero and NaN
+        // ε) is sent, as its own frame, to exactly the shards whose bounds
+        // meet its reach — on the replica its frame's hash picks — and
+        // nowhere else. Each replica's meter reads what a flat link to
+        // that shard reads after the same request, or nothing; the prune
+        // and scatter tallies are the shards missed and reached. The lane
+        // and the general path (`scatter_cuts`) build the same flights and
+        // prune the same shards.
+        #[test]
+        fn the_single_probe_lane_reaches_what_the_general_path_reaches(
+            drawn in prop::collection::vec(
+                (prop::collection::vec(grid_rect(), 0..4), 1usize..=3),
+                1..17,
+            ),
+            kind in 0usize..3,
+            at in grid_rect(),
+            e in 0usize..LANE_EPS.len(),
+        ) {
+            let req = match kind {
+                0 => Request::Window(at),
+                1 => Request::Count(at),
+                _ => Request::EpsRange { q: at, eps: LANE_EPS[e] },
+            };
+            let drawn: Vec<(Vec<SpatialObject>, usize)> = drawn
+                .into_iter()
+                .enumerate()
+                .map(|(s, (mbrs, replicas))| {
+                    let ids = (0..).map(|k| (s * 4 + k) as u32);
+                    let objects = ids.zip(mbrs).map(|(id, mbr)| SpatialObject::new(id, mbr));
+                    (objects.collect(), replicas)
+                })
+                .collect();
+            let (router, frames) = recorded_fleet(&drawn);
+            let sole = drawn.len() == 1 && drawn[0].1 == 1;
+            let reach = req.reach(0);
+            let reached: Vec<bool> = drawn
+                .iter()
+                .map(|(objects, _)| {
+                    let bounds = Rect::union_of(objects.iter().map(|o| o.mbr));
+                    sole || bounds.is_some_and(|b| b.intersects(&reach))
+                })
+                .collect();
+            router.call(&req);
+            let own = encode_request(&req);
+            let fleet = router.telemetry().snapshot();
+            for (s, (objects, replicas)) in drawn.iter().enumerate() {
+                let flat = Link::new(scan_carrier(objects), &NetConfig::default(), 1.0);
+                flat.request(&req);
+                let picked = (spread_hash(&own) % *replicas as u64) as usize;
+                for (j, log) in frames[s].iter().enumerate() {
+                    let got = log.lock().unwrap().clone();
+                    let hit = reached[s] && j == picked;
+                    prop_assert_eq!(got, if hit { vec![own.clone()] } else { vec![] });
+                    let want = if hit { flat.meter().snapshot() } else { LinkSnapshot::default() };
+                    prop_assert_eq!(&fleet.per_replica[s][j], &want, "shard {} replica {}", s, j);
+                }
+            }
+            let hits = reached.iter().filter(|&&r| r).count() as u64;
+            let misses = if sole { 0 } else { drawn.len() as u64 - hits };
+            prop_assert_eq!((fleet.scattered, fleet.pruned), (hits, misses));
+
+            let bounds: Vec<Option<Rect>> = router.telemetry.metas.iter().map(|m| m.bounds()).collect();
+            let exact = wire_exact(&req);
+            let (mut lane, mut general) = (Few::new(), Few::new());
+            router.scatter(0, &req, &bounds, &mut lane);
+            let after_lane = router.telemetry().snapshot().pruned;
+            router.scatter_cuts(0, &req, &exact, &bounds, &mut general);
+            let after_general = router.telemetry().snapshot().pruned;
+            prop_assert_eq!(after_lane - fleet.pruned, after_general - after_lane);
+            let key = |f: &Flight| (f.shard, f.frame.bytes.clone(), f.rotation.at(0));
+            let lane: Vec<_> = lane.as_slice().iter().map(key).collect();
+            let general: Vec<_> = general.as_slice().iter().map(key).collect();
+            prop_assert_eq!(lane, general);
         }
     }
 

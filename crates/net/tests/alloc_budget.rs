@@ -8,7 +8,9 @@
 //! thread. After warm-up, a COUNT and a single-shard WINDOW through a
 //! 4-shard × 2-replica fleet with no-op fault layers, retry and breakers
 //! on allocate exactly as often as through a flat link; so do they
-//! through a 1 × 1 fleet; a cache hit allocates nothing for a COUNT and
+//! through a 1 × 1 fleet; a WINDOW all four shards answer allocates
+//! their replies and the merged answer's growth, and its merge nothing;
+//! a cache hit allocates nothing for a COUNT and
 //! only its answer for a WINDOW or an ε-RANGE, whether a cached window
 //! contains the probe or the probe tier holds it. A flat exchange costs
 //! the same whatever its answer's size, in either wire version: the
@@ -140,6 +142,43 @@ fn a_fleet_exchange_allocates_what_a_flat_one_does() {
         let snap = wide.fleet().unwrap().snapshot();
         assert!(snap.pruned > 0 && snap.per_shard[1].total_bytes() == 0);
     }
+}
+
+/// A WINDOW merged from four shards allocates its four replies and the
+/// merged answer's growth, and the merge itself nothing: no sort, no
+/// scratch list, no table per merge. The four shards answer 8, 10, 10
+/// and 10 objects. Each reply costs its request frame (two), the scan
+/// handler's growing answer (two or three), the reply frame and the
+/// decoded list: 6 + 7 + 7 + 7. The flight list spills to the heap and
+/// grows once (two). Folding 10, 10 and 10 objects into the first
+/// shard's 8 grows the merged list three times.
+#[test]
+fn a_merged_window_allocates_its_replies_and_the_answers_growth() {
+    let (flat, wide) = (
+        Link::new(server(lattice(), false), &NetConfig::default(), 1.0),
+        fleet(4, 2),
+    );
+    // Across all four strips: every shard answers.
+    let req = Request::Window(Rect::from_coords(5.0, 5.0, 195.0, 25.0));
+    let ids = |link: &Link| {
+        let mut ids: Vec<u32> = link
+            .request(&req)
+            .into_objects()
+            .iter()
+            .map(|o| o.id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    };
+    let merged = ids(&wide);
+    assert_eq!(merged, ids(&flat), "one store's answer, strip by strip");
+    assert_eq!(merged.len(), 2 * 19, "two lattice rows across all strips");
+    let snap = wide.fleet().unwrap().snapshot();
+    assert!(
+        snap.per_shard.iter().all(|s| s.window_queries == 1),
+        "{snap:?}"
+    );
+    assert_eq!(allocations(&wide, &req), 27 + 2 + 3);
 }
 
 #[test]

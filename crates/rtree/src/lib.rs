@@ -1,7 +1,7 @@
 //! # asj-rtree — a from-scratch aggregate R-tree
 //!
 //! The servers in the IPDPS 2006 paper answer `COUNT` queries "fast, by data
-//! structures such as the aR-tree [11]". This crate implements that
+//! structures such as the aR-tree \[11\]". This crate implements that
 //! substrate: a classic Guttman R-tree with
 //!
 //! * **insertion** (least-enlargement descent, R*-style least-overlap
@@ -12,7 +12,7 @@
 //!   so `COUNT(window)` visits only nodes whose MBR straddles the window
 //!   boundary,
 //! * window, ε-range and count queries,
-//! * **level-MBR extraction** — the "one level of MBRs" the SemiJoin [16]
+//! * **level-MBR extraction** — the "one level of MBRs" the SemiJoin \[16\]
 //!   baseline ships between servers.
 //!
 //! The tree is **persistent**: node bodies are immutable and shared by

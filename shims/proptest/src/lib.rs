@@ -3,7 +3,7 @@
 //! Supports the subset this workspace's property suites use: the
 //! [`proptest!`] macro (with an optional `#![proptest_config(...)]`
 //! header), strategies built from ranges / tuples / [`prop_map`] /
-//! [`Just`] / [`any`] / [`prop_oneof!`] / `prop::collection::vec`, and
+//! [`Just`] / `any` / [`prop_oneof!`] / `prop::collection::vec`, and
 //! the `prop_assert*` / [`prop_assume!`] macros.
 //!
 //! Differences from the real crate, deliberately accepted:
