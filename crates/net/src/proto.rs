@@ -295,7 +295,9 @@ impl Response {
                 }
             }
             (Response::Rects(merged), Response::Rects(more)) => merged.extend(more),
-            (Response::Pairs(merged), Response::Pairs(more)) => absorb(merged, more, |&pair| pair),
+            (Response::Pairs(merged), Response::Pairs(more)) => {
+                absorb(merged, more, |&(a, b)| u64::from(a) << 32 | u64::from(b))
+            }
             (merged, non_answer) => {
                 if !merged.is_non_answer() {
                     *merged = non_answer;
@@ -364,43 +366,30 @@ impl Response {
 /// contributor's list is moved in untouched: a store holds a key once. A
 /// further one is appended, and the list is reduced to the first
 /// occurrence of each key, in order: one pass over the concatenation,
-/// each item's key looked up and entered in the thread's [`Seen`] table.
-/// Nothing is sorted, and nothing is allocated but the list's own growth.
-pub(crate) fn absorb<T, K: MergeKey>(merged: &mut Vec<T>, more: Vec<T>, key: impl Fn(&T) -> K) {
+/// each item's key (one-to-one into a `u64`) looked up and entered in the
+/// thread's [`Seen`] table. Nothing is sorted, and nothing is allocated
+/// but the list's own growth.
+pub(crate) fn absorb<T, K: Into<u64>>(merged: &mut Vec<T>, more: Vec<T>, key: impl Fn(&T) -> K) {
     if merged.is_empty() {
         *merged = more;
     } else if !more.is_empty() {
         merged.extend(more);
         let mut seen = SEEN.take();
         seen.clear_for(merged.len());
-        merged.retain(|item| seen.insert(key(item).packed()));
+        merged.retain(|item| seen.insert(key(item).into()));
         SEEN.set(seen);
-    }
-}
-
-/// A key [`absorb`] keeps the first occurrence of: an object id, or a
-/// join pair.
-pub(crate) trait MergeKey: Copy {
-    /// The key as a `u64`, one-to-one.
-    fn packed(self) -> u64;
-}
-
-impl MergeKey for u32 {
-    fn packed(self) -> u64 {
-        u64::from(self)
-    }
-}
-
-impl MergeKey for (u32, u32) {
-    fn packed(self) -> u64 {
-        u64::from(self.0) << 32 | u64::from(self.1)
     }
 }
 
 thread_local! {
     /// The keys one [`absorb`] has met, on this thread: grown to the
     /// largest merge once, never per merge.
-    static SEEN: Cell<Seen> = Cell::new(Seen::default());
+    static SEEN: Cell<Seen> = const {
+        Cell::new(Seen {
+            slots: Vec::new(),
+            stamp: 0,
+        })
+    };
 }
 
 /// An open-addressing set of packed keys, cleared in O(1): a slot holds a
