@@ -15,7 +15,7 @@
 //!   direction (meters record completed exchanges only).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use adhoc_spatial_joins::prelude::*;
 use asj_device::{run_traffic, TrafficConfig};
@@ -139,13 +139,14 @@ fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
 
     const HEALTHY: usize = 4;
     let stop = AtomicBool::new(false);
+    let (round_done, first_round) = mpsc::channel();
     let results: Vec<_> = std::thread::scope(|scope| {
         let attacker = {
             let conn = handle.connect();
             let stop = &stop;
             scope.spawn(move || {
                 let mut sprayed = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     for g in garbage_frames() {
                         let reply = conn.exchange(g);
                         assert_eq!(
@@ -155,10 +156,16 @@ fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
                         );
                         sprayed += 1;
                     }
+                    let _ = round_done.send(());
+                    if stop.load(Ordering::Relaxed) {
+                        return sprayed;
+                    }
                 }
-                sprayed
             })
         };
+        // The healthy clients start once a first round of garbage is in,
+        // so the attacker has sprayed however the threads are scheduled.
+        first_round.recv().expect("the attacker sprays a round");
         let healthy: Vec<_> = (0..HEALTHY)
             .map(|_| {
                 let conn = handle.connect();
@@ -211,20 +218,26 @@ fn garbled_frames_leave_event_loop_joins_pair_identical() {
 
     // …then the same traffic with an attacker spraying both endpoints.
     let stop = AtomicBool::new(false);
+    let (round_done, first_round) = mpsc::channel();
     let contended = std::thread::scope(|scope| {
         let attacker = {
             let (atk_r, atk_s) = (endpoint_r.connect(), endpoint_s.connect());
             let stop = &stop;
-            scope.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    for g in garbage_frames() {
-                        let malformed = codec::encode_response(&Response::Malformed);
-                        assert_eq!(atk_r.exchange(g.clone()), malformed);
-                        assert_eq!(atk_s.exchange(g), malformed);
-                    }
+            scope.spawn(move || loop {
+                for g in garbage_frames() {
+                    let malformed = codec::encode_response(&Response::Malformed);
+                    assert_eq!(atk_r.exchange(g.clone()), malformed);
+                    assert_eq!(atk_s.exchange(g), malformed);
+                }
+                let _ = round_done.send(());
+                if stop.load(Ordering::Relaxed) {
+                    return;
                 }
             })
         };
+        // The traffic starts once a first round of garbage is in, so the
+        // endpoints have gauged some however the threads are scheduled.
+        first_round.recv().expect("the attacker sprays a round");
         let report = run_traffic(&cfg, connect);
         stop.store(true, Ordering::Relaxed);
         attacker.join().unwrap();
