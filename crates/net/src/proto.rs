@@ -377,16 +377,19 @@ pub(crate) fn absorb<T, K: Into<u64>>(merged: &mut Vec<T>, more: Vec<T>, key: im
         let mut seen = SEEN.take();
         seen.clear_for(merged.len());
         merged.retain(|item| seen.insert(key(item).into()));
-        SEEN.set(seen);
+        if seen.slots.len() <= Seen::KEEP {
+            SEEN.set(seen);
+        }
     }
 }
 
 thread_local! {
     /// The keys one [`absorb`] has met, on this thread: grown to the
-    /// largest merge once, never per merge.
+    /// largest merge once, never per merge, up to [`Seen::KEEP`] slots.
     static SEEN: Cell<Seen> = const {
         Cell::new(Seen {
             slots: Vec::new(),
+            span: 0,
             stamp: 0,
         })
     };
@@ -398,16 +401,23 @@ thread_local! {
 struct Seen {
     /// `(stamp, key)`; a power of two of them, or none.
     slots: Vec<(u32, u64)>,
+    /// The slots the current merge probes, from the front: a power of
+    /// two, at least twice its keys. The slots past it keep stale stamps.
+    span: usize,
     stamp: u32,
 }
 
 impl Seen {
+    /// The most slots (4 MiB) a thread keeps between merges: a table
+    /// grown past it by an outlier merge is freed after that merge.
+    const KEEP: usize = 1 << 18;
+
     /// Empties the set for a merge of `n` keys, growing it so that at most
-    /// half its slots fill.
+    /// half its span fills.
     fn clear_for(&mut self, n: usize) {
-        let want = (2 * n).next_power_of_two();
-        if self.slots.len() < want {
-            self.slots = vec![(0, 0); want];
+        self.span = (2 * n).next_power_of_two();
+        if self.slots.len() < self.span {
+            self.slots = vec![(0, 0); self.span];
             self.stamp = 0;
         }
         self.stamp = self.stamp.wrapping_add(1);
@@ -419,10 +429,10 @@ impl Seen {
 
     /// Enters `key`; `false` when it was already in.
     fn insert(&mut self, key: u64) -> bool {
-        let mask = self.slots.len() - 1;
+        let mask = self.span - 1;
         // Fibonacci hashing: the product's top bits, which every bit of
         // the key reaches.
-        let shift = 64 - self.slots.len().trailing_zeros();
+        let shift = 64 - self.span.trailing_zeros();
         let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
         loop {
             let slot = &mut self.slots[at];
@@ -548,6 +558,39 @@ mod tests {
         assert_eq!(merged, [3, 1, 3, 2]);
         absorb(&mut merged, vec![2, 9, 1, 9], |&k| k);
         assert_eq!(merged, [3, 1, 2, 9]);
+    }
+
+    #[test]
+    fn a_merge_probes_only_its_span_and_an_outlier_table_is_freed() {
+        let table = || {
+            let seen = SEEN.take();
+            let shape = (seen.slots.len(), seen.span);
+            SEEN.set(seen);
+            shape
+        };
+        SEEN.take();
+        let big: Vec<u32> = (0..30_000).collect();
+        let mut merged = big.clone();
+        absorb(&mut merged, big.iter().rev().copied().collect(), |&k| k);
+        assert_eq!(merged, big);
+        assert_eq!(table(), (1 << 17, 1 << 17));
+        // A small merge after it probes the table's first 16 slots, past
+        // the stale stamps of the large one, and the table is kept.
+        let mut merged = vec![7u32, 3, 9];
+        absorb(&mut merged, vec![3, 30_005, 7, 11], |&k| k);
+        assert_eq!(merged, [7, 3, 9, 30_005, 11]);
+        assert_eq!(table(), (1 << 17, 16));
+        // An outlier merge grows the table past what a thread keeps: it
+        // is freed after the merge, and the next merge grows a small one.
+        let huge: Vec<u32> = (0..200_000).collect();
+        let mut merged = huge.clone();
+        absorb(&mut merged, vec![199_999, 200_000], |&k| k);
+        assert_eq!(merged.len(), 200_001);
+        assert_eq!(table(), (0, 0));
+        let mut merged = vec![1u32, 2];
+        absorb(&mut merged, vec![2, 1, 5], |&k| k);
+        assert_eq!(merged, [1, 2, 5]);
+        assert_eq!(table(), (16, 16));
     }
 
     /// The sort-based merge the one-pass [`absorb`] replaced, kept as its
