@@ -40,7 +40,7 @@
 //! content generation, and the never-wrong envelope of the chaos suites
 //! survives arbitrary failover orders.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Circuit-breaker knobs of one fleet. Disabled by default: an inert
@@ -123,9 +123,6 @@ struct EdgeState {
 #[derive(Debug, Default)]
 pub struct EdgeHealth {
     state: Mutex<EdgeState>,
-    /// Whether the state holds a failure a success must clear; written
-    /// only under the lock, so a success on a clean edge takes none.
-    failing: AtomicBool,
 }
 
 impl EdgeHealth {
@@ -138,15 +135,9 @@ impl EdgeHealth {
     /// close transition; an Open edge succeeding as a last resort heals
     /// too — the outcome is the evidence, not the state we expected).
     pub fn on_success(&self) {
-        if !self.failing.load(Ordering::Acquire) {
-            // Nothing to clear: a failure racing this success is ordered
-            // after it.
-            return;
-        }
         let mut s = self.state.lock().expect("health lock poisoned");
         s.consecutive = 0;
         s.opened_at = None;
-        self.failing.store(false, Ordering::Release);
     }
 
     /// Records a failed exchange at exchange-clock reading `clock`.
@@ -156,7 +147,6 @@ impl EdgeHealth {
     pub fn on_failure(&self, cfg: &BreakerConfig, clock: u64) -> bool {
         let mut s = self.state.lock().expect("health lock poisoned");
         s.consecutive = s.consecutive.saturating_add(1);
-        self.failing.store(true, Ordering::Release);
         if !cfg.enabled {
             return false;
         }
@@ -219,8 +209,7 @@ pub struct HealthSnapshot {
 
 /// Health of one shard's replica set: one [`EdgeHealth`] per replica plus
 /// the set's exchange clock — a counter of physical tries issued against
-/// the set, the deterministic time base every cooldown is measured on. A
-/// router with breakers off does not tick it: nothing reads it then.
+/// the set, the deterministic time base every cooldown is measured on.
 #[derive(Debug)]
 pub struct ReplicaSetHealth {
     clock: AtomicU64,
