@@ -26,7 +26,7 @@
 //!    Per reached shard this costs one frame, and a spread hash of it
 //!    only where the shard has siblings to spread over; a `WINDOW`,
 //!    `COUNT` or `ε-RANGE` has one probe, so its frame is the request
-//!    itself and nothing is picked;
+//!    itself;
 //! 3. **merges** the responses in shard order by the protocol's *merge*
 //!    law, from the request's empty answer: counts add, object lists and
 //!    pairs keep the first occurrence of each key (a sole contributor's
@@ -624,19 +624,22 @@ impl ShardRouter {
             .sum()
     }
 
-    /// The first half of a scatter-gather: flies to the shards `req`
-    /// reaches, as reads for request `slot` of the batch, and counts the
-    /// rest as pruned, once per request. Every rectangle decision is taken
-    /// on the request's [`wire_exact`] form, returned for the merge.
-    /// `ApplyUpdates` and `Changes` scatter nothing here — both finish in
-    /// [`ShardRouter::merge`]. `bounds` is every shard's, as the batch
-    /// read them.
+    /// The first half of a scatter-gather: flies to every shard, as a read
+    /// for request `slot` of the batch, the cut of `req` to the probes
+    /// whose reach touches the shard's bounds — `req` itself, borrowed,
+    /// where that is all of them — and counts the shards it reaches none
+    /// on as pruned, once per request. A cooperative request is never
+    /// pruned: index structure is global, and a non-cooperative policy
+    /// refusal must propagate from every shard. Every rectangle decision
+    /// is taken on the request's [`wire_exact`] form, returned for the
+    /// merge. `ApplyUpdates` and `Changes` scatter nothing here — both
+    /// finish in [`ShardRouter::merge`]. `bounds` is every shard's, as the
+    /// batch read them.
     ///
-    /// A `WINDOW`, `COUNT` or `ε-RANGE` has one probe and is never
-    /// cooperative: per shard its work is one bounds test against the
-    /// probe's reach and, per reached shard, one frame of the request
-    /// itself, borrowed. A request of many probes takes
-    /// [`ShardRouter::scatter_cuts`].
+    /// Per shard of the fleet its work is one bounds test per probe; per
+    /// reached shard, one frame, and a spread hash of it only where the
+    /// shard has siblings. A `WINDOW`, `COUNT` or `ε-RANGE` has one probe,
+    /// so every shard it reaches is sent the request itself.
     fn scatter<'a>(
         &self,
         slot: usize,
@@ -645,41 +648,9 @@ impl ShardRouter {
         flights: &mut Few<Flight<'a>>,
     ) -> Request {
         let exact = wire_exact(req);
-        match req {
-            Request::ApplyUpdates(_) | Request::Changes { .. } => {}
-            Request::Window(_) | Request::Count(_) | Request::EpsRange { .. } => {
-                let reach = exact.reach(0);
-                let mut pruned = 0;
-                for (shard, bounds) in bounds.iter().enumerate() {
-                    if bounds.is_some_and(|b| b.intersects(&reach)) {
-                        let frame = self.edges[shard][0].frame(Cow::Borrowed(req));
-                        flights.push(self.read_flight(slot, shard, frame));
-                    } else {
-                        pruned += 1;
-                    }
-                }
-                self.note_pruned(pruned);
-            }
-            _ => self.scatter_cuts(slot, req, &exact, bounds, flights),
+        if matches!(req, Request::ApplyUpdates(_) | Request::Changes { .. }) {
+            return exact;
         }
-        exact
-    }
-
-    /// The scatter of a request of many probes: flies to every shard the
-    /// cut of `req` to the probes whose reach touches the shard's bounds
-    /// — `req` itself, borrowed, where that is all of them — and counts
-    /// the shards it reaches none on as pruned. Per shard its work is one
-    /// bounds test per probe. A cooperative request is never pruned: index
-    /// structure is global, and a non-cooperative policy refusal must
-    /// propagate from every shard.
-    fn scatter_cuts<'a>(
-        &self,
-        slot: usize,
-        req: &'a Request,
-        exact: &Request,
-        bounds: &[Option<Rect>],
-        flights: &mut Few<Flight<'a>>,
-    ) {
         let reaches: Few<Rect> = (0..exact.probes()).map(|i| exact.reach(i)).collect();
         let (reaches, cooperative) = (reaches.as_slice(), req.is_cooperative());
         let mut pruned = 0;
@@ -695,31 +666,20 @@ impl ShardRouter {
                 _ => Cow::Owned(exact.cut(picks.as_slice())),
             };
             let frame = self.edges[shard][0].frame(sub);
-            flights.push(Flight {
-                picks,
-                ..self.read_flight(slot, shard, frame)
-            });
+            // Only a shard with siblings hashes the frame: a sole
+            // replica's rotation is itself whatever the hash.
+            let hash = match self.edges[shard].len() {
+                1 => 0,
+                _ => spread_hash(&frame.bytes),
+            };
+            let rotation = self.rotation(shard, hash);
+            let flight = Flight::new(slot, shard, frame, hash, rotation, false);
+            flights.push(Flight { picks, ..flight });
         }
-        self.note_pruned(pruned);
-    }
-
-    /// A read flight of request `slot` to `shard`, its rotation started at
-    /// the frame's spread hash. Only a shard with siblings hashes the
-    /// frame: a sole replica's rotation is itself whatever the hash.
-    fn read_flight<'a>(&self, slot: usize, shard: usize, frame: Frame<'a>) -> Flight<'a> {
-        let hash = match self.edges[shard].len() {
-            1 => 0,
-            _ => spread_hash(&frame.bytes),
-        };
-        let rotation = self.rotation(shard, hash);
-        Flight::new(slot, shard, frame, hash, rotation, false)
-    }
-
-    /// Adds one request's pruned (request, shard) slots to the tally.
-    fn note_pruned(&self, pruned: u64) {
         if pruned > 0 {
             self.telemetry.pruned.fetch_add(pruned, Ordering::Relaxed);
         }
+        exact
     }
 
     /// The second half: `req`'s answer from what its flights (`run`)
@@ -943,8 +903,7 @@ struct Flight<'a> {
     shard: usize,
     frame: Frame<'a>,
     /// The probes of the request this sub-request is the cut to: where
-    /// its reply's buckets merge in. None on a flight whose reply is the
-    /// answer, or on a single-probe read, whose merge places nothing.
+    /// its reply merges in. None on a flight whose reply is the answer.
     picks: Few<usize>,
     /// Request-hash spread key; re-picks the rotation on retry rounds.
     hash: u64,
@@ -2158,7 +2117,7 @@ mod tests {
 
     /// The ε values a single-probe read is drawn with: negative, both
     /// zeros, NaN and a positive one, each exact in `f32`.
-    const LANE_EPS: [f64; 5] = [-3.0, -0.0, 0.0, f64::NAN, 2.5];
+    const READ_EPS: [f64; 5] = [-3.0, -0.0, 0.0, f64::NAN, 2.5];
 
     /// A fleet of `drawn` shards (objects, replica count), every replica
     /// recording the frames it is sent.
@@ -2188,30 +2147,28 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // The single-probe lane reaches what the general path reaches: on
-        // fleets of 1–16 shards, some empty, some replicated, a WINDOW,
+        // A single-probe read reaches exactly the shards its reach meets:
+        // on fleets of 1–16 shards, some empty, some replicated, a WINDOW,
         // COUNT or ε-RANGE (degenerate rectangles; negative, zero and NaN
         // ε) is sent, as its own frame, to exactly the shards whose bounds
         // meet its reach — on the replica its frame's hash picks — and
         // nowhere else. Each replica's meter reads what a flat link to
         // that shard reads after the same request, or nothing; the prune
-        // and scatter tallies are the shards missed and reached. The lane
-        // and the general path (`scatter_cuts`) build the same flights and
-        // prune the same shards.
+        // and scatter tallies are the shards missed and reached.
         #[test]
-        fn the_single_probe_lane_reaches_what_the_general_path_reaches(
+        fn a_single_probe_read_reaches_the_shards_its_reach_meets(
             drawn in prop::collection::vec(
                 (prop::collection::vec(grid_rect(), 0..4), 1usize..=3),
                 1..17,
             ),
             kind in 0usize..3,
             at in grid_rect(),
-            e in 0usize..LANE_EPS.len(),
+            e in 0usize..READ_EPS.len(),
         ) {
             let req = match kind {
                 0 => Request::Window(at),
                 1 => Request::Count(at),
-                _ => Request::EpsRange { q: at, eps: LANE_EPS[e] },
+                _ => Request::EpsRange { q: at, eps: READ_EPS[e] },
             };
             let drawn: Vec<(Vec<SpatialObject>, usize)> = drawn
                 .into_iter()
@@ -2250,19 +2207,6 @@ mod tests {
             let hits = reached.iter().filter(|&&r| r).count() as u64;
             let misses = if sole { 0 } else { drawn.len() as u64 - hits };
             prop_assert_eq!((fleet.scattered, fleet.pruned), (hits, misses));
-
-            let bounds: Vec<Option<Rect>> = router.telemetry.metas.iter().map(|m| m.bounds()).collect();
-            let exact = wire_exact(&req);
-            let (mut lane, mut general) = (Few::new(), Few::new());
-            router.scatter(0, &req, &bounds, &mut lane);
-            let after_lane = router.telemetry().snapshot().pruned;
-            router.scatter_cuts(0, &req, &exact, &bounds, &mut general);
-            let after_general = router.telemetry().snapshot().pruned;
-            prop_assert_eq!(after_lane - fleet.pruned, after_general - after_lane);
-            let key = |f: &Flight| (f.shard, f.frame.bytes.clone(), f.rotation.at(0));
-            let lane: Vec<_> = lane.as_slice().iter().map(key).collect();
-            let general: Vec<_> = general.as_slice().iter().map(key).collect();
-            prop_assert_eq!(lane, general);
         }
     }
 
