@@ -7,42 +7,43 @@
 //! under an ordinary [`Link`](crate::Link) (see the stack in the crate
 //! docs) and every join algorithm works unchanged.
 //!
-//! For each logical request the router
+//! For each logical request of a batch in turn — the next is framed only
+//! once the last is answered, so a batch is exactly its requests issued
+//! one by one, as on a flat link — the router walks the shards in order
+//! and
 //!
 //! 1. **prunes** shards whose advertised bounds cannot contain an answer
 //!    (a shard's bounds cover the full MBRs of all its objects, including
 //!    boundary straddlers, so pruning never loses a result): per shard of
-//!    the fleet, one bounds test per probe against a copy of the bounds
-//!    the batch took without a lock, and one tally of the pruned shards
-//!    per request;
-//! 2. **scatters** to the survivors — the sub-requests of *every*
-//!    request of a batch together, as one round of flights: each flight
-//!    ships its one frame ([`RawExchange::exchange`]) in flight order,
-//!    and no reply is judged before the whole round is issued. Each
-//!    (shard, replica) edge sees its own flights in flight order.
-//!    Each shard receives the *cut* of the request to the probes whose
-//!    *reach* touches its bounds — the request itself when that is all of
-//!    them — both laws of the protocol (`proto.rs`), not of the router.
-//!    Per reached shard this costs one frame, and a spread hash of it
-//!    only where the shard has siblings to spread over; a `WINDOW`,
+//!    the fleet, one bounds test per probe against the bounds as the walk
+//!    reads them, without a lock, and one tally of the pruned shards per
+//!    request;
+//! 2. **settles** the request on each survivor before it frames the next:
+//!    one frame ([`RawExchange::exchange`]) per try, a failed try failing
+//!    over along the shard's replica rotation, then retrying up to the
+//!    budget. Each shard receives the *cut* of the request to the probes
+//!    whose *reach* touches its bounds — the request itself when that is
+//!    all of them — both laws of the protocol (`proto.rs`), not of the
+//!    router. Per reached shard this costs one frame, and a spread hash
+//!    of it only where the shard has siblings to spread over; a `WINDOW`,
 //!    `COUNT` or `ε-RANGE` has one probe, so its frame is the request
 //!    itself;
-//! 3. **merges** the responses in shard order by the protocol's *merge*
-//!    law, from the request's empty answer: counts add, object lists and
-//!    pairs keep the first occurrence of each key (a sole contributor's
-//!    list is the answer as it came), level MBRs concatenate into the
-//!    fleet's forest level, and bucket probes merge position by
-//!    position. Per reached shard that is one fold, and one pass per
-//!    merged object once a second list arrives: no sort;
+//! 3. **merges** each reply as it lands, in shard order, by the
+//!    protocol's *merge* law, from the request's empty answer: counts
+//!    add, object lists and pairs keep the first occurrence of each key
+//!    (a sole contributor's list is the answer as it came), level MBRs
+//!    concatenate into the fleet's forest level, and bucket probes merge
+//!    position by position. Per reached shard that is one fold, and one
+//!    pass per merged object once a second list arrives: no sort;
 //! 4. **meters** every physical exchange — once, at its edge — into a
 //!    per-replica [`LinkMeter`]; the aggregate meter the fronting link
 //!    exposes sums those, and a [`FleetSnapshot`] sums each shard's row:
 //!    reported bytes are the scatter traffic that actually crossed the wire.
 //!
 //! A fleet of **one** edge has nothing to prune and nothing to merge:
-//! the request itself is the one flight, so a 1-shard deployment is
+//! it is sent the request itself, so a 1-shard deployment is
 //! wire-identical to a flat one — the anchor of the differential test
-//! suite — while going through the same flight scheduler as any fleet.
+//! suite — while going through the same settle loop as any fleet.
 //!
 //! **Live updates.** `ApplyUpdates` scatters to *owning* shards
 //! (see `apply_updates`): every shard is contacted on every fleet-level
@@ -63,7 +64,6 @@
 //! policy refusal propagates exactly as it would from a flat server.
 
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -145,12 +145,13 @@ impl ShardMeta {
 
     /// Grows the advertised bounds to cover `r` (union; only-grow), one
     /// coordinate at a time. Sound without a lock: the router grows an
-    /// owner's bounds before any flight of the update ships, and each
-    /// coordinate only moves outward, so a read racing the growth sees a
-    /// rectangle between the old bounds and the new. Pruning by it loses
-    /// nothing the old bounds would not, and the old bounds cover every
-    /// object the shard held before the update: it is a cut that a read
-    /// made just before the growth could see.
+    /// owner's bounds before any frame of the update ships, and each
+    /// coordinate only moves outward, so a read racing the growth — a
+    /// read takes each shard's bounds as its walk reaches the shard —
+    /// sees a rectangle between the old bounds and the new. Pruning by it
+    /// loses nothing the old bounds would not, and the old bounds cover
+    /// every object the shard held before the update: it is a cut that a
+    /// read made just before the growth could see.
     pub fn grow_bounds(&self, r: &Rect) {
         let corners = [r.min.x, r.min.y, r.max.x, r.max.y];
         for (i, (coord, to)) in self.bounds.iter().zip(corners).enumerate() {
@@ -371,12 +372,11 @@ pub struct ShardRouter {
     pub(crate) packet: PacketModel,
     aggregate: Arc<LinkMeter>,
     telemetry: Arc<ShardTelemetry>,
-    /// Retry discipline of the flight scheduler
-    /// ([`NetConfig::retry`]). Failed slots recover **individually**: a
-    /// retried shard never causes healthy shards' replies to be
-    /// re-fetched, and a slot that exhausts its budget surfaces as a
-    /// typed [`Response::Unavailable`] with the shard recorded in
-    /// [`FleetSnapshot::failed_shards`].
+    /// Retry discipline of the settle loop ([`NetConfig::retry`]). Each
+    /// shard fails and recovers **individually**: a retried shard never
+    /// causes healthy shards' replies to be re-fetched, and a shard that
+    /// exhausts its budget surfaces as a typed [`Response::Unavailable`]
+    /// with the shard recorded in [`FleetSnapshot::failed_shards`].
     retry: RetryPolicy,
     /// Partial-result tolerance ([`NetConfig::allow_partial`]): when on,
     /// a read whose entire replica set for some shard is exhausted
@@ -471,30 +471,27 @@ impl ShardRouter {
         }
     }
 
-    /// Issues the current try of every scheduled flight, one frame per
-    /// exchange in flight order, and leaves each reply in its flight for
-    /// [`ShardRouter::resolve`] to judge, ticking each replica set's
+    /// Ships `frame` to one replica of `shard`, ticking the replica set's
     /// exchange clock (the breakers' deterministic cooldown time base)
-    /// once per try while breakers are on.
-    fn issue(&self, flights: &mut [Flight]) {
-        for f in flights.iter_mut().filter(|f| f.scheduled) {
-            let replica = f.rotation.at(f.pos);
-            self.telemetry.health[f.shard].tick();
-            let raw = self.edges[f.shard][replica]
-                .carrier
-                .exchange(f.frame.bytes.clone());
-            f.inflight = Some((replica, raw));
-        }
+    /// once per try.
+    fn ship(&self, shard: usize, replica: usize, frame: &Frame) -> Bytes {
+        self.telemetry.health[shard].tick();
+        self.edges[shard][replica]
+            .carrier
+            .exchange(frame.bytes.clone())
     }
 
-    /// Takes the edge's verdict on one completed exchange: resolves the
-    /// flight on success, records a breaker failure (and leaves the
-    /// flight unresolved, to fail over or retry) otherwise. `true` when a
-    /// reply came back at all: the sub-request was scattered.
-    fn evaluate(&self, f: &mut Flight, replica: usize, raw: Bytes) -> bool {
-        let (resp, generation) = self.edges[f.shard][replica].judge(&f.frame, raw);
-        let crossed = resp != Response::Unavailable;
-        let meta = &self.telemetry.metas[f.shard];
+    /// The verdict on one judged reply from `replica` of `shard`: the
+    /// reply and its generation when it serves, noted as the shard's
+    /// observed generation and as a success on the replica's breaker;
+    /// otherwise the failure it counts as, noted on the breaker.
+    fn evaluate(
+        &self,
+        shard: usize,
+        replica: usize,
+        (resp, generation): (Response, u64),
+    ) -> Result<(Response, u64), Response> {
+        let meta = &self.telemetry.metas[shard];
         // The generation floor: a read reply stamped below the highest
         // generation already observed from this shard came from a
         // lagging replica. Serving it would hand the cache (and the
@@ -505,162 +502,119 @@ impl ShardRouter {
         // edge is authoritative, and flooring it would make reads that
         // race a writer on a shared fleet view reject their own current
         // replies.
-        let stale = self.edges[f.shard].len() > 1
+        let stale = self.edges[shard].len() > 1
             && !matches!(resp, Response::Ack { .. })
             && generation < meta.generation();
         if resp.is_failure() || stale {
-            f.outcome = if stale { Response::Unavailable } else { resp };
-            self.note_edge_failure(f.shard, replica);
-            return crossed;
+            self.note_edge_failure(shard, replica);
+            return Err(if stale { Response::Unavailable } else { resp });
         }
         if generation > 0 {
             meta.note_generation(generation);
         }
-        self.telemetry.health[f.shard].edge(replica).on_success();
-        f.generation = generation;
-        f.result = Some(Landing::Resp(resp));
-        crossed
+        self.telemetry.health[shard].edge(replica).on_success();
+        Ok((resp, generation))
     }
 
-    /// Drives a set of issued flights to resolution — the fleet's retry
-    /// loop, over the same `frame`/`exchange`/`judge` as the edge's own.
-    /// All of a round's tries are issued before any reply is judged, and
-    /// *failed* flights re-issue together in the next round — so the
-    /// breakers and the observed generations see a round's failures
-    /// together, and recovery takes as many rounds as the worst flight. A
-    /// failed try first **fails over** along the flight's rotation
-    /// (siblings cost no retry budget); only once the rotation is
-    /// exhausted does a retry round begin, re-picking the rotation so
-    /// breaker trips observed meanwhile are honored. Observed shard
-    /// generations only ever move through the monotone
-    /// [`ShardMeta::note_generation`] max — and failed attempts never
-    /// note one — so a retried round can never regress the generation
-    /// vector. Each flight fails and recovers *individually* — a healthy
-    /// shard's reply is kept as-is, never re-fetched — and one that
-    /// exhausts its budget lands a typed [`Response::Unavailable`] (or,
-    /// under [`NetConfig::allow_partial`], drops out of the merge)
-    /// with the shard recorded in [`FleetSnapshot::failed_shards`].
-    fn resolve(&self, flights: &mut [Flight]) {
-        // Tallied once per resolve, not once per flight.
-        let mut scattered = 0;
-        loop {
-            for f in flights.iter_mut() {
-                if let Some((replica, raw)) = f.inflight.take() {
-                    f.scheduled = false;
-                    scattered += u64::from(self.evaluate(f, replica, raw));
+    /// Settles `frame` on `shard` — the fleet's retry loop, over the
+    /// edge's own frame / exchange / judge steps. A read tries its
+    /// rotation first (a **failover** to the next sibling costs no retry
+    /// budget); once the rotation is exhausted it re-picks the rotation,
+    /// so breaker trips observed meanwhile are honored, and tries again,
+    /// up to the budget. An update is `pin`ned to one replica and retries
+    /// it in place, starting from the reply `first` already shipped to
+    /// it. Observed shard generations only ever move through the monotone
+    /// [`ShardMeta::note_generation`] max, and failed tries never note
+    /// one, so a retry can never regress the generation vector. A frame
+    /// that exhausts its budget answers its last typed failure, and a
+    /// read that does marks the shard in [`FleetSnapshot::failed_shards`]
+    /// (an update is judged per *batch* in `apply_updates`: a sibling's
+    /// ack can still carry the shard). `scattered` counts the replies
+    /// that came back at all.
+    fn settle(
+        &self,
+        shard: usize,
+        frame: &Frame,
+        hash: u64,
+        pin: Option<usize>,
+        mut first: Option<Bytes>,
+        scattered: &mut u64,
+    ) -> (Response, u64) {
+        let group = &self.edges[shard];
+        let pick = || pin.map_or_else(|| self.rotation(shard, hash), Rotation::only);
+        let mut rotation = pick();
+        // The first-picked replica: abandonment is attributed to it.
+        let primary = rotation.at(0);
+        let mut failure = Response::Unavailable;
+        for attempt in 0..self.retry.max_attempts.max(1) {
+            if attempt > 0 {
+                rotation = pick();
+                group[rotation.at(0)].tally(LinkMeter::record_retry);
+            }
+            for pos in 0..rotation.len {
+                let replica = rotation.at(pos);
+                if pos > 0 {
+                    // Tallied on the edge failed *from*.
+                    group[rotation.at(pos - 1)].tally(LinkMeter::record_failover);
+                }
+                let raw = first
+                    .take()
+                    .unwrap_or_else(|| self.ship(shard, replica, frame));
+                let judged = group[replica].judge(frame, raw);
+                *scattered += u64::from(judged.0 != Response::Unavailable);
+                match self.evaluate(shard, replica, judged) {
+                    Ok(answer) => return answer,
+                    Err(resp) => failure = resp,
                 }
             }
-            let mut unresolved = false;
-            for f in flights.iter_mut() {
-                if f.result.is_some() {
-                    continue;
-                }
-                unresolved = true;
-                let group = &self.edges[f.shard];
-                f.pos += 1;
-                if f.pos < f.rotation.len {
-                    // Failover to the next sibling, before any retry
-                    // budget is consumed (tallied on the edge failed
-                    // *from*).
-                    group[f.rotation.at(f.pos - 1)].tally(LinkMeter::record_failover);
-                    f.scheduled = true;
-                    continue;
-                }
-                f.round += 1;
-                if f.round >= self.retry.max_attempts.max(1) {
-                    if self.retry.enabled() {
-                        group[f.primary].tally(LinkMeter::record_abandon);
-                    }
-                    if !f.pinned {
-                        // The whole replica set is exhausted: the shard
-                        // failed to serve this read. (Pinned update
-                        // flights are judged per *batch* in
-                        // `apply_updates` — a sibling's ack can still
-                        // carry the shard.)
-                        self.telemetry.note_failed(f.shard);
-                    }
-                    f.result = Some(if self.allow_partial && !f.pinned {
-                        // Partial tolerance: the merge proceeds without
-                        // this shard; the hole is recorded, never cached
-                        // as truth (the deployment layer forbids the
-                        // combination with a client cache).
-                        Landing::Skipped
-                    } else {
-                        Landing::Resp(f.outcome.clone())
-                    });
-                    continue;
-                }
-                if !f.pinned {
-                    f.rotation = self.rotation(f.shard, f.hash);
-                }
-                f.pos = 0;
-                group[f.rotation.at(0)].tally(LinkMeter::record_retry);
-                f.scheduled = true;
-            }
-            if !unresolved {
-                break;
-            }
-            self.issue(flights);
         }
-        self.telemetry
-            .scattered
-            .fetch_add(scattered, Ordering::Relaxed);
+        if self.retry.enabled() {
+            group[primary].tally(LinkMeter::record_abandon);
+        }
+        if pin.is_none() {
+            // The whole replica set is exhausted: the shard failed to
+            // serve this read.
+            self.telemetry.note_failed(shard);
+        }
+        (failure, 0)
     }
 
-    /// The fleet generation one request's flights (`run`, at most one
-    /// per shard, in shard order) were served at: per shard, the
-    /// generation its own reply reported or, where it contributed
-    /// nothing, the highest observed from it. One walk of the fleet's
-    /// metas beside the run.
-    fn served_at(&self, run: &[Flight]) -> u64 {
-        let answered = |f: &&Flight| matches!(&f.result, Some(Landing::Resp(r)) if !r.is_failure());
-        let mut stamps = run.iter().filter(answered).peekable();
-        let metas = self.telemetry.metas.iter().enumerate();
-        metas
-            .map(|(shard, meta)| match stamps.next_if(|f| f.shard == shard) {
-                Some(f) => f.generation,
-                None => meta.generation(),
-            })
-            .sum()
-    }
-
-    /// The first half of a scatter-gather: flies to every shard, as a read
-    /// for request `slot` of the batch, the cut of `req` to the probes
-    /// whose reach touches the shard's bounds — `req` itself, borrowed,
-    /// where that is all of them — and counts the shards it reaches none
-    /// on as pruned, once per request. A cooperative request is never
-    /// pruned: index structure is global, and a non-cooperative policy
-    /// refusal must propagate from every shard. Every rectangle decision
-    /// is taken on the request's [`wire_exact`] form, returned for the
-    /// merge. `ApplyUpdates` and `Changes` scatter nothing here — both
-    /// finish in [`ShardRouter::merge`]. `bounds` is every shard's, as the
-    /// batch read them.
+    /// One read, scattered and gathered: walks the shards in order and
+    /// settles on each, from its bounds as the walk reads them, the cut
+    /// of `req` to the probes whose reach touches them — `req` itself,
+    /// borrowed, where that is all of them — merging the reply in at the
+    /// probes it carried ([`Response::merge`]) before the next shard is
+    /// framed. Shards it reaches none on count as pruned, once per
+    /// request. A cooperative request is never pruned: index structure is
+    /// global, and a non-cooperative policy refusal must propagate from
+    /// every shard. Every rectangle decision is taken on the request's
+    /// [`wire_exact`] form.
     ///
     /// Per shard of the fleet its work is one bounds test per probe; per
-    /// reached shard, one frame, and a spread hash of it only where the
-    /// shard has siblings. A `WINDOW`, `COUNT` or `ε-RANGE` has one probe,
-    /// so every shard it reaches is sent the request itself.
-    fn scatter<'a>(
-        &self,
-        slot: usize,
-        req: &'a Request,
-        bounds: &[Option<Rect>],
-        flights: &mut Few<Flight<'a>>,
-    ) -> Request {
+    /// reached shard, one frame, a spread hash of it only where the shard
+    /// has siblings, and one fold: a count adds, a sole contributor's
+    /// list is moved in as it came, and each further one costs one pass
+    /// per merged object, no sort. A `WINDOW`, `COUNT` or `ε-RANGE` has
+    /// one probe, so every shard it reaches is sent the request itself.
+    /// Every sub-reply reaching the merge is of the request's kind or a
+    /// typed non-answer (`Edge::judge` saw to that); the first non-answer
+    /// is the merged answer. It comes back with the fleet generation it
+    /// was served at: per shard, the generation its reply reported or,
+    /// where it contributed nothing, the highest observed from it.
+    fn read(&self, req: &Request, scattered: &mut u64) -> (Response, u64) {
         let exact = wire_exact(req);
-        if matches!(req, Request::ApplyUpdates(_) | Request::Changes { .. }) {
-            return exact;
-        }
         let reaches: Few<Rect> = (0..exact.probes()).map(|i| exact.reach(i)).collect();
         let (reaches, cooperative) = (reaches.as_slice(), req.is_cooperative());
-        let mut pruned = 0;
-        for (shard, bounds) in bounds.iter().enumerate() {
+        let (mut merged, mut served_at, mut pruned) = (req.empty_answer(), 0, 0);
+        for (shard, meta) in self.telemetry.metas.iter().enumerate() {
+            let bounds = meta.bounds();
             let reached = |&i: &usize| bounds.is_some_and(|b| b.intersects(&reaches[i]));
             let picks: Few<usize> = (0..reaches.len()).filter(reached).collect();
             let sub = match picks.as_slice().len() {
                 all if all == reaches.len() => Cow::Borrowed(req),
                 0 if !cooperative => {
                     pruned += 1;
+                    served_at += meta.generation();
                     continue;
                 }
                 _ => Cow::Owned(exact.cut(picks.as_slice())),
@@ -672,40 +626,25 @@ impl ShardRouter {
                 1 => 0,
                 _ => spread_hash(&frame.bytes),
             };
-            let rotation = self.rotation(shard, hash);
-            let flight = Flight::new(slot, shard, frame, hash, rotation, false);
-            flights.push(Flight { picks, ..flight });
+            let (resp, generation) = self.settle(shard, &frame, hash, None, None, scattered);
+            if !resp.is_failure() {
+                served_at += generation;
+            } else {
+                served_at += meta.generation();
+                if self.allow_partial {
+                    // Partial tolerance: the merge proceeds without this
+                    // shard; the hole is recorded, never cached as truth
+                    // (the deployment layer forbids the combination with
+                    // a client cache).
+                    continue;
+                }
+            }
+            merged.merge(resp, picks.as_slice());
         }
         if pruned > 0 {
             self.telemetry.pruned.fetch_add(pruned, Ordering::Relaxed);
         }
-        exact
-    }
-
-    /// The second half: `req`'s answer from what its flights (`run`)
-    /// landed — the empty answer, with each reply merged in shard order at
-    /// the probes its flight carried ([`Response::merge`]). Its work is
-    /// per reached shard, not per shard of the fleet: a count adds, a sole
-    /// contributor's list is moved in as it came, and each further one
-    /// costs one pass per merged object, no sort. Every sub-reply reaching
-    /// a merge is of its request's kind or a typed non-answer
-    /// (`Edge::judge` saw to that); the first non-answer is the merged
-    /// answer.
-    fn merge(&self, req: &Request, run: &mut [Flight]) -> Response {
-        match req {
-            Request::ApplyUpdates(batch) => return self.apply_updates(batch),
-            // The fleet generation is a sum over shards: no shard can be
-            // asked for what changed since it. Refused here, nothing sent.
-            Request::Changes { .. } => return Response::Refused,
-            _ => {}
-        }
-        let mut merged = req.empty_answer();
-        for f in run {
-            if let Some(Landing::Resp(resp)) = f.result.take() {
-                merged.merge(resp, f.picks.as_slice());
-            }
-        }
-        merged
+        (merged, served_at)
     }
 
     /// Scattered `ApplyUpdates`: each insert/move goes to the shard whose
@@ -716,13 +655,15 @@ impl ShardRouter {
     /// shards are contacted on every batch — empty sub-batches included —
     /// so each shard's generation advances exactly once and the summed
     /// fleet generation stays injective in the batch count. The merged
-    /// `Ack` carries that sum.
-    fn apply_updates(&self, batch: &[Update]) -> Response {
+    /// `Ack` carries that sum; a batch that fails carries the fleet
+    /// generation from before it.
+    fn apply_updates(&self, batch: &[Update], scattered: &mut u64) -> (Response, u64) {
         let metas = &self.telemetry.metas;
+        let before = metas.iter().map(|m| m.generation()).sum();
         let cells: Option<Vec<Rect>> = metas.iter().map(|m| m.cell()).collect();
         let Some(cells) = cells else {
             // No declared partition — the router cannot pick owners.
-            return Response::Refused;
+            return (Response::Refused, before);
         };
         let mut subs: Vec<Vec<Update>> = vec![Vec::new(); metas.len()];
         for u in batch {
@@ -743,130 +684,98 @@ impl ShardRouter {
                 });
             }
         }
-        // One pinned flight per replica: every replica of a shard gets
-        // the same tagged bytes (so the dedup envelope collapses duplicate
-        // deliveries) and retries *in place* — an update never fails over.
-        let reqs: Vec<Request> = subs.into_iter().map(Request::ApplyUpdates).collect();
-        let mut flights: Vec<Flight> = Vec::new();
-        for (i, req) in reqs.iter().enumerate() {
-            let frame = self.edges[i][0].frame(Cow::Borrowed(req));
-            for j in 0..self.edges[i].len() {
-                flights.push(Flight::new(0, i, frame.clone(), 0, Rotation::only(j), true));
-            }
+        // One frame per shard, pinned on each of its replicas: every
+        // replica gets the same tagged bytes (so the dedup envelope
+        // collapses duplicate deliveries) and retries *in place* — an
+        // update never fails over. Every (shard, replica) is sent its
+        // first try before any is judged.
+        let frames: Vec<Frame> = (subs.into_iter().enumerate())
+            .map(|(i, sub)| self.edges[i][0].frame(Cow::Owned(Request::ApplyUpdates(sub))))
+            .collect();
+        let mut firsts = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            firsts.extend((0..self.edges[i].len()).map(|j| self.ship(i, j, frame)));
         }
-        self.issue(&mut flights);
-        self.resolve(&mut flights);
+        let mut firsts = firsts.into_iter();
         // The batch is durable on a shard once *any* replica acks (the
         // shard generation fetch-maxes over the replica acks); a replica
         // that stayed dark catches up at its restart hook, and until
         // then the generation floor keeps its stale replies out of
         // reads. Only a shard with **no** acking replica fails the
         // batch, propagating its first typed failure.
-        let mut sum = 0u64;
-        for (i, meta) in metas.iter().enumerate() {
-            let replies = || {
-                let own = flights.iter().filter(|f| f.shard == i);
-                own.filter_map(|f| match &f.result {
-                    Some(Landing::Resp(resp)) => Some(resp),
-                    _ => None,
-                })
-            };
-            let acks = replies().filter_map(|resp| match resp {
+        let replies: Vec<Vec<Response>> = (frames.iter().enumerate())
+            .map(|(i, frame)| {
+                let settle = |j| self.settle(i, frame, 0, Some(j), firsts.next(), scattered);
+                (0..self.edges[i].len())
+                    .map(settle)
+                    .map(|(resp, _)| resp)
+                    .collect()
+            })
+            .collect();
+        let mut sum = 0;
+        for (i, replies) in replies.into_iter().enumerate() {
+            let acks = replies.iter().filter_map(|resp| match resp {
                 Response::Ack { generation } => Some(*generation),
                 _ => None,
             });
             let Some(generation) = acks.max() else {
                 self.telemetry.note_failed(i);
-                return replies().next().expect("every replica replies").clone();
+                return (replies[0].clone(), before);
             };
-            meta.note_generation(generation);
             sum += generation;
         }
-        Response::Ack { generation: sum }
+        (Response::Ack { generation: sum }, sum)
     }
 }
 
 impl Layer for ShardRouter {
-    /// Scatters every request, issues all their flights, resolves them
-    /// through failover and retry, and answers each request in order: a
-    /// merged answer carries the fleet generation its run was served at
-    /// (0 on a frozen fleet), an `Ack` its own.
+    /// Answers each request in turn, as a flat edge does: a read is
+    /// settled shard by shard ([`ShardRouter::read`], each shard's bounds
+    /// read as the walk reaches it) and an update on every replica of
+    /// every shard ([`ShardRouter::apply_updates`]) before the next
+    /// request is framed, so a batch is exactly its requests issued one
+    /// by one. A merged answer carries the fleet generation it was served
+    /// at (0 on a frozen fleet), an `Ack` its own.
     fn call_many(
         &self,
         reqs: &mut dyn Iterator<Item = &Request>,
         reply: &mut dyn FnMut(Response, u64),
     ) {
-        let (mut flights, exact) = if self.edges.len() == 1 && self.edges[0].len() == 1 {
-            // A fleet of one edge has nothing to prune and nothing to
-            // merge: each request itself is one flight, so the sole
-            // shard sees exactly the frames a flat link would send it
-            // and its reply (and the generation it reports) is the
-            // answer — a 1×1 fleet is wire-identical to a flat
-            // deployment while the scheduler still ticks its health,
-            // breaker and retry accounting.
-            let sole = |req| self.edges[0][0].frame(Cow::Borrowed(req));
-            let flights = reqs.map(|req| Flight::new(0, 0, sole(req), 0, Rotation::only(0), false));
-            (flights.collect(), None)
-        } else {
-            // All the requests' pruned sub-requests fly as one set,
-            // request by request and in shard order within each; each
-            // request is then merged from its own run of them. Every
-            // request is scattered against one read of the fleet's
-            // bounds, four atomic loads per shard and no lock: bounds
-            // only grow, so a copy taken at batch start is a cut a racing
-            // read could see (`ShardMeta::grow_bounds`).
-            let mut flights = Few::new();
-            let mut bounds = BOUNDS.take();
-            bounds.extend(self.telemetry.metas.iter().map(|meta| meta.bounds()));
-            let exact: Few<Request> = reqs
-                .enumerate()
-                .map(|(slot, req)| self.scatter(slot, req, &bounds, &mut flights))
-                .collect();
-            bounds.clear();
-            BOUNDS.set(bounds);
-            (flights, Some(exact))
-        };
-        let mut rest = flights.as_mut_slice();
-        self.issue(rest);
-        self.resolve(rest);
-        let Some(exact) = exact else {
-            for f in rest {
-                match f.result.take() {
-                    Some(Landing::Resp(resp)) => reply(resp, f.generation),
-                    _ => reply(f.outcome.clone(), 0),
+        // Tallied once per batch, not once per reply.
+        let mut scattered = 0;
+        let sole = self.edges.len() == 1 && self.edges[0].len() == 1;
+        for req in reqs {
+            let (resp, generation) = match req {
+                // A fleet of one edge has nothing to prune and nothing to
+                // merge: the sole shard is sent each request itself, so
+                // it sees exactly the frames a flat link would send it
+                // and its reply (and the generation it reports) is the
+                // answer — a 1×1 fleet is wire-identical to a flat
+                // deployment while the settle loop still ticks its
+                // health, breaker and retry accounting.
+                _ if sole => {
+                    let frame = self.edges[0][0].frame(Cow::Borrowed(req));
+                    self.settle(0, &frame, 0, None, None, &mut scattered)
                 }
-            }
-            return;
-        };
-        for (slot, req) in exact.as_slice().iter().enumerate() {
-            let own = rest.iter().take_while(|f| f.slot == slot).count();
-            let (run, later) = std::mem::take(&mut rest).split_at_mut(own);
-            rest = later;
-            let generation = self.served_at(run);
-            match self.merge(req, run) {
-                resp @ Response::Ack { generation } => reply(resp, generation),
-                resp => reply(resp, generation),
-            }
+                Request::ApplyUpdates(batch) => self.apply_updates(batch, &mut scattered),
+                // The fleet generation is a sum over shards: no shard can
+                // be asked for what changed since it. Refused here,
+                // nothing sent.
+                Request::Changes { .. } => {
+                    let metas = self.telemetry.metas.iter();
+                    (Response::Refused, metas.map(|m| m.generation()).sum())
+                }
+                _ => self.read(req, &mut scattered),
+            };
+            reply(resp, generation);
         }
+        self.telemetry
+            .scattered
+            .fetch_add(scattered, Ordering::Relaxed);
     }
 }
 
-thread_local! {
-    /// The fleet's bounds as a batch reads them, on this thread: grown to
-    /// the largest fleet once, never per batch.
-    static BOUNDS: Cell<Vec<Option<Rect>>> = const { Cell::new(Vec::new()) };
-}
-
-/// How a resolved flight lands in its round's result set.
-enum Landing {
-    /// A response (success or, on exhaustion, the typed failure of the
-    /// last completed attempt).
-    Resp(Response),
-    /// Dropped from the merge under partial tolerance.
-    Skipped,
-}
-
-/// Replica try order of one flight for one round, inline: a bit per
+/// Replica try order of one frame for one attempt, inline: a bit per
 /// replica in it, tried in index order from the `start`-th, wrapping.
 #[derive(Clone, Copy)]
 struct Rotation {
@@ -876,7 +785,7 @@ struct Rotation {
 }
 
 impl Rotation {
-    /// The rotation of a flight that may only ever try `replica`.
+    /// The rotation of a frame that may only ever try `replica`.
     fn only(replica: usize) -> Self {
         Rotation {
             admitted: 1 << replica,
@@ -892,66 +801,6 @@ impl Rotation {
             from &= from - 1;
         }
         from.trailing_zeros() as usize
-    }
-}
-
-/// One in-progress sub-request: a (shard, frame) pair working its way
-/// through a replica rotation and a retry budget.
-struct Flight<'a> {
-    /// Which logical request of the batch this sub-request belongs to.
-    slot: usize,
-    shard: usize,
-    frame: Frame<'a>,
-    /// The probes of the request this sub-request is the cut to: where
-    /// its reply merges in. None on a flight whose reply is the answer.
-    picks: Few<usize>,
-    /// Request-hash spread key; re-picks the rotation on retry rounds.
-    hash: u64,
-    /// Replica try order for the current round.
-    rotation: Rotation,
-    pos: u32,
-    round: u32,
-    /// Pinned flights (update broadcast) retry one replica in place and
-    /// never fail over.
-    pinned: bool,
-    /// The first-picked replica — abandonment is attributed to it.
-    primary: usize,
-    outcome: Response,
-    /// The serving generation the resolving reply reported.
-    generation: u64,
-    /// The reply to the try issued last, and the replica that sent it,
-    /// until it is judged.
-    inflight: Option<(usize, Bytes)>,
-    scheduled: bool,
-    result: Option<Landing>,
-}
-
-impl<'a> Flight<'a> {
-    fn new(
-        slot: usize,
-        shard: usize,
-        frame: Frame<'a>,
-        hash: u64,
-        rotation: Rotation,
-        pinned: bool,
-    ) -> Self {
-        Flight {
-            slot,
-            shard,
-            frame,
-            picks: Few::new(),
-            hash,
-            primary: rotation.at(0),
-            rotation,
-            pos: 0,
-            round: 0,
-            pinned,
-            outcome: Response::Unavailable,
-            generation: 0,
-            inflight: None,
-            scheduled: true,
-            result: None,
-        }
     }
 }
 

@@ -294,14 +294,12 @@ impl Link {
     /// `ApplyUpdates` ends its run, so no request travels with a write it
     /// was issued after.
     ///
-    /// On a flat or cached link a batch *is* its requests: the edge ships
-    /// and settles each frame, retries included, before the next, so the
-    /// responses, bytes, meter charges and fault rolls are those of
-    /// issuing the requests one by one, under every fault plan. A fleet
-    /// issues a batch's flights round by round (every first try, then
-    /// every failover or retry), so there the same holds for distinct
-    /// requests under drops and garbles with breakers off; a crash window
-    /// or a breaker sees the failures in round order instead.
+    /// On a flat, cached or routed link a batch *is* its requests: the
+    /// edge ships and settles each frame, retries included, before the
+    /// next, and a fleet settles each request on every shard it reaches,
+    /// failovers and retries included, before it frames the next. So the
+    /// responses, bytes, meter charges, fault rolls and breaker trips are
+    /// those of issuing the requests one by one, under every fault plan.
     pub fn request_many(&self, reqs: &[Request], mut reply: impl FnMut(Response)) {
         let mut reply = |resp, generation| {
             self.observe(generation);

@@ -149,9 +149,9 @@ fn a_fleet_exchange_allocates_what_a_flat_one_does() {
 /// scratch list, no table per merge. The four shards answer 8, 10, 10
 /// and 10 objects. Each reply costs its request frame (two), the scan
 /// handler's growing answer (two or three), the reply frame and the
-/// decoded list: 6 + 7 + 7 + 7. The flight list spills to the heap and
-/// grows once (two). Folding 10, 10 and 10 objects into the first
-/// shard's 8 grows the merged list three times.
+/// decoded list: 6 + 7 + 7 + 7. The router settles and merges one shard
+/// at a time, so it keeps no list of them. Folding 10, 10 and 10 objects
+/// into the first shard's 8 grows the merged list three times.
 #[test]
 fn a_merged_window_allocates_its_replies_and_the_answers_growth() {
     let (flat, wide) = (
@@ -178,7 +178,7 @@ fn a_merged_window_allocates_its_replies_and_the_answers_growth() {
         snap.per_shard.iter().all(|s| s.window_queries == 1),
         "{snap:?}"
     );
-    assert_eq!(allocations(&wide, &req), 27 + 2 + 3);
+    assert_eq!(allocations(&wide, &req), 27 + 3);
 }
 
 #[test]

@@ -6,12 +6,10 @@
 //! meter levels conserved.
 //!
 //! And one over *how* the requests are issued: a batch is its requests.
-//! On a flat or cached link, under every fault plan — crash windows
-//! included, and scripts that ask one request twice — `request_many(script)`
-//! hands back what `script.map(request)` returns, in the same order, and
-//! leaves the same meters behind. A fleet issues a batch round by round,
-//! so there the same holds for distinct requests under drops and garbles
-//! with breakers off.
+//! On a flat, cached or routed link, under every fault plan — crash
+//! windows included, and scripts that ask one request twice —
+//! `request_many(script)` hands back what `script.map(request)` returns,
+//! in the same order, and leaves the same meters behind.
 //!
 //! And one over a damaged reply: a frame with a byte behind it is
 //! `Malformed` — charged, retried — never the value in front of the byte.
@@ -342,7 +340,9 @@ proptest! {
 /// attempts — answers otherwise than the same requests one by one: two
 /// COUNTs under a crash window that swallows both attempts of the first,
 /// and three identical COUNTs under heavy drops (the attempt counter is
-/// keyed on the request's bytes).
+/// keyed on the request's bytes). A fleet that shipped a batch's first
+/// tries before it settled any answered the first pair
+/// `[Count(4), Count(4)]` as a batch.
 #[test]
 fn a_batch_is_its_requests_on_the_known_counterexamples() {
     let count = (0, 0, 0, 20);
@@ -356,11 +356,26 @@ fn a_batch_is_its_requests_on_the_known_counterexamples() {
         Response::Unavailable,
         "both attempts fall in the window"
     );
+    let pair = [request(0, count), request(1, (0, 10, 4, 20))];
+    let serial = sole_fleet(crashed, twice);
+    let one_by_one: Vec<Response> = pair.iter().map(|req| serial.request(req)).collect();
+    let mut batched = Vec::new();
+    sole_fleet(crashed, twice).request_many(&pair, |resp| batched.push(resp));
+    let want = [Response::Unavailable, Response::Count(4)];
+    assert_eq!(one_by_one, want, "1x1 fleet, one by one");
+    assert_eq!(batched, want, "1x1 fleet, as a batch");
     let thrice = [count, (8, 0, 0, 0), (8, 0, 0, 0)];
     for seed in 0..200 {
         let lossy = FaultPlan::seeded(seed).with_drops(0.5);
         batch_is_its_requests(&thrice, lossy, tuned(true, false)).unwrap();
     }
+}
+
+/// A fleet of one shard of one replica over the lattice, under `plan`.
+fn sole_fleet(plan: FaultPlan, net: NetConfig) -> Link {
+    let bounds = Rect::union_of(lattice().iter().map(|o| o.mbr));
+    let shard = ShardEndpoint::new(bounds, faulted(lattice(), plan));
+    Link::routed(ShardRouter::new(vec![shard], &net), 1.0)
 }
 
 /// The link configuration of the properties: 3 attempts when
@@ -379,23 +394,13 @@ fn tuned(retrying: bool, v2: bool) -> NetConfig {
 /// when there is none yet).
 ///
 /// A flat or cached link ships and settles each frame before the next,
-/// so under every plan — crash windows and repeated requests included —
-/// its batch must equal its requests exactly: responses, meters,
-/// generations. The one thing a script must not do is make a request
-/// depend on another: a cache answers a request it has already seen from
-/// the earlier reply, so the cached shapes run the script without its
-/// repeated cacheable reads.
-///
-/// A fleet issues a batch round by round — every first try, then every
-/// failover or retry — so a crash window (keyed on a carrier's exchange
-/// count) or a repeated request (the fault layer keys its attempt
-/// counter on a frame's bytes) sees its attempts in another order.
-/// So the fleet shapes run the script without its repeats, under the
-/// plan without its crash window, and there the batch equals its
-/// requests with breakers off; breakers route on the *order*
-/// failures were observed in, so with them the answers and the bytes
-/// must agree only whenever the budget lets every exchange through
-/// (drops only, retry on).
+/// and a fleet settles each request on every shard it reaches before it
+/// frames the next, so under every plan — crash windows and repeated
+/// requests included, breakers on or off — every batch must equal its
+/// requests exactly: responses, meters, generations. The one thing a
+/// script must not do is make a request depend on another: a cache
+/// answers a request it has already seen from the earlier reply, so the
+/// cached shapes run the script without its repeated cacheable reads.
 ///
 /// Updates ride only clean plans (the envelope nonce is per sender, so
 /// fault rolls on tagged frames differ between any two links).
@@ -435,15 +440,6 @@ fn batch_is_its_requests(
         .filter(|(req, repeat)| !(*repeat && cacheable(req)))
         .map(|(req, _)| req.clone())
         .collect();
-    let unique: Vec<Request> = asked
-        .iter()
-        .filter(|(_, repeat)| !repeat)
-        .map(|(req, _)| req.clone())
-        .collect();
-    let steady = FaultPlan {
-        crash: None,
-        ..plan
-    };
     // A store warmed, through a clean link, with the left part of the
     // space: requests inside it hit, the others miss, batches that
     // straddle it hit partially. Reads only, and no window that would
@@ -469,25 +465,21 @@ fn batch_is_its_requests(
             other => other.clone(),
         })
         .collect();
-    let bounds = Rect::union_of(lattice().iter().map(|o| o.mbr));
     let fleet = |breaker: BreakerConfig| {
-        let router = ShardRouter::new(shards_3x2(steady), &net.with_breakers(breaker));
+        let router = ShardRouter::new(shards_3x2(plan), &net.with_breakers(breaker));
         Link::routed(router, 1.0)
     };
-    let lenient = net.retry.enabled() && garbles == 0.0 && drops < 0.2;
-    type Shape<'a> = (&'a str, &'a [Request], Box<dyn Fn() -> Link + 'a>, bool);
+    type Shape<'a> = (&'a str, &'a [Request], Box<dyn Fn() -> Link + 'a>);
     let shapes: Vec<Shape> = vec![
         (
             "flat",
             &script,
             Box::new(|| Link::new(faulted(lattice(), plan), &net, 1.0)),
-            true,
         ),
         (
             "flat, gauged",
             &script,
             Box::new(|| Link::new(faulted_gauged(lattice(), plan), &net, 1.0)),
-            true,
         ),
         (
             "cold cache",
@@ -496,7 +488,6 @@ fn batch_is_its_requests(
                 let store = Arc::new(ClientCache::new(0));
                 Link::cached(CacheLayer::new(faulted(lattice(), plan), &net, store), 1.0)
             }),
-            true,
         ),
         (
             "warm cache",
@@ -507,44 +498,28 @@ fn batch_is_its_requests(
                     1.0,
                 )
             }),
-            true,
         ),
-        (
-            "1x1 fleet",
-            &unique,
-            Box::new(|| {
-                let shard = ShardEndpoint::new(bounds, faulted(lattice(), steady));
-                Link::routed(ShardRouter::new(vec![shard], &net), 1.0)
-            }),
-            true,
-        ),
+        ("1x1 fleet", &script, Box::new(|| sole_fleet(plan, net))),
         (
             "3x2 fleet",
-            &unique,
+            &script,
             Box::new(|| fleet(BreakerConfig::disabled())),
-            true,
         ),
         (
             "3x2 fleet, breakers",
-            &unique,
+            &script,
             Box::new(|| fleet(BreakerConfig::enabled())),
-            false,
         ),
     ];
-    for (shape, script, build, exact) in shapes {
+    for (shape, script, build) in shapes {
         let (serial, batched) = (build(), build());
         let want: Vec<Response> = script.iter().map(|req| serial.request(req)).collect();
         let mut got = Vec::with_capacity(script.len());
         batched.request_many(script, |resp| got.push(resp));
         let (want_meter, got_meter) = (serial.meter().snapshot(), batched.meter().snapshot());
-        if exact {
-            prop_assert_eq!(&got, &want, "{}: responses", shape);
-            prop_assert_eq!(got_meter, want_meter, "{}: link meter", shape);
-            prop_assert_eq!(batched.last_generation(), serial.last_generation());
-        } else if lenient {
-            prop_assert_eq!(&got, &want, "{}: responses", shape);
-            prop_assert_eq!(got_meter.total_bytes(), want_meter.total_bytes());
-        }
+        prop_assert_eq!(&got, &want, "{}: responses", shape);
+        prop_assert_eq!(got_meter, want_meter, "{}: link meter", shape);
+        prop_assert_eq!(batched.last_generation(), serial.last_generation());
         if let Some(cache) = batched.cache() {
             prop_assert_eq!(cache.snapshot(), serial.cache().unwrap().snapshot());
         }
@@ -554,14 +529,12 @@ fn batch_is_its_requests(
             for (shard, replicas) in snap.per_shard.iter().zip(&snap.per_replica) {
                 prop_assert_eq!(*shard, summed(replicas), "{}: shard == Σ replica", shape);
             }
-            if exact {
-                let serial = serial.fleet().unwrap().snapshot();
-                prop_assert_eq!(&snap.per_replica, &serial.per_replica);
-                prop_assert_eq!(
-                    (snap.scattered, snap.pruned),
-                    (serial.scattered, serial.pruned)
-                );
-            }
+            let serial = serial.fleet().unwrap().snapshot();
+            prop_assert_eq!(&snap.per_replica, &serial.per_replica);
+            prop_assert_eq!(
+                (snap.scattered, snap.pruned),
+                (serial.scattered, serial.pruned)
+            );
         }
     }
     Ok(())
