@@ -1,7 +1,7 @@
 //! The list a batch becomes on its way down the stack: usually one item.
 
 /// A growable list whose first item sits inline, so a batch of one — one
-/// plan entry, one flight, one reply — never touches the heap, through
+/// plan entry, one probe's reach, one reply — never touches the heap, through
 /// the same code a batch of many runs.
 pub(crate) enum Few<T> {
     Inline(Option<T>),

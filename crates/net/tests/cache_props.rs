@@ -16,7 +16,9 @@
 //! these properties. Those three bugs are the mutants
 //! `cache-count-decrements-skipped`, `cache-probe-removes-skipped` and
 //! `cache-runs-left-stale` in `tools/mutants/`, which `tools/mutants.py`
-//! re-plants.
+//! re-plants. A batch that carries a read past a write it was issued
+//! after (`link-write-barrier-dropped`) pays an exchange the same
+//! requests one by one do not, which the last test here tells apart.
 
 use std::sync::Arc;
 
@@ -531,4 +533,28 @@ fn a_bump_racing_a_batch_never_mixes_generations() {
     let before = cached.meter().snapshot();
     assert_eq!(cached.request(&low).into_count(), 7);
     assert_eq!(cached.meter().snapshot(), before, "and it is cached at 1");
+}
+
+/// A write ends its batch: a read asked after it in the same
+/// `request_many` is looked up in the store caught up to the write, as
+/// when the two are asked one by one, never answered from the store as
+/// it was before the write and then asked again.
+#[test]
+fn a_read_after_a_write_in_one_batch_is_served_as_one_by_one() {
+    let all = Request::Window(Rect::from_coords(-1.0, -1.0, 9.0, 9.0));
+    let corner = Request::Count(Rect::from_coords(-1.0, -1.0, 1.25, 1.25));
+    let script = [shift(0..2, 2.0), corner];
+    let warm = || {
+        let server = live_server(&lattice());
+        let cached = cached_link(&server, &Arc::new(ClientCache::new(1 << 20)));
+        cached.request(&all);
+        cached
+    };
+    let (serial, batched) = (warm(), warm());
+    let one_by_one: Vec<Response> = script.iter().map(|req| serial.request(req)).collect();
+    let mut together = Vec::new();
+    batched.request_many(&script, |resp| together.push(resp));
+    assert_eq!(one_by_one[1], Response::Count(2), "objects 0 and 1 left");
+    assert_eq!(together, one_by_one);
+    assert_eq!(batched.meter().snapshot(), serial.meter().snapshot());
 }

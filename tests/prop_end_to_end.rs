@@ -304,9 +304,9 @@ impl FaultRun {
 /// * a clean plan answers everything, with nothing retried or failed over;
 /// * one replica never fails over;
 /// * with a retry budget, every unavailable reply was metered abandoned —
-///   exactly once where a request is one flight (a flat deployment),
+///   exactly once where a request is settled once (a flat deployment),
 ///   at least once on the 2×2 fleet, where each shard a request reaches
-///   is a flight of its own.
+///   is settled on its own.
 fn fault_run(case: &FaultCase, budget: u32, replicas: usize) -> Result<FaultRun, TestCaseError> {
     let net = NetConfig::default()
         .with_wire_v2(case.wire_v2)
