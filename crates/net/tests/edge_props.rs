@@ -409,8 +409,7 @@ fn batch_is_its_requests(
     plan: FaultPlan,
     net: NetConfig,
 ) -> Result<(), TestCaseError> {
-    let (drops, garbles) = (plan.drop_rate, plan.garble_rate);
-    let clean = drops == 0.0 && garbles == 0.0;
+    let clean = plan.drop_rate == 0.0 && plan.garble_rate == 0.0;
     // Each request, and whether it repeats an earlier one.
     let mut asked: Vec<(Request, bool)> = Vec::new();
     for (i, &step) in steps.iter().enumerate() {
