@@ -522,10 +522,9 @@ impl ShardRouter {
     /// budget); once the rotation is exhausted it re-picks the rotation,
     /// so breaker trips observed meanwhile are honored, and tries again,
     /// up to the budget. An update is `pin`ned to one replica and retries
-    /// it in place, starting from the reply `first` already shipped to
-    /// it. Observed shard generations only ever move through the monotone
-    /// [`ShardMeta::note_generation`] max, and failed tries never note
-    /// one, so a retry can never regress the generation vector. A frame
+    /// it in place. Observed shard generations only ever move through the
+    /// monotone [`ShardMeta::note_generation`] max, and failed tries never
+    /// note one, so a retry can never regress the generation vector. A frame
     /// that exhausts its budget answers its last typed failure, and a
     /// read that does marks the shard in [`FleetSnapshot::failed_shards`]
     /// (an update is judged per *batch* in `apply_updates`: a sibling's
@@ -537,7 +536,6 @@ impl ShardRouter {
         frame: &Frame,
         hash: u64,
         pin: Option<usize>,
-        mut first: Option<Bytes>,
         scattered: &mut u64,
     ) -> (Response, u64) {
         let group = &self.edges[shard];
@@ -557,10 +555,7 @@ impl ShardRouter {
                     // Tallied on the edge failed *from*.
                     group[rotation.at(pos - 1)].tally(LinkMeter::record_failover);
                 }
-                let raw = first
-                    .take()
-                    .unwrap_or_else(|| self.ship(shard, replica, frame));
-                let judged = group[replica].judge(frame, raw);
+                let judged = group[replica].judge(frame, self.ship(shard, replica, frame));
                 *scattered += u64::from(judged.0 != Response::Unavailable);
                 match self.evaluate(shard, replica, judged) {
                     Ok(answer) => return answer,
@@ -626,7 +621,7 @@ impl ShardRouter {
                 1 => 0,
                 _ => spread_hash(&frame.bytes),
             };
-            let (resp, generation) = self.settle(shard, &frame, hash, None, None, scattered);
+            let (resp, generation) = self.settle(shard, &frame, hash, None, scattered);
             if !resp.is_failure() {
                 served_at += generation;
             } else {
@@ -656,8 +651,13 @@ impl ShardRouter {
     /// so each shard's generation advances exactly once and the summed
     /// fleet generation stays injective in the batch count. The merged
     /// `Ack` carries that sum; a batch that fails carries the fleet
-    /// generation from before it.
-    fn apply_updates(&self, batch: &[Update], scattered: &mut u64) -> (Response, u64) {
+    /// generation from before it. Owners are picked, and bounds grown, on
+    /// the batch's [`wire_exact`] form: the rectangles the shards store,
+    /// which an `f32` rounding may have moved outward.
+    fn apply_updates(&self, req: &Request, scattered: &mut u64) -> (Response, u64) {
+        let Request::ApplyUpdates(batch) = wire_exact(req) else {
+            unreachable!("an update batch rounds to an update batch")
+        };
         let metas = &self.telemetry.metas;
         let before = metas.iter().map(|m| m.generation()).sum();
         let cells: Option<Vec<Rect>> = metas.iter().map(|m| m.cell()).collect();
@@ -666,7 +666,7 @@ impl ShardRouter {
             return (Response::Refused, before);
         };
         let mut subs: Vec<Vec<Update>> = vec![Vec::new(); metas.len()];
-        for u in batch {
+        for u in &batch {
             let placed = match u {
                 Update::Insert(o) => Some((o.id, o.mbr)),
                 Update::Move { id, to } => Some((*id, *to)),
@@ -687,16 +687,10 @@ impl ShardRouter {
         // One frame per shard, pinned on each of its replicas: every
         // replica gets the same tagged bytes (so the dedup envelope
         // collapses duplicate deliveries) and retries *in place* — an
-        // update never fails over. Every (shard, replica) is sent its
-        // first try before any is judged.
+        // update never fails over.
         let frames: Vec<Frame> = (subs.into_iter().enumerate())
             .map(|(i, sub)| self.edges[i][0].frame(Cow::Owned(Request::ApplyUpdates(sub))))
             .collect();
-        let mut firsts = Vec::new();
-        for (i, frame) in frames.iter().enumerate() {
-            firsts.extend((0..self.edges[i].len()).map(|j| self.ship(i, j, frame)));
-        }
-        let mut firsts = firsts.into_iter();
         // The batch is durable on a shard once *any* replica acks (the
         // shard generation fetch-maxes over the replica acks); a replica
         // that stayed dark catches up at its restart hook, and until
@@ -705,7 +699,7 @@ impl ShardRouter {
         // batch, propagating its first typed failure.
         let replies: Vec<Vec<Response>> = (frames.iter().enumerate())
             .map(|(i, frame)| {
-                let settle = |j| self.settle(i, frame, 0, Some(j), firsts.next(), scattered);
+                let settle = |j| self.settle(i, frame, 0, Some(j), scattered);
                 (0..self.edges[i].len())
                     .map(settle)
                     .map(|(resp, _)| resp)
@@ -755,9 +749,9 @@ impl Layer for ShardRouter {
                 // health, breaker and retry accounting.
                 _ if sole => {
                     let frame = self.edges[0][0].frame(Cow::Borrowed(req));
-                    self.settle(0, &frame, 0, None, None, &mut scattered)
+                    self.settle(0, &frame, 0, None, &mut scattered)
                 }
-                Request::ApplyUpdates(batch) => self.apply_updates(batch, &mut scattered),
+                Request::ApplyUpdates(_) => self.apply_updates(req, &mut scattered),
                 // The fleet generation is a sum over shards: no shard can
                 // be asked for what changed since it. Refused here,
                 // nothing sent.
@@ -1227,6 +1221,40 @@ mod tests {
             vec![901],
             "grown bounds keep the straddler reachable"
         );
+    }
+
+    /// An insert whose edge is no `f32`: the shard stores the rounded
+    /// MBR (0.1 rounds up, to 0.100000001…), so the owner's bounds must
+    /// grow to that, or a window starting at the rounded edge prunes the
+    /// shard that holds the object.
+    #[test]
+    fn an_insert_grows_bounds_to_the_rectangle_its_shard_stores() {
+        let shard = |xs: std::ops::Range<u32>, cell: Rect| {
+            let objects: Vec<_> =
+                (xs.map(|x| SpatialObject::point(x, -f64::from(x), 0.0))).collect();
+            let bounds = Rect::union_of(objects.iter().map(|o| o.mbr));
+            ShardEndpoint::with_replicas(
+                Arc::new(ShardMeta::with_cell(bounds, Some(cell))),
+                vec![Box::new(LiveShard::new(objects))],
+            )
+        };
+        let router = ShardRouter::new(
+            vec![
+                shard(1..6, Rect::from_coords(-10.0, -10.0, 50.0, 10.0)),
+                shard(100..110, Rect::from_coords(50.0, -10.0, 110.0, 10.0)),
+            ],
+            &NetConfig::default(),
+        );
+        let edge = SpatialObject::new(900, Rect::from_coords(-1.0, 0.0, 0.1, 0.0));
+        let insert = Request::ApplyUpdates(vec![Update::Insert(edge)]);
+        assert_eq!(
+            roundtrip(&router, &insert).0,
+            Response::Ack { generation: 2 }
+        );
+        let at_edge = Rect::from_coords(0.1, -1.0, 0.1, 1.0);
+        let (resp, _) = roundtrip(&router, &Request::Window(at_edge));
+        let ids: Vec<u32> = resp.into_objects().iter().map(|o| o.id).collect();
+        assert_eq!(ids, [900], "the owner was asked, not pruned");
     }
 
     #[test]
