@@ -42,8 +42,9 @@
 //!
 //! The cache learns that the servers moved on only from what crosses the
 //! link anyway — the `Ack` of an update sent through it, or the stamp of a
-//! reply to a miss ([`ClientCache::note_generation`]). The next batch that
-//! consults the cache then asks **once** what changed
+//! reply to a miss ([`ClientCache::note_generation`]). The next request
+//! that consults the cache — or the miss itself, before its answer is
+//! admitted — then asks **once** what changed
 //! ([`Request::Changes`]) and patches every entry with the ordered
 //! remove/add list it gets back: a window drops the removed id and takes
 //! in an added object that intersects it, an exact count moves by one per
@@ -117,7 +118,6 @@
 //! sizes the codec publishes). Misses, and the `Changes` exchange, are
 //! metered where every exchange is: at the physical edges below.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::Ordering;
@@ -131,7 +131,6 @@ use crate::codec::{
     OBJ_BYTES, QUERY_BYTES,
 };
 use crate::edge::{Edge, Layer};
-use crate::few::Few;
 use crate::meter::{CacheSnapshot, CacheTelemetry, LinkMeter};
 use crate::packet::{NetConfig, PacketModel};
 use crate::proto::{DeltaOp, Request, Response, Update};
@@ -333,7 +332,7 @@ struct CacheState {
     content: u64,
     /// Highest serving generation heard of from the server(s) behind this
     /// cache; ahead of `content` between a bump being heard of and the
-    /// next batch catching up with it.
+    /// next request catching up with it.
     noted: u64,
     /// While `noted` is ahead: an upper bound on the ops of the change
     /// list between the two, kept as long as every bump in between was an
@@ -455,8 +454,8 @@ impl ClientCache {
     }
 
     /// Records an observed serving generation (monotone max). Nothing
-    /// changes hands here: the next batch through a [`CacheLayer`] brings
-    /// the content up to it.
+    /// changes hands here: the next cacheable request through a
+    /// [`CacheLayer`] brings the content up to it.
     pub fn note_generation(&self, generation: u64) {
         // Frozen servers report 0 with every reply: nothing to lock for.
         if generation > 0 {
@@ -786,29 +785,6 @@ impl CacheLayer {
         self.cache.content_generation()
     }
 
-    /// The lookup pass for one request, at the content generation (caught
-    /// up on by the first request of the batch that can use it): the
-    /// cache's answer, if it holds one. Everything but the three cacheable
-    /// kinds (bucket probes, the cooperative extension, writes) always
-    /// ships.
-    fn lookup<'a>(&self, req: &'a Request, generation: &mut Option<u64>) -> Planned<'a> {
-        let mut plan = Planned {
-            req: Cow::Borrowed(req),
-            local: None,
-            shipped: None,
-        };
-        if matches!(
-            req,
-            Request::Count(_) | Request::Window(_) | Request::EpsRange { .. }
-        ) {
-            let at = *generation.get_or_insert_with(|| self.catch_up());
-            let req = wire_exact(req);
-            plan.local = self.held(&req, at);
-            plan.req = Cow::Owned(req);
-        }
-        plan
-    }
-
     /// The cache's answer to a cacheable `req` at `generation`, tallied as
     /// a hit or a miss.
     fn held(&self, req: &Request, generation: u64) -> Option<Response> {
@@ -833,48 +809,22 @@ impl CacheLayer {
         }
     }
 
-    /// Ships, in one batch, whatever the plan still needs from the layer
-    /// below, and notes the serving generation every reply reports into
-    /// the shared store — an acknowledged update's with the most ops its
-    /// batch can have made (a delete removes, an insert or a move may
-    /// remove and add). (A failed exchange reports no generation a healthy
-    /// one has not.)
-    fn ship(&self, plan: &mut [Planned]) {
-        if plan.iter().all(|p| p.ships().is_none()) {
-            return;
-        }
-        let mut replies = Few::new();
-        self.inner.call_many(
-            &mut plan.iter().filter_map(Planned::ships),
-            &mut |resp, generation| replies.push((resp, generation)),
-        );
-        let unanswered = plan.iter_mut().filter(|p| p.ships().is_some());
-        for (p, (resp, generation)) in unanswered.zip(replies) {
-            match (p.ships(), &resp) {
-                (Some(Request::ApplyUpdates(batch)), Response::Ack { .. }) => {
-                    let ops = |u: &Update| if matches!(u, Update::Delete(_)) { 1 } else { 2 };
-                    self.cache
-                        .note_update(generation, batch.iter().map(ops).sum());
-                }
-                _ => self.cache.note_generation(generation),
+    /// Sends `req` to the layer below and notes the serving generation
+    /// its reply reports into the shared store — an acknowledged
+    /// update's with the most ops its batch can have made (a delete
+    /// removes, an insert or a move may remove and add). (A failed
+    /// exchange reports no generation a healthy one has not.)
+    fn forward(&self, req: &Request) -> (Response, u64) {
+        let (resp, generation) = self.inner.call(req);
+        match (req, &resp) {
+            (Request::ApplyUpdates(batch), Response::Ack { .. }) => {
+                let ops = |u: &Update| if matches!(u, Update::Delete(_)) { 1 } else { 2 };
+                self.cache
+                    .note_update(generation, batch.iter().map(ops).sum());
             }
-            p.shipped = Some((resp, generation));
+            _ => self.cache.note_generation(generation),
         }
-    }
-
-    /// The admit pass for one request: its answer and the generation it
-    /// was served at, with authoritative replies admitted to the cache
-    /// (which keeps those served at its content generation) and local
-    /// answers priced as saved bytes, the whole round trip.
-    fn settle(&self, p: &mut Planned, generation: u64) -> (Response, u64) {
-        let Some(answer) = p.local.take() else {
-            let (resp, generation) = p.shipped.take().expect("every miss was shipped");
-            self.admit(&p.req, &resp, generation);
-            return (resp, generation);
-        };
-        self.telemetry
-            .record_saved(self.priced(&p.req, &answer, generation));
-        (answer, generation)
+        (resp, generation)
     }
 
     /// Admits `resp`, an authoritative answer to `req` served at
@@ -893,58 +843,37 @@ impl CacheLayer {
     }
 }
 
-/// One request of a batch between the lookup and the admit pass.
-struct Planned<'a> {
-    /// The request in the form every rectangle decision is taken on:
-    /// [`wire_exact`] for the cacheable kinds, as it came otherwise.
-    req: Cow<'a, Request>,
-    /// The cache's answer; none when it held none.
-    local: Option<Response>,
-    /// What the layer below answered to [`Planned::ships`].
-    shipped: Option<(Response, u64)>,
-}
-
-impl Planned<'_> {
-    /// The request still to be sent below for this entry, if any: the
-    /// request, when the cache held no answer and none came back yet.
-    fn ships(&self) -> Option<&Request> {
-        (self.local.is_none() && self.shipped.is_none()).then_some(&*self.req)
-    }
-}
-
 impl Layer for CacheLayer {
-    /// Catch up → lookup → the misses ride one `call_many` below → admit.
-    /// A local answer is only as current as the generation it was looked
-    /// up at: when a shipped reply reports a different one — an update
-    /// landed in between — the store catches up again and every locally
-    /// answered request is re-asked whole rather than handed back beside
-    /// it. Correctness first; this only costs bytes when an update races
-    /// the batch. (A failure reports generation 0, which is not "the
-    /// servers advanced".)
-    fn call_many(
-        &self,
-        reqs: &mut dyn Iterator<Item = &Request>,
-        reply: &mut dyn FnMut(Response, u64),
-    ) {
-        let mut caught_up = None;
-        let mut plan: Few<Planned> = reqs.map(|req| self.lookup(req, &mut caught_up)).collect();
-        let plan_mut = plan.as_mut_slice();
-        self.ship(plan_mut);
-        // A batch with nothing cacheable in it looked nothing up, and has
-        // nothing to be current with.
-        let generation = caught_up.unwrap_or_default();
-        let advanced = |p: &Planned| matches!(&p.shipped, Some((resp, g)) if !resp.is_failure() && *g != generation);
-        if caught_up.is_some() && plan_mut.iter().any(advanced) {
+    /// A cacheable request (`COUNT`, `WINDOW`, `ε-RANGE`) catches up,
+    /// takes its [`wire_exact`] form — the one every rectangle decision
+    /// is taken on — and looks up at the content generation: a hit is
+    /// priced as saved bytes, the whole round trip, and answered at that
+    /// generation. A miss is forwarded; when its reply reports another
+    /// generation than the lookup's — an update landed in between — the
+    /// store catches up before the answer is admitted, so it is stored
+    /// only if it was served at the content generation. (A failure
+    /// reports generation 0, which is not "the servers advanced".)
+    /// Everything else — bucket probes, the cooperative extension,
+    /// writes — is forwarded as it came.
+    fn call(&self, req: &Request) -> (Response, u64) {
+        if !matches!(
+            req,
+            Request::Count(_) | Request::Window(_) | Request::EpsRange { .. }
+        ) {
+            return self.forward(req);
+        }
+        let at = self.catch_up();
+        let req = wire_exact(req);
+        if let Some(answer) = self.held(&req, at) {
+            self.telemetry.record_saved(self.priced(&req, &answer, at));
+            return (answer, at);
+        }
+        let (resp, generation) = self.forward(&req);
+        if !resp.is_failure() && generation != at {
             self.catch_up();
-            for p in plan_mut.iter_mut().filter(|p| p.local.is_some()) {
-                (p.local, p.shipped) = (None, None);
-            }
-            self.ship(plan_mut);
         }
-        for p in plan_mut {
-            let (resp, generation) = self.settle(p, generation);
-            reply(resp, generation);
-        }
+        self.admit(&req, &resp, generation);
+        (resp, generation)
     }
 }
 
@@ -1016,7 +945,7 @@ mod tests {
         assert!(store.window(&w(1.0, 1.0, 2.0, 2.0), 0).is_some());
         assert_eq!(store.eps_range(&origin, 1.0, 0).map(|v| v.len()), Some(2));
         // The servers are heard to advance: the content stays at 0 until a
-        // batch catches up, and matches no lookup at the new generation.
+        // request catches up, and matches no lookup at the new generation.
         store.note_generation(3);
         assert_eq!((store.generation(), store.content_generation()), (3, 0));
         assert_eq!(store.count(&big, 3), None, "stale count must not serve");
@@ -1477,15 +1406,17 @@ mod tests {
         server.exchange(encode_request(&delete(0)));
         assert_eq!(link.request(&Request::Count(big)).into_count(), 16);
         assert_eq!(link.last_generation(), 0);
-        // A batch with a miss in it hears the stamp: the store catches up
-        // and the whole batch answers at generation 1.
+        // A batch is its requests: `big` hits at generation 0, and the
+        // miss `corner` hears the stamp, so the store catches up before
+        // it admits the answer served at generation 1.
         let mut counts = Vec::new();
         link.request_many(&[Request::Count(big), Request::Count(corner)], |resp| {
             counts.push(resp.into_count())
         });
-        assert_eq!(counts, [15, 3]);
+        assert_eq!(counts, [16, 3]);
         assert_eq!(link.last_generation(), 1);
-        // The probe answer was never re-sent: it was patched.
+        // The catch-up the miss bought patched the probe answer: it is
+        // never re-sent.
         let before = link.meter().snapshot();
         assert_eq!(link.request(&probe).into_objects().len(), 2);
         assert_eq!(link.meter().snapshot(), before);
@@ -1524,10 +1455,10 @@ mod tests {
     }
 
     #[test]
-    fn an_update_between_a_batchs_hits_and_misses_never_mixes_generations() {
+    fn an_update_between_a_batchs_hit_and_miss_answers_each_at_its_own_generation() {
         /// A live server whose object 0 is deleted (generation 0 → 1)
         /// right before it serves the next request, once armed — i.e.
-        /// between a batch's lookup pass and its forwarded misses.
+        /// between a batch's hit and its miss.
         struct Racing {
             armed: Arc<AtomicU64>,
             generation: AtomicU64,
@@ -1563,13 +1494,15 @@ mod tests {
         link.request_many(&[Request::Count(big), Request::Count(corner)], |resp| {
             counts.push(resp.into_count())
         });
-        // `big` was a local hit at gen 0 (16), `corner` a miss answered at
-        // gen 1 (3): handing back [16, 3] would mix generations.
-        assert_eq!(counts, [15, 3], "the whole batch answers at gen 1");
-        assert_eq!(link.last_generation(), 1);
-        // The re-asked answer was admitted at the new generation.
+        // A batch is its requests: `big` is a local hit at gen 0 (16),
+        // `corner` a miss answered at gen 1 (3), each at the generation
+        // the link reports for it.
+        assert_eq!(counts, [16, 3]);
+        assert_eq!(link.generations(), (0, 1));
+        // The miss was admitted at the new generation (this server
+        // refuses `Changes`, so catching up purged `big`).
         let before = link.meter().snapshot();
-        assert_eq!(link.request(&Request::Count(big)).into_count(), 15);
+        assert_eq!(link.request(&Request::Count(corner)).into_count(), 3);
         assert_eq!(link.meter().snapshot(), before);
     }
 
@@ -1915,7 +1848,7 @@ mod tests {
         let cached = Link::cached(layer, 1.0);
         let a = w(0.0, 0.0, 2.0, 2.0);
         let b = w(5.0, 5.0, 9.0, 9.0);
-        cached.request(&Request::Count(a)); // prime a: the next batch is a partial hit
+        cached.request(&Request::Count(a)); // prime a: the next batch hits, then misses
         knob.store(u64::MAX, Ordering::SeqCst);
         // Retries are off: the garbled reply to the miss must degrade
         // typed, in its place beside the hit.
@@ -1957,8 +1890,8 @@ mod tests {
         // A live server at generation 1 behind a switch that kills the
         // edge: the exhausted miss of a partially hit batch reports
         // generation 0, which must read as a failure, not as "the
-        // servers advanced" (that re-asked the full batch and spent a
-        // second retry budget).
+        // servers advanced" (that would buy a catch-up over the dead
+        // edge and spend a second retry budget).
         struct Switch(Arc<AtomicU64>);
         impl RawExchange for Switch {
             fn exchange(&self, raw: Bytes) -> Bytes {

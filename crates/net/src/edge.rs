@@ -6,10 +6,9 @@
 //! and a reply becomes a [`Response`] again: [`Edge::frame`] versions and
 //! tags, the carrier's [`RawExchange::exchange`] ships one frame,
 //! [`Edge::judge`] charges and classifies, and the edge's own
-//! [`Layer::call_many`] frames, ships and settles each request of a batch
-//! in turn — retries included — before it frames the next. So a batch
-//! through an edge is exactly its requests issued one by one. Everything
-//! above speaks [`Layer::call_many`].
+//! [`Layer::call`] frames, ships and settles one request, retries
+//! included. Everything above speaks [`Layer::call`], one request at a
+//! time.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,25 +33,10 @@ static EDGE_NONCE: AtomicU64 = AtomicU64::new(1);
 /// The typed seam of the link stack: `Link`, `CacheLayer` and
 /// `ShardRouter` hand each other requests and responses, never frames.
 pub(crate) trait Layer: Send + Sync {
-    /// Answers independent logical requests together — a single request
-    /// is a batch of one. `reply` receives one answer per request, in
-    /// request order: the response, and the serving generation it
-    /// reports (an `Ack`'s payload, otherwise the reply's stamp; 0 from a
-    /// frozen server or a failed exchange).
-    fn call_many(
-        &self,
-        reqs: &mut dyn Iterator<Item = &Request>,
-        reply: &mut dyn FnMut(Response, u64),
-    );
-
-    /// Answers one logical request.
-    fn call(&self, req: &Request) -> (Response, u64) {
-        let mut out = None;
-        self.call_many(&mut std::iter::once(req), &mut |resp, generation| {
-            out = Some((resp, generation))
-        });
-        out.expect("every request is answered")
-    }
+    /// Answers one logical request: the response, and the serving
+    /// generation it reports (an `Ack`'s payload, otherwise the reply's
+    /// stamp; 0 from a frozen server or a failed exchange).
+    fn call(&self, req: &Request) -> (Response, u64);
 }
 
 /// One request framed for an edge: the bytes every attempt ships and
@@ -182,20 +166,12 @@ impl Edge {
 }
 
 impl Layer for Edge {
-    /// Frames, ships and settles each request in turn: a request's
-    /// retries are spent before the next request is framed, so the fault
-    /// layer below admits a batch's frames in exactly the order the same
-    /// requests issued one by one would have.
-    fn call_many(
-        &self,
-        reqs: &mut dyn Iterator<Item = &Request>,
-        reply: &mut dyn FnMut(Response, u64),
-    ) {
-        for req in reqs {
-            let frame = self.frame(Cow::Borrowed(req));
-            let raw = self.carrier.exchange(frame.bytes.clone());
-            let (resp, generation) = self.settle(&frame, raw);
-            reply(resp, generation);
-        }
+    /// Frames, ships and settles `req`: its retries are spent before the
+    /// call returns, so the fault layer below admits the frames of
+    /// requests issued in turn in the order they were issued.
+    fn call(&self, req: &Request) -> (Response, u64) {
+        let frame = self.frame(Cow::Borrowed(req));
+        let raw = self.carrier.exchange(frame.bytes.clone());
+        self.settle(&frame, raw)
     }
 }

@@ -1,8 +1,9 @@
-//! The list a batch becomes on its way down the stack: usually one item.
+//! The list a request's probes become on their way through the router:
+//! usually one item.
 
-/// A growable list whose first item sits inline, so a batch of one — one
-/// plan entry, one probe's reach, one reply — never touches the heap, through
-/// the same code a batch of many runs.
+/// A growable list whose first item sits inline, so a list of one — one
+/// probe's reach, one pick of probes for a shard — never touches the
+/// heap, through the same code a list of many runs.
 pub(crate) enum Few<T> {
     Inline(Option<T>),
     Heap(Vec<T>),
@@ -29,13 +30,6 @@ impl<T> Few<T> {
             Few::Heap(items) => items,
         }
     }
-
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
-        match self {
-            Few::Inline(slot) => slot.as_mut_slice(),
-            Few::Heap(items) => items,
-        }
-    }
 }
 
 impl<T> FromIterator<T> for Few<T> {
@@ -50,19 +44,6 @@ impl<T> FromIterator<T> for Few<T> {
     }
 }
 
-impl<T> IntoIterator for Few<T> {
-    type Item = T;
-    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        let (first, rest) = match self {
-            Few::Inline(slot) => (slot, Vec::new()),
-            Few::Heap(items) => (None, items),
-        };
-        first.into_iter().chain(rest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,15 +51,13 @@ mod tests {
     #[test]
     fn grows_from_inline_to_heap_keeping_order() {
         let mut few = Few::new();
-        assert!(few.as_mut_slice().is_empty());
+        assert!(few.as_slice().is_empty());
         few.push(1);
         assert!(matches!(few, Few::Inline(Some(1))));
-        few.as_mut_slice()[0] = 7;
         few.push(2);
         few.push(3);
-        assert_eq!(few.as_mut_slice(), [7, 2, 3]);
-        assert_eq!(few.into_iter().collect::<Vec<_>>(), [7, 2, 3]);
+        assert_eq!(few.as_slice(), [1, 2, 3]);
         let one: Few<u8> = std::iter::once(9).collect();
-        assert_eq!(one.into_iter().collect::<Vec<_>>(), [9]);
+        assert_eq!(one.as_slice(), [9]);
     }
 }

@@ -56,33 +56,32 @@
 //! Link → [CacheLayer] → [ShardRouter] → Edge → [FaultLayer] → carrier
 //! ```
 //!
-//! One rule: **independent requests travel together; bytes still exist
-//! only below the edge.** `Link`, `CacheLayer` and `ShardRouter` hand
-//! each other *batches* of typed requests and get one
-//! `(response, serving generation)` pair back per request, in request
-//! order ([`Link::request_many`]; a single [`Link::request`] is a batch
-//! of one — there is no second path). The cache answers what it can and
-//! lets the misses ride one batch; the router settles each request on
-//! the shards it reaches before it frames the next. Below that, a carrier
-//! ships one frame per exchange ([`RawExchange::exchange`]) and serves it
-//! at the call, on the calling thread. The physical edge (`edge.rs`) is
-//! who frames (wire version, dedup envelope), meters, judges a reply
-//! ok / `Unavailable` / `Malformed` and retries — once per physical
-//! exchange, in one copy. A flat link has one edge, which frames, ships
-//! and settles each request of a batch, retries included, before the
-//! next; a fleet has one per replica, driven by the router's settle loop
-//! through the same frame / exchange / judge steps, request by request.
+//! One rule: **every layer answers one request; bytes still exist only
+//! below the edge.** `Link`, `CacheLayer` and `ShardRouter` hand each
+//! other one typed request at a time and get one `(response, serving
+//! generation)` pair back ([`Link::request`]; a batch,
+//! [`Link::request_many`], is its requests issued in turn — there is no
+//! second path). The cache answers what it holds and forwards the rest;
+//! the router settles a request on every shard it reaches. Below that, a
+//! carrier ships one frame per exchange ([`RawExchange::exchange`]) and
+//! serves it at the call, on the calling thread. The physical edge
+//! (`edge.rs`) is who frames (wire version, dedup envelope), meters,
+//! judges a reply ok / `Unavailable` / `Malformed` and retries — once
+//! per physical exchange, in one copy. A flat link has one edge, which
+//! frames, ships and settles a request, retries included; a fleet has
+//! one per replica, driven by the router's settle loop through the same
+//! frame / exchange / judge steps.
 //! Every layer is built whole from the deployment's [`NetConfig`]
 //! — the packet model, the wire version, the retry discipline, and for
 //! a router its breakers and partial-result tolerance — so every edge
 //! speaks its deployment's version from its first frame and nothing is
 //! set on a layer after it is built.
 //!
-//! A flat, cached or routed link's batch is its requests under every
+//! So a flat, cached or routed link's batch is its requests under every
 //! fault plan, breakers on or off: same frames in the same order, same
-//! fault rolls, same bytes. And above the edge a request allocates its
-//! frames and its answer, nothing else (`tests/alloc_budget.rs` pins
-//! it).
+//! fault rolls, same bytes, same cache hits. And above the edge a
+//! request allocates its frames and its answer, nothing else
+//! (`tests/alloc_budget.rs` pins it).
 
 pub mod cache;
 pub mod codec;

@@ -7,10 +7,8 @@
 //! under an ordinary [`Link`](crate::Link) (see the stack in the crate
 //! docs) and every join algorithm works unchanged.
 //!
-//! For each logical request of a batch in turn — the next is framed only
-//! once the last is answered, so a batch is exactly its requests issued
-//! one by one, as on a flat link — the router walks the shards in order
-//! and
+//! For each logical request — answered whole before the call returns,
+//! as on a flat link — the router walks the shards in order and
 //!
 //! 1. **prunes** shards whose advertised bounds cannot contain an answer
 //!    (a shard's bounds cover the full MBRs of all its objects, including
@@ -723,49 +721,43 @@ impl ShardRouter {
 }
 
 impl Layer for ShardRouter {
-    /// Answers each request in turn, as a flat edge does: a read is
-    /// settled shard by shard ([`ShardRouter::read`], each shard's bounds
-    /// read as the walk reaches it) and an update on every replica of
-    /// every shard ([`ShardRouter::apply_updates`]) before the next
-    /// request is framed, so a batch is exactly its requests issued one
-    /// by one. A merged answer carries the fleet generation it was served
-    /// at (0 on a frozen fleet), an `Ack` its own.
-    fn call_many(
-        &self,
-        reqs: &mut dyn Iterator<Item = &Request>,
-        reply: &mut dyn FnMut(Response, u64),
-    ) {
-        // Tallied once per batch, not once per reply.
+    /// Answers one request, as a flat edge does: a read is settled shard
+    /// by shard ([`ShardRouter::read`], each shard's bounds read as the
+    /// walk reaches it) and an update on every replica of every shard
+    /// ([`ShardRouter::apply_updates`]) before the call returns. A merged
+    /// answer carries the fleet generation it was served at (0 on a
+    /// frozen fleet), an `Ack` its own.
+    fn call(&self, req: &Request) -> (Response, u64) {
+        // Tallied once per request, not once per shard.
         let mut scattered = 0;
         let sole = self.edges.len() == 1 && self.edges[0].len() == 1;
-        for req in reqs {
-            let (resp, generation) = match req {
-                // A fleet of one edge has nothing to prune and nothing to
-                // merge: the sole shard is sent each request itself, so
-                // it sees exactly the frames a flat link would send it
-                // and its reply (and the generation it reports) is the
-                // answer — a 1×1 fleet is wire-identical to a flat
-                // deployment while the settle loop still ticks its
-                // health, breaker and retry accounting.
-                _ if sole => {
-                    let frame = self.edges[0][0].frame(Cow::Borrowed(req));
-                    self.settle(0, &frame, 0, None, &mut scattered)
-                }
-                Request::ApplyUpdates(_) => self.apply_updates(req, &mut scattered),
-                // The fleet generation is a sum over shards: no shard can
-                // be asked for what changed since it. Refused here,
-                // nothing sent.
-                Request::Changes { .. } => {
-                    let metas = self.telemetry.metas.iter();
-                    (Response::Refused, metas.map(|m| m.generation()).sum())
-                }
-                _ => self.read(req, &mut scattered),
-            };
-            reply(resp, generation);
+        let answer = match req {
+            // A fleet of one edge has nothing to prune and nothing to
+            // merge: the sole shard is sent the request itself, so it
+            // sees exactly the frames a flat link would send it and its
+            // reply (and the generation it reports) is the answer — a
+            // 1×1 fleet is wire-identical to a flat deployment while the
+            // settle loop still ticks its health, breaker and retry
+            // accounting.
+            _ if sole => {
+                let frame = self.edges[0][0].frame(Cow::Borrowed(req));
+                self.settle(0, &frame, 0, None, &mut scattered)
+            }
+            Request::ApplyUpdates(_) => self.apply_updates(req, &mut scattered),
+            // The fleet generation is a sum over shards: no shard can be
+            // asked for what changed since it. Refused here, nothing sent.
+            Request::Changes { .. } => {
+                let metas = self.telemetry.metas.iter();
+                (Response::Refused, metas.map(|m| m.generation()).sum())
+            }
+            _ => self.read(req, &mut scattered),
+        };
+        if scattered > 0 {
+            self.telemetry
+                .scattered
+                .fetch_add(scattered, Ordering::Relaxed);
         }
-        self.telemetry
-            .scattered
-            .fetch_add(scattered, Ordering::Relaxed);
+        answer
     }
 }
 

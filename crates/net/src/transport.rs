@@ -15,10 +15,9 @@
 //! a server that goes dark is a [`FaultLayer`](crate::FaultLayer)'s crash
 //! window, not a property of the carrier.
 //!
-//! A carrier ships one frame per call ([`RawExchange::exchange`]).
-//! Independent requests may be handed down the typed stack as one batch
-//! ([`Link::request_many`]), but every frame of it still crosses the
-//! carrier on its own, answered before the next one is shipped.
+//! A carrier ships one frame per call ([`RawExchange::exchange`]), and
+//! the typed stack above it answers one request per call: a batch
+//! ([`Link::request_many`]) is its requests issued in turn.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -187,11 +186,6 @@ impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
     }
 }
 
-/// A write ends a run of a batch: nothing issued after it travels with it.
-fn is_write(req: &Request) -> bool {
-    matches!(req, Request::ApplyUpdates(_))
-}
-
 /// The device's metered handle to one server (or one fleet of shard
 /// servers behind a [`ShardRouter`](crate::router::ShardRouter)): the top
 /// of the link stack described in the crate docs.
@@ -275,38 +269,26 @@ impl Link {
     /// Issues one RPC. Takes the request by reference — framing a
     /// request never requires surrendering (or cloning) its payload.
     /// A failed exchange surfaces typed, as [`Response::Unavailable`] or
-    /// [`Response::Malformed`], after any retry budget is spent.
+    /// [`Response::Malformed`], after any retry budget is spent. The
+    /// reply's serving generation widens the link's window
+    /// ([`Link::generations`]).
     pub fn request(&self, req: &Request) -> Response {
-        let mut answer = None;
-        self.request_many(std::slice::from_ref(req), |resp| answer = Some(resp));
-        answer.expect("every request is answered")
-    }
-
-    /// Widens the generation window by one reply's serving generation.
-    fn observe(&self, generation: u64) {
+        let (resp, generation) = self.stack.call(req);
         self.last_generation.fetch_max(generation, Ordering::AcqRel);
         self.first_generation
             .fetch_min(generation, Ordering::AcqRel);
+        resp
     }
 
-    /// Issues independent requests together: `reply` receives exactly
-    /// one response per request, in request order. A write is a barrier:
-    /// `ApplyUpdates` ends its run, so no request travels with a write it
-    /// was issued after.
-    ///
-    /// On a flat, cached or routed link a batch *is* its requests: the
-    /// edge ships and settles each frame, retries included, before the
-    /// next, and a fleet settles each request on every shard it reaches,
-    /// failovers and retries included, before it frames the next. So the
-    /// responses, bytes, meter charges, fault rolls and breaker trips are
-    /// those of issuing the requests one by one, under every fault plan.
+    /// Issues `reqs` in turn: `reply` receives exactly one response per
+    /// request, in request order, each before the next request is issued.
+    /// So on a flat, cached or routed link a batch *is* its requests —
+    /// responses, bytes, meter charges, cache hits, fault rolls and
+    /// breaker trips — under every fault plan, and a read issued after a
+    /// write is served after it.
     pub fn request_many(&self, reqs: &[Request], mut reply: impl FnMut(Response)) {
-        let mut reply = |resp, generation| {
-            self.observe(generation);
-            reply(resp);
-        };
-        for run in reqs.split_inclusive(is_write) {
-            self.stack.call_many(&mut run.iter(), &mut reply);
+        for req in reqs {
+            reply(self.request(req));
         }
     }
 

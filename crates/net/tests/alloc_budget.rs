@@ -10,8 +10,8 @@
 //! on allocate exactly as often as through a flat link; so do they
 //! through a 1 × 1 fleet; a WINDOW all four shards answer allocates
 //! their replies and the merged answer's growth, and its merge nothing;
-//! a cache hit allocates nothing for a COUNT and
-//! only its answer for a WINDOW or an ε-RANGE, whether a cached window
+//! a cache hit allocates nothing for a COUNT, nor does a batch of COUNT
+//! hits, and only its answer for a WINDOW or an ε-RANGE, whether a cached window
 //! contains the probe or the probe tier holds it. A flat exchange costs
 //! the same whatever its answer's size, in either wire version: the
 //! server streams into a reused buffer and ships one copy. A lying count
@@ -67,15 +67,22 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Heap allocations `link.request(req)` makes, after a warm-up that lets
+/// Heap allocations one call of `ask` makes, after a warm-up that lets
 /// every lazily grown structure below reach its size.
-fn allocations(link: &Link, req: &Request) -> u64 {
+fn allocations_of(ask: impl Fn()) -> u64 {
     for _ in 0..8 {
-        std::hint::black_box(link.request(req));
+        ask();
     }
     let before = ALLOCATIONS.with(Cell::get);
-    std::hint::black_box(link.request(req));
+    ask();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Heap allocations `link.request(req)` makes, after the warm-up.
+fn allocations(link: &Link, req: &Request) -> u64 {
+    allocations_of(|| {
+        std::hint::black_box(link.request(req));
+    })
 }
 
 /// 400 points on a 20 × 20 lattice over `[0, 200)²`.
@@ -191,6 +198,17 @@ fn a_cache_hit_allocates_only_its_answer() {
     // Warm: the window download answers both from here on.
     cached.request(&window);
     assert_eq!(allocations(&cached, &count), 0, "COUNT hit");
+    // The four quadrant COUNTs of the window held, as one batch: each is
+    // issued in turn, so there is no batch to plan and nothing to hold.
+    let quadrants = Rect::from_coords(5.0, 5.0, 25.0, 25.0)
+        .quadrants()
+        .map(Request::Count);
+    let batch = allocations_of(|| {
+        cached.request_many(&quadrants, |resp| {
+            std::hint::black_box(resp);
+        })
+    });
+    assert_eq!(batch, 0, "a batch of COUNT hits");
     // The four objects of the answer, in one `Vec`; nothing else.
     assert_eq!(allocations(&cached, &window), 1, "WINDOW hit");
     // An ε-RANGE: derived from the window, and — reaching past it — from

@@ -393,14 +393,11 @@ fn tuned(retrying: bool, v2: bool) -> NetConfig {
 /// or, for kinds 8 and 9, the `x`-th earlier request asked again (none
 /// when there is none yet).
 ///
-/// A flat or cached link ships and settles each frame before the next,
-/// and a fleet settles each request on every shard it reaches before it
-/// frames the next, so under every plan — crash windows and repeated
-/// requests included, breakers on or off — every batch must equal its
-/// requests exactly: responses, meters, generations. The one thing a
-/// script must not do is make a request depend on another: a cache
-/// answers a request it has already seen from the earlier reply, so the
-/// cached shapes run the script without its repeated cacheable reads.
+/// `request_many` issues each request through `request`, and every layer
+/// answers one request per call, so under every plan — crash windows and
+/// repeated requests included, breakers on or off, a cache cold or warm
+/// — every batch must equal its requests exactly: responses, meters,
+/// generations, cache tallies. Every shape runs the whole script.
 ///
 /// Updates ride only clean plans (the envelope nonce is per sender, so
 /// fault rolls on tagged frames differ between any two links).
@@ -410,40 +407,20 @@ fn batch_is_its_requests(
     net: NetConfig,
 ) -> Result<(), TestCaseError> {
     let clean = plan.drop_rate == 0.0 && plan.garble_rate == 0.0;
-    // Each request, and whether it repeats an earlier one.
-    let mut asked: Vec<(Request, bool)> = Vec::new();
+    let mut script: Vec<Request> = Vec::new();
     for (i, &step) in steps.iter().enumerate() {
-        let (req, repeat) = match step.0 {
-            8.. if asked.is_empty() => continue,
-            8.. => (
-                asked[step.1.unsigned_abs() as usize % asked.len()]
-                    .0
-                    .clone(),
-                true,
-            ),
-            _ => (request(i, step), false),
+        let req = match step.0 {
+            8.. if script.is_empty() => continue,
+            8.. => script[step.1.unsigned_abs() as usize % script.len()].clone(),
+            _ => request(i, step),
         };
         if clean || !matches!(req, Request::ApplyUpdates(_)) {
-            asked.push((req, repeat));
+            script.push(req);
         }
     }
-    let script: Vec<Request> = asked.iter().map(|(req, _)| req.clone()).collect();
-    let cacheable = |req: &Request| {
-        matches!(
-            req,
-            Request::Count(_) | Request::Window(_) | Request::EpsRange { .. }
-        )
-    };
-    let fresh: Vec<Request> = asked
-        .iter()
-        .filter(|(req, repeat)| !(*repeat && cacheable(req)))
-        .map(|(req, _)| req.clone())
-        .collect();
     // A store warmed, through a clean link, with the left part of the
     // space: requests inside it hit, the others miss, batches that
-    // straddle it hit partially. Reads only, and no window that would
-    // miss: a window admitted mid-script answers later requests it
-    // contains, which makes them depend on it.
+    // straddle it hit partially.
     let warm = Rect::from_coords(-4.0, -4.0, 14.0, 14.0);
     let warmed = || {
         let store = Arc::new(ClientCache::new(1 << 20));
@@ -456,33 +433,22 @@ fn batch_is_its_requests(
         Link::cached(primer, 1.0).request(&Request::Window(warm));
         store
     };
-    let reads: Vec<Request> = fresh
-        .iter()
-        .filter(|req| !matches!(req, Request::ApplyUpdates(_)))
-        .map(|req| match req {
-            Request::Window(w) if !warm.contains_rect(w) => Request::Count(*w),
-            other => other.clone(),
-        })
-        .collect();
     let fleet = |breaker: BreakerConfig| {
         let router = ShardRouter::new(shards_3x2(plan), &net.with_breakers(breaker));
         Link::routed(router, 1.0)
     };
-    type Shape<'a> = (&'a str, &'a [Request], Box<dyn Fn() -> Link + 'a>);
+    type Shape<'a> = (&'a str, Box<dyn Fn() -> Link + 'a>);
     let shapes: Vec<Shape> = vec![
         (
             "flat",
-            &script,
             Box::new(|| Link::new(faulted(lattice(), plan), &net, 1.0)),
         ),
         (
             "flat, gauged",
-            &script,
             Box::new(|| Link::new(faulted_gauged(lattice(), plan), &net, 1.0)),
         ),
         (
             "cold cache",
-            &fresh,
             Box::new(|| {
                 let store = Arc::new(ClientCache::new(0));
                 Link::cached(CacheLayer::new(faulted(lattice(), plan), &net, store), 1.0)
@@ -490,7 +456,6 @@ fn batch_is_its_requests(
         ),
         (
             "warm cache",
-            &reads,
             Box::new(|| {
                 Link::cached(
                     CacheLayer::new(faulted(lattice(), plan), &net, warmed()),
@@ -498,27 +463,22 @@ fn batch_is_its_requests(
                 )
             }),
         ),
-        ("1x1 fleet", &script, Box::new(|| sole_fleet(plan, net))),
-        (
-            "3x2 fleet",
-            &script,
-            Box::new(|| fleet(BreakerConfig::disabled())),
-        ),
+        ("1x1 fleet", Box::new(|| sole_fleet(plan, net))),
+        ("3x2 fleet", Box::new(|| fleet(BreakerConfig::disabled()))),
         (
             "3x2 fleet, breakers",
-            &script,
             Box::new(|| fleet(BreakerConfig::enabled())),
         ),
     ];
-    for (shape, script, build) in shapes {
+    for (shape, build) in shapes {
         let (serial, batched) = (build(), build());
         let want: Vec<Response> = script.iter().map(|req| serial.request(req)).collect();
         let mut got = Vec::with_capacity(script.len());
-        batched.request_many(script, |resp| got.push(resp));
+        batched.request_many(&script, |resp| got.push(resp));
         let (want_meter, got_meter) = (serial.meter().snapshot(), batched.meter().snapshot());
         prop_assert_eq!(&got, &want, "{}: responses", shape);
         prop_assert_eq!(got_meter, want_meter, "{}: link meter", shape);
-        prop_assert_eq!(batched.last_generation(), serial.last_generation());
+        prop_assert_eq!(batched.generations(), serial.generations());
         if let Some(cache) = batched.cache() {
             prop_assert_eq!(cache.snapshot(), serial.cache().unwrap().snapshot());
         }
