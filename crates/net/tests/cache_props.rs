@@ -13,7 +13,8 @@
 //!
 //! Non-vacuity: a store that skips a count's decrements, keeps a probe
 //! answer's removed objects or leaves a patched window's runs stale fails
-//! these properties. Those three bugs are the mutants
+//! these tests (the kept removal on the racing-bump test's probe). Those
+//! three bugs are the mutants
 //! `cache-count-decrements-skipped`, `cache-probe-removes-skipped` and
 //! `cache-runs-left-stale` in `tools/mutants/`, which `tools/mutants.py`
 //! re-plants. A read issued after a write in the same batch is served
@@ -518,6 +519,11 @@ fn a_bump_racing_a_batch_answers_each_request_at_its_own_generation() {
     let low = Request::Count(Rect::from_coords(-1.0, -1.0, 9.0, 1.5));
     let high = Request::Count(Rect::from_coords(-1.0, 1.5, 9.0, 9.0));
     assert_eq!(cached.request(&low).into_count(), 8);
+    let origin = Request::EpsRange {
+        q: Rect::point(Point::new(0.0, 0.0)),
+        eps: 0.5,
+    };
+    assert_eq!(cached.request(&origin).into_objects().len(), 1);
     // Object 0 jumps from the low band to the high one behind the cache's
     // back: `low` hits at generation 0, `high` is answered at 1.
     third_party.request(&shift(0..1, 3.0));
@@ -530,7 +536,9 @@ fn a_bump_racing_a_batch_answers_each_request_at_its_own_generation() {
     assert_eq!(store.content_generation(), 1);
     let before = cached.meter().snapshot();
     assert_eq!(cached.request(&low).into_count(), 7);
-    assert_eq!(cached.meter().snapshot(), before, "and it is cached at 1");
+    // The probe tier is patched too: the moved object is taken out.
+    assert_eq!(cached.request(&origin), Response::Objects(Vec::new()));
+    assert_eq!(cached.meter().snapshot(), before, "and both are held at 1");
 }
 
 /// A read asked after a write in the same `request_many` is looked up in
