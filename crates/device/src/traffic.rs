@@ -19,7 +19,34 @@
 //! nothing wall-clock-dependent) into one comparable number. Latencies
 //! are collected alongside for the scaling benchmarks' p50/p95/p99 and
 //! fairness columns, and deliberately excluded from the digest.
+//!
+//! The script's requests are what a run measures, so the device's own
+//! bookkeeping is kept to a few instructions per object:
+//!
+//! * Every digest is a chain of one word mix (`fold`: the state xored
+//!   with a `u64` word, multiplied 64×64→128 by an odd constant, the two
+//!   halves xored), started from `FNV_OFFSET`. A per-word multiply that
+//!   keeps only the low half would let two flipped sign bits cancel (a
+//!   point at `y = -0.0` against `y = 0.0`); the folded high half does
+//!   not.
+//! * [`DeviceOutcome::digest`] folds each response in issue order: a
+//!   variant tag, then ids, counts and `f64::to_bits` of every coordinate
+//!   (`min.x`, `min.y`, `max.x`, `max.y`), lengths before lists.
+//! * The local joins' pairs are unioned without sorting: each step's
+//!   nested loop offers its `(r_id, s_id)` keys to one hash set, and a key
+//!   the set had not seen adds its mix to [`DeviceOutcome::pair_digest`],
+//!   a wrapping sum, so the digest is of the set and not of any order.
+//! * The report digests fold each device's numbers and then, for
+//!   [`TrafficReport::determinism_digest`], every field of both meter
+//!   snapshots through their `Hash` impls, so no field can be left out.
+//!
+//! Digests are only ever compared between runs of one binary
+//! (`same_outcome` in the benchmark, `tests/device_scaling.rs`), never
+//! against a recorded value, so the encoding is free to change with the
+//! code.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -64,11 +91,15 @@ impl TrafficConfig {
 pub struct DeviceOutcome {
     /// Device index.
     pub device: usize,
-    /// Order-sensitive FNV-1a digest over every decoded response.
+    /// Order-sensitive digest over every decoded response, in issue
+    /// order (per step: the COUNT, the R window, the S window), each
+    /// folded as the module docs say.
     pub digest: u64,
-    /// Qualifying `(r_id, s_id)` pairs found by the local window joins.
+    /// Distinct qualifying `(r_id, s_id)` pairs over all the local window
+    /// joins: the size of the union of the steps' pair sets.
     pub pairs: u64,
-    /// FNV-1a digest over the sorted pair list.
+    /// Order-independent digest of that union: the wrapping sum of each
+    /// distinct pair's mixed key `r_id << 32 | s_id`.
     pub pair_digest: u64,
     /// Final meter snapshot of the device's R link.
     pub r_meter: LinkSnapshot,
@@ -86,13 +117,84 @@ pub struct TrafficReport {
     pub outcomes: Vec<DeviceOutcome>,
 }
 
+/// The state every digest starts from (FNV-1a's offset basis, kept as
+/// the seed when the byte-at-a-time FNV fold gave way to `fold`).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The odd multiplier of `fold` (2⁶⁴ over the golden ratio).
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
+/// Folds one word into `hash`: `(hash ^ word) × MIX` as a 128-bit
+/// product, its high half xored onto its low half.
+#[inline]
+fn fold(hash: u64, word: u64) -> u64 {
+    let p = u128::from(hash ^ word) * u128::from(MIX);
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// A [`Hasher`] over `fold`: each integer it is fed is one word. It
+/// digests the meter snapshots (their derived `Hash` feeds every field in
+/// declaration order) and keys the pair union's set.
+struct WordHasher(u64);
+
+impl Default for WordHasher {
+    fn default() -> Self {
+        WordHasher(FNV_OFFSET)
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = fold(self.0, word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// The union of a device's step pairs, taken without sorting: a key set
+/// plus the running digest of the keys it admitted. Each worker keeps
+/// one and clears it per device, so its table grows once, not per device.
+#[derive(Default)]
+struct PairUnion {
+    seen: HashSet<u64, BuildHasherDefault<WordHasher>>,
+    digest: u64,
+}
+
+impl PairUnion {
+    /// Adds the nested-loop pairs of two downloaded windows: every
+    /// `(r, s)` within `eps`. Buffer-sized inputs, so the quadratic scan
+    /// is exact and cheap.
+    fn join(&mut self, r: &[SpatialObject], s: &[SpatialObject], eps: f64) {
+        for a in r {
+            for b in s {
+                if a.mbr.within_distance(&b.mbr, eps) {
+                    let key = u64::from(a.id) << 32 | u64::from(b.id);
+                    if self.seen.insert(key) {
+                        self.digest = self.digest.wrapping_add(fold(FNV_OFFSET, key));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Empties the union for the next device, keeping the table.
+    fn clear(&mut self) {
+        self.seen.clear();
+        self.digest = 0;
+    }
+
+    /// Distinct pairs admitted so far.
+    fn len(&self) -> u64 {
+        self.seen.len() as u64
     }
 }
 
@@ -111,33 +213,13 @@ fn scripted_window(space: Rect, i: usize, k: usize, s: usize) -> Rect {
     Rect::from_coords(x0, y0, x0 + w * span_x, y0 + w * span_y)
 }
 
-/// Plane-pair scan over two downloaded windows: every `(r, s)` pair
-/// within `eps`, deduplicated by id pair. Buffer-sized inputs, so the
-/// quadratic scan is exact and cheap.
-fn window_pairs(r: &[SpatialObject], s: &[SpatialObject], eps: f64) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    for a in r {
-        for b in s {
-            if a.mbr.within_distance(&b.mbr, eps) {
-                out.push((a.id, b.id));
-            }
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 /// Folds every field of `resp` into `hash`: a variant tag, then ids,
 /// counts and `f64::to_bits` of each coordinate, lengths before lists.
-/// Digests are only ever compared between runs of one binary
-/// (`same_outcome` in the benchmark, `tests/device_scaling.rs`), never
-/// against a recorded value, so the encoding is free to change with the
-/// code. The `match` has no `_` arm: a new `Response` variant fails to
-/// compile here instead of silently digesting to nothing.
+/// The `match` has no `_` arm: a new `Response` variant fails to compile
+/// here instead of silently digesting to nothing.
 fn digest_response(hash: &mut u64, resp: &Response) {
     fn word(hash: &mut u64, v: u64) {
-        fnv1a(hash, &v.to_be_bytes());
+        *hash = fold(*hash, v);
     }
     fn rect(hash: &mut u64, r: &Rect) {
         for v in [r.min.x, r.min.y, r.max.x, r.max.y] {
@@ -193,11 +275,17 @@ fn digest_response(hash: &mut u64, resp: &Response) {
     }
 }
 
-/// Runs one device's script over fresh links from `connect`.
-fn run_device(cfg: &TrafficConfig, device: usize, links: (Link, Link)) -> DeviceOutcome {
+/// Runs one device's script over fresh links from `connect`, joining
+/// its windows into the worker's `union`.
+fn run_device(
+    cfg: &TrafficConfig,
+    device: usize,
+    links: (Link, Link),
+    union: &mut PairUnion,
+) -> DeviceOutcome {
     let (r_link, s_link) = links;
     let mut digest = FNV_OFFSET;
-    let mut all_pairs: Vec<(u32, u32)> = Vec::new();
+    union.clear();
     let mut latencies_us = Vec::with_capacity(cfg.steps * 3);
     let timed = |link: &Link, req: &Request, lat: &mut Vec<u64>| -> Response {
         let t0 = Instant::now();
@@ -215,21 +303,14 @@ fn run_device(cfg: &TrafficConfig, device: usize, links: (Link, Link)) -> Device
         let s_objs = timed(&s_link, &Request::Window(join_w), &mut latencies_us);
         digest_response(&mut digest, &s_objs);
         if let (Response::Objects(r), Response::Objects(s)) = (&r_objs, &s_objs) {
-            all_pairs.extend(window_pairs(r, s, cfg.eps));
+            union.join(r, s, cfg.eps);
         }
-    }
-    all_pairs.sort_unstable();
-    all_pairs.dedup();
-    let mut pair_digest = FNV_OFFSET;
-    for (a, b) in &all_pairs {
-        fnv1a(&mut pair_digest, &a.to_be_bytes());
-        fnv1a(&mut pair_digest, &b.to_be_bytes());
     }
     DeviceOutcome {
         device,
         digest,
-        pairs: all_pairs.len() as u64,
-        pair_digest,
+        pairs: union.len(),
+        pair_digest: union.digest,
         r_meter: r_link.meter().snapshot(),
         s_meter: s_link.meter().snapshot(),
         latencies_us,
@@ -249,13 +330,16 @@ where
     let outcomes: Mutex<Vec<Option<DeviceOutcome>>> = Mutex::new(vec![None; cfg.devices]);
     std::thread::scope(|scope| {
         for _ in 0..cfg.workers.min(cfg.devices.max(1)) {
-            scope.spawn(|| loop {
-                let device = next.fetch_add(1, Ordering::Relaxed);
-                if device >= cfg.devices {
-                    break;
+            scope.spawn(|| {
+                let mut union = PairUnion::default();
+                loop {
+                    let device = next.fetch_add(1, Ordering::Relaxed);
+                    if device >= cfg.devices {
+                        break;
+                    }
+                    let outcome = run_device(cfg, device, connect(device), &mut union);
+                    outcomes.lock().expect("outcome lock")[device] = Some(outcome);
                 }
-                let outcome = run_device(cfg, device, connect(device));
-                outcomes.lock().expect("outcome lock")[device] = Some(outcome);
             });
         }
     });
@@ -274,18 +358,7 @@ impl TrafficReport {
     /// snapshots. Two runs over the same deployment agree iff this
     /// agrees (latencies are excluded by construction).
     pub fn determinism_digest(&self) -> u64 {
-        let mut hash = FNV_OFFSET;
-        for o in &self.outcomes {
-            fnv1a(&mut hash, &(o.device as u64).to_be_bytes());
-            fnv1a(&mut hash, &o.digest.to_be_bytes());
-            fnv1a(&mut hash, &o.pairs.to_be_bytes());
-            fnv1a(&mut hash, &o.pair_digest.to_be_bytes());
-            fnv1a(
-                &mut hash,
-                format!("{:?}{:?}", o.r_meter, o.s_meter).as_bytes(),
-            );
-        }
-        hash
+        self.fold_outcomes(true)
     }
 
     /// Like [`determinism_digest`](Self::determinism_digest) but over the
@@ -295,14 +368,21 @@ impl TrafficReport {
     /// and therefore who pays the miss bytes — depends on scheduling, but
     /// the answers every device decodes must not.
     pub fn result_digest(&self) -> u64 {
-        let mut hash = FNV_OFFSET;
+        self.fold_outcomes(false)
+    }
+
+    /// Folds, device by device, the index, `digest`, `pairs` and
+    /// `pair_digest`, then (with `meters`) every field of the R and then
+    /// the S snapshot, in declaration order.
+    fn fold_outcomes(&self, meters: bool) -> u64 {
+        let mut hash = WordHasher::default();
         for o in &self.outcomes {
-            fnv1a(&mut hash, &(o.device as u64).to_be_bytes());
-            fnv1a(&mut hash, &o.digest.to_be_bytes());
-            fnv1a(&mut hash, &o.pairs.to_be_bytes());
-            fnv1a(&mut hash, &o.pair_digest.to_be_bytes());
+            (o.device, o.digest, o.pairs, o.pair_digest).hash(&mut hash);
+            if meters {
+                (o.r_meter, o.s_meter).hash(&mut hash);
+            }
         }
-        hash
+        hash.finish()
     }
 
     /// Total qualifying pairs across all devices.
@@ -399,7 +479,31 @@ mod tests {
     }
 
     #[test]
-    fn window_pairs_dedups_and_orders() {
+    fn response_digest_separates_near_twins() {
+        let digest = |objs: &[SpatialObject]| {
+            let mut hash = FNV_OFFSET;
+            digest_response(&mut hash, &Response::Objects(objs.to_vec()));
+            hash
+        };
+        // (a) Only `max.x` differs. Every case above is a point, so a
+        // digest that dropped the max corner would pass them all.
+        let boxed = |max_x| SpatialObject::new(1, Rect::from_coords(0.0, 0.0, max_x, 1.0));
+        assert_ne!(digest(&[boxed(2.0)]), digest(&[boxed(3.0)]));
+        // (b) `min.y` and `max.y` both flip their sign bit. A per-word
+        // `(h ^ w) * prime` keeps only the low half of each product, so
+        // bit 63 never leaves bit 63 and the second flip cancels the first.
+        let point = |y: f64| SpatialObject::new(1, Rect::from_coords(0.5, y, 0.5, y));
+        assert_ne!(digest(&[point(0.0)]), digest(&[point(-0.0)]));
+        // (c) Two objects swapped within one list.
+        let (p, q) = (
+            SpatialObject::point(1, 1.0, 2.0),
+            SpatialObject::point(2, 3.0, 4.0),
+        );
+        assert_ne!(digest(&[p, q]), digest(&[q, p]));
+    }
+
+    #[test]
+    fn a_pair_found_in_two_steps_counts_once_in_either_order() {
         let r = vec![
             SpatialObject::point(1, 0.0, 0.0),
             SpatialObject::point(2, 10.0, 0.0),
@@ -408,7 +512,195 @@ mod tests {
             SpatialObject::point(7, 0.5, 0.0),
             SpatialObject::point(8, 50.0, 0.0),
         ];
-        assert_eq!(window_pairs(&r, &s, 1.0), vec![(1, 7)]);
-        assert_eq!(window_pairs(&r, &s, 100.0).len(), 4);
+        let union = |steps: &[f64]| {
+            let mut union = PairUnion::default();
+            steps.iter().for_each(|&eps| union.join(&r, &s, eps));
+            (union.len(), union.digest)
+        };
+        let once = union(&[1.0]);
+        assert_eq!(once.0, 1);
+        assert_eq!(union(&[1.0, 1.0]), once, "a repeat adds nothing");
+        let all = union(&[1.0, 100.0]);
+        assert_eq!(all.0, 4);
+        assert_eq!(union(&[100.0, 1.0]), all, "the digest is of the set");
+        assert_ne!(all.1, once.1);
+    }
+
+    /// The pair union held to its old definition, on real servers.
+    mod union_oracle {
+        use std::sync::Arc;
+
+        use asj_net::transport::InProcExchange;
+        use asj_net::{FaultLayer, FaultPlan, NetConfig, RawExchange, ShardEndpoint, ShardRouter};
+        use asj_server::{partition_objects, RTreeStore, SpatialService};
+
+        use super::*;
+
+        type Server = Arc<SpatialService<RTreeStore>>;
+
+        const SPACE: Rect = Rect {
+            min: asj_geom::Point { x: 0.0, y: 0.0 },
+            max: asj_geom::Point { x: 100.0, y: 100.0 },
+        };
+
+        /// `n` points spread over `SPACE` by a seeded LCG.
+        fn uniform(n: u32, seed: u64) -> Vec<SpatialObject> {
+            let mut state = seed;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 100.0
+            };
+            (0..n)
+                .map(|id| SpatialObject::point(id, next(), next()))
+                .collect()
+        }
+
+        fn server(objects: Vec<SpatialObject>) -> Server {
+            Arc::new(SpatialService::new(RTreeStore::new(objects)))
+        }
+
+        fn carrier(server: &Server) -> Box<dyn RawExchange> {
+            Box::new(InProcExchange::new(Arc::clone(server)))
+        }
+
+        fn flat(server: &Server) -> Link {
+            Link::new(carrier(server), &NetConfig::default(), 1.0)
+        }
+
+        /// One side split over three shards, of which `dark` (if any)
+        /// never answers.
+        struct Fleet {
+            shards: Vec<(Option<Rect>, Server)>,
+            dark: Option<usize>,
+            net: NetConfig,
+        }
+
+        impl Fleet {
+            fn new(objects: Vec<SpatialObject>, dark: Option<usize>, net: NetConfig) -> Self {
+                let part = partition_objects(&SPACE, 3, objects);
+                let bounds = part.bounds();
+                let shards = bounds.into_iter().zip(part.members.into_iter().map(server));
+                let shards = shards.collect();
+                Fleet { shards, dark, net }
+            }
+
+            fn link(&self) -> Link {
+                let endpoints = (self.shards.iter().enumerate())
+                    .map(|(i, (bounds, server))| {
+                        let mut c = carrier(server);
+                        if self.dark == Some(i) {
+                            let plan = FaultPlan::default().with_crash(0, u64::MAX);
+                            c = Box::new(FaultLayer::new(c, plan));
+                        }
+                        ShardEndpoint::new(*bounds, c)
+                    })
+                    .collect();
+                Link::routed(ShardRouter::new(endpoints, &self.net), 1.0)
+            }
+        }
+
+        /// The union's old definition, kept here only. Replays `device`'s
+        /// whole script on `links` (so a fault plan counting requests
+        /// fails the same ones) and returns each step's nested-loop
+        /// pairs, unioned, sorted and deduplicated, plus how many pairs
+        /// the steps found before deduplication.
+        fn reference_pairs(
+            cfg: &TrafficConfig,
+            device: usize,
+            (r_link, s_link): (Link, Link),
+        ) -> (Vec<(u32, u32)>, usize) {
+            let mut all = Vec::new();
+            for k in 0..cfg.steps {
+                let join_w = scripted_window(cfg.space, device, k, 1);
+                r_link.request(&Request::Count(scripted_window(cfg.space, device, k, 0)));
+                let r = r_link.request(&Request::Window(join_w));
+                let s = s_link.request(&Request::Window(join_w));
+                if let (Response::Objects(r), Response::Objects(s)) = (r, s) {
+                    for a in &r {
+                        for b in &s {
+                            if a.mbr.within_distance(&b.mbr, cfg.eps) {
+                                all.push((a.id, b.id));
+                            }
+                        }
+                    }
+                }
+            }
+            let found = all.len();
+            all.sort_unstable();
+            all.dedup();
+            (all, found)
+        }
+
+        /// Runs the script on 16 devices and holds every device's `pairs`
+        /// and `pair_digest` to [`reference_pairs`] over fresh links. The
+        /// windows of a device's steps overlap, so some pair is found by
+        /// two steps: the deployments must exercise the deduplication.
+        fn assert_union_is_the_reference(
+            connect: impl Fn(usize) -> (Link, Link) + Sync,
+        ) -> TrafficReport {
+            let cfg = TrafficConfig::new(16, 2, SPACE);
+            let report = run_traffic(&cfg, &connect);
+            let mut repeats = 0;
+            for o in &report.outcomes {
+                let (reference, found) = reference_pairs(&cfg, o.device, connect(o.device));
+                let digest = reference.iter().fold(0u64, |d, &(a, b)| {
+                    d.wrapping_add(fold(FNV_OFFSET, u64::from(a) << 32 | u64::from(b)))
+                });
+                assert_eq!(
+                    (o.pairs, o.pair_digest),
+                    (reference.len() as u64, digest),
+                    "device {}: the union is not the steps' sorted, deduplicated pairs",
+                    o.device
+                );
+                repeats += found - reference.len();
+            }
+            assert!(repeats > 0, "no pair was found by two steps");
+            report
+        }
+
+        #[test]
+        fn flat_links() {
+            let (r, s) = (server(uniform(2000, 1)), server(uniform(2000, 2)));
+            assert_union_is_the_reference(|_| (flat(&r), flat(&s)));
+        }
+
+        #[test]
+        fn a_three_shard_fleet() {
+            let net = NetConfig::default();
+            let r = Fleet::new(uniform(2000, 1), None, net);
+            let s = Fleet::new(uniform(2000, 2), None, net);
+            assert_union_is_the_reference(|_| (r.link(), s.link()));
+        }
+
+        #[test]
+        fn a_step_whose_download_fails() {
+            // The R link's requests are COUNT, WINDOW per step: its 4th
+            // (step 1's download) goes dark, later ones are answered.
+            let (r, s) = (server(uniform(2000, 1)), server(uniform(2000, 2)));
+            let plan = FaultPlan::default().with_crash(3, 1);
+            let report = assert_union_is_the_reference(|_| {
+                let r = Box::new(FaultLayer::new(carrier(&r), plan));
+                (Link::new(r, &NetConfig::default(), 1.0), flat(&s))
+            });
+            for o in &report.outcomes {
+                assert_eq!(o.r_meter.window_queries, 3, "one download failed");
+            }
+        }
+
+        #[test]
+        fn an_allow_partial_fleet_with_a_shard_down() {
+            let net = NetConfig::default().with_allow_partial(true);
+            let s = Fleet::new(uniform(2000, 2), None, net);
+            let [partial, whole] = [Some(1), None].map(|dark| {
+                let r = Fleet::new(uniform(2000, 1), dark, net);
+                assert_union_is_the_reference(|_| (r.link(), s.link())).total_pairs()
+            });
+            assert!(
+                partial < whole,
+                "the dark shard's objects are missing from partial answers"
+            );
+        }
     }
 }

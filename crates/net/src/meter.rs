@@ -21,7 +21,8 @@ use crate::packet::PacketModel;
 use crate::proto::Request;
 
 /// Declares one telemetry record: the public snapshot (`Debug, Clone,
-/// Copy, PartialEq, Eq, Default`, one `pub u64` per field, in list order)
+/// Copy, PartialEq, Eq, Hash, Default`, one `pub u64` per field, in list
+/// order)
 /// and its crate-visible atomic twin, with `load`, `plus` and `since`.
 /// See the module docs for the counter/gauge rule.
 macro_rules! telemetry {
@@ -32,7 +33,7 @@ macro_rules! telemetry {
         }
     ) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
         pub struct $snapshot {
             $($(#[$field_doc])* pub $field: u64,)*
         }

@@ -13,7 +13,9 @@
 //!
 //! Non-vacuity: a store that skips a count's decrements, keeps a probe
 //! answer's removed objects or leaves a patched window's runs stale fails
-//! these tests (the kept removal on the racing-bump test's probe). Those
+//! these tests. The kept removal fails the live property by itself, on
+//! its step that re-asks an ε-RANGE after deleting an object of its
+//! answer, and the racing-bump test's probe pins it by hand. Those
 //! three bugs are the mutants
 //! `cache-count-decrements-skipped`, `cache-probe-removes-skipped` and
 //! `cache-runs-left-stale` in `tools/mutants/`, which `tools/mutants.py`
@@ -164,6 +166,11 @@ enum Step {
     /// … or by somebody else through a link of their own: the cache can
     /// only learn of it from the stamp of a later reply.
     ThirdParty(Vec<Update>),
+    /// An ε-RANGE asked, then the deletion of one object of its answer
+    /// (the `pick`-th, modulo its length; by a third party when the flag
+    /// is set), then the same ε-RANGE asked again: a probe-tier hit whose
+    /// change list removes an object inside the probe.
+    Reprobe(Op, usize, bool),
 }
 
 fn update() -> impl Strategy<Value = Update> {
@@ -195,6 +202,9 @@ fn step() -> impl Strategy<Value = Step> {
         prop::collection::vec(live_op(), 2..6).prop_map(Step::Batch),
         batch().prop_map(Step::Update),
         batch().prop_map(Step::ThirdParty),
+        (live_op(), 0..64usize, any::<bool>()).prop_map(|((_, base, how, e), pick, third)| {
+            Step::Reprobe((2, base, how, e), pick, third)
+        }),
     ]
 }
 
@@ -294,9 +304,25 @@ fn cached_answers_are_the_servers(
             }
             Ok(())
         };
-    for step in steps {
+    let mut steps = std::collections::VecDeque::from(steps);
+    while let Some(step) = steps.pop_front() {
         let through_cache = matches!(step, Step::Update(_));
         match step {
+            Step::Reprobe(op, pick, third) => {
+                let req = request(op, &bases);
+                let got = cached.request(&req);
+                let held = got.clone().into_objects();
+                let got = vec![(got, cached.last_generation())];
+                check(std::slice::from_ref(&req), got, &states, heard)?;
+                if let Some(victim) = held.get(pick % held.len().max(1)) {
+                    let delete = vec![Update::Delete(victim.id)];
+                    steps.push_front(Step::Query(op));
+                    steps.push_front(match third {
+                        true => Step::ThirdParty(delete),
+                        false => Step::Update(delete),
+                    });
+                }
+            }
             Step::Query(op) => {
                 let req = request(op, &bases);
                 let got = cached.request(&req);
