@@ -117,8 +117,8 @@ pub struct TrafficReport {
     pub outcomes: Vec<DeviceOutcome>,
 }
 
-/// The state every digest starts from (FNV-1a's offset basis, kept as
-/// the seed when the byte-at-a-time FNV fold gave way to `fold`).
+/// The state every digest starts from (FNV-1a's offset basis). It is not
+/// zero, so that leading zero words still move the state.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// The odd multiplier of `fold` (2⁶⁴ over the golden ratio).
 const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
